@@ -1,26 +1,30 @@
 //! `grep`: regular-expression search.
 //!
-//! The baseline streams the file, matching line by line, printing matches
-//! in file order, and with `-q` stops at the first match. The SLEDs mode
-//! reads chunks in pick order (record-oriented, so no line ever straddles a
-//! latency boundary), buffers its matches, and sorts them by offset before
+//! The baseline streams the file, printing matching lines in file order,
+//! and with `-q` stops at the first match. The SLEDs mode reads chunks in
+//! pick order (record-oriented, so no line ever straddles a latency
+//! boundary), buffers its matches, and puts them back in file order before
 //! returning — the paper calls out exactly this extra buffering/sorting as
 //! why `grep` needed the most code of its ports, and why switches like `-n`
 //! had to be reimplemented. Line numbers are reconstructed from per-segment
 //! newline counts after the scan.
+//!
+//! Every mode feeds its buffers to one scanner, `LineScan`, which searches
+//! a whole buffer per call and copies only the lines that match. What the
+//! virtual machine is charged is what a per-line grep would cost — a copy
+//! and a scan per byte, a fixed cost per line — whatever the host does.
 //!
 //! With `-q` (first match wins), the SLEDs mode is the paper's "ideal
 //! benchmark": if any cached chunk contains a match, it terminates without
 //! a single device read.
 
 use sleds::{PickConfig, PickSession, SledsTable};
-use sleds_fs::{
-    Fd, Kernel, OpenFlags, RingOp, RingPayload, SubmissionRing, Whence, DEFAULT_RING_ENTRIES,
-};
+use sleds_fs::{Fd, Kernel, OpenFlags, SubmissionRing, Whence, DEFAULT_RING_ENTRIES};
 use sleds_sim_core::{SimDuration, SimResult};
+use sleds_textmatch::memscan::{count, memchr, memrchr};
 use sleds_textmatch::Regex;
 
-use crate::{charge_per_byte, FileDiagnostic, BUFSIZE};
+use crate::{charge_per_byte, ring_read_plan, FileDiagnostic, BUFSIZE};
 
 /// Fixed per-line CPU cost (line assembly, bookkeeping).
 const GREP_NS_PER_LINE: u64 = 60;
@@ -145,93 +149,218 @@ pub fn grep(
     result
 }
 
+/// The line scanner all three modes share: fed the file a buffer at a
+/// time, it finds the matching lines of each buffer with one search,
+/// copies only those, and counts newlines for the line numbers.
+struct LineScan<'a> {
+    re: &'a Regex,
+    first_match_only: bool,
+    /// The segment being extended is last. The baseline only ever has one.
+    segments: Vec<Segment>,
+    /// The current segment's unterminated tail: the start of a line whose
+    /// end is in the next buffer (or nowhere, at end of file).
+    carry: Vec<u8>,
+    carry_start: u64,
+}
+
+impl<'a> LineScan<'a> {
+    fn new(re: &'a Regex, opts: &GrepOptions) -> Self {
+        LineScan {
+            re,
+            first_match_only: opts.first_match_only,
+            segments: Vec::new(),
+            carry: Vec::new(),
+            carry_start: 0,
+        }
+    }
+
+    /// Scans the buffer read at `offset`, charging what the per-line loop
+    /// of a real grep would cost. Returns true when `-q` has its match —
+    /// the last one recorded — and the scan should stop.
+    fn feed(&mut self, kernel: &mut Kernel, offset: u64, buf: &[u8]) -> bool {
+        self.seek(kernel, offset);
+        charge_per_byte(kernel, buf.len(), 1); // copy into line assembly
+        kernel.charge_cpu(SimDuration::from_nanos(scan_cost(self.re, buf.len())));
+        self.segments.last_mut().expect("seek opened one").end = offset + buf.len() as u64;
+        let Some(last_newline) = memrchr(b'\n', buf) else {
+            if self.carry.is_empty() {
+                self.carry_start = offset;
+            }
+            self.carry.extend_from_slice(buf);
+            return false;
+        };
+
+        // `lines` newlines lie before `pos`, the next unsearched line.
+        let (mut pos, mut lines) = (0usize, 0u64);
+        let mut found = false;
+        if !self.carry.is_empty() {
+            // The first line began in an earlier buffer.
+            let newline = memchr(b'\n', buf).expect("buffer has a newline");
+            self.carry.extend_from_slice(&buf[..newline]);
+            found = self.take_carried_line();
+            (pos, lines) = (newline + 1, 1);
+        }
+        let seg = self.segments.last_mut().expect("seek opened one");
+        while !(found && self.first_match_only) {
+            let Some((start, end)) = self.re.next_matching_line(&buf[..=last_newline], pos) else {
+                break;
+            };
+            lines += count(b'\n', &buf[pos..start]) as u64;
+            seg.matches.push(GrepMatch {
+                offset: offset + start as u64,
+                line_number: seg.newlines + lines + 1,
+                line: buf[start..end].to_vec(),
+            });
+            found = true;
+            (pos, lines) = (end + 1, lines + 1);
+        }
+        let stop = found && self.first_match_only;
+        if !stop {
+            lines += count(b'\n', &buf[pos..=last_newline]) as u64;
+            self.carry_start = offset + last_newline as u64 + 1;
+            self.carry.extend_from_slice(&buf[last_newline + 1..]);
+        }
+        // One charge for the buffer's lines — up to and including the
+        // match under `-q`. No syscall runs inside a buffer, so this sums
+        // to what charging line by line would.
+        kernel.charge_cpu(SimDuration::from_nanos(GREP_NS_PER_LINE * lines));
+        seg.newlines += lines;
+        stop
+    }
+
+    /// Matches the line assembled in `carry` — the next line of the
+    /// current segment — records it if it hits, and empties the carry.
+    fn take_carried_line(&mut self) -> bool {
+        let seg = self
+            .segments
+            .last_mut()
+            .expect("carry belongs to a segment");
+        let hit = self.re.is_match(&self.carry);
+        if hit {
+            seg.matches.push(GrepMatch {
+                offset: self.carry_start,
+                line_number: seg.newlines + 1,
+                line: std::mem::take(&mut self.carry),
+            });
+        }
+        self.carry.clear();
+        hit
+    }
+
+    /// Ends the current segment. Anything carried is an unterminated final
+    /// line (end of file: segments end on record boundaries everywhere
+    /// else). A match here does not stop a `-q` scan early — there is
+    /// nothing left of this segment to skip.
+    fn close_segment(&mut self, kernel: &mut Kernel) {
+        if !self.carry.is_empty() {
+            kernel.charge_cpu(SimDuration::from_nanos(GREP_NS_PER_LINE));
+            self.take_carried_line();
+        }
+    }
+}
+
 fn grep_baseline(
     kernel: &mut Kernel,
     fd: Fd,
     re: &Regex,
     opts: &GrepOptions,
 ) -> SimResult<GrepResult> {
-    let mut out = GrepResult::default();
-    let mut carry: Vec<u8> = Vec::new();
-    let mut carry_start = 0u64;
-    let mut line_number = 1u64;
+    let mut scan = LineScan::new(re, opts);
     let mut offset = 0u64;
     loop {
         let buf = kernel.read(fd, BUFSIZE)?;
-        if buf.is_empty() {
+        if buf.is_empty() || scan.feed(kernel, offset, &buf) {
             break;
-        }
-        charge_per_byte(kernel, buf.len(), 1); // copy into line assembly
-        kernel.charge_cpu(SimDuration::from_nanos(scan_cost(re, buf.len())));
-        let mut line_begin = 0usize;
-        for (i, &b) in buf.iter().enumerate() {
-            if b != b'\n' {
-                continue;
-            }
-            kernel.charge_cpu(SimDuration::from_nanos(GREP_NS_PER_LINE));
-            let (line_off, hit) = if carry.is_empty() {
-                let line = &buf[line_begin..i];
-                (offset + line_begin as u64, re.is_match(line))
-            } else {
-                carry.extend_from_slice(&buf[line_begin..i]);
-                (carry_start, re.is_match(&carry))
-            };
-            if hit {
-                let line = if carry.is_empty() {
-                    buf[line_begin..i].to_vec()
-                } else {
-                    std::mem::take(&mut carry)
-                };
-                out.matches.push(GrepMatch {
-                    offset: line_off,
-                    line_number,
-                    line,
-                });
-                if opts.first_match_only {
-                    out.stopped_early = true;
-                    return Ok(out);
-                }
-            }
-            carry.clear();
-            line_number += 1;
-            line_begin = i + 1;
-        }
-        if line_begin < buf.len() {
-            if carry.is_empty() {
-                carry_start = offset + line_begin as u64;
-            }
-            carry.extend_from_slice(&buf[line_begin..]);
         }
         offset += buf.len() as u64;
     }
-    // Unterminated final line.
-    if !carry.is_empty() {
-        kernel.charge_cpu(SimDuration::from_nanos(GREP_NS_PER_LINE));
-        if re.is_match(&carry) {
-            out.matches.push(GrepMatch {
-                offset: carry_start,
-                line_number,
-                line: carry,
-            });
-            out.stopped_early = opts.first_match_only;
-        }
-    }
-    Ok(out)
+    scan.close_segment(kernel);
+    let matches = scan.stitch();
+    Ok(GrepResult {
+        stopped_early: opts.first_match_only && !matches.is_empty(),
+        matches,
+    })
 }
 
 // [sleds:begin]
-/// Per-segment scan state for the reordered pass.
-///
-/// A *segment* is a maximal contiguous run of chunks the pick plan returned
-/// back to back. Because the plan is record-oriented, every segment starts
-/// and ends on a record boundary (or at the file's edges), so no line spans
-/// segments and each can be scanned independently.
-struct SegmentScan {
+/// A maximal contiguous byte range scanned front to back: one run of
+/// chunks the pick plan returned back to back. Because the plan is
+/// record-oriented, every run starts and ends on a record boundary (or at
+/// the file's edges), so no line spans segments and each is scanned on its
+/// own. (The baseline's one segment is the whole file.)
+struct Segment {
     start: u64,
     end: u64,
     newlines: u64,
-    /// (line start offset, newlines before it within the segment, text).
-    matches: Vec<(u64, u64, Vec<u8>)>,
+    /// Matches, their `line_number` still counted from the segment's
+    /// first line.
+    matches: Vec<GrepMatch>,
+}
+
+impl LineScan<'_> {
+    /// Says the next buffer is the one at `offset`: unless that continues
+    /// the current segment, closes it and opens a new one. [`feed`] does
+    /// this itself; a caller that reads synchronously seeks *before* the
+    /// read, as a real grep finishes the line it holds before asking for
+    /// more — when a device request is issued decides what it costs.
+    ///
+    /// [`feed`]: LineScan::feed
+    fn seek(&mut self, kernel: &mut Kernel, offset: u64) {
+        if !matches!(self.segments.last(), Some(seg) if seg.end == offset) {
+            self.close_segment(kernel);
+            self.segments.push(Segment {
+                start: offset,
+                end: offset,
+                newlines: 0,
+                matches: Vec::new(),
+            });
+        }
+    }
+
+    /// Orders the segments and emits their matches in file order, line
+    /// numbers made absolute by prefix sums over the segments' newline
+    /// counts.
+    fn stitch(mut self) -> Vec<GrepMatch> {
+        self.segments.sort_by_key(|s| s.start);
+        let mut out = Vec::new();
+        let mut lines_before = 0u64;
+        for seg in self.segments {
+            out.extend(seg.matches.into_iter().map(|mut m| {
+                m.line_number += lines_before;
+                m
+            }));
+            lines_before += seg.newlines;
+        }
+        out
+    }
+}
+
+/// `-q` found its match while reading out of order.
+fn quiet_hit(mut scan: LineScan) -> GrepResult {
+    let hit = scan.segments.pop().and_then(|mut seg| seg.matches.pop());
+    GrepResult {
+        matches: vec![GrepMatch {
+            // Unknowable without scanning everything before it; the
+            // paper's -q likewise suppresses output.
+            line_number: 0,
+            ..hit.expect("feed reported a match")
+        }],
+        stopped_early: true,
+    }
+}
+
+/// The whole plan was scanned: stitch the segments back into file order.
+/// This is the buffering-and-sorting the paper's grep port had to add.
+fn stitched(kernel: &mut Kernel, mut scan: LineScan) -> GrepResult {
+    scan.close_segment(kernel);
+    let match_count: u64 = scan.segments.iter().map(|s| s.matches.len() as u64).sum();
+    kernel.charge_cpu(SimDuration::from_nanos(
+        200 * (scan.segments.len() as u64 + 1) + 80 * match_count,
+    ));
+    GrepResult {
+        matches: scan.stitch(),
+        stopped_early: false,
+    }
 }
 
 fn grep_sleds(
@@ -242,127 +371,28 @@ fn grep_sleds(
     table: &SledsTable,
 ) -> SimResult<GrepResult> {
     let mut pick = PickSession::init(kernel, table, fd, PickConfig::records(BUFSIZE, b'\n'))?;
-    let mut segments: Vec<SegmentScan> = Vec::new();
-    let mut out = GrepResult::default();
-
-    // Each contiguous run of chunks is scanned with the ordinary carry
-    // logic. Record-aligned SLED edges guarantee runs start and end on line
-    // boundaries, so a non-empty carry can only remain at end of file.
-    let mut run: Option<SegmentScan> = None;
-    let mut carry: Vec<u8> = Vec::new();
-    let mut carry_start = 0u64;
-
-    let close_run = |kernel: &mut Kernel,
-                     run: &mut Option<SegmentScan>,
-                     carry: &mut Vec<u8>,
-                     carry_start: u64,
-                     segments: &mut Vec<SegmentScan>,
-                     re: &Regex| {
-        if let Some(mut r) = run.take() {
-            if !carry.is_empty() {
-                // Unterminated final line (EOF), since runs end on record
-                // boundaries everywhere else.
-                kernel.charge_cpu(SimDuration::from_nanos(GREP_NS_PER_LINE));
-                if re.is_match(carry) {
-                    r.matches
-                        .push((carry_start, r.newlines, std::mem::take(carry)));
-                } else {
-                    carry.clear();
-                }
-            }
-            segments.push(r);
-        }
-    };
-
+    let mut scan = LineScan::new(re, opts);
     while let Some((offset, len)) = pick.next_read() {
-        let contiguous = matches!(&run, Some(r) if r.end == offset);
-        if !contiguous {
-            close_run(kernel, &mut run, &mut carry, carry_start, &mut segments, re);
-            run = Some(SegmentScan {
-                start: offset,
-                end: offset,
-                newlines: 0,
-                matches: Vec::new(),
-            });
-        }
-        let r = run.as_mut().expect("run just ensured");
+        scan.seek(kernel, offset);
         kernel.lseek(fd, offset as i64, Whence::Set)?;
         let buf = kernel.read(fd, len)?;
-        charge_per_byte(kernel, buf.len(), 1);
-        kernel.charge_cpu(SimDuration::from_nanos(scan_cost(re, buf.len())));
-        let mut line_begin = 0usize;
-        for (i, &b) in buf.iter().enumerate() {
-            if b != b'\n' {
-                continue;
-            }
-            kernel.charge_cpu(SimDuration::from_nanos(GREP_NS_PER_LINE));
-            let (line_off, text): (u64, Vec<u8>) = if carry.is_empty() {
-                (offset + line_begin as u64, buf[line_begin..i].to_vec())
-            } else {
-                carry.extend_from_slice(&buf[line_begin..i]);
-                (carry_start, std::mem::take(&mut carry))
-            };
-            if re.is_match(&text) {
-                r.matches.push((line_off, r.newlines, text));
-                if opts.first_match_only {
-                    let (off, _, line) = r.matches.pop().expect("just pushed");
-                    out.matches.push(GrepMatch {
-                        offset: off,
-                        // Unknowable without scanning everything before it;
-                        // the paper's -q likewise suppresses output.
-                        line_number: 0,
-                        line,
-                    });
-                    out.stopped_early = true;
-                    pick.finish();
-                    return Ok(out);
-                }
-            }
-            r.newlines += 1;
-            line_begin = i + 1;
+        if scan.feed(kernel, offset, &buf) {
+            pick.finish();
+            return Ok(quiet_hit(scan));
         }
-        if line_begin < buf.len() {
-            if carry.is_empty() {
-                carry_start = offset + line_begin as u64;
-            }
-            carry.extend_from_slice(&buf[line_begin..]);
-        }
-        r.end = offset + buf.len() as u64;
     }
-    close_run(kernel, &mut run, &mut carry, carry_start, &mut segments, re);
     pick.finish();
-
-    // Stitch: order the segments, assign line numbers by prefix sums over
-    // per-segment newline counts, and emit matches in file order. This is
-    // the buffering-and-sorting the paper's grep port had to add.
-    segments.sort_by_key(|s| s.start);
-    let match_count: u64 = segments.iter().map(|s| s.matches.len() as u64).sum();
-    kernel.charge_cpu(SimDuration::from_nanos(
-        200 * (segments.len() as u64 + 1) + 80 * match_count,
-    ));
-    let mut lines_before = 0u64;
-    for s in &segments {
-        for (off, nl_before, text) in &s.matches {
-            out.matches.push(GrepMatch {
-                offset: *off,
-                line_number: lines_before + nl_before + 1,
-                line: text.clone(),
-            });
-        }
-        lines_before += s.newlines;
-    }
-    out.matches.sort_by_key(|m| m.offset);
-    Ok(out)
+    Ok(stitched(kernel, scan))
 }
 // [sleds:end]
 
 /// [`grep`] in SLEDs mode over the submission ring: the SLED retrieval
 /// and the chunk reads go through the ring, a batch per ring's worth of
-/// chunks. The pick plan, the scan order, the carry logic and the stitch
-/// are identical to the sequential SLEDs mode, so the output is
-/// bit-identical — including `-q`, where the ring may have *read* a few
-/// chunks past the match (they were already in flight in the batch) but
-/// scanning still stops at the same first match.
+/// chunks. The pick plan, the scan order, the scanner and the stitch are
+/// those of the sequential SLEDs mode, so the output is bit-identical —
+/// including `-q`, where the ring may have *read* a few chunks past the
+/// match (they were already in flight in the batch) but scanning still
+/// stops at the same first match.
 pub fn grep_ring(
     kernel: &mut Kernel,
     path: &str,
@@ -392,134 +422,16 @@ fn grep_ring_fd(
 ) -> SimResult<GrepResult> {
     let mut pick =
         PickSession::init_ring(kernel, ring, table, fd, PickConfig::records(BUFSIZE, b'\n'))?;
-    let mut segments: Vec<SegmentScan> = Vec::new();
-    let mut out = GrepResult::default();
-    let mut run: Option<SegmentScan> = None;
-    let mut carry: Vec<u8> = Vec::new();
-    let mut carry_start = 0u64;
-
-    let close_run = |kernel: &mut Kernel,
-                     run: &mut Option<SegmentScan>,
-                     carry: &mut Vec<u8>,
-                     carry_start: u64,
-                     segments: &mut Vec<SegmentScan>,
-                     re: &Regex| {
-        if let Some(mut r) = run.take() {
-            if !carry.is_empty() {
-                kernel.charge_cpu(SimDuration::from_nanos(GREP_NS_PER_LINE));
-                if re.is_match(carry) {
-                    r.matches
-                        .push((carry_start, r.newlines, std::mem::take(carry)));
-                } else {
-                    carry.clear();
-                }
-            }
-            segments.push(r);
-        }
-    };
-
-    loop {
-        // Queue the next ring's worth of chunks; the chunk offset doubles
-        // as the completion tag. Completions come back in submission
-        // order, so the scan below sees the same chunk order the
-        // sequential mode reads in.
-        let mut queued = 0usize;
-        while queued < ring.capacity() {
-            let Some((offset, len)) = pick.next_read() else {
-                break;
-            };
-            ring.push(
-                offset,
-                RingOp::Pread {
-                    fd,
-                    pos: offset,
-                    len,
-                },
-            )?;
-            queued += 1;
-        }
-        if queued == 0 {
-            break;
-        }
-        kernel.ring_enter(ring)?;
-        for c in kernel.ring_reap(ring) {
-            let offset = c.user_data;
-            let buf = match c.result? {
-                RingPayload::Bytes(b) => b,
-                _ => unreachable!("pread completes with bytes"),
-            };
-            let contiguous = matches!(&run, Some(r) if r.end == offset);
-            if !contiguous {
-                close_run(kernel, &mut run, &mut carry, carry_start, &mut segments, re);
-                run = Some(SegmentScan {
-                    start: offset,
-                    end: offset,
-                    newlines: 0,
-                    matches: Vec::new(),
-                });
-            }
-            let r = run.as_mut().expect("run just ensured");
-            charge_per_byte(kernel, buf.len(), 1);
-            kernel.charge_cpu(SimDuration::from_nanos(scan_cost(re, buf.len())));
-            let mut line_begin = 0usize;
-            for (i, &b) in buf.iter().enumerate() {
-                if b != b'\n' {
-                    continue;
-                }
-                kernel.charge_cpu(SimDuration::from_nanos(GREP_NS_PER_LINE));
-                let (line_off, text): (u64, Vec<u8>) = if carry.is_empty() {
-                    (offset + line_begin as u64, buf[line_begin..i].to_vec())
-                } else {
-                    carry.extend_from_slice(&buf[line_begin..i]);
-                    (carry_start, std::mem::take(&mut carry))
-                };
-                if re.is_match(&text) {
-                    r.matches.push((line_off, r.newlines, text));
-                    if opts.first_match_only {
-                        let (off, _, line) = r.matches.pop().expect("just pushed");
-                        out.matches.push(GrepMatch {
-                            offset: off,
-                            line_number: 0,
-                            line,
-                        });
-                        out.stopped_early = true;
-                        pick.finish();
-                        return Ok(out);
-                    }
-                }
-                r.newlines += 1;
-                line_begin = i + 1;
-            }
-            if line_begin < buf.len() {
-                if carry.is_empty() {
-                    carry_start = offset + line_begin as u64;
-                }
-                carry.extend_from_slice(&buf[line_begin..]);
-            }
-            r.end = offset + buf.len() as u64;
-        }
-    }
-    close_run(kernel, &mut run, &mut carry, carry_start, &mut segments, re);
+    let mut scan = LineScan::new(re, opts);
+    let hit = ring_read_plan(kernel, ring, fd, &mut pick, |kernel, offset, buf| {
+        scan.feed(kernel, offset, buf)
+    })?;
     pick.finish();
-
-    segments.sort_by_key(|s| s.start);
-    let match_count: u64 = segments.iter().map(|s| s.matches.len() as u64).sum();
-    kernel.charge_cpu(SimDuration::from_nanos(
-        200 * (segments.len() as u64 + 1) + 80 * match_count,
-    ));
-    let mut lines_before = 0u64;
-    for s in &segments {
-        for (off, nl_before, text) in &s.matches {
-            out.matches.push(GrepMatch {
-                offset: *off,
-                line_number: lines_before + nl_before + 1,
-                line: text.clone(),
-            });
-        }
-        lines_before += s.newlines;
-    }
-    out.matches.sort_by_key(|m| m.offset);
-    Ok(out)
+    Ok(if hit {
+        quiet_hit(scan)
+    } else {
+        stitched(kernel, scan)
+    })
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@ pub mod grep;
 pub mod treegrep;
 pub mod wc;
 
-use sleds_sim_core::{SimDuration, SimError};
+use sleds::PickSession;
+use sleds_fs::{Fd, Kernel, RingOp, RingPayload, SubmissionRing};
+use sleds_sim_core::{SimDuration, SimError, SimResult};
 
 /// Default application buffer size, matching the BUFSIZE the paper's
 /// pseudocode passes to `sleds_pick_init`.
@@ -49,6 +51,52 @@ impl FileDiagnostic {
 }
 
 /// Charges `ns_per_byte` of application CPU for processing `bytes`.
-pub(crate) fn charge_per_byte(kernel: &mut sleds_fs::Kernel, bytes: usize, ns_per_byte: u64) {
+pub(crate) fn charge_per_byte(kernel: &mut Kernel, bytes: usize, ns_per_byte: u64) {
     kernel.charge_cpu(SimDuration::from_nanos(ns_per_byte * bytes as u64));
+}
+
+/// Reads the rest of a pick plan through the submission ring: fill the
+/// submission queue with the next ring's worth of chunks, enter once, reap.
+/// Completions come back in submission order, so `chunk(kernel, offset,
+/// bytes)` sees the chunks in the order the sequential mode reads them.
+/// When it returns true the pump stops there — the rest of the batch was
+/// read but goes unseen — and so does this function, returning true.
+pub(crate) fn ring_read_plan(
+    kernel: &mut Kernel,
+    ring: &mut SubmissionRing,
+    fd: Fd,
+    pick: &mut PickSession,
+    mut chunk: impl FnMut(&mut Kernel, u64, &[u8]) -> bool,
+) -> SimResult<bool> {
+    loop {
+        // The chunk offset doubles as the completion tag.
+        let mut queued = 0usize;
+        while queued < ring.capacity() {
+            let Some((offset, len)) = pick.next_read() else {
+                break;
+            };
+            ring.push(
+                offset,
+                RingOp::Pread {
+                    fd,
+                    pos: offset,
+                    len,
+                },
+            )?;
+            queued += 1;
+        }
+        if queued == 0 {
+            return Ok(false);
+        }
+        kernel.ring_enter(ring)?;
+        for c in kernel.ring_reap(ring) {
+            let buf = match c.result? {
+                RingPayload::Bytes(b) => b,
+                _ => unreachable!("pread completes with bytes"),
+            };
+            if chunk(kernel, c.user_data, &buf) {
+                return Ok(true);
+            }
+        }
+    }
 }

@@ -123,6 +123,25 @@ fn bench_regex() {
         let re = Regex::new(pat).unwrap();
         time(&format!("regex/{name}"), || re.is_match(&hay));
     }
+    // What grep does with a buffer: ~40-byte lines, a hit every 64th.
+    let mut lines = Vec::with_capacity(65536);
+    for i in 0.. {
+        let word: &[u8] = if i % 64 == 63 { b"needle" } else { b"noodle" };
+        let line = [b"lorem ipsum dolor ", word, b" sit amet consec\n"].concat();
+        if lines.len() + line.len() > 65536 {
+            break;
+        }
+        lines.extend_from_slice(&line);
+    }
+    let re = Regex::new("needle").unwrap();
+    time("regex/grep_lines", || {
+        let (mut from, mut hits) = (0, 0usize);
+        while let Some((_, end)) = re.next_matching_line(&lines, from) {
+            from = end + 1;
+            hits += 1;
+        }
+        hits
+    });
 }
 
 fn bench_fits_codec() {

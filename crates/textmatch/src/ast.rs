@@ -2,36 +2,73 @@
 
 use crate::RegexError;
 
-/// A set of byte ranges, possibly negated.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A set of bytes, held as a 256-bit map so membership is one shift and
+/// mask however the class was written.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ByteClass {
-    /// Inclusive `(lo, hi)` ranges.
-    pub ranges: Vec<(u8, u8)>,
-    /// Match bytes *not* in the ranges.
-    pub negated: bool,
+    bits: [u64; 4],
 }
 
 impl ByteClass {
+    const EMPTY: ByteClass = ByteClass { bits: [0; 4] };
+
+    /// The bytes inside the inclusive `(lo, hi)` ranges — or, when
+    /// `negated`, every byte outside them.
+    pub fn new(ranges: &[(u8, u8)], negated: bool) -> Self {
+        let mut class = ByteClass::EMPTY;
+        for &(lo, hi) in ranges {
+            class.insert(lo, hi);
+        }
+        if negated {
+            class.negated()
+        } else {
+            class
+        }
+    }
+
+    /// Adds the inclusive range `lo..=hi`.
+    fn insert(&mut self, lo: u8, hi: u8) {
+        for b in lo..=hi {
+            self.bits[usize::from(b >> 6)] |= 1 << (b & 63);
+        }
+    }
+
+    /// Adds every byte of `other`.
+    fn insert_all(&mut self, other: &ByteClass) {
+        for (w, o) in self.bits.iter_mut().zip(other.bits) {
+            *w |= o;
+        }
+    }
+
+    /// The complement.
+    fn negated(self) -> Self {
+        ByteClass {
+            bits: self.bits.map(|w| !w),
+        }
+    }
+
     /// A class matching exactly one byte.
     pub fn single(b: u8) -> Self {
-        ByteClass {
-            ranges: vec![(b, b)],
-            negated: false,
-        }
+        ByteClass::new(&[(b, b)], false)
     }
 
     /// The `.` class: any byte except newline, as grep treats lines.
     pub fn dot() -> Self {
-        ByteClass {
-            ranges: vec![(b'\n', b'\n')],
-            negated: true,
-        }
+        ByteClass::new(&[(b'\n', b'\n')], true)
     }
 
     /// Tests a byte against the class.
     pub fn matches(&self, b: u8) -> bool {
-        let inside = self.ranges.iter().any(|&(lo, hi)| lo <= b && b <= hi);
-        inside != self.negated
+        self.bits[usize::from(b >> 6)] >> (b & 63) & 1 != 0
+    }
+
+    /// The byte, when the class matches exactly one.
+    pub fn as_single(&self) -> Option<u8> {
+        let ones: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
+        if ones != 1 {
+            return None;
+        }
+        (0..=u8::MAX).find(|&b| self.matches(b))
     }
 }
 
@@ -61,9 +98,16 @@ pub enum Ast {
     },
 }
 
+/// Deepest group nesting the parser accepts. The parser, the compiler and
+/// `Ast`'s drop all recurse once per level, so an unbounded pattern could
+/// overflow the stack; no real pattern comes near this.
+const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     pat: &'a [u8],
     pos: usize,
+    /// Groups open around `pos`.
+    depth: usize,
 }
 
 /// Parses a pattern into an AST.
@@ -71,6 +115,7 @@ pub fn parse(pattern: &str) -> Result<Ast, RegexError> {
     let mut p = Parser {
         pat: pattern.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let ast = p.alternation()?;
     if p.pos != p.pat.len() {
@@ -153,7 +198,13 @@ impl<'a> Parser<'a> {
         match self.bump() {
             None => Err(self.error("unexpected end of pattern")),
             Some(b'(') => {
+                if self.depth == MAX_NESTING {
+                    self.pos -= 1;
+                    return Err(self.error("nesting too deep"));
+                }
+                self.depth += 1;
                 let inner = self.alternation()?;
+                self.depth -= 1;
                 if self.bump() != Some(b')') {
                     self.pos -= 1;
                     return Err(self.error("unclosed group"));
@@ -178,32 +229,17 @@ impl<'a> Parser<'a> {
     }
 
     fn escape(&mut self) -> Result<ByteClass, RegexError> {
+        const DIGIT: &[(u8, u8)] = &[(b'0', b'9')];
+        const WORD: &[(u8, u8)] = &[(b'a', b'z'), (b'A', b'Z'), (b'0', b'9'), (b'_', b'_')];
+        const SPACE: &[(u8, u8)] = &[(b' ', b' '), (b'\t', b'\r')];
         let class = match self.bump() {
             None => return Err(self.error("trailing backslash")),
-            Some(b'd') => ByteClass {
-                ranges: vec![(b'0', b'9')],
-                negated: false,
-            },
-            Some(b'D') => ByteClass {
-                ranges: vec![(b'0', b'9')],
-                negated: true,
-            },
-            Some(b'w') => ByteClass {
-                ranges: vec![(b'a', b'z'), (b'A', b'Z'), (b'0', b'9'), (b'_', b'_')],
-                negated: false,
-            },
-            Some(b'W') => ByteClass {
-                ranges: vec![(b'a', b'z'), (b'A', b'Z'), (b'0', b'9'), (b'_', b'_')],
-                negated: true,
-            },
-            Some(b's') => ByteClass {
-                ranges: vec![(b' ', b' '), (b'\t', b'\r')],
-                negated: false,
-            },
-            Some(b'S') => ByteClass {
-                ranges: vec![(b' ', b' '), (b'\t', b'\r')],
-                negated: true,
-            },
+            Some(b'd') => ByteClass::new(DIGIT, false),
+            Some(b'D') => ByteClass::new(DIGIT, true),
+            Some(b'w') => ByteClass::new(WORD, false),
+            Some(b'W') => ByteClass::new(WORD, true),
+            Some(b's') => ByteClass::new(SPACE, false),
+            Some(b'S') => ByteClass::new(SPACE, true),
             Some(b'n') => ByteClass::single(b'\n'),
             Some(b'r') => ByteClass::single(b'\r'),
             Some(b't') => ByteClass::single(b'\t'),
@@ -219,28 +255,30 @@ impl<'a> Parser<'a> {
             self.bump();
             negated = true;
         }
-        let mut ranges = Vec::new();
+        let mut class = ByteClass::EMPTY;
         // POSIX quirk: a ']' immediately after '[' or '[^' is a literal.
         if self.peek() == Some(b']') {
             self.bump();
-            ranges.push((b']', b']'));
+            class.insert(b']', b']');
         }
         loop {
             let lo = match self.bump() {
                 None => return Err(self.error("unclosed character class")),
                 Some(b']') => break,
                 Some(b'\\') => {
+                    let negated_escape = matches!(self.peek(), Some(b'D' | b'W' | b'S'));
                     let c = self.escape()?;
-                    if c.ranges.len() == 1 && !c.negated && c.ranges[0].0 == c.ranges[0].1 {
-                        c.ranges[0].0
-                    } else {
-                        // A multi-range escape inside a class contributes
-                        // its ranges directly (e.g. `[\d]`).
-                        if c.negated {
+                    match c.as_single() {
+                        Some(b) => b,
+                        None if negated_escape => {
                             return Err(self.error("negated escape inside class"));
                         }
-                        ranges.extend(c.ranges);
-                        continue;
+                        // A multi-byte escape inside a class contributes
+                        // its bytes directly (e.g. `[\d]`).
+                        None => {
+                            class.insert_all(&c);
+                            continue;
+                        }
                     }
                 }
                 Some(b) => b,
@@ -249,28 +287,24 @@ impl<'a> Parser<'a> {
                 self.bump(); // '-'
                 let hi = match self.bump() {
                     None => return Err(self.error("unclosed character class")),
-                    Some(b'\\') => {
-                        let c = self.escape()?;
-                        if c.ranges.len() == 1 && c.ranges[0].0 == c.ranges[0].1 {
-                            c.ranges[0].0
-                        } else {
-                            return Err(self.error("bad range endpoint"));
-                        }
-                    }
+                    Some(b'\\') => match self.escape()?.as_single() {
+                        Some(b) => b,
+                        None => return Err(self.error("bad range endpoint")),
+                    },
                     Some(b) => b,
                 };
                 if hi < lo {
                     return Err(self.error("reversed range"));
                 }
-                ranges.push((lo, hi));
+                class.insert(lo, hi);
             } else {
-                ranges.push((lo, lo));
+                class.insert(lo, lo);
             }
         }
-        if ranges.is_empty() {
+        if class == ByteClass::EMPTY {
             return Err(self.error("empty character class"));
         }
-        Ok(ByteClass { ranges, negated })
+        Ok(if negated { class.negated() } else { class })
     }
 }
 
@@ -280,19 +314,18 @@ mod tests {
 
     #[test]
     fn byteclass_matching() {
-        let c = ByteClass {
-            ranges: vec![(b'a', b'c'), (b'x', b'x')],
-            negated: false,
-        };
+        let ranges = [(b'a', b'c'), (b'x', b'x')];
+        let c = ByteClass::new(&ranges, false);
         assert!(c.matches(b'b'));
         assert!(c.matches(b'x'));
         assert!(!c.matches(b'd'));
-        let n = ByteClass {
-            ranges: c.ranges.clone(),
-            negated: true,
-        };
+        let n = ByteClass::new(&ranges, true);
         assert!(!n.matches(b'b'));
         assert!(n.matches(b'd'));
+        assert!(n.matches(0xff));
+        assert_eq!(ByteClass::single(0xff).as_single(), Some(0xff));
+        assert_eq!(c.as_single(), None);
+        assert_eq!(ByteClass::EMPTY.as_single(), None);
     }
 
     #[test]
@@ -317,7 +350,7 @@ mod tests {
         let Ast::Class(c) = parse("[a-z]").unwrap() else {
             panic!("expected class");
         };
-        assert_eq!(c.ranges, vec![(b'a', b'z')]);
+        assert_eq!(c, ByteClass::new(&[(b'a', b'z')], false));
         let Ast::Class(c) = parse("[-a]").unwrap() else {
             panic!("expected class");
         };
@@ -338,6 +371,17 @@ mod tests {
         assert!(parse("\\").is_err());
         assert!(parse("+a").is_err());
         assert!(parse("^*").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_position() {
+        let nest = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&nest(MAX_NESTING)).is_ok());
+        let err = parse(&nest(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.position, MAX_NESTING);
+        assert_eq!(err.message, "nesting too deep");
+        // Depth counts open groups, not groups seen.
+        assert!(parse(&"(a)".repeat(4 * MAX_NESTING)).is_ok());
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn emit(ast: &Ast, insts: &mut Vec<Inst>) {
         Ast::Empty => {}
         Ast::Class(c) => {
             let next = insts.len() + 1;
-            insts.push(Inst::Class(c.clone(), next));
+            insts.push(Inst::Class(*c, next));
         }
         Ast::AnchorStart => {
             let next = insts.len() + 1;

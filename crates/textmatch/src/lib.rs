@@ -5,6 +5,14 @@
 //! compiler to NFA byte-code ([`compile`]), and a Pike-VM executor
 //! ([`vm`]) that runs in `O(pattern × text)` with no backtracking blowup.
 //!
+//! Most of the text a search reads cannot match, and saying so should not
+//! cost a VM step per byte. At compile time the pattern's *required
+//! literal* is read off the AST — bytes every match must contain — and
+//! searches look for it with the word-at-a-time scanners in [`memscan`]
+//! first. The VM only ever verifies a candidate, and when the pattern is
+//! nothing but the literal there is nothing left to verify.
+//! [`Regex::next_matching_line`] applies this a whole buffer at a time.
+//!
 //! Supported syntax: literals, `.`, classes `[a-z0-9]` / `[^...]`, escapes
 //! (`\d \D \w \W \s \S \n \r \t \\` and escaped metacharacters), anchors
 //! `^` / `$`, repetition `* + ?`, alternation `|`, and grouping `(...)`.
@@ -13,10 +21,14 @@
 
 pub mod ast;
 pub mod compile;
+pub mod memscan;
 pub mod vm;
 
-use ast::parse;
+use std::cell::RefCell;
+
+use ast::{parse, Ast};
 use compile::{compile, Prog};
+use memscan::{memchr, memmem, memrchr};
 
 /// A compile error, with the byte position in the pattern.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,11 +47,51 @@ impl std::fmt::Display for RegexError {
 
 impl std::error::Error for RegexError {}
 
+/// Bytes every match of a pattern contains, adjacent and in order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Required {
+    /// Never empty, never contains `\n` (so an occurrence lies in one line).
+    bytes: Vec<u8>,
+    /// The pattern is exactly `bytes`: an occurrence *is* the match.
+    whole: bool,
+}
+
+impl Required {
+    /// The longest run of single-byte atoms in the pattern's top-level
+    /// concatenation (groups are transparent), or `None` when there is no
+    /// such run or it would contain a newline. Anything else — a class, a
+    /// repeat, an alternation, an anchor — ends a run: what it matches is
+    /// not known here.
+    fn of(ast: &Ast) -> Option<Required> {
+        fn walk(ast: &Ast, run: &mut Vec<u8>, best: &mut Vec<u8>, whole: &mut bool) {
+            match ast {
+                Ast::Empty => {}
+                Ast::Concat(parts) => parts.iter().for_each(|p| walk(p, run, best, whole)),
+                Ast::Class(c) if c.as_single().is_some() => run.extend(c.as_single()),
+                _ => {
+                    *whole = false;
+                    if run.len() > best.len() {
+                        std::mem::swap(run, best);
+                    }
+                    run.clear();
+                }
+            }
+        }
+        let (mut run, mut best, mut whole) = (Vec::new(), Vec::new(), true);
+        walk(ast, &mut run, &mut best, &mut whole);
+        let bytes = if run.len() > best.len() { run } else { best };
+        (!bytes.is_empty() && !bytes.contains(&b'\n')).then_some(Required { bytes, whole })
+    }
+}
+
 /// A compiled regular expression.
 #[derive(Clone, Debug)]
 pub struct Regex {
     prog: Prog,
     pattern: String,
+    required: Option<Required>,
+    /// The VM's thread lists, kept so that a search allocates nothing.
+    scratch: RefCell<vm::Scratch>,
 }
 
 impl Regex {
@@ -49,6 +101,8 @@ impl Regex {
         Ok(Regex {
             prog: compile(&ast),
             pattern: pattern.to_string(),
+            required: Required::of(&ast),
+            scratch: RefCell::default(),
         })
     }
 
@@ -77,12 +131,48 @@ impl Regex {
 
     /// Does the pattern match anywhere in `hay`?
     pub fn is_match(&self, hay: &[u8]) -> bool {
-        vm::search(&self.prog, hay).is_some()
+        self.find(hay).is_some()
     }
 
     /// Finds the leftmost match, returning `(start, end)` byte offsets.
     pub fn find(&self, hay: &[u8]) -> Option<(usize, usize)> {
-        vm::search(&self.prog, hay)
+        if let Some(req) = &self.required {
+            let at = memmem(hay, &req.bytes)?;
+            if req.whole {
+                return Some((at, at + req.bytes.len()));
+            }
+        }
+        vm::search(&self.prog, hay, &mut self.scratch.borrow_mut())
+    }
+
+    /// The first line of `hay` starting at or after `from` that matches,
+    /// as `(start, end)` with `hay[end] == b'\n'`.
+    ///
+    /// `from` must be the start of a line. Only `\n`-terminated lines
+    /// count — bytes after the last newline are not a line yet — and each
+    /// is matched on its own, exactly as `is_match(&hay[start..end])`
+    /// would: `^` and `$` anchor at its ends and nothing matches across a
+    /// newline. Lines without the required literal are never looked at.
+    pub fn next_matching_line(&self, hay: &[u8], from: usize) -> Option<(usize, usize)> {
+        let end = memrchr(b'\n', hay)? + 1;
+        let whole = self.required.as_ref().is_some_and(|req| req.whole);
+        let mut scratch = self.scratch.borrow_mut();
+        let mut at = from;
+        while at < end {
+            // A place the match would have to touch: the next occurrence
+            // of the required literal, or failing that the next line.
+            let hit = match &self.required {
+                Some(req) => at + memmem(&hay[at..end], &req.bytes)?,
+                None => at,
+            };
+            let start = memrchr(b'\n', &hay[at..hit]).map_or(at, |nl| at + nl + 1);
+            let stop = hit + memchr(b'\n', &hay[hit..end]).expect("hay[..end] ends in a newline");
+            if whole || vm::search(&self.prog, &hay[start..stop], &mut scratch).is_some() {
+                return Some((start, stop));
+            }
+            at = stop + 1;
+        }
+        None
     }
 }
 
@@ -222,6 +312,40 @@ mod tests {
         let pat = format!("{}{}", "a?".repeat(n), "a".repeat(n));
         let hay = "a".repeat(n);
         assert!(m(&pat, &hay));
+    }
+
+    #[test]
+    fn required_literal_is_read_off_the_ast() {
+        let req = |pat: &str| {
+            let r = Regex::new(pat).unwrap().required?;
+            Some((String::from_utf8(r.bytes).unwrap(), r.whole))
+        };
+        let some = |lit: &str, whole| Some((lit.to_string(), whole));
+        assert_eq!(req("needle"), some("needle", true));
+        assert_eq!(req(r"a\.c"), some("a.c", true));
+        assert_eq!(req("(ab)()c"), some("abc", true), "groups are transparent");
+        assert_eq!(req(r"sleds_pick_\w+\("), some("sleds_pick_", false));
+        assert_eq!(req("a.cde"), some("cde", false), "longest run");
+        assert_eq!(req("^x$"), some("x", false), "anchors still need the VM");
+        for none in [
+            "", "ab|cd", "x*", "(abc)+", r"\d\d", "a\nb", r"a\nb", "[ab]",
+        ] {
+            assert_eq!(req(none), None, "{none:?}");
+        }
+    }
+
+    /// `grep` prices a scan from the instruction count; these are the
+    /// patterns the benchmark, the figures and the examples search for.
+    #[test]
+    fn instruction_counts_are_pinned() {
+        for (pat, count) in [
+            ("needle", 7),
+            ("ZQXJKV", 7),
+            ("WYVERNQ", 8),
+            (r"sleds_pick_\w+\(", 15),
+        ] {
+            assert_eq!(Regex::new(pat).unwrap().instruction_count(), count, "{pat}");
+        }
     }
 
     #[test]

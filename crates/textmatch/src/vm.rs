@@ -7,7 +7,6 @@
 //! threads may still produce a better match later. Runtime is
 //! `O(instructions × text)`.
 
-use crate::ast::ByteClass;
 use crate::compile::{Inst, Prog};
 
 /// A scheduled thread: program counter plus match start.
@@ -18,6 +17,7 @@ struct Thread {
 }
 
 /// Thread list with O(1) pc dedup via generation marks.
+#[derive(Clone, Debug, Default)]
 struct ThreadList {
     threads: Vec<Thread>,
     seen_gen: Vec<u64>,
@@ -25,61 +25,82 @@ struct ThreadList {
 }
 
 impl ThreadList {
-    fn new(prog_len: usize) -> Self {
-        ThreadList {
-            threads: Vec::with_capacity(prog_len),
-            seen_gen: vec![0; prog_len],
-            // Generations start at 1: a zeroed mark must mean "never seen".
-            gen: 1,
-        }
-    }
-
-    fn clear(&mut self) {
+    /// Empties the list for a program of `prog_len` instructions. Bumping
+    /// the generation invalidates every mark at once; a zeroed mark means
+    /// "never seen" because generations start at 1.
+    fn reset(&mut self, prog_len: usize) {
         self.threads.clear();
+        self.seen_gen.resize(prog_len, 0);
         self.gen += 1;
     }
 
     /// Adds `pc` (following epsilon edges) unless already present this
-    /// generation. First add wins, preserving priority.
-    fn add(&mut self, prog: &Prog, pc: usize, start: usize, pos: usize, len: usize) {
-        if self.seen_gen[pc] == self.gen {
-            return;
-        }
-        self.seen_gen[pc] = self.gen;
-        match &prog.insts[pc] {
-            Inst::Jump(next) => self.add(prog, *next, start, pos, len),
-            Inst::Split(a, b) => {
-                let (a, b) = (*a, *b);
-                self.add(prog, a, start, pos, len);
-                self.add(prog, b, start, pos, len);
+    /// generation. First add wins, preserving priority. The closure walks
+    /// an explicit stack, so a long chain of epsilon edges costs heap, not
+    /// call depth.
+    fn add(
+        &mut self,
+        prog: &Prog,
+        stack: &mut Vec<usize>,
+        pc: usize,
+        start: usize,
+        pos: usize,
+        len: usize,
+    ) {
+        stack.push(pc);
+        while let Some(pc) = stack.pop() {
+            if self.seen_gen[pc] == self.gen {
+                continue;
             }
-            Inst::AssertStart(next) => {
-                if pos == 0 {
-                    self.add(prog, *next, start, pos, len);
+            self.seen_gen[pc] = self.gen;
+            match &prog.insts[pc] {
+                Inst::Jump(next) => stack.push(*next),
+                // Popped last-in first-out: `a` and everything it reaches
+                // is added before `b`.
+                Inst::Split(a, b) => stack.extend([*b, *a]),
+                Inst::AssertStart(next) => {
+                    if pos == 0 {
+                        stack.push(*next);
+                    }
                 }
-            }
-            Inst::AssertEnd(next) => {
-                if pos == len {
-                    self.add(prog, *next, start, pos, len);
+                Inst::AssertEnd(next) => {
+                    if pos == len {
+                        stack.push(*next);
+                    }
                 }
+                Inst::Class(..) | Inst::Match => self.threads.push(Thread { pc, start }),
             }
-            Inst::Class(..) | Inst::Match => self.threads.push(Thread { pc, start }),
         }
     }
 }
 
+/// The VM's working memory. A search leaves nothing behind that the next
+/// one reads, so one `Scratch` serves any number of searches (of any
+/// program) and after the first few allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct Scratch {
+    clist: ThreadList,
+    nlist: ThreadList,
+    stack: Vec<usize>,
+}
+
 /// Searches `hay` for the leftmost match; returns `(start, end)` offsets.
-pub fn search(prog: &Prog, hay: &[u8]) -> Option<(usize, usize)> {
+pub fn search(prog: &Prog, hay: &[u8], scratch: &mut Scratch) -> Option<(usize, usize)> {
     let len = hay.len();
-    let mut clist = ThreadList::new(prog.insts.len());
-    let mut nlist = ThreadList::new(prog.insts.len());
+    let Scratch {
+        clist,
+        nlist,
+        stack,
+    } = scratch;
+    clist.reset(prog.insts.len());
+    nlist.reset(prog.insts.len());
     let mut matched: Option<(usize, usize)> = None;
 
     for pos in 0..=len {
         // New start threads have the lowest priority; stop seeding once a
         // match exists (leftmost preference).
         if matched.is_none() {
-            clist.add(prog, 0, pos, pos, len);
+            clist.add(prog, stack, 0, pos, pos, len);
         }
         if clist.threads.is_empty() {
             if matched.is_some() {
@@ -87,36 +108,27 @@ pub fn search(prog: &Prog, hay: &[u8]) -> Option<(usize, usize)> {
             }
             continue;
         }
-        nlist.clear();
+        nlist.reset(prog.insts.len());
         let byte = hay.get(pos).copied();
-        let mut cut = None;
-        for (idx, th) in clist.threads.iter().enumerate() {
+        for th in &clist.threads {
             match &prog.insts[th.pc] {
                 Inst::Class(class, next) => {
-                    if let Some(b) = byte {
-                        if class_matches(class, b) {
-                            nlist.add(prog, *next, th.start, pos + 1, len);
-                        }
+                    if byte.is_some_and(|b| class.matches(b)) {
+                        nlist.add(prog, stack, *next, th.start, pos + 1, len);
                     }
                 }
                 Inst::Match => {
                     // This thread outranks every later one: record and cut.
                     matched = Some((th.start, pos));
-                    cut = Some(idx);
                     break;
                 }
                 // Epsilon instructions never appear in a thread list.
                 _ => unreachable!("epsilon inst scheduled"),
             }
         }
-        let _ = cut;
-        std::mem::swap(&mut clist, &mut nlist);
+        std::mem::swap(clist, nlist);
     }
     matched
-}
-
-fn class_matches(class: &ByteClass, b: u8) -> bool {
-    class.matches(b)
 }
 
 #[cfg(test)]
@@ -126,7 +138,11 @@ mod tests {
     use crate::compile::compile;
 
     fn search_str(pat: &str, hay: &str) -> Option<(usize, usize)> {
-        search(&compile(&parse(pat).unwrap()), hay.as_bytes())
+        search(
+            &compile(&parse(pat).unwrap()),
+            hay.as_bytes(),
+            &mut Scratch::default(),
+        )
     }
 
     #[test]

@@ -97,3 +97,23 @@ fn find_spans_are_valid() {
         }
     });
 }
+
+/// A pattern nested 200 000 groups deep is refused with a position — the
+/// parser recurses per group and used to run off the end of the stack.
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    let n = 200_000;
+    let pattern = format!("{}a{}", "(".repeat(n), ")".repeat(n));
+    let err = Regex::new(&pattern).unwrap_err();
+    assert_eq!(err.message, "nesting too deep");
+    assert!(err.position < n);
+}
+
+/// A long flat program: the epsilon closure of its first instruction runs
+/// through 200 000 splits, which must cost heap, not call depth.
+#[test]
+fn long_epsilon_chains_do_not_overflow() {
+    let re = Regex::new(&"a?".repeat(200_000)).unwrap();
+    assert_eq!(re.find(b"aa"), Some((0, 2)));
+    assert_eq!(re.find(b""), Some((0, 0)));
+}

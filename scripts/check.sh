@@ -105,10 +105,18 @@ run env SLEDS_RESULTS="$recal_tmp" cargo run --release -p sleds-bench --bin benc
 run diff -u <(grep -vE 'host_wall_ns|ops_per_sec' results/BENCH_index.json) \
     <(grep -vE 'host_wall_ns|ops_per_sec' "$recal_tmp/BENCH_index.json")
 
+# Benchmark smoke: every workload at tiny sizes, once, traced. No timing —
+# this gates the benchmark's reference-answer checks (wc counts, grep match
+# offsets, FITS outputs, tree answers, replay identity) and its determinism
+# guard, so a change that breaks what the benchmark measures fails here and
+# not after a four-minute run.
+run bash benchmark/run.sh --smoke
+
 if [[ "${1:-}" == "--with-proptests" ]]; then
     # The randomized equivalence suites; heavier, so opt-in.
     run cargo test -q -p sleds-fs --features proptests
     run cargo test -q -p sleds --features proptests
+    run cargo test -q -p sleds-textmatch --features proptests
 fi
 
 echo "All checks passed."
