@@ -25,7 +25,7 @@ pub mod treegrep;
 pub mod wc;
 
 use sleds::PickSession;
-use sleds_fs::{Fd, Kernel, RingOp, RingPayload, SubmissionRing};
+use sleds_fs::{Fd, Kernel, SubmissionRing, Syscall};
 use sleds_sim_core::{SimDuration, SimError, SimResult};
 
 /// Default application buffer size, matching the BUFSIZE the paper's
@@ -77,7 +77,7 @@ pub(crate) fn ring_read_plan(
             };
             ring.push(
                 offset,
-                RingOp::Pread {
+                Syscall::Pread {
                     fd,
                     pos: offset,
                     len,
@@ -90,10 +90,7 @@ pub(crate) fn ring_read_plan(
         }
         kernel.ring_enter(ring)?;
         for c in kernel.ring_reap(ring) {
-            let buf = match c.result? {
-                RingPayload::Bytes(b) => b,
-                _ => unreachable!("pread completes with bytes"),
-            };
+            let buf = c.result?.bytes()?;
             if chunk(kernel, c.user_data, &buf) {
                 return Ok(true);
             }

@@ -30,6 +30,7 @@ use sleds_bench::microbench;
 use sleds_devices::DiskDevice;
 use sleds_fs::{Fd, Kernel, MachineConfig, OpenFlags};
 use sleds_sim_core::{ByteSize, PAGE_SIZE};
+use sleds_trace::json_escape;
 
 /// One measured scenario.
 struct Row {
@@ -185,10 +186,6 @@ fn measure(size: u64, pattern: Pattern) -> Row {
         new_entries: extents.len() as u64,
         cached_repeat_cpu_ns,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn to_json(rows: &[Row], quick: bool) -> String {

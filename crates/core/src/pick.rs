@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use sleds_fs::{Fd, Kernel, RingOp, RingPayload, SubmissionRing};
+use sleds_fs::{Fd, Kernel, SubmissionRing, Syscall, SyscallRet};
 use sleds_sim_core::{SimDuration, SimResult, PAGE_SIZE};
 
 use crate::cache::SledCache;
@@ -122,7 +122,7 @@ impl PickSession {
     }
 
     /// [`PickSession::init`] over the submission ring: the SLED vector is
-    /// built in-kernel ([`sleds_fs::RingOp::FsledsGet`]) from the table's
+    /// built in-kernel ([`sleds_fs::Syscall::FsledsGet`]) from the table's
     /// flattened rows, so the retrieval costs one ring op instead of the
     /// sequential `fstat` + `FSLEDS_GET` pair of crossings. Planning —
     /// chunking, record adjustment, the prediction mark — is identical to
@@ -135,12 +135,12 @@ impl PickSession {
         cfg: PickConfig,
     ) -> SimResult<PickSession> {
         let pricing = crate::program::pricing_from(table);
-        ring.push(fd.0, RingOp::FsledsGet { fd, pricing })?;
+        ring.push(fd.0, Syscall::FsledsGet { fd, pricing })?;
         kernel.ring_enter(ring)?;
         let mut sleds: Vec<Sled> = Vec::new();
         for c in kernel.ring_reap(ring) {
             if c.user_data == fd.0 {
-                if let RingPayload::Sleds(ks) = c.result? {
+                if let SyscallRet::Sleds(ks) = c.result? {
                     sleds = crate::program::sleds_from_prog(&ks);
                 }
             }

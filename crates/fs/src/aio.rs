@@ -127,7 +127,8 @@ impl Kernel {
             let thrash = SimDuration::from_secs_f64(2.0 * overflow as f64 / dev_bw.max(1.0));
             report.thrash = thrash;
             report.io += thrash;
-            self.charge_io_public(thrash);
+            self.rec_unsupported("charge_io_public");
+            self.charge_io(thrash);
         }
 
         // Overlap correction: the serial preads advanced the clock by

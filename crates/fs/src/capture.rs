@@ -2,8 +2,8 @@
 //!
 //! Unlike the trace ring — which is a bounded, drop-oldest *observation*
 //! channel — the [`WorkloadRecorder`] hooks the syscall boundary and
-//! records **every** kernel entry while armed: the call (op, fd→path,
-//! offset/len), the tenant it ran as, the submit [`SimTime`] on that
+//! records **every** kernel entry while armed: the [`Syscall`] (and the
+//! path its fd meant), the tenant it ran as, the submit [`SimTime`] on that
 //! tenant's timeline, the device-fault epoch at submit, ring batches op
 //! by op, and the outcome (result, completion time, and the exact
 //! queue-wait/service attribution the per-device command queues priced
@@ -22,19 +22,12 @@
 
 use std::collections::BTreeMap;
 
-use crate::kernel::OpenFlags;
+use crate::syscall::Syscall;
 
 /// Schema tag the on-disk capture format carries; bump on any shape change.
 /// v2: volume mounts in setup, the hedge policy in the header, and the
 /// per-op hedged-read count in outcomes.
 pub const CAPTURE_SCHEMA: &str = "sleds-capture-v2";
-
-/// `lseek` origin codes in captures: `Whence::Set`.
-pub const WHENCE_SET: u8 = 0;
-/// `lseek` origin codes in captures: `Whence::Cur`.
-pub const WHENCE_CUR: u8 = 1;
-/// `lseek` origin codes in captures: `Whence::End`.
-pub const WHENCE_END: u8 = 2;
 
 /// FNV-1a 64 over a byte slice: the deterministic fold captures use to
 /// pin data payloads without storing them.
@@ -45,132 +38,6 @@ pub fn fold_bytes(data: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// One kernel entry, as the recorder saw it submitted.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CapturedCall {
-    /// `tenant_register(name)` — captured so replay recreates tenant ids
-    /// in the same order.
-    TenantRegister {
-        /// Tenant name.
-        name: String,
-    },
-    /// `open(path, flags)`.
-    Open {
-        /// Absolute path.
-        path: String,
-        /// Open flags.
-        flags: OpenFlags,
-    },
-    /// `close(fd)`.
-    Close {
-        /// Raw descriptor number.
-        fd: u64,
-    },
-    /// `lseek(fd, offset, whence)`.
-    Lseek {
-        /// Raw descriptor number.
-        fd: u64,
-        /// Signed offset.
-        offset: i64,
-        /// Origin code ([`WHENCE_SET`]/[`WHENCE_CUR`]/[`WHENCE_END`]).
-        whence: u8,
-    },
-    /// `read(fd, len)`.
-    Read {
-        /// Raw descriptor number.
-        fd: u64,
-        /// Bytes wanted.
-        len: u64,
-    },
-    /// `pread(fd, pos, len)`.
-    Pread {
-        /// Raw descriptor number.
-        fd: u64,
-        /// Absolute file position.
-        pos: u64,
-        /// Bytes wanted.
-        len: u64,
-    },
-    /// `write(fd, data)` — the written bytes are carried in full so
-    /// replay reproduces file contents exactly.
-    Write {
-        /// Raw descriptor number.
-        fd: u64,
-        /// The bytes written.
-        data: Vec<u8>,
-    },
-    /// `fsync(fd)`.
-    Fsync {
-        /// Raw descriptor number.
-        fd: u64,
-    },
-    /// `stat(path)`.
-    Stat {
-        /// Absolute path.
-        path: String,
-    },
-    /// `fstat(fd)`.
-    Fstat {
-        /// Raw descriptor number.
-        fd: u64,
-    },
-    /// `mkdir(path)`.
-    Mkdir {
-        /// Absolute path.
-        path: String,
-    },
-    /// `readdir(path)`.
-    Readdir {
-        /// Absolute path.
-        path: String,
-    },
-    /// `unlink(path)`.
-    Unlink {
-        /// Absolute path.
-        path: String,
-    },
-    /// One `ring_enter` batch: the ops actually serviced by this enter,
-    /// in service order.
-    RingEnter {
-        /// The ring's per-queue bound, so replay rebuilds an identical ring.
-        capacity: u64,
-        /// Serviced submissions in order.
-        ops: Vec<CapturedRingOp>,
-    },
-}
-
-impl CapturedCall {
-    /// Short human name, used in reports and error messages.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CapturedCall::TenantRegister { .. } => "tenant_register",
-            CapturedCall::Open { .. } => "open",
-            CapturedCall::Close { .. } => "close",
-            CapturedCall::Lseek { .. } => "lseek",
-            CapturedCall::Read { .. } => "read",
-            CapturedCall::Pread { .. } => "pread",
-            CapturedCall::Write { .. } => "write",
-            CapturedCall::Fsync { .. } => "fsync",
-            CapturedCall::Stat { .. } => "stat",
-            CapturedCall::Fstat { .. } => "fstat",
-            CapturedCall::Mkdir { .. } => "mkdir",
-            CapturedCall::Readdir { .. } => "readdir",
-            CapturedCall::Unlink { .. } => "unlink",
-            CapturedCall::RingEnter { .. } => "ring_enter",
-        }
-    }
-}
-
-/// One serviced ring submission inside a [`CapturedCall::RingEnter`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CapturedRingOp {
-    /// The submitter's completion tag.
-    pub user_data: u64,
-    /// The operation, reusing the syscall vocabulary (only `Open`,
-    /// `Close`, `Pread` and `Stat` can appear here).
-    pub call: CapturedCall,
 }
 
 /// Device time charged to one captured op on one device class.
@@ -237,8 +104,9 @@ pub struct CapturedOp {
     /// The path the op's fd resolved to at submit, when it had one —
     /// the fd→path half of the record, for readability and audits.
     pub path: Option<String>,
-    /// The call itself.
-    pub call: CapturedCall,
+    /// The call itself. A `RingEnter` holds the submissions that enter
+    /// serviced (only `Open`, `Close`, `Pread` and `Stat` can appear).
+    pub call: Syscall,
     /// How it ended.
     pub outcome: OpOutcome,
 }
@@ -269,7 +137,7 @@ struct InFlight {
     submit_ns: u64,
     fault_epoch: u64,
     path: Option<String>,
-    call: CapturedCall,
+    call: Syscall,
     classes: BTreeMap<u64, ClassCost>,
     hedges: u64,
 }
@@ -337,7 +205,7 @@ impl WorkloadRecorder {
 
     /// Arms the in-flight accumulator for one kernel entry. Called at
     /// the syscall boundary, before any charge.
-    pub fn begin(&mut self, call: CapturedCall, tenant: u64, submit_ns: u64, fault_epoch: u64) {
+    pub fn begin(&mut self, call: Syscall, tenant: u64, submit_ns: u64, fault_epoch: u64) {
         if self.inflight.is_some() {
             // Kernel entries never nest; seeing one means a hook bug.
             self.poison(format!("nested capture begin: {}", call.name()));
@@ -347,16 +215,7 @@ impl WorkloadRecorder {
             self.inflight = None;
             return;
         }
-        let path = match &call {
-            CapturedCall::Close { fd }
-            | CapturedCall::Lseek { fd, .. }
-            | CapturedCall::Read { fd, .. }
-            | CapturedCall::Pread { fd, .. }
-            | CapturedCall::Write { fd, .. }
-            | CapturedCall::Fsync { fd }
-            | CapturedCall::Fstat { fd } => self.fd_paths.get(fd).cloned(),
-            _ => None,
-        };
+        let path = call.fd().and_then(|fd| self.fd_paths.get(&fd.0).cloned());
         self.inflight = Some(InFlight {
             tenant,
             submit_ns,
@@ -393,12 +252,12 @@ impl WorkloadRecorder {
     }
 
     /// Appends one serviced submission to the in-flight `RingEnter`.
-    pub fn ring_op(&mut self, user_data: u64, call: CapturedCall) {
+    pub fn ring_op(&mut self, user_data: u64, call: Syscall) {
         match self.inflight.as_mut() {
             Some(InFlight {
-                call: CapturedCall::RingEnter { ops, .. },
+                call: Syscall::RingEnter { ops, .. },
                 ..
-            }) => ops.push(CapturedRingOp { user_data, call }),
+            }) => ops.push((user_data, call)),
             _ => self.poison("ring op captured outside a ring_enter".to_string()),
         }
     }
@@ -468,21 +327,21 @@ impl WorkloadRecorder {
         if ok {
             // Keep the fd→path table live so later ops resolve.
             match &f.call {
-                CapturedCall::Open { path, .. } => {
+                Syscall::Open { path, .. } => {
                     self.fd_paths.insert(outcome.ret, path.clone());
                 }
-                CapturedCall::Close { fd } => {
-                    self.fd_paths.remove(fd);
+                Syscall::Close { fd } => {
+                    self.fd_paths.remove(&fd.0);
                 }
-                CapturedCall::RingEnter { ops, .. } => {
+                Syscall::RingEnter { ops, .. } => {
                     // Ring opens allocate fds sequentially in service
                     // order; closes retire theirs. Outcomes per ring op
                     // are not recorded individually, so track paths
                     // conservatively: opens are resolved by the replayer
                     // from its own fd sequence.
-                    for op in ops {
-                        if let CapturedCall::Close { fd } = &op.call {
-                            self.fd_paths.remove(fd);
+                    for (_, op) in ops {
+                        if let Syscall::Close { fd } = op {
+                            self.fd_paths.remove(&fd.0);
                         }
                     }
                 }
@@ -519,9 +378,10 @@ impl WorkloadRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::syscall::{Fd, OpenFlags};
 
     fn begin_simple(r: &mut WorkloadRecorder, seq: u64) {
-        r.begin(CapturedCall::Fsync { fd: 3 }, 0, seq * 10, 0);
+        r.begin(Syscall::Fsync { fd: Fd(3) }, 0, seq * 10, 0);
     }
 
     #[test]
@@ -534,7 +394,7 @@ mod tests {
     fn open_then_read_resolves_fd_to_path() {
         let mut r = WorkloadRecorder::new(16, 0);
         r.begin(
-            CapturedCall::Open {
+            Syscall::Open {
                 path: "/disk/a".to_string(),
                 flags: OpenFlags::default(),
             },
@@ -543,7 +403,7 @@ mod tests {
             0,
         );
         r.finish_ok(3, None, 200);
-        r.begin(CapturedCall::Read { fd: 3, len: 8 }, 0, 300, 0);
+        r.begin(Syscall::Read { fd: Fd(3), len: 8 }, 0, 300, 0);
         r.note_device(1, 10, 20, 4096);
         r.note_device(1, 5, 7, 4096);
         r.finish_ok(8, Some(b"abcdefgh"), 400);
@@ -592,7 +452,7 @@ mod tests {
     fn ring_ops_accumulate_into_the_batch() {
         let mut r = WorkloadRecorder::new(8, 0);
         r.begin(
-            CapturedCall::RingEnter {
+            Syscall::RingEnter {
                 capacity: 4,
                 ops: Vec::new(),
             },
@@ -602,8 +462,8 @@ mod tests {
         );
         r.ring_op(
             7,
-            CapturedCall::Pread {
-                fd: 3,
+            Syscall::Pread {
+                fd: Fd(3),
                 pos: 0,
                 len: 16,
             },
@@ -613,9 +473,9 @@ mod tests {
         let cap = r.into_capture();
         assert!(cap.complete);
         match &cap.ops[0].call {
-            CapturedCall::RingEnter { ops, .. } => {
+            Syscall::RingEnter { ops, .. } => {
                 assert_eq!(ops.len(), 1);
-                assert_eq!(ops[0].user_data, 7);
+                assert_eq!(ops[0].0, 7);
             }
             other => panic!("unexpected call {other:?}"),
         }
@@ -625,7 +485,7 @@ mod tests {
     #[test]
     fn ring_op_outside_batch_poisons() {
         let mut r = WorkloadRecorder::new(8, 0);
-        r.ring_op(0, CapturedCall::Close { fd: 3 });
+        r.ring_op(0, Syscall::Close { fd: Fd(3) });
         assert!(!r.is_complete());
     }
 

@@ -31,7 +31,7 @@ use sleds_sim_core::{
 };
 use sleds_trace::{Layer, Metrics, TraceEvent, Tracer};
 
-use crate::capture::{Capture, CapturedCall, WorkloadRecorder};
+use crate::capture::{Capture, WorkloadRecorder};
 use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, PageMap, PagePlace, Stat};
 use crate::machine::MachineConfig;
 use crate::prog::{
@@ -41,11 +41,15 @@ use crate::queue::{
     CmdQueue, DeviceSaturation, LatencySummary, SaturationReport, TenantAttribution, TenantShare,
     BULLY_SHARE_PPM, SATURATION_UTIL_PPM,
 };
-use crate::ring::{RingCompletion, RingOp, RingPayload, SubmissionRing};
+use crate::ring::{RingCompletion, SubmissionRing};
 use crate::rusage::{JobReport, JobTimer, Rusage};
+use crate::syscall::{self as sys, Entry, Syscall, SyscallRet};
 use crate::volume::{HedgePolicy, VolumeLayout};
 
+mod boundary;
+
 pub use crate::inode::SECTORS_PER_PAGE;
+pub use crate::syscall::{Fd, OpenFlags, Whence};
 
 /// Number of device classes `class_code` can produce; sizes the kernel's
 /// per-class retry-policy table.
@@ -55,6 +59,13 @@ const NUM_CLASSES: usize = 5;
 /// two kernels running the same workload under the same fault plan back
 /// off identically.
 const RETRY_JITTER_SEED: u64 = 0x5EED_FA17;
+
+/// Boundary row shared by both `FSLEDS_GET` extent walks: one span name,
+/// one poison label.
+const IOCTL_FSLEDS_GET: Entry = Entry {
+    name: "ioctl.page_extents",
+    ..Entry::ioctl("ioctl.fsleds_get")
+};
 
 /// Delivery-time estimate in integer nanoseconds for trace marks:
 /// `u64::MAX` stands in for non-finite (offline) estimates.
@@ -73,74 +84,6 @@ pub struct DeviceId(pub usize);
 /// Identifies a mount.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct MountId(pub usize);
-
-/// A file descriptor.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct Fd(pub u64);
-
-/// `lseek` origins.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Whence {
-    /// From the start of the file.
-    Set,
-    /// From the current position.
-    Cur,
-    /// From the end of the file.
-    End,
-}
-
-/// Open flags, in the spirit of `open(2)`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct OpenFlags {
-    /// Readable.
-    pub read: bool,
-    /// Writable.
-    pub write: bool,
-    /// Create if missing.
-    pub create: bool,
-    /// Truncate to zero length on open.
-    pub truncate: bool,
-    /// All writes go to the end of the file.
-    pub append: bool,
-}
-
-impl OpenFlags {
-    /// Read-only.
-    pub const RDONLY: OpenFlags = OpenFlags {
-        read: true,
-        write: false,
-        create: false,
-        truncate: false,
-        append: false,
-    };
-
-    /// Read-write.
-    pub const RDWR: OpenFlags = OpenFlags {
-        read: true,
-        write: true,
-        create: false,
-        truncate: false,
-        append: false,
-    };
-
-    /// Write-only, creating and truncating — `open(.., O_WRONLY|O_CREAT|O_TRUNC)`.
-    pub const CREATE: OpenFlags = OpenFlags {
-        read: false,
-        write: true,
-        create: true,
-        truncate: true,
-        append: false,
-    };
-
-    /// Read-write, creating and truncating.
-    pub const CREATE_RDWR: OpenFlags = OpenFlags {
-        read: true,
-        write: true,
-        create: true,
-        truncate: true,
-        append: false,
-    };
-}
 
 /// Where one page of an open file currently lives — the kernel half of the
 /// `FSLEDS_GET` ioctl. The `sleds` crate turns a vector of these plus the
@@ -278,27 +221,6 @@ struct TenantState {
     usage: Rusage,
 }
 
-/// Maps a ring submission onto the capture vocabulary. The pushdown
-/// ioctls (`FsledsGet`, `PickAdvice`) carry pricing tables the capture
-/// format does not model; servicing one during a capture poisons it.
-fn ring_capture_call(op: &RingOp) -> Result<CapturedCall, &'static str> {
-    match op {
-        RingOp::Open { path, flags } => Ok(CapturedCall::Open {
-            path: path.clone(),
-            flags: *flags,
-        }),
-        RingOp::Close { fd } => Ok(CapturedCall::Close { fd: fd.0 }),
-        RingOp::Pread { fd, pos, len } => Ok(CapturedCall::Pread {
-            fd: fd.0,
-            pos: *pos,
-            len: *len as u64,
-        }),
-        RingOp::Stat { path } => Ok(CapturedCall::Stat { path: path.clone() }),
-        RingOp::FsledsGet { .. } => Err("ring.fsleds_get"),
-        RingOp::PickAdvice { .. } => Err("ring.pick_advice"),
-    }
-}
-
 /// The simulated kernel.
 pub struct Kernel {
     cfg: MachineConfig,
@@ -331,6 +253,11 @@ pub struct Kernel {
     ring_enters: u64,
     /// Lifetime count of ring operations serviced.
     ring_ops: u64,
+    /// Completion tag of the ring submission being dispatched; `Some`
+    /// exactly while `ring_enter` services one. The boundary reads it to
+    /// charge in-kernel dispatch instead of a trap and to file the call
+    /// under the enclosing batch.
+    ring_slot: Option<u64>,
     /// One bounded command queue per attached device (same index as
     /// `devices`): queue-wait pricing and saturation telemetry.
     queues: Vec<CmdQueue>,
@@ -393,6 +320,7 @@ impl Kernel {
             fd_progs: BTreeMap::new(),
             ring_enters: 0,
             ring_ops: 0,
+            ring_slot: None,
             queues: Vec::new(),
             tenants: vec![TenantState {
                 name: "main".to_string(),
@@ -464,21 +392,22 @@ impl Kernel {
     /// current virtual time. Returns its id. Tenant 0 ("main") always
     /// exists — it is the tenant every kernel boots as.
     pub fn tenant_register(&mut self, name: &str) -> TenantId {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::TenantRegister {
-                name: name.to_string(),
-            });
-        }
-        let now = self.clock.now();
-        self.tenants.push(TenantState {
+        // Registration cannot fail: the id is the row the body pushes.
+        let id = TenantId(self.tenants.len() as u64);
+        let make = || Syscall::TenantRegister {
             name: name.to_string(),
-            clock_at: now,
-            registered_at: now,
-            usage: Rusage::default(),
+        };
+        let _ = self.sys(&sys::TENANT_REGISTER, [0; 3], make, |k| {
+            let now = k.clock.now();
+            k.tenants.push(TenantState {
+                name: name.to_string(),
+                clock_at: now,
+                registered_at: now,
+                usage: Rusage::default(),
+            });
+            Ok(SyscallRet::Tenant(id))
         });
-        let t = TenantId((self.tenants.len() - 1) as u64);
-        self.rec_finish(Ok((t.0, None)));
-        t
+        id
     }
 
     /// Makes `t` the active tenant: parks the current tenant's clock and
@@ -635,11 +564,6 @@ impl Kernel {
         self.recorder.take().map(WorkloadRecorder::into_capture)
     }
 
-    /// Whether a capture is in progress.
-    pub fn capture_active(&self) -> bool {
-        self.recorder.is_some()
-    }
-
     /// Sum of every attached device's fault epoch at `now` — the "which
     /// fault windows are live" stamp each captured op carries.
     pub fn fault_epoch_total(&self) -> u64 {
@@ -647,38 +571,9 @@ impl Kernel {
         self.devices.iter().map(|d| d.fault_epoch(now)).sum()
     }
 
-    /// Arms the recorder's in-flight accumulator for one kernel entry.
-    /// Must be paired with [`Kernel::rec_finish`] on every path out.
-    fn rec_begin(&mut self, call: CapturedCall) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let tenant = self.active_tenant as u64;
-        let submit_ns = self.clock.now().as_nanos();
-        let epoch = self.fault_epoch_total();
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.begin(call, tenant, submit_ns, epoch);
-        }
-    }
-
-    /// Completes the in-flight captured op: `ret` is the call's scalar
-    /// result, `data` its returned payload (folded, not stored).
-    fn rec_finish(&mut self, res: Result<(u64, Option<&[u8]>), &SimError>) {
-        if self.recorder.is_none() {
-            return;
-        }
-        let now = self.clock.now().as_nanos();
-        if let Some(rec) = self.recorder.as_mut() {
-            match res {
-                Ok((ret, data)) => rec.finish_ok(ret, data, now),
-                Err(e) => rec.finish_err(e.errno.name(), now),
-            }
-        }
-    }
-
     /// Poisons an in-progress capture: `name` charged the clock (or
     /// mutated state) in a way the replayer cannot reproduce.
-    fn rec_unsupported(&mut self, name: &str) {
+    pub(crate) fn rec_unsupported(&mut self, name: &str) {
         if let Some(rec) = self.recorder.as_mut() {
             rec.unsupported(name);
         }
@@ -688,17 +583,10 @@ impl Kernel {
     /// latency histograms. Charges one syscall; all-zero when tracing is
     /// off (the counters simply never ran).
     pub fn fsleds_stat(&mut self, fd: Fd) -> SimResult<Metrics> {
-        self.rec_unsupported("ioctl.fsleds_stat");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_stat", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = self
-            .openfile(fd)
-            .map(|_| self.tracer.metrics_snapshot().unwrap_or_default());
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        self.ioctl(&Entry::ioctl("ioctl.fsleds_stat"), [fd.0, 0, 0], |k| {
+            k.openfile(fd)
+                .map(|_| k.tracer.metrics_snapshot().unwrap_or_default())
+        })
     }
 
     /// The `FSLEDS_RECAL` ioctl: marks a sleds-table recalibration point.
@@ -710,21 +598,15 @@ impl Kernel {
     /// whether or not tracing is on (untraced callers get empty metrics),
     /// so traced and untraced runs stay byte-identical.
     pub fn fsleds_recal(&mut self, fd: Fd) -> SimResult<Metrics> {
-        self.rec_unsupported("ioctl.fsleds_recal");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_recal", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = self.openfile(fd).map(|_| {
-            self.sleds_epoch += 1;
-            let snap = self.tracer.metrics_snapshot().unwrap_or_default();
-            let now = self.clock.now();
-            self.tracer.recal(now, self.sleds_epoch);
-            snap
-        });
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        self.ioctl(&Entry::ioctl("ioctl.fsleds_recal"), [fd.0, 0, 0], |k| {
+            k.openfile(fd).map(|_| {
+                k.sleds_epoch += 1;
+                let snap = k.tracer.metrics_snapshot().unwrap_or_default();
+                let now = k.clock.now();
+                k.tracer.recal(now, k.sleds_epoch);
+                snap
+            })
+        })
     }
 
     /// Number of `FSLEDS_RECAL` calls so far — the generation new
@@ -827,15 +709,9 @@ impl Kernel {
     /// shares and bully flags, plus per-tenant latency attribution.
     /// Charges one syscall; rows are empty until devices see commands.
     pub fn fsleds_satstat(&mut self, fd: Fd) -> SimResult<SaturationReport> {
-        self.rec_unsupported("ioctl.fsleds_satstat");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_satstat", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = self.openfile(fd).map(|_| self.saturation_report());
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        self.ioctl(&Entry::ioctl("ioctl.fsleds_satstat"), [fd.0, 0, 0], |k| {
+            k.openfile(fd).map(|_| k.saturation_report())
+        })
     }
 
     /// Opens an application-level span (e.g. one `grep` invocation); the
@@ -1190,13 +1066,6 @@ impl Kernel {
         self.usage.cpu += d;
     }
 
-    /// Charges I/O wait time from outside the kernel's own read/write
-    /// paths (used by the AIO model's swap accounting).
-    pub fn charge_io_public(&mut self, d: SimDuration) {
-        self.rec_unsupported("charge_io_public");
-        self.charge_io(d);
-    }
-
     /// Non-perturbing cache residency probe by raw page key.
     pub fn cache_probe(&self, key: PageKey) -> bool {
         self.cache.contains(key)
@@ -1218,38 +1087,13 @@ impl Kernel {
         }
     }
 
-    /// One ordinary syscall: a logical syscall plus a boundary crossing.
-    fn charge_syscall(&mut self) {
-        self.usage.syscalls += 1;
-        self.charge_crossing();
-    }
-
-    /// One kernel boundary crossing: the `syscall_cpu` trap cost. Ordinary
-    /// syscalls pay it per call; a ring batch pays it once in `ring_enter`
-    /// however many ops it carries.
-    fn charge_crossing(&mut self) {
-        self.usage.syscall_crossings += 1;
-        let d = self.cfg.syscall_cpu;
-        self.clock.advance(d);
-        self.usage.cpu += d;
-    }
-
-    /// One serviced ring operation: a logical syscall charged at the
-    /// in-kernel dispatch cost instead of the trap cost.
-    fn charge_ring_op(&mut self) {
-        self.usage.syscalls += 1;
-        let d = self.cfg.ring_op_cpu;
-        self.clock.advance(d);
-        self.usage.cpu += d;
-    }
-
     fn charge_memcpy(&mut self, bytes: u64) {
         let d = self.cfg.mem_latency + self.cfg.mem_bandwidth.transfer_time(bytes);
         self.clock.advance(d);
         self.usage.cpu += d;
     }
 
-    fn charge_io(&mut self, d: SimDuration) {
+    pub(crate) fn charge_io(&mut self, d: SimDuration) {
         self.clock.advance(d);
         self.usage.io_wait += d;
     }
@@ -1431,6 +1275,7 @@ impl Kernel {
 
     /// Makes future allocations on `mount` fragmented: files are laid out
     /// in `chunk_pages`-page runs separated by gaps of up to `gap_pages`.
+    /// Setup mutation: not capturable mid-recording.
     pub fn set_fragmentation(
         &mut self,
         mount: MountId,
@@ -1438,6 +1283,7 @@ impl Kernel {
         gap_pages: u64,
         seed: u64,
     ) {
+        self.rec_unsupported("set_fragmentation");
         if let Some(m) = self.mounts.get_mut(mount.0) {
             m.frag = Some(FragConfig {
                 chunk_pages: chunk_pages.max(1),
@@ -1545,90 +1391,63 @@ impl Kernel {
 
     /// Creates a directory.
     pub fn mkdir(&mut self, path: &str) -> SimResult<()> {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Mkdir {
-                path: path.to_string(),
-            });
-        }
-        let r = self.mkdir_impl(path);
-        self.rec_finish(match &r {
-            Ok(()) => Ok((0, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn mkdir_impl(&mut self, path: &str) -> SimResult<()> {
-        self.charge_syscall();
-        let (parent, name) = self.resolve_parent(path)?;
-        let mount = self.inode(parent)?.mount;
-        let parent_dir = self
-            .inode(parent)?
-            .as_dir()
-            .ok_or_else(|| SimError::new(Errno::Enotdir, format!("mkdir({path})")))?;
-        if parent_dir.contains_key(name) {
-            return Err(SimError::new(Errno::Eexist, format!("mkdir({path})")));
-        }
-        let ino = self.alloc_ino();
-        let now = self.clock.now();
-        self.inodes.insert(
-            ino,
-            Inode {
+        let make = || Syscall::Mkdir {
+            path: path.to_string(),
+        };
+        self.sys(&sys::MKDIR, [0; 3], make, |k| {
+            let (parent, name) = k.resolve_parent(path)?;
+            let mount = k.inode(parent)?.mount;
+            let parent_dir = k
+                .inode(parent)?
+                .as_dir()
+                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("mkdir({path})")))?;
+            if parent_dir.contains_key(name) {
+                return Err(SimError::new(Errno::Eexist, format!("mkdir({path})")));
+            }
+            let ino = k.alloc_ino();
+            let now = k.clock.now();
+            k.inodes.insert(
                 ino,
-                mount,
-                body: InodeBody::Dir(Default::default()),
-                mtime: now,
-            },
-        );
-        let name = name.to_string();
-        self.dir_of_mut(parent)?.insert(name, ino);
-        Ok(())
+                Inode {
+                    ino,
+                    mount,
+                    body: InodeBody::Dir(Default::default()),
+                    mtime: now,
+                },
+            );
+            let name = name.to_string();
+            k.dir_of_mut(parent)?.insert(name, ino);
+            Ok(SyscallRet::Unit)
+        })
+        .map(|_| ())
     }
 
     /// Lists a directory's entries in name order.
     pub fn readdir(&mut self, path: &str) -> SimResult<Vec<String>> {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Readdir {
-                path: path.to_string(),
-            });
-        }
-        let r = self.readdir_impl(path);
-        self.rec_finish(match &r {
-            Ok(names) => Ok((names.len() as u64, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn readdir_impl(&mut self, path: &str) -> SimResult<Vec<String>> {
-        self.charge_syscall();
-        let ino = self.resolve(path)?;
-        let node = self.inode(ino)?;
-        let dir = node
-            .as_dir()
-            .ok_or_else(|| SimError::new(Errno::Enotdir, format!("readdir({path})")))?;
-        Ok(dir.keys().cloned().collect())
+        let make = || Syscall::Readdir {
+            path: path.to_string(),
+        };
+        self.sys(&sys::READDIR, [0; 3], make, |k| {
+            let ino = k.resolve(path)?;
+            let node = k.inode(ino)?;
+            let dir = node
+                .as_dir()
+                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("readdir({path})")))?;
+            Ok(SyscallRet::Names(dir.keys().cloned().collect()))
+        })?
+        .names()
     }
 
     /// Returns metadata for a path.
     pub fn stat(&mut self, path: &str) -> SimResult<Stat> {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Stat {
-                path: path.to_string(),
-            });
-        }
-        let r = self.stat_impl(path);
-        self.rec_finish(match &r {
-            Ok(st) => Ok((st.size, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn stat_impl(&mut self, path: &str) -> SimResult<Stat> {
-        self.charge_syscall();
-        let ino = self.resolve(path)?;
-        self.stat_ino(ino)
+        let make = || Syscall::Stat {
+            path: path.to_string(),
+        };
+        self.sys(&sys::STAT, [0; 3], make, |k| {
+            let ino = k.resolve(path)?;
+            k.stat_ino(ino).map(SyscallRet::Stat)
+        })?
+        .stat()
     }
 
     fn stat_ino(&self, ino: Ino) -> SimResult<Stat> {
@@ -1645,55 +1464,39 @@ impl Kernel {
 
     /// Returns metadata for an open file.
     pub fn fstat(&mut self, fd: Fd) -> SimResult<Stat> {
-        self.rec_begin(CapturedCall::Fstat { fd: fd.0 });
-        let r = self.fstat_impl(fd);
-        self.rec_finish(match &r {
-            Ok(st) => Ok((st.size, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn fstat_impl(&mut self, fd: Fd) -> SimResult<Stat> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        self.stat_ino(of.ino)
+        let make = || Syscall::Fstat { fd };
+        self.sys(&sys::FSTAT, [0; 3], make, |k| {
+            let of = k.openfile(fd)?;
+            k.stat_ino(of.ino).map(SyscallRet::Stat)
+        })?
+        .stat()
     }
 
     /// Removes a file, dropping its cached pages.
     pub fn unlink(&mut self, path: &str) -> SimResult<()> {
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Unlink {
-                path: path.to_string(),
-            });
-        }
-        let r = self.unlink_impl(path);
-        self.rec_finish(match &r {
-            Ok(()) => Ok((0, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn unlink_impl(&mut self, path: &str) -> SimResult<()> {
-        self.charge_syscall();
-        let (parent, name) = self.resolve_parent(path)?;
-        let ino = {
-            let dir = self
-                .inode(parent)?
-                .as_dir()
-                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("unlink({path})")))?;
-            *dir.get(name)
-                .ok_or_else(|| SimError::new(Errno::Enoent, format!("unlink({path})")))?
+        let make = || Syscall::Unlink {
+            path: path.to_string(),
         };
-        if self.inode(ino)?.kind() == FileKind::Dir {
-            return Err(SimError::new(Errno::Eisdir, format!("unlink({path})")));
-        }
-        let name = name.to_string();
-        self.dir_of_mut(parent)?.remove(&name);
-        self.inodes.remove(&ino);
-        self.cache.remove_file(ino.0);
-        Ok(())
+        self.sys(&sys::UNLINK, [0; 3], make, |k| {
+            let (parent, name) = k.resolve_parent(path)?;
+            let ino = {
+                let dir = k
+                    .inode(parent)?
+                    .as_dir()
+                    .ok_or_else(|| SimError::new(Errno::Enotdir, format!("unlink({path})")))?;
+                *dir.get(name)
+                    .ok_or_else(|| SimError::new(Errno::Enoent, format!("unlink({path})")))?
+            };
+            if k.inode(ino)?.kind() == FileKind::Dir {
+                return Err(SimError::new(Errno::Eisdir, format!("unlink({path})")));
+            }
+            let name = name.to_string();
+            k.dir_of_mut(parent)?.remove(&name);
+            k.inodes.remove(&ino);
+            k.cache.remove_file(ino.0);
+            Ok(SyscallRet::Unit)
+        })
+        .map(|_| ())
     }
 
     // ------------------------------------------------------------------
@@ -1709,84 +1512,66 @@ impl Kernel {
 
     /// Opens (and possibly creates) a file.
     pub fn open(&mut self, path: &str, flags: OpenFlags) -> SimResult<Fd> {
-        let t0 = self.clock.now();
-        self.tracer.begin(Layer::Syscall, "open", t0, [0; 3]);
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Open {
-                path: path.to_string(),
-                flags,
-            });
-        }
-        let r = self.open_impl(path, flags);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(fd) => Ok((fd.0, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn open_impl(&mut self, path: &str, flags: OpenFlags) -> SimResult<Fd> {
-        self.charge_syscall();
-        self.do_open(path, flags)
-    }
-
-    /// Open minus the syscall charge: shared by `open` and the ring path.
-    fn do_open(&mut self, path: &str, flags: OpenFlags) -> SimResult<Fd> {
-        let ino = match self.resolve(path) {
-            Ok(i) => {
-                if self.inode(i)?.kind() == FileKind::Dir && (flags.write || flags.truncate) {
-                    return Err(SimError::new(Errno::Eisdir, format!("open({path})")));
-                }
-                if flags.truncate {
-                    self.check_writable_mount(i, path)?;
-                    let node = self.inode_mut(i)?;
-                    if let Some(f) = node.as_file_mut() {
-                        f.size = 0;
-                        f.data.clear();
-                        f.pages.clear();
-                        f.tape_home = None;
-                    }
-                    self.cache.remove_file(i.0);
-                }
-                i
-            }
-            Err(e) if e.errno == Errno::Enoent && flags.create => {
-                let (parent, name) = self.resolve_parent(path)?;
-                let mount = self.inode(parent)?.mount.ok_or_else(|| {
-                    SimError::new(Errno::Erofs, format!("open({path}): no mount here"))
-                })?;
-                if self.mounts[mount.0].read_only {
-                    return Err(SimError::new(Errno::Erofs, format!("open({path})")));
-                }
-                let ino = self.alloc_ino();
-                let now = self.clock.now();
-                self.inodes.insert(
-                    ino,
-                    Inode {
-                        ino,
-                        mount: Some(mount),
-                        body: InodeBody::File(FileNode::default()),
-                        mtime: now,
-                    },
-                );
-                let name = name.to_string();
-                self.inode_mut(parent)?
-                    .as_dir_mut()
-                    .ok_or_else(|| SimError::new(Errno::Enotdir, format!("open({path})")))?
-                    .insert(name, ino);
-                ino
-            }
-            Err(e) => return Err(e),
+        let make = || Syscall::Open {
+            path: path.to_string(),
+            flags,
         };
-        if flags.write {
-            self.check_writable_mount(ino, path)?;
-        }
-        let fd = Fd(self.next_fd);
-        self.next_fd += 1;
-        self.fds.insert(fd.0, OpenFile { ino, pos: 0, flags });
-        Ok(fd)
+        self.sys(&sys::OPEN, [0; 3], make, |k| {
+            let ino = match k.resolve(path) {
+                Ok(i) => {
+                    if k.inode(i)?.kind() == FileKind::Dir && (flags.write || flags.truncate) {
+                        return Err(SimError::new(Errno::Eisdir, format!("open({path})")));
+                    }
+                    if flags.truncate {
+                        k.check_writable_mount(i, path)?;
+                        let node = k.inode_mut(i)?;
+                        if let Some(f) = node.as_file_mut() {
+                            f.size = 0;
+                            f.data.clear();
+                            f.pages.clear();
+                            f.tape_home = None;
+                        }
+                        k.cache.remove_file(i.0);
+                    }
+                    i
+                }
+                Err(e) if e.errno == Errno::Enoent && flags.create => {
+                    let (parent, name) = k.resolve_parent(path)?;
+                    let mount = k.inode(parent)?.mount.ok_or_else(|| {
+                        SimError::new(Errno::Erofs, format!("open({path}): no mount here"))
+                    })?;
+                    if k.mounts[mount.0].read_only {
+                        return Err(SimError::new(Errno::Erofs, format!("open({path})")));
+                    }
+                    let ino = k.alloc_ino();
+                    let now = k.clock.now();
+                    k.inodes.insert(
+                        ino,
+                        Inode {
+                            ino,
+                            mount: Some(mount),
+                            body: InodeBody::File(FileNode::default()),
+                            mtime: now,
+                        },
+                    );
+                    let name = name.to_string();
+                    k.inode_mut(parent)?
+                        .as_dir_mut()
+                        .ok_or_else(|| SimError::new(Errno::Enotdir, format!("open({path})")))?
+                        .insert(name, ino);
+                    ino
+                }
+                Err(e) => return Err(e),
+            };
+            if flags.write {
+                k.check_writable_mount(ino, path)?;
+            }
+            let fd = Fd(k.next_fd);
+            k.next_fd += 1;
+            k.fds.insert(fd.0, OpenFile { ino, pos: 0, flags });
+            Ok(SyscallRet::Fd(fd))
+        })?
+        .fd()
     }
 
     fn check_writable_mount(&self, ino: Ino, path: &str) -> SimResult<()> {
@@ -1799,72 +1584,39 @@ impl Kernel {
         Ok(())
     }
 
-    /// Closes a file descriptor.
+    /// Closes a file descriptor, dropping any pick program installed on it.
     pub fn close(&mut self, fd: Fd) -> SimResult<()> {
-        let t0 = self.clock.now();
-        self.tracer.begin(Layer::Syscall, "close", t0, [fd.0, 0, 0]);
-        self.rec_begin(CapturedCall::Close { fd: fd.0 });
-        self.charge_syscall();
-        let r = self.do_close(fd);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(()) => Ok((0, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    /// Close minus the syscall charge: shared by `close` and the ring
-    /// path. Drops any installed pick program with the descriptor.
-    fn do_close(&mut self, fd: Fd) -> SimResult<()> {
-        self.fd_progs.remove(&fd.0);
-        self.fds
-            .remove(&fd.0)
-            .map(|_| ())
-            .ok_or_else(|| SimError::new(Errno::Ebadf, format!("close({})", fd.0)))
+        let make = || Syscall::Close { fd };
+        self.sys(&sys::CLOSE, [fd.0, 0, 0], make, |k| {
+            k.fd_progs.remove(&fd.0);
+            k.fds
+                .remove(&fd.0)
+                .map(|_| SyscallRet::Unit)
+                .ok_or_else(|| SimError::new(Errno::Ebadf, format!("close({})", fd.0)))
+        })
+        .map(|_| ())
     }
 
     /// Repositions a file offset.
     pub fn lseek(&mut self, fd: Fd, offset: i64, whence: Whence) -> SimResult<u64> {
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "lseek", t0, [fd.0, offset as u64, 0]);
-        self.rec_begin(CapturedCall::Lseek {
-            fd: fd.0,
-            offset,
-            whence: match whence {
-                Whence::Set => crate::capture::WHENCE_SET,
-                Whence::Cur => crate::capture::WHENCE_CUR,
-                Whence::End => crate::capture::WHENCE_END,
-            },
-        });
-        let r = self.lseek_impl(fd, offset, whence);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(n) => Ok((*n, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn lseek_impl(&mut self, fd: Fd, offset: i64, whence: Whence) -> SimResult<u64> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let size = self.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0);
-        let base = match whence {
-            Whence::Set => 0i64,
-            Whence::Cur => of.pos as i64,
-            Whence::End => size as i64,
-        };
-        let new = base
-            .checked_add(offset)
-            .filter(|&n| n >= 0)
-            .ok_or_else(|| SimError::new(Errno::Einval, format!("lseek({}, {offset})", fd.0)))?
-            as u64;
-        self.openfile_mut(fd)?.pos = new;
-        Ok(new)
+        let make = || Syscall::Lseek { fd, offset, whence };
+        self.sys(&sys::LSEEK, [fd.0, offset as u64, 0], make, |k| {
+            let of = k.openfile(fd)?;
+            let size = k.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0);
+            let base = match whence {
+                Whence::Set => 0i64,
+                Whence::Cur => of.pos as i64,
+                Whence::End => size as i64,
+            };
+            let new = base
+                .checked_add(offset)
+                .filter(|&n| n >= 0)
+                .ok_or_else(|| SimError::new(Errno::Einval, format!("lseek({}, {offset})", fd.0)))?
+                as u64;
+            k.openfile_mut(fd)?.pos = new;
+            Ok(SyscallRet::Count(new))
+        })?
+        .count()
     }
 
     /// Reads up to `len` bytes at the current offset.
@@ -1872,55 +1624,24 @@ impl Kernel {
     /// Returns the bytes actually read (shorter at end of file, empty at or
     /// past it), advancing the offset.
     pub fn read(&mut self, fd: Fd, len: usize) -> SimResult<Vec<u8>> {
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "read", t0, [fd.0, len as u64, 0]);
-        self.rec_begin(CapturedCall::Read {
-            fd: fd.0,
-            len: len as u64,
-        });
-        let r = self.read_impl(fd, len);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(data) => Ok((data.len() as u64, Some(&data[..]))),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn read_impl(&mut self, fd: Fd, len: usize) -> SimResult<Vec<u8>> {
-        self.charge_syscall();
-        self.do_read_fd(fd, None, len)
+        let make = || Syscall::Read { fd, len };
+        self.sys(&sys::READ, [fd.0, len as u64, 0], make, |k| {
+            k.do_read_fd(fd, None, len).map(SyscallRet::Bytes)
+        })?
+        .bytes()
     }
 
     /// Positioned read: `pread(2)`. Does not move the file offset.
     pub fn pread(&mut self, fd: Fd, pos: u64, len: usize) -> SimResult<Vec<u8>> {
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "pread", t0, [fd.0, len as u64, pos]);
-        self.rec_begin(CapturedCall::Pread {
-            fd: fd.0,
-            pos,
-            len: len as u64,
-        });
-        let r = self.pread_impl(fd, pos, len);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(data) => Ok((data.len() as u64, Some(&data[..]))),
-            Err(e) => Err(e),
-        });
-        r
+        let make = || Syscall::Pread { fd, pos, len };
+        self.sys(&sys::PREAD, [fd.0, len as u64, pos], make, |k| {
+            k.do_read_fd(fd, Some(pos), len).map(SyscallRet::Bytes)
+        })?
+        .bytes()
     }
 
-    fn pread_impl(&mut self, fd: Fd, pos: u64, len: usize) -> SimResult<Vec<u8>> {
-        self.charge_syscall();
-        self.do_read_fd(fd, Some(pos), len)
-    }
-
-    /// The single fd-level read path `read`, `pread` and the ring's
-    /// `Pread` all charge through: permission check, fault accounting via
+    /// The single fd-level read path `read` and `pread` (trapped or ring
+    /// submitted) charge through: permission check, fault accounting via
     /// [`Kernel::do_read`], offset advance (sequential reads only) and
     /// `bytes_read`. `pos` is `None` for a sequential read at the file
     /// offset, `Some` for a positioned read that must not move it.
@@ -1944,66 +1665,42 @@ impl Kernel {
     /// Writes `buf` at the current offset (or the end with `O_APPEND`),
     /// extending the file as needed. Returns bytes written.
     pub fn write(&mut self, fd: Fd, buf: &[u8]) -> SimResult<usize> {
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "write", t0, [fd.0, buf.len() as u64, 0]);
-        if self.capture_active() {
-            self.rec_begin(CapturedCall::Write {
-                fd: fd.0,
-                data: buf.to_vec(),
-            });
-        }
-        let r = self.write_impl(fd, buf);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(n) => Ok((*n as u64, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn write_impl(&mut self, fd: Fd, buf: &[u8]) -> SimResult<usize> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        if !of.flags.write {
-            return Err(SimError::new(Errno::Ebadf, "write on read-only fd"));
-        }
-        let pos = if of.flags.append {
-            self.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0)
-        } else {
-            of.pos
+        let make = || Syscall::Write {
+            fd,
+            data: buf.to_vec(),
         };
-        self.do_write(of.ino, pos, buf)?;
-        self.openfile_mut(fd)?.pos = pos + buf.len() as u64;
-        self.usage.bytes_written += buf.len() as u64;
-        Ok(buf.len())
+        self.sys(&sys::WRITE, [fd.0, buf.len() as u64, 0], make, |k| {
+            let of = k.openfile(fd)?;
+            if !of.flags.write {
+                return Err(SimError::new(Errno::Ebadf, "write on read-only fd"));
+            }
+            let pos = if of.flags.append {
+                k.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0)
+            } else {
+                of.pos
+            };
+            k.do_write(of.ino, pos, buf)?;
+            k.openfile_mut(fd)?.pos = pos + buf.len() as u64;
+            k.usage.bytes_written += buf.len() as u64;
+            Ok(SyscallRet::Count(buf.len() as u64))
+        })?
+        .count()
+        .map(|n| n as usize)
     }
 
     /// Flushes an open file's dirty pages to its device.
     pub fn fsync(&mut self, fd: Fd) -> SimResult<()> {
-        let t0 = self.clock.now();
-        self.tracer.begin(Layer::Syscall, "fsync", t0, [fd.0, 0, 0]);
-        self.rec_begin(CapturedCall::Fsync { fd: fd.0 });
-        let r = self.fsync_impl(fd);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        self.rec_finish(match &r {
-            Ok(()) => Ok((0, None)),
-            Err(e) => Err(e),
-        });
-        r
-    }
-
-    fn fsync_impl(&mut self, fd: Fd) -> SimResult<()> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let dirty = self.cache.dirty_pages_of(of.ino.0);
-        for key in dirty {
-            self.writeback(key)?;
-            self.cache.mark_clean(key);
-        }
-        Ok(())
+        let make = || Syscall::Fsync { fd };
+        self.sys(&sys::FSYNC, [fd.0, 0, 0], make, |k| {
+            let of = k.openfile(fd)?;
+            let dirty = k.cache.dirty_pages_of(of.ino.0);
+            for key in dirty {
+                k.writeback(key)?;
+                k.cache.mark_clean(key);
+            }
+            Ok(SyscallRet::Unit)
+        })
+        .map(|_| ())
     }
 
     /// Drops the entire page cache, writing dirty pages back first. Used by
@@ -2792,23 +2489,13 @@ impl Kernel {
     /// extent of this open file live right now? Cost is one probe per
     /// extent plus a per-page floor — O(runs), not O(pages).
     pub fn page_extents(&mut self, fd: Fd) -> SimResult<Vec<PageExtent>> {
-        self.rec_unsupported("ioctl.page_extents");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_get", t0, [fd.0, 0, 0]);
-        let r = self.page_extents_impl(fd);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
-    }
-
-    fn page_extents_impl(&mut self, fd: Fd) -> SimResult<Vec<PageExtent>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let out = self.page_extents_of(of.ino)?;
-        let pages = out.last().map(|e| e.end_page()).unwrap_or(0);
-        self.charge_page_walk(out.len() as u64, pages);
-        Ok(out)
+        self.ioctl(&IOCTL_FSLEDS_GET, [fd.0, 0, 0], |k| {
+            let of = k.openfile(fd)?;
+            let out = k.page_extents_of(of.ino)?;
+            let pages = out.last().map(|e| e.end_page()).unwrap_or(0);
+            k.charge_page_walk(out.len() as u64, pages);
+            Ok(out)
+        })
     }
 
     /// The redundancy-aware half of `FSLEDS_GET`: every extent of the open
@@ -2819,63 +2506,51 @@ impl Kernel {
     /// alternative into a fault-priced candidate and quotes the min-cost
     /// *available* one (the k-th cheapest for a coded layout).
     pub fn redundant_extents(&mut self, fd: Fd) -> SimResult<Vec<RedundantExtent>> {
-        // Same capture kind as the plain extents walk: both are the
-        // FSLEDS_GET ioctl, so the unrecordable set does not grow.
-        self.rec_unsupported("ioctl.page_extents");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_get", t0, [fd.0, 1, 0]);
-        let r = self.redundant_extents_impl(fd);
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
-    }
-
-    fn redundant_extents_impl(&mut self, fd: Fd) -> SimResult<Vec<RedundantExtent>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let ino = of.ino;
-        let base = self.page_extents_of(ino)?;
-        let coded_k = self.volume_of(ino).and_then(|l| l.coded_k());
-        let (out, probes, pages) = {
-            let f = self.file_of(ino)?;
-            let mut probes = 0u64;
-            let pages = base.last().map(|e| e.end_page()).unwrap_or(0);
-            let out: Vec<RedundantExtent> = base
-                .into_iter()
-                .map(|extent| {
-                    // Memory extents need no alternative: they are already
-                    // the cheapest possible source.
-                    let alternatives: Vec<ReplicaPlace> =
-                        if matches!(extent.location, PageLocation::Device { .. }) {
-                            f.replicas
-                                .iter()
-                                .filter_map(|map| map.place_of(extent.first_page))
-                                .map(|p| ReplicaPlace {
-                                    dev: p.dev,
-                                    sector: p.sector,
-                                })
-                                .collect()
+        self.ioctl(&IOCTL_FSLEDS_GET, [fd.0, 1, 0], |k| {
+            let of = k.openfile(fd)?;
+            let ino = of.ino;
+            let base = k.page_extents_of(ino)?;
+            let coded_k = k.volume_of(ino).and_then(|l| l.coded_k());
+            let (out, probes, pages) = {
+                let f = k.file_of(ino)?;
+                let mut probes = 0u64;
+                let pages = base.last().map(|e| e.end_page()).unwrap_or(0);
+                let out: Vec<RedundantExtent> = base
+                    .into_iter()
+                    .map(|extent| {
+                        // Memory extents need no alternative: they are already
+                        // the cheapest possible source.
+                        let alternatives: Vec<ReplicaPlace> =
+                            if matches!(extent.location, PageLocation::Device { .. }) {
+                                f.replicas
+                                    .iter()
+                                    .filter_map(|map| map.place_of(extent.first_page))
+                                    .map(|p| ReplicaPlace {
+                                        dev: p.dev,
+                                        sector: p.sector,
+                                    })
+                                    .collect()
+                            } else {
+                                Vec::new()
+                            };
+                        probes += alternatives.len() as u64;
+                        let coded_k = if alternatives.is_empty() {
+                            None
                         } else {
-                            Vec::new()
+                            coded_k
                         };
-                    probes += alternatives.len() as u64;
-                    let coded_k = if alternatives.is_empty() {
-                        None
-                    } else {
-                        coded_k
-                    };
-                    RedundantExtent {
-                        extent,
-                        alternatives,
-                        coded_k,
-                    }
-                })
-                .collect();
-            (out, probes, pages)
-        };
-        self.charge_page_walk(out.len() as u64 + probes, pages);
-        Ok(out)
+                        RedundantExtent {
+                            extent,
+                            alternatives,
+                            coded_k,
+                        }
+                    })
+                    .collect();
+                (out, probes, pages)
+            };
+            k.charge_page_walk(out.len() as u64 + probes, pages);
+            Ok(out)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -2903,45 +2578,32 @@ impl Kernel {
         // timeline, whoever drives the enter — asynchronous submission:
         // the driver's own clock does not advance for the batch.
         let prev = self.active_tenant();
-        let owner = ring.tenant();
-        self.tenant_switch(owner)?;
-        let t0 = self.clock.now();
+        self.tenant_switch(ring.tenant())?;
         let submitted = ring.sq_len() as u64;
-        self.tracer
-            .begin(Layer::Syscall, "ring.enter", t0, [submitted, 0, 0]);
-        self.rec_begin(CapturedCall::RingEnter {
-            capacity: ring.capacity() as u64,
+        let capacity = ring.capacity();
+        let make = || Syscall::RingEnter {
+            capacity,
             ops: Vec::new(),
-        });
-        self.charge_crossing();
-        self.ring_enters += 1;
-        let mut serviced = 0usize;
-        while ring.cq_has_room() {
-            let Some((user_data, op)) = ring.pop_op() else {
-                break;
-            };
-            self.charge_ring_op();
-            self.ring_ops += 1;
-            if self.capture_active() {
-                match ring_capture_call(&op) {
-                    Ok(call) => {
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.ring_op(user_data, call);
-                        }
-                    }
-                    Err(name) => self.rec_unsupported(name),
-                }
+        };
+        let r = self.sys(&sys::RING_ENTER, [submitted, 0, 0], make, |k| {
+            k.ring_enters += 1;
+            let mut serviced = 0u64;
+            while ring.cq_has_room() {
+                let Some((user_data, op)) = ring.pop_op() else {
+                    break;
+                };
+                k.ring_slot = Some(user_data);
+                let result = k.syscall(&op);
+                k.ring_slot = None;
+                ring.complete(RingCompletion { user_data, result });
+                serviced += 1;
             }
-            let result = self.service_ring_op(op);
-            ring.complete(RingCompletion { user_data, result });
-            serviced += 1;
-        }
-        let now = self.clock.now();
-        self.tracer.ring_submit(now, submitted, serviced as u64);
-        self.tracer.end(now);
-        self.rec_finish(Ok((serviced as u64, None)));
+            let now = k.clock.now();
+            k.tracer.ring_submit(now, submitted, serviced);
+            Ok(SyscallRet::Count(serviced))
+        });
         self.tenant_switch(prev)?;
-        Ok(serviced)
+        r?.count().map(|n| n as usize)
     }
 
     /// Reaps every pending completion. The queues live in user-mapped
@@ -2951,42 +2613,6 @@ impl Kernel {
         let now = self.clock.now();
         self.tracer.ring_reap(now, out.len() as u64);
         out
-    }
-
-    /// Dispatches one already-submitted ring operation to the shared
-    /// implementation its sequential twin uses (minus the per-call trap,
-    /// which the batch already paid).
-    fn service_ring_op(&mut self, op: RingOp) -> SimResult<RingPayload> {
-        match op {
-            RingOp::Open { path, flags } => self.do_open(&path, flags).map(RingPayload::Fd),
-            RingOp::Close { fd } => self.do_close(fd).map(|()| RingPayload::Unit),
-            RingOp::Pread { fd, pos, len } => {
-                self.do_read_fd(fd, Some(pos), len).map(RingPayload::Bytes)
-            }
-            RingOp::Stat { path } => {
-                let ino = self.resolve(&path)?;
-                self.stat_ino(ino).map(RingPayload::Stat)
-            }
-            RingOp::FsledsGet { fd, pricing } => {
-                let of = self.openfile(fd)?;
-                self.kernel_sleds_of(of.ino, &pricing)
-                    .map(RingPayload::Sleds)
-            }
-            RingOp::PickAdvice {
-                fd,
-                pricing,
-                preferred,
-                skip_unavailable,
-            } => {
-                let of = self.openfile(fd)?;
-                let sleds = self.kernel_sleds_of(of.ino, &pricing)?;
-                Ok(RingPayload::Plan(self.advise_chunks(
-                    &sleds,
-                    preferred.max(1),
-                    skip_unavailable,
-                )))
-            }
-        }
     }
 
     /// The in-kernel half of pushdown `FSLEDS_GET`: builds a file's SLED
@@ -3101,17 +2727,11 @@ impl Kernel {
     /// open descriptor. The program was verified at construction; this
     /// re-runs nothing and simply associates it with the fd until close.
     pub fn fsleds_prog(&mut self, fd: Fd, prog: PickProgram) -> SimResult<()> {
-        self.rec_unsupported("ioctl.fsleds_prog");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_prog", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = self.openfile(fd).map(|_| {
-            self.fd_progs.insert(fd.0, prog);
-        });
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        self.ioctl(&Entry::ioctl("ioctl.fsleds_prog"), [fd.0, 0, 0], |k| {
+            k.openfile(fd).map(|_| {
+                k.fd_progs.insert(fd.0, prog);
+            })
+        })
     }
 
     /// The program installed on `fd`, if any.
@@ -3124,20 +2744,15 @@ impl Kernel {
     /// pushed pricing rows, derives the program inputs, and returns the
     /// verdict plus the delivery-time estimate it saw.
     pub fn fsleds_prog_eval(&mut self, fd: Fd, pricing: &ProgPricing) -> SimResult<(bool, f64)> {
-        self.rec_unsupported("ioctl.fsleds_prog_eval");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_prog_eval", t0, [fd.0, 0, 0]);
-        self.charge_syscall();
-        let r = (|| {
-            let of = self.openfile(fd)?;
-            let prog = self.fd_progs.get(&fd.0).cloned().ok_or_else(|| {
+        self.ioctl(&Entry::ioctl("ioctl.fsleds_prog_eval"), [fd.0, 0, 0], |k| {
+            let of = k.openfile(fd)?;
+            let prog = k.fd_progs.get(&fd.0).cloned().ok_or_else(|| {
                 SimError::new(
                     Errno::Einval,
                     format!("FSLEDS_PROG: no program on fd {}", fd.0),
                 )
             })?;
-            let sleds = self.kernel_sleds_of(of.ino, pricing)?;
+            let sleds = k.kernel_sleds_of(of.ino, pricing)?;
             let mem = pricing.memory.unwrap_or(ProgEntry {
                 latency: 0.0,
                 bandwidth: 0.0,
@@ -3146,21 +2761,18 @@ impl Kernel {
             // not the path actually taken: the price of running a program
             // is fixed at admission, so accounting cannot depend on file
             // contents.
-            self.charge_cpu(SimDuration::from_nanos(prog.cert().worst_ns));
+            k.charge_cpu(SimDuration::from_nanos(prog.cert().worst_ns));
             let inputs = prog_inputs(&sleds, mem);
             let matched = prog.matches(&inputs);
-            let now = self.clock.now();
-            self.tracer.prog_eval(
+            let now = k.clock.now();
+            k.tracer.prog_eval(
                 now,
                 prog.len() as u64,
                 u64::from(matched),
                 estimate_ns(inputs.delivery_time),
             );
             Ok((matched, inputs.delivery_time))
-        })();
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        })
     }
 
     /// A program-driven directory walk (`fsleds_walk`): visits the tree
@@ -3178,17 +2790,11 @@ impl Kernel {
         prog: &PickProgram,
         pricing: &ProgPricing,
     ) -> SimResult<Vec<WalkEntry>> {
-        self.rec_unsupported("set_fragmentation");
-        self.rec_unsupported("ioctl.fsleds_walk");
-        let t0 = self.clock.now();
-        self.tracer
-            .begin(Layer::Syscall, "ioctl.fsleds_walk", t0, [0; 3]);
-        self.charge_syscall();
-        let r = (|| {
-            let ino = self.resolve(root)?;
+        self.ioctl(&Entry::ioctl("ioctl.fsleds_walk"), [0; 3], |k| {
+            let ino = k.resolve(root)?;
             let mut out: Vec<(WalkEntry, f64)> = Vec::new();
             let mut done = false;
-            self.walk_node(root, ino, prog, pricing, &mut out, &mut done)?;
+            k.walk_node(root, ino, prog, pricing, &mut out, &mut done)?;
             if prog.order == ProgOrder::CachedFirst {
                 // Matched files first, most-cached first; stable, so ties
                 // and the unmatched tail keep file order.
@@ -3198,10 +2804,7 @@ impl Kernel {
                 out = hits.into_iter().chain(rest).collect();
             }
             Ok(out.into_iter().map(|(e, _)| e).collect())
-        })();
-        let t1 = self.clock.now();
-        self.tracer.end(t1);
-        r
+        })
     }
 
     fn walk_node(
@@ -3308,26 +2911,27 @@ impl Kernel {
     /// per file page, produced by expanding the extent walk. Same O(runs)
     /// probe cost (the expansion is covered by the per-page floor).
     pub fn page_locations(&mut self, fd: Fd) -> SimResult<Vec<PageLocation>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let extents = self.page_extents_of(of.ino)?;
-        let pages = extents.last().map(|e| e.end_page()).unwrap_or(0);
-        self.charge_page_walk(extents.len() as u64, pages);
-        let mut out = Vec::with_capacity(pages as usize);
-        for e in extents {
-            match e.location {
-                PageLocation::Memory => out.extend((0..e.pages).map(|_| PageLocation::Memory)),
-                PageLocation::Device { dev, sector } => {
-                    for i in 0..e.pages {
-                        out.push(PageLocation::Device {
-                            dev,
-                            sector: sector + i * SECTORS_PER_PAGE,
-                        });
+        self.ioctl(&Entry::query("page_locations"), [0; 3], |k| {
+            let of = k.openfile(fd)?;
+            let extents = k.page_extents_of(of.ino)?;
+            let pages = extents.last().map(|e| e.end_page()).unwrap_or(0);
+            k.charge_page_walk(extents.len() as u64, pages);
+            let mut out = Vec::with_capacity(pages as usize);
+            for e in extents {
+                match e.location {
+                    PageLocation::Memory => out.extend((0..e.pages).map(|_| PageLocation::Memory)),
+                    PageLocation::Device { dev, sector } => {
+                        for i in 0..e.pages {
+                            out.push(PageLocation::Device {
+                                dev,
+                                sector: sector + i * SECTORS_PER_PAGE,
+                            });
+                        }
                     }
                 }
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
     }
 
     /// The original per-page residency walk, retained verbatim as a
@@ -3335,31 +2939,32 @@ impl Kernel {
     /// once per page, charging the legacy per-page walk cost. Equivalence
     /// tests and the before/after microbenchmark compare against this.
     pub fn page_locations_per_page_reference(&mut self, fd: Fd) -> SimResult<Vec<PageLocation>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let f = self
-            .inode(of.ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "FSLEDS_GET on directory"))?;
-        let n = f.page_count();
-        // The old implementation cloned the per-page map; reproduce that
-        // allocation by expanding the runs.
-        let places: Vec<PagePlace> = (0..n).filter_map(|p| f.pages.place_of(p)).collect();
-        let walk = self.cfg.page_walk_cost_per_page(n);
-        self.clock.advance(walk);
-        self.usage.cpu += walk;
-        let mut out = Vec::with_capacity(n as usize);
-        for (i, place) in places.iter().enumerate().take(n as usize) {
-            if self.cache.contains(PageKey::new(of.ino.0, i as u64)) {
-                out.push(PageLocation::Memory);
-            } else {
-                out.push(PageLocation::Device {
-                    dev: place.dev,
-                    sector: place.sector,
-                });
+        self.ioctl(&Entry::query("page_locations"), [0; 3], |k| {
+            let of = k.openfile(fd)?;
+            let f = k
+                .inode(of.ino)?
+                .as_file()
+                .ok_or_else(|| SimError::new(Errno::Eisdir, "FSLEDS_GET on directory"))?;
+            let n = f.page_count();
+            // The old implementation cloned the per-page map; reproduce that
+            // allocation by expanding the runs.
+            let places: Vec<PagePlace> = (0..n).filter_map(|p| f.pages.place_of(p)).collect();
+            let walk = k.cfg.page_walk_cost_per_page(n);
+            k.clock.advance(walk);
+            k.usage.cpu += walk;
+            let mut out = Vec::with_capacity(n as usize);
+            for (i, place) in places.iter().enumerate().take(n as usize) {
+                if k.cache.contains(PageKey::new(of.ino.0, i as u64)) {
+                    out.push(PageLocation::Memory);
+                } else {
+                    out.push(PageLocation::Device {
+                        dev: place.dev,
+                        sector: place.sector,
+                    });
+                }
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
     }
 
     /// A version stamp for an open file's SLED vector: changes whenever the
@@ -3369,22 +2974,21 @@ impl Kernel {
     /// and skip the walk while it holds. Charges only the syscall cost —
     /// that is the point.
     pub fn sled_generation(&mut self, fd: Fd) -> SimResult<u64> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let layout = self
-            .inode(of.ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "sled_generation on directory"))?
-            .pages
-            .generation();
-        // All four counters are monotone, so their sum is a valid version:
-        // any change to any one strictly increases it. The device fault
-        // epochs auto-invalidate cached vectors (and any lease built on
-        // this stamp) the moment the clock crosses a fault-window
-        // boundary anywhere in the stack.
-        let now = self.clock.now();
-        let fault_epoch: u64 = self.devices.iter().map(|d| d.fault_epoch(now)).sum();
-        Ok(self.cache.generation(of.ino.0) + layout + self.sleds_epoch + fault_epoch)
+        self.ioctl(&Entry::query("sled_generation"), [0; 3], |k| {
+            let of = k.openfile(fd)?;
+            let layout = k
+                .inode(of.ino)?
+                .as_file()
+                .ok_or_else(|| SimError::new(Errno::Eisdir, "sled_generation on directory"))?
+                .pages
+                .generation();
+            // All four counters are monotone, so their sum is a valid version:
+            // any change to any one strictly increases it. The device fault
+            // epochs auto-invalidate cached vectors (and any lease built on
+            // this stamp) the moment the clock crosses a fault-window
+            // boundary anywhere in the stack.
+            Ok(k.cache.generation(of.ino.0) + layout + k.sleds_epoch + k.fault_epoch_total())
+        })
     }
 
     /// Number of resident extents the cache tracks for an open file — the
@@ -3400,21 +3004,22 @@ impl Kernel {
     /// The kernel half of the paper's "predict which pages of a file would
     /// be flushed from cache" extension; charges the page-walk cost.
     pub fn page_eviction_ranks(&mut self, fd: Fd) -> SimResult<Vec<Option<usize>>> {
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let n = self
-            .inode(of.ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "eviction ranks on directory"))?
-            .page_count();
-        // Ranks are genuinely per-page (each is an independent policy
-        // query), so this walk keeps the per-page cost.
-        let walk = self.cfg.page_walk_cost_per_page(n);
-        self.clock.advance(walk);
-        self.usage.cpu += walk;
-        Ok((0..n)
-            .map(|i| self.cache.eviction_rank(PageKey::new(of.ino.0, i)))
-            .collect())
+        self.ioctl(&Entry::query("page_eviction_ranks"), [0; 3], |k| {
+            let of = k.openfile(fd)?;
+            let n = k
+                .inode(of.ino)?
+                .as_file()
+                .ok_or_else(|| SimError::new(Errno::Eisdir, "eviction ranks on directory"))?
+                .page_count();
+            // Ranks are genuinely per-page (each is an independent policy
+            // query), so this walk keeps the per-page cost.
+            let walk = k.cfg.page_walk_cost_per_page(n);
+            k.clock.advance(walk);
+            k.usage.cpu += walk;
+            Ok((0..n)
+                .map(|i| k.cache.eviction_rank(PageKey::new(of.ino.0, i)))
+                .collect())
+        })
     }
 
     /// Pins the currently-resident pages of `[offset, offset+len)` of an
@@ -3423,47 +3028,55 @@ impl Kernel {
     /// SLED lifetimes. Returns the page indices actually pinned (only
     /// resident pages can be held).
     pub fn pin_range(&mut self, fd: Fd, offset: u64, len: u64) -> SimResult<Vec<u64>> {
-        self.rec_unsupported("ioctl.pin_range");
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let size = self
-            .inode(of.ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "pin_range on directory"))?
-            .size;
-        if len == 0 || offset >= size {
-            return Ok(Vec::new());
-        }
-        let end = size.min(offset.saturating_add(len));
-        let mut pinned = Vec::new();
-        for page in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
-            if self.cache.pin(PageKey::new(of.ino.0, page)) {
-                pinned.push(page);
+        let e = Entry {
+            span: None,
+            ..Entry::ioctl("ioctl.pin_range")
+        };
+        self.ioctl(&e, [0; 3], |k| {
+            let of = k.openfile(fd)?;
+            let size = k
+                .inode(of.ino)?
+                .as_file()
+                .ok_or_else(|| SimError::new(Errno::Eisdir, "pin_range on directory"))?
+                .size;
+            if len == 0 || offset >= size {
+                return Ok(Vec::new());
             }
-        }
-        Ok(pinned)
+            let end = size.min(offset.saturating_add(len));
+            let mut pinned = Vec::new();
+            for page in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
+                if k.cache.pin(PageKey::new(of.ino.0, page)) {
+                    pinned.push(page);
+                }
+            }
+            Ok(pinned)
+        })
     }
 
     /// Releases pins on a page range of an open file. Like [`Kernel::pin_range`],
     /// the range is clipped to the file size (pins can only exist on file
     /// pages), so a `(0, u64::MAX)` release is safe and releases everything.
     pub fn unpin_range(&mut self, fd: Fd, offset: u64, len: u64) -> SimResult<()> {
-        self.rec_unsupported("ioctl.unpin_range");
-        self.charge_syscall();
-        let of = self.openfile(fd)?;
-        let size = self
-            .inode(of.ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "unpin_range on directory"))?
-            .size;
-        if len == 0 || offset >= size {
-            return Ok(());
-        }
-        let end = size.min(offset.saturating_add(len));
-        for page in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
-            self.cache.unpin(PageKey::new(of.ino.0, page));
-        }
-        Ok(())
+        let e = Entry {
+            span: None,
+            ..Entry::ioctl("ioctl.unpin_range")
+        };
+        self.ioctl(&e, [0; 3], |k| {
+            let of = k.openfile(fd)?;
+            let size = k
+                .inode(of.ino)?
+                .as_file()
+                .ok_or_else(|| SimError::new(Errno::Eisdir, "unpin_range on directory"))?
+                .size;
+            if len == 0 || offset >= size {
+                return Ok(());
+            }
+            let end = size.min(offset.saturating_add(len));
+            for page in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
+                k.cache.unpin(PageKey::new(of.ino.0, page));
+            }
+            Ok(())
+        })
     }
 
     /// Number of pages currently pinned across the whole cache.

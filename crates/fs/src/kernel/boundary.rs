@@ -1,0 +1,181 @@
+//! The syscall boundary: the one door every kernel entry passes through,
+//! and [`Kernel::syscall`], which runs an owned [`Syscall`] through it.
+
+use sleds_sim_core::{Errno, SimDuration, SimError, SimResult};
+use sleds_trace::Layer;
+
+use super::Kernel;
+use crate::ring::SubmissionRing;
+use crate::syscall::{Charge, Entry, Record, Ring, Syscall, SyscallRet};
+
+impl Kernel {
+    /// The one kernel boundary. Every entry — typed method, ring
+    /// submission, ioctl, [`Kernel::syscall`] — runs its `body` through
+    /// here, and what surrounds a call happens here and nowhere else:
+    ///
+    /// * the trace span `e.span` with `args`;
+    /// * the flight recorder: `call` builds the owned [`Syscall`] only when
+    ///   a capture is armed, `outcome` reads the recorded scalar and
+    ///   payload off the result, and an uncapturable entry poisons the
+    ///   capture under its own name;
+    /// * the crossing charge `e.charge` — or, while `ring_enter` is
+    ///   dispatching a submission (`ring_slot`), `ring_op_cpu`, no span,
+    ///   and the call filed under the enclosing batch instead of as an op
+    ///   of its own.
+    pub(super) fn enter<T>(
+        &mut self,
+        e: &Entry,
+        args: [u64; 3],
+        call: Option<impl FnOnce() -> Syscall>,
+        outcome: for<'a> fn(&'a T) -> (u64, Option<&'a [u8]>),
+        body: impl FnOnce(&mut Kernel) -> SimResult<T>,
+    ) -> SimResult<T> {
+        let slot = self.ring_slot;
+        if slot.is_none() && e.ring == Ring::Only {
+            return Err(SimError::new(
+                Errno::Einval,
+                format!("{}: only valid as a ring submission", e.name),
+            ));
+        }
+        let run = |k: &mut Kernel| {
+            // Recorder first: the submit stamp precedes the charge. Only a
+            // trapped, captured call has an op of its own to finish.
+            let recording = match (e.record, call) {
+                (Record::Capture, Some(call)) if k.recorder.is_some() => {
+                    let tenant = k.active_tenant as u64;
+                    let submit_ns = k.clock.now().as_nanos();
+                    let epoch = k.fault_epoch_total();
+                    if let Some(rec) = k.recorder.as_mut() {
+                        match slot {
+                            Some(user_data) => rec.ring_op(user_data, call()),
+                            None => rec.begin(call(), tenant, submit_ns, epoch),
+                        }
+                    }
+                    slot.is_none()
+                }
+                (Record::Poison, _) => {
+                    k.rec_unsupported(e.name);
+                    false
+                }
+                _ => false,
+            };
+            let cpu = match (slot, e.charge) {
+                (Some(_), _) => {
+                    k.usage.syscalls += 1;
+                    k.ring_ops += 1;
+                    k.cfg.ring_op_cpu
+                }
+                (None, Charge::Trap) => {
+                    k.usage.syscalls += 1;
+                    k.usage.syscall_crossings += 1;
+                    k.cfg.syscall_cpu
+                }
+                (None, Charge::Crossing) => {
+                    k.usage.syscall_crossings += 1;
+                    k.cfg.syscall_cpu
+                }
+                (None, Charge::Free) => SimDuration::ZERO,
+            };
+            k.charge_cpu(cpu);
+            let r = body(k);
+            if recording {
+                let now = k.clock.now().as_nanos();
+                if let Some(rec) = k.recorder.as_mut() {
+                    match &r {
+                        Ok(v) => {
+                            let (ret, data) = outcome(v);
+                            rec.finish_ok(ret, data, now);
+                        }
+                        Err(err) => rec.finish_err(err.errno.name(), now),
+                    }
+                }
+            }
+            r
+        };
+        match e.span {
+            Some(name) if slot.is_none() => {
+                let t0 = self.clock.now();
+                self.tracer.begin(Layer::Syscall, name, t0, args);
+                let r = run(self);
+                let t1 = self.clock.now();
+                self.tracer.end(t1);
+                r
+            }
+            _ => run(self),
+        }
+    }
+
+    /// A [`Syscall`]-vocabulary entry: captured as `call()` with the
+    /// result's [`SyscallRet::scalar`] and [`SyscallRet::payload`].
+    pub(super) fn sys(
+        &mut self,
+        e: &Entry,
+        args: [u64; 3],
+        call: impl FnOnce() -> Syscall,
+        body: impl FnOnce(&mut Kernel) -> SimResult<SyscallRet>,
+    ) -> SimResult<SyscallRet> {
+        self.enter(e, args, Some(call), |r| (r.scalar(), r.payload()), body)
+    }
+
+    /// An entry outside the vocabulary (the SLEDs ioctls and residency
+    /// queries): spanned and charged at the same door, never captured.
+    pub(super) fn ioctl<T>(
+        &mut self,
+        e: &Entry,
+        args: [u64; 3],
+        body: impl FnOnce(&mut Kernel) -> SimResult<T>,
+    ) -> SimResult<T> {
+        self.enter(e, args, None::<fn() -> Syscall>, |_| (0, None), body)
+    }
+
+    /// Runs an owned [`Syscall`] — the door ring batches, replay and
+    /// generated call sequences come through. Identical in every effect
+    /// (result, clock, rusage, trace, capture) to the typed method of the
+    /// same name, which is what each arm calls.
+    pub fn syscall(&mut self, call: &Syscall) -> SimResult<SyscallRet> {
+        match call {
+            Syscall::Open { path, flags } => self.open(path, *flags).map(SyscallRet::Fd),
+            Syscall::Close { fd } => self.close(*fd).map(|()| SyscallRet::Unit),
+            Syscall::Lseek { fd, offset, whence } => {
+                self.lseek(*fd, *offset, *whence).map(SyscallRet::Count)
+            }
+            Syscall::Read { fd, len } => self.read(*fd, *len).map(SyscallRet::Bytes),
+            Syscall::Pread { fd, pos, len } => self.pread(*fd, *pos, *len).map(SyscallRet::Bytes),
+            Syscall::Write { fd, data } => {
+                self.write(*fd, data).map(|n| SyscallRet::Count(n as u64))
+            }
+            Syscall::Fsync { fd } => self.fsync(*fd).map(|()| SyscallRet::Unit),
+            Syscall::Stat { path } => self.stat(path).map(SyscallRet::Stat),
+            Syscall::Fstat { fd } => self.fstat(*fd).map(SyscallRet::Stat),
+            Syscall::Mkdir { path } => self.mkdir(path).map(|()| SyscallRet::Unit),
+            Syscall::Readdir { path } => self.readdir(path).map(SyscallRet::Names),
+            Syscall::Unlink { path } => self.unlink(path).map(|()| SyscallRet::Unit),
+            Syscall::FsledsGet { fd, pricing } | Syscall::PickAdvice { fd, pricing, .. } => {
+                let make = || call.clone();
+                self.sys(call.entry(), [0; 3], make, |k| {
+                    let of = k.openfile(*fd)?;
+                    let sleds = k.kernel_sleds_of(of.ino, pricing)?;
+                    let Syscall::PickAdvice {
+                        preferred,
+                        skip_unavailable,
+                        ..
+                    } = call
+                    else {
+                        return Ok(SyscallRet::Sleds(sleds));
+                    };
+                    let plan = k.advise_chunks(&sleds, (*preferred).max(1), *skip_unavailable);
+                    Ok(SyscallRet::Plan(plan))
+                })
+            }
+            Syscall::TenantRegister { name } => Ok(SyscallRet::Tenant(self.tenant_register(name))),
+            Syscall::RingEnter { capacity, ops } => {
+                let mut ring = SubmissionRing::with_tenant(*capacity, self.active_tenant());
+                for (user_data, op) in ops {
+                    ring.push(*user_data, op.clone())?;
+                }
+                self.ring_enter(&mut ring)?;
+                Ok(SyscallRet::Completions(self.ring_reap(&mut ring)))
+            }
+        }
+    }
+}

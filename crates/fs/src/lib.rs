@@ -31,12 +31,12 @@ pub mod prog;
 pub mod queue;
 pub mod ring;
 pub mod rusage;
+pub mod syscall;
 pub mod volume;
 
 pub use aio::AioReport;
 pub use capture::{
-    fold_bytes, Capture, CapturedCall, CapturedOp, CapturedRingOp, ClassCost, OpOutcome,
-    WorkloadRecorder, CAPTURE_SCHEMA, WHENCE_CUR, WHENCE_END, WHENCE_SET,
+    fold_bytes, Capture, CapturedOp, ClassCost, OpOutcome, WorkloadRecorder, CAPTURE_SCHEMA,
 };
 pub use inode::{FileKind, Ino, LayoutRun, PageMap, PagePlace, Stat, SECTORS_PER_PAGE};
 pub use kernel::{
@@ -56,4 +56,5 @@ pub use ring::{RingCompletion, RingOp, RingPayload, SubmissionRing, DEFAULT_RING
 pub use rusage::{JobReport, JobTimer, Rusage};
 pub use sleds_sim_core::{TenantId, VirtualSubmitter};
 pub use sleds_trace as trace;
+pub use syscall::{Charge, Entry, Record, Ring, Syscall, SyscallRet};
 pub use volume::{HedgePolicy, VolumeLayout};

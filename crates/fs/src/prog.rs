@@ -13,26 +13,17 @@
 //!
 //! Running user-supplied bytecode below the syscall boundary is safe only
 //! if the kernel can *prove* what it costs before agreeing to run it —
-//! the same posture BPF takes. Two verifiers exist here:
-//!
-//! * [`PickProgram::verify_syntactic`] — the legacy linear pass: one sweep
-//!   over the instruction list simulating stack depth as if execution were
-//!   straight-line. It predates the jump instructions and is **unsound**
-//!   in their presence (it never follows an edge), which is exactly why it
-//!   is kept: tests pin the programs it wrongly admits — backward jumps
-//!   that spin forever, over-budget paths — and prove the abstract
-//!   interpreter rejects them.
-//! * [`PickProgram::certify`] — the abstract interpreter that `new` runs.
-//!   It walks the bytecode's control-flow graph, tracking an interval of
-//!   possible stack depths at every reachable pc, and proves:
-//!   **termination** (every jump must land strictly forward, so the CFG is
-//!   a DAG and the pc strictly increases at each step), **stack safety**
-//!   (no underflow on any path, depth never past [`MAX_PROG_STACK`]),
-//!   **arity** (every path reaches the exit with exactly one value),
-//!   **liveness** (no unreachable instruction — dead bytecode in a pick
-//!   predicate is a bug), and a **worst-case cost bound**: the longest
-//!   root-to-exit path weighted by per-instruction nanosecond costs, which
-//!   must not exceed [`MAX_PROG_COST_NS`].
+//! the same posture BPF takes. [`PickProgram::certify`], the abstract
+//! interpreter that `new` runs, walks the bytecode's control-flow graph,
+//! tracking an interval of possible stack depths at every reachable pc,
+//! and proves: **termination** (every jump must land strictly forward, so
+//! the CFG is a DAG and the pc strictly increases at each step), **stack
+//! safety** (no underflow on any path, depth never past
+//! [`MAX_PROG_STACK`]), **arity** (every path reaches the exit with
+//! exactly one value), **liveness** (no unreachable instruction — dead
+//! bytecode in a pick predicate is a bug), and a **worst-case cost
+//! bound**: the longest root-to-exit path weighted by per-instruction
+//! nanosecond costs, which must not exceed [`MAX_PROG_COST_NS`].
 //!
 //! The proof is stamped into the program as a [`CostCert`]. `fsleds_walk`
 //! and `FSLEDS_PROG_EVAL` charge virtual CPU *from the certificate* — the
@@ -226,50 +217,6 @@ impl PickProgram {
     /// The cost certificate stamped at admission.
     pub fn cert(&self) -> CostCert {
         self.cert
-    }
-
-    /// The **legacy** verifier: one linear sweep simulating stack depth
-    /// as if execution were straight-line. Sound for the original
-    /// jump-free instruction set; unsound once jumps exist — it ignores
-    /// control flow entirely, so it admits backward jumps (which never
-    /// terminate) and never bounds cost. Kept public so tests can pin the
-    /// exact programs it wrongly accepts and the abstract interpreter
-    /// rejects. Not used for admission.
-    pub fn verify_syntactic(insts: &[ProgInst]) -> SimResult<()> {
-        let bad = |msg: String| SimError::new(Errno::Einval, msg);
-        if insts.is_empty() {
-            return Err(bad("FSLEDS_PROG: empty program".into()));
-        }
-        if insts.len() > MAX_PROG_LEN {
-            return Err(bad(format!(
-                "FSLEDS_PROG: program too long ({} > {MAX_PROG_LEN})",
-                insts.len()
-            )));
-        }
-        let mut depth = 0usize;
-        for (i, inst) in insts.iter().enumerate() {
-            if let ProgInst::PushConst(c) = inst {
-                if c.is_nan() {
-                    return Err(bad(format!("FSLEDS_PROG: NaN constant at {i}")));
-                }
-            }
-            let (pops, pushes) = inst.stack_effect();
-            if depth < pops {
-                return Err(bad(format!("FSLEDS_PROG: stack underflow at {i}")));
-            }
-            depth = depth - pops + pushes;
-            if depth > MAX_PROG_STACK {
-                return Err(bad(format!(
-                    "FSLEDS_PROG: stack overflow at {i} (> {MAX_PROG_STACK})"
-                )));
-            }
-        }
-        if depth != 1 {
-            return Err(bad(format!(
-                "FSLEDS_PROG: program leaves {depth} values, want 1"
-            )));
-        }
-        Ok(())
     }
 
     /// The abstract interpreter: walks the bytecode's CFG tracking an
@@ -750,32 +697,24 @@ mod tests {
     }
 
     #[test]
-    fn backward_jump_accepted_by_legacy_verifier_rejected_by_interpreter() {
-        // Push then jump back over the push: spins forever while keeping
-        // the *linear* stack walk perfectly balanced — the legacy
-        // verifier admits it, which is exactly the hole certification
-        // closes.
+    fn backward_jump_is_rejected() {
+        // Push then jump back over the push: spins forever while a
+        // straight-line stack walk stays perfectly balanced.
         let spin = vec![ProgInst::PushConst(1.0), ProgInst::Jmp(-2)];
-        assert!(
-            PickProgram::verify_syntactic(&spin).is_ok(),
-            "legacy verifier must accept the non-terminating program"
-        );
         let err = PickProgram::new(spin).unwrap_err();
         assert_eq!(err.errno, Errno::Einval);
         assert!(err.to_string().contains("backward jump"), "got: {err}");
     }
 
     #[test]
-    fn over_budget_program_accepted_by_legacy_verifier_rejected_by_interpreter() {
+    fn over_budget_program_is_rejected() {
         // One push, then 31 (push, div) pairs: 63 instructions, stack
-        // always balanced, worst path 2 + 31*(2+4) = 188ns > budget. The
-        // legacy verifier sees valid straight-line bytecode and admits it.
+        // always balanced, worst path 2 + 31*(2+4) = 188ns > budget.
         let mut insts = vec![ProgInst::PushConst(1.0)];
         for _ in 0..31 {
             insts.push(ProgInst::PushConst(2.0));
             insts.push(ProgInst::Div);
         }
-        assert!(PickProgram::verify_syntactic(&insts).is_ok());
         let err = PickProgram::new(insts).unwrap_err();
         assert!(err.to_string().contains("over budget"), "got: {err}");
     }

@@ -1,7 +1,7 @@
 //! The batched submission ring: many syscalls, one boundary crossing.
 //!
 //! An io_uring-style pair of bounded queues. The application fills the
-//! submission queue with [`RingOp`]s, calls `Kernel::ring_enter` — which
+//! submission queue with ring-able [`Syscall`]s, calls `Kernel::ring_enter` — which
 //! charges **one** boundary crossing (`syscall_cpu`) plus a small
 //! per-operation dispatch cost (`ring_op_cpu`) — and then drains the
 //! completion queue with `Kernel::ring_reap` for free (the queues live in
@@ -23,93 +23,26 @@ use std::collections::VecDeque;
 
 use sleds_sim_core::{Errno, SimError, SimResult, TenantId};
 
-use crate::inode::Stat;
-use crate::kernel::{Fd, OpenFlags};
-use crate::prog::{ProgPricing, ProgSled};
+use crate::syscall::{Ring, Syscall, SyscallRet};
 
 /// Default ring size used by the apps' batched modes.
 pub const DEFAULT_RING_ENTRIES: usize = 64;
 
-/// One submitted operation. Each maps to exactly one sequential syscall
-/// (or, for [`RingOp::FsledsGet`]/[`RingOp::PickAdvice`], one compound
-/// ioctl) and completes with the matching [`RingPayload`].
-#[derive(Clone, Debug)]
-pub enum RingOp {
-    /// `open(path, flags)` → [`RingPayload::Fd`].
-    Open {
-        /// Absolute path.
-        path: String,
-        /// Open flags.
-        flags: OpenFlags,
-    },
-    /// `close(fd)` → [`RingPayload::Unit`].
-    Close {
-        /// Descriptor to close.
-        fd: Fd,
-    },
-    /// `pread(fd, pos, len)` → [`RingPayload::Bytes`]. Does not move the
-    /// file offset, like its sequential twin.
-    Pread {
-        /// Open descriptor.
-        fd: Fd,
-        /// Absolute file position.
-        pos: u64,
-        /// Bytes wanted.
-        len: usize,
-    },
-    /// `stat(path)` → [`RingPayload::Stat`].
-    Stat {
-        /// Absolute path.
-        path: String,
-    },
-    /// `FSLEDS_GET`: build the file's SLED vector in-kernel from the
-    /// pushed pricing rows → [`RingPayload::Sleds`].
-    FsledsGet {
-        /// Open descriptor.
-        fd: Fd,
-        /// Flattened latency/bandwidth rows.
-        pricing: ProgPricing,
-    },
-    /// Pick advice: build SLEDs and plan chunk order in-kernel →
-    /// [`RingPayload::Plan`]. Byte-oriented only (record adjustment needs
-    /// content probes and stays in the library).
-    PickAdvice {
-        /// Open descriptor.
-        fd: Fd,
-        /// Flattened latency/bandwidth rows.
-        pricing: ProgPricing,
-        /// Preferred chunk size in bytes.
-        preferred: usize,
-        /// Prune unavailable extents instead of deferring them.
-        skip_unavailable: bool,
-    },
-}
+/// A ring submission is a [`Syscall`]; the old name survives for callers
+/// outside the workspace.
+pub type RingOp = Syscall;
 
-/// A completed operation's result value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RingPayload {
-    /// From [`RingOp::Open`].
-    Fd(Fd),
-    /// From [`RingOp::Close`].
-    Unit,
-    /// From [`RingOp::Pread`].
-    Bytes(Vec<u8>),
-    /// From [`RingOp::Stat`].
-    Stat(Stat),
-    /// From [`RingOp::FsledsGet`].
-    Sleds(Vec<ProgSled>),
-    /// From [`RingOp::PickAdvice`]: `(offset, len)` chunks in pick order.
-    Plan(Vec<(u64, usize)>),
-}
+/// A ring completion's value is a [`SyscallRet`]; see [`RingOp`].
+pub type RingPayload = SyscallRet;
 
 /// One completion queue entry.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RingCompletion {
     /// The tag the submitter attached to the op.
     pub user_data: u64,
     /// The op's outcome — the same `SimResult` its sequential twin
     /// returns, error text included.
-    pub result: SimResult<RingPayload>,
+    pub result: SimResult<SyscallRet>,
 }
 
 /// The bounded submission/completion queue pair.
@@ -120,7 +53,7 @@ pub struct SubmissionRing {
     /// Tenant every op in this ring is charged to; `ring_enter` runs the
     /// batch on that tenant's timeline.
     tenant: TenantId,
-    sq: VecDeque<(u64, RingOp)>,
+    sq: VecDeque<(u64, Syscall)>,
     cq: VecDeque<RingCompletion>,
 }
 
@@ -162,9 +95,16 @@ impl SubmissionRing {
         self.cq.len()
     }
 
-    /// Enqueues an op tagged `user_data`. Fails with `EAGAIN` when the
-    /// submission queue is at capacity.
-    pub fn push(&mut self, user_data: u64, op: RingOp) -> SimResult<()> {
+    /// Enqueues an op tagged `user_data`. Fails with `EINVAL` for a call
+    /// that has no ring form, and with `EAGAIN` when the submission queue
+    /// is at capacity.
+    pub fn push(&mut self, user_data: u64, op: Syscall) -> SimResult<()> {
+        if op.entry().ring == Ring::No {
+            return Err(SimError::new(
+                Errno::Einval,
+                format!("ring: {} cannot be submitted through a ring", op.name()),
+            ));
+        }
         if self.sq.len() >= self.capacity {
             return Err(SimError::new(
                 Errno::Eagain,
@@ -181,7 +121,7 @@ impl SubmissionRing {
     }
 
     /// Next submission to service (kernel side).
-    pub(crate) fn pop_op(&mut self) -> Option<(u64, RingOp)> {
+    pub(crate) fn pop_op(&mut self) -> Option<(u64, Syscall)> {
         self.sq.pop_front()
     }
 
@@ -199,16 +139,25 @@ impl SubmissionRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::syscall::Fd;
 
     #[test]
     fn push_respects_capacity() {
         let mut r = SubmissionRing::new(2);
         assert_eq!(r.capacity(), 2);
-        r.push(0, RingOp::Close { fd: Fd(3) }).unwrap();
-        r.push(1, RingOp::Close { fd: Fd(4) }).unwrap();
-        let err = r.push(2, RingOp::Close { fd: Fd(5) }).unwrap_err();
+        r.push(0, Syscall::Close { fd: Fd(3) }).unwrap();
+        r.push(1, Syscall::Close { fd: Fd(4) }).unwrap();
+        let err = r.push(2, Syscall::Close { fd: Fd(5) }).unwrap_err();
         assert_eq!(err.errno, Errno::Eagain);
         assert_eq!(r.sq_len(), 2);
+    }
+
+    #[test]
+    fn push_rejects_calls_with_no_ring_form() {
+        let mut r = SubmissionRing::new(2);
+        let err = r.push(0, Syscall::Fsync { fd: Fd(3) }).unwrap_err();
+        assert_eq!(err.errno, Errno::Einval);
+        assert_eq!(r.sq_len(), 0);
     }
 
     #[test]
@@ -222,11 +171,11 @@ mod tests {
         let mut r = SubmissionRing::new(4);
         r.complete(RingCompletion {
             user_data: 7,
-            result: Ok(RingPayload::Unit),
+            result: Ok(SyscallRet::Unit),
         });
         r.complete(RingCompletion {
             user_data: 8,
-            result: Ok(RingPayload::Unit),
+            result: Ok(SyscallRet::Unit),
         });
         let out = r.drain_completions();
         assert_eq!(out.len(), 2);

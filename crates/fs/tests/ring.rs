@@ -12,8 +12,8 @@ use sleds::{
 };
 use sleds_devices::{DiskDevice, FaultPlan};
 use sleds_fs::{
-    Fd, FileKind, Kernel, OpenFlags, PickProgram, ProgInst, ProgOrder, RingOp, RingPayload,
-    SubmissionRing, Whence,
+    Fd, FileKind, Kernel, OpenFlags, PickProgram, ProgInst, ProgOrder, SubmissionRing, Syscall,
+    SyscallRet, Whence,
 };
 use sleds_sim_core::{Errno, SimDuration, SimTime, PAGE_SIZE};
 
@@ -33,8 +33,8 @@ fn setup() -> (Kernel, SledsTable, &'static str) {
     (k, t, "/data/f")
 }
 
-fn pread_op(fd: Fd, pos: u64, len: usize) -> RingOp {
-    RingOp::Pread { fd, pos, len }
+fn pread_op(fd: Fd, pos: u64, len: usize) -> Syscall {
+    Syscall::Pread { fd, pos, len }
 }
 
 #[test]
@@ -109,7 +109,7 @@ fn each_enter_charges_one_crossing_and_the_cpu_formula_holds() {
         .ring_reap(&mut ring)
         .into_iter()
         .map(|c| match c.result.unwrap() {
-            RingPayload::Bytes(b) => b,
+            SyscallRet::Bytes(b) => b,
             other => panic!("expected bytes, got {other:?}"),
         })
         .collect();
@@ -169,7 +169,7 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
     let mut ring = SubmissionRing::new(8);
     ring.push(
         0,
-        RingOp::Open {
+        Syscall::Open {
             path: path.to_string(),
             flags: OpenFlags::RDONLY,
         },
@@ -177,7 +177,7 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
     .unwrap();
     ring.push(
         1,
-        RingOp::Stat {
+        Syscall::Stat {
             path: path.to_string(),
         },
     )
@@ -185,7 +185,7 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
     ring.push(2, pread_op(fd, 3 * PAGE_SIZE, 2048)).unwrap();
     ring.push(
         3,
-        RingOp::FsledsGet {
+        Syscall::FsledsGet {
             fd,
             pricing: pricing.clone(),
         },
@@ -193,7 +193,7 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
     .unwrap();
     ring.push(
         4,
-        RingOp::PickAdvice {
+        Syscall::PickAdvice {
             fd,
             pricing,
             preferred: 16 << 10,
@@ -208,11 +208,11 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
     let mut opened = None;
     for c in done {
         match (c.user_data, c.result.unwrap()) {
-            (0, RingPayload::Fd(f)) => opened = Some(f),
-            (1, RingPayload::Stat(st)) => assert_eq!(st, seq_stat),
-            (2, RingPayload::Bytes(b)) => assert_eq!(b, seq_bytes),
-            (3, RingPayload::Sleds(s)) => assert_eq!(sleds_from_prog(&s), seq_sleds),
-            (4, RingPayload::Plan(p)) => assert_eq!(p, seq_plan),
+            (0, SyscallRet::Fd(f)) => opened = Some(f),
+            (1, SyscallRet::Stat(st)) => assert_eq!(st, seq_stat),
+            (2, SyscallRet::Bytes(b)) => assert_eq!(b, seq_bytes),
+            (3, SyscallRet::Sleds(s)) => assert_eq!(sleds_from_prog(&s), seq_sleds),
+            (4, SyscallRet::Plan(p)) => assert_eq!(p, seq_plan),
             (tag, other) => panic!("unexpected completion {tag}: {other:?}"),
         }
     }
@@ -220,9 +220,9 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
     // And Close through the ring releases the descriptor.
     let opened = opened.expect("open completed");
     let mut ring = SubmissionRing::new(2);
-    ring.push(0, RingOp::Close { fd: opened }).unwrap();
+    ring.push(0, Syscall::Close { fd: opened }).unwrap();
     k.ring_enter(&mut ring).unwrap();
-    assert_eq!(k.ring_reap(&mut ring)[0].result, Ok(RingPayload::Unit));
+    assert_eq!(k.ring_reap(&mut ring)[0].result, Ok(SyscallRet::Unit));
     assert_eq!(k.pread(opened, 0, 16).unwrap_err().errno, Errno::Ebadf);
 }
 
@@ -445,7 +445,7 @@ fn ring_preads_fail_and_retry_exactly_like_sequential_under_faults() {
     ring.push(0, pread_op(fd, 0, 4096)).unwrap();
     k.ring_enter(&mut ring).unwrap();
     let got = match k.ring_reap(&mut ring)[0].result.clone().unwrap() {
-        RingPayload::Bytes(b) => b,
+        SyscallRet::Bytes(b) => b,
         other => panic!("expected bytes, got {other:?}"),
     };
     let ring_u = k.usage().since(&before);

@@ -13,7 +13,7 @@
 
 use sleds::{PickConfig, PickSession, SledsTable};
 use sleds_devices::{CdRomDevice, DiskDevice, FaultPlan, NfsDevice, TapeDevice};
-use sleds_fs::{Fd, Kernel, OpenFlags, RingOp, RingPayload, SubmissionRing, Whence};
+use sleds_fs::{Fd, Kernel, OpenFlags, SubmissionRing, Syscall, SyscallRet, Whence};
 use sleds_lmbench::fill_table;
 use sleds_sim_core::{check, DetRng, SimDuration, SimTime, PAGE_SIZE};
 
@@ -184,7 +184,8 @@ fn scenario(rng: &mut DetRng) {
                 break;
             };
             ring_plan.push((off, len));
-            ring.push(off, RingOp::Pread { fd, pos: off, len }).unwrap();
+            ring.push(off, Syscall::Pread { fd, pos: off, len })
+                .unwrap();
             queued += 1;
         }
         if queued == 0 {
@@ -193,7 +194,7 @@ fn scenario(rng: &mut DetRng) {
         k.ring_enter(&mut ring).unwrap();
         for c in k.ring_reap(&mut ring) {
             ring_results.push(c.result.map_err(|e| e.to_string()).map(|p| match p {
-                RingPayload::Bytes(b) => b,
+                SyscallRet::Bytes(b) => b,
                 other => panic!("pread completed with {other:?}"),
             }));
         }
@@ -238,4 +239,104 @@ fn scenario(rng: &mut DetRng) {
 #[test]
 fn batched_and_sequential_runs_are_equivalent_everywhere() {
     check::run("ring_vs_sequential", scenario);
+}
+
+/// Draws one ring-able call against the case's file: opens and stats of
+/// the real path or a missing one, preads and closes of the open fd, of
+/// fds the batch itself may have opened, or of a fd that never existed.
+fn draw_call(rng: &mut DetRng, path: &str, fd: Fd, pages: u64) -> Syscall {
+    let some_path = |rng: &mut DetRng| {
+        if rng.chance(0.8) {
+            path.to_string()
+        } else {
+            format!("{path}.missing")
+        }
+    };
+    let some_fd = |rng: &mut DetRng| Fd(fd.0 + rng.range_u64(0, 4));
+    match rng.range_u64(0, 8) {
+        0 | 1 => Syscall::Open {
+            path: some_path(rng),
+            flags: OpenFlags::RDONLY,
+        },
+        2 => Syscall::Stat {
+            path: some_path(rng),
+        },
+        3 => Syscall::Close { fd: some_fd(rng) },
+        _ => Syscall::Pread {
+            fd: some_fd(rng),
+            pos: rng.range_u64(0, (pages + 1) * PAGE_SIZE),
+            len: rng.range_usize(0, 3 * PAGE_SIZE as usize),
+        },
+    }
+}
+
+/// The same generated calls, one trap each on one twin and batched through
+/// `Syscall::RingEnter` on the other: identical completions, identical
+/// data motion, and a CPU gap of exactly the traps saved minus the ring's
+/// per-op dispatch.
+fn syscall_batch_scenario(rng: &mut DetRng) {
+    let p = Params::draw(rng);
+    let (mut seq, _, fd) = p.build();
+    let (mut batched, _, _) = p.build();
+    let path = format!(
+        "{}/f",
+        ["/d", "/cd", "/nfs", "/hsm"][p.mount.min(3) as usize]
+    );
+    let calls: Vec<(u64, Syscall)> = (0..rng.range_u64(1, 48))
+        .map(|tag| (tag, draw_call(rng, &path, fd, p.pages)))
+        .collect();
+
+    let before = seq.usage();
+    let seq_results: Vec<_> = calls
+        .iter()
+        .map(|(tag, call)| (*tag, seq.syscall(call)))
+        .collect();
+    let seq_u = seq.usage().since(&before);
+
+    let before = batched.usage();
+    let mut ring_results = Vec::new();
+    for chunk in calls.chunks(p.ring_entries) {
+        let batch = Syscall::RingEnter {
+            capacity: p.ring_entries,
+            ops: chunk.to_vec(),
+        };
+        match batched.syscall(&batch).unwrap() {
+            SyscallRet::Completions(done) => {
+                ring_results.extend(done.into_iter().map(|c| (c.user_data, c.result)))
+            }
+            other => panic!("ring_enter returned {other:?}"),
+        }
+    }
+    let ring_u = batched.usage().since(&before);
+
+    assert_eq!(seq_results, ring_results, "identical completions");
+    assert_eq!(seq_u.syscalls, ring_u.syscalls);
+    assert_eq!(seq_u.bytes_read, ring_u.bytes_read);
+    assert_eq!(seq_u.major_faults, ring_u.major_faults);
+    assert_eq!(seq_u.minor_faults, ring_u.minor_faults);
+    assert_eq!(seq_u.device_reads, ring_u.device_reads);
+    assert_eq!(seq_u.io_retries, ring_u.io_retries);
+    assert_eq!(seq_u.retry_backoff, ring_u.retry_backoff);
+    let cfg = seq.config();
+    let n = calls.len() as u64;
+    assert_eq!(seq_u.syscall_crossings, n);
+    assert_eq!(
+        ring_u.syscall_crossings,
+        n.div_ceil(p.ring_entries as u64),
+        "one crossing per batch"
+    );
+    let expected = (n - ring_u.syscall_crossings) as f64 * cfg.syscall_cpu.as_secs_f64()
+        - n as f64 * cfg.ring_op_cpu.as_secs_f64();
+    let gap = seq_u.cpu.as_secs_f64() - ring_u.cpu.as_secs_f64();
+    assert!(
+        (gap - expected).abs() < 1e-9,
+        "cpu gap {gap} vs expected {expected} (mount {}, fault {})",
+        p.mount,
+        p.fault
+    );
+}
+
+#[test]
+fn generated_syscall_batches_match_their_sequential_twins() {
+    check::run("syscall_batch_vs_sequential", syscall_batch_scenario);
 }

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use sleds_fs::{Capture, CapturedCall, LatencySummary};
+use sleds_fs::{Capture, LatencySummary, Syscall};
 use sleds_sim_core::stats::LogHistogram;
 
 /// Schema tag for `results/REPLAY_diff.json`.
@@ -174,7 +174,7 @@ pub fn diff_captures(base: &Capture, cand: &Capture) -> Result<ReplayDiff, Strin
                 c.tenant
             ));
         }
-        if let CapturedCall::TenantRegister { name } = &b.call {
+        if let Syscall::TenantRegister { name } = &b.call {
             tenant_names.insert(b.outcome.ret, name.clone());
         }
         let base_latency = b.outcome.complete_ns.saturating_sub(b.submit_ns);

@@ -9,9 +9,7 @@
 use std::fmt::Write as _;
 
 use sleds_faults::{FaultPlan, FaultWindow};
-use sleds_fs::{
-    Capture, CapturedCall, CapturedOp, CapturedRingOp, ClassCost, OpOutcome, CAPTURE_SCHEMA,
-};
+use sleds_fs::{Capture, CapturedOp, ClassCost, Fd, OpOutcome, Syscall, Whence, CAPTURE_SCHEMA};
 use sleds_sim_core::{SimDuration, SimTime};
 
 use crate::json::{self, escape, hex_decode, hex_encode, Json};
@@ -300,58 +298,62 @@ fn flags_json(flags: &sleds_fs::OpenFlags) -> String {
     s
 }
 
-fn call_json(call: &CapturedCall) -> String {
+fn call_json(call: &Syscall) -> String {
+    let op = call.name();
     match call {
-        CapturedCall::TenantRegister { name } => format!(
-            "{{\"op\":\"tenant_register\",\"name\":\"{}\"}}",
-            escape(name)
-        ),
-        CapturedCall::Open { path, flags } => format!(
-            "{{\"op\":\"open\",\"path\":\"{}\",\"flags\":\"{}\"}}",
+        Syscall::TenantRegister { name } => {
+            format!("{{\"op\":\"{op}\",\"name\":\"{}\"}}", escape(name))
+        }
+        Syscall::Open { path, flags } => format!(
+            "{{\"op\":\"{op}\",\"path\":\"{}\",\"flags\":\"{}\"}}",
             escape(path),
             flags_json(flags)
         ),
-        CapturedCall::Close { fd } => format!("{{\"op\":\"close\",\"fd\":{fd}}}"),
-        CapturedCall::Lseek { fd, offset, whence } => {
-            format!("{{\"op\":\"lseek\",\"fd\":{fd},\"offset\":{offset},\"whence\":{whence}}}")
+        Syscall::Close { fd } | Syscall::Fsync { fd } | Syscall::Fstat { fd } => {
+            format!("{{\"op\":\"{op}\",\"fd\":{}}}", fd.0)
         }
-        CapturedCall::Read { fd, len } => format!("{{\"op\":\"read\",\"fd\":{fd},\"len\":{len}}}"),
-        CapturedCall::Pread { fd, pos, len } => {
-            format!("{{\"op\":\"pread\",\"fd\":{fd},\"pos\":{pos},\"len\":{len}}}")
+        Syscall::Lseek { fd, offset, whence } => format!(
+            "{{\"op\":\"{op}\",\"fd\":{},\"offset\":{offset},\"whence\":{}}}",
+            fd.0, *whence as u64
+        ),
+        Syscall::Read { fd, len } => format!("{{\"op\":\"{op}\",\"fd\":{},\"len\":{len}}}", fd.0),
+        Syscall::Pread { fd, pos, len } => {
+            format!(
+                "{{\"op\":\"{op}\",\"fd\":{},\"pos\":{pos},\"len\":{len}}}",
+                fd.0
+            )
         }
-        CapturedCall::Write { fd, data } => format!(
-            "{{\"op\":\"write\",\"fd\":{fd},\"data\":\"{}\"}}",
+        Syscall::Write { fd, data } => format!(
+            "{{\"op\":\"{op}\",\"fd\":{},\"data\":\"{}\"}}",
+            fd.0,
             hex_encode(data)
         ),
-        CapturedCall::Fsync { fd } => format!("{{\"op\":\"fsync\",\"fd\":{fd}}}"),
-        CapturedCall::Stat { path } => {
-            format!("{{\"op\":\"stat\",\"path\":\"{}\"}}", escape(path))
+        Syscall::Stat { path }
+        | Syscall::Mkdir { path }
+        | Syscall::Readdir { path }
+        | Syscall::Unlink { path } => {
+            format!("{{\"op\":\"{op}\",\"path\":\"{}\"}}", escape(path))
         }
-        CapturedCall::Fstat { fd } => format!("{{\"op\":\"fstat\",\"fd\":{fd}}}"),
-        CapturedCall::Mkdir { path } => {
-            format!("{{\"op\":\"mkdir\",\"path\":\"{}\"}}", escape(path))
-        }
-        CapturedCall::Readdir { path } => {
-            format!("{{\"op\":\"readdir\",\"path\":\"{}\"}}", escape(path))
-        }
-        CapturedCall::Unlink { path } => {
-            format!("{{\"op\":\"unlink\",\"path\":\"{}\"}}", escape(path))
-        }
-        CapturedCall::RingEnter { capacity, ops } => {
-            let mut s = format!("{{\"op\":\"ring_enter\",\"capacity\":{capacity},\"ops\":[");
-            for (i, r) in ops.iter().enumerate() {
+        Syscall::RingEnter { capacity, ops } => {
+            let mut s = format!("{{\"op\":\"{op}\",\"capacity\":{capacity},\"ops\":[");
+            for (i, (user_data, call)) in ops.iter().enumerate() {
                 if i > 0 {
                     s.push(',');
                 }
                 let _ = write!(
                     s,
-                    "{{\"user_data\":{},\"call\":{}}}",
-                    r.user_data,
-                    call_json(&r.call)
+                    "{{\"user_data\":{user_data},\"call\":{}}}",
+                    call_json(call)
                 );
             }
             s.push_str("]}");
             s
+        }
+        // Not capturable (their pricing tables have no capture form): a
+        // recorder poisons instead of storing one, and `parse_call`
+        // rejects the name, so a hand-built capture fails loudly on load.
+        Syscall::FsledsGet { .. } | Syscall::PickAdvice { .. } => {
+            format!("{{\"op\":\"{op}\"}}")
         }
     }
 }
@@ -575,64 +577,64 @@ fn parse_flags(s: &str) -> Result<sleds_fs::OpenFlags, String> {
     Ok(flags)
 }
 
-fn parse_call(v: &Json) -> Result<CapturedCall, String> {
+fn parse_call(v: &Json) -> Result<Syscall, String> {
     let op = v.field("op", "call")?.as_str("op")?;
-    let fd = || -> Result<u64, String> { v.field("fd", "call")?.as_u64("fd") };
+    let fd = || -> Result<Fd, String> { Ok(Fd(v.field("fd", "call")?.as_u64("fd")?)) };
+    let len = || -> Result<usize, String> { v.field("len", "call")?.as_usize("len") };
     let path =
         || -> Result<String, String> { Ok(v.field("path", "call")?.as_str("path")?.to_string()) };
-    match op {
-        "tenant_register" => Ok(CapturedCall::TenantRegister {
+    Ok(match op {
+        "tenant_register" => Syscall::TenantRegister {
             name: v.field("name", "call")?.as_str("name")?.to_string(),
-        }),
-        "open" => Ok(CapturedCall::Open {
+        },
+        "open" => Syscall::Open {
             path: path()?,
             flags: parse_flags(v.field("flags", "call")?.as_str("flags")?)?,
-        }),
-        "close" => Ok(CapturedCall::Close { fd: fd()? }),
+        },
+        "close" => Syscall::Close { fd: fd()? },
         "lseek" => {
-            let whence = v.field("whence", "call")?.as_u64("whence")?;
-            let whence =
-                u8::try_from(whence).map_err(|_| format!("whence {whence} out of range"))?;
-            Ok(CapturedCall::Lseek {
+            let code = v.field("whence", "call")?.as_u64("whence")?;
+            Syscall::Lseek {
                 fd: fd()?,
                 offset: v.field("offset", "call")?.as_i64("offset")?,
-                whence,
-            })
+                whence: Whence::from_code(code)
+                    .ok_or_else(|| format!("unknown whence code {code}"))?,
+            }
         }
-        "read" => Ok(CapturedCall::Read {
+        "read" => Syscall::Read {
             fd: fd()?,
-            len: v.field("len", "call")?.as_u64("len")?,
-        }),
-        "pread" => Ok(CapturedCall::Pread {
+            len: len()?,
+        },
+        "pread" => Syscall::Pread {
             fd: fd()?,
             pos: v.field("pos", "call")?.as_u64("pos")?,
-            len: v.field("len", "call")?.as_u64("len")?,
-        }),
-        "write" => Ok(CapturedCall::Write {
+            len: len()?,
+        },
+        "write" => Syscall::Write {
             fd: fd()?,
             data: hex_decode(v.field("data", "call")?.as_str("data")?)?,
-        }),
-        "fsync" => Ok(CapturedCall::Fsync { fd: fd()? }),
-        "stat" => Ok(CapturedCall::Stat { path: path()? }),
-        "fstat" => Ok(CapturedCall::Fstat { fd: fd()? }),
-        "mkdir" => Ok(CapturedCall::Mkdir { path: path()? }),
-        "readdir" => Ok(CapturedCall::Readdir { path: path()? }),
-        "unlink" => Ok(CapturedCall::Unlink { path: path()? }),
+        },
+        "fsync" => Syscall::Fsync { fd: fd()? },
+        "stat" => Syscall::Stat { path: path()? },
+        "fstat" => Syscall::Fstat { fd: fd()? },
+        "mkdir" => Syscall::Mkdir { path: path()? },
+        "readdir" => Syscall::Readdir { path: path()? },
+        "unlink" => Syscall::Unlink { path: path()? },
         "ring_enter" => {
             let mut ops = Vec::new();
             for r in v.field("ops", "call")?.as_arr("ops")? {
-                ops.push(CapturedRingOp {
-                    user_data: r.field("user_data", "ring op")?.as_u64("user_data")?,
-                    call: parse_call(r.field("call", "ring op")?)?,
-                });
+                ops.push((
+                    r.field("user_data", "ring op")?.as_u64("user_data")?,
+                    parse_call(r.field("call", "ring op")?)?,
+                ));
             }
-            Ok(CapturedCall::RingEnter {
-                capacity: v.field("capacity", "call")?.as_u64("capacity")?,
+            Syscall::RingEnter {
+                capacity: v.field("capacity", "call")?.as_usize("capacity")?,
                 ops,
-            })
+            }
         }
-        other => Err(format!("unknown captured op {other:?}")),
-    }
+        other => return Err(format!("unknown or uncapturable op {other:?}")),
+    })
 }
 
 fn parse_op(v: &Json) -> Result<CapturedOp, String> {

@@ -106,24 +106,8 @@ impl Json {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", u32::from(c)));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for embedding in a JSON string literal.
+pub use sleds_fs::trace::json_escape as escape;
 
 /// Encodes bytes as lowercase hex.
 pub fn hex_encode(data: &[u8]) -> String {

@@ -16,10 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use sleds_fs::{
-    Capture, CapturedCall, CapturedOp, Fd, Kernel, OpenFlags, RingOp, SubmissionRing, TenantId,
-    Whence, WHENCE_CUR, WHENCE_END, WHENCE_SET,
-};
+use sleds_fs::{Capture, CapturedOp, Kernel, Syscall, SyscallRet, TenantId};
 use sleds_sim_core::SimDuration;
 
 use crate::file::CaptureFile;
@@ -129,44 +126,25 @@ fn expect_ok<T>(
     }
 }
 
-fn parse_whence(w: u8) -> Result<Whence, String> {
-    match w {
-        WHENCE_SET => Ok(Whence::Set),
-        WHENCE_CUR => Ok(Whence::Cur),
-        WHENCE_END => Ok(Whence::End),
-        other => Err(format!("unknown whence code {other}")),
-    }
-}
-
-fn ring_op_of(call: &CapturedCall) -> Result<RingOp, String> {
-    match call {
-        CapturedCall::Open { path, flags } => Ok(RingOp::Open {
-            path: path.clone(),
-            flags: *flags,
-        }),
-        CapturedCall::Close { fd } => Ok(RingOp::Close { fd: Fd(*fd) }),
-        CapturedCall::Pread { fd, pos, len } => Ok(RingOp::Pread {
-            fd: Fd(*fd),
-            pos: *pos,
-            len: *len as usize,
-        }),
-        CapturedCall::Stat { path } => Ok(RingOp::Stat { path: path.clone() }),
-        other => Err(format!("unreplayable ring op {:?}", other.name())),
-    }
-}
-
+/// Re-issues one captured call through [`Kernel::syscall`] and checks the
+/// structure later ops depend on: same success/failure, same fd from
+/// `open`, same id from `tenant_register`.
 fn replay_op(
     k: &mut Kernel,
     op: &CapturedOp,
     prev_complete: &mut BTreeMap<u64, u64>,
 ) -> Result<(), String> {
-    match &op.call {
-        CapturedCall::TenantRegister { name } => {
-            let t = k.tenant_register(name);
-            if t.0 != op.outcome.ret {
+    let want = op.outcome.ret;
+    match (&op.call, expect_ok(op, k.syscall(&op.call))?) {
+        (Syscall::Open { path, .. }, Some(SyscallRet::Fd(fd))) if fd.0 != want => Err(format!(
+            "op {}: open({path:?}) returned fd {} (capture had {want})",
+            op.seq, fd.0
+        )),
+        (Syscall::TenantRegister { .. }, Some(SyscallRet::Tenant(t))) => {
+            if t.0 != want {
                 return Err(format!(
-                    "op {}: tenant_register produced id {} (capture had {})",
-                    op.seq, t.0, op.outcome.ret
+                    "op {}: tenant_register produced id {} (capture had {want})",
+                    op.seq, t.0
                 ));
             }
             // The new tenant's clock parks at the registration instant;
@@ -174,44 +152,6 @@ fn replay_op(
             prev_complete.insert(t.0, op.outcome.complete_ns);
             Ok(())
         }
-        CapturedCall::Open { path, flags } => {
-            let flags: OpenFlags = *flags;
-            if let Some(fd) = expect_ok(op, k.open(path, flags))? {
-                if fd.0 != op.outcome.ret {
-                    return Err(format!(
-                        "op {}: open({path:?}) returned fd {} (capture had {})",
-                        op.seq, fd.0, op.outcome.ret
-                    ));
-                }
-            }
-            Ok(())
-        }
-        CapturedCall::Close { fd } => expect_ok(op, k.close(Fd(*fd))).map(|_| ()),
-        CapturedCall::Lseek { fd, offset, whence } => {
-            let w = parse_whence(*whence)?;
-            expect_ok(op, k.lseek(Fd(*fd), *offset, w)).map(|_| ())
-        }
-        CapturedCall::Read { fd, len } => expect_ok(op, k.read(Fd(*fd), *len as usize)).map(|_| ()),
-        CapturedCall::Pread { fd, pos, len } => {
-            expect_ok(op, k.pread(Fd(*fd), *pos, *len as usize)).map(|_| ())
-        }
-        CapturedCall::Write { fd, data } => expect_ok(op, k.write(Fd(*fd), data)).map(|_| ()),
-        CapturedCall::Fsync { fd } => expect_ok(op, k.fsync(Fd(*fd))).map(|_| ()),
-        CapturedCall::Stat { path } => expect_ok(op, k.stat(path)).map(|_| ()),
-        CapturedCall::Fstat { fd } => expect_ok(op, k.fstat(Fd(*fd))).map(|_| ()),
-        CapturedCall::Mkdir { path } => expect_ok(op, k.mkdir(path)).map(|_| ()),
-        CapturedCall::Readdir { path } => expect_ok(op, k.readdir(path)).map(|_| ()),
-        CapturedCall::Unlink { path } => expect_ok(op, k.unlink(path)).map(|_| ()),
-        CapturedCall::RingEnter { capacity, ops } => {
-            let mut ring = SubmissionRing::with_tenant(*capacity as usize, TenantId(op.tenant));
-            for r in ops {
-                let rop = ring_op_of(&r.call).map_err(|e| format!("op {}: {e}", op.seq))?;
-                ring.push(r.user_data, rop)
-                    .map_err(|e| format!("op {}: ring push: {e}", op.seq))?;
-            }
-            expect_ok(op, k.ring_enter(&mut ring))?;
-            k.ring_reap(&mut ring);
-            Ok(())
-        }
+        _ => Ok(()),
     }
 }

@@ -2,7 +2,10 @@
 //! lossless-capture guarantees, deterministic replay, and diff exactness.
 
 use sleds_faults::FaultPlan;
-use sleds_fs::{Kernel, OpenFlags, RingOp, SubmissionRing, TenantId};
+use sleds_fs::{
+    Capture, CapturedOp, ClassCost, Fd, Kernel, OpOutcome, OpenFlags, ProgPricing, SubmissionRing,
+    Syscall, TenantId, Whence,
+};
 use sleds_replay::{
     build_kernel, diff_captures, replay, CandidateConfig, CaptureFile, SetupStep, WorkloadSpec,
 };
@@ -66,14 +69,14 @@ fn drive(k: &mut Kernel) {
     let mut ring = SubmissionRing::new(8);
     ring.push(
         1,
-        RingOp::Stat {
+        Syscall::Stat {
             path: "/d/f".into(),
         },
     )
     .unwrap();
     ring.push(
         2,
-        RingOp::Pread {
+        Syscall::Pread {
             fd,
             pos: 8 * PAGE_SIZE,
             len: PAGE_SIZE as usize,
@@ -279,4 +282,173 @@ fn candidate_machine_table_changes_cpu_pricing() {
     );
     // Structure still pairs: the diff engine accepts it.
     diff_captures(&file.capture, &cand_file.capture).expect("cross-table diff");
+}
+
+/// A capture file holding exactly `call`, with every outcome field set to
+/// a distinct value so a dropped or swapped field shows.
+fn file_of(call: Syscall) -> CaptureFile {
+    let op = CapturedOp {
+        seq: 0,
+        tenant: 2,
+        submit_ns: 1_000,
+        fault_epoch: 3,
+        path: call.fd().map(|_| "/d/\"quoted\"".to_string()),
+        call,
+        outcome: OpOutcome {
+            ok: false,
+            errno: Some("EIO".into()),
+            ret: 4,
+            data_len: 5,
+            data_fold: u64::MAX,
+            complete_ns: 6_000,
+            queue_wait_ns: 7,
+            service_ns: 8,
+            device_commands: 1,
+            device_bytes: 4096,
+            classes: vec![ClassCost {
+                class: 1,
+                commands: 1,
+                queue_wait_ns: 7,
+                service_ns: 8,
+                bytes: 4096,
+            }],
+            hedges: 9,
+        },
+    };
+    CaptureFile {
+        spec: small_spec(),
+        capture: Capture {
+            complete: true,
+            incomplete_reason: None,
+            budget: 16,
+            base_ns: 500,
+            ops: vec![op],
+        },
+    }
+}
+
+#[test]
+fn every_capturable_variant_roundtrips_through_the_codec() {
+    let fd = Fd(7);
+    let path = || "/d/a \"b\"\\c".to_string();
+    let ring_ops = vec![
+        (
+            u64::MAX,
+            Syscall::Open {
+                path: path(),
+                flags: OpenFlags::RDONLY,
+            },
+        ),
+        (1, Syscall::Stat { path: path() }),
+        (2, Syscall::Pread { fd, pos: 3, len: 4 }),
+        (3, Syscall::Close { fd }),
+    ];
+    let variants = vec![
+        Syscall::TenantRegister {
+            name: "t\n1".into(),
+        },
+        Syscall::Open {
+            path: path(),
+            flags: OpenFlags {
+                append: true,
+                ..OpenFlags::CREATE_RDWR
+            },
+        },
+        Syscall::Close { fd },
+        Syscall::Lseek {
+            fd,
+            offset: i64::MIN,
+            whence: Whence::Set,
+        },
+        Syscall::Lseek {
+            fd,
+            offset: 1,
+            whence: Whence::Cur,
+        },
+        Syscall::Lseek {
+            fd,
+            offset: -1,
+            whence: Whence::End,
+        },
+        Syscall::Read { fd, len: 4096 },
+        Syscall::Pread {
+            fd,
+            pos: u64::MAX,
+            len: 0,
+        },
+        Syscall::Write {
+            fd,
+            data: (0..=255).collect(),
+        },
+        Syscall::Fsync { fd },
+        Syscall::Stat { path: path() },
+        Syscall::Fstat { fd },
+        Syscall::Mkdir { path: path() },
+        Syscall::Readdir { path: path() },
+        Syscall::Unlink { path: path() },
+        Syscall::RingEnter {
+            capacity: 64,
+            ops: ring_ops,
+        },
+        Syscall::RingEnter {
+            capacity: 1,
+            ops: Vec::new(),
+        },
+    ];
+    let mut names: Vec<&str> = variants.iter().map(Syscall::name).collect();
+    names.dedup();
+    assert_eq!(names.len(), 14, "one case at least per capturable variant");
+    for call in variants {
+        let name = call.name();
+        let file = file_of(call);
+        let text = file.to_jsonl();
+        let parsed = CaptureFile::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            parsed.capture, file.capture,
+            "{name}: parse ∘ to_jsonl = id"
+        );
+        assert_eq!(parsed.to_jsonl(), text, "{name}: to_jsonl ∘ parse = id");
+    }
+}
+
+#[test]
+fn the_two_uncapturable_variants_are_rejected_on_load() {
+    let pricing = ProgPricing::default();
+    let uncapturable = [
+        Syscall::FsledsGet {
+            fd: Fd(3),
+            pricing: pricing.clone(),
+        },
+        Syscall::PickAdvice {
+            fd: Fd(3),
+            pricing,
+            preferred: 4096,
+            skip_unavailable: true,
+        },
+    ];
+    for call in uncapturable {
+        let name = call.name();
+        // Top level, and nested where a recorder would have filed it.
+        let nested = Syscall::RingEnter {
+            capacity: 4,
+            ops: vec![(0, call.clone())],
+        };
+        for call in [call.clone(), nested] {
+            let err = CaptureFile::parse(&file_of(call).to_jsonl()).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
+    }
+}
+
+#[test]
+fn parse_rejects_an_unknown_whence_code() {
+    let text = file_of(Syscall::Lseek {
+        fd: Fd(3),
+        offset: 0,
+        whence: Whence::End,
+    })
+    .to_jsonl();
+    let bad = text.replacen("\"whence\":2", "\"whence\":3", 1);
+    assert_ne!(bad, text);
+    assert!(CaptureFile::parse(&bad).unwrap_err().contains("whence"));
 }

@@ -28,7 +28,7 @@
 use std::path::PathBuf;
 
 use sleds_repro::faults::FaultPlan;
-use sleds_repro::fs::{Fd, Kernel, OpenFlags, RingOp, SubmissionRing, TenantId};
+use sleds_repro::fs::{Fd, Kernel, OpenFlags, SubmissionRing, Syscall, TenantId};
 use sleds_repro::replay::{
     diff_captures, replay, CandidateConfig, CaptureFile, SetupStep, WorkloadSpec,
 };
@@ -217,7 +217,7 @@ fn drive(k: &mut Kernel) {
     let mut ring = SubmissionRing::with_tenant(16, rt);
     ring.push(
         1,
-        RingOp::Stat {
+        Syscall::Stat {
             path: "/disk/ring.dat".to_string(),
         },
     )
@@ -225,7 +225,7 @@ fn drive(k: &mut Kernel) {
     for i in 0..4u64 {
         ring.push(
             2 + i,
-            RingOp::Pread {
+            Syscall::Pread {
                 fd: rfd,
                 pos: i * 16 * KIB,
                 len: (16 * KIB) as usize,

@@ -36,8 +36,8 @@ use std::path::PathBuf;
 use sleds_repro::apps::find::{find_prog, find_report, FindHit, FindOptions};
 use sleds_repro::devices::DiskDevice;
 use sleds_repro::fs::{
-    Fd, Kernel, OpenFlags, PickProgram, ProgInst, ProgOrder, ProgPricing, RingOp, RingPayload,
-    Rusage, SubmissionRing,
+    Fd, Kernel, OpenFlags, PickProgram, ProgInst, ProgOrder, ProgPricing, Rusage, SubmissionRing,
+    Syscall, SyscallRet,
 };
 use sleds_repro::sim_core::SimDuration;
 use sleds_repro::sleds::{
@@ -210,10 +210,7 @@ fn all_paths() -> Vec<String> {
 fn reap_fds(k: &mut Kernel, ring: &mut SubmissionRing) -> Vec<Fd> {
     k.ring_reap(ring)
         .into_iter()
-        .map(|c| match c.result.expect("open") {
-            RingPayload::Fd(fd) => fd,
-            other => panic!("open completed with {other:?}"),
-        })
+        .map(|c| c.result.and_then(SyscallRet::fd).expect("open"))
         .collect()
 }
 
@@ -232,7 +229,7 @@ fn find_batched(
         for (i, p) in chunk.iter().enumerate() {
             ring.push(
                 i as u64,
-                RingOp::Open {
+                Syscall::Open {
                     path: p.clone(),
                     flags: OpenFlags::RDONLY,
                 },
@@ -248,18 +245,18 @@ fn find_batched(
             for (j, &fd) in fd_pair.iter().enumerate() {
                 ring.push(
                     2 * j as u64,
-                    RingOp::FsledsGet {
+                    Syscall::FsledsGet {
                         fd,
                         pricing: pricing.clone(),
                     },
                 )
                 .unwrap();
-                ring.push(2 * j as u64 + 1, RingOp::Close { fd }).unwrap();
+                ring.push(2 * j as u64 + 1, Syscall::Close { fd }).unwrap();
             }
             k.ring_enter(&mut ring).unwrap();
             let mut sleds = Vec::with_capacity(fd_pair.len());
             for c in k.ring_reap(&mut ring) {
-                if let RingPayload::Sleds(s) = c.result.expect("fsleds_get/close") {
+                if let SyscallRet::Sleds(s) = c.result.expect("fsleds_get/close") {
                     sleds.push(s);
                 }
             }
@@ -308,7 +305,7 @@ fn grep_batched(k: &mut Kernel, paths: &[String]) -> (Option<String>, u64) {
         for (i, p) in chunk.iter().enumerate() {
             ring.push(
                 i as u64,
-                RingOp::Open {
+                Syscall::Open {
                     path: p.clone(),
                     flags: OpenFlags::RDONLY,
                 },
@@ -325,19 +322,19 @@ fn grep_batched(k: &mut Kernel, paths: &[String]) -> (Option<String>, u64) {
             for (j, &fd) in fd_pair.iter().enumerate() {
                 ring.push(
                     2 * j as u64,
-                    RingOp::Pread {
+                    Syscall::Pread {
                         fd,
                         pos: 0,
                         len: FILE_BYTES as usize,
                     },
                 )
                 .unwrap();
-                ring.push(2 * j as u64 + 1, RingOp::Close { fd }).unwrap();
+                ring.push(2 * j as u64 + 1, Syscall::Close { fd }).unwrap();
             }
             k.ring_enter(&mut ring).unwrap();
             let mut bufs = Vec::with_capacity(fd_pair.len());
             for c in k.ring_reap(&mut ring) {
-                if let RingPayload::Bytes(b) = c.result.expect("pread/close") {
+                if let SyscallRet::Bytes(b) = c.result.expect("pread/close") {
                     bufs.push(b);
                 }
             }
