@@ -8,15 +8,27 @@
 //! more complex write path with more internal buffering" the paper blames
 //! for fimgbin's smaller elapsed-time gains despite similar fault
 //! reductions.
+//!
+//! Sums are `f64`, so each chunk is decoded (into one reused buffer) and
+//! then cut at input-row boundaries: a run of one row's samples finds its
+//! output row's accumulator once and adds `factor` consecutive samples to
+//! each sum ([`accumulate_run`]) with no per-pixel division, map lookup
+//! or bounds check. Every output pixel still receives its samples one at
+//! a time, in the order they arrive, so every `f64` sum — and every mean
+//! and output byte — is what a pixel-at-a-time loop produces, in either
+//! mode; a row is written when the run holding its last kept sample has
+//! been added, which is where the pixel loop wrote it, since nothing
+//! else happens inside a chunk. `tests/golden_fits.rs` pins the output
+//! bytes and virtual costs for every BITPIX at factors 2 and 4.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sleds::{PickConfig, PickSession, SledsTable};
 use sleds_fits::{header::FitsHeader, FitsReader};
 use sleds_fs::{Fd, Kernel, OpenFlags, Whence};
 use sleds_sim_core::{Errno, SimDuration, SimError, SimResult};
 
-use crate::{charge_per_byte, BUFSIZE};
+use crate::{charge_per_byte, closing_files, BUFSIZE};
 
 /// CPU cost of convert + accumulate, per input pixel.
 const ACCUM_NS_PER_PIXEL: u64 = 7;
@@ -40,31 +52,118 @@ pub struct FimgbinResult {
 /// One output row being accumulated.
 struct RowAccum {
     sums: Vec<f64>,
-    samples: u64,
+    samples: usize,
+}
+
+/// The boxcar: output rows in flight, keyed by row index, fed one chunk
+/// of input pixels at a time in whatever order the chunks arrive.
+struct Boxcar {
+    factor: usize,
+    in_width: usize,
+    out_width: usize,
+    out_height: usize,
+    accums: BTreeMap<usize, RowAccum>,
+    /// Zeroed `sums` of finished rows, for the next row to start.
+    spare: Vec<Vec<f64>>,
 }
 
 /// Shared output-file state.
 struct Output {
     fd: Fd,
     data_start: u64,
-    out_width: usize,
     row_bytes: u64,
     bitpix: sleds_fits::Bitpix,
-    rows_written: u64,
+    rows_written: usize,
+    /// Encode buffer, reused from row to row.
+    encoded: Vec<u8>,
 }
 
 impl Output {
-    fn write_row(&mut self, kernel: &mut Kernel, row_index: u64, means: &[f64]) -> SimResult<()> {
-        debug_assert_eq!(means.len(), self.out_width);
-        let bytes = self.bitpix.encode(means);
-        charge_per_byte(kernel, bytes.len(), ENCODE_NS_PER_BYTE);
+    fn write_row(&mut self, kernel: &mut Kernel, row_index: usize, means: &[f64]) -> SimResult<()> {
+        self.bitpix.encode_into(means, &mut self.encoded);
+        debug_assert_eq!(self.encoded.len() as u64, self.row_bytes);
+        charge_per_byte(kernel, self.encoded.len(), ENCODE_NS_PER_BYTE);
         kernel.lseek(
             self.fd,
-            (self.data_start + row_index * self.row_bytes) as i64,
+            (self.data_start + row_index as u64 * self.row_bytes) as i64,
             Whence::Set,
         )?;
-        kernel.write(self.fd, &bytes)?;
+        kernel.write(self.fd, &self.encoded)?;
         self.rows_written += 1;
+        Ok(())
+    }
+}
+
+/// Adds one run of consecutive samples of an input row, the first in
+/// column `x`, to the sums of its output row: the sample in column `c`
+/// goes to `sums[c / factor]`, and samples are added in column order, so
+/// every sum sees the additions a pixel-at-a-time loop would make. The
+/// division is paid once per run, not per sample: a run is the rest of
+/// the box `x` falls inside, whole boxes of `factor` samples, and the
+/// start of one more. The run must end within the row:
+/// `x + run.len() <= sums.len() * factor`.
+pub fn accumulate_run(sums: &mut [f64], x: usize, run: &[f64], factor: usize) {
+    let add = |sum: &mut f64, samples: &[f64]| samples.iter().for_each(|&v| *sum += v);
+    let (tail, rest) = run.split_at(run.len().min(x.next_multiple_of(factor) - x));
+    if !tail.is_empty() {
+        add(&mut sums[x / factor], tail);
+    }
+    let first = x.div_ceil(factor);
+    let boxes = rest.chunks_exact(factor);
+    if !boxes.remainder().is_empty() {
+        add(&mut sums[first + rest.len() / factor], boxes.remainder());
+    }
+    for (sum, samples) in sums[first..].iter_mut().zip(boxes) {
+        add(sum, samples);
+    }
+}
+
+impl Boxcar {
+    /// Accumulates `values`, the pixels from index `first_pixel` on, and
+    /// writes every output row whose last kept sample is among them.
+    fn process(
+        &mut self,
+        kernel: &mut Kernel,
+        out: &mut Output,
+        first_pixel: u64,
+        values: &[f64],
+    ) -> SimResult<()> {
+        kernel.charge_cpu(SimDuration::from_nanos(
+            ACCUM_NS_PER_PIXEL * values.len() as u64,
+        ));
+        // Columns and rows past these are the discarded remainder.
+        let kept_width = self.out_width * self.factor;
+        let kept_height = self.out_height * self.factor;
+        let samples_per_row = kept_width * self.factor;
+        let mut y = (first_pixel / self.in_width as u64) as usize;
+        let mut x = (first_pixel % self.in_width as u64) as usize;
+        let mut rest = values;
+        // One turn per input row the chunk touches.
+        while !rest.is_empty() && y < kept_height {
+            let (in_row, after) = rest.split_at(rest.len().min(self.in_width - x));
+            if x < kept_width {
+                let run = &in_row[..in_row.len().min(kept_width - x)];
+                let row = y / self.factor;
+                let acc = self.accums.entry(row).or_insert_with(|| RowAccum {
+                    sums: self
+                        .spare
+                        .pop()
+                        .unwrap_or_else(|| vec![0.0; self.out_width]),
+                    samples: 0,
+                });
+                accumulate_run(&mut acc.sums, x, run, self.factor);
+                acc.samples += run.len();
+                if acc.samples == samples_per_row {
+                    let mut sums = self.accums.remove(&row).expect("just used").sums;
+                    let denom = (self.factor * self.factor) as f64;
+                    sums.iter_mut().for_each(|s| *s /= denom);
+                    out.write_row(kernel, row, &sums)?;
+                    sums.fill(0.0);
+                    self.spare.push(sums);
+                }
+            }
+            (rest, x, y) = (after, 0, y + 1);
+        }
         Ok(())
     }
 }
@@ -82,7 +181,22 @@ pub fn fimgbin(
     if factor < 2 {
         return Err(SimError::new(Errno::Einval, "fimgbin: factor must be >= 2"));
     }
+    closing_files(kernel, |kernel, open| {
+        rebin(kernel, open, input, output, factor, table)
+    })
+}
+
+/// The tool itself; every descriptor it opens goes on `open`.
+fn rebin(
+    kernel: &mut Kernel,
+    open: &mut Vec<Fd>,
+    input: &str,
+    output: &str,
+    factor: usize,
+    table: Option<&SledsTable>,
+) -> SimResult<FimgbinResult> {
     let reader = FitsReader::open(kernel, input)?;
+    open.push(reader.fd());
     let axes = reader.header().axes()?;
     if axes.len() != 2 {
         return Err(SimError::new(Errno::Einval, "fimgbin: need a 2-D image"));
@@ -99,63 +213,40 @@ pub fn fimgbin(
 
     // Output header, then positional row writes into the data unit.
     let out_fd = kernel.open(output, OpenFlags::CREATE_RDWR)?;
+    open.push(out_fd);
     let header = FitsHeader::primary(bitpix, &[out_w, out_h]);
     let enc = header.encode();
     kernel.write(out_fd, &enc)?;
     let mut out = Output {
         fd: out_fd,
         data_start: enc.len() as u64,
-        out_width: out_w,
         row_bytes: (out_w * bitpix.bytes_per_pixel()) as u64,
         bitpix,
         rows_written: 0,
+        encoded: Vec::new(),
     };
-
-    let box_samples = (factor * factor * out_w) as u64;
-    let mut accums: HashMap<u64, RowAccum> = HashMap::new();
-    let mut process = |kernel: &mut Kernel,
-                       out: &mut Output,
-                       first_pixel: u64,
-                       values: &[f64]|
-     -> SimResult<()> {
-        kernel.charge_cpu(SimDuration::from_nanos(
-            ACCUM_NS_PER_PIXEL * values.len() as u64,
-        ));
-        for (i, &v) in values.iter().enumerate() {
-            let idx = first_pixel + i as u64;
-            let x = (idx % in_w as u64) as usize;
-            let y = (idx / in_w as u64) as usize;
-            if x >= out_w * factor || y >= out_h * factor {
-                continue; // discarded remainder
-            }
-            let row = (y / factor) as u64;
-            let acc = accums.entry(row).or_insert_with(|| RowAccum {
-                sums: vec![0.0; out_w],
-                samples: 0,
-            });
-            acc.sums[x / factor] += v;
-            acc.samples += 1;
-            if acc.samples == box_samples {
-                let acc = accums.remove(&row).expect("just inserted");
-                let denom = (factor * factor) as f64;
-                let means: Vec<f64> = acc.sums.iter().map(|s| s / denom).collect();
-                out.write_row(kernel, row, &means)?;
-            }
-        }
-        Ok(())
+    let mut boxcar = Boxcar {
+        factor,
+        in_width: in_w,
+        out_width: out_w,
+        out_height: out_h,
+        accums: BTreeMap::new(),
+        spare: Vec::new(),
     };
 
     let bpp = bitpix.bytes_per_pixel() as u64;
     let data_start = reader.data_start();
-    let data_end = data_start + reader.pixel_count() * bpp;
+    let data_end = reader.data_end();
+    // Decode buffer, reused from chunk to chunk.
+    let mut values = Vec::new();
     match table {
         None => {
             let mut pos = data_start;
             while pos < data_end {
                 let len = (data_end - pos).min(BUFSIZE as u64) as usize;
                 let bytes = kernel.pread(reader.fd(), pos, len)?;
-                let values = bitpix.decode(&bytes)?;
-                process(kernel, &mut out, (pos - data_start) / bpp, &values)?;
+                bitpix.decode_into(&bytes, &mut values)?;
+                boxcar.process(kernel, &mut out, (pos - data_start) / bpp, &values)?;
                 pos += len as u64;
             }
         }
@@ -170,14 +261,14 @@ pub fn fimgbin(
                     continue;
                 }
                 let bytes = kernel.pread(reader.fd(), lo, (hi - lo) as usize)?;
-                let values = bitpix.decode(&bytes)?;
-                process(kernel, &mut out, (lo - data_start) / bpp, &values)?;
+                bitpix.decode_into(&bytes, &mut values)?;
+                boxcar.process(kernel, &mut out, (lo - data_start) / bpp, &values)?;
             }
             pick.finish();
         } // [sleds:end]
     }
 
-    if out.rows_written != out_h as u64 {
+    if out.rows_written != out_h {
         return Err(SimError::new(
             Errno::Eio,
             format!(
@@ -193,8 +284,6 @@ pub fn fimgbin(
         kernel.lseek(out_fd, (out.data_start + data_bytes) as i64, Whence::Set)?;
         kernel.write(out_fd, &vec![0u8; (padded - data_bytes) as usize])?;
     }
-    kernel.close(reader.fd())?;
-    kernel.close(out_fd)?;
     Ok(FimgbinResult {
         output: output.to_string(),
         factor,
@@ -301,5 +390,52 @@ mod tests {
         let fd = w.finish(&mut k).unwrap();
         k.close(fd).unwrap();
         assert!(fimgbin(&mut k, "/data/one.fits", "/data/o.fits", 2, None).is_err());
+    }
+
+    #[test]
+    fn accumulate_run_adds_what_a_pixel_loop_adds() {
+        // Every start column and length that fits a row of six boxes.
+        for factor in 2..=5 {
+            let width = 6 * factor;
+            for x in 0..width {
+                for len in 0..=width - x {
+                    let run: Vec<f64> = (0..len).map(|i| 0.1 * (i + x + 1) as f64).collect();
+                    let mut want: Vec<f64> = (0..6).map(|i| 1.0 / (i + 3) as f64).collect();
+                    let mut got = want.clone();
+                    for (i, &v) in run.iter().enumerate() {
+                        want[(x + i) / factor] += v;
+                    }
+                    accumulate_run(&mut got, x, &run, factor);
+                    let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "factor {factor}, x {x}, len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn error_returns_leak_no_descriptor() {
+        let (mut k, _) = setup();
+        let mut w = FitsWriter::create(&mut k, "/data/one.fits", Bitpix::U8, &[32]).unwrap();
+        w.write_pixels(&mut k, &[0.0; 32]).unwrap();
+        let fd = w.finish(&mut k).unwrap();
+        k.close(fd).unwrap();
+        k.install_file("/data/in.fits", &generate_image_bytes(8, 8, Bitpix::U8, 24))
+            .unwrap();
+        // Refused for its shape after the input was opened; refused for
+        // the box size likewise; failing to create the output after that.
+        for (input, output, factor) in [
+            ("/data/one.fits", "/data/o.fits", 2),
+            ("/data/in.fits", "/data/o.fits", 16),
+            ("/data/in.fits", "/nowhere/o.fits", 2),
+        ] {
+            // Descriptors are handed out in sequence: the input takes the
+            // one after this probe's.
+            let probe = k.open("/data/in.fits", OpenFlags::RDONLY).unwrap();
+            k.close(probe).unwrap();
+            assert!(fimgbin(&mut k, input, output, factor, None).is_err());
+            let err = k.close(Fd(probe.0 + 1)).unwrap_err();
+            assert_eq!(err.errno, Errno::Ebadf, "{input} -> {output}");
+        }
     }
 }

@@ -55,6 +55,25 @@ pub(crate) fn charge_per_byte(kernel: &mut Kernel, bytes: usize, ns_per_byte: u6
     kernel.charge_cpu(SimDuration::from_nanos(ns_per_byte * bytes as u64));
 }
 
+/// Runs `tool`, which pushes every descriptor it opens onto the list it
+/// is handed, then closes them in the order they were opened — whether
+/// the tool succeeded or returned early through `?`. The tool's own
+/// error wins over a close error.
+pub(crate) fn closing_files<T>(
+    kernel: &mut Kernel,
+    tool: impl FnOnce(&mut Kernel, &mut Vec<Fd>) -> SimResult<T>,
+) -> SimResult<T> {
+    let mut open = Vec::new();
+    let result = tool(kernel, &mut open);
+    let mut closed = Ok(());
+    for fd in open {
+        closed = closed.and(kernel.close(fd));
+    }
+    let value = result?;
+    closed?;
+    Ok(value)
+}
+
 /// Reads the rest of a pick plan through the submission ring: fill the
 /// submission queue with the next ring's worth of chunks, enter once, reap.
 /// Completions come back in submission order, so `chunk(kernel, offset,

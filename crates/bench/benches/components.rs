@@ -145,13 +145,27 @@ fn bench_regex() {
 }
 
 fn bench_fits_codec() {
+    use sleds_fits::{Bitpix, SampleCounts};
+    // 65536 pixels: two 64 KiB chunks of I16.
     let values: Vec<f64> = (0..65536).map(|i| (i % 251) as f64).collect();
-    for bitpix in [sleds_fits::Bitpix::I16, sleds_fits::Bitpix::F64] {
+    for bitpix in [Bitpix::I16, Bitpix::F64] {
         let encoded = bitpix.encode(&values);
         time(&format!("fits_codec/decode_{}", bitpix.code()), || {
             bitpix.decode(&encoded).unwrap()
         });
     }
+    let encoded = Bitpix::I16.encode(&values);
+    time("fits/minmax_16", || Bitpix::I16.min_max(&encoded).unwrap());
+    let mut counts = SampleCounts::new(Bitpix::I16).unwrap();
+    time("fits/histogram_16", || counts.add(&encoded).unwrap());
+    // fimgbin's inner loop: 32 rows of 2048 pixels into 2x2 boxes.
+    let mut sums = vec![0.0; 1024];
+    time("fimgbin/accumulate_2x2", || {
+        for row in values.chunks_exact(2048) {
+            sleds_apps::fimgbin::accumulate_run(&mut sums, 0, row, 2);
+        }
+        sums[0]
+    });
 }
 
 fn bench_kernel_read_path() {

@@ -72,7 +72,10 @@ impl FitsHeader {
 
     /// The pixel type.
     pub fn bitpix(&self) -> SimResult<Bitpix> {
-        Bitpix::from_code(self.get_int("BITPIX")? as i32)
+        let code = self.get_int("BITPIX")?;
+        let narrow =
+            i32::try_from(code).map_err(|_| format_error(format!("unsupported BITPIX {code}")))?;
+        Bitpix::from_code(narrow)
     }
 
     /// The axis lengths `NAXIS1..NAXISn`.
@@ -94,13 +97,20 @@ impl FitsHeader {
 
     /// Total pixels in the data unit.
     pub fn pixel_count(&self) -> SimResult<u64> {
-        Ok(self.axes()?.iter().map(|&n| n as u64).product::<u64>()
-            * if self.axes()?.is_empty() { 0 } else { 1 })
+        let axes = self.axes()?;
+        if axes.is_empty() {
+            return Ok(0);
+        }
+        axes.iter()
+            .try_fold(1u64, |n, &len| n.checked_mul(len as u64))
+            .ok_or_else(|| format_error("pixel count overflows"))
     }
 
     /// Bytes of data (before padding).
     pub fn data_bytes(&self) -> SimResult<u64> {
-        Ok(self.pixel_count()? * self.bitpix()?.bytes_per_pixel() as u64)
+        self.pixel_count()?
+            .checked_mul(self.bitpix()?.bytes_per_pixel() as u64)
+            .ok_or_else(|| format_error("data unit size overflows"))
     }
 
     /// Number of cards, excluding END.
@@ -133,9 +143,13 @@ impl FitsHeader {
             }
             let card = &bytes[pos..pos + CARD_SIZE];
             pos += CARD_SIZE;
-            let text =
-                std::str::from_utf8(card).map_err(|_| format_error("non-ASCII header card"))?;
-            let keyword = text[..8.min(text.len())].trim_end();
+            // ASCII first: the fixed-column slicing below would otherwise
+            // split a multi-byte character.
+            if !card.is_ascii() {
+                return Err(format_error("non-ASCII header card"));
+            }
+            let text = std::str::from_utf8(card).expect("ASCII is UTF-8");
+            let keyword = text[..8].trim_end();
             if keyword == "END" {
                 break;
             }

@@ -19,14 +19,21 @@ pub struct FitsReader {
     header: FitsHeader,
     bitpix: Bitpix,
     data_start: u64,
+    data_bytes: u64,
     pixel_count: u64,
 }
 
 impl FitsReader {
-    /// Opens `path` and parses the primary header.
+    /// Opens `path` and parses the primary header. The descriptor is the
+    /// caller's to close on success; on error it is already closed.
     pub fn open(kernel: &mut Kernel, path: &str) -> SimResult<FitsReader> {
         let fd = kernel.open(path, OpenFlags::RDONLY)?;
-        Self::from_fd(kernel, fd, 0)
+        let reader = Self::from_fd(kernel, fd, 0);
+        if reader.is_err() {
+            // The parse error is the one worth reporting.
+            let _ = kernel.close(fd);
+        }
+        reader
     }
 
     /// Parses the HDU whose header begins at byte `hdu_start` of `fd`.
@@ -42,11 +49,20 @@ impl FitsReader {
             if let Ok((header, consumed)) = FitsHeader::parse(&raw) {
                 let bitpix = header.bitpix()?;
                 let pixel_count = header.pixel_count()?;
+                let data_bytes = header.data_bytes()?;
+                let data_start = hdu_start + consumed as u64;
+                // Every offset a reader hands out lies inside the padded
+                // data unit, so check once that its end is representable.
+                data_bytes
+                    .checked_next_multiple_of(BLOCK_SIZE as u64)
+                    .and_then(|padded| data_start.checked_add(padded))
+                    .ok_or_else(|| format_error("data unit ends past the largest file offset"))?;
                 return Ok(FitsReader {
                     fd,
                     header,
                     bitpix,
-                    data_start: hdu_start + consumed as u64,
+                    data_start,
+                    data_bytes,
                     pixel_count,
                 });
             }
@@ -81,9 +97,14 @@ impl FitsReader {
         self.data_start
     }
 
+    /// Byte offset just past the last pixel (before padding).
+    pub fn data_end(&self) -> u64 {
+        self.data_start + self.data_bytes
+    }
+
     /// Byte offset just past the padded data unit (start of the next HDU).
     pub fn next_hdu_offset(&self) -> SimResult<u64> {
-        Ok(self.data_start + padded_len(self.header.data_bytes()?))
+        Ok(self.data_start + padded_len(self.data_bytes))
     }
 
     /// File byte offset of pixel `index`.

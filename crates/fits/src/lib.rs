@@ -7,7 +7,8 @@
 //! applications faithfully:
 //!
 //! * header card encoding/parsing ([`header`]);
-//! * pixel codecs for BITPIX 8/16/32/-32/-64 ([`codec`]);
+//! * pixel codecs for BITPIX 8/16/32/-32/-64, plus range and count-table
+//!   kernels that work on the native big-endian samples ([`codec`]);
 //! * streaming reader/writer over the simulated kernel's file API
 //!   ([`io`]) — streaming matters, because the whole point of the paper's
 //!   experiments is the applications' multi-pass I/O patterns;
@@ -20,7 +21,7 @@ pub mod gen;
 pub mod header;
 pub mod io;
 
-pub use codec::Bitpix;
+pub use codec::{Bitpix, SampleCounts};
 pub use gen::generate_image_bytes;
 pub use header::{FitsHeader, BLOCK_SIZE, CARD_SIZE};
 pub use io::{FitsReader, FitsWriter};

@@ -5,7 +5,9 @@
 //! `cargo test -p sleds-fits --features proptests`.
 
 use sleds_devices::DiskDevice;
-use sleds_fits::{header::padded_len, Bitpix, FitsHeader, FitsReader, FitsWriter, BLOCK_SIZE};
+use sleds_fits::{
+    header::padded_len, Bitpix, FitsHeader, FitsReader, FitsWriter, SampleCounts, BLOCK_SIZE,
+};
 use sleds_fs::Kernel;
 use sleds_sim_core::{check, DetRng};
 
@@ -56,6 +58,117 @@ fn codec_roundtrip() {
                 _ => *orig,
             };
             assert_eq!(*got, expect);
+        }
+    });
+}
+
+/// Reference decoder: one pixel, one `match`.
+fn reference_decode(bitpix: Bitpix, px: &[u8]) -> f64 {
+    match bitpix {
+        Bitpix::U8 => px[0] as f64,
+        Bitpix::I16 => i16::from_be_bytes(px.try_into().unwrap()) as f64,
+        Bitpix::I32 => i32::from_be_bytes(px.try_into().unwrap()) as f64,
+        Bitpix::F32 => f32::from_be_bytes(px.try_into().unwrap()) as f64,
+        Bitpix::F64 => f64::from_be_bytes(px.try_into().unwrap()),
+    }
+}
+
+/// Reference encoder: clamp, cast, big-endian, one value at a time.
+fn reference_encode(bitpix: Bitpix, v: f64, out: &mut Vec<u8>) {
+    match bitpix {
+        Bitpix::U8 => out.push(v.clamp(0.0, 255.0) as u8),
+        Bitpix::I16 => {
+            out.extend_from_slice(&(v.clamp(i16::MIN as f64, i16::MAX as f64) as i16).to_be_bytes())
+        }
+        Bitpix::I32 => {
+            out.extend_from_slice(&(v.clamp(i32::MIN as f64, i32::MAX as f64) as i32).to_be_bytes())
+        }
+        Bitpix::F32 => out.extend_from_slice(&(v as f32).to_be_bytes()),
+        Bitpix::F64 => out.extend_from_slice(&v.to_be_bytes()),
+    }
+}
+
+/// The per-type kernels — decode, encode, min/max on native samples, the
+/// raw-sample count table — agree bit for bit with a pixel-at-a-time
+/// reference on random bytes (so floats include NaNs, infinities and
+/// subnormals), reuse their buffers, and refuse ragged input.
+#[test]
+fn kernels_match_per_pixel_reference() {
+    check::run("kernels_match_per_pixel_reference", |rng| {
+        let bitpix = random_bitpix(rng);
+        let bpp = bitpix.bytes_per_pixel();
+        let mut bytes = vec![0u8; rng.range_usize(0, 300) * bpp];
+        rng.fill_bytes(&mut bytes);
+        // Floats: shrink some exponents so that finite values are common.
+        if matches!(bitpix, Bitpix::F32 | Bitpix::F64) {
+            for px in bytes.chunks_exact_mut(bpp) {
+                if rng.chance(0.7) {
+                    px[0] = (px[0] & 0x80) | 0x3f;
+                }
+            }
+        }
+        let want: Vec<f64> = bytes
+            .chunks_exact(bpp)
+            .map(|px| reference_decode(bitpix, px))
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        // Decode, fresh and into a dirty buffer.
+        assert_eq!(bits(&bitpix.decode(&bytes).unwrap()), bits(&want));
+        let mut reused = vec![1.5; rng.range_usize(0, 400)];
+        bitpix.decode_into(&bytes, &mut reused).unwrap();
+        assert_eq!(bits(&reused), bits(&want));
+
+        // Encode, of the decoded values and of wild ones.
+        let mut values = want.clone();
+        values.extend((0..16).map(|_| (rng.unit_f64() - 0.5) * 1e11));
+        values.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0]);
+        let mut want_bytes = Vec::new();
+        for &v in &values {
+            reference_encode(bitpix, v, &mut want_bytes);
+        }
+        assert_eq!(bitpix.encode(&values), want_bytes);
+        let mut reused = vec![0xaa; rng.range_usize(0, 400)];
+        bitpix.encode_into(&values, &mut reused);
+        assert_eq!(reused, want_bytes);
+
+        // Min/max: a fold over the widened values.
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &v in &want {
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+        let (got_lo, got_hi) = bitpix.min_max(&bytes).unwrap();
+        // `==` would let -0.0 pass for 0.0, which `min` leaves unspecified;
+        // everything else must be the same bits.
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a == 0.0 && b == 0.0);
+        assert!(same(got_lo, lo) && same(got_hi, hi), "{bitpix:?}");
+
+        // The count table holds exactly the multiset of decoded values.
+        if let Some(mut counts) = SampleCounts::new(bitpix) {
+            counts.add(&bytes[..bytes.len() / 2 / bpp * bpp]).unwrap();
+            counts.add(&bytes[bytes.len() / 2 / bpp * bpp..]).unwrap();
+            let mut got: Vec<(u64, u64)> =
+                counts.distinct().map(|(v, n)| (v.to_bits(), n)).collect();
+            got.sort_unstable();
+            let mut sorted = bits(&want);
+            sorted.sort_unstable();
+            let want_counts: Vec<(u64, u64)> = sorted
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u64))
+                .collect();
+            assert_eq!(got, want_counts);
+            assert!(bpp == 1 || counts.add(&bytes[..1]).is_err());
+        } else {
+            assert!(bpp >= 4);
+        }
+
+        // Ragged input is refused by every kernel that takes bytes.
+        if bpp > 1 {
+            bytes.push(0);
+            assert!(bitpix.decode(&bytes).is_err());
+            assert!(bitpix.decode_into(&bytes, &mut Vec::new()).is_err());
+            assert!(bitpix.min_max(&bytes).is_err());
         }
     });
 }

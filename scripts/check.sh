@@ -117,6 +117,7 @@ if [[ "${1:-}" == "--with-proptests" ]]; then
     run cargo test -q -p sleds-fs --features proptests
     run cargo test -q -p sleds --features proptests
     run cargo test -q -p sleds-textmatch --features proptests
+    run cargo test -q -p sleds-fits --features proptests
 fi
 
 echo "All checks passed."
