@@ -28,7 +28,7 @@ use sleds_bench::microbench;
 use sleds_devices::DiskDevice;
 use sleds_fs::{Fd, Kernel, OpenFlags};
 use sleds_sim_core::{SimTime, PAGE_SIZE};
-use sleds_trace::{Layer, Tracer};
+use sleds_trace::{DeviceCost, Layer, Tracer};
 
 /// Warm `pread`s per workload iteration.
 const READS_PER_ITER: u64 = 256;
@@ -66,19 +66,16 @@ fn device_event_ns(t: &mut Tracer) -> f64 {
     ];
     let mut ts = 0u64;
     microbench::time(label, || {
-        t.device(
-            1,
-            "disk.read",
-            false,
-            SimTime::from_nanos(ts),
-            sleds_sim_core::SimDuration::ZERO,
-            sleds_sim_core::SimDuration::from_nanos(12_900_000),
-            ts / 1000,
-            8,
-            8 * 512,
-            900_000,
-            &phases,
-        );
+        let ev = DeviceCost {
+            class: 1,
+            submit: SimTime::from_nanos(ts),
+            service: sleds_sim_core::SimDuration::from_nanos(12_900_000),
+            sector: ts / 1000,
+            sectors: 8,
+            bytes: 8 * 512,
+            ..DeviceCost::default()
+        };
+        t.device(&ev, "disk.read", 900_000, &phases);
         ts += 20_000_000;
     })
     .ns_per_iter

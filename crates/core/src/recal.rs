@@ -173,13 +173,26 @@ pub fn recalibrate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sleds_fs::trace::DeviceCost;
+    use sleds_sim_core::SimDuration;
+
+    /// A served read of `bytes` holding a `class` device for `service_ns`.
+    fn served(tenant: u64, class: u64, service_ns: u64, bytes: u64) -> DeviceCost {
+        DeviceCost {
+            tenant,
+            class,
+            service: SimDuration::from_nanos(service_ns),
+            bytes,
+            ..DeviceCost::default()
+        }
+    }
 
     /// A snapshot with `n` identical disk reads: 18 ms first byte, then
     /// 1 MB moved in 100 ms (10 MB/s).
     fn disk_metrics(n: u64) -> Metrics {
         let mut m = Metrics::default();
         for _ in 0..n {
-            m.note_device(0, 1, false, 118_000_000, 1_000_000, 100_000_000, 0);
+            m.note_device(&served(0, 1, 118_000_000, 1_000_000), 100_000_000);
         }
         m
     }
@@ -236,7 +249,7 @@ mod tests {
         for _ in 0..3 {
             // A pathological command: 1000 s to first byte, 1 byte moved
             // over 10 s (0.1 B/s).
-            m.note_device(0, 4, false, 1_010_000_000_000, 1, 10_000_000_000, 0);
+            m.note_device(&served(0, 4, 1_010_000_000_000, 1), 10_000_000_000);
         }
         let out = recalibrate_from_metrics(
             &base_table(),

@@ -100,7 +100,6 @@ impl CdRomDevice {
     }
 
     fn service(&mut self, start: u64, sectors: u64) -> (SimDuration, bool) {
-        self.phases.clear();
         self.phases.add(PhaseKind::Overhead, self.params.overhead);
         let mut t = self.params.overhead;
         let repositioned = start != self.position;
@@ -149,6 +148,7 @@ impl BlockDevice for CdRomDevice {
     }
 
     fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity, start, sectors)?;
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         let (t, repo) = self.service(start, sectors);
@@ -158,6 +158,7 @@ impl BlockDevice for CdRomDevice {
     }
 
     fn write(&mut self, _start: u64, _sectors: u64, _now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         Err(sleds_sim_core::SimError::new(
             sleds_sim_core::Errno::Erofs,
             format!("{}: CD-ROM is read-only", self.name),

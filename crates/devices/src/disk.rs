@@ -313,7 +313,6 @@ impl DiskDevice {
         let target = self.locate(start);
         let period = self.geom.rotation_period();
         let sequential = start == self.next_sequential;
-        self.phases.clear();
         self.phases
             .add(PhaseKind::Overhead, self.geom.controller_overhead);
         let mut elapsed = self.geom.controller_overhead;
@@ -404,6 +403,7 @@ impl BlockDevice for DiskDevice {
     }
 
     fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity, start, sectors)?;
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         let before = self.current_cylinder;
@@ -415,6 +415,7 @@ impl BlockDevice for DiskDevice {
     }
 
     fn write(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity, start, sectors)?;
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         let before = self.current_cylinder;

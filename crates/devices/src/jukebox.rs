@@ -160,6 +160,7 @@ impl Jukebox {
         now: SimTime,
         write: bool,
     ) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity_sectors(), start, sectors)?;
         let c = self.cartridge_of(start);
         let end_cart = self.cartridge_of(start + sectors - 1);
@@ -169,7 +170,6 @@ impl Jukebox {
                 format!("{}: transfer crosses cartridge boundary", self.name),
             ));
         }
-        self.phases.clear();
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         let (_, mut t) = self.mount(c)?;
         let local = start - c as u64 * self.cart_sectors;

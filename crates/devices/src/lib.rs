@@ -357,8 +357,10 @@ pub trait BlockDevice {
 /// On a fail decision the phase log is reset to a single `Fault` phase
 /// carrying the burned cost — the span still sums exactly to the virtual
 /// time the failed submission consumed — and the injected errno is
-/// returned. On proceed, yields `(multiplier, resume)` for
-/// [`apply_fault_overheads`] once the mechanical service time is known.
+/// returned, carrying the same cost ([`SimError::fault_cost`]) so callers
+/// never have to infer it from the log. On proceed, yields
+/// `(multiplier, resume)` for [`apply_fault_overheads`] once the mechanical
+/// service time is known.
 pub(crate) fn fault_gate(
     faults: &mut Option<FaultInjector>,
     phases: &mut PhaseLog,
@@ -374,7 +376,11 @@ pub(crate) fn fault_gate(
         Decision::Fail { errno, cost } => {
             phases.clear();
             phases.add(PhaseKind::Fault, cost);
-            Err(SimError::new(errno, format!("{name}: injected fault")))
+            Err(SimError::injected(
+                errno,
+                format!("{name}: injected fault"),
+                cost,
+            ))
         }
         Decision::Proceed { multiplier, resume } => Ok((multiplier, resume)),
     }
@@ -405,7 +411,9 @@ pub(crate) fn apply_fault_overheads(
 
 /// Validates a sector range against a device capacity.
 ///
-/// Shared by every implementation so range errors are uniform.
+/// Shared by every implementation so range errors are uniform. Every model
+/// empties its phase log *before* calling this, so a refused command
+/// reports no phases instead of its predecessor's.
 pub(crate) fn check_range(name: &str, capacity: u64, start: u64, sectors: u64) -> SimResult<()> {
     use sleds_sim_core::{Errno, SimError};
     let end = start.checked_add(sectors);
@@ -435,6 +443,49 @@ mod tests {
         assert!(check_range("d", 100, 99, 2).is_err());
         assert!(check_range("d", 100, 0, 0).is_err());
         assert!(check_range("d", 100, u64::MAX, 2).is_err());
+    }
+
+    /// A command refused before the device moves (bounds, read-only
+    /// media) right after an injected fault must not inherit that fault's
+    /// phase or cost.
+    #[test]
+    fn refused_command_after_injected_fault_reports_no_phases_and_no_cost() {
+        use sleds_sim_core::Errno;
+        let cost = SimDuration::from_millis(2);
+        let devices: Vec<Box<dyn BlockDevice>> = vec![
+            Box::new(DiskDevice::table2_disk("d")),
+            Box::new(CdRomDevice::table2_drive("d")),
+            Box::new(NfsDevice::table2_mount("d")),
+            Box::new(NfsServerDevice::lan_mount("d")),
+            Box::new(TapeDevice::dlt("d")),
+            Box::new(Jukebox::new("d", 2, 1, Default::default())),
+        ];
+        let end = SimTime::from_nanos(u64::MAX);
+        let plan = FaultPlan::new().transient("d", SimTime::ZERO, end, 1, cost);
+        for mut dev in devices {
+            let class = dev.class();
+            dev.set_fault_injector(plan.injector_for("d").expect("planned"));
+            let err = dev.read(0, 8, SimTime::ZERO).unwrap_err();
+            assert_eq!(err.errno, Errno::Eagain, "{class:?}");
+            assert_eq!(err.fault_cost(), Some(cost), "{class:?}");
+            let fault = ServicePhase {
+                kind: PhaseKind::Fault,
+                dur: cost,
+            };
+            assert_eq!(dev.last_phases(), [fault], "{class:?}");
+
+            let cap = dev.capacity_sectors();
+            let err = dev.read(cap, 8, SimTime::ZERO).unwrap_err();
+            assert_eq!(err.errno, Errno::Einval, "{class:?}");
+            assert_eq!(err.fault_cost(), None, "{class:?}");
+            assert!(dev.last_phases().is_empty(), "{class:?}: stale phases");
+        }
+        // Read-only media refuses writes the same way.
+        let mut cd = CdRomDevice::table2_drive("d");
+        cd.read(0, 8, SimTime::ZERO).unwrap();
+        let err = cd.write(0, 8, SimTime::ZERO).unwrap_err();
+        assert_eq!((err.errno, err.fault_cost()), (Errno::Erofs, None));
+        assert!(cd.last_phases().is_empty());
     }
 
     #[test]

@@ -67,7 +67,6 @@ impl MemoryDevice {
         let copy = self
             .bandwidth
             .transfer_time(sectors * sleds_sim_core::SECTOR_SIZE);
-        self.phases.clear();
         self.phases.add(PhaseKind::Overhead, self.latency);
         self.phases.add(PhaseKind::Transfer, copy);
         self.latency + copy
@@ -96,6 +95,7 @@ impl BlockDevice for MemoryDevice {
     }
 
     fn read(&mut self, start: u64, sectors: u64, _now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity_sectors, start, sectors)?;
         let t = self.xfer(sectors);
         self.stats.note_read(sectors, t, false);
@@ -103,6 +103,7 @@ impl BlockDevice for MemoryDevice {
     }
 
     fn write(&mut self, start: u64, sectors: u64, _now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity_sectors, start, sectors)?;
         let t = self.xfer(sectors);
         self.stats.note_write(sectors, t, false);

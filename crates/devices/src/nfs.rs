@@ -133,7 +133,6 @@ impl NfsDevice {
     }
 
     fn service(&mut self, start: u64, sectors: u64) -> (SimDuration, bool) {
-        self.phases.clear();
         self.phases.add(PhaseKind::Rpc, self.params.per_op);
         let mut t = self.params.per_op;
         let repositioned = start != self.next_sequential;
@@ -173,6 +172,7 @@ impl BlockDevice for NfsDevice {
     }
 
     fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity, start, sectors)?;
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         let (t, repo) = self.service(start, sectors);
@@ -182,6 +182,7 @@ impl BlockDevice for NfsDevice {
     }
 
     fn write(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity, start, sectors)?;
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         let (t, repo) = self.service(start, sectors);
@@ -315,7 +316,6 @@ impl NfsServerDevice {
     }
 
     fn service(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
         self.phases.add(PhaseKind::Rpc, self.params.per_op);
         let mut t = self.params.per_op;
         if start != self.next_sequential {
@@ -392,6 +392,7 @@ impl BlockDevice for NfsServerDevice {
     }
 
     fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity_sectors(), start, sectors)?;
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         let t = self.service(start, sectors, now)?;
@@ -401,11 +402,11 @@ impl BlockDevice for NfsServerDevice {
     }
 
     fn write(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity_sectors(), start, sectors)?;
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         // Write-through: link + disk, dirtying the server cache as clean
         // copies (the server commits before replying, as NFSv2 did).
-        self.phases.clear();
         self.phases
             .add(PhaseKind::Rpc, self.params.per_op + self.params.rtt);
         let mut t = self.params.per_op + self.params.rtt;

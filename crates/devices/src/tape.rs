@@ -182,7 +182,6 @@ impl TapeDevice {
     }
 
     fn service(&mut self, start: u64, sectors: u64) -> SimDuration {
-        self.phases.clear();
         let mount = self.ensure_loaded();
         self.phases.add(PhaseKind::Mount, mount);
         let mut t = mount;
@@ -228,6 +227,7 @@ impl BlockDevice for TapeDevice {
     }
 
     fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity, start, sectors)?;
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         let before = self.position;
@@ -238,6 +238,7 @@ impl BlockDevice for TapeDevice {
     }
 
     fn write(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
+        self.phases.clear();
         check_range(&self.name, self.capacity, start, sectors)?;
         let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
         let before = self.position;

@@ -243,10 +243,7 @@ mod tests {
         ));
         let err = k.aio_read_file(fd, 4 * PAGE_SIZE as usize, 5).unwrap_err();
         assert_eq!(err.errno, Errno::Eio);
-        assert!(
-            err.context.ends_with("injected fault"),
-            "unexpected failure: {err}"
-        );
+        assert!(err.fault_cost().is_some(), "unexpected failure: {err}");
         // The descriptor survives the outage: once the window closes, the
         // same whole-file read completes normally.
         k.charge_cpu(SimDuration::from_secs(20));

@@ -22,6 +22,8 @@
 
 use std::collections::BTreeMap;
 
+use sleds_trace::DeviceCost;
+
 use crate::syscall::Syscall;
 
 /// Schema tag the on-disk capture format carries; bump on any shape change.
@@ -227,18 +229,18 @@ impl WorkloadRecorder {
         });
     }
 
-    /// Accumulates one device command's exact pricing into the in-flight
+    /// Accumulates one device occupancy's exact pricing into the in-flight
     /// op. No-op when no op is in flight (setup traffic).
-    pub fn note_device(&mut self, class: u64, queue_wait_ns: u64, service_ns: u64, bytes: u64) {
+    pub fn note_device(&mut self, ev: &DeviceCost) {
         if let Some(f) = self.inflight.as_mut() {
-            let c = f.classes.entry(class).or_insert(ClassCost {
-                class,
+            let c = f.classes.entry(ev.class).or_insert(ClassCost {
+                class: ev.class,
                 ..ClassCost::default()
             });
             c.commands += 1;
-            c.queue_wait_ns = c.queue_wait_ns.saturating_add(queue_wait_ns);
-            c.service_ns = c.service_ns.saturating_add(service_ns);
-            c.bytes = c.bytes.saturating_add(bytes);
+            c.queue_wait_ns = c.queue_wait_ns.saturating_add(ev.queue_wait.as_nanos());
+            c.service_ns = c.service_ns.saturating_add(ev.service.as_nanos());
+            c.bytes = c.bytes.saturating_add(ev.bytes);
         }
     }
 
@@ -379,6 +381,18 @@ impl WorkloadRecorder {
 mod tests {
     use super::*;
     use crate::syscall::{Fd, OpenFlags};
+    use sleds_sim_core::SimDuration;
+
+    /// A disk (class 1) command priced at `queue_wait_ns` + `service_ns`.
+    fn disk_cmd(queue_wait_ns: u64, service_ns: u64, bytes: u64) -> DeviceCost {
+        DeviceCost {
+            class: 1,
+            queue_wait: SimDuration::from_nanos(queue_wait_ns),
+            service: SimDuration::from_nanos(service_ns),
+            bytes,
+            ..DeviceCost::default()
+        }
+    }
 
     fn begin_simple(r: &mut WorkloadRecorder, seq: u64) {
         r.begin(Syscall::Fsync { fd: Fd(3) }, 0, seq * 10, 0);
@@ -404,8 +418,8 @@ mod tests {
         );
         r.finish_ok(3, None, 200);
         r.begin(Syscall::Read { fd: Fd(3), len: 8 }, 0, 300, 0);
-        r.note_device(1, 10, 20, 4096);
-        r.note_device(1, 5, 7, 4096);
+        r.note_device(&disk_cmd(10, 20, 4096));
+        r.note_device(&disk_cmd(5, 7, 4096));
         r.finish_ok(8, Some(b"abcdefgh"), 400);
         let cap = r.into_capture();
         assert!(cap.complete);
@@ -468,7 +482,7 @@ mod tests {
                 len: 16,
             },
         );
-        r.note_device(1, 100, 200, 4096);
+        r.note_device(&disk_cmd(100, 200, 4096));
         r.finish_ok(1, None, 2000);
         let cap = r.into_capture();
         assert!(cap.complete);

@@ -23,13 +23,13 @@
 
 use std::collections::BTreeMap;
 
-use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultPlan, FaultState, PhaseKind};
+use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultPlan, FaultState};
 use sleds_pagecache::{PageCache, PageKey};
 use sleds_sim_core::{
     Clock, DetRng, Errno, RetryPolicy, SimDuration, SimError, SimResult, SimTime, TenantId,
     PAGE_SIZE, SECTOR_SIZE,
 };
-use sleds_trace::{Layer, Metrics, TraceEvent, Tracer};
+use sleds_trace::{DeviceCost, Layer, Metrics, TraceEvent, Tracer, Wait};
 
 use crate::capture::{Capture, WorkloadRecorder};
 use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, PageMap, PagePlace, Stat};
@@ -47,13 +47,12 @@ use crate::syscall::{self as sys, Entry, Syscall, SyscallRet};
 use crate::volume::{HedgePolicy, VolumeLayout};
 
 mod boundary;
+mod cost;
+
+use cost::Attempt;
 
 pub use crate::inode::SECTORS_PER_PAGE;
 pub use crate::syscall::{Fd, OpenFlags, Whence};
-
-/// Number of device classes `class_code` can produce; sizes the kernel's
-/// per-class retry-policy table.
-const NUM_CLASSES: usize = 5;
 
 /// Seed for the kernel's retry-backoff jitter stream. A fixed constant so
 /// two kernels running the same workload under the same fault plan back
@@ -240,9 +239,6 @@ pub struct Kernel {
     /// sleds table is recalibrated, without the cache or lease layers
     /// knowing recalibration exists.
     sleds_epoch: u64,
-    /// Retry policy applied to failed device commands, per device class
-    /// (indexed by `class_code`).
-    retry_policies: [RetryPolicy; NUM_CLASSES],
     /// Jitter stream for retry backoff; only consumed when a command
     /// actually fails, so fault-free runs never draw from it.
     retry_rng: DetRng,
@@ -315,7 +311,6 @@ impl Kernel {
             root,
             tracer: Tracer::disabled(),
             sleds_epoch: 0,
-            retry_policies: [RetryPolicy::default(); NUM_CLASSES],
             retry_rng: DetRng::new(RETRY_JITTER_SEED),
             fd_progs: BTreeMap::new(),
             ring_enters: 0,
@@ -653,7 +648,7 @@ impl Kernel {
             devices.push(DeviceSaturation {
                 device: i,
                 name: self.devices[i].name().to_string(),
-                class_code: class_code(self.devices[i].class()),
+                class_code: self.devices[i].class().code(),
                 window_ns: q.window_ns(),
                 busy_ns: busy,
                 queue_wait_ns: q.queue_wait_ns(),
@@ -751,7 +746,7 @@ impl Kernel {
             now,
             fd.0,
             predicted.as_nanos(),
-            class_code(class),
+            class.code(),
             table_generation,
         );
         Ok(())
@@ -762,7 +757,7 @@ impl Kernel {
     /// file. Pure query: charges nothing.
     pub fn serving_class_code(&self, fd: Fd) -> SimResult<u64> {
         let of = self.openfile(fd)?;
-        Ok(class_code(self.serving_class_of(of.ino)?))
+        Ok(self.serving_class_of(of.ino)?.code())
     }
 
     /// The device class that would serve a cold read of this file: the tape
@@ -784,60 +779,6 @@ impl Kernel {
             }
         }
         Ok(self.devices[self.mounts[mount.0].dev.0].class())
-    }
-
-    /// Emits a device-command span: queue wait (when nonzero) followed by
-    /// the device's own phase breakdown (seek/rotation/transfer,
-    /// locate/stream, rpc/link, ...) as children. `ts` is the submission
-    /// instant; the span covers `qwait + dur`.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_device(
-        &mut self,
-        dev: DeviceId,
-        write: bool,
-        ts: SimTime,
-        qwait: SimDuration,
-        dur: SimDuration,
-        sector: u64,
-        sectors: u64,
-    ) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let d = &self.devices[dev.0];
-        let class = d.class();
-        let phases: Vec<(&'static str, SimDuration)> = d
-            .last_phases()
-            .iter()
-            .map(|p| (p.kind.label(), p.dur))
-            .collect();
-        // Time the device spent actually moving data, as opposed to
-        // positioning for it — the first-byte/bandwidth split the
-        // recalibrator rebuilds SLED rows from.
-        let transfer_ns: u64 = d
-            .last_phases()
-            .iter()
-            .filter(|p| {
-                matches!(
-                    p.kind,
-                    PhaseKind::Transfer | PhaseKind::Stream | PhaseKind::Link
-                )
-            })
-            .map(|p| p.dur.as_nanos())
-            .sum();
-        self.tracer.device(
-            class_code(class),
-            device_event_name(class, write),
-            write,
-            ts,
-            qwait,
-            dur,
-            sector,
-            sectors,
-            sectors * SECTOR_SIZE,
-            transfer_ns,
-            &phases,
-        );
     }
 
     /// Per-device counters.
@@ -880,12 +821,14 @@ impl Kernel {
     }
 
     /// Raw (uncached) device read, bypassing the file system — the kind of
-    /// access lmbench's device probes perform. Charges the I/O time.
+    /// access lmbench's device probes perform. Charges the I/O time, outside
+    /// any syscall, so it poisons an armed capture.
     pub fn raw_device_read(&mut self, dev: DeviceId, sector: u64, sectors: u64) -> SimResult<()> {
+        self.rec_unsupported("raw_device_read");
         if dev.0 >= self.devices.len() {
             return Err(SimError::new(Errno::Einval, format!("no device {dev:?}")));
         }
-        self.device_command(dev, sector, sectors, false).map(|_| ())
+        self.device_command(dev, sector, sectors, false)
     }
 
     // ------------------------------------------------------------------
@@ -910,20 +853,9 @@ impl Kernel {
         self.devices.get(dev.0).map(|d| d.fault_state(now))
     }
 
-    /// Sets the retry policy applied to failed commands on `class` devices.
-    pub fn set_retry_policy(&mut self, class: DeviceClass, policy: RetryPolicy) {
-        self.retry_policies[class_code(class) as usize] = policy;
-    }
-
-    /// The retry policy in force for `class` devices.
-    pub fn retry_policy(&self, class: DeviceClass) -> RetryPolicy {
-        self.retry_policies[class_code(class) as usize]
-    }
-
-    /// Issues one device command under the device class's [`RetryPolicy`].
-    ///
-    /// A command failed by an injected fault still occupied the bus: its
-    /// recorded fault phase is charged as I/O wait either way. Errors the
+    /// Issues one device command under the default [`RetryPolicy`]: the
+    /// retry loop over [`Kernel::submit`], which has already charged an
+    /// attempt failed by an injected fault (it held the bus). Errors the
     /// policy deems transient are reissued after an exponentially growing,
     /// deterministically jittered backoff on the virtual clock — mirrored
     /// into `io_retries`/`retry_backoff` in rusage and `io.retry` trace
@@ -937,111 +869,36 @@ impl Kernel {
         sector: u64,
         sectors: u64,
         write: bool,
-    ) -> SimResult<SimDuration> {
-        let class = self.devices[dev.0].class();
-        let policy = self.retry_policies[class_code(class) as usize];
-        let tenant = self.active_tenant as u64;
+    ) -> SimResult<()> {
+        let policy = RetryPolicy::default();
         let first_try = self.clock.now();
         let mut attempt = 0u32;
         // Bounded: exits by `policy.max_attempts` or the policy timeout.
         loop {
             attempt += 1;
-            let now = self.clock.now();
-            // FIFO command queue: the device services commands in
-            // submission order, so this command starts when the device
-            // falls idle. In a single-tenant run the caller's clock has
-            // always advanced past the previous completion and the wait
-            // is zero; interleaved tenant timelines make it real. The
-            // device sees the (monotone) service start, never the wait.
-            let qwait = self.queues[dev.0].queue_wait(now);
-            let start = now + qwait;
-            let r = if write {
-                self.devices[dev.0].write(sector, sectors, start)
-            } else {
-                self.devices[dev.0].read(sector, sectors, start)
+            let err = match self.submit(dev, sector, sectors, write, attempt, Wait::Serial) {
+                Attempt::Served(_) => return Ok(()),
+                Attempt::Refused(err) => return Err(err),
+                Attempt::Faulted(err) if !RetryPolicy::retryable(err.errno) => return Err(err),
+                Attempt::Faulted(err) => err,
             };
-            let err = match r {
-                Ok(t) => {
-                    self.queues[dev.0].note_command(tenant, now, qwait, t, sectors * SECTOR_SIZE);
-                    if let Some(rec) = self.recorder.as_mut() {
-                        rec.note_device(
-                            class_code(class),
-                            qwait.as_nanos(),
-                            t.as_nanos(),
-                            sectors * SECTOR_SIZE,
-                        );
-                    }
-                    self.charge_queue_wait(qwait);
-                    self.charge_io(t);
-                    self.trace_device(dev, write, now, qwait, t, sector, sectors);
-                    if write {
-                        self.usage.device_writes += 1;
-                    } else {
-                        self.usage.device_reads += 1;
-                    }
-                    return Ok(t);
-                }
-                Err(e) => e,
-            };
-            // Injected faults leave exactly one Fault phase behind; any
-            // other error (bounds, read-only media) fails before the
-            // device moves and costs no device time. Both conditions are
-            // checked because a bounds error can follow an injected one
-            // with the stale Fault phase still recorded.
-            let cost = match self.devices[dev.0].last_phases() {
-                [p] if p.kind == PhaseKind::Fault && err.context.ends_with("injected fault") => {
-                    p.dur
-                }
-                _ => SimDuration::ZERO,
-            };
-            if cost.is_zero() {
-                return Err(err);
-            }
-            // The faulted attempt occupied the device too: it queued like
-            // any command and held the bus for its fault phase.
-            self.queues[dev.0].note_command(tenant, now, qwait, cost, 0);
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.note_device(class_code(class), qwait.as_nanos(), cost.as_nanos(), 0);
-            }
-            self.charge_queue_wait(qwait);
-            self.charge_io(cost);
-            let t_fail = self.clock.now();
-            self.tracer.fault_inject(
-                t_fail,
-                class_code(class),
-                u64::from(attempt),
-                cost.as_nanos(),
-            );
-            if !RetryPolicy::retryable(err.errno) {
-                return Err(err);
-            }
+            let name = self.devices[dev.0].name();
             if attempt >= policy.max_attempts {
-                return Err(SimError::new(
-                    Errno::Eio,
-                    format!(
-                        "{}: gave up after {} attempts ({err})",
-                        self.devices[dev.0].name(),
-                        policy.max_attempts,
-                    ),
-                ));
+                let tries = policy.max_attempts;
+                let why = format!("{name}: gave up after {tries} attempts ({err})");
+                return Err(SimError::new(Errno::Eio, why));
             }
-            if t_fail.duration_since(first_try) >= policy.timeout {
-                return Err(SimError::new(
-                    Errno::Etimedout,
-                    format!("{}: retries timed out ({err})", self.devices[dev.0].name()),
-                ));
+            if self.clock.now().duration_since(first_try) >= policy.timeout {
+                let why = format!("{name}: retries timed out ({err})");
+                return Err(SimError::new(Errno::Etimedout, why));
             }
             let backoff = policy.backoff_for(attempt, &mut self.retry_rng);
             self.charge_io(backoff);
             self.usage.io_retries += 1;
             self.usage.retry_backoff = self.usage.retry_backoff.saturating_add(backoff);
-            let t_retry = self.clock.now();
-            self.tracer.io_retry(
-                t_retry,
-                class_code(class),
-                u64::from(attempt),
-                backoff.as_nanos(),
-            );
+            let class = self.devices[dev.0].class().code();
+            let (now, nth) = (self.clock.now(), u64::from(attempt));
+            self.tracer.io_retry(now, class, nth, backoff.as_nanos());
         }
     }
 
@@ -1088,9 +945,7 @@ impl Kernel {
     }
 
     fn charge_memcpy(&mut self, bytes: u64) {
-        let d = self.cfg.mem_latency + self.cfg.mem_bandwidth.transfer_time(bytes);
-        self.clock.advance(d);
-        self.usage.cpu += d;
+        self.charge_cpu(self.cfg.mem_latency + self.cfg.mem_bandwidth.transfer_time(bytes));
     }
 
     pub(crate) fn charge_io(&mut self, d: SimDuration) {
@@ -1102,9 +957,6 @@ impl Kernel {
     /// also mirrored into its own rusage column so tenants can see how
     /// much of their I/O time was spent behind other tenants.
     fn charge_queue_wait(&mut self, d: SimDuration) {
-        if d.is_zero() {
-            return;
-        }
         self.charge_io(d);
         self.usage.queue_wait = self.usage.queue_wait.saturating_add(d);
     }
@@ -1800,9 +1652,7 @@ impl Kernel {
             self.tracer.cache_miss(now, run_start, run_len, ino.0);
             self.redundant_read(ino, start_place, run_start, run_len + ra_len)?;
             self.usage.major_faults += run_len;
-            let fault_cpu = SimDuration::from_nanos(self.cfg.fault_cpu.as_nanos() * run_len);
-            self.clock.advance(fault_cpu);
-            self.usage.cpu += fault_cpu;
+            self.charge_cpu(self.cfg.fault_cpu * run_len);
             for i in 0..run_len + ra_len {
                 self.cache_insert(PageKey::new(ino.0, run_start + i), false)?;
             }
@@ -1963,9 +1813,7 @@ impl Kernel {
         match self.volume_of(ino) {
             Some(VolumeLayout::Mirrored) => self.mirrored_read(ino, primary, first_page, pages),
             Some(VolumeLayout::Coded { k }) => self.coded_read(ino, primary, first_page, pages, k),
-            _ => self
-                .device_command(primary.dev, primary.sector, pages * SECTORS_PER_PAGE, false)
-                .map(|_| ()),
+            _ => self.device_command(primary.dev, primary.sector, pages * SECTORS_PER_PAGE, false),
         }
     }
 
@@ -2036,33 +1884,16 @@ impl Kernel {
             }
         }
         let winner = contenders[winner_at];
-        let tenant = self.active_tenant as u64;
-        let winner_class = class_code(self.devices[winner.1 .0].class());
-        for (i, &(_, dev, _)) in contenders.iter().enumerate() {
+        let winner_class = self.devices[winner.1 .0].class().code();
+        for (i, &(_, dev, sector)) in contenders.iter().enumerate() {
             if i == winner_at {
                 continue;
             }
-            // The loser is revoked: it holds its queue's tail for the
-            // cancel cost, the caller pays that cost as explicit hedge
-            // overhead, and attribution stays exact (the cancel is an
-            // ordinary zero-byte occupancy row).
-            let t_hedge = self.clock.now();
-            let loser_class = class_code(self.devices[dev.0].class());
-            self.queues[dev.0].note_cancel(tenant, t_hedge, policy.cancel_cost);
-            if let Some(rec) = self.recorder.as_mut() {
-                rec.note_hedge();
-                rec.note_device(loser_class, 0, policy.cancel_cost.as_nanos(), 0);
-            }
-            self.charge_io(policy.cancel_cost);
-            self.usage.hedges += 1;
-            self.usage.hedge_wait = self.usage.hedge_wait.saturating_add(policy.cancel_cost);
-            let t_mark = self.clock.now();
-            self.tracer.io_hedge(
-                t_mark,
-                winner_class,
-                loser_class,
-                policy.cancel_cost.as_nanos(),
-            );
+            // The loser is issued and revoked: `CostOutcome::Cancelled`.
+            let loser = self
+                .cost_at_submit(dev, sector, sectors)
+                .hedge_loser(policy.cancel_cost, winner_class);
+            self.post(&loser);
         }
         if winner.0 != chosen.0 {
             self.usage.hedge_wins += 1;
@@ -2105,10 +1936,10 @@ impl Kernel {
         let frag_sectors = (pages * SECTORS_PER_PAGE).div_ceil(k as u64);
         let frag_bytes = frag_sectors * SECTOR_SIZE;
         let cands = self.replica_candidates(ino, primary, first_page)?;
-        let tenant = self.active_tenant as u64;
-        let mut excluded: Vec<usize> = Vec::new();
-        // Completed fragments survive re-picks: (member, completion, qwait).
-        let mut done: Vec<(usize, SimTime, SimDuration)> = Vec::new();
+        // Members already used: served (their events are in `done`, and
+        // survive re-picks) or excluded by a fault.
+        let mut used: Vec<usize> = Vec::new();
+        let mut done: Vec<DeviceCost> = Vec::new();
         // Bounded: every pass either finishes the k fragments or excludes
         // one more member, and members are finite.
         while done.len() < k {
@@ -2117,19 +1948,14 @@ impl Kernel {
                 .iter()
                 .copied()
                 .filter(|&(m, dev, _)| {
-                    !excluded.contains(&m)
-                        && !done.iter().any(|&(dm, _, _)| dm == m)
+                    !used.contains(&m)
                         && !matches!(self.devices[dev.0].fault_state(now), FaultState::Offline)
                 })
                 .collect();
-            if avail.len() + done.len() < k {
-                return Err(SimError::new(
-                    Errno::Eio,
-                    format!(
-                        "coded volume: only {} of {k} fragments available",
-                        avail.len() + done.len()
-                    ),
-                ));
+            let have = avail.len() + done.len();
+            if have < k {
+                let why = format!("coded volume: only {have} of {k} fragments available");
+                return Err(SimError::new(Errno::Eio, why));
             }
             avail.sort_by(|a, b| {
                 self.predicted_completion(a.1, frag_bytes, now)
@@ -2138,78 +1964,23 @@ impl Kernel {
             });
             let need = k - done.len();
             for &(m, dev, sector) in avail.iter().take(need) {
-                let class = class_code(self.devices[dev.0].class());
-                let qwait = self.queues[dev.0].queue_wait(now);
-                let start = now + qwait;
-                match self.devices[dev.0].read(sector, frag_sectors, start) {
-                    Ok(t) => {
-                        self.queues[dev.0].note_command(
-                            tenant,
-                            now,
-                            qwait,
-                            t,
-                            frag_sectors * SECTOR_SIZE,
-                        );
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.note_device(
-                                class,
-                                qwait.as_nanos(),
-                                t.as_nanos(),
-                                frag_sectors * SECTOR_SIZE,
-                            );
-                        }
-                        self.trace_device(dev, false, now, qwait, t, sector, frag_sectors);
-                        self.usage.device_reads += 1;
-                        done.push((m, start + t, qwait));
-                    }
-                    Err(err) => {
-                        let cost = match self.devices[dev.0].last_phases() {
-                            [p] if p.kind == PhaseKind::Fault
-                                && err.context.ends_with("injected fault") =>
-                            {
-                                p.dur
-                            }
-                            _ => SimDuration::ZERO,
-                        };
-                        if cost.is_zero() {
-                            return Err(err);
-                        }
-                        // The faulted fragment still occupied its queue;
-                        // the caller pays serially, then the member is
-                        // excluded and the pick repeated.
-                        self.queues[dev.0].note_command(tenant, now, qwait, cost, 0);
-                        if let Some(rec) = self.recorder.as_mut() {
-                            rec.note_device(class, qwait.as_nanos(), cost.as_nanos(), 0);
-                        }
-                        self.charge_queue_wait(qwait);
-                        self.charge_io(cost);
-                        let t_fail = self.clock.now();
-                        self.tracer.fault_inject(t_fail, class, 1, cost.as_nanos());
-                        excluded.push(m);
-                        break;
-                    }
+                used.push(m);
+                match self.submit(dev, sector, frag_sectors, false, 1, Wait::Overlapped) {
+                    Attempt::Served(ev) => done.push(ev),
+                    Attempt::Refused(err) => return Err(err),
+                    // Posted and paid for serially like any faulted attempt;
+                    // the member stays excluded and the pick is repeated.
+                    Attempt::Faulted(_) => break,
                 }
             }
         }
         // Charge to the straggler: the fan-out completes when its slowest
-        // chosen fragment does. Split the straggler's own queue wait out
-        // of the I/O charge so queue-wait accounting stays meaningful.
-        let mut target = SimTime::ZERO;
-        let mut straggler_qwait = SimDuration::ZERO;
-        for &(_, complete, q) in &done {
-            if complete > target {
-                target = complete;
-                straggler_qwait = q;
-            }
-        }
-        let now = self.clock.now();
-        if target > now {
-            let gap = target - now;
-            let qpart = if straggler_qwait < gap {
-                straggler_qwait
-            } else {
-                gap
-            };
+        // chosen fragment does (the first such, on a tie). Split the
+        // straggler's own queue wait out of the I/O charge so queue-wait
+        // accounting stays meaningful.
+        if let Some(ev) = done.iter().rev().max_by_key(|ev| ev.complete()) {
+            let gap = ev.complete().duration_since(self.clock.now());
+            let qpart = ev.queue_wait.min(gap);
             self.charge_queue_wait(qpart);
             self.charge_io(gap - qpart);
         }
@@ -2404,8 +2175,7 @@ impl Kernel {
         let now = self.clock.now();
         self.tracer.cache_writeback(now, key.index, key.inode);
         if extras.is_empty() {
-            self.device_command(place.dev, place.sector, frag_sectors, true)?;
-            return Ok(());
+            return self.device_command(place.dev, place.sector, frag_sectors, true);
         }
         // Redundant volume: write every member's copy/fragment, but
         // tolerate member failures while enough copies land (one for a
@@ -2438,9 +2208,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     fn charge_page_walk(&mut self, extents: u64, pages: u64) {
-        let walk = self.cfg.page_walk_cost(extents, pages);
-        self.clock.advance(walk);
-        self.usage.cpu += walk;
+        self.charge_cpu(self.cfg.page_walk_cost(extents, pages));
     }
 
     /// The residency walk itself: merges the cache's resident extents with
@@ -2949,9 +2717,7 @@ impl Kernel {
             // The old implementation cloned the per-page map; reproduce that
             // allocation by expanding the runs.
             let places: Vec<PagePlace> = (0..n).filter_map(|p| f.pages.place_of(p)).collect();
-            let walk = k.cfg.page_walk_cost_per_page(n);
-            k.clock.advance(walk);
-            k.usage.cpu += walk;
+            k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
             let mut out = Vec::with_capacity(n as usize);
             for (i, place) in places.iter().enumerate().take(n as usize) {
                 if k.cache.contains(PageKey::new(of.ino.0, i as u64)) {
@@ -3013,9 +2779,7 @@ impl Kernel {
                 .page_count();
             // Ranks are genuinely per-page (each is an independent policy
             // query), so this walk keeps the per-page cost.
-            let walk = k.cfg.page_walk_cost_per_page(n);
-            k.clock.advance(walk);
-            k.usage.cpu += walk;
+            k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
             Ok((0..n)
                 .map(|i| k.cache.eviction_rank(PageKey::new(of.ino.0, i)))
                 .collect())
@@ -3404,18 +3168,6 @@ impl Kernel {
         for d in &mut self.devices {
             d.reset_stats();
         }
-    }
-}
-
-/// The device-class code carried in trace-event args; decoded for display
-/// by `sleds_trace::class_label`.
-fn class_code(class: DeviceClass) -> u64 {
-    match class {
-        DeviceClass::Memory => 0,
-        DeviceClass::Disk => 1,
-        DeviceClass::CdRom => 2,
-        DeviceClass::Network => 3,
-        DeviceClass::Tape => 4,
     }
 }
 

@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, VecDeque};
 use sleds_sim_core::stats::LogHistogram;
 use sleds_sim_core::time::NANOS_PER_SEC;
 use sleds_sim_core::{SimDuration, SimTime};
+use sleds_trace::DeviceCost;
 
 /// Occupancy segments and depth samples retained per device queue
 /// (drop-oldest beyond this).
@@ -145,20 +146,21 @@ impl CmdQueue {
         self.busy_until.duration_since(now)
     }
 
-    /// Records one completed command: submitted at `now`, waited `qwait`,
-    /// serviced for `service`, moved `bytes`. Updates occupancy, samples,
-    /// per-tenant load, and attributes the wait to the tenants whose
-    /// retained occupancy segments it overlapped (any portion older than
-    /// the retained history goes to the oldest retained owner, so the
-    /// attribution still sums exactly to the total wait).
-    pub fn note_command(
-        &mut self,
-        tenant: u64,
-        now: SimTime,
-        qwait: SimDuration,
-        service: SimDuration,
-        bytes: u64,
-    ) {
+    /// Records one occupancy: submitted at `ev.submit`, waited
+    /// `ev.queue_wait`, held the device for `ev.service`, moved `ev.bytes`.
+    /// Updates occupancy, samples, per-tenant load, and attributes the
+    /// wait to the tenants whose retained occupancy segments it overlapped
+    /// (any portion older than the retained history goes to the oldest
+    /// retained owner, so the attribution still sums exactly to the total
+    /// wait).
+    pub fn note_command(&mut self, ev: &DeviceCost) {
+        self.occupy(ev);
+    }
+
+    /// The fold behind both entry points: one occupancy segment.
+    fn occupy(&mut self, ev: &DeviceCost) {
+        let (tenant, now, qwait, service, bytes) =
+            (ev.tenant, ev.submit, ev.queue_wait, ev.service, ev.bytes);
         if self.first_submit.is_none() {
             self.first_submit = Some(now);
         }
@@ -232,19 +234,18 @@ impl CmdQueue {
     }
 
     /// Records a hedged command revoked before full service: it holds the
-    /// queue *tail* for exactly `cost` (the issue-and-revoke overhead) and
-    /// moves no bytes. Modeled as an ordinary zero-wait occupancy segment
-    /// at the tail instant, so `busy_until` stays monotone and both the
-    /// per-segment wait attribution and the per-tenant conservation law
-    /// (`own_service + queue_wait == observed`) hold by construction.
-    pub fn note_cancel(&mut self, tenant: u64, now: SimTime, cost: SimDuration) {
+    /// queue *tail* for exactly `ev.service` (the issue-and-revoke
+    /// overhead) and moves no bytes. Modeled as an ordinary zero-wait
+    /// occupancy segment at the tail instant, so `busy_until` stays
+    /// monotone and both the per-segment wait attribution and the
+    /// per-tenant conservation law (`own_service + queue_wait == observed`)
+    /// hold by construction.
+    pub fn note_cancel(&mut self, ev: &DeviceCost) {
         self.cancels += 1;
-        let tail = if self.busy_until > now {
-            self.busy_until
-        } else {
-            now
-        };
-        self.note_command(tenant, tail, SimDuration::ZERO, cost, 0);
+        self.occupy(&DeviceCost {
+            submit: self.busy_until.max(ev.submit),
+            ..*ev
+        });
     }
 
     /// Hedged commands revoked on this queue.
@@ -493,11 +494,30 @@ mod tests {
         SimTime::from_nanos(n)
     }
 
+    /// `tenant`'s command submitted at `submit`: waits `queue_wait`, holds
+    /// the device for `service`, moves `bytes`.
+    fn cmd(
+        tenant: u64,
+        submit: SimTime,
+        queue_wait: SimDuration,
+        service: SimDuration,
+        bytes: u64,
+    ) -> DeviceCost {
+        DeviceCost {
+            tenant,
+            submit,
+            queue_wait,
+            service,
+            bytes,
+            ..DeviceCost::default()
+        }
+    }
+
     #[test]
     fn idle_device_has_no_wait() {
         let mut q = CmdQueue::new(8);
         assert!(q.queue_wait(at(0)).is_zero());
-        q.note_command(0, at(0), ns(0), ns(100), 512);
+        q.note_command(&cmd(0, at(0), ns(0), ns(100), 512));
         // The caller's clock has advanced past completion, as in any
         // single-tenant run: still no wait.
         assert!(q.queue_wait(at(100)).is_zero());
@@ -510,11 +530,11 @@ mod tests {
     fn wait_is_attributed_to_the_occupying_tenant() {
         let mut q = CmdQueue::new(8);
         // Tenant 1 holds the device for [0, 100).
-        q.note_command(1, at(0), ns(0), ns(100), 512);
+        q.note_command(&cmd(1, at(0), ns(0), ns(100), 512));
         // Tenant 2 arrives at 40, waits 60 behind tenant 1.
         let w = q.queue_wait(at(40));
         assert_eq!(w.as_nanos(), 60);
-        q.note_command(2, at(40), w, ns(50), 512);
+        q.note_command(&cmd(2, at(40), w, ns(50), 512));
         assert_eq!(q.busy_until(), at(150));
         assert_eq!(q.queue_wait_ns(), 60);
         let waits: Vec<_> = q.wait_rows().collect();
@@ -529,14 +549,15 @@ mod tests {
     #[test]
     fn wait_spanning_two_owners_splits_exactly() {
         let mut q = CmdQueue::new(8);
-        q.note_command(1, at(0), ns(0), ns(100), 0); // [0,100) owner 1
+        q.note_command(&cmd(1, at(0), ns(0), ns(100), 0)); // [0,100) owner 1
         let w2 = q.queue_wait(at(100));
         assert!(w2.is_zero());
-        q.note_command(2, at(100), w2, ns(50), 0); // [100,150) owner 2
-                                                   // Tenant 3 arrives at 30: waits 120 = 70 behind 1 + 50 behind 2.
+        q.note_command(&cmd(2, at(100), w2, ns(50), 0)); // [100,150) owner 2
+
+        // Tenant 3 arrives at 30: waits 120 = 70 behind 1 + 50 behind 2.
         let w3 = q.queue_wait(at(30));
         assert_eq!(w3.as_nanos(), 120);
-        q.note_command(3, at(30), w3, ns(10), 0);
+        q.note_command(&cmd(3, at(30), w3, ns(10), 0));
         let waits: Vec<_> = q.wait_rows().collect();
         assert_eq!(waits, vec![((3, 1), 70), ((3, 2), 50)]);
         // Attribution sums exactly to the total wait.
@@ -547,11 +568,11 @@ mod tests {
     #[test]
     fn dropped_history_still_sums_exactly() {
         let mut q = CmdQueue::new(1); // retain only the newest segment
-        q.note_command(1, at(0), ns(0), ns(100), 0);
-        q.note_command(2, at(100), ns(0), ns(100), 0); // drops owner 1's segment
+        q.note_command(&cmd(1, at(0), ns(0), ns(100), 0));
+        q.note_command(&cmd(2, at(100), ns(0), ns(100), 0)); // drops owner 1's segment
         let w = q.queue_wait(at(10));
         assert_eq!(w.as_nanos(), 190);
-        q.note_command(3, at(10), w, ns(5), 0);
+        q.note_command(&cmd(3, at(10), w, ns(5), 0));
         // [100,200) is retained (owner 2); the [10,100) remainder is
         // charged to the oldest retained owner — still tenant 2 here.
         let total: u64 = q.wait_rows().map(|(_, v)| v).sum();
@@ -565,7 +586,7 @@ mod tests {
         let mut now = at(0);
         for i in 0..10u64 {
             let w = q.queue_wait(now);
-            q.note_command(i % 3, now, w, ns(100), 64);
+            q.note_command(&cmd(i % 3, now, w, ns(100), 64));
             now += ns(10); // arrivals outpace service: depth grows
         }
         assert!(q.samples().count() <= 4);
@@ -576,9 +597,9 @@ mod tests {
     #[test]
     fn utilization_and_throughput_are_integer_exact() {
         let mut q = CmdQueue::new(8);
-        q.note_command(0, at(0), ns(0), ns(400), 4_000);
+        q.note_command(&cmd(0, at(0), ns(0), ns(400), 4_000));
         // Window [0,1000): second command at 600 (idle 200 in between).
-        q.note_command(0, at(600), ns(0), ns(400), 4_000);
+        q.note_command(&cmd(0, at(600), ns(0), ns(400), 4_000));
         assert_eq!(q.window_ns(), 1_000);
         assert_eq!(q.busy_ns(), 800);
         assert_eq!(q.utilization_ppm(), 800_000);
@@ -588,7 +609,7 @@ mod tests {
     #[test]
     fn reset_keeps_occupancy_but_clears_telemetry() {
         let mut q = CmdQueue::new(8);
-        q.note_command(0, at(0), ns(0), ns(100), 512);
+        q.note_command(&cmd(0, at(0), ns(0), ns(100), 512));
         q.reset_telemetry();
         assert_eq!(q.commands(), 0);
         assert_eq!(q.busy_ns(), 0);

@@ -298,6 +298,12 @@ const UNRECORDABLE: &[Unrecordable] = &[
         // `stat` above is captured; only the setup mutation poisons.
         k.set_fragmentation(m, 4, 2, 1);
     }),
+    ("raw_device_read", |k, _| {
+        let dev = k.stat("/d").unwrap().dev.unwrap();
+        // `stat` above is captured; the raw read charges I/O outside any
+        // syscall, which replay would mistake for think time.
+        k.raw_device_read(dev, 0, 8).unwrap();
+    }),
     ("drop_caches", |k, _| drop(k.drop_caches())),
     ("hsm_migrate", |k, _| drop(k.hsm_migrate("/d/f", true))),
     ("install_file", |k, _| drop(k.install_file("/d/g", b"x"))),

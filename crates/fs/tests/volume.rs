@@ -5,7 +5,7 @@
 
 use sleds_devices::{DiskDevice, FaultPlan};
 use sleds_fs::{
-    HedgePolicy, JobReport, Kernel, MountId, OpenFlags, PageLocation, VolumeLayout,
+    HedgePolicy, JobReport, Kernel, MountId, OpenFlags, PageLocation, Rusage, VolumeLayout,
     SECTORS_PER_PAGE,
 };
 use sleds_sim_core::{SimDuration, SimTime, PAGE_SIZE};
@@ -288,3 +288,129 @@ fn redundant_extents_describe_the_volume_shape() {
     }
     k.close(fd).unwrap();
 }
+
+/// Pins `coded_read`'s own fault arm: a *transient* fault on a live
+/// fragment (offline members are filtered before selection and never
+/// reach it). Two tenants so the faulted fragment also carries a real
+/// queue wait. Every constant below was recorded at the commit before
+/// the accounting spine replaced the hand-written fan-out.
+#[test]
+fn coded_read_repicks_past_a_transient_fragment_fault() {
+    let pages = 8usize;
+    let mut k = Kernel::table2();
+    let m = volume_with_file(&mut k, VolumeLayout::Coded { k: 2 }, 3, pages);
+    let members = k.volume_members(m);
+    let a = k.tenant_register("a");
+    let b = k.tenant_register("b");
+    // The first two submissions to vd0 fail with EAGAIN after 2 ms each.
+    k.apply_fault_plan(&FaultPlan::new().transient(
+        "vd0",
+        SimTime::ZERO,
+        SimTime::from_nanos(u64::MAX),
+        2,
+        SimDuration::from_millis(2),
+    ));
+    k.enable_tracing();
+    let before = k.usage();
+    for (t, first) in [(a, 0u64), (b, 4)] {
+        k.tenant_switch(t).unwrap();
+        let fd = k.open("/vol/f", OpenFlags::RDONLY).unwrap();
+        let data = k
+            .pread(fd, first * PAGE_SIZE, 4 * PAGE_SIZE as usize)
+            .expect("a transient fragment fault must re-pick, not error");
+        assert_eq!(data[0], first as u8);
+        k.close(fd).unwrap();
+    }
+    let u = k.usage().since(&before);
+    let queues: Vec<(u64, u64, u64)> = members
+        .iter()
+        .map(|&d| {
+            let q = k.device_queue(d).unwrap();
+            (q.commands(), q.busy_ns(), q.queue_wait_ns())
+        })
+        .collect();
+    let events: Vec<String> = k
+        .trace_events()
+        .iter()
+        .map(|e| {
+            format!(
+                "{} {:?} {} @{}+{} {:?}",
+                e.tenant,
+                e.phase,
+                e.name,
+                e.ts.as_nanos(),
+                e.dur.as_nanos(),
+                e.args
+            )
+        })
+        .collect();
+    assert_eq!(
+        u,
+        Rusage {
+            cpu: SimDuration::from_nanos(729_016),
+            io_wait: SimDuration::from_nanos(33_303_331),
+            major_faults: 8,
+            syscalls: 6,
+            syscall_crossings: 6,
+            bytes_read: 32_768,
+            device_reads: 4,
+            queue_wait: SimDuration::from_nanos(8_412_349),
+            ..Rusage::default()
+        }
+    );
+    assert_eq!(k.tenant_now(a).unwrap().as_nanos(), 10_781_857);
+    assert_eq!(k.tenant_now(b).unwrap().as_nanos(), 23_260_490);
+    // (commands, busy_ns, queue_wait_ns) per member: vd0 only ever holds
+    // the two 2 ms faulted attempts, the second queued behind the first.
+    assert_eq!(
+        queues,
+        [
+            (2, 4_000_000, 2_000_000),
+            (2, 20_890_982, 6_412_349),
+            (2, 20_890_982, 6_412_349)
+        ]
+    );
+    assert_eq!(events, REPICK_TRACE);
+}
+
+/// `tenant phase name @ts+dur args` of every event the re-pick test emits.
+const REPICK_TRACE: [&str; 38] = [
+    "1 Begin open @5000+0 [0, 0, 0]",
+    "1 End open @10000+5000 [0, 0, 0]",
+    "1 Begin pread @10000+0 [3, 16384, 0]",
+    "1 Mark cache.miss @15000+0 [0, 4, 3]",
+    "1 Mark fault.inject @2015000+0 [1, 1, 2000000]",
+    "1 Complete disk.read @2015000+8412349 [2048, 16, 1]",
+    "1 Complete overhead @2015000+200000 [2048, 0, 1]",
+    "1 Complete seek @2215000+1800000 [2048, 0, 1]",
+    "1 Complete rotation @4015000+5728589 [2048, 0, 1]",
+    "1 Complete transfer @9743589+683760 [2048, 0, 1]",
+    "1 Complete disk.read @2015000+8412349 [2048, 16, 1]",
+    "1 Complete overhead @2015000+200000 [2048, 0, 1]",
+    "1 Complete seek @2215000+1800000 [2048, 0, 1]",
+    "1 Complete rotation @4015000+5728589 [2048, 0, 1]",
+    "1 Complete transfer @9743589+683760 [2048, 0, 1]",
+    "1 End pread @10776857+10766857 [3, 16384, 0]",
+    "1 Begin close @10776857+0 [3, 0, 0]",
+    "1 End close @10781857+5000 [3, 0, 0]",
+    "2 Begin open @5000+0 [0, 0, 0]",
+    "2 End open @10000+5000 [0, 0, 0]",
+    "2 Begin pread @10000+0 [4, 16384, 16384]",
+    "2 Mark cache.miss @15000+0 [4, 4, 3]",
+    "2 Mark fault.inject @4015000+0 [1, 1, 2000000]",
+    "2 Complete disk.read @4015000+18890982 [2080, 16, 1]",
+    "2 Complete queue_wait @4015000+6412349 [2080, 0, 1]",
+    "2 Complete overhead @10427349+200000 [2080, 0, 1]",
+    "2 Complete seek @10627349+1800000 [2080, 0, 1]",
+    "2 Complete rotation @12427349+9794873 [2080, 0, 1]",
+    "2 Complete transfer @22222222+683760 [2080, 0, 1]",
+    "2 Complete disk.read @4015000+18890982 [2080, 16, 1]",
+    "2 Complete queue_wait @4015000+6412349 [2080, 0, 1]",
+    "2 Complete overhead @10427349+200000 [2080, 0, 1]",
+    "2 Complete seek @10627349+1800000 [2080, 0, 1]",
+    "2 Complete rotation @12427349+9794873 [2080, 0, 1]",
+    "2 Complete transfer @22222222+683760 [2080, 0, 1]",
+    "2 End pread @23255490+23245490 [4, 16384, 16384]",
+    "2 Begin close @23255490+0 [4, 0, 0]",
+    "2 End close @23260490+5000 [4, 0, 0]",
+];

@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use crate::time::SimDuration;
+
 /// Unix-style error numbers returned by simulated syscalls.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 #[non_exhaustive]
@@ -119,6 +121,8 @@ pub struct SimError {
     pub errno: Errno,
     /// Where the error arose (syscall or component name) and any detail.
     pub context: String,
+    /// Device time an injected fault burned before failing the command.
+    fault_cost: Option<SimDuration>,
 }
 
 impl SimError {
@@ -127,7 +131,24 @@ impl SimError {
         SimError {
             errno,
             context: context.into(),
+            fault_cost: None,
         }
+    }
+
+    /// An error produced by fault injection: the command failed after the
+    /// device had already spent `cost` on it.
+    pub fn injected(errno: Errno, context: impl Into<String>, cost: SimDuration) -> Self {
+        SimError {
+            fault_cost: Some(cost),
+            ..SimError::new(errno, context)
+        }
+    }
+
+    /// `Some(cost)` exactly when a fault injector failed the command, with
+    /// the device time the failed submission consumed; `None` for every
+    /// error raised before the device moved (bounds, read-only media, ...).
+    pub fn fault_cost(&self) -> Option<SimDuration> {
+        self.fault_cost
     }
 }
 
@@ -145,10 +166,7 @@ impl std::error::Error for SimError {}
 
 impl From<Errno> for SimError {
     fn from(errno: Errno) -> Self {
-        SimError {
-            errno,
-            context: String::new(),
-        }
+        SimError::new(errno, String::new())
     }
 }
 
@@ -171,6 +189,17 @@ mod tests {
         let s = format!("{e}");
         assert!(s.contains("open"));
         assert!(s.contains("ENOENT"));
+    }
+
+    #[test]
+    fn injected_errors_carry_their_cost_and_print_like_any_other() {
+        let cost = SimDuration::from_millis(2);
+        let e = SimError::injected(Errno::Eagain, "hda: injected fault", cost);
+        assert_eq!(e.fault_cost(), Some(cost));
+        let plain = SimError::new(Errno::Eagain, "hda: injected fault");
+        assert_eq!(plain.fault_cost(), None);
+        assert_eq!(format!("{e}"), format!("{plain}"));
+        assert_eq!(SimError::from(Errno::Eio).fault_cost(), None);
     }
 
     #[test]

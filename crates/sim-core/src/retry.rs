@@ -2,7 +2,7 @@
 //!
 //! The fault layer (`sleds-faults`) makes device commands fail; this module
 //! defines *how hard the kernel tries again*. A [`RetryPolicy`] is a small,
-//! copyable value the kernel keeps per device class: a hard attempt bound,
+//! copyable value, the same for every device: a hard attempt bound,
 //! an exponential backoff schedule clamped to a ceiling, deterministic
 //! jitter drawn from a [`DetRng`](crate::DetRng), and a virtual-clock
 //! timeout after which the command is abandoned with `ETIMEDOUT` instead of
@@ -13,7 +13,7 @@ use crate::error::Errno;
 use crate::rng::DetRng;
 use crate::time::SimDuration;
 
-/// How a device class retries failed commands.
+/// How the kernel retries failed device commands.
 ///
 /// The policy is deliberately total: every retry loop in the kernel must be
 /// bounded by `max_attempts` *and* by `timeout`, whichever trips first

@@ -277,10 +277,12 @@ fn detect(toks: &[Tok], summaries: &BTreeMap<String, Summary>) -> Vec<Candidate>
 }
 
 /// Identifiers that mark a fn body as a *hedge site* (D014): the places
-/// that record issuing a redundant request. Call sites only — the scan
-/// starts at the body brace, so the definitions of these hooks (whose
-/// names sit in the signature) are not themselves sites.
-const HEDGE_ISSUE_IDENTS: &[&str] = &["note_hedge", "io_hedge"];
+/// that issue a redundant request, by building the loser's `Cancelled`
+/// cost event. Call sites only — the scan starts at the body brace, so
+/// the constructor's own definition (whose name sits in the signature) is
+/// not itself a site, and neither is `Kernel::post`, which merely
+/// delivers the event to the sinks.
+const HEDGE_ISSUE_IDENTS: &[&str] = &["hedge_loser"];
 
 /// Identifiers that prove the site's redundant requests are bounded.
 const HEDGE_BOUND_IDENTS: &[&str] = &["max_hedges", "hedge_budget"];

@@ -107,7 +107,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         code: "D014",
         name: "hedge-bounded-and-cancelled",
-        invariant: "a kernel-path fn that issues hedged requests (note_hedge/io_hedge) without \
+        invariant: "a kernel-path fn that issues hedged requests (hedge_loser) without \
                     referencing a hedge bound (max_hedges/hedge_budget) and loser cancellation \
                     (cancel): unbounded hedging multiplies device load, and an uncancelled \
                     loser is redundant work nobody accounts for",

@@ -4,9 +4,8 @@
 
 fn hedge_bounded_and_revoked(k: &mut Kernel, policy: &HedgePolicy) {
     for extra in k.mirror_picks(policy.max_hedges) {
-        k.recorder.note_hedge();
-        k.tracer.io_hedge(k.now(), 1, 2, policy.cancel_cost);
-        k.queue(extra).note_cancel(k.now(), policy.cancel_cost);
+        let loser = k.cost_at_submit(extra).hedge_loser(policy.cancel_cost, 1);
+        k.post(&loser);
     }
 }
 

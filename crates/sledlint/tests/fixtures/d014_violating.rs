@@ -1,20 +1,20 @@
 // D014 fixture: hedge sites that never bound their redundant requests,
 // or never cancel the losing copy.
 
-// Neither a bound nor a cancel: every slow pick fans out, forever, and
-// the redundant command runs to completion on the loser's queue.
+// Neither a bound nor the policy's cancel cost: every slow pick fans out,
+// forever, and what the loser holds its queue for is made up on the spot.
 fn hedge_everything(k: &mut Kernel, dev: DeviceId) {
     if k.queue_pressure(dev) > k.deadline(dev) {
-        k.recorder.note_hedge();
-        k.issue_redundant(dev);
+        let loser = k.cost_at_submit(dev).hedge_loser(k.revoke_cost(), 1);
+        k.post(&loser);
     }
 }
 
-// Bounded by the policy, but the loser is never revoked: its queue keeps
-// the full command, so hedging doubles device work instead of racing it.
+// Bounded by the policy, but the loser is posted at zero cost instead of
+// the policy's cancel cost: redundant work nobody accounts for.
 fn hedge_without_revoke(k: &mut Kernel, policy: &HedgePolicy) {
     for extra in k.mirror_picks(policy.max_hedges) {
-        k.tracer.io_hedge(k.now(), 1, 2, 0);
-        k.issue_redundant(extra);
+        let loser = k.cost_at_submit(extra).hedge_loser(SimDuration::ZERO, 1);
+        k.post(&loser);
     }
 }

@@ -101,6 +101,7 @@ pub fn folded_stacks(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::DeviceCost;
     use crate::event::Layer;
     use crate::tracer::Tracer;
     use sleds_sim_core::{SimDuration, SimTime};
@@ -109,16 +110,17 @@ mod tests {
     fn nests_device_time_under_syscall() {
         let mut t = Tracer::enabled();
         t.begin(Layer::Syscall, "read", SimTime::from_nanos(0), [0; 3]);
+        let ev = DeviceCost {
+            class: 1,
+            submit: SimTime::from_nanos(100),
+            service: SimDuration::from_nanos(500),
+            sectors: 8,
+            bytes: 8 * 512,
+            ..DeviceCost::default()
+        };
         t.device(
-            1,
+            &ev,
             "disk.read",
-            false,
-            SimTime::from_nanos(100),
-            SimDuration::ZERO,
-            SimDuration::from_nanos(500),
-            0,
-            8,
-            8 * 512,
             300,
             &[
                 ("disk.seek", SimDuration::from_nanos(200)),

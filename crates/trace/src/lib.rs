@@ -24,6 +24,7 @@
 
 mod audit;
 mod chrome;
+mod cost;
 mod event;
 mod flame;
 mod metrics;
@@ -34,6 +35,7 @@ pub use audit::{
     audit_accuracy, summarize_class, AccuracySample, AccuracyTracker, AuditReport, ClassAccuracy,
 };
 pub use chrome::{chrome_trace_json, chrome_trace_json_named, json_escape};
+pub use cost::{CostOutcome, DeviceCost, Wait};
 pub use event::{
     class_label, pack_class_generation, unpack_class_generation, EventPhase, Layer, TraceEvent,
 };

@@ -13,6 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use sleds_sim_core::stats::LogHistogram;
 
+use crate::cost::DeviceCost;
 use crate::event::class_label;
 
 /// Number of device classes tracked (memory, disk, CD-ROM, network, tape).
@@ -207,38 +208,28 @@ impl Metrics {
         self.syscall_latency.record(dur_ns);
     }
 
-    /// Records one device command on behalf of `tenant`. `dur_ns` is the
-    /// service time alone; `queue_ns` is the time the command sat queued
-    /// before service began (zero in single-tenant runs, so the class-row
-    /// observables are unchanged by queueing). `bytes` is the payload
-    /// moved and `transfer_ns` the portion of `dur_ns` spent in
-    /// data-moving phases; the remainder is first-byte time
-    /// (positioning, rpc, mount...).
-    #[allow(clippy::too_many_arguments)]
-    pub fn note_device(
-        &mut self,
-        tenant: u64,
-        class: u64,
-        write: bool,
-        dur_ns: u64,
-        bytes: u64,
-        transfer_ns: u64,
-        queue_ns: u64,
-    ) {
-        let idx = (class as usize).min(NUM_DEVICE_CLASSES - 1);
+    /// Records one served device command on behalf of `ev.tenant`. The
+    /// class rows see `ev.service` alone; `ev.queue_wait` (zero in
+    /// single-tenant runs, so the class-row observables are unchanged by
+    /// queueing) lands in the tenant attribution row. `transfer_ns` is the
+    /// portion of the service spent in data-moving phases; the remainder is
+    /// first-byte time (positioning, rpc, mount...).
+    pub fn note_device(&mut self, ev: &DeviceCost, transfer_ns: u64) {
+        let (dur_ns, queue_ns) = (ev.service.as_nanos(), ev.queue_wait.as_nanos());
+        let idx = (ev.class as usize).min(NUM_DEVICE_CLASSES - 1);
         let m = &mut self.device[idx];
-        if write {
+        if ev.write {
             m.writes += 1;
         } else {
             m.reads += 1;
             m.first_byte.record(dur_ns.saturating_sub(transfer_ns));
-            m.read_bytes += bytes;
+            m.read_bytes += ev.bytes;
             m.read_transfer_ns += transfer_ns;
         }
         m.service.record(dur_ns);
-        let row = self.tenants.entry((tenant, idx as u64)).or_default();
+        let row = self.tenants.entry((ev.tenant, idx as u64)).or_default();
         row.requests += 1;
-        row.bytes += bytes;
+        row.bytes += ev.bytes;
         row.queue_wait.record(queue_ns);
         row.service.record(dur_ns);
         row.busy_ns += dur_ns;
@@ -396,15 +387,33 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sleds_sim_core::SimDuration;
+
+    /// A served read of `bytes` holding a `class` device for `service_ns`.
+    fn served(tenant: u64, class: u64, service_ns: u64, bytes: u64) -> DeviceCost {
+        DeviceCost {
+            tenant,
+            class,
+            service: SimDuration::from_nanos(service_ns),
+            bytes,
+            ..DeviceCost::default()
+        }
+    }
 
     #[test]
     fn note_paths_update_the_right_rows() {
         let mut m = Metrics::default();
         m.note_syscall(5_000);
         m.note_syscall(7_000);
-        m.note_device(0, 1, false, 18_000_000, 65_536, 7_000_000, 0);
-        m.note_device(0, 1, true, 20_000_000, 65_536, 8_000_000, 0);
-        m.note_device(0, 4, false, 40_000_000_000, 1 << 20, 1_000_000_000, 0);
+        m.note_device(&served(0, 1, 18_000_000, 65_536), 7_000_000);
+        m.note_device(
+            &DeviceCost {
+                write: true,
+                ..served(0, 1, 20_000_000, 65_536)
+            },
+            8_000_000,
+        );
+        m.note_device(&served(0, 4, 40_000_000_000, 1 << 20), 1_000_000_000);
         assert_eq!(m.syscalls, 2);
         assert_eq!(m.syscall_latency.count(), 2);
         assert_eq!(m.device[1].reads, 1);
@@ -420,7 +429,7 @@ mod tests {
     #[test]
     fn out_of_range_class_clamps() {
         let mut m = Metrics::default();
-        m.note_device(0, 77, false, 10, 0, 0, 0);
+        m.note_device(&served(0, 77, 10, 0), 0);
         assert_eq!(m.device[NUM_DEVICE_CLASSES - 1].reads, 1);
     }
 
@@ -428,10 +437,16 @@ mod tests {
     fn tenant_rows_attribute_demand_and_queueing() {
         let mut m = Metrics::default();
         // Tenant 1 is the heavy disk user; tenant 2 queues behind it.
-        m.note_device(1, 1, false, 30_000_000, 1 << 20, 10_000_000, 0);
-        m.note_device(1, 1, false, 30_000_000, 1 << 20, 10_000_000, 0);
-        m.note_device(1, 1, false, 30_000_000, 1 << 20, 10_000_000, 0);
-        m.note_device(2, 1, false, 10_000_000, 1 << 14, 2_000_000, 45_000_000);
+        m.note_device(&served(1, 1, 30_000_000, 1 << 20), 10_000_000);
+        m.note_device(&served(1, 1, 30_000_000, 1 << 20), 10_000_000);
+        m.note_device(&served(1, 1, 30_000_000, 1 << 20), 10_000_000);
+        m.note_device(
+            &DeviceCost {
+                queue_wait: SimDuration::from_nanos(45_000_000),
+                ..served(2, 1, 10_000_000, 1 << 14)
+            },
+            2_000_000,
+        );
         let heavy = &m.tenants[&(1, 1)];
         assert_eq!(heavy.requests, 3);
         assert_eq!(heavy.busy_ns, 90_000_000);
@@ -453,7 +468,7 @@ mod tests {
     #[test]
     fn single_tenant_render_skips_attribution_rows() {
         let mut m = Metrics::default();
-        m.note_device(0, 1, false, 18_000_000, 65_536, 7_000_000, 0);
+        m.note_device(&served(0, 1, 18_000_000, 65_536), 7_000_000);
         assert!(!m.render_text().contains("tenant["));
     }
 
@@ -461,9 +476,15 @@ mod tests {
     fn first_byte_and_bandwidth_split_reads_only() {
         let mut m = Metrics::default();
         // Read: 18ms service, 7ms of it transferring 64KiB.
-        m.note_device(0, 1, false, 18_000_000, 65_536, 7_000_000, 0);
+        m.note_device(&served(0, 1, 18_000_000, 65_536), 7_000_000);
         // Write: must not feed the read-side observables.
-        m.note_device(0, 1, true, 30_000_000, 65_536, 9_000_000, 0);
+        m.note_device(
+            &DeviceCost {
+                write: true,
+                ..served(0, 1, 30_000_000, 65_536)
+            },
+            9_000_000,
+        );
         let d = &m.device[1];
         assert_eq!(d.first_byte.count(), 1);
         assert_eq!(d.first_byte.p50(), 11_000_000);

@@ -9,6 +9,7 @@
 use sleds_sim_core::{SimDuration, SimTime};
 
 use crate::audit::AccuracyTracker;
+use crate::cost::DeviceCost;
 use crate::event::{pack_class_generation, EventPhase, Layer, TraceEvent};
 use crate::metrics::Metrics;
 use crate::ring::RingBuffer;
@@ -315,32 +316,24 @@ impl Tracer {
         );
     }
 
-    /// Records one device command as a complete span with its queue wait
-    /// and mechanical phases nested inside it.
+    /// Records one served device command as a complete span with its queue
+    /// wait and mechanical phases nested inside it.
     ///
-    /// `ts` is the *submission* instant and `queue` the time the command
-    /// sat queued behind earlier commands before its service (of length
-    /// `dur`) began; the emitted command span covers `queue + dur`, with
-    /// a leading `queue_wait` phase when the wait is nonzero, so the
-    /// nested phases still sum exactly to the span. `phases` is the
-    /// device's own breakdown of the service time, as `(name, duration)`
-    /// pairs in service order; each is laid out back-to-back so viewers
-    /// show them as children of the command span. `bytes` is the payload
-    /// moved and `transfer_ns` the portion of `dur` the device spent
-    /// moving it (its transfer/stream/link phases); the split feeds the
-    /// per-class first-byte and effective-bandwidth observables.
-    #[allow(clippy::too_many_arguments)]
+    /// The span starts at `ev.submit` and covers `ev.queue_wait +
+    /// ev.service`, with a leading `queue_wait` phase when the wait is
+    /// nonzero, so the nested phases still sum exactly to the span.
+    /// `phases` is the device's own breakdown of the service time, as
+    /// `(name, duration)` pairs in service order; each is laid out
+    /// back-to-back so viewers show them as children of the command span.
+    /// `transfer_ns` is the portion of the service the device spent moving
+    /// `ev.bytes` (its transfer/stream/link phases); the split feeds the
+    /// per-class first-byte and effective-bandwidth observables. Events and
+    /// the metrics row carry the tracer's own tenant stamp, like every
+    /// other hook.
     pub fn device(
         &mut self,
-        class: u64,
+        ev: &DeviceCost,
         name: &'static str,
-        write: bool,
-        ts: SimTime,
-        queue: SimDuration,
-        dur: SimDuration,
-        sector: u64,
-        sectors: u64,
-        bytes: u64,
         transfer_ns: u64,
         phases: &[(&'static str, SimDuration)],
     ) {
@@ -348,40 +341,22 @@ impl Tracer {
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
-        inner.metrics.note_device(
-            tenant,
-            class,
-            write,
-            dur.as_nanos(),
-            bytes,
-            transfer_ns,
-            queue.as_nanos(),
-        );
+        inner
+            .metrics
+            .note_device(&DeviceCost { tenant, ..*ev }, transfer_ns);
         Self::emit(
             inner,
             tenant,
-            ts,
-            queue + dur,
+            ev.submit,
+            ev.queue_wait + ev.service,
             EventPhase::Complete,
             Layer::Device,
             name,
-            [sector, sectors, class],
+            [ev.sector, ev.sectors, ev.class],
         );
-        let mut at = ts;
-        if !queue.is_zero() {
-            Self::emit(
-                inner,
-                tenant,
-                at,
-                queue,
-                EventPhase::Complete,
-                Layer::Device,
-                "queue_wait",
-                [sector, 0, class],
-            );
-            at += queue;
-        }
-        for &(pname, pdur) in phases {
+        let mut at = ev.submit;
+        let train = [("queue_wait", ev.queue_wait)];
+        for &(pname, pdur) in train.iter().chain(phases) {
             if pdur.is_zero() {
                 continue;
             }
@@ -393,7 +368,7 @@ impl Tracer {
                 EventPhase::Complete,
                 Layer::Device,
                 pname,
-                [sector, 0, class],
+                [ev.sector, 0, ev.class],
             );
             at += pdur;
         }
@@ -586,19 +561,29 @@ mod tests {
         assert_eq!(m.syscall_latency.count(), 1);
     }
 
+    /// A 16-sector disk read at sector 8, submitted at 1 µs, serviced in
+    /// 30 ns after `queue_wait`. Billed to tenant 9 so the tests show the
+    /// tracer stamping its own tenant instead.
+    fn disk_read(queue_wait: SimDuration) -> DeviceCost {
+        DeviceCost {
+            tenant: 9,
+            class: 1,
+            submit: SimTime::from_nanos(1_000),
+            queue_wait,
+            service: SimDuration::from_nanos(30),
+            sector: 8,
+            sectors: 16,
+            bytes: 16 * 512,
+            ..DeviceCost::default()
+        }
+    }
+
     #[test]
     fn device_phases_nest_back_to_back() {
         let mut t = Tracer::enabled();
         t.device(
-            1,
+            &disk_read(SimDuration::ZERO),
             "disk.read",
-            false,
-            SimTime::from_nanos(1_000),
-            SimDuration::ZERO,
-            SimDuration::from_nanos(30),
-            8,
-            16,
-            16 * 512,
             20,
             &[
                 ("disk.seek", SimDuration::from_nanos(10)),
@@ -621,15 +606,8 @@ mod tests {
         let mut t = Tracer::enabled();
         t.set_tenant(2);
         t.device(
-            1,
+            &disk_read(SimDuration::from_nanos(40)),
             "disk.read",
-            false,
-            SimTime::from_nanos(1_000),
-            SimDuration::from_nanos(40),
-            SimDuration::from_nanos(30),
-            8,
-            16,
-            16 * 512,
             20,
             &[
                 ("disk.seek", SimDuration::from_nanos(10)),

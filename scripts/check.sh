@@ -118,6 +118,10 @@ if [[ "${1:-}" == "--with-proptests" ]]; then
     run cargo test -q -p sleds --features proptests
     run cargo test -q -p sleds-textmatch --features proptests
     run cargo test -q -p sleds-fits --features proptests
+    run cargo test -q -p sleds-devices --features proptests --test props
+    run cargo test -q -p sleds-sim-core --features proptests --test props
+    run cargo test -q -p sleds-pagecache --features proptests --test model
+    run cargo test -q -p sleds-repro --features proptests --test properties
 fi
 
 echo "All checks passed."
