@@ -8,9 +8,12 @@
 use sleds::{fsleds_get, PickConfig, PickSession, SledsEntry, SledsTable};
 use sleds_bench::microbench::time;
 use sleds_devices::{BlockDevice, CdRomDevice, DiskDevice, NfsDevice, TapeDevice};
-use sleds_fs::{Kernel, MachineConfig, OpenFlags, Whence};
+use sleds_fs::{
+    fold_bytes, Capture, Fd, Kernel, MachineConfig, OpenFlags, Syscall, Whence, WorkloadRecorder,
+};
 use sleds_pagecache::{PageCache, PageKey, PolicyKind};
-use sleds_sim_core::{ByteSize, DetRng, SimTime, PAGE_SIZE};
+use sleds_replay::{json, CaptureFile, WorkloadSpec};
+use sleds_sim_core::{ByteSize, DetRng, SimDuration, SimTime, PAGE_SIZE};
 use sleds_textmatch::Regex;
 
 fn kernel_with_file(pages: u64) -> (Kernel, SledsTable, sleds_fs::Fd) {
@@ -187,6 +190,81 @@ fn bench_kernel_read_path() {
     });
 }
 
+/// The flight recorder's host costs. `time` prints ns per call; divide
+/// `capture_fold` and `capture_hex` by the byte count in the name for
+/// ns/B, `capture_codec` by 1,000 for ns/op.
+fn bench_capture() {
+    let mut payload = vec![0u8; 2 << 20];
+    DetRng::new(16).fill_bytes(&mut payload);
+    for len in [4 << 10, 16 << 10, 2 << 20] {
+        time(&format!("capture_fold/{len}_bytes"), || {
+            fold_bytes(&payload[..len])
+        });
+    }
+    let page = &payload[..PAGE_SIZE as usize];
+    let mut hex = String::new();
+    time("capture_hex/encode_4096_bytes", || {
+        hex.clear();
+        json::hex_encode(&mut hex, page);
+        hex.len()
+    });
+    let mut bytes = Vec::new();
+    time("capture_hex/decode_4096_bytes", || {
+        bytes.clear();
+        json::hex_decode(&hex, &mut bytes).unwrap();
+        bytes.len()
+    });
+
+    // One op as the kernel boundary records it: begin, one disk command,
+    // finish with a page of payload to fold.
+    let disk_read = sleds_trace::DeviceCost {
+        class: 1,
+        queue_wait: SimDuration::from_nanos(10),
+        service: SimDuration::from_nanos(20),
+        bytes: PAGE_SIZE,
+        ..Default::default()
+    };
+    let record = |ops: u64, call: &dyn Fn(u64) -> Syscall| -> Capture {
+        let mut rec = WorkloadRecorder::new(ops as usize + 1, 0);
+        let open = Syscall::Open {
+            path: "/disk/tenant-017/log".to_string(),
+            flags: OpenFlags::RDWR,
+        };
+        rec.begin(open, 0, 0, 0);
+        rec.finish_ok(3, None, 1);
+        for i in 0..ops {
+            rec.begin(call(i), 0, i * 100, 0);
+            rec.note_device(&disk_read);
+            rec.finish_ok(PAGE_SIZE, Some(page), i * 100 + 50);
+        }
+        rec.into_capture()
+    };
+    let pread = |i: u64| Syscall::Pread {
+        fd: Fd(3),
+        pos: i * PAGE_SIZE,
+        len: PAGE_SIZE as usize,
+    };
+    time("capture_record/1000_preads", || {
+        record(1000, &pread).ops.len()
+    });
+
+    let write = |_: u64| Syscall::Write {
+        fd: Fd(3),
+        data: page.to_vec(),
+    };
+    let file = CaptureFile {
+        spec: WorkloadSpec::new("table2"),
+        capture: record(1000, &write),
+    };
+    let text = file.to_jsonl();
+    time("capture_codec/serialize_1000_writes", || {
+        file.to_jsonl().len()
+    });
+    time("capture_codec/parse_1000_writes", || {
+        CaptureFile::parse(&text).unwrap().capture.ops.len()
+    });
+}
+
 fn main() {
     bench_fsleds_get();
     bench_pick_planning();
@@ -195,4 +273,5 @@ fn main() {
     bench_regex();
     bench_fits_codec();
     bench_kernel_read_path();
+    bench_capture();
 }

@@ -17,29 +17,70 @@
 //! [`WorkloadRecorder::finish_ok`]/[`WorkloadRecorder::finish_err`]), and
 //! the `sleds-replay` crate serializes the result to the schema-versioned
 //! `CAPTURE_*.jsonl` format and replays it. Data payloads are captured as
-//! length + FNV-1a fold, not bytes: the recorder is lossless about the
+//! length + [`fold_bytes`], not bytes: the recorder is lossless about the
 //! *workload* (every op, every cost), not a content backup.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use sleds_sim_core::Errno;
 use sleds_trace::DeviceCost;
 
 use crate::syscall::Syscall;
 
 /// Schema tag the on-disk capture format carries; bump on any shape change.
 /// v2: volume mounts in setup, the hedge policy in the header, and the
-/// per-op hedged-read count in outcomes.
-pub const CAPTURE_SCHEMA: &str = "sleds-capture-v2";
+/// per-op hedged-read count in outcomes. v3: `data_fold` is the four-lane
+/// word fold below, no longer FNV-1a.
+pub const CAPTURE_SCHEMA: &str = "sleds-capture-v3";
 
-/// FNV-1a 64 over a byte slice: the deterministic fold captures use to
-/// pin data payloads without storing them.
+const FOLD_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+const FOLD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One lane step; a bijection of `lane` for a fixed `word` and of `word`
+/// for a fixed `lane`, so a change confined to one word always shows.
+#[inline(always)]
+fn fold_word(lane: u64, word: &[u8]) -> u64 {
+    let word = u64::from_le_bytes([
+        word[0], word[1], word[2], word[3], word[4], word[5], word[6], word[7],
+    ]);
+    (lane ^ word).wrapping_mul(FOLD_MUL).rotate_left(29)
+}
+
+/// The deterministic fold captures use to pin data payloads without
+/// storing them: little-endian `u64` word `i` goes into lane `i % 4`, the
+/// lanes are combined, the up to seven tail bytes and then the length are
+/// mixed in (DESIGN §5j gives the ten-line reference this must equal).
+/// Four lanes, because one multiply chain is latency-bound at a word per
+/// five cycles and the recorder folds every byte a captured read returns.
 pub fn fold_bytes(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let [mut a, mut b, mut c, mut d] = FOLD_SEEDS;
+    let mut blocks = data.chunks_exact(32);
+    for block in blocks.by_ref() {
+        a = fold_word(a, &block[0..8]);
+        b = fold_word(b, &block[8..16]);
+        c = fold_word(c, &block[16..24]);
+        d = fold_word(d, &block[24..32]);
     }
-    h
+    let mut lanes = [a, b, c, d];
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, word) in lanes.iter_mut().zip(words.by_ref()) {
+        *lane = fold_word(*lane, word);
+    }
+    let [a, b, c, d] = lanes;
+    let mut h = a ^ b.rotate_left(17) ^ c.rotate_left(34) ^ d.rotate_left(51);
+    for &byte in words.remainder() {
+        h = (h ^ u64::from(byte)).wrapping_mul(FOLD_MUL);
+    }
+    h ^= data.len() as u64;
+    h ^= h >> 32;
+    h = h.wrapping_mul(FOLD_MUL);
+    h ^ (h >> 29)
 }
 
 /// Device time charged to one captured op on one device class.
@@ -63,14 +104,14 @@ pub struct ClassCost {
 pub struct OpOutcome {
     /// Whether the call returned `Ok`.
     pub ok: bool,
-    /// Errno name when it did not.
-    pub errno: Option<String>,
+    /// The errno when it did not.
+    pub errno: Option<Errno>,
     /// Primary scalar result (fd for `open`, new offset for `lseek`,
     /// bytes for `read`/`write`, serviced count for `ring_enter`, ...).
     pub ret: u64,
     /// Returned payload length (reads).
     pub data_len: u64,
-    /// FNV-1a fold of the returned payload (reads) — pins data equality
+    /// [`fold_bytes`] of the returned payload (reads) — pins data equality
     /// across replays without storing the bytes.
     pub data_fold: u64,
     /// Completion time on the issuing tenant's timeline, nanoseconds.
@@ -104,8 +145,9 @@ pub struct CapturedOp {
     /// the op ran under.
     pub fault_epoch: u64,
     /// The path the op's fd resolved to at submit, when it had one —
-    /// the fd→path half of the record, for readability and audits.
-    pub path: Option<String>,
+    /// the fd→path half of the record, for readability and audits. Shared
+    /// with every other op on the same open.
+    pub path: Option<Arc<str>>,
     /// The call itself. A `RingEnter` holds the submissions that enter
     /// serviced (only `Open`, `Close`, `Pread` and `Stat` can appear).
     pub call: Syscall,
@@ -138,9 +180,10 @@ struct InFlight {
     tenant: u64,
     submit_ns: u64,
     fault_epoch: u64,
-    path: Option<String>,
+    path: Option<Arc<str>>,
     call: Syscall,
-    classes: BTreeMap<u64, ClassCost>,
+    /// Class-sorted; becomes [`OpOutcome::classes`] as it stands.
+    classes: Vec<ClassCost>,
     hedges: u64,
 }
 
@@ -156,8 +199,9 @@ pub struct WorkloadRecorder {
     complete: bool,
     incomplete_reason: Option<String>,
     ops: Vec<CapturedOp>,
-    /// Live fd→path table so each op can record what its fd meant.
-    fd_paths: BTreeMap<u64, String>,
+    /// Live fd→path table so each op can record what its fd meant. The
+    /// path is copied once, at `open`; ops on the fd share it.
+    fd_paths: BTreeMap<u64, Arc<str>>,
     inflight: Option<InFlight>,
 }
 
@@ -224,7 +268,7 @@ impl WorkloadRecorder {
             fault_epoch,
             path,
             call,
-            classes: BTreeMap::new(),
+            classes: Vec::new(),
             hedges: 0,
         });
     }
@@ -233,10 +277,23 @@ impl WorkloadRecorder {
     /// op. No-op when no op is in flight (setup traffic).
     pub fn note_device(&mut self, ev: &DeviceCost) {
         if let Some(f) = self.inflight.as_mut() {
-            let c = f.classes.entry(ev.class).or_insert(ClassCost {
-                class: ev.class,
-                ..ClassCost::default()
-            });
+            // There are five device classes and most ops reach one: a
+            // sorted vec, allocated for exactly that one row.
+            let rows = &mut f.classes;
+            let at = rows.partition_point(|c| c.class < ev.class);
+            if rows.get(at).is_none_or(|c| c.class != ev.class) {
+                if rows.is_empty() {
+                    rows.reserve_exact(1);
+                }
+                rows.insert(
+                    at,
+                    ClassCost {
+                        class: ev.class,
+                        ..ClassCost::default()
+                    },
+                );
+            }
+            let c = &mut rows[at];
             c.commands += 1;
             c.queue_wait_ns = c.queue_wait_ns.saturating_add(ev.queue_wait.as_nanos());
             c.service_ns = c.service_ns.saturating_add(ev.service.as_nanos());
@@ -291,11 +348,11 @@ impl WorkloadRecorder {
     }
 
     /// Completes the in-flight op with an error.
-    pub fn finish_err(&mut self, errno: &str, complete_ns: u64) {
+    pub fn finish_err(&mut self, errno: Errno, complete_ns: u64) {
         self.finish(
             OpOutcome {
                 ok: false,
-                errno: Some(errno.to_string()),
+                errno: Some(errno),
                 ret: 0,
                 data_len: 0,
                 data_fold: 0,
@@ -316,21 +373,19 @@ impl WorkloadRecorder {
             // begin() refused (budget) or was never called; nothing to do.
             return;
         };
-        let mut classes: Vec<ClassCost> = f.classes.into_values().collect();
-        classes.sort_by_key(|c| c.class);
-        for c in &classes {
+        for c in &f.classes {
             outcome.queue_wait_ns = outcome.queue_wait_ns.saturating_add(c.queue_wait_ns);
             outcome.service_ns = outcome.service_ns.saturating_add(c.service_ns);
             outcome.device_commands += c.commands;
             outcome.device_bytes = outcome.device_bytes.saturating_add(c.bytes);
         }
-        outcome.classes = classes;
+        outcome.classes = f.classes;
         outcome.hedges = f.hedges;
         if ok {
             // Keep the fd→path table live so later ops resolve.
             match &f.call {
                 Syscall::Open { path, .. } => {
-                    self.fd_paths.insert(outcome.ret, path.clone());
+                    self.fd_paths.insert(outcome.ret, Arc::from(path.as_str()));
                 }
                 Syscall::Close { fd } => {
                     self.fd_paths.remove(&fd.0);
@@ -396,12 +451,6 @@ mod tests {
 
     fn begin_simple(r: &mut WorkloadRecorder, seq: u64) {
         r.begin(Syscall::Fsync { fd: Fd(3) }, 0, seq * 10, 0);
-    }
-
-    #[test]
-    fn fold_is_fnv1a() {
-        assert_eq!(fold_bytes(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fold_bytes(b"a"), fold_bytes(b"b"));
     }
 
     #[test]

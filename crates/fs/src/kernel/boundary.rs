@@ -86,7 +86,7 @@ impl Kernel {
                             let (ret, data) = outcome(v);
                             rec.finish_ok(ret, data, now);
                         }
-                        Err(err) => rec.finish_err(err.errno.name(), now),
+                        Err(err) => rec.finish_err(err.errno, now),
                     }
                 }
             }

@@ -254,7 +254,7 @@ impl SyscallRet {
         }
     }
 
-    /// The returned data a capture folds (length + FNV-1a), for reads.
+    /// The returned data a capture folds (length + `fold_bytes`), for reads.
     pub fn payload(&self) -> Option<&[u8]> {
         match self {
             SyscallRet::Bytes(b) => Some(b),

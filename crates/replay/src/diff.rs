@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use sleds_fs::{Capture, LatencySummary, Syscall};
 use sleds_sim_core::stats::LogHistogram;
@@ -46,7 +47,7 @@ pub struct OpDelta {
     /// Call name (`"pread"`, `"ring_enter"`, ...).
     pub call: &'static str,
     /// Resolved path, when the call had one.
-    pub path: Option<String>,
+    pub path: Option<Arc<str>>,
     /// Base completion latency (complete − submit).
     pub base_latency_ns: u64,
     /// Candidate completion latency.

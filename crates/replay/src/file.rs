@@ -3,16 +3,20 @@
 //! Line 1 is the header — schema tag, completeness verdict, machine and
 //! queue configuration, setup steps, fault plan. Every following line is
 //! one captured op, in global capture order. The format is deterministic
-//! (BTreeMap-backed, integers in decimal, the one `f64` as IEEE bits),
-//! so byte-comparing two capture files *is* the identity property.
+//! (fields in one fixed order, integers in decimal, every `f64` as its
+//! IEEE bits), so byte-comparing two capture files *is* the identity
+//! property.
 
-use std::fmt::Write as _;
+use std::sync::Arc;
 
 use sleds_faults::{FaultPlan, FaultWindow};
-use sleds_fs::{Capture, CapturedOp, ClassCost, Fd, OpOutcome, Syscall, Whence, CAPTURE_SCHEMA};
-use sleds_sim_core::{SimDuration, SimTime};
+use sleds_fs::{
+    Capture, CapturedOp, ClassCost, Fd, OpOutcome, OpenFlags, Syscall, VolumeLayout, Whence,
+    CAPTURE_SCHEMA,
+};
+use sleds_sim_core::{Errno, SimDuration, SimTime};
 
-use crate::json::{self, escape, hex_decode, hex_encode, Json};
+use crate::json::{self, hex_decode, hex_encode, push_escaped, push_u64, Json};
 use crate::setup::{SetupStep, WorkloadSpec};
 
 /// A capture plus the environment it ran in — everything replay needs.
@@ -24,14 +28,39 @@ pub struct CaptureFile {
     pub capture: Capture,
 }
 
+/// Bytes an op line takes beyond its strings and hex payload: more than
+/// the fixed keys and a row of twenty-digit numbers come to.
+const OP_LINE_ROOM: usize = 768;
+
+/// A lower bound on an op line: the keys alone are longer.
+const OP_LINE_MIN: usize = 256;
+
 impl CaptureFile {
     /// Serializes to the JSONL format. Deterministic byte-for-byte.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&header_json(&self.spec, &self.capture));
+        // One buffer, sized once: a 10 MB capture must not be built by
+        // doubling (twice the memory at the last step) or line by line.
+        let payload = |call: &Syscall| match call {
+            Syscall::Write { data, .. } => 2 * data.len(),
+            Syscall::RingEnter { ops, .. } => OP_LINE_ROOM / 4 * ops.len(),
+            _ => 0,
+        };
+        let ops: usize = self.capture.ops.iter().map(|op| payload(&op.call)).sum();
+        let setup: usize = self
+            .spec
+            .setup
+            .iter()
+            .map(|step| match step {
+                SetupStep::InstallFile { data, .. } => 2 * data.len(),
+                _ => 0,
+            })
+            .sum();
+        let lines = 4 + self.capture.ops.len() + self.spec.setup.len();
+        let mut out = String::with_capacity(ops + setup + OP_LINE_ROOM * lines);
+        write_header(&mut out, &self.spec, &self.capture);
         out.push('\n');
         for op in &self.capture.ops {
-            out.push_str(&op_json(op));
+            write_op(&mut out, op);
             out.push('\n');
         }
         out
@@ -57,7 +86,8 @@ impl CaptureFile {
         let budget = header.field("budget", "header")?.as_usize("budget")?;
         let base_ns = header.field("base_ns", "header")?.as_u64("base_ns")?;
         let declared_ops = header.field("ops", "header")?.as_usize("ops")?;
-        let mut ops = Vec::new();
+        // The count is the file's claim; the file's length bounds it.
+        let mut ops = Vec::with_capacity(declared_ops.min(text.len() / OP_LINE_MIN));
         for (i, line) in lines.enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -84,129 +114,170 @@ impl CaptureFile {
     }
 }
 
-fn header_json(spec: &WorkloadSpec, cap: &Capture) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{CAPTURE_SCHEMA}\",\"complete\":{},\"incomplete_reason\":{},\
-         \"budget\":{},\"base_ns\":{},\"ops\":{},\"machine\":\"{}\",\"cmd_queue_capacity\":{},\
-         \"hedge_max\":{},\"hedge_deadline_mult_bits\":{},\"hedge_cancel_ns\":{},",
-        cap.complete,
-        match &cap.incomplete_reason {
-            Some(r) => format!("\"{}\"", escape(r)),
-            None => "null".to_string(),
-        },
-        cap.budget,
-        cap.base_ns,
-        cap.ops.len(),
-        escape(&spec.machine),
-        spec.cmd_queue_capacity,
-        spec.hedge.max_hedges,
-        spec.hedge.deadline_mult.to_bits(),
-        spec.hedge.cancel_cost.as_nanos(),
-    );
-    s.push_str("\"setup\":[");
-    for (i, step) in spec.setup.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&step_json(step));
-    }
-    s.push_str("],\"faults\":[");
-    let mut first = true;
-    for dev in spec.fault_plan.device_names() {
-        let Some(inj) = spec.fault_plan.injector_for(dev) else {
-            continue;
-        };
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(s, "{{\"dev\":\"{}\",\"windows\":[", escape(dev));
-        for (j, w) in inj.windows().iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&window_json(w));
-        }
-        s.push_str("]}");
-    }
-    s.push_str("]}");
-    s
+/// Writes one JSON object into a caller's buffer, field by field, in the
+/// order the calls are made.
+struct ObjWriter<'a> {
+    out: &'a mut String,
+    /// `{` before the first field, `,` before the rest.
+    lead: char,
 }
 
-fn window_json(w: &FaultWindow) -> String {
+impl<'a> ObjWriter<'a> {
+    fn new(out: &'a mut String) -> ObjWriter<'a> {
+        ObjWriter { out, lead: '{' }
+    }
+
+    /// Writes `"key":` and hands back the buffer for the value.
+    fn key(&mut self, key: &str) -> &mut String {
+        self.out.push(self.lead);
+        self.lead = ',';
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    fn u64(&mut self, key: &str, n: u64) {
+        push_u64(self.key(key), n);
+    }
+
+    fn bool(&mut self, key: &str, b: bool) {
+        self.key(key).push_str(if b { "true" } else { "false" });
+    }
+
+    fn str(&mut self, key: &str, s: &str) {
+        let out = self.key(key);
+        out.push('"');
+        push_escaped(out, s);
+        out.push('"');
+    }
+
+    fn opt_str(&mut self, key: &str, s: Option<&str>) {
+        match s {
+            Some(s) => self.str(key, s),
+            None => self.key(key).push_str("null"),
+        }
+    }
+
+    fn hex(&mut self, key: &str, data: &[u8]) {
+        let out = self.key(key);
+        out.push('"');
+        hex_encode(out, data);
+        out.push('"');
+    }
+
+    fn array<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(&mut String, T),
+    ) {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            each(out, item);
+        }
+        out.push(']');
+    }
+
+    /// Closes the object; every object of the schema has a first field.
+    fn end(self) {
+        self.out.push('}');
+    }
+}
+
+fn write_header(out: &mut String, spec: &WorkloadSpec, cap: &Capture) {
+    let mut o = ObjWriter::new(out);
+    o.str("schema", CAPTURE_SCHEMA);
+    o.bool("complete", cap.complete);
+    o.opt_str("incomplete_reason", cap.incomplete_reason.as_deref());
+    o.u64("budget", cap.budget as u64);
+    o.u64("base_ns", cap.base_ns);
+    o.u64("ops", cap.ops.len() as u64);
+    o.str("machine", &spec.machine);
+    o.u64("cmd_queue_capacity", spec.cmd_queue_capacity as u64);
+    o.u64("hedge_max", u64::from(spec.hedge.max_hedges));
+    o.u64(
+        "hedge_deadline_mult_bits",
+        spec.hedge.deadline_mult.to_bits(),
+    );
+    o.u64("hedge_cancel_ns", spec.hedge.cancel_cost.as_nanos());
+    o.array("setup", &spec.setup, write_step);
+    let plan = &spec.fault_plan;
+    let faulted = plan
+        .device_names()
+        .filter_map(|dev| Some((dev, plan.injector_for(dev)?)));
+    o.array("faults", faulted, |out, (dev, inj)| {
+        let mut o = ObjWriter::new(out);
+        o.str("dev", dev);
+        o.array("windows", inj.windows(), write_window);
+        o.end();
+    });
+    o.end();
+}
+
+fn write_window(out: &mut String, w: &FaultWindow) {
+    let mut o = ObjWriter::new(out);
+    let span = |o: &mut ObjWriter, kind: &str, start: SimTime, end: SimTime| {
+        o.str("kind", kind);
+        o.u64("start_ns", start.as_nanos());
+        o.u64("end_ns", end.as_nanos());
+    };
     match *w {
         FaultWindow::Transient {
             start,
             end,
             budget,
             fail_cost,
-        } => format!(
-            "{{\"kind\":\"transient\",\"start_ns\":{},\"end_ns\":{},\"budget\":{},\
-             \"fail_cost_ns\":{}}}",
-            start.as_nanos(),
-            end.as_nanos(),
-            budget,
-            fail_cost.as_nanos()
-        ),
+        } => {
+            span(&mut o, "transient", start, end);
+            o.u64("budget", u64::from(budget));
+            o.u64("fail_cost_ns", fail_cost.as_nanos());
+        }
         FaultWindow::Degraded {
             start,
             end,
             multiplier,
-        } => format!(
-            "{{\"kind\":\"degraded\",\"start_ns\":{},\"end_ns\":{},\"multiplier_bits\":{}}}",
-            start.as_nanos(),
-            end.as_nanos(),
-            multiplier.to_bits()
-        ),
+        } => {
+            span(&mut o, "degraded", start, end);
+            o.u64("multiplier_bits", multiplier.to_bits());
+        }
         FaultWindow::Offline {
             start,
             end,
             probe_cost,
-        } => format!(
-            "{{\"kind\":\"offline\",\"start_ns\":{},\"end_ns\":{},\"probe_cost_ns\":{}}}",
-            start.as_nanos(),
-            end.as_nanos(),
-            probe_cost.as_nanos()
-        ),
-    }
-}
-
-fn layout_json(layout: &sleds_fs::VolumeLayout) -> String {
-    use sleds_fs::VolumeLayout;
-    match layout {
-        VolumeLayout::Mirrored => "\"layout\":\"mirrored\"".to_string(),
-        VolumeLayout::Striped { stripe_pages } => {
-            format!("\"layout\":\"striped\",\"stripe_pages\":{stripe_pages}")
+        } => {
+            span(&mut o, "offline", start, end);
+            o.u64("probe_cost_ns", probe_cost.as_nanos());
         }
-        VolumeLayout::Coded { k } => format!("\"layout\":\"coded\",\"k\":{k}"),
     }
+    o.end();
 }
 
-fn step_json(step: &SetupStep) -> String {
+fn write_step(out: &mut String, step: &SetupStep) {
+    let mut o = ObjWriter::new(out);
+    // `{"step":…,"path":…,"model":…,"name":…}`: the three plain mounts.
+    let mount = |o: &mut ObjWriter, step: &str, path: &str, model: &str, name: &str| {
+        o.str("step", step);
+        o.str("path", path);
+        o.str("model", model);
+        o.str("name", name);
+    };
     match step {
         SetupStep::Mkdir { path } => {
-            format!("{{\"step\":\"mkdir\",\"path\":\"{}\"}}", escape(path))
+            o.str("step", "mkdir");
+            o.str("path", path);
         }
-        SetupStep::MountDisk { path, model, name } => format!(
-            "{{\"step\":\"mount_disk\",\"path\":\"{}\",\"model\":\"{}\",\"name\":\"{}\"}}",
-            escape(path),
-            escape(model),
-            escape(name)
-        ),
-        SetupStep::MountNfs { path, model, name } => format!(
-            "{{\"step\":\"mount_nfs\",\"path\":\"{}\",\"model\":\"{}\",\"name\":\"{}\"}}",
-            escape(path),
-            escape(model),
-            escape(name)
-        ),
-        SetupStep::MountCdrom { path, model, name } => format!(
-            "{{\"step\":\"mount_cdrom\",\"path\":\"{}\",\"model\":\"{}\",\"name\":\"{}\"}}",
-            escape(path),
-            escape(model),
-            escape(name)
-        ),
+        SetupStep::MountDisk { path, model, name } => {
+            mount(&mut o, "mount_disk", path, model, name)
+        }
+        SetupStep::MountNfs { path, model, name } => mount(&mut o, "mount_nfs", path, model, name),
+        SetupStep::MountCdrom { path, model, name } => {
+            mount(&mut o, "mount_cdrom", path, model, name)
+        }
         SetupStep::MountHsm {
             path,
             disk_model,
@@ -214,196 +285,171 @@ fn step_json(step: &SetupStep) -> String {
             tape_model,
             tape_name,
             chunk_pages,
-        } => format!(
-            "{{\"step\":\"mount_hsm\",\"path\":\"{}\",\"disk_model\":\"{}\",\
-             \"disk_name\":\"{}\",\"tape_model\":\"{}\",\"tape_name\":\"{}\",\
-             \"chunk_pages\":{}}}",
-            escape(path),
-            escape(disk_model),
-            escape(disk_name),
-            escape(tape_model),
-            escape(tape_name),
-            chunk_pages
-        ),
+        } => {
+            o.str("step", "mount_hsm");
+            o.str("path", path);
+            o.str("disk_model", disk_model);
+            o.str("disk_name", disk_name);
+            o.str("tape_model", tape_model);
+            o.str("tape_name", tape_name);
+            o.u64("chunk_pages", *chunk_pages);
+        }
         SetupStep::MountVolume {
             path,
             layout,
             members,
         } => {
-            let mut s = format!(
-                "{{\"step\":\"mount_volume\",\"path\":\"{}\",{},\"members\":[",
-                escape(path),
-                layout_json(layout)
-            );
-            for (i, (model, name)) in members.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"model\":\"{}\",\"name\":\"{}\"}}",
-                    escape(model),
-                    escape(name)
-                );
+            o.str("step", "mount_volume");
+            o.str("path", path);
+            o.str("layout", layout.name());
+            match layout {
+                VolumeLayout::Mirrored => {}
+                VolumeLayout::Striped { stripe_pages } => o.u64("stripe_pages", *stripe_pages),
+                VolumeLayout::Coded { k } => o.u64("k", u64::from(*k)),
             }
-            s.push_str("]}");
-            s
+            o.array("members", members, |out, (model, name)| {
+                let mut o = ObjWriter::new(out);
+                o.str("model", model);
+                o.str("name", name);
+                o.end();
+            });
         }
-        SetupStep::InstallFile { path, data } => format!(
-            "{{\"step\":\"install_file\",\"path\":\"{}\",\"data\":\"{}\"}}",
-            escape(path),
-            hex_encode(data)
-        ),
-        SetupStep::InstallSparseFile { path, size } => format!(
-            "{{\"step\":\"install_sparse_file\",\"path\":\"{}\",\"size\":{}}}",
-            escape(path),
-            size
-        ),
+        SetupStep::InstallFile { path, data } => {
+            o.str("step", "install_file");
+            o.str("path", path);
+            o.hex("data", data);
+        }
+        SetupStep::InstallSparseFile { path, size } => {
+            o.str("step", "install_sparse_file");
+            o.str("path", path);
+            o.u64("size", *size);
+        }
         SetupStep::WarmFilePages {
             path,
             first_page,
             pages,
-        } => format!(
-            "{{\"step\":\"warm_file_pages\",\"path\":\"{}\",\"first_page\":{},\"pages\":{}}}",
-            escape(path),
-            first_page,
-            pages
-        ),
-        SetupStep::HsmMigrate { path, free } => format!(
-            "{{\"step\":\"hsm_migrate\",\"path\":\"{}\",\"free\":{}}}",
-            escape(path),
-            free
-        ),
-        SetupStep::DropCaches => "{\"step\":\"drop_caches\"}".to_string(),
+        } => {
+            o.str("step", "warm_file_pages");
+            o.str("path", path);
+            o.u64("first_page", *first_page);
+            o.u64("pages", *pages);
+        }
+        SetupStep::HsmMigrate { path, free } => {
+            o.str("step", "hsm_migrate");
+            o.str("path", path);
+            o.bool("free", *free);
+        }
+        SetupStep::DropCaches => o.str("step", "drop_caches"),
     }
+    o.end();
 }
 
-fn flags_json(flags: &sleds_fs::OpenFlags) -> String {
-    let mut s = String::new();
-    if flags.read {
-        s.push('r');
-    }
-    if flags.write {
-        s.push('w');
-    }
-    if flags.create {
-        s.push('c');
-    }
-    if flags.truncate {
-        s.push('t');
-    }
-    if flags.append {
-        s.push('a');
-    }
-    s
+/// `(letter, is it set)` per open flag, in the order they are written.
+fn flag_letters(flags: &OpenFlags) -> [(char, bool); 5] {
+    [
+        ('r', flags.read),
+        ('w', flags.write),
+        ('c', flags.create),
+        ('t', flags.truncate),
+        ('a', flags.append),
+    ]
 }
 
-fn call_json(call: &Syscall) -> String {
-    let op = call.name();
+fn write_call(out: &mut String, call: &Syscall) {
+    let mut o = ObjWriter::new(out);
+    o.str("op", call.name());
     match call {
-        Syscall::TenantRegister { name } => {
-            format!("{{\"op\":\"{op}\",\"name\":\"{}\"}}", escape(name))
+        Syscall::TenantRegister { name } => o.str("name", name),
+        Syscall::Open { path, flags } => {
+            o.str("path", path);
+            let out = o.key("flags");
+            out.push('"');
+            out.extend(
+                flag_letters(flags)
+                    .into_iter()
+                    .filter_map(|(c, on)| on.then_some(c)),
+            );
+            out.push('"');
         }
-        Syscall::Open { path, flags } => format!(
-            "{{\"op\":\"{op}\",\"path\":\"{}\",\"flags\":\"{}\"}}",
-            escape(path),
-            flags_json(flags)
-        ),
-        Syscall::Close { fd } | Syscall::Fsync { fd } | Syscall::Fstat { fd } => {
-            format!("{{\"op\":\"{op}\",\"fd\":{}}}", fd.0)
+        Syscall::Close { fd } | Syscall::Fsync { fd } | Syscall::Fstat { fd } => o.u64("fd", fd.0),
+        Syscall::Lseek { fd, offset, whence } => {
+            o.u64("fd", fd.0);
+            let out = o.key("offset");
+            if *offset < 0 {
+                out.push('-');
+            }
+            push_u64(out, offset.unsigned_abs());
+            o.u64("whence", *whence as u64);
         }
-        Syscall::Lseek { fd, offset, whence } => format!(
-            "{{\"op\":\"{op}\",\"fd\":{},\"offset\":{offset},\"whence\":{}}}",
-            fd.0, *whence as u64
-        ),
-        Syscall::Read { fd, len } => format!("{{\"op\":\"{op}\",\"fd\":{},\"len\":{len}}}", fd.0),
+        Syscall::Read { fd, len } => {
+            o.u64("fd", fd.0);
+            o.u64("len", *len as u64);
+        }
         Syscall::Pread { fd, pos, len } => {
-            format!(
-                "{{\"op\":\"{op}\",\"fd\":{},\"pos\":{pos},\"len\":{len}}}",
-                fd.0
-            )
+            o.u64("fd", fd.0);
+            o.u64("pos", *pos);
+            o.u64("len", *len as u64);
         }
-        Syscall::Write { fd, data } => format!(
-            "{{\"op\":\"{op}\",\"fd\":{},\"data\":\"{}\"}}",
-            fd.0,
-            hex_encode(data)
-        ),
+        Syscall::Write { fd, data } => {
+            o.u64("fd", fd.0);
+            o.hex("data", data);
+        }
         Syscall::Stat { path }
         | Syscall::Mkdir { path }
         | Syscall::Readdir { path }
-        | Syscall::Unlink { path } => {
-            format!("{{\"op\":\"{op}\",\"path\":\"{}\"}}", escape(path))
-        }
+        | Syscall::Unlink { path } => o.str("path", path),
         Syscall::RingEnter { capacity, ops } => {
-            let mut s = format!("{{\"op\":\"{op}\",\"capacity\":{capacity},\"ops\":[");
-            for (i, (user_data, call)) in ops.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"user_data\":{user_data},\"call\":{}}}",
-                    call_json(call)
-                );
-            }
-            s.push_str("]}");
-            s
+            o.u64("capacity", *capacity as u64);
+            o.array("ops", ops, |out, (user_data, call)| {
+                let mut o = ObjWriter::new(out);
+                o.u64("user_data", *user_data);
+                write_call(o.key("call"), call);
+                o.end();
+            });
         }
         // Not capturable (their pricing tables have no capture form): a
         // recorder poisons instead of storing one, and `parse_call`
         // rejects the name, so a hand-built capture fails loudly on load.
-        Syscall::FsledsGet { .. } | Syscall::PickAdvice { .. } => {
-            format!("{{\"op\":\"{op}\"}}")
-        }
+        Syscall::FsledsGet { .. } | Syscall::PickAdvice { .. } => {}
     }
+    o.end();
 }
 
-fn op_json(op: &CapturedOp) -> String {
-    let o = &op.outcome;
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"seq\":{},\"tenant\":{},\"submit_ns\":{},\"fault_epoch\":{},\"path\":{},\
-         \"call\":{},\"outcome\":{{\"ok\":{},\"errno\":{},\"ret\":{},\"data_len\":{},\
-         \"data_fold\":{},\"complete_ns\":{},\"queue_wait_ns\":{},\"service_ns\":{},\
-         \"device_commands\":{},\"device_bytes\":{},\"hedges\":{},\"classes\":[",
-        op.seq,
-        op.tenant,
-        op.submit_ns,
-        op.fault_epoch,
-        match &op.path {
-            Some(p) => format!("\"{}\"", escape(p)),
-            None => "null".to_string(),
-        },
-        call_json(&op.call),
-        o.ok,
-        match &o.errno {
-            Some(e) => format!("\"{}\"", escape(e)),
-            None => "null".to_string(),
-        },
-        o.ret,
-        o.data_len,
-        o.data_fold,
-        o.complete_ns,
-        o.queue_wait_ns,
-        o.service_ns,
-        o.device_commands,
-        o.device_bytes,
-        o.hedges,
-    );
-    for (i, c) in o.classes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"class\":{},\"commands\":{},\"queue_wait_ns\":{},\"service_ns\":{},\
-             \"bytes\":{}}}",
-            c.class, c.commands, c.queue_wait_ns, c.service_ns, c.bytes
-        );
-    }
-    s.push_str("]}}");
-    s
+fn write_op(out: &mut String, op: &CapturedOp) {
+    let mut o = ObjWriter::new(out);
+    o.u64("seq", op.seq);
+    o.u64("tenant", op.tenant);
+    o.u64("submit_ns", op.submit_ns);
+    o.u64("fault_epoch", op.fault_epoch);
+    o.opt_str("path", op.path.as_deref());
+    write_call(o.key("call"), &op.call);
+    write_outcome(o.key("outcome"), &op.outcome);
+    o.end();
+}
+
+fn write_outcome(out: &mut String, outcome: &OpOutcome) {
+    let mut o = ObjWriter::new(out);
+    o.bool("ok", outcome.ok);
+    o.opt_str("errno", outcome.errno.map(Errno::name));
+    o.u64("ret", outcome.ret);
+    o.u64("data_len", outcome.data_len);
+    o.u64("data_fold", outcome.data_fold);
+    o.u64("complete_ns", outcome.complete_ns);
+    o.u64("queue_wait_ns", outcome.queue_wait_ns);
+    o.u64("service_ns", outcome.service_ns);
+    o.u64("device_commands", outcome.device_commands);
+    o.u64("device_bytes", outcome.device_bytes);
+    o.u64("hedges", outcome.hedges);
+    o.array("classes", &outcome.classes, |out, c| {
+        let mut o = ObjWriter::new(out);
+        o.u64("class", c.class);
+        o.u64("commands", c.commands);
+        o.u64("queue_wait_ns", c.queue_wait_ns);
+        o.u64("service_ns", c.service_ns);
+        o.u64("bytes", c.bytes);
+        o.end();
+    });
+    o.end();
 }
 
 fn parse_spec(header: &Json) -> Result<WorkloadSpec, String> {
@@ -417,11 +463,7 @@ fn parse_spec(header: &Json) -> Result<WorkloadSpec, String> {
             let m = header.field("hedge_max", "header")?.as_u64("hedge_max")?;
             u32::try_from(m).map_err(|_| format!("hedge_max {m} out of range"))?
         },
-        deadline_mult: f64::from_bits(
-            header
-                .field("hedge_deadline_mult_bits", "header")?
-                .as_u64("hedge_deadline_mult_bits")?,
-        ),
+        deadline_mult: multiplier(header, "hedge_deadline_mult_bits", "header")?,
         cancel_cost: SimDuration::from_nanos(
             header
                 .field("hedge_cancel_ns", "header")?
@@ -434,12 +476,28 @@ fn parse_spec(header: &Json) -> Result<WorkloadSpec, String> {
     let mut plan = FaultPlan::new();
     for entry in header.field("faults", "header")?.as_arr("faults")? {
         let dev = entry.field("dev", "fault entry")?.as_str("dev")?;
-        for w in entry.field("windows", "fault entry")?.as_arr("windows")? {
-            plan = parse_window(plan, dev, w)?;
+        let windows = entry.field("windows", "fault entry")?.as_arr("windows")?;
+        for (i, w) in windows.iter().enumerate() {
+            plan = parse_window(plan, dev, w).map_err(|e| format!("{dev} window {i}: {e}"))?;
         }
     }
     spec.fault_plan = plan;
     Ok(spec)
+}
+
+/// Field `key` of `v` as the `f64` whose bits it holds. Every multiplier
+/// in a capture scales a service time: NaN, an infinity, zero or a
+/// negative would replay "successfully" into nonsense.
+fn multiplier(v: &Json, key: &str, what: &str) -> Result<f64, String> {
+    let bits = v.field(key, what)?.as_u64(key)?;
+    let m = f64::from_bits(bits);
+    if m.is_finite() && m > 0.0 {
+        Ok(m)
+    } else {
+        Err(format!(
+            "{what}: {key} {bits} is {m}, not a finite positive multiplier"
+        ))
+    }
 }
 
 fn parse_window(plan: FaultPlan, dev: &str, w: &Json) -> Result<FaultPlan, String> {
@@ -456,10 +514,7 @@ fn parse_window(plan: FaultPlan, dev: &str, w: &Json) -> Result<FaultPlan, Strin
             Ok(plan.transient(dev, start, end, budget, cost))
         }
         "degraded" => {
-            let bits = w
-                .field("multiplier_bits", "window")?
-                .as_u64("multiplier_bits")?;
-            Ok(plan.degraded(dev, start, end, f64::from_bits(bits)))
+            Ok(plan.degraded(dev, start, end, multiplier(w, "multiplier_bits", "window")?))
         }
         "offline" => {
             let cost = SimDuration::from_nanos(
@@ -507,7 +562,6 @@ fn parse_step(v: &Json) -> Result<SetupStep, String> {
                 .as_u64("chunk_pages")?,
         }),
         "mount_volume" => {
-            use sleds_fs::VolumeLayout;
             let layout = match v.field("layout", "setup step")?.as_str("layout")? {
                 "mirrored" => VolumeLayout::Mirrored,
                 "striped" => VolumeLayout::Striped {
@@ -540,10 +594,14 @@ fn parse_step(v: &Json) -> Result<SetupStep, String> {
                 members,
             })
         }
-        "install_file" => Ok(SetupStep::InstallFile {
-            path: path("path")?,
-            data: hex_decode(v.field("data", "setup step")?.as_str("data")?)?,
-        }),
+        "install_file" => {
+            let mut data = Vec::new();
+            hex_decode(v.field("data", "setup step")?.as_str("data")?, &mut data)?;
+            Ok(SetupStep::InstallFile {
+                path: path("path")?,
+                data,
+            })
+        }
         "install_sparse_file" => Ok(SetupStep::InstallSparseFile {
             path: path("path")?,
             size: v.field("size", "setup step")?.as_u64("size")?,
@@ -562,8 +620,8 @@ fn parse_step(v: &Json) -> Result<SetupStep, String> {
     }
 }
 
-fn parse_flags(s: &str) -> Result<sleds_fs::OpenFlags, String> {
-    let mut flags = sleds_fs::OpenFlags::default();
+fn parse_flags(s: &str) -> Result<OpenFlags, String> {
+    let mut flags = OpenFlags::default();
     for c in s.chars() {
         match c {
             'r' => flags.read = true,
@@ -610,10 +668,11 @@ fn parse_call(v: &Json) -> Result<Syscall, String> {
             pos: v.field("pos", "call")?.as_u64("pos")?,
             len: len()?,
         },
-        "write" => Syscall::Write {
-            fd: fd()?,
-            data: hex_decode(v.field("data", "call")?.as_str("data")?)?,
-        },
+        "write" => {
+            let mut data = Vec::new();
+            hex_decode(v.field("data", "call")?.as_str("data")?, &mut data)?;
+            Syscall::Write { fd: fd()?, data }
+        }
         "fsync" => Syscall::Fsync { fd: fd()? },
         "stat" => Syscall::Stat { path: path()? },
         "fstat" => Syscall::Fstat { fd: fd()? },
@@ -621,8 +680,9 @@ fn parse_call(v: &Json) -> Result<Syscall, String> {
         "readdir" => Syscall::Readdir { path: path()? },
         "unlink" => Syscall::Unlink { path: path()? },
         "ring_enter" => {
-            let mut ops = Vec::new();
-            for r in v.field("ops", "call")?.as_arr("ops")? {
+            let subs = v.field("ops", "call")?.as_arr("ops")?;
+            let mut ops = Vec::with_capacity(subs.len());
+            for r in subs {
                 ops.push((
                     r.field("user_data", "ring op")?.as_u64("user_data")?,
                     parse_call(r.field("call", "ring op")?)?,
@@ -639,8 +699,9 @@ fn parse_call(v: &Json) -> Result<Syscall, String> {
 
 fn parse_op(v: &Json) -> Result<CapturedOp, String> {
     let o = v.field("outcome", "op")?;
-    let mut classes = Vec::new();
-    for c in o.field("classes", "outcome")?.as_arr("classes")? {
+    let rows = o.field("classes", "outcome")?.as_arr("classes")?;
+    let mut classes = Vec::with_capacity(rows.len());
+    for c in rows {
         classes.push(ClassCost {
             class: c.field("class", "class cost")?.as_u64("class")?,
             commands: c.field("commands", "class cost")?.as_u64("commands")?,
@@ -657,14 +718,17 @@ fn parse_op(v: &Json) -> Result<CapturedOp, String> {
         submit_ns: v.field("submit_ns", "op")?.as_u64("submit_ns")?,
         fault_epoch: v.field("fault_epoch", "op")?.as_u64("fault_epoch")?,
         path: match v.opt_field("path", "op")? {
-            Some(p) => Some(p.as_str("path")?.to_string()),
+            Some(p) => Some(Arc::from(p.as_str("path")?)),
             None => None,
         },
         call: parse_call(v.field("call", "op")?)?,
         outcome: OpOutcome {
             ok: o.field("ok", "outcome")?.as_bool("ok")?,
             errno: match o.opt_field("errno", "outcome")? {
-                Some(e) => Some(e.as_str("errno")?.to_string()),
+                Some(e) => {
+                    let name = e.as_str("errno")?;
+                    Some(Errno::from_name(name).ok_or_else(|| format!("unknown errno {name:?}"))?)
+                }
                 None => None,
             },
             ret: o.field("ret", "outcome")?.as_u64("ret")?,

@@ -14,8 +14,6 @@
 //! Incomplete captures (`complete: false`) are refused loudly: an
 //! overflowed or poisoned capture can never be silently replayed.
 
-use std::collections::BTreeMap;
-
 use sleds_fs::{Capture, CapturedOp, Kernel, Syscall, SyscallRet, TenantId};
 use sleds_sim_core::SimDuration;
 
@@ -70,22 +68,26 @@ pub fn replay(file: &CaptureFile, candidate: &CandidateConfig) -> Result<Replaye
     // the identity byte-comparison) lines up.
     k.start_capture(file.capture.budget);
 
-    // Per-tenant original completion times: the basis for think gaps.
-    // Tenant 0 ("main") starts at the original capture-arm instant —
-    // setup work before the capture is not think time.
-    let mut prev_complete: BTreeMap<u64, u64> = BTreeMap::new();
-    prev_complete.insert(0, file.capture.base_ns);
+    // Per-tenant original completion times, indexed by tenant id: the
+    // basis for think gaps. Tenant 0 ("main") starts at the original
+    // capture-arm instant — setup work before the capture is not think
+    // time. An id is only ever stored after the kernel accepted it, so
+    // the file cannot size this beyond one slot per registered tenant.
+    let mut prev_complete: Vec<u64> = vec![file.capture.base_ns];
 
     for op in &file.capture.ops {
         k.tenant_switch(TenantId(op.tenant))
             .map_err(|e| format!("op {}: {e}", op.seq))?;
-        let prev = prev_complete.get(&op.tenant).copied().unwrap_or(0);
+        let prev = usize::try_from(op.tenant)
+            .ok()
+            .and_then(|t| prev_complete.get(t).copied())
+            .unwrap_or(0);
         let gap = op.submit_ns.saturating_sub(prev);
         if gap > 0 {
             k.charge_cpu(SimDuration::from_nanos(gap));
         }
         replay_op(&mut k, op, &mut prev_complete)?;
-        prev_complete.insert(op.tenant, op.outcome.complete_ns);
+        note_complete(&mut prev_complete, op.tenant, op.outcome.complete_ns);
     }
 
     let capture = k
@@ -103,6 +105,17 @@ pub fn replay(file: &CaptureFile, candidate: &CandidateConfig) -> Result<Replaye
         capture,
         kernel: k,
     })
+}
+
+/// Records that `tenant` — an id the kernel has accepted — last completed
+/// at `complete_ns`.
+fn note_complete(prev_complete: &mut Vec<u64>, tenant: u64, complete_ns: u64) {
+    if let Ok(t) = usize::try_from(tenant) {
+        if t >= prev_complete.len() {
+            prev_complete.resize(t + 1, 0);
+        }
+        prev_complete[t] = complete_ns;
+    }
 }
 
 /// Checks that an op's replayed success/failure matches the capture.
@@ -129,11 +142,7 @@ fn expect_ok<T>(
 /// Re-issues one captured call through [`Kernel::syscall`] and checks the
 /// structure later ops depend on: same success/failure, same fd from
 /// `open`, same id from `tenant_register`.
-fn replay_op(
-    k: &mut Kernel,
-    op: &CapturedOp,
-    prev_complete: &mut BTreeMap<u64, u64>,
-) -> Result<(), String> {
+fn replay_op(k: &mut Kernel, op: &CapturedOp, prev_complete: &mut Vec<u64>) -> Result<(), String> {
     let want = op.outcome.ret;
     match (&op.call, expect_ok(op, k.syscall(&op.call))?) {
         (Syscall::Open { path, .. }, Some(SyscallRet::Fd(fd))) if fd.0 != want => Err(format!(
@@ -149,7 +158,7 @@ fn replay_op(
             }
             // The new tenant's clock parks at the registration instant;
             // its first op's think gap is measured from there.
-            prev_complete.insert(t.0, op.outcome.complete_ns);
+            note_complete(prev_complete, t.0, op.outcome.complete_ns);
             Ok(())
         }
         _ => Ok(()),

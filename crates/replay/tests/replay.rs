@@ -9,7 +9,7 @@ use sleds_fs::{
 use sleds_replay::{
     build_kernel, diff_captures, replay, CandidateConfig, CaptureFile, SetupStep, WorkloadSpec,
 };
-use sleds_sim_core::{SimDuration, SimTime, PAGE_SIZE};
+use sleds_sim_core::{Errno, SimDuration, SimTime, PAGE_SIZE};
 
 /// A small but representative environment: one disk mount, one NFS
 /// mount, a few files, cold caches.
@@ -125,6 +125,22 @@ fn identity_replay_reproduces_the_capture_byte_for_byte() {
     );
 }
 
+/// The committed artifact `scripts/check.sh` regenerates and diffs.
+const COMMITTED: &str = include_str!("../../../results/CAPTURE_saturation.jsonl");
+
+#[test]
+fn the_committed_capture_roundtrips_and_replays_byte_identically() {
+    let file = CaptureFile::parse(COMMITTED).expect("committed capture loads");
+    assert!(file.capture.ops.len() > 100, "the saturation workload");
+    assert_eq!(
+        file.to_jsonl(),
+        COMMITTED,
+        "serialize∘parse must be identity"
+    );
+    let replayed = replay(&file, &CandidateConfig::identity()).expect("identity replay");
+    assert_eq!(replayed.into_file().to_jsonl(), COMMITTED);
+}
+
 #[test]
 fn overflowed_capture_is_marked_incomplete_and_refused() {
     let spec = small_spec();
@@ -176,8 +192,14 @@ fn parse_rejects_unknown_schema_and_truncation() {
     let file = capture_small();
     let text = file.to_jsonl();
 
-    let bad = text.replacen("sleds-capture-v2", "sleds-capture-v9", 1);
-    assert!(CaptureFile::parse(&bad).is_err(), "unknown schema rejected");
+    // The previous schema is as unknown as a future one: its `data_fold`
+    // values were FNV-1a and would fail every identity replay.
+    for other in ["sleds-capture-v2", "sleds-capture-v9"] {
+        let bad = text.replacen(sleds_fs::CAPTURE_SCHEMA, other, 1);
+        assert_ne!(bad, text);
+        let err = CaptureFile::parse(&bad).unwrap_err();
+        assert!(err.contains("unknown capture schema"), "{other}: {err}");
+    }
 
     let mut lines: Vec<&str> = text.lines().collect();
     lines.pop();
@@ -292,11 +314,11 @@ fn file_of(call: Syscall) -> CaptureFile {
         tenant: 2,
         submit_ns: 1_000,
         fault_epoch: 3,
-        path: call.fd().map(|_| "/d/\"quoted\"".to_string()),
+        path: call.fd().map(|_| "/d/\"quoted\"".into()),
         call,
         outcome: OpOutcome {
             ok: false,
-            errno: Some("EIO".into()),
+            errno: Some(Errno::Eio),
             ret: 4,
             data_len: 5,
             data_fold: u64::MAX,
@@ -451,4 +473,76 @@ fn parse_rejects_an_unknown_whence_code() {
     let bad = text.replacen("\"whence\":2", "\"whence\":3", 1);
     assert_ne!(bad, text);
     assert!(CaptureFile::parse(&bad).unwrap_err().contains("whence"));
+}
+
+#[test]
+fn every_errno_roundtrips_and_an_unknown_one_names_its_line() {
+    let mut file = file_of(Syscall::Fsync { fd: Fd(3) });
+    for errno in Errno::ALL {
+        file.capture.ops[0].outcome.errno = Some(errno);
+        let text = file.to_jsonl();
+        assert!(text.contains(&format!("\"errno\":\"{}\"", errno.name())));
+        let back = CaptureFile::parse(&text).unwrap();
+        assert_eq!(back.capture.ops[0].outcome.errno, Some(errno));
+    }
+    let text = file.to_jsonl();
+    for bad in ["BANANA", "etimedout", ""] {
+        let bad_text = text.replacen(
+            "\"errno\":\"ETIMEDOUT\"",
+            &format!("\"errno\":\"{bad}\""),
+            1,
+        );
+        assert_ne!(bad_text, text);
+        let err = CaptureFile::parse(&bad_text).unwrap_err();
+        assert!(
+            err.contains("op line 2") && err.contains(&format!("unknown errno {bad:?}")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn duplicate_keys_are_refused_in_the_header_and_in_an_op() {
+    let text = file_of(Syscall::Fsync { fd: Fd(3) }).to_jsonl();
+    // Last-one-wins would quietly replay 16 ops' budget as 1, or the op
+    // as another tenant's.
+    for (from, to, whose) in [
+        ("\"budget\":16,", "\"budget\":16,\"budget\":1,", "header"),
+        ("\"tenant\":2,", "\"tenant\":2,\"tenant\":0,", "op line 2"),
+        ("\"ret\":4,", "\"ret\":4,\"ret\":5,", "op line 2"),
+    ] {
+        let bad = text.replacen(from, to, 1);
+        assert_ne!(bad, text);
+        let err = CaptureFile::parse(&bad).unwrap_err();
+        assert!(
+            err.starts_with(whose) && err.contains("duplicate key") && err.contains("at offset"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn multipliers_that_are_not_finite_and_positive_are_refused() {
+    let mut file = file_of(Syscall::Fsync { fd: Fd(3) });
+    file.spec.fault_plan =
+        FaultPlan::new().degraded("hda", SimTime::from_nanos(10), SimTime::from_nanos(20), 2.5);
+    let text = file.to_jsonl();
+    assert_eq!(CaptureFile::parse(&text).unwrap().to_jsonl(), text);
+    let hedge = format!(
+        "\"hedge_deadline_mult_bits\":{}",
+        file.spec.hedge.deadline_mult.to_bits()
+    );
+    let window = format!("\"multiplier_bits\":{}", 2.5f64.to_bits());
+    for (field, at) in [(&hedge, "header"), (&window, "hda window 0")] {
+        let key = field.split(':').next().unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.5] {
+            let bad_text = text.replacen(field.as_str(), &format!("{key}:{}", bad.to_bits()), 1);
+            assert_ne!(bad_text, text);
+            let err = CaptureFile::parse(&bad_text).unwrap_err();
+            assert!(
+                err.contains(at) && err.contains("finite positive"),
+                "{bad}: {err}"
+            );
+        }
+    }
 }

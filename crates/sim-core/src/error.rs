@@ -53,6 +53,37 @@ pub enum Errno {
 }
 
 impl Errno {
+    /// Every errno, in declaration order.
+    pub const ALL: [Errno; 21] = [
+        Errno::Enoent,
+        Errno::Ebadf,
+        Errno::Einval,
+        Errno::Eio,
+        Errno::Eisdir,
+        Errno::Enotdir,
+        Errno::Enospc,
+        Errno::Erofs,
+        Errno::Eexist,
+        Errno::Enosys,
+        Errno::Enotty,
+        Errno::Efbig,
+        Errno::Emfile,
+        Errno::Exdev,
+        Errno::Enotempty,
+        Errno::Eperm,
+        Errno::Eagain,
+        Errno::Eoverflow,
+        Errno::Enomedium,
+        Errno::Estale,
+        Errno::Etimedout,
+    ];
+
+    /// The errno whose [`Errno::name`] is `name`; `None` for any other
+    /// string. What a serialised errno is read back through.
+    pub fn from_name(name: &str) -> Option<Errno> {
+        Errno::ALL.into_iter().find(|e| e.name() == name)
+    }
+
     /// Returns the conventional short name, e.g. `"ENOENT"`.
     pub fn name(self) -> &'static str {
         match self {
@@ -181,6 +212,17 @@ mod tests {
     fn errno_names_and_messages() {
         assert_eq!(Errno::Enoent.name(), "ENOENT");
         assert_eq!(Errno::Ebadf.message(), "bad file descriptor");
+    }
+
+    #[test]
+    fn from_name_inverts_name_for_every_errno() {
+        for (i, e) in Errno::ALL.into_iter().enumerate() {
+            assert_eq!(Errno::from_name(e.name()), Some(e));
+            assert!(!Errno::ALL[..i].contains(&e), "{e:?} listed twice");
+        }
+        for bad in ["", "BANANA", "enoent", "ENOENT ", "EIO\0"] {
+            assert_eq!(Errno::from_name(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
