@@ -190,6 +190,62 @@ fn bench_kernel_read_path() {
     });
 }
 
+/// A kernel holding a 125 × 1,000 tree of sparse one-page files — the
+/// benchmark's `tree_walk` shape — and every file path in walk order.
+fn kernel_with_tree() -> (Kernel, Vec<String>) {
+    let mut k = Kernel::table2();
+    k.mkdir("/tree").unwrap();
+    k.mount_disk("/tree", DiskDevice::table2_disk("hda"))
+        .unwrap();
+    let mut paths = Vec::with_capacity(125_000);
+    for d in 0..125 {
+        k.mkdir(&format!("/tree/d{d:03}")).unwrap();
+        for f in 0..1000 {
+            let p = format!("/tree/d{d:03}/f{f:03}");
+            k.install_sparse_file(&p, PAGE_SIZE).unwrap();
+            paths.push(p);
+        }
+    }
+    (k, paths)
+}
+
+/// The kernel's id-keyed lookups at the `tree_walk` scale: path walk plus
+/// inode table (`stat`), the same plus the fd table (`open`/`close`), a
+/// cache-wide drop with few pages resident among many inodes, and the
+/// page-cache index alone. The first three print ns per call.
+fn bench_kernel_tables() {
+    let (mut k, paths) = kernel_with_tree();
+    let mut at = 0;
+    time("kernel_namei/stat_125k_inodes", || {
+        at = (at + 1) % paths.len();
+        k.stat(&paths[at]).unwrap().size
+    });
+    time("kernel_namei/open_close_125k_inodes", || {
+        at = (at + 1) % paths.len();
+        let fd = k.open(&paths[at], OpenFlags::RDONLY).unwrap();
+        k.close(fd).unwrap();
+        fd
+    });
+    time("kernel_drop_caches/125k_inodes_1k_resident", || {
+        for p in paths.iter().step_by(125) {
+            k.warm_file_pages(p, 0, 1).unwrap();
+        }
+        k.drop_caches().unwrap();
+        k.cache_resident_pages()
+    });
+
+    // One resident page on each of 64k inodes; ns per 64k lookups.
+    let mut cache = PageCache::lru(1 << 16);
+    for ino in 0..1u64 << 16 {
+        cache.insert(PageKey::new(ino, 0), false);
+    }
+    time("pagecache_index/lookup_64k_inodes", || {
+        (0..1u64 << 16)
+            .filter(|&ino| cache.contains(PageKey::new(ino, 0)))
+            .count()
+    });
+}
+
 /// The flight recorder's host costs. `time` prints ns per call; divide
 /// `capture_fold` and `capture_hex` by the byte count in the name for
 /// ns/B, `capture_codec` by 1,000 for ns/op.
@@ -273,5 +329,6 @@ fn main() {
     bench_regex();
     bench_fits_codec();
     bench_kernel_read_path();
+    bench_kernel_tables();
     bench_capture();
 }

@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultPlan, FaultState};
 use sleds_pagecache::{PageCache, PageKey};
 use sleds_sim_core::{
-    Clock, DetRng, Errno, RetryPolicy, SimDuration, SimError, SimResult, SimTime, TenantId,
-    PAGE_SIZE, SECTOR_SIZE,
+    Clock, DetRng, Errno, IdTable, IdWindow, RetryPolicy, SimDuration, SimError, SimResult,
+    SimTime, TenantId, PAGE_SIZE, SECTOR_SIZE,
 };
 use sleds_trace::{DeviceCost, Layer, Metrics, TraceEvent, Tracer, Wait};
 
@@ -48,6 +48,7 @@ use crate::volume::{HedgePolicy, VolumeLayout};
 
 mod boundary;
 mod cost;
+mod namei;
 
 use cost::Attempt;
 
@@ -201,6 +202,15 @@ struct OpenFile {
     flags: OpenFlags,
 }
 
+/// One slot of the descriptor table: the description, plus the pick
+/// program `FSLEDS_PROG` installed on it. The program lives and dies with
+/// the descriptor.
+#[derive(Debug)]
+struct FdSlot {
+    file: OpenFile,
+    prog: Option<Box<PickProgram>>,
+}
+
 /// One registered tenant: its own timeline and accumulated usage.
 ///
 /// The kernel runs one tenant at a time; [`Kernel::tenant_switch`] parks
@@ -227,9 +237,14 @@ pub struct Kernel {
     cache: PageCache,
     devices: Vec<Box<dyn BlockDevice>>,
     mounts: Vec<Mount>,
-    inodes: BTreeMap<Ino, Inode>,
+    /// Slot = inode number. `alloc_ino` issues 1, 2, 3, … and never
+    /// reuses one, so the table is dense; `unlink` leaves an empty slot.
+    inodes: IdTable<Inode>,
     next_ino: u64,
-    fds: BTreeMap<u64, OpenFile>,
+    /// Open descriptors, keyed by fd number. Fds are issued in increasing
+    /// order and never reused (captures record them), so the window holds
+    /// the span from the oldest open fd to the newest issued.
+    fds: IdWindow<FdSlot>,
     next_fd: u64,
     usage: Rusage,
     root: Ino,
@@ -242,8 +257,6 @@ pub struct Kernel {
     /// Jitter stream for retry backoff; only consumed when a command
     /// actually fails, so fault-free runs never draw from it.
     retry_rng: DetRng,
-    /// Pick programs installed per fd via `FSLEDS_PROG`; dropped on close.
-    fd_progs: BTreeMap<u64, PickProgram>,
     /// Lifetime count of `ring_enter` batches serviced (cheap stat for
     /// benches; crossings proper live in rusage).
     ring_enters: u64,
@@ -287,9 +300,9 @@ impl Kernel {
     pub fn new(cfg: MachineConfig) -> Self {
         let cache = PageCache::new(cfg.cache_pages(), cfg.policy);
         let root = Ino(1);
-        let mut inodes = BTreeMap::new();
+        let mut inodes = IdTable::new();
         inodes.insert(
-            root,
+            root.0,
             Inode {
                 ino: root,
                 mount: None,
@@ -305,14 +318,13 @@ impl Kernel {
             mounts: Vec::new(),
             inodes,
             next_ino: 2,
-            fds: BTreeMap::new(),
+            fds: IdWindow::new(),
             next_fd: 3, // 0..2 reserved, as tradition demands
             usage: Rusage::default(),
             root,
             tracer: Tracer::disabled(),
             sleds_epoch: 0,
             retry_rng: DetRng::new(RETRY_JITTER_SEED),
-            fd_progs: BTreeMap::new(),
             ring_enters: 0,
             ring_ops: 0,
             ring_slot: None,
@@ -1146,98 +1158,6 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Path resolution
-    // ------------------------------------------------------------------
-
-    fn inode(&self, ino: Ino) -> SimResult<&Inode> {
-        self.inodes
-            .get(&ino)
-            .ok_or_else(|| SimError::new(Errno::Estale, format!("stale inode {ino:?}")))
-    }
-
-    fn inode_mut(&mut self, ino: Ino) -> SimResult<&mut Inode> {
-        self.inodes
-            .get_mut(&ino)
-            .ok_or_else(|| SimError::new(Errno::Estale, format!("stale inode {ino:?}")))
-    }
-
-    fn file_of(&self, ino: Ino) -> SimResult<&FileNode> {
-        self.inode(ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, format!("inode {ino:?} is a directory")))
-    }
-
-    fn file_of_mut(&mut self, ino: Ino) -> SimResult<&mut FileNode> {
-        self.inode_mut(ino)?
-            .as_file_mut()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, format!("inode {ino:?} is a directory")))
-    }
-
-    fn dir_of_mut(&mut self, ino: Ino) -> SimResult<&mut BTreeMap<String, Ino>> {
-        self.inode_mut(ino)?.as_dir_mut().ok_or_else(|| {
-            SimError::new(Errno::Enotdir, format!("inode {ino:?} is not a directory"))
-        })
-    }
-
-    fn openfile_mut(&mut self, fd: Fd) -> SimResult<&mut OpenFile> {
-        self.fds
-            .get_mut(&fd.0)
-            .ok_or_else(|| SimError::new(Errno::Ebadf, format!("fd {}", fd.0)))
-    }
-
-    fn components(path: &str) -> SimResult<Vec<&str>> {
-        if !path.starts_with('/') {
-            return Err(SimError::new(
-                Errno::Einval,
-                format!("path {path:?} must be absolute"),
-            ));
-        }
-        Ok(path
-            .split('/')
-            .filter(|c| !c.is_empty() && *c != ".")
-            .collect())
-    }
-
-    /// Resolves an absolute path to an inode.
-    pub fn resolve(&self, path: &str) -> SimResult<Ino> {
-        let mut cur = self.root;
-        for comp in Self::components(path)? {
-            let node = self.inode(cur)?;
-            let dir = node
-                .as_dir()
-                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("resolve({path})")))?;
-            cur = *dir
-                .get(comp)
-                .ok_or_else(|| SimError::new(Errno::Enoent, format!("resolve({path})")))?;
-        }
-        Ok(cur)
-    }
-
-    fn resolve_parent<'p>(&self, path: &'p str) -> SimResult<(Ino, &'p str)> {
-        let comps = Self::components(path)?;
-        let (name, dirs) = comps
-            .split_last()
-            .ok_or_else(|| SimError::new(Errno::Einval, format!("resolve_parent({path})")))?;
-        let mut cur = self.root;
-        for comp in dirs {
-            let node = self.inode(cur)?;
-            let dir = node
-                .as_dir()
-                .ok_or_else(|| SimError::new(Errno::Enotdir, format!("resolve_parent({path})")))?;
-            cur = *dir
-                .get(*comp)
-                .ok_or_else(|| SimError::new(Errno::Enoent, format!("resolve_parent({path})")))?;
-        }
-        Ok((cur, name))
-    }
-
-    fn alloc_ino(&mut self) -> Ino {
-        let i = Ino(self.next_ino);
-        self.next_ino += 1;
-        i
-    }
-
-    // ------------------------------------------------------------------
     // Directory syscalls
     // ------------------------------------------------------------------
 
@@ -1259,7 +1179,7 @@ impl Kernel {
             let ino = k.alloc_ino();
             let now = k.clock.now();
             k.inodes.insert(
-                ino,
+                ino.0,
                 Inode {
                     ino,
                     mount,
@@ -1344,7 +1264,7 @@ impl Kernel {
             }
             let name = name.to_string();
             k.dir_of_mut(parent)?.remove(&name);
-            k.inodes.remove(&ino);
+            k.inodes.remove(ino.0);
             k.cache.remove_file(ino.0);
             Ok(SyscallRet::Unit)
         })
@@ -1355,11 +1275,24 @@ impl Kernel {
     // File descriptor syscalls
     // ------------------------------------------------------------------
 
-    fn openfile(&self, fd: Fd) -> SimResult<OpenFile> {
+    fn fd_slot(&self, fd: Fd) -> SimResult<&FdSlot> {
         self.fds
-            .get(&fd.0)
-            .copied()
+            .get(fd.0)
             .ok_or_else(|| SimError::new(Errno::Ebadf, format!("fd {}", fd.0)))
+    }
+
+    fn fd_slot_mut(&mut self, fd: Fd) -> SimResult<&mut FdSlot> {
+        self.fds
+            .get_mut(fd.0)
+            .ok_or_else(|| SimError::new(Errno::Ebadf, format!("fd {}", fd.0)))
+    }
+
+    fn openfile(&self, fd: Fd) -> SimResult<OpenFile> {
+        self.fd_slot(fd).map(|s| s.file)
+    }
+
+    fn openfile_mut(&mut self, fd: Fd) -> SimResult<&mut OpenFile> {
+        self.fd_slot_mut(fd).map(|s| &mut s.file)
     }
 
     /// Opens (and possibly creates) a file.
@@ -1398,7 +1331,7 @@ impl Kernel {
                     let ino = k.alloc_ino();
                     let now = k.clock.now();
                     k.inodes.insert(
-                        ino,
+                        ino.0,
                         Inode {
                             ino,
                             mount: Some(mount),
@@ -1420,7 +1353,8 @@ impl Kernel {
             }
             let fd = Fd(k.next_fd);
             k.next_fd += 1;
-            k.fds.insert(fd.0, OpenFile { ino, pos: 0, flags });
+            let file = OpenFile { ino, pos: 0, flags };
+            k.fds.insert(fd.0, FdSlot { file, prog: None });
             Ok(SyscallRet::Fd(fd))
         })?
         .fd()
@@ -1440,9 +1374,8 @@ impl Kernel {
     pub fn close(&mut self, fd: Fd) -> SimResult<()> {
         let make = || Syscall::Close { fd };
         self.sys(&sys::CLOSE, [fd.0, 0, 0], make, |k| {
-            k.fd_progs.remove(&fd.0);
             k.fds
-                .remove(&fd.0)
+                .remove(fd.0)
                 .map(|_| SyscallRet::Unit)
                 .ok_or_else(|| SimError::new(Errno::Ebadf, format!("close({})", fd.0)))
         })
@@ -1559,12 +1492,12 @@ impl Kernel {
     /// experiments that need a cold cache.
     pub fn drop_caches(&mut self) -> SimResult<()> {
         self.rec_unsupported("drop_caches");
-        let inos: Vec<u64> = self.inodes.keys().map(|i| i.0).collect();
-        for ino in inos {
-            for key in self.cache.dirty_pages_of(ino) {
-                self.writeback(key)?;
-                self.cache.mark_clean(key);
-            }
+        // The cache's own dirty set, in (inode, page) order. Every dirty
+        // page belongs to a live inode: `unlink` and `O_TRUNC` drop a
+        // file's pages when they drop the file.
+        for key in self.cache.dirty_pages() {
+            self.writeback(key)?;
+            self.cache.mark_clean(key);
         }
         self.cache.clear();
         Ok(())
@@ -1756,7 +1689,7 @@ impl Kernel {
 
     /// The volume layout governing `ino`, if its mount is a volume.
     fn volume_of(&self, ino: Ino) -> Option<VolumeLayout> {
-        let mount = self.inodes.get(&ino)?.mount?;
+        let mount = self.inodes.get(ino.0)?.mount?;
         self.mounts.get(mount.0)?.volume.as_ref().map(|v| v.layout)
     }
 
@@ -2136,7 +2069,7 @@ impl Kernel {
     fn writeback(&mut self, key: PageKey) -> SimResult<()> {
         // The inode may already be gone (unlink with dirty pages).
         let (place, extras, frag_sectors, needed) = {
-            let node = match self.inodes.get(&Ino(key.inode)) {
+            let node = match self.inodes.get(key.inode) {
                 Some(n) => n,
                 None => return Ok(()),
             };
@@ -2496,15 +2429,15 @@ impl Kernel {
     /// re-runs nothing and simply associates it with the fd until close.
     pub fn fsleds_prog(&mut self, fd: Fd, prog: PickProgram) -> SimResult<()> {
         self.ioctl(&Entry::ioctl("ioctl.fsleds_prog"), [fd.0, 0, 0], |k| {
-            k.openfile(fd).map(|_| {
-                k.fd_progs.insert(fd.0, prog);
+            k.fd_slot_mut(fd).map(|slot| {
+                slot.prog = Some(Box::new(prog));
             })
         })
     }
 
     /// The program installed on `fd`, if any.
     pub fn fd_prog(&self, fd: Fd) -> Option<&PickProgram> {
-        self.fd_progs.get(&fd.0)
+        self.fds.get(fd.0)?.prog.as_deref()
     }
 
     /// Evaluates the program installed on `fd` against the file's current
@@ -2513,8 +2446,9 @@ impl Kernel {
     /// verdict plus the delivery-time estimate it saw.
     pub fn fsleds_prog_eval(&mut self, fd: Fd, pricing: &ProgPricing) -> SimResult<(bool, f64)> {
         self.ioctl(&Entry::ioctl("ioctl.fsleds_prog_eval"), [fd.0, 0, 0], |k| {
-            let of = k.openfile(fd)?;
-            let prog = k.fd_progs.get(&fd.0).cloned().ok_or_else(|| {
+            let slot = k.fd_slot(fd)?;
+            let of = slot.file;
+            let prog = slot.prog.clone().ok_or_else(|| {
                 SimError::new(
                     Errno::Einval,
                     format!("FSLEDS_PROG: no program on fd {}", fd.0),
@@ -2562,22 +2496,26 @@ impl Kernel {
             let ino = k.resolve(root)?;
             let mut out: Vec<(WalkEntry, f64)> = Vec::new();
             let mut done = false;
-            k.walk_node(root, ino, prog, pricing, &mut out, &mut done)?;
+            let mut path = root.to_string();
+            k.walk_node(&mut path, ino, prog, pricing, &mut out, &mut done)?;
             if prog.order == ProgOrder::CachedFirst {
                 // Matched files first, most-cached first; stable, so ties
                 // and the unmatched tail keep file order.
-                let (mut hits, rest): (Vec<_>, Vec<_>) =
-                    out.into_iter().partition(|(e, _)| e.matched);
-                hits.sort_by(|a, b| b.1.total_cmp(&a.1));
-                out = hits.into_iter().chain(rest).collect();
+                out.sort_by(|a, b| match (a.0.matched, b.0.matched) {
+                    (true, true) => b.1.total_cmp(&a.1),
+                    (a_hit, b_hit) => b_hit.cmp(&a_hit),
+                });
             }
             Ok(out.into_iter().map(|(e, _)| e).collect())
         })
     }
 
+    /// One node of the walk. `path` is the node's own path on entry and
+    /// again on `Ok` return; a directory extends it in place for each child,
+    /// so the only allocation per file is the `path` of the entry it emits.
     fn walk_node(
         &mut self,
-        path: &str,
+        path: &mut String,
         ino: Ino,
         prog: &PickProgram,
         pricing: &ProgPricing,
@@ -2618,7 +2556,7 @@ impl Kernel {
                     }
                     (
                         WalkEntry {
-                            path: path.to_string(),
+                            path: path.clone(),
                             kind: stat.kind,
                             size: stat.size,
                             estimate_secs: Some(inputs.delivery_time),
@@ -2630,7 +2568,7 @@ impl Kernel {
                 }
                 Err(e) => (
                     WalkEntry {
-                        path: path.to_string(),
+                        path: path.clone(),
                         kind: stat.kind,
                         size: stat.size,
                         estimate_secs: None,
@@ -2645,7 +2583,7 @@ impl Kernel {
         }
         out.push((
             WalkEntry {
-                path: path.to_string(),
+                path: path.clone(),
                 kind: stat.kind,
                 size: stat.size,
                 estimate_secs: None,
@@ -2654,24 +2592,37 @@ impl Kernel {
             },
             0.0,
         ));
-        let names: Vec<(String, Ino)> = {
+        // The directory cannot stay borrowed across the recursion, so its
+        // names are copied once: one arena string plus each name's end.
+        let mut names = String::new();
+        let mut children: Vec<(usize, Ino)> = Vec::new();
+        {
             let node = self.inode(ino)?;
             let dir = node
                 .as_dir()
                 .ok_or_else(|| SimError::new(Errno::Enotdir, format!("fsleds_walk({path})")))?;
-            dir.iter().map(|(n, i)| (n.clone(), *i)).collect()
-        };
-        for (name, child) in names {
+            children.reserve(dir.len());
+            for (name, &child) in dir {
+                names.push_str(name);
+                children.push((names.len(), child));
+            }
+        }
+        let own_len = path.len();
+        if path != "/" {
+            path.push('/');
+        }
+        let stem_len = path.len();
+        let mut start = 0;
+        for (end, child) in children {
             if *done {
                 break;
             }
-            let child_path = if path == "/" {
-                format!("/{name}")
-            } else {
-                format!("{path}/{name}")
-            };
-            self.walk_node(&child_path, child, prog, pricing, out, done)?;
+            path.push_str(&names[start..end]);
+            self.walk_node(path, child, prog, pricing, out, done)?;
+            path.truncate(stem_len);
+            start = end;
         }
+        path.truncate(own_len);
         Ok(())
     }
 
@@ -3049,7 +3000,7 @@ impl Kernel {
         let ino = self.alloc_ino();
         let now = self.clock.now();
         self.inodes.insert(
-            ino,
+            ino.0,
             Inode {
                 ino,
                 mount: Some(mount),

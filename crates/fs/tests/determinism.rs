@@ -1,13 +1,14 @@
 //! Regression test for deterministic replay (the D006 sweep).
 //!
-//! `Kernel::drop_caches` walks every inode and writes its dirty pages back;
-//! the order of that walk decides which sectors the disk head visits first,
-//! and therefore how much virtual time the flush costs. When the inode table
-//! was a `HashMap`, each `Kernel` instance hashed with its own random seed,
-//! so two identical runs could flush in different orders and finish at
-//! different virtual times. The inode table is a `BTreeMap` now; this test
-//! pins the guarantee: the same workload on two fresh kernels produces
-//! byte-identical reports, elapsed times, and usage counters.
+//! `Kernel::drop_caches` writes every dirty page back; the order of that
+//! walk decides which sectors the disk head visits first, and therefore how
+//! much virtual time the flush costs. When the inode table was a `HashMap`,
+//! each `Kernel` instance hashed with its own random seed, so two identical
+//! runs could flush in different orders and finish at different virtual
+//! times. The flush now takes the page cache's dirty set in (inode, page)
+//! order from tables indexed by inode number; this test pins the guarantee:
+//! the same workload on two fresh kernels produces byte-identical reports,
+//! elapsed times, and usage counters.
 
 use sleds_devices::{BlockDevice, DiskDevice, FaultPlan, NfsDevice};
 use sleds_fs::trace::{chrome_trace_json, Layer, TraceEvent};
@@ -101,6 +102,91 @@ fn identical_runs_are_byte_identical() {
         "full job report (usage counters included) must replay identically"
     );
     assert_rusage_sums(&r1);
+}
+
+/// `drop_caches` flushes the cache's own dirty set instead of probing every
+/// live inode. The two agree only because `unlink` and `O_TRUNC` drop a
+/// file's cached pages with the file: dirty pages across five files on two
+/// mounts, one more file unlinked and one truncated while dirty, must flush
+/// to exactly the device-write sequence, and leave exactly the SLED
+/// generations, that the per-inode loop produced (constants recorded at the
+/// commit before the change).
+#[test]
+fn drop_caches_flushes_the_dirty_set_in_inode_page_order() {
+    let mut k = Kernel::table2();
+    k.mkdir("/a").unwrap();
+    k.mkdir("/b").unwrap();
+    k.mount_disk("/a", DiskDevice::table2_disk("hda")).unwrap();
+    k.mount_nfs("/b", NfsDevice::table2_mount("srv:/b"))
+        .unwrap();
+
+    // Created alternately, so ascending inode order interleaves the devices.
+    let paths = [
+        "/a/f0", "/b/f1", "/a/gone", "/a/f2", "/b/cut", "/b/f3", "/a/f4",
+    ];
+    let page = PAGE_SIZE as usize;
+    for (i, path) in paths.iter().enumerate() {
+        let fd = k.open(path, OpenFlags::CREATE_RDWR).unwrap();
+        k.write(fd, &vec![i as u8 + 1; (3 + i) * page]).unwrap();
+        k.fsync(fd).unwrap();
+        k.close(fd).unwrap();
+    }
+    // Dirty scattered pages, newest file first.
+    for (i, path) in paths.iter().enumerate().rev() {
+        let fd = k.open(path, OpenFlags::RDWR).unwrap();
+        for p in [2, 0, i % 3] {
+            k.lseek(fd, (p * page) as i64 + 17, Whence::Set).unwrap();
+            k.write(fd, &[0xD1; 40]).unwrap();
+        }
+        k.close(fd).unwrap();
+    }
+    k.unlink("/a/gone").unwrap();
+    let fd = k.open("/b/cut", OpenFlags::CREATE_RDWR).unwrap();
+    k.write(fd, &vec![0xC7; page + 9]).unwrap();
+    k.close(fd).unwrap();
+
+    k.enable_tracing();
+    k.drop_caches().unwrap();
+    let writes: Vec<(&str, u64, u64)> = k
+        .trace_events()
+        .iter()
+        .filter(|e| e.layer == Layer::Device && e.name.ends_with(".write"))
+        .map(|e| (e.name, e.args[0], e.args[1]))
+        .collect();
+    k.disable_tracing();
+    assert_eq!(k.cache_dirty_pages(), 0);
+    assert_eq!(k.cache_resident_pages(), 0);
+
+    let generations: Vec<u64> = paths
+        .iter()
+        .filter(|p| **p != "/a/gone")
+        .map(|p| {
+            let fd = k.open(p, OpenFlags::RDONLY).unwrap();
+            let g = k.sled_generation(fd).unwrap();
+            k.close(fd).unwrap();
+            g
+        })
+        .collect();
+    assert_eq!(
+        writes,
+        [
+            ("disk.write", 2048, 8),
+            ("disk.write", 2064, 8),
+            ("nfs.write", 2048, 8),
+            ("nfs.write", 2056, 8),
+            ("nfs.write", 2064, 8),
+            ("disk.write", 2112, 8),
+            ("disk.write", 2128, 8),
+            ("nfs.write", 2200, 8),
+            ("nfs.write", 2208, 8),
+            ("nfs.write", 2136, 8),
+            ("nfs.write", 2152, 8),
+            ("disk.write", 2160, 8),
+            ("disk.write", 2176, 8),
+        ],
+        "flush order is (inode, page); dead and truncated pages never reach a device"
+    );
+    assert_eq!(generations, [8, 10, 14, 23, 18, 20]);
 }
 
 #[test]

@@ -1,0 +1,157 @@
+//! Stale and edge file descriptors never panic.
+//!
+//! The descriptor table is a sliding window over fd numbers, so the
+//! interesting fds are the ones around its edges: the reserved 0..2, one
+//! that was closed, one below the oldest open fd (behind the window), the
+//! next number to be issued (just past it) and `u64::MAX`. Every entry that
+//! takes an fd must answer `EBADF` for each. Fd numbering itself is part of
+//! the capture format: strictly increasing, never reused.
+
+use sleds_devices::DiskDevice;
+use sleds_fs::{
+    Fd, Kernel, OpenFlags, PickProgram, ProgEntry, ProgInst, ProgPricing, SubmissionRing, Syscall,
+    Whence,
+};
+use sleds_sim_core::{Errno, SimResult, PAGE_SIZE};
+
+fn kernel_with_files() -> Kernel {
+    let mut k = Kernel::table2();
+    k.mkdir("/data").unwrap();
+    k.mount_disk("/data", DiskDevice::table2_disk("hda"))
+        .unwrap();
+    for name in ["a", "b", "c"] {
+        k.install_file(&format!("/data/{name}"), &vec![5u8; 2 * PAGE_SIZE as usize])
+            .unwrap();
+    }
+    k
+}
+
+fn pricing() -> ProgPricing {
+    ProgPricing {
+        memory: Some(ProgEntry {
+            latency: 175e-9,
+            bandwidth: 48e6,
+        }),
+        devices: Vec::new(),
+    }
+}
+
+fn errno_of<T>(r: SimResult<T>) -> Option<Errno> {
+    r.err().map(|e| e.errno)
+}
+
+/// The errno each fd-taking entry returns for `fd`, labelled.
+fn every_entry(k: &mut Kernel, fd: Fd) -> Vec<(&'static str, Option<Errno>)> {
+    let prog = PickProgram::new(vec![ProgInst::PushConst(1.0)]).unwrap();
+    let mut out = vec![
+        ("lseek", errno_of(k.lseek(fd, 0, Whence::Set))),
+        ("read", errno_of(k.read(fd, 16))),
+        ("pread", errno_of(k.pread(fd, 0, 16))),
+        ("write", errno_of(k.write(fd, b"x"))),
+        ("fsync", errno_of(k.fsync(fd))),
+        ("fstat", errno_of(k.fstat(fd))),
+        ("page_extents", errno_of(k.page_extents(fd))),
+        ("redundant_extents", errno_of(k.redundant_extents(fd))),
+        ("sled_generation", errno_of(k.sled_generation(fd))),
+        ("pin_range", errno_of(k.pin_range(fd, 0, PAGE_SIZE))),
+        ("fsleds_prog", errno_of(k.fsleds_prog(fd, prog))),
+        (
+            "fsleds_prog_eval",
+            errno_of(k.fsleds_prog_eval(fd, &pricing())),
+        ),
+    ];
+    // The ring-only calls, and a ring `Close`.
+    let mut ring = SubmissionRing::new(4);
+    let ops = [
+        (
+            "ring FsledsGet",
+            Syscall::FsledsGet {
+                fd,
+                pricing: pricing(),
+            },
+        ),
+        (
+            "ring PickAdvice",
+            Syscall::PickAdvice {
+                fd,
+                pricing: pricing(),
+                preferred: 4096,
+                skip_unavailable: false,
+            },
+        ),
+        ("ring Close", Syscall::Close { fd }),
+    ];
+    for (i, (_, op)) in ops.iter().enumerate() {
+        ring.push(i as u64, op.clone()).unwrap();
+    }
+    assert_eq!(k.ring_enter(&mut ring).unwrap(), ops.len());
+    for (done, (name, _)) in k.ring_reap(&mut ring).into_iter().zip(ops) {
+        out.push((name, errno_of(done.result)));
+    }
+    out.push(("close", errno_of(k.close(fd))));
+    out
+}
+
+#[test]
+fn stale_and_edge_fds_are_ebadf_at_every_entry() {
+    let mut k = kernel_with_files();
+    // Window state: `low` closed below the oldest open fd, `held` open,
+    // `closed` closed above it.
+    let low = k.open("/data/a", OpenFlags::RDONLY).unwrap();
+    let held = k.open("/data/b", OpenFlags::RDONLY).unwrap();
+    let closed = k.open("/data/c", OpenFlags::RDONLY).unwrap();
+    k.close(low).unwrap();
+    k.close(closed).unwrap();
+    let next_fd = Fd(closed.0 + 1);
+
+    for fd in [Fd(0), Fd(2), low, closed, next_fd, Fd(u64::MAX)] {
+        for (entry, errno) in every_entry(&mut k, fd) {
+            assert_eq!(errno, Some(Errno::Ebadf), "{entry}({})", fd.0);
+        }
+    }
+    // None of that disturbed the descriptor that is open.
+    assert_eq!(k.pread(held, 0, 4).unwrap(), vec![5u8; 4]);
+    assert_eq!(
+        k.open("/data/a", OpenFlags::RDONLY).unwrap(),
+        next_fd,
+        "failed calls issue no fd numbers"
+    );
+
+    // With nothing open at all the window is empty: same answers.
+    let mut k = kernel_with_files();
+    for fd in [Fd(0), Fd(3), Fd(u64::MAX)] {
+        for (entry, errno) in every_entry(&mut k, fd) {
+            assert_eq!(errno, Some(Errno::Ebadf), "{entry}({}) on no fds", fd.0);
+        }
+    }
+}
+
+#[test]
+fn fd_numbers_strictly_increase_and_are_never_reused() {
+    let mut k = kernel_with_files();
+    let first = k.open("/data/a", OpenFlags::RDONLY).unwrap();
+    assert_eq!(first, Fd(3), "0..2 are reserved");
+    k.close(first).unwrap();
+    let second = k.open("/data/a", OpenFlags::RDONLY).unwrap();
+    assert_eq!(second, Fd(4), "open; close; open must not reuse the number");
+    let third = k.open("/data/b", OpenFlags::RDONLY).unwrap();
+    k.close(second).unwrap();
+    let fourth = k.open("/data/c", OpenFlags::RDONLY).unwrap();
+    assert!(second.0 < third.0 && third.0 < fourth.0);
+    assert_eq!(errno_of(k.fstat(second)), Some(Errno::Ebadf));
+    assert!(k.fstat(third).is_ok() && k.fstat(fourth).is_ok());
+}
+
+#[test]
+fn an_fd_whose_inode_was_unlinked_is_estale() {
+    let mut k = kernel_with_files();
+    let fd = k.open("/data/a", OpenFlags::RDWR).unwrap();
+    k.unlink("/data/a").unwrap();
+    assert_eq!(errno_of(k.read(fd, 16)), Some(Errno::Estale));
+    assert_eq!(errno_of(k.pread(fd, 0, 16)), Some(Errno::Estale));
+    assert_eq!(errno_of(k.fstat(fd)), Some(Errno::Estale));
+    assert_eq!(errno_of(k.page_extents(fd)), Some(Errno::Estale));
+    // The descriptor itself is still open, and closes once.
+    k.close(fd).unwrap();
+    assert_eq!(errno_of(k.close(fd)), Some(Errno::Ebadf));
+}

@@ -21,12 +21,20 @@
 //! **generation counter**, bumped whenever its residency changes, which lets
 //! callers memoize derived results (like a SLED vector) and revalidate them
 //! in O(1).
+//!
+//! The per-inode entries sit in a dense table indexed by inode number
+//! ([`IdTable`]): the kernel issues inode numbers 1, 2, 3, …, so every
+//! per-page probe is an array index, not a tree descent. Cache-wide
+//! operations ([`PageCache::clear`], [`PageCache::dirty_pages`],
+//! [`PageCache::dirty_count`]) answer from running counters or stop as
+//! soon as they have visited what is cached.
 
 pub mod extent;
 pub mod policy;
 
-use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
+
+use sleds_sim_core::IdTable;
 
 pub use extent::ExtentSet;
 pub use policy::{
@@ -91,9 +99,13 @@ pub struct PageCache {
     capacity: usize,
     len: usize,
     pinned_len: usize,
-    /// Inode number -> extent index. Entries are kept once created (even
-    /// when emptied) so generation counters never restart.
-    index: BTreeMap<u64, InodeIndex>,
+    /// Dirty pages across all inodes: `Σ dirty.page_count()`.
+    dirty_len: u64,
+    /// Extent index per inode, slot = inode number: eight bytes per inode
+    /// number up to the largest ever cached, plus one boxed entry per inode
+    /// ever cached. Entries are kept once created (even when emptied) so
+    /// generation counters never restart.
+    index: IdTable<Box<InodeIndex>>,
     policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
 }
@@ -122,7 +134,8 @@ impl PageCache {
             capacity,
             len: 0,
             pinned_len: 0,
-            index: BTreeMap::new(),
+            dirty_len: 0,
+            index: IdTable::new(),
             policy: policy.build(capacity),
             stats: CacheStats::default(),
         }
@@ -149,9 +162,9 @@ impl PageCache {
     }
 
     /// Current number of dirty resident pages across all inodes — the
-    /// writeback debt a cache-state report shows next to residency.
+    /// writeback debt a cache-state report shows next to residency. O(1).
     pub fn dirty_count(&self) -> u64 {
-        self.index.values().map(|ix| ix.dirty.page_count()).sum()
+        self.dirty_len
     }
 
     /// The replacement policy's name, for reports.
@@ -176,7 +189,7 @@ impl PageCache {
     /// change it.
     pub fn contains(&self, key: PageKey) -> bool {
         self.index
-            .get(&key.inode)
+            .get(key.inode)
             .is_some_and(|ix| ix.resident.contains(key.index))
     }
 
@@ -197,7 +210,7 @@ impl PageCache {
     /// policy (the caller has already settled with it). Returns whether the
     /// page was dirty, or None when it was not resident.
     fn detach(&mut self, key: PageKey) -> Option<bool> {
-        let ix = self.index.get_mut(&key.inode)?;
+        let ix = self.index.get_mut(key.inode)?;
         // Probe before mutating: once the priced extent set changes, every
         // path out of here must bump the generation (sledlint D010).
         if !ix.resident.contains(key.index) {
@@ -205,6 +218,9 @@ impl PageCache {
         }
         ix.resident.remove(key.index);
         let dirty = ix.dirty.remove(key.index);
+        if dirty {
+            self.dirty_len -= 1;
+        }
         if ix.pinned.remove(key.index) {
             self.pinned_len -= 1;
         }
@@ -218,14 +234,18 @@ impl PageCache {
     /// Returns the evicted page, if any, so the caller can charge a
     /// writeback for dirty victims. Inserting an already-resident page just
     /// refreshes it (and ORs the dirty bit).
+    ///
+    /// `key.inode` must be an inode number a kernel has issued (they are
+    /// dense from 1): the index grows by one eight-byte slot per inode
+    /// number up to the largest inserted. Reads take any number.
     pub fn insert(&mut self, key: PageKey, dirty: bool) -> Option<Evicted> {
         if let Some(ix) = self
             .index
-            .get_mut(&key.inode)
+            .get_mut(key.inode)
             .filter(|ix| ix.resident.contains(key.index))
         {
-            if dirty {
-                ix.dirty.insert(key.index);
+            if dirty && ix.dirty.insert(key.index) {
+                self.dirty_len += 1;
             }
             self.policy.on_hit(key);
             return None;
@@ -257,10 +277,10 @@ impl PageCache {
                 }
             }
         }
-        let ix = self.index.entry(key.inode).or_default();
+        let ix = self.index.get_or_insert_with(key.inode, Box::default);
         ix.resident.insert(key.index);
-        if dirty {
-            ix.dirty.insert(key.index);
+        if dirty && ix.dirty.insert(key.index) {
+            self.dirty_len += 1;
         }
         ix.generation += 1;
         self.len += 1;
@@ -280,7 +300,7 @@ impl PageCache {
     /// Returns false (and pins nothing) when the page is not resident —
     /// a reservation can only hold what exists.
     pub fn pin(&mut self, key: PageKey) -> bool {
-        let Some(ix) = self.index.get_mut(&key.inode) else {
+        let Some(ix) = self.index.get_mut(key.inode) else {
             return false;
         };
         if !ix.resident.contains(key.index) {
@@ -294,7 +314,7 @@ impl PageCache {
 
     /// Releases a pin. No-op if not pinned.
     pub fn unpin(&mut self, key: PageKey) {
-        if let Some(ix) = self.index.get_mut(&key.inode) {
+        if let Some(ix) = self.index.get_mut(key.inode) {
             if ix.pinned.remove(key.index) {
                 self.pinned_len -= 1;
             }
@@ -304,7 +324,7 @@ impl PageCache {
     /// True when the page is pinned.
     pub fn is_pinned(&self, key: PageKey) -> bool {
         self.index
-            .get(&key.inode)
+            .get(key.inode)
             .is_some_and(|ix| ix.pinned.contains(key.index))
     }
 
@@ -315,9 +335,9 @@ impl PageCache {
 
     /// Marks a resident page dirty. No-op if the page is not resident.
     pub fn mark_dirty(&mut self, key: PageKey) {
-        if let Some(ix) = self.index.get_mut(&key.inode) {
-            if ix.resident.contains(key.index) {
-                ix.dirty.insert(key.index);
+        if let Some(ix) = self.index.get_mut(key.inode) {
+            if ix.resident.contains(key.index) && ix.dirty.insert(key.index) {
+                self.dirty_len += 1;
             }
         }
     }
@@ -325,7 +345,7 @@ impl PageCache {
     /// True if the page is resident and dirty.
     pub fn is_dirty(&self, key: PageKey) -> bool {
         self.index
-            .get(&key.inode)
+            .get(key.inode)
             .is_some_and(|ix| ix.dirty.contains(key.index))
     }
 
@@ -343,7 +363,7 @@ impl PageCache {
     /// Costs O(pages of this inode), not O(cache): the extent index knows
     /// exactly which pages belong to the file.
     pub fn remove_file(&mut self, inode: u64) -> Vec<PageKey> {
-        let Some(ix) = self.index.get(&inode) else {
+        let Some(ix) = self.index.get(inode) else {
             return Vec::new();
         };
         let pages: Vec<u64> = ix.resident.iter_pages().collect();
@@ -360,7 +380,7 @@ impl PageCache {
     /// Returns the dirty pages of `inode` without removing them (`fsync`).
     pub fn dirty_pages_of(&self, inode: u64) -> Vec<PageKey> {
         self.index
-            .get(&inode)
+            .get(inode)
             .map(|ix| {
                 ix.dirty
                     .iter_pages()
@@ -370,10 +390,26 @@ impl PageCache {
             .unwrap_or_default()
     }
 
+    /// Every dirty page in the cache, in (inode, page) order — what a
+    /// cache-wide writeback flushes. An all-clean cache answers in O(1);
+    /// otherwise the walk stops at the last dirty inode.
+    pub fn dirty_pages(&self) -> Vec<PageKey> {
+        let mut out = Vec::with_capacity(self.dirty_len as usize);
+        for (inode, ix) in self.index.iter() {
+            if out.len() as u64 == self.dirty_len {
+                break;
+            }
+            out.extend(ix.dirty.iter_pages().map(|p| PageKey::new(inode, p)));
+        }
+        out
+    }
+
     /// Marks a page clean after writeback.
     pub fn mark_clean(&mut self, key: PageKey) {
-        if let Some(ix) = self.index.get_mut(&key.inode) {
-            ix.dirty.remove(key.index);
+        if let Some(ix) = self.index.get_mut(key.inode) {
+            if ix.dirty.remove(key.index) {
+                self.dirty_len -= 1;
+            }
         }
     }
 
@@ -400,7 +436,7 @@ impl PageCache {
         range: RangeInclusive<u64>,
     ) -> Vec<RangeInclusive<u64>> {
         self.index
-            .get(&inode)
+            .get(inode)
             .map(|ix| ix.resident.runs_in(range))
             .unwrap_or_default()
     }
@@ -409,7 +445,7 @@ impl PageCache {
     /// or `u64::MAX` when it never does. O(log runs).
     pub fn next_boundary(&self, inode: u64, page: u64) -> u64 {
         self.index
-            .get(&inode)
+            .get(inode)
             .map(|ix| ix.resident.next_boundary(page))
             .unwrap_or(u64::MAX)
     }
@@ -417,7 +453,7 @@ impl PageCache {
     /// Number of resident runs for `inode` (0 when nothing is cached).
     pub fn resident_run_count(&self, inode: u64) -> usize {
         self.index
-            .get(&inode)
+            .get(inode)
             .map(|ix| ix.resident.run_count())
             .unwrap_or(0)
     }
@@ -427,19 +463,33 @@ impl PageCache {
     /// and never restarts, so `(inode, generation)` uniquely identifies a
     /// residency state for memoization.
     pub fn generation(&self, inode: u64) -> u64 {
-        self.index.get(&inode).map(|ix| ix.generation).unwrap_or(0)
+        self.index.get(inode).map(|ix| ix.generation).unwrap_or(0)
     }
 
     /// Drops everything (unmount without writeback; test helper).
+    ///
+    /// Equivalent to [`PageCache::remove`] on every resident page — each
+    /// inode's generation moves by the number of pages it loses — but
+    /// extents are dropped whole and the policy is reset once: a scan of
+    /// the index up to the last inode holding pages, not a tree operation
+    /// per page.
     pub fn clear(&mut self) {
-        let keys: Vec<PageKey> = self
-            .index
-            .iter()
-            .flat_map(|(&ino, ix)| ix.resident.iter_pages().map(move |p| PageKey::new(ino, p)))
-            .collect();
-        for k in keys {
-            self.remove(k);
+        let mut left = self.len as u64;
+        for (_, ix) in self.index.iter_mut() {
+            if left == 0 {
+                break;
+            }
+            let dropped = ix.resident.page_count();
+            ix.resident.clear();
+            ix.dirty.clear();
+            ix.pinned.clear();
+            ix.generation += dropped;
+            left -= dropped;
         }
+        self.len = 0;
+        self.pinned_len = 0;
+        self.dirty_len = 0;
+        self.policy.clear();
     }
 }
 
@@ -473,6 +523,89 @@ mod tests {
         assert_eq!(c.dirty_count(), 1);
         c.remove(PageKey::new(2, 0));
         assert_eq!(c.dirty_count(), 0);
+    }
+
+    #[test]
+    fn dirty_pages_lists_the_whole_dirty_set_in_inode_page_order() {
+        let mut c = PageCache::lru(16);
+        assert_eq!(c.dirty_pages(), vec![]);
+        c.insert(PageKey::new(7, 4), true);
+        c.insert(PageKey::new(2, 9), true);
+        c.insert(PageKey::new(2, 1), true);
+        c.insert(PageKey::new(5, 0), false);
+        c.insert(PageKey::new(0, 3), true);
+        let all = [(0, 3), (2, 1), (2, 9), (7, 4)].map(|(i, p)| PageKey::new(i, p));
+        assert_eq!(c.dirty_pages(), all);
+        assert_eq!(c.dirty_count(), 4);
+        c.mark_clean(PageKey::new(2, 9));
+        c.mark_clean(PageKey::new(2, 9));
+        c.mark_dirty(PageKey::new(5, 0));
+        c.mark_dirty(PageKey::new(5, 0));
+        c.mark_dirty(PageKey::new(6, 0)); // not resident: stays clean
+        let all = [(0, 3), (2, 1), (5, 0), (7, 4)].map(|(i, p)| PageKey::new(i, p));
+        assert_eq!(c.dirty_pages(), all);
+        assert_eq!(c.dirty_count(), 4);
+    }
+
+    #[test]
+    fn reads_of_a_never_cached_inode_return_defaults_at_any_number() {
+        let mut c = PageCache::lru(4);
+        c.insert(PageKey::new(3, 0), true);
+        for inode in [0, 2, 4, 1 << 40, u64::MAX] {
+            let k = PageKey::new(inode, 0);
+            assert!(!c.contains(k) && !c.is_dirty(k) && !c.is_pinned(k));
+            assert!(!c.lookup(k) && !c.pin(k));
+            assert_eq!(c.remove(k), None);
+            assert_eq!(c.generation(inode), 0);
+            assert_eq!(c.next_boundary(inode, 0), u64::MAX);
+            assert_eq!(c.resident_runs(inode, 0..=u64::MAX), vec![]);
+            assert_eq!(c.resident_run_count(inode), 0);
+            assert_eq!(c.dirty_pages_of(inode), vec![]);
+            assert_eq!(c.remove_file(inode), vec![]);
+        }
+        assert_eq!(c.len(), 1);
+    }
+
+    /// `clear` must be indistinguishable from removing every resident page
+    /// one at a time — generations (which `sled_generation` folds), counters
+    /// and whatever each policy does next — for every policy.
+    #[test]
+    fn clear_equals_removing_every_page() {
+        use sleds_sim_core::DetRng;
+        for kind in PolicyKind::all() {
+            let mut rng = DetRng::new(0xC1EA2).derive(kind as u64);
+            let mut a = PageCache::new(24, kind);
+            let mut b = PageCache::new(24, kind);
+            for round in 0..6 {
+                for _ in 0..rng.range_usize(0, 120) {
+                    let key = PageKey::new(rng.range_u64(0, 5), rng.range_u64(0, 16));
+                    let dirty = rng.chance(0.3);
+                    match rng.range_u64(0, 4) {
+                        0 => assert_eq!(a.lookup(key), b.lookup(key)),
+                        1 => assert_eq!(a.pin(key), b.pin(key)),
+                        _ => assert_eq!(
+                            a.insert(key, dirty),
+                            b.insert(key, dirty),
+                            "{}: eviction diverged in round {round}",
+                            kind.name()
+                        ),
+                    }
+                }
+                a.clear();
+                for inode in 0..5 {
+                    for page in 0..16 {
+                        b.remove(PageKey::new(inode, page));
+                    }
+                }
+                assert!(a.is_empty() && b.is_empty());
+                assert_eq!((a.dirty_count(), a.pinned_count()), (0, 0));
+                assert_eq!((b.dirty_count(), b.pinned_count()), (0, 0));
+                for inode in 0..5 {
+                    assert_eq!(a.generation(inode), b.generation(inode), "{}", kind.name());
+                    assert_eq!(a.resident_run_count(inode), 0);
+                }
+            }
+        }
     }
 
     #[test]

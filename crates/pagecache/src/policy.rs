@@ -23,6 +23,9 @@ pub trait ReplacementPolicy {
     fn evict(&mut self) -> Option<PageKey>;
     /// A page was removed outside the eviction path (truncate, unmount).
     fn on_remove(&mut self, key: PageKey);
+    /// Every page was removed at once: leaves the policy exactly as
+    /// `on_remove` for each tracked page would, in one step.
+    fn clear(&mut self);
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 
@@ -110,6 +113,11 @@ impl RecencyList {
         }
     }
 
+    fn clear(&mut self) {
+        self.by_key.clear();
+        self.by_seq.clear();
+    }
+
     fn oldest(&mut self) -> Option<PageKey> {
         let (&s, &k) = self.by_seq.iter().next()?;
         self.by_seq.remove(&s);
@@ -163,6 +171,9 @@ impl ReplacementPolicy for LruPolicy {
     fn on_remove(&mut self, key: PageKey) {
         self.list.remove(key);
     }
+    fn clear(&mut self) {
+        self.list.clear();
+    }
     fn name(&self) -> &'static str {
         "lru"
     }
@@ -198,6 +209,9 @@ impl ReplacementPolicy for MruPolicy {
     }
     fn on_remove(&mut self, key: PageKey) {
         self.list.remove(key);
+    }
+    fn clear(&mut self) {
+        self.list.clear();
     }
     fn name(&self) -> &'static str {
         "mru"
@@ -239,6 +253,10 @@ impl ReplacementPolicy for FifoPolicy {
     fn on_remove(&mut self, key: PageKey) {
         // Lazy removal: leave the stale queue entry; evict() skips it.
         self.present.remove(&key);
+    }
+    fn clear(&mut self) {
+        // Stale queue entries stay, as `on_remove` leaves them.
+        self.present.clear();
     }
     fn name(&self) -> &'static str {
         "fifo"
@@ -305,6 +323,9 @@ impl ReplacementPolicy for ClockPolicy {
     }
     fn on_remove(&mut self, key: PageKey) {
         self.referenced.remove(&key);
+    }
+    fn clear(&mut self) {
+        self.referenced.clear();
     }
     fn name(&self) -> &'static str {
         "clock"
@@ -377,6 +398,11 @@ impl ReplacementPolicy for TwoQPolicy {
             self.am.remove(key);
             self.am_len -= 1;
         }
+    }
+    fn clear(&mut self) {
+        self.a1_set.clear();
+        self.am.clear();
+        self.am_len = 0;
     }
     fn name(&self) -> &'static str {
         "2q"

@@ -182,6 +182,7 @@ fn dirty_pages_are_never_silently_lost() {
             if dirty {
                 dirtied.insert(k);
             }
+            assert_eq!(cache.dirty_count(), dirtied.len() as u64);
         }
         let still_dirty = (0u64..16)
             .filter(|&k| cache.is_dirty(PageKey::new(1, k)))
@@ -216,6 +217,13 @@ fn extent_index_matches_per_page_probes() {
                     cache.unpin(PageKey::new(1, k));
                 }
             }
+            // The running dirty counter is the sum over inodes, always.
+            assert_eq!(
+                cache.dirty_count(),
+                cache.dirty_pages_of(1).len() as u64,
+                "dirty_len drifted from the dirty extents"
+            );
+            assert_eq!(cache.dirty_pages(), cache.dirty_pages_of(1));
         }
         // Runs reported by the extent index must exactly tile the set of
         // pages that per-page probes report resident.

@@ -17,6 +17,7 @@ pub mod error;
 pub mod retry;
 pub mod rng;
 pub mod stats;
+pub mod table;
 pub mod tenant;
 pub mod time;
 pub mod units;
@@ -24,6 +25,7 @@ pub mod units;
 pub use error::{Errno, SimError, SimResult};
 pub use retry::RetryPolicy;
 pub use rng::DetRng;
+pub use table::{IdTable, IdWindow};
 pub use tenant::{TenantId, VirtualSubmitter};
 pub use time::{Clock, SimDuration, SimTime};
 pub use units::{Bandwidth, ByteSize, PAGE_SHIFT, PAGE_SIZE, SECTOR_SIZE};
