@@ -8,7 +8,8 @@
 //! under 100 lines; ours is similar.
 
 use sleds::{
-    compile_latency, pricing_from, total_delivery_time, AttackPlan, LatencyPredicate, SledsTable,
+    compile_latency, pushdown_pricing, total_delivery_time, AttackPlan, LatencyPredicate,
+    SledsTable,
 };
 use sleds_fs::{FileKind, Kernel, OpenFlags};
 use sleds_sim_core::{SimDuration, SimResult};
@@ -120,7 +121,9 @@ pub fn find_report(
 /// kernel's verdict is consulted — exactly the order [`keep`] applies them —
 /// so hits, estimates and skip diagnostics are identical to the sequential
 /// walk. Requires a `-latency` predicate; without one there is nothing to
-/// push down, use [`find`].
+/// push down, use [`find`]. A table with zone rows or trusted device
+/// self-reports is `EINVAL` ([`pushdown_pricing`]): the flat rows that
+/// cross with the walk cannot carry either.
 pub fn find_prog(
     kernel: &mut Kernel,
     root: &str,
@@ -136,7 +139,7 @@ pub fn find_prog(
     kernel.trace_app_begin("find");
     let result = (|| {
         let prog = compile_latency(&pred);
-        let pricing = pricing_from(table);
+        let pricing = pushdown_pricing(table)?;
         let entries = kernel.fsleds_walk(root, &prog, &pricing)?;
         let mut out = FindReport::default();
         for e in &entries {
@@ -665,5 +668,27 @@ mod tests {
         let (mut k, t) = setup_tree();
         let err = find_prog(&mut k, "/data", &FindOptions::default(), &t).unwrap_err();
         assert_eq!(err.errno, sleds_sim_core::Errno::Einval);
+    }
+
+    #[test]
+    fn prog_pushdown_refuses_a_table_the_flat_rows_cannot_carry() {
+        // Flattened, a zoned table would let the kernel's verdicts differ
+        // from the sequential walk's; it is refused instead.
+        let (mut k, mut t) = setup_tree();
+        let dev = t.iter_devices().next().unwrap().0;
+        let flat = t.device(dev).unwrap();
+        t.fill_device_zones(dev, vec![(0, flat), (1 << 20, flat)]);
+        let opts = FindOptions {
+            latency: Some(LatencyPredicate::parse("-m10").unwrap()),
+            ..Default::default()
+        };
+        let crossings = k.usage().syscall_crossings;
+        let err = find_prog(&mut k, "/data", &opts, &t).unwrap_err();
+        assert_eq!(err.errno, sleds_sim_core::Errno::Einval);
+        assert!(err.to_string().contains("per-zone rows"), "got: {err}");
+        assert_eq!(k.usage().syscall_crossings, crossings, "before any walk");
+        assert!(find_report(&mut k, "/data", &opts, Some(&t)).is_ok());
+        t.clear_device_zones(dev);
+        assert!(find_prog(&mut k, "/data", &opts, &t).is_ok());
     }
 }

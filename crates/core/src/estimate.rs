@@ -26,31 +26,7 @@ pub enum AttackPlan {
 pub fn estimate_seconds(sleds: &[Sled], plan: AttackPlan) -> f64 {
     match plan {
         AttackPlan::Linear => sleds.iter().map(Sled::delivery_time).sum(),
-        AttackPlan::Best => {
-            // Group by identical (latency, bandwidth): each level pays its
-            // latency once and streams its total bytes.
-            let mut levels: Vec<(f64, f64, u64)> = Vec::new();
-            for s in sleds {
-                match levels.iter_mut().find(|(lat, bw, _)| {
-                    lat.to_bits() == s.latency.to_bits() && bw.to_bits() == s.bandwidth.to_bits()
-                }) {
-                    Some((_, _, bytes)) => *bytes += s.length,
-                    None => levels.push((s.latency, s.bandwidth, s.length)),
-                }
-            }
-            levels
-                .into_iter()
-                .map(|(lat, bw, bytes)| {
-                    if bytes == 0 {
-                        0.0
-                    } else if bw <= 0.0 {
-                        f64::INFINITY
-                    } else {
-                        lat + bytes as f64 / bw
-                    }
-                })
-                .sum()
-        }
+        AttackPlan::Best => sleds_fs::sled::best_estimate(sleds),
     }
 }
 

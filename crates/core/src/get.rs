@@ -1,51 +1,15 @@
 //! `FSLEDS_GET`: building the SLED vector for an open file.
 //!
-//! The kernel reports, extent by extent, where the file's pages currently
-//! reside (buffer cache or device runs); each extent is assigned the
-//! latency and bandwidth of its level from the sleds table and consecutive
-//! extents with identical estimates are coalesced into one SLED — the
-//! construction the paper describes in its implementation section, at run
-//! granularity instead of page granularity. Device extents split only
-//! where the table actually changes (zone-row boundaries), so the cost of
-//! a `FSLEDS_GET` is proportional to the number of residency runs and zone
-//! crossings, not the file's page count. The one deliberately per-page
-//! path is dynamic device self-reports (`trust_device_reports`), where a
-//! server's cache state can differ page by page.
+//! The sequential, above-the-boundary form: ask the kernel for the file's
+//! size and residency extents, then price them from the sleds table. The
+//! construction itself — level assignment, coalescing, zone splits, device
+//! self-reports, replica selection — is [`sleds_fs::sled`].
 
-use sleds_devices::FaultState;
-use sleds_fs::{Fd, Kernel, PageLocation, SECTORS_PER_PAGE};
-use sleds_sim_core::{Errno, SimError, SimResult, PAGE_SIZE};
+use sleds_fs::{sled, Fd, Kernel};
+use sleds_sim_core::SimResult;
 
-use crate::replica::{degrade, select_min_cost};
-use crate::table::{SledsEntry, SledsTable};
+use crate::table::SledsTable;
 use crate::Sled;
-
-fn push_sled(out: &mut Vec<Sled>, offset: u64, length: u64, entry: SledsEntry) {
-    if length == 0 {
-        return;
-    }
-    match out.last_mut() {
-        Some(last)
-            if last.latency.to_bits() == entry.latency.to_bits()
-                && last.bandwidth.to_bits() == entry.bandwidth.to_bits() =>
-        {
-            last.length += length;
-        }
-        _ => out.push(Sled {
-            offset,
-            length,
-            latency: entry.latency,
-            bandwidth: entry.bandwidth,
-        }),
-    }
-}
-
-fn missing_row(dev: sleds_fs::DeviceId) -> SimError {
-    SimError::new(
-        Errno::Einval,
-        format!("FSLEDS_GET: no sleds table row for device {dev:?}"),
-    )
-}
 
 /// Retrieves the SLED vector for an open file.
 ///
@@ -58,8 +22,12 @@ fn missing_row(dev: sleds_fs::DeviceId) -> SimError {
 /// candidate — degraded members priced up by their multiplier, offline
 /// members excluded (the kernel reroutes around them), and for a (k, n)
 /// coded layout the k-th cheapest fragment (see
-/// [`select_min_cost`](crate::replica::select_min_cost)). Only when no
+/// [`select_min_cost`](crate::select_min_cost)). Only when no
 /// candidate can serve at all is the extent priced unavailable.
+///
+/// Two crossings — `fstat` for the size, `FSLEDS_GET` for the extents —
+/// then [`sled::fold`], the same construction the ring ops and pick
+/// programs run below the boundary.
 ///
 /// # Errors
 ///
@@ -67,103 +35,11 @@ fn missing_row(dev: sleds_fs::DeviceId) -> SimError {
 /// never ran) or no row for a device the file touches, and propagates any
 /// kernel error from the page walk.
 pub fn fsleds_get(kernel: &mut Kernel, fd: Fd, table: &SledsTable) -> SimResult<Vec<Sled>> {
-    let mem = table.memory().ok_or_else(|| {
-        SimError::new(
-            Errno::Einval,
-            "FSLEDS_GET: sleds table not filled (no memory row)",
-        )
-    })?;
+    // An unfilled table is refused before anything is charged.
+    sled::memory_row(table)?;
     let size = kernel.fstat(fd)?.size;
     let extents = kernel.redundant_extents(fd)?;
-    let mut out: Vec<Sled> = Vec::new();
-    for re in &extents {
-        let e = &re.extent;
-        let ext_off = e.first_page * PAGE_SIZE;
-        if !re.alternatives.is_empty() {
-            // Redundant extent: price every candidate whole-extent and
-            // quote the one the kernel's routing would pick.
-            let PageLocation::Device { dev, sector } = e.location else {
-                return Err(SimError::new(
-                    Errno::Einval,
-                    "FSLEDS_GET: redundant extent not on a device",
-                ));
-            };
-            let length = (e.pages * PAGE_SIZE).min(size - ext_off);
-            let mut cands: Vec<(SledsEntry, FaultState)> = Vec::new();
-            let state = kernel
-                .device_fault_state(dev)
-                .unwrap_or(FaultState::Healthy);
-            let entry = table
-                .entry_at(dev, sector)
-                .ok_or_else(|| missing_row(dev))?;
-            cands.push((entry, state));
-            for alt in &re.alternatives {
-                let state = kernel
-                    .device_fault_state(alt.dev)
-                    .unwrap_or(FaultState::Healthy);
-                let entry = table
-                    .entry_at(alt.dev, alt.sector)
-                    .ok_or_else(|| missing_row(alt.dev))?;
-                cands.push((entry, state));
-            }
-            let chosen = select_min_cost(&cands, re.coded_k, length).unwrap_or(SledsEntry {
-                latency: f64::INFINITY,
-                bandwidth: 0.0,
-            });
-            push_sled(&mut out, ext_off, length, chosen);
-            continue;
-        }
-        match e.location {
-            PageLocation::Memory => {
-                let length = (e.pages * PAGE_SIZE).min(size - ext_off);
-                push_sled(&mut out, ext_off, length, mem);
-            }
-            PageLocation::Device { dev, sector } if table.trust_device_reports() => {
-                let state = kernel
-                    .device_fault_state(dev)
-                    .unwrap_or(FaultState::Healthy);
-                // Dynamic device self-report (client/server SLEDs): the
-                // server's cache state can differ page by page, so this
-                // channel probes each page of the extent.
-                for i in 0..e.pages {
-                    let s = sector + i * SECTORS_PER_PAGE;
-                    let entry = kernel
-                        .device_probe(dev, s)
-                        .map(|(latency, bandwidth)| SledsEntry { latency, bandwidth })
-                        .or_else(|| table.entry_at(dev, s))
-                        .ok_or_else(|| missing_row(dev))?;
-                    let offset = ext_off + i * PAGE_SIZE;
-                    push_sled(
-                        &mut out,
-                        offset,
-                        PAGE_SIZE.min(size - offset),
-                        degrade(entry, state),
-                    );
-                }
-            }
-            PageLocation::Device { dev, sector } => {
-                let state = kernel
-                    .device_fault_state(dev)
-                    .unwrap_or(FaultState::Healthy);
-                // Static table rows: constant between zone boundaries, so
-                // one lookup covers every page up to the next boundary.
-                let mut p = 0;
-                while p < e.pages {
-                    let s = sector + p * SECTORS_PER_PAGE;
-                    let entry = table.entry_at(dev, s).ok_or_else(|| missing_row(dev))?;
-                    let span = match table.zone_end(dev, s) {
-                        Some(z) => (z - s).div_ceil(SECTORS_PER_PAGE).min(e.pages - p),
-                        None => e.pages - p,
-                    };
-                    let offset = ext_off + p * PAGE_SIZE;
-                    let length = (span * PAGE_SIZE).min(size - offset);
-                    push_sled(&mut out, offset, length, degrade(entry, state));
-                    p += span;
-                }
-            }
-        }
-    }
-    Ok(out)
+    sled::fold(kernel, table, size, &extents)
 }
 
 #[cfg(test)]
@@ -171,6 +47,7 @@ mod tests {
     use super::*;
     use sleds_devices::DiskDevice;
     use sleds_fs::{OpenFlags, Whence};
+    use sleds_sim_core::{Errno, PAGE_SIZE};
 
     fn setup() -> (Kernel, SledsTable) {
         let mut k = Kernel::table2();

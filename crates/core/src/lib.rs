@@ -51,70 +51,13 @@ pub use get::fsleds_get;
 pub use lease::SledLease;
 pub use pick::{PickConfig, PickSession, UnavailablePolicy};
 pub use predicate::LatencyPredicate;
-pub use program::{compile_latency, pricing_from, sleds_from_prog};
+pub use program::{compile_latency, pricing_from, pushdown_pricing, sleds_from_prog};
 pub use recal::{
     recalibrate, recalibrate_from_metrics, ClassObservation, RecalOutcome, RecalPolicy,
 };
-pub use replica::select_min_cost;
 pub use report::{ObservedError, SledReport};
+pub use sleds_fs::sled::{select_min_cost, Sled};
 pub use table::{SledsEntry, SledsTable};
-
-/// A Storage Latency Estimation Descriptor.
-///
-/// Describes one contiguous byte range of a file whose pages share retrieval
-/// characteristics: `latency` seconds to the first byte, then `bandwidth`
-/// bytes per second. The paper stores both estimates as C `float`s because
-/// the value range (sub-microsecond memory to hundreds-of-seconds tape)
-/// overflows integers; we use `f64` for the same reason with less rounding.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Sled {
-    /// Byte offset of this segment within the file.
-    pub offset: u64,
-    /// Length of this segment in bytes.
-    pub length: u64,
-    /// Estimated latency to the segment's first byte, in seconds.
-    pub latency: f64,
-    /// Estimated delivery bandwidth once flowing, in bytes per second.
-    pub bandwidth: f64,
-}
-
-impl Sled {
-    /// End offset (exclusive) of the segment.
-    pub fn end(&self) -> u64 {
-        // Saturation intended: a segment at the top of the offset space
-        // still reports a well-ordered end.
-        self.offset.saturating_add(self.length)
-    }
-
-    /// Estimated time to deliver this whole segment, in seconds.
-    pub fn delivery_time(&self) -> f64 {
-        if self.length == 0 {
-            return 0.0;
-        }
-        if self.bandwidth <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.latency + self.length as f64 / self.bandwidth
-    }
-
-    /// True when this segment is currently unreachable: its device is in
-    /// an offline fault window, so `FSLEDS_GET` priced it at infinite
-    /// latency and zero bandwidth. [`delivery_time`](Sled::delivery_time)
-    /// is infinite and pick plans defer or prune it.
-    pub fn unavailable(&self) -> bool {
-        self.length > 0 && (self.bandwidth <= 0.0 || !self.latency.is_finite())
-    }
-
-    /// True when two SLEDs report the same performance estimates.
-    ///
-    /// Bit identity, not float equality: levels are "same" only when they
-    /// carry the exact same reported values, and NaN reports stay grouped
-    /// with themselves instead of splitting every level.
-    pub fn same_level(&self, other: &Sled) -> bool {
-        self.latency.to_bits() == other.latency.to_bits()
-            && self.bandwidth.to_bits() == other.bandwidth.to_bits()
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -18,6 +18,7 @@
 
 use std::collections::VecDeque;
 
+use sleds_fs::sled::{plan_chunks, plan_cost};
 use sleds_fs::{Fd, Kernel, SubmissionRing, Syscall, SyscallRet};
 use sleds_sim_core::{SimDuration, SimResult, PAGE_SIZE};
 
@@ -28,9 +29,6 @@ use crate::Sled;
 
 /// Per-byte CPU cost of scanning for record separators in the library.
 const SCAN_NS_PER_BYTE: u64 = 3;
-
-/// Per-chunk CPU cost of planning (sorting the pick order).
-const PLAN_NS_PER_CHUNK: u64 = 120;
 
 /// What a pick plan does with [unavailable](Sled::unavailable) SLEDs —
 /// extents whose device is inside an offline fault window at plan time.
@@ -126,7 +124,9 @@ impl PickSession {
     /// flattened rows, so the retrieval costs one ring op instead of the
     /// sequential `fstat` + `FSLEDS_GET` pair of crossings. Planning —
     /// chunking, record adjustment, the prediction mark — is identical to
-    /// the sequential path, and so is the plan.
+    /// the sequential path, and so is the plan. A table the flat rows
+    /// cannot carry (zone rows, device self-reports) is `EINVAL` before
+    /// anything is submitted ([`pushdown_pricing`](crate::pushdown_pricing)).
     pub fn init_ring(
         kernel: &mut Kernel,
         ring: &mut SubmissionRing,
@@ -134,14 +134,14 @@ impl PickSession {
         fd: Fd,
         cfg: PickConfig,
     ) -> SimResult<PickSession> {
-        let pricing = crate::program::pricing_from(table);
+        let pricing = crate::program::pushdown_pricing(table)?;
         ring.push(fd.0, Syscall::FsledsGet { fd, pricing })?;
         kernel.ring_enter(ring)?;
         let mut sleds: Vec<Sled> = Vec::new();
         for c in kernel.ring_reap(ring) {
             if c.user_data == fd.0 {
                 if let SyscallRet::Sleds(ks) = c.result? {
-                    sleds = crate::program::sleds_from_prog(&ks);
+                    sleds = ks;
                 }
             }
         }
@@ -160,10 +160,7 @@ impl PickSession {
         }
         let skip = cfg.unavailable == UnavailablePolicy::Skip;
         let plan = plan_chunks(&sleds, cfg.preferred_size.max(1), skip);
-        // Planning cost: the sort is the dominant term.
-        kernel.charge_cpu(SimDuration::from_nanos(
-            PLAN_NS_PER_CHUNK * plan.len() as u64,
-        ));
+        kernel.charge_cpu(plan_cost(plan.len()));
         // A pick plan drains each level in one streaming pass, which is
         // exactly the `SLEDS_BEST` estimate; record it for the accuracy
         // audit when tracing is on. A skipping plan is priced over the
@@ -252,39 +249,13 @@ impl PickSession {
             chunks.push((off, len, lat));
         }
         chunks.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
-        kernel.charge_cpu(SimDuration::from_nanos(
-            PLAN_NS_PER_CHUNK * chunks.len() as u64,
-        ));
+        kernel.charge_cpu(plan_cost(chunks.len()));
         self.plan = chunks.into_iter().map(|(o, l, _)| (o, l)).collect();
         Ok(())
     }
 
     /// `sleds_pick_finish`: ends the session.
     pub fn finish(self) {}
-}
-
-/// Splits SLEDs into preferred-size chunks and orders them
-/// lowest-latency-first, lowest-offset among equals. Unavailable SLEDs
-/// are pruned when `skip_unavailable` is set; otherwise their infinite
-/// latency sorts them behind every reachable chunk (defer).
-fn plan_chunks(sleds: &[Sled], preferred: usize, skip_unavailable: bool) -> Vec<(u64, usize)> {
-    let mut chunks: Vec<(u64, usize, f64)> = Vec::new();
-    for s in sleds {
-        if skip_unavailable && s.unavailable() {
-            continue;
-        }
-        let mut off = s.offset;
-        while off < s.end() {
-            let len = (s.end() - off).min(preferred as u64) as usize;
-            chunks.push((off, len, s.latency));
-            off += len as u64;
-        }
-    }
-    // Stable sort: equal latencies keep offset order (chunks were generated
-    // in ascending offset within each sled, but sleds of equal latency may
-    // interleave, so sort by offset explicitly).
-    chunks.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
-    chunks.into_iter().map(|(o, l, _)| (o, l)).collect()
 }
 
 /// Figure 4: pulls the edges of low-latency SLEDs in to record boundaries,

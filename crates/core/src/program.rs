@@ -5,12 +5,13 @@
 //! interface (bytecode plus flattened [`ProgPricing`] rows). Compilation
 //! must preserve *bit-for-bit* verdict parity with the sequential path:
 //! the emitted bytecode performs the same floating-point operations in the
-//! same order as [`LatencyPredicate::matches`], and the equivalence suite
-//! pins the two over every device class.
+//! same order as [`LatencyPredicate::matches`], over an estimate both
+//! sides compute with the same [`sleds_fs::sled`] code.
 
 use std::cmp::Ordering;
 
-use sleds_fs::{PickProgram, ProgEntry, ProgInst, ProgPricing, ProgSled};
+use sleds_fs::{PickProgram, ProgInst, ProgPricing};
+use sleds_sim_core::{Errno, SimError, SimResult};
 
 use crate::predicate::LatencyPredicate;
 use crate::table::SledsTable;
@@ -52,44 +53,37 @@ pub fn compile_latency(pred: &LatencyPredicate) -> PickProgram {
 /// Flattens a sleds table into the pricing rows a ring op or walk carries
 /// across the boundary.
 ///
-/// Only the flat rows travel: zone tables and `trust_device_reports` are
-/// not expressible in [`ProgPricing`], so callers relying on either must
-/// stay on the sequential `fsleds_get` path (the equivalence tests only
-/// cover flat tables).
+/// Only the flat rows travel: zone rows and `trust_device_reports` are not
+/// expressible in [`ProgPricing`]. Infallible, so lossy for a table that
+/// has either; the library's own pushdown entry points go through
+/// [`pushdown_pricing`], which refuses such a table.
 pub fn pricing_from(table: &SledsTable) -> ProgPricing {
     ProgPricing {
-        memory: table.memory().map(|e| ProgEntry {
-            latency: e.latency,
-            bandwidth: e.bandwidth,
-        }),
-        devices: table
-            .iter_devices()
-            .map(|(dev, e)| {
-                (
-                    dev,
-                    ProgEntry {
-                        latency: e.latency,
-                        bandwidth: e.bandwidth,
-                    },
-                )
-            })
-            .collect(),
+        memory: table.memory(),
+        devices: table.iter_devices().collect(),
     }
 }
 
-/// Converts kernel-built SLEDs back into the library's [`Sled`] type.
-/// Field-for-field; the two structs exist only because the crate
-/// dependency points from `sleds` to `sleds-fs`.
-pub fn sleds_from_prog(sleds: &[ProgSled]) -> Vec<Sled> {
-    sleds
-        .iter()
-        .map(|s| Sled {
-            offset: s.offset,
-            length: s.length,
-            latency: s.latency,
-            bandwidth: s.bandwidth,
-        })
-        .collect()
+/// [`pricing_from`] for a pushdown entry point: `EINVAL`, naming the
+/// reason, when flattening would change what the table prices
+/// ([`SledsTable::pushdown_loss`]) — the kernel would quote SLEDs the
+/// sequential path does not.
+pub fn pushdown_pricing(table: &SledsTable) -> SimResult<ProgPricing> {
+    match table.pushdown_loss() {
+        Some(lost) => Err(SimError::new(
+            Errno::Einval,
+            format!("FSLEDS pushdown: the sleds table {lost}, which pushed rows cannot carry"),
+        )),
+        None => Ok(pricing_from(table)),
+    }
+}
+
+/// Copies kernel-built SLEDs. The kernel and the library share one
+/// [`Sled`] type, so this exists only for `benchmark/`, which calls it and
+/// cannot be edited here; it goes with the `RingOp` / `RingPayload`
+/// aliases (ROADMAP 2a).
+pub fn sleds_from_prog(sleds: &[Sled]) -> Vec<Sled> {
+    sleds.to_vec()
 }
 
 #[cfg(test)]
@@ -154,16 +148,12 @@ mod tests {
 
     #[test]
     fn prog_sleds_round_trip() {
-        let ks = [ProgSled {
+        let ks = [Sled {
             offset: 4096,
             length: 8192,
             latency: 0.018,
             bandwidth: 9e6,
         }];
-        let s = sleds_from_prog(&ks);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].offset, 4096);
-        assert_eq!(s[0].length, 8192);
-        assert_eq!(s[0].latency, 0.018);
+        assert_eq!(sleds_from_prog(&ks), ks);
     }
 }

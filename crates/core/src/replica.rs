@@ -1,90 +1,17 @@
 //! Min-cost replica selection for redundant volumes.
 //!
 //! A redundant extent can be served from more than one device; `FSLEDS_GET`
-//! must quote the price of the copy the kernel would actually pick. The
-//! rules mirror the kernel's read routing:
-//!
-//! * **Mirrored** — any one available member serves the whole extent, so
-//!   the extent's price is the *cheapest available* member's price. An
-//!   offline member reroutes (it is excluded, not priced infinite); only
-//!   when every member is offline is the extent unavailable.
-//! * **Coded (k, n)** — k fragments must arrive and the read completes when
-//!   the slowest of the k chosen fragments does, so the extent's price is
-//!   the *k-th cheapest available* member's price. Fewer than k available
-//!   members means the extent is unavailable.
-//!
-//! Candidates arrive pre-priced from the sleds table, with their live
-//! fault state attached; degraded members are priced up by their
-//! multiplier before comparison, exactly as single-device extents are.
+//! quotes the price of the copy the kernel would actually pick. The rule
+//! lives with the rest of SLED construction in [`sleds_fs::sled`]; this
+//! module re-exports it and keeps the unit tests of its cases.
 
-use sleds_devices::FaultState;
-
-use crate::table::SledsEntry;
-
-/// Folds a device's current fault state into a table entry: a degraded
-/// window inflates latency and deflates bandwidth by its multiplier, and
-/// an offline window prices the extent unavailable (infinite latency,
-/// zero bandwidth), which every downstream estimate and predicate treats
-/// as an infinite delivery time.
-pub fn degrade(entry: SledsEntry, state: FaultState) -> SledsEntry {
-    match state {
-        FaultState::Healthy => entry,
-        FaultState::Degraded(m) => SledsEntry {
-            latency: entry.latency * m,
-            bandwidth: entry.bandwidth / m,
-        },
-        FaultState::Offline => SledsEntry {
-            latency: f64::INFINITY,
-            bandwidth: 0.0,
-        },
-    }
-}
-
-/// Estimated seconds to deliver `length` bytes priced by `entry` — the
-/// comparison key for replica selection.
-fn delivery(entry: &SledsEntry, length: u64) -> f64 {
-    if entry.bandwidth <= 0.0 {
-        return f64::INFINITY;
-    }
-    entry.latency + length as f64 / entry.bandwidth
-}
-
-/// The entry `FSLEDS_GET` should quote for a redundant extent of `length`
-/// bytes servable by `candidates` (each a table entry plus the device's
-/// live fault state).
-///
-/// `coded_k: None` is a mirror: the cheapest available (non-offline)
-/// member wins. `coded_k: Some(k)` is a (k, n) code: the k-th cheapest
-/// available member wins, because the read is as slow as the slowest of
-/// the k fragments it must gather. Returns `None` when the extent cannot
-/// currently be served at all — every member offline, or fewer than k
-/// available — which callers price as unavailable.
-pub fn select_min_cost(
-    candidates: &[(SledsEntry, FaultState)],
-    coded_k: Option<u32>,
-    length: u64,
-) -> Option<SledsEntry> {
-    let mut available: Vec<SledsEntry> = candidates
-        .iter()
-        .filter(|(_, state)| !matches!(state, FaultState::Offline))
-        .map(|&(entry, state)| degrade(entry, state))
-        .collect();
-    available.sort_by(|a, b| delivery(a, length).total_cmp(&delivery(b, length)));
-    match coded_k {
-        None => available.first().copied(),
-        Some(k) => {
-            let k = (k.max(1)) as usize;
-            if available.len() < k {
-                return None;
-            }
-            available.get(k - 1).copied()
-        }
-    }
-}
+pub use sleds_fs::sled::{degrade, select_min_cost};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SledsEntry;
+    use sleds_devices::FaultState;
 
     fn entry(latency: f64, bandwidth: f64) -> SledsEntry {
         SledsEntry { latency, bandwidth }

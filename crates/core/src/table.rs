@@ -8,23 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use sleds_fs::DeviceId;
-
-/// One row of the sleds table.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SledsEntry {
-    /// Latency to the first byte, in seconds.
-    pub latency: f64,
-    /// Streaming bandwidth, in bytes per second.
-    pub bandwidth: f64,
-}
-
-impl SledsEntry {
-    /// Creates an entry.
-    pub fn new(latency: f64, bandwidth: f64) -> Self {
-        SledsEntry { latency, bandwidth }
-    }
-}
+pub use sleds_fs::SledsEntry;
+use sleds_fs::{DeviceId, SledPricing};
 
 /// The kernel's per-device performance table (`FSLEDS_FILL`).
 ///
@@ -124,6 +109,21 @@ impl SledsTable {
         self.trust_device_reports
     }
 
+    /// What flattening this table into pushed rows
+    /// ([`pricing_from`](crate::pricing_from)) would drop, if anything:
+    /// per-zone rows or device self-reports, neither of which `ProgPricing`
+    /// can express. `None` when the flat rows price exactly what the table
+    /// does.
+    pub fn pushdown_loss(&self) -> Option<&'static str> {
+        if !self.zones.is_empty() {
+            Some("has per-zone rows")
+        } else if self.trust_device_reports {
+            Some("trusts device self-reports")
+        } else {
+            None
+        }
+    }
+
     /// The table's generation (0 = boot-time fill).
     pub fn generation(&self) -> u64 {
         self.generation
@@ -166,6 +166,24 @@ impl SledsTable {
     /// Iterates device rows in ascending `DeviceId` order.
     pub fn iter_devices(&self) -> impl Iterator<Item = (DeviceId, SledsEntry)> + '_ {
         self.devices.iter().map(|(d, e)| (*d, *e))
+    }
+}
+
+impl SledPricing for SledsTable {
+    fn memory(&self) -> Option<SledsEntry> {
+        self.memory
+    }
+
+    fn entry_at(&self, dev: DeviceId, sector: u64) -> Option<SledsEntry> {
+        SledsTable::entry_at(self, dev, sector)
+    }
+
+    fn zone_end(&self, dev: DeviceId, sector: u64) -> Option<u64> {
+        SledsTable::zone_end(self, dev, sector)
+    }
+
+    fn trust_device_reports(&self) -> bool {
+        self.trust_device_reports
     }
 }
 

@@ -34,15 +34,14 @@ use sleds_trace::{DeviceCost, Layer, Metrics, TraceEvent, Tracer, Wait};
 use crate::capture::{Capture, WorkloadRecorder};
 use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, PageMap, PagePlace, Stat};
 use crate::machine::MachineConfig;
-use crate::prog::{
-    prog_inputs, PickProgram, ProgEntry, ProgOrder, ProgPricing, ProgSled, WalkEntry,
-};
+use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, ProgPricing, WalkEntry};
 use crate::queue::{
     CmdQueue, DeviceSaturation, LatencySummary, SaturationReport, TenantAttribution, TenantShare,
     BULLY_SHARE_PPM, SATURATION_UTIL_PPM,
 };
 use crate::ring::{RingCompletion, SubmissionRing};
 use crate::rusage::{JobReport, JobTimer, Rusage};
+use crate::sled::{self, Sled};
 use crate::syscall::{self as sys, Entry, Syscall, SyscallRet};
 use crate::volume::{HedgePolicy, VolumeLayout};
 
@@ -2145,45 +2144,53 @@ impl Kernel {
     }
 
     /// The residency walk itself: merges the cache's resident extents with
-    /// the file's layout runs. Cost is proportional to the number of
-    /// extents emitted, not the number of pages; no per-page map is ever
-    /// materialized.
-    fn page_extents_of(&self, ino: Ino) -> SimResult<Vec<PageExtent>> {
+    /// the file's layout runs and collects what `make` turns each into.
+    /// Cost is proportional to the number of extents emitted, not the
+    /// number of pages; no per-page map is ever materialized.
+    fn extents_of<T>(
+        &self,
+        ino: Ino,
+        mut make: impl FnMut(&FileNode, PageExtent) -> T,
+    ) -> SimResult<Vec<T>> {
         let f = self
             .inode(ino)?
             .as_file()
             .ok_or_else(|| SimError::new(Errno::Eisdir, "FSLEDS_GET on directory"))?;
         let n = f.page_count();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
         let mut out = Vec::new();
         let mut p = 0u64;
         while p < n {
             let boundary = self.cache.next_boundary(ino.0, p).min(n);
             if self.cache.contains(PageKey::new(ino.0, p)) {
-                out.push(PageExtent {
+                let extent = PageExtent {
                     first_page: p,
                     pages: boundary - p,
                     location: PageLocation::Memory,
-                });
+                };
+                out.push(make(f, extent));
             } else {
                 // A non-resident span: split it by layout runs so each
                 // extent is device-contiguous.
                 for r in f.pages.runs_in(p, boundary - 1) {
-                    out.push(PageExtent {
+                    let extent = PageExtent {
                         first_page: r.start_page,
                         pages: r.pages,
                         location: PageLocation::Device {
                             dev: r.dev,
                             sector: r.sector,
                         },
-                    });
+                    };
+                    out.push(make(f, extent));
                 }
             }
             p = boundary;
         }
         Ok(out)
+    }
+
+    /// The bare extents, for callers that price nothing.
+    fn page_extents_of(&self, ino: Ino) -> SimResult<Vec<PageExtent>> {
+        self.extents_of(ino, |_, extent| extent)
     }
 
     /// The kernel half of `FSLEDS_GET`, run-length form: where does each
@@ -2203,55 +2210,49 @@ impl Kernel {
     /// file, each carrying the replica places that could serve it too.
     /// Extents of unreplicated files come back with no alternatives and
     /// cost exactly what [`Kernel::page_extents`] costs; redundant extents
-    /// pay one extra probe per alternative. The pricing layer turns each
-    /// alternative into a fault-priced candidate and quotes the min-cost
-    /// *available* one (the k-th cheapest for a coded layout).
+    /// pay one extra probe per alternative. The pricing layer
+    /// ([`sled::fold`]) turns each alternative into a fault-priced
+    /// candidate and quotes the min-cost *available* one (the k-th
+    /// cheapest for a coded layout).
     pub fn redundant_extents(&mut self, fd: Fd) -> SimResult<Vec<RedundantExtent>> {
         self.ioctl(&IOCTL_FSLEDS_GET, [fd.0, 1, 0], |k| {
             let of = k.openfile(fd)?;
-            let ino = of.ino;
-            let base = k.page_extents_of(ino)?;
-            let coded_k = k.volume_of(ino).and_then(|l| l.coded_k());
-            let (out, probes, pages) = {
-                let f = k.file_of(ino)?;
-                let mut probes = 0u64;
-                let pages = base.last().map(|e| e.end_page()).unwrap_or(0);
-                let out: Vec<RedundantExtent> = base
-                    .into_iter()
-                    .map(|extent| {
-                        // Memory extents need no alternative: they are already
-                        // the cheapest possible source.
-                        let alternatives: Vec<ReplicaPlace> =
-                            if matches!(extent.location, PageLocation::Device { .. }) {
-                                f.replicas
-                                    .iter()
-                                    .filter_map(|map| map.place_of(extent.first_page))
-                                    .map(|p| ReplicaPlace {
-                                        dev: p.dev,
-                                        sector: p.sector,
-                                    })
-                                    .collect()
-                            } else {
-                                Vec::new()
-                            };
-                        probes += alternatives.len() as u64;
-                        let coded_k = if alternatives.is_empty() {
-                            None
-                        } else {
-                            coded_k
-                        };
-                        RedundantExtent {
-                            extent,
-                            alternatives,
-                            coded_k,
-                        }
-                    })
-                    .collect();
-                (out, probes, pages)
-            };
-            k.charge_page_walk(out.len() as u64 + probes, pages);
-            Ok(out)
+            k.redundant_extents_of(of.ino)
         })
+    }
+
+    /// The walk behind [`Kernel::redundant_extents`], charged: one probe
+    /// per extent and per alternative, plus the per-page floor.
+    fn redundant_extents_of(&mut self, ino: Ino) -> SimResult<Vec<RedundantExtent>> {
+        let volume_k = self.volume_of(ino).and_then(|l| l.coded_k());
+        let mut probes = 0u64;
+        let out = self.extents_of(ino, |f, extent| {
+            // Memory extents need no alternative: they are already the
+            // cheapest possible source.
+            let alternatives: Vec<ReplicaPlace> =
+                if matches!(extent.location, PageLocation::Device { .. }) {
+                    f.replicas
+                        .iter()
+                        .filter_map(|map| map.place_of(extent.first_page))
+                        .map(|p| ReplicaPlace {
+                            dev: p.dev,
+                            sector: p.sector,
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+            probes += alternatives.len() as u64;
+            let coded_k = volume_k.filter(|_| !alternatives.is_empty());
+            RedundantExtent {
+                extent,
+                alternatives,
+                coded_k,
+            }
+        })?;
+        let pages = out.last().map(|e| e.extent.end_page()).unwrap_or(0);
+        self.charge_page_walk(out.len() as u64 + probes, pages);
+        Ok(out)
     }
 
     // ------------------------------------------------------------------
@@ -2316,112 +2317,42 @@ impl Kernel {
         out
     }
 
-    /// The in-kernel half of pushdown `FSLEDS_GET`: builds a file's SLED
-    /// vector from the caller's flattened pricing rows, mirroring the
-    /// user-space library's flat-table path operation for operation —
-    /// same extent walk, same degradation folding, same run coalescing by
-    /// bit-identity, same clipping to file size, same error text. Zone
-    /// tables and `trust_device_reports` are not expressible in
-    /// [`ProgPricing`]; callers needing either stay on the sequential
-    /// path. Charges the page walk (the work), not the two syscall traps
-    /// the sequential `fstat` + `FSLEDS_GET` pair pays.
-    fn kernel_sleds_of(&mut self, ino: Ino, pricing: &ProgPricing) -> SimResult<Vec<ProgSled>> {
-        let mem = pricing.memory.ok_or_else(|| {
-            SimError::new(
-                Errno::Einval,
-                "FSLEDS_GET: sleds table not filled (no memory row)",
-            )
-        })?;
+    /// `FSLEDS_GET` below the boundary: the SLED vector of `ino` priced
+    /// from the rows that crossed with the call. Charges the extent walk
+    /// (the work), not the two syscall traps the sequential `fstat` +
+    /// `FSLEDS_GET` pair pays.
+    fn sleds_of(&mut self, ino: Ino, pricing: &ProgPricing) -> SimResult<Vec<Sled>> {
+        sled::memory_row(pricing)?;
         let size = self.stat_ino(ino)?.size;
-        let extents = self.page_extents_of(ino)?;
-        let pages = extents.last().map(|e| e.end_page()).unwrap_or(0);
-        self.charge_page_walk(extents.len() as u64, pages);
-        fn push_sled(out: &mut Vec<ProgSled>, offset: u64, length: u64, entry: ProgEntry) {
-            if length == 0 {
-                return;
-            }
-            match out.last_mut() {
-                Some(last)
-                    if last.latency.to_bits() == entry.latency.to_bits()
-                        && last.bandwidth.to_bits() == entry.bandwidth.to_bits() =>
-                {
-                    last.length += length;
-                }
-                _ => out.push(ProgSled {
-                    offset,
-                    length,
-                    latency: entry.latency,
-                    bandwidth: entry.bandwidth,
-                }),
-            }
-        }
-        let mut out: Vec<ProgSled> = Vec::new();
-        for e in &extents {
-            let ext_off = e.first_page * PAGE_SIZE;
-            match e.location {
-                PageLocation::Memory => {
-                    let length = (e.pages * PAGE_SIZE).min(size - ext_off);
-                    push_sled(&mut out, ext_off, length, mem);
-                }
-                PageLocation::Device { dev, .. } => {
-                    let entry = pricing.device(dev).ok_or_else(|| {
-                        SimError::new(
-                            Errno::Einval,
-                            format!("FSLEDS_GET: no sleds table row for device {dev:?}"),
-                        )
-                    })?;
-                    let state = self.device_fault_state(dev).unwrap_or(FaultState::Healthy);
-                    let entry = match state {
-                        FaultState::Healthy => entry,
-                        FaultState::Degraded(m) => ProgEntry {
-                            latency: entry.latency * m,
-                            bandwidth: entry.bandwidth / m,
-                        },
-                        FaultState::Offline => ProgEntry {
-                            latency: f64::INFINITY,
-                            bandwidth: 0.0,
-                        },
-                    };
-                    let length = (e.pages * PAGE_SIZE).min(size - ext_off);
-                    push_sled(&mut out, ext_off, length, entry);
-                }
-            }
-        }
-        Ok(out)
+        let extents = self.redundant_extents_of(ino)?;
+        sled::fold(self, pricing, size, &extents)
     }
 
-    /// The in-kernel half of pushdown pick advice: chunks each SLED at the
-    /// preferred size and sorts cheapest-first, exactly as the library's
-    /// planner does (stable on latency, then offset), charging the same
-    /// per-chunk planning cost.
-    fn advise_chunks(
+    /// Prices `ino` and runs `prog` over it: the one evaluation step behind
+    /// `FSLEDS_PROG_EVAL` and every file of a walk.
+    fn eval_prog(
         &mut self,
-        sleds: &[ProgSled],
-        preferred: usize,
-        skip_unavailable: bool,
-    ) -> Vec<(u64, usize)> {
-        // Mirrors the pick library's PLAN_NS_PER_CHUNK; the equivalence
-        // suite pins the two.
-        const PLAN_NS_PER_CHUNK: u64 = 120;
-        let mut chunks: Vec<(u64, usize, f64)> = Vec::new();
-        for s in sleds {
-            let unavailable = s.length > 0 && (s.bandwidth <= 0.0 || !s.latency.is_finite());
-            if skip_unavailable && unavailable {
-                continue;
-            }
-            let end = s.offset.saturating_add(s.length);
-            let mut off = s.offset;
-            while off < end {
-                let len = (end - off).min(preferred as u64) as usize;
-                chunks.push((off, len, s.latency));
-                off += len as u64;
-            }
-        }
-        chunks.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
-        self.charge_cpu(SimDuration::from_nanos(
-            PLAN_NS_PER_CHUNK * chunks.len() as u64,
-        ));
-        chunks.into_iter().map(|(o, l, _)| (o, l)).collect()
+        ino: Ino,
+        prog: &PickProgram,
+        pricing: &ProgPricing,
+    ) -> SimResult<(bool, ProgInputs)> {
+        let mem = sled::memory_row(pricing)?;
+        let sleds = self.sleds_of(ino, pricing)?;
+        // Interpretation is charged at the certified worst-case bound, not
+        // the path actually taken: the price of running a program is fixed
+        // at admission, so accounting cannot depend on file contents or
+        // verdicts.
+        self.charge_cpu(SimDuration::from_nanos(prog.cert().worst_ns));
+        let inputs = prog_inputs(&sleds, mem);
+        let matched = prog.matches(&inputs);
+        let now = self.clock.now();
+        self.tracer.prog_eval(
+            now,
+            prog.len() as u64,
+            u64::from(matched),
+            estimate_ns(inputs.delivery_time),
+        );
+        Ok((matched, inputs))
     }
 
     /// The `FSLEDS_PROG` ioctl: installs a verified pick program on an
@@ -2446,34 +2377,18 @@ impl Kernel {
     /// verdict plus the delivery-time estimate it saw.
     pub fn fsleds_prog_eval(&mut self, fd: Fd, pricing: &ProgPricing) -> SimResult<(bool, f64)> {
         self.ioctl(&Entry::ioctl("ioctl.fsleds_prog_eval"), [fd.0, 0, 0], |k| {
-            let slot = k.fd_slot(fd)?;
-            let of = slot.file;
-            let prog = slot.prog.clone().ok_or_else(|| {
+            let ino = k.fd_slot(fd)?.file.ino;
+            // The program leaves its slot for the evaluation, which needs
+            // the whole kernel; nothing in between can reach the fd table.
+            let prog = k.fd_slot_mut(fd)?.prog.take().ok_or_else(|| {
                 SimError::new(
                     Errno::Einval,
                     format!("FSLEDS_PROG: no program on fd {}", fd.0),
                 )
             })?;
-            let sleds = k.kernel_sleds_of(of.ino, pricing)?;
-            let mem = pricing.memory.unwrap_or(ProgEntry {
-                latency: 0.0,
-                bandwidth: 0.0,
-            });
-            // Interpretation is charged at the certified worst-case bound,
-            // not the path actually taken: the price of running a program
-            // is fixed at admission, so accounting cannot depend on file
-            // contents.
-            k.charge_cpu(SimDuration::from_nanos(prog.cert().worst_ns));
-            let inputs = prog_inputs(&sleds, mem);
-            let matched = prog.matches(&inputs);
-            let now = k.clock.now();
-            k.tracer.prog_eval(
-                now,
-                prog.len() as u64,
-                u64::from(matched),
-                estimate_ns(inputs.delivery_time),
-            );
-            Ok((matched, inputs.delivery_time))
+            let r = k.eval_prog(ino, &prog, pricing);
+            k.fd_slot_mut(fd)?.prog = Some(prog);
+            r.map(|(matched, inputs)| (matched, inputs.delivery_time))
         })
     }
 
@@ -2532,25 +2447,8 @@ impl Kernel {
         let d = self.cfg.ring_op_cpu;
         self.charge_cpu(d);
         if stat.kind == FileKind::File {
-            let (entry, cached) = match self.kernel_sleds_of(ino, pricing) {
-                Ok(sleds) => {
-                    let mem = pricing.memory.unwrap_or(ProgEntry {
-                        latency: 0.0,
-                        bandwidth: 0.0,
-                    });
-                    // Certified worst-case interpretation cost per priced
-                    // entry — the admission-time bound, never the actual
-                    // path, so walk accounting is independent of verdicts.
-                    self.charge_cpu(SimDuration::from_nanos(prog.cert().worst_ns));
-                    let inputs = prog_inputs(&sleds, mem);
-                    let matched = prog.matches(&inputs);
-                    let now = self.clock.now();
-                    self.tracer.prog_eval(
-                        now,
-                        prog.len() as u64,
-                        u64::from(matched),
-                        estimate_ns(inputs.delivery_time),
-                    );
+            let (entry, cached) = match self.eval_prog(ino, prog, pricing) {
+                Ok((matched, inputs)) => {
                     if matched && prog.first_match_exit {
                         *done = true;
                     }

@@ -6,6 +6,7 @@ use sleds_trace::Layer;
 
 use super::Kernel;
 use crate::ring::SubmissionRing;
+use crate::sled;
 use crate::syscall::{Charge, Entry, Record, Ring, Syscall, SyscallRet};
 
 impl Kernel {
@@ -154,7 +155,7 @@ impl Kernel {
                 let make = || call.clone();
                 self.sys(call.entry(), [0; 3], make, |k| {
                     let of = k.openfile(*fd)?;
-                    let sleds = k.kernel_sleds_of(of.ino, pricing)?;
+                    let sleds = k.sleds_of(of.ino, pricing)?;
                     let Syscall::PickAdvice {
                         preferred,
                         skip_unavailable,
@@ -163,7 +164,8 @@ impl Kernel {
                     else {
                         return Ok(SyscallRet::Sleds(sleds));
                     };
-                    let plan = k.advise_chunks(&sleds, (*preferred).max(1), *skip_unavailable);
+                    let plan = sled::plan_chunks(&sleds, (*preferred).max(1), *skip_unavailable);
+                    k.charge_cpu(sled::plan_cost(plan.len()));
                     Ok(SyscallRet::Plan(plan))
                 })
             }

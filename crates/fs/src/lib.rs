@@ -10,7 +10,9 @@
 //! they live otherwise. The walk is run-length throughout: file layout is a
 //! [`inode::PageMap`] of maximal device-contiguous runs, residency is the
 //! page cache's extent index, and the walk's cost is one probe per extent
-//! plus a per-page floor rather than one probe per page.
+//! plus a per-page floor rather than one probe per page. [`sled`] turns that
+//! walk into the SLED vector — for the library above the syscall boundary
+//! and for the ring ops and pick programs below it alike.
 //!
 //! Unlike a real kernel, file *contents* are held in memory (`Vec<u8>`) so
 //! applications compute real answers, while all *costs* are charged against
@@ -31,6 +33,7 @@ pub mod prog;
 pub mod queue;
 pub mod ring;
 pub mod rusage;
+pub mod sled;
 pub mod syscall;
 pub mod volume;
 
@@ -45,8 +48,8 @@ pub use kernel::{
 };
 pub use machine::MachineConfig;
 pub use prog::{
-    prog_inputs, CostCert, PickProgram, ProgEntry, ProgInputs, ProgInst, ProgOrder, ProgPricing,
-    ProgSled, WalkEntry, MAX_PROG_COST_NS, MAX_PROG_LEN, MAX_PROG_STACK,
+    prog_inputs, CostCert, PickProgram, ProgInputs, ProgInst, ProgOrder, ProgPricing, WalkEntry,
+    MAX_PROG_COST_NS, MAX_PROG_LEN, MAX_PROG_STACK,
 };
 pub use queue::{
     CmdQueue, DeviceSaturation, LatencySummary, QueueSample, SaturationReport, TenantAttribution,
@@ -54,6 +57,7 @@ pub use queue::{
 };
 pub use ring::{RingCompletion, RingOp, RingPayload, SubmissionRing, DEFAULT_RING_ENTRIES};
 pub use rusage::{JobReport, JobTimer, Rusage};
+pub use sled::{Sled, SledPricing, SledsEntry};
 pub use sleds_sim_core::{TenantId, VirtualSubmitter};
 pub use sleds_trace as trace;
 pub use syscall::{Charge, Entry, Record, Ring, Syscall, SyscallRet};

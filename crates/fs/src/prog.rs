@@ -44,6 +44,7 @@ use sleds_sim_core::{Errno, SimError, SimResult};
 
 use crate::inode::FileKind;
 use crate::kernel::DeviceId;
+use crate::sled::{best_estimate, Sled, SledPricing, SledsEntry};
 
 /// Maximum instructions a program may hold. Small on purpose: a pick
 /// predicate is a comparison or two, and the bound keeps in-kernel
@@ -68,7 +69,7 @@ pub enum ProgInst {
     PushFirstLatency,
     /// Push the file's total delivery time (seconds) under the best
     /// attack plan — each storage level pays its latency once and streams
-    /// its bytes. Mirrors `sleds_total_delivery_time(SLEDS_BEST)`.
+    /// its bytes: `sleds_total_delivery_time(SLEDS_BEST)`.
     PushDeliveryTime,
     /// Push the fraction of the file's bytes currently at the memory
     /// level, in `[0.0, 1.0]` (`0.0` for an empty file).
@@ -440,33 +441,24 @@ fn bool_to_f64(b: bool) -> f64 {
     }
 }
 
-/// One latency/bandwidth row pushed across the boundary with a program or
-/// a ring op — the kernel has no access to the user-space `SledsTable`, so
-/// callers flatten the rows they want priced.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProgEntry {
-    /// Estimated latency to first byte, seconds.
-    pub latency: f64,
-    /// Estimated streaming bandwidth, bytes/second.
-    pub bandwidth: f64,
-}
-
-/// The flattened pricing rows for in-kernel SLED construction: the memory
-/// row plus one row per device. Zone tables and `trust_device_reports`
-/// are deliberately *not* expressible — pushdown covers the flat-table
-/// common case and callers needing either stay on the sequential path.
+/// The pricing rows that cross the boundary with a ring op, a program
+/// evaluation or a walk: the memory row plus one flat row per device. The
+/// kernel prices SLEDs from them through [`SledPricing`], like the library
+/// does from its table. Zone rows and `trust_device_reports` are *not*
+/// expressible here; a table that carries either must stay on the
+/// sequential path, and the library's pushdown entry points refuse it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProgPricing {
     /// The memory row (`None` reproduces the sequential path's "table not
     /// filled" error).
-    pub memory: Option<ProgEntry>,
+    pub memory: Option<SledsEntry>,
     /// Per-device rows, in any order.
-    pub devices: Vec<(DeviceId, ProgEntry)>,
+    pub devices: Vec<(DeviceId, SledsEntry)>,
 }
 
 impl ProgPricing {
     /// The row for `dev`, if one was pushed.
-    pub fn device(&self, dev: DeviceId) -> Option<ProgEntry> {
+    pub fn device(&self, dev: DeviceId) -> Option<SledsEntry> {
         self.devices
             .iter()
             .find(|(d, _)| *d == dev)
@@ -474,19 +466,14 @@ impl ProgPricing {
     }
 }
 
-/// A SLED as the kernel builds it: same fields and coalescing rules as
-/// the user-space `Sled`, mirrored here because the dependency points the
-/// other way (`sleds` depends on `sleds-fs`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ProgSled {
-    /// Byte offset within the file.
-    pub offset: u64,
-    /// Length in bytes.
-    pub length: u64,
-    /// Latency to first byte, seconds.
-    pub latency: f64,
-    /// Streaming bandwidth, bytes/second.
-    pub bandwidth: f64,
+impl SledPricing for ProgPricing {
+    fn memory(&self) -> Option<SledsEntry> {
+        self.memory
+    }
+
+    fn entry_at(&self, dev: DeviceId, _sector: u64) -> Option<SledsEntry> {
+        self.device(dev)
+    }
 }
 
 /// The three scalars a program can read, precomputed from a SLED vector.
@@ -501,53 +488,22 @@ pub struct ProgInputs {
 }
 
 /// Computes program inputs from a SLED vector. `memory` is the pricing
-/// row that identifies the memory level (bit-identity, like
-/// `Sled::same_level`).
-pub fn prog_inputs(sleds: &[ProgSled], memory: ProgEntry) -> ProgInputs {
-    let first_latency = sleds.first().map(|s| s.latency).unwrap_or(0.0);
-    // Best-plan estimate, operation-for-operation identical to the
-    // user-space `estimate_seconds(.., SLEDS_BEST)`: group levels by bit
-    // identity in first-appearance order, then one latency + stream per
-    // level, summed in that order.
-    let mut levels: Vec<(f64, f64, u64)> = Vec::new();
-    for s in sleds {
-        match levels.iter_mut().find(|(lat, bw, _)| {
-            lat.to_bits() == s.latency.to_bits() && bw.to_bits() == s.bandwidth.to_bits()
-        }) {
-            Some((_, _, bytes)) => *bytes += s.length,
-            None => levels.push((s.latency, s.bandwidth, s.length)),
-        }
-    }
-    let delivery_time: f64 = levels
-        .into_iter()
-        .map(|(lat, bw, bytes)| {
-            if bytes == 0 {
-                0.0
-            } else if bw <= 0.0 {
-                f64::INFINITY
-            } else {
-                lat + bytes as f64 / bw
-            }
-        })
-        .sum();
+/// row that identifies the memory level.
+pub fn prog_inputs(sleds: &[Sled], memory: SledsEntry) -> ProgInputs {
     let total: u64 = sleds.iter().map(|s| s.length).sum();
     let cached: u64 = sleds
         .iter()
-        .filter(|s| {
-            s.latency.to_bits() == memory.latency.to_bits()
-                && s.bandwidth.to_bits() == memory.bandwidth.to_bits()
-        })
+        .filter(|s| s.level().same_level(&memory))
         .map(|s| s.length)
         .sum();
-    let cached_fraction = if total == 0 {
-        0.0
-    } else {
-        cached as f64 / total as f64
-    };
     ProgInputs {
-        first_latency,
-        delivery_time,
-        cached_fraction,
+        first_latency: sleds.first().map(|s| s.latency).unwrap_or(0.0),
+        delivery_time: best_estimate(sleds),
+        cached_fraction: if total == 0 {
+            0.0
+        } else {
+            cached as f64 / total as f64
+        },
     }
 }
 
@@ -754,24 +710,24 @@ mod tests {
 
     #[test]
     fn prog_inputs_mirror_best_estimate_and_cached_fraction() {
-        let mem = ProgEntry {
+        let mem = SledsEntry {
             latency: 175e-9,
             bandwidth: 48e6,
         };
         let sleds = vec![
-            ProgSled {
+            Sled {
                 offset: 0,
                 length: 1_000_000,
                 latency: 0.018,
                 bandwidth: 1e6,
             },
-            ProgSled {
+            Sled {
                 offset: 1_000_000,
                 length: 1_000_000,
                 latency: 175e-9,
                 bandwidth: 48e6,
             },
-            ProgSled {
+            Sled {
                 offset: 2_000_000,
                 length: 2_000_000,
                 latency: 0.018,
@@ -781,6 +737,11 @@ mod tests {
         let inp = prog_inputs(&sleds, mem);
         let expect = (0.018 + 3.0) + (175e-9 + 1.0 / 48.0);
         assert!((inp.delivery_time - expect).abs() < 1e-9);
+        assert_eq!(
+            inp.delivery_time.to_bits(),
+            best_estimate(&sleds).to_bits(),
+            "the program reads the library's SLEDS_BEST figure"
+        );
         assert_eq!(inp.first_latency, 0.018);
         assert!((inp.cached_fraction - 0.25).abs() < 1e-12);
         assert_eq!(prog_inputs(&[], mem), ProgInputs::default());
@@ -788,11 +749,11 @@ mod tests {
 
     #[test]
     fn infinite_levels_propagate() {
-        let mem = ProgEntry {
+        let mem = SledsEntry {
             latency: 175e-9,
             bandwidth: 48e6,
         };
-        let sleds = vec![ProgSled {
+        let sleds = vec![Sled {
             offset: 0,
             length: 10,
             latency: f64::INFINITY,

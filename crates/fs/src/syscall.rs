@@ -11,8 +11,9 @@
 use sleds_sim_core::{Errno, SimError, SimResult, TenantId};
 
 use crate::inode::Stat;
-use crate::prog::{ProgPricing, ProgSled};
+use crate::prog::ProgPricing;
 use crate::ring::RingCompletion;
+use crate::sled::Sled;
 
 /// A file descriptor.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -228,7 +229,7 @@ pub enum SyscallRet {
     /// From `readdir`: entry names in name order.
     Names(Vec<String>),
     /// From [`Syscall::FsledsGet`].
-    Sleds(Vec<ProgSled>),
+    Sleds(Vec<Sled>),
     /// From [`Syscall::PickAdvice`]: `(offset, len)` chunks in pick order.
     Plan(Vec<(u64, usize)>),
     /// From `tenant_register`.

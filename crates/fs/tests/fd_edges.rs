@@ -9,7 +9,7 @@
 
 use sleds_devices::DiskDevice;
 use sleds_fs::{
-    Fd, Kernel, OpenFlags, PickProgram, ProgEntry, ProgInst, ProgPricing, SubmissionRing, Syscall,
+    Fd, Kernel, OpenFlags, PickProgram, ProgInst, ProgPricing, SledsEntry, SubmissionRing, Syscall,
     Whence,
 };
 use sleds_sim_core::{Errno, SimResult, PAGE_SIZE};
@@ -28,7 +28,7 @@ fn kernel_with_files() -> Kernel {
 
 fn pricing() -> ProgPricing {
     ProgPricing {
-        memory: Some(ProgEntry {
+        memory: Some(SledsEntry {
             latency: 175e-9,
             bandwidth: 48e6,
         }),

@@ -7,8 +7,8 @@
 //! behaviour — with rusage differing only by the crossing charges.
 
 use sleds::{
-    compile_latency, fsleds_get, pricing_from, sleds_from_prog, total_delivery_time, AttackPlan,
-    LatencyPredicate, PickConfig, PickSession, SledsEntry, SledsTable,
+    compile_latency, fsleds_get, pricing_from, total_delivery_time, AttackPlan, LatencyPredicate,
+    PickConfig, PickSession, SledsEntry, SledsTable,
 };
 use sleds_devices::{DiskDevice, FaultPlan};
 use sleds_fs::{
@@ -211,7 +211,7 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
             (0, SyscallRet::Fd(f)) => opened = Some(f),
             (1, SyscallRet::Stat(st)) => assert_eq!(st, seq_stat),
             (2, SyscallRet::Bytes(b)) => assert_eq!(b, seq_bytes),
-            (3, SyscallRet::Sleds(s)) => assert_eq!(sleds_from_prog(&s), seq_sleds),
+            (3, SyscallRet::Sleds(s)) => assert_eq!(s, seq_sleds),
             (4, SyscallRet::Plan(p)) => assert_eq!(p, seq_plan),
             (tag, other) => panic!("unexpected completion {tag}: {other:?}"),
         }

@@ -5,8 +5,8 @@
 
 use sleds_devices::{DiskDevice, FaultPlan};
 use sleds_fs::{
-    Capture, Fd, HedgePolicy, Kernel, MachineConfig, OpenFlags, PickProgram, ProgEntry, ProgInst,
-    ProgPricing, SubmissionRing, Syscall, SyscallRet, Whence,
+    Capture, Fd, HedgePolicy, Kernel, MachineConfig, OpenFlags, PickProgram, ProgInst, ProgPricing,
+    SledsEntry, SubmissionRing, Syscall, SyscallRet, Whence,
 };
 use sleds_sim_core::{ByteSize, Errno, SimResult, PAGE_SIZE};
 
@@ -25,12 +25,12 @@ fn kernel() -> Kernel {
 }
 
 fn pricing(k: &Kernel) -> ProgPricing {
-    let row = ProgEntry {
+    let row = SledsEntry {
         latency: 0.01,
         bandwidth: 5e6,
     };
     ProgPricing {
-        memory: Some(ProgEntry {
+        memory: Some(SledsEntry {
             latency: 1e-7,
             bandwidth: 1e8,
         }),

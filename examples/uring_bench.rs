@@ -41,8 +41,7 @@ use sleds_repro::fs::{
 };
 use sleds_repro::sim_core::SimDuration;
 use sleds_repro::sleds::{
-    estimate_seconds, pricing_from, sleds_from_prog, AttackPlan, LatencyPredicate, SledsEntry,
-    SledsTable,
+    estimate_seconds, pricing_from, AttackPlan, LatencyPredicate, SledsEntry, SledsTable,
 };
 
 // sledlint::allow(D001, host wall-clock is one of the numbers this benchmark reports)
@@ -262,7 +261,7 @@ fn find_batched(
             }
             for (s, p) in sleds.iter().zip(path_pair) {
                 k.charge_cpu(SimDuration::from_nanos(FIND_NS_PER_ENTRY));
-                let est = estimate_seconds(&sleds_from_prog(s), AttackPlan::Best);
+                let est = estimate_seconds(s, AttackPlan::Best);
                 if pred.matches(est) {
                     hits.push(FindHit {
                         path: p.clone(),
