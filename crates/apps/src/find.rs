@@ -104,10 +104,8 @@ pub fn find_report(
             "find -latency requires SLEDs support",
         ));
     }
-    kernel.trace_app_begin("find");
     let mut out = FindReport::default();
-    walk(kernel, root, opts, table, &mut out);
-    kernel.trace_app_end();
+    kernel.trace_app("find", |kernel| walk(kernel, root, opts, table, &mut out));
     Ok(out)
 }
 
@@ -136,8 +134,7 @@ pub fn find_prog(
             "find --prog requires a -latency predicate",
         ));
     };
-    kernel.trace_app_begin("find");
-    let result = (|| {
+    kernel.trace_app("find", |kernel| {
         let prog = compile_latency(&pred);
         let pricing = pushdown_pricing(table)?;
         let entries = kernel.fsleds_walk(root, &prog, &pricing)?;
@@ -189,9 +186,7 @@ pub fn find_prog(
             });
         }
         Ok(out)
-    })();
-    kernel.trace_app_end();
-    result
+    })
 }
 
 fn walk(

@@ -131,12 +131,12 @@ pub fn grep(
     opts: &GrepOptions,
     table: Option<&SledsTable>,
 ) -> SimResult<GrepResult> {
-    kernel.trace_app_begin(if table.is_some() {
+    let name = if table.is_some() {
         "grep --sleds"
     } else {
         "grep"
-    });
-    let result = (|| {
+    };
+    kernel.trace_app(name, |kernel| {
         let fd = kernel.open(path, OpenFlags::RDONLY)?;
         let result = match table {
             None => grep_baseline(kernel, fd, re, opts),
@@ -144,9 +144,7 @@ pub fn grep(
         };
         kernel.close(fd)?;
         result
-    })();
-    kernel.trace_app_end();
-    result
+    })
 }
 
 /// The line scanner all three modes share: fed the file a buffer at a
@@ -400,16 +398,13 @@ pub fn grep_ring(
     opts: &GrepOptions,
     table: &SledsTable,
 ) -> SimResult<GrepResult> {
-    kernel.trace_app_begin("grep --sleds");
-    let result = (|| {
+    kernel.trace_app("grep --sleds", |kernel| {
         let fd = kernel.open(path, OpenFlags::RDONLY)?;
         let mut ring = SubmissionRing::new(DEFAULT_RING_ENTRIES);
         let result = grep_ring_fd(kernel, &mut ring, fd, re, opts, table);
         kernel.close(fd)?;
         result
-    })();
-    kernel.trace_app_end();
-    result
+    })
 }
 
 fn grep_ring_fd(

@@ -149,8 +149,8 @@ pub fn wc_files(kernel: &mut Kernel, paths: &[&str], table: Option<&SledsTable>)
 /// `table` selects the mode: `Some` uses the SLEDs pick library (the
 /// paper's `wc --sleds` switch), `None` is the stock sequential scan.
 pub fn wc(kernel: &mut Kernel, path: &str, table: Option<&SledsTable>) -> SimResult<WcResult> {
-    kernel.trace_app_begin(if table.is_some() { "wc --sleds" } else { "wc" });
-    let result = (|| {
+    let name = if table.is_some() { "wc --sleds" } else { "wc" };
+    kernel.trace_app(name, |kernel| {
         let fd = kernel.open(path, OpenFlags::RDONLY)?;
         let result = match table {
             None => wc_baseline(kernel, fd),
@@ -158,9 +158,7 @@ pub fn wc(kernel: &mut Kernel, path: &str, table: Option<&SledsTable>) -> SimRes
         };
         kernel.close(fd)?;
         result
-    })();
-    kernel.trace_app_end();
-    result
+    })
 }
 
 fn wc_baseline(kernel: &mut Kernel, fd: Fd) -> SimResult<WcResult> {
@@ -201,16 +199,13 @@ pub fn wc_aio(kernel: &mut Kernel, path: &str) -> SimResult<(WcResult, sleds_fs:
 /// table — the output is bit-identical, and rusage differs only in
 /// `cpu`, `syscalls` and `syscall_crossings`.
 pub fn wc_ring(kernel: &mut Kernel, path: &str, table: &SledsTable) -> SimResult<WcResult> {
-    kernel.trace_app_begin("wc --sleds");
-    let result = (|| {
+    kernel.trace_app("wc --sleds", |kernel| {
         let fd = kernel.open(path, OpenFlags::RDONLY)?;
         let mut ring = SubmissionRing::new(DEFAULT_RING_ENTRIES);
         let result = wc_ring_fd(kernel, &mut ring, fd, table);
         kernel.close(fd)?;
         result
-    })();
-    kernel.trace_app_end();
-    result
+    })
 }
 
 fn wc_ring_fd(

@@ -241,3 +241,50 @@ fn wc_counts_and_virtual_costs_are_pinned() {
         assert_eq!(run_wc(&text, mode), (counts, cost), "{mode:?}");
     }
 }
+
+/// A scan that fails inside its application span (here: the `open`
+/// bounces off a missing path, in all five modes) still closes it, so the
+/// next scan's span opens at depth zero beside it, not nested inside.
+#[test]
+fn a_failed_scan_closes_its_app_span() {
+    use sleds_fs::trace::{EventPhase, Layer};
+    let (mut k, t) = prepared(b"needle\n");
+    k.enable_tracing();
+    let re = Regex::new("needle").unwrap();
+    let opts = GrepOptions::default();
+    let missing = "/data/missing";
+    assert!(grep(&mut k, missing, &re, &opts, None).is_err());
+    assert!(grep(&mut k, missing, &re, &opts, Some(&t)).is_err());
+    assert!(grep_ring(&mut k, missing, &re, &opts, &t).is_err());
+    assert!(wc(&mut k, missing, Some(&t)).is_err());
+    assert!(wc_ring(&mut k, missing, &t).is_err());
+    assert_eq!(wc(&mut k, PATH, None).unwrap().lines, 1);
+
+    let mut depth = 0usize;
+    let mut app_spans = Vec::new();
+    for e in k.trace_events() {
+        match e.phase {
+            EventPhase::Begin => {
+                if e.layer == Layer::App {
+                    assert_eq!(depth, 0, "{} opened inside an unclosed span", e.name);
+                    app_spans.push(e.name);
+                }
+                depth += 1;
+            }
+            EventPhase::End => depth -= 1,
+            _ => {}
+        }
+    }
+    assert_eq!(depth, 0);
+    assert_eq!(
+        app_spans,
+        [
+            "grep",
+            "grep --sleds",
+            "grep --sleds",
+            "wc --sleds",
+            "wc --sleds",
+            "wc"
+        ]
+    );
+}

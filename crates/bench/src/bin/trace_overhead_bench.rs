@@ -27,28 +27,39 @@ use std::path::PathBuf;
 use sleds_bench::microbench;
 use sleds_devices::DiskDevice;
 use sleds_fs::{Fd, Kernel, OpenFlags};
-use sleds_sim_core::{SimTime, PAGE_SIZE};
-use sleds_trace::{DeviceCost, Layer, Tracer};
+use sleds_sim_core::{SimDuration, SimTime, PAGE_SIZE};
+use sleds_trace::{span, DeviceCost, Layer, SpanHost, Tracer};
 
 /// Warm `pread`s per workload iteration.
 const READS_PER_ITER: u64 = 256;
 
-fn hook_pair_ns(t: &mut Tracer) -> f64 {
-    let label = if t.is_enabled() {
+/// A tracer and the clock its spans are stamped from, owned together the
+/// way the kernel owns them.
+struct Host {
+    tracer: Tracer,
+    now: SimTime,
+}
+
+impl SpanHost for Host {
+    fn tracer(&mut self) -> &mut Tracer {
+        &mut self.tracer
+    }
+
+    fn now(&self) -> SimTime {
+        self.now
+    }
+}
+
+fn hook_pair_ns(h: &mut Host) -> f64 {
+    let label = if h.tracer.is_enabled() {
         "hook begin/end (enabled)"
     } else {
         "hook begin/end (disabled)"
     };
-    let mut ts = 0u64;
+    let tick = SimDuration::from_nanos(10_000);
     microbench::time(label, || {
-        t.begin(
-            Layer::Syscall,
-            "read",
-            SimTime::from_nanos(ts),
-            [3, 4096, 0],
-        );
-        t.end(SimTime::from_nanos(ts + 10_000));
-        ts += 20_000;
+        span(h, Layer::Syscall, "read", [3, 4096, 0], |h| h.now += tick);
+        h.now += tick;
     })
     .ns_per_iter
 }
@@ -60,16 +71,16 @@ fn device_event_ns(t: &mut Tracer) -> f64 {
         "hook device+phases (disabled)"
     };
     let phases = [
-        ("seek", sleds_sim_core::SimDuration::from_nanos(8_000_000)),
-        ("rotate", sleds_sim_core::SimDuration::from_nanos(4_000_000)),
-        ("transfer", sleds_sim_core::SimDuration::from_nanos(900_000)),
+        ("seek", SimDuration::from_nanos(8_000_000)),
+        ("rotate", SimDuration::from_nanos(4_000_000)),
+        ("transfer", SimDuration::from_nanos(900_000)),
     ];
     let mut ts = 0u64;
     microbench::time(label, || {
         let ev = DeviceCost {
             class: 1,
             submit: SimTime::from_nanos(ts),
-            service: sleds_sim_core::SimDuration::from_nanos(12_900_000),
+            service: SimDuration::from_nanos(12_900_000),
             sector: ts / 1000,
             sectors: 8,
             bytes: 8 * 512,
@@ -162,15 +173,23 @@ fn main() {
     })
     .ns_per_iter;
 
-    let mut off = Tracer::disabled();
+    let host = |tracer| Host {
+        tracer,
+        now: SimTime::ZERO,
+    };
+    let mut off = host(Tracer::disabled());
     let disabled_pair_ns = (hook_pair_ns(&mut off) - harness_ns).max(0.0);
-    let disabled_device_ns = (device_event_ns(&mut off) - harness_ns).max(0.0);
-    assert_eq!(off.emitted(), 0, "disabled tracer must record nothing");
+    let disabled_device_ns = (device_event_ns(&mut off.tracer) - harness_ns).max(0.0);
+    assert_eq!(
+        off.tracer.emitted(),
+        0,
+        "disabled tracer must record nothing"
+    );
 
-    let mut on = Tracer::enabled();
+    let mut on = host(Tracer::enabled());
     let enabled_pair_ns = (hook_pair_ns(&mut on) - harness_ns).max(0.0);
-    let enabled_device_ns = (device_event_ns(&mut on) - harness_ns).max(0.0);
-    assert!(on.emitted() > 0, "enabled tracer must record");
+    let enabled_device_ns = (device_event_ns(&mut on.tracer) - harness_ns).max(0.0);
+    assert!(on.tracer.emitted() > 0, "enabled tracer must record");
 
     let w = workload();
 

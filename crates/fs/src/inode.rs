@@ -81,9 +81,9 @@ impl LayoutRun {
 pub struct PageMap {
     runs: Vec<LayoutRun>,
     pages: u64,
-    /// Bumped on every mutation (append, remap, clear) and by the kernel on
-    /// size changes; never reset, so `(residency gen, layout gen)` pairs
-    /// version SLED vectors without ABA.
+    /// Bumped on every mutation (append, remap, clear) and by
+    /// [`FileNode::set_size`] on size changes; never reset, so
+    /// `(residency gen, layout gen)` pairs version SLED vectors without ABA.
     gen: u64,
 }
 
@@ -113,10 +113,10 @@ impl PageMap {
         self.gen
     }
 
-    /// Bumps the generation without changing the mapping — the kernel calls
-    /// this when the file *size* changes within the already-mapped pages
-    /// (a ragged tail growing), which changes SLED lengths.
-    pub fn bump_generation(&mut self) {
+    /// Bumps the generation without changing the mapping: the file *size*
+    /// changed within the already-mapped pages (a ragged tail growing),
+    /// which changes SLED lengths.
+    fn bump_generation(&mut self) {
         self.gen += 1;
     }
 
@@ -285,8 +285,9 @@ impl PageMap {
 /// A regular file's metadata and contents.
 #[derive(Clone, Debug, Default)]
 pub struct FileNode {
-    /// Logical size in bytes.
-    pub size: u64,
+    /// Logical size in bytes. Private: [`FileNode::set_size`] is the only
+    /// writer, so a size change cannot skip the layout generation.
+    size: u64,
     /// File contents. The simulator holds real bytes so applications
     /// compute real answers; devices only model cost.
     pub data: Vec<u8>,
@@ -304,6 +305,31 @@ pub struct FileNode {
 }
 
 impl FileNode {
+    /// Logical size in bytes.
+    pub fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// Sets the logical size. A change versions the layout — SLED lengths
+    /// follow the size even when no page is mapped or unmapped — so every
+    /// SLED vector memoized under the old size goes stale with it.
+    pub fn set_size(&mut self, size: u64) {
+        if size != self.size {
+            self.size = size;
+            self.pages.bump_generation();
+        }
+    }
+
+    /// Empties the file (`O_TRUNC`): no bytes, no pages, no tape home.
+    /// Unmapping the pages versions the layout once, which covers the
+    /// size change too.
+    pub(crate) fn truncate(&mut self) {
+        self.size = 0;
+        self.data.clear();
+        self.pages.clear();
+        self.tape_home = None;
+    }
+
     /// Number of pages the file spans.
     pub fn page_count(&self) -> u64 {
         self.size.div_ceil(PAGE_SIZE)
@@ -400,12 +426,30 @@ mod tests {
     fn file_page_count_rounds_up() {
         let mut f = FileNode::default();
         assert_eq!(f.page_count(), 0);
-        f.size = 1;
+        f.set_size(1);
         assert_eq!(f.page_count(), 1);
-        f.size = PAGE_SIZE;
+        f.set_size(PAGE_SIZE);
         assert_eq!(f.page_count(), 1);
-        f.size = PAGE_SIZE + 1;
+        f.set_size(PAGE_SIZE + 1);
         assert_eq!(f.page_count(), 2);
+    }
+
+    #[test]
+    fn a_size_change_versions_the_layout_and_a_no_op_does_not() {
+        let mut f = FileNode::default();
+        f.pages.append_run(DeviceId(0), 0, 2);
+        let g0 = f.pages.generation();
+        f.set_size(PAGE_SIZE + 7);
+        let g1 = f.pages.generation();
+        assert!(g1 > g0, "growing the ragged tail versions the layout");
+        f.set_size(PAGE_SIZE + 7);
+        assert_eq!(f.pages.generation(), g1, "same size, same version");
+        f.set_size(7);
+        let g2 = f.pages.generation();
+        assert!(g2 > g1, "so does shrinking it");
+        f.truncate();
+        assert_eq!(f.pages.generation(), g2 + 1, "truncation versions once");
+        assert_eq!((f.size(), f.pages.page_count()), (0, 0));
     }
 
     #[test]

@@ -26,10 +26,10 @@ use std::collections::BTreeMap;
 use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultPlan, FaultState};
 use sleds_pagecache::{PageCache, PageKey};
 use sleds_sim_core::{
-    Clock, DetRng, Errno, IdTable, IdWindow, RetryPolicy, SimDuration, SimError, SimResult,
-    SimTime, TenantId, PAGE_SIZE, SECTOR_SIZE,
+    DetRng, Errno, IdTable, IdWindow, RetryPolicy, SimDuration, SimError, SimResult, SimTime,
+    TenantId, PAGE_SIZE, SECTOR_SIZE,
 };
-use sleds_trace::{DeviceCost, Layer, Metrics, TraceEvent, Tracer, Wait};
+use sleds_trace::{span, DeviceCost, Layer, Metrics, TraceEvent, Tracer, Wait};
 
 use crate::capture::{Capture, WorkloadRecorder};
 use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, PageMap, PagePlace, Stat};
@@ -49,7 +49,7 @@ mod boundary;
 mod cost;
 mod namei;
 
-use cost::Attempt;
+use cost::{Attempt, Ledger};
 
 pub use crate::inode::SECTORS_PER_PAGE;
 pub use crate::syscall::{Fd, OpenFlags, Whence};
@@ -232,7 +232,8 @@ struct TenantState {
 /// The simulated kernel.
 pub struct Kernel {
     cfg: MachineConfig,
-    clock: Clock,
+    /// The virtual clock and the `Rusage` it is billed to, as one value.
+    ledger: Ledger,
     cache: PageCache,
     devices: Vec<Box<dyn BlockDevice>>,
     mounts: Vec<Mount>,
@@ -245,7 +246,6 @@ pub struct Kernel {
     /// the span from the oldest open fd to the newest issued.
     fds: IdWindow<FdSlot>,
     next_fd: u64,
-    usage: Rusage,
     root: Ino,
     tracer: Tracer,
     /// Count of `FSLEDS_RECAL` calls. Folded into [`Kernel::sled_generation`]
@@ -253,6 +253,8 @@ pub struct Kernel {
     /// sleds table is recalibrated, without the cache or lease layers
     /// knowing recalibration exists.
     sleds_epoch: u64,
+    /// How hard `device_command` tries again; always the default.
+    retry: RetryPolicy,
     /// Jitter stream for retry backoff; only consumed when a command
     /// actually fails, so fault-free runs never draw from it.
     retry_rng: DetRng,
@@ -286,7 +288,7 @@ pub struct Kernel {
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kernel")
-            .field("now", &self.clock.now())
+            .field("now", &self.now())
             .field("mounts", &self.mounts.len())
             .field("inodes", &self.inodes.len())
             .field("cache", &self.cache)
@@ -311,7 +313,7 @@ impl Kernel {
         );
         Kernel {
             cfg,
-            clock: Clock::new(),
+            ledger: Ledger::default(),
             cache,
             devices: Vec::new(),
             mounts: Vec::new(),
@@ -319,10 +321,10 @@ impl Kernel {
             next_ino: 2,
             fds: IdWindow::new(),
             next_fd: 3, // 0..2 reserved, as tradition demands
-            usage: Rusage::default(),
             root,
             tracer: Tracer::disabled(),
             sleds_epoch: 0,
+            retry: RetryPolicy::default(),
             retry_rng: DetRng::new(RETRY_JITTER_SEED),
             ring_enters: 0,
             ring_ops: 0,
@@ -356,7 +358,7 @@ impl Kernel {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.ledger.now()
     }
 
     /// Machine configuration.
@@ -366,7 +368,7 @@ impl Kernel {
 
     /// Cumulative resource usage.
     pub fn usage(&self) -> Rusage {
-        self.usage
+        self.ledger.usage()
     }
 
     /// Page-cache counters.
@@ -404,7 +406,7 @@ impl Kernel {
             name: name.to_string(),
         };
         let _ = self.sys(&sys::TENANT_REGISTER, [0; 3], make, |k| {
-            let now = k.clock.now();
+            let now = k.now();
             k.tenants.push(TenantState {
                 name: name.to_string(),
                 clock_at: now,
@@ -434,11 +436,12 @@ impl Kernel {
             return Ok(());
         }
         // Flush the outgoing tenant's usage share and park its clock.
-        let delta = self.usage.since(&self.tenant_snapshot);
+        let usage = self.usage();
+        let delta = usage.since(&self.tenant_snapshot);
         self.tenants[self.active_tenant].usage.accumulate(&delta);
-        self.tenant_snapshot = self.usage;
-        self.tenants[self.active_tenant].clock_at = self.clock.now();
-        self.clock = Clock::resume_at(self.tenants[idx].clock_at);
+        self.tenant_snapshot = usage;
+        let resume_at = self.tenants[idx].clock_at;
+        self.tenants[self.active_tenant].clock_at = self.ledger.switch_timeline(resume_at);
         self.active_tenant = idx;
         self.tracer.set_tenant(t.0);
         Ok(())
@@ -477,7 +480,7 @@ impl Kernel {
         self.tenants.get(idx).map(|s| {
             let mut u = s.usage;
             if idx == self.active_tenant {
-                u.accumulate(&self.usage.since(&self.tenant_snapshot));
+                u.accumulate(&self.usage().since(&self.tenant_snapshot));
             }
             u
         })
@@ -489,7 +492,7 @@ impl Kernel {
         let idx = t.0 as usize;
         self.tenants.get(idx).map(|s| {
             if idx == self.active_tenant {
-                self.clock.now()
+                self.now()
             } else {
                 s.clock_at
             }
@@ -561,7 +564,7 @@ impl Kernel {
     /// marks the capture incomplete, never drops silently) until
     /// [`Kernel::stop_capture`]. Replaces any capture in progress.
     pub fn start_capture(&mut self, budget: usize) {
-        self.recorder = Some(WorkloadRecorder::new(budget, self.clock.now().as_nanos()));
+        self.recorder = Some(WorkloadRecorder::new(budget, self.now().as_nanos()));
     }
 
     /// Disarms the recorder and returns the capture; `None` when no
@@ -573,7 +576,7 @@ impl Kernel {
     /// Sum of every attached device's fault epoch at `now` — the "which
     /// fault windows are live" stamp each captured op carries.
     pub fn fault_epoch_total(&self) -> u64 {
-        let now = self.clock.now();
+        let now = self.now();
         self.devices.iter().map(|d| d.fault_epoch(now)).sum()
     }
 
@@ -608,7 +611,7 @@ impl Kernel {
             k.openfile(fd).map(|_| {
                 k.sleds_epoch += 1;
                 let snap = k.tracer.metrics_snapshot().unwrap_or_default();
-                let now = k.clock.now();
+                let now = k.now();
                 k.tracer.recal(now, k.sleds_epoch);
                 snap
             })
@@ -720,17 +723,12 @@ impl Kernel {
         })
     }
 
-    /// Opens an application-level span (e.g. one `grep` invocation); the
-    /// span nests every syscall traced until [`Kernel::trace_app_end`].
-    pub fn trace_app_begin(&mut self, name: &'static str) {
-        let now = self.clock.now();
-        self.tracer.begin(Layer::App, name, now, [0; 3]);
-    }
-
-    /// Closes the innermost open application-level span.
-    pub fn trace_app_end(&mut self) {
-        let now = self.clock.now();
-        self.tracer.end(now);
+    /// Runs `body` inside an application-level span (e.g. one `grep`
+    /// invocation) that nests every syscall traced within it. The span is
+    /// closed however `body` ends: a `?` inside it returns from the
+    /// closure, not past the end.
+    pub fn trace_app<T>(&mut self, name: &'static str, body: impl FnOnce(&mut Kernel) -> T) -> T {
+        span(self, Layer::App, name, [0; 3], body)
     }
 
     /// Records a delivery-time prediction for an open file — the trace half
@@ -752,7 +750,7 @@ impl Kernel {
         }
         let of = self.openfile(fd)?;
         let class = self.serving_class_of(of.ino)?;
-        let now = self.clock.now();
+        let now = self.now();
         self.tracer.predict(
             now,
             fd.0,
@@ -860,20 +858,21 @@ impl Kernel {
     /// Coarse health of a device at the current virtual time. Pure query:
     /// charges nothing.
     pub fn device_fault_state(&self, dev: DeviceId) -> Option<FaultState> {
-        let now = self.clock.now();
+        let now = self.now();
         self.devices.get(dev.0).map(|d| d.fault_state(now))
     }
 
-    /// Issues one device command under the default [`RetryPolicy`]: the
-    /// retry loop over [`Kernel::submit`], which has already charged an
-    /// attempt failed by an injected fault (it held the bus). Errors the
-    /// policy deems transient are reissued after an exponentially growing,
-    /// deterministically jittered backoff on the virtual clock — mirrored
-    /// into `io_retries`/`retry_backoff` in rusage and `io.retry` trace
-    /// marks — until the attempt bound is hit (`EIO`) or the policy
-    /// timeout elapses (`ETIMEDOUT`). Non-retryable errors propagate
-    /// unchanged, so fault-free runs behave exactly as if this layer did
-    /// not exist.
+    /// Issues one device command under the default [`RetryPolicy`]: one
+    /// [`Kernel::submit`] per number in [`RetryPolicy::attempts`] — a
+    /// finite range, so the retry is bounded by its type. `submit` has
+    /// already charged an attempt failed by an injected fault (it held the
+    /// bus). Errors the policy deems transient are reissued after an
+    /// exponentially growing, deterministically jittered backoff on the
+    /// virtual clock — mirrored into `io_retries`/`retry_backoff` in
+    /// rusage and `io.retry` trace marks — until the attempts run out
+    /// (`EIO`) or the policy timeout elapses (`ETIMEDOUT`). Non-retryable
+    /// errors propagate unchanged, so fault-free runs behave exactly as if
+    /// this layer did not exist.
     fn device_command(
         &mut self,
         dev: DeviceId,
@@ -881,36 +880,40 @@ impl Kernel {
         sectors: u64,
         write: bool,
     ) -> SimResult<()> {
-        let policy = RetryPolicy::default();
-        let first_try = self.clock.now();
-        let mut attempt = 0u32;
-        // Bounded: exits by `policy.max_attempts` or the policy timeout.
-        loop {
-            attempt += 1;
-            let err = match self.submit(dev, sector, sectors, write, attempt, Wait::Serial) {
+        let policy = self.retry;
+        let first_try = self.now();
+        let mut failed: Option<SimError> = None;
+        for attempt in policy.attempts() {
+            if let Some(err) = failed.take() {
+                // The previous submission failed transiently: abandon the
+                // command on the policy timeout, else back off before this one.
+                if self.now().duration_since(first_try) >= policy.timeout {
+                    let name = self.devices[dev.0].name();
+                    let why = format!("{name}: retries timed out ({err})");
+                    return Err(SimError::new(Errno::Etimedout, why));
+                }
+                let retry = attempt - 1;
+                let backoff = policy.backoff_for(retry, &mut self.retry_rng);
+                self.charge_io(backoff);
+                let counts = &mut self.ledger.counts;
+                counts.io_retries += 1;
+                counts.retry_backoff = counts.retry_backoff.saturating_add(backoff);
+                let class = self.devices[dev.0].class().code();
+                let (now, nth) = (self.now(), u64::from(retry));
+                self.tracer.io_retry(now, class, nth, backoff.as_nanos());
+            }
+            failed = match self.submit(dev, sector, sectors, write, attempt, Wait::Serial) {
                 Attempt::Served(_) => return Ok(()),
                 Attempt::Refused(err) => return Err(err),
                 Attempt::Faulted(err) if !RetryPolicy::retryable(err.errno) => return Err(err),
-                Attempt::Faulted(err) => err,
+                Attempt::Faulted(err) => Some(err),
             };
-            let name = self.devices[dev.0].name();
-            if attempt >= policy.max_attempts {
-                let tries = policy.max_attempts;
-                let why = format!("{name}: gave up after {tries} attempts ({err})");
-                return Err(SimError::new(Errno::Eio, why));
-            }
-            if self.clock.now().duration_since(first_try) >= policy.timeout {
-                let why = format!("{name}: retries timed out ({err})");
-                return Err(SimError::new(Errno::Etimedout, why));
-            }
-            let backoff = policy.backoff_for(attempt, &mut self.retry_rng);
-            self.charge_io(backoff);
-            self.usage.io_retries += 1;
-            self.usage.retry_backoff = self.usage.retry_backoff.saturating_add(backoff);
-            let class = self.devices[dev.0].class().code();
-            let (now, nth) = (self.clock.now(), u64::from(attempt));
-            self.tracer.io_retry(now, class, nth, backoff.as_nanos());
         }
+        let name = self.devices[dev.0].name();
+        let tries = *policy.attempts().end();
+        let cause = failed.map(|err| format!(" ({err})")).unwrap_or_default();
+        let why = format!("{name}: gave up after {tries} attempts{cause}");
+        Err(SimError::new(Errno::Eio, why))
     }
 
     /// The device a mount allocates from.
@@ -930,8 +933,7 @@ impl Kernel {
 
     /// Charges application CPU time (computation between I/O calls).
     pub fn charge_cpu(&mut self, d: SimDuration) {
-        self.clock.advance(d);
-        self.usage.cpu += d;
+        self.ledger.cpu(d);
     }
 
     /// Non-perturbing cache residency probe by raw page key.
@@ -942,16 +944,16 @@ impl Kernel {
     /// Starts a measured job.
     pub fn start_job(&mut self) -> JobTimer {
         JobTimer {
-            started: self.clock.now(),
-            usage: self.usage,
+            started: self.now(),
+            usage: self.usage(),
         }
     }
 
     /// Finishes a measured job, returning elapsed time and usage deltas.
     pub fn finish_job(&mut self, t: &JobTimer) -> JobReport {
         JobReport {
-            elapsed: self.clock.now() - t.started,
-            usage: self.usage.since(&t.usage),
+            elapsed: self.now() - t.started,
+            usage: self.usage().since(&t.usage),
         }
     }
 
@@ -960,16 +962,7 @@ impl Kernel {
     }
 
     pub(crate) fn charge_io(&mut self, d: SimDuration) {
-        self.clock.advance(d);
-        self.usage.io_wait += d;
-    }
-
-    /// Queue wait is I/O wait the caller pays before the device moves;
-    /// also mirrored into its own rusage column so tenants can see how
-    /// much of their I/O time was spent behind other tenants.
-    fn charge_queue_wait(&mut self, d: SimDuration) {
-        self.charge_io(d);
-        self.usage.queue_wait = self.usage.queue_wait.saturating_add(d);
+        self.ledger.io(d);
     }
 
     // ------------------------------------------------------------------
@@ -1176,7 +1169,7 @@ impl Kernel {
                 return Err(SimError::new(Errno::Eexist, format!("mkdir({path})")));
             }
             let ino = k.alloc_ino();
-            let now = k.clock.now();
+            let now = k.now();
             k.inodes.insert(
                 ino.0,
                 Inode {
@@ -1226,7 +1219,7 @@ impl Kernel {
         Ok(Stat {
             ino,
             kind: node.kind(),
-            size: node.as_file().map(|f| f.size).unwrap_or(0),
+            size: node.as_file().map(|f| f.size()).unwrap_or(0),
             mount: node.mount,
             dev: node.mount.and_then(|m| self.mounts.get(m.0)).map(|m| m.dev),
             mtime: node.mtime,
@@ -1310,10 +1303,7 @@ impl Kernel {
                         k.check_writable_mount(i, path)?;
                         let node = k.inode_mut(i)?;
                         if let Some(f) = node.as_file_mut() {
-                            f.size = 0;
-                            f.data.clear();
-                            f.pages.clear();
-                            f.tape_home = None;
+                            f.truncate();
                         }
                         k.cache.remove_file(i.0);
                     }
@@ -1328,7 +1318,7 @@ impl Kernel {
                         return Err(SimError::new(Errno::Erofs, format!("open({path})")));
                     }
                     let ino = k.alloc_ino();
-                    let now = k.clock.now();
+                    let now = k.now();
                     k.inodes.insert(
                         ino.0,
                         Inode {
@@ -1386,7 +1376,7 @@ impl Kernel {
         let make = || Syscall::Lseek { fd, offset, whence };
         self.sys(&sys::LSEEK, [fd.0, offset as u64, 0], make, |k| {
             let of = k.openfile(fd)?;
-            let size = k.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0);
+            let size = k.inode(of.ino)?.as_file().map(|f| f.size()).unwrap_or(0);
             let base = match whence {
                 Whence::Set => 0i64,
                 Whence::Cur => of.pos as i64,
@@ -1442,7 +1432,7 @@ impl Kernel {
         if pos.is_none() {
             self.openfile_mut(fd)?.pos += data.len() as u64;
         }
-        self.usage.bytes_read += data.len() as u64;
+        self.ledger.counts.bytes_read += data.len() as u64;
         Ok(data)
     }
 
@@ -1459,13 +1449,13 @@ impl Kernel {
                 return Err(SimError::new(Errno::Ebadf, "write on read-only fd"));
             }
             let pos = if of.flags.append {
-                k.inode(of.ino)?.as_file().map(|f| f.size).unwrap_or(0)
+                k.inode(of.ino)?.as_file().map(|f| f.size()).unwrap_or(0)
             } else {
                 of.pos
             };
             k.do_write(of.ino, pos, buf)?;
             k.openfile_mut(fd)?.pos = pos + buf.len() as u64;
-            k.usage.bytes_written += buf.len() as u64;
+            k.ledger.counts.bytes_written += buf.len() as u64;
             Ok(SyscallRet::Count(buf.len() as u64))
         })?
         .count()
@@ -1512,7 +1502,7 @@ impl Kernel {
             let f = node
                 .as_file()
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "read on directory"))?;
-            (f.size, ())
+            (f.size(), ())
         };
         if pos >= size || len == 0 {
             return Ok(Vec::new());
@@ -1543,8 +1533,8 @@ impl Kernel {
         while p <= last_page {
             let key = PageKey::new(ino.0, p);
             if self.cache.lookup(key) {
-                self.usage.minor_faults += 1;
-                let now = self.clock.now();
+                self.ledger.counts.minor_faults += 1;
+                let now = self.now();
                 self.tracer.cache_hit(now, p, ino.0);
                 p += 1;
                 continue;
@@ -1580,10 +1570,10 @@ impl Kernel {
             // One clustered device command for the run (plus readahead),
             // routed and hedged across volume members when the file is
             // redundant.
-            let now = self.clock.now();
+            let now = self.now();
             self.tracer.cache_miss(now, run_start, run_len, ino.0);
             self.redundant_read(ino, start_place, run_start, run_len + ra_len)?;
-            self.usage.major_faults += run_len;
+            self.ledger.counts.major_faults += run_len;
             self.charge_cpu(self.cfg.fault_cpu * run_len);
             for i in 0..run_len + ra_len {
                 self.cache_insert(PageKey::new(ino.0, run_start + i), false)?;
@@ -1763,7 +1753,7 @@ impl Kernel {
     ) -> SimResult<()> {
         let sectors = pages * SECTORS_PER_PAGE;
         let bytes = sectors * SECTOR_SIZE;
-        let now = self.clock.now();
+        let now = self.now();
         let mut cands = self.replica_candidates(ino, primary, first_page)?;
         // Cheapest healthy-profile copy first; member order breaks ties,
         // keeping the primary preferred among equals.
@@ -1795,17 +1785,11 @@ impl Kernel {
             self.devices[chosen.1 .0].fault_state(now),
             FaultState::Degraded(_)
         );
-        // Hedge issuance is bounded by `policy.max_hedges`; every
-        // redundant request is either the winner or cancelled below.
+        // Every redundant request is either the winner or cancelled below.
         let mut contenders = vec![chosen];
-        if policy.max_hedges > 0 && (in_fault_window || qwait > deadline) {
-            contenders.extend(
-                available
-                    .iter()
-                    .skip(1)
-                    .take(policy.max_hedges as usize)
-                    .copied(),
-            );
+        if in_fault_window || qwait > deadline {
+            let extra = policy.extra(available.len());
+            contenders.extend(available.iter().skip(1).take(extra).copied());
         }
         let mut winner_at = 0usize;
         for i in 1..contenders.len() {
@@ -1822,13 +1806,11 @@ impl Kernel {
                 continue;
             }
             // The loser is issued and revoked: `CostOutcome::Cancelled`.
-            let loser = self
-                .cost_at_submit(dev, sector, sectors)
-                .hedge_loser(policy.cancel_cost, winner_class);
+            let loser = policy.cancelled(self.cost_at_submit(dev, sector, sectors), winner_class);
             self.post(&loser);
         }
         if winner.0 != chosen.0 {
-            self.usage.hedge_wins += 1;
+            self.ledger.counts.hedge_wins += 1;
         }
         // Winner first, then the remaining available copies as failover
         // targets; bounded by the member count.
@@ -1872,10 +1854,14 @@ impl Kernel {
         // survive re-picks) or excluded by a fault.
         let mut used: Vec<usize> = Vec::new();
         let mut done: Vec<DeviceCost> = Vec::new();
-        // Bounded: every pass either finishes the k fragments or excludes
-        // one more member, and members are finite.
-        while done.len() < k {
-            let now = self.clock.now();
+        // Every pass either finishes the k fragments or uses up at least
+        // one more member, so one pass per member (and a last one that
+        // finds none left) is all there can be.
+        for _ in 0..=cands.len() {
+            if done.len() == k {
+                break;
+            }
+            let now = self.now();
             let mut avail: Vec<(usize, DeviceId, u64)> = cands
                 .iter()
                 .copied()
@@ -1911,10 +1897,10 @@ impl Kernel {
         // straggler's own queue wait out of the I/O charge so queue-wait
         // accounting stays meaningful.
         if let Some(ev) = done.iter().rev().max_by_key(|ev| ev.complete()) {
-            let gap = ev.complete().duration_since(self.clock.now());
+            let gap = ev.complete().duration_since(self.now());
             let qpart = ev.queue_wait.min(gap);
-            self.charge_queue_wait(qpart);
-            self.charge_io(gap - qpart);
+            self.ledger.queue_wait(qpart);
+            self.ledger.io(gap - qpart);
         }
         Ok(())
     }
@@ -1985,7 +1971,7 @@ impl Kernel {
         // read-modify-write if not cached.
         let first_page = pos / PAGE_SIZE;
         let last_page = (end - 1) / PAGE_SIZE;
-        let old_size = self.file_of(ino)?.size;
+        let old_size = self.file_of(ino)?.size();
         for page in [first_page, last_page] {
             let page_start = page * PAGE_SIZE;
             // Saturation intended: a ragged final page at the top of the
@@ -2004,7 +1990,7 @@ impl Kernel {
 
         // Store contents and dirty the pages.
         {
-            let now = self.clock.now();
+            let now = self.now();
             let node = self.inode_mut(ino)?;
             node.mtime = now;
             let f = node
@@ -2014,11 +2000,8 @@ impl Kernel {
                 f.data.resize(end as usize, 0);
             }
             f.data[pos as usize..end as usize].copy_from_slice(buf);
-            if end > f.size {
-                // Size changes alter SLED lengths even when no new page is
-                // mapped (a ragged tail growing), so they version too.
-                f.size = end;
-                f.pages.bump_generation();
+            if end > f.size() {
+                f.set_size(end);
             }
         }
         for page in first_page..=last_page {
@@ -2055,7 +2038,7 @@ impl Kernel {
 
     fn cache_insert(&mut self, key: PageKey, dirty: bool) -> SimResult<()> {
         if let Some(ev) = self.cache.insert(key, dirty) {
-            let now = self.clock.now();
+            let now = self.now();
             self.tracer
                 .cache_evict(now, ev.key.index, u64::from(ev.dirty), ev.key.inode);
             if ev.dirty {
@@ -2104,7 +2087,7 @@ impl Kernel {
                 _ => (place, Vec::new(), SECTORS_PER_PAGE, 1),
             }
         };
-        let now = self.clock.now();
+        let now = self.now();
         self.tracer.cache_writeback(now, key.index, key.inode);
         if extras.is_empty() {
             return self.device_command(place.dev, place.sector, frag_sectors, true);
@@ -2300,7 +2283,7 @@ impl Kernel {
                 ring.complete(RingCompletion { user_data, result });
                 serviced += 1;
             }
-            let now = k.clock.now();
+            let now = k.now();
             k.tracer.ring_submit(now, submitted, serviced);
             Ok(SyscallRet::Count(serviced))
         });
@@ -2312,7 +2295,7 @@ impl Kernel {
     /// memory, so reaping crosses nothing and charges nothing.
     pub fn ring_reap(&mut self, ring: &mut SubmissionRing) -> Vec<RingCompletion> {
         let out = ring.drain_completions();
-        let now = self.clock.now();
+        let now = self.now();
         self.tracer.ring_reap(now, out.len() as u64);
         out
     }
@@ -2345,7 +2328,7 @@ impl Kernel {
         self.charge_cpu(SimDuration::from_nanos(prog.cert().worst_ns));
         let inputs = prog_inputs(&sleds, mem);
         let matched = prog.matches(&inputs);
-        let now = self.clock.now();
+        let now = self.now();
         self.tracer.prog_eval(
             now,
             prog.len() as u64,
@@ -2651,7 +2634,7 @@ impl Kernel {
                 .inode(of.ino)?
                 .as_file()
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "pin_range on directory"))?
-                .size;
+                .size();
             if len == 0 || offset >= size {
                 return Ok(Vec::new());
             }
@@ -2680,7 +2663,7 @@ impl Kernel {
                 .inode(of.ino)?
                 .as_file()
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "unpin_range on directory"))?
-                .size;
+                .size();
             if len == 0 || offset >= size {
                 return Ok(());
             }
@@ -2895,20 +2878,19 @@ impl Kernel {
         let page_count = size.div_ceil(PAGE_SIZE);
         let pages = self.layout_pages(mount, page_count)?;
         let replicas = self.layout_replicas(mount, page_count)?;
+        let mut file = FileNode::default();
+        file.data = data;
+        file.pages = pages;
+        file.replicas = replicas;
+        file.set_size(size);
         let ino = self.alloc_ino();
-        let now = self.clock.now();
+        let now = self.now();
         self.inodes.insert(
             ino.0,
             Inode {
                 ino,
                 mount: Some(mount),
-                body: InodeBody::File(FileNode {
-                    size,
-                    data,
-                    pages,
-                    tape_home: None,
-                    replicas,
-                }),
+                body: InodeBody::File(file),
                 mtime: now,
             },
         );
@@ -2982,11 +2964,11 @@ impl Kernel {
             .ok_or_else(|| SimError::new(Errno::Eisdir, format!("poke_file({path})")))?;
         let end = offset
             .checked_add(data.len() as u64)
-            .filter(|&end| end <= f.size)
+            .filter(|&end| end <= f.size())
             .ok_or_else(|| {
                 SimError::new(
                     Errno::Einval,
-                    format!("poke_file({path}): range beyond size {}", f.size),
+                    format!("poke_file({path}): range beyond size {}", f.size()),
                 )
             })?;
         f.data[offset as usize..end as usize].copy_from_slice(data);
@@ -3006,7 +2988,7 @@ impl Kernel {
     /// run and measured runs.
     pub fn reset_counters(&mut self) {
         self.cache.reset_stats();
-        self.usage = Rusage::default();
+        self.ledger.reset_usage();
         self.tenant_snapshot = Rusage::default();
         for t in &mut self.tenants {
             t.usage = Rusage::default();
@@ -3564,5 +3546,67 @@ mod tests {
         let m = k.fsleds_stat(fd2).unwrap();
         assert_eq!(m.device[1].accuracy.len(), 1, "one audited pair");
         assert_eq!(m.accuracy_cross_generation, 0);
+    }
+
+    #[test]
+    fn max_attempts_zero_submits_once_exactly_like_one() {
+        // A cold one-page read off a disk that bounces every submission.
+        let run = |max_attempts: u32| {
+            let mut k = kernel_with_disk();
+            k.retry = RetryPolicy {
+                max_attempts,
+                ..RetryPolicy::default()
+            };
+            k.enable_tracing();
+            k.install_file("/data/f", &vec![1u8; PAGE_SIZE as usize])
+                .unwrap();
+            let horizon = k.now() + SimDuration::from_secs(3600);
+            let cost = SimDuration::from_millis(2);
+            k.apply_fault_plan(&FaultPlan::new().transient("hda", k.now(), horizon, 8, cost));
+            let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
+            let err = k.read(fd, PAGE_SIZE as usize).unwrap_err();
+            let marks = |name: &str| k.trace_events().iter().filter(|e| e.name == name).count();
+            let faulted = marks("fault.inject");
+            assert_eq!(marks("io.retry"), 0);
+            (err.errno, err.to_string(), faulted, k.usage(), k.now())
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero, one);
+        let (errno, why, faulted, usage, _) = zero;
+        assert_eq!(errno, Errno::Eio);
+        assert!(why.contains("gave up after 1 attempts"), "{why}");
+        assert_eq!(faulted, 1, "submitted once, not never");
+        assert_eq!((usage.io_retries, usage.device_reads), (0, 0));
+        assert_eq!(usage.retry_backoff, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn trace_app_closes_its_span_when_the_body_bails_out() {
+        let mut k = kernel_with_disk();
+        k.enable_tracing();
+        let r: SimResult<Fd> = k.trace_app("wc", |k| {
+            let fd = k.open("/data/missing", OpenFlags::RDONLY)?;
+            k.close(fd)?;
+            Ok(fd)
+        });
+        assert_eq!(r.unwrap_err().errno, Errno::Enoent);
+        let shape: Vec<_> = k
+            .trace_events()
+            .iter()
+            .map(|e| (e.phase, e.layer, e.name))
+            .collect();
+        use sleds_trace::EventPhase::{Begin, End};
+        assert_eq!(
+            shape,
+            [
+                (Begin, Layer::App, "wc"),
+                (Begin, Layer::Syscall, "open"),
+                (End, Layer::Syscall, "open"),
+                (End, Layer::App, "wc"),
+            ]
+        );
+        // Balanced: the next span opens at depth zero, not inside "wc".
+        k.trace_app("grep", |_| ());
+        assert_eq!(k.metrics().unwrap().app_spans, 2);
     }
 }

@@ -1,13 +1,24 @@
 //! The syscall boundary: the one door every kernel entry passes through,
 //! and [`Kernel::syscall`], which runs an owned [`Syscall`] through it.
 
-use sleds_sim_core::{Errno, SimDuration, SimError, SimResult};
-use sleds_trace::Layer;
+use sleds_sim_core::{Errno, SimDuration, SimError, SimResult, SimTime};
+use sleds_trace::{span, Layer, SpanHost, Tracer};
 
 use super::Kernel;
 use crate::ring::SubmissionRing;
 use crate::sled;
 use crate::syscall::{Charge, Entry, Record, Ring, Syscall, SyscallRet};
+
+/// What [`span`] needs of the kernel: its tracer and its clock.
+impl SpanHost for Kernel {
+    fn tracer(&mut self) -> &mut Tracer {
+        &mut self.tracer
+    }
+
+    fn now(&self) -> SimTime {
+        self.ledger.now()
+    }
+}
 
 impl Kernel {
     /// The one kernel boundary. Every entry — typed method, ring
@@ -44,7 +55,7 @@ impl Kernel {
             let recording = match (e.record, call) {
                 (Record::Capture, Some(call)) if k.recorder.is_some() => {
                     let tenant = k.active_tenant as u64;
-                    let submit_ns = k.clock.now().as_nanos();
+                    let submit_ns = k.now().as_nanos();
                     let epoch = k.fault_epoch_total();
                     if let Some(rec) = k.recorder.as_mut() {
                         match slot {
@@ -62,17 +73,17 @@ impl Kernel {
             };
             let cpu = match (slot, e.charge) {
                 (Some(_), _) => {
-                    k.usage.syscalls += 1;
+                    k.ledger.counts.syscalls += 1;
                     k.ring_ops += 1;
                     k.cfg.ring_op_cpu
                 }
                 (None, Charge::Trap) => {
-                    k.usage.syscalls += 1;
-                    k.usage.syscall_crossings += 1;
+                    k.ledger.counts.syscalls += 1;
+                    k.ledger.counts.syscall_crossings += 1;
                     k.cfg.syscall_cpu
                 }
                 (None, Charge::Crossing) => {
-                    k.usage.syscall_crossings += 1;
+                    k.ledger.counts.syscall_crossings += 1;
                     k.cfg.syscall_cpu
                 }
                 (None, Charge::Free) => SimDuration::ZERO,
@@ -80,7 +91,7 @@ impl Kernel {
             k.charge_cpu(cpu);
             let r = body(k);
             if recording {
-                let now = k.clock.now().as_nanos();
+                let now = k.now().as_nanos();
                 if let Some(rec) = k.recorder.as_mut() {
                     match &r {
                         Ok(v) => {
@@ -94,14 +105,7 @@ impl Kernel {
             r
         };
         match e.span {
-            Some(name) if slot.is_none() => {
-                let t0 = self.clock.now();
-                self.tracer.begin(Layer::Syscall, name, t0, args);
-                let r = run(self);
-                let t1 = self.clock.now();
-                self.tracer.end(t1);
-                r
-            }
+            Some(name) if slot.is_none() => span(self, Layer::Syscall, name, args, run),
             _ => run(self),
         }
     }

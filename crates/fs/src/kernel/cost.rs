@@ -1,13 +1,111 @@
-//! The accounting spine: [`Kernel::submit`] is the one place a device
-//! command is priced, issued and classified, and [`Kernel::post`] the one
-//! place its cost reaches the sinks (queue, recorder, `Rusage`, tracer).
-//! DESIGN.md §"The accounting spine" tabulates who receives what.
+//! The accounting spine: [`Ledger`] is the one place virtual time moves,
+//! and every move is billed in the same body; [`Kernel::submit`] is the one
+//! place a device command is priced, issued and classified, and
+//! [`Kernel::post`] the one place its cost reaches the sinks (queue,
+//! recorder, `Rusage`, tracer). DESIGN.md §"The accounting spine"
+//! tabulates who receives what.
 
 use sleds_devices::PhaseKind;
-use sleds_sim_core::{SimDuration, SimError, SECTOR_SIZE};
+use sleds_sim_core::{Clock, SimDuration, SimError, SimTime, SECTOR_SIZE};
 use sleds_trace::{CostOutcome, DeviceCost, Wait};
 
 use super::{device_event_name, DeviceId, Kernel};
+use crate::rusage::Rusage;
+
+/// The kernel's clock and the bill for it. Every number the paper reports
+/// is `elapsed = CPU + I/O wait` read off `rusage`, so the two must move
+/// together: the clock and both time columns are private to this module —
+/// `kernel.rs`, the parent, cannot name them — and the only methods that
+/// move time, [`Ledger::cpu`] and [`Ledger::io`], advance the clock and
+/// bill the same duration to one column in one body. Nobody else can
+/// advance without billing, or bill without advancing, so on every
+/// tenant's timeline `elapsed == cpu + io_wait` exactly.
+///
+/// ```
+/// use sleds_fs::Kernel;
+/// use sleds_sim_core::SimDuration;
+///
+/// let mut k = Kernel::table2();
+/// let d = SimDuration::from_micros(7);
+/// k.charge_cpu(d);
+/// assert_eq!(k.now().as_nanos(), d.as_nanos());
+/// assert_eq!(k.usage().cpu, d);
+/// ```
+///
+/// Time that passes unbilled (sledlint's old `d011_violating.rs`,
+/// `advance_only`) has no spelling, from outside the crate or from
+/// `kernel.rs`:
+///
+/// ```compile_fail
+/// use sleds_fs::Kernel;
+/// use sleds_sim_core::SimDuration;
+///
+/// let mut k = Kernel::table2();
+/// k.ledger.clock.advance(SimDuration::from_micros(7));
+/// ```
+#[derive(Default)]
+pub(super) struct Ledger {
+    clock: Clock,
+    cpu: SimDuration,
+    io_wait: SimDuration,
+    /// The event counters, and the columns that break `io_wait` down
+    /// (`queue_wait`, `retry_backoff`, `hedge_wait`). Its own `cpu` and
+    /// `io_wait` are never read: [`Ledger::usage`] reports the private
+    /// columns above.
+    pub(super) counts: Rusage,
+}
+
+impl Ledger {
+    /// The running timeline's current instant.
+    pub(super) fn now(&self) -> SimTime {
+        self.clock.now()
+    }
+
+    /// Cumulative usage: the billed time plus the counters.
+    pub(super) fn usage(&self) -> Rusage {
+        Rusage {
+            cpu: self.cpu,
+            io_wait: self.io_wait,
+            ..self.counts
+        }
+    }
+
+    /// Zeroes the bill and the counters, not the clock (`reset_counters`,
+    /// between a warm-up and a measured run): from here on the identity
+    /// holds for what is billed after the reset.
+    pub(super) fn reset_usage(&mut self) {
+        self.cpu = SimDuration::ZERO;
+        self.io_wait = SimDuration::ZERO;
+        self.counts = Rusage::default();
+    }
+
+    /// `d` of computation: the clock moves and `cpu` is billed.
+    pub(super) fn cpu(&mut self, d: SimDuration) {
+        self.clock.advance(d);
+        self.cpu += d;
+    }
+
+    /// `d` of waiting on a device: the clock moves and `io_wait` is billed.
+    pub(super) fn io(&mut self, d: SimDuration) {
+        self.clock.advance(d);
+        self.io_wait += d;
+    }
+
+    /// Queue wait is I/O wait the caller pays before the device moves;
+    /// also mirrored into its own column so tenants can see how much of
+    /// their I/O time was spent behind other tenants.
+    pub(super) fn queue_wait(&mut self, d: SimDuration) {
+        self.io(d);
+        self.counts.queue_wait = self.counts.queue_wait.saturating_add(d);
+    }
+
+    /// Parks the running timeline and resumes the one parked at `at`,
+    /// returning where the parked one stands. The only clock move that
+    /// bills nothing: no time passes on either timeline.
+    pub(super) fn switch_timeline(&mut self, at: SimTime) -> SimTime {
+        std::mem::replace(&mut self.clock, Clock::resume_at(at)).now()
+    }
+}
 
 /// What became of one submission to a device.
 pub(super) enum Attempt {
@@ -29,7 +127,7 @@ impl Kernel {
             tenant: self.active_tenant as u64,
             dev: dev.0,
             class: self.devices[dev.0].class().code(),
-            submit: self.clock.now(),
+            submit: self.now(),
             sector,
             sectors,
             ..DeviceCost::default()
@@ -97,22 +195,23 @@ impl Kernel {
         }
         let overlapped = ev.outcome == CostOutcome::Served && ev.wait == Wait::Overlapped;
         if !overlapped {
-            self.charge_queue_wait(ev.queue_wait);
-            self.charge_io(ev.service);
+            self.ledger.queue_wait(ev.queue_wait);
+            self.ledger.io(ev.service);
         }
-        let (now, cost_ns) = (self.clock.now(), ev.service.as_nanos());
+        let (now, cost_ns) = (self.now(), ev.service.as_nanos());
         match ev.outcome {
             CostOutcome::Faulted { attempt } => {
                 let nth = u64::from(attempt);
                 self.tracer.fault_inject(now, ev.class, nth, cost_ns);
             }
             CostOutcome::Cancelled { winner_class } => {
-                self.usage.hedges += 1;
-                self.usage.hedge_wait = self.usage.hedge_wait.saturating_add(ev.service);
+                let counts = &mut self.ledger.counts;
+                counts.hedges += 1;
+                counts.hedge_wait = counts.hedge_wait.saturating_add(ev.service);
                 self.tracer.io_hedge(now, winner_class, ev.class, cost_ns);
             }
-            CostOutcome::Served if ev.write => self.usage.device_writes += 1,
-            CostOutcome::Served => self.usage.device_reads += 1,
+            CostOutcome::Served if ev.write => self.ledger.counts.device_writes += 1,
+            CostOutcome::Served => self.ledger.counts.device_reads += 1,
         }
         if ev.outcome != CostOutcome::Served || !self.tracer.is_enabled() {
             return;
@@ -136,5 +235,50 @@ impl Kernel {
         }
         let name = device_event_name(d.class(), ev.write);
         self.tracer.device(ev, name, transfer_ns, &phases);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_move_of_the_clock_is_billed_to_exactly_one_column() {
+        let mut l = Ledger::default();
+        let (a, b, c) = (
+            SimDuration::from_micros(5),
+            SimDuration::from_millis(3),
+            SimDuration::from_nanos(70),
+        );
+        l.cpu(a);
+        l.io(b);
+        l.queue_wait(c);
+        let u = l.usage();
+        assert_eq!((u.cpu, u.io_wait, u.queue_wait), (a, b + c, c));
+        assert_eq!(l.now(), SimTime::ZERO + a + b + c);
+        // Counters ride along; the time columns cannot be reached through them.
+        l.counts.syscalls += 2;
+        l.counts.cpu = SimDuration::from_secs(9);
+        assert_eq!(l.usage().syscalls, 2);
+        assert_eq!(l.usage().cpu, a);
+    }
+
+    #[test]
+    fn switching_timelines_bills_nothing_and_resetting_usage_keeps_the_clock() {
+        let mut l = Ledger::default();
+        l.cpu(SimDuration::from_micros(40));
+        let other = SimTime::from_nanos(7);
+        let parked = l.switch_timeline(other);
+        assert_eq!(parked.as_nanos(), 40_000);
+        assert_eq!(
+            l.now(),
+            other,
+            "a timeline may resume behind the parked one"
+        );
+        assert_eq!(l.usage().cpu, SimDuration::from_micros(40));
+        l.io(SimDuration::from_nanos(3));
+        l.reset_usage();
+        assert_eq!(l.usage(), Rusage::default());
+        assert_eq!(l.now().as_nanos(), 10);
     }
 }

@@ -19,12 +19,16 @@
 //!   when fewer than `k` members are online.
 //!
 //! [`HedgePolicy`] bounds redundant work: at most `max_hedges` extra
-//! requests per primary command, each loser cancelled and charged an
-//! explicit `cancel_cost` so per-tenant attribution still sums exactly
-//! (the conservation law `own_service + queue_wait == observed` holds by
-//! construction — a cancel is just a tiny service-time row).
+//! requests per primary command ([`HedgePolicy::extra`]), each loser
+//! cancelled and charged an explicit `cancel_cost`
+//! ([`HedgePolicy::cancelled`]) so per-tenant attribution still sums
+//! exactly (the conservation law `own_service + queue_wait == observed`
+//! holds by construction — a cancel is just a tiny service-time row). The
+//! bound and the loser's price come from the policy and nowhere else: no
+//! other function builds a cancelled [`DeviceCost`].
 
 use sleds_sim_core::SimDuration;
+use sleds_trace::{CostOutcome, DeviceCost};
 
 /// How a volume lays data across its member devices.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,6 +105,46 @@ impl HedgePolicy {
             ..HedgePolicy::default()
         }
     }
+
+    /// How many redundant requests to issue beside the chosen copy when
+    /// `available` copies (the chosen one included) could serve the read:
+    /// never more than `max_hedges`, never more than there are other
+    /// copies, and none when hedging is disabled.
+    pub fn extra(&self, available: usize) -> usize {
+        (self.max_hedges as usize).min(available.saturating_sub(1))
+    }
+
+    /// The cost event of a hedge loser: `at_submit` — the request as
+    /// issued — revoked because a request on a `winner_class` device beat
+    /// it, holding its queue for exactly [`HedgePolicy::cancel_cost`].
+    ///
+    /// ```
+    /// use sleds_fs::trace::{CostOutcome, DeviceCost};
+    /// use sleds_fs::HedgePolicy;
+    ///
+    /// let policy = HedgePolicy::default();
+    /// let loser = policy.cancelled(DeviceCost::default(), 1);
+    /// assert_eq!(loser.service, policy.cancel_cost);
+    /// assert_eq!(loser.outcome, CostOutcome::Cancelled { winner_class: 1 });
+    /// ```
+    ///
+    /// No call takes a free-standing cancel cost, so a loser priced at
+    /// whatever the call site makes up (sledlint's old
+    /// `d014_violating.rs`, `hedge_without_revoke`) has no constructor:
+    ///
+    /// ```compile_fail
+    /// use sleds_fs::trace::DeviceCost;
+    /// use sleds_sim_core::SimDuration;
+    ///
+    /// let loser = DeviceCost::default().hedge_loser(SimDuration::ZERO, 1);
+    /// ```
+    pub fn cancelled(&self, at_submit: DeviceCost, winner_class: u64) -> DeviceCost {
+        DeviceCost {
+            service: self.cancel_cost,
+            outcome: CostOutcome::Cancelled { winner_class },
+            ..at_submit
+        }
+    }
 }
 
 impl Default for HedgePolicy {
@@ -136,5 +180,40 @@ mod tests {
         assert!(d.deadline_mult > 1.0);
         assert!(d.cancel_cost > SimDuration::ZERO);
         assert_eq!(HedgePolicy::disabled().max_hedges, 0);
+    }
+
+    #[test]
+    fn extra_is_bounded_by_the_policy_and_by_the_copies_there_are() {
+        let two = HedgePolicy {
+            max_hedges: 2,
+            ..HedgePolicy::default()
+        };
+        assert_eq!(two.extra(0), 0);
+        assert_eq!(two.extra(1), 0, "the chosen copy is not its own hedge");
+        assert_eq!(two.extra(2), 1);
+        assert_eq!(two.extra(3), 2);
+        assert_eq!(two.extra(9), 2, "never more than max_hedges");
+        assert_eq!(HedgePolicy::disabled().extra(9), 0);
+    }
+
+    #[test]
+    fn cancelled_keeps_the_submission_and_prices_it_at_cancel_cost() {
+        let policy = HedgePolicy::default();
+        let at_submit = DeviceCost {
+            tenant: 3,
+            dev: 2,
+            class: 1,
+            sector: 64,
+            sectors: 8,
+            queue_wait: SimDuration::from_millis(9),
+            ..DeviceCost::default()
+        };
+        let loser = policy.cancelled(at_submit, 4);
+        let expect = DeviceCost {
+            service: policy.cancel_cost,
+            outcome: CostOutcome::Cancelled { winner_class: 4 },
+            ..at_submit
+        };
+        assert_eq!(loser, expect);
     }
 }

@@ -336,6 +336,60 @@ fn fault_storm_replays_byte_identical() {
     );
 }
 
+/// A disk that bounces every submission: the command is submitted exactly
+/// `RetryPolicy::default().max_attempts` (4) times, backs off three times
+/// on the seeded jitter stream, and gives up with `EIO`. The marks, the
+/// backoffs and the clock are the numbers the pre-`attempts()` `loop`
+/// produced (recorded on the parent commit, not recomputed).
+#[test]
+fn a_persistent_transient_fault_gets_every_attempt_and_then_eio() {
+    let mut k = Kernel::table2();
+    k.mkdir("/data").unwrap();
+    k.mount_disk("/data", DiskDevice::table2_disk("hda"))
+        .unwrap();
+    let len = 2 * PAGE_SIZE as usize;
+    k.install_file("/data/f", &vec![7u8; len]).unwrap();
+    k.enable_tracing();
+    let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
+    let horizon = k.now() + SimDuration::from_secs(3600);
+    let cost = SimDuration::from_millis(2);
+    k.apply_fault_plan(&FaultPlan::new().transient("hda", k.now(), horizon, 64, cost));
+
+    let t = k.start_job();
+    let err = k.read(fd, len).unwrap_err();
+    let r = k.finish_job(&t);
+    assert_eq!(
+        err.to_string(),
+        "hda: gave up after 4 attempts (hda: injected fault: EAGAIN (resource temporarily \
+         unavailable)): EIO (input/output error)"
+    );
+    let marks: Vec<(&str, u64, [u64; 3])> = k
+        .trace_events()
+        .iter()
+        .filter(|e| e.layer == Layer::Device)
+        .map(|e| (e.name, e.ts.as_nanos(), e.args))
+        .collect();
+    assert_eq!(
+        marks,
+        [
+            ("fault.inject", 2_015_000, [1, 1, 2_000_000]),
+            ("io.retry", 7_541_806, [1, 1, 5_526_806]),
+            ("fault.inject", 9_541_806, [1, 2, 2_000_000]),
+            ("io.retry", 18_588_108, [1, 2, 9_046_302]),
+            ("fault.inject", 20_588_108, [1, 3, 2_000_000]),
+            ("io.retry", 41_117_116, [1, 3, 20_529_008]),
+            ("fault.inject", 43_117_116, [1, 4, 2_000_000]),
+        ],
+        "four submissions, three backoffs between them, none after the last"
+    );
+    assert_eq!(r.usage.io_retries, 3);
+    assert_eq!(r.usage.retry_backoff.as_nanos(), 35_102_116);
+    assert_eq!(r.usage.io_wait.as_nanos(), 43_102_116);
+    assert_eq!(r.usage.device_reads, 0);
+    assert_eq!(r.elapsed.as_nanos(), 43_107_116);
+    assert_rusage_sums(&r);
+}
+
 #[test]
 fn faulted_run_is_identical_traced_vs_untraced() {
     let (plain, ns_plain, sum_plain, events) = run_fault_workload(false);

@@ -7,7 +7,9 @@
 //! chunk bytes or the same errors, in the same plan order — with rusage
 //! identical except for the boundary-crossing accounting, whose CPU
 //! difference must equal the crossing charges saved minus the per-op ring
-//! cost exactly.
+//! cost exactly. The generated-syscall twins also run their batches as
+//! three tenants and check, after every step, that each tenant's elapsed
+//! time is exactly its CPU plus its I/O wait and never runs backward.
 //!
 //! Gated behind the `proptests` feature (run with
 //! `cargo test -p sleds-fs --features proptests`); case count scales with
@@ -15,7 +17,9 @@
 
 use sleds::{PickConfig, PickSession, Sled, SledsEntry, SledsTable};
 use sleds_devices::{BlockDevice, CdRomDevice, DiskDevice, FaultPlan, NfsDevice, TapeDevice};
-use sleds_fs::{Fd, Kernel, OpenFlags, SubmissionRing, Syscall, SyscallRet, VolumeLayout, Whence};
+use sleds_fs::{
+    Fd, Kernel, OpenFlags, SubmissionRing, Syscall, SyscallRet, TenantId, VolumeLayout, Whence,
+};
 use sleds_lmbench::fill_table;
 use sleds_sim_core::{check, DetRng, SimDuration, SimTime, PAGE_SIZE};
 
@@ -348,29 +352,70 @@ fn draw_call(rng: &mut DetRng, path: &str, fd: Fd, pages: u64) -> Syscall {
     }
 }
 
+/// What the kernel's clock-and-bill ledger guarantees, checked from
+/// outside after every step: on each tenant's timeline the elapsed time is
+/// exactly its CPU plus its I/O wait, and the timeline never runs
+/// backward — whoever is active, however often `tenant_switch` parked it.
+#[derive(Default)]
+struct Timelines(Vec<SimTime>);
+
+impl Timelines {
+    fn check(&mut self, k: &Kernel) {
+        self.0.resize(k.tenant_count(), SimTime::ZERO);
+        for (i, last) in self.0.iter_mut().enumerate() {
+            let t = TenantId(i as u64);
+            let u = k.tenant_usage(t).unwrap();
+            assert_eq!(
+                k.tenant_elapsed(t).unwrap(),
+                u.cpu + u.io_wait,
+                "tenant {i}: elapsed == cpu + io_wait"
+            );
+            let now = k.tenant_now(t).unwrap();
+            assert!(now >= *last, "tenant {i} ran backward: {now:?} < {last:?}");
+            *last = now;
+        }
+    }
+}
+
 /// The same generated calls, one trap each on one twin and batched through
-/// `Syscall::RingEnter` on the other: identical completions, identical
-/// data motion, and a CPU gap of exactly the traps saved minus the ring's
-/// per-op dispatch.
+/// `Syscall::RingEnter` on the other, each batch issued as one of three
+/// tenants: identical completions, identical data motion, a CPU gap of
+/// exactly the traps saved minus the ring's per-op dispatch, and every
+/// tenant's timeline accounted for after every step on both twins.
 fn syscall_batch_scenario(rng: &mut DetRng) {
     let p = Params::draw(rng);
     let (mut seq, _, fd) = p.build();
     let (mut batched, _, _) = p.build();
+    for k in [&mut seq, &mut batched] {
+        k.tenant_register("second");
+        k.tenant_register("third");
+    }
     let path = format!("{}/f", p.dir());
     let calls: Vec<(u64, Syscall)> = (0..rng.range_u64(1, 48))
         .map(|tag| (tag, draw_call(rng, &path, fd, p.pages)))
         .collect();
+    let batches: Vec<(TenantId, &[(u64, Syscall)])> = calls
+        .chunks(p.ring_entries)
+        .map(|chunk| (TenantId(rng.range_u64(0, 3)), chunk))
+        .collect();
 
     let before = seq.usage();
-    let seq_results: Vec<_> = calls
-        .iter()
-        .map(|(tag, call)| (*tag, seq.syscall(call)))
-        .collect();
+    let mut lines = Timelines::default();
+    let mut seq_results = Vec::new();
+    for &(tenant, chunk) in &batches {
+        seq.tenant_switch(tenant).unwrap();
+        for (tag, call) in chunk {
+            seq_results.push((*tag, seq.syscall(call)));
+            lines.check(&seq);
+        }
+    }
     let seq_u = seq.usage().since(&before);
 
     let before = batched.usage();
+    let mut lines = Timelines::default();
     let mut ring_results = Vec::new();
-    for chunk in calls.chunks(p.ring_entries) {
+    for &(tenant, chunk) in &batches {
+        batched.tenant_switch(tenant).unwrap();
         let batch = Syscall::RingEnter {
             capacity: p.ring_entries,
             ops: chunk.to_vec(),
@@ -381,6 +426,7 @@ fn syscall_batch_scenario(rng: &mut DetRng) {
             }
             other => panic!("ring_enter returned {other:?}"),
         }
+        lines.check(&batched);
     }
     let ring_u = batched.usage().since(&before);
 

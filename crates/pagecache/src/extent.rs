@@ -173,6 +173,85 @@ impl ExtentSet {
     }
 }
 
+/// One inode's resident set together with the generation that versions
+/// it. A SLED vector priced from the set is valid only while the
+/// generation stands, so the two move together or not at all: both fields
+/// are private to this module, the three mutators below are the only code
+/// that can change the set, and each stamps the generation by exactly the
+/// number of pages that entered or left. Reads go through
+/// [`Residency::extents`], which hands out `&ExtentSet` and never `&mut`.
+///
+/// The type exists because of a real bug: `PageCache::detach` once
+/// returned between removing the page and bumping the counter, and a
+/// memoized SLED vector outlived the eviction it should have seen. With
+/// the set behind this type that function cannot be written; sledlint's
+/// old `d010_violating.rs` (`drop_page`: mutate `resident`, skip the
+/// bump), transliterated, stops at the first private field —
+///
+/// ```compile_fail
+/// use sleds_pagecache::{PageCache, PageKey};
+///
+/// let mut cache = PageCache::lru(4);
+/// cache.insert(PageKey::new(1, 0), false);
+/// // No path leads to the extents that does not stamp the generation.
+/// cache.index.get_mut(1).unwrap().resident.extents.remove(0);
+/// ```
+///
+/// — while the legal form moves both:
+///
+/// ```
+/// use sleds_pagecache::{PageCache, PageKey};
+///
+/// let mut cache = PageCache::lru(4);
+/// cache.insert(PageKey::new(1, 0), false);
+/// assert_eq!(cache.generation(1), 1);
+/// cache.remove(PageKey::new(1, 0));
+/// assert!(!cache.contains(PageKey::new(1, 0)));
+/// assert_eq!(cache.generation(1), 2);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Residency {
+    extents: ExtentSet,
+    /// Never reset, so `(inode, generation)` names one residency state.
+    /// Dirty and pin transitions do not move it: they do not change which
+    /// storage level a byte would be served from.
+    generation: u64,
+}
+
+impl Residency {
+    /// The resident pages, read-only.
+    pub(crate) fn extents(&self) -> &ExtentSet {
+        &self.extents
+    }
+
+    /// Pages that have entered or left the set so far.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Makes `page` resident. Returns true when it was not already.
+    pub(crate) fn insert(&mut self, page: u64) -> bool {
+        let entered = self.extents.insert(page);
+        self.generation += u64::from(entered);
+        entered
+    }
+
+    /// Drops `page`. Returns true when it was resident.
+    pub(crate) fn remove(&mut self, page: u64) -> bool {
+        let left = self.extents.remove(page);
+        self.generation += u64::from(left);
+        left
+    }
+
+    /// Drops every page, returning how many there were.
+    pub(crate) fn clear(&mut self) -> u64 {
+        let dropped = self.extents.page_count();
+        self.extents.clear();
+        self.generation += dropped;
+        dropped
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,6 +353,25 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.page_count(), 0);
         assert_eq!(s.next_boundary(0), u64::MAX);
+    }
+
+    #[test]
+    fn residency_generation_counts_the_pages_that_changed() {
+        let mut r = Residency::default();
+        assert!(r.insert(3) && r.insert(4) && r.insert(9));
+        assert_eq!(r.generation(), 3);
+        // A no-op leaves the stamp alone: nothing a SLED priced has moved.
+        assert!(!r.insert(4));
+        assert!(!r.remove(7));
+        assert_eq!(r.generation(), 3);
+        assert!(r.remove(4));
+        assert_eq!(r.generation(), 4);
+        assert_eq!(runs(r.extents()), vec![(3, 1), (9, 1)]);
+        assert_eq!(r.clear(), 2);
+        assert_eq!(r.generation(), 6, "clear stamps once per page dropped");
+        assert!(r.extents().is_empty());
+        assert_eq!(r.clear(), 0);
+        assert_eq!(r.generation(), 6);
     }
 
     #[test]

@@ -36,6 +36,8 @@ use std::ops::RangeInclusive;
 
 use sleds_sim_core::IdTable;
 
+use extent::Residency;
+
 pub use extent::ExtentSet;
 pub use policy::{
     ClockPolicy, FifoPolicy, LruPolicy, MruPolicy, PolicyKind, ReplacementPolicy, TwoQPolicy,
@@ -81,17 +83,13 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Per-inode extent bookkeeping: residency, dirty and pinned page sets plus
-/// the residency generation.
+/// Per-inode extent bookkeeping: the resident set with its generation,
+/// and the dirty and pinned page sets.
 #[derive(Clone, Debug, Default)]
 struct InodeIndex {
-    resident: ExtentSet,
+    resident: Residency,
     dirty: ExtentSet,
     pinned: ExtentSet,
-    /// Bumped on every residency change (insert of a new page, eviction,
-    /// removal). Dirty/pin transitions do not move it: they don't change
-    /// which storage level a byte would be served from.
-    generation: u64,
 }
 
 /// The buffer cache: residency + dirty metadata under a replacement policy.
@@ -190,7 +188,7 @@ impl PageCache {
     pub fn contains(&self, key: PageKey) -> bool {
         self.index
             .get(key.inode)
-            .is_some_and(|ix| ix.resident.contains(key.index))
+            .is_some_and(|ix| ix.resident.extents().contains(key.index))
     }
 
     /// Looks a page up on behalf of a read. Returns true on a hit (and
@@ -211,12 +209,9 @@ impl PageCache {
     /// page was dirty, or None when it was not resident.
     fn detach(&mut self, key: PageKey) -> Option<bool> {
         let ix = self.index.get_mut(key.inode)?;
-        // Probe before mutating: once the priced extent set changes, every
-        // path out of here must bump the generation (sledlint D010).
-        if !ix.resident.contains(key.index) {
+        if !ix.resident.remove(key.index) {
             return None;
         }
-        ix.resident.remove(key.index);
         let dirty = ix.dirty.remove(key.index);
         if dirty {
             self.dirty_len -= 1;
@@ -224,7 +219,6 @@ impl PageCache {
         if ix.pinned.remove(key.index) {
             self.pinned_len -= 1;
         }
-        ix.generation += 1;
         self.len -= 1;
         Some(dirty)
     }
@@ -242,7 +236,7 @@ impl PageCache {
         if let Some(ix) = self
             .index
             .get_mut(key.inode)
-            .filter(|ix| ix.resident.contains(key.index))
+            .filter(|ix| ix.resident.extents().contains(key.index))
         {
             if dirty && ix.dirty.insert(key.index) {
                 self.dirty_len += 1;
@@ -282,7 +276,6 @@ impl PageCache {
         if dirty && ix.dirty.insert(key.index) {
             self.dirty_len += 1;
         }
-        ix.generation += 1;
         self.len += 1;
         self.policy.on_insert(key);
         self.stats.insertions += 1;
@@ -303,7 +296,7 @@ impl PageCache {
         let Some(ix) = self.index.get_mut(key.inode) else {
             return false;
         };
-        if !ix.resident.contains(key.index) {
+        if !ix.resident.extents().contains(key.index) {
             return false;
         }
         if ix.pinned.insert(key.index) {
@@ -336,7 +329,7 @@ impl PageCache {
     /// Marks a resident page dirty. No-op if the page is not resident.
     pub fn mark_dirty(&mut self, key: PageKey) {
         if let Some(ix) = self.index.get_mut(key.inode) {
-            if ix.resident.contains(key.index) && ix.dirty.insert(key.index) {
+            if ix.resident.extents().contains(key.index) && ix.dirty.insert(key.index) {
                 self.dirty_len += 1;
             }
         }
@@ -366,7 +359,7 @@ impl PageCache {
         let Some(ix) = self.index.get(inode) else {
             return Vec::new();
         };
-        let pages: Vec<u64> = ix.resident.iter_pages().collect();
+        let pages: Vec<u64> = ix.resident.extents().iter_pages().collect();
         let mut dirty = Vec::new();
         for p in pages {
             let k = PageKey::new(inode, p);
@@ -437,7 +430,7 @@ impl PageCache {
     ) -> Vec<RangeInclusive<u64>> {
         self.index
             .get(inode)
-            .map(|ix| ix.resident.runs_in(range))
+            .map(|ix| ix.resident.extents().runs_in(range))
             .unwrap_or_default()
     }
 
@@ -446,7 +439,7 @@ impl PageCache {
     pub fn next_boundary(&self, inode: u64, page: u64) -> u64 {
         self.index
             .get(inode)
-            .map(|ix| ix.resident.next_boundary(page))
+            .map(|ix| ix.resident.extents().next_boundary(page))
             .unwrap_or(u64::MAX)
     }
 
@@ -454,7 +447,7 @@ impl PageCache {
     pub fn resident_run_count(&self, inode: u64) -> usize {
         self.index
             .get(inode)
-            .map(|ix| ix.resident.run_count())
+            .map(|ix| ix.resident.extents().run_count())
             .unwrap_or(0)
     }
 
@@ -463,7 +456,10 @@ impl PageCache {
     /// and never restarts, so `(inode, generation)` uniquely identifies a
     /// residency state for memoization.
     pub fn generation(&self, inode: u64) -> u64 {
-        self.index.get(inode).map(|ix| ix.generation).unwrap_or(0)
+        self.index
+            .get(inode)
+            .map(|ix| ix.resident.generation())
+            .unwrap_or(0)
     }
 
     /// Drops everything (unmount without writeback; test helper).
@@ -479,12 +475,9 @@ impl PageCache {
             if left == 0 {
                 break;
             }
-            let dropped = ix.resident.page_count();
-            ix.resident.clear();
+            left -= ix.resident.clear();
             ix.dirty.clear();
             ix.pinned.clear();
-            ix.generation += dropped;
-            left -= dropped;
         }
         self.len = 0;
         self.pinned_len = 0;
@@ -613,8 +606,8 @@ mod tests {
         // Regression for the detach() restructure: removing a page that is
         // not resident must be a pure probe — no generation bump — while a
         // real removal bumps exactly once. The old code mutated the extent
-        // set before discovering the page was absent on some paths, which
-        // sledlint D010 flagged.
+        // set before discovering the page was absent on some paths; the set
+        // and its stamp now sit behind `Residency`, which has no such path.
         let mut c = PageCache::lru(8);
         c.insert(key(3), true);
         let after_insert = c.generation(1);

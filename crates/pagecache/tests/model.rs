@@ -15,16 +15,18 @@ enum Op {
     Remove(u64),
     Pin(u64),
     Unpin(u64),
+    Clear,
 }
 
 fn random_op(rng: &mut DetRng) -> Op {
     let k = rng.range_u64(0, 32);
-    match rng.range_u64(0, 5) {
-        0 => Op::Lookup(k),
-        1 => Op::Insert(k),
-        2 => Op::Remove(k),
-        3 => Op::Pin(k),
-        _ => Op::Unpin(k),
+    match rng.range_u64(0, 16) {
+        0..=2 => Op::Lookup(k),
+        3..=5 => Op::Insert(k),
+        6..=8 => Op::Remove(k),
+        9..=11 => Op::Pin(k),
+        12..=14 => Op::Unpin(k),
+        _ => Op::Clear,
     }
 }
 
@@ -78,10 +80,17 @@ impl ModelLru {
         self.order.retain(|&x| x != k);
         self.pinned.remove(&k);
     }
+
+    fn resident(&self) -> std::collections::BTreeSet<u64> {
+        self.order.iter().copied().collect()
+    }
 }
 
 /// The real LRU cache and the reference model agree on residency after
-/// any op sequence (evictions compared implicitly through residency).
+/// any op sequence (evictions compared implicitly through residency), and
+/// the residency generation moves by exactly the number of pages that
+/// entered or left the model's resident set — never on a no-op, never by
+/// less than the change.
 #[test]
 fn lru_matches_reference_model() {
     check::run("lru_matches_reference_model", |rng| {
@@ -93,7 +102,9 @@ fn lru_matches_reference_model() {
         };
         let nops = rng.range_usize(0, 200);
         for _ in 0..nops {
-            match random_op(rng) {
+            let (before, stamp) = (model.resident(), real.generation(1));
+            let op = random_op(rng);
+            match op.clone() {
                 Op::Lookup(k) => {
                     let r = real.lookup(PageKey::new(1, k));
                     let m = model.lookup(k);
@@ -118,6 +129,11 @@ fn lru_matches_reference_model() {
                     real.unpin(PageKey::new(1, k));
                     model.pinned.remove(&k);
                 }
+                Op::Clear => {
+                    real.clear();
+                    model.order.clear();
+                    model.pinned.clear();
+                }
             }
             // Residency must agree exactly.
             for k in 0u64..32 {
@@ -127,6 +143,12 @@ fn lru_matches_reference_model() {
                     "residency of {k} diverged"
                 );
             }
+            let changed = before.symmetric_difference(&model.resident()).count() as u64;
+            assert_eq!(
+                real.generation(1) - stamp,
+                changed,
+                "{op:?}: generation must move by the pages that entered or left"
+            );
         }
     });
 }
@@ -216,6 +238,7 @@ fn extent_index_matches_per_page_probes() {
                 Op::Unpin(k) => {
                     cache.unpin(PageKey::new(1, k));
                 }
+                Op::Clear => cache.clear(),
             }
             // The running dirty counter is the sum over inodes, always.
             assert_eq!(

@@ -9,15 +9,19 @@
 //! `EIO`. Every quantity is virtual time — backoff never sleeps a host
 //! thread, it just charges the simulated clock.
 
+use std::ops::RangeInclusive;
+
 use crate::error::Errno;
 use crate::rng::DetRng;
 use crate::time::SimDuration;
 
 /// How the kernel retries failed device commands.
 ///
-/// The policy is deliberately total: every retry loop in the kernel must be
-/// bounded by `max_attempts` *and* by `timeout`, whichever trips first
-/// (sledlint D008 enforces that loops reference a policy bound).
+/// The policy is deliberately total: a logical command is bounded by
+/// `max_attempts` *and* by `timeout`, whichever trips first. The attempt
+/// bound is structural — the kernel's retry is a `for` over
+/// [`RetryPolicy::attempts`], a finite range, not a `loop` with an exit
+/// test somebody has to remember.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum command submissions, including the first (>= 1).
@@ -55,6 +59,24 @@ impl RetryPolicy {
             timeout: SimDuration::MAX,
             jitter_amp: 0.0,
         }
+    }
+
+    /// The 1-based submission numbers of one logical command:
+    /// `1..=max_attempts`. A command is always submitted once, so a
+    /// `max_attempts` of 0 behaves as 1 instead of reporting a command
+    /// that was never issued as failed.
+    ///
+    /// ```
+    /// use sleds_sim_core::RetryPolicy;
+    ///
+    /// let mut submissions = 0;
+    /// for _attempt in RetryPolicy::default().attempts() {
+    ///     submissions += 1; // a persistently failing device
+    /// }
+    /// assert_eq!(submissions, RetryPolicy::default().max_attempts);
+    /// ```
+    pub fn attempts(&self) -> RangeInclusive<u32> {
+        1..=self.max_attempts.max(1)
     }
 
     /// True when a failure with this errno is worth resubmitting.
@@ -98,6 +120,17 @@ mod tests {
         assert!(p.max_attempts >= 1);
         assert!(p.max_backoff >= p.base_backoff);
         assert!(p.timeout > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn attempts_number_every_submission_and_never_none() {
+        let with = |max_attempts| RetryPolicy {
+            max_attempts,
+            ..RetryPolicy::default()
+        };
+        assert_eq!(RetryPolicy::default().attempts(), 1..=4);
+        assert_eq!(with(1).attempts(), 1..=1);
+        assert_eq!(with(0).attempts(), 1..=1, "0 still submits once");
     }
 
     #[test]

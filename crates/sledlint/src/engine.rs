@@ -5,9 +5,7 @@
 //! resolution. Everything operates on a workspace-relative path plus file
 //! contents, so tests can feed synthetic paths without touching the disk.
 
-use std::collections::BTreeMap;
-
-use crate::flow::{self, Summary};
+use crate::flow;
 use crate::lexer::{lex, Comment, Tok, TokKind};
 use crate::parser;
 use crate::rules::FileScope;
@@ -15,7 +13,7 @@ use crate::rules::FileScope;
 /// One lint finding.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule code (`D001`…`D013`, `W001`, `W002`).
+    /// Rule code (a `D0xx` domain rule, or `W001`/`W002`).
     pub rule: &'static str,
     /// Workspace-relative path of the file.
     pub path: String,
@@ -23,9 +21,6 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable description.
     pub message: String,
-    /// For flow rules: the witness path as (line, note) steps; empty for
-    /// token rules.
-    pub trace: Vec<(u32, String)>,
 }
 
 impl Finding {
@@ -62,7 +57,6 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
     let regions = test_regions(&lexed.tokens);
     let in_test = |line: u32| regions.iter().any(|&(a, b)| a <= line && line <= b);
     let shapes = parser::parse_fns(&lexed.tokens);
-    let summaries = flow::summaries(&lexed.tokens, &shapes);
 
     let mut findings = Vec::new();
     let mut waivers = Vec::new();
@@ -76,7 +70,6 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
                 message: format!(
                     "malformed waiver ({detail}); syntax is `// sledlint::allow(RULE, reason)`"
                 ),
-                trace: Vec::new(),
             }),
             WaiverParse::Ok(code) => waivers.push(Waiver {
                 code,
@@ -87,8 +80,8 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
         }
     }
 
-    let mut cands = detect(&lexed.tokens, &summaries);
-    flow::flow_candidates(&lexed.tokens, &shapes, &summaries, &mut cands);
+    let mut cands = detect(&lexed.tokens);
+    flow::flow_candidates(&lexed.tokens, &shapes, &mut cands);
     for cand in cands {
         if !scope.applies(cand.rule, in_test(cand.line)) {
             continue;
@@ -106,7 +99,6 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
                 path: rel_path.to_string(),
                 line: cand.line,
                 message: cand.message,
-                trace: cand.trace,
             });
         }
     }
@@ -121,7 +113,6 @@ pub fn scan_source(rel_path: &str, src: &str) -> Vec<Finding> {
                     "waiver for {} matches no finding here; remove it or fix the rule code",
                     w.code
                 ),
-                trace: Vec::new(),
             });
         }
     }
@@ -135,17 +126,13 @@ pub(crate) struct Candidate {
     pub(crate) rule: &'static str,
     pub(crate) line: u32,
     pub(crate) message: String,
-    /// Witness path for flow rules; empty for token rules.
-    pub(crate) trace: Vec<(u32, String)>,
 }
 
-/// A trace-less candidate (token rules).
 fn cand(rule: &'static str, line: u32, message: String) -> Candidate {
     Candidate {
         rule,
         line,
         message,
-        trace: Vec::new(),
     }
 }
 
@@ -162,23 +149,8 @@ const RNG_IDENTS: &[&str] = &[
 /// Narrowing integer cast targets flagged by D007.
 const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
-/// Identifier fragments that mark a loop as retry machinery (D008). Matched
-/// case-sensitively as lowercase substrings, so data-model names like the
-/// `PhaseKind::Retry` variant don't read as retry *logic*.
-const RETRY_IDENT_PARTS: &[&str] = &["retry", "retries", "attempt", "resubmit"];
-
-/// Identifiers whose presence proves a retry loop is bounded by a policy.
-const RETRY_BOUND_IDENTS: &[&str] = &[
-    "max_attempts",
-    "max_retries",
-    "retry_limit",
-    "retry_budget",
-    "timeout",
-];
-
-/// Runs every token detector over the token stream. `summaries` carries
-/// per-fn facts for rules that look one call level deep (D008).
-fn detect(toks: &[Tok], summaries: &BTreeMap<String, Summary>) -> Vec<Candidate> {
+/// Runs every token detector over the token stream.
+fn detect(toks: &[Tok]) -> Vec<Candidate> {
     let mut out = Vec::new();
     let text = |j: usize| toks.get(j).map(|t| t.text.as_str()).unwrap_or("");
     for (i, t) in toks.iter().enumerate() {
@@ -270,88 +242,8 @@ fn detect(toks: &[Tok], summaries: &BTreeMap<String, Summary>) -> Vec<Candidate>
             _ => {}
         }
     }
-    detect_retry_loops(toks, summaries, &mut out);
     detect_unbounded_queues(toks, &mut out);
-    detect_unbounded_hedges(toks, &mut out);
     out
-}
-
-/// Identifiers that mark a fn body as a *hedge site* (D014): the places
-/// that issue a redundant request, by building the loser's `Cancelled`
-/// cost event. Call sites only — the scan starts at the body brace, so
-/// the constructor's own definition (whose name sits in the signature) is
-/// not itself a site, and neither is `Kernel::post`, which merely
-/// delivers the event to the sinks.
-const HEDGE_ISSUE_IDENTS: &[&str] = &["hedge_loser"];
-
-/// Identifiers that prove the site's redundant requests are bounded.
-const HEDGE_BOUND_IDENTS: &[&str] = &["max_hedges", "hedge_budget"];
-
-/// D014: a kernel-path fn that issues hedged requests must reference both
-/// a hedge bound (`max_hedges`/`hedge_budget`) and loser cancellation
-/// (any `cancel…` identifier) in the same body. Without the bound, a
-/// slow device fans out without limit; without the cancel, the loser's
-/// queue occupancy is redundant work nobody accounts for.
-fn detect_unbounded_hedges(toks: &[Tok], out: &mut Vec<Candidate>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "fn" {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) else {
-            continue;
-        };
-        // Signature runs to the body `{`; a `;` first means a bodiless
-        // trait declaration, which has no site to judge.
-        let mut j = i + 2;
-        while j < toks.len() && toks[j].text != "{" && toks[j].text != ";" {
-            j += 1;
-        }
-        if j >= toks.len() || toks[j].text != "{" {
-            continue;
-        }
-        let start = j;
-        let mut depth = 0usize;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let body = &toks[start..toks.len().min(j + 1)];
-        let mentions = |pred: &dyn Fn(&str) -> bool| {
-            body.iter()
-                .any(|tok| tok.kind == TokKind::Ident && pred(&tok.text))
-        };
-        if !mentions(&|s| HEDGE_ISSUE_IDENTS.contains(&s)) {
-            continue;
-        }
-        let bounded = mentions(&|s| HEDGE_BOUND_IDENTS.contains(&s));
-        let cancelled = mentions(&|s| s.contains("cancel"));
-        if !(bounded && cancelled) {
-            out.push(cand(
-                "D014",
-                t.line,
-                format!(
-                    "fn `{}` issues hedged requests without {}; bound the fan-out by \
-                     max_hedges/hedge_budget and cancel every loser, or waive naming what \
-                     bounds it",
-                    name.text,
-                    match (bounded, cancelled) {
-                        (false, false) => "a hedge bound or loser cancellation",
-                        (false, true) => "a hedge bound",
-                        _ => "loser cancellation",
-                    }
-                ),
-            ));
-        }
-    }
 }
 
 /// Struct-name fragments that mark a type as a queue (D009).
@@ -434,76 +326,6 @@ fn detect_unbounded_queues(toks: &[Tok], out: &mut Vec<Candidate>) {
                     "queue struct `{}` holds a growable container with no capacity bound; \
                      name the bound (capacity/cap/limit/max_*) or waive naming what bounds it",
                     name.text
-                ),
-            ));
-        }
-    }
-}
-
-/// D008: a `loop`/`while` whose span mentions retry machinery must also
-/// reference a policy bound, or a persistent fault spins the simulation
-/// forever. The span runs from the keyword through the matching `}` of the
-/// body, so a bound in either the condition or the body satisfies the rule.
-/// Calls to same-file helpers are looked through one level via `sums`: a
-/// loop whose body only calls `resubmit_step(dev)` still mentions retry
-/// machinery if the helper does, and a bound inside the helper still counts.
-fn detect_retry_loops(toks: &[Tok], sums: &BTreeMap<String, Summary>, out: &mut Vec<Candidate>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || !matches!(t.text.as_str(), "loop" | "while") {
-            continue;
-        }
-        let mut j = i + 1;
-        while j < toks.len() && toks[j].text != "{" {
-            j += 1;
-        }
-        let mut depth = 0usize;
-        while j < toks.len() {
-            match toks[j].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        let span = &toks[i..toks.len().min(j + 1)];
-        let mentions = |parts: &[&str]| {
-            span.iter().enumerate().any(|(k, tok)| {
-                if tok.kind != TokKind::Ident {
-                    return false;
-                }
-                if parts.iter().any(|p| tok.text.contains(p)) {
-                    return true;
-                }
-                // One level through same-file helpers, with the same
-                // resolvability discipline as the CFG: bare calls,
-                // `self.helper(..)` and `Self::helper(..)` only.
-                let resolvable = span.get(k + 1).is_some_and(|n| n.text == "(")
-                    && match k.checked_sub(1).map(|p| span[p].text.as_str()) {
-                        Some(".") => k >= 2 && span[k - 2].text == "self",
-                        Some("::") => k >= 2 && span[k - 2].text == "Self",
-                        _ => true,
-                    };
-                resolvable
-                    && sums.get(&tok.text).is_some_and(|s| {
-                        s.idents
-                            .iter()
-                            .any(|id| parts.iter().any(|p| id.contains(p)))
-                    })
-            })
-        };
-        if mentions(RETRY_IDENT_PARTS) && !mentions(RETRY_BOUND_IDENTS) {
-            out.push(cand(
-                "D008",
-                t.line,
-                format!(
-                    "`{}` retries without a policy bound; reference max_attempts/timeout \
-                     (RetryPolicy) or waive naming what bounds it",
-                    t.text
                 ),
             ));
         }
@@ -760,40 +582,6 @@ mod tests {
     #[test]
     fn doc_comments_are_not_waivers() {
         let src = "/// Waive with `// sledlint::allow(RULE, reason)`.\nfn f() {}\n";
-        assert!(rules_hit(KERNEL, src).is_empty());
-    }
-
-    #[test]
-    fn unbounded_retry_loop_is_d008() {
-        let src = "fn f(dev: &mut Dev) { loop { if dev.retry_once().is_ok() { break; } } }\n";
-        assert_eq!(rules_hit(KERNEL, src), vec!["D008"]);
-    }
-
-    #[test]
-    fn retry_loop_bounded_in_body_is_clean() {
-        let src = "fn f(p: &Policy) {\n    let mut attempt = 0u32;\n    loop {\n        \
-                   attempt += 1;\n        if attempt >= p.max_attempts { break; }\n    }\n}\n";
-        assert!(rules_hit(KERNEL, src).is_empty());
-    }
-
-    #[test]
-    fn retry_loop_bounded_in_while_condition_is_clean() {
-        let src = "fn f(q: &mut Q, p: &Policy) {\n    while q.needs_resubmit() && \
-                   q.elapsed() < p.timeout {\n        q.resubmit_one();\n    }\n}\n";
-        assert!(rules_hit(KERNEL, src).is_empty());
-    }
-
-    #[test]
-    fn plain_counting_loop_is_not_d008() {
-        let src = "fn f(xs: &[u64]) -> u64 {\n    let mut sum = 0u64;\n    let mut i = 0;\n    \
-                   while i < xs.len() {\n        sum += xs[i];\n        i += 1;\n    }\n    sum\n}\n";
-        assert!(rules_hit(KERNEL, src).is_empty());
-    }
-
-    #[test]
-    fn retry_enum_variant_is_not_retry_logic() {
-        let src = "fn f(ps: &mut Vec<Phase>) {\n    let mut i = 0;\n    while i < ps.len() {\n        \
-                   if ps[i].kind == PhaseKind::Retry { ps[i].scale(); }\n        i += 1;\n    }\n}\n";
         assert!(rules_hit(KERNEL, src).is_empty());
     }
 

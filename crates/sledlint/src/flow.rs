@@ -1,271 +1,28 @@
-//! Flow-sensitive rules over the CFG: D010–D013.
+//! D013, unit flow: the one rule that follows a value through a function
+//! body rather than matching a token pattern.
 //!
-//! The core question every rule here asks is *must-reach*: given an
-//! obligation event at a program point (a priced-state mutation, a clock
-//! advance, a span begin), does **every** path from that point to the
-//! function exit pass a satisfying event (a generation bump, a Rusage
-//! post, a span end)? The analysis is a greatest fixpoint over the CFG —
-//! `good(n) = sat(n) ∨ (succs(n) ≠ ∅ ∧ ∀s. good(s))` — so paths trapped in
-//! loops are vacuously fine (they never exit) and every violation comes
-//! with a concrete witness path, reported as the finding's trace.
+//! Units (time/bytes/sectors/pages) are read off name suffixes, carried
+//! through simple `let` aliases, and checked where two values meet at an
+//! additive or comparison operator. It needs to know where functions are
+//! ([`FnShape`]) and nothing else — no control-flow graph: an alias holds
+//! for the whole body it is declared in.
 //!
-//! Calls are resolved one level deep against same-file summaries, and only
-//! in the *satisfying* direction: a call to a helper that bumps/posts/ends
-//! discharges the caller's obligation, but a helper's own mutation is the
-//! helper's obligation (it gets flagged at its definition, not at every
-//! call site).
+//! The rule stays a lint because no type carries it yet: pages, sectors
+//! and bytes are bare `u64` across some forty kernel signatures, so
+//! `span_pages + tail_sectors` is still representable. The invariants that
+//! *could* be carried by a type no longer have rules here (DESIGN §5c).
 
 use std::collections::BTreeMap;
 
-use crate::cfg::{self, Cfg, Event};
 use crate::engine::Candidate;
 use crate::lexer::{Tok, TokKind};
 use crate::parser::FnShape;
 
-/// What one function is known to do, for one-level call resolution.
-#[derive(Clone, Debug, Default)]
-pub struct Summary {
-    /// Contains a generation/epoch bump.
-    pub bumps: bool,
-    /// Posts to Rusage.
-    pub posts: bool,
-    /// Closes a trace span.
-    pub ends: bool,
-    /// Every identifier in the body (for D008's retry-fragment matching
-    /// across helper functions).
-    pub idents: Vec<String>,
-}
-
-/// Per-name summaries for every `fn` in the file. Same-name functions
-/// (e.g. `new` on several types) are merged permissively: resolution is a
-/// heuristic discharge, not a proof.
-pub fn summaries(toks: &[Tok], shapes: &[FnShape]) -> BTreeMap<String, Summary> {
-    let mut out: BTreeMap<String, Summary> = BTreeMap::new();
-    for s in shapes {
-        let e = out.entry(s.name.clone()).or_default();
-        for i in s.body.0..=s.body.1.min(toks.len().saturating_sub(1)) {
-            if s.in_inner(i) {
-                continue;
-            }
-            if toks[i].kind == TokKind::Ident {
-                e.idents.push(toks[i].text.clone());
-            }
-            match cfg::event_at(toks, i) {
-                Some(Event::BumpGeneration) => e.bumps = true,
-                Some(Event::PostRusage) => e.posts = true,
-                Some(Event::EndSpan) => e.ends = true,
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
-/// Runs D010–D012 (must-reach over the CFG) and D013 (unit flow) on every
-/// function, appending candidates for the engine to scope-filter.
-pub(crate) fn flow_candidates(
-    toks: &[Tok],
-    shapes: &[FnShape],
-    sums: &BTreeMap<String, Summary>,
-    out: &mut Vec<Candidate>,
-) {
-    // D010 fires only where a generation exists to bump: a pure container
-    // type (the extent-set, say) has no generation field of its own — its
-    // pricing wrapper owns the spine, and the wrapper's file is where the
-    // mutation-without-bump question is answerable.
-    let file_has_generation = toks
-        .iter()
-        .any(|t| t.kind == TokKind::Ident && cfg::gen_ish(&t.text));
-
+/// Runs D013 on every function, appending candidates for the engine to
+/// scope-filter.
+pub(crate) fn flow_candidates(toks: &[Tok], shapes: &[FnShape], out: &mut Vec<Candidate>) {
     for shape in shapes {
-        let g = cfg::build(toks, shape);
-        let reach = g.reachable();
-        let fn_end_line = toks.get(shape.body.1).map(|t| t.line).unwrap_or(shape.line);
-
-        let bump_sat = |e: &Event| match e {
-            Event::BumpGeneration => true,
-            Event::Call(n) => sums.get(n).is_some_and(|s| s.bumps),
-            _ => false,
-        };
-        let post_sat = |e: &Event| match e {
-            Event::PostRusage => true,
-            Event::Call(n) => sums.get(n).is_some_and(|s| s.posts),
-            _ => false,
-        };
-        let end_sat = |e: &Event| match e {
-            Event::EndSpan => true,
-            Event::Call(n) => sums.get(n).is_some_and(|s| s.ends),
-            _ => false,
-        };
-        // D012 applies only to functions that close spans at all: a fn
-        // with begins and no end is a span-opener API (the caller owns the
-        // end), like the kernel's `trace_app_begin`.
-        let closes_spans = g
-            .nodes
-            .iter()
-            .enumerate()
-            .any(|(n, node)| reach[n] && node.events.iter().any(|(e, _)| end_sat(e)));
-
-        for (n, node) in g.nodes.iter().enumerate() {
-            if !reach[n] {
-                continue;
-            }
-            for (k, (e, line)) in node.events.iter().enumerate() {
-                match e {
-                    Event::MutatePriced(field) if file_has_generation => {
-                        if let Some(trace) = must_reach(&g, n, k, &bump_sat, fn_end_line) {
-                            out.push(Candidate {
-                                rule: "D010",
-                                line: *line,
-                                message: format!(
-                                    "`{field}` is SLED-priced state; a path from this mutation \
-                                     reaches the exit of fn `{}` without a generation/epoch bump",
-                                    shape.name
-                                ),
-                                trace,
-                            });
-                        }
-                    }
-                    Event::AdvanceClock => {
-                        if let Some(trace) = must_reach(&g, n, k, &post_sat, fn_end_line) {
-                            out.push(Candidate {
-                                rule: "D011",
-                                line: *line,
-                                message: format!(
-                                    "the virtual clock advances here but a path reaches the exit \
-                                     of fn `{}` without posting the cost to Rusage",
-                                    shape.name
-                                ),
-                                trace,
-                            });
-                        }
-                    }
-                    Event::BeginSpan if closes_spans => {
-                        if let Some(trace) = must_reach(&g, n, k, &end_sat, fn_end_line) {
-                            out.push(Candidate {
-                                rule: "D012",
-                                line: *line,
-                                message: format!(
-                                    "this trace span can reach the exit of fn `{}` without its \
-                                     matching end; error paths must close spans too",
-                                    shape.name
-                                ),
-                                trace,
-                            });
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-
         unit_flow(toks, shape, out);
-    }
-}
-
-/// Checks that every path from event `k` of node `n` to a sink passes an
-/// event satisfying `sat`. Returns `None` when the obligation holds, or a
-/// witness trace (line, description) along a violating path.
-fn must_reach(
-    g: &Cfg,
-    n: usize,
-    k: usize,
-    sat: &dyn Fn(&Event) -> bool,
-    fn_end_line: u32,
-) -> Option<Vec<(u32, String)>> {
-    if g.nodes[n].events[k + 1..].iter().any(|(e, _)| sat(e)) {
-        return None;
-    }
-    let len = g.nodes.len();
-    let node_sat: Vec<bool> = g
-        .nodes
-        .iter()
-        .map(|node| node.events.iter().any(|(e, _)| sat(e)))
-        .collect();
-    // Greatest fixpoint: start optimistic, shrink until stable. Loops with
-    // no exit stay `good` — a path that never reaches the exit owes nothing.
-    let mut good = vec![true; len];
-    loop {
-        let mut changed = false;
-        for m in 0..len {
-            let succs = &g.nodes[m].succs;
-            let v = node_sat[m] || (!succs.is_empty() && succs.iter().all(|&s| good[s]));
-            if v != good[m] {
-                good[m] = v;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let succs = &g.nodes[n].succs;
-    if !succs.is_empty() && succs.iter().all(|&s| good[s]) {
-        return None;
-    }
-    // Witness: BFS through ¬good nodes to a sink. Every ¬good node is
-    // unsatisfied and either is a sink or has a ¬good successor, so the
-    // search always terminates at the exit.
-    let mut parent: Vec<Option<usize>> = vec![None; len];
-    let mut queue: Vec<usize> = Vec::new();
-    for &s in succs {
-        if !good[s] && parent[s].is_none() {
-            parent[s] = Some(n);
-            queue.push(s);
-        }
-    }
-    let mut sink = if succs.is_empty() { Some(n) } else { None };
-    let mut qi = 0;
-    while sink.is_none() && qi < queue.len() {
-        let m = queue[qi];
-        qi += 1;
-        if g.nodes[m].succs.is_empty() {
-            sink = Some(m);
-            break;
-        }
-        for &s in &g.nodes[m].succs {
-            if !good[s] && parent[s].is_none() {
-                parent[s] = Some(m);
-                queue.push(s);
-            }
-        }
-    }
-    let mut path = Vec::new();
-    let mut cur = sink;
-    while let Some(m) = cur {
-        path.push(m);
-        if m == n {
-            break;
-        }
-        cur = parent[m];
-    }
-    path.reverse();
-
-    let (ev, line) = &g.nodes[n].events[k];
-    let mut trace = vec![(*line, event_phrase(ev))];
-    for &m in path.iter().skip(1) {
-        if let Some((e, l)) = g.nodes[m].events.first() {
-            if trace.len() < 5 && trace.last().map(|(pl, _)| pl) != Some(l) {
-                trace.push((*l, format!("then {}", event_phrase(e))));
-            }
-        }
-    }
-    trace.push((
-        fn_end_line,
-        "reaches the function exit unsatisfied".to_string(),
-    ));
-    Some(trace)
-}
-
-fn event_phrase(e: &Event) -> String {
-    match e {
-        Event::MutatePriced(f) => format!("mutates priced field `{f}`"),
-        Event::BumpGeneration => "bumps a generation counter".to_string(),
-        Event::AdvanceClock => "advances the virtual clock".to_string(),
-        Event::PostRusage => "posts to Rusage".to_string(),
-        Event::BeginSpan => "opens a trace span".to_string(),
-        Event::EndSpan => "closes a trace span".to_string(),
-        Event::Call(n) => format!("calls `{n}`"),
     }
 }
 
@@ -367,7 +124,6 @@ fn unit_flow(toks: &[Tok], shape: &FnShape, out: &mut Vec<Candidate>) {
                          insert an explicit conversion or waive naming why the units agree",
                         shape.name
                     ),
-                    trace: Vec::new(),
                 });
             }
         }
@@ -541,82 +297,9 @@ mod tests {
     fn flow_rules(src: &str) -> Vec<(&'static str, u32)> {
         let toks = lex(src).tokens;
         let shapes = parse_fns(&toks);
-        let sums = summaries(&toks, &shapes);
         let mut out = Vec::new();
-        flow_candidates(&toks, &shapes, &sums, &mut out);
+        flow_candidates(&toks, &shapes, &mut out);
         out.into_iter().map(|c| (c.rule, c.line)).collect()
-    }
-
-    #[test]
-    fn mutation_on_every_path_to_bump_is_clean() {
-        let src = "fn f(&mut self) {\n\
-                   self.resident.remove(p);\n\
-                   self.generation += 1;\n}\n";
-        assert!(flow_rules(src).is_empty());
-    }
-
-    #[test]
-    fn branch_that_skips_the_bump_is_d010() {
-        let src = "fn f(&mut self, hot: bool) {\n\
-                   self.resident.insert(p);\n\
-                   if hot {\n        self.generation += 1;\n    }\n}\n";
-        assert_eq!(flow_rules(src), vec![("D010", 2)]);
-    }
-
-    #[test]
-    fn container_file_without_any_generation_is_not_d010() {
-        // A pure container type (like the extent-set) has no generation of
-        // its own; the pricing wrapper that owns the spine is where D010
-        // asks its question.
-        let src = "fn remove(&mut self, p: u64) -> bool {\n\
-                   self.runs.remove(&p);\n    true\n}\n";
-        assert!(flow_rules(src).is_empty());
-    }
-
-    #[test]
-    fn guard_before_the_mutation_is_clean() {
-        // The early return happens before any mutation: nothing owed there.
-        let src = "fn f(&mut self) -> bool {\n\
-                   if !self.resident.contains(p) {\n        return false;\n    }\n\
-                   self.resident.remove(p);\n\
-                   self.generation += 1;\n\
-                   true\n}\n";
-        assert!(flow_rules(src).is_empty());
-    }
-
-    #[test]
-    fn bump_via_same_file_helper_discharges_d010() {
-        let src = "fn f(&mut self) {\n\
-                   self.resident.insert(p);\n\
-                   self.touch();\n}\n\
-                   fn touch(&mut self) { self.generation += 1; }\n";
-        assert!(flow_rules(src).is_empty());
-    }
-
-    #[test]
-    fn question_mark_path_without_post_is_d011() {
-        let src = "fn f(&mut self, d: D) -> R {\n\
-                   self.clock.advance(d);\n\
-                   let x = self.io()?;\n\
-                   self.usage.cpu += d;\n\
-                   Ok(x)\n}\n";
-        assert_eq!(flow_rules(src), vec![("D011", 2)]);
-    }
-
-    #[test]
-    fn span_closed_behind_a_closure_is_clean() {
-        let src = "fn f(&mut self) -> R {\n\
-                   self.tracer.begin(l, n, t0, a);\n\
-                   let r = (|| { let x = self.io()?; Ok(x) })();\n\
-                   self.tracer.end(t1);\n\
-                   r\n}\n";
-        assert!(flow_rules(src).is_empty());
-    }
-
-    #[test]
-    fn span_opener_api_without_any_end_is_exempt() {
-        let src = "fn open_span(&mut self) { self.tracer.begin(l, n, t, a); }\n";
-        assert!(flow_rules(src).is_empty());
     }
 
     #[test]
@@ -633,22 +316,5 @@ mod tests {
                    fn g(lat_ns: u64, total_bytes: u64, bw_bytes: u64) -> u64 {\n\
                    lat_ns + total_bytes / bw_bytes\n}\n";
         assert!(flow_rules(src).is_empty());
-    }
-
-    #[test]
-    fn traces_name_the_witness_path() {
-        let src = "fn f(&mut self, hot: bool) {\n\
-                   self.resident.insert(p);\n\
-                   if hot {\n        self.generation += 1;\n    }\n}\n";
-        let toks = lex(src).tokens;
-        let shapes = parse_fns(&toks);
-        let sums = summaries(&toks, &shapes);
-        let mut out = Vec::new();
-        flow_candidates(&toks, &shapes, &sums, &mut out);
-        assert_eq!(out.len(), 1);
-        let trace = &out[0].trace;
-        assert!(trace.len() >= 2, "trace too short: {trace:?}");
-        assert!(trace[0].1.contains("resident"));
-        assert!(trace.last().unwrap().1.contains("exit"));
     }
 }

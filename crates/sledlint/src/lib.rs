@@ -9,20 +9,24 @@
 //! - [`lexer`] — a minimal Rust lexer (strings, comments, lifetimes, raw
 //!   strings handled correctly; no parser).
 //! - [`parser`] — shape parsing: `fn` item discovery and body ranges.
-//! - [`cfg`] — per-fn control-flow graphs over domain events (mutations,
-//!   generation bumps, clock advances, usage posts, span begin/end).
-//! - [`flow`] — must-reach dataflow over those CFGs plus one-level call
-//!   summaries, powering the flow-sensitive rules `D010`–`D013`.
-//! - [`rules`] — the rule table (`D001`…`D013` plus waiver hygiene `W001`/
-//!   `W002`) and the scope policy deciding where each rule applies.
-//! - [`engine`] — detection, `#[cfg(test)]` region tracking, and
-//!   `// sledlint::allow(RULE, reason)` waiver resolution.
+//! - [`flow`] — `D013`, unit flow through `let` aliases within one fn.
+//! - [`rules`] — the rule table (`D001`–`D007`, `D009`, `D013`, plus waiver
+//!   hygiene `W001`/`W002`) and the scope policy deciding where each
+//!   rule applies.
+//! - [`engine`] — token-pattern detection, `#[cfg(test)]` region tracking,
+//!   and `// sledlint::allow(RULE, reason)` waiver resolution.
 //! - [`walk`] — workspace discovery and the file walk.
+//!
+//! What the lint does not check: clock/charge completeness, the residency
+//! generation, span balance, bounded retry and bounded hedging were rules
+//! here (`D008`, `D010`–`D012`, `D014`) until each became a property of a
+//! type — `Ledger`, `Residency`, `sleds_trace::span`,
+//! `RetryPolicy::attempts`, `HedgePolicy` — whose violation does not
+//! compile. DESIGN.md §5c has the table.
 //!
 //! The crate is deliberately dependency-free: PR 1 made the workspace
 //! hermetic, and the lint gate must not be the thing that breaks that.
 
-pub mod cfg;
 pub mod engine;
 pub mod flow;
 pub mod lexer;

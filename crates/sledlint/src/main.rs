@@ -66,9 +66,6 @@ fn main() -> ExitCode {
             } else {
                 for f in &findings {
                     println!("{}", f.render());
-                    for (line, note) in &f.trace {
-                        println!("    line {line}: {note}");
-                    }
                 }
                 if findings.is_empty() {
                     println!("sledlint: clean ({files} files scanned)");
@@ -119,22 +116,12 @@ fn render_json(files: usize, findings: &[Finding]) -> String {
     for (i, f) in findings.iter().enumerate() {
         out.push_str(if i > 0 { ",\n    " } else { "\n    " });
         out.push_str(&format!(
-            "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"trace\": [",
+            "{{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
             json_str(&f.path),
             f.line,
             json_str(f.rule),
             json_str(&f.message)
         ));
-        for (j, (line, note)) in f.trace.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"line\": {line}, \"note\": {}}}",
-                json_str(note)
-            ));
-        }
-        out.push_str("]}");
     }
     if findings.is_empty() {
         out.push_str("]\n");

@@ -1,10 +1,10 @@
 //! Shape parsing: `fn` item discovery over the token stream.
 //!
-//! The flow rules (D010–D013) need to know where functions are — nothing
+//! The unit-flow rule (D013) needs to know where functions are — nothing
 //! more. This is not a Rust parser: it finds `fn` items (free functions and
 //! methods alike), their names, and their body token ranges, and records
-//! which bodies nest inside which so the CFG builder and the summary scan
-//! can treat inner items as separate analysis units.
+//! which bodies nest inside which so an inner item is its own analysis
+//! unit (its `let` aliases are not the outer function's).
 
 use crate::lexer::{Tok, TokKind};
 
@@ -18,8 +18,7 @@ pub struct FnShape {
     /// Token indices of the body's `{` and its matching `}` (inclusive).
     pub body: (usize, usize),
     /// Body ranges of `fn` items nested inside this body. Closures are not
-    /// listed: the CFG builder sees those inline, which is what makes the
-    /// kernel's `let r = (|| { … ? … })();` span pattern analyzable.
+    /// listed: they share the enclosing function's locals.
     pub inner: Vec<(usize, usize)>,
 }
 

@@ -62,13 +62,6 @@ pub const RULES: &[Rule] = &[
                     makes the cast lossless",
     },
     Rule {
-        code: "D008",
-        name: "no-unbounded-retry",
-        invariant: "a `loop`/`while` that retries I/O in kernel-path code without referencing a \
-                    policy bound (max_attempts/timeout): a persistent fault would spin the \
-                    simulation forever; bound every retry loop by RetryPolicy",
-    },
-    Rule {
         code: "D009",
         name: "no-unbounded-queue",
         invariant: "a kernel-path Ring/Queue/Fifo struct holding a growable container \
@@ -77,40 +70,11 @@ pub const RULES: &[Rule] = &[
                     stalled consumer grows memory without limit",
     },
     Rule {
-        code: "D010",
-        name: "generation-spine-integrity",
-        invariant: "a kernel-path fn that mutates SLED-priced state (residency extents, run \
-                    lists) must reach a generation/epoch bump on every exit path, or stale \
-                    cached prices survive the mutation and FSLEDS_WALK quotes the wrong cost",
-    },
-    Rule {
-        code: "D011",
-        name: "clock-charge-completeness",
-        invariant: "every path that advances the virtual clock must also post the charge to \
-                    Rusage before returning: time that passes without being billed breaks the \
-                    conservation law the accuracy windows audit",
-    },
-    Rule {
-        code: "D012",
-        name: "trace-span-balance",
-        invariant: "a fn that ends trace spans must end every span it begins on all exit \
-                    paths, including `?` and early returns, or nesting depth drifts and the \
-                    span tree becomes unparseable",
-    },
-    Rule {
         code: "D013",
         name: "unit-flow-safety",
         invariant: "adding/comparing values whose names carry different units (ns vs bytes vs \
                     sectors vs pages), directly or through a local alias, without a visible \
                     conversion: unit confusion silently corrupts the cost model",
-    },
-    Rule {
-        code: "D014",
-        name: "hedge-bounded-and-cancelled",
-        invariant: "a kernel-path fn that issues hedged requests (hedge_loser) without \
-                    referencing a hedge bound (max_hedges/hedge_budget) and loser cancellation \
-                    (cancel): unbounded hedging multiplies device load, and an uncancelled \
-                    loser is redundant work nobody accounts for",
     },
     Rule {
         code: "W001",
@@ -189,8 +153,9 @@ impl FileScope {
             "D002" => !self.host_tool() && !self.test_context && !in_test_region,
             "D003" => true,
             "D004" => !self.test_context && !in_test_region,
-            "D005" | "D006" | "D007" | "D008" | "D009" | "D010" | "D011" | "D012" | "D013"
-            | "D014" => self.kernel_path && !self.test_context && !in_test_region,
+            "D005" | "D006" | "D007" | "D009" | "D013" => {
+                self.kernel_path && !self.test_context && !in_test_region
+            }
             _ => true,
         }
     }

@@ -5,30 +5,6 @@ fn locate(sector: u64, spt: u64) -> u32 {
     (sector / spt) as u32
 }
 
-impl Index {
-    fn stamp(&self) -> u64 {
-        self.generation
-    }
-
-    fn fill(&mut self, p: u64) {
-        // sledlint::allow(D010, boot-time fill: the caller bumps once after the batch)
-        self.resident.insert(p);
-    }
-
-    fn warm(&mut self, d: SimDuration) {
-        // sledlint::allow(D011, warmup spin: the caller bills the aggregate)
-        self.clock.advance(d);
-    }
-
-    fn traced_abort(&mut self) -> SimResult<()> {
-        // sledlint::allow(D012, abort path: the tracer finalizer closes open spans)
-        self.tracer.begin(Layer::Fs, "op", self.clock.now(), 0);
-        self.maybe_abort()?;
-        self.tracer.end(self.clock.now());
-        Ok(())
-    }
-}
-
 fn packed_key(span_pages: u64, tail_sectors: u64) -> u64 {
     // sledlint::allow(D013, mixed-radix key packing, not arithmetic on quantities)
     span_pages + tail_sectors

@@ -82,16 +82,6 @@ pub struct DeviceCost {
 }
 
 impl DeviceCost {
-    /// This submission as a hedge loser: issued beside a request on a
-    /// `winner_class` device that beat it, and revoked for `cancel_cost`.
-    pub fn hedge_loser(self, cancel_cost: SimDuration, winner_class: u64) -> DeviceCost {
-        DeviceCost {
-            service: cancel_cost,
-            outcome: CostOutcome::Cancelled { winner_class },
-            ..self
-        }
-    }
-
     /// The instant the occupancy ends on the submitter's timeline:
     /// `submit + queue_wait + service`.
     pub fn complete(&self) -> SimTime {

@@ -44,4 +44,4 @@ pub use metrics::{
     AccuracyWindow, ClassMetrics, Metrics, TenantClassMetrics, ACCURACY_WINDOW, NUM_DEVICE_CLASSES,
 };
 pub use ring::RingBuffer;
-pub use tracer::{Tracer, DEFAULT_CAPACITY};
+pub use tracer::{span, SpanHost, Tracer, DEFAULT_CAPACITY};

@@ -37,6 +37,83 @@ pub struct Tracer {
     tenant: u64,
 }
 
+/// What owns a [`Tracer`] and the clock its spans are stamped from — the
+/// kernel. A span's body needs the whole host back (`&mut Kernel`, which
+/// owns the tracer), so a guard object borrowing the tracer cannot work;
+/// a closure handed the host can.
+pub trait SpanHost {
+    /// The tracer spans are recorded in.
+    fn tracer(&mut self) -> &mut Tracer;
+    /// The virtual instant to stamp.
+    fn now(&self) -> SimTime;
+}
+
+/// Runs `body` inside a span: opened at the host's clock before it, closed
+/// at the host's clock after it, on every way out of `body` short of a
+/// panic — a `?` inside `body` returns from the closure, not past the end.
+/// This is the only way to open a span from outside this crate, so a span
+/// left open is not something a caller can write:
+///
+/// ```
+/// use sleds_sim_core::{SimDuration, SimTime};
+/// use sleds_trace::{span, EventPhase, Layer, SpanHost, Tracer};
+///
+/// struct Host(Tracer, SimTime);
+/// impl SpanHost for Host {
+///     fn tracer(&mut self) -> &mut Tracer {
+///         &mut self.0
+///     }
+///     fn now(&self) -> SimTime {
+///         self.1
+///     }
+/// }
+///
+/// let mut host = Host(Tracer::enabled(), SimTime::ZERO);
+/// let r: Result<(), &str> = span(&mut host, Layer::Syscall, "read", [3, 0, 0], |h| {
+///     h.1 += SimDuration::from_nanos(600);
+///     Err("EIO")?; // the early exit the old begin/end pair could skip past
+///     Ok(())
+/// });
+/// assert!(r.is_err());
+/// let evs = host.0.events();
+/// assert_eq!(evs.len(), 2);
+/// assert_eq!((evs[0].phase, evs[1].phase), (EventPhase::Begin, EventPhase::End));
+/// assert_eq!(evs[1].dur.as_nanos(), 600);
+/// ```
+///
+/// The unbalanced form (sledlint's old `d012_violating.rs`, `traced_io`)
+/// does not compile outside `sleds-trace`:
+///
+/// ```compile_fail
+/// use sleds_sim_core::SimTime;
+/// use sleds_trace::{Layer, Tracer};
+///
+/// fn submit() -> Result<u64, ()> {
+///     Err(())
+/// }
+/// fn traced_io(tracer: &mut Tracer) -> Result<u64, ()> {
+///     tracer.begin(Layer::Syscall, "io", SimTime::ZERO, [0; 3]);
+///     let r = submit()?; // leaves the span open
+///     tracer.end(SimTime::ZERO);
+///     Ok(r)
+/// }
+/// ```
+#[inline]
+pub fn span<H: SpanHost, T>(
+    host: &mut H,
+    layer: Layer,
+    name: &'static str,
+    args: [u64; 3],
+    body: impl FnOnce(&mut H) -> T,
+) -> T {
+    let t0 = host.now();
+    host.tracer().begin(layer, name, t0, args);
+    let r = body(host);
+    let t1 = host.now();
+    host.tracer().end(t1);
+    r
+}
+
 impl Tracer {
     /// A disabled tracer: every hook is a null check.
     pub fn disabled() -> Tracer {
@@ -110,8 +187,9 @@ impl Tracer {
         inner.metrics.trace_high_water = inner.ring.high_water();
     }
 
-    /// Opens a span. Must be balanced by [`Tracer::end`].
-    pub fn begin(&mut self, layer: Layer, name: &'static str, ts: SimTime, args: [u64; 3]) {
+    /// Opens a span. Crate-private: outside this crate the only way to
+    /// open one is [`span`], which also closes it.
+    pub(crate) fn begin(&mut self, layer: Layer, name: &'static str, ts: SimTime, args: [u64; 3]) {
         let tenant = self.tenant;
         let Some(inner) = self.inner.as_mut() else {
             return;
@@ -131,7 +209,7 @@ impl Tracer {
 
     /// Closes the innermost open span, stamping its duration and feeding
     /// the layer's latency histogram. Unbalanced calls are ignored.
-    pub fn end(&mut self, ts: SimTime) {
+    pub(crate) fn end(&mut self, ts: SimTime) {
         let tenant = self.tenant;
         let Some(inner) = self.inner.as_mut() else {
             return;
@@ -638,6 +716,52 @@ mod tests {
         assert_eq!(m.device[1].service.max(), 30);
         assert_eq!(m.tenants[&(2, 1)].queue_wait_ns, 40);
         assert_eq!(m.tenants[&(2, 1)].busy_ns, 30);
+    }
+
+    struct Host {
+        tracer: Tracer,
+        now: SimTime,
+    }
+
+    impl SpanHost for Host {
+        fn tracer(&mut self) -> &mut Tracer {
+            &mut self.tracer
+        }
+        fn now(&self) -> SimTime {
+            self.now
+        }
+    }
+
+    #[test]
+    fn nested_spans_close_innermost_first_at_the_hosts_clock() {
+        let mut h = Host {
+            tracer: Tracer::enabled(),
+            now: SimTime::from_nanos(10),
+        };
+        let got = span(&mut h, Layer::App, "wc", [0; 3], |h| {
+            h.now += SimDuration::from_nanos(5);
+            span(h, Layer::Syscall, "read", [3, 0, 0], |h| {
+                h.now += SimDuration::from_nanos(70);
+                42
+            })
+        });
+        assert_eq!(got, 42);
+        let evs = h.tracer.events();
+        let shape: Vec<_> = evs
+            .iter()
+            .map(|e| (e.phase, e.name, e.ts.as_nanos(), e.dur.as_nanos()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (EventPhase::Begin, "wc", 10, 0),
+                (EventPhase::Begin, "read", 15, 0),
+                (EventPhase::End, "read", 85, 70),
+                (EventPhase::End, "wc", 85, 75),
+            ]
+        );
+        let m = h.tracer.metrics().unwrap();
+        assert_eq!((m.app_spans, m.syscalls), (1, 1));
     }
 
     #[test]
