@@ -2609,12 +2609,8 @@ impl Kernel {
                 .as_file()
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "eviction ranks on directory"))?
                 .page_count();
-            // Ranks are genuinely per-page (each is an independent policy
-            // query), so this walk keeps the per-page cost.
             k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
-            Ok((0..n)
-                .map(|i| k.cache.eviction_rank(PageKey::new(of.ino.0, i)))
-                .collect())
+            Ok(k.cache.eviction_ranks(of.ino.0, n))
         })
     }
 

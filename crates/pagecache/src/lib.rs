@@ -7,41 +7,46 @@
 //! knows which pages are resident — via SLEDs — can read the cached tail
 //! first and turn most of the second pass into hits.
 //!
-//! [`PageCache`] tracks page residency and dirty state with a pluggable
-//! [`ReplacementPolicy`]; the default is LRU, matching Linux 2.2's
-//! approximation. Clock, FIFO, MRU and 2Q are provided for the ablation
-//! benchmarks. The cache stores no data bytes — the simulator models *cost*,
-//! and file contents live with the file system — only residency metadata.
+//! [`PageCache`] tracks page residency and dirty state under one of five
+//! replacement policies ([`PolicyKind`]); the default is LRU, matching
+//! Linux 2.2's approximation. Clock, FIFO, MRU and 2Q are provided for the
+//! ablation benchmarks. The cache stores no data bytes — the simulator
+//! models *cost*, and file contents live with the file system — only
+//! residency metadata.
 //!
-//! Residency, dirty and pinned state are stored per inode as sorted
-//! run-length extents ([`ExtentSet`]), so the SLED construction path can ask
-//! for the resident runs of a byte range ([`PageCache::resident_runs`]) or
-//! the next residency transition ([`PageCache::next_boundary`]) in O(log
-//! runs) instead of probing every page. Each inode also carries a
-//! **generation counter**, bumped whenever its residency changes, which lets
-//! callers memoize derived results (like a SLED vector) and revalidate them
-//! in O(1).
+//! Residency and dirty state are stored per inode as sorted run-length
+//! extents ([`ExtentSet`]), so the SLED construction path can ask for the
+//! resident runs of a byte range ([`PageCache::resident_runs`]) or the next
+//! residency transition ([`PageCache::next_boundary`]) in O(log runs)
+//! instead of probing every page. Each inode also carries a **generation
+//! counter**, bumped whenever its residency changes, which lets callers
+//! memoize derived results (like a SLED vector) and revalidate them in
+//! O(1).
 //!
-//! The per-inode entries sit in a dense table indexed by inode number
-//! ([`IdTable`]): the kernel issues inode numbers 1, 2, 3, …, so every
-//! per-page probe is an array index, not a tree descent. Cache-wide
-//! operations ([`PageCache::clear`], [`PageCache::dirty_pages`],
-//! [`PageCache::dirty_count`]) answer from running counters or stop as
-//! soon as they have visited what is cached.
+//! The per-page path touches no tree. The per-inode entries sit in a dense
+//! table indexed by inode number ([`IdTable`]: the kernel issues inode
+//! numbers 1, 2, 3, …), each entry holds a slot table indexed by page
+//! number, and a slot names the page's node in the replacement order
+//! ([`policy`]): [`PageCache::contains`] is two array indexes,
+//! [`PageCache::lookup`] adds a list splice, and a pin is a bit in the
+//! node. Cache-wide operations ([`PageCache::clear`],
+//! [`PageCache::dirty_pages`], [`PageCache::dirty_count`]) answer from
+//! running counters or stop as soon as they have visited what is cached.
 
 pub mod extent;
 pub mod policy;
+#[cfg(test)]
+mod reference;
 
 use std::ops::RangeInclusive;
 
 use sleds_sim_core::IdTable;
 
 use extent::Residency;
+use policy::{NodeId, Recency};
 
 pub use extent::ExtentSet;
-pub use policy::{
-    ClockPolicy, FifoPolicy, LruPolicy, MruPolicy, PolicyKind, ReplacementPolicy, TwoQPolicy,
-};
+pub use policy::PolicyKind;
 
 /// Identifies one page: an inode number and a page index within the file.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -83,13 +88,25 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Per-inode extent bookkeeping: the resident set with its generation,
-/// and the dirty and pinned page sets.
+/// Per-inode bookkeeping: the resident set with its generation, the dirty
+/// set, and where each resident page sits in the replacement order.
 #[derive(Clone, Debug, Default)]
 struct InodeIndex {
     resident: Residency,
     dirty: ExtentSet,
-    pinned: ExtentSet,
+    /// `slots[page]` is the page's node id plus one, 0 when the page is not
+    /// resident: `slots[p] != 0` exactly when `resident` contains `p`. Four
+    /// bytes per page up to the highest one resident since the file last
+    /// left the cache; an inode with nothing resident holds no slots.
+    slots: Vec<u32>,
+}
+
+impl InodeIndex {
+    /// The node of `page`, if resident. Any `u64` is a valid probe.
+    fn node(&self, page: u64) -> Option<NodeId> {
+        let slot = *self.slots.get(usize::try_from(page).ok()?)?;
+        slot.checked_sub(1)
+    }
 }
 
 /// The buffer cache: residency + dirty metadata under a replacement policy.
@@ -104,7 +121,8 @@ pub struct PageCache {
     /// ever cached. Entries are kept once created (even when emptied) so
     /// generation counters never restart.
     index: IdTable<Box<InodeIndex>>,
-    policy: Box<dyn ReplacementPolicy>,
+    /// Every resident page, in replacement order; the pin bits live here.
+    recency: Recency,
     stats: CacheStats,
 }
 
@@ -113,7 +131,7 @@ impl std::fmt::Debug for PageCache {
         f.debug_struct("PageCache")
             .field("capacity", &self.capacity)
             .field("resident", &self.len)
-            .field("policy", &self.policy.name())
+            .field("policy", &self.policy_name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -125,16 +143,21 @@ impl PageCache {
     /// # Panics
     ///
     /// Panics if `capacity == 0`: a zero-page buffer cache cannot satisfy
-    /// any read and indicates a misconfigured simulation.
+    /// any read and indicates a misconfigured simulation. Panics if
+    /// `capacity` does not leave room for a 32-bit node id per page.
     pub fn new(capacity: usize, policy: PolicyKind) -> Self {
         assert!(capacity > 0, "page cache needs at least one page");
+        assert!(
+            capacity < u32::MAX as usize,
+            "page cache node ids are 32 bits"
+        );
         PageCache {
             capacity,
             len: 0,
             pinned_len: 0,
             dirty_len: 0,
             index: IdTable::new(),
-            policy: policy.build(capacity),
+            recency: Recency::new(policy, capacity),
             stats: CacheStats::default(),
         }
     }
@@ -167,7 +190,7 @@ impl PageCache {
 
     /// The replacement policy's name, for reports.
     pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
+        self.recency.kind().name()
     }
 
     /// Counters so far.
@@ -180,47 +203,34 @@ impl PageCache {
         self.stats = CacheStats::default();
     }
 
+    /// The node of a resident page: two array indexes, no allocation.
+    fn node_of(&self, key: PageKey) -> Option<NodeId> {
+        self.index.get(key.inode)?.node(key.index)
+    }
+
     /// Non-perturbing residency probe — the cache-side half of `mincore(2)`.
     ///
     /// Does not touch the replacement policy or the hit/miss counters: this
     /// is what the kernel's SLED walk uses, and observing state must not
     /// change it.
     pub fn contains(&self, key: PageKey) -> bool {
-        self.index
-            .get(key.inode)
-            .is_some_and(|ix| ix.resident.extents().contains(key.index))
+        self.node_of(key).is_some()
     }
 
     /// Looks a page up on behalf of a read. Returns true on a hit (and
     /// informs the policy); counts a miss otherwise.
     pub fn lookup(&mut self, key: PageKey) -> bool {
-        if self.contains(key) {
-            self.policy.on_hit(key);
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            false
+        match self.node_of(key) {
+            Some(id) => {
+                self.recency.hit(id);
+                self.stats.hits += 1;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
+            }
         }
-    }
-
-    /// Detaches a resident page from the extent index without informing the
-    /// policy (the caller has already settled with it). Returns whether the
-    /// page was dirty, or None when it was not resident.
-    fn detach(&mut self, key: PageKey) -> Option<bool> {
-        let ix = self.index.get_mut(key.inode)?;
-        if !ix.resident.remove(key.index) {
-            return None;
-        }
-        let dirty = ix.dirty.remove(key.index);
-        if dirty {
-            self.dirty_len -= 1;
-        }
-        if ix.pinned.remove(key.index) {
-            self.pinned_len -= 1;
-        }
-        self.len -= 1;
-        Some(dirty)
     }
 
     /// Inserts a page (clean unless `dirty`), evicting if necessary.
@@ -231,75 +241,101 @@ impl PageCache {
     ///
     /// `key.inode` must be an inode number a kernel has issued (they are
     /// dense from 1): the index grows by one eight-byte slot per inode
-    /// number up to the largest inserted. Reads take any number.
+    /// number up to the largest inserted. Likewise `key.index` must lie
+    /// inside the file's page map (the kernel clamps reads to the file size
+    /// and grows the map before a write): the inode's slot table grows by
+    /// four bytes per page up to the largest index inserted. Reads take any
+    /// number and allocate nothing.
     pub fn insert(&mut self, key: PageKey, dirty: bool) -> Option<Evicted> {
-        if let Some(ix) = self
-            .index
-            .get_mut(key.inode)
-            .filter(|ix| ix.resident.extents().contains(key.index))
-        {
-            if dirty && ix.dirty.insert(key.index) {
-                self.dirty_len += 1;
+        if let Some(id) = self.node_of(key) {
+            if dirty {
+                self.mark_dirty(key);
             }
-            self.policy.on_hit(key);
+            self.recency.hit(id);
             return None;
         }
         let mut evicted = None;
         if self.len >= self.capacity {
-            // Pinned pages are not evictable: skip them (re-inserting into
-            // the policy) up to one full pass. If everything is pinned the
-            // cache overflows, as mlock'd memory does — pinning reduces the
-            // reclaimable set, it does not make allocation fail.
+            // Pinned pages are not evictable: pass over them (each re-enters
+            // the order as a new page would) up to one full pass. If
+            // everything is pinned the cache overflows, as mlock'd memory
+            // does — pinning reduces the reclaimable set, it does not make
+            // allocation fail.
             for _ in 0..=self.len {
-                match self.policy.evict() {
-                    Some(victim) if self.is_pinned(victim) => {
-                        self.policy.on_insert(victim);
-                    }
-                    Some(victim) => {
-                        let was_dirty = self.detach(victim).unwrap_or(false);
-                        self.stats.evictions += 1;
-                        if was_dirty {
-                            self.stats.dirty_evictions += 1;
-                        }
-                        evicted = Some(Evicted {
-                            key: victim,
-                            dirty: was_dirty,
-                        });
-                        break;
-                    }
-                    None => break,
+                let Some(id) = self.recency.victim() else {
+                    break;
+                };
+                if self.recency.is_pinned(id) {
+                    self.recency.requeue(id);
+                    continue;
                 }
+                let victim = self.recency.key(id);
+                let was_dirty = self.remove(victim).unwrap_or(false);
+                self.stats.evictions += 1;
+                self.stats.dirty_evictions += u64::from(was_dirty);
+                evicted = Some(Evicted {
+                    key: victim,
+                    dirty: was_dirty,
+                });
+                break;
             }
         }
+        let id = self.recency.insert(key);
         let ix = self.index.get_or_insert_with(key.inode, Box::default);
-        ix.resident.insert(key.index);
+        let entered = ix.resident.insert(key.index);
+        debug_assert!(entered, "a page without a slot was in the resident set");
+        let page = key.index as usize;
+        if page >= ix.slots.len() {
+            ix.slots.resize(page + 1, 0);
+        }
+        ix.slots[page] = id + 1;
         if dirty && ix.dirty.insert(key.index) {
             self.dirty_len += 1;
         }
         self.len += 1;
-        self.policy.on_insert(key);
         self.stats.insertions += 1;
         evicted
     }
 
     /// How many evictions until `key` would be chosen (0 = next out), when
-    /// the policy can predict it. Pins are not accounted for — a pinned
-    /// page's rank says where it *would* fall if unpinned.
+    /// the policy can predict it: LRU, MRU and FIFO can, Clock and 2Q
+    /// depend on future references and answer `None`. Pins are not
+    /// accounted for — a pinned page's rank says where it *would* fall if
+    /// unpinned. Costs O(rank); see [`PageCache::eviction_ranks`] for a
+    /// whole file.
     pub fn eviction_rank(&self, key: PageKey) -> Option<usize> {
-        self.policy.eviction_rank(key)
+        let id = self.node_of(key)?;
+        self.recency.eviction_order()?.position(|n| n == id)
+    }
+
+    /// [`PageCache::eviction_rank`] for each of the first `npages` pages of
+    /// `inode`, in one walk of the replacement order: O(cache + `npages`).
+    /// This feeds the SLED *forecast* extension (the paper's "predict which
+    /// pages of a file would be flushed from cache based on current page
+    /// replacement algorithms").
+    pub fn eviction_ranks(&self, inode: u64, npages: u64) -> Vec<Option<usize>> {
+        let mut ranks = vec![None; npages as usize];
+        if let Some(order) = self.recency.eviction_order() {
+            for (rank, id) in order.enumerate() {
+                let key = self.recency.key(id);
+                if key.inode == inode {
+                    if let Some(r) = ranks.get_mut(key.index as usize) {
+                        *r = Some(rank);
+                    }
+                }
+            }
+        }
+        ranks
     }
 
     /// Pins a resident page, exempting it from eviction until unpinned.
     /// Returns false (and pins nothing) when the page is not resident —
     /// a reservation can only hold what exists.
     pub fn pin(&mut self, key: PageKey) -> bool {
-        let Some(ix) = self.index.get_mut(key.inode) else {
+        let Some(id) = self.node_of(key) else {
             return false;
         };
-        if !ix.resident.extents().contains(key.index) {
-            return false;
-        }
-        if ix.pinned.insert(key.index) {
+        if self.recency.set_pinned(id, true) {
             self.pinned_len += 1;
         }
         true
@@ -307,8 +343,8 @@ impl PageCache {
 
     /// Releases a pin. No-op if not pinned.
     pub fn unpin(&mut self, key: PageKey) {
-        if let Some(ix) = self.index.get_mut(key.inode) {
-            if ix.pinned.remove(key.index) {
+        if let Some(id) = self.node_of(key) {
+            if self.recency.set_pinned(id, false) {
                 self.pinned_len -= 1;
             }
         }
@@ -316,9 +352,8 @@ impl PageCache {
 
     /// True when the page is pinned.
     pub fn is_pinned(&self, key: PageKey) -> bool {
-        self.index
-            .get(key.inode)
-            .is_some_and(|ix| ix.pinned.contains(key.index))
+        self.node_of(key)
+            .is_some_and(|id| self.recency.is_pinned(id))
     }
 
     /// Number of pinned pages.
@@ -329,7 +364,7 @@ impl PageCache {
     /// Marks a resident page dirty. No-op if the page is not resident.
     pub fn mark_dirty(&mut self, key: PageKey) {
         if let Some(ix) = self.index.get_mut(key.inode) {
-            if ix.resident.extents().contains(key.index) && ix.dirty.insert(key.index) {
+            if ix.node(key.index).is_some() && ix.dirty.insert(key.index) {
                 self.dirty_len += 1;
             }
         }
@@ -342,11 +377,29 @@ impl PageCache {
             .is_some_and(|ix| ix.dirty.contains(key.index))
     }
 
-    /// Drops a page without writeback accounting (e.g. truncate). Returns
-    /// whether it was dirty.
+    /// Drops a page without writeback accounting (e.g. truncate), pin and
+    /// all. Returns whether it was dirty, or `None` when it was not
+    /// resident. An inode whose last page leaves gives its slot table back
+    /// and keeps its generation.
     pub fn remove(&mut self, key: PageKey) -> Option<bool> {
-        let dirty = self.detach(key)?;
-        self.policy.on_remove(key);
+        let ix = self.index.get_mut(key.inode)?;
+        let id = ix.node(key.index)?;
+        let left = ix.resident.remove(key.index);
+        debug_assert!(left, "a page with a slot was not in the resident set");
+        if ix.resident.extents().is_empty() {
+            ix.slots = Vec::new();
+        } else {
+            ix.slots[key.index as usize] = 0;
+        }
+        let dirty = ix.dirty.remove(key.index);
+        if dirty {
+            self.dirty_len -= 1;
+        }
+        if self.recency.is_pinned(id) {
+            self.pinned_len -= 1;
+        }
+        self.recency.remove(id);
+        self.len -= 1;
         Some(dirty)
     }
 
@@ -465,24 +518,29 @@ impl PageCache {
     /// Drops everything (unmount without writeback; test helper).
     ///
     /// Equivalent to [`PageCache::remove`] on every resident page — each
-    /// inode's generation moves by the number of pages it loses — but
-    /// extents are dropped whole and the policy is reset once: a scan of
-    /// the index up to the last inode holding pages, not a tree operation
-    /// per page.
+    /// inode's generation moves by the number of pages it loses, and the
+    /// replacement order is left empty — but extents, slot tables and the
+    /// node slab are dropped whole: a scan of the index up to the last
+    /// inode holding pages, not a tree operation per page.
     pub fn clear(&mut self) {
         let mut left = self.len as u64;
         for (_, ix) in self.index.iter_mut() {
             if left == 0 {
                 break;
             }
+            debug_assert_eq!(
+                ix.slots.iter().filter(|&&s| s != 0).count() as u64,
+                ix.resident.extents().page_count(),
+                "slot table and resident set disagree"
+            );
             left -= ix.resident.clear();
             ix.dirty.clear();
-            ix.pinned.clear();
+            ix.slots = Vec::new();
         }
         self.len = 0;
         self.pinned_len = 0;
         self.dirty_len = 0;
-        self.policy.clear();
+        self.recency.clear();
     }
 }
 
@@ -544,11 +602,19 @@ mod tests {
     fn reads_of_a_never_cached_inode_return_defaults_at_any_number() {
         let mut c = PageCache::lru(4);
         c.insert(PageKey::new(3, 0), true);
-        for inode in [0, 2, 4, 1 << 40, u64::MAX] {
-            let k = PageKey::new(inode, 0);
+        let probes = [0, 2, 4, 1 << 40, u64::MAX].map(|inode| PageKey::new(inode, 0));
+        // The cached inode answers the same way past its slot table.
+        let beyond = [1, 1 << 40, u64::MAX - 1].map(|page| PageKey::new(3, page));
+        for k in probes.into_iter().chain(beyond) {
             assert!(!c.contains(k) && !c.is_dirty(k) && !c.is_pinned(k));
             assert!(!c.lookup(k) && !c.pin(k));
             assert_eq!(c.remove(k), None);
+            assert_eq!(c.eviction_rank(k), None);
+            c.mark_dirty(k);
+            c.unpin(k);
+        }
+        assert_eq!((c.len(), c.dirty_count(), c.generation(3)), (1, 1, 1));
+        for inode in probes.map(|k| k.inode) {
             assert_eq!(c.generation(inode), 0);
             assert_eq!(c.next_boundary(inode, 0), u64::MAX);
             assert_eq!(c.resident_runs(inode, 0..=u64::MAX), vec![]);

@@ -1,10 +1,11 @@
-//! Model-based property tests: the LRU policy against a straightforward
-//! reference implementation, and structural invariants for every policy.
+//! Model-based property tests: every replacement policy against a naive
+//! `Vec`-backed model that must agree on the exact eviction order, and
+//! structural invariants for every policy.
 //!
 //! Runs under the in-repo `check` harness; enable with
 //! `cargo test -p sleds-pagecache --features proptests`.
 
-use sleds_pagecache::{PageCache, PageKey, PolicyKind};
+use sleds_pagecache::{Evicted, PageCache, PageKey, PolicyKind};
 use sleds_sim_core::{check, DetRng};
 
 /// Operations the model exercises.
@@ -149,6 +150,279 @@ fn lru_matches_reference_model() {
                 changed,
                 "{op:?}: generation must move by the pages that entered or left"
             );
+        }
+    });
+}
+
+/// One resident page of [`Model`].
+#[derive(Clone, Copy, Debug)]
+struct Page {
+    key: PageKey,
+    dirty: bool,
+    pinned: bool,
+    /// Clock's reference bit.
+    referenced: bool,
+}
+
+/// Any of the five policies, written the obvious way: queues are `Vec`s
+/// with the oldest page first, every operation searches them.
+struct Model {
+    kind: PolicyKind,
+    capacity: usize,
+    /// The queue (LRU, MRU, FIFO, Clock) or 2Q's probation queue.
+    a1: Vec<Page>,
+    /// 2Q's main queue.
+    am: Vec<Page>,
+    /// Pages that have entered or left, per inode.
+    generation: std::collections::BTreeMap<u64, u64>,
+}
+
+impl Model {
+    fn new(kind: PolicyKind, capacity: usize) -> Self {
+        Model {
+            kind,
+            capacity,
+            a1: Vec::new(),
+            am: Vec::new(),
+            generation: Default::default(),
+        }
+    }
+
+    fn pages(&self) -> impl Iterator<Item = &Page> {
+        self.a1.iter().chain(&self.am)
+    }
+
+    fn page(&self, key: PageKey) -> Option<&Page> {
+        self.pages().find(|p| p.key == key)
+    }
+
+    fn page_mut(&mut self, key: PageKey) -> Option<&mut Page> {
+        self.a1
+            .iter_mut()
+            .chain(&mut self.am)
+            .find(|p| p.key == key)
+    }
+
+    fn len(&self) -> usize {
+        self.pages().count()
+    }
+
+    /// Takes a resident page out of whichever queue holds it.
+    fn take(&mut self, key: PageKey) -> Option<Page> {
+        for queue in [&mut self.a1, &mut self.am] {
+            if let Some(i) = queue.iter().position(|p| p.key == key) {
+                return Some(queue.remove(i));
+            }
+        }
+        None
+    }
+
+    fn stamp(&mut self, inode: u64) {
+        *self.generation.entry(inode).or_default() += 1;
+    }
+
+    fn hit(&mut self, key: PageKey) {
+        match self.kind {
+            PolicyKind::Lru | PolicyKind::Mru => {
+                let page = self.take(key).unwrap();
+                self.a1.push(page);
+            }
+            PolicyKind::Fifo => {}
+            PolicyKind::Clock => self.page_mut(key).unwrap().referenced = true,
+            PolicyKind::TwoQ => {
+                let page = self.take(key).unwrap();
+                self.am.push(page);
+            }
+        }
+    }
+
+    fn lookup(&mut self, key: PageKey) -> bool {
+        let hit = self.page(key).is_some();
+        if hit {
+            self.hit(key);
+        }
+        hit
+    }
+
+    /// The page the policy gives up next.
+    fn victim(&mut self) -> Option<PageKey> {
+        let a1_target = (self.capacity / 4).max(1);
+        match self.kind {
+            PolicyKind::Lru | PolicyKind::Fifo => self.a1.first().map(|p| p.key),
+            PolicyKind::Mru => self.a1.last().map(|p| p.key),
+            PolicyKind::Clock => {
+                while self.a1.first()?.referenced {
+                    let mut spared = self.a1.remove(0);
+                    spared.referenced = false;
+                    self.a1.push(spared);
+                }
+                self.a1.first().map(|p| p.key)
+            }
+            PolicyKind::TwoQ if self.a1.len() >= a1_target || self.am.is_empty() => {
+                self.a1.first().map(|p| p.key)
+            }
+            PolicyKind::TwoQ => self.am.first().map(|p| p.key),
+        }
+    }
+
+    fn insert(&mut self, key: PageKey, dirty: bool) -> Option<Evicted> {
+        if let Some(page) = self.page_mut(key) {
+            page.dirty |= dirty;
+            self.hit(key);
+            return None;
+        }
+        let mut evicted = None;
+        if self.len() >= self.capacity {
+            // A pinned victim goes round again as a new page would; after
+            // one full pass of pins the cache overflows.
+            for _ in 0..=self.len() {
+                let Some(victim) = self.victim() else { break };
+                let mut page = self.take(victim).unwrap();
+                if page.pinned {
+                    page.referenced = false;
+                    self.a1.push(page);
+                    continue;
+                }
+                self.stamp(victim.inode);
+                evicted = Some(Evicted {
+                    key: victim,
+                    dirty: page.dirty,
+                });
+                break;
+            }
+        }
+        self.a1.push(Page {
+            key,
+            dirty,
+            pinned: false,
+            referenced: false,
+        });
+        self.stamp(key.inode);
+        evicted
+    }
+
+    fn remove(&mut self, key: PageKey) -> Option<bool> {
+        let page = self.take(key)?;
+        self.stamp(key.inode);
+        Some(page.dirty)
+    }
+
+    /// Drops a file's pages, returning the dirty ones in page order.
+    fn remove_file(&mut self, inode: u64) -> Vec<PageKey> {
+        let mut pages: Vec<PageKey> = self.pages().map(|p| p.key).collect();
+        pages.retain(|k| k.inode == inode);
+        pages.sort();
+        pages.retain(|&k| self.remove(k) == Some(true));
+        pages
+    }
+
+    fn clear(&mut self) {
+        let pages: Vec<PageKey> = self.pages().map(|p| p.key).collect();
+        for key in pages {
+            self.remove(key);
+        }
+    }
+
+    fn pin(&mut self, key: PageKey, pinned: bool) -> bool {
+        self.page_mut(key).map(|p| p.pinned = pinned).is_some()
+    }
+
+    fn eviction_rank(&self, key: PageKey) -> Option<usize> {
+        let at = self.a1.iter().position(|p| p.key == key)?;
+        match self.kind {
+            PolicyKind::Lru | PolicyKind::Fifo => Some(at),
+            PolicyKind::Mru => Some(self.a1.len() - 1 - at),
+            PolicyKind::Clock | PolicyKind::TwoQ => None,
+        }
+    }
+}
+
+/// Every policy agrees with its model on everything the cache reports,
+/// after every step: what a lookup returns, which page an insert evicts
+/// and whether it was dirty, each page's rank, the counters, and each
+/// inode's generation. Two files share the cache, pages are removed one
+/// at a time, a file at a time and all at once, and come back.
+#[test]
+fn every_policy_matches_its_order_exact_model() {
+    check::run("every_policy_matches_its_order_exact_model", |rng| {
+        const INODES: std::ops::Range<u64> = 1..4;
+        const PAGES: u64 = 12;
+        let kind = PolicyKind::all()[rng.range_usize(0, 5)];
+        let capacity = rng.range_usize(1, 14);
+        let mut real = PageCache::new(capacity, kind);
+        let mut model = Model::new(kind, capacity);
+        for step in 0..rng.range_usize(0, 400) {
+            let key = PageKey::new(
+                rng.range_u64(INODES.start, INODES.end),
+                rng.range_u64(0, PAGES),
+            );
+            let at = || format!("{} of {capacity}, step {step}, {key:?}", kind.name());
+            match rng.range_u64(0, 100) {
+                0..=29 => assert_eq!(real.lookup(key), model.lookup(key), "{}", at()),
+                30..=64 => {
+                    let dirty = rng.chance(0.3);
+                    assert_eq!(
+                        real.insert(key, dirty),
+                        model.insert(key, dirty),
+                        "{}",
+                        at()
+                    );
+                }
+                65..=76 => assert_eq!(real.remove(key), model.remove(key), "{}", at()),
+                77..=84 => assert_eq!(real.pin(key), model.pin(key, true), "{}", at()),
+                85..=92 => {
+                    real.unpin(key);
+                    model.pin(key, false);
+                }
+                93..=97 => assert_eq!(
+                    real.remove_file(key.inode),
+                    model.remove_file(key.inode),
+                    "{}",
+                    at()
+                ),
+                _ => {
+                    real.clear();
+                    model.clear();
+                }
+            }
+            assert_eq!(real.len(), model.len(), "{}", at());
+            let (dirty, pinned) = (
+                model.pages().filter(|p| p.dirty).count(),
+                model.pages().filter(|p| p.pinned).count(),
+            );
+            assert_eq!(real.dirty_count(), dirty as u64, "{}", at());
+            assert_eq!(real.pinned_count(), pinned, "{}", at());
+            for inode in INODES {
+                let stamp = model.generation.get(&inode).copied().unwrap_or(0);
+                assert_eq!(real.generation(inode), stamp, "{}", at());
+                // The slot table (`contains`) and the extents agree.
+                let from_runs: Vec<u64> = real
+                    .resident_runs(inode, 0..=u64::MAX - 1)
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                let ranks = real.eviction_ranks(inode, PAGES);
+                for page in 0..PAGES {
+                    let k = PageKey::new(inode, page);
+                    let want = model.page(k);
+                    assert_eq!(real.contains(k), want.is_some(), "{}: {k:?}", at());
+                    assert_eq!(from_runs.contains(&page), want.is_some(), "{}: {k:?}", at());
+                    assert_eq!(real.is_dirty(k), want.is_some_and(|p| p.dirty));
+                    assert_eq!(real.is_pinned(k), want.is_some_and(|p| p.pinned));
+                    assert_eq!(
+                        real.eviction_rank(k),
+                        model.eviction_rank(k),
+                        "{}: {k:?}",
+                        at()
+                    );
+                    assert_eq!(
+                        ranks[page as usize],
+                        model.eviction_rank(k),
+                        "{}: {k:?}",
+                        at()
+                    );
+                }
+            }
         }
     });
 }

@@ -100,6 +100,14 @@ run diff -u results/REDUNDANCY_report.json "$recal_tmp/REDUNDANCY_report.json"
 run diff -u <(grep -vE 'host_wall_ns|ops_per_sec' results/BENCH_redundancy.json) \
     <(grep -vE 'host_wall_ns|ops_per_sec' "$recal_tmp/BENCH_redundancy.json")
 
+# Replacement-policy gate: the ablation report is the one artifact that
+# runs the kernel under all five page replacement policies (and with
+# readahead off, a fragmented layout, HSM staging and a zoned table). It is
+# a pure function of the virtual machine and regenerates in about a second,
+# so it must match the committed report byte-for-byte.
+run env SLEDS_RESULTS="$recal_tmp" cargo run --release -p sleds-bench --bin figures -- ablations
+run diff -u results/ablations.txt "$recal_tmp/ablations.txt"
+
 # Bench-index gate: every BENCH_*.json must carry the common
 # sleds-bench-v1 envelope, and the index over them must match the
 # committed baseline (host-dependent envelope fields filtered). The
