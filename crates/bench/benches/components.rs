@@ -71,6 +71,25 @@ fn bench_page_cache() {
             cache.stats().hits
         });
     }
+    // The same 10,240 pages through a 1,024-page cache, 512 at a time: the
+    // run form of the scan above, evicting by runs once the cache is full.
+    for kind in [PolicyKind::Lru, PolicyKind::Clock, PolicyKind::TwoQ] {
+        let mut victims = Vec::new();
+        time(
+            &format!("page_cache/insert_run_512_{}", kind.name()),
+            || {
+                let mut cache = PageCache::new(1024, kind);
+                for run in 0..20u64 {
+                    let (first, mut done) = (run % 4 * 512, 0);
+                    while done < 512 {
+                        done += cache.insert_run(1, first + done, 512 - done, false, &mut victims);
+                    }
+                    victims.clear();
+                }
+                cache.stats().evictions
+            },
+        );
+    }
 }
 
 fn bench_device_models() {
@@ -257,6 +276,30 @@ fn bench_capture() {
             fold_bytes(&payload[..len])
         });
     }
+    // A warm read through the kernel with and without a capture armed: the
+    // difference is what folding the payload while building it costs. One
+    // read is all hole (a sparse file), one all stored bytes.
+    let mut k = Kernel::new(MachineConfig::table2());
+    k.mkdir("/d").unwrap();
+    k.mount_disk("/d", DiskDevice::table2_disk("hda")).unwrap();
+    k.install_sparse_file("/d/hole", 2 << 20).unwrap();
+    k.install_file("/d/stored", &payload[..16 << 10]).unwrap();
+    for (name, path, len) in [
+        ("pread_2mib_hole", "/d/hole", 2 << 20),
+        ("pread_16k", "/d/stored", 16 << 10),
+    ] {
+        let fd = k.open(path, OpenFlags::RDONLY).unwrap();
+        k.pread(fd, 0, len).unwrap();
+        time(&format!("capture/{name}"), || {
+            k.pread(fd, 0, len).unwrap().len()
+        });
+        time(&format!("capture/{name}_recorded"), || {
+            k.start_capture(1);
+            k.pread(fd, 0, len).unwrap().len()
+        });
+        k.stop_capture();
+    }
+
     let page = &payload[..PAGE_SIZE as usize];
     let mut hex = String::new();
     time("capture_hex/encode_4096_bytes", || {

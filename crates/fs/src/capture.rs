@@ -45,42 +45,146 @@ const FOLD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 /// One lane step; a bijection of `lane` for a fixed `word` and of `word`
 /// for a fixed `lane`, so a change confined to one word always shows.
 #[inline(always)]
-fn fold_word(lane: u64, word: &[u8]) -> u64 {
-    let word = u64::from_le_bytes([
-        word[0], word[1], word[2], word[3], word[4], word[5], word[6], word[7],
-    ]);
+fn fold_word(lane: u64, word: u64) -> u64 {
     (lane ^ word).wrapping_mul(FOLD_MUL).rotate_left(29)
 }
 
+/// The little-endian `u64` in the first eight bytes of `w`.
+#[inline(always)]
+fn word(w: &[u8]) -> u64 {
+    u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]])
+}
+
+/// How much [`PayloadFold::copy_into`] copies before it folds what it
+/// copied: small enough that the fold reads the piece from L1.
+const COPY_PIECE: usize = 4096;
+/// How much [`PayloadFold::zeros_into`] zero-fills between folds: about
+/// what a store buffer holds (1 KiB measured best of 512 B – 16 KiB).
+const ZERO_PIECE: usize = 1024;
+
 /// The deterministic fold captures use to pin data payloads without
-/// storing them: little-endian `u64` word `i` goes into lane `i % 4`, the
-/// lanes are combined, the up to seven tail bytes and then the length are
-/// mixed in (DESIGN §5j gives the ten-line reference this must equal).
-/// Four lanes, because one multiply chain is latency-bound at a word per
-/// five cycles and the recorder folds every byte a captured read returns.
+/// storing them, fed piece by piece: little-endian `u64` word `i` of the
+/// whole payload goes into lane `i % 4`, the lanes are combined, the up to
+/// seven tail bytes and then the length are mixed in (DESIGN §5j gives the
+/// ten-line reference this must equal). How the payload is cut into pieces
+/// does not show in the result. Four lanes, because one multiply chain is
+/// latency-bound at a word per five cycles and the recorder folds every
+/// byte a captured read returns.
+#[derive(Clone, Debug)]
+pub struct PayloadFold {
+    lanes: [u64; 4],
+    /// Bytes fed so far.
+    len: u64,
+    /// The `len % 32` bytes fed since the last whole 32-byte block.
+    carry: [u8; 32],
+}
+
+impl Default for PayloadFold {
+    fn default() -> Self {
+        PayloadFold {
+            lanes: FOLD_SEEDS,
+            len: 0,
+            carry: [0; 32],
+        }
+    }
+}
+
+impl PayloadFold {
+    /// The fold of no bytes yet.
+    pub fn new() -> PayloadFold {
+        PayloadFold::default()
+    }
+
+    /// Feeds the next `piece` of the payload; any length, empty included.
+    pub fn feed(&mut self, mut piece: &[u8]) {
+        let carried = (self.len % 32) as usize;
+        self.len += piece.len() as u64;
+        if carried > 0 {
+            let fill = piece.len().min(32 - carried);
+            self.carry[carried..carried + fill].copy_from_slice(&piece[..fill]);
+            piece = &piece[fill..];
+            if carried + fill < 32 {
+                return;
+            }
+            let block = self.carry;
+            self.blocks(std::iter::once(&block[..]));
+        }
+        let blocks = piece.chunks_exact(32);
+        let rest = blocks.remainder();
+        self.blocks(blocks);
+        self.carry[..rest.len()].copy_from_slice(rest);
+    }
+
+    /// Folds whole 32-byte blocks, a word to each lane: the only place
+    /// payload words meet the lanes before [`PayloadFold::finish`].
+    #[inline(always)]
+    fn blocks<'a>(&mut self, blocks: impl Iterator<Item = &'a [u8]>) {
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for block in blocks {
+            a = fold_word(a, word(&block[0..8]));
+            b = fold_word(b, word(&block[8..16]));
+            c = fold_word(c, word(&block[16..24]));
+            d = fold_word(d, word(&block[24..32]));
+        }
+        self.lanes = [a, b, c, d];
+    }
+
+    /// Appends `src` to `out` and feeds it, a piece at a time, so each
+    /// piece is folded while its copy has it in cache: the payload is read
+    /// from memory once, not once to copy and once to fold.
+    pub(crate) fn copy_into(&mut self, out: &mut Vec<u8>, src: &[u8]) {
+        for piece in src.chunks(COPY_PIECE) {
+            out.extend_from_slice(piece);
+            self.feed(piece);
+        }
+    }
+
+    /// Appends `n` zero bytes — what a hole reads as — to `out` and feeds
+    /// them. Up to the next block edge and past the last one they go through
+    /// `feed`, which knows the carry; in between, whole blocks go straight
+    /// into the lanes a piece at a time. That fold loads nothing (its block
+    /// is a constant), so it runs while the piece's stores drain, and a
+    /// piece small enough for the store buffer makes the two overlap.
+    pub(crate) fn zeros_into(&mut self, out: &mut Vec<u8>, n: usize) {
+        const ZERO_BLOCK: [u8; 32] = [0; 32];
+        let end = out.len() + n;
+        let head = n.min((32 - self.len as usize % 32) % 32);
+        out.resize(out.len() + head, 0);
+        self.feed(&ZERO_BLOCK[..head]);
+        while end - out.len() >= 32 {
+            let piece = (end - out.len()).min(ZERO_PIECE) / 32 * 32;
+            out.resize(out.len() + piece, 0);
+            self.blocks(std::iter::repeat_n(&ZERO_BLOCK[..], piece / 32));
+            self.len += piece as u64;
+        }
+        self.feed(&ZERO_BLOCK[..end - out.len()]);
+        out.resize(end, 0);
+    }
+
+    /// The fold of everything fed.
+    pub fn finish(self) -> u64 {
+        let mut lanes = self.lanes;
+        let mut words = self.carry[..(self.len % 32) as usize].chunks_exact(8);
+        for (lane, w) in lanes.iter_mut().zip(words.by_ref()) {
+            *lane = fold_word(*lane, word(w));
+        }
+        let [a, b, c, d] = lanes;
+        let mut h = a ^ b.rotate_left(17) ^ c.rotate_left(34) ^ d.rotate_left(51);
+        for &byte in words.remainder() {
+            h = (h ^ u64::from(byte)).wrapping_mul(FOLD_MUL);
+        }
+        h ^= self.len;
+        h ^= h >> 32;
+        h = h.wrapping_mul(FOLD_MUL);
+        h ^ (h >> 29)
+    }
+}
+
+/// [`PayloadFold`] over a payload that is already in one piece.
 pub fn fold_bytes(data: &[u8]) -> u64 {
-    let [mut a, mut b, mut c, mut d] = FOLD_SEEDS;
-    let mut blocks = data.chunks_exact(32);
-    for block in blocks.by_ref() {
-        a = fold_word(a, &block[0..8]);
-        b = fold_word(b, &block[8..16]);
-        c = fold_word(c, &block[16..24]);
-        d = fold_word(d, &block[24..32]);
-    }
-    let mut lanes = [a, b, c, d];
-    let mut words = blocks.remainder().chunks_exact(8);
-    for (lane, word) in lanes.iter_mut().zip(words.by_ref()) {
-        *lane = fold_word(*lane, word);
-    }
-    let [a, b, c, d] = lanes;
-    let mut h = a ^ b.rotate_left(17) ^ c.rotate_left(34) ^ d.rotate_left(51);
-    for &byte in words.remainder() {
-        h = (h ^ u64::from(byte)).wrapping_mul(FOLD_MUL);
-    }
-    h ^= data.len() as u64;
-    h ^= h >> 32;
-    h = h.wrapping_mul(FOLD_MUL);
-    h ^ (h >> 29)
+    let mut fold = PayloadFold::new();
+    fold.feed(data);
+    fold.finish()
 }
 
 /// Device time charged to one captured op on one device class.
@@ -185,6 +289,10 @@ struct InFlight {
     /// Class-sorted; becomes [`OpOutcome::classes`] as it stands.
     classes: Vec<ClassCost>,
     hedges: u64,
+    /// Length and fold of the payload the read path built for this op, when
+    /// it folded while it copied ([`WorkloadRecorder::note_payload`]). It
+    /// lives here so that it ends with the call it was computed for.
+    payload: Option<(u64, u64)>,
 }
 
 /// The flight recorder the kernel arms via `Kernel::start_capture`.
@@ -270,7 +378,29 @@ impl WorkloadRecorder {
             call,
             classes: Vec::new(),
             hedges: 0,
+            payload: None,
         });
+    }
+
+    /// True while the op in flight is a trapped `read`/`pread` — the one
+    /// case where the read path should fold the payload as it copies it
+    /// and hand the result to [`WorkloadRecorder::note_payload`]. A ring
+    /// submission is in flight as its `RingEnter`, whose payloads are not
+    /// folded.
+    pub fn folds_payload(&self) -> bool {
+        matches!(
+            self.inflight.as_ref().map(|f| &f.call),
+            Some(Syscall::Read { .. } | Syscall::Pread { .. })
+        )
+    }
+
+    /// Takes the length and [`PayloadFold`] result of the payload the op in
+    /// flight is about to return, so [`WorkloadRecorder::finish_ok`] need
+    /// not read the bytes again. No-op when no op is in flight.
+    pub fn note_payload(&mut self, len: u64, fold: u64) {
+        if let Some(f) = self.inflight.as_mut() {
+            f.payload = Some((len, fold));
+        }
     }
 
     /// Accumulates one device occupancy's exact pricing into the in-flight
@@ -322,11 +452,17 @@ impl WorkloadRecorder {
     }
 
     /// Completes the in-flight op successfully. `data` is the returned
-    /// payload, folded rather than stored.
+    /// payload, folded rather than stored — by the read path as it built
+    /// the payload when it said so, here otherwise.
     pub fn finish_ok(&mut self, ret: u64, data: Option<&[u8]>, complete_ns: u64) {
-        let (data_len, data_fold) = match data {
-            Some(d) => (d.len() as u64, fold_bytes(d)),
-            None => (0, 0),
+        let noted = self.inflight.as_ref().and_then(|f| f.payload);
+        let (data_len, data_fold) = match (data, noted) {
+            (Some(d), Some((len, fold))) if len == d.len() as u64 => {
+                debug_assert_eq!(fold, fold_bytes(d), "fold of a {len}-byte payload");
+                (len, fold)
+            }
+            (Some(d), _) => (d.len() as u64, fold_bytes(d)),
+            (None, _) => (0, 0),
         };
         self.finish(
             OpOutcome {

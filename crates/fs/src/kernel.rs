@@ -24,14 +24,14 @@
 use std::collections::BTreeMap;
 
 use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultPlan, FaultState};
-use sleds_pagecache::{PageCache, PageKey};
+use sleds_pagecache::{Evicted, PageCache, PageKey};
 use sleds_sim_core::{
     DetRng, Errno, IdTable, IdWindow, RetryPolicy, SimDuration, SimError, SimResult, SimTime,
     TenantId, PAGE_SIZE, SECTOR_SIZE,
 };
 use sleds_trace::{span, DeviceCost, Layer, Metrics, TraceEvent, Tracer, Wait};
 
-use crate::capture::{Capture, WorkloadRecorder};
+use crate::capture::{Capture, PayloadFold, WorkloadRecorder};
 use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, PageMap, PagePlace, Stat};
 use crate::machine::MachineConfig;
 use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, ProgPricing, WalkEntry};
@@ -1515,15 +1515,34 @@ impl Kernel {
 
         self.fault_in(ino, first_page, last_page)?;
 
-        // Copy out to the caller. Sparse installs have no materialized
-        // contents past `data.len()`; holes read as zeros.
+        // Copy out to the caller, in one allocation. Sparse installs have no
+        // materialized contents past `data.len()`; holes read as zeros. A
+        // captured read's payload is folded here, while each piece is still
+        // in cache from its copy, not read back whole by the recorder.
         let bytes = end - pos;
         self.charge_memcpy(bytes);
+        let mut fold = self
+            .recorder
+            .as_ref()
+            .is_some_and(|rec| rec.folds_payload())
+            .then(PayloadFold::new);
         let f = self.file_of(ino)?;
         let len = f.data.len() as u64;
-        let (lo, hi) = (pos.min(len), end.min(len));
-        let mut out = f.data[lo as usize..hi as usize].to_vec();
-        out.resize(bytes as usize, 0);
+        let stored = &f.data[pos.min(len) as usize..end.min(len) as usize];
+        let mut out = Vec::with_capacity(bytes as usize);
+        match fold.as_mut() {
+            Some(fold) => {
+                fold.copy_into(&mut out, stored);
+                fold.zeros_into(&mut out, bytes as usize - stored.len());
+            }
+            None => {
+                out.extend_from_slice(stored);
+                out.resize(bytes as usize, 0);
+            }
+        }
+        if let (Some(fold), Some(rec)) = (fold, self.recorder.as_mut()) {
+            rec.note_payload(bytes, fold.finish());
+        }
         Ok(out)
     }
 
@@ -1575,9 +1594,7 @@ impl Kernel {
             self.redundant_read(ino, start_place, run_start, run_len + ra_len)?;
             self.ledger.counts.major_faults += run_len;
             self.charge_cpu(self.cfg.fault_cpu * run_len);
-            for i in 0..run_len + ra_len {
-                self.cache_insert(PageKey::new(ino.0, run_start + i), false)?;
-            }
+            self.cache_insert_run(ino, run_start, run_len + ra_len, false)?;
             p = run_end;
         }
         Ok(())
@@ -2004,10 +2021,7 @@ impl Kernel {
                 f.set_size(end);
             }
         }
-        for page in first_page..=last_page {
-            self.cache_insert(PageKey::new(ino.0, page), true)?;
-        }
-        Ok(())
+        self.cache_insert_run(ino, first_page, last_page - first_page + 1, true)
     }
 
     fn allocate_sectors(&mut self, mount: MountId, pages: u64) -> SimResult<u64> {
@@ -2036,14 +2050,40 @@ impl Kernel {
         Ok(first)
     }
 
-    fn cache_insert(&mut self, key: PageKey, dirty: bool) -> SimResult<()> {
-        if let Some(ev) = self.cache.insert(key, dirty) {
-            let now = self.now();
-            self.tracer
-                .cache_evict(now, ev.key.index, u64::from(ev.dirty), ev.key.inode);
-            if ev.dirty {
-                self.writeback(ev.key)?;
+    /// Brings pages `first .. first + pages` of `ino` into the cache, one
+    /// [`PageCache::insert_run`] per stretch that ends in a dirty victim:
+    /// every victim is traced, and a dirty one is written back — at the
+    /// clock and cache state it left at — before the next page goes in.
+    fn cache_insert_run(&mut self, ino: Ino, first: u64, pages: u64, dirty: bool) -> SimResult<()> {
+        // A run of one — every read of a one-page file — has at most one
+        // victim and needs no list to hold it.
+        if pages == 1 {
+            return match self.cache.insert(PageKey::new(ino.0, first), dirty) {
+                Some(ev) => self.evicted(ev),
+                None => Ok(()),
+            };
+        }
+        let mut victims = Vec::new();
+        let mut done = 0;
+        while done < pages {
+            done += self
+                .cache
+                .insert_run(ino.0, first + done, pages - done, dirty, &mut victims);
+            for ev in victims.drain(..) {
+                // Only the last victim of a stretch can be dirty.
+                self.evicted(ev)?;
             }
+        }
+        Ok(())
+    }
+
+    /// Traces one eviction and writes the page back if it was dirty.
+    fn evicted(&mut self, ev: Evicted) -> SimResult<()> {
+        let now = self.now();
+        self.tracer
+            .cache_evict(now, ev.key.index, u64::from(ev.dirty), ev.key.inode);
+        if ev.dirty {
+            self.writeback(ev.key)?;
         }
         Ok(())
     }
@@ -2938,8 +2978,12 @@ impl Kernel {
                 format!("warm_file_pages({path}): {end} beyond {n} pages"),
             ));
         }
-        for p in first_page..end {
-            self.cache.insert(PageKey::new(ino.0, p), false);
+        let mut victims = Vec::new();
+        let mut done = first_page;
+        while done < end {
+            done += self
+                .cache
+                .insert_run(ino.0, done, end - done, false, &mut victims);
         }
         Ok(())
     }

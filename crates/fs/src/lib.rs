@@ -39,7 +39,8 @@ pub mod volume;
 
 pub use aio::AioReport;
 pub use capture::{
-    fold_bytes, Capture, CapturedOp, ClassCost, OpOutcome, WorkloadRecorder, CAPTURE_SCHEMA,
+    fold_bytes, Capture, CapturedOp, ClassCost, OpOutcome, PayloadFold, WorkloadRecorder,
+    CAPTURE_SCHEMA,
 };
 pub use inode::{FileKind, Ino, LayoutRun, PageMap, PagePlace, Stat, SECTORS_PER_PAGE};
 pub use kernel::{

@@ -17,6 +17,7 @@ use sleds_fs::{
     DeviceId, Fd, HedgePolicy, Kernel, MachineConfig, OpenFlags, Rusage, TenantId,
     VirtualSubmitter, VolumeLayout,
 };
+use sleds_pagecache::PageKey;
 use sleds_sim_core::{
     ByteSize, DetRng, Errno, SimDuration, SimError, SimResult, SimTime, PAGE_SIZE,
 };
@@ -483,6 +484,108 @@ fn refused_commands_are_never_charged_device_time() {
     assert_eq!(k.read(fd, 1).unwrap_err().errno, Errno::Eio);
     assert_eq!(k.usage().since(&before).io_wait, SimDuration::ZERO);
     assert_eq!(k.metrics().unwrap().faults_injected, 1);
+}
+
+/// A `pread` whose fault-in evicts dirty pages while the disk that must
+/// take them is offline: the call fails on the first dirty victim's
+/// writeback, and everything it leaves behind — errno, clock, rusage, which
+/// pages are resident, how many are dirty — is what the per-page insert
+/// loop left (constants recorded from the commit before `insert_run`).
+/// The run is half in by then: the pages up to the one whose victim was
+/// dirty stay, the rest never arrive.
+#[test]
+fn a_failed_dirty_eviction_leaves_what_the_per_page_loop_left() {
+    let mut k = Kernel::new(MachineConfig {
+        ram: ByteSize::bytes(96 * PAGE_SIZE),
+        ..MachineConfig::table2()
+    });
+    let cache = k.cache_capacity_pages() as u64;
+    k.mkdir("/a").unwrap();
+    k.mkdir("/b").unwrap();
+    k.mount_disk("/a", DiskDevice::table2_disk("hda")).unwrap();
+    let mb = k.mount_disk("/b", DiskDevice::table2_disk("hdb")).unwrap();
+    let hdb = k.device_of_mount(mb).unwrap();
+    k.install_file("/a/f", &vec![5u8; 64 * PAGE_SIZE as usize])
+        .unwrap();
+    k.drop_caches().unwrap();
+
+    // Four clean pages of /a/f at the cold end of the LRU, then dirty
+    // pages of /b/log until the cache is full.
+    let f = k.open("/a/f", OpenFlags::RDONLY).unwrap();
+    k.pread(f, 40 * PAGE_SIZE, 4 * PAGE_SIZE as usize).unwrap();
+    let log = k.open("/b/log", OpenFlags::CREATE).unwrap();
+    let dirty = cache - 4;
+    for _ in 0..dirty {
+        k.write(log, &[9u8; PAGE_SIZE as usize]).unwrap();
+    }
+    assert_eq!(k.cache_resident_pages() as u64, cache);
+    assert_eq!(k.cache_dirty_pages(), dirty);
+
+    let forever = SimTime::from_nanos(u64::MAX);
+    k.apply_fault_plan(&FaultPlan::new().offline("hdb", k.now(), forever, FAULT_COST));
+    k.enable_tracing();
+    k.start_capture(16);
+    let (before, t0) = (k.usage(), k.now());
+    let writes_before = k.device_stats(hdb).unwrap().writes;
+
+    // Eight cold pages: four clean victims, then the first dirty one.
+    let err = k.pread(f, 0, 8 * PAGE_SIZE as usize).unwrap_err();
+
+    let (spent, elapsed) = (k.usage().since(&before), k.now() - t0);
+    let (f_ino, log_ino) = (
+        k.stat("/a/f").unwrap().ino.0,
+        k.stat("/b/log").unwrap().ino.0,
+    );
+    let resident = |k: &Kernel, ino: u64, pages: u64| -> Vec<u64> {
+        (0..pages)
+            .filter(|&p| k.cache_probe(PageKey::new(ino, p)))
+            .collect()
+    };
+    let evicted: Vec<(u64, u64, u64, u64)> = k
+        .trace_events()
+        .iter()
+        .filter(|e| e.name == "cache.evict")
+        .map(|e| {
+            (
+                e.ts.duration_since(t0).as_nanos(),
+                e.args[0],
+                e.args[1],
+                e.args[2],
+            )
+        })
+        .collect();
+    assert_eq!(
+        (err.errno, err.fault_cost()),
+        (Errno::Eio, Some(FAULT_COST))
+    );
+    assert_eq!(elapsed.as_nanos(), 19_147_160);
+    assert_eq!(
+        (spent.cpu.as_nanos(), spent.io_wait.as_nanos()),
+        (21_000, 19_126_160)
+    );
+    assert_eq!(
+        (spent.major_faults, spent.device_reads, spent.device_writes),
+        (8, 1, 0)
+    );
+    // Four clean victims made room for pages 0–3, the dirty one for page 4.
+    let at = 17_147_160;
+    assert_eq!(
+        evicted,
+        [
+            (at, 40, 0, f_ino),
+            (at, 41, 0, f_ino),
+            (at, 42, 0, f_ino),
+            (at, 43, 0, f_ino),
+            (at, 0, 1, log_ino)
+        ]
+    );
+    assert_eq!(resident(&k, f_ino, 64), [0, 1, 2, 3, 4]);
+    assert_eq!(resident(&k, log_ino, dirty), (1..dirty).collect::<Vec<_>>());
+    assert_eq!(k.cache_dirty_pages(), dirty - 1);
+    assert_eq!(k.device_stats(hdb).unwrap().writes, writes_before);
+    let op = &k.stop_capture().unwrap().ops[0];
+    assert_eq!((op.outcome.ok, op.outcome.errno), (false, Some(Errno::Eio)));
+    assert_eq!((op.outcome.data_len, op.outcome.data_fold), (0, 0));
 }
 
 fn plan_name(lane: usize) -> &'static str {

@@ -60,60 +60,85 @@ impl ExtentSet {
     /// Inserts `page`, coalescing with adjacent runs. Returns true when the
     /// page was not already present.
     pub fn insert(&mut self, page: u64) -> bool {
+        self.insert_range(page, 1) == 1
+    }
+
+    /// Inserts pages `first .. first + n`, coalescing with every run they
+    /// touch or overlap. Returns how many were not already present.
+    /// O(log runs) plus the runs swallowed whole.
+    pub fn insert_range(&mut self, first: u64, n: u64) -> u64 {
+        if n == 0 {
+            return 0;
+        }
         assert!(
-            page < u64::MAX,
+            n <= u64::MAX - first,
             "u64::MAX is reserved as the no-boundary sentinel"
         );
-        if self.contains(page) {
-            return false;
+        let end = first + n;
+        // Runs starting inside `(first, end]` are swallowed; the last one
+        // may reach past `end`.
+        let (mut new_end, mut had) = (end, 0);
+        while let Some((&s, &l)) = self.runs.range(first + 1..=end).next() {
+            self.runs.remove(&s);
+            had += (s + l).min(end) - s;
+            new_end = new_end.max(s + l);
         }
-        // Merge with a run ending exactly at `page`...
-        let left = self
-            .runs
-            .range(..page)
-            .next_back()
-            .map(|(&s, &l)| (s, l))
-            .filter(|&(s, l)| s + l == page);
-        // ...and/or a run starting exactly at `page + 1`.
-        let right = page
-            .checked_add(1)
-            .and_then(|n| self.runs.get(&n).map(|&l| (n, l)));
-        match (left, right) {
-            (Some((ls, ll)), Some((rs, rl))) => {
-                self.runs.remove(&rs);
-                self.runs.insert(ls, ll + 1 + rl);
+        // A run starting at or before `first` that reaches it grows in
+        // place; otherwise the range is a run of its own.
+        match self.runs.range_mut(..=first).next_back() {
+            Some((&s, l)) if s + *l >= first => {
+                had += (s + *l).min(end) - first;
+                *l = new_end.max(s + *l) - s;
             }
-            (Some((ls, ll)), None) => {
-                self.runs.insert(ls, ll + 1);
-            }
-            (None, Some((rs, rl))) => {
-                self.runs.remove(&rs);
-                self.runs.insert(page, rl + 1);
-            }
-            (None, None) => {
-                self.runs.insert(page, 1);
+            _ => {
+                self.runs.insert(first, new_end - first);
             }
         }
-        self.pages += 1;
-        true
+        self.pages += n - had;
+        n - had
     }
 
     /// Removes `page`, splitting its run if needed. Returns true when the
     /// page was present.
     pub fn remove(&mut self, page: u64) -> bool {
-        let Some((s, l)) = self.run_of(page) else {
-            return false;
-        };
-        self.runs.remove(&s);
-        if page > s {
-            self.runs.insert(s, page - s);
+        self.remove_range(page, 1) == 1
+    }
+
+    /// Removes pages `first .. first + n`, trimming or splitting the runs
+    /// at either edge. Returns how many were present. O(log runs) plus the
+    /// runs dropped whole.
+    pub fn remove_range(&mut self, first: u64, n: u64) -> u64 {
+        if n == 0 {
+            return 0;
         }
-        let tail = s + l - (page + 1);
-        if tail > 0 {
-            self.runs.insert(page + 1, tail);
+        let end = first.saturating_add(n);
+        let mut had = 0;
+        // What a run reaching past `end` keeps.
+        let mut tail = None;
+        // The run `first` falls in keeps whatever lies before `first`.
+        if let Some((s, l)) = self.run_of(first) {
+            had += (s + l).min(end) - first;
+            tail = (s + l > end).then(|| (end, s + l - end));
+            if s == first {
+                self.runs.remove(&s);
+            } else if let Some(l) = self.runs.get_mut(&s) {
+                *l = first - s;
+            }
         }
-        self.pages -= 1;
-        true
+        // Runs starting inside `(first, end)` go; the last may keep a tail.
+        while tail.is_none() && n > 1 {
+            let Some((&s, &l)) = self.runs.range(first.saturating_add(1)..end).next() else {
+                break;
+            };
+            self.runs.remove(&s);
+            had += (s + l).min(end) - s;
+            tail = (s + l > end).then(|| (end, s + l - end));
+        }
+        if let Some((s, l)) = tail {
+            self.runs.insert(s, l);
+        }
+        self.pages -= had;
+        had
     }
 
     /// The first page index `> page` whose membership differs from `page`'s,
@@ -229,17 +254,18 @@ impl Residency {
         self.generation
     }
 
-    /// Makes `page` resident. Returns true when it was not already.
-    pub(crate) fn insert(&mut self, page: u64) -> bool {
-        let entered = self.extents.insert(page);
-        self.generation += u64::from(entered);
+    /// Makes pages `first .. first + n` resident. Returns how many were
+    /// not already.
+    pub(crate) fn insert_range(&mut self, first: u64, n: u64) -> u64 {
+        let entered = self.extents.insert_range(first, n);
+        self.generation += entered;
         entered
     }
 
-    /// Drops `page`. Returns true when it was resident.
-    pub(crate) fn remove(&mut self, page: u64) -> bool {
-        let left = self.extents.remove(page);
-        self.generation += u64::from(left);
+    /// Drops pages `first .. first + n`. Returns how many were resident.
+    pub(crate) fn remove_range(&mut self, first: u64, n: u64) -> u64 {
+        let left = self.extents.remove_range(first, n);
+        self.generation += left;
         left
     }
 
@@ -358,20 +384,72 @@ mod tests {
     #[test]
     fn residency_generation_counts_the_pages_that_changed() {
         let mut r = Residency::default();
-        assert!(r.insert(3) && r.insert(4) && r.insert(9));
+        assert_eq!(r.insert_range(3, 2) + r.insert_range(9, 1), 3);
         assert_eq!(r.generation(), 3);
         // A no-op leaves the stamp alone: nothing a SLED priced has moved.
-        assert!(!r.insert(4));
-        assert!(!r.remove(7));
+        assert_eq!(r.insert_range(4, 1), 0);
+        assert_eq!(r.remove_range(7, 1), 0);
         assert_eq!(r.generation(), 3);
-        assert!(r.remove(4));
+        assert_eq!(r.remove_range(4, 1), 1);
         assert_eq!(r.generation(), 4);
         assert_eq!(runs(r.extents()), vec![(3, 1), (9, 1)]);
-        assert_eq!(r.clear(), 2);
-        assert_eq!(r.generation(), 6, "clear stamps once per page dropped");
+        // A range stamps once per page that changed, not once per call.
+        assert_eq!(r.insert_range(2, 9), 7);
+        assert_eq!(r.generation(), 11);
+        assert_eq!(r.remove_range(0, 5), 3);
+        assert_eq!(r.generation(), 14);
+        assert_eq!(runs(r.extents()), vec![(5, 6)]);
+        assert_eq!(r.clear(), 6);
+        assert_eq!(r.generation(), 20, "clear stamps once per page dropped");
         assert!(r.extents().is_empty());
         assert_eq!(r.clear(), 0);
-        assert_eq!(r.generation(), 6);
+        assert_eq!(r.generation(), 20);
+    }
+
+    /// Every range operation against one page at a time on a bitmap, from
+    /// every state three runs can be in.
+    #[test]
+    fn range_operations_equal_the_per_page_loop() {
+        const SPAN: u64 = 14;
+        for state in 0u32..1 << SPAN {
+            // Skip states with more than three runs to keep this fast.
+            if ((state & !(state << 1)).count_ones()) > 3 {
+                continue;
+            }
+            let mut base = ExtentSet::new();
+            for p in (0..SPAN).filter(|p| state >> p & 1 == 1) {
+                base.insert(p);
+            }
+            for first in 0..SPAN {
+                for n in [0, 1, 2, 5, SPAN - first] {
+                    if first + n > SPAN {
+                        continue;
+                    }
+                    let mask = ((1u32 << n) - 1) << first;
+                    let mut grown = base.clone();
+                    assert_eq!(
+                        grown.insert_range(first, n),
+                        u64::from((mask & !state).count_ones())
+                    );
+                    let mut shrunk = base.clone();
+                    assert_eq!(
+                        shrunk.remove_range(first, n),
+                        u64::from((mask & state).count_ones())
+                    );
+                    for (set, want) in [(&grown, state | mask), (&shrunk, state & !mask)] {
+                        let pages: Vec<u64> = (0..SPAN).filter(|p| want >> p & 1 == 1).collect();
+                        assert_eq!(set.iter_pages().collect::<Vec<_>>(), pages);
+                        assert_eq!(set.page_count(), pages.len() as u64);
+                        // Coalesced: no run touches the next.
+                        let runs = runs(set);
+                        assert!(
+                            runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0),
+                            "{runs:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -109,6 +109,40 @@ impl InodeIndex {
     }
 }
 
+/// Consecutive pages of one inode whose change of residency the inode's
+/// extents have not been told yet. [`PageCache::insert_pages`] keeps two —
+/// the pages it has brought in and the victims that made room — and hands
+/// each to the extents as one range ([`PageCache::settle`]).
+#[derive(Clone, Copy, Debug, Default)]
+struct Owed {
+    inode: u64,
+    first: u64,
+    len: u64,
+}
+
+impl Owed {
+    /// Takes `key` on when the stretch is empty or `key` is its next page.
+    fn extend(&mut self, key: PageKey) -> bool {
+        if self.len == 0 {
+            *self = Owed {
+                inode: key.inode,
+                first: key.index,
+                len: 1,
+            };
+            true
+        } else if key.inode == self.inode && key.index == self.first + self.len {
+            self.len += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn holds(&self, key: PageKey) -> bool {
+        key.inode == self.inode && key.index.wrapping_sub(self.first) < self.len
+    }
+}
+
 /// The buffer cache: residency + dirty metadata under a replacement policy.
 pub struct PageCache {
     capacity: usize,
@@ -237,7 +271,8 @@ impl PageCache {
     ///
     /// Returns the evicted page, if any, so the caller can charge a
     /// writeback for dirty victims. Inserting an already-resident page just
-    /// refreshes it (and ORs the dirty bit).
+    /// refreshes it (and ORs the dirty bit). This is
+    /// [`PageCache::insert_run`] with `n = 1`.
     ///
     /// `key.inode` must be an inode number a kernel has issued (they are
     /// dense from 1): the index grows by one eight-byte slot per inode
@@ -247,54 +282,165 @@ impl PageCache {
     /// four bytes per page up to the largest index inserted. Reads take any
     /// number and allocate nothing.
     pub fn insert(&mut self, key: PageKey, dirty: bool) -> Option<Evicted> {
-        if let Some(id) = self.node_of(key) {
-            if dirty {
-                self.mark_dirty(key);
-            }
-            self.recency.hit(id);
-            return None;
-        }
         let mut evicted = None;
-        if self.len >= self.capacity {
-            // Pinned pages are not evictable: pass over them (each re-enters
-            // the order as a new page would) up to one full pass. If
-            // everything is pinned the cache overflows, as mlock'd memory
-            // does — pinning reduces the reclaimable set, it does not make
-            // allocation fail.
-            for _ in 0..=self.len {
-                let Some(id) = self.recency.victim() else {
-                    break;
-                };
-                if self.recency.is_pinned(id) {
-                    self.recency.requeue(id);
-                    continue;
+        self.insert_pages(key.inode, key.index, 1, dirty, |ev| evicted = Some(ev));
+        evicted
+    }
+
+    /// Inserts pages `first .. first + n` of `inode`, in order, as
+    ///
+    /// ```text
+    /// for i in 0..n {
+    ///     inserted += 1;
+    ///     if let Some(ev) = insert(PageKey::new(inode, first + i), dirty) {
+    ///         victims.push(ev);
+    ///         if ev.dirty { break }
+    ///     }
+    /// }
+    /// ```
+    ///
+    /// would, and returns `inserted`: the same victims in the same order,
+    /// the same replacement order, counters and generations afterwards.
+    /// It stops after the insert whose victim was dirty so the caller can
+    /// write that page back before the cache changes again; call it again
+    /// from `first + inserted` for the rest. A run that displaces
+    /// consecutive pages of one file costs its extents one splice for what
+    /// came in and one for what went out, not two tree walks per page.
+    pub fn insert_run(
+        &mut self,
+        inode: u64,
+        first: u64,
+        n: u64,
+        dirty: bool,
+        victims: &mut Vec<Evicted>,
+    ) -> u64 {
+        self.insert_pages(inode, first, n, dirty, |ev| victims.push(ev))
+    }
+
+    /// The one insertion path. Per page it does what cannot wait — the
+    /// replacement order, the slot tables, the dirty bit of a victim, the
+    /// counters, all O(1) — and owes the extents the two stretches of
+    /// consecutive pages that are building up: `entered` (pages of `inode`
+    /// brought in) and `left` (victims). A page that does not continue its
+    /// stretch settles both first, as does one that would cross the other
+    /// stretch (a run longer than the cache evicting its own head, a victim
+    /// coming back later in the same run), so the extents are never asked
+    /// about a page they are behind on. Nothing reads them in between.
+    fn insert_pages(
+        &mut self,
+        inode: u64,
+        first: u64,
+        n: u64,
+        dirty: bool,
+        mut evicted: impl FnMut(Evicted),
+    ) -> u64 {
+        let (mut entered, mut left) = (Owed::default(), Owed::default());
+        let mut inserted = 0;
+        while inserted < n {
+            let key = PageKey::new(inode, first + inserted);
+            inserted += 1;
+            if let Some(id) = self.node_of(key) {
+                if dirty {
+                    self.mark_dirty(key);
                 }
-                let victim = self.recency.key(id);
-                let was_dirty = self.remove(victim).unwrap_or(false);
-                self.stats.evictions += 1;
-                self.stats.dirty_evictions += u64::from(was_dirty);
-                evicted = Some(Evicted {
-                    key: victim,
-                    dirty: was_dirty,
-                });
+                self.recency.hit(id);
+                continue;
+            }
+            let mut victim_was_dirty = false;
+            if self.len >= self.capacity {
+                // Pinned pages are not evictable: pass over them (each
+                // re-enters the order as a new page would) up to one full
+                // pass. If everything is pinned the cache overflows, as
+                // mlock'd memory does — pinning reduces the reclaimable
+                // set, it does not make allocation fail.
+                for _ in 0..=self.len {
+                    let Some(id) = self.recency.victim() else {
+                        break;
+                    };
+                    if self.recency.is_pinned(id) {
+                        self.recency.requeue(id);
+                        continue;
+                    }
+                    let victim = self.recency.key(id);
+                    if entered.holds(victim) || !left.extend(victim) {
+                        self.settle(&mut entered, &mut left, dirty);
+                        left.extend(victim);
+                    }
+                    victim_was_dirty = self.unlink(victim, id);
+                    self.stats.evictions += 1;
+                    self.stats.dirty_evictions += u64::from(victim_was_dirty);
+                    evicted(Evicted {
+                        key: victim,
+                        dirty: victim_was_dirty,
+                    });
+                    break;
+                }
+            }
+            if left.holds(key) || !entered.extend(key) {
+                self.settle(&mut entered, &mut left, dirty);
+                entered.extend(key);
+            }
+            let id = self.recency.insert(key);
+            let ix = self.index.get_or_insert_with(inode, Box::default);
+            let page = key.index as usize;
+            if page >= ix.slots.len() {
+                ix.slots.resize(page + 1, 0);
+            }
+            debug_assert_eq!(ix.slots[page], 0, "a page without a node had a slot");
+            ix.slots[page] = id + 1;
+            self.len += 1;
+            self.stats.insertions += 1;
+            if victim_was_dirty {
                 break;
             }
         }
-        let id = self.recency.insert(key);
-        let ix = self.index.get_or_insert_with(key.inode, Box::default);
-        let entered = ix.resident.insert(key.index);
-        debug_assert!(entered, "a page without a slot was in the resident set");
-        let page = key.index as usize;
-        if page >= ix.slots.len() {
-            ix.slots.resize(page + 1, 0);
+        self.settle(&mut entered, &mut left, dirty);
+        inserted
+    }
+
+    /// Pays the extents what they are owed: `entered` joins its inode's
+    /// resident set (and dirty set, when the pages came in `dirty`), `left`
+    /// leaves its inode's, each as one range stamping the generation by its
+    /// length. `entered` goes first, so an inode that lost its old pages to
+    /// its own new ones is not taken for empty.
+    #[inline]
+    fn settle(&mut self, entered: &mut Owed, left: &mut Owed, dirty: bool) {
+        let (entered, left) = (std::mem::take(entered), std::mem::take(left));
+        if let Some(ix) = self
+            .index
+            .get_mut(entered.inode)
+            .filter(|_| entered.len > 0)
+        {
+            let new = ix.resident.insert_range(entered.first, entered.len);
+            debug_assert_eq!(new, entered.len, "a page without a slot was resident");
+            if dirty {
+                self.dirty_len += ix.dirty.insert_range(entered.first, entered.len);
+            }
         }
-        ix.slots[page] = id + 1;
-        if dirty && ix.dirty.insert(key.index) {
-            self.dirty_len += 1;
+        if let Some(ix) = self.index.get_mut(left.inode).filter(|_| left.len > 0) {
+            let gone = ix.resident.remove_range(left.first, left.len);
+            debug_assert_eq!(gone, left.len, "a page with a slot was not resident");
+            if ix.resident.extents().is_empty() {
+                ix.slots = Vec::new();
+            }
         }
-        self.len += 1;
-        self.stats.insertions += 1;
-        evicted
+    }
+
+    /// Takes a resident page out of everything but the extents (the caller
+    /// owes them that): its slot, dirty bit, pin, node and the counts.
+    /// Returns whether it was dirty.
+    #[inline]
+    fn unlink(&mut self, key: PageKey, id: NodeId) -> bool {
+        let mut dirty = false;
+        if let Some(ix) = self.index.get_mut(key.inode) {
+            ix.slots[key.index as usize] = 0;
+            dirty = ix.dirty.remove(key.index);
+        }
+        self.dirty_len -= u64::from(dirty);
+        self.pinned_len -= usize::from(self.recency.is_pinned(id));
+        self.recency.remove(id);
+        self.len -= 1;
+        dirty
     }
 
     /// How many evictions until `key` would be chosen (0 = next out), when
@@ -382,24 +528,11 @@ impl PageCache {
     /// resident. An inode whose last page leaves gives its slot table back
     /// and keeps its generation.
     pub fn remove(&mut self, key: PageKey) -> Option<bool> {
-        let ix = self.index.get_mut(key.inode)?;
-        let id = ix.node(key.index)?;
-        let left = ix.resident.remove(key.index);
-        debug_assert!(left, "a page with a slot was not in the resident set");
-        if ix.resident.extents().is_empty() {
-            ix.slots = Vec::new();
-        } else {
-            ix.slots[key.index as usize] = 0;
-        }
-        let dirty = ix.dirty.remove(key.index);
-        if dirty {
-            self.dirty_len -= 1;
-        }
-        if self.recency.is_pinned(id) {
-            self.pinned_len -= 1;
-        }
-        self.recency.remove(id);
-        self.len -= 1;
+        let id = self.node_of(key)?;
+        let dirty = self.unlink(key, id);
+        let mut left = Owed::default();
+        left.extend(key);
+        self.settle(&mut Owed::default(), &mut left, false);
         Some(dirty)
     }
 

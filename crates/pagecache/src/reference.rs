@@ -121,6 +121,20 @@ impl TwoMapCache {
         evicted
     }
 
+    /// `insert_run` as `PageCache` defines it: the loop over `insert`.
+    fn insert_run(&mut self, inode: u64, first: u64, n: u64, dirty: bool) -> (Vec<Evicted>, u64) {
+        let mut victims = Vec::new();
+        for i in 0..n {
+            if let Some(ev) = self.insert(PageKey::new(inode, first + i), dirty) {
+                victims.push(ev);
+                if ev.dirty {
+                    return (victims, i + 1);
+                }
+            }
+        }
+        (victims, n)
+    }
+
     fn remove(&mut self, key: PageKey) -> Option<bool> {
         if !self.list.remove(key) {
             return None;
@@ -150,8 +164,8 @@ impl TwoMapCache {
 }
 
 /// 10⁵ seeded ops per policy: every answer the two caches give — hit or
-/// miss, the victim and its dirty bit, ranks, counts — is the same at
-/// every step.
+/// miss, the victim and its dirty bit, the victims of a run of inserts and
+/// where it stopped, ranks, counts — is the same at every step.
 #[test]
 fn lru_and_mru_evict_as_the_two_map_list_did() {
     for (kind, mru) in [(PolicyKind::Lru, false), (PolicyKind::Mru, true)] {
@@ -165,11 +179,20 @@ fn lru_and_mru_evict_as_the_two_map_list_did() {
             let at = || format!("{} step {step}: {key:?}", kind.name());
             match rng.range_u64(0, 1000) {
                 0..=399 => assert_eq!(new.lookup(key), old.lookup(key), "{}", at()),
-                400..=799 => {
+                400..=719 => {
                     let dirty = rng.chance(0.3);
                     let ev = new.insert(key, dirty);
                     assert_eq!(ev, old.insert(key, dirty), "{}", at());
                     evictions += u64::from(ev.is_some());
+                }
+                720..=799 => {
+                    // Up to 60 pages into a 48-page cache, from `key` on.
+                    let (n, dirty) = (rng.range_u64(1, 61), rng.chance(0.2));
+                    let mut victims = Vec::new();
+                    let inserted = new.insert_run(inode, key.index, n, dirty, &mut victims);
+                    evictions += victims.len() as u64;
+                    let want = old.insert_run(inode, key.index, n, dirty);
+                    assert_eq!((victims, inserted), want, "{}: run of {n}", at());
                 }
                 800..=899 => assert_eq!(new.remove(key), old.remove(key), "{}", at()),
                 900..=939 => assert_eq!(new.pin(key), old.pin(key), "{}", at()),

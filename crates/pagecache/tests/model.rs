@@ -154,6 +154,17 @@ fn lru_matches_reference_model() {
     });
 }
 
+/// A way for [`Model::insert_run`] to be wrong, to show the comparison
+/// below would catch the cache being wrong the same way.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Flaw {
+    None,
+    /// The inserting inode's generation moves once for a whole run.
+    StampsOncePerRun,
+    /// One more page goes in after the dirty victim.
+    StopsOneInsertLate,
+}
+
 /// One resident page of [`Model`].
 #[derive(Clone, Copy, Debug)]
 struct Page {
@@ -301,6 +312,36 @@ impl Model {
         evicted
     }
 
+    /// `insert_run` by its definition: the loop over `insert` that collects
+    /// the victims and stops after the insert whose victim was dirty — or,
+    /// under a [`Flaw`], not quite that.
+    fn insert_run(
+        &mut self,
+        (inode, first, n): (u64, u64, u64),
+        dirty: bool,
+        flaw: Flaw,
+    ) -> (Vec<Evicted>, u64) {
+        let mut victims = Vec::new();
+        let (mut inserted, mut entered) = (0, 0u64);
+        let mut inserts_left = n;
+        while inserts_left > 0 {
+            inserts_left -= 1;
+            let key = PageKey::new(inode, first + inserted);
+            inserted += 1;
+            entered += u64::from(self.page(key).is_none());
+            if let Some(ev) = self.insert(key, dirty) {
+                victims.push(ev);
+                if ev.dirty {
+                    inserts_left = inserts_left.min(u64::from(flaw == Flaw::StopsOneInsertLate));
+                }
+            }
+        }
+        if flaw == Flaw::StampsOncePerRun {
+            *self.generation.entry(inode).or_default() -= entered.saturating_sub(1);
+        }
+        (victims, inserted)
+    }
+
     fn remove(&mut self, key: PageKey) -> Option<bool> {
         let page = self.take(key)?;
         self.stamp(key.inode);
@@ -339,92 +380,136 @@ impl Model {
 
 /// Every policy agrees with its model on everything the cache reports,
 /// after every step: what a lookup returns, which page an insert evicts
-/// and whether it was dirty, each page's rank, the counters, and each
-/// inode's generation. Two files share the cache, pages are removed one
-/// at a time, a file at a time and all at once, and come back.
-#[test]
-fn every_policy_matches_its_order_exact_model() {
-    check::run("every_policy_matches_its_order_exact_model", |rng| {
-        const INODES: std::ops::Range<u64> = 1..4;
-        const PAGES: u64 = 12;
-        let kind = PolicyKind::all()[rng.range_usize(0, 5)];
-        let capacity = rng.range_usize(1, 14);
-        let mut real = PageCache::new(capacity, kind);
-        let mut model = Model::new(kind, capacity);
-        for step in 0..rng.range_usize(0, 400) {
-            let key = PageKey::new(
-                rng.range_u64(INODES.start, INODES.end),
-                rng.range_u64(0, PAGES),
-            );
-            let at = || format!("{} of {capacity}, step {step}, {key:?}", kind.name());
-            match rng.range_u64(0, 100) {
-                0..=29 => assert_eq!(real.lookup(key), model.lookup(key), "{}", at()),
-                30..=64 => {
-                    let dirty = rng.chance(0.3);
-                    assert_eq!(
-                        real.insert(key, dirty),
-                        model.insert(key, dirty),
-                        "{}",
-                        at()
-                    );
-                }
-                65..=76 => assert_eq!(real.remove(key), model.remove(key), "{}", at()),
-                77..=84 => assert_eq!(real.pin(key), model.pin(key, true), "{}", at()),
-                85..=92 => {
-                    real.unpin(key);
-                    model.pin(key, false);
-                }
-                93..=97 => assert_eq!(
-                    real.remove_file(key.inode),
-                    model.remove_file(key.inode),
+/// and whether it was dirty, what a run of inserts evicts and where it
+/// stops, each page's rank, the counters, and each inode's generation.
+/// Three files share the cache, pages are removed one at a time, a file at
+/// a time and all at once, and come back. One case in eight is a 512-page
+/// cache under runs of up to 600 pages; the rest are caches of 1–13 pages
+/// under runs of up to 30, so most runs are longer than the cache, evict
+/// their own head and meet pages that are already resident or pinned.
+fn order_exact(rng: &mut DetRng, flaw: Flaw) {
+    const INODES: std::ops::Range<u64> = 1..4;
+    let kind = PolicyKind::all()[rng.range_usize(0, 5)];
+    let big = rng.range_u64(0, 8) == 0;
+    let (capacity, pages, max_run, steps) = if big {
+        (512, 700, 600, rng.range_usize(0, 40))
+    } else {
+        (rng.range_usize(1, 14), 24, 30, rng.range_usize(0, 400))
+    };
+    let mut real = PageCache::new(capacity, kind);
+    let mut model = Model::new(kind, capacity);
+    for step in 0..steps {
+        let key = PageKey::new(
+            rng.range_u64(INODES.start, INODES.end),
+            rng.range_u64(0, pages),
+        );
+        let at = || format!("{} of {capacity}, step {step}, {key:?}", kind.name());
+        match rng.range_u64(0, 100) {
+            0..=24 => assert_eq!(real.lookup(key), model.lookup(key), "{}", at()),
+            25..=44 => {
+                let dirty = rng.chance(0.3);
+                assert_eq!(
+                    real.insert(key, dirty),
+                    model.insert(key, dirty),
                     "{}",
                     at()
-                ),
-                _ => {
-                    real.clear();
-                    model.clear();
+                );
+            }
+            45..=64 => {
+                // As the kernel calls it: again from where it stopped,
+                // until the whole run is in.
+                let n = rng.range_u64(0, max_run.min(pages - key.index) + 1);
+                let dirty = rng.chance(0.3);
+                let mut done = 0;
+                loop {
+                    let run = (key.inode, key.index + done, n - done);
+                    let mut victims = Vec::new();
+                    let inserted = real.insert_run(run.0, run.1, run.2, dirty, &mut victims);
+                    let want = model.insert_run(run, dirty, flaw);
+                    assert_eq!((victims, inserted), want, "{}: run {run:?}", at());
+                    done += inserted;
+                    if done >= n {
+                        break;
+                    }
                 }
             }
-            assert_eq!(real.len(), model.len(), "{}", at());
-            let (dirty, pinned) = (
-                model.pages().filter(|p| p.dirty).count(),
-                model.pages().filter(|p| p.pinned).count(),
-            );
-            assert_eq!(real.dirty_count(), dirty as u64, "{}", at());
-            assert_eq!(real.pinned_count(), pinned, "{}", at());
-            for inode in INODES {
-                let stamp = model.generation.get(&inode).copied().unwrap_or(0);
-                assert_eq!(real.generation(inode), stamp, "{}", at());
-                // The slot table (`contains`) and the extents agree.
-                let from_runs: Vec<u64> = real
-                    .resident_runs(inode, 0..=u64::MAX - 1)
-                    .into_iter()
-                    .flatten()
-                    .collect();
-                let ranks = real.eviction_ranks(inode, PAGES);
-                for page in 0..PAGES {
-                    let k = PageKey::new(inode, page);
-                    let want = model.page(k);
-                    assert_eq!(real.contains(k), want.is_some(), "{}: {k:?}", at());
-                    assert_eq!(from_runs.contains(&page), want.is_some(), "{}: {k:?}", at());
-                    assert_eq!(real.is_dirty(k), want.is_some_and(|p| p.dirty));
-                    assert_eq!(real.is_pinned(k), want.is_some_and(|p| p.pinned));
-                    assert_eq!(
-                        real.eviction_rank(k),
-                        model.eviction_rank(k),
-                        "{}: {k:?}",
-                        at()
-                    );
-                    assert_eq!(
-                        ranks[page as usize],
-                        model.eviction_rank(k),
-                        "{}: {k:?}",
-                        at()
-                    );
+            65..=76 => assert_eq!(real.remove(key), model.remove(key), "{}", at()),
+            77..=84 => assert_eq!(real.pin(key), model.pin(key, true), "{}", at()),
+            85..=92 => {
+                real.unpin(key);
+                model.pin(key, false);
+            }
+            93..=97 => assert_eq!(
+                real.remove_file(key.inode),
+                model.remove_file(key.inode),
+                "{}",
+                at()
+            ),
+            _ => {
+                real.clear();
+                model.clear();
+            }
+        }
+        assert_eq!(real.len(), model.len(), "{}", at());
+        let (dirty, pinned) = (
+            model.pages().filter(|p| p.dirty).count(),
+            model.pages().filter(|p| p.pinned).count(),
+        );
+        assert_eq!(real.dirty_count(), dirty as u64, "{}", at());
+        assert_eq!(real.pinned_count(), pinned, "{}", at());
+        let want: std::collections::BTreeMap<PageKey, (Page, Option<usize>)> = model
+            .pages()
+            .map(|p| (p.key, (*p, model.eviction_rank(p.key))))
+            .collect();
+        for inode in INODES {
+            let stamp = model.generation.get(&inode).copied().unwrap_or(0);
+            assert_eq!(real.generation(inode), stamp, "{}", at());
+            // The slot table (`contains`) and the extents agree.
+            let mut from_runs = vec![false; pages as usize];
+            for page in real
+                .resident_runs(inode, 0..=u64::MAX - 1)
+                .into_iter()
+                .flatten()
+            {
+                from_runs[page as usize] = true;
+            }
+            let ranks = real.eviction_ranks(inode, pages);
+            for page in 0..pages {
+                let k = PageKey::new(inode, page);
+                let (want, rank) = want.get(&k).map_or((None, None), |(p, r)| (Some(p), *r));
+                assert_eq!(real.contains(k), want.is_some(), "{}: {k:?}", at());
+                assert_eq!(from_runs[page as usize], want.is_some(), "{}: {k:?}", at());
+                assert_eq!(real.is_dirty(k), want.is_some_and(|p| p.dirty));
+                assert_eq!(real.is_pinned(k), want.is_some_and(|p| p.pinned));
+                assert_eq!(ranks[page as usize], rank, "{}: {k:?}", at());
+                if !big {
+                    assert_eq!(real.eviction_rank(k), rank, "{}: {k:?}", at());
                 }
             }
         }
+    }
+}
+
+#[test]
+fn every_policy_matches_its_order_exact_model() {
+    check::run("every_policy_matches_its_order_exact_model", |rng| {
+        order_exact(rng, Flaw::None);
     });
+}
+
+/// The comparison is sharp enough to catch the two ways a run-granular
+/// insert goes wrong quietly: a generation that counts calls instead of
+/// pages, and a stop that comes one page after the dirty victim.
+#[test]
+fn the_model_comparison_catches_a_flawed_insert_run() {
+    for flaw in [Flaw::StampsOncePerRun, Flaw::StopsOneInsertLate] {
+        let caught = std::panic::catch_unwind(|| {
+            check::run("the_model_comparison_catches_a_flawed_insert_run", |rng| {
+                order_exact(rng, flaw);
+            });
+        });
+        assert!(caught.is_err(), "{flaw:?} must fail the comparison");
+    }
 }
 
 /// Structural invariants hold for every policy: capacity is respected
