@@ -107,7 +107,7 @@ impl Kernel {
             // `pread` advanced the clock serially; rewind-by-accounting is
             // impossible, so track what it added and correct at the end.
             let _ = spent;
-            order.push((off, data));
+            order.push((off, data.into_vec()));
         }
 
         // Buffer pressure: every byte posted but not yet consumed needs a

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sleds_sim_core::Errno;
+use sleds_sim_core::{Errno, PAGE_SIZE};
 use sleds_trace::DeviceCost;
 
 use crate::syscall::Syscall;
@@ -59,7 +59,9 @@ fn word(w: &[u8]) -> u64 {
 /// copied: small enough that the fold reads the piece from L1.
 const COPY_PIECE: usize = 4096;
 /// How much [`PayloadFold::zeros_into`] zero-fills between folds: about
-/// what a store buffer holds (1 KiB measured best of 512 B – 16 KiB).
+/// what a store buffer holds (1 KiB measured best of 512 B – 16 KiB). Only a
+/// hole *tail* after stored bytes is filled this way; an all-hole payload is
+/// never written at all ([`WorkloadRecorder::fold_zeros`]).
 const ZERO_PIECE: usize = 1024;
 
 /// The deterministic fold captures use to pin data payloads without
@@ -139,12 +141,13 @@ impl PayloadFold {
         }
     }
 
-    /// Appends `n` zero bytes — what a hole reads as — to `out` and feeds
-    /// them. Up to the next block edge and past the last one they go through
-    /// `feed`, which knows the carry; in between, whole blocks go straight
-    /// into the lanes a piece at a time. That fold loads nothing (its block
-    /// is a constant), so it runs while the piece's stores drain, and a
-    /// piece small enough for the store buffer makes the two overlap.
+    /// Appends `n` zero bytes — the hole tail of a payload that began with
+    /// stored bytes — to `out` and feeds them. Up to the next block edge and
+    /// past the last one they go through `feed`, which knows the carry; in
+    /// between, whole blocks go straight into the lanes a piece at a time.
+    /// That fold loads nothing (its block is a constant), so it runs while
+    /// the piece's stores drain, and a piece small enough for the store
+    /// buffer makes the two overlap.
     pub(crate) fn zeros_into(&mut self, out: &mut Vec<u8>, n: usize) {
         const ZERO_BLOCK: [u8; 32] = [0; 32];
         let end = out.len() + n;
@@ -311,6 +314,10 @@ pub struct WorkloadRecorder {
     /// path is copied once, at `open`; ops on the fd share it.
     fd_paths: BTreeMap<u64, Arc<str>>,
     inflight: Option<InFlight>,
+    /// `zero_pages[k]`: the four lanes after `k` whole zero pages from the
+    /// seeds, grown on demand by [`WorkloadRecorder::fold_zeros`]. At 32
+    /// bytes a page it stays under 1/128 of the longest hole read so far.
+    zero_pages: Vec<[u64; 4]>,
 }
 
 impl WorkloadRecorder {
@@ -325,6 +332,7 @@ impl WorkloadRecorder {
             ops: Vec::new(),
             fd_paths: BTreeMap::new(),
             inflight: None,
+            zero_pages: vec![FOLD_SEEDS],
         }
     }
 
@@ -401,6 +409,31 @@ impl WorkloadRecorder {
         if let Some(f) = self.inflight.as_mut() {
             f.payload = Some((len, fold));
         }
+    }
+
+    /// [`fold_bytes`] of `n` zero bytes — what a read wholly inside a hole
+    /// returns — without the bytes. A page is a whole number of 32-byte
+    /// blocks, so the lanes after `k` zero pages do not depend on what
+    /// follows: they are looked up (each page is folded once per recorder)
+    /// and only the `n % PAGE_SIZE` bytes past them are fed.
+    pub(crate) fn fold_zeros(&mut self, n: u64) -> u64 {
+        const ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+        let pages = (n / PAGE_SIZE) as usize;
+        for k in self.zero_pages.len()..=pages {
+            let mut fold = PayloadFold {
+                lanes: self.zero_pages[k - 1],
+                ..PayloadFold::default()
+            };
+            fold.feed(&ZERO_PAGE);
+            self.zero_pages.push(fold.lanes);
+        }
+        let mut fold = PayloadFold {
+            lanes: self.zero_pages[pages],
+            len: pages as u64 * PAGE_SIZE,
+            ..PayloadFold::default()
+        };
+        fold.feed(&ZERO_PAGE[..(n % PAGE_SIZE) as usize]);
+        fold.finish()
     }
 
     /// Accumulates one device occupancy's exact pricing into the in-flight

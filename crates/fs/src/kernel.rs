@@ -34,6 +34,7 @@ use sleds_trace::{span, DeviceCost, Layer, Metrics, TraceEvent, Tracer, Wait};
 use crate::capture::{Capture, PayloadFold, WorkloadRecorder};
 use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, PageMap, PagePlace, Stat};
 use crate::machine::MachineConfig;
+use crate::payload::Payload;
 use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, ProgPricing, WalkEntry};
 use crate::queue::{
     CmdQueue, DeviceSaturation, LatencySummary, SaturationReport, TenantAttribution, TenantShare,
@@ -1397,7 +1398,7 @@ impl Kernel {
     ///
     /// Returns the bytes actually read (shorter at end of file, empty at or
     /// past it), advancing the offset.
-    pub fn read(&mut self, fd: Fd, len: usize) -> SimResult<Vec<u8>> {
+    pub fn read(&mut self, fd: Fd, len: usize) -> SimResult<Payload> {
         let make = || Syscall::Read { fd, len };
         self.sys(&sys::READ, [fd.0, len as u64, 0], make, |k| {
             k.do_read_fd(fd, None, len).map(SyscallRet::Bytes)
@@ -1406,7 +1407,7 @@ impl Kernel {
     }
 
     /// Positioned read: `pread(2)`. Does not move the file offset.
-    pub fn pread(&mut self, fd: Fd, pos: u64, len: usize) -> SimResult<Vec<u8>> {
+    pub fn pread(&mut self, fd: Fd, pos: u64, len: usize) -> SimResult<Payload> {
         let make = || Syscall::Pread { fd, pos, len };
         self.sys(&sys::PREAD, [fd.0, len as u64, pos], make, |k| {
             k.do_read_fd(fd, Some(pos), len).map(SyscallRet::Bytes)
@@ -1419,7 +1420,7 @@ impl Kernel {
     /// [`Kernel::do_read`], offset advance (sequential reads only) and
     /// `bytes_read`. `pos` is `None` for a sequential read at the file
     /// offset, `Some` for a positioned read that must not move it.
-    fn do_read_fd(&mut self, fd: Fd, pos: Option<u64>, len: usize) -> SimResult<Vec<u8>> {
+    fn do_read_fd(&mut self, fd: Fd, pos: Option<u64>, len: usize) -> SimResult<Payload> {
         let of = self.openfile(fd)?;
         if !of.flags.read {
             let name = if pos.is_some() { "pread" } else { "read" };
@@ -1496,16 +1497,14 @@ impl Kernel {
     // The read path
     // ------------------------------------------------------------------
 
-    fn do_read(&mut self, ino: Ino, pos: u64, len: usize) -> SimResult<Vec<u8>> {
-        let (size, _) = {
-            let node = self.inode(ino)?;
-            let f = node
-                .as_file()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, "read on directory"))?;
-            (f.size(), ())
-        };
+    fn do_read(&mut self, ino: Ino, pos: u64, len: usize) -> SimResult<Payload> {
+        let size = self
+            .inode(ino)?
+            .as_file()
+            .ok_or_else(|| SimError::new(Errno::Eisdir, "read on directory"))?
+            .size();
         if pos >= size || len == 0 {
-            return Ok(Vec::new());
+            return Ok(Payload::zeros(0));
         }
         // Saturation intended: a request past u64::MAX still just reads to
         // end-of-file.
@@ -1515,33 +1514,42 @@ impl Kernel {
 
         self.fault_in(ino, first_page, last_page)?;
 
-        // Copy out to the caller, in one allocation. Sparse installs have no
-        // materialized contents past `data.len()`; holes read as zeros. A
-        // captured read's payload is folded here, while each piece is still
+        // Copy out to the caller. Sparse installs have no materialized
+        // contents past `data.len()`; holes read as zeros. A read that finds
+        // no stored bytes — most reads: the drivers' files are sparse —
+        // builds no buffer, and under capture its digest comes from the
+        // recorder's zero-page table. One that finds some fills one
+        // allocation and, under capture, folds each piece while it is still
         // in cache from its copy, not read back whole by the recorder.
         let bytes = end - pos;
         self.charge_memcpy(bytes);
-        let mut fold = self
+        let folds = self
             .recorder
             .as_ref()
-            .is_some_and(|rec| rec.folds_payload())
-            .then(PayloadFold::new);
+            .is_some_and(|rec| rec.folds_payload());
         let f = self.file_of(ino)?;
         let len = f.data.len() as u64;
         let stored = &f.data[pos.min(len) as usize..end.min(len) as usize];
-        let mut out = Vec::with_capacity(bytes as usize);
-        match fold.as_mut() {
-            Some(fold) => {
+        let hole = bytes as usize - stored.len();
+        let (out, fold) = if stored.is_empty() {
+            let rec = self.recorder.as_mut().filter(|_| folds);
+            (Payload::zeros(hole), rec.map(|rec| rec.fold_zeros(bytes)))
+        } else {
+            let mut out = Vec::with_capacity(bytes as usize);
+            let fold = if folds {
+                let mut fold = PayloadFold::new();
                 fold.copy_into(&mut out, stored);
-                fold.zeros_into(&mut out, bytes as usize - stored.len());
-            }
-            None => {
+                fold.zeros_into(&mut out, hole);
+                Some(fold.finish())
+            } else {
                 out.extend_from_slice(stored);
                 out.resize(bytes as usize, 0);
-            }
-        }
+                None
+            };
+            (Payload::from(out), fold)
+        };
         if let (Some(fold), Some(rec)) = (fold, self.recorder.as_mut()) {
-            rec.note_payload(bytes, fold.finish());
+            rec.note_payload(bytes, fold);
         }
         Ok(out)
     }
@@ -3329,7 +3337,7 @@ mod tests {
         // Contents merged correctly.
         k.lseek(fd, 98, Whence::Set).unwrap();
         let got = k.read(fd, 14).unwrap();
-        assert_eq!(&got, b"\x09\x090123456789\x09\x09");
+        assert_eq!(got, b"\x09\x090123456789\x09\x09");
     }
 
     #[test]

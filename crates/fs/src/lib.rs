@@ -29,6 +29,7 @@ pub mod capture;
 pub mod inode;
 pub mod kernel;
 pub mod machine;
+pub mod payload;
 pub mod prog;
 pub mod queue;
 pub mod ring;
@@ -48,6 +49,7 @@ pub use kernel::{
     ReplicaPlace, Whence,
 };
 pub use machine::MachineConfig;
+pub use payload::Payload;
 pub use prog::{
     prog_inputs, CostCert, PickProgram, ProgInputs, ProgInst, ProgOrder, ProgPricing, WalkEntry,
     MAX_PROG_COST_NS, MAX_PROG_LEN, MAX_PROG_STACK,

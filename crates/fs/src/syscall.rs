@@ -11,6 +11,7 @@
 use sleds_sim_core::{Errno, SimError, SimResult, TenantId};
 
 use crate::inode::Stat;
+use crate::payload::Payload;
 use crate::prog::ProgPricing;
 use crate::ring::RingCompletion;
 use crate::sled::Sled;
@@ -223,7 +224,7 @@ pub enum SyscallRet {
     /// submissions serviced (the typed `ring_enter`).
     Count(u64),
     /// From `read`/`pread`.
-    Bytes(Vec<u8>),
+    Bytes(Payload),
     /// From `stat`/`fstat`.
     Stat(Stat),
     /// From `readdir`: entry names in name order.
@@ -289,7 +290,7 @@ impl SyscallRet {
     }
 
     /// Unwraps [`SyscallRet::Bytes`].
-    pub fn bytes(self) -> SimResult<Vec<u8>> {
+    pub fn bytes(self) -> SimResult<Payload> {
         match self {
             SyscallRet::Bytes(b) => Ok(b),
             other => other.wrong("Bytes"),

@@ -306,3 +306,65 @@ fn captured_reads_record_the_fold_of_the_bytes_they_returned() {
 
     assert_eq!(recorded_reads(&mut k), want);
 }
+
+/// A read that lies wholly in a hole is never built: the recorder takes its
+/// digest from a table of the lanes after `k` zero pages, grown as far as
+/// the longest such read so far. Whatever order the table grew in, and in
+/// a second recorder on the same kernel, every such read must record the
+/// reference fold of that many zeros — at page-aligned and unaligned
+/// offsets, below, at and past the length up to which no buffer is made —
+/// and reads that do find stored bytes must record what they did before.
+#[test]
+fn captured_hole_reads_record_the_fold_of_that_many_zeros() {
+    const HOLE: u64 = 5 << 20;
+    const STORED: usize = 6_000;
+    let sizes = [
+        1,
+        31,
+        32,
+        4095,
+        4096,
+        4097,
+        16 << 10,
+        (64 << 10) + 5,
+        2 << 20,
+        (2 << 20) + 1,
+    ];
+    let mut k = Kernel::table2();
+    k.mkdir("/d").unwrap();
+    k.mount_disk("/d", DiskDevice::table2_disk("hda")).unwrap();
+    k.install_sparse_file("/d/hole", HOLE).unwrap();
+    k.install_sparse_file("/d/mixed", 3 * STORED as u64)
+        .unwrap();
+    let mixed = k.open("/d/mixed", OpenFlags::RDWR).unwrap();
+    let stored = seeded(STORED, 0x570);
+    k.write(mixed, &stored).unwrap();
+    let mut image = stored.clone();
+    image.resize(3 * STORED, 0);
+    let hole = k.open("/d/hole", OpenFlags::RDONLY).unwrap();
+    let zeros = vec![0u8; (2 << 20) + 1];
+
+    let largest_first: Vec<usize> = sizes.iter().rev().copied().collect();
+    for order in [&sizes[..], &largest_first[..]] {
+        k.start_capture(256);
+        let mut want = Vec::new();
+        for &n in order {
+            for pos in [0, 3 * 4096, 4097 + n as u64 % 13] {
+                let got = k.pread(hole, pos, n).unwrap();
+                assert_eq!(got, zeros[..n], "{n} bytes at {pos}");
+                want.push((n as u64, fold_reference(&zeros[..n])));
+            }
+            // All stored, then a stored prefix with a hole tail.
+            for (pos, len) in [(7, n.min(STORED - 7)), (STORED - 33, n.min(STORED))] {
+                let got = k.pread(mixed, pos as u64, len).unwrap();
+                assert_eq!(got, image[pos..pos + len], "{len} bytes at {pos}");
+                want.push((len as u64, fold_reference(&image[pos..pos + len])));
+            }
+        }
+        // Short at end-of-file: the table is indexed by bytes returned.
+        let got = k.pread(hole, HOLE - 4097, 1 << 20).unwrap();
+        want.push((4097, fold_reference(&zeros[..4097])));
+        assert_eq!(got.len(), 4097);
+        assert_eq!(recorded_reads(&mut k), want, "sizes {order:?}");
+    }
+}

@@ -155,3 +155,70 @@ fn an_fd_whose_inode_was_unlinked_is_estale() {
     k.close(fd).unwrap();
     assert_eq!(errno_of(k.close(fd)), Some(Errno::Ebadf));
 }
+
+/// `read`/`pread` at the edges of a file's window: every `pos` around the
+/// size and at the end of the number line, every `len` from nothing to
+/// `usize::MAX`, on a stored file, a sparse file (whose reads carry no
+/// buffer) and a sparse file with a stored prefix. Each call returns
+/// exactly the bytes of the file image it overlaps — none at or past the
+/// size — moves `bytes_read` (and, for `read`, the offset) by that many, and
+/// overflows nowhere: this runs in debug, where an unsaturated `pos + len`
+/// would panic.
+#[test]
+fn reads_at_the_edges_of_the_window_are_exact_and_never_overflow() {
+    const SIZE: u64 = PAGE_SIZE + 904;
+    const PREFIX: usize = 1000;
+    let stored: Vec<u8> = (0..SIZE).map(|i| (i % 251) as u8 + 1).collect();
+    let mut k = Kernel::table2();
+    k.mkdir("/data").unwrap();
+    k.mount_disk("/data", DiskDevice::table2_disk("hda"))
+        .unwrap();
+    k.install_file("/data/stored", &stored).unwrap();
+    k.install_sparse_file("/data/sparse", SIZE).unwrap();
+    k.install_sparse_file("/data/mixed", SIZE).unwrap();
+    let fd = k.open("/data/mixed", OpenFlags::RDWR).unwrap();
+    k.write(fd, &stored[..PREFIX]).unwrap();
+    k.close(fd).unwrap();
+    let mut mixed = stored[..PREFIX].to_vec();
+    mixed.resize(SIZE as usize, 0);
+
+    let lens = [0, 1, PAGE_SIZE as usize, SIZE as usize, usize::MAX];
+    for (path, image) in [
+        ("/data/stored", &stored),
+        ("/data/sparse", &vec![0; SIZE as usize]),
+        ("/data/mixed", &mixed),
+    ] {
+        let fd = k.open(path, OpenFlags::RDONLY).unwrap();
+        for pos in [0, PREFIX as u64, SIZE - 1, SIZE, SIZE + 1, u64::MAX] {
+            for len in lens {
+                let start = pos.min(SIZE) as usize;
+                let want = &image[start..start + len.min(SIZE as usize - start)];
+                let before = k.usage().bytes_read;
+                let got = k.pread(fd, pos, len).unwrap();
+                assert_eq!(got.len(), want.len(), "{path}: pread({pos}, {len})");
+                assert_eq!(got, want, "{path}: pread({pos}, {len})");
+                assert_eq!(got.is_empty(), want.is_empty());
+                assert_eq!(k.usage().bytes_read - before, want.len() as u64);
+                assert_eq!(k.lseek(fd, 0, Whence::Cur).unwrap(), 0, "pread moved");
+
+                // The sequential form, from wherever `lseek` can put it.
+                let Ok(at) = i64::try_from(pos) else { continue };
+                k.lseek(fd, at, Whence::Set).unwrap();
+                let before = k.usage().bytes_read;
+                let got = k.read(fd, len).unwrap();
+                assert_eq!(got, want, "{path}: read({len}) at {pos}");
+                assert_eq!(k.usage().bytes_read - before, want.len() as u64);
+                let end = k.lseek(fd, 0, Whence::Cur).unwrap();
+                assert_eq!(end, pos + want.len() as u64, "{path}: offset");
+                k.lseek(fd, 0, Whence::Set).unwrap();
+            }
+        }
+        // As far out as a sequential offset goes.
+        k.lseek(fd, i64::MAX, Whence::Set).unwrap();
+        for len in lens {
+            assert!(k.read(fd, len).unwrap().is_empty());
+        }
+        assert_eq!(k.lseek(fd, 0, Whence::Cur).unwrap(), i64::MAX as u64);
+        k.close(fd).unwrap();
+    }
+}

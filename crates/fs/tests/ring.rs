@@ -12,8 +12,8 @@ use sleds::{
 };
 use sleds_devices::{DiskDevice, FaultPlan};
 use sleds_fs::{
-    Fd, FileKind, Kernel, OpenFlags, PickProgram, ProgInst, ProgOrder, SubmissionRing, Syscall,
-    SyscallRet, Whence,
+    Fd, FileKind, Kernel, OpenFlags, Payload, PickProgram, ProgInst, ProgOrder, SubmissionRing,
+    Syscall, SyscallRet, Whence,
 };
 use sleds_sim_core::{Errno, SimDuration, SimTime, PAGE_SIZE};
 
@@ -105,7 +105,7 @@ fn each_enter_charges_one_crossing_and_the_cpu_formula_holds() {
         ring.push(i, pread_op(fd, i * PAGE_SIZE, 512)).unwrap();
     }
     assert_eq!(k.ring_enter(&mut ring).unwrap(), N as usize);
-    let ring_bytes: Vec<Vec<u8>> = k
+    let ring_bytes: Vec<Payload> = k
         .ring_reap(&mut ring)
         .into_iter()
         .map(|c| match c.result.unwrap() {

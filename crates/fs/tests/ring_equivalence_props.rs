@@ -18,7 +18,8 @@
 use sleds::{PickConfig, PickSession, Sled, SledsEntry, SledsTable};
 use sleds_devices::{BlockDevice, CdRomDevice, DiskDevice, FaultPlan, NfsDevice, TapeDevice};
 use sleds_fs::{
-    Fd, Kernel, OpenFlags, SubmissionRing, Syscall, SyscallRet, TenantId, VolumeLayout, Whence,
+    Fd, Kernel, OpenFlags, Payload, SubmissionRing, Syscall, SyscallRet, TenantId, VolumeLayout,
+    Whence,
 };
 use sleds_lmbench::fill_table;
 use sleds_sim_core::{check, DetRng, SimDuration, SimTime, PAGE_SIZE};
@@ -171,7 +172,7 @@ impl Params {
 
 /// One chunk's outcome, comparable across the two modes: the bytes, or the
 /// full error rendering (errno + message).
-type ChunkResult = Result<Vec<u8>, String>;
+type ChunkResult = Result<Payload, String>;
 
 fn sled_bits(sleds: &[Sled]) -> Vec<(u64, u64, u64, u64)> {
     sleds
