@@ -16,6 +16,14 @@
 //! | `fimhisto` | reorder passes 2–3 (LHEASOFT)   | [`fimhisto`]  |
 //! | `fimgbin`  | reorder rebin reads (LHEASOFT)  | [`fimgbin`]   |
 
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "unit tests pin exact, deterministic float results"
+    )
+)]
+
 pub mod fimgbin;
 pub mod fimhisto;
 pub mod find;

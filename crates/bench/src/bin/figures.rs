@@ -160,6 +160,10 @@ fn run(id: &str) {
         }
         other => {
             eprintln!("unknown experiment {other:?}");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a binary's usage error: exit status 2, nothing to unwind"
+            )]
             std::process::exit(2);
         }
     }
@@ -189,6 +193,10 @@ fn main() {
         eprintln!("usage: figures [all | fig3 fig4 table2 table3 table4 fig7 fig8 fig9 fig10");
         eprintln!("                 fig11 fig12 fig13 fig14 fig15 hsm ablations]...");
         eprintln!("set SLEDS_QUICK=1 for a reduced sweep, SLEDS_RESULTS=dir for output dir");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a binary's usage error: exit status 2, nothing to unwind"
+        )]
         std::process::exit(2);
     }
     let list: Vec<&str> = if args.iter().any(|a| a == "all") {

@@ -5,6 +5,10 @@
 //! iterations as fit a small wall-clock budget, and reports the mean
 //! nanoseconds per iteration. `SLEDS_QUICK=1` shrinks the budget for CI.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "this crate measures the host on purpose: host time per iteration is its result"
+)]
 use std::time::{Duration, Instant};
 
 /// One benchmark's result.
@@ -43,6 +47,7 @@ fn budget() -> Duration {
 /// the compiler cannot elide the benchmarked work.
 pub fn time<T>(name: &str, mut f: impl FnMut() -> T) -> Timing {
     // Warmup: one call always, a few more if they are cheap.
+    #[expect(clippy::disallowed_types, reason = "host time sizes the warm-up")]
     let warm_start = Instant::now();
     std::hint::black_box(f());
     let first = warm_start.elapsed();
@@ -56,6 +61,10 @@ pub fn time<T>(name: &str, mut f: impl FnMut() -> T) -> Timing {
     }
 
     let budget = budget();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host time per iteration is the benchmark's result"
+    )]
     let start = Instant::now();
     let mut iters = 0u64;
     while start.elapsed() < budget {

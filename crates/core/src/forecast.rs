@@ -13,7 +13,7 @@
 //! after 3 means "read it now or lose it".
 
 use sleds_fs::{Fd, Kernel};
-use sleds_sim_core::{SimResult, PAGE_SIZE};
+use sleds_sim_core::{index, SimResult, PAGE_SIZE};
 
 use crate::get::fsleds_get;
 use crate::report::SledReport;
@@ -56,7 +56,7 @@ pub fn forecast(kernel: &mut Kernel, table: &SledsTable, fd: Fd) -> SimResult<Ve
                 let first = sled.offset / PAGE_SIZE;
                 let last = (sled.end() - 1) / PAGE_SIZE;
                 (first..=last)
-                    .filter_map(|p| ranks.get(p as usize).copied().flatten())
+                    .filter_map(|p| ranks.get(index(p)).copied().flatten())
                     .min()
                     .map(|r| r as u64 + headroom)
             } else {

@@ -31,6 +31,28 @@
 //! * [`predicate`] — the `find -latency [+|-][m|u]n` predicate;
 //! * [`report`] — the gmc-style human-readable rendering.
 
+// Kernel path (DESIGN §5c): fail with a typed `SimError`, never abort the
+// simulation; a narrowing cast names the bound that makes it lossless.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::cast_possible_truncation
+    )
+)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "unit tests pin exact, deterministic float results"
+    )
+)]
+
 pub mod cache;
 pub mod estimate;
 pub mod forecast;

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use sleds_fs::sled::{plan_chunks, plan_cost};
 use sleds_fs::{Fd, Kernel, SubmissionRing, Syscall, SyscallRet};
-use sleds_sim_core::{SimDuration, SimResult, PAGE_SIZE};
+use sleds_sim_core::{index, SimDuration, SimResult, PAGE_SIZE};
 
 use crate::cache::SledCache;
 use crate::get::fsleds_get;
@@ -349,7 +349,7 @@ fn find_backward(
     let mut hi = end;
     while hi > start {
         let lo = hi.saturating_sub(PAGE_SIZE).max(start);
-        let buf = kernel.pread(fd, lo, (hi - lo) as usize)?;
+        let buf = kernel.pread(fd, lo, index(hi - lo))?;
         kernel.charge_cpu(SimDuration::from_nanos(SCAN_NS_PER_BYTE * buf.len() as u64));
         if let Some(i) = buf.iter().rposition(|&b| b == sep) {
             return Ok(Some(lo + i as u64));

@@ -69,6 +69,10 @@ impl LatencyPredicate {
     ///
     /// Like `find -atime`, the "exactly n" form compares in whole units:
     /// an estimate of 5.4 seconds matches `-latency 5`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-integer `as` saturates: an estimate of 2^64 units or more matches no smaller n"
+    )]
     pub fn matches(&self, estimate_secs: f64) -> bool {
         match self.cmp {
             Ordering::Greater => estimate_secs > self.n as f64 * self.unit,

@@ -24,6 +24,10 @@ use crate::Sled;
 /// (`n as f64 * unit`). The whole-unit `n` form becomes
 /// `floor(delivery / unit) == n as f64`; the comparison is exact for
 /// thresholds below 2^53, far past any plausible `-latency` argument.
+#[expect(
+    clippy::expect_used,
+    reason = "fixed-shape programs below: 3 or 6 insts, arity 1, finite constants"
+)]
 pub fn compile_latency(pred: &LatencyPredicate) -> PickProgram {
     let (cmp, unit, n) = pred.parts();
     let insts = match cmp {
@@ -46,7 +50,6 @@ pub fn compile_latency(pred: &LatencyPredicate) -> PickProgram {
             ProgInst::Eq,
         ],
     };
-    // sledlint::allow(D005, fixed-shape programs above: 3 or 6 insts, arity 1, finite constants)
     PickProgram::new(insts).expect("compiled latency predicate always verifies")
 }
 

@@ -27,7 +27,7 @@
 
 use sleds_fs::trace::Metrics;
 use sleds_fs::{DeviceId, Fd, Kernel};
-use sleds_sim_core::SimResult;
+use sleds_sim_core::{index, SimResult};
 
 use crate::table::{SledsEntry, SledsTable};
 
@@ -111,7 +111,7 @@ pub fn recalibrate_from_metrics(
         skipped: Vec::new(),
     };
     for &(dev, class) in devices {
-        let Some(cm) = metrics.device.get(class as usize) else {
+        let Some(cm) = metrics.device.get(index(class)) else {
             out.skipped.push(dev);
             continue;
         };

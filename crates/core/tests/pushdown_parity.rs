@@ -6,6 +6,11 @@
 //! places the two once disagreed: a mirror whose primary is offline, a
 //! (k, n)-coded volume, and a table the flat rows cannot carry.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "parity means bit-identical estimates on both sides"
+)]
+
 use sleds::{fsleds_get, pricing_from, PickConfig, PickSession, Sled, SledsEntry, SledsTable};
 use sleds_devices::{BlockDevice, DiskDevice, FaultPlan};
 use sleds_fs::{

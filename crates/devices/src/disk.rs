@@ -265,6 +265,10 @@ impl DiskDevice {
         Bandwidth::bytes_per_sec(track_bytes / track_time)
     }
 
+    #[expect(
+        clippy::unreachable,
+        reason = "every caller range-checks sector < capacity, and capacity is the sum of all zone_sectors"
+    )]
     fn locate(&self, sector: u64) -> Chs {
         debug_assert!(sector < self.capacity);
         let mut remaining = sector;
@@ -273,22 +277,30 @@ impl DiskDevice {
             let per_cyl = self.geom.heads as u64 * z.sectors_per_track as u64;
             let zone_sectors = z.cylinders as u64 * per_cyl;
             if remaining < zone_sectors {
-                // sledlint::allow(D007, quotient < z.cylinders which is u32)
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "quotient < z.cylinders which is u32"
+                )]
                 let cyl_in_zone = (remaining / per_cyl) as u32;
                 let within = remaining % per_cyl;
                 return Chs {
                     zone: zi,
                     cylinder: cyl_base + cyl_in_zone,
-                    // sledlint::allow(D007, quotient < geom.heads which is u32)
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "quotient < geom.heads which is u32"
+                    )]
                     head: (within / z.sectors_per_track as u64) as u32,
-                    // sledlint::allow(D007, remainder < sectors_per_track which is u32)
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "remainder < sectors_per_track which is u32"
+                    )]
                     sector: (within % z.sectors_per_track as u64) as u32,
                 };
             }
             remaining -= zone_sectors;
             cyl_base += z.cylinders;
         }
-        // sledlint::allow(D005, every caller range-checks sector < capacity, and capacity is the sum of all zone_sectors)
         unreachable!("sector {sector} beyond capacity {}", self.capacity);
     }
 

@@ -8,7 +8,7 @@
 //! here: a read that hits a mounted cartridge skips tens of seconds of robot
 //! and load time.
 
-use sleds_sim_core::{SimDuration, SimResult, SimTime};
+use sleds_sim_core::{index, SimDuration, SimResult, SimTime};
 
 use crate::tape::{no_medium, TapeDevice, TapeParams};
 use crate::{
@@ -107,7 +107,7 @@ impl Jukebox {
 
     /// The cartridge that holds `sector`.
     pub fn cartridge_of(&self, sector: u64) -> usize {
-        (sector / self.cart_sectors) as usize
+        index(sector / self.cart_sectors)
     }
 
     fn touch_drive(&mut self, d: usize) {

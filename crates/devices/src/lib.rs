@@ -13,6 +13,21 @@
 //! operation takes. Devices never touch the clock themselves — the kernel
 //! owns it — so a device is an ordinary deterministic state machine.
 
+// Kernel path (DESIGN §5c): fail with a typed `SimError`, never abort the
+// simulation; a narrowing cast names the bound that makes it lossless.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::cast_possible_truncation
+    )
+)]
+
 pub mod cdrom;
 pub mod disk;
 pub mod jukebox;

@@ -145,7 +145,10 @@ impl TapeDevice {
     }
 
     fn coords(&self, sector: u64) -> TapePos {
-        // sledlint::allow(D007, clamped to wraps - 1 which is u32)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "clamped to wraps - 1 which is u32"
+        )]
         let wrap = (sector / self.sectors_per_wrap).min(self.params.wraps as u64 - 1) as u32;
         let within = sector - wrap as u64 * self.sectors_per_wrap;
         let frac = within as f64 / self.sectors_per_wrap as f64;

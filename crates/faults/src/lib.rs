@@ -28,6 +28,21 @@
 //! time)`: the same seed replays byte-identically, which is what lets the
 //! fault-storm experiment diff its report in CI.
 
+// Kernel path (DESIGN §5c): fail with a typed `SimError`, never abort the
+// simulation; a narrowing cast names the bound that makes it lossless.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::cast_possible_truncation
+    )
+)]
+
 use sleds_sim_core::{DetRng, Errno, SimDuration, SimTime};
 
 /// One scheduled fault interval on one device. Half-open: `[start, end)`.
@@ -259,7 +274,7 @@ impl FaultInjector {
 /// device models report (`BlockDevice::name`).
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    // BTreeMap keeps iteration deterministic (sledlint D006).
+    // BTreeMap keeps iteration deterministic (`clippy.toml` bans HashMap).
     devices: std::collections::BTreeMap<String, Vec<FaultWindow>>,
 }
 

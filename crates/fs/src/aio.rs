@@ -17,7 +17,7 @@
 //! the overflow pages swap through the mount's device.
 
 use sleds_pagecache::PageKey;
-use sleds_sim_core::{Errno, SimDuration, SimError, SimResult, PAGE_SIZE};
+use sleds_sim_core::{index, Errno, SimDuration, SimError, SimResult, PAGE_SIZE};
 
 use crate::inode::Ino;
 use crate::kernel::{Fd, Kernel};
@@ -56,7 +56,7 @@ impl Kernel {
         chunk_size: usize,
         cpu_ns_per_byte: u64,
     ) -> SimResult<(AioChunks, AioReport)> {
-        let chunk_size = chunk_size.max(PAGE_SIZE as usize);
+        let chunk_size = chunk_size.max(index(PAGE_SIZE));
         let (ino, size) = {
             let st = self.fstat(fd)?;
             if st.kind != crate::inode::FileKind::File {
@@ -90,7 +90,7 @@ impl Kernel {
         // Completion order: cached chunks first (they finish "instantly"),
         // then device chunks as the hardware delivers them.
         for &off in cached.iter().chain(uncached.iter()) {
-            let len = (size - off).min(chunk_size as u64) as usize;
+            let len = index((size - off).min(chunk_size as u64));
             // The fault/copy costs of this chunk, measured around a normal
             // positioned read so device state stays honest.
             let before_usage = self.usage();

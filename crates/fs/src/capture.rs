@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sleds_sim_core::{Errno, PAGE_SIZE};
+use sleds_sim_core::{index, Errno, PAGE_SIZE};
 use sleds_trace::DeviceCost;
 
 use crate::syscall::Syscall;
@@ -151,7 +151,7 @@ impl PayloadFold {
     pub(crate) fn zeros_into(&mut self, out: &mut Vec<u8>, n: usize) {
         const ZERO_BLOCK: [u8; 32] = [0; 32];
         let end = out.len() + n;
-        let head = n.min((32 - self.len as usize % 32) % 32);
+        let head = n.min((32 - index(self.len) % 32) % 32);
         out.resize(out.len() + head, 0);
         self.feed(&ZERO_BLOCK[..head]);
         while end - out.len() >= 32 {
@@ -300,7 +300,7 @@ struct InFlight {
 
 /// The flight recorder the kernel arms via `Kernel::start_capture`.
 ///
-/// Bounded (D009): holds at most `budget` ops; hitting the budget marks
+/// Bounded: holds at most `budget` ops; hitting the budget marks
 /// the capture incomplete and stops retaining further ops, it never
 /// drops silently.
 #[derive(Debug)]
@@ -417,8 +417,8 @@ impl WorkloadRecorder {
     /// follows: they are looked up (each page is folded once per recorder)
     /// and only the `n % PAGE_SIZE` bytes past them are fed.
     pub(crate) fn fold_zeros(&mut self, n: u64) -> u64 {
-        const ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
-        let pages = (n / PAGE_SIZE) as usize;
+        const ZERO_PAGE: [u8; index(PAGE_SIZE)] = [0; index(PAGE_SIZE)];
+        let pages = index(n / PAGE_SIZE);
         for k in self.zero_pages.len()..=pages {
             let mut fold = PayloadFold {
                 lanes: self.zero_pages[k - 1],
@@ -432,7 +432,7 @@ impl WorkloadRecorder {
             len: pages as u64 * PAGE_SIZE,
             ..PayloadFold::default()
         };
-        fold.feed(&ZERO_PAGE[..(n % PAGE_SIZE) as usize]);
+        fold.feed(&ZERO_PAGE[..index(n % PAGE_SIZE)]);
         fold.finish()
     }
 

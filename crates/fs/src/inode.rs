@@ -10,12 +10,11 @@
 
 use std::collections::BTreeMap;
 
-use sleds_sim_core::{SimTime, PAGE_SIZE, SECTOR_SIZE};
+use sleds_sim_core::{Pages, Sectors, SimTime};
 
 use crate::kernel::{DeviceId, MountId};
 
-/// Sectors per page.
-pub const SECTORS_PER_PAGE: u64 = PAGE_SIZE / SECTOR_SIZE;
+pub use sleds_sim_core::SECTORS_PER_PAGE;
 
 /// An inode number, unique across the whole kernel.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -36,7 +35,7 @@ pub struct PagePlace {
     /// The device holding the page.
     pub dev: DeviceId,
     /// First sector of the page on that device.
-    pub sector: u64,
+    pub sector: Sectors,
 }
 
 /// One run of a file's layout: `pages` consecutive file pages starting at
@@ -44,29 +43,34 @@ pub struct PagePlace {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LayoutRun {
     /// First file page of the run.
-    pub start_page: u64,
+    pub start_page: Pages,
     /// Number of pages in the run.
-    pub pages: u64,
+    pub pages: Pages,
     /// The device holding the run.
     pub dev: DeviceId,
     /// First sector of `start_page` on that device.
-    pub sector: u64,
+    pub sector: Sectors,
 }
 
 impl LayoutRun {
     /// First file page past the run.
-    pub fn end_page(&self) -> u64 {
+    pub fn end_page(&self) -> Pages {
         // Saturation intended: a run at the top of the page space still
         // compares correctly as "ends at the end".
-        self.start_page.saturating_add(self.pages)
+        self.start_page + self.pages
+    }
+
+    /// Sector of `page` on the run's device. `page` must not precede the run.
+    fn sector_of(&self, page: Pages) -> Sectors {
+        self.sector + (page - self.start_page).sectors()
     }
 
     /// Where `page` lives. `page` must lie inside the run.
-    pub fn place_of(&self, page: u64) -> PagePlace {
+    pub fn place_of(&self, page: Pages) -> PagePlace {
         debug_assert!(self.start_page <= page && page < self.end_page());
         PagePlace {
             dev: self.dev,
-            sector: self.sector + (page - self.start_page) * SECTORS_PER_PAGE,
+            sector: self.sector_of(page),
         }
     }
 }
@@ -80,7 +84,7 @@ impl LayoutRun {
 #[derive(Clone, Debug, Default)]
 pub struct PageMap {
     runs: Vec<LayoutRun>,
-    pages: u64,
+    pages: Pages,
     /// Bumped on every mutation (append, remap, clear) and by
     /// [`FileNode::set_size`] on size changes; never reset, so
     /// `(residency gen, layout gen)` pairs version SLED vectors without ABA.
@@ -94,13 +98,13 @@ impl PageMap {
     }
 
     /// Number of mapped pages.
-    pub fn page_count(&self) -> u64 {
+    pub fn page_count(&self) -> Pages {
         self.pages
     }
 
     /// True when nothing is mapped.
     pub fn is_empty(&self) -> bool {
-        self.pages == 0
+        self.pages == Pages::ZERO
     }
 
     /// Number of layout runs.
@@ -125,7 +129,7 @@ impl PageMap {
         &self.runs
     }
 
-    fn run_index_of(&self, page: u64) -> Option<usize> {
+    fn run_index_of(&self, page: Pages) -> Option<usize> {
         if page >= self.pages {
             return None;
         }
@@ -137,23 +141,23 @@ impl PageMap {
     }
 
     /// The run containing `page`, if mapped.
-    pub fn run_of(&self, page: u64) -> Option<LayoutRun> {
+    pub fn run_of(&self, page: Pages) -> Option<LayoutRun> {
         self.run_index_of(page).map(|i| self.runs[i])
     }
 
     /// Where `page` lives, if mapped. O(log runs).
-    pub fn place_of(&self, page: u64) -> Option<PagePlace> {
+    pub fn place_of(&self, page: Pages) -> Option<PagePlace> {
         self.run_of(page).map(|r| r.place_of(page))
     }
 
     /// First page past `page` at which the layout stops being
     /// device-contiguous with `page` — the end of its (maximal) run.
-    pub fn contiguous_end(&self, page: u64) -> Option<u64> {
+    pub fn contiguous_end(&self, page: Pages) -> Option<Pages> {
         self.run_of(page).map(|r| r.end_page())
     }
 
     /// The runs overlapping `first..=last`, clipped to it, ascending.
-    pub fn runs_in(&self, first: u64, last: u64) -> Vec<LayoutRun> {
+    pub fn runs_in(&self, first: Pages, last: Pages) -> Vec<LayoutRun> {
         if first > last {
             return Vec::new();
         }
@@ -164,25 +168,25 @@ impl PageMap {
                 break;
             }
             let s = r.start_page.max(first);
-            let e = r.end_page().min(last.saturating_add(1));
+            let e = r.end_page().min(last + Pages::new(1));
             out.push(LayoutRun {
                 start_page: s,
                 pages: e - s,
                 dev: r.dev,
-                sector: r.sector + (s - r.start_page) * SECTORS_PER_PAGE,
+                sector: r.sector_of(s),
             });
         }
         out
     }
 
     fn push_coalescing(out: &mut Vec<LayoutRun>, r: LayoutRun) {
-        if r.pages == 0 {
+        if r.pages == Pages::ZERO {
             return;
         }
         if let Some(last) = out.last_mut() {
             if last.dev == r.dev
                 && last.end_page() == r.start_page
-                && last.sector + last.pages * SECTORS_PER_PAGE == r.sector
+                && last.sector + last.pages.sectors() == r.sector
             {
                 last.pages += r.pages;
                 return;
@@ -193,8 +197,8 @@ impl PageMap {
 
     /// Appends `pages` pages at the end of the mapping, starting at
     /// `sector` on `dev`; merges with the final run when contiguous.
-    pub fn append_run(&mut self, dev: DeviceId, sector: u64, pages: u64) {
-        if pages == 0 {
+    pub fn append_run(&mut self, dev: DeviceId, sector: Sectors, pages: Pages) {
+        if pages == Pages::ZERO {
             return;
         }
         let r = LayoutRun {
@@ -211,8 +215,8 @@ impl PageMap {
     /// Remaps pages `[start_page, start_page + pages)` — which must already
     /// be mapped — to a device-contiguous run starting at `sector` on `dev`.
     /// Used by HSM staging (tape run → disk copy) and migration.
-    pub fn remap_run(&mut self, start_page: u64, pages: u64, dev: DeviceId, sector: u64) {
-        if pages == 0 {
+    pub fn remap_run(&mut self, start_page: Pages, pages: Pages, dev: DeviceId, sector: Sectors) {
+        if pages == Pages::ZERO {
             return;
         }
         let end = start_page + pages;
@@ -262,7 +266,7 @@ impl PageMap {
                         start_page: end,
                         pages: r.end_page() - end,
                         dev: r.dev,
-                        sector: r.sector + (end - r.start_page) * SECTORS_PER_PAGE,
+                        sector: r.sector_of(end),
                     },
                 );
             }
@@ -277,7 +281,7 @@ impl PageMap {
     /// Unmaps everything (truncate). The generation keeps counting.
     pub fn clear(&mut self) {
         self.runs.clear();
-        self.pages = 0;
+        self.pages = Pages::ZERO;
         self.gen += 1;
     }
 }
@@ -292,7 +296,7 @@ pub struct FileNode {
     /// compute real answers; devices only model cost.
     pub data: Vec<u8>,
     /// Stable-storage layout, run-length encoded. Covers at least
-    /// `size.div_ceil(PAGE_SIZE)` pages.
+    /// [`FileNode::page_count`] pages.
     pub pages: PageMap,
     /// For HSM files: the tape-home layout, kept while pages are staged on
     /// disk so the staged copy can be discarded without copying back.
@@ -331,8 +335,8 @@ impl FileNode {
     }
 
     /// Number of pages the file spans.
-    pub fn page_count(&self) -> u64 {
-        self.size.div_ceil(PAGE_SIZE)
+    pub fn page_count(&self) -> Pages {
+        Pages::spanning(self.size)
     }
 }
 
@@ -421,23 +425,32 @@ pub struct Stat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sleds_sim_core::PAGE_SIZE;
+
+    fn pg(n: u64) -> Pages {
+        Pages::new(n)
+    }
+
+    fn sec(n: u64) -> Sectors {
+        Sectors::new(n)
+    }
 
     #[test]
     fn file_page_count_rounds_up() {
         let mut f = FileNode::default();
-        assert_eq!(f.page_count(), 0);
+        assert_eq!(f.page_count(), pg(0));
         f.set_size(1);
-        assert_eq!(f.page_count(), 1);
+        assert_eq!(f.page_count(), pg(1));
         f.set_size(PAGE_SIZE);
-        assert_eq!(f.page_count(), 1);
+        assert_eq!(f.page_count(), pg(1));
         f.set_size(PAGE_SIZE + 1);
-        assert_eq!(f.page_count(), 2);
+        assert_eq!(f.page_count(), pg(2));
     }
 
     #[test]
     fn a_size_change_versions_the_layout_and_a_no_op_does_not() {
         let mut f = FileNode::default();
-        f.pages.append_run(DeviceId(0), 0, 2);
+        f.pages.append_run(DeviceId(0), sec(0), pg(2));
         let g0 = f.pages.generation();
         f.set_size(PAGE_SIZE + 7);
         let g1 = f.pages.generation();
@@ -449,7 +462,7 @@ mod tests {
         assert!(g2 > g1, "so does shrinking it");
         f.truncate();
         assert_eq!(f.pages.generation(), g2 + 1, "truncation versions once");
-        assert_eq!((f.size(), f.pages.page_count()), (0, 0));
+        assert_eq!((f.size(), f.pages.page_count()), (0, pg(0)));
     }
 
     #[test]
@@ -481,121 +494,124 @@ mod tests {
     #[test]
     fn append_run_merges_contiguous_allocations() {
         let mut m = PageMap::new();
-        m.append_run(D0, 2048, 4);
-        m.append_run(D0, 2048 + 4 * SECTORS_PER_PAGE, 4);
+        m.append_run(D0, sec(2048), pg(4));
+        m.append_run(D0, sec(2048 + 4 * SECTORS_PER_PAGE), pg(4));
         assert_eq!(m.run_count(), 1, "contiguous appends must merge");
-        assert_eq!(m.page_count(), 8);
+        assert_eq!(m.page_count(), pg(8));
         // A gap breaks the run.
-        m.append_run(D0, 9000, 2);
+        m.append_run(D0, sec(9000), pg(2));
         assert_eq!(m.run_count(), 2);
-        assert_eq!(m.page_count(), 10);
+        assert_eq!(m.page_count(), pg(10));
         // A different device always breaks the run.
-        m.append_run(D1, 9000 + 2 * SECTORS_PER_PAGE, 1);
+        m.append_run(D1, sec(9000 + 2 * SECTORS_PER_PAGE), pg(1));
         assert_eq!(m.run_count(), 3);
     }
 
     #[test]
     fn place_of_matches_per_page_expansion() {
         let mut m = PageMap::new();
-        m.append_run(D0, 2048, 4);
-        m.append_run(D0, 9000, 3);
+        m.append_run(D0, sec(2048), pg(4));
+        m.append_run(D0, sec(9000), pg(3));
         for (page, want) in [
             (0u64, (D0, 2048)),
             (3, (D0, 2048 + 3 * SECTORS_PER_PAGE)),
             (4, (D0, 9000)),
             (6, (D0, 9000 + 2 * SECTORS_PER_PAGE)),
         ] {
-            let p = m.place_of(page).unwrap();
-            assert_eq!((p.dev, p.sector), want, "page {page}");
+            let p = m.place_of(pg(page)).unwrap();
+            assert_eq!((p.dev, p.sector.get()), want, "page {page}");
         }
-        assert!(m.place_of(7).is_none(), "beyond the mapping");
+        assert!(m.place_of(pg(7)).is_none(), "beyond the mapping");
     }
 
     #[test]
     fn contiguous_end_is_run_end() {
         let mut m = PageMap::new();
-        m.append_run(D0, 2048, 4);
-        m.append_run(D0, 9000, 3);
-        assert_eq!(m.contiguous_end(0), Some(4));
-        assert_eq!(m.contiguous_end(3), Some(4));
-        assert_eq!(m.contiguous_end(4), Some(7));
-        assert_eq!(m.contiguous_end(7), None);
+        m.append_run(D0, sec(2048), pg(4));
+        m.append_run(D0, sec(9000), pg(3));
+        assert_eq!(m.contiguous_end(pg(0)), Some(pg(4)));
+        assert_eq!(m.contiguous_end(pg(3)), Some(pg(4)));
+        assert_eq!(m.contiguous_end(pg(4)), Some(pg(7)));
+        assert_eq!(m.contiguous_end(pg(7)), None);
     }
 
     #[test]
     fn runs_in_clips() {
         let mut m = PageMap::new();
-        m.append_run(D0, 2048, 4); // pages 0..4
-        m.append_run(D0, 9000, 4); // pages 4..8
-        let clipped = m.runs_in(2, 5);
+        m.append_run(D0, sec(2048), pg(4)); // pages 0..4
+        m.append_run(D0, sec(9000), pg(4)); // pages 4..8
+        let clipped = m.runs_in(pg(2), pg(5));
         assert_eq!(clipped.len(), 2);
-        assert_eq!(clipped[0].start_page, 2);
-        assert_eq!(clipped[0].pages, 2);
-        assert_eq!(clipped[0].sector, 2048 + 2 * SECTORS_PER_PAGE);
-        assert_eq!(clipped[1].start_page, 4);
-        assert_eq!(clipped[1].pages, 2);
-        assert_eq!(clipped[1].sector, 9000);
-        assert!(m.runs_in(8, 20).is_empty());
-        assert!(m.runs_in(5, 2).is_empty());
+        assert_eq!(clipped[0].start_page, pg(2));
+        assert_eq!(clipped[0].pages, pg(2));
+        assert_eq!(clipped[0].sector, sec(2048 + 2 * SECTORS_PER_PAGE));
+        assert_eq!(clipped[1].start_page, pg(4));
+        assert_eq!(clipped[1].pages, pg(2));
+        assert_eq!(clipped[1].sector, sec(9000));
+        assert!(m.runs_in(pg(8), pg(20)).is_empty());
+        assert!(m.runs_in(pg(5), pg(2)).is_empty());
     }
 
     #[test]
     fn remap_run_splits_and_coalesces() {
         let mut m = PageMap::new();
-        m.append_run(D0, 2048, 8); // pages 0..8 on disk
+        m.append_run(D0, sec(2048), pg(8)); // pages 0..8 on disk
         let g0 = m.generation();
         // Stage pages 2..5 somewhere else.
-        m.remap_run(2, 3, D1, 100);
+        m.remap_run(pg(2), pg(3), D1, sec(100));
         assert!(m.generation() > g0);
-        assert_eq!(m.page_count(), 8);
+        assert_eq!(m.page_count(), pg(8));
         assert_eq!(m.run_count(), 3);
-        assert_eq!(m.place_of(1).unwrap().sector, 2048 + SECTORS_PER_PAGE);
         assert_eq!(
-            m.place_of(2).unwrap(),
+            m.place_of(pg(1)).unwrap().sector,
+            sec(2048 + SECTORS_PER_PAGE)
+        );
+        assert_eq!(
+            m.place_of(pg(2)).unwrap(),
             PagePlace {
                 dev: D1,
-                sector: 100
+                sector: sec(100)
             }
         );
         assert_eq!(
-            m.place_of(4).unwrap(),
+            m.place_of(pg(4)).unwrap(),
             PagePlace {
                 dev: D1,
-                sector: 100 + 2 * SECTORS_PER_PAGE
+                sector: sec(100 + 2 * SECTORS_PER_PAGE)
             }
         );
         assert_eq!(
-            m.place_of(5).unwrap(),
+            m.place_of(pg(5)).unwrap(),
             PagePlace {
                 dev: D0,
-                sector: 2048 + 5 * SECTORS_PER_PAGE
+                sector: sec(2048 + 5 * SECTORS_PER_PAGE)
             }
         );
         // Remapping back to the original location re-coalesces to one run.
-        m.remap_run(2, 3, D0, 2048 + 2 * SECTORS_PER_PAGE);
+        m.remap_run(pg(2), pg(3), D0, sec(2048 + 2 * SECTORS_PER_PAGE));
         assert_eq!(m.run_count(), 1);
     }
 
     #[test]
     fn remap_whole_mapping_replaces_it() {
         let mut m = PageMap::new();
-        m.append_run(D0, 2048, 4);
-        m.append_run(D0, 9000, 4);
-        m.remap_run(0, 8, D1, 0);
+        m.append_run(D0, sec(2048), pg(4));
+        m.append_run(D0, sec(9000), pg(4));
+        m.remap_run(pg(0), pg(8), D1, sec(0));
         assert_eq!(m.run_count(), 1);
-        assert_eq!(m.place_of(7).unwrap().dev, D1);
+        assert_eq!(m.place_of(pg(7)).unwrap().dev, D1);
     }
 
     #[test]
     fn clear_keeps_generation_counting() {
         let mut m = PageMap::new();
-        m.append_run(D0, 2048, 4);
+        m.append_run(D0, sec(2048), pg(4));
         let g = m.generation();
         m.clear();
         assert!(m.is_empty());
-        assert_eq!(m.page_count(), 0);
+        assert_eq!(m.page_count(), pg(0));
         assert!(m.generation() > g, "clear must advance the generation");
-        m.append_run(D0, 4096, 1);
-        assert_eq!(m.place_of(0).unwrap().sector, 4096);
+        m.append_run(D0, sec(4096), pg(1));
+        assert_eq!(m.place_of(pg(0)).unwrap().sector, sec(4096));
     }
 }

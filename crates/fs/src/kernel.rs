@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultPlan, FaultState};
 use sleds_pagecache::{Evicted, PageCache, PageKey};
 use sleds_sim_core::{
-    DetRng, Errno, IdTable, IdWindow, RetryPolicy, SimDuration, SimError, SimResult, SimTime,
-    TenantId, PAGE_SIZE, SECTOR_SIZE,
+    index, DetRng, Errno, IdTable, IdWindow, Pages, RetryPolicy, Sectors, SimDuration, SimError,
+    SimResult, SimTime, TenantId,
 };
 use sleds_trace::{span, DeviceCost, Layer, Metrics, TraceEvent, Tracer, Wait};
 
@@ -60,6 +60,8 @@ pub use crate::syscall::{Fd, OpenFlags, Whence};
 /// off identically.
 const RETRY_JITTER_SEED: u64 = 0x5EED_FA17;
 
+const ONE_PAGE: Pages = Pages::new(1);
+
 /// Boundary row shared by both `FSLEDS_GET` extent walks: one span name,
 /// one poison label.
 const IOCTL_FSLEDS_GET: Entry = Entry {
@@ -69,6 +71,10 @@ const IOCTL_FSLEDS_GET: Entry = Entry {
 
 /// Delivery-time estimate in integer nanoseconds for trace marks:
 /// `u64::MAX` stands in for non-finite (offline) estimates.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a float-to-integer `as` saturates, so an estimate past u64 nanoseconds reads as offline"
+)]
 fn estimate_ns(secs: f64) -> u64 {
     if secs.is_finite() {
         (secs * 1e9) as u64
@@ -153,7 +159,7 @@ pub struct RedundantExtent {
 /// Optional file-layout fragmentation for a mount.
 #[derive(Clone, Debug)]
 struct FragConfig {
-    chunk_pages: u64,
+    chunk_pages: Pages,
     gap_pages: u64,
     rng: DetRng,
 }
@@ -162,8 +168,8 @@ struct FragConfig {
 #[derive(Clone, Copy, Debug)]
 struct HsmConfig {
     tape: DeviceId,
-    stage_chunk_pages: u64,
-    tape_next_sector: u64,
+    stage_chunk_pages: Pages,
+    tape_next_sector: Sectors,
 }
 
 /// Redundant-volume state of a mount: the member devices and their
@@ -177,7 +183,7 @@ struct VolumeState {
     devices: Vec<DeviceId>,
     /// Allocation cursor per non-primary member (the primary allocates
     /// through `Mount::next_sector` as on any mount).
-    replica_next: Vec<u64>,
+    replica_next: Vec<Sectors>,
     /// Round-robin cursor for striped allocation.
     stripe_cursor: usize,
 }
@@ -187,7 +193,7 @@ struct VolumeState {
 struct Mount {
     dev: DeviceId,
     root: Ino,
-    next_sector: u64,
+    next_sector: Sectors,
     read_only: bool,
     frag: Option<FragConfig>,
     hsm: Option<HsmConfig>,
@@ -426,7 +432,7 @@ impl Kernel {
     /// device's command queue keeps every device's schedule monotone, so
     /// queue waits (and only queue waits) reflect the interleaving.
     pub fn tenant_switch(&mut self, t: TenantId) -> SimResult<()> {
-        let idx = t.0 as usize;
+        let idx = index(t.0);
         if idx >= self.tenants.len() {
             return Err(SimError::new(
                 Errno::Einval,
@@ -460,7 +466,7 @@ impl Kernel {
 
     /// A tenant's registered name.
     pub fn tenant_name(&self, t: TenantId) -> Option<&str> {
-        self.tenants.get(t.0 as usize).map(|s| s.name.as_str())
+        self.tenants.get(index(t.0)).map(|s| s.name.as_str())
     }
 
     /// `(id, name)` rows for every registered tenant, ascending by id —
@@ -477,7 +483,7 @@ impl Kernel {
     /// tenant's not-yet-flushed share. Per-tenant rows sum exactly to
     /// [`Kernel::usage`].
     pub fn tenant_usage(&self, t: TenantId) -> Option<Rusage> {
-        let idx = t.0 as usize;
+        let idx = index(t.0);
         self.tenants.get(idx).map(|s| {
             let mut u = s.usage;
             if idx == self.active_tenant {
@@ -490,7 +496,7 @@ impl Kernel {
     /// Where a tenant's timeline currently stands (the kernel clock for
     /// the active tenant, its parked clock otherwise).
     pub fn tenant_now(&self, t: TenantId) -> Option<SimTime> {
-        let idx = t.0 as usize;
+        let idx = index(t.0);
         self.tenants.get(idx).map(|s| {
             if idx == self.active_tenant {
                 self.now()
@@ -502,7 +508,7 @@ impl Kernel {
 
     /// Virtual time elapsed on a tenant's timeline since it registered.
     pub fn tenant_elapsed(&self, t: TenantId) -> Option<SimDuration> {
-        let idx = t.0 as usize;
+        let idx = index(t.0);
         let registered = self.tenants.get(idx)?.registered_at;
         self.tenant_now(t).map(|now| now.duration_since(registered))
     }
@@ -650,7 +656,8 @@ impl Kernel {
                     let demand_share_ppm = if busy == 0 {
                         0
                     } else {
-                        ((load.busy_ns as u128 * 1_000_000) / busy as u128) as u64
+                        let ppm = u128::from(load.busy_ns) * 1_000_000 / u128::from(busy);
+                        u64::try_from(ppm).unwrap_or(u64::MAX)
                     };
                     TenantShare {
                         tenant,
@@ -784,7 +791,8 @@ impl Kernel {
         };
         let n = f.page_count();
         if let Some(h) = self.mounts[mount.0].hsm {
-            if n > 0 && f.pages.runs_in(0, n - 1).iter().any(|r| r.dev == h.tape) {
+            let runs = f.pages.runs_in(Pages::ZERO, n - ONE_PAGE);
+            if n > Pages::ZERO && runs.iter().any(|r| r.dev == h.tape) {
                 return Ok(self.devices[h.tape.0].class());
             }
         }
@@ -838,7 +846,7 @@ impl Kernel {
         if dev.0 >= self.devices.len() {
             return Err(SimError::new(Errno::Einval, format!("no device {dev:?}")));
         }
-        self.device_command(dev, sector, sectors, false)
+        self.device_command(dev, Sectors::new(sector), Sectors::new(sectors), false)
     }
 
     // ------------------------------------------------------------------
@@ -877,8 +885,8 @@ impl Kernel {
     fn device_command(
         &mut self,
         dev: DeviceId,
-        sector: u64,
-        sectors: u64,
+        sector: Sectors,
+        sectors: Sectors,
         write: bool,
     ) -> SimResult<()> {
         let policy = self.retry;
@@ -998,7 +1006,7 @@ impl Kernel {
             dev,
             root: dir,
             // Leave the first megabyte for "metadata", like a real fs.
-            next_sector: 2048,
+            next_sector: Sectors::new(2048),
             read_only,
             frag: None,
             hsm: None,
@@ -1045,8 +1053,8 @@ impl Kernel {
         let tape_id = self.add_device(tape);
         self.mounts[id.0].hsm = Some(HsmConfig {
             tape: tape_id,
-            stage_chunk_pages: stage_chunk_pages.max(1),
-            tape_next_sector: 0,
+            stage_chunk_pages: Pages::new(stage_chunk_pages.max(1)),
+            tape_next_sector: Sectors::ZERO,
         });
         Ok(id)
     }
@@ -1092,7 +1100,7 @@ impl Kernel {
         for d in rest {
             devices.push(self.add_device(d));
             // Same metadata reservation as the primary allocator.
-            replica_next.push(2048);
+            replica_next.push(Sectors::new(2048));
         }
         self.mounts[id.0].volume = Some(VolumeState {
             layout,
@@ -1143,7 +1151,7 @@ impl Kernel {
         self.rec_unsupported("set_fragmentation");
         if let Some(m) = self.mounts.get_mut(mount.0) {
             m.frag = Some(FragConfig {
-                chunk_pages: chunk_pages.max(1),
+                chunk_pages: Pages::new(chunk_pages.max(1)),
                 gap_pages,
                 rng: DetRng::new(seed),
             });
@@ -1460,7 +1468,7 @@ impl Kernel {
             Ok(SyscallRet::Count(buf.len() as u64))
         })?
         .count()
-        .map(|n| n as usize)
+        .map(index)
     }
 
     /// Flushes an open file's dirty pages to its device.
@@ -1509,10 +1517,7 @@ impl Kernel {
         // Saturation intended: a request past u64::MAX still just reads to
         // end-of-file.
         let end = size.min(pos.saturating_add(len as u64));
-        let first_page = pos / PAGE_SIZE;
-        let last_page = (end - 1) / PAGE_SIZE;
-
-        self.fault_in(ino, first_page, last_page)?;
+        self.fault_in(ino, Pages::containing(pos), Pages::containing(end - 1))?;
 
         // Copy out to the caller. Sparse installs have no materialized
         // contents past `data.len()`; holes read as zeros. A read that finds
@@ -1529,13 +1534,13 @@ impl Kernel {
             .is_some_and(|rec| rec.folds_payload());
         let f = self.file_of(ino)?;
         let len = f.data.len() as u64;
-        let stored = &f.data[pos.min(len) as usize..end.min(len) as usize];
-        let hole = bytes as usize - stored.len();
+        let stored = &f.data[index(pos.min(len))..index(end.min(len))];
+        let hole = index(bytes) - stored.len();
         let (out, fold) = if stored.is_empty() {
             let rec = self.recorder.as_mut().filter(|_| folds);
             (Payload::zeros(hole), rec.map(|rec| rec.fold_zeros(bytes)))
         } else {
-            let mut out = Vec::with_capacity(bytes as usize);
+            let mut out = Vec::with_capacity(index(bytes));
             let fold = if folds {
                 let mut fold = PayloadFold::new();
                 fold.copy_into(&mut out, stored);
@@ -1543,7 +1548,7 @@ impl Kernel {
                 Some(fold.finish())
             } else {
                 out.extend_from_slice(stored);
-                out.resize(bytes as usize, 0);
+                out.resize(index(bytes), 0);
                 None
             };
             (Payload::from(out), fold)
@@ -1555,15 +1560,15 @@ impl Kernel {
     }
 
     /// Ensures pages `[first, last]` of `ino` are resident, charging faults.
-    fn fault_in(&mut self, ino: Ino, first_page: u64, last_page: u64) -> SimResult<()> {
+    fn fault_in(&mut self, ino: Ino, first_page: Pages, last_page: Pages) -> SimResult<()> {
         let mut p = first_page;
         while p <= last_page {
-            let key = PageKey::new(ino.0, p);
+            let key = PageKey::new(ino.0, p.get());
             if self.cache.lookup(key) {
                 self.ledger.counts.minor_faults += 1;
                 let now = self.now();
-                self.tracer.cache_hit(now, p, ino.0);
-                p += 1;
+                self.tracer.cache_hit(now, p.get(), ino.0);
+                p += ONE_PAGE;
                 continue;
             }
             // A missing run starts here. Stage the first page if it is
@@ -1574,41 +1579,42 @@ impl Kernel {
             let run_start = p;
             let start_place = self.stage_if_offline(ino, p)?;
             let layout_end = self.layout_run_end(ino, p)?;
-            let cache_end = self.cache.next_boundary(ino.0, p);
-            let run_end = (last_page + 1).min(layout_end).min(cache_end);
+            let cache_end = Pages::new(self.cache.next_boundary(ino.0, p.get()));
+            let run_end = (last_page + ONE_PAGE).min(layout_end).min(cache_end);
             let run_len = run_end - run_start;
             // Readahead: extend the device command past the demand window
             // while pages stay missing and device-contiguous. Prefetched
             // pages are inserted but are not major faults — touching them
             // later is a cache hit, as in a real kernel.
-            let mut ra_len = 0u64;
+            let mut ra_len = Pages::ZERO;
             if self.cfg.readahead_pages > 0 && run_end > last_page {
                 let file_pages = self
                     .inode(ino)?
                     .as_file()
                     .map(|f| f.page_count())
-                    .unwrap_or(0);
-                let ra_cap = (run_end + self.cfg.readahead_pages)
+                    .unwrap_or_default();
+                let ra_cap = (run_end + Pages::new(self.cfg.readahead_pages))
                     .min(file_pages)
                     .min(layout_end)
                     .min(cache_end);
-                ra_len = ra_cap.saturating_sub(run_end);
+                ra_len = ra_cap - run_end;
             }
             // One clustered device command for the run (plus readahead),
             // routed and hedged across volume members when the file is
             // redundant.
             let now = self.now();
-            self.tracer.cache_miss(now, run_start, run_len, ino.0);
+            self.tracer
+                .cache_miss(now, run_start.get(), run_len.get(), ino.0);
             self.redundant_read(ino, start_place, run_start, run_len + ra_len)?;
-            self.ledger.counts.major_faults += run_len;
-            self.charge_cpu(self.cfg.fault_cpu * run_len);
+            self.ledger.counts.major_faults += run_len.get();
+            self.charge_cpu(self.cfg.fault_cpu * run_len.get());
             self.cache_insert_run(ino, run_start, run_len + ra_len, false)?;
             p = run_end;
         }
         Ok(())
     }
 
-    fn place_of(&self, ino: Ino, page: u64) -> SimResult<PagePlace> {
+    fn place_of(&self, ino: Ino, page: Pages) -> SimResult<PagePlace> {
         let f = self
             .inode(ino)?
             .as_file()
@@ -1620,7 +1626,7 @@ impl Kernel {
 
     /// First page past `page` at which the file's layout stops being
     /// device-contiguous with `page` — the end of its maximal layout run.
-    fn layout_run_end(&self, ino: Ino, page: u64) -> SimResult<u64> {
+    fn layout_run_end(&self, ino: Ino, page: Pages) -> SimResult<Pages> {
         let f = self
             .inode(ino)?
             .as_file()
@@ -1630,7 +1636,7 @@ impl Kernel {
             .ok_or_else(|| SimError::new(Errno::Eio, format!("page {page} beyond mapping")))
     }
 
-    fn is_offline(&self, ino: Ino, page: u64) -> SimResult<bool> {
+    fn is_offline(&self, ino: Ino, page: Pages) -> SimResult<bool> {
         let node = self.inode(ino)?;
         let mount = match node.mount {
             Some(m) => m,
@@ -1646,7 +1652,7 @@ impl Kernel {
     /// If page `p` of `ino` lives on tape, stages a chunk around it onto the
     /// staging disk and remaps the staged pages. Returns the (possibly new)
     /// place of page `p`.
-    fn stage_if_offline(&mut self, ino: Ino, p: u64) -> SimResult<PagePlace> {
+    fn stage_if_offline(&mut self, ino: Ino, p: Pages) -> SimResult<PagePlace> {
         if !self.is_offline(ino, p)? {
             return self.place_of(ino, p);
         }
@@ -1659,7 +1665,7 @@ impl Kernel {
             .ok_or_else(|| SimError::new(Errno::Eio, "offline page on a non-HSM mount"))?;
         let page_count = self.file_of(ino)?.page_count();
         let chunk = hsm.stage_chunk_pages;
-        let chunk_start = (p / chunk) * chunk;
+        let chunk_start = Pages::new(p.get() / chunk.get() * chunk.get());
         let chunk_end = (chunk_start + chunk).min(page_count);
 
         // Walk the layout runs inside the chunk: each tape-resident run
@@ -1681,17 +1687,17 @@ impl Kernel {
             let first = run.place_of(q);
             let run_len = run_end - q;
             // Tape read.
-            self.device_command(first.dev, first.sector, run_len * SECTORS_PER_PAGE, false)?;
+            self.device_command(first.dev, first.sector, run_len.sectors(), false)?;
             // Disk write of the staged copy.
-            let sectors = self.allocate_sectors(mount, run_len)?;
+            let staged_at = self.allocate_sectors(mount, run_len)?;
             let disk = self.mounts[mount.0].dev;
-            self.device_command(disk, sectors, run_len * SECTORS_PER_PAGE, true)?;
+            self.device_command(disk, staged_at, run_len.sectors(), true)?;
             // Remap, remembering the tape home.
             let f = self.file_of_mut(ino)?;
             if f.tape_home.is_none() {
                 f.tape_home = Some(f.pages.clone());
             }
-            f.pages.remap_run(q, run_len, disk, sectors);
+            f.pages.remap_run(q, run_len, disk, staged_at);
             q = run_end;
         }
         self.place_of(ino, p)
@@ -1713,8 +1719,8 @@ impl Kernel {
         &self,
         ino: Ino,
         primary: PagePlace,
-        first_page: u64,
-    ) -> SimResult<Vec<(usize, DeviceId, u64)>> {
+        first_page: Pages,
+    ) -> SimResult<Vec<(usize, DeviceId, Sectors)>> {
         let f = self.file_of(ino)?;
         let mut out = vec![(0usize, primary.dev, primary.sector)];
         for (i, map) in f.replicas.iter().enumerate() {
@@ -1754,13 +1760,13 @@ impl Kernel {
         &mut self,
         ino: Ino,
         primary: PagePlace,
-        first_page: u64,
-        pages: u64,
+        first_page: Pages,
+        pages: Pages,
     ) -> SimResult<()> {
         match self.volume_of(ino) {
             Some(VolumeLayout::Mirrored) => self.mirrored_read(ino, primary, first_page, pages),
             Some(VolumeLayout::Coded { k }) => self.coded_read(ino, primary, first_page, pages, k),
-            _ => self.device_command(primary.dev, primary.sector, pages * SECTORS_PER_PAGE, false),
+            _ => self.device_command(primary.dev, primary.sector, pages.sectors(), false),
         }
     }
 
@@ -1773,11 +1779,11 @@ impl Kernel {
         &mut self,
         ino: Ino,
         primary: PagePlace,
-        first_page: u64,
-        pages: u64,
+        first_page: Pages,
+        pages: Pages,
     ) -> SimResult<()> {
-        let sectors = pages * SECTORS_PER_PAGE;
-        let bytes = sectors * SECTOR_SIZE;
+        let sectors = pages.sectors();
+        let bytes = sectors.bytes();
         let now = self.now();
         let mut cands = self.replica_candidates(ino, primary, first_page)?;
         // Cheapest healthy-profile copy first; member order breaks ties,
@@ -1787,7 +1793,7 @@ impl Kernel {
                 .cmp(&self.nominal_estimate(b.1, bytes))
                 .then(a.0.cmp(&b.0))
         });
-        let available: Vec<(usize, DeviceId, u64)> = cands
+        let available: Vec<(usize, DeviceId, Sectors)> = cands
             .iter()
             .copied()
             .filter(|&(_, dev, _)| {
@@ -1867,13 +1873,13 @@ impl Kernel {
         &mut self,
         ino: Ino,
         primary: PagePlace,
-        first_page: u64,
-        pages: u64,
+        first_page: Pages,
+        pages: Pages,
         k: u32,
     ) -> SimResult<()> {
         let k = (k.max(1)) as usize;
-        let frag_sectors = (pages * SECTORS_PER_PAGE).div_ceil(k as u64);
-        let frag_bytes = frag_sectors * SECTOR_SIZE;
+        let frag_sectors = Sectors::new(pages.sectors().get().div_ceil(k as u64));
+        let frag_bytes = frag_sectors.bytes();
         let cands = self.replica_candidates(ino, primary, first_page)?;
         // Members already used: served (their events are in `done`, and
         // survive re-picks) or excluded by a fault.
@@ -1887,7 +1893,7 @@ impl Kernel {
                 break;
             }
             let now = self.now();
-            let mut avail: Vec<(usize, DeviceId, u64)> = cands
+            let mut avail: Vec<(usize, DeviceId, Sectors)> = cands
                 .iter()
                 .copied()
                 .filter(|&(m, dev, _)| {
@@ -1957,14 +1963,14 @@ impl Kernel {
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "write on directory"))?;
             f.pages.page_count()
         };
-        let new_pages = end.div_ceil(PAGE_SIZE);
+        let new_pages = Pages::spanning(end);
         if new_pages > old_pages {
             let added = new_pages - old_pages;
             // `layout_pages` respects fragmentation chunks and volume
             // striping alike; fold its runs onto the tail of the map
             // (`append_run` merges contiguous chunks).
             let added_map = self.layout_pages(mount, added)?;
-            let runs = added_map.runs_in(0, added - 1);
+            let runs = added_map.runs_in(Pages::ZERO, added - ONE_PAGE);
             let f = self.file_of_mut(ino)?;
             for run in &runs {
                 f.pages.append_run(run.dev, run.sector, run.pages);
@@ -1994,17 +2000,17 @@ impl Kernel {
 
         // Partial first/last pages that exist on stable storage need
         // read-modify-write if not cached.
-        let first_page = pos / PAGE_SIZE;
-        let last_page = (end - 1) / PAGE_SIZE;
+        let first_page = Pages::containing(pos);
+        let last_page = Pages::containing(end - 1);
         let old_size = self.file_of(ino)?.size();
         for page in [first_page, last_page] {
-            let page_start = page * PAGE_SIZE;
+            let page_start = page.bytes();
             // Saturation intended: a ragged final page at the top of the
             // offset space still counts as not fully covered.
-            let page_end = page_start.saturating_add(PAGE_SIZE);
+            let page_end = (page + ONE_PAGE).bytes();
             let covered = pos <= page_start && end >= page_end;
             let has_old_data = page_start < old_size;
-            if !covered && has_old_data && !self.cache.contains(PageKey::new(ino.0, page)) {
+            if !covered && has_old_data && !self.cache.contains(PageKey::new(ino.0, page.get())) {
                 // Fault the page in for the partial overwrite.
                 self.fault_in(ino, page, page)?;
             }
@@ -2021,31 +2027,30 @@ impl Kernel {
             let f = node
                 .as_file_mut()
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "write on directory"))?;
-            if f.data.len() < end as usize {
-                f.data.resize(end as usize, 0);
+            if f.data.len() < index(end) {
+                f.data.resize(index(end), 0);
             }
-            f.data[pos as usize..end as usize].copy_from_slice(buf);
+            f.data[index(pos)..index(end)].copy_from_slice(buf);
             if end > f.size() {
                 f.set_size(end);
             }
         }
-        self.cache_insert_run(ino, first_page, last_page - first_page + 1, true)
+        self.cache_insert_run(ino, first_page, last_page - first_page + ONE_PAGE, true)
     }
 
-    fn allocate_sectors(&mut self, mount: MountId, pages: u64) -> SimResult<u64> {
+    fn allocate_sectors(&mut self, mount: MountId, pages: Pages) -> SimResult<Sectors> {
         let m = &mut self.mounts[mount.0];
         // Fragmentation: skip a random gap before each chunk.
         if let Some(frag) = &mut m.frag {
-            let gap = frag.rng.range_u64(0, frag.gap_pages + 1);
+            let gap = Pages::new(frag.rng.range_u64(0, frag.gap_pages + 1));
             // Saturation intended: a saturated cursor fails the capacity
             // check below as "device full" instead of wrapping.
-            m.next_sector = m.next_sector.saturating_add(gap * SECTORS_PER_PAGE);
+            m.next_sector += gap.sectors();
         }
         let first = m.next_sector;
-        let cap = self.devices[m.dev.0].capacity_sectors();
-        let end = pages
-            .checked_mul(SECTORS_PER_PAGE)
-            .and_then(|needed| first.checked_add(needed))
+        let cap = Sectors::new(self.devices[m.dev.0].capacity_sectors());
+        let end = first
+            .checked_add(pages.sectors())
             .filter(|&end| end <= cap)
             .ok_or_else(|| {
                 SimError::new(
@@ -2062,21 +2067,26 @@ impl Kernel {
     /// [`PageCache::insert_run`] per stretch that ends in a dirty victim:
     /// every victim is traced, and a dirty one is written back — at the
     /// clock and cache state it left at — before the next page goes in.
-    fn cache_insert_run(&mut self, ino: Ino, first: u64, pages: u64, dirty: bool) -> SimResult<()> {
+    fn cache_insert_run(
+        &mut self,
+        ino: Ino,
+        first: Pages,
+        pages: Pages,
+        dirty: bool,
+    ) -> SimResult<()> {
         // A run of one — every read of a one-page file — has at most one
         // victim and needs no list to hold it.
-        if pages == 1 {
-            return match self.cache.insert(PageKey::new(ino.0, first), dirty) {
+        if pages == ONE_PAGE {
+            return match self.cache.insert(PageKey::new(ino.0, first.get()), dirty) {
                 Some(ev) => self.evicted(ev),
                 None => Ok(()),
             };
         }
         let mut victims = Vec::new();
-        let mut done = 0;
+        let mut done = Pages::ZERO;
         while done < pages {
-            done += self
-                .cache
-                .insert_run(ino.0, first + done, pages - done, dirty, &mut victims);
+            let (at, left) = ((first + done).get(), (pages - done).get());
+            done += Pages::new(self.cache.insert_run(ino.0, at, left, dirty, &mut victims));
             for ev in victims.drain(..) {
                 // Only the last victim of a stretch can be dirty.
                 self.evicted(ev)?;
@@ -2107,7 +2117,8 @@ impl Kernel {
                 Some(f) => f,
                 None => return Ok(()),
             };
-            let place = match f.pages.place_of(key.index) {
+            let page = Pages::new(key.index);
+            let place = match f.pages.place_of(page) {
                 Some(p) => p,
                 None => return Ok(()),
             };
@@ -2121,18 +2132,19 @@ impl Kernel {
                     let extras: Vec<PagePlace> = f
                         .replicas
                         .iter()
-                        .filter_map(|map| map.place_of(key.index))
+                        .filter_map(|map| map.place_of(page))
                         .collect();
                     let (frag, needed) = match layout {
                         Some(VolumeLayout::Coded { k }) => {
                             let k = u64::from(k.max(1));
-                            (SECTORS_PER_PAGE.div_ceil(k), k as usize)
+                            let frag = ONE_PAGE.sectors().get().div_ceil(k);
+                            (Sectors::new(frag), index(k))
                         }
-                        _ => (SECTORS_PER_PAGE, 1),
+                        _ => (ONE_PAGE.sectors(), 1),
                     };
                     (place, extras, frag, needed)
                 }
-                _ => (place, Vec::new(), SECTORS_PER_PAGE, 1),
+                _ => (place, Vec::new(), ONE_PAGE.sectors(), 1),
             }
         };
         let now = self.now();
@@ -2170,8 +2182,8 @@ impl Kernel {
     // SLEDs kernel hook and HSM administration
     // ------------------------------------------------------------------
 
-    fn charge_page_walk(&mut self, extents: u64, pages: u64) {
-        self.charge_cpu(self.cfg.page_walk_cost(extents, pages));
+    fn charge_page_walk(&mut self, extents: u64, pages: Pages) {
+        self.charge_cpu(self.cfg.page_walk_cost(extents, pages.get()));
     }
 
     /// The residency walk itself: merges the cache's resident extents with
@@ -2189,26 +2201,26 @@ impl Kernel {
             .ok_or_else(|| SimError::new(Errno::Eisdir, "FSLEDS_GET on directory"))?;
         let n = f.page_count();
         let mut out = Vec::new();
-        let mut p = 0u64;
+        let mut p = Pages::ZERO;
         while p < n {
-            let boundary = self.cache.next_boundary(ino.0, p).min(n);
-            if self.cache.contains(PageKey::new(ino.0, p)) {
+            let boundary = Pages::new(self.cache.next_boundary(ino.0, p.get())).min(n);
+            if self.cache.contains(PageKey::new(ino.0, p.get())) {
                 let extent = PageExtent {
-                    first_page: p,
-                    pages: boundary - p,
+                    first_page: p.get(),
+                    pages: (boundary - p).get(),
                     location: PageLocation::Memory,
                 };
                 out.push(make(f, extent));
             } else {
                 // A non-resident span: split it by layout runs so each
                 // extent is device-contiguous.
-                for r in f.pages.runs_in(p, boundary - 1) {
+                for r in f.pages.runs_in(p, boundary - ONE_PAGE) {
                     let extent = PageExtent {
-                        first_page: r.start_page,
-                        pages: r.pages,
+                        first_page: r.start_page.get(),
+                        pages: r.pages.get(),
                         location: PageLocation::Device {
                             dev: r.dev,
-                            sector: r.sector,
+                            sector: r.sector.get(),
                         },
                     };
                     out.push(make(f, extent));
@@ -2232,7 +2244,7 @@ impl Kernel {
             let of = k.openfile(fd)?;
             let out = k.page_extents_of(of.ino)?;
             let pages = out.last().map(|e| e.end_page()).unwrap_or(0);
-            k.charge_page_walk(out.len() as u64, pages);
+            k.charge_page_walk(out.len() as u64, Pages::new(pages));
             Ok(out)
         })
     }
@@ -2264,10 +2276,10 @@ impl Kernel {
                 if matches!(extent.location, PageLocation::Device { .. }) {
                     f.replicas
                         .iter()
-                        .filter_map(|map| map.place_of(extent.first_page))
+                        .filter_map(|map| map.place_of(Pages::new(extent.first_page)))
                         .map(|p| ReplicaPlace {
                             dev: p.dev,
-                            sector: p.sector,
+                            sector: p.sector.get(),
                         })
                         .collect()
                 } else {
@@ -2282,7 +2294,7 @@ impl Kernel {
             }
         })?;
         let pages = out.last().map(|e| e.extent.end_page()).unwrap_or(0);
-        self.charge_page_walk(out.len() as u64 + probes, pages);
+        self.charge_page_walk(out.len() as u64 + probes, Pages::new(pages));
         Ok(out)
     }
 
@@ -2336,7 +2348,7 @@ impl Kernel {
             Ok(SyscallRet::Count(serviced))
         });
         self.tenant_switch(prev)?;
-        r?.count().map(|n| n as usize)
+        r?.count().map(index)
     }
 
     /// Reaps every pending completion. The queues live in user-mapped
@@ -2563,8 +2575,8 @@ impl Kernel {
             let of = k.openfile(fd)?;
             let extents = k.page_extents_of(of.ino)?;
             let pages = extents.last().map(|e| e.end_page()).unwrap_or(0);
-            k.charge_page_walk(extents.len() as u64, pages);
-            let mut out = Vec::with_capacity(pages as usize);
+            k.charge_page_walk(extents.len() as u64, Pages::new(pages));
+            let mut out = Vec::with_capacity(index(pages));
             for e in extents {
                 match e.location {
                     PageLocation::Memory => out.extend((0..e.pages).map(|_| PageLocation::Memory)),
@@ -2572,7 +2584,7 @@ impl Kernel {
                         for i in 0..e.pages {
                             out.push(PageLocation::Device {
                                 dev,
-                                sector: sector + i * SECTORS_PER_PAGE,
+                                sector: (Sectors::new(sector) + Pages::new(i).sectors()).get(),
                             });
                         }
                     }
@@ -2593,19 +2605,21 @@ impl Kernel {
                 .inode(of.ino)?
                 .as_file()
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "FSLEDS_GET on directory"))?;
-            let n = f.page_count();
+            let n = f.page_count().get();
             // The old implementation cloned the per-page map; reproduce that
             // allocation by expanding the runs.
-            let places: Vec<PagePlace> = (0..n).filter_map(|p| f.pages.place_of(p)).collect();
+            let places: Vec<PagePlace> = (0..n)
+                .filter_map(|p| f.pages.place_of(Pages::new(p)))
+                .collect();
             k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
-            let mut out = Vec::with_capacity(n as usize);
-            for (i, place) in places.iter().enumerate().take(n as usize) {
+            let mut out = Vec::with_capacity(index(n));
+            for (i, place) in places.iter().enumerate().take(index(n)) {
                 if k.cache.contains(PageKey::new(of.ino.0, i as u64)) {
                     out.push(PageLocation::Memory);
                 } else {
                     out.push(PageLocation::Device {
                         dev: place.dev,
-                        sector: place.sector,
+                        sector: place.sector.get(),
                     });
                 }
             }
@@ -2656,7 +2670,8 @@ impl Kernel {
                 .inode(of.ino)?
                 .as_file()
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "eviction ranks on directory"))?
-                .page_count();
+                .page_count()
+                .get();
             k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
             Ok(k.cache.eviction_ranks(of.ino.0, n))
         })
@@ -2684,7 +2699,7 @@ impl Kernel {
             }
             let end = size.min(offset.saturating_add(len));
             let mut pinned = Vec::new();
-            for page in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
+            for page in Pages::containing(offset).get()..=Pages::containing(end - 1).get() {
                 if k.cache.pin(PageKey::new(of.ino.0, page)) {
                     pinned.push(page);
                 }
@@ -2712,7 +2727,7 @@ impl Kernel {
                 return Ok(());
             }
             let end = size.min(offset.saturating_add(len));
-            for page in offset / PAGE_SIZE..=(end - 1) / PAGE_SIZE {
+            for page in Pages::containing(offset).get()..=Pages::containing(end - 1).get() {
                 k.cache.unpin(PageKey::new(of.ino.0, page));
             }
             Ok(())
@@ -2747,13 +2762,11 @@ impl Kernel {
                 .ok_or_else(|| SimError::new(Errno::Eisdir, format!("hsm_migrate({path})")))?;
             f.page_count()
         };
-        if pages == 0 {
+        if pages == Pages::ZERO {
             return Ok(());
         }
         // Allocate a contiguous tape region.
-        let sectors = pages
-            .checked_mul(SECTORS_PER_PAGE)
-            .ok_or_else(|| SimError::new(Errno::Enospc, format!("hsm_migrate({path})")))?;
+        let sectors = pages.sectors();
         let first = {
             let h = self.mounts[mount.0].hsm.as_mut().ok_or_else(|| {
                 SimError::new(
@@ -2772,7 +2785,7 @@ impl Kernel {
         }
         let f = self.file_of_mut(ino)?;
         let mapped = f.pages.page_count();
-        f.pages.remap_run(0, mapped, hsm.tape, first);
+        f.pages.remap_run(Pages::ZERO, mapped, hsm.tape, first);
         f.tape_home = None;
         self.cache.remove_file(ino.0);
         Ok(())
@@ -2786,9 +2799,8 @@ impl Kernel {
             .inode(ino)?
             .as_file()
             .ok_or_else(|| SimError::new(Errno::Eisdir, format!("hsm_is_offline({path})")))?;
-        let n = f.page_count();
-        for p in 0..n {
-            if self.is_offline(ino, p)? {
+        for p in 0..f.page_count().get() {
+            if self.is_offline(ino, Pages::new(p))? {
                 return Ok(true);
             }
         }
@@ -2809,8 +2821,8 @@ impl Kernel {
         &mut self,
         mount: MountId,
         member: usize,
-        pages: u64,
-    ) -> SimResult<(DeviceId, u64)> {
+        pages: Pages,
+    ) -> SimResult<(DeviceId, Sectors)> {
         if member == 0 {
             let first = self.allocate_sectors(mount, pages)?;
             return Ok((self.mounts[mount.0].dev, first));
@@ -2824,10 +2836,9 @@ impl Kernel {
             })?;
             (dev, v.replica_next[member - 1])
         };
-        let cap = self.devices[dev.0].capacity_sectors();
-        let end = pages
-            .checked_mul(SECTORS_PER_PAGE)
-            .and_then(|needed| first.checked_add(needed))
+        let cap = Sectors::new(self.devices[dev.0].capacity_sectors());
+        let end = first
+            .checked_add(pages.sectors())
             .filter(|&end| end <= cap)
             .ok_or_else(|| {
                 SimError::new(
@@ -2844,11 +2855,11 @@ impl Kernel {
     /// Lays out `pages` pages on `mount` by its allocator, honoring
     /// fragmentation, without charging any time. On a striped volume the
     /// chunks round-robin across the members instead.
-    fn layout_pages(&mut self, mount: MountId, pages: u64) -> SimResult<PageMap> {
+    fn layout_pages(&mut self, mount: MountId, pages: Pages) -> SimResult<PageMap> {
         let striped = match self.mounts[mount.0].volume.as_ref() {
             Some(v) => match v.layout {
                 VolumeLayout::Striped { stripe_pages } => {
-                    Some((stripe_pages.max(1), v.devices.len()))
+                    Some((Pages::new(stripe_pages.max(1)), v.devices.len()))
                 }
                 _ => None,
             },
@@ -2856,7 +2867,7 @@ impl Kernel {
         };
         let mut map = PageMap::new();
         let mut left = pages;
-        while left > 0 {
+        while left > Pages::ZERO {
             if let Some((stripe, n)) = striped {
                 let take = stripe.min(left);
                 let member = {
@@ -2870,7 +2881,7 @@ impl Kernel {
                 };
                 let (dev, first) = self.allocate_member(mount, member, take)?;
                 map.append_run(dev, first, take);
-                left -= take;
+                left = left - take;
             } else {
                 let take = match &self.mounts[mount.0].frag {
                     Some(f) => f.chunk_pages.min(left),
@@ -2879,7 +2890,7 @@ impl Kernel {
                 let first = self.allocate_sectors(mount, take)?;
                 let dev = self.mounts[mount.0].dev;
                 map.append_run(dev, first, take);
-                left -= take;
+                left = left - take;
             }
         }
         Ok(map)
@@ -2890,7 +2901,7 @@ impl Kernel {
     /// volumes, empty otherwise. Coded replicas reserve the full page
     /// range too — a simulation simplification standing in for fragment
     /// placement, so every member can serve any page of the file.
-    fn layout_replicas(&mut self, mount: MountId, pages: u64) -> SimResult<Vec<PageMap>> {
+    fn layout_replicas(&mut self, mount: MountId, pages: Pages) -> SimResult<Vec<PageMap>> {
         let members = match self.mounts[mount.0].volume.as_ref() {
             Some(v)
                 if matches!(
@@ -2905,7 +2916,7 @@ impl Kernel {
         let mut out = Vec::new();
         for member in 1..members {
             let mut map = PageMap::new();
-            if pages > 0 {
+            if pages > Pages::ZERO {
                 let (dev, first) = self.allocate_member(mount, member, pages)?;
                 map.append_run(dev, first, pages);
             }
@@ -2919,7 +2930,7 @@ impl Kernel {
         let mount = self.inode(parent)?.mount.ok_or_else(|| {
             SimError::new(Errno::Einval, format!("install_file({path}): no mount"))
         })?;
-        let page_count = size.div_ceil(PAGE_SIZE);
+        let page_count = Pages::spanning(size);
         let pages = self.layout_pages(mount, page_count)?;
         let replicas = self.layout_replicas(mount, page_count)?;
         let mut file = FileNode::default();
@@ -2978,7 +2989,8 @@ impl Kernel {
             .inode(ino)?
             .as_file()
             .ok_or_else(|| SimError::new(Errno::Eisdir, format!("warm_file_pages({path})")))?
-            .page_count();
+            .page_count()
+            .get();
         let end = first_page.saturating_add(pages);
         if end > n {
             return Err(SimError::new(
@@ -3002,7 +3014,10 @@ impl Kernel {
     /// regenerated test files; content placement does not affect timing, so
     /// an in-place poke is equivalent and keeps the cache state intact).
     ///
-    /// The range must lie within the current file size.
+    /// The range must lie within the file's *stored* bytes: the hole of a
+    /// sparse install has no contents to overwrite and is not materialized
+    /// for a poke, so a range reaching into it is `EINVAL` like one past the
+    /// end.
     pub fn poke_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SimResult<()> {
         self.rec_unsupported("poke_file");
         let ino = self.resolve(path)?;
@@ -3010,16 +3025,16 @@ impl Kernel {
             .inode_mut(ino)?
             .as_file_mut()
             .ok_or_else(|| SimError::new(Errno::Eisdir, format!("poke_file({path})")))?;
+        let stored = f.data.len() as u64;
         let end = offset
             .checked_add(data.len() as u64)
-            .filter(|&end| end <= f.size())
+            .filter(|&end| end <= stored)
             .ok_or_else(|| {
-                SimError::new(
-                    Errno::Einval,
-                    format!("poke_file({path}): range beyond size {}", f.size()),
-                )
+                let size = f.size();
+                let why = format!("range beyond the {stored} stored bytes (size {size})");
+                SimError::new(Errno::Einval, format!("poke_file({path}): {why}"))
             })?;
-        f.data[offset as usize..end as usize].copy_from_slice(data);
+        f.data[index(offset)..index(end)].copy_from_slice(data);
         Ok(())
     }
 
@@ -3028,7 +3043,7 @@ impl Kernel {
     /// device (e.g. in an inner disk zone) without materializing filler.
     pub fn advance_allocator(&mut self, mount: MountId, pages: u64) -> SimResult<()> {
         self.rec_unsupported("advance_allocator");
-        self.allocate_sectors(mount, pages).map(|_| ())
+        self.allocate_sectors(mount, Pages::new(pages)).map(|_| ())
     }
 
     /// Resets cache, usage, tenant, and queue-telemetry counters (not
@@ -3069,6 +3084,7 @@ fn device_event_name(class: DeviceClass, write: bool) -> &'static str {
 mod tests {
     use super::*;
     use sleds_devices::DiskDevice;
+    use sleds_sim_core::PAGE_SIZE;
 
     fn kernel_with_disk() -> Kernel {
         let mut k = Kernel::table2();

@@ -6,7 +6,7 @@
 //! tabulates who receives what.
 
 use sleds_devices::PhaseKind;
-use sleds_sim_core::{Clock, SimDuration, SimError, SimTime, SECTOR_SIZE};
+use sleds_sim_core::{Clock, Sectors, SimDuration, SimError, SimTime};
 use sleds_trace::{CostOutcome, DeviceCost, Wait};
 
 use super::{device_event_name, DeviceId, Kernel};
@@ -32,9 +32,8 @@ use crate::rusage::Rusage;
 /// assert_eq!(k.usage().cpu, d);
 /// ```
 ///
-/// Time that passes unbilled (sledlint's old `d011_violating.rs`,
-/// `advance_only`) has no spelling, from outside the crate or from
-/// `kernel.rs`:
+/// Time that passes unbilled — advance the clock, bill no column — has no
+/// spelling, from outside the crate or from `kernel.rs`:
 ///
 /// ```compile_fail
 /// use sleds_fs::Kernel;
@@ -122,14 +121,19 @@ pub(super) enum Attempt {
 impl Kernel {
     /// A zero-cost event for a read of `dev` submitted now by the active
     /// tenant; callers fill in what the device then did.
-    pub(super) fn cost_at_submit(&self, dev: DeviceId, sector: u64, sectors: u64) -> DeviceCost {
+    pub(super) fn cost_at_submit(
+        &self,
+        dev: DeviceId,
+        sector: Sectors,
+        sectors: Sectors,
+    ) -> DeviceCost {
         DeviceCost {
             tenant: self.active_tenant as u64,
             dev: dev.0,
             class: self.devices[dev.0].class().code(),
             submit: self.now(),
-            sector,
-            sectors,
+            sector: sector.get(),
+            sectors: sectors.get(),
             ..DeviceCost::default()
         }
     }
@@ -141,8 +145,8 @@ impl Kernel {
     pub(super) fn submit(
         &mut self,
         dev: DeviceId,
-        sector: u64,
-        sectors: u64,
+        sector: Sectors,
+        sectors: Sectors,
         write: bool,
         attempt: u32,
         wait: Wait,
@@ -154,14 +158,14 @@ impl Kernel {
         let start = ev.submit + ev.queue_wait;
         let device = &mut self.devices[dev.0];
         let r = if write {
-            device.write(sector, sectors, start)
+            device.write(sector.get(), sectors.get(), start)
         } else {
-            device.read(sector, sectors, start)
+            device.read(sector.get(), sectors.get(), start)
         };
         match r {
             Ok(service) => {
                 ev.service = service;
-                ev.bytes = sectors * SECTOR_SIZE;
+                ev.bytes = sectors.bytes();
                 self.post(&ev);
                 Attempt::Served(ev)
             }

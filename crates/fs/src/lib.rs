@@ -24,6 +24,28 @@
 //! chunk-by-chunk on access, which is the regime where the paper expects
 //! SLEDs to shine the most.
 
+// Kernel path (DESIGN §5c): fail with a typed `SimError`, never abort the
+// simulation; a narrowing cast names the bound that makes it lossless.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::cast_possible_truncation
+    )
+)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "unit tests pin exact, deterministic float results"
+    )
+)]
+
 pub mod aio;
 pub mod capture;
 pub mod inode;

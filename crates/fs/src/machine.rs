@@ -1,7 +1,7 @@
 //! Machine configuration: RAM, cache share, CPU cost parameters.
 
 use sleds_pagecache::PolicyKind;
-use sleds_sim_core::{Bandwidth, ByteSize, SimDuration, PAGE_SIZE};
+use sleds_sim_core::{index, Bandwidth, ByteSize, SimDuration, PAGE_SIZE};
 
 use crate::volume::HedgePolicy;
 
@@ -111,8 +111,12 @@ impl MachineConfig {
 
     /// Number of pages the page cache may hold.
     pub fn cache_pages(&self) -> usize {
-        let bytes = self.ram.as_u64() as f64 * self.cache_fraction.clamp(0.01, 1.0);
-        ((bytes as u64) / PAGE_SIZE).max(1) as usize
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "at most the u64 RAM size, its fraction being clamped to 1.0"
+        )]
+        let bytes = (self.ram.as_u64() as f64 * self.cache_fraction.clamp(0.01, 1.0)) as u64;
+        index((bytes / PAGE_SIZE).max(1))
     }
 
     /// Bytes the page cache may hold.

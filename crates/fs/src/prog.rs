@@ -350,6 +350,10 @@ impl PickProgram {
     /// guarantees the stack discipline and that every jump lands strictly
     /// forward, so the pc advances every step and the loop runs at most
     /// `len` iterations; the defensive `0.0` defaults are unreachable.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`jump_target` proved at admission that every jump lands in pc + 1..=len"
+    )]
     pub fn eval(&self, inputs: &ProgInputs) -> f64 {
         let mut stack: Vec<f64> = Vec::with_capacity(MAX_PROG_STACK);
         let mut pc = 0usize;
@@ -384,6 +388,10 @@ impl PickProgram {
                     stack.push(match inst {
                         ProgInst::Lt => bool_to_f64(a < b),
                         ProgInst::Gt => bool_to_f64(a > b),
+                        #[expect(
+                            clippy::float_cmp,
+                            reason = "exact IEEE equality is the opcode's documented meaning; `to_bits` would tell -0.0 from 0.0"
+                        )]
                         ProgInst::Eq => bool_to_f64(a == b),
                         ProgInst::Div => a / b,
                         ProgInst::And => bool_to_f64(a != 0.0 && b != 0.0),
@@ -412,6 +420,10 @@ impl PickProgram {
 /// Resolves a relative jump at `pc` and enforces the termination rule:
 /// the target must land strictly past `pc` (forward-only, so the CFG is a
 /// DAG) and at most `len` (one past the last instruction = exit).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the target returned lies in pc + 1..=len, and both ends are usize"
+)]
 fn jump_target(pc: usize, off: i32, len: usize) -> SimResult<usize> {
     let target = pc as i64 + 1 + off as i64;
     if target <= pc as i64 {

@@ -14,8 +14,9 @@
 //! (who held the device when) used to attribute each wait to the tenants
 //! it was spent behind, a bounded ring of depth/throughput samples on the
 //! virtual clock, and cumulative per-tenant load. All counters are
-//! integers and all containers are bounded (sledlint D009) or keyed by
-//! registered tenants, so snapshots replay bit-identically.
+//! integers and all containers are bounded (by [`CmdQueue::new`]'s
+//! capacity) or keyed by registered tenants, so snapshots replay
+//! bit-identically.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -78,7 +79,7 @@ pub struct TenantLoad {
 /// The bounded FIFO command queue and telemetry for one device.
 #[derive(Debug)]
 pub struct CmdQueue {
-    /// Bound on retained segments and samples (D009: the capacity bound).
+    /// Bound on retained segments and samples.
     capacity: usize,
     /// The device services commands in submission order; it is busy until
     /// this instant.
@@ -107,9 +108,9 @@ pub struct CmdQueue {
     /// spent queued behind the owner's occupancy. Sums exactly to
     /// `queue_wait_ns` by construction.
     waits: BTreeMap<(u64, u64), u64>,
-    /// Per-command service time (fixed 64 log buckets: bounded, D009).
+    /// Per-command service time (fixed 64 log buckets: bounded).
     service_hist: LogHistogram,
-    /// Per-command queue wait (fixed 64 log buckets: bounded, D009).
+    /// Per-command queue wait (fixed 64 log buckets: bounded).
     queue_wait_hist: LogHistogram,
 }
 
@@ -302,7 +303,7 @@ impl CmdQueue {
         if w == 0 {
             return 0;
         }
-        ((self.busy_ns as u128 * 1_000_000) / w as u128) as u64
+        u64::try_from(u128::from(self.busy_ns) * 1_000_000 / u128::from(w)).unwrap_or(u64::MAX)
     }
 
     /// Effective throughput over busy time, bytes per second.
@@ -310,7 +311,8 @@ impl CmdQueue {
         if self.busy_ns == 0 {
             return 0;
         }
-        ((self.bytes as u128 * NANOS_PER_SEC as u128) / self.busy_ns as u128) as u64
+        u64::try_from(u128::from(self.bytes) * u128::from(NANOS_PER_SEC) / u128::from(self.busy_ns))
+            .unwrap_or(u64::MAX)
     }
 
     /// Per-tenant cumulative load rows, ascending by tenant.

@@ -13,8 +13,8 @@
 //! batched and sequential runs byte-identical in output and identical in
 //! rusage except for `syscall_crossings` and the crossing CPU they carry.
 //!
-//! Both queues are bounded by the same `capacity` (sledlint rule D009
-//! requires every kernel-path queue to name its bound): submission past a
+//! Both queues are bounded by the same `capacity` ([`SubmissionRing::new`]
+//! is the only constructor, so no ring exists without one): submission past a
 //! full SQ fails with `EAGAIN`, and `ring_enter` stops servicing when the
 //! CQ is full, leaving the remaining submissions queued for the next
 //! enter — exactly how a fixed-size shared-memory ring degrades.
@@ -48,7 +48,7 @@ pub struct RingCompletion {
 /// The bounded submission/completion queue pair.
 #[derive(Debug)]
 pub struct SubmissionRing {
-    /// Bound on each queue's length (D009: the capacity bound).
+    /// Bound on each queue's length.
     capacity: usize,
     /// Tenant every op in this ring is charged to; `ring_enter` runs the
     /// batch on that tenant's timeline.

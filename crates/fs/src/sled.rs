@@ -29,7 +29,7 @@
 //! one sees.
 
 use sleds_devices::FaultState;
-use sleds_sim_core::{Errno, SimDuration, SimError, SimResult, PAGE_SIZE};
+use sleds_sim_core::{index, Errno, SimDuration, SimError, SimResult, PAGE_SIZE};
 
 use crate::inode::SECTORS_PER_PAGE;
 use crate::kernel::{DeviceId, Kernel, PageLocation, RedundantExtent};
@@ -374,7 +374,7 @@ pub fn plan_chunks(sleds: &[Sled], preferred: usize, skip_unavailable: bool) -> 
         }
         let mut off = s.offset;
         while off < s.end() {
-            let len = (s.end() - off).min(preferred as u64) as usize;
+            let len = index((s.end() - off).min(preferred as u64));
             chunks.push((off, len, s.latency));
             off += len as u64;
         }

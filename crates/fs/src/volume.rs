@@ -129,8 +129,8 @@ impl HedgePolicy {
     /// ```
     ///
     /// No call takes a free-standing cancel cost, so a loser priced at
-    /// whatever the call site makes up (sledlint's old
-    /// `d014_violating.rs`, `hedge_without_revoke`) has no constructor:
+    /// whatever the call site makes up — a hedge that is never revoked —
+    /// has no constructor:
     ///
     /// ```compile_fail
     /// use sleds_fs::trace::DeviceCost;

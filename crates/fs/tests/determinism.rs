@@ -1,4 +1,4 @@
-//! Regression test for deterministic replay (the D006 sweep).
+//! Regression test for deterministic replay (the sweep that banned `HashMap`).
 //!
 //! `Kernel::drop_caches` writes every dirty page back; the order of that
 //! walk decides which sectors the disk head visits first, and therefore how

@@ -222,3 +222,55 @@ fn reads_at_the_edges_of_the_window_are_exact_and_never_overflow() {
         k.close(fd).unwrap();
     }
 }
+
+/// `poke_file` overwrites stored bytes only. A sparse install stores none
+/// and a stored prefix stops short of the size, so a poke reaching past
+/// what is stored is `EINVAL` — the hole is not materialized for it — and
+/// never an out-of-range slice: at the first byte, the last stored one, the
+/// first unstored one, the size and the end of the number line, on a
+/// stored file, a sparse one and a sparse one with a stored prefix.
+#[test]
+fn poke_file_answers_einval_past_the_stored_bytes_and_never_panics() {
+    const SIZE: u64 = PAGE_SIZE + 904;
+    const PREFIX: u64 = 1000;
+    let mut k = Kernel::table2();
+    k.mkdir("/data").unwrap();
+    k.mount_disk("/data", DiskDevice::table2_disk("hda"))
+        .unwrap();
+    k.install_file("/data/stored", &vec![7u8; SIZE as usize])
+        .unwrap();
+    k.install_sparse_file("/data/sparse", SIZE).unwrap();
+    k.install_sparse_file("/data/mixed", SIZE).unwrap();
+    let fd = k.open("/data/mixed", OpenFlags::RDWR).unwrap();
+    k.write(fd, &vec![7u8; PREFIX as usize]).unwrap();
+    k.close(fd).unwrap();
+
+    for (path, stored) in [
+        ("/data/stored", SIZE),
+        ("/data/sparse", 0),
+        ("/data/mixed", PREFIX),
+    ] {
+        for offset in [0, stored.saturating_sub(1), stored, SIZE, u64::MAX] {
+            for data in [&b""[..], b"x", b"xy"] {
+                let fits = offset
+                    .checked_add(data.len() as u64)
+                    .is_some_and(|end| end <= stored);
+                let got = errno_of(k.poke_file(path, offset, data));
+                let want = if fits { None } else { Some(Errno::Einval) };
+                assert_eq!(got, want, "{path}: poke({offset}, {} B)", data.len());
+            }
+        }
+        // What fitted landed, and nothing else moved: the size, and the
+        // zeros a read finds past the stored bytes.
+        let fd = k.open(path, OpenFlags::RDONLY).unwrap();
+        assert_eq!(k.fstat(fd).unwrap().size, SIZE, "{path}");
+        let image = k.pread(fd, 0, SIZE as usize).unwrap();
+        let mut want = vec![7u8; stored as usize];
+        if let [first, second, .., last] = &mut want[..] {
+            (*first, *second, *last) = (b'x', b'y', b'x');
+        }
+        want.resize(SIZE as usize, 0);
+        assert_eq!(image, want, "{path}");
+        k.close(fd).unwrap();
+    }
+}

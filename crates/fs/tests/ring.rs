@@ -6,6 +6,11 @@
 //! what its sequential twin returns — same bytes, same errors, same fault
 //! behaviour — with rusage differing only by the crossing charges.
 
+#![expect(
+    clippy::float_cmp,
+    reason = "parity means bit-identical estimates on both sides"
+)]
+
 use sleds::{
     compile_latency, fsleds_get, pricing_from, total_delivery_time, AttackPlan, LatencyPredicate,
     PickConfig, PickSession, SledsEntry, SledsTable,

@@ -12,6 +12,14 @@
 //! the Tables 2 and 3 reproduction is an actual experiment, not an echo of
 //! configuration.
 
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "unit tests pin exact, deterministic float results"
+    )
+)]
+
 use sleds::{SledsEntry, SledsTable};
 use sleds_fs::{Kernel, MountId, OpenFlags, Whence};
 use sleds_sim_core::{DetRng, SimResult, PAGE_SIZE};

@@ -209,9 +209,9 @@ impl ExtentSet {
 /// The type exists because of a real bug: `PageCache::detach` once
 /// returned between removing the page and bumping the counter, and a
 /// memoized SLED vector outlived the eviction it should have seen. With
-/// the set behind this type that function cannot be written; sledlint's
-/// old `d010_violating.rs` (`drop_page`: mutate `resident`, skip the
-/// bump), transliterated, stops at the first private field —
+/// the set behind this type that function cannot be written: mutate
+/// `resident`, skip the bump, and the compiler stops at the first private
+/// field —
 ///
 /// ```compile_fail
 /// use sleds_pagecache::{PageCache, PageKey};
@@ -356,7 +356,10 @@ mod tests {
         assert_eq!(s.runs_in(4..=7), Vec::<RangeInclusive<u64>>::new());
         assert_eq!(s.runs_in(0..=100), vec![0..=3, 8..=9, 20..=22]);
         // An inverted (empty) range must yield nothing, not panic.
-        #[allow(clippy::reversed_empty_ranges)]
+        #[expect(
+            clippy::reversed_empty_ranges,
+            reason = "the inverted range is the input under test"
+        )]
         let inverted = 9..=8;
         assert_eq!(s.runs_in(inverted), Vec::<RangeInclusive<u64>>::new());
     }

@@ -33,6 +33,21 @@
 //! [`PageCache::dirty_pages`], [`PageCache::dirty_count`]) answer from
 //! running counters or stop as soon as they have visited what is cached.
 
+// Kernel path (DESIGN §5c): fail with a typed `SimError`, never abort the
+// simulation; a narrowing cast names the bound that makes it lossless.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::cast_possible_truncation
+    )
+)]
+
 pub mod extent;
 pub mod policy;
 #[cfg(test)]
@@ -40,7 +55,7 @@ mod reference;
 
 use std::ops::RangeInclusive;
 
-use sleds_sim_core::IdTable;
+use sleds_sim_core::{index, IdTable};
 
 use extent::Residency;
 use policy::{NodeId, Recency};
@@ -382,7 +397,7 @@ impl PageCache {
             }
             let id = self.recency.insert(key);
             let ix = self.index.get_or_insert_with(inode, Box::default);
-            let page = key.index as usize;
+            let page = index(key.index);
             if page >= ix.slots.len() {
                 ix.slots.resize(page + 1, 0);
             }
@@ -433,7 +448,7 @@ impl PageCache {
     fn unlink(&mut self, key: PageKey, id: NodeId) -> bool {
         let mut dirty = false;
         if let Some(ix) = self.index.get_mut(key.inode) {
-            ix.slots[key.index as usize] = 0;
+            ix.slots[index(key.index)] = 0;
             dirty = ix.dirty.remove(key.index);
         }
         self.dirty_len -= u64::from(dirty);
@@ -460,12 +475,12 @@ impl PageCache {
     /// pages of a file would be flushed from cache based on current page
     /// replacement algorithms").
     pub fn eviction_ranks(&self, inode: u64, npages: u64) -> Vec<Option<usize>> {
-        let mut ranks = vec![None; npages as usize];
+        let mut ranks = vec![None; index(npages)];
         if let Some(order) = self.recency.eviction_order() {
             for (rank, id) in order.enumerate() {
                 let key = self.recency.key(id);
                 if key.inode == inode {
-                    if let Some(r) = ranks.get_mut(key.index as usize) {
+                    if let Some(r) = ranks.get_mut(index(key.index)) {
                         *r = Some(rank);
                     }
                 }
@@ -573,7 +588,7 @@ impl PageCache {
     /// cache-wide writeback flushes. An all-clean cache answers in O(1);
     /// otherwise the walk stops at the last dirty inode.
     pub fn dirty_pages(&self) -> Vec<PageKey> {
-        let mut out = Vec::with_capacity(self.dirty_len as usize);
+        let mut out = Vec::with_capacity(index(self.dirty_len));
         for (inode, ix) in self.index.iter() {
             if out.len() as u64 == self.dirty_len {
                 break;
@@ -595,13 +610,13 @@ impl PageCache {
     /// Residency bitmap for the first `npages` pages of `inode` — the whole
     /// of `mincore(2)`, and the input to the per-page reference SLED walk.
     pub fn residency(&self, inode: u64, npages: u64) -> Vec<bool> {
-        let mut v = vec![false; npages as usize];
+        let mut v = vec![false; index(npages)];
         if npages == 0 {
             return v;
         }
         for run in self.resident_runs(inode, 0..=npages - 1) {
             for p in run {
-                v[p as usize] = true;
+                v[index(p)] = true;
             }
         }
         v

@@ -17,7 +17,8 @@
 //! not a silent last-one-wins.
 //!
 //! Everything returns `Result`: a malformed capture is a typed error,
-//! never a panic (the replayer runs on the kernel path, D005).
+//! never a panic (the replayer runs on the kernel path: `clippy::panic`
+//! and its family are denied in `lib.rs`).
 
 use std::borrow::Cow;
 

@@ -21,6 +21,21 @@
 //! The identity property — replaying under the captured config
 //! reproduces the capture byte for byte — is pinned by the fs crate's
 //! determinism suite.
+
+// Kernel path (DESIGN §5c): fail with a typed `SimError`, never abort the
+// simulation; a narrowing cast names the bound that makes it lossless.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::cast_possible_truncation
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod diff;

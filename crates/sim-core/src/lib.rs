@@ -12,6 +12,14 @@
 //! is ever consulted, which makes every experiment deterministic and
 //! repeatable.
 
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "unit tests pin exact, deterministic float results"
+    )
+)]
+
 pub mod check;
 pub mod error;
 pub mod retry;
@@ -28,4 +36,7 @@ pub use rng::DetRng;
 pub use table::{IdTable, IdWindow};
 pub use tenant::{TenantId, VirtualSubmitter};
 pub use time::{Clock, SimDuration, SimTime};
-pub use units::{Bandwidth, ByteSize, PAGE_SHIFT, PAGE_SIZE, SECTOR_SIZE};
+pub use units::{
+    index, Bandwidth, ByteSize, Pages, Sectors, PAGE_SHIFT, PAGE_SIZE, SECTORS_PER_PAGE,
+    SECTOR_SIZE,
+};

@@ -5,7 +5,7 @@
 //! never reused, so a lookup by id can be an index instead of a tree
 //! descent. Both tables iterate in ascending id order — the order the
 //! `BTreeMap` they replace gave — so nothing that walks one depends on
-//! host state (the reason sledlint D006 bans hash maps is iteration
+//! host state (the reason `clippy.toml` bans hash maps is iteration
 //! order, not the container).
 //!
 //! * [`IdTable`] keeps one slot per id from 0 to the largest id ever

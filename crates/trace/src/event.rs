@@ -39,8 +39,8 @@ pub enum EventPhase {
     /// commands and their phases.
     Complete,
     /// A zero-width marker (Chrome's instant event, `ph:"i"`). Named
-    /// `Mark` because the bare identifier `Instant` is reserved for the
-    /// wall clock by sledlint D001, which covers this crate.
+    /// `Mark` so that `Instant` keeps meaning one thing in this tree: the
+    /// wall clock `clippy.toml` bans.
     Mark,
 }
 

@@ -12,8 +12,8 @@
 //! Two properties are load-bearing:
 //!
 //! * **Virtual time only.** Every timestamp is the kernel's [`SimTime`];
-//!   no wall clock is ever consulted, so traces replay bit-identically and
-//!   sledlint rule D001 holds in this crate like any other.
+//!   no wall clock is ever consulted (`clippy.toml` bans `Instant` here as
+//!   everywhere), so traces replay bit-identically.
 //! * **Zero-cost observer.** Tracing never advances the virtual clock and
 //!   never touches `Rusage`, whether enabled or not. A traced run and an
 //!   untraced run of the same workload produce byte-identical virtual
@@ -21,6 +21,21 @@
 //!
 //! The buffer is bounded (drop-oldest on overflow, with a dropped-event
 //! counter) so long workloads cannot grow memory without bound.
+
+// Kernel path (DESIGN §5c): fail with a typed `SimError`, never abort the
+// simulation; a narrowing cast names the bound that makes it lossless.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::cast_possible_truncation
+    )
+)]
 
 mod audit;
 mod chrome;

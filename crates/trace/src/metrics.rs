@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use sleds_sim_core::index;
 use sleds_sim_core::stats::LogHistogram;
 
 use crate::cost::DeviceCost;
@@ -216,7 +217,7 @@ impl Metrics {
     /// first-byte time (positioning, rpc, mount...).
     pub fn note_device(&mut self, ev: &DeviceCost, transfer_ns: u64) {
         let (dur_ns, queue_ns) = (ev.service.as_nanos(), ev.queue_wait.as_nanos());
-        let idx = (ev.class as usize).min(NUM_DEVICE_CLASSES - 1);
+        let idx = index(ev.class).min(NUM_DEVICE_CLASSES - 1);
         let m = &mut self.device[idx];
         if ev.write {
             m.writes += 1;
@@ -254,12 +255,12 @@ impl Metrics {
             .tenants
             .get(&(tenant, class))
             .map_or(0, |row| row.busy_ns);
-        Some((own as u128 * 1_000_000 / total as u128) as u64)
+        u64::try_from(u128::from(own) * 1_000_000 / u128::from(total)).ok()
     }
 
     /// Records one completed (prediction, actual) accuracy pair.
     pub fn note_accuracy(&mut self, class: u64, predicted_ns: u64, actual_ns: u64) {
-        let idx = (class as usize).min(NUM_DEVICE_CLASSES - 1);
+        let idx = index(class).min(NUM_DEVICE_CLASSES - 1);
         self.device[idx].accuracy.push(predicted_ns, actual_ns);
     }
 

@@ -81,7 +81,7 @@ pub trait SpanHost {
 /// assert_eq!(evs[1].dur.as_nanos(), 600);
 /// ```
 ///
-/// The unbalanced form (sledlint's old `d012_violating.rs`, `traced_io`)
+/// The unbalanced form — open a span, return early, never close it —
 /// does not compile outside `sleds-trace`:
 ///
 /// ```compile_fail
@@ -158,7 +158,10 @@ impl Tracer {
         self.tenant
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one TraceEvent, passed apart so callers keep a split borrow of `inner`"
+    )]
     fn emit(
         inner: &mut Inner,
         tenant: u64,

@@ -34,7 +34,10 @@
 //! ```
 
 use std::path::PathBuf;
-// sledlint::allow(D001, host wall-clock is one of the numbers the bench envelope reports)
+#[expect(
+    clippy::disallowed_types,
+    reason = "host wall-clock is one of the numbers the bench envelope reports"
+)]
 use std::time::Instant;
 
 use sleds_repro::devices::{BlockDevice, DiskDevice, FaultPlan, FaultState, NfsDevice};
@@ -280,7 +283,10 @@ fn volume_json(name: &str, layout: &str, o: &Outcome) -> String {
 }
 
 fn main() {
-    // sledlint::allow(D001, host wall-clock is one of the numbers the bench envelope reports)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host wall-clock is one of the numbers the bench envelope reports"
+    )]
     let wall = Instant::now();
     let flat = run_config(Config::Flat, false);
     let retry = run_config(Config::Mirror, false);

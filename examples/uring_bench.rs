@@ -44,7 +44,10 @@ use sleds_repro::sleds::{
     estimate_seconds, pricing_from, AttackPlan, LatencyPredicate, SledsEntry, SledsTable,
 };
 
-// sledlint::allow(D001, host wall-clock is one of the numbers this benchmark reports)
+#[expect(
+    clippy::disallowed_types,
+    reason = "host wall-clock is one of the numbers this benchmark reports"
+)]
 use std::time::Instant;
 
 /// Tree shape: `DIRS x FILES_PER_DIR` sparse files of `FILE_BYTES` each.
@@ -188,7 +191,10 @@ impl ModeStats {
 }
 
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    // sledlint::allow(D001, host wall-clock is one of the numbers this benchmark reports)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host wall-clock is one of the numbers this benchmark reports"
+    )]
     let wall = Instant::now();
     let out = f();
     (out, wall.elapsed().as_secs_f64())
