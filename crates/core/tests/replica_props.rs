@@ -8,8 +8,7 @@
 //! and obviously correct; the library is sort-based. They must agree to
 //! the bit on the quoted entry.
 //!
-//! Gated behind the `proptests` feature (run with
-//! `cargo test -p sleds --features proptests`); case count scales with
+//! Runs under the in-repo `check` harness; case count scales with
 //! `SLEDS_CHECK_CASES`.
 
 use sleds::{select_min_cost, SledsEntry};

@@ -8,9 +8,13 @@
 //! spirit) and drives both against randomized cache states, ragged tails,
 //! zone tables, and HSM boundaries.
 //!
-//! Gated behind the `proptests` feature (run with
-//! `cargo test -p sleds --features proptests`); case count scales with
+//! Runs under the in-repo `check` harness; case count scales with
 //! `SLEDS_CHECK_CASES`.
+
+#![expect(
+    clippy::float_cmp,
+    reason = "the reference coalesces on bit-equal table entries, as the seed did"
+)]
 
 use sleds::{fsleds_get, Sled, SledsEntry, SledsTable};
 use sleds_devices::{DiskDevice, TapeDevice};

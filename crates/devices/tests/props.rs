@@ -1,8 +1,8 @@
 //! Property tests for the device models: bounds, monotonicity and state
 //! invariants that must hold for any access sequence.
 //!
-//! Runs under the in-repo `check` harness; enable with
-//! `cargo test -p sleds-devices --features proptests`.
+//! Runs under the in-repo `check` harness; case count scales with
+//! `SLEDS_CHECK_CASES`.
 
 use sleds_devices::{BlockDevice, CdRomDevice, DiskDevice, NfsDevice, NfsServerDevice, TapeDevice};
 use sleds_sim_core::{check, SimDuration, SimTime};

@@ -1,8 +1,10 @@
 //! Property tests for the FITS substrate: header/codec round trips and
 //! streaming I/O invariants over the simulated kernel.
 //!
-//! Runs under the in-repo `check` harness; enable with
-//! `cargo test -p sleds-fits --features proptests`.
+//! Runs under the in-repo `check` harness; case count scales with
+//! `SLEDS_CHECK_CASES`.
+
+#![expect(clippy::float_cmp, reason = "a codec round trip returns the same bits")]
 
 use sleds_devices::DiskDevice;
 use sleds_fits::{

@@ -2594,10 +2594,10 @@ impl Kernel {
         })
     }
 
-    /// The original per-page residency walk, retained verbatim as a
-    /// reference: materializes the whole per-page map and probes the cache
-    /// once per page, charging the legacy per-page walk cost. Equivalence
-    /// tests and the before/after microbenchmark compare against this.
+    /// The original per-page residency walk, kept as a test oracle:
+    /// materializes the whole per-page map and probes the cache once per
+    /// page, charging the per-page walk cost. The equivalence suites check
+    /// the extent walk's answers and its price against this.
     pub fn page_locations_per_page_reference(&mut self, fd: Fd) -> SimResult<Vec<PageLocation>> {
         self.ioctl(&Entry::query("page_locations"), [0; 3], |k| {
             let of = k.openfile(fd)?;
@@ -2652,7 +2652,7 @@ impl Kernel {
     }
 
     /// Number of resident extents the cache tracks for an open file — the
-    /// `runs` term of the walk cost; exposed for benchmarks and tests.
+    /// `runs` term of the walk cost; exposed for tests.
     pub fn resident_extents(&self, fd: Fd) -> SimResult<usize> {
         let of = self.openfile(fd)?;
         Ok(self.cache.resident_run_count(of.ino.0))

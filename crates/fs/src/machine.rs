@@ -38,7 +38,7 @@ pub struct MachineConfig {
     /// run-length residency index the walk performs one probe per extent it
     /// emits rather than one per page; this is the probe's cost (it was the
     /// per-page cost before the index existed, and still is for the
-    /// retained per-page reference walk).
+    /// per-page reference walk the tests use as an oracle).
     pub page_walk_cpu: SimDuration,
     /// Per-page floor of the SLED residency walk: copying the result out
     /// and bookkeeping still touch every page's worth of output, so even a
@@ -103,8 +103,9 @@ impl MachineConfig {
         )
     }
 
-    /// CPU cost of the legacy per-page residency walk over `pages` pages —
-    /// what every walk cost before the extent index.
+    /// CPU cost of a walk that probes each of `pages` pages: the
+    /// eviction-rank query, and the per-page reference walk the
+    /// equivalence tests use as their oracle.
     pub fn page_walk_cost_per_page(&self, pages: u64) -> SimDuration {
         SimDuration::from_nanos(self.page_walk_cpu.as_nanos() * pages)
     }

@@ -10,8 +10,7 @@
 //! pins), and HSM staging boundaries, and check the two walks page by page,
 //! plus the structural invariants of the extent form itself.
 //!
-//! Gated behind the `proptests` feature (run with
-//! `cargo test -p sleds-fs --features proptests`); case count scales with
+//! Runs under the in-repo `check` harness; case count scales with
 //! `SLEDS_CHECK_CASES`.
 
 use sleds_devices::{DiskDevice, TapeDevice};
@@ -205,6 +204,43 @@ fn extent_walk_matches_reference_across_hsm_staging() {
 #[test]
 fn extent_walk_matches_reference_under_growth() {
     check::run("extent_vs_reference_growth", growth_scenario);
+}
+
+/// The two walks differ only in cost, and this is the cost: one 250 ns
+/// probe per extent plus a 1 ns per-page floor, against 250 ns per page.
+#[test]
+fn extent_walk_is_priced_per_extent_and_ten_times_cheaper() {
+    const PAGES: u64 = 4096;
+    const RUNS: u64 = 8;
+    let mut k = Kernel::table2();
+    k.mkdir("/d").unwrap();
+    k.mount_disk("/d", DiskDevice::table2_disk("hda")).unwrap();
+    k.install_sparse_file("/d/f", PAGES * PAGE_SIZE).unwrap();
+    // Eight resident runs, each followed by a cold gap of the same length.
+    let stride = PAGES / RUNS;
+    for i in 0..RUNS {
+        k.warm_file_pages("/d/f", i * stride, stride / 2).unwrap();
+    }
+    let fd = k.open("/d/f", OpenFlags::RDONLY).unwrap();
+    assert_eq!(k.resident_extents(fd).unwrap() as u64, RUNS);
+    assert_walks_agree(&mut k, fd, "8 warmed runs");
+
+    let crossing = k.config().syscall_cpu.as_nanos();
+    let before = k.usage().cpu;
+    let extents = k.page_extents(fd).unwrap().len() as u64;
+    let fast = (k.usage().cpu - before).as_nanos();
+    assert_eq!(extents, 2 * RUNS, "a memory and a device extent per run");
+    assert_eq!(fast, crossing + 250 * extents + PAGES);
+
+    let before = k.usage().cpu;
+    k.page_locations_per_page_reference(fd).unwrap();
+    let reference = (k.usage().cpu - before).as_nanos();
+    assert_eq!(reference, crossing + 250 * PAGES);
+
+    assert!(
+        reference >= 10 * fast,
+        "extent walk {fast} ns, per-page walk {reference} ns"
+    );
 }
 
 #[test]

@@ -11,8 +11,7 @@
 //! three tenants and check, after every step, that each tenant's elapsed
 //! time is exactly its CPU plus its I/O wait and never runs backward.
 //!
-//! Gated behind the `proptests` feature (run with
-//! `cargo test -p sleds-fs --features proptests`); case count scales with
+//! Runs under the in-repo `check` harness; case count scales with
 //! `SLEDS_CHECK_CASES`.
 
 use sleds::{PickConfig, PickSession, Sled, SledsEntry, SledsTable};

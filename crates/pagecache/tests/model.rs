@@ -2,8 +2,8 @@
 //! `Vec`-backed model that must agree on the exact eviction order, and
 //! structural invariants for every policy.
 //!
-//! Runs under the in-repo `check` harness; enable with
-//! `cargo test -p sleds-pagecache --features proptests`.
+//! Runs under the in-repo `check` harness; case count scales with
+//! `SLEDS_CHECK_CASES`.
 
 use sleds_pagecache::{Evicted, PageCache, PageKey, PolicyKind};
 use sleds_sim_core::{check, DetRng};
@@ -609,7 +609,7 @@ fn extent_index_matches_per_page_probes() {
         }
         // Runs reported by the extent index must exactly tile the set of
         // pages that per-page probes report resident.
-        let mut from_runs = vec![false; 40];
+        let mut from_runs = [false; 40];
         for run in cache.resident_runs(1, 0..=39) {
             for p in run.clone() {
                 assert!(!from_runs[p as usize], "overlapping runs at page {p}");

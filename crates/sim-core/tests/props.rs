@@ -1,7 +1,12 @@
 //! Property tests for the statistics and time substrate.
 //!
-//! Runs under the in-repo `check` harness; enable with
-//! `cargo test -p sleds-sim-core --features proptests`.
+//! Runs under the in-repo `check` harness; case count scales with
+//! `SLEDS_CHECK_CASES`.
+
+#![expect(
+    clippy::float_cmp,
+    reason = "an ECDF is exactly 0 below the minimum and exactly 1 at the maximum"
+)]
 
 use sleds_sim_core::stats::{Ecdf, Summary};
 use sleds_sim_core::{check, DetRng, RetryPolicy, SimDuration, SimTime};

@@ -2,8 +2,8 @@
 //! with naive algorithms on simple pattern classes, and must behave
 //! linearly on adversarial inputs.
 //!
-//! Runs under the in-repo `check` harness; enable with
-//! `cargo test -p sleds-textmatch --features proptests`.
+//! Runs under the in-repo `check` harness; case count scales with
+//! `SLEDS_CHECK_CASES`.
 
 use sleds_sim_core::{check, DetRng};
 use sleds_textmatch::Regex;

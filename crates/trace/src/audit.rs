@@ -281,7 +281,7 @@ impl AccuracyTracker {
 
 impl AuditReport {
     /// Serializes the report in the house results-JSON style
-    /// (cf. `results/BENCH_fsleds_get.json`). Hand-rolled and
+    /// (cf. `results/AUDIT_recal.json`). Hand-rolled and
     /// fixed-precision so identical runs serialize identically.
     pub fn to_json(&self, regenerate: &str) -> String {
         let mut out = String::new();

@@ -25,8 +25,6 @@
 //! cargo run --release --example fault_storm
 //! ```
 
-use std::path::PathBuf;
-
 use sleds_repro::devices::{BlockDevice, DiskDevice, FaultPlan, FaultState};
 use sleds_repro::fs::{Kernel, OpenFlags, VolumeLayout};
 use sleds_repro::lmbench::fill_table;
@@ -38,12 +36,6 @@ use sleds_repro::sleds::{
 use sleds_repro::trace::{audit_accuracy, summarize_class, AccuracySample, ClassAccuracy};
 
 const STORM_SEED: u64 = 0xBADD;
-
-fn results_dir() -> PathBuf {
-    std::env::var("SLEDS_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
 
 fn fold(checksum: u64, bytes: &[u8]) -> u64 {
     bytes
@@ -494,7 +486,7 @@ fn main() {
     );
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 
-    let dir = results_dir();
+    let dir = sleds_repro::results_dir();
     std::fs::create_dir_all(&dir).expect("mkdir results");
     let path = dir.join("FAULTS_report.json");
     std::fs::write(&path, &json).expect("write report");

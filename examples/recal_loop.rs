@@ -16,8 +16,6 @@
 //! cargo run --release --example recal_loop
 //! ```
 
-use std::path::PathBuf;
-
 use sleds_repro::devices::{CdRomDevice, DiskDevice, NfsDevice, TapeDevice};
 use sleds_repro::fs::{Kernel, OpenFlags};
 use sleds_repro::lmbench::fill_table;
@@ -29,12 +27,6 @@ use sleds_repro::trace::{audit_accuracy, summarize_class, AccuracySample, ClassA
 /// exercised class clears the recalibrator's sample floor.
 const FILES_PER_MOUNT: usize = 3;
 const PAGES_PER_FILE: usize = 12;
-
-fn results_dir() -> PathBuf {
-    std::env::var("SLEDS_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
 
 /// Every file the workload reads, in a fixed order.
 fn corpus() -> Vec<String> {
@@ -226,7 +218,7 @@ fn main() {
     );
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 
-    let dir = results_dir();
+    let dir = sleds_repro::results_dir();
     std::fs::create_dir_all(&dir).expect("mkdir results");
     let path = dir.join("AUDIT_recal.json");
     std::fs::write(&path, &json).expect("write audit");

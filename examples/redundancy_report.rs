@@ -1,6 +1,6 @@
 //! Redundancy under a seeded fault storm: availability, tail latency, and
 //! the price of redundant work, written to `results/REDUNDANCY_report.json`
-//! (diff-gated) and `results/BENCH_redundancy.json` (bench envelope).
+//! (diff-gated).
 //!
 //! One storm — a seeded mix of transient/degraded/offline windows on the
 //! device named `primary`, plus one explicit 8x-degraded window and one
@@ -33,13 +33,6 @@
 //! cargo run --release --example redundancy_report
 //! ```
 
-use std::path::PathBuf;
-#[expect(
-    clippy::disallowed_types,
-    reason = "host wall-clock is one of the numbers the bench envelope reports"
-)]
-use std::time::Instant;
-
 use sleds_repro::devices::{BlockDevice, DiskDevice, FaultPlan, FaultState, NfsDevice};
 use sleds_repro::fs::{HedgePolicy, Kernel, OpenFlags, Rusage, TenantId, VolumeLayout};
 use sleds_repro::sim_core::{SimDuration, SimTime, PAGE_SIZE, SECTOR_SIZE};
@@ -49,12 +42,6 @@ const FILES: usize = 6;
 const PAGES: usize = 6;
 const PASSES: usize = 12;
 const THINK_SECS: u64 = 2;
-
-fn results_dir() -> PathBuf {
-    std::env::var("SLEDS_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_nanos(s * 1_000_000_000)
@@ -283,11 +270,6 @@ fn volume_json(name: &str, layout: &str, o: &Outcome) -> String {
 }
 
 fn main() {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "host wall-clock is one of the numbers the bench envelope reports"
-    )]
-    let wall = Instant::now();
     let flat = run_config(Config::Flat, false);
     let retry = run_config(Config::Mirror, false);
     let hedged = run_config(Config::Mirror, true);
@@ -339,6 +321,9 @@ fn main() {
         hedged.usage.hedge_wait.as_nanos()
     );
 
+    // The four runs' virtual extent: every tenant's elapsed time, summed.
+    let virtual_ns: u64 = flat.virtual_ns + retry.virtual_ns + hedged.virtual_ns + coded.virtual_ns;
+
     // House results-JSON style: hand-rolled, fixed precision, virtual
     // quantities only, so identical runs serialize identically and
     // check.sh can diff against the committed copy.
@@ -350,6 +335,7 @@ fn main() {
          \"explicit_degraded_s\": [60, 90], \"explicit_offline_s\": [95, 120]}},\n  \
          \"workload\": {{\"files\": {FILES}, \"pages_per_file\": {PAGES}, \
          \"passes\": {PASSES}, \"tenants\": 2}},\n  \
+         \"virtual_ns\": {virtual_ns},\n  \
          \"volumes\": [\n{},\n{},\n{},\n{}\n  ],\n  \
          \"hedge_gain\": {{\"p99_faulted_retry_ns\": {p99_retry}, \
          \"p99_faulted_hedged_ns\": {p99_hedged}, \"speedup\": {speedup:.2}}},\n  \
@@ -362,35 +348,9 @@ fn main() {
     );
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 
-    let dir = results_dir();
+    let dir = sleds_repro::results_dir();
     std::fs::create_dir_all(&dir).expect("mkdir results");
     let path = dir.join("REDUNDANCY_report.json");
     std::fs::write(&path, &json).expect("write report");
     println!("-> {}", path.display());
-
-    // Bench envelope: virtual time and throughput are deterministic;
-    // only the host wall-clock line varies run to run (check.sh filters
-    // it before diffing).
-    let virtual_ns: u64 = flat.virtual_ns + retry.virtual_ns + hedged.virtual_ns + coded.virtual_ns;
-    let reads: u64 = flat.reads_total + retry.reads_total + hedged.reads_total + coded.reads_total;
-    // Throughput of the harness itself (host wall), matching the other
-    // bench envelopes; the diff gate filters this line and host_wall_ns.
-    let host_wall_ns = wall.elapsed().as_nanos() as u64;
-    let ops_per_sec = if host_wall_ns > 0 {
-        (reads as f64 / (host_wall_ns as f64 / 1e9)).round() as u64
-    } else {
-        0
-    };
-    let bench = format!(
-        "{{\n  \"schema\": \"sleds-bench-v1\",\n  \"name\": \"redundancy-storm\",\n  \
-         \"config\": \"4 configs x {PASSES} passes x {FILES} files, seed {STORM_SEED:#x}\",\n  \
-         \"virtual_ns\": {virtual_ns},\n  \"host_wall_ns\": {host_wall_ns},\n  \
-         \"ops_per_sec\": {ops_per_sec},\n  \
-         \"detail\": {{\"reads\": {reads}, \"hedges\": {}, \"hedge_wins\": {}, \
-         \"coded_redundant_bytes\": {}}}\n}}\n",
-        hedged.usage.hedges, hedged.usage.hedge_wins, coded.redundant_bytes,
-    );
-    let bench_path = dir.join("BENCH_redundancy.json");
-    std::fs::write(&bench_path, &bench).expect("write bench");
-    println!("-> {}", bench_path.display());
 }

@@ -25,14 +25,12 @@
 //! cargo run --release --example replay_whatif
 //! ```
 
-use std::path::PathBuf;
-
 use sleds_repro::faults::FaultPlan;
 use sleds_repro::fs::{Fd, Kernel, OpenFlags, SubmissionRing, Syscall, TenantId};
 use sleds_repro::replay::{
     diff_captures, replay, CandidateConfig, CaptureFile, SetupStep, WorkloadSpec,
 };
-use sleds_repro::sim_core::{SimDuration, SimTime};
+use sleds_repro::sim_core::{SimDuration, SimTime, VirtualSubmitter};
 
 /// Recorder budget: far above the workload's op count, so the capture
 /// completes; overflow would mark it incomplete and fail the asserts.
@@ -40,12 +38,6 @@ const CAPTURE_BUDGET: usize = 1024;
 
 /// Degradation factor for the what-if disk.
 const DEGRADE: f64 = 2.5;
-
-fn results_dir() -> PathBuf {
-    std::env::var("SLEDS_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
 
 const KIB: u64 = 1024;
 const MIB: u64 = 1024 * 1024;
@@ -57,8 +49,7 @@ struct Lane {
     req_bytes: usize,
     remaining: u64,
     offset: u64,
-    think_ns: u64,
-    ready_ns: u64,
+    think: SimDuration,
 }
 
 /// The scaled saturation environment: every mount class the observatory
@@ -129,11 +120,13 @@ fn build_spec() -> WorkloadSpec {
 /// `start_capture` and `stop_capture` is a capturable kernel entry.
 fn drive(k: &mut Kernel) {
     let mut lanes: Vec<Lane> = Vec::new();
+    let mut sub = VirtualSubmitter::new();
     let mut spawn = |k: &mut Kernel, name: String, path: String, req: usize, n: u64, think: u64| {
         let t = k.tenant_register(&name);
         k.tenant_switch(t).expect("switch");
         let fd = k.open(&path, OpenFlags::RDONLY).expect("open");
-        let ready = k.now().as_nanos();
+        let lane = sub.add(k.now());
+        assert_eq!(lane, lanes.len(), "lanes are registered in tenant order");
         k.tenant_switch(TenantId(0)).expect("switch back");
         lanes.push(Lane {
             t,
@@ -141,8 +134,7 @@ fn drive(k: &mut Kernel) {
             req_bytes: req,
             remaining: n,
             offset: 0,
-            think_ns: think,
-            ready_ns: ready,
+            think: SimDuration::from_nanos(think),
         });
     };
     for i in 0..2 {
@@ -183,20 +175,15 @@ fn drive(k: &mut Kernel) {
         );
     }
 
-    // Earliest-ready lane next; ties to the lowest tenant id. The same
-    // deterministic interleave the saturation observatory uses.
-    while let Some(idx) = lanes
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.remaining > 0)
-        .min_by_key(|(_, l)| (l.ready_ns, l.t.0))
-        .map(|(i, _)| i)
-    {
+    // Earliest-ready lane next; ties to the lowest lane, which is the
+    // lowest tenant id.
+    while let Some(idx) = sub.next() {
+        let ready = sub.ready_at(idx).expect("live lane");
         let lane = &mut lanes[idx];
         k.tenant_switch(lane.t).expect("switch");
-        let now = k.now().as_nanos();
-        if lane.ready_ns > now {
-            k.charge_cpu(SimDuration::from_nanos(lane.ready_ns - now));
+        let now = k.now();
+        if ready > now {
+            k.charge_cpu(ready.duration_since(now));
         }
         let data = k
             .pread(lane.fd, lane.offset, lane.req_bytes)
@@ -204,7 +191,11 @@ fn drive(k: &mut Kernel) {
         assert_eq!(data.len(), lane.req_bytes);
         lane.offset += lane.req_bytes as u64;
         lane.remaining -= 1;
-        lane.ready_ns = k.now().as_nanos() + lane.think_ns;
+        if lane.remaining == 0 {
+            sub.finish(idx);
+        } else {
+            sub.reschedule(idx, k.now() + lane.think);
+        }
     }
 
     // One tenant submits a batch through the ring: a stat plus four
@@ -354,7 +345,7 @@ fn main() {
         "what-if: cmd queue 16, hda degraded 2.5x",
     );
 
-    let dir = results_dir();
+    let dir = sleds_repro::results_dir();
     std::fs::create_dir_all(&dir).expect("results dir");
     std::fs::write(dir.join("CAPTURE_saturation.jsonl"), &jsonl).expect("write capture");
     std::fs::write(dir.join("REPLAY_diff.json"), &report).expect("write diff");

@@ -27,18 +27,10 @@
 //! cargo run --release --example saturation_report
 //! ```
 
-use std::path::PathBuf;
-
 use sleds_repro::devices::{DiskDevice, NfsDevice, TapeDevice};
 use sleds_repro::fs::{Fd, Kernel, OpenFlags, Rusage, SaturationReport, TenantId};
 use sleds_repro::sim_core::{SimDuration, VirtualSubmitter};
 use sleds_repro::trace::chrome_trace_json_named;
-
-fn results_dir() -> PathBuf {
-    std::env::var("SLEDS_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
 
 fn fold(checksum: u64, bytes: &[u8]) -> u64 {
     bytes
@@ -436,7 +428,7 @@ fn main() {
         );
     }
 
-    let dir = results_dir();
+    let dir = sleds_repro::results_dir();
     std::fs::create_dir_all(&dir).expect("mkdir results");
     let path = dir.join("SATURATION_report.json");
     std::fs::write(&path, &json).expect("write report");

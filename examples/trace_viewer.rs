@@ -19,8 +19,6 @@
 //! cargo run --release --example trace_viewer
 //! ```
 
-use std::path::PathBuf;
-
 use sleds_repro::apps::find::{find, FindOptions};
 use sleds_repro::apps::grep::{grep, GrepOptions};
 use sleds_repro::apps::wc::wc;
@@ -46,12 +44,6 @@ fn random_text(n: usize, seed: u64) -> Vec<u8> {
     }
     out.truncate(n);
     out
-}
-
-fn results_dir() -> PathBuf {
-    std::env::var("SLEDS_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
 fn main() {
@@ -169,7 +161,7 @@ fn main() {
     );
     println!("{}", metrics.render_text());
 
-    let dir = results_dir();
+    let dir = sleds_repro::results_dir();
     std::fs::create_dir_all(&dir).expect("mkdir results");
 
     let chrome = chrome_trace_json(&events, dropped);

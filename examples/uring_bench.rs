@@ -28,10 +28,8 @@
 //! pushdown >= batched >= naive, and the batched path clears one million
 //! simulated ops per second of virtual CPU.
 //!
-//! Emits `results/BENCH_uring.json` (deterministic apart from the
-//! `host_wall` lines, which the check script filters before diffing).
-
-use std::path::PathBuf;
+//! Emits `results/URING_report.json`, a pure function of the virtual
+//! machine (the host cost of the same paths is `benchmark/`'s `tree_walk`).
 
 use sleds_repro::apps::find::{find_prog, find_report, FindHit, FindOptions};
 use sleds_repro::devices::DiskDevice;
@@ -43,12 +41,6 @@ use sleds_repro::sim_core::SimDuration;
 use sleds_repro::sleds::{
     estimate_seconds, pricing_from, AttackPlan, LatencyPredicate, SledsEntry, SledsTable,
 };
-
-#[expect(
-    clippy::disallowed_types,
-    reason = "host wall-clock is one of the numbers this benchmark reports"
-)]
-use std::time::Instant;
 
 /// Tree shape: `DIRS x FILES_PER_DIR` sparse files of `FILE_BYTES` each.
 const DIRS: usize = 1000;
@@ -76,12 +68,6 @@ const RING_ENTRIES: usize = 1024;
 /// sequential find's `FIND_NS_PER_ENTRY` so the modes differ only in how
 /// they cross the boundary.
 const FIND_NS_PER_ENTRY: u64 = 400;
-
-fn results_dir() -> PathBuf {
-    std::env::var("SLEDS_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
 
 fn dir_path(d: usize) -> String {
     format!("/tree/d{d:03}")
@@ -150,19 +136,16 @@ struct ModeStats {
     syscalls: u64,
     /// Files the mode examined.
     files: u64,
-    /// Host wall-clock, the only nondeterministic number.
-    host_wall_s: f64,
 }
 
 impl ModeStats {
-    fn from(u: &Rusage, syscall_cpu: f64, files: u64, host_wall_s: f64) -> ModeStats {
+    fn from(u: &Rusage, syscall_cpu: f64, files: u64) -> ModeStats {
         ModeStats {
             cpu_s: u.cpu.as_secs_f64(),
             crossings: u.syscall_crossings,
             crossing_cpu_s: u.syscall_crossings as f64 * syscall_cpu,
             syscalls: u.syscalls,
             files,
-            host_wall_s,
         }
     }
 
@@ -188,16 +171,6 @@ impl ModeStats {
             self.ops_per_cpu_s(),
         )
     }
-}
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "host wall-clock is one of the numbers this benchmark reports"
-    )]
-    let wall = Instant::now();
-    let out = f();
-    (out, wall.elapsed().as_secs_f64())
 }
 
 /// Every file path in walk (name) order.
@@ -379,18 +352,18 @@ fn main() {
 
     println!("find naive...");
     let before = k.usage();
-    let (naive_report, wall) = timed(|| find_report(&mut k, "/tree", &opts, Some(&table)).unwrap());
-    let find_naive = ModeStats::from(&k.usage().since(&before), syscall_cpu, total_files, wall);
+    let naive_report = find_report(&mut k, "/tree", &opts, Some(&table)).unwrap();
+    let find_naive = ModeStats::from(&k.usage().since(&before), syscall_cpu, total_files);
 
     println!("find batched...");
     let before = k.usage();
-    let (batched_hits, wall) = timed(|| find_batched(&mut k, &paths, &pred, &pricing));
-    let find_batch = ModeStats::from(&k.usage().since(&before), syscall_cpu, total_files, wall);
+    let batched_hits = find_batched(&mut k, &paths, &pred, &pricing);
+    let find_batch = ModeStats::from(&k.usage().since(&before), syscall_cpu, total_files);
 
     println!("find pushdown...");
     let before = k.usage();
-    let (prog_report, wall) = timed(|| find_prog(&mut k, "/tree", &opts, &table).unwrap());
-    let find_push = ModeStats::from(&k.usage().since(&before), syscall_cpu, total_files, wall);
+    let prog_report = find_prog(&mut k, "/tree", &opts, &table).unwrap();
+    let find_push = ModeStats::from(&k.usage().since(&before), syscall_cpu, total_files);
 
     assert_eq!(
         naive_report.hits, batched_hits,
@@ -415,42 +388,38 @@ fn main() {
     k.drop_caches().unwrap();
     warm(&mut k);
     let before = k.usage();
-    let ((hit_naive, scanned_naive), wall) = timed(|| grep_naive(&mut k, &paths));
-    let grep_naive_s = ModeStats::from(&k.usage().since(&before), syscall_cpu, scanned_naive, wall);
+    let (hit_naive, scanned_naive) = grep_naive(&mut k, &paths);
+    let grep_naive_s = ModeStats::from(&k.usage().since(&before), syscall_cpu, scanned_naive);
 
     println!("grep batched...");
     k.drop_caches().unwrap();
     warm(&mut k);
     let before = k.usage();
-    let ((hit_batch, scanned_batch), wall) = timed(|| grep_batched(&mut k, &paths));
-    let grep_batch_s = ModeStats::from(&k.usage().since(&before), syscall_cpu, scanned_batch, wall);
+    let (hit_batch, scanned_batch) = grep_batched(&mut k, &paths);
+    let grep_batch_s = ModeStats::from(&k.usage().since(&before), syscall_cpu, scanned_batch);
 
     println!("grep pushdown...");
     k.drop_caches().unwrap();
     warm(&mut k);
     let before = k.usage();
-    let ((hit_push, scanned_push, walk_files), wall) = timed(|| {
-        // One crossing reorders the whole tree most-cached-first; the
-        // resident needle file lands in the first handful of entries.
-        let everything = PickProgram::new(vec![
-            ProgInst::PushConst(0.0),
-            ProgInst::PushConst(0.0),
-            ProgInst::Eq,
-        ])
-        .unwrap()
-        .with_order(ProgOrder::CachedFirst);
-        let entries = k.fsleds_walk("/tree", &everything, &pricing).unwrap();
-        let ordered: Vec<String> = entries
-            .into_iter()
-            .filter(|e| e.kind == sleds_repro::fs::FileKind::File)
-            .map(|e| e.path)
-            .collect();
-        let n = ordered.len() as u64;
-        let (hit, scanned) = grep_batched(&mut k, &ordered);
-        (hit, scanned, n)
-    });
-    assert_eq!(walk_files, total_files);
-    let grep_push_s = ModeStats::from(&k.usage().since(&before), syscall_cpu, scanned_push, wall);
+    // One crossing reorders the whole tree most-cached-first; the
+    // resident needle file lands in the first handful of entries.
+    let everything = PickProgram::new(vec![
+        ProgInst::PushConst(0.0),
+        ProgInst::PushConst(0.0),
+        ProgInst::Eq,
+    ])
+    .unwrap()
+    .with_order(ProgOrder::CachedFirst);
+    let entries = k.fsleds_walk("/tree", &everything, &pricing).unwrap();
+    let ordered: Vec<String> = entries
+        .into_iter()
+        .filter(|e| e.kind == sleds_repro::fs::FileKind::File)
+        .map(|e| e.path)
+        .collect();
+    assert_eq!(ordered.len() as u64, total_files);
+    let (hit_push, scanned_push) = grep_batched(&mut k, &ordered);
+    let grep_push_s = ModeStats::from(&k.usage().since(&before), syscall_cpu, scanned_push);
 
     let needle = file_path(NEEDLE_DIR, NEEDLE_FILE);
     assert_eq!(hit_naive.as_deref(), Some(needle.as_str()));
@@ -504,21 +473,14 @@ fn main() {
         let [naive, batch, push] = modes;
         format!(
             "  \"{name}\": {{\n{extra}\
-             \n    \"naive\":\n{},\n    \"naive_host_wall_s\": {:.3},\
-             \n    \"batched\":\n{},\n    \"batched_host_wall_s\": {:.3},\
-             \n    \"pushdown\":\n{},\n    \"pushdown_host_wall_s\": {:.3}\n  }}",
+             \n    \"naive\":\n{},\
+             \n    \"batched\":\n{},\
+             \n    \"pushdown\":\n{}\n  }}",
             naive.json("    "),
-            naive.host_wall_s,
             batch.json("    "),
-            batch.host_wall_s,
             push.json("    "),
-            push.host_wall_s,
         )
     };
-    // Common bench envelope: every BENCH_*.json leads with the same
-    // schema-versioned headline (name, config, virtual-ns, host-wall-ns,
-    // ops/sec) so `bench_index` can aggregate them without knowing each
-    // benchmark's detail shape.
     let total_virtual_ns = ((find_naive.cpu_s
         + find_batch.cpu_s
         + find_push.cpu_s
@@ -526,25 +488,12 @@ fn main() {
         + grep_batch_s.cpu_s
         + grep_push_s.cpu_s)
         * 1e9) as u64;
-    let total_host_wall_ns = ((find_naive.host_wall_s
-        + find_batch.host_wall_s
-        + find_push.host_wall_s
-        + grep_naive_s.host_wall_s
-        + grep_batch_s.host_wall_s
-        + grep_push_s.host_wall_s)
-        * 1e9) as u64;
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"sleds-bench-v1\",\n");
-    json.push_str("  \"name\": \"uring-find-grep\",\n");
+    json.push_str("{\n  \"name\": \"uring-find-grep\",\n");
     json.push_str(&format!(
         "  \"config\": \"tree {DIRS}x{FILES_PER_DIR}, {FILE_BYTES}B files, ring {RING_ENTRIES}\",\n"
     ));
     json.push_str(&format!("  \"virtual_ns\": {total_virtual_ns},\n"));
-    json.push_str(&format!("  \"host_wall_ns\": {total_host_wall_ns},\n"));
-    json.push_str(&format!(
-        "  \"ops_per_sec\": {:.0},\n",
-        find_batch.ops_per_cpu_s()
-    ));
     json.push_str("  \"detail_schema\": \"sleds-uring-bench-v1\",\n");
     json.push_str(&format!(
         "  \"tree\": {{\"dirs\": {DIRS}, \"files_per_dir\": {FILES_PER_DIR}, \
@@ -570,9 +519,9 @@ fn main() {
     ));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 
-    let dir = results_dir();
+    let dir = sleds_repro::results_dir();
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_uring.json");
+    let path = dir.join("URING_report.json");
     std::fs::write(&path, &json).unwrap();
     println!(
         "crossing CPU: naive {naive_cross:.3}s, batched {batch_cross:.3}s ({batch_reduction:.0}x), \

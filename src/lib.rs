@@ -16,3 +16,11 @@ pub use sleds_replay as replay;
 pub use sleds_sim_core as sim_core;
 pub use sleds_textmatch as textmatch;
 pub use sleds_trace as trace;
+
+/// Where the `examples/` reports land: `$SLEDS_RESULTS`, or the committed
+/// `results/` directory when unset.
+pub fn results_dir() -> std::path::PathBuf {
+    std::env::var("SLEDS_RESULTS")
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|_| "results".into())
+}

@@ -5,7 +5,7 @@
 //! banned path under an `#[expect]`: drop or misspell that ban and the
 //! expectation goes unfulfilled, which `cargo clippy -- -D warnings` rejects.
 //! `Instant` and `process::exit` are witnessed the same way by their real
-//! waivers in `crates/bench` and `examples/`. Nothing here is ever called.
+//! waivers in `crates/bench`. Nothing here is ever called.
 
 #[expect(clippy::disallowed_types, reason = "witness: SystemTime")]
 type _SystemTime = std::time::SystemTime;

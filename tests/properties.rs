@@ -1,8 +1,8 @@
 //! Property-based integration tests: invariants of the SLEDs stack under
 //! randomized cache states, file sizes and workloads.
 //!
-//! Runs under the in-repo `check` harness; enable with
-//! `cargo test --features proptests`.
+//! Runs under the in-repo `check` harness; case count scales with
+//! `SLEDS_CHECK_CASES`.
 
 use sleds_repro::apps::grep::{grep, GrepOptions};
 use sleds_repro::apps::wc::wc;
