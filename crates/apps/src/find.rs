@@ -116,7 +116,7 @@ pub fn find_report(
 /// evaluates the program in place and hands back the verdicts, so no
 /// per-file open/`FSLEDS_GET`/close round-trips happen. The stock
 /// predicates (`-name`, `-type`, `-size`) still run user-side, *before* the
-/// kernel's verdict is consulted — exactly the order [`keep`] applies them —
+/// kernel's verdict is consulted — exactly the order `keep` applies them —
 /// so hits, estimates and skip diagnostics are identical to the sequential
 /// walk. Requires a `-latency` predicate; without one there is nothing to
 /// push down, use [`find`]. A table with zone rows or trusted device

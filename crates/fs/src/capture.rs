@@ -3,11 +3,11 @@
 //! Unlike the trace ring — which is a bounded, drop-oldest *observation*
 //! channel — the [`WorkloadRecorder`] hooks the syscall boundary and
 //! records **every** kernel entry while armed: the [`Syscall`] (and the
-//! path its fd meant), the tenant it ran as, the submit [`SimTime`] on that
-//! tenant's timeline, the device-fault epoch at submit, ring batches op
-//! by op, and the outcome (result, completion time, and the exact
-//! queue-wait/service attribution the per-device command queues priced
-//! into the op). The recording is either *complete* — every charging
+//! path its fd meant), the tenant it ran as, the submit
+//! [`SimTime`](sleds_sim_core::SimTime) on that tenant's timeline, the
+//! device-fault epoch at submit, ring batches op by op, and the outcome
+//! (result, completion time, and the exact queue-wait/service attribution
+//! the per-device command queues priced into the op). The recording is either *complete* — every charging
 //! kernel entry between arm and disarm was captured — or it is marked
 //! incomplete with a reason, so a capture that overflowed its budget or
 //! saw an uncapturable call can never be silently replayed.
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sleds_sim_core::{index, Errno, PAGE_SIZE};
-use sleds_trace::DeviceCost;
+use sleds_trace::{CostRow, DeviceCost};
 
 use crate::syscall::Syscall;
 
@@ -190,24 +190,9 @@ pub fn fold_bytes(data: &[u8]) -> u64 {
     fold.finish()
 }
 
-/// Device time charged to one captured op on one device class.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClassCost {
-    /// Device class code (same coding as the trace layer).
-    pub class: u64,
-    /// Device commands issued.
-    pub commands: u64,
-    /// Queue-wait nanoseconds priced into the op.
-    pub queue_wait_ns: u64,
-    /// Device service nanoseconds priced into the op.
-    pub service_ns: u64,
-    /// Payload bytes moved.
-    pub bytes: u64,
-}
-
 /// How a captured op ended: result, completion time, and the exact
 /// per-phase device attribution accumulated while it was in flight.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OpOutcome {
     /// Whether the call returned `Ok`.
     pub ok: bool,
@@ -223,20 +208,21 @@ pub struct OpOutcome {
     pub data_fold: u64,
     /// Completion time on the issuing tenant's timeline, nanoseconds.
     pub complete_ns: u64,
-    /// Total queue-wait nanoseconds priced into this op.
-    pub queue_wait_ns: u64,
-    /// Total device-service nanoseconds priced into this op.
-    pub service_ns: u64,
-    /// Device commands issued while this op was in flight.
-    pub device_commands: u64,
-    /// Payload bytes moved by those commands.
-    pub device_bytes: u64,
-    /// Per-device-class breakdown of the above, class-sorted.
-    pub classes: Vec<ClassCost>,
+    /// The device commands issued while this op was in flight, one row
+    /// per device class (code as in the trace layer), strictly ascending
+    /// by class. [`OpOutcome::device`] is their sum.
+    pub classes: Vec<(u64, CostRow)>,
     /// Hedged (redundant) reads issued while this op was in flight. Each
-    /// one's cancelled loser is already a `classes` row, so the totals
-    /// above stay exact; this count pins that replay hedged identically.
+    /// one's cancelled loser is already in a `classes` row, so the totals
+    /// stay exact; this count pins that replay hedged identically.
     pub hedges: u64,
+}
+
+impl OpOutcome {
+    /// Everything the op cost on devices: the sum of its class rows.
+    pub fn device(&self) -> CostRow {
+        self.classes.iter().map(|(_, row)| row).sum()
+    }
 }
 
 /// One fully captured kernel entry.
@@ -290,7 +276,7 @@ struct InFlight {
     path: Option<Arc<str>>,
     call: Syscall,
     /// Class-sorted; becomes [`OpOutcome::classes`] as it stands.
-    classes: Vec<ClassCost>,
+    classes: Vec<(u64, CostRow)>,
     hedges: u64,
     /// Length and fold of the payload the read path built for this op, when
     /// it folded while it copied ([`WorkloadRecorder::note_payload`]). It
@@ -443,24 +429,14 @@ impl WorkloadRecorder {
             // There are five device classes and most ops reach one: a
             // sorted vec, allocated for exactly that one row.
             let rows = &mut f.classes;
-            let at = rows.partition_point(|c| c.class < ev.class);
-            if rows.get(at).is_none_or(|c| c.class != ev.class) {
+            let at = rows.partition_point(|&(class, _)| class < ev.class);
+            if rows.get(at).is_none_or(|&(class, _)| class != ev.class) {
                 if rows.is_empty() {
                     rows.reserve_exact(1);
                 }
-                rows.insert(
-                    at,
-                    ClassCost {
-                        class: ev.class,
-                        ..ClassCost::default()
-                    },
-                );
+                rows.insert(at, (ev.class, CostRow::default()));
             }
-            let c = &mut rows[at];
-            c.commands += 1;
-            c.queue_wait_ns = c.queue_wait_ns.saturating_add(ev.queue_wait.as_nanos());
-            c.service_ns = c.service_ns.saturating_add(ev.service.as_nanos());
-            c.bytes = c.bytes.saturating_add(ev.bytes);
+            rows[at].1.add(ev);
         }
     }
 
@@ -497,60 +473,33 @@ impl WorkloadRecorder {
             (Some(d), _) => (d.len() as u64, fold_bytes(d)),
             (None, _) => (0, 0),
         };
-        self.finish(
-            OpOutcome {
-                ok: true,
-                errno: None,
-                ret,
-                data_len,
-                data_fold,
-                complete_ns,
-                queue_wait_ns: 0,
-                service_ns: 0,
-                device_commands: 0,
-                device_bytes: 0,
-                classes: Vec::new(),
-                hedges: 0,
-            },
-            true,
-        );
+        self.finish(OpOutcome {
+            ok: true,
+            ret,
+            data_len,
+            data_fold,
+            complete_ns,
+            ..OpOutcome::default()
+        });
     }
 
     /// Completes the in-flight op with an error.
     pub fn finish_err(&mut self, errno: Errno, complete_ns: u64) {
-        self.finish(
-            OpOutcome {
-                ok: false,
-                errno: Some(errno),
-                ret: 0,
-                data_len: 0,
-                data_fold: 0,
-                complete_ns,
-                queue_wait_ns: 0,
-                service_ns: 0,
-                device_commands: 0,
-                device_bytes: 0,
-                classes: Vec::new(),
-                hedges: 0,
-            },
-            false,
-        );
+        self.finish(OpOutcome {
+            errno: Some(errno),
+            complete_ns,
+            ..OpOutcome::default()
+        });
     }
 
-    fn finish(&mut self, mut outcome: OpOutcome, ok: bool) {
+    fn finish(&mut self, mut outcome: OpOutcome) {
         let Some(f) = self.inflight.take() else {
             // begin() refused (budget) or was never called; nothing to do.
             return;
         };
-        for c in &f.classes {
-            outcome.queue_wait_ns = outcome.queue_wait_ns.saturating_add(c.queue_wait_ns);
-            outcome.service_ns = outcome.service_ns.saturating_add(c.service_ns);
-            outcome.device_commands += c.commands;
-            outcome.device_bytes = outcome.device_bytes.saturating_add(c.bytes);
-        }
         outcome.classes = f.classes;
         outcome.hedges = f.hedges;
-        if ok {
+        if outcome.ok {
             // Keep the fd→path table live so later ops resolve.
             match &f.call {
                 Syscall::Open { path, .. } => {
@@ -644,10 +593,15 @@ mod tests {
         assert_eq!(cap.ops.len(), 2);
         let read = &cap.ops[1];
         assert_eq!(read.path.as_deref(), Some("/disk/a"));
-        assert_eq!(read.outcome.queue_wait_ns, 15);
-        assert_eq!(read.outcome.service_ns, 27);
-        assert_eq!(read.outcome.device_commands, 2);
-        assert_eq!(read.outcome.device_bytes, 8192);
+        assert_eq!(
+            read.outcome.device(),
+            CostRow {
+                commands: 2,
+                bytes: 8192,
+                queue_wait_ns: 15,
+                service_ns: 27,
+            }
+        );
         assert_eq!(read.outcome.data_fold, fold_bytes(b"abcdefgh"));
         assert_eq!(read.outcome.classes.len(), 1);
     }
@@ -711,7 +665,7 @@ mod tests {
             }
             other => panic!("unexpected call {other:?}"),
         }
-        assert_eq!(cap.ops[0].outcome.queue_wait_ns, 100);
+        assert_eq!(cap.ops[0].outcome.device().queue_wait_ns, 100);
     }
 
     #[test]

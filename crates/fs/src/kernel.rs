@@ -21,8 +21,6 @@
 //! copy — before the read proceeds. The tape home is remembered so a later
 //! purge can drop the disk copy without copying data back.
 
-use std::collections::BTreeMap;
-
 use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultPlan, FaultState};
 use sleds_pagecache::{Evicted, PageCache, PageKey};
 use sleds_sim_core::{
@@ -36,10 +34,7 @@ use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, PageMap, PagePlace
 use crate::machine::MachineConfig;
 use crate::payload::Payload;
 use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, ProgPricing, WalkEntry};
-use crate::queue::{
-    CmdQueue, DeviceSaturation, LatencySummary, SaturationReport, TenantAttribution, TenantShare,
-    BULLY_SHARE_PPM, SATURATION_UTIL_PPM,
-};
+use crate::queue::{self, CmdQueue, SaturationReport};
 use crate::ring::{RingCompletion, SubmissionRing};
 use crate::rusage::{JobReport, JobTimer, Rusage};
 use crate::sled::{self, Sled};
@@ -642,83 +637,14 @@ impl Kernel {
     /// own-service + queue-wait sums exactly to the observed device time.
     /// Pure query: charges nothing; `FSLEDS_SATSTAT` is the priced ioctl.
     pub fn saturation_report(&self) -> SaturationReport {
-        let mut devices = Vec::new();
-        for (i, q) in self.queues.iter().enumerate() {
-            if q.commands() == 0 {
-                continue;
-            }
-            let utilization_ppm = q.utilization_ppm();
-            let saturated = utilization_ppm >= SATURATION_UTIL_PPM && q.queue_wait_ns() > 0;
-            let busy = q.busy_ns();
-            let shares: Vec<TenantShare> = q
-                .tenant_loads()
-                .map(|(tenant, load)| {
-                    let demand_share_ppm = if busy == 0 {
-                        0
-                    } else {
-                        let ppm = u128::from(load.busy_ns) * 1_000_000 / u128::from(busy);
-                        u64::try_from(ppm).unwrap_or(u64::MAX)
-                    };
-                    TenantShare {
-                        tenant,
-                        load: *load,
-                        demand_share_ppm,
-                        bully: saturated && demand_share_ppm >= BULLY_SHARE_PPM,
-                    }
-                })
-                .collect();
-            devices.push(DeviceSaturation {
-                device: i,
-                name: self.devices[i].name().to_string(),
-                class_code: self.devices[i].class().code(),
-                window_ns: q.window_ns(),
-                busy_ns: busy,
-                queue_wait_ns: q.queue_wait_ns(),
-                utilization_ppm,
-                commands: q.commands(),
-                bytes: q.bytes(),
-                throughput_bytes_per_sec: q.throughput_bytes_per_sec(),
-                depth_high_water: q.depth_high_water(),
-                saturated,
-                service_latency: LatencySummary::of(q.service_hist()),
-                queue_wait_latency: LatencySummary::of(q.queue_wait_hist()),
-                shares,
-            });
-        }
-        let mut tenants = Vec::new();
-        for (id, state) in self.tenants.iter().enumerate() {
-            let id = id as u64;
-            let mut own_service_ns = 0u64;
-            let mut queue_wait_ns = 0u64;
-            let mut observed_ns = 0u64;
-            let mut waited: BTreeMap<u64, u64> = BTreeMap::new();
-            for q in &self.queues {
-                for (t, load) in q.tenant_loads() {
-                    if t == id {
-                        own_service_ns = own_service_ns.saturating_add(load.busy_ns);
-                        queue_wait_ns = queue_wait_ns.saturating_add(load.queue_wait_ns);
-                        observed_ns = observed_ns.saturating_add(load.observed_ns);
-                    }
-                }
-                for ((waiter, owner), ns) in q.wait_rows() {
-                    if waiter == id {
-                        *waited.entry(owner).or_insert(0) += ns;
-                    }
-                }
-            }
-            // Who the waiting was behind, worst offender first.
-            let mut waited_on: Vec<(u64, u64)> = waited.into_iter().collect();
-            waited_on.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            tenants.push(TenantAttribution {
-                tenant: id,
-                name: state.name.clone(),
-                own_service_ns,
-                queue_wait_ns,
-                observed_ns,
-                waited_on,
-            });
-        }
-        SaturationReport { devices, tenants }
+        let devices = self.devices.iter().map(|d| (d.name(), d.class().code()));
+        queue::saturation_report(
+            self.queues
+                .iter()
+                .zip(devices)
+                .map(|(q, (name, class))| (q, name, class)),
+            self.tenants.iter().map(|t| t.name.as_str()),
+        )
     }
 
     /// The `FSLEDS_SATSTAT` ioctl: the saturation observatory's snapshot —

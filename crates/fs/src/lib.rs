@@ -62,8 +62,7 @@ pub mod volume;
 
 pub use aio::AioReport;
 pub use capture::{
-    fold_bytes, Capture, CapturedOp, ClassCost, OpOutcome, PayloadFold, WorkloadRecorder,
-    CAPTURE_SCHEMA,
+    fold_bytes, Capture, CapturedOp, OpOutcome, PayloadFold, WorkloadRecorder, CAPTURE_SCHEMA,
 };
 pub use inode::{FileKind, Ino, LayoutRun, PageMap, PagePlace, Stat, SECTORS_PER_PAGE};
 pub use kernel::{
@@ -77,8 +76,8 @@ pub use prog::{
     MAX_PROG_COST_NS, MAX_PROG_LEN, MAX_PROG_STACK,
 };
 pub use queue::{
-    CmdQueue, DeviceSaturation, LatencySummary, QueueSample, SaturationReport, TenantAttribution,
-    TenantLoad, TenantShare, BULLY_SHARE_PPM, CMD_QUEUE_CAPACITY, SATURATION_UTIL_PPM,
+    CmdQueue, DeviceSaturation, LatencySummary, SaturationReport, TenantAttribution, TenantShare,
+    BULLY_SHARE_PPM, CMD_QUEUE_CAPACITY, SATURATION_UTIL_PPM,
 };
 pub use ring::{RingCompletion, RingOp, RingPayload, SubmissionRing, DEFAULT_RING_ENTRIES};
 pub use rusage::{JobReport, JobTimer, Rusage};

@@ -1,5 +1,5 @@
-//! Per-device bounded command queues: queue-wait pricing and saturation
-//! telemetry.
+//! Per-device bounded command queues: queue-wait pricing, saturation
+//! telemetry, and the saturation report folded from it.
 //!
 //! The kernel owns one [`CmdQueue`] per attached device. Service is FIFO
 //! in submission order: the queue remembers when the device is busy until,
@@ -12,8 +12,8 @@
 //! Besides pricing the wait, the queue is the saturation observatory's
 //! sensor: it keeps a bounded drop-oldest history of occupancy segments
 //! (who held the device when) used to attribute each wait to the tenants
-//! it was spent behind, a bounded ring of depth/throughput samples on the
-//! virtual clock, and cumulative per-tenant load. All counters are
+//! it was spent behind, and one [`CostRow`] per tenant — the queue's
+//! totals are their sum, never a second counter. All counters are
 //! integers and all containers are bounded (by [`CmdQueue::new`]'s
 //! capacity) or keyed by registered tenants, so snapshots replay
 //! bit-identically.
@@ -22,11 +22,10 @@ use std::collections::{BTreeMap, VecDeque};
 
 use sleds_sim_core::stats::LogHistogram;
 use sleds_sim_core::time::NANOS_PER_SEC;
-use sleds_sim_core::{SimDuration, SimTime};
-use sleds_trace::DeviceCost;
+use sleds_sim_core::{index, SimDuration, SimTime};
+use sleds_trace::{CostRow, DeviceCost};
 
-/// Occupancy segments and depth samples retained per device queue
-/// (drop-oldest beyond this).
+/// Occupancy segments retained per device queue (drop-oldest beyond this).
 pub const CMD_QUEUE_CAPACITY: usize = 64;
 
 /// A device is *saturated* when it was busy for at least this share
@@ -45,68 +44,27 @@ struct Segment {
     end: SimTime,
 }
 
-/// One utilization sample, taken at each command submission: queue depth
-/// ahead of the command and cumulative busy time / bytes at that instant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueSample {
-    /// Virtual instant of the submission.
-    pub at: SimTime,
-    /// Commands scheduled to finish after `at` (the line we joined).
-    pub depth: u64,
-    /// Cumulative device busy time at `at`, nanoseconds.
-    pub busy_ns: u64,
-    /// Cumulative bytes moved at `at`.
-    pub bytes: u64,
-}
-
-/// Cumulative load one tenant has placed on one device.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TenantLoad {
-    /// Commands completed (successful or fault-charged).
-    pub commands: u64,
-    /// Bytes moved by those commands.
-    pub bytes: u64,
-    /// Own service time: nanoseconds the device worked for this tenant.
-    pub busy_ns: u64,
-    /// Nanoseconds this tenant's commands waited in queue before service.
-    pub queue_wait_ns: u64,
-    /// Observed device latency: queue wait + service, as charged to the
-    /// tenant's clock. Tracked independently so reports can *check* that
-    /// own-service + queue-wait sums to what was observed.
-    pub observed_ns: u64,
-}
-
 /// The bounded FIFO command queue and telemetry for one device.
 #[derive(Debug)]
 pub struct CmdQueue {
-    /// Bound on retained segments and samples.
+    /// Bound on retained segments.
     capacity: usize,
     /// The device services commands in submission order; it is busy until
     /// this instant.
     busy_until: SimTime,
     /// Recent occupancy segments, oldest first, bounded drop-oldest.
     segments: VecDeque<Segment>,
-    /// Recent depth/throughput samples, oldest first, bounded drop-oldest.
-    samples: VecDeque<QueueSample>,
     /// First submission seen (the active window opens here).
     first_submit: Option<SimTime>,
-    /// Commands completed.
-    commands: u64,
-    /// Bytes moved.
-    bytes: u64,
-    /// Total device busy time, nanoseconds.
-    busy_ns: u64,
-    /// Total queue wait, nanoseconds.
-    queue_wait_ns: u64,
     /// Deepest line any command joined.
     depth_high_water: u64,
     /// Hedged commands revoked on this queue before (full) service.
     cancels: u64,
-    /// Per-tenant cumulative load.
-    per_tenant: BTreeMap<u64, TenantLoad>,
+    /// Per-tenant cumulative cost; [`CmdQueue::total`] is their sum.
+    per_tenant: BTreeMap<u64, CostRow>,
     /// Cross-tenant wait attribution: `(waiter, owner) -> ns` the waiter
-    /// spent queued behind the owner's occupancy. Sums exactly to
-    /// `queue_wait_ns` by construction.
+    /// spent queued behind the owner's occupancy. Sums exactly to the
+    /// total queue wait.
     waits: BTreeMap<(u64, u64), u64>,
     /// Per-command service time (fixed 64 log buckets: bounded).
     service_hist: LogHistogram,
@@ -115,18 +73,13 @@ pub struct CmdQueue {
 }
 
 impl CmdQueue {
-    /// A queue retaining at most `capacity` (at least 1) segments/samples.
+    /// A queue retaining at most `capacity` (at least 1) segments.
     pub fn new(capacity: usize) -> CmdQueue {
         CmdQueue {
             capacity: capacity.max(1),
             busy_until: SimTime::ZERO,
             segments: VecDeque::new(),
-            samples: VecDeque::new(),
             first_submit: None,
-            commands: 0,
-            bytes: 0,
-            busy_ns: 0,
-            queue_wait_ns: 0,
             depth_high_water: 0,
             cancels: 0,
             per_tenant: BTreeMap::new(),
@@ -134,11 +87,6 @@ impl CmdQueue {
             service_hist: LogHistogram::new(),
             queue_wait_hist: LogHistogram::new(),
         }
-    }
-
-    /// The retention bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// How long a command submitted at `now` waits before service starts.
@@ -149,35 +97,20 @@ impl CmdQueue {
 
     /// Records one occupancy: submitted at `ev.submit`, waited
     /// `ev.queue_wait`, held the device for `ev.service`, moved `ev.bytes`.
-    /// Updates occupancy, samples, per-tenant load, and attributes the
+    /// Updates occupancy, depth and the tenant's row, and attributes the
     /// wait to the tenants whose retained occupancy segments it overlapped
     /// (any portion older than the retained history goes to the oldest
     /// retained owner, so the attribution still sums exactly to the total
     /// wait).
     pub fn note_command(&mut self, ev: &DeviceCost) {
-        self.occupy(ev);
-    }
-
-    /// The fold behind both entry points: one occupancy segment.
-    fn occupy(&mut self, ev: &DeviceCost) {
-        let (tenant, now, qwait, service, bytes) =
-            (ev.tenant, ev.submit, ev.queue_wait, ev.service, ev.bytes);
+        let (tenant, now, qwait, service) = (ev.tenant, ev.submit, ev.queue_wait, ev.service);
         if self.first_submit.is_none() {
             self.first_submit = Some(now);
         }
-        // Depth sample at submission: how many retained occupancies were
-        // still scheduled to finish after we arrived.
+        // Depth at submission: how many retained occupancies were still
+        // scheduled to finish after we arrived.
         let depth = self.segments.iter().filter(|s| s.end > now).count() as u64;
         self.depth_high_water = self.depth_high_water.max(depth);
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(QueueSample {
-            at: now,
-            depth,
-            busy_ns: self.busy_ns,
-            bytes: self.bytes,
-        });
 
         // Attribute the wait interval [now, busy_until) across the
         // retained segments it was spent behind.
@@ -203,7 +136,6 @@ impl CmdQueue {
                 let owner = self.segments.front().map_or(tenant, |s| s.owner);
                 *self.waits.entry((tenant, owner)).or_insert(0) += leftover;
             }
-            self.queue_wait_ns = self.queue_wait_ns.saturating_add(qwait.as_nanos());
         }
 
         // The new occupancy: service starts when the wait ends.
@@ -219,31 +151,19 @@ impl CmdQueue {
             end,
         });
 
-        self.commands += 1;
-        self.bytes = self.bytes.saturating_add(bytes);
-        self.busy_ns = self.busy_ns.saturating_add(service.as_nanos());
         self.service_hist.record(service.as_nanos());
         self.queue_wait_hist.record(qwait.as_nanos());
-        let load = self.per_tenant.entry(tenant).or_default();
-        load.commands += 1;
-        load.bytes = load.bytes.saturating_add(bytes);
-        load.busy_ns = load.busy_ns.saturating_add(service.as_nanos());
-        load.queue_wait_ns = load.queue_wait_ns.saturating_add(qwait.as_nanos());
-        load.observed_ns = load
-            .observed_ns
-            .saturating_add(qwait.as_nanos().saturating_add(service.as_nanos()));
+        self.per_tenant.entry(tenant).or_default().add(ev);
     }
 
     /// Records a hedged command revoked before full service: it holds the
     /// queue *tail* for exactly `ev.service` (the issue-and-revoke
     /// overhead) and moves no bytes. Modeled as an ordinary zero-wait
     /// occupancy segment at the tail instant, so `busy_until` stays
-    /// monotone and both the per-segment wait attribution and the
-    /// per-tenant conservation law (`own_service + queue_wait == observed`)
-    /// hold by construction.
+    /// monotone and the per-segment wait attribution holds by construction.
     pub fn note_cancel(&mut self, ev: &DeviceCost) {
         self.cancels += 1;
-        self.occupy(&DeviceCost {
+        self.note_command(&DeviceCost {
             submit: self.busy_until.max(ev.submit),
             ..*ev
         });
@@ -254,39 +174,14 @@ impl CmdQueue {
         self.cancels
     }
 
-    /// The instant the device falls idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Commands completed.
-    pub fn commands(&self) -> u64 {
-        self.commands
-    }
-
-    /// Bytes moved.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Total device busy time, nanoseconds.
-    pub fn busy_ns(&self) -> u64 {
-        self.busy_ns
-    }
-
-    /// Total queue wait, nanoseconds.
-    pub fn queue_wait_ns(&self) -> u64 {
-        self.queue_wait_ns
+    /// Everything the device did: the sum of the per-tenant rows.
+    pub fn total(&self) -> CostRow {
+        self.per_tenant.values().sum()
     }
 
     /// Deepest line any command joined.
     pub fn depth_high_water(&self) -> u64 {
         self.depth_high_water
-    }
-
-    /// First submission, if any (the active window opens here).
-    pub fn first_submit(&self) -> Option<SimTime> {
-        self.first_submit
     }
 
     /// The active window: first submission to last completion, nanoseconds.
@@ -299,36 +194,18 @@ impl CmdQueue {
 
     /// Device utilization over its active window, parts per million.
     pub fn utilization_ppm(&self) -> u64 {
-        let w = self.window_ns();
-        if w == 0 {
-            return 0;
-        }
-        u64::try_from(u128::from(self.busy_ns) * 1_000_000 / u128::from(w)).unwrap_or(u64::MAX)
+        CostRow::ppm(self.total().service_ns, self.window_ns())
     }
 
-    /// Effective throughput over busy time, bytes per second.
-    pub fn throughput_bytes_per_sec(&self) -> u64 {
-        if self.busy_ns == 0 {
-            return 0;
-        }
-        u64::try_from(u128::from(self.bytes) * u128::from(NANOS_PER_SEC) / u128::from(self.busy_ns))
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Per-tenant cumulative load rows, ascending by tenant.
-    pub fn tenant_loads(&self) -> impl Iterator<Item = (u64, &TenantLoad)> + '_ {
-        self.per_tenant.iter().map(|(&t, l)| (t, l))
+    /// Per-tenant cumulative cost rows, ascending by tenant.
+    pub fn tenant_rows(&self) -> impl Iterator<Item = (u64, &CostRow)> + '_ {
+        self.per_tenant.iter().map(|(&t, row)| (t, row))
     }
 
     /// Cross-tenant wait attribution rows `((waiter, owner), ns)`,
     /// ascending by key.
     pub fn wait_rows(&self) -> impl Iterator<Item = ((u64, u64), u64)> + '_ {
         self.waits.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Retained depth/throughput samples, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &QueueSample> + '_ {
-        self.samples.iter()
     }
 
     /// Per-command service-time histogram.
@@ -346,12 +223,7 @@ impl CmdQueue {
     /// segments — persists: like a disk arm position, the device's
     /// schedule is physical reality, not a counter.
     pub fn reset_telemetry(&mut self) {
-        self.samples.clear();
         self.first_submit = None;
-        self.commands = 0;
-        self.bytes = 0;
-        self.busy_ns = 0;
-        self.queue_wait_ns = 0;
         self.depth_high_water = 0;
         self.cancels = 0;
         self.per_tenant.clear();
@@ -397,8 +269,8 @@ impl LatencySummary {
 pub struct TenantShare {
     /// The tenant.
     pub tenant: u64,
-    /// Its cumulative load on this device.
-    pub load: TenantLoad,
+    /// Its cumulative cost on this device.
+    pub cost: CostRow,
     /// Its share of the device's busy time, parts per million.
     pub demand_share_ppm: u64,
     /// True when the device is saturated and this share crosses
@@ -417,16 +289,11 @@ pub struct DeviceSaturation {
     pub class_code: u64,
     /// Active window (first submission to last completion), nanoseconds.
     pub window_ns: u64,
-    /// Busy time inside the window, nanoseconds.
-    pub busy_ns: u64,
-    /// Total queue wait commands paid on this device, nanoseconds.
-    pub queue_wait_ns: u64,
+    /// Everything the device did; `service_ns` is its busy time inside
+    /// the window. The sum of the shares' rows.
+    pub cost: CostRow,
     /// `busy / window`, parts per million.
     pub utilization_ppm: u64,
-    /// Commands completed.
-    pub commands: u64,
-    /// Bytes moved.
-    pub bytes: u64,
     /// Bytes over busy time, bytes per second.
     pub throughput_bytes_per_sec: u64,
     /// Deepest queue any command joined.
@@ -452,8 +319,8 @@ pub struct TenantAttribution {
     pub own_service_ns: u64,
     /// Nanoseconds its commands waited in queues.
     pub queue_wait_ns: u64,
-    /// Observed device latency (wait + service) charged to its clock.
-    /// Equals `own_service_ns + queue_wait_ns` exactly.
+    /// Observed device latency (wait + service) charged to its clock:
+    /// [`CostRow::observed_ns`] of the row the other two come from.
     pub observed_ns: u64,
     /// Who the waiting was behind: `(owner tenant, ns)`, descending by
     /// ns then ascending by owner. Sums exactly to `queue_wait_ns`.
@@ -482,6 +349,88 @@ impl SaturationReport {
         out.dedup();
         out
     }
+}
+
+/// Folds the per-device queues into the report, linear in their tenant and
+/// wait rows: each tenant row is merged into its device share and its
+/// attribution as it is read. `devices` yields every queue with its
+/// device's name and class code in device order, `tenants` every
+/// registered tenant's name in id order. Rows of an unregistered tenant id
+/// count toward their device but get no attribution row.
+pub(crate) fn saturation_report<'a>(
+    devices: impl Iterator<Item = (&'a CmdQueue, &'a str, u64)>,
+    tenants: impl Iterator<Item = &'a str>,
+) -> SaturationReport {
+    // Per tenant: its cost on every device, and whom it waited behind.
+    let mut acc: Vec<(&str, CostRow, BTreeMap<u64, u64>)> = tenants
+        .map(|name| (name, CostRow::default(), BTreeMap::new()))
+        .collect();
+    let mut report = SaturationReport::default();
+    for (device, (q, name, class_code)) in devices.enumerate() {
+        let cost = q.total();
+        if cost.commands == 0 {
+            continue;
+        }
+        let utilization_ppm = q.utilization_ppm();
+        let saturated = utilization_ppm >= SATURATION_UTIL_PPM && cost.queue_wait_ns > 0;
+        let mut shares = Vec::with_capacity(q.per_tenant.len());
+        for (&tenant, row) in &q.per_tenant {
+            if let Some((_, sum, _)) = acc.get_mut(index(tenant)) {
+                sum.merge(row);
+            }
+            let demand_share_ppm = CostRow::ppm(row.service_ns, cost.service_ns);
+            shares.push(TenantShare {
+                tenant,
+                cost: *row,
+                demand_share_ppm,
+                bully: saturated && demand_share_ppm >= BULLY_SHARE_PPM,
+            });
+        }
+        for (&(waiter, owner), &ns) in &q.waits {
+            if let Some((_, _, waited)) = acc.get_mut(index(waiter)) {
+                *waited.entry(owner).or_insert(0) += ns;
+            }
+        }
+        let throughput_bytes_per_sec = match cost.service_ns {
+            0 => 0,
+            busy => {
+                u64::try_from(u128::from(cost.bytes) * u128::from(NANOS_PER_SEC) / u128::from(busy))
+                    .unwrap_or(u64::MAX)
+            }
+        };
+        report.devices.push(DeviceSaturation {
+            device,
+            name: name.to_string(),
+            class_code,
+            window_ns: q.window_ns(),
+            cost,
+            utilization_ppm,
+            throughput_bytes_per_sec,
+            depth_high_water: q.depth_high_water,
+            saturated,
+            service_latency: LatencySummary::of(&q.service_hist),
+            queue_wait_latency: LatencySummary::of(&q.queue_wait_hist),
+            shares,
+        });
+    }
+    report.tenants = acc
+        .into_iter()
+        .enumerate()
+        .map(|(id, (name, cost, waited))| {
+            // Who the waiting was behind, worst offender first.
+            let mut waited_on: Vec<(u64, u64)> = waited.into_iter().collect();
+            waited_on.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            TenantAttribution {
+                tenant: id as u64,
+                name: name.to_string(),
+                own_service_ns: cost.service_ns,
+                queue_wait_ns: cost.queue_wait_ns,
+                observed_ns: cost.observed_ns(),
+                waited_on,
+            }
+        })
+        .collect();
+    report
 }
 
 #[cfg(test)]
@@ -523,9 +472,15 @@ mod tests {
         // The caller's clock has advanced past completion, as in any
         // single-tenant run: still no wait.
         assert!(q.queue_wait(at(100)).is_zero());
-        assert_eq!(q.busy_ns(), 100);
-        assert_eq!(q.queue_wait_ns(), 0);
-        assert_eq!(q.commands(), 1);
+        assert_eq!(
+            q.total(),
+            CostRow {
+                commands: 1,
+                bytes: 512,
+                queue_wait_ns: 0,
+                service_ns: 100,
+            }
+        );
     }
 
     #[test]
@@ -537,15 +492,15 @@ mod tests {
         let w = q.queue_wait(at(40));
         assert_eq!(w.as_nanos(), 60);
         q.note_command(&cmd(2, at(40), w, ns(50), 512));
-        assert_eq!(q.busy_until(), at(150));
-        assert_eq!(q.queue_wait_ns(), 60);
+        assert_eq!(q.busy_until, at(150));
+        assert_eq!(q.total().queue_wait_ns, 60);
         let waits: Vec<_> = q.wait_rows().collect();
         assert_eq!(waits, vec![((2, 1), 60)]);
-        let loads: Vec<_> = q.tenant_loads().map(|(t, l)| (t, *l)).collect();
-        assert_eq!(loads[1].0, 2);
-        assert_eq!(loads[1].1.queue_wait_ns, 60);
-        assert_eq!(loads[1].1.busy_ns, 50);
-        assert_eq!(loads[1].1.observed_ns, 110);
+        let rows: Vec<_> = q.tenant_rows().map(|(t, r)| (t, *r)).collect();
+        assert_eq!(rows[1].0, 2);
+        assert_eq!(rows[1].1.queue_wait_ns, 60);
+        assert_eq!(rows[1].1.service_ns, 50);
+        assert_eq!(rows[1].1.observed_ns(), 110);
     }
 
     #[test]
@@ -564,7 +519,7 @@ mod tests {
         assert_eq!(waits, vec![((3, 1), 70), ((3, 2), 50)]);
         // Attribution sums exactly to the total wait.
         let total: u64 = q.wait_rows().map(|(_, v)| v).sum();
-        assert_eq!(total, q.queue_wait_ns());
+        assert_eq!(total, q.total().queue_wait_ns);
     }
 
     #[test]
@@ -578,12 +533,12 @@ mod tests {
         // [100,200) is retained (owner 2); the [10,100) remainder is
         // charged to the oldest retained owner — still tenant 2 here.
         let total: u64 = q.wait_rows().map(|(_, v)| v).sum();
-        assert_eq!(total, q.queue_wait_ns());
+        assert_eq!(total, q.total().queue_wait_ns);
         assert_eq!(total, 190);
     }
 
     #[test]
-    fn depth_and_samples_are_bounded() {
+    fn depth_and_segments_are_bounded() {
         let mut q = CmdQueue::new(4);
         let mut now = at(0);
         for i in 0..10u64 {
@@ -591,9 +546,9 @@ mod tests {
             q.note_command(&cmd(i % 3, now, w, ns(100), 64));
             now += ns(10); // arrivals outpace service: depth grows
         }
-        assert!(q.samples().count() <= 4);
+        assert_eq!(q.segments.len(), 4);
         assert!(q.depth_high_water() >= 1);
-        assert_eq!(q.commands(), 10);
+        assert_eq!(q.total().commands, 10);
     }
 
     #[test]
@@ -603,9 +558,49 @@ mod tests {
         // Window [0,1000): second command at 600 (idle 200 in between).
         q.note_command(&cmd(0, at(600), ns(0), ns(400), 4_000));
         assert_eq!(q.window_ns(), 1_000);
-        assert_eq!(q.busy_ns(), 800);
+        assert_eq!(q.total().service_ns, 800);
         assert_eq!(q.utilization_ppm(), 800_000);
-        assert_eq!(q.throughput_bytes_per_sec(), 8_000 * NANOS_PER_SEC / 800);
+        let report = saturation_report([(&q, "hda", 1)].into_iter(), std::iter::empty());
+        let d = &report.devices[0];
+        assert_eq!(d.throughput_bytes_per_sec, 8_000 * NANOS_PER_SEC / 800);
+        assert!(report.tenants.is_empty());
+    }
+
+    #[test]
+    fn report_sums_tenants_across_queues_and_flags_bullies() {
+        let (mut disk, mut tape) = (CmdQueue::new(8), CmdQueue::new(8));
+        // The disk, busy throughout [0, 300): tenant 1 holds 200 ns of it,
+        // tenant 2 waits 200 ns behind it and holds 100.
+        disk.note_command(&cmd(1, at(0), ns(0), ns(200), 4_096));
+        disk.note_command(&cmd(2, at(0), disk.queue_wait(at(0)), ns(100), 512));
+        // The tape: tenant 2 again, and tenant 7, whom nobody registered.
+        tape.note_command(&cmd(2, at(0), ns(0), ns(1_000), 0));
+        tape.note_command(&cmd(7, at(5_000), ns(0), ns(1_000), 0));
+        let report = saturation_report(
+            [(&disk, "hda", 1), (&tape, "st0", 4)].into_iter(),
+            ["main", "bulk", "web"].into_iter(),
+        );
+
+        let hda = &report.devices[0];
+        assert!(hda.saturated && !report.devices[1].saturated);
+        assert_eq!(hda.utilization_ppm, 1_000_000);
+        let shares: Vec<_> = hda
+            .shares
+            .iter()
+            .map(|s| (s.tenant, s.demand_share_ppm, s.bully))
+            .collect();
+        assert_eq!(shares, [(1, 666_666, true), (2, 333_333, true)]);
+        assert_eq!(report.bullies(), [1, 2]);
+        assert_eq!(report.devices[1].cost.commands, 2, "tenant 7 still counts");
+
+        let web = &report.tenants[2];
+        assert_eq!(report.tenants.len(), 3);
+        assert_eq!(
+            (web.own_service_ns, web.queue_wait_ns, web.observed_ns),
+            (1_100, 200, 1_300)
+        );
+        assert_eq!(web.waited_on, [(1, 200)]);
+        assert_eq!(report.tenants[0].observed_ns, 0);
     }
 
     #[test]
@@ -613,9 +608,8 @@ mod tests {
         let mut q = CmdQueue::new(8);
         q.note_command(&cmd(0, at(0), ns(0), ns(100), 512));
         q.reset_telemetry();
-        assert_eq!(q.commands(), 0);
-        assert_eq!(q.busy_ns(), 0);
-        assert_eq!(q.busy_until(), at(100), "schedule is physical reality");
+        assert_eq!(q.total(), CostRow::default());
+        assert_eq!(q.busy_until, at(100), "schedule is physical reality");
         assert!(q.queue_wait(at(50)).as_nanos() == 50);
     }
 }

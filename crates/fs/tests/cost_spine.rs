@@ -58,34 +58,24 @@ struct Lane {
 }
 
 /// `(commands, busy_ns, queue_wait_ns)` a tenant has placed on every queue,
-/// checking each queue's own identities on the way.
+/// checking each queue's wait attribution on the way. (A queue's totals
+/// are the sum of its tenant rows by construction.)
 fn queue_rows(k: &Kernel) -> BTreeMap<u64, (u64, u64, u64)> {
     let mut rows: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
     for d in 0..k.device_count() {
         let q = k.device_queue(DeviceId(d)).unwrap();
-        let mut sum = (0, 0, 0, 0);
-        for (t, load) in q.tenant_loads() {
-            assert_eq!(
-                load.busy_ns + load.queue_wait_ns,
-                load.observed_ns,
-                "device {d} tenant {t}: own service + queue wait == observed"
-            );
-            sum.0 += load.commands;
-            sum.1 += load.busy_ns;
-            sum.2 += load.queue_wait_ns;
-            sum.3 += load.bytes;
+        for (t, cost) in q.tenant_rows() {
             let row = rows.entry(t).or_default();
-            row.0 += load.commands;
-            row.1 += load.busy_ns;
-            row.2 += load.queue_wait_ns;
+            row.0 += cost.commands;
+            row.1 += cost.service_ns;
+            row.2 += cost.queue_wait_ns;
         }
-        assert_eq!(
-            sum,
-            (q.commands(), q.busy_ns(), q.queue_wait_ns(), q.bytes()),
-            "device {d}: per-tenant loads sum to the queue totals"
-        );
         let waits: u64 = q.wait_rows().map(|(_, ns)| ns).sum();
-        assert_eq!(waits, q.queue_wait_ns(), "device {d}: wait attribution");
+        assert_eq!(
+            waits,
+            q.total().queue_wait_ns,
+            "device {d}: wait attribution"
+        );
     }
     rows
 }
@@ -98,7 +88,8 @@ fn metric_rows(k: &Kernel) -> BTreeMap<u64, (u64, u64, u64)> {
         .iter()
         .map(|(&(t, class), row)| {
             assert_eq!(class, DISK);
-            (t, (row.requests, row.busy_ns, row.queue_wait_ns))
+            let c = &row.cost;
+            (t, (c.commands, c.service_ns, c.queue_wait_ns))
         })
         .collect()
 }
@@ -369,20 +360,21 @@ fn every_sink_moves_by_the_same_numbers() {
     assert!(cap.complete, "{:?}", cap.incomplete_reason);
     assert_eq!(cap.ops.len(), steps.len());
     for (i, (op, s)) in cap.ops.iter().zip(&steps).enumerate() {
-        let o = &op.outcome;
+        let (o, dev) = (&op.outcome, op.outcome.device());
         assert_eq!(op.tenant, s.tenant, "op {i}");
-        assert_eq!(o.device_commands, s.queue.0, "op {i}");
-        assert_eq!(o.service_ns, s.queue.1, "op {i}");
-        assert_eq!(o.queue_wait_ns, s.queue.2, "op {i}");
+        assert_eq!(
+            (dev.commands, dev.service_ns, dev.queue_wait_ns),
+            s.queue,
+            "op {i}"
+        );
         assert_eq!(o.hedges, s.usage.hedges, "op {i}");
-        let rows = o.classes.iter().fold((0, 0), |a, c| {
-            assert_eq!(c.class, DISK);
-            (a.0 + c.queue_wait_ns, a.1 + c.service_ns)
-        });
-        assert_eq!(rows, (o.queue_wait_ns, o.service_ns), "op {i}");
+        assert!(o.classes.iter().all(|&(class, _)| class == DISK), "op {i}");
         if !s.overlapped {
-            let residual = s.usage.io_wait.as_nanos() - (rows.0 + rows.1);
-            assert_eq!(residual, 0, "op {i}: class rows explain the whole io_wait");
+            assert_eq!(
+                s.usage.io_wait.as_nanos(),
+                dev.observed_ns(),
+                "op {i}: class rows explain the whole io_wait"
+            );
         }
     }
 
@@ -465,7 +457,7 @@ fn refused_commands_are_never_charged_device_time() {
         (Errno::Eio, Some(FAULT_COST))
     );
     assert_eq!(k.usage().io_wait, FAULT_COST);
-    assert_eq!(k.device_queue(hda).unwrap().commands(), 1);
+    assert_eq!(k.device_queue(hda).unwrap().total().commands, 1);
     let charged = (k.now(), k.usage(), k.trace_events().len());
 
     // ...the bounds error right behind it, and the look-alike, cost nothing.
@@ -475,8 +467,8 @@ fn refused_commands_are_never_charged_device_time() {
     let err = k.raw_device_read(bad, 0, 8).unwrap_err();
     assert_eq!((err.errno, err.fault_cost()), (Errno::Eio, None));
     assert_eq!(charged, (k.now(), k.usage(), k.trace_events().len()));
-    assert_eq!(k.device_queue(hda).unwrap().commands(), 1);
-    assert_eq!(k.device_queue(bad).unwrap().commands(), 0);
+    assert_eq!(k.device_queue(hda).unwrap().total().commands, 1);
+    assert_eq!(k.device_queue(bad).unwrap().total().commands, 0);
 
     // Through a syscall the look-alike costs the trap and nothing else.
     let fd = k.open("/x/f", OpenFlags::RDONLY).unwrap();

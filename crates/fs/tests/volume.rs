@@ -325,8 +325,8 @@ fn coded_read_repicks_past_a_transient_fragment_fault() {
     let queues: Vec<(u64, u64, u64)> = members
         .iter()
         .map(|&d| {
-            let q = k.device_queue(d).unwrap();
-            (q.commands(), q.busy_ns(), q.queue_wait_ns())
+            let q = k.device_queue(d).unwrap().total();
+            (q.commands, q.service_ns, q.queue_wait_ns)
         })
         .collect();
     let events: Vec<String> = k

@@ -7,7 +7,7 @@
 //! opposite, and 2Q resists exactly the sequential-flood behaviour SLEDs
 //! exploits — making it an interesting counterfactual.
 //!
-//! Every resident page is one [`Node`] in a `Vec`, linked by index into a
+//! Every resident page is one `Node` in a `Vec`, linked by index into a
 //! doubly linked list; the cache's per-inode slot table maps a page to its
 //! node id, so a hit is a splice and never a search. A removed page is
 //! unlinked on the spot, so a queue holds exactly the resident pages: no

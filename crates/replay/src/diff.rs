@@ -12,9 +12,10 @@
 //! delta" is checkable, not asserted.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
+use sleds_fs::trace::CostRow;
 use sleds_fs::{Capture, LatencySummary, Syscall};
 use sleds_sim_core::stats::LogHistogram;
 
@@ -94,6 +95,60 @@ pub struct ReplayDiff {
     pub classes: BTreeMap<u64, GroupDelta>,
 }
 
+/// Why two captures could not be diffed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DiffError {
+    /// The captures hold different numbers of ops.
+    OpCount {
+        /// Ops in the base capture.
+        base: usize,
+        /// Ops in the candidate.
+        cand: usize,
+    },
+    /// Op `seq` is a different call, or ran as a different tenant, on the
+    /// two sides: a diff would attribute nonsense.
+    OpMismatch {
+        /// The op's capture sequence number.
+        seq: u64,
+        /// `(call, tenant)` in the base capture.
+        base: (&'static str, u64),
+        /// `(call, tenant)` in the candidate.
+        cand: (&'static str, u64),
+    },
+    /// A delta or sum derived from op `seq` leaves the integer range.
+    Overflow {
+        /// The op's capture sequence number.
+        seq: u64,
+        /// Which figure overflowed.
+        what: &'static str,
+    },
+}
+
+impl fmt::Display for DiffError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DiffError::OpCount { base, cand } => write!(
+                f,
+                "op count mismatch: base has {base}, candidate has {cand}"
+            ),
+            DiffError::OpMismatch { seq, base, cand } => write!(
+                f,
+                "op {seq} mismatch: base {}@tenant{}, candidate {}@tenant{}",
+                base.0, base.1, cand.0, cand.1
+            ),
+            DiffError::Overflow { seq, what } => write!(f, "op {seq}: {what} overflows"),
+        }
+    }
+}
+
+impl std::error::Error for DiffError {}
+
+impl From<DiffError> for String {
+    fn from(e: DiffError) -> String {
+        e.to_string()
+    }
+}
+
 struct GroupAcc {
     ops: u64,
     d_latency: i64,
@@ -115,13 +170,19 @@ impl GroupAcc {
         }
     }
 
-    fn note(&mut self, d: &OpDelta) {
+    /// Adds one op's `(latency, queue wait, service)` deltas and its two
+    /// latencies; `None`, adding nothing, when a sum would overflow.
+    fn note(&mut self, d: (i64, i64, i64), base: u64, cand: u64) -> Option<()> {
+        let sums = (
+            self.d_latency.checked_add(d.0)?,
+            self.d_queue_wait.checked_add(d.1)?,
+            self.d_service.checked_add(d.2)?,
+        );
+        (self.d_latency, self.d_queue_wait, self.d_service) = sums;
         self.ops += 1;
-        self.d_latency += d.d_latency_ns;
-        self.d_queue_wait += d.d_queue_wait_ns;
-        self.d_service += d.d_service_ns;
-        self.base_hist.record(d.base_latency_ns);
-        self.cand_hist.record(d.cand_latency_ns);
+        self.base_hist.record(base);
+        self.cand_hist.record(cand);
+        Some(())
     }
 
     fn into_group(self) -> GroupDelta {
@@ -136,24 +197,22 @@ impl GroupAcc {
     }
 }
 
-fn signed_delta(cand: u64, base: u64) -> Result<i64, String> {
-    let c = i64::try_from(cand).map_err(|_| format!("value {cand} overflows i64"))?;
-    let b = i64::try_from(base).map_err(|_| format!("value {base} overflows i64"))?;
-    Ok(c - b)
+/// `cand - base`, when it fits an `i64`.
+fn signed_delta(cand: u64, base: u64) -> Option<i64> {
+    i64::try_from(i128::from(cand) - i128::from(base)).ok()
 }
 
 /// Pairs `base` against `cand` op-by-op and aggregates the movement.
 ///
 /// Errors if the captures are structurally different (op counts, call
 /// kinds, tenants) — a diff between mismatched workloads would silently
-/// attribute nonsense.
-pub fn diff_captures(base: &Capture, cand: &Capture) -> Result<ReplayDiff, String> {
+/// attribute nonsense — or if a figure leaves the integer range.
+pub fn diff_captures(base: &Capture, cand: &Capture) -> Result<ReplayDiff, DiffError> {
     if base.ops.len() != cand.ops.len() {
-        return Err(format!(
-            "op count mismatch: base has {}, candidate has {}",
-            base.ops.len(),
-            cand.ops.len()
-        ));
+        return Err(DiffError::OpCount {
+            base: base.ops.len(),
+            cand: cand.ops.len(),
+        });
     }
     let mut tenant_names: BTreeMap<u64, String> = BTreeMap::new();
     tenant_names.insert(0, "main".to_string());
@@ -166,23 +225,23 @@ pub fn diff_captures(base: &Capture, cand: &Capture) -> Result<ReplayDiff, Strin
 
     for (b, c) in base.ops.iter().zip(cand.ops.iter()) {
         if b.call.name() != c.call.name() || b.tenant != c.tenant {
-            return Err(format!(
-                "op {} mismatch: base {}@tenant{}, candidate {}@tenant{}",
-                b.seq,
-                b.call.name(),
-                b.tenant,
-                c.call.name(),
-                c.tenant
-            ));
+            return Err(DiffError::OpMismatch {
+                seq: b.seq,
+                base: (b.call.name(), b.tenant),
+                cand: (c.call.name(), c.tenant),
+            });
         }
         if let Syscall::TenantRegister { name } = &b.call {
             tenant_names.insert(b.outcome.ret, name.clone());
         }
+        let overflow = |what| DiffError::Overflow { seq: b.seq, what };
+        let delta = |cand, base, what| signed_delta(cand, base).ok_or_else(|| overflow(what));
+        let (b_dev, c_dev) = (b.outcome.device(), c.outcome.device());
         let base_latency = b.outcome.complete_ns.saturating_sub(b.submit_ns);
         let cand_latency = c.outcome.complete_ns.saturating_sub(c.submit_ns);
-        let d_latency = signed_delta(cand_latency, base_latency)?;
-        let d_queue_wait = signed_delta(c.outcome.queue_wait_ns, b.outcome.queue_wait_ns)?;
-        let d_service = signed_delta(c.outcome.service_ns, b.outcome.service_ns)?;
+        let d_latency = delta(cand_latency, base_latency, "latency delta")?;
+        let d_queue_wait = delta(c_dev.queue_wait_ns, b_dev.queue_wait_ns, "queue-wait delta")?;
+        let d_service = delta(c_dev.service_ns, b_dev.service_ns, "service delta")?;
         let d = OpDelta {
             seq: b.seq,
             tenant: b.tenant,
@@ -193,39 +252,50 @@ pub fn diff_captures(base: &Capture, cand: &Capture) -> Result<ReplayDiff, Strin
             d_latency_ns: d_latency,
             d_queue_wait_ns: d_queue_wait,
             d_service_ns: d_service,
-            residual_ns: d_latency - d_queue_wait - d_service,
+            residual_ns: d_latency
+                .checked_sub(d_queue_wait)
+                .and_then(|r| r.checked_sub(d_service))
+                .ok_or_else(|| overflow("residual"))?,
         };
         if d.residual_ns == 0 {
             exact_ops += 1;
         }
-        total.note(&d);
+        let deltas = (d_latency, d_queue_wait, d_service);
+        total
+            .note(deltas, base_latency, cand_latency)
+            .ok_or_else(|| overflow("total"))?;
         tenants
             .entry(d.tenant)
             .or_insert_with(GroupAcc::new)
-            .note(&d);
+            .note(deltas, base_latency, cand_latency)
+            .ok_or_else(|| overflow("tenant total"))?;
         // Class movement comes from the per-class cost rows, paired by
-        // class code across the two outcomes.
-        let mut codes: Vec<u64> = b.outcome.classes.iter().map(|x| x.class).collect();
-        for x in &c.outcome.classes {
-            if !codes.contains(&x.class) {
-                codes.push(x.class);
-            }
+        // class code across the two outcomes (a class one side never
+        // reached pairs with a zero row).
+        let mut pairs: BTreeMap<u64, (CostRow, CostRow)> = BTreeMap::new();
+        for &(code, row) in &b.outcome.classes {
+            pairs.entry(code).or_default().0.merge(&row);
         }
-        codes.sort_unstable();
-        for code in codes {
-            let bc = b.outcome.classes.iter().find(|x| x.class == code);
-            let cc = c.outcome.classes.iter().find(|x| x.class == code);
-            let b_q = bc.map(|x| x.queue_wait_ns).unwrap_or(0);
-            let b_s = bc.map(|x| x.service_ns).unwrap_or(0);
-            let c_q = cc.map(|x| x.queue_wait_ns).unwrap_or(0);
-            let c_s = cc.map(|x| x.service_ns).unwrap_or(0);
-            let acc = classes.entry(code).or_insert_with(GroupAcc::new);
-            acc.ops += 1;
-            acc.d_queue_wait += signed_delta(c_q, b_q)?;
-            acc.d_service += signed_delta(c_s, b_s)?;
-            acc.d_latency += signed_delta(c_q + c_s, b_q + b_s)?;
-            acc.base_hist.record(b_q + b_s);
-            acc.cand_hist.record(c_q + c_s);
+        for &(code, row) in &c.outcome.classes {
+            pairs.entry(code).or_default().1.merge(&row);
+        }
+        for (code, (bc, cc)) in pairs {
+            let latency = |r: CostRow| {
+                r.queue_wait_ns
+                    .checked_add(r.service_ns)
+                    .ok_or_else(|| overflow("class latency"))
+            };
+            let (b_lat, c_lat) = (latency(bc)?, latency(cc)?);
+            let deltas = (
+                delta(c_lat, b_lat, "class latency delta")?,
+                delta(cc.queue_wait_ns, bc.queue_wait_ns, "class queue-wait delta")?,
+                delta(cc.service_ns, bc.service_ns, "class service delta")?,
+            );
+            classes
+                .entry(code)
+                .or_insert_with(GroupAcc::new)
+                .note(deltas, b_lat, c_lat)
+                .ok_or_else(|| overflow("class total"))?;
         }
         ops.push(d);
     }

@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use sleds_faults::{FaultPlan, FaultWindow};
+use sleds_fs::trace::CostRow;
 use sleds_fs::{
-    Capture, CapturedOp, ClassCost, Fd, OpOutcome, OpenFlags, Syscall, VolumeLayout, Whence,
-    CAPTURE_SCHEMA,
+    Capture, CapturedOp, Fd, OpOutcome, OpenFlags, Syscall, VolumeLayout, Whence, CAPTURE_SCHEMA,
 };
 use sleds_sim_core::{Errno, SimDuration, SimTime};
 
@@ -427,6 +427,9 @@ fn write_op(out: &mut String, op: &CapturedOp) {
     o.end();
 }
 
+/// The op's device totals are written beside its class rows, under their
+/// own keys, so a reader sees them without summing; the parser refuses a
+/// file in which they are not that sum.
 fn write_outcome(out: &mut String, outcome: &OpOutcome) {
     let mut o = ObjWriter::new(out);
     o.bool("ok", outcome.ok);
@@ -435,18 +438,19 @@ fn write_outcome(out: &mut String, outcome: &OpOutcome) {
     o.u64("data_len", outcome.data_len);
     o.u64("data_fold", outcome.data_fold);
     o.u64("complete_ns", outcome.complete_ns);
-    o.u64("queue_wait_ns", outcome.queue_wait_ns);
-    o.u64("service_ns", outcome.service_ns);
-    o.u64("device_commands", outcome.device_commands);
-    o.u64("device_bytes", outcome.device_bytes);
+    let device = outcome.device();
+    o.u64("queue_wait_ns", device.queue_wait_ns);
+    o.u64("service_ns", device.service_ns);
+    o.u64("device_commands", device.commands);
+    o.u64("device_bytes", device.bytes);
     o.u64("hedges", outcome.hedges);
-    o.array("classes", &outcome.classes, |out, c| {
+    o.array("classes", &outcome.classes, |out, (class, row)| {
         let mut o = ObjWriter::new(out);
-        o.u64("class", c.class);
-        o.u64("commands", c.commands);
-        o.u64("queue_wait_ns", c.queue_wait_ns);
-        o.u64("service_ns", c.service_ns);
-        o.u64("bytes", c.bytes);
+        o.u64("class", *class);
+        o.u64("commands", row.commands);
+        o.u64("queue_wait_ns", row.queue_wait_ns);
+        o.u64("service_ns", row.service_ns);
+        o.u64("bytes", row.bytes);
         o.end();
     });
     o.end();
@@ -697,22 +701,40 @@ fn parse_call(v: &Json) -> Result<Syscall, String> {
     })
 }
 
+/// The `CostRow` under `v`'s keys for commands, bytes, queue wait and
+/// service.
+fn cost_row(v: &Json, what: &str, keys: [&str; 4]) -> Result<CostRow, String> {
+    let n = |key: &str| v.field(key, what)?.as_u64(key);
+    Ok(CostRow {
+        commands: n(keys[0])?,
+        bytes: n(keys[1])?,
+        queue_wait_ns: n(keys[2])?,
+        service_ns: n(keys[3])?,
+    })
+}
+
 fn parse_op(v: &Json) -> Result<CapturedOp, String> {
     let o = v.field("outcome", "op")?;
     let rows = o.field("classes", "outcome")?.as_arr("classes")?;
-    let mut classes = Vec::with_capacity(rows.len());
+    let mut classes: Vec<(u64, CostRow)> = Vec::with_capacity(rows.len());
     for c in rows {
-        classes.push(ClassCost {
-            class: c.field("class", "class cost")?.as_u64("class")?,
-            commands: c.field("commands", "class cost")?.as_u64("commands")?,
-            queue_wait_ns: c
-                .field("queue_wait_ns", "class cost")?
-                .as_u64("queue_wait_ns")?,
-            service_ns: c.field("service_ns", "class cost")?.as_u64("service_ns")?,
-            bytes: c.field("bytes", "class cost")?.as_u64("bytes")?,
-        });
+        let class = c.field("class", "class cost")?.as_u64("class")?;
+        if let Some(&(prev, _)) = classes.last().filter(|&&(prev, _)| prev >= class) {
+            return Err(format!(
+                "class row {class} after row {prev}: rows must ascend strictly"
+            ));
+        }
+        let keys = ["commands", "bytes", "queue_wait_ns", "service_ns"];
+        classes.push((class, cost_row(c, "class cost", keys)?));
     }
-    Ok(CapturedOp {
+    let keys = [
+        "device_commands",
+        "device_bytes",
+        "queue_wait_ns",
+        "service_ns",
+    ];
+    let totals = cost_row(o, "outcome", keys)?;
+    let op = CapturedOp {
         seq: v.field("seq", "op")?.as_u64("seq")?,
         tenant: v.field("tenant", "op")?.as_u64("tenant")?,
         submit_ns: v.field("submit_ns", "op")?.as_u64("submit_ns")?,
@@ -735,16 +757,15 @@ fn parse_op(v: &Json) -> Result<CapturedOp, String> {
             data_len: o.field("data_len", "outcome")?.as_u64("data_len")?,
             data_fold: o.field("data_fold", "outcome")?.as_u64("data_fold")?,
             complete_ns: o.field("complete_ns", "outcome")?.as_u64("complete_ns")?,
-            queue_wait_ns: o
-                .field("queue_wait_ns", "outcome")?
-                .as_u64("queue_wait_ns")?,
-            service_ns: o.field("service_ns", "outcome")?.as_u64("service_ns")?,
-            device_commands: o
-                .field("device_commands", "outcome")?
-                .as_u64("device_commands")?,
-            device_bytes: o.field("device_bytes", "outcome")?.as_u64("device_bytes")?,
             hedges: o.field("hedges", "outcome")?.as_u64("hedges")?,
             classes,
         },
-    })
+    };
+    if op.outcome.device() != totals {
+        return Err(format!(
+            "outcome totals {totals:?} are not the sum of its class rows {:?}",
+            op.outcome.device()
+        ));
+    }
+    Ok(op)
 }

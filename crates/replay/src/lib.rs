@@ -44,7 +44,9 @@ pub mod json;
 pub mod replayer;
 pub mod setup;
 
-pub use diff::{class_name, diff_captures, GroupDelta, OpDelta, ReplayDiff, DIFF_SCHEMA};
+pub use diff::{
+    class_name, diff_captures, DiffError, GroupDelta, OpDelta, ReplayDiff, DIFF_SCHEMA,
+};
 pub use file::CaptureFile;
 pub use replayer::{replay, Replayed};
 pub use setup::{build_disk, build_kernel, CandidateConfig, SetupStep, WorkloadSpec, DISK_MODELS};

@@ -1,12 +1,12 @@
-//! A hostile artifact, end to end (ROADMAP 3b): the committed capture,
-//! damaged in seeded ways, goes through `CaptureFile::parse` →
-//! `build_kernel` → `replay`. Every case must end in a typed `Err` or in a
+//! A hostile artifact, end to end: the committed capture, damaged in
+//! seeded ways, goes through `CaptureFile::parse` → `build_kernel` →
+//! `replay` → `diff_captures`. Every case must end in a typed `Err` or in a
 //! complete replay of every op the header declares — never a panic, never
 //! a quietly shorter replay.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use sleds_replay::{replay, CandidateConfig, CaptureFile};
+use sleds_replay::{diff_captures, replay, CandidateConfig, CaptureFile};
 use sleds_sim_core::DetRng;
 
 const ARTIFACT: &str = include_str!("../../../results/CAPTURE_saturation.jsonl");
@@ -39,7 +39,11 @@ fn judge(bytes: &[u8]) -> Result<Verdict, String> {
         if !replayed.capture.complete || got != want {
             return Err(format!("replayed {got} of {want} declared ops"));
         }
-        Ok(Verdict::Replayed)
+        // The diff reads every op's figures on both sides.
+        Ok(match diff_captures(&file.capture, &replayed.capture) {
+            Ok(_) => Verdict::Replayed,
+            Err(_) => Verdict::Refused,
+        })
     }));
     attempt.unwrap_or_else(|_| Err("panicked".to_string()))
 }
@@ -142,6 +146,8 @@ fn u64_max_in_a_size_field_never_panics_or_shortens_a_replay() {
         "budget",
         "cmd_queue_capacity",
         "tenant",
+        "queue_wait_ns",
+        "service_ns",
     ] {
         let label = format!("\"{key}\":");
         let hits: Vec<(usize, usize)> = runs
@@ -159,4 +165,49 @@ fn u64_max_in_a_size_field_never_panics_or_shortens_a_replay() {
         }
     }
     refused(cases);
+}
+
+/// The first op line that reached a device, and the offset it starts at.
+fn first_device_op() -> (usize, &'static str) {
+    let mut at = 0;
+    for line in ARTIFACT.split_inclusive('\n') {
+        if line.contains("\"classes\":[{") {
+            return (at, line.trim_end());
+        }
+        at += line.len();
+    }
+    panic!("no op in the artifact reached a device");
+}
+
+#[test]
+fn op_totals_that_are_not_their_class_rows_summed_are_refused() {
+    let (at, line) = first_device_op();
+    let mut op = line.to_string();
+    // The op's totals come before its class rows, so the first hit of
+    // each key is the total.
+    for key in ["\"queue_wait_ns\":", "\"service_ns\":"] {
+        let from = op.find(key).unwrap() + key.len();
+        let digits = op[from..].bytes().take_while(u8::is_ascii_digit).count();
+        op.replace_range(from..from + digits, &i64::MAX.to_string());
+    }
+    let bytes = spliced(at, at + line.len(), &op);
+    assert_eq!(judge(&bytes), Ok(Verdict::Refused));
+}
+
+#[test]
+fn class_rows_that_do_not_ascend_strictly_are_refused() {
+    let (at, line) = first_device_op();
+    let rows = line.split("\"classes\":[{\"class\":").nth(1).unwrap();
+    let class: u64 = rows.split(',').next().unwrap().parse().unwrap();
+    assert!(class > 0);
+    // A zero row leaves the op's totals right: only the order is wrong.
+    for (what, extra) in [("duplicate", class), ("descending", class - 1)] {
+        let row = format!(
+            ",{{\"class\":{extra},\"commands\":0,\"queue_wait_ns\":0,\"service_ns\":0,\"bytes\":0}}"
+        );
+        let end = line.rfind(']').unwrap();
+        let op = format!("{}{row}{}", &line[..end], &line[end..]);
+        let bytes = spliced(at, at + line.len(), &op);
+        assert_eq!(judge(&bytes), Ok(Verdict::Refused), "{what} class row");
+    }
 }

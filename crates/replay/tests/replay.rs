@@ -2,12 +2,14 @@
 //! lossless-capture guarantees, deterministic replay, and diff exactness.
 
 use sleds_faults::FaultPlan;
+use sleds_fs::trace::CostRow;
 use sleds_fs::{
-    Capture, CapturedOp, ClassCost, Fd, Kernel, OpOutcome, OpenFlags, ProgPricing, SubmissionRing,
-    Syscall, TenantId, Whence,
+    Capture, CapturedOp, Fd, Kernel, OpOutcome, OpenFlags, ProgPricing, SubmissionRing, Syscall,
+    TenantId, Whence,
 };
 use sleds_replay::{
-    build_kernel, diff_captures, replay, CandidateConfig, CaptureFile, SetupStep, WorkloadSpec,
+    build_kernel, diff_captures, replay, CandidateConfig, CaptureFile, DiffError, SetupStep,
+    WorkloadSpec,
 };
 use sleds_sim_core::{Errno, SimDuration, SimTime, PAGE_SIZE};
 
@@ -286,6 +288,43 @@ fn diff_refuses_structurally_different_captures() {
 }
 
 #[test]
+fn diff_refuses_figures_past_the_integer_range() {
+    let base = file_of(Syscall::Fsync { fd: Fd(3) }).capture;
+    let big = i64::MAX as u64;
+    let with = |latency: u64, queue_wait_ns: u64, service_ns: u64| {
+        let mut c = base.clone();
+        let op = &mut c.ops[0];
+        op.outcome.complete_ns = op.submit_ns + latency;
+        op.outcome.classes[0].1 = CostRow {
+            queue_wait_ns,
+            service_ns,
+            ..CostRow::default()
+        };
+        c
+    };
+    let overflows = |b: &Capture, c: &Capture, at: u64| match diff_captures(b, c) {
+        Err(DiffError::Overflow { seq, .. }) => assert_eq!(seq, at),
+        other => panic!("op {at}: expected an overflow, got {:?}", other.err()),
+    };
+    // Each delta fits an i64; the residual they leave does not.
+    overflows(&with(0, 0, 0), &with(0, big, big), 0);
+    // The queue-wait delta alone leaves the range.
+    overflows(&with(0, 0, 0), &with(0, u64::MAX, 0), 0);
+    // Both sides' deltas fit, but a class row's wait + service does not.
+    overflows(&with(0, u64::MAX - 5, 10), &with(0, u64::MAX, 10), 0);
+    // Two ops each within range whose latency deltas sum past it.
+    let twice = |latency| {
+        let mut c = with(latency, 0, 0);
+        c.ops.push(CapturedOp {
+            seq: 1,
+            ..c.ops[0].clone()
+        });
+        c
+    };
+    overflows(&twice(0), &twice(big), 1);
+}
+
+#[test]
 fn candidate_machine_table_changes_cpu_pricing() {
     let file = capture_small();
     let candidate = CandidateConfig {
@@ -323,17 +362,15 @@ fn file_of(call: Syscall) -> CaptureFile {
             data_len: 5,
             data_fold: u64::MAX,
             complete_ns: 6_000,
-            queue_wait_ns: 7,
-            service_ns: 8,
-            device_commands: 1,
-            device_bytes: 4096,
-            classes: vec![ClassCost {
-                class: 1,
-                commands: 1,
-                queue_wait_ns: 7,
-                service_ns: 8,
-                bytes: 4096,
-            }],
+            classes: vec![(
+                1,
+                CostRow {
+                    commands: 1,
+                    bytes: 4096,
+                    queue_wait_ns: 7,
+                    service_ns: 8,
+                },
+            )],
             hedges: 9,
         },
     };

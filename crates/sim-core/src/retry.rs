@@ -4,7 +4,7 @@
 //! defines *how hard the kernel tries again*. A [`RetryPolicy`] is a small,
 //! copyable value, the same for every device: a hard attempt bound,
 //! an exponential backoff schedule clamped to a ceiling, deterministic
-//! jitter drawn from a [`DetRng`](crate::DetRng), and a virtual-clock
+//! jitter drawn from a [`DetRng`], and a virtual-clock
 //! timeout after which the command is abandoned with `ETIMEDOUT` instead of
 //! `EIO`. Every quantity is virtual time — backoff never sleeps a host
 //! thread, it just charges the simulated clock.

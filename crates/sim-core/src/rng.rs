@@ -134,7 +134,7 @@ impl DetRng {
         1.0 + (self.closed_unit_f64() * 2.0 - 1.0) * amp
     }
 
-    /// A random boolean that is true with probability `p` (clamped to [0,1]).
+    /// A random boolean that is true with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         if p >= 1.0 {

@@ -108,7 +108,7 @@ impl Ecdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// The `q`-quantile (`q` in [0,1]) by the nearest-rank method.
+    /// The `q`-quantile (`q` in `[0, 1]`) by the nearest-rank method.
     pub fn quantile(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
         let n = self.sorted.len();
@@ -234,7 +234,7 @@ impl LogHistogram {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Nearest-rank `q`-quantile (`q` in [0,1]), resolved to the *floor* of
+    /// Nearest-rank `q`-quantile (`q` in `[0, 1]`), resolved to the *floor* of
     /// the bucket holding that rank. Zero when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {

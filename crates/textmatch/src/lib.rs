@@ -2,7 +2,7 @@
 //!
 //! The simulated `grep` needs a matcher; this crate provides one built the
 //! classical way — a recursive-descent parser to an AST ([`ast`]), a
-//! compiler to NFA byte-code ([`compile`]), and a Pike-VM executor
+//! compiler to NFA byte-code ([`compile`](mod@compile)), and a Pike-VM executor
 //! ([`vm`]) that runs in `O(pattern × text)` with no backtracking blowup.
 //!
 //! Most of the text a search reads cannot match, and saying so should not

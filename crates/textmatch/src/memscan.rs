@@ -1,7 +1,7 @@
 //! Byte and substring search, eight bytes at a time.
 //!
 //! A `u64` is treated as eight byte lanes. XOR with the wanted byte in
-//! every lane turns "equal" into "zero", and [`zero_lanes`] turns "zero"
+//! every lane turns "equal" into "zero", and `zero_lanes` turns "zero"
 //! into the lane's high bit — so one load and a handful of ALU operations
 //! test eight positions, and the bit index of a set high bit (the word is
 //! loaded little-endian) is the byte index times eight. Safe code only;

@@ -88,3 +88,67 @@ impl DeviceCost {
         self.submit + self.queue_wait + self.service
     }
 }
+
+/// The one fold every report makes of [`DeviceCost`] events — per tenant
+/// and device (the command queue), per tenant and class (`Metrics`), per
+/// class and op (the flight recorder). A total is the [`merge`] of its
+/// rows, and observed latency is [`observed_ns`], derived and never
+/// stored, so "rows sum to the total" and "service + queue wait ==
+/// observed" hold by construction. Sums saturate.
+///
+/// [`merge`]: CostRow::merge
+/// [`observed_ns`]: CostRow::observed_ns
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CostRow {
+    /// Occupancies folded: served, faulted or cancelled.
+    pub commands: u64,
+    /// Payload bytes they moved.
+    pub bytes: u64,
+    /// Nanoseconds they queued before service.
+    pub queue_wait_ns: u64,
+    /// Nanoseconds they held the device: service, fault or cancel cost.
+    pub service_ns: u64,
+}
+
+impl CostRow {
+    /// Folds one occupancy in.
+    pub fn add(&mut self, ev: &DeviceCost) {
+        self.merge(&CostRow {
+            commands: 1,
+            bytes: ev.bytes,
+            queue_wait_ns: ev.queue_wait.as_nanos(),
+            service_ns: ev.service.as_nanos(),
+        });
+    }
+
+    /// Folds another row in.
+    pub fn merge(&mut self, other: &CostRow) {
+        self.commands = self.commands.saturating_add(other.commands);
+        self.bytes = self.bytes.saturating_add(other.bytes);
+        self.queue_wait_ns = self.queue_wait_ns.saturating_add(other.queue_wait_ns);
+        self.service_ns = self.service_ns.saturating_add(other.service_ns);
+    }
+
+    /// Device latency as the callers saw it: queue wait + service.
+    pub fn observed_ns(&self) -> u64 {
+        self.queue_wait_ns.saturating_add(self.service_ns)
+    }
+
+    /// `part / whole` in parts per million, integer-exact; zero when
+    /// `whole` is.
+    pub fn ppm(part: u64, whole: u64) -> u64 {
+        if whole == 0 {
+            return 0;
+        }
+        u64::try_from(u128::from(part) * 1_000_000 / u128::from(whole)).unwrap_or(u64::MAX)
+    }
+}
+
+impl<'a> std::iter::Sum<&'a CostRow> for CostRow {
+    fn sum<I: Iterator<Item = &'a CostRow>>(rows: I) -> CostRow {
+        rows.fold(CostRow::default(), |mut total, row| {
+            total.merge(row);
+            total
+        })
+    }
+}

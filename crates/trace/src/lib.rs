@@ -11,7 +11,7 @@
 //!
 //! Two properties are load-bearing:
 //!
-//! * **Virtual time only.** Every timestamp is the kernel's [`SimTime`];
+//! * **Virtual time only.** Every timestamp is the kernel's [`SimTime`](sleds_sim_core::SimTime);
 //!   no wall clock is ever consulted (`clippy.toml` bans `Instant` here as
 //!   everywhere), so traces replay bit-identically.
 //! * **Zero-cost observer.** Tracing never advances the virtual clock and
@@ -50,7 +50,7 @@ pub use audit::{
     audit_accuracy, summarize_class, AccuracySample, AccuracyTracker, AuditReport, ClassAccuracy,
 };
 pub use chrome::{chrome_trace_json, chrome_trace_json_named, json_escape};
-pub use cost::{CostOutcome, DeviceCost, Wait};
+pub use cost::{CostOutcome, CostRow, DeviceCost, Wait};
 pub use event::{
     class_label, pack_class_generation, unpack_class_generation, EventPhase, Layer, TraceEvent,
 };

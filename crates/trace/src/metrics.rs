@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, VecDeque};
 use sleds_sim_core::index;
 use sleds_sim_core::stats::LogHistogram;
 
-use crate::cost::DeviceCost;
+use crate::cost::{CostRow, DeviceCost};
 use crate::event::class_label;
 
 /// Number of device classes tracked (memory, disk, CD-ROM, network, tape).
@@ -131,7 +131,7 @@ impl ClassMetrics {
     }
 }
 
-/// Per-tenant counters and latency histograms for one device class.
+/// Per-tenant totals and latency histograms for one device class.
 ///
 /// Rows live in [`Metrics::tenants`], keyed `(tenant, class)`, and are the
 /// attribution side of the saturation observatory: who drove how much
@@ -139,19 +139,14 @@ impl ClassMetrics {
 /// serviced. Integer-only, so rows replay bit-identically.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TenantClassMetrics {
-    /// Device commands this tenant issued against this class.
-    pub requests: u64,
-    /// Payload bytes those commands moved.
-    pub bytes: u64,
+    /// The served commands this tenant issued against this class; its
+    /// `service_ns` is the tenant's demand on the class, the numerator of
+    /// its demand share.
+    pub cost: CostRow,
     /// Per-command time queued behind earlier commands, nanoseconds.
     pub queue_wait: LogHistogram,
     /// Per-command service time (queue wait excluded), nanoseconds.
     pub service: LogHistogram,
-    /// Total device busy time consumed, nanoseconds (the tenant's demand
-    /// on the class; the numerator of its demand share).
-    pub busy_ns: u64,
-    /// Total time spent queued, nanoseconds.
-    pub queue_wait_ns: u64,
 }
 
 /// Per-layer metrics snapshot.
@@ -229,12 +224,9 @@ impl Metrics {
         }
         m.service.record(dur_ns);
         let row = self.tenants.entry((ev.tenant, idx as u64)).or_default();
-        row.requests += 1;
-        row.bytes += ev.bytes;
+        row.cost.add(ev);
         row.queue_wait.record(queue_ns);
         row.service.record(dur_ns);
-        row.busy_ns += dur_ns;
-        row.queue_wait_ns += queue_ns;
     }
 
     /// A tenant's share of the device busy time consumed on one class, in
@@ -246,7 +238,7 @@ impl Metrics {
             .tenants
             .iter()
             .filter(|((_, c), _)| *c == class)
-            .map(|(_, row)| row.busy_ns)
+            .map(|(_, row)| row.cost.service_ns)
             .sum();
         if total == 0 {
             return None;
@@ -254,8 +246,8 @@ impl Metrics {
         let own = self
             .tenants
             .get(&(tenant, class))
-            .map_or(0, |row| row.busy_ns);
-        u64::try_from(u128::from(own) * 1_000_000 / u128::from(total)).ok()
+            .map_or(0, |row| row.cost.service_ns);
+        Some(CostRow::ppm(own, total))
     }
 
     /// Records one completed (prediction, actual) accuracy pair.
@@ -352,10 +344,10 @@ impl Metrics {
                 "tenant[{}] device[{}] requests {} bytes {} busy {} ns qwait {} ns (p90 {} ns) share {} ppm\n",
                 tenant,
                 class_label(class),
-                row.requests,
-                row.bytes,
-                row.busy_ns,
-                row.queue_wait_ns,
+                row.cost.commands,
+                row.cost.bytes,
+                row.cost.service_ns,
+                row.cost.queue_wait_ns,
                 row.queue_wait.p90(),
                 self.demand_share_ppm(tenant, class).unwrap_or(0),
             ));
@@ -449,15 +441,15 @@ mod tests {
             2_000_000,
         );
         let heavy = &m.tenants[&(1, 1)];
-        assert_eq!(heavy.requests, 3);
-        assert_eq!(heavy.busy_ns, 90_000_000);
-        assert_eq!(heavy.queue_wait_ns, 0);
+        assert_eq!(heavy.cost.commands, 3);
+        assert_eq!(heavy.cost.service_ns, 90_000_000);
+        assert_eq!(heavy.cost.queue_wait_ns, 0);
         let light = &m.tenants[&(2, 1)];
-        assert_eq!(light.requests, 1);
-        assert_eq!(light.queue_wait_ns, 45_000_000);
+        assert_eq!(light.cost.commands, 1);
+        assert_eq!(light.cost.queue_wait_ns, 45_000_000);
         assert_eq!(light.queue_wait.count(), 1);
         // Tenant rows sum to the class row.
-        assert_eq!(heavy.requests + light.requests, m.device[1].reads);
+        assert_eq!(heavy.cost.commands + light.cost.commands, m.device[1].reads);
         assert_eq!(m.demand_share_ppm(1, 1), Some(900_000));
         assert_eq!(m.demand_share_ppm(2, 1), Some(100_000));
         assert_eq!(m.demand_share_ppm(1, 4), None, "idle class has no share");

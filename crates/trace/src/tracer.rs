@@ -717,8 +717,8 @@ mod tests {
         // lands in the tenant attribution row.
         let m = t.metrics().unwrap();
         assert_eq!(m.device[1].service.max(), 30);
-        assert_eq!(m.tenants[&(2, 1)].queue_wait_ns, 40);
-        assert_eq!(m.tenants[&(2, 1)].busy_ns, 30);
+        assert_eq!(m.tenants[&(2, 1)].cost.queue_wait_ns, 40);
+        assert_eq!(m.tenants[&(2, 1)].cost.service_ns, 30);
     }
 
     struct Host {

@@ -16,6 +16,8 @@ run() {
 
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# A doc link to a deleted or private name fails here, not in a reader's browser.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run cargo build --release
 
 run cargo test -q
