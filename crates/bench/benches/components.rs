@@ -360,17 +360,22 @@ fn bench_capture() {
         fd: Fd(3),
         data: page.to_vec(),
     };
-    let file = CaptureFile {
-        spec: WorkloadSpec::new("table2"),
-        capture: record(1000, &write),
-    };
-    let text = file.to_jsonl();
-    time("capture_codec/serialize_1000_writes", || {
-        file.to_jsonl().len()
-    });
-    time("capture_codec/parse_1000_writes", || {
-        CaptureFile::parse(&text).unwrap().capture.ops.len()
-    });
+    // Most lines of a capture are short `pread`s; a `write` line is its
+    // page of hex.
+    let calls: [(&str, &dyn Fn(u64) -> Syscall); 2] = [("preads", &pread), ("writes", &write)];
+    for (kind, call) in calls {
+        let file = CaptureFile {
+            spec: WorkloadSpec::new("table2"),
+            capture: record(1000, call),
+        };
+        let text = file.to_jsonl();
+        time(&format!("capture_codec/serialize_1000_{kind}"), || {
+            file.to_jsonl().len()
+        });
+        time(&format!("capture_codec/parse_1000_{kind}"), || {
+            CaptureFile::parse(&text).unwrap().capture.ops.len()
+        });
+    }
 }
 
 fn main() {

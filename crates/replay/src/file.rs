@@ -7,6 +7,8 @@
 //! IEEE bits), so byte-comparing two capture files *is* the identity
 //! property.
 
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sleds_faults::{FaultPlan, FaultWindow};
@@ -16,7 +18,7 @@ use sleds_fs::{
 };
 use sleds_sim_core::{Errno, SimDuration, SimTime};
 
-use crate::json::{self, hex_decode, hex_encode, push_escaped, push_u64, Json};
+use crate::json::{self, hex_encode, need, push_escaped, push_u64, Reader};
 use crate::setup::{SetupStep, WorkloadSpec};
 
 /// A capture plus the environment it ran in — everything replay needs.
@@ -68,32 +70,24 @@ impl CaptureFile {
 
     /// Parses the JSONL format back; rejects unknown schema tags.
     pub fn parse(text: &str) -> Result<CaptureFile, String> {
-        let mut lines = text.lines();
-        let header_line = lines.next().ok_or_else(|| "empty capture".to_string())?;
-        let header = json::parse(header_line).map_err(|e| format!("header: {e}"))?;
-        let schema = header.field("schema", "header")?.as_str("schema")?;
-        if schema != CAPTURE_SCHEMA {
-            return Err(format!(
-                "unknown capture schema {schema:?} (expected {CAPTURE_SCHEMA:?})"
-            ));
+        let mut r = Reader::new(text);
+        if r.at_end() {
+            return Err("empty capture".to_string());
         }
-        let spec = parse_spec(&header)?;
-        let complete = header.field("complete", "header")?.as_bool("complete")?;
-        let incomplete_reason = match header.opt_field("incomplete_reason", "header")? {
-            Some(v) => Some(v.as_str("incomplete_reason")?.to_string()),
-            None => None,
-        };
-        let budget = header.field("budget", "header")?.as_usize("budget")?;
-        let base_ns = header.field("base_ns", "header")?.as_u64("base_ns")?;
-        let declared_ops = header.field("ops", "header")?.as_usize("ops")?;
+        let (mut file, declared_ops) = r
+            .line(read_header)
+            .and_then(|header| header.ok_or_else(|| "blank line".to_string()))
+            .map_err(|e| format!("header: {e}"))?;
         // The count is the file's claim; the file's length bounds it.
-        let mut ops = Vec::with_capacity(declared_ops.min(text.len() / OP_LINE_MIN));
-        for (i, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let v = json::parse(line).map_err(|e| format!("op line {}: {e}", i + 2))?;
-            ops.push(parse_op(&v).map_err(|e| format!("op line {}: {e}", i + 2))?);
+        let ops = &mut file.capture.ops;
+        ops.reserve_exact(declared_ops.min(text.len() / OP_LINE_MIN));
+        let (mut line, mut paths) = (1, BTreeSet::new());
+        while !r.at_end() {
+            line += 1;
+            let op = r
+                .line(|r| read_op(r, &mut paths))
+                .map_err(|e| format!("op line {line}: {e}"))?;
+            ops.extend(op);
         }
         if ops.len() != declared_ops {
             return Err(format!(
@@ -101,16 +95,7 @@ impl CaptureFile {
                 ops.len()
             ));
         }
-        Ok(CaptureFile {
-            spec,
-            capture: Capture {
-                complete,
-                incomplete_reason,
-                budget,
-                base_ns,
-                ops,
-            },
-        })
+        Ok(file)
     }
 }
 
@@ -456,172 +441,309 @@ fn write_outcome(out: &mut String, outcome: &OpOutcome) {
     o.end();
 }
 
-fn parse_spec(header: &Json) -> Result<WorkloadSpec, String> {
-    let machine = header.field("machine", "header")?.as_str("machine")?;
-    let mut spec = WorkloadSpec::new(machine);
-    spec.cmd_queue_capacity = header
-        .field("cmd_queue_capacity", "header")?
-        .as_usize("cmd_queue_capacity")?;
-    spec.hedge = sleds_fs::HedgePolicy {
-        max_hedges: {
-            let m = header.field("hedge_max", "header")?.as_u64("hedge_max")?;
-            u32::try_from(m).map_err(|_| format!("hedge_max {m} out of range"))?
-        },
-        deadline_mult: multiplier(header, "hedge_deadline_mult_bits", "header")?,
-        cancel_cost: SimDuration::from_nanos(
-            header
-                .field("hedge_cancel_ns", "header")?
-                .as_u64("hedge_cancel_ns")?,
-        ),
-    };
-    for v in header.field("setup", "header")?.as_arr("setup")? {
-        spec.setup.push(parse_step(v)?);
-    }
-    let mut plan = FaultPlan::new();
-    for entry in header.field("faults", "header")?.as_arr("faults")? {
-        let dev = entry.field("dev", "fault entry")?.as_str("dev")?;
-        let windows = entry.field("windows", "fault entry")?.as_arr("windows")?;
-        for (i, w) in windows.iter().enumerate() {
-            plan = parse_window(plan, dev, w).map_err(|e| format!("{dev} window {i}: {e}"))?;
-        }
-    }
-    spec.fault_plan = plan;
-    Ok(spec)
+/// Reads an array, one item with `read` each, into an exactly sized `Vec`:
+/// a capture holds one per op that reached a device.
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut items = Vec::new();
+    r.array(|r| {
+        items.push(read(r)?);
+        Ok(())
+    })?;
+    items.shrink_to_fit();
+    Ok(items)
 }
 
-/// Field `key` of `v` as the `f64` whose bits it holds. Every multiplier
-/// in a capture scales a service time: NaN, an infinity, zero or a
-/// negative would replay "successfully" into nonsense.
-fn multiplier(v: &Json, key: &str, what: &str) -> Result<f64, String> {
-    let bits = v.field(key, what)?.as_u64(key)?;
+/// `n` as the narrower integer type a field holds.
+fn narrow<T: TryFrom<u64>>(n: u64, key: &str) -> Result<T, String> {
+    T::try_from(n).map_err(|_| format!("{key} {n} out of range"))
+}
+
+/// A string field, owned.
+fn owned(slot: Option<Cow<'_, str>>, key: &str) -> Result<String, String> {
+    need(slot, key).map(Cow::into_owned)
+}
+
+/// Tagged objects — a call's `op`, a setup step's `step`, a window's
+/// `kind`, a fault entry's `dev` — hold the keys their tag's value names,
+/// so the tag comes first, as the writer puts it. Reads the tag when `key`
+/// is it (`None`), else returns the tag read before.
+fn tagged<'a, 's>(
+    r: &mut Reader<'a>,
+    slot: &'s mut Option<Cow<'a, str>>,
+    tag: &str,
+    key: &str,
+    at: usize,
+) -> Result<Option<&'s str>, String> {
+    if key == tag {
+        r.fill(slot, key, at, Reader::string)?;
+        return Ok(None);
+    }
+    slot.as_deref()
+        .map(Some)
+        .ok_or_else(|| format!("{key:?} at offset {at} comes before {tag:?}"))
+}
+
+/// Reads an `f64` from its bits. Every multiplier in a capture scales a
+/// service time: NaN, an infinity, zero or a negative would replay
+/// "successfully" into nonsense.
+fn multiplier(r: &mut Reader, key: &str) -> Result<f64, String> {
+    let bits = r.u64()?;
     let m = f64::from_bits(bits);
     if m.is_finite() && m > 0.0 {
         Ok(m)
     } else {
         Err(format!(
-            "{what}: {key} {bits} is {m}, not a finite positive multiplier"
+            "{key} {bits} is {m}, not a finite positive multiplier"
         ))
     }
 }
 
-fn parse_window(plan: FaultPlan, dev: &str, w: &Json) -> Result<FaultPlan, String> {
-    let kind = w.field("kind", "window")?.as_str("kind")?;
-    let start = SimTime::from_nanos(w.field("start_ns", "window")?.as_u64("start_ns")?);
-    let end = SimTime::from_nanos(w.field("end_ns", "window")?.as_u64("end_ns")?);
-    match kind {
-        "transient" => {
-            let budget = w.field("budget", "window")?.as_u64("budget")?;
-            let budget =
-                u32::try_from(budget).map_err(|_| format!("budget {budget} out of range"))?;
-            let cost =
-                SimDuration::from_nanos(w.field("fail_cost_ns", "window")?.as_u64("fail_cost_ns")?);
-            Ok(plan.transient(dev, start, end, budget, cost))
+/// The header: the capture without its ops, and how many ops it declares.
+fn read_header(r: &mut Reader) -> Result<(CaptureFile, usize), String> {
+    let [mut budget, mut ops, mut queue] = [None; 3];
+    let [mut base_ns, mut cancel_ns] = [None; 2];
+    let (mut schema, mut complete, mut reason, mut machine) = (None, None, None, None);
+    let (mut hedge_max, mut hedge_mult, mut setup, mut faults) = (None, None, None, None);
+    r.object(|r, key, at| match key {
+        "schema" => r.fill(&mut schema, key, at, |r| match r.string()? {
+            s if s == CAPTURE_SCHEMA => Ok(()),
+            s => Err(format!(
+                "unknown capture schema {s:?} (expected {CAPTURE_SCHEMA:?})"
+            )),
+        }),
+        "complete" => r.fill(&mut complete, key, at, Reader::bool),
+        "incomplete_reason" => r.fill(&mut reason, key, at, |r| {
+            r.nullable(|r| r.string().map(Cow::into_owned))
+        }),
+        "budget" | "ops" | "cmd_queue_capacity" => {
+            let slot = match key {
+                "budget" => &mut budget,
+                "ops" => &mut ops,
+                _ => &mut queue,
+            };
+            r.fill(slot, key, at, |r| narrow(r.u64()?, key))
         }
-        "degraded" => {
-            Ok(plan.degraded(dev, start, end, multiplier(w, "multiplier_bits", "window")?))
-        }
-        "offline" => {
-            let cost = SimDuration::from_nanos(
-                w.field("probe_cost_ns", "window")?
-                    .as_u64("probe_cost_ns")?,
-            );
-            Ok(plan.offline(dev, start, end, cost))
-        }
-        other => Err(format!("unknown fault window kind {other:?}")),
-    }
+        "base_ns" => r.fill(&mut base_ns, key, at, Reader::u64),
+        "machine" => r.fill(&mut machine, key, at, Reader::string),
+        "hedge_max" => r.fill(&mut hedge_max, key, at, |r| narrow(r.u64()?, key)),
+        "hedge_deadline_mult_bits" => r.fill(&mut hedge_mult, key, at, |r| multiplier(r, key)),
+        "hedge_cancel_ns" => r.fill(&mut cancel_ns, key, at, Reader::u64),
+        "setup" => r.fill(&mut setup, key, at, |r| list(r, read_step)),
+        "faults" => r.fill(&mut faults, key, at, |r| {
+            let mut plan = FaultPlan::new();
+            r.array(|r| read_fault_entry(r, &mut plan))?;
+            Ok(plan)
+        }),
+        _ => Err(json::unknown(key, at)),
+    })?;
+    need(schema, "schema")?;
+    let spec = WorkloadSpec {
+        machine: owned(machine, "machine")?,
+        cmd_queue_capacity: need(queue, "cmd_queue_capacity")?,
+        setup: need(setup, "setup")?,
+        fault_plan: need(faults, "faults")?,
+        hedge: sleds_fs::HedgePolicy {
+            max_hedges: need(hedge_max, "hedge_max")?,
+            deadline_mult: need(hedge_mult, "hedge_deadline_mult_bits")?,
+            cancel_cost: SimDuration::from_nanos(need(cancel_ns, "hedge_cancel_ns")?),
+        },
+    };
+    let capture = Capture {
+        complete: need(complete, "complete")?,
+        incomplete_reason: need(reason, "incomplete_reason")?,
+        budget: need(budget, "budget")?,
+        base_ns: need(base_ns, "base_ns")?,
+        ops: Vec::new(),
+    };
+    Ok((CaptureFile { spec, capture }, need(ops, "ops")?))
 }
 
-fn parse_step(v: &Json) -> Result<SetupStep, String> {
-    let kind = v.field("step", "setup step")?.as_str("step")?;
-    let path = |key: &str| -> Result<String, String> {
-        Ok(v.field(key, "setup step")?.as_str(key)?.to_string())
-    };
-    match kind {
-        "mkdir" => Ok(SetupStep::Mkdir {
-            path: path("path")?,
-        }),
-        "mount_disk" => Ok(SetupStep::MountDisk {
-            path: path("path")?,
-            model: path("model")?,
-            name: path("name")?,
-        }),
-        "mount_nfs" => Ok(SetupStep::MountNfs {
-            path: path("path")?,
-            model: path("model")?,
-            name: path("name")?,
-        }),
-        "mount_cdrom" => Ok(SetupStep::MountCdrom {
-            path: path("path")?,
-            model: path("model")?,
-            name: path("name")?,
-        }),
-        "mount_hsm" => Ok(SetupStep::MountHsm {
-            path: path("path")?,
-            disk_model: path("disk_model")?,
-            disk_name: path("disk_name")?,
-            tape_model: path("tape_model")?,
-            tape_name: path("tape_name")?,
-            chunk_pages: v
-                .field("chunk_pages", "setup step")?
-                .as_u64("chunk_pages")?,
-        }),
-        "mount_volume" => {
-            let layout = match v.field("layout", "setup step")?.as_str("layout")? {
+/// One `{"dev":…,"windows":[…]}` entry, added to `plan`.
+fn read_fault_entry(r: &mut Reader, plan: &mut FaultPlan) -> Result<(), String> {
+    let (mut dev, mut windows) = (None, None);
+    r.object(|r, key, at| {
+        let Some(dev) = tagged(r, &mut dev, "dev", key, at)? else {
+            return Ok(());
+        };
+        match key {
+            "windows" => r.fill(&mut windows, key, at, |r| {
+                let mut i = 0;
+                r.array(|r| {
+                    let taken = std::mem::take(&mut *plan);
+                    *plan =
+                        read_window(r, taken, dev).map_err(|e| format!("{dev} window {i}: {e}"))?;
+                    i += 1;
+                    Ok(())
+                })
+            }),
+            _ => Err(json::unknown(key, at)),
+        }
+    })?;
+    need(dev, "dev")?;
+    need(windows, "windows")
+}
+
+/// One fault window on `dev`, added to `plan`.
+fn read_window(r: &mut Reader, plan: FaultPlan, dev: &str) -> Result<FaultPlan, String> {
+    let mut kind = None;
+    let [mut start, mut end, mut fail_cost, mut probe_cost] = [None; 4];
+    let (mut budget, mut mult) = (None, None);
+    r.object(|r, key, at| {
+        let Some(kind) = tagged(r, &mut kind, "kind", key, at)? else {
+            return Ok(());
+        };
+        let slot = match (kind, key) {
+            (_, "start_ns") => &mut start,
+            (_, "end_ns") => &mut end,
+            ("transient", "fail_cost_ns") => &mut fail_cost,
+            ("transient", "budget") => {
+                return r.fill(&mut budget, key, at, |r| narrow(r.u64()?, key))
+            }
+            ("degraded", "multiplier_bits") => {
+                return r.fill(&mut mult, key, at, |r| multiplier(r, key))
+            }
+            ("offline", "probe_cost_ns") => &mut probe_cost,
+            _ => return Err(json::unknown(key, at)),
+        };
+        r.fill(slot, key, at, Reader::u64)
+    })?;
+    let (start, end) = (need(start, "start_ns")?, need(end, "end_ns")?);
+    if end <= start {
+        return Err(format!("end_ns {end} is not after start_ns {start}"));
+    }
+    let (start, end) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
+    let ns = |slot, key| need(slot, key).map(SimDuration::from_nanos);
+    Ok(match &*need(kind, "kind")? {
+        "transient" => plan.transient(
+            dev,
+            start,
+            end,
+            need(budget, "budget")?,
+            ns(fail_cost, "fail_cost_ns")?,
+        ),
+        "degraded" => plan.degraded(dev, start, end, need(mult, "multiplier_bits")?),
+        "offline" => plan.offline(dev, start, end, ns(probe_cost, "probe_cost_ns")?),
+        other => return Err(format!("unknown fault window kind {other:?}")),
+    })
+}
+
+fn read_step(r: &mut Reader) -> Result<SetupStep, String> {
+    let mut step = None;
+    let [mut path, mut model, mut name, mut layout] = [const { None }; 4];
+    let [mut disk_model, mut disk_name, mut tape_model, mut tape_name] = [const { None }; 4];
+    let [mut chunk_pages, mut stripe_pages, mut size, mut first_page, mut pages] = [None; 5];
+    let (mut k, mut members, mut data, mut free) = (None, None, None, None);
+    r.object(|r, key, at| {
+        let Some(step) = tagged(r, &mut step, "step", key, at)? else {
+            return Ok(());
+        };
+        let string = Reader::string;
+        match (step, key) {
+            ("drop_caches", _) => Err(json::unknown(key, at)),
+            (_, "path") => r.fill(&mut path, key, at, string),
+            ("mount_disk" | "mount_nfs" | "mount_cdrom", "model") => {
+                r.fill(&mut model, key, at, string)
+            }
+            ("mount_disk" | "mount_nfs" | "mount_cdrom", "name") => {
+                r.fill(&mut name, key, at, string)
+            }
+            ("mount_hsm", "disk_model") => r.fill(&mut disk_model, key, at, string),
+            ("mount_hsm", "disk_name") => r.fill(&mut disk_name, key, at, string),
+            ("mount_hsm", "tape_model") => r.fill(&mut tape_model, key, at, string),
+            ("mount_hsm", "tape_name") => r.fill(&mut tape_name, key, at, string),
+            ("mount_hsm", "chunk_pages") => r.fill(&mut chunk_pages, key, at, Reader::u64),
+            // A volume's layout is the tag of the key that follows it, if any.
+            ("mount_volume", "layout") => r.fill(&mut layout, key, at, string),
+            ("mount_volume", "stripe_pages") if layout.as_deref() == Some("striped") => {
+                r.fill(&mut stripe_pages, key, at, Reader::u64)
+            }
+            ("mount_volume", "k") if layout.as_deref() == Some("coded") => {
+                r.fill(&mut k, key, at, |r| narrow(r.u64()?, key))
+            }
+            ("mount_volume", "members") => r.fill(&mut members, key, at, |r| list(r, read_member)),
+            ("install_file", "data") => r.fill(&mut data, key, at, Reader::hex),
+            ("install_sparse_file", "size") => r.fill(&mut size, key, at, Reader::u64),
+            ("warm_file_pages", "first_page") => r.fill(&mut first_page, key, at, Reader::u64),
+            ("warm_file_pages", "pages") => r.fill(&mut pages, key, at, Reader::u64),
+            ("hsm_migrate", "free") => r.fill(&mut free, key, at, Reader::bool),
+            _ => Err(json::unknown(key, at)),
+        }
+    })?;
+    let path = || owned(path, "path");
+    Ok(match &*need(step, "step")? {
+        "mkdir" => SetupStep::Mkdir { path: path()? },
+        "mount_disk" => SetupStep::MountDisk {
+            path: path()?,
+            model: owned(model, "model")?,
+            name: owned(name, "name")?,
+        },
+        "mount_nfs" => SetupStep::MountNfs {
+            path: path()?,
+            model: owned(model, "model")?,
+            name: owned(name, "name")?,
+        },
+        "mount_cdrom" => SetupStep::MountCdrom {
+            path: path()?,
+            model: owned(model, "model")?,
+            name: owned(name, "name")?,
+        },
+        "mount_hsm" => SetupStep::MountHsm {
+            path: path()?,
+            disk_model: owned(disk_model, "disk_model")?,
+            disk_name: owned(disk_name, "disk_name")?,
+            tape_model: owned(tape_model, "tape_model")?,
+            tape_name: owned(tape_name, "tape_name")?,
+            chunk_pages: need(chunk_pages, "chunk_pages")?,
+        },
+        "mount_volume" => SetupStep::MountVolume {
+            path: path()?,
+            layout: match &*need(layout, "layout")? {
                 "mirrored" => VolumeLayout::Mirrored,
                 "striped" => VolumeLayout::Striped {
-                    stripe_pages: v
-                        .field("stripe_pages", "setup step")?
-                        .as_u64("stripe_pages")?,
+                    stripe_pages: need(stripe_pages, "stripe_pages")?,
                 },
-                "coded" => VolumeLayout::Coded {
-                    k: {
-                        let k = v.field("k", "setup step")?.as_u64("k")?;
-                        u32::try_from(k).map_err(|_| format!("coded k {k} out of range"))?
-                    },
-                },
+                "coded" => VolumeLayout::Coded { k: need(k, "k")? },
                 other => return Err(format!("unknown volume layout {other:?}")),
-            };
-            let mut members = Vec::new();
-            for m in v.field("members", "setup step")?.as_arr("members")? {
-                members.push((
-                    m.field("model", "volume member")?
-                        .as_str("model")?
-                        .to_string(),
-                    m.field("name", "volume member")?
-                        .as_str("name")?
-                        .to_string(),
-                ));
-            }
-            Ok(SetupStep::MountVolume {
-                path: path("path")?,
-                layout,
-                members,
-            })
-        }
-        "install_file" => {
-            let mut data = Vec::new();
-            hex_decode(v.field("data", "setup step")?.as_str("data")?, &mut data)?;
-            Ok(SetupStep::InstallFile {
-                path: path("path")?,
-                data,
-            })
-        }
-        "install_sparse_file" => Ok(SetupStep::InstallSparseFile {
-            path: path("path")?,
-            size: v.field("size", "setup step")?.as_u64("size")?,
-        }),
-        "warm_file_pages" => Ok(SetupStep::WarmFilePages {
-            path: path("path")?,
-            first_page: v.field("first_page", "setup step")?.as_u64("first_page")?,
-            pages: v.field("pages", "setup step")?.as_u64("pages")?,
-        }),
-        "hsm_migrate" => Ok(SetupStep::HsmMigrate {
-            path: path("path")?,
-            free: v.field("free", "setup step")?.as_bool("free")?,
-        }),
-        "drop_caches" => Ok(SetupStep::DropCaches),
-        other => Err(format!("unknown setup step {other:?}")),
-    }
+            },
+            members: need(members, "members")?,
+        },
+        "install_file" => SetupStep::InstallFile {
+            path: path()?,
+            data: need(data, "data")?,
+        },
+        "install_sparse_file" => SetupStep::InstallSparseFile {
+            path: path()?,
+            size: need(size, "size")?,
+        },
+        "warm_file_pages" => SetupStep::WarmFilePages {
+            path: path()?,
+            first_page: need(first_page, "first_page")?,
+            pages: need(pages, "pages")?,
+        },
+        "hsm_migrate" => SetupStep::HsmMigrate {
+            path: path()?,
+            free: need(free, "free")?,
+        },
+        "drop_caches" => SetupStep::DropCaches,
+        other => return Err(format!("unknown setup step {other:?}")),
+    })
+}
+
+/// A volume member: `(model, name)`.
+fn read_member(r: &mut Reader) -> Result<(String, String), String> {
+    let (mut model, mut name) = (None, None);
+    r.object(|r, key, at| {
+        let slot = match key {
+            "model" => &mut model,
+            "name" => &mut name,
+            _ => return Err(json::unknown(key, at)),
+        };
+        r.fill(slot, key, at, Reader::string)
+    })?;
+    Ok((owned(model, "model")?, owned(name, "name")?))
 }
 
 fn parse_flags(s: &str) -> Result<OpenFlags, String> {
@@ -639,133 +761,221 @@ fn parse_flags(s: &str) -> Result<OpenFlags, String> {
     Ok(flags)
 }
 
-fn parse_call(v: &Json) -> Result<Syscall, String> {
-    let op = v.field("op", "call")?.as_str("op")?;
-    let fd = || -> Result<Fd, String> { Ok(Fd(v.field("fd", "call")?.as_u64("fd")?)) };
-    let len = || -> Result<usize, String> { v.field("len", "call")?.as_usize("len") };
-    let path =
-        || -> Result<String, String> { Ok(v.field("path", "call")?.as_str("path")?.to_string()) };
-    Ok(match op {
+fn read_call(r: &mut Reader) -> Result<Syscall, String> {
+    let [mut op, mut path, mut name] = [const { None }; 3];
+    let [mut fd, mut pos] = [None; 2];
+    let [mut len, mut capacity] = [None; 2];
+    let (mut offset, mut whence, mut flags, mut data, mut ring) = (None, None, None, None, None);
+    r.object(|r, key, at| {
+        let Some(op) = tagged(r, &mut op, "op", key, at)? else {
+            return Ok(());
+        };
+        match (op, key) {
+            ("close" | "fsync" | "fstat" | "lseek" | "read" | "pread" | "write", "fd") => {
+                r.fill(&mut fd, key, at, Reader::u64)
+            }
+            ("pread", "pos") => r.fill(&mut pos, key, at, Reader::u64),
+            ("read" | "pread", "len") | ("ring_enter", "capacity") => {
+                let slot = if key == "len" {
+                    &mut len
+                } else {
+                    &mut capacity
+                };
+                r.fill(slot, key, at, |r| narrow(r.u64()?, key))
+            }
+            ("open" | "stat" | "mkdir" | "readdir" | "unlink", "path") => {
+                r.fill(&mut path, key, at, Reader::string)
+            }
+            ("tenant_register", "name") => r.fill(&mut name, key, at, Reader::string),
+            ("open", "flags") => r.fill(&mut flags, key, at, |r| parse_flags(&r.string()?)),
+            ("lseek", "offset") => r.fill(&mut offset, key, at, Reader::i64),
+            ("lseek", "whence") => r.fill(&mut whence, key, at, |r| {
+                let code = r.u64()?;
+                Whence::from_code(code).ok_or_else(|| format!("unknown whence code {code}"))
+            }),
+            ("write", "data") => r.fill(&mut data, key, at, Reader::hex),
+            ("ring_enter", "ops") => r.fill(&mut ring, key, at, |r| list(r, read_ring_op)),
+            _ => Err(json::unknown(key, at)),
+        }
+    })?;
+    let fd = || need(fd, "fd").map(Fd);
+    let path = || owned(path, "path");
+    Ok(match &*need(op, "op")? {
         "tenant_register" => Syscall::TenantRegister {
-            name: v.field("name", "call")?.as_str("name")?.to_string(),
+            name: owned(name, "name")?,
         },
         "open" => Syscall::Open {
             path: path()?,
-            flags: parse_flags(v.field("flags", "call")?.as_str("flags")?)?,
+            flags: need(flags, "flags")?,
         },
         "close" => Syscall::Close { fd: fd()? },
-        "lseek" => {
-            let code = v.field("whence", "call")?.as_u64("whence")?;
-            Syscall::Lseek {
-                fd: fd()?,
-                offset: v.field("offset", "call")?.as_i64("offset")?,
-                whence: Whence::from_code(code)
-                    .ok_or_else(|| format!("unknown whence code {code}"))?,
-            }
-        }
+        "lseek" => Syscall::Lseek {
+            fd: fd()?,
+            offset: need(offset, "offset")?,
+            whence: need(whence, "whence")?,
+        },
         "read" => Syscall::Read {
             fd: fd()?,
-            len: len()?,
+            len: need(len, "len")?,
         },
         "pread" => Syscall::Pread {
             fd: fd()?,
-            pos: v.field("pos", "call")?.as_u64("pos")?,
-            len: len()?,
+            pos: need(pos, "pos")?,
+            len: need(len, "len")?,
         },
-        "write" => {
-            let mut data = Vec::new();
-            hex_decode(v.field("data", "call")?.as_str("data")?, &mut data)?;
-            Syscall::Write { fd: fd()?, data }
-        }
+        "write" => Syscall::Write {
+            fd: fd()?,
+            data: need(data, "data")?,
+        },
         "fsync" => Syscall::Fsync { fd: fd()? },
         "stat" => Syscall::Stat { path: path()? },
         "fstat" => Syscall::Fstat { fd: fd()? },
         "mkdir" => Syscall::Mkdir { path: path()? },
         "readdir" => Syscall::Readdir { path: path()? },
         "unlink" => Syscall::Unlink { path: path()? },
-        "ring_enter" => {
-            let subs = v.field("ops", "call")?.as_arr("ops")?;
-            let mut ops = Vec::with_capacity(subs.len());
-            for r in subs {
-                ops.push((
-                    r.field("user_data", "ring op")?.as_u64("user_data")?,
-                    parse_call(r.field("call", "ring op")?)?,
-                ));
-            }
-            Syscall::RingEnter {
-                capacity: v.field("capacity", "call")?.as_usize("capacity")?,
-                ops,
-            }
-        }
+        "ring_enter" => Syscall::RingEnter {
+            capacity: need(capacity, "capacity")?,
+            ops: need(ring, "ops")?,
+        },
         other => return Err(format!("unknown or uncapturable op {other:?}")),
     })
 }
 
-/// The `CostRow` under `v`'s keys for commands, bytes, queue wait and
-/// service.
-fn cost_row(v: &Json, what: &str, keys: [&str; 4]) -> Result<CostRow, String> {
-    let n = |key: &str| v.field(key, what)?.as_u64(key);
-    Ok(CostRow {
-        commands: n(keys[0])?,
-        bytes: n(keys[1])?,
-        queue_wait_ns: n(keys[2])?,
-        service_ns: n(keys[3])?,
-    })
+/// A ring op: `(user_data, call)`.
+fn read_ring_op(r: &mut Reader) -> Result<(u64, Syscall), String> {
+    let (mut user_data, mut call) = (None, None);
+    r.object(|r, key, at| match key {
+        "user_data" => r.fill(&mut user_data, key, at, Reader::u64),
+        "call" => r.fill(&mut call, key, at, read_call),
+        _ => Err(json::unknown(key, at)),
+    })?;
+    Ok((need(user_data, "user_data")?, need(call, "call")?))
 }
 
-fn parse_op(v: &Json) -> Result<CapturedOp, String> {
-    let o = v.field("outcome", "op")?;
-    let rows = o.field("classes", "outcome")?.as_arr("classes")?;
-    let mut classes: Vec<(u64, CostRow)> = Vec::with_capacity(rows.len());
-    for c in rows {
-        let class = c.field("class", "class cost")?.as_u64("class")?;
-        if let Some(&(prev, _)) = classes.last().filter(|&&(prev, _)| prev >= class) {
-            return Err(format!(
-                "class row {class} after row {prev}: rows must ascend strictly"
-            ));
-        }
-        let keys = ["commands", "bytes", "queue_wait_ns", "service_ns"];
-        classes.push((class, cost_row(c, "class cost", keys)?));
-    }
-    let keys = [
-        "device_commands",
-        "device_bytes",
-        "queue_wait_ns",
-        "service_ns",
-    ];
-    let totals = cost_row(o, "outcome", keys)?;
-    let op = CapturedOp {
-        seq: v.field("seq", "op")?.as_u64("seq")?,
-        tenant: v.field("tenant", "op")?.as_u64("tenant")?,
-        submit_ns: v.field("submit_ns", "op")?.as_u64("submit_ns")?,
-        fault_epoch: v.field("fault_epoch", "op")?.as_u64("fault_epoch")?,
-        path: match v.opt_field("path", "op")? {
-            Some(p) => Some(Arc::from(p.as_str("path")?)),
-            None => None,
-        },
-        call: parse_call(v.field("call", "op")?)?,
-        outcome: OpOutcome {
-            ok: o.field("ok", "outcome")?.as_bool("ok")?,
-            errno: match o.opt_field("errno", "outcome")? {
-                Some(e) => {
-                    let name = e.as_str("errno")?;
-                    Some(Errno::from_name(name).ok_or_else(|| format!("unknown errno {name:?}"))?)
-                }
-                None => None,
-            },
-            ret: o.field("ret", "outcome")?.as_u64("ret")?,
-            data_len: o.field("data_len", "outcome")?.as_u64("data_len")?,
-            data_fold: o.field("data_fold", "outcome")?.as_u64("data_fold")?,
-            complete_ns: o.field("complete_ns", "outcome")?.as_u64("complete_ns")?,
-            hedges: o.field("hedges", "outcome")?.as_u64("hedges")?,
-            classes,
-        },
+/// A class row: `(class, cost)`.
+fn read_class(r: &mut Reader) -> Result<(u64, CostRow), String> {
+    let [mut class, mut commands, mut bytes, mut queue_wait_ns, mut service_ns] = [None; 5];
+    r.object(|r, key, at| {
+        let slot = match key {
+            "class" => &mut class,
+            "commands" => &mut commands,
+            "queue_wait_ns" => &mut queue_wait_ns,
+            "service_ns" => &mut service_ns,
+            "bytes" => &mut bytes,
+            _ => return Err(json::unknown(key, at)),
+        };
+        r.fill(slot, key, at, Reader::u64)
+    })?;
+    let row = CostRow {
+        commands: need(commands, "commands")?,
+        bytes: need(bytes, "bytes")?,
+        queue_wait_ns: need(queue_wait_ns, "queue_wait_ns")?,
+        service_ns: need(service_ns, "service_ns")?,
     };
-    if op.outcome.device() != totals {
+    Ok((need(class, "class")?, row))
+}
+
+/// The outcome, whose device totals must be the sum of its class rows.
+fn read_outcome(r: &mut Reader) -> Result<OpOutcome, String> {
+    let [mut ret, mut data_len, mut data_fold, mut complete_ns, mut hedges] = [None; 5];
+    let [mut commands, mut bytes, mut queue_wait_ns, mut service_ns] = [None; 4];
+    let (mut ok, mut errno, mut classes) = (None, None, None);
+    r.object(|r, key, at| {
+        let slot = match key {
+            "ok" => return r.fill(&mut ok, key, at, Reader::bool),
+            "errno" => {
+                return r.fill(&mut errno, key, at, |r| {
+                    r.nullable(|r| {
+                        let name = r.string()?;
+                        Errno::from_name(&name).ok_or_else(|| format!("unknown errno {name:?}"))
+                    })
+                })
+            }
+            "ret" => &mut ret,
+            "data_len" => &mut data_len,
+            "data_fold" => &mut data_fold,
+            "complete_ns" => &mut complete_ns,
+            "queue_wait_ns" => &mut queue_wait_ns,
+            "service_ns" => &mut service_ns,
+            "device_commands" => &mut commands,
+            "device_bytes" => &mut bytes,
+            "hedges" => &mut hedges,
+            "classes" => return r.fill(&mut classes, key, at, |r| list(r, read_class)),
+            _ => return Err(json::unknown(key, at)),
+        };
+        r.fill(slot, key, at, Reader::u64)
+    })?;
+    let classes: Vec<(u64, CostRow)> = need(classes, "classes")?;
+    if let Some(pair) = classes.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
         return Err(format!(
-            "outcome totals {totals:?} are not the sum of its class rows {:?}",
-            op.outcome.device()
+            "class row {} after row {}: rows must ascend strictly",
+            pair[1].0, pair[0].0
         ));
     }
-    Ok(op)
+    let outcome = OpOutcome {
+        ok: need(ok, "ok")?,
+        errno: need(errno, "errno")?,
+        ret: need(ret, "ret")?,
+        data_len: need(data_len, "data_len")?,
+        data_fold: need(data_fold, "data_fold")?,
+        complete_ns: need(complete_ns, "complete_ns")?,
+        hedges: need(hedges, "hedges")?,
+        classes,
+    };
+    let totals = CostRow {
+        commands: need(commands, "device_commands")?,
+        bytes: need(bytes, "device_bytes")?,
+        queue_wait_ns: need(queue_wait_ns, "queue_wait_ns")?,
+        service_ns: need(service_ns, "service_ns")?,
+    };
+    if outcome.device() != totals {
+        return Err(format!(
+            "outcome totals {totals:?} are not the sum of its class rows {:?}",
+            outcome.device()
+        ));
+    }
+    Ok(outcome)
+}
+
+/// One `Arc` per distinct path, shared by every op that names it, as the
+/// recorder shares one per open: a capture names a few hundred paths in
+/// thousands of ops.
+fn interned(paths: &mut BTreeSet<Arc<str>>, path: &str) -> Arc<str> {
+    if let Some(shared) = paths.get(path) {
+        return Arc::clone(shared);
+    }
+    let shared: Arc<str> = Arc::from(path);
+    paths.insert(Arc::clone(&shared));
+    shared
+}
+
+fn read_op(r: &mut Reader, paths: &mut BTreeSet<Arc<str>>) -> Result<CapturedOp, String> {
+    let [mut seq, mut tenant, mut submit_ns, mut fault_epoch] = [None; 4];
+    let (mut path, mut call, mut outcome) = (None, None, None);
+    r.object(|r, key, at| {
+        let slot = match key {
+            "seq" => &mut seq,
+            "tenant" => &mut tenant,
+            "submit_ns" => &mut submit_ns,
+            "fault_epoch" => &mut fault_epoch,
+            "path" => {
+                return r.fill(&mut path, key, at, |r| {
+                    r.nullable(|r| r.string().map(|p| interned(paths, &p)))
+                })
+            }
+            "call" => return r.fill(&mut call, key, at, read_call),
+            "outcome" => return r.fill(&mut outcome, key, at, read_outcome),
+            _ => return Err(json::unknown(key, at)),
+        };
+        r.fill(slot, key, at, Reader::u64)
+    })?;
+    Ok(CapturedOp {
+        seq: need(seq, "seq")?,
+        tenant: need(tenant, "tenant")?,
+        submit_ns: need(submit_ns, "submit_ns")?,
+        fault_epoch: need(fault_epoch, "fault_epoch")?,
+        path: need(path, "path")?,
+        call: need(call, "call")?,
+        outcome: need(outcome, "outcome")?,
+    })
 }

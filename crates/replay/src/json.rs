@@ -2,121 +2,28 @@
 //! files.
 //!
 //! The workspace is hermetic (no serde), so captures are written by
-//! hand-rolled string building and read back by this parser. It supports
-//! exactly what the capture schema emits: objects, arrays, strings,
-//! integer numbers, booleans and null. All numbers in the schema are
-//! integers (64-bit quantities like folds and nanosecond stamps are
-//! emitted in decimal; the one `f64` in the model — a fault window's
-//! degradation multiplier — travels as its IEEE bit pattern), parsed
-//! into `i128` so nothing is rounded through a double.
+//! hand-rolled string building and read back by [`Reader`], a pull reader:
+//! the caller asks for the value it expects next — an object, an array, an
+//! integer, a string — and no document tree is built. It reads exactly what
+//! the capture schema emits: objects, arrays, strings, integers, booleans
+//! and null. All numbers in the schema are integers (64-bit quantities like
+//! folds and nanosecond stamps are emitted in decimal; the one `f64` in the
+//! model — a fault window's degradation multiplier — travels as its IEEE
+//! bit pattern), read straight into `u64`/`i64` with checked arithmetic, so
+//! nothing is rounded through a double. An integer must be in the form the
+//! writer prints: no fraction or exponent, no leading zero, no `-0`.
 //!
-//! A parsed document borrows from its input: keys and strings without an
-//! escape are slices of the line they came from, and an object is the
-//! list of its fields in file order (the schema's objects have at most a
-//! dozen, so a scan beats a map). A key that appears twice is an error,
-//! not a silent last-one-wins.
+//! Keys and strings without an escape are slices of the input. An object
+//! hands each key, with its offset, to the caller, who reads the value into
+//! one slot per field ([`Reader::fill`]): a key that fills a slot twice is an
+//! error, not a silent last-one-wins, and so is a key the caller has no slot
+//! for ([`unknown`]) or a slot left empty ([`need`]).
 //!
 //! Everything returns `Result`: a malformed capture is a typed error,
 //! never a panic (the replayer runs on the kernel path: `clippy::panic`
 //! and its family are denied in `lib.rs`).
 
 use std::borrow::Cow;
-
-/// A parsed JSON value. Numbers are integers only — see module docs.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json<'a> {
-    /// `null`.
-    Null,
-    /// `true`/`false`.
-    Bool(bool),
-    /// Integer number (the schema emits nothing else).
-    Int(i128),
-    /// String, unescaped; borrowed from the input when it had no escape.
-    Str(Cow<'a, str>),
-    /// Array.
-    Arr(Vec<Json<'a>>),
-    /// Object: its fields in input order, keys distinct.
-    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
-}
-
-impl<'a> Json<'a> {
-    /// The object's fields, or an error naming `what`.
-    pub fn as_obj(&self, what: &str) -> Result<&[(Cow<'a, str>, Json<'a>)], String> {
-        match self {
-            Json::Obj(m) => Ok(m),
-            other => Err(format!("{what}: expected object, got {other:?}")),
-        }
-    }
-
-    /// The array items, or an error naming `what`.
-    pub fn as_arr(&self, what: &str) -> Result<&[Json<'a>], String> {
-        match self {
-            Json::Arr(v) => Ok(v),
-            other => Err(format!("{what}: expected array, got {other:?}")),
-        }
-    }
-
-    /// The string value, or an error naming `what`.
-    pub fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("{what}: expected string, got {other:?}")),
-        }
-    }
-
-    /// The boolean value, or an error naming `what`.
-    pub fn as_bool(&self, what: &str) -> Result<bool, String> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!("{what}: expected bool, got {other:?}")),
-        }
-    }
-
-    /// The integer as `u64`, or an error naming `what`.
-    pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-        match self {
-            Json::Int(n) => u64::try_from(*n).map_err(|_| format!("{what}: {n} out of u64 range")),
-            other => Err(format!("{what}: expected integer, got {other:?}")),
-        }
-    }
-
-    /// The integer as `i64`, or an error naming `what`.
-    pub fn as_i64(&self, what: &str) -> Result<i64, String> {
-        match self {
-            Json::Int(n) => i64::try_from(*n).map_err(|_| format!("{what}: {n} out of i64 range")),
-            other => Err(format!("{what}: expected integer, got {other:?}")),
-        }
-    }
-
-    /// The integer as `usize`, or an error naming `what`.
-    pub fn as_usize(&self, what: &str) -> Result<usize, String> {
-        match self {
-            Json::Int(n) => {
-                usize::try_from(*n).map_err(|_| format!("{what}: {n} out of usize range"))
-            }
-            other => Err(format!("{what}: expected integer, got {other:?}")),
-        }
-    }
-
-    /// Field `key` of an object, or an error naming `what`.
-    pub fn field(&self, key: &str, what: &str) -> Result<&Json<'a>, String> {
-        self.as_obj(what)?
-            .iter()
-            .find(|(k, _)| &**k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("{what}: missing field {key:?}"))
-    }
-
-    /// Field `key` if present and non-null.
-    pub fn opt_field(&self, key: &str, what: &str) -> Result<Option<&Json<'a>>, String> {
-        Ok(self
-            .as_obj(what)?
-            .iter()
-            .find(|(k, _)| &**k == key)
-            .map(|(_, v)| v)
-            .filter(|v| !matches!(v, Json::Null)))
-    }
-}
 
 /// Escapes a string for embedding in a JSON string literal.
 pub use sleds_fs::trace::json_escape as escape;
@@ -197,18 +104,15 @@ pub fn hex_encode(out: &mut String, data: &[u8]) {
 /// `out` as it was on error.
 pub fn hex_decode(s: &str, out: &mut Vec<u8>) -> Result<(), String> {
     let bytes = s.as_bytes();
-    if !bytes.len().is_multiple_of(2) {
+    let (pairs, []) = bytes.as_chunks::<2>() else {
         return Err(format!("hex string has odd length {}", bytes.len()));
-    }
+    };
     // Decode first, check after: every digit value is below 16 and
     // `NOT_HEX` is not, so one OR over the lot says whether any was bad.
     let start = out.len();
     let mut seen = 0u8;
-    out.extend(bytes.chunks_exact(2).map(|pair| {
-        let (hi, lo) = (
-            HEX_VALUE[usize::from(pair[0])],
-            HEX_VALUE[usize::from(pair[1])],
-        );
+    out.extend(pairs.iter().map(|&[hi, lo]| {
+        let (hi, lo) = (HEX_VALUE[usize::from(hi)], HEX_VALUE[usize::from(lo)]);
         seen |= hi | lo;
         hi << 4 | lo
     }));
@@ -224,42 +128,44 @@ pub fn hex_decode(s: &str, out: &mut Vec<u8>) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Json<'_>, String> {
-    let mut p = Parser {
-        text: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(v)
+/// The error for a key filled twice.
+#[cold]
+fn duplicate(key: &str, at: usize) -> String {
+    format!("duplicate key {key:?} at offset {at}")
 }
 
-/// Maximum nesting depth; capture documents nest 5 levels, this bounds
-/// adversarial input instead of recursing without limit.
+/// The error for a key the schema does not define.
+#[cold]
+pub fn unknown(key: &str, at: usize) -> String {
+    format!("unknown field {key:?} at offset {at}")
+}
+
+/// The value in `slot`, or the error for a field the document left out.
+pub fn need<T>(slot: Option<T>, key: &str) -> Result<T, String> {
+    slot.ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// Maximum nesting depth; capture documents nest 5 levels (each ring op
+/// three more), this bounds adversarial input instead of recursing
+/// without limit.
 const MAX_DEPTH: usize = 32;
 
-/// Offset of the first `"` or `\` in `hay`: where a string ends or stops
-/// being a plain slice of the input. Eight bytes a step — write payloads
-/// are hex strings of several KiB.
+/// Offset of the first `"`, `\` or control byte in `hay`: where a string
+/// ends, stops being a plain slice of the input, or is malformed (the
+/// writer escapes every control byte, and a raw newline ends the line).
+/// Eight bytes a step — write payloads are hex strings of several KiB.
 fn string_special(hay: &[u8]) -> Option<usize> {
     const LO: u64 = 0x0101_0101_0101_0101;
     const HI: u64 = 0x8080_8080_8080_8080;
-    // Exact in its lowest set bit, which is the only one read.
-    let has = |w: u64, b: u8| {
-        let x = w ^ (LO * u64::from(b));
-        x.wrapping_sub(LO) & !x & HI
-    };
+    // Each is exact in its lowest set bit, which is the only one read.
+    let below = |w: u64, b: u8| w.wrapping_sub(LO * u64::from(b)) & !w & HI;
+    let has = |w: u64, b: u8| below(w ^ (LO * u64::from(b)), 1);
+    let special = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
     let mut words = hay.chunks_exact(8);
     let mut at = 0;
     for w in words.by_ref() {
         let w = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
-        let hit = has(w, b'"') | has(w, b'\\');
+        let hit = has(w, b'"') | has(w, b'\\') | below(w, 0x20);
         if hit != 0 {
             return Some(at + hit.trailing_zeros() as usize / 8);
         }
@@ -268,17 +174,77 @@ fn string_special(hay: &[u8]) -> Option<usize> {
     words
         .remainder()
         .iter()
-        .position(|&b| b == b'"' || b == b'\\')
+        .position(|&b| special(b))
         .map(|i| at + i)
 }
 
-struct Parser<'a> {
+/// A pull reader over a text of JSON documents, one per line. Each method
+/// reads the value the caller expects next, at the current position, and
+/// fails if the input holds anything else there. Offsets in errors count
+/// bytes from the start of the line.
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Where the current line starts.
+    line: usize,
+    /// Objects and arrays open around the current position.
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            line: 0,
+            depth: 0,
+        }
+    }
+
+    /// Whether every line has been read.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.bytes.len()
+    }
+
+    /// Reads the next line: `None` if it is blank, else the document on
+    /// it, with `read`. Anything after the document on its line is an error.
+    pub fn line<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.line = self.pos;
+        self.skip_ws();
+        if self.end_line() {
+            return Ok(None);
+        }
+        let v = read(self)?;
+        self.skip_ws();
+        if !self.end_line() {
+            return Err(format!("trailing bytes at offset {}", self.offset()));
+        }
+        Ok(Some(v))
+    }
+
+    /// Consumes the line's end if it is next; the text's end counts.
+    fn end_line(&mut self) -> bool {
+        match self.peek() {
+            None => true,
+            Some(b'\n') => {
+                self.pos += 1;
+                true
+            }
+            Some(_) => false,
+        }
+    }
+
+    /// The current position, counted from the start of its line.
+    fn offset(&self) -> usize {
+        self.pos - self.line
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -292,133 +258,262 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            Some(got) => Err(format!(
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.expected(b))
+        }
+    }
+
+    #[cold]
+    fn expected(&self, b: u8) -> String {
+        match self.peek() {
+            Some(got) => format!(
                 "expected {:?} at offset {}, got {:?}",
                 char::from(b),
-                self.pos - 1,
+                self.offset(),
                 char::from(got)
-            )),
-            None => Err(format!("expected {:?}, got end of input", char::from(b))),
+            ),
+            None => format!("expected {:?}, got end of input", char::from(b)),
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json<'a>) -> Result<Json<'a>, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Consumes `word` if the input continues with it.
+    fn literal(&mut self, word: &str) -> bool {
+        let hit = self.bytes[self.pos..].starts_with(word.as_bytes());
+        if hit {
             self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
         }
+        hit
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json<'a>, String> {
-        if depth > MAX_DEPTH {
+    /// Opens an object or array: `open`, one level deeper.
+    fn enter(&mut self, open: u8) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
             return Err(format!("nesting deeper than {MAX_DEPTH}"));
         }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(format!(
-                "unexpected byte 0x{other:02x} at offset {}",
-                self.pos
-            )),
-            None => Err("unexpected end of input".to_string()),
+        self.eat(open)?;
+        self.depth += 1;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// After an item: `true` on `,` (another follows), `false` on `close`.
+    fn next_item(&mut self, close: u8, what: &str) -> Result<bool, String> {
+        self.skip_ws();
+        match self.bump() {
+            Some(b',') => {
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(format!("bad {what} at offset {}", self.offset())),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json<'a>, String> {
-        self.eat(b'{')?;
-        self.skip_ws();
+    /// Reads an object: `each(reader, key, key offset)` for every key, in
+    /// input order, with the reader at the key's value, which `each` must
+    /// read.
+    pub fn object(
+        &mut self,
+        mut each: impl FnMut(&mut Self, &str, usize) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.enter(b'{')?;
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(Vec::new()));
+            self.depth -= 1;
+            return Ok(());
         }
-        // An outcome, the widest object of an op line, has twelve fields.
-        let mut fields: Vec<(Cow<'a, str>, Json<'a>)> = Vec::with_capacity(12);
         loop {
-            self.skip_ws();
-            let key_at = self.pos;
+            let at = self.offset();
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?} at offset {key_at}"));
-            }
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
-            let val = self.value(depth + 1)?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(fields)),
-                _ => return Err(format!("bad object at offset {}", self.pos)),
+            each(self, &key, at)?;
+            if !self.next_item(b'}', "object")? {
+                return Ok(());
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json<'a>, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
+    /// Reads an array: `each(reader)` once per item, with the reader at
+    /// the item, which `each` must read.
+    pub fn array(
+        &mut self,
+        mut each: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.enter(b'[')?;
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            self.depth -= 1;
+            return Ok(());
         }
         loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
-                _ => return Err(format!("bad array at offset {}", self.pos)),
+            each(self)?;
+            if !self.next_item(b']', "array")? {
+                return Ok(());
             }
         }
+    }
+
+    /// Reads the value of `key` (at offset `at`) into its empty `slot`
+    /// with `read`; an already-filled slot is a duplicate key.
+    pub fn fill<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        key: &str,
+        at: usize,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<(), String> {
+        if slot.is_some() {
+            return Err(duplicate(key, at));
+        }
+        *slot = Some(read(self)?);
+        Ok(())
+    }
+
+    /// `null`, or the value `read` reads.
+    pub fn nullable<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        if self.literal("null") {
+            Ok(None)
+        } else {
+            read(self).map(Some)
+        }
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, String> {
+        if self.literal("true") {
+            Ok(true)
+        } else if self.literal("false") {
+            Ok(false)
+        } else {
+            Err(format!("expected a boolean at offset {}", self.offset()))
+        }
+    }
+
+    /// A non-negative integer.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        if self.peek() == Some(b'-') {
+            return Err(format!(
+                "negative integer at offset {} where an unsigned one belongs",
+                self.offset()
+            ));
+        }
+        self.digits()
+    }
+
+    /// An integer; `i64::MIN` is `-9223372036854775808`.
+    pub fn i64(&mut self) -> Result<i64, String> {
+        let at = self.offset();
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let magnitude = self.digits()?;
+        let n = match (negative, magnitude) {
+            (true, 0) => return Err(format!("-0 at offset {at}")),
+            (true, m) => 0i64.checked_sub_unsigned(m),
+            (false, m) => i64::try_from(m).ok(),
+        };
+        n.ok_or_else(|| format!("integer at offset {at} out of i64 range"))
+    }
+
+    /// An unsigned run of decimal digits, as the writer prints one.
+    fn digits(&mut self) -> Result<u64, String> {
+        let rest = &self.bytes[self.pos..];
+        let (mut n, mut run) = (0u64, 0);
+        for d in rest
+            .iter()
+            .map(|b| b.wrapping_sub(b'0'))
+            .take_while(|&d| d < 10)
+        {
+            // Nineteen digits cannot overflow a u64; only the rest are checked.
+            n = match run {
+                ..19 => n * 10 + u64::from(d),
+                _ => match n.checked_mul(10).and_then(|n| n.checked_add(u64::from(d))) {
+                    Some(n) => n,
+                    None => return Err(self.bad_integer("out of u64 range")),
+                },
+            };
+            run += 1;
+        }
+        match (run, rest.first(), rest.get(run)) {
+            (0, _, _) => Err(self.bad_integer("no digits")),
+            (2.., Some(b'0'), _) => Err(self.bad_integer("leading zero")),
+            (_, _, Some(b'.' | b'e' | b'E')) => {
+                Err(self.bad_integer("not an integer (the capture schema emits integers only)"))
+            }
+            _ => {
+                self.pos += run;
+                Ok(n)
+            }
+        }
+    }
+
+    #[cold]
+    fn bad_integer(&self, why: &str) -> String {
+        format!("integer at offset {}: {why}", self.offset())
     }
 
     /// `text[from..to]`. Both ends sit next to an ASCII byte the scan
     /// stopped at, so they are character boundaries; a typed error, not
     /// a slicing panic, if that ever stops being so.
     fn slice(&self, from: usize, to: usize) -> Result<&'a str, String> {
-        self.text
-            .get(from..to)
-            .ok_or_else(|| format!("string at offset {from} splits a character"))
+        self.text.get(from..to).ok_or_else(|| {
+            let at = from - self.line;
+            format!("string at offset {at} splits a character")
+        })
     }
 
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    /// A string, unescaped; borrowed from the input when it had no escape.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.eat(b'"')?;
         let start = self.pos;
-        let mut owned: Option<String> = None;
+        match string_special(&self.bytes[start..]) {
+            Some(len) if self.bytes[start + len] == b'"' => {
+                self.pos = start + len + 1;
+                self.slice(start, start + len).map(Cow::Borrowed)
+            }
+            _ => self.unescape().map(Cow::Owned),
+        }
+    }
+
+    /// The rest of a string that holds an escape, unescaped.
+    #[cold]
+    fn unescape(&mut self) -> Result<String, String> {
+        let mut out = String::new();
         loop {
             let run = self.pos;
             let Some(stop) = string_special(&self.bytes[run..]) else {
                 return Err("unterminated string".to_string());
             };
-            self.pos = run + stop + 1;
-            if self.bytes[run + stop] == b'"' {
-                return Ok(match owned {
-                    None => Cow::Borrowed(self.slice(start, run + stop)?),
-                    Some(mut out) => {
-                        out.push_str(self.slice(run, run + stop)?);
-                        Cow::Owned(out)
-                    }
-                });
-            }
-            let out = owned.get_or_insert_with(String::new);
             out.push_str(self.slice(run, run + stop)?);
+            self.pos = run + stop + 1;
+            let special = self.bytes[run + stop];
+            if special < 0x20 {
+                let at = run + stop - self.line;
+                return Err(format!(
+                    "control byte 0x{special:02x} in string at offset {at}"
+                ));
+            }
+            if special == b'"' {
+                return Ok(out);
+            }
             match self.bump() {
                 Some(b'"') => out.push('"'),
                 Some(b'\\') => out.push('\\'),
@@ -451,32 +546,21 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json<'a>, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits = self.pos;
-        let mut small: u64 = 0;
-        while let Some(d @ b'0'..=b'9') = self.peek() {
-            // Exact while the run is short enough to fit (see below).
-            small = small.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(format!(
-                "non-integer number at offset {start} (the capture schema emits integers only)"
-            ));
-        }
-        // Up to 19 digits cannot overflow a u64; nearly every number in a
-        // capture is one, and `i128::from_str` is the slow way to read it.
-        if digits == start && (1..=19).contains(&(self.pos - digits)) {
-            return Ok(Json::Int(i128::from(small)));
-        }
-        let text = self.slice(start, self.pos)?;
-        text.parse::<i128>()
-            .map(Json::Int)
-            .map_err(|e| format!("bad number {text:?}: {e}"))
+    /// A string of hex digits, as the bytes it spells. A digit needs no
+    /// escape, so the string ends at the next quote — found at `memchr`
+    /// speed, which matters for a page of payload — and decoding refuses
+    /// anything before it that is not a digit.
+    pub fn hex(&mut self) -> Result<Vec<u8>, String> {
+        let at = self.offset();
+        self.eat(b'"')?;
+        let rest = self.slice(self.pos, self.bytes.len())?;
+        let (digits, _) = rest
+            .split_once('"')
+            .ok_or_else(|| "unterminated string".to_string())?;
+        let mut out = Vec::new();
+        hex_decode(digits, &mut out).map_err(|e| format!("hex string at offset {at}: {e}"))?;
+        self.pos += digits.len() + 1;
+        Ok(out)
     }
 }
 
@@ -484,40 +568,140 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    /// Reads `doc`, one line, with `read`.
+    fn read<'a, T>(
+        doc: &'a str,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut r = Reader::new(doc);
+        let v = r.line(read)?.ok_or_else(|| "blank line".to_string())?;
+        assert!(r.at_end(), "{doc:?} is one line");
+        Ok(v)
+    }
+
+    #[test]
+    fn a_text_is_read_line_by_line_with_offsets_from_each_line() {
+        let text = "{\"a\":1}\n  \r\n\t{\"a\":22} \r\n{\"a\":3}";
+        let mut r = Reader::new(text);
+        let mut got = Vec::new();
+        while !r.at_end() {
+            got.push(r.line(|r| {
+                let mut a = None;
+                r.object(|r, key, at| r.fill(&mut a, key, at, Reader::u64))?;
+                need(a, "a")
+            }));
+        }
+        assert_eq!(got, [Ok(Some(1)), Ok(None), Ok(Some(22)), Ok(Some(3))]);
+        // A line holds one document; a string never spans a line, and a
+        // raw control byte is never in one.
+        let object = |r: &mut Reader| {
+            let mut a = None;
+            r.object(|r, key, at| r.fill(&mut a, key, at, Reader::u64))
+        };
+        for (text, err) in [
+            ("{}\n{} {}", "trailing bytes at offset 3"),
+            ("{}\n\"a\nb\"", "control byte 0x0a in string at offset 2"),
+            ("{}\n  \"a\tb\"", "control byte 0x09 in string at offset 4"),
+            ("{}\n\n{\"a\":1,\"a\":2}", "duplicate key \"a\" at offset 7"),
+        ] {
+            let mut r = Reader::new(text);
+            assert_eq!(r.line(object), Ok(Some(())));
+            let got = loop {
+                let line = if text.ends_with('"') {
+                    r.line(|r| r.string().map(drop))
+                } else {
+                    r.line(object)
+                };
+                if line != Ok(None) {
+                    break line;
+                }
+            };
+            assert_eq!(got, Err(err.to_string()), "{text:?}");
+        }
+    }
+
     #[test]
     fn roundtrips_nested_document() {
         let doc = r#"{"a": [1, -2, {"b": "x\ny", "c": true}], "d": null}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(v.field("d", "doc").unwrap(), &Json::Null);
-        let arr = v.field("a", "doc").unwrap().as_arr("a").unwrap();
-        assert_eq!(arr[0].as_u64("n").unwrap(), 1);
-        assert_eq!(arr[1].as_i64("n").unwrap(), -2);
-        assert_eq!(arr[2].field("b", "o").unwrap().as_str("b").unwrap(), "x\ny");
+        let (mut a, mut d) = (None, None);
+        read(doc, |r| {
+            r.object(|r, key, at| match key {
+                "a" => r.fill(&mut a, key, at, |r| {
+                    let mut items = Vec::new();
+                    r.array(|r| {
+                        items.push(match items.len() {
+                            0 => r.u64()?.to_string(),
+                            1 => r.i64()?.to_string(),
+                            _ => {
+                                let mut b = String::new();
+                                r.object(|r, key, _| match key {
+                                    "b" => {
+                                        b = r.string()?.into_owned();
+                                        Ok(())
+                                    }
+                                    _ => r.bool().map(|c| assert!(c)),
+                                })?;
+                                b
+                            }
+                        });
+                        Ok(())
+                    })?;
+                    Ok(items)
+                }),
+                "d" => r.fill(&mut d, key, at, |r| r.nullable(Reader::u64)),
+                _ => Err(unknown(key, at)),
+            })
+        })
+        .unwrap();
+        assert_eq!(a.unwrap(), ["1", "-2", "x\ny"]);
+        assert_eq!(d, Some(None));
     }
 
     #[test]
     fn big_u64_survives_exactly() {
         let n = u64::MAX - 3;
         let doc = format!("{{\"fold\": {n}}}");
-        let v = parse(&doc).unwrap();
-        assert_eq!(v.field("fold", "doc").unwrap().as_u64("fold").unwrap(), n);
+        let mut fold = None;
+        read(&doc, |r| {
+            r.object(|r, key, at| r.fill(&mut fold, key, at, Reader::u64))
+        })
+        .unwrap();
+        assert_eq!(need(fold, "fold").unwrap(), n);
     }
 
     #[test]
     fn numbers_agree_with_i128_parsing_at_every_width() {
+        // The writer's form: no leading zero, no `-0`.
+        let canonical = |text: &str| {
+            let digits = text.strip_prefix('-').unwrap_or(text);
+            text != "-0" && (digits == "0" || !digits.starts_with('0'))
+        };
         let all_nines = "9".repeat(45);
+        let mut texts = vec![
+            i64::MIN.to_string(),
+            (i128::from(i64::MIN) - 1).to_string(),
+            (u128::from(u64::MAX) + 1).to_string(),
+            "0".to_string(),
+            "-0".to_string(),
+            "00".to_string(),
+            "-".to_string(),
+            String::new(),
+        ];
         for width in 1..=all_nines.len() {
-            for text in [
+            texts.extend([
                 all_nines[..width].to_string(),
                 format!("-{}", &all_nines[..width]),
                 format!("1{}", "0".repeat(width - 1)),
                 format!("{:0>width$}", 7),
-            ] {
-                let want = text.parse::<i128>().ok().map(Json::Int);
-                assert_eq!(parse(&text).ok(), want, "{text}");
-            }
+            ]);
         }
-        assert!(parse("-").is_err());
+        for text in texts {
+            let want = text.parse::<i128>().ok().filter(|_| canonical(&text));
+            let as_u64 = want.and_then(|n| u64::try_from(n).ok());
+            assert_eq!(read(&text, Reader::u64).ok(), as_u64, "{text}");
+            let as_i64 = want.and_then(|n| i64::try_from(n).ok());
+            assert_eq!(read(&text, Reader::i64).ok(), as_i64, "{text}");
+        }
         let mut s = String::new();
         for n in [0, 9, 10, 12_345, u64::MAX / 10, u64::MAX - 1, u64::MAX] {
             s.clear();
@@ -528,29 +712,44 @@ mod tests {
 
     #[test]
     fn floats_are_rejected() {
-        assert!(parse("1.5").is_err());
-        assert!(parse("1e9").is_err());
+        assert!(read("1.5", Reader::u64).is_err());
+        assert!(read("1e9", Reader::i64).is_err());
     }
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        assert!(parse("{} x").is_err());
+        let empty = |r: &mut Reader| r.object(|_, key, at| Err(unknown(key, at)));
+        assert!(read(" {} ", empty).is_ok());
+        assert!(read("{} x", empty).is_err());
     }
 
     #[test]
     fn duplicate_keys_are_rejected_with_their_offset() {
-        let err = parse(r#"{"a":1,"b":{"c":2,"c":3}}"#).unwrap_err();
+        let doc = |text| {
+            let (mut a, mut upper, mut c) = (None, None, None);
+            read(text, |r| {
+                r.object(|r, key, at| match key {
+                    "a" => r.fill(&mut a, key, at, Reader::u64),
+                    "A" => r.fill(&mut upper, key, at, Reader::u64),
+                    "b" => r.object(|r, key, at| r.fill(&mut c, key, at, Reader::u64)),
+                    _ => Err(unknown(key, at)),
+                })
+            })
+        };
+        let err = doc(r#"{"a":1,"b":{"c":2,"c":3}}"#).unwrap_err();
         assert!(err.contains("duplicate key \"c\" at offset 18"), "{err}");
         // An escape spells the same key.
-        assert!(parse(r#"{"a":1,"\u0061":2}"#).is_err());
-        assert!(parse(r#"{"a":1,"A":2}"#).is_ok());
+        assert!(doc(r#"{"a":1,"\u0061":2}"#).is_err());
+        assert!(doc(r#"{"a":1,"A":2}"#).is_ok());
+        let err = doc(r#"{"a":1,"z":2}"#).unwrap_err();
+        assert_eq!(err, "unknown field \"z\" at offset 7");
     }
 
     #[test]
     fn escape_roundtrips() {
         let s = "a\"b\\c\nd\te\u{1}f — π";
         let doc = format!("\"{}\"", escape(s));
-        assert_eq!(parse(&doc).unwrap(), Json::Str(s.into()));
+        assert_eq!(read(&doc, Reader::string).unwrap(), s);
         let mut pushed = String::new();
         push_escaped(&mut pushed, s);
         assert_eq!(pushed, escape(s));
@@ -562,20 +761,21 @@ mod tests {
         for pad in 0..20 {
             let body = "π".repeat(pad / 2) + &"x".repeat(pad % 2 + pad);
             let plain = format!("\"{body}\"");
-            match parse(&plain).unwrap() {
-                Json::Str(Cow::Borrowed(s)) => assert_eq!(s, body),
+            match read(&plain, Reader::string).unwrap() {
+                Cow::Borrowed(s) => assert_eq!(s, body),
                 other => panic!("{plain}: {other:?}"),
             }
             let escaped = format!("\"{body}\\n{body}\\u0041\"");
-            match parse(&escaped).unwrap() {
-                Json::Str(Cow::Owned(s)) => assert_eq!(s, format!("{body}\n{body}A")),
+            match read(&escaped, Reader::string).unwrap() {
+                Cow::Owned(s) => assert_eq!(s, format!("{body}\n{body}A")),
                 other => panic!("{escaped}: {other:?}"),
             }
-            assert!(parse(&format!("\"{body}")).is_err(), "unterminated");
-            assert!(parse(&format!("\"{body}\\")).is_err(), "dangling escape");
-            assert!(parse(&format!("\"{body}\\u00")).is_err(), "short \\u");
-            assert!(parse(&format!("\"{body}\\ud800\"")).is_err(), "surrogate");
-            assert!(parse(&format!("\"{body}\\π\"")).is_err(), "bad escape");
+            let string = |text: String| read(&text, Reader::string).map(Cow::into_owned);
+            assert!(string(format!("\"{body}")).is_err(), "unterminated");
+            assert!(string(format!("\"{body}\\")).is_err(), "dangling escape");
+            assert!(string(format!("\"{body}\\u00")).is_err(), "short \\u");
+            assert!(string(format!("\"{body}\\ud800\"")).is_err(), "surrogate");
+            assert!(string(format!("\"{body}\\π\"")).is_err(), "bad escape");
         }
     }
 
@@ -591,6 +791,10 @@ mod tests {
                 let mut back = vec![9];
                 hex_decode(&text, &mut back).unwrap();
                 assert_eq!(back[1..], data[..len]);
+                assert_eq!(
+                    read(&format!("\"{text}\""), Reader::hex).unwrap(),
+                    data[..len]
+                );
             }
         }
         assert!(hex_decode("abc", &mut Vec::new()).is_err());

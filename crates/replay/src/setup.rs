@@ -233,8 +233,20 @@ impl CandidateConfig {
 /// Boots a kernel and applies every setup step plus the fault plan, in
 /// spec order. Deterministic: the same spec always yields a kernel in
 /// the same state at the same virtual time (zero — setup charges
-/// nothing).
+/// nothing). A plan that names a device no step creates is refused: it
+/// would fault nothing, and a what-if built on a mistyped name would
+/// quietly replay the identity.
 pub fn build_kernel(spec: &WorkloadSpec) -> Result<Kernel, String> {
+    let created: Vec<&str> = spec.setup.iter().flat_map(SetupStep::devices).collect();
+    if let Some(dev) = spec
+        .fault_plan
+        .device_names()
+        .find(|dev| !created.contains(dev))
+    {
+        return Err(format!(
+            "fault plan names device {dev:?}, which no setup step creates"
+        ));
+    }
     let cfg = spec.machine_config()?;
     let mut k = Kernel::new(cfg);
     for step in &spec.setup {
@@ -242,6 +254,26 @@ pub fn build_kernel(spec: &WorkloadSpec) -> Result<Kernel, String> {
     }
     k.apply_fault_plan(&spec.fault_plan);
     Ok(k)
+}
+
+impl SetupStep {
+    /// The names of the devices this step creates.
+    fn devices(&self) -> Vec<&str> {
+        match self {
+            SetupStep::MountDisk { name, .. }
+            | SetupStep::MountNfs { name, .. }
+            | SetupStep::MountCdrom { name, .. } => vec![name],
+            SetupStep::MountHsm {
+                disk_name,
+                tape_name,
+                ..
+            } => vec![disk_name, tape_name],
+            SetupStep::MountVolume { members, .. } => {
+                members.iter().map(|(_, name)| name.as_str()).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
 }
 
 fn apply_step(k: &mut Kernel, step: &SetupStep) -> Result<(), String> {

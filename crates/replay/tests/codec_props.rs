@@ -1,0 +1,317 @@
+//! Generated round trips through the capture codec: specs over every setup
+//! step and every fault-window kind, ops over every capturable call (a ring
+//! that nests the others included), every errno, edge values in every
+//! numeric field and strings that need escaping. `parse ∘ to_jsonl` must
+//! give back the capture, `to_jsonl ∘ parse` the text, and a line cut short
+//! anywhere must be refused.
+//!
+//! Runs under the in-repo `check` harness; case count scales with
+//! `SLEDS_CHECK_CASES`.
+
+use std::collections::BTreeSet;
+use std::mem::discriminant;
+
+use sleds_faults::FaultPlan;
+use sleds_fs::trace::CostRow;
+use sleds_fs::{
+    Capture, CapturedOp, Fd, HedgePolicy, OpOutcome, OpenFlags, Syscall, VolumeLayout, Whence,
+};
+use sleds_replay::{CaptureFile, SetupStep, WorkloadSpec};
+use sleds_sim_core::{check, DetRng, Errno, SimDuration, SimTime};
+
+/// Both ends of the range and the bit that splits it.
+const EDGES: [u64; 5] = [0, 1, 1 << 63, u64::MAX - 1, u64::MAX];
+
+/// An edge value, a small one or any one.
+fn num(rng: &mut DetRng) -> u64 {
+    match rng.range_u64(0, 3) {
+        0 => EDGES[rng.range_usize(0, EDGES.len())],
+        1 => rng.range_u64(0, 1_000),
+        _ => rng.range_u64(0, u64::MAX),
+    }
+}
+
+fn small(rng: &mut DetRng) -> u32 {
+    match rng.range_u64(0, 3) {
+        0 => u32::MAX,
+        1 => 0,
+        _ => rng.range_u64(1, 100) as u32,
+    }
+}
+
+fn pick<T: Clone>(rng: &mut DetRng, from: &[T]) -> T {
+    from[rng.range_usize(0, from.len())].clone()
+}
+
+/// A string that needs escaping more often than not: quotes, backslashes,
+/// control bytes and text beyond ASCII.
+fn text(rng: &mut DetRng) -> String {
+    const PIECES: [&str; 11] = [
+        "/d", "/", "x", "\"", "\\", "\n", "\t", "\u{1}", "\u{1f}", "π", "—🙂",
+    ];
+    (0..rng.range_usize(0, 8))
+        .map(|_| pick(rng, &PIECES))
+        .collect()
+}
+
+fn bytes(rng: &mut DetRng) -> Vec<u8> {
+    let mut data = vec![0; rng.range_usize(0, 40)];
+    rng.fill_bytes(&mut data);
+    data
+}
+
+/// A positive finite multiplier, extremes included.
+fn multiplier(rng: &mut DetRng) -> f64 {
+    pick(
+        rng,
+        &[f64::MIN_POSITIVE, 1e-300, 0.5, 1.0, 2.5, 1e300, f64::MAX],
+    )
+}
+
+fn step(rng: &mut DetRng) -> SetupStep {
+    let (path, model, name) = (text(rng), text(rng), text(rng));
+    match rng.range_u64(0, 11) {
+        0 => SetupStep::Mkdir { path },
+        1 => SetupStep::MountDisk { path, model, name },
+        2 => SetupStep::MountNfs { path, model, name },
+        3 => SetupStep::MountCdrom { path, model, name },
+        4 => SetupStep::MountHsm {
+            path,
+            disk_model: model,
+            disk_name: name,
+            tape_model: text(rng),
+            tape_name: text(rng),
+            chunk_pages: num(rng),
+        },
+        5 => SetupStep::MountVolume {
+            path,
+            layout: match rng.range_u64(0, 3) {
+                0 => VolumeLayout::Mirrored,
+                1 => VolumeLayout::Striped {
+                    stripe_pages: num(rng),
+                },
+                _ => VolumeLayout::Coded { k: small(rng) },
+            },
+            members: (0..rng.range_usize(0, 4))
+                .map(|_| (text(rng), text(rng)))
+                .collect(),
+        },
+        6 => SetupStep::InstallFile {
+            path,
+            data: bytes(rng),
+        },
+        7 => SetupStep::InstallSparseFile {
+            path,
+            size: num(rng),
+        },
+        8 => SetupStep::WarmFilePages {
+            path,
+            first_page: num(rng),
+            pages: num(rng),
+        },
+        9 => SetupStep::HsmMigrate {
+            path,
+            free: rng.chance(0.5),
+        },
+        _ => SetupStep::DropCaches,
+    }
+}
+
+/// A plan of every window kind, on devices with awkward names. A window
+/// ends after it starts, so `start` stops short of `u64::MAX`.
+fn plan(rng: &mut DetRng) -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    for _ in 0..rng.range_usize(0, 5) {
+        let dev = text(rng);
+        let start = num(rng).min(u64::MAX - 1);
+        let end = SimTime::from_nanos(start + 1 + rng.range_u64(0, u64::MAX - start - 1));
+        let start = SimTime::from_nanos(start);
+        let cost = SimDuration::from_nanos(num(rng));
+        plan = match rng.range_u64(0, 3) {
+            0 => plan.transient(&dev, start, end, small(rng), cost),
+            1 => plan.degraded(&dev, start, end, multiplier(rng)),
+            _ => plan.offline(&dev, start, end, cost),
+        };
+    }
+    plan
+}
+
+fn spec(rng: &mut DetRng) -> WorkloadSpec {
+    let mut spec = WorkloadSpec::new(&text(rng));
+    spec.cmd_queue_capacity = num(rng) as usize;
+    spec.hedge = HedgePolicy {
+        max_hedges: small(rng),
+        deadline_mult: multiplier(rng),
+        cancel_cost: SimDuration::from_nanos(num(rng)),
+    };
+    spec.setup = (0..rng.range_usize(0, 12)).map(|_| step(rng)).collect();
+    spec.fault_plan = plan(rng);
+    spec
+}
+
+/// A capturable call; a ring nests `depth` more levels of them.
+fn call(rng: &mut DetRng, depth: usize) -> Syscall {
+    let fd = Fd(num(rng));
+    let kinds = if depth == 0 { 13 } else { 14 };
+    match rng.range_u64(0, kinds) {
+        0 => Syscall::TenantRegister { name: text(rng) },
+        1 => Syscall::Open {
+            path: text(rng),
+            flags: OpenFlags {
+                read: rng.chance(0.5),
+                write: rng.chance(0.5),
+                create: rng.chance(0.5),
+                truncate: rng.chance(0.5),
+                append: rng.chance(0.5),
+            },
+        },
+        2 => Syscall::Close { fd },
+        3 => Syscall::Lseek {
+            fd,
+            offset: match rng.range_u64(0, 3) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => num(rng) as i64,
+            },
+            whence: pick(rng, &[Whence::Set, Whence::Cur, Whence::End]),
+        },
+        4 => Syscall::Read {
+            fd,
+            len: num(rng) as usize,
+        },
+        5 => Syscall::Pread {
+            fd,
+            pos: num(rng),
+            len: num(rng) as usize,
+        },
+        6 => Syscall::Write {
+            fd,
+            data: bytes(rng),
+        },
+        7 => Syscall::Fsync { fd },
+        8 => Syscall::Stat { path: text(rng) },
+        9 => Syscall::Fstat { fd },
+        10 => Syscall::Mkdir { path: text(rng) },
+        11 => Syscall::Readdir { path: text(rng) },
+        12 => Syscall::Unlink { path: text(rng) },
+        _ => Syscall::RingEnter {
+            capacity: num(rng) as usize,
+            ops: (0..rng.range_usize(0, 4))
+                .map(|_| (num(rng), call(rng, depth - 1)))
+                .collect(),
+        },
+    }
+}
+
+fn row(rng: &mut DetRng) -> CostRow {
+    CostRow {
+        commands: num(rng),
+        bytes: num(rng),
+        queue_wait_ns: num(rng),
+        service_ns: num(rng),
+    }
+}
+
+fn op(rng: &mut DetRng) -> CapturedOp {
+    // Class rows ascend strictly by class.
+    let mut ids: Vec<u64> = (0..rng.range_usize(0, 4)).map(|_| num(rng)).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let classes = ids.into_iter().map(|id| (id, row(rng))).collect();
+    CapturedOp {
+        seq: num(rng),
+        tenant: num(rng),
+        submit_ns: num(rng),
+        fault_epoch: num(rng),
+        path: rng.chance(0.5).then(|| text(rng).into()),
+        call: call(rng, 2),
+        outcome: OpOutcome {
+            ok: rng.chance(0.5),
+            errno: rng.chance(0.7).then(|| pick(rng, &Errno::ALL)),
+            ret: num(rng),
+            data_len: num(rng),
+            data_fold: num(rng),
+            complete_ns: num(rng),
+            classes,
+            hedges: num(rng),
+        },
+    }
+}
+
+fn file(rng: &mut DetRng) -> CaptureFile {
+    let ops: Vec<CapturedOp> = (0..rng.range_u64(0, 6)).map(|_| op(rng)).collect();
+    CaptureFile {
+        spec: spec(rng),
+        capture: Capture {
+            complete: rng.chance(0.5),
+            incomplete_reason: rng.chance(0.5).then(|| text(rng)),
+            budget: num(rng) as usize,
+            base_ns: num(rng),
+            ops,
+        },
+    }
+}
+
+#[test]
+fn every_generated_capture_roundtrips() {
+    check::run("every_generated_capture_roundtrips", |rng| {
+        let file = file(rng);
+        let text = file.to_jsonl();
+        let parsed = CaptureFile::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(parsed.capture, file.capture);
+        assert_eq!(parsed.to_jsonl(), text);
+    });
+}
+
+#[test]
+fn the_generators_reach_every_call_errno_step_and_window_kind() {
+    // A round trip that never saw a variant proves nothing about it.
+    let mut seen = BTreeSet::new();
+    let mut rng = DetRng::new(0xC0DEC);
+    for _ in 0..2_000 {
+        let op = op(&mut rng);
+        seen.insert(format!("call {}", op.call.name()));
+        seen.insert(format!("errno {:?}", op.outcome.errno));
+        seen.insert(format!("step {:?}", discriminant(&step(&mut rng))));
+        let plan = plan(&mut rng);
+        for dev in plan.device_names() {
+            for w in plan.injector_for(dev).unwrap().windows() {
+                seen.insert(format!("window {:?}", discriminant(w)));
+            }
+        }
+    }
+    let count = |kind: &str| seen.iter().filter(|s| s.starts_with(kind)).count();
+    assert_eq!(count("call "), 14, "{seen:?}");
+    // Every errno, and none.
+    assert_eq!(count("errno "), Errno::ALL.len() + 1);
+    assert_eq!(count("step "), 11);
+    assert_eq!(count("window "), 3);
+}
+
+#[test]
+fn every_proper_prefix_of_an_op_line_is_refused() {
+    check::run("every_proper_prefix_of_an_op_line_is_refused", |rng| {
+        let op = op(rng);
+        let one = CaptureFile {
+            spec: WorkloadSpec::new("table2"),
+            capture: Capture {
+                complete: true,
+                incomplete_reason: None,
+                budget: 1,
+                base_ns: 0,
+                ops: vec![op],
+            },
+        };
+        let text = one.to_jsonl();
+        let (header, line) = text.trim_end().split_once('\n').unwrap();
+        for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+            let cut_text = format!("{header}\n{}\n", &line[..cut]);
+            match CaptureFile::parse(&cut_text) {
+                Ok(_) => panic!("op line cut at {cut} loaded: {:?}", &line[..cut]),
+                // An empty line is no op, so the count is short.
+                Err(e) if cut == 0 => assert!(e.contains("declares 1 ops"), "{e}"),
+                Err(e) => assert!(e.starts_with("op line 2"), "cut at {cut}: {e}"),
+            }
+        }
+    });
+}

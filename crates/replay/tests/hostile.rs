@@ -6,8 +6,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use sleds_replay::{diff_captures, replay, CandidateConfig, CaptureFile};
-use sleds_sim_core::DetRng;
+use sleds_faults::FaultPlan;
+use sleds_replay::{
+    build_kernel, diff_captures, replay, CandidateConfig, CaptureFile, SetupStep, WorkloadSpec,
+};
+use sleds_sim_core::{DetRng, SimDuration, SimTime};
 
 const ARTIFACT: &str = include_str!("../../../results/CAPTURE_saturation.jsonl");
 
@@ -209,5 +212,62 @@ fn class_rows_that_do_not_ascend_strictly_are_refused() {
         let op = format!("{}{row}{}", &line[..end], &line[end..]);
         let bytes = spliced(at, at + line.len(), &op);
         assert_eq!(judge(&bytes), Ok(Verdict::Refused), "{what} class row");
+    }
+}
+
+/// A spec that mounts only `hda`.
+fn one_disk() -> WorkloadSpec {
+    let mut spec = WorkloadSpec::new("table2");
+    spec.setup = vec![
+        SetupStep::Mkdir { path: "/d".into() },
+        SetupStep::MountDisk {
+            path: "/d".into(),
+            model: "table2_disk".into(),
+            name: "hda".into(),
+        },
+    ];
+    spec
+}
+
+#[test]
+fn a_fault_plan_on_a_device_no_step_creates_is_refused() {
+    let ns = SimTime::from_nanos;
+    let mistyped = FaultPlan::new().degraded("hdz", ns(0), ns(1_000), 2.0);
+    let mut spec = one_disk();
+    spec.fault_plan = mistyped.clone();
+    let Err(err) = build_kernel(&spec) else {
+        panic!("a plan on a device no step creates built");
+    };
+    assert!(err.contains("\"hdz\""), "{err}");
+    spec.fault_plan = FaultPlan::new().degraded("hda", ns(0), ns(1_000), 2.0);
+    assert!(build_kernel(&spec).is_ok());
+    // A what-if candidate's plan goes through the same door: with the
+    // mistyped name it would replay as the identity.
+    let candidate = CandidateConfig {
+        fault_plan: Some(mistyped),
+        ..CandidateConfig::default()
+    };
+    let Err(err) = replay(&CaptureFile::parse(ARTIFACT).unwrap(), &candidate) else {
+        panic!("a what-if on a device no step creates replayed");
+    };
+    assert!(err.contains("\"hdz\""), "{err}");
+}
+
+#[test]
+fn a_fault_window_that_does_not_end_after_it_starts_is_refused_on_load() {
+    let mut file = CaptureFile::parse(ARTIFACT).unwrap();
+    for (end, refused) in [(100, true), (500, true), (501, false)] {
+        let (start, cost) = (SimTime::from_nanos(500), SimDuration::from_nanos(10));
+        let end = SimTime::from_nanos(end);
+        file.spec.fault_plan = FaultPlan::new().offline("hda", start, end, cost);
+        let text = file.to_jsonl();
+        match CaptureFile::parse(&text) {
+            Err(err) => {
+                assert!(refused, "{end:?}: {err}");
+                assert!(err.contains("hda window 0: end_ns"), "{err}");
+                assert_eq!(judge(text.as_bytes()), Ok(Verdict::Refused));
+            }
+            Ok(_) => assert!(!refused, "a window ending at {end:?} loaded"),
+        }
     }
 }

@@ -1,11 +1,14 @@
 //! Integration tests for the flight recorder: capture serialization,
 //! lossless-capture guarantees, deterministic replay, and diff exactness.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use sleds_faults::FaultPlan;
 use sleds_fs::trace::CostRow;
 use sleds_fs::{
     Capture, CapturedOp, Fd, Kernel, OpOutcome, OpenFlags, ProgPricing, SubmissionRing, Syscall,
-    TenantId, Whence,
+    TenantId, VolumeLayout, Whence,
 };
 use sleds_replay::{
     build_kernel, diff_captures, replay, CandidateConfig, CaptureFile, DiffError, SetupStep,
@@ -139,6 +142,14 @@ fn the_committed_capture_roundtrips_and_replays_byte_identically() {
         COMMITTED,
         "serialize∘parse must be identity"
     );
+    // Ops that name one path share one `Arc`, as the recorder's do.
+    let paths: Vec<&Arc<str>> = file.capture.ops.iter().flat_map(|op| &op.path).collect();
+    let shared = |a: &Arc<str>, b: &Arc<str>| a == b && Arc::ptr_eq(a, b);
+    let distinct: BTreeSet<&str> = paths.iter().map(|p| &***p).collect();
+    assert!(distinct.len() < paths.len());
+    for a in &paths {
+        assert!(paths.iter().all(|b| (a == b) == shared(a, b)), "{a}");
+    }
     let replayed = replay(&file, &CandidateConfig::identity()).expect("identity replay");
     assert_eq!(replayed.into_file().to_jsonl(), COMMITTED);
 }
@@ -554,6 +565,144 @@ fn duplicate_keys_are_refused_in_the_header_and_in_an_op() {
         assert!(
             err.starts_with(whose) && err.contains("duplicate key") && err.contains("at offset"),
             "{err}"
+        );
+    }
+}
+
+#[test]
+fn keys_the_schema_does_not_define_and_non_canonical_integers_are_refused() {
+    let mut file = file_of(Syscall::RingEnter {
+        capacity: 4,
+        ops: vec![(
+            1,
+            Syscall::Pread {
+                fd: Fd(3),
+                pos: 0,
+                len: 4,
+            },
+        )],
+    });
+    file.spec.setup.push(SetupStep::MountVolume {
+        path: "/v".into(),
+        layout: VolumeLayout::Mirrored,
+        members: vec![
+            ("table2_disk".into(), "v0".into()),
+            ("nfs_metro".into(), "v1".into()),
+        ],
+    });
+    file.spec.fault_plan =
+        FaultPlan::new().degraded("hda", SimTime::from_nanos(10), SimTime::from_nanos(20), 2.5);
+    let text = file.to_jsonl();
+    assert_eq!(CaptureFile::parse(&text).unwrap().to_jsonl(), text);
+    let unknown = "unknown field";
+    for (from, to, whose, refusal) in [
+        (
+            "\"budget\":16,",
+            "\"budget\":16,\"bogus\":1,",
+            "header",
+            unknown,
+        ),
+        (
+            "{\"step\":\"mkdir\",",
+            "{\"step\":\"mkdir\",\"bogus\":1,",
+            "header",
+            unknown,
+        ),
+        (
+            "{\"step\":\"mkdir\",",
+            "{\"step\":\"mkdir\",\"size\":1,",
+            "header",
+            unknown,
+        ),
+        (
+            "\"layout\":\"mirrored\",",
+            "\"layout\":\"mirrored\",\"k\":2,",
+            "header",
+            unknown,
+        ),
+        (
+            "{\"model\":\"nfs_metro\",",
+            "{\"model\":\"nfs_metro\",\"x\":1,",
+            "header",
+            unknown,
+        ),
+        (
+            "{\"dev\":\"hda\",",
+            "{\"dev\":\"hda\",\"bogus\":1,",
+            "header",
+            unknown,
+        ),
+        (
+            "{\"kind\":\"degraded\",",
+            "{\"kind\":\"degraded\",\"x\":1,",
+            "header",
+            unknown,
+        ),
+        (
+            "{\"kind\":\"degraded\",",
+            "{\"kind\":\"degraded\",\"budget\":1,",
+            "header",
+            unknown,
+        ),
+        ("\"seq\":0,", "\"seq\":0,\"bogus\":7,", "op line 2", unknown),
+        (
+            "{\"op\":\"ring_enter\",",
+            "{\"op\":\"ring_enter\",\"x\":1,",
+            "op line 2",
+            unknown,
+        ),
+        (
+            "{\"user_data\":1,",
+            "{\"user_data\":1,\"bogus\":1,",
+            "op line 2",
+            unknown,
+        ),
+        (
+            "{\"op\":\"pread\",",
+            "{\"op\":\"pread\",\"path\":\"/d\",",
+            "op line 2",
+            unknown,
+        ),
+        (
+            "\"ok\":false,",
+            "\"ok\":false,\"bogus\":1,",
+            "op line 2",
+            unknown,
+        ),
+        (
+            "{\"class\":1,",
+            "{\"class\":1,\"bogus\":1,",
+            "op line 2",
+            unknown,
+        ),
+        // The tag says which keys follow it, so it comes first.
+        (
+            "{\"op\":\"pread\",",
+            "{\"fd\":3,\"op\":\"pread\",",
+            "op line 2",
+            "before \"op\"",
+        ),
+        // Integers are read in the form the writer prints them.
+        ("\"seq\":0,", "\"seq\":-0,", "op line 2", "negative integer"),
+        (
+            "\"tenant\":2,",
+            "\"tenant\":0002,",
+            "op line 2",
+            "leading zero",
+        ),
+        (
+            "\"budget\":16,",
+            "\"budget\":016,",
+            "header",
+            "leading zero",
+        ),
+    ] {
+        let bad = text.replacen(from, to, 1);
+        assert_ne!(bad, text, "{from}");
+        let err = CaptureFile::parse(&bad).unwrap_err();
+        assert!(
+            err.starts_with(whose) && err.contains(refusal),
+            "{to}: {err}"
         );
     }
 }
