@@ -24,7 +24,7 @@ use sleds_sim_core::{SimDuration, SimResult};
 use sleds_textmatch::memscan::{count, memchr, memrchr};
 use sleds_textmatch::Regex;
 
-use crate::{charge_per_byte, ring_read_plan, FileDiagnostic, BUFSIZE};
+use crate::{charge_per_byte, ring_read_plan, BUFSIZE};
 
 /// Fixed per-line CPU cost (line assembly, bookkeeping).
 const GREP_NS_PER_LINE: u64 = 60;
@@ -61,66 +61,6 @@ pub struct GrepOptions {
 
 fn scan_cost(re: &Regex, bytes: usize) -> u64 {
     GREP_NS_PER_BYTE_BASE.max(re.instruction_count() as u64 / 8) * bytes as u64
-}
-
-/// Outcome of a multi-file grep run ([`grep_files`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GrepFilesResult {
-    /// Per-file results, in argument order, for the files that could be
-    /// searched.
-    pub files: Vec<(String, GrepResult)>,
-    /// Files that could not be read, with the error each one hit.
-    pub skipped: Vec<FileDiagnostic>,
-}
-
-impl GrepFilesResult {
-    /// True when any searched file matched.
-    pub fn any_match(&self) -> bool {
-        self.files.iter().any(|(_, r)| !r.matches.is_empty())
-    }
-
-    /// Real grep's exit status: 0 when a match was found, 1 when none
-    /// was, 2 when any file could not be read — nonzero but not fatal,
-    /// the remaining arguments were still searched.
-    pub fn exit_status(&self) -> i32 {
-        if !self.skipped.is_empty() {
-            2
-        } else if self.any_match() {
-            0
-        } else {
-            1
-        }
-    }
-}
-
-/// Greps every path in `paths`, skipping files whose reads fail the way
-/// real grep does: the failure becomes a [`FileDiagnostic`] (the stderr
-/// line), the exit status goes to 2, and the scan continues with the next
-/// argument instead of propagating the first `SimError`.
-pub fn grep_files(
-    kernel: &mut Kernel,
-    paths: &[&str],
-    re: &Regex,
-    opts: &GrepOptions,
-    table: Option<&SledsTable>,
-) -> GrepFilesResult {
-    let mut out = GrepFilesResult::default();
-    for &path in paths {
-        match grep(kernel, path, re, opts, table) {
-            Ok(r) => {
-                let stop = r.stopped_early;
-                out.files.push((path.to_string(), r));
-                if stop && opts.first_match_only {
-                    break;
-                }
-            }
-            Err(error) => out.skipped.push(FileDiagnostic {
-                path: path.to_string(),
-                error,
-            }),
-        }
-    }
-    out
 }
 
 /// Runs grep over `path`. `table` selects SLEDs mode.
@@ -618,55 +558,6 @@ mod tests {
         assert_eq!(base.matches[0].line_number, 2);
         let with = grep(&mut k, "/data/f", &re, &GrepOptions::default(), Some(&t)).unwrap();
         assert_eq!(base, with);
-    }
-
-    #[test]
-    fn grep_files_skips_unreadable_files_with_diagnostics() {
-        use sleds_devices::FaultPlan;
-        use sleds_sim_core::SimTime;
-        let (mut k, _) = setup();
-        k.install_file("/data/ok", b"a needle here\n").unwrap();
-        k.install_file("/data/bad", b"another needle\n").unwrap();
-        k.drop_caches().unwrap();
-        // Warm only /data/ok, then take the disk offline: the cached file
-        // still greps, the cold one fails with EIO.
-        let fd = k.open("/data/ok", OpenFlags::RDONLY).unwrap();
-        k.read(fd, 1024).unwrap();
-        k.close(fd).unwrap();
-        k.apply_fault_plan(&FaultPlan::new().offline(
-            "hda",
-            SimTime::ZERO,
-            SimTime::from_nanos(u64::MAX),
-            SimDuration::from_millis(1),
-        ));
-        let re = Regex::new("needle").unwrap();
-        let r = grep_files(
-            &mut k,
-            &["/data/ok", "/data/bad"],
-            &re,
-            &GrepOptions::default(),
-            None,
-        );
-        assert_eq!(r.files.len(), 1);
-        assert_eq!(r.files[0].0, "/data/ok");
-        assert_eq!(r.files[0].1.matches.len(), 1);
-        assert_eq!(r.skipped.len(), 1);
-        assert_eq!(r.skipped[0].path, "/data/bad");
-        assert_eq!(r.skipped[0].error.errno, sleds_sim_core::Errno::Eio);
-        assert!(r.skipped[0].render("grep").starts_with("grep: /data/bad: "));
-        assert_eq!(r.exit_status(), 2, "errors trump matches, like real grep");
-    }
-
-    #[test]
-    fn grep_files_exit_status_reflects_matches() {
-        let (mut k, _) = setup();
-        k.install_file("/data/a", b"needle\n").unwrap();
-        k.install_file("/data/b", b"nothing\n").unwrap();
-        let re = Regex::new("needle").unwrap();
-        let hit = grep_files(&mut k, &["/data/a"], &re, &GrepOptions::default(), None);
-        assert_eq!(hit.exit_status(), 0);
-        let miss = grep_files(&mut k, &["/data/b"], &re, &GrepOptions::default(), None);
-        assert_eq!(miss.exit_status(), 1);
     }
 
     #[test]

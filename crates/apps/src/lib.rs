@@ -40,22 +40,15 @@ use sleds_sim_core::{SimDuration, SimError, SimResult};
 /// pseudocode passes to `sleds_pick_init`.
 pub const BUFSIZE: usize = 64 << 10;
 
-/// A per-file failure a multi-file tool skipped over instead of dying on —
-/// the `grep: foo: Input/output error` line real tools print to stderr
-/// while continuing with the rest of their arguments.
+/// An entry `find` skipped over instead of dying on — the
+/// `find: foo: Input/output error` line real find prints to stderr while
+/// it walks on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileDiagnostic {
     /// The file that could not be processed.
     pub path: String,
     /// Why.
     pub error: SimError,
-}
-
-impl FileDiagnostic {
-    /// The stderr line a real tool would print for this failure.
-    pub fn render(&self, tool: &str) -> String {
-        format!("{tool}: {}: {}", self.path, self.error)
-    }
 }
 
 /// Charges `ns_per_byte` of application CPU for processing `bytes`.

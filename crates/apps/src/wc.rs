@@ -11,7 +11,7 @@ use sleds::{PickConfig, PickSession, SledsTable};
 use sleds_fs::{Fd, Kernel, OpenFlags, SubmissionRing, Whence, DEFAULT_RING_ENTRIES};
 use sleds_sim_core::SimResult;
 
-use crate::{charge_per_byte, ring_read_plan, FileDiagnostic, BUFSIZE};
+use crate::{charge_per_byte, ring_read_plan, BUFSIZE};
 
 /// CPU cost of the counting loop, per byte scanned.
 const WC_NS_PER_BYTE: u64 = 6;
@@ -96,50 +96,6 @@ fn stitch(mut segments: Vec<Segment>) -> WcResult {
             }
         }
         prev = Some(s);
-    }
-    out
-}
-
-/// Outcome of a multi-file wc run ([`wc_files`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WcFilesResult {
-    /// Per-file counts, in argument order, for the files that could be
-    /// read.
-    pub files: Vec<(String, WcResult)>,
-    /// The `total` line.
-    pub total: WcResult,
-    /// Files that could not be read, with the error each one hit.
-    pub skipped: Vec<FileDiagnostic>,
-}
-
-impl WcFilesResult {
-    /// Real wc's exit status: 0 when every argument was counted, 1 when
-    /// any could not be read — nonzero but not fatal, the remaining
-    /// arguments were still counted and totalled.
-    pub fn exit_status(&self) -> i32 {
-        i32::from(!self.skipped.is_empty())
-    }
-}
-
-/// Counts every path in `paths`, skipping files whose reads fail the way
-/// real wc does: a [`FileDiagnostic`] per failure, a nonzero exit status,
-/// and the surviving files still counted and totalled instead of
-/// propagating the first `SimError`.
-pub fn wc_files(kernel: &mut Kernel, paths: &[&str], table: Option<&SledsTable>) -> WcFilesResult {
-    let mut out = WcFilesResult::default();
-    for &path in paths {
-        match wc(kernel, path, table) {
-            Ok(r) => {
-                out.total.lines += r.lines;
-                out.total.words += r.words;
-                out.total.bytes += r.bytes;
-                out.files.push((path.to_string(), r));
-            }
-            Err(error) => out.skipped.push(FileDiagnostic {
-                path: path.to_string(),
-                error,
-            }),
-        }
     }
     out
 }
@@ -347,34 +303,6 @@ mod tests {
         let (aio, rep) = wc_aio(&mut k, "/data/f").unwrap();
         assert_eq!(base, aio, "completion-order counting must agree");
         assert_eq!(rep.elapsed, rep.cpu.max(rep.io));
-    }
-
-    #[test]
-    fn wc_files_skips_unreadable_and_totals_the_rest() {
-        use sleds_devices::FaultPlan;
-        use sleds_sim_core::{SimDuration, SimTime};
-        let (mut k, _) = setup();
-        k.install_file("/data/ok", b"one two\nthree\n").unwrap();
-        k.install_file("/data/bad", b"cold file\n").unwrap();
-        k.drop_caches().unwrap();
-        let fd = k.open("/data/ok", OpenFlags::RDONLY).unwrap();
-        k.read(fd, 1024).unwrap();
-        k.close(fd).unwrap();
-        k.apply_fault_plan(&FaultPlan::new().offline(
-            "hda",
-            SimTime::ZERO,
-            SimTime::from_nanos(u64::MAX),
-            SimDuration::from_millis(1),
-        ));
-        let r = wc_files(&mut k, &["/data/ok", "/data/bad"], None);
-        assert_eq!(r.files.len(), 1);
-        assert_eq!(r.files[0].0, "/data/ok");
-        assert_eq!(r.total.lines, 2);
-        assert_eq!(r.total.words, 3);
-        assert_eq!(r.total.bytes, 14);
-        assert_eq!(r.skipped.len(), 1);
-        assert_eq!(r.skipped[0].path, "/data/bad");
-        assert_eq!(r.exit_status(), 1, "nonzero but the rest was counted");
     }
 
     #[test]

@@ -828,28 +828,6 @@ pub fn tree_demo() -> String {
     out
 }
 
-/// Sanity snapshot used by integration tests: the headline claims, checked
-/// at one size in quick mode.
-pub fn headline_checks() -> (f64, f64, f64) {
-    // wc NFS at 1.5x cache size: speedup; fault reduction; grep -q ideal.
-    let s = sweep(
-        FsKind::Nfs,
-        &[64],
-        false,
-        1234,
-        |n, seed| text_corpus(n, 0, seed),
-        |_, _, _, _| {},
-        |k, path, table| {
-            wc(k, path, table).expect("wc");
-        },
-    );
-    let speedup = s.elapsed_without.points[0].1.mean / s.elapsed_with.points[0].1.mean;
-    let fault_ratio = s.faults_with.points[0].1.mean / s.faults_without.points[0].1.mean.max(1.0);
-    let fm = first_match_sweep(FsKind::Ext2, &[64], 77, false);
-    let q_speedup = fm.elapsed_without.points[0].1.mean / fm.elapsed_with.points[0].1.mean;
-    (speedup, fault_ratio, q_speedup)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -53,11 +53,9 @@
     )
 )]
 
-pub mod cache;
 pub mod estimate;
 pub mod forecast;
 pub mod get;
-pub mod lease;
 pub mod pick;
 pub mod predicate;
 pub mod program;
@@ -66,17 +64,13 @@ pub mod replica;
 pub mod report;
 pub mod table;
 
-pub use cache::SledCache;
 pub use estimate::{estimate_seconds, total_delivery_time, AttackPlan};
 pub use forecast::{forecast, SledForecast};
 pub use get::fsleds_get;
-pub use lease::SledLease;
 pub use pick::{PickConfig, PickSession, UnavailablePolicy};
 pub use predicate::LatencyPredicate;
 pub use program::{compile_latency, pricing_from, pushdown_pricing, sleds_from_prog};
-pub use recal::{
-    recalibrate, recalibrate_from_metrics, ClassObservation, RecalOutcome, RecalPolicy,
-};
+pub use recal::{recalibrate, RecalOutcome, RecalPolicy};
 pub use report::{ObservedError, SledReport};
 pub use sleds_fs::sled::{select_min_cost, Sled};
 pub use table::{SledsEntry, SledsTable};

@@ -22,7 +22,6 @@ use sleds_fs::sled::{plan_chunks, plan_cost};
 use sleds_fs::{Fd, Kernel, SubmissionRing, Syscall, SyscallRet};
 use sleds_sim_core::{index, SimDuration, SimResult, PAGE_SIZE};
 
-use crate::cache::SledCache;
 use crate::get::fsleds_get;
 use crate::table::SledsTable;
 use crate::Sled;
@@ -102,20 +101,6 @@ impl PickSession {
         cfg: PickConfig,
     ) -> SimResult<PickSession> {
         let sleds = fsleds_get(kernel, fd, table)?;
-        PickSession::plan_from(kernel, fd, cfg, sleds, table.generation())
-    }
-
-    /// [`PickSession::init`] through a [`SledCache`]: when the file's SLED
-    /// generation stamp is unchanged since the cache last saw it, the
-    /// vector is served memoized — one O(1) syscall instead of a page walk.
-    pub fn init_cached(
-        kernel: &mut Kernel,
-        table: &SledsTable,
-        fd: Fd,
-        cfg: PickConfig,
-        cache: &mut SledCache,
-    ) -> SimResult<PickSession> {
-        let sleds = cache.get(kernel, table, fd)?;
         PickSession::plan_from(kernel, fd, cfg, sleds, table.generation())
     }
 
@@ -218,24 +203,6 @@ impl PickSession {
         _cfg: PickConfig,
     ) -> SimResult<()> {
         let fresh = fsleds_get(kernel, fd, table)?;
-        self.replan(kernel, &fresh)
-    }
-
-    /// [`PickSession::refresh`] through a [`SledCache`]: the periodic
-    /// re-retrieval the paper sketches becomes O(1) whenever the cache
-    /// hasn't moved since the last call.
-    pub fn refresh_cached(
-        &mut self,
-        kernel: &mut Kernel,
-        table: &SledsTable,
-        fd: Fd,
-        cache: &mut SledCache,
-    ) -> SimResult<()> {
-        let fresh = cache.get(kernel, table, fd)?;
-        self.replan(kernel, &fresh)
-    }
-
-    fn replan(&mut self, kernel: &mut Kernel, fresh: &[Sled]) -> SimResult<()> {
         // Bytes already handed out stay handed out; replan the rest.
         let pending: Vec<(u64, usize)> = self.plan.drain(..).collect();
         let mut chunks: Vec<(u64, usize, f64)> = Vec::new();
@@ -541,35 +508,6 @@ mod tests {
             .unwrap();
         // Now the cached tail jumps the queue.
         assert_eq!(p.next_read().unwrap().0, 8 * PAGE_SIZE);
-    }
-
-    #[test]
-    fn cached_init_and_refresh_match_uncached_and_hit() {
-        let (mut k, t) = setup();
-        let data = vec![0u8; 10 * PAGE_SIZE as usize];
-        k.install_file("/data/f", &data).unwrap();
-        let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-        warm_range(&mut k, fd, 6..10);
-        let cfg = PickConfig::bytes(PAGE_SIZE as usize);
-        let mut cache = crate::cache::SledCache::new();
-
-        let mut plain = PickSession::init(&mut k, &t, fd, cfg).unwrap();
-        let mut cached = PickSession::init_cached(&mut k, &t, fd, cfg, &mut cache).unwrap();
-        assert_eq!(plain.sleds(), cached.sleds());
-        loop {
-            let (a, b) = (plain.next_read(), cached.next_read());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-
-        // Nothing moved between init_cached and this refresh: served
-        // memoized.
-        let mut p = PickSession::init_cached(&mut k, &t, fd, cfg, &mut cache).unwrap();
-        p.refresh_cached(&mut k, &t, fd, &mut cache).unwrap();
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! memory row is never touched — it is not a device command and the trace
 //! never times it.
 //!
-//! [`recalibrate_from_metrics`] is a pure function of the snapshot: no
-//! clock, no randomness, no kernel state. The same snapshot always yields
-//! a byte-identical table, which is what makes the determinism tests and
-//! the accuracy-regression gate possible.
+//! The rebuild is a pure function of the snapshot: no clock, no randomness,
+//! no kernel state. The same snapshot always yields a byte-identical table,
+//! which is what makes the determinism tests and the accuracy-regression
+//! gate possible.
 
 use sleds_fs::trace::Metrics;
 use sleds_fs::{DeviceId, Fd, Kernel};
@@ -98,7 +98,7 @@ pub struct RecalOutcome {
 /// their per-zone rows: the class-wide observation supersedes the
 /// boot-time zone survey. The memory row and unlisted devices keep their
 /// old entries.
-pub fn recalibrate_from_metrics(
+fn recalibrate_from_metrics(
     table: &SledsTable,
     metrics: &Metrics,
     devices: &[(DeviceId, u64)],
@@ -142,12 +142,13 @@ pub fn recalibrate_from_metrics(
 }
 
 /// The user-space half of `FSLEDS_RECAL`: issues the ioctl on `fd` (which
-/// bumps the kernel's sleds epoch, invalidating every memoized SLED vector
-/// and lease, and fences the accuracy audit), then rebuilds the table from
-/// the returned snapshot for every attached device. On an untraced kernel
-/// the snapshot is empty, so every device is skipped and only the
-/// generation stamp changes — the epoch bump and virtual-time cost are
-/// identical either way, keeping traced and untraced runs byte-identical.
+/// bumps the kernel's sleds epoch, moving every file's
+/// `Kernel::sled_generation`, and fences the accuracy audit), then rebuilds
+/// the table from the returned snapshot for every attached device. On an
+/// untraced kernel the snapshot is empty, so every device is skipped and
+/// only the generation stamp changes — the epoch bump and virtual-time cost
+/// are identical either way, keeping traced and untraced runs
+/// byte-identical.
 pub fn recalibrate(
     kernel: &mut Kernel,
     table: &SledsTable,

@@ -76,13 +76,6 @@ impl DiskGeometry {
     pub fn rotation_period(&self) -> SimDuration {
         SimDuration::from_secs_f64(60.0 / self.rpm as f64)
     }
-
-    /// Peak media rate of the outermost zone.
-    pub fn peak_bandwidth(&self) -> Bandwidth {
-        let spt = self.zones.first().map(|z| z.sectors_per_track).unwrap_or(0);
-        let per_track_bytes = spt as f64 * SECTOR_SIZE as f64;
-        Bandwidth::bytes_per_sec(per_track_bytes / self.rotation_period().as_secs_f64())
-    }
 }
 
 /// Physical location of a sector.

@@ -31,7 +31,6 @@
 pub mod cdrom;
 pub mod disk;
 pub mod jukebox;
-pub mod memory;
 pub mod nfs;
 pub mod tape;
 
@@ -40,7 +39,6 @@ use sleds_sim_core::{Bandwidth, SimDuration, SimResult, SimTime};
 pub use cdrom::CdRomDevice;
 pub use disk::{DiskDevice, DiskGeometry, Zone};
 pub use jukebox::Jukebox;
-pub use memory::MemoryDevice;
 pub use nfs::{NfsDevice, NfsServerDevice, NfsServerParams};
 pub use sleds_faults::{Decision, FaultInjector, FaultPlan, FaultState, FaultWindow};
 pub use tape::TapeDevice;

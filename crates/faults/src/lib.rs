@@ -246,7 +246,7 @@ impl FaultInjector {
     /// ends) at or before `now`.
     ///
     /// Monotone in `now` and pure, so the kernel can fold it into
-    /// `sled_generation` — cached SLED vectors and leases auto-invalidate
+    /// `sled_generation` — a SLED vector stamped with it goes stale
     /// whenever a device's health regime changes.
     pub fn epoch(&self, now: SimTime) -> u64 {
         let mut n = 0u64;

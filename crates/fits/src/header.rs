@@ -10,9 +10,6 @@ pub const BLOCK_SIZE: usize = 2880;
 /// Size of one header card.
 pub const CARD_SIZE: usize = 80;
 
-/// Cards per block.
-pub const CARDS_PER_BLOCK: usize = BLOCK_SIZE / CARD_SIZE;
-
 /// A parsed FITS header: ordered keyword/value cards.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FitsHeader {
@@ -111,11 +108,6 @@ impl FitsHeader {
         self.pixel_count()?
             .checked_mul(self.bitpix()?.bytes_per_pixel() as u64)
             .ok_or_else(|| format_error("data unit size overflows"))
-    }
-
-    /// Number of cards, excluding END.
-    pub fn card_count(&self) -> usize {
-        self.cards.len()
     }
 
     /// Encodes the header as whole blocks, END-terminated and padded.
@@ -239,7 +231,7 @@ mod tests {
             raw.push(b' ');
         }
         let (h, _) = FitsHeader::parse(&raw).unwrap();
-        assert_eq!(h.card_count(), 3);
+        assert_eq!(h.cards.len(), 3);
         assert_eq!(h.bitpix().unwrap(), Bitpix::U8);
     }
 

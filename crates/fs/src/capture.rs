@@ -332,11 +332,6 @@ impl WorkloadRecorder {
         self.ops.is_empty()
     }
 
-    /// Whether the capture is still complete (replayable).
-    pub fn is_complete(&self) -> bool {
-        self.complete
-    }
-
     /// Marks the capture incomplete; the first reason wins.
     pub fn poison(&mut self, reason: String) {
         if self.complete {
@@ -346,7 +341,7 @@ impl WorkloadRecorder {
     }
 
     /// Records a charging kernel entry the recorder cannot replay
-    /// (ioctls, pin/unpin, cache drops, setup mutations mid-capture).
+    /// (ioctls, cache drops, setup mutations mid-capture).
     pub fn unsupported(&mut self, name: &str) {
         self.poison(format!("uncapturable call during capture: {name}"));
     }
@@ -672,7 +667,7 @@ mod tests {
     fn ring_op_outside_batch_poisons() {
         let mut r = WorkloadRecorder::new(8, 0);
         r.ring_op(0, Syscall::Close { fd: Fd(3) });
-        assert!(!r.is_complete());
+        assert!(!r.into_capture().complete);
     }
 
     #[test]

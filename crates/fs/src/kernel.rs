@@ -187,7 +187,6 @@ struct VolumeState {
 #[derive(Debug)]
 struct Mount {
     dev: DeviceId,
-    root: Ino,
     next_sector: Sectors,
     read_only: bool,
     frag: Option<FragConfig>,
@@ -201,15 +200,6 @@ struct OpenFile {
     ino: Ino,
     pos: u64,
     flags: OpenFlags,
-}
-
-/// One slot of the descriptor table: the description, plus the pick
-/// program `FSLEDS_PROG` installed on it. The program lives and dies with
-/// the descriptor.
-#[derive(Debug)]
-struct FdSlot {
-    file: OpenFile,
-    prog: Option<Box<PickProgram>>,
 }
 
 /// One registered tenant: its own timeline and accumulated usage.
@@ -246,14 +236,14 @@ pub struct Kernel {
     /// Open descriptors, keyed by fd number. Fds are issued in increasing
     /// order and never reused (captures record them), so the window holds
     /// the span from the oldest open fd to the newest issued.
-    fds: IdWindow<FdSlot>,
+    fds: IdWindow<OpenFile>,
     next_fd: u64,
     root: Ino,
     tracer: Tracer,
     /// Count of `FSLEDS_RECAL` calls. Folded into [`Kernel::sled_generation`]
-    /// so every cached SLED vector and lease goes stale the moment the
-    /// sleds table is recalibrated, without the cache or lease layers
-    /// knowing recalibration exists.
+    /// so every SLED vector stamped with it goes stale the moment the sleds
+    /// table is recalibrated, without its holder knowing recalibration
+    /// exists.
     sleds_epoch: u64,
     /// How hard `device_command` tries again; always the default.
     retry: RetryPolicy,
@@ -459,11 +449,6 @@ impl Kernel {
         self.tenants.len()
     }
 
-    /// A tenant's registered name.
-    pub fn tenant_name(&self, t: TenantId) -> Option<&str> {
-        self.tenants.get(index(t.0)).map(|s| s.name.as_str())
-    }
-
     /// `(id, name)` rows for every registered tenant, ascending by id —
     /// the shape the Chrome exporter's lane labeling takes.
     pub fn tenant_names(&self) -> Vec<(u64, String)> {
@@ -601,8 +586,8 @@ impl Kernel {
     }
 
     /// The `FSLEDS_RECAL` ioctl: marks a sleds-table recalibration point.
-    /// Bumps the kernel's sleds epoch — invalidating every memoized SLED
-    /// vector and lease via [`Kernel::sled_generation`] — emits a
+    /// Bumps the kernel's sleds epoch — moving [`Kernel::sled_generation`]
+    /// for every file, so every stamped SLED vector goes stale — emits a
     /// `sleds.recal` marker so the accuracy audit can fence prediction
     /// pairs at the boundary, and returns the metrics snapshot the caller
     /// recalibrates from. Charges one syscall. The epoch bump happens
@@ -635,7 +620,7 @@ impl Kernel {
     /// telemetry: per-device utilization and per-tenant demand shares
     /// (bullies flagged), and per-tenant latency attribution whose
     /// own-service + queue-wait sums exactly to the observed device time.
-    /// Pure query: charges nothing; `FSLEDS_SATSTAT` is the priced ioctl.
+    /// Pure query: charges nothing, and a capture stays complete across it.
     pub fn saturation_report(&self) -> SaturationReport {
         let devices = self.devices.iter().map(|d| (d.name(), d.class().code()));
         queue::saturation_report(
@@ -645,16 +630,6 @@ impl Kernel {
                 .map(|(q, (name, class))| (q, name, class)),
             self.tenants.iter().map(|t| t.name.as_str()),
         )
-    }
-
-    /// The `FSLEDS_SATSTAT` ioctl: the saturation observatory's snapshot —
-    /// per-device utilization/queue telemetry with per-tenant demand
-    /// shares and bully flags, plus per-tenant latency attribution.
-    /// Charges one syscall; rows are empty until devices see commands.
-    pub fn fsleds_satstat(&mut self, fd: Fd) -> SimResult<SaturationReport> {
-        self.ioctl(&Entry::ioctl("ioctl.fsleds_satstat"), [fd.0, 0, 0], |k| {
-            k.openfile(fd).map(|_| k.saturation_report())
-        })
     }
 
     /// Runs `body` inside an application-level span (e.g. one `grep`
@@ -856,11 +831,6 @@ impl Kernel {
         self.mounts.get(m.0).map(|mt| mt.dev)
     }
 
-    /// The root directory inode of a mount.
-    pub fn root_of_mount(&self, m: MountId) -> Option<Ino> {
-        self.mounts.get(m.0).map(|mt| mt.root)
-    }
-
     /// The tape device of an HSM mount.
     pub fn tape_of_mount(&self, m: MountId) -> Option<DeviceId> {
         self.mounts.get(m.0).and_then(|mt| mt.hsm).map(|h| h.tape)
@@ -930,7 +900,6 @@ impl Kernel {
         let id = MountId(self.mounts.len());
         self.mounts.push(Mount {
             dev,
-            root: dir,
             // Leave the first megabyte for "metadata", like a real fs.
             next_sector: Sectors::new(2048),
             read_only,
@@ -1202,24 +1171,17 @@ impl Kernel {
     // File descriptor syscalls
     // ------------------------------------------------------------------
 
-    fn fd_slot(&self, fd: Fd) -> SimResult<&FdSlot> {
+    fn openfile(&self, fd: Fd) -> SimResult<OpenFile> {
         self.fds
             .get(fd.0)
+            .copied()
             .ok_or_else(|| SimError::new(Errno::Ebadf, format!("fd {}", fd.0)))
-    }
-
-    fn fd_slot_mut(&mut self, fd: Fd) -> SimResult<&mut FdSlot> {
-        self.fds
-            .get_mut(fd.0)
-            .ok_or_else(|| SimError::new(Errno::Ebadf, format!("fd {}", fd.0)))
-    }
-
-    fn openfile(&self, fd: Fd) -> SimResult<OpenFile> {
-        self.fd_slot(fd).map(|s| s.file)
     }
 
     fn openfile_mut(&mut self, fd: Fd) -> SimResult<&mut OpenFile> {
-        self.fd_slot_mut(fd).map(|s| &mut s.file)
+        self.fds
+            .get_mut(fd.0)
+            .ok_or_else(|| SimError::new(Errno::Ebadf, format!("fd {}", fd.0)))
     }
 
     /// Opens (and possibly creates) a file.
@@ -1277,8 +1239,7 @@ impl Kernel {
             }
             let fd = Fd(k.next_fd);
             k.next_fd += 1;
-            let file = OpenFile { ino, pos: 0, flags };
-            k.fds.insert(fd.0, FdSlot { file, prog: None });
+            k.fds.insert(fd.0, OpenFile { ino, pos: 0, flags });
             Ok(SyscallRet::Fd(fd))
         })?
         .fd()
@@ -1294,7 +1255,7 @@ impl Kernel {
         Ok(())
     }
 
-    /// Closes a file descriptor, dropping any pick program installed on it.
+    /// Closes a file descriptor.
     pub fn close(&mut self, fd: Fd) -> SimResult<()> {
         let make = || Syscall::Close { fd };
         self.sys(&sys::CLOSE, [fd.0, 0, 0], make, |k| {
@@ -2297,8 +2258,8 @@ impl Kernel {
         sled::fold(self, pricing, size, &extents)
     }
 
-    /// Prices `ino` and runs `prog` over it: the one evaluation step behind
-    /// `FSLEDS_PROG_EVAL` and every file of a walk.
+    /// Prices `ino` and runs `prog` over it: the evaluation step behind
+    /// every file of a walk.
     fn eval_prog(
         &mut self,
         ino: Ino,
@@ -2322,43 +2283,6 @@ impl Kernel {
             estimate_ns(inputs.delivery_time),
         );
         Ok((matched, inputs))
-    }
-
-    /// The `FSLEDS_PROG` ioctl: installs a verified pick program on an
-    /// open descriptor. The program was verified at construction; this
-    /// re-runs nothing and simply associates it with the fd until close.
-    pub fn fsleds_prog(&mut self, fd: Fd, prog: PickProgram) -> SimResult<()> {
-        self.ioctl(&Entry::ioctl("ioctl.fsleds_prog"), [fd.0, 0, 0], |k| {
-            k.fd_slot_mut(fd).map(|slot| {
-                slot.prog = Some(Box::new(prog));
-            })
-        })
-    }
-
-    /// The program installed on `fd`, if any.
-    pub fn fd_prog(&self, fd: Fd) -> Option<&PickProgram> {
-        self.fds.get(fd.0)?.prog.as_deref()
-    }
-
-    /// Evaluates the program installed on `fd` against the file's current
-    /// SLED vector, in-kernel, in one crossing: builds the SLEDs from the
-    /// pushed pricing rows, derives the program inputs, and returns the
-    /// verdict plus the delivery-time estimate it saw.
-    pub fn fsleds_prog_eval(&mut self, fd: Fd, pricing: &ProgPricing) -> SimResult<(bool, f64)> {
-        self.ioctl(&Entry::ioctl("ioctl.fsleds_prog_eval"), [fd.0, 0, 0], |k| {
-            let ino = k.fd_slot(fd)?.file.ino;
-            // The program leaves its slot for the evaluation, which needs
-            // the whole kernel; nothing in between can reach the fd table.
-            let prog = k.fd_slot_mut(fd)?.prog.take().ok_or_else(|| {
-                SimError::new(
-                    Errno::Einval,
-                    format!("FSLEDS_PROG: no program on fd {}", fd.0),
-                )
-            })?;
-            let r = k.eval_prog(ino, &prog, pricing);
-            k.fd_slot_mut(fd)?.prog = Some(prog);
-            r.map(|(matched, inputs)| (matched, inputs.delivery_time))
-        })
     }
 
     /// A program-driven directory walk (`fsleds_walk`): visits the tree
@@ -2570,9 +2494,8 @@ impl Kernel {
                 .generation();
             // All four counters are monotone, so their sum is a valid version:
             // any change to any one strictly increases it. The device fault
-            // epochs auto-invalidate cached vectors (and any lease built on
-            // this stamp) the moment the clock crosses a fault-window
-            // boundary anywhere in the stack.
+            // epochs invalidate stamped vectors the moment the clock crosses
+            // a fault-window boundary anywhere in the stack.
             Ok(k.cache.generation(of.ino.0) + layout + k.sleds_epoch + k.fault_epoch_total())
         })
     }
@@ -2601,68 +2524,6 @@ impl Kernel {
             k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
             Ok(k.cache.eviction_ranks(of.ino.0, n))
         })
-    }
-
-    /// Pins the currently-resident pages of `[offset, offset+len)` of an
-    /// open file, exempting them from eviction — the kernel half of the
-    /// reservation mechanism the paper's section 3.4 sketches for extending
-    /// SLED lifetimes. Returns the page indices actually pinned (only
-    /// resident pages can be held).
-    pub fn pin_range(&mut self, fd: Fd, offset: u64, len: u64) -> SimResult<Vec<u64>> {
-        let e = Entry {
-            span: None,
-            ..Entry::ioctl("ioctl.pin_range")
-        };
-        self.ioctl(&e, [0; 3], |k| {
-            let of = k.openfile(fd)?;
-            let size = k
-                .inode(of.ino)?
-                .as_file()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, "pin_range on directory"))?
-                .size();
-            if len == 0 || offset >= size {
-                return Ok(Vec::new());
-            }
-            let end = size.min(offset.saturating_add(len));
-            let mut pinned = Vec::new();
-            for page in Pages::containing(offset).get()..=Pages::containing(end - 1).get() {
-                if k.cache.pin(PageKey::new(of.ino.0, page)) {
-                    pinned.push(page);
-                }
-            }
-            Ok(pinned)
-        })
-    }
-
-    /// Releases pins on a page range of an open file. Like [`Kernel::pin_range`],
-    /// the range is clipped to the file size (pins can only exist on file
-    /// pages), so a `(0, u64::MAX)` release is safe and releases everything.
-    pub fn unpin_range(&mut self, fd: Fd, offset: u64, len: u64) -> SimResult<()> {
-        let e = Entry {
-            span: None,
-            ..Entry::ioctl("ioctl.unpin_range")
-        };
-        self.ioctl(&e, [0; 3], |k| {
-            let of = k.openfile(fd)?;
-            let size = k
-                .inode(of.ino)?
-                .as_file()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, "unpin_range on directory"))?
-                .size();
-            if len == 0 || offset >= size {
-                return Ok(());
-            }
-            let end = size.min(offset.saturating_add(len));
-            for page in Pages::containing(offset).get()..=Pages::containing(end - 1).get() {
-                k.cache.unpin(PageKey::new(of.ino.0, page));
-            }
-            Ok(())
-        })
-    }
-
-    /// Number of pages currently pinned across the whole cache.
-    pub fn pinned_pages(&self) -> usize {
-        self.cache.pinned_count()
     }
 
     /// Migrates a file on an HSM mount to tape, freeing its disk residence

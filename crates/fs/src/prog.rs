@@ -4,10 +4,10 @@
 //! The pick library's sequential protocol pays one boundary crossing per
 //! file just to ask "is this file cheap?" — at archive scale the crossings
 //! dominate. A [`PickProgram`] moves the question across the boundary once:
-//! installed per fd (`FSLEDS_PROG`) or passed to a directory walk
-//! (`fsleds_walk`), it is evaluated in-kernel against the same extent walk
-//! `FSLEDS_GET` performs, so `find -latency` and `grep -q` prune and
-//! reorder whole trees without per-file round-trips.
+//! passed to a directory walk (`fsleds_walk`), it is evaluated in-kernel
+//! against the same extent walk `FSLEDS_GET` performs, so `find -latency`
+//! and `grep -q` prune and reorder whole trees without per-file
+//! round-trips.
 //!
 //! # Verification: the certificate is the admission ticket
 //!
@@ -26,9 +26,9 @@
 //! nanosecond costs, which must not exceed [`MAX_PROG_COST_NS`].
 //!
 //! The proof is stamped into the program as a [`CostCert`]. `fsleds_walk`
-//! and `FSLEDS_PROG_EVAL` charge virtual CPU *from the certificate* — the
-//! admission-time worst-case bound — rather than metering the path actually
-//! taken. That keeps the charge a pure function of the installed program:
+//! charges virtual CPU *from the certificate* — the admission-time
+//! worst-case bound — rather than metering the path actually taken. That
+//! keeps the charge a pure function of the program:
 //! evaluation cost cannot depend on file contents, so accounting stays
 //! deterministic and a hostile program cannot make its own billing cheap.
 //!

@@ -327,7 +327,8 @@ pub struct TenantAttribution {
     pub waited_on: Vec<(u64, u64)>,
 }
 
-/// The `FSLEDS_SATSTAT` payload: who is saturating what, and who pays.
+/// What `Kernel::saturation_report` answers: who is saturating what, and
+/// who pays.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SaturationReport {
     /// Per-device saturation rows, ascending by device index.

@@ -76,7 +76,7 @@ fn assert_walks_agree(k: &mut Kernel, fd: Fd, ctx: &str) {
 }
 
 /// One randomized disk scenario: fragmented layout, ragged tail, random
-/// warm/evict/pin traffic.
+/// warm/evict traffic.
 fn disk_scenario(rng: &mut DetRng) {
     let mut cfg = MachineConfig::table2();
     // Small cache so random traffic actually evicts.
@@ -102,36 +102,25 @@ fn disk_scenario(rng: &mut DetRng) {
     let fd = k.open("/d/f", OpenFlags::RDONLY).unwrap();
     assert_walks_agree(&mut k, fd, "cold disk file");
 
-    // Random traffic: warm ranges, re-read, pin, unpin, flood.
+    // Random traffic: warm (or re-read) ranges, flood.
     for round in 0..rng.range_usize(1, 8) {
         let start = rng.range_u64(0, pages);
         let count = rng.range_u64(1, pages - start + 1);
-        match rng.range_usize(0, 4) {
-            0 => {
-                k.lseek(fd, (start * PAGE_SIZE) as i64, Whence::Set)
-                    .unwrap();
-                k.read(fd, (count * PAGE_SIZE) as usize).unwrap();
-            }
-            1 => {
-                k.pin_range(fd, start * PAGE_SIZE, count * PAGE_SIZE)
-                    .unwrap();
-            }
-            2 => {
-                k.unpin_range(fd, 0, u64::MAX).unwrap();
-            }
-            _ => {
-                // Flood with a competing file to force evictions.
-                let noise = vec![3u8; 64 * PAGE_SIZE as usize];
-                k.install_file("/d/noise", &noise).unwrap();
-                let nfd = k.open("/d/noise", OpenFlags::RDONLY).unwrap();
-                while !k.read(nfd, 16 << 10).unwrap().is_empty() {}
-                k.close(nfd).unwrap();
-                k.unlink("/d/noise").unwrap();
-            }
+        if rng.chance(0.5) {
+            k.lseek(fd, (start * PAGE_SIZE) as i64, Whence::Set)
+                .unwrap();
+            k.read(fd, (count * PAGE_SIZE) as usize).unwrap();
+        } else {
+            // Flood with a competing file to force evictions.
+            let noise = vec![3u8; 64 * PAGE_SIZE as usize];
+            k.install_file("/d/noise", &noise).unwrap();
+            let nfd = k.open("/d/noise", OpenFlags::RDONLY).unwrap();
+            while !k.read(nfd, 16 << 10).unwrap().is_empty() {}
+            k.close(nfd).unwrap();
+            k.unlink("/d/noise").unwrap();
         }
         assert_walks_agree(&mut k, fd, &format!("disk round {round}"));
     }
-    k.unpin_range(fd, 0, u64::MAX).unwrap();
 }
 
 /// One randomized HSM scenario: migrate to tape, stage back in chunks, and

@@ -8,10 +8,7 @@
 //! the capture format: strictly increasing, never reused.
 
 use sleds_devices::DiskDevice;
-use sleds_fs::{
-    Fd, Kernel, OpenFlags, PickProgram, ProgInst, ProgPricing, SledsEntry, SubmissionRing, Syscall,
-    Whence,
-};
+use sleds_fs::{Fd, Kernel, OpenFlags, ProgPricing, SledsEntry, SubmissionRing, Syscall, Whence};
 use sleds_sim_core::{Errno, SimResult, PAGE_SIZE};
 
 fn kernel_with_files() -> Kernel {
@@ -40,9 +37,10 @@ fn errno_of<T>(r: SimResult<T>) -> Option<Errno> {
     r.err().map(|e| e.errno)
 }
 
-/// The errno each fd-taking entry returns for `fd`, labelled.
+/// The errno each fd-taking entry returns for `fd`, labelled. A refused
+/// `FSLEDS_RECAL` must not move the sleds epoch.
 fn every_entry(k: &mut Kernel, fd: Fd) -> Vec<(&'static str, Option<Errno>)> {
-    let prog = PickProgram::new(vec![ProgInst::PushConst(1.0)]).unwrap();
+    let epoch = k.sleds_epoch();
     let mut out = vec![
         ("lseek", errno_of(k.lseek(fd, 0, Whence::Set))),
         ("read", errno_of(k.read(fd, 16))),
@@ -53,13 +51,18 @@ fn every_entry(k: &mut Kernel, fd: Fd) -> Vec<(&'static str, Option<Errno>)> {
         ("page_extents", errno_of(k.page_extents(fd))),
         ("redundant_extents", errno_of(k.redundant_extents(fd))),
         ("sled_generation", errno_of(k.sled_generation(fd))),
-        ("pin_range", errno_of(k.pin_range(fd, 0, PAGE_SIZE))),
-        ("fsleds_prog", errno_of(k.fsleds_prog(fd, prog))),
+        ("fsleds_stat", errno_of(k.fsleds_stat(fd))),
+        ("fsleds_recal", errno_of(k.fsleds_recal(fd))),
+        ("serving_class_code", errno_of(k.serving_class_code(fd))),
+        ("page_eviction_ranks", errno_of(k.page_eviction_ranks(fd))),
+        ("page_locations", errno_of(k.page_locations(fd))),
         (
-            "fsleds_prog_eval",
-            errno_of(k.fsleds_prog_eval(fd, &pricing())),
+            "page_locations_per_page_reference",
+            errno_of(k.page_locations_per_page_reference(fd)),
         ),
+        ("resident_extents", errno_of(k.resident_extents(fd))),
     ];
+    assert_eq!(k.sleds_epoch(), epoch, "refused FSLEDS_RECAL({})", fd.0);
     // The ring-only calls, and a ring `Close`.
     let mut ring = SubmissionRing::new(4);
     let ops = [

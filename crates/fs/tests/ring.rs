@@ -232,32 +232,25 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
 }
 
 #[test]
-fn prog_install_validate_eval_and_teardown() {
+fn prog_verifies_and_walk_estimates_match_the_predicate() {
     let (mut k, t, path) = setup();
-    let fd = k.open(path, OpenFlags::RDONLY).unwrap();
     let pricing = pricing_from(&t);
 
     // Verification rejects an underflowing program outright.
     let err = PickProgram::new(vec![ProgInst::Lt]).unwrap_err();
     assert_eq!(err.errno, Errno::Einval);
 
-    // Installing on a dead fd is EBADF-class, not a crash.
+    // A walk evaluates the program exactly like the user-space predicate.
     let pred = LatencyPredicate::parse("-m200").unwrap();
-    assert!(k.fsleds_prog(Fd(999), compile_latency(&pred)).is_err());
-
-    // Installed program evaluates exactly like the user-space predicate.
-    k.fsleds_prog(fd, compile_latency(&pred)).unwrap();
-    assert!(k.fd_prog(fd).is_some());
-    let (matched, est) = k.fsleds_prog_eval(fd, &pricing).unwrap();
+    let entries = k
+        .fsleds_walk("/data", &compile_latency(&pred), &pricing)
+        .unwrap();
+    let entry = entries.iter().find(|e| e.path == path).unwrap();
+    let est = entry.estimate_secs.unwrap();
+    let fd = k.open(path, OpenFlags::RDONLY).unwrap();
     let seq_est = total_delivery_time(&mut k, &t, fd, AttackPlan::Best).unwrap();
     assert_eq!(est, seq_est, "bit-identical estimate");
-    assert_eq!(matched, pred.matches(seq_est));
-
-    // Close tears the program down with the descriptor.
-    k.close(fd).unwrap();
-    assert!(k.fd_prog(fd).is_none());
-    let err = k.fsleds_prog_eval(fd, &pricing).unwrap_err();
-    assert_eq!(err.errno, Errno::Ebadf);
+    assert_eq!(entry.matched, pred.matches(seq_est));
 }
 
 fn tree_kernel() -> (Kernel, SledsTable) {

@@ -265,27 +265,12 @@ type Unrecordable = (&'static str, fn(&mut Kernel, Fd));
 const UNRECORDABLE: &[Unrecordable] = &[
     ("ioctl.fsleds_stat", |k, fd| drop(k.fsleds_stat(fd))),
     ("ioctl.fsleds_recal", |k, fd| drop(k.fsleds_recal(fd))),
-    ("ioctl.fsleds_satstat", |k, fd| drop(k.fsleds_satstat(fd))),
     ("ioctl.page_extents", |k, fd| drop(k.page_extents(fd))),
     ("ioctl.page_extents", |k, fd| drop(k.redundant_extents(fd))),
-    ("ioctl.fsleds_prog", |k, fd| {
-        let prog = PickProgram::new(vec![ProgInst::PushConst(1.0)]).unwrap();
-        drop(k.fsleds_prog(fd, prog));
-    }),
-    ("ioctl.fsleds_prog_eval", |k, fd| {
-        let pricing = pricing(k);
-        drop(k.fsleds_prog_eval(fd, &pricing));
-    }),
     ("ioctl.fsleds_walk", |k, _| {
         let prog = PickProgram::new(vec![ProgInst::PushConst(1.0)]).unwrap();
         let pricing = pricing(k);
         drop(k.fsleds_walk("/d", &prog, &pricing));
-    }),
-    ("ioctl.pin_range", |k, fd| {
-        drop(k.pin_range(fd, 0, PAGE_SIZE))
-    }),
-    ("ioctl.unpin_range", |k, fd| {
-        drop(k.unpin_range(fd, 0, PAGE_SIZE))
     }),
     ("apply_fault_plan", |k, _| {
         k.apply_fault_plan(&FaultPlan::new())

@@ -238,8 +238,8 @@ impl ExtentSet {
 pub(crate) struct Residency {
     extents: ExtentSet,
     /// Never reset, so `(inode, generation)` names one residency state.
-    /// Dirty and pin transitions do not move it: they do not change which
-    /// storage level a byte would be served from.
+    /// Dirty transitions do not move it: they do not change which storage
+    /// level a byte would be served from.
     generation: u64,
 }
 

@@ -27,11 +27,11 @@
 //! table indexed by inode number ([`IdTable`]: the kernel issues inode
 //! numbers 1, 2, 3, …), each entry holds a slot table indexed by page
 //! number, and a slot names the page's node in the replacement order
-//! ([`policy`]): [`PageCache::contains`] is two array indexes,
-//! [`PageCache::lookup`] adds a list splice, and a pin is a bit in the
-//! node. Cache-wide operations ([`PageCache::clear`],
-//! [`PageCache::dirty_pages`], [`PageCache::dirty_count`]) answer from
-//! running counters or stop as soon as they have visited what is cached.
+//! ([`policy`]): [`PageCache::contains`] is two array indexes and
+//! [`PageCache::lookup`] adds a list splice. Cache-wide operations
+//! ([`PageCache::clear`], [`PageCache::dirty_pages`],
+//! [`PageCache::dirty_count`]) answer from running counters or stop as
+//! soon as they have visited what is cached.
 
 // Kernel path (DESIGN §5c): fail with a typed `SimError`, never abort the
 // simulation; a narrowing cast names the bound that makes it lossless.
@@ -162,7 +162,6 @@ impl Owed {
 pub struct PageCache {
     capacity: usize,
     len: usize,
-    pinned_len: usize,
     /// Dirty pages across all inodes: `Σ dirty.page_count()`.
     dirty_len: u64,
     /// Extent index per inode, slot = inode number: eight bytes per inode
@@ -170,7 +169,7 @@ pub struct PageCache {
     /// ever cached. Entries are kept once created (even when emptied) so
     /// generation counters never restart.
     index: IdTable<Box<InodeIndex>>,
-    /// Every resident page, in replacement order; the pin bits live here.
+    /// Every resident page, in replacement order.
     recency: Recency,
     stats: CacheStats,
 }
@@ -203,7 +202,6 @@ impl PageCache {
         PageCache {
             capacity,
             len: 0,
-            pinned_len: 0,
             dirty_len: 0,
             index: IdTable::new(),
             recency: Recency::new(policy, capacity),
@@ -363,19 +361,7 @@ impl PageCache {
             }
             let mut victim_was_dirty = false;
             if self.len >= self.capacity {
-                // Pinned pages are not evictable: pass over them (each
-                // re-enters the order as a new page would) up to one full
-                // pass. If everything is pinned the cache overflows, as
-                // mlock'd memory does — pinning reduces the reclaimable
-                // set, it does not make allocation fail.
-                for _ in 0..=self.len {
-                    let Some(id) = self.recency.victim() else {
-                        break;
-                    };
-                    if self.recency.is_pinned(id) {
-                        self.recency.requeue(id);
-                        continue;
-                    }
+                if let Some(id) = self.recency.victim() {
                     let victim = self.recency.key(id);
                     if entered.holds(victim) || !left.extend(victim) {
                         self.settle(&mut entered, &mut left, dirty);
@@ -388,7 +374,6 @@ impl PageCache {
                         key: victim,
                         dirty: victim_was_dirty,
                     });
-                    break;
                 }
             }
             if left.holds(key) || !entered.extend(key) {
@@ -442,7 +427,7 @@ impl PageCache {
     }
 
     /// Takes a resident page out of everything but the extents (the caller
-    /// owes them that): its slot, dirty bit, pin, node and the counts.
+    /// owes them that): its slot, dirty bit, node and the counts.
     /// Returns whether it was dirty.
     #[inline]
     fn unlink(&mut self, key: PageKey, id: NodeId) -> bool {
@@ -452,7 +437,6 @@ impl PageCache {
             dirty = ix.dirty.remove(key.index);
         }
         self.dirty_len -= u64::from(dirty);
-        self.pinned_len -= usize::from(self.recency.is_pinned(id));
         self.recency.remove(id);
         self.len -= 1;
         dirty
@@ -460,10 +444,8 @@ impl PageCache {
 
     /// How many evictions until `key` would be chosen (0 = next out), when
     /// the policy can predict it: LRU, MRU and FIFO can, Clock and 2Q
-    /// depend on future references and answer `None`. Pins are not
-    /// accounted for — a pinned page's rank says where it *would* fall if
-    /// unpinned. Costs O(rank); see [`PageCache::eviction_ranks`] for a
-    /// whole file.
+    /// depend on future references and answer `None`. Costs O(rank); see
+    /// [`PageCache::eviction_ranks`] for a whole file.
     pub fn eviction_rank(&self, key: PageKey) -> Option<usize> {
         let id = self.node_of(key)?;
         self.recency.eviction_order()?.position(|n| n == id)
@@ -489,39 +471,6 @@ impl PageCache {
         ranks
     }
 
-    /// Pins a resident page, exempting it from eviction until unpinned.
-    /// Returns false (and pins nothing) when the page is not resident —
-    /// a reservation can only hold what exists.
-    pub fn pin(&mut self, key: PageKey) -> bool {
-        let Some(id) = self.node_of(key) else {
-            return false;
-        };
-        if self.recency.set_pinned(id, true) {
-            self.pinned_len += 1;
-        }
-        true
-    }
-
-    /// Releases a pin. No-op if not pinned.
-    pub fn unpin(&mut self, key: PageKey) {
-        if let Some(id) = self.node_of(key) {
-            if self.recency.set_pinned(id, false) {
-                self.pinned_len -= 1;
-            }
-        }
-    }
-
-    /// True when the page is pinned.
-    pub fn is_pinned(&self, key: PageKey) -> bool {
-        self.node_of(key)
-            .is_some_and(|id| self.recency.is_pinned(id))
-    }
-
-    /// Number of pinned pages.
-    pub fn pinned_count(&self) -> usize {
-        self.pinned_len
-    }
-
     /// Marks a resident page dirty. No-op if the page is not resident.
     pub fn mark_dirty(&mut self, key: PageKey) {
         if let Some(ix) = self.index.get_mut(key.inode) {
@@ -538,10 +487,10 @@ impl PageCache {
             .is_some_and(|ix| ix.dirty.contains(key.index))
     }
 
-    /// Drops a page without writeback accounting (e.g. truncate), pin and
-    /// all. Returns whether it was dirty, or `None` when it was not
-    /// resident. An inode whose last page leaves gives its slot table back
-    /// and keeps its generation.
+    /// Drops a page without writeback accounting (e.g. truncate). Returns
+    /// whether it was dirty, or `None` when it was not resident. An inode
+    /// whose last page leaves gives its slot table back and keeps its
+    /// generation.
     pub fn remove(&mut self, key: PageKey) -> Option<bool> {
         let id = self.node_of(key)?;
         let dirty = self.unlink(key, id);
@@ -686,7 +635,6 @@ impl PageCache {
             ix.slots = Vec::new();
         }
         self.len = 0;
-        self.pinned_len = 0;
         self.dirty_len = 0;
         self.recency.clear();
     }
@@ -754,12 +702,10 @@ mod tests {
         // The cached inode answers the same way past its slot table.
         let beyond = [1, 1 << 40, u64::MAX - 1].map(|page| PageKey::new(3, page));
         for k in probes.into_iter().chain(beyond) {
-            assert!(!c.contains(k) && !c.is_dirty(k) && !c.is_pinned(k));
-            assert!(!c.lookup(k) && !c.pin(k));
+            assert!(!c.contains(k) && !c.is_dirty(k) && !c.lookup(k));
             assert_eq!(c.remove(k), None);
             assert_eq!(c.eviction_rank(k), None);
             c.mark_dirty(k);
-            c.unpin(k);
         }
         assert_eq!((c.len(), c.dirty_count(), c.generation(3)), (1, 1, 1));
         for inode in probes.map(|k| k.inode) {
@@ -789,7 +735,6 @@ mod tests {
                     let dirty = rng.chance(0.3);
                     match rng.range_u64(0, 4) {
                         0 => assert_eq!(a.lookup(key), b.lookup(key)),
-                        1 => assert_eq!(a.pin(key), b.pin(key)),
                         _ => assert_eq!(
                             a.insert(key, dirty),
                             b.insert(key, dirty),
@@ -805,8 +750,7 @@ mod tests {
                     }
                 }
                 assert!(a.is_empty() && b.is_empty());
-                assert_eq!((a.dirty_count(), a.pinned_count()), (0, 0));
-                assert_eq!((b.dirty_count(), b.pinned_count()), (0, 0));
+                assert_eq!((a.dirty_count(), b.dirty_count()), (0, 0));
                 for inode in 0..5 {
                     assert_eq!(a.generation(inode), b.generation(inode), "{}", kind.name());
                     assert_eq!(a.resident_run_count(inode), 0);
@@ -982,55 +926,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_pages_survive_eviction_pressure() {
-        let mut c = PageCache::lru(3);
-        c.insert(key(0), false);
-        assert!(c.pin(key(0)));
-        for i in 1..20 {
-            c.insert(key(i), false);
-        }
-        assert!(c.contains(key(0)), "pinned page must not be evicted");
-        assert_eq!(c.len(), 3);
-        c.unpin(key(0));
-        for i in 20..24 {
-            c.insert(key(i), false);
-        }
-        assert!(!c.contains(key(0)), "unpinned page becomes evictable");
-    }
-
-    #[test]
-    fn pinning_nonresident_fails() {
-        let mut c = PageCache::lru(2);
-        assert!(!c.pin(key(9)));
-        assert_eq!(c.pinned_count(), 0);
-    }
-
-    #[test]
-    fn fully_pinned_cache_overflows_rather_than_fails() {
-        let mut c = PageCache::lru(2);
-        c.insert(key(0), false);
-        c.insert(key(1), false);
-        c.pin(key(0));
-        c.pin(key(1));
-        c.insert(key(2), false);
-        assert_eq!(c.len(), 3, "mlock semantics: overflow, not failure");
-        assert!(c.contains(key(0)) && c.contains(key(1)) && c.contains(key(2)));
-        // Once something is unpinned, pressure drains the overflow victim.
-        c.unpin(key(1));
-        c.insert(key(3), false);
-        assert!(!c.contains(key(1)));
-    }
-
-    #[test]
-    fn remove_clears_pin() {
-        let mut c = PageCache::lru(2);
-        c.insert(key(0), false);
-        c.pin(key(0));
-        c.remove(key(0));
-        assert_eq!(c.pinned_count(), 0);
-    }
-
-    #[test]
     fn resident_runs_coalesce_and_clip() {
         let mut c = PageCache::lru(32);
         for i in [0u64, 1, 2, 3, 10, 11, 30] {
@@ -1061,12 +956,10 @@ mod tests {
         c.insert(key(0), false);
         let g1 = c.generation(1);
         assert!(g1 > 0);
-        // Re-insert, pin, dirty: no residency change, no bump.
+        // Re-insert, dirty: no residency change, no bump.
         c.insert(key(0), true);
-        c.pin(key(0));
         c.mark_dirty(key(0));
         c.mark_clean(key(0));
-        c.unpin(key(0));
         assert_eq!(c.generation(1), g1);
         // Removal bumps.
         c.remove(key(0));

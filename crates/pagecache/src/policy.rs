@@ -73,12 +73,10 @@ pub(crate) type NodeId = u32;
 /// "No node": list ends and the empty free list.
 const NIL: NodeId = NodeId::MAX;
 
-/// Node flag: exempt from eviction until unpinned.
-const PINNED: u8 = 1;
 /// Node flag, Clock: referenced since the hand last passed.
-const REFERENCED: u8 = 2;
+const REFERENCED: u8 = 1;
 /// Node flag, 2Q: on the main list `am` rather than on probation in `a1`.
-const MAIN: u8 = 4;
+const MAIN: u8 = 2;
 
 /// One resident page. A free node keeps its slot in the slab and is
 /// chained through `next`.
@@ -138,18 +136,6 @@ impl Recency {
 
     pub(crate) fn key(&self, id: NodeId) -> PageKey {
         self.nodes[id as usize].key
-    }
-
-    pub(crate) fn is_pinned(&self, id: NodeId) -> bool {
-        self.nodes[id as usize].flags & PINNED != 0
-    }
-
-    /// Sets or clears the pin. Returns true when that changed it.
-    pub(crate) fn set_pinned(&mut self, id: NodeId, pinned: bool) -> bool {
-        let node = &mut self.nodes[id as usize];
-        let was = node.flags & PINNED != 0;
-        node.flags = (node.flags & !PINNED) | if pinned { PINNED } else { 0 };
-        was != pinned
     }
 
     fn unlink(&mut self, id: NodeId) {
@@ -228,9 +214,8 @@ impl Recency {
         }
     }
 
-    /// The page the policy would discard next, still linked. `None` only
-    /// when nothing is resident. The caller either [`Recency::remove`]s it
-    /// or, when it is pinned, [`Recency::requeue`]s it and asks again.
+    /// The page the policy would discard next, still linked; the caller
+    /// [`Recency::remove`]s it. `None` only when nothing is resident.
     pub(crate) fn victim(&mut self) -> Option<NodeId> {
         let [a1, am] = self.lists;
         let id = match self.kind {
@@ -250,14 +235,6 @@ impl Recency {
             PolicyKind::TwoQ => am.head,
         };
         (id != NIL).then_some(id)
-    }
-
-    /// Passes over a pinned victim: it re-enters as a newly inserted page
-    /// would (newest end, reference bit clear, 2Q probation), still pinned.
-    pub(crate) fn requeue(&mut self, id: NodeId) {
-        self.unlink(id);
-        self.nodes[id as usize].flags &= PINNED;
-        self.push_back(id, 0);
     }
 
     /// A page left the cache, by eviction or otherwise.

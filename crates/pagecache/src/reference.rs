@@ -55,13 +55,12 @@ impl RecencyList {
     }
 }
 
-/// The old cache, reduced to what decides a victim: the list, the pins it
-/// skips and the dirty bits it reports.
+/// The old cache, reduced to what decides a victim: the list and the
+/// dirty bits it reports.
 struct TwoMapCache {
     mru: bool,
     capacity: usize,
     list: RecencyList,
-    pinned: BTreeSet<PageKey>,
     dirty: BTreeSet<PageKey>,
 }
 
@@ -71,7 +70,6 @@ impl TwoMapCache {
             mru,
             capacity,
             list: RecencyList::default(),
-            pinned: BTreeSet::new(),
             dirty: BTreeSet::new(),
         }
     }
@@ -95,24 +93,15 @@ impl TwoMapCache {
     fn insert(&mut self, key: PageKey, dirty: bool) -> Option<Evicted> {
         let mut evicted = None;
         if !self.contains(key) && self.len() >= self.capacity {
-            for _ in 0..=self.len() {
-                let victim = if self.mru {
-                    self.list.newest()
-                } else {
-                    self.list.oldest()
-                };
-                match victim {
-                    Some(v) if self.pinned.contains(&v) => self.list.touch(v),
-                    Some(v) => {
-                        evicted = Some(Evicted {
-                            key: v,
-                            dirty: self.dirty.remove(&v),
-                        });
-                        break;
-                    }
-                    None => break,
-                }
-            }
+            let victim = if self.mru {
+                self.list.newest()
+            } else {
+                self.list.oldest()
+            };
+            evicted = victim.map(|v| Evicted {
+                key: v,
+                dirty: self.dirty.remove(&v),
+            });
         }
         self.list.touch(key);
         if dirty {
@@ -139,15 +128,7 @@ impl TwoMapCache {
         if !self.list.remove(key) {
             return None;
         }
-        self.pinned.remove(&key);
         Some(self.dirty.remove(&key))
-    }
-
-    fn pin(&mut self, key: PageKey) -> bool {
-        self.contains(key) && {
-            self.pinned.insert(key);
-            true
-        }
     }
 
     fn eviction_rank(&self, key: PageKey) -> Option<usize> {
@@ -177,7 +158,7 @@ fn lru_and_mru_evict_as_the_two_map_list_did() {
             let inode = rng.range_u64(1, 5);
             let key = PageKey::new(inode, rng.range_u64(0, 40));
             let at = || format!("{} step {step}: {key:?}", kind.name());
-            match rng.range_u64(0, 1000) {
+            match rng.range_u64(0, 910) {
                 0..=399 => assert_eq!(new.lookup(key), old.lookup(key), "{}", at()),
                 400..=719 => {
                     let dirty = rng.chance(0.3);
@@ -195,12 +176,7 @@ fn lru_and_mru_evict_as_the_two_map_list_did() {
                     assert_eq!((victims, inserted), want, "{}: run of {n}", at());
                 }
                 800..=899 => assert_eq!(new.remove(key), old.remove(key), "{}", at()),
-                900..=939 => assert_eq!(new.pin(key), old.pin(key), "{}", at()),
-                940..=989 => {
-                    new.unpin(key);
-                    old.pinned.remove(&key);
-                }
-                990..=997 => {
+                900..=907 => {
                     let mut dirty = new.remove_file(inode);
                     dirty.sort();
                     let pages: Vec<PageKey> = old
@@ -230,7 +206,6 @@ fn lru_and_mru_evict_as_the_two_map_list_did() {
             );
             assert_eq!(new.contains(probe), old.contains(probe), "{}", at());
             assert_eq!(new.len(), old.len(), "{}", at());
-            assert_eq!(new.pinned_count(), old.pinned.len(), "{}", at());
             assert_eq!(new.dirty_count(), old.dirty.len() as u64, "{}", at());
         }
         assert!(evictions > 10_000, "{}: {evictions}", kind.name());

@@ -23,7 +23,7 @@ use sleds_sim_core::stats::LogHistogram;
 pub const DIFF_SCHEMA: &str = "sleds-replay-diff-v1";
 
 /// How many largest-movement ops the report lists individually.
-pub const TOP_MOVERS: usize = 10;
+const TOP_MOVERS: usize = 10;
 
 /// Device-class code → stable report name (mirrors the kernel's
 /// class numbering).
@@ -339,9 +339,9 @@ fn group_json(g: &GroupDelta) -> String {
 }
 
 impl ReplayDiff {
-    /// The ops with the largest absolute latency movement, biggest
-    /// first (ties broken by sequence for determinism).
-    pub fn top_movers(&self, n: usize) -> Vec<&OpDelta> {
+    /// The [`TOP_MOVERS`] ops with the largest absolute latency movement,
+    /// biggest first (ties broken by sequence for determinism).
+    fn top_movers(&self) -> Vec<&OpDelta> {
         let mut movers: Vec<&OpDelta> = self.ops.iter().collect();
         movers.sort_by(|a, b| {
             b.d_latency_ns
@@ -349,7 +349,7 @@ impl ReplayDiff {
                 .cmp(&a.d_latency_ns.unsigned_abs())
                 .then(a.seq.cmp(&b.seq))
         });
-        movers.truncate(n);
+        movers.truncate(TOP_MOVERS);
         movers
     }
 
@@ -394,7 +394,7 @@ impl ReplayDiff {
             );
         }
         s.push_str("\n  ],\n  \"top_movers\": [");
-        for (i, d) in self.top_movers(TOP_MOVERS).iter().enumerate() {
+        for (i, d) in self.top_movers().iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }

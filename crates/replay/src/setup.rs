@@ -24,18 +24,8 @@ pub fn build_disk(model: &str, name: &str) -> Result<DiskDevice, String> {
     }
 }
 
-/// Volume-member model names [`build_member`] accepts: every disk model
-/// plus the NFS exports (the geo links are how a volume spans sites).
-pub const MEMBER_MODELS: &[&str] = &[
-    "table2_disk",
-    "table3_disk",
-    "table2_mount",
-    "nfs_metro",
-    "nfs_regional",
-    "nfs_continental",
-];
-
-/// Builds a named volume-member model.
+/// Builds a named volume-member model: every disk model plus the NFS
+/// exports (the geo links are how a volume spans sites).
 pub fn build_member(model: &str, name: &str) -> Result<Box<dyn BlockDevice>, String> {
     Ok(match model {
         "table2_disk" => Box::new(DiskDevice::table2_disk(name)),
@@ -107,7 +97,7 @@ pub enum SetupStep {
         path: String,
         /// Redundancy layout.
         layout: VolumeLayout,
-        /// `(model, name)` per member (see [`MEMBER_MODELS`]).
+        /// `(model, name)` per member (see [`build_member`]).
         members: Vec<(String, String)>,
     },
     /// Install a file with explicit contents.

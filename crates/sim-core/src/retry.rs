@@ -50,17 +50,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries: one attempt, immediate failure.
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: SimDuration::ZERO,
-            max_backoff: SimDuration::ZERO,
-            timeout: SimDuration::MAX,
-            jitter_amp: 0.0,
-        }
-    }
-
     /// The 1-based submission numbers of one logical command:
     /// `1..=max_attempts`. A command is always submitted once, so a
     /// `max_attempts` of 0 behaves as 1 instead of reporting a command
@@ -190,9 +179,10 @@ mod tests {
             RetryPolicy::default().backoff_for(0, &mut rng),
             SimDuration::ZERO
         );
-        assert_eq!(
-            RetryPolicy::no_retry().backoff_for(5, &mut rng),
-            SimDuration::ZERO
-        );
+        let no_backoff = RetryPolicy {
+            base_backoff: SimDuration::ZERO,
+            ..RetryPolicy::default()
+        };
+        assert_eq!(no_backoff.backoff_for(5, &mut rng), SimDuration::ZERO);
     }
 }

@@ -33,8 +33,6 @@ pub const ACCURACY_WINDOW: usize = 128;
 pub struct AccuracyWindow {
     /// Retained `(predicted_ns, actual_ns)` pairs, oldest first.
     samples: VecDeque<(u64, u64)>,
-    /// Pairs observed since tracing was enabled, including evicted ones.
-    total: u64,
 }
 
 impl AccuracyWindow {
@@ -44,7 +42,6 @@ impl AccuracyWindow {
             self.samples.pop_front();
         }
         self.samples.push_back((predicted_ns, actual_ns));
-        self.total += 1;
     }
 
     /// Pairs currently retained.
@@ -55,11 +52,6 @@ impl AccuracyWindow {
     /// True when no pairs have been retained.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Pairs observed in total, including ones the window has evicted.
-    pub fn total_observed(&self) -> u64 {
-        self.total
     }
 
     /// Iterates retained `(predicted_ns, actual_ns)` pairs, oldest first.
@@ -507,7 +499,8 @@ mod tests {
             w.push(i, i + 1);
         }
         assert_eq!(w.len(), ACCURACY_WINDOW);
-        assert_eq!(w.total_observed(), 2 + 2 * ACCURACY_WINDOW as u64);
+        let oldest = ACCURACY_WINDOW as u64;
+        assert_eq!(w.samples().next(), Some((oldest, oldest + 1)));
     }
 
     #[test]

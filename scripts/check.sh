@@ -28,9 +28,13 @@ run cargo test -q
 # for byte.
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
+examples_run=" "
 produce() {
+    [[ $1 == --example ]] && examples_run+="$2 "
     run env SLEDS_RESULTS="$scratch" cargo run --release "$@"
 }
+# The README's API tour; writes nothing, asserts what it prints.
+produce --example quickstart
 # Traced mixed-device workload: Chrome trace, flame stacks, accuracy audit.
 produce --example trace_viewer
 # Closed loop: run -> audit -> FSLEDS_RECAL -> re-run, error strictly lower.
@@ -59,6 +63,14 @@ done
 for committed in results/*.json results/*.jsonl results/*.folded; do
     if [[ ! -e "$scratch/$(basename "$committed")" ]]; then
         echo "$committed: no producer regenerates it" >&2
+        exit 1
+    fi
+done
+# Likewise an example nothing runs: each one asserts or writes a gated
+# artifact, and only running it checks either.
+for example in examples/*.rs; do
+    if [[ $examples_run != *" $(basename "$example" .rs) "* ]]; then
+        echo "$example: check.sh does not run it" >&2
         exit 1
     fi
 done
