@@ -443,7 +443,7 @@ mod tests {
         let m = k
             .mount_hsm(
                 "/hsm",
-                DiskDevice::table2_disk("hda"),
+                Box::new(DiskDevice::table2_disk("hda")),
                 Box::new(TapeDevice::dlt("st0")),
                 256,
             )
@@ -635,7 +635,7 @@ mod tests {
         let m = k
             .mount_hsm(
                 "/hsm",
-                DiskDevice::table2_disk("hda"),
+                Box::new(DiskDevice::table2_disk("hda")),
                 Box::new(TapeDevice::dlt("st0")),
                 256,
             )

@@ -207,7 +207,7 @@ pub fn hsm_stage_chunk() -> Vec<(u64, f64)> {
             k.mkdir("/hsm").expect("mkdir");
             k.mount_hsm(
                 "/hsm",
-                DiskDevice::table2_disk("hda"),
+                Box::new(DiskDevice::table2_disk("hda")),
                 Box::new(sleds_devices::TapeDevice::dlt("st0")),
                 chunk,
             )

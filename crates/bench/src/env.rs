@@ -98,7 +98,7 @@ impl Env {
                 (
                     "/hsm",
                     kernel
-                        .mount_hsm("/hsm", disk, Box::new(tape), 512)
+                        .mount_hsm("/hsm", Box::new(disk), Box::new(tape), 512)
                         .expect("mount hsm"),
                 )
             }

@@ -147,7 +147,7 @@ fn hsm_scenario(rng: &mut DetRng) {
     let mount = k
         .mount_hsm(
             "/hsm",
-            DiskDevice::table2_disk("hda"),
+            Box::new(DiskDevice::table2_disk("hda")),
             Box::new(TapeDevice::dlt("st0")),
             rng.range_u64(1, 32),
         )

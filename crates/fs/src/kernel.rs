@@ -826,6 +826,13 @@ impl Kernel {
         Err(SimError::new(Errno::Eio, why))
     }
 
+    /// The mount `stat(path)` would report, found without entering the
+    /// kernel: charges nothing, so a setup that looks its mounts up moves
+    /// no later timestamp. `None` for a missing path or one on no mount.
+    pub fn find_mount(&self, path: &str) -> Option<MountId> {
+        self.inode(self.resolve(path).ok()?).ok()?.mount
+    }
+
     /// The device a mount allocates from.
     pub fn device_of_mount(&self, m: MountId) -> Option<DeviceId> {
         self.mounts.get(m.0).map(|mt| mt.dev)
@@ -940,11 +947,11 @@ impl Kernel {
     pub fn mount_hsm(
         &mut self,
         path: &str,
-        disk: sleds_devices::DiskDevice,
+        disk: Box<dyn BlockDevice>,
         tape: Box<dyn BlockDevice>,
         stage_chunk_pages: u64,
     ) -> SimResult<MountId> {
-        let id = self.mount_device(path, Box::new(disk), false)?;
+        let id = self.mount_device(path, disk, false)?;
         let tape_id = self.add_device(tape);
         self.mounts[id.0].hsm = Some(HsmConfig {
             tape: tape_id,
@@ -3149,7 +3156,7 @@ mod tests {
         k.mkdir("/hsm").unwrap();
         k.mount_hsm(
             "/hsm",
-            DiskDevice::table2_disk("hda"),
+            Box::new(DiskDevice::table2_disk("hda")),
             Box::new(sleds_devices::TapeDevice::dlt("st0")),
             256,
         )

@@ -131,7 +131,7 @@ fn hsm_scenario(rng: &mut DetRng) {
     let chunk = rng.range_u64(1, 32);
     k.mount_hsm(
         "/hsm",
-        DiskDevice::table2_disk("hda"),
+        Box::new(DiskDevice::table2_disk("hda")),
         Box::new(TapeDevice::dlt("st0")),
         chunk,
     )

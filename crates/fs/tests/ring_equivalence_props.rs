@@ -94,7 +94,7 @@ impl Params {
                 let m = k
                     .mount_hsm(
                         "/hsm",
-                        DiskDevice::table2_disk("hda"),
+                        Box::new(DiskDevice::table2_disk("hda")),
                         Box::new(TapeDevice::dlt("st0")),
                         8,
                     )

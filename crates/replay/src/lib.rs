@@ -49,4 +49,4 @@ pub use diff::{
 };
 pub use file::CaptureFile;
 pub use replayer::{replay, Replayed};
-pub use setup::{build_disk, build_kernel, CandidateConfig, SetupStep, WorkloadSpec, DISK_MODELS};
+pub use setup::{build_kernel, CandidateConfig, SetupStep, WorkloadSpec};

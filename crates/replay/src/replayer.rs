@@ -12,7 +12,8 @@
 //! the pinned determinism property.
 //!
 //! Incomplete captures (`complete: false`) are refused loudly: an
-//! overflowed or poisoned capture can never be silently replayed.
+//! overflowed or poisoned capture can never be silently replayed. So is
+//! one armed anywhere but where its spec leaves the clock.
 
 use sleds_fs::{Capture, CapturedOp, Kernel, Syscall, SyscallRet, TenantId};
 use sleds_sim_core::SimDuration;
@@ -64,6 +65,17 @@ pub fn replay(file: &CaptureFile, candidate: &CandidateConfig) -> Result<Replaye
     }
     let spec = candidate.apply(&file.spec);
     let mut k = build_kernel(&spec)?;
+    // Think gaps are replayed from the capture's base, so the rebuilt
+    // clock must stand there: a capture armed after work its spec does not
+    // hold would replay with every timestamp shifted.
+    let built_ns = k.now().as_nanos();
+    if file.capture.base_ns != built_ns {
+        return Err(format!(
+            "capture base_ns {} is not where its spec leaves the clock ({built_ns} ns): \
+             work ran between setup and the capture that no step records",
+            file.capture.base_ns
+        ));
+    }
     // Same budget as the original so the re-captured header (and thus
     // the identity byte-comparison) lines up.
     k.start_capture(file.capture.budget);

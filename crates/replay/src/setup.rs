@@ -8,25 +8,16 @@
 //! queue capacity, other fault plan, other machine table — for a
 //! what-if replay.
 
-use sleds_devices::{BlockDevice, CdRomDevice, DiskDevice, NfsDevice, TapeDevice};
+use sleds_devices::{BlockDevice, CdRomDevice, DeviceClass, DiskDevice, NfsDevice, TapeDevice};
 use sleds_faults::FaultPlan;
 use sleds_fs::{HedgePolicy, Kernel, MachineConfig, VolumeLayout};
 
-/// Disk model names [`build_disk`] accepts.
-pub const DISK_MODELS: &[&str] = &["table2_disk", "table3_disk"];
-
-/// Builds a named disk model.
-pub fn build_disk(model: &str, name: &str) -> Result<DiskDevice, String> {
-    match model {
-        "table2_disk" => Ok(DiskDevice::table2_disk(name)),
-        "table3_disk" => Ok(DiskDevice::table3_disk(name)),
-        other => Err(format!("unknown disk model {other:?}")),
-    }
-}
-
-/// Builds a named volume-member model: every disk model plus the NFS
-/// exports (the geo links are how a volume spans sites).
-pub fn build_member(model: &str, name: &str) -> Result<Box<dyn BlockDevice>, String> {
+/// The device-model registry: builds model `model` named `name`. Disks are
+/// `table2_disk` and `table3_disk`; NFS exports `table2_mount` and the geo
+/// links `nfs_metro`, `nfs_regional` and `nfs_continental`; the CD-ROM
+/// `table2_drive`; the tape `dlt`. A step accepts only the classes its
+/// mount takes (see [`SetupStep`]), so `mount_disk` of `"dlt"` is refused.
+fn build_device(model: &str, name: &str) -> Result<Box<dyn BlockDevice>, String> {
     Ok(match model {
         "table2_disk" => Box::new(DiskDevice::table2_disk(name)),
         "table3_disk" => Box::new(DiskDevice::table3_disk(name)),
@@ -34,16 +25,20 @@ pub fn build_member(model: &str, name: &str) -> Result<Box<dyn BlockDevice>, Str
         "nfs_metro" => Box::new(NfsDevice::metro_link(name)),
         "nfs_regional" => Box::new(NfsDevice::regional_link(name)),
         "nfs_continental" => Box::new(NfsDevice::continental_link(name)),
-        other => return Err(format!("unknown member model {other:?}")),
+        "table2_drive" => Box::new(CdRomDevice::table2_drive(name)),
+        "dlt" => Box::new(TapeDevice::dlt(name)),
+        other => return Err(format!("unknown device model {other:?}")),
     })
 }
 
-/// One declarative environment-construction step. Applied in order by
-/// [`build_kernel`]; every step is zero-virtual-cost, exactly like the
-/// setup helpers it mirrors.
+/// One declarative environment-construction step, applied in order by
+/// [`build_kernel`]. Steps are the setup helpers they mirror, so their
+/// costs are too: `mkdir` charges its trap, and `HsmMigrate { free: false }`
+/// charges the tape write; every other step charges nothing. Model names
+/// are the registry's; a step refuses a model of a class it does not mount.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SetupStep {
-    /// `mkdir(path)` before capture (zero-cost: issued outside capture).
+    /// `mkdir(path)`, issued before any capture is armed.
     Mkdir {
         /// Absolute path.
         path: String,
@@ -52,7 +47,7 @@ pub enum SetupStep {
     MountDisk {
         /// Mount point.
         path: String,
-        /// Model name (see [`DISK_MODELS`]).
+        /// Disk model name.
         model: String,
         /// Device name (matches fault-plan entries).
         name: String,
@@ -61,16 +56,16 @@ pub enum SetupStep {
     MountNfs {
         /// Mount point.
         path: String,
-        /// Model name (`"table2_mount"`).
+        /// NFS model name.
         model: String,
         /// Device name.
         name: String,
     },
-    /// Mount a CD-ROM model at `path`.
+    /// Mount a read-only CD-ROM model at `path`.
     MountCdrom {
         /// Mount point.
         path: String,
-        /// Model name (`"table2_drive"`).
+        /// CD-ROM model name.
         model: String,
         /// Device name.
         name: String,
@@ -97,7 +92,7 @@ pub enum SetupStep {
         path: String,
         /// Redundancy layout.
         layout: VolumeLayout,
-        /// `(model, name)` per member (see [`build_member`]).
+        /// `(model, name)` per member: disk or NFS models.
         members: Vec<(String, String)>,
     },
     /// Install a file with explicit contents.
@@ -222,12 +217,20 @@ impl CandidateConfig {
 
 /// Boots a kernel and applies every setup step plus the fault plan, in
 /// spec order. Deterministic: the same spec always yields a kernel in
-/// the same state at the same virtual time (zero — setup charges
-/// nothing). A plan that names a device no step creates is refused: it
-/// would fault nothing, and a what-if built on a mistyped name would
-/// quietly replay the identity.
+/// the same state at the same virtual time. Fault plans, reports and
+/// what-if candidates address devices by name, so two steps that create
+/// devices of one name are refused (a fault on it would land on both), and
+/// so is a plan that names a device no step creates: it would fault
+/// nothing, and a what-if built on a mistyped name would quietly replay
+/// the identity.
 pub fn build_kernel(spec: &WorkloadSpec) -> Result<Kernel, String> {
-    let created: Vec<&str> = spec.setup.iter().flat_map(SetupStep::devices).collect();
+    let mut created: Vec<&str> = Vec::new();
+    for (_, name, _) in spec.setup.iter().flat_map(SetupStep::devices) {
+        if created.contains(&name) {
+            return Err(format!("setup creates two devices named {name:?}"));
+        }
+        created.push(name);
+    }
     if let Some(dev) = spec
         .fault_plan
         .device_names()
@@ -247,87 +250,80 @@ pub fn build_kernel(spec: &WorkloadSpec) -> Result<Kernel, String> {
 }
 
 impl SetupStep {
-    /// The names of the devices this step creates.
-    fn devices(&self) -> Vec<&str> {
+    /// `(model, name, classes the step mounts)` for every device this step
+    /// creates, in the order the mount takes them.
+    fn devices(&self) -> Vec<(&str, &str, &'static [DeviceClass])> {
+        use DeviceClass::{CdRom, Disk, Network, Tape};
         match self {
-            SetupStep::MountDisk { name, .. }
-            | SetupStep::MountNfs { name, .. }
-            | SetupStep::MountCdrom { name, .. } => vec![name],
+            SetupStep::MountDisk { model, name, .. } => vec![(model, name, &[Disk])],
+            SetupStep::MountNfs { model, name, .. } => vec![(model, name, &[Network])],
+            SetupStep::MountCdrom { model, name, .. } => vec![(model, name, &[CdRom])],
             SetupStep::MountHsm {
+                disk_model,
                 disk_name,
+                tape_model,
                 tape_name,
                 ..
-            } => vec![disk_name, tape_name],
-            SetupStep::MountVolume { members, .. } => {
-                members.iter().map(|(_, name)| name.as_str()).collect()
-            }
+            } => vec![
+                (disk_model, disk_name, &[Disk]),
+                (tape_model, tape_name, &[Tape]),
+            ],
+            SetupStep::MountVolume { members, .. } => members
+                .iter()
+                .map(|(model, name)| (model.as_str(), name.as_str(), &[Disk, Network][..]))
+                .collect(),
             _ => Vec::new(),
         }
     }
 }
 
+/// A step's devices as the fixed count its mount takes.
+fn exactly<const N: usize>(
+    devices: Vec<Box<dyn BlockDevice>>,
+) -> Result<[Box<dyn BlockDevice>; N], String> {
+    let got = devices.len();
+    devices
+        .try_into()
+        .map_err(|_| format!("the mount takes {N} devices, the step names {got}"))
+}
+
 fn apply_step(k: &mut Kernel, step: &SetupStep) -> Result<(), String> {
-    let fail = |e: sleds_sim_core::SimError| e.to_string();
-    match step {
-        SetupStep::Mkdir { path } => k.mkdir(path).map_err(fail),
-        SetupStep::MountDisk { path, model, name } => k
-            .mount_disk(path, build_disk(model, name)?)
-            .map(|_| ())
-            .map_err(fail),
-        SetupStep::MountNfs { path, model, name } => match model.as_str() {
-            "table2_mount" => k
-                .mount_nfs(path, NfsDevice::table2_mount(name.as_str()))
-                .map(|_| ())
-                .map_err(fail),
-            other => Err(format!("unknown nfs model {other:?}")),
-        },
-        SetupStep::MountCdrom { path, model, name } => match model.as_str() {
-            "table2_drive" => k
-                .mount_cdrom(path, CdRomDevice::table2_drive(name.as_str()))
-                .map(|_| ())
-                .map_err(fail),
-            other => Err(format!("unknown cdrom model {other:?}")),
-        },
+    let mut devices = Vec::new();
+    for (model, name, classes) in step.devices() {
+        let dev = build_device(model, name)?;
+        if !classes.contains(&dev.class()) {
+            let class = dev.class().label();
+            return Err(format!("model {model:?} is a {class} device"));
+        }
+        devices.push(dev);
+    }
+    let applied = match step {
+        SetupStep::Mkdir { path } => k.mkdir(path),
+        SetupStep::MountDisk { path, .. }
+        | SetupStep::MountNfs { path, .. }
+        | SetupStep::MountCdrom { path, .. } => {
+            let [dev] = exactly(devices)?;
+            let read_only = dev.class() == DeviceClass::CdRom;
+            k.mount_device(path, dev, read_only).map(drop)
+        }
         SetupStep::MountHsm {
-            path,
-            disk_model,
-            disk_name,
-            tape_model,
-            tape_name,
-            chunk_pages,
+            path, chunk_pages, ..
         } => {
-            let disk = build_disk(disk_model, disk_name)?;
-            let tape: Box<dyn sleds_devices::BlockDevice> = match tape_model.as_str() {
-                "dlt" => Box::new(TapeDevice::dlt(tape_name.as_str())),
-                other => return Err(format!("unknown tape model {other:?}")),
-            };
-            k.mount_hsm(path, disk, tape, *chunk_pages)
-                .map(|_| ())
-                .map_err(fail)
+            let [disk, tape] = exactly(devices)?;
+            k.mount_hsm(path, disk, tape, *chunk_pages).map(drop)
         }
-        SetupStep::MountVolume {
-            path,
-            layout,
-            members,
-        } => {
-            let mut devs: Vec<Box<dyn BlockDevice>> = Vec::new();
-            for (model, name) in members {
-                devs.push(build_member(model, name)?);
-            }
-            k.mount_volume(path, *layout, devs)
-                .map(|_| ())
-                .map_err(fail)
+        SetupStep::MountVolume { path, layout, .. } => {
+            k.mount_volume(path, *layout, devices).map(drop)
         }
-        SetupStep::InstallFile { path, data } => k.install_file(path, data).map_err(fail),
-        SetupStep::InstallSparseFile { path, size } => {
-            k.install_sparse_file(path, *size).map_err(fail)
-        }
+        SetupStep::InstallFile { path, data } => k.install_file(path, data),
+        SetupStep::InstallSparseFile { path, size } => k.install_sparse_file(path, *size),
         SetupStep::WarmFilePages {
             path,
             first_page,
             pages,
-        } => k.warm_file_pages(path, *first_page, *pages).map_err(fail),
-        SetupStep::HsmMigrate { path, free } => k.hsm_migrate(path, *free).map_err(fail),
-        SetupStep::DropCaches => k.drop_caches().map_err(fail),
-    }
+        } => k.warm_file_pages(path, *first_page, *pages),
+        SetupStep::HsmMigrate { path, free } => k.hsm_migrate(path, *free),
+        SetupStep::DropCaches => k.drop_caches(),
+    };
+    applied.map_err(|e| e.to_string())
 }

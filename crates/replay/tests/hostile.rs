@@ -254,6 +254,91 @@ fn a_fault_plan_on_a_device_no_step_creates_is_refused() {
 }
 
 #[test]
+fn two_devices_of_one_name_are_refused() {
+    let disk = |path: &str, name: &str| SetupStep::MountDisk {
+        path: path.into(),
+        model: "table2_disk".into(),
+        name: name.into(),
+    };
+    let mirror = |names: [&str; 2]| SetupStep::MountVolume {
+        path: "/v".into(),
+        layout: sleds_fs::VolumeLayout::Mirrored,
+        members: names.map(|n| ("table2_disk".into(), n.into())).to_vec(),
+    };
+    let mkdirs = [
+        SetupStep::Mkdir { path: "/e".into() },
+        SetupStep::Mkdir { path: "/v".into() },
+    ];
+    // Across steps and within one: a fault on `hda` would land on both.
+    for (extra, twice) in [(disk("/e", "hda"), "hda"), (mirror(["m", "m"]), "m")] {
+        let mut spec = one_disk();
+        spec.setup.extend(mkdirs.clone());
+        spec.setup.push(extra);
+        let Err(err) = build_kernel(&spec) else {
+            panic!("two devices named {twice} built");
+        };
+        assert!(err.contains(&format!("{twice:?}")), "{err}");
+    }
+    let mut spec = one_disk();
+    spec.setup.extend(mkdirs);
+    spec.setup.extend([disk("/e", "hdb"), mirror(["m0", "m1"])]);
+    assert!(build_kernel(&spec).is_ok());
+}
+
+#[test]
+fn a_model_under_a_step_of_another_class_is_refused() {
+    let s = |x: &str| x.to_string();
+    let disk = |m: &str| SetupStep::MountDisk {
+        path: s("/d"),
+        model: s(m),
+        name: s("d0"),
+    };
+    let nfs = |m: &str| SetupStep::MountNfs {
+        path: s("/d"),
+        model: s(m),
+        name: s("d0"),
+    };
+    let cdrom = |m: &str| SetupStep::MountCdrom {
+        path: s("/d"),
+        model: s(m),
+        name: s("d0"),
+    };
+    let hsm = |disk: &str, tape: &str| SetupStep::MountHsm {
+        path: s("/d"),
+        disk_model: s(disk),
+        disk_name: s("d0"),
+        tape_model: s(tape),
+        tape_name: s("t0"),
+        chunk_pages: 16,
+    };
+    let mirror = |m: &str| SetupStep::MountVolume {
+        path: s("/d"),
+        layout: sleds_fs::VolumeLayout::Mirrored,
+        members: vec![(s("table2_disk"), s("d0")), (s(m), s("d1"))],
+    };
+    for (step, builds) in [
+        (disk("table3_disk"), true),
+        (disk("dlt"), false),
+        (disk("table2_mount"), false),
+        (disk("bogus"), false),
+        (nfs("nfs_metro"), true),
+        (nfs("table2_disk"), false),
+        (cdrom("table2_drive"), true),
+        (cdrom("table2_disk"), false),
+        (hsm("table2_disk", "dlt"), true),
+        (hsm("dlt", "dlt"), false),
+        (hsm("table2_disk", "table2_disk"), false),
+        (mirror("nfs_continental"), true),
+        (mirror("table2_drive"), false),
+        (mirror("dlt"), false),
+    ] {
+        let mut spec = WorkloadSpec::new("table2");
+        spec.setup = vec![SetupStep::Mkdir { path: s("/d") }, step.clone()];
+        assert_eq!(build_kernel(&spec).is_ok(), builds, "{step:?}");
+    }
+}
+
+#[test]
 fn a_fault_window_that_does_not_end_after_it_starts_is_refused_on_load() {
     let mut file = CaptureFile::parse(ARTIFACT).unwrap();
     for (end, refused) in [(100, true), (500, true), (501, false)] {

@@ -130,6 +130,25 @@ fn identity_replay_reproduces_the_capture_byte_for_byte() {
     );
 }
 
+#[test]
+fn a_capture_armed_after_uncaptured_work_is_refused() {
+    // The stat is work the recorder never saw: the capture's base sits one
+    // trap past where `build_kernel` leaves the clock, and a replay from
+    // the rebuilt kernel would land every op one trap early.
+    let spec = small_spec();
+    let mut k = build_kernel(&spec).unwrap();
+    k.stat("/d/f").unwrap();
+    k.start_capture(256);
+    drive(&mut k);
+    let capture = k.stop_capture().unwrap();
+    assert!(capture.complete);
+    let file = CaptureFile { spec, capture };
+    let Err(err) = replay(&file, &CandidateConfig::identity()) else {
+        panic!("a capture armed after uncaptured work replayed, shifted");
+    };
+    assert!(err.contains("base_ns"), "{err}");
+}
+
 /// The committed artifact `scripts/check.sh` regenerates and diffs.
 const COMMITTED: &str = include_str!("../../../results/CAPTURE_saturation.jsonl");
 

@@ -25,9 +25,11 @@
 //! cargo run --release --example fault_storm
 //! ```
 
-use sleds_repro::devices::{BlockDevice, DiskDevice, FaultPlan, FaultState};
+use sleds_repro::devices::{FaultPlan, FaultState};
 use sleds_repro::fs::{Kernel, OpenFlags, VolumeLayout};
 use sleds_repro::lmbench::fill_table;
+use sleds_repro::replay::{build_kernel, WorkloadSpec};
+use sleds_repro::scenarios;
 use sleds_repro::sim_core::{SimDuration, SimTime, PAGE_SIZE};
 use sleds_repro::sleds::{
     fsleds_get, recalibrate, total_delivery_time, AttackPlan, PickConfig, PickSession, RecalPolicy,
@@ -43,29 +45,22 @@ fn fold(checksum: u64, bytes: &[u8]) -> u64 {
         .fold(checksum, |a, &b| a.wrapping_mul(31).wrapping_add(b as u64))
 }
 
+/// `dev` offline for the whole run.
+fn offline(dev: &str) -> FaultPlan {
+    let forever = SimTime::from_nanos(u64::MAX);
+    FaultPlan::new().offline(dev, SimTime::ZERO, forever, SimDuration::from_millis(1))
+}
+
 /// Property 1: one run under a seeded storm over two disks. Reads that fail
 /// (offline windows fail non-retryably) are part of the replayed result, so
 /// their rendered errors fold into the checksum alongside the data.
 fn run_storm(seed: u64) -> (u64, u64, u64, u64) {
-    let mut k = Kernel::table2();
-    let files = 6;
-    let pages = 8usize;
-    for (d, (dir, dev)) in [("/data", "hda"), ("/mirror", "hdb")].iter().enumerate() {
-        k.mkdir(dir).expect("mkdir");
-        k.mount_disk(dir, DiskDevice::table2_disk(*dev))
-            .expect("mount");
-        for i in 0..files {
-            let body = vec![(d * files + i) as u8; pages * PAGE_SIZE as usize];
-            k.install_file(&format!("{dir}/f{i}"), &body)
-                .expect("install");
-        }
-    }
-    k.drop_caches().expect("drop_caches");
-    k.apply_fault_plan(&FaultPlan::seeded_storm(
-        seed,
-        &["hda", "hdb"],
-        SimDuration::from_secs(60),
-    ));
+    let (files, pages) = (6, 8usize);
+    let mut k = build_kernel(&WorkloadSpec {
+        fault_plan: FaultPlan::seeded_storm(seed, &["hda", "hdb"], SimDuration::from_secs(60)),
+        ..scenarios::disks(&[("/data", "hda"), ("/mirror", "hdb")], files, pages)
+    })
+    .expect("build kernel");
 
     let mut checksum = 0u64;
     for _pass in 0..3 {
@@ -99,28 +94,14 @@ fn run_storm(seed: u64) -> (u64, u64, u64, u64) {
 /// must succeed — the budgeted failures are masked by bounded retries — and
 /// the masking is visible in rusage, not in the application.
 fn run_transient_masking() -> (u64, u64, u64) {
-    let mut k = Kernel::table2();
-    k.mkdir("/data").expect("mkdir");
-    k.mount_disk("/data", DiskDevice::table2_disk("hda"))
-        .expect("mount");
-    let files = 4;
-    let pages = 6usize;
-    for i in 0..files {
-        k.install_file(
-            &format!("/data/f{i}"),
-            &vec![i as u8; pages * PAGE_SIZE as usize],
-        )
-        .expect("install");
-    }
-    k.drop_caches().expect("drop_caches");
-    let start = k.now();
-    k.apply_fault_plan(&FaultPlan::new().transient(
-        "hda",
-        start,
-        start + SimDuration::from_secs(600),
-        3,
-        SimDuration::from_millis(2),
-    ));
+    let (files, pages) = (4, 6usize);
+    let end = SimTime::ZERO + SimDuration::from_secs(600);
+    let cost = SimDuration::from_millis(2);
+    let mut k = build_kernel(&WorkloadSpec {
+        fault_plan: FaultPlan::new().transient("hda", SimTime::ZERO, end, 3, cost),
+        ..scenarios::disks(&[("/data", "hda")], files, pages)
+    })
+    .expect("build kernel");
     let mut ok = 0u64;
     for i in 0..files {
         let fd = k
@@ -142,28 +123,16 @@ fn run_transient_masking() -> (u64, u64, u64) {
 /// Property 3: half-cached file, device offline. `FSLEDS_GET` prices the
 /// device extents unavailable; `Defer` plans them last, `Skip` prunes them.
 fn run_offline_routing() -> (usize, usize, usize, usize) {
-    let mut k = Kernel::table2();
-    k.mkdir("/data").expect("mkdir");
-    let m = k
-        .mount_disk("/data", DiskDevice::table2_disk("hda"))
-        .expect("mount");
-    let dev = k.device_of_mount(m).expect("device");
+    let mut k = build_kernel(&scenarios::disks(&[("/data", "hda")], 1, 8)).expect("build kernel");
+    let dev = k.find_mount("/data").and_then(|m| k.device_of_mount(m));
     let mut table = SledsTable::new();
     table.fill_memory(SledsEntry::new(175e-9, 48e6));
-    table.fill_device(dev, SledsEntry::new(0.018, 9e6));
+    table.fill_device(dev.expect("device"), SledsEntry::new(0.018, 9e6));
 
-    k.install_file("/data/f", &vec![7u8; 8 * PAGE_SIZE as usize])
-        .expect("install");
-    k.drop_caches().expect("drop_caches");
-    let fd = k.open("/data/f", OpenFlags::RDONLY).expect("open");
+    let fd = k.open("/data/f0", OpenFlags::RDONLY).expect("open");
     // Warm the first half, then lose the disk that holds the rest.
     k.read(fd, 4 * PAGE_SIZE as usize).expect("warm");
-    k.apply_fault_plan(&FaultPlan::new().offline(
-        "hda",
-        SimTime::ZERO,
-        SimTime::from_nanos(u64::MAX),
-        SimDuration::from_millis(1),
-    ));
+    k.apply_fault_plan(&offline("hda"));
 
     let sleds = fsleds_get(&mut k, fd, &table).expect("fsleds_get");
     let unavailable = sleds.iter().filter(|s| s.unavailable()).count();
@@ -197,24 +166,11 @@ fn run_replica_reroute() -> (u64, u64, u64, u64) {
     let pages = 6usize;
 
     // Baseline: unreplicated disk, offline for the whole read phase.
-    let mut k = Kernel::table2();
-    k.mkdir("/flat").expect("mkdir");
-    k.mount_disk("/flat", DiskDevice::table2_disk("hda"))
-        .expect("mount");
-    for i in 0..files {
-        k.install_file(
-            &format!("/flat/f{i}"),
-            &vec![i as u8; pages * PAGE_SIZE as usize],
-        )
-        .expect("install");
-    }
-    k.drop_caches().expect("drop_caches");
-    k.apply_fault_plan(&FaultPlan::new().offline(
-        "hda",
-        SimTime::ZERO,
-        SimTime::from_nanos(u64::MAX),
-        SimDuration::from_millis(1),
-    ));
+    let mut k = build_kernel(&WorkloadSpec {
+        fault_plan: offline("hda"),
+        ..scenarios::disks(&[("/flat", "hda")], files, pages)
+    })
+    .expect("build kernel");
     let mut flat_errors = 0u64;
     for i in 0..files {
         let fd = k
@@ -231,33 +187,13 @@ fn run_replica_reroute() -> (u64, u64, u64, u64) {
     );
 
     // The mirror: same outage on the primary, zero app-visible errors.
-    let mut k = Kernel::table2();
-    k.mkdir("/vol").expect("mkdir");
-    let m = k
-        .mount_volume(
-            "/vol",
-            VolumeLayout::Mirrored,
-            vec![
-                Box::new(DiskDevice::table2_disk("vd0")) as Box<dyn BlockDevice>,
-                Box::new(DiskDevice::table2_disk("vd1")),
-            ],
-        )
-        .expect("mount_volume");
-    let members = k.volume_members(m);
-    for i in 0..files {
-        k.install_file(
-            &format!("/vol/f{i}"),
-            &vec![i as u8; pages * PAGE_SIZE as usize],
-        )
-        .expect("install");
-    }
-    k.drop_caches().expect("drop_caches");
-    k.apply_fault_plan(&FaultPlan::new().offline(
-        "vd0",
-        SimTime::ZERO,
-        SimTime::from_nanos(u64::MAX),
-        SimDuration::from_millis(1),
-    ));
+    let members = [("table2_disk", "vd0"), ("table2_disk", "vd1")];
+    let mut k = build_kernel(&WorkloadSpec {
+        fault_plan: offline("vd0"),
+        ..scenarios::volume(VolumeLayout::Mirrored, &members, files, pages)
+    })
+    .expect("build kernel");
+    let members = k.volume_members(k.find_mount("/vol").expect("mount"));
     let mut mirrored_ok = 0u64;
     for i in 0..files {
         let fd = k
@@ -342,17 +278,14 @@ fn recal_now(k: &mut Kernel, table: &SledsTable) -> SledsTable {
 /// * `recovered` — one post-recovery recal from a fresh observation
 ///   window restores the baseline.
 fn run_recovery() -> (f64, f64, f64, f64) {
-    let mut k = Kernel::table2();
-    k.mkdir("/data").expect("mkdir");
-    let m = k
-        .mount_disk("/data", DiskDevice::table2_disk("hda"))
-        .expect("mount");
+    let mut k = build_kernel(&scenarios::disks(
+        &[("/data", "hda")],
+        FILES,
+        PAGES_PER_FILE,
+    ))
+    .expect("build kernel");
+    let m = k.find_mount("/data").expect("mount");
     let dev = k.device_of_mount(m).expect("device");
-    let bytes = PAGES_PER_FILE * PAGE_SIZE as usize;
-    for i in 0..FILES {
-        k.install_file(&format!("/data/f{i}"), &vec![i as u8; bytes])
-            .expect("install");
-    }
     let table0 = fill_table(&mut k, &[("/data", m)]).expect("lmbench calibration");
     // Warmup so head position and zone state reach steady state.
     read_pass(&mut k);

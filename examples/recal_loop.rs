@@ -16,9 +16,10 @@
 //! cargo run --release --example recal_loop
 //! ```
 
-use sleds_repro::devices::{CdRomDevice, DiskDevice, NfsDevice, TapeDevice};
 use sleds_repro::fs::{Kernel, OpenFlags};
 use sleds_repro::lmbench::fill_table;
+use sleds_repro::replay::build_kernel;
+use sleds_repro::scenarios;
 use sleds_repro::sim_core::PAGE_SIZE;
 use sleds_repro::sleds::{recalibrate, total_delivery_time, AttackPlan, RecalPolicy, SledsTable};
 use sleds_repro::trace::{audit_accuracy, summarize_class, AccuracySample, ClassAccuracy};
@@ -28,10 +29,13 @@ use sleds_repro::trace::{audit_accuracy, summarize_class, AccuracySample, ClassA
 const FILES_PER_MOUNT: usize = 3;
 const PAGES_PER_FILE: usize = 12;
 
+/// The four storage levels' mount points.
+const DIRS: [&str; 4] = ["/data", "/cdrom", "/nfs", "/hsm"];
+
 /// Every file the workload reads, in a fixed order.
 fn corpus() -> Vec<String> {
     let mut paths = Vec::new();
-    for dir in ["/data", "/cdrom", "/nfs", "/hsm"] {
+    for dir in DIRS {
         for i in 0..FILES_PER_MOUNT {
             paths.push(format!("{dir}/f{i}"));
         }
@@ -80,51 +84,12 @@ fn classes_at(samples: &[AccuracySample], generation: u64) -> Vec<ClassAccuracy>
 }
 
 fn main() {
-    let mut k = Kernel::table2();
-    for dir in ["/data", "/cdrom", "/nfs", "/hsm"] {
-        k.mkdir(dir).expect("mkdir");
-    }
-    let m_disk = k
-        .mount_disk("/data", DiskDevice::table2_disk("hda"))
-        .expect("mount disk");
-    let m_cd = k
-        .mount_cdrom("/cdrom", CdRomDevice::table2_drive("cd0"))
-        .expect("mount cdrom");
-    let m_nfs = k
-        .mount_nfs("/nfs", NfsDevice::table2_mount("srv:/export"))
-        .expect("mount nfs");
-    let m_hsm = k
-        .mount_hsm(
-            "/hsm",
-            DiskDevice::table2_disk("hdb"),
-            Box::new(TapeDevice::dlt("st0")),
-            256,
-        )
-        .expect("mount hsm");
-
-    let bytes = PAGES_PER_FILE * PAGE_SIZE as usize;
-    for (d, dir) in ["/data", "/cdrom", "/nfs", "/hsm"].iter().enumerate() {
-        for i in 0..FILES_PER_MOUNT {
-            let body = vec![(d * FILES_PER_MOUNT + i) as u8; bytes];
-            k.install_file(&format!("{dir}/f{i}"), &body)
-                .expect("install");
-        }
-    }
-    for i in 0..FILES_PER_MOUNT {
-        k.hsm_migrate(&format!("/hsm/f{i}"), true).expect("migrate");
-    }
+    let spec = scenarios::four_levels(FILES_PER_MOUNT, PAGES_PER_FILE);
+    let mut k = build_kernel(&spec).expect("build kernel");
 
     // Boot-time table: lmbench-style probes, generation 0.
-    let table = fill_table(
-        &mut k,
-        &[
-            ("/data", m_disk),
-            ("/cdrom", m_cd),
-            ("/nfs", m_nfs),
-            ("/hsm", m_hsm),
-        ],
-    )
-    .expect("lmbench calibration");
+    let mounts = DIRS.map(|dir| (dir, k.find_mount(dir).expect("mount")));
+    let table = fill_table(&mut k, &mounts).expect("lmbench calibration");
     assert_eq!(table.generation(), 0);
 
     // Untraced warmup: one full pass so slow-moving device state (NFS

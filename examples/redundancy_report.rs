@@ -33,8 +33,10 @@
 //! cargo run --release --example redundancy_report
 //! ```
 
-use sleds_repro::devices::{BlockDevice, DiskDevice, FaultPlan, FaultState, NfsDevice};
-use sleds_repro::fs::{HedgePolicy, Kernel, OpenFlags, Rusage, TenantId, VolumeLayout};
+use sleds_repro::devices::{FaultPlan, FaultState};
+use sleds_repro::fs::{HedgePolicy, OpenFlags, Rusage, TenantId, VolumeLayout};
+use sleds_repro::replay::{build_kernel, WorkloadSpec};
+use sleds_repro::scenarios;
 use sleds_repro::sim_core::{SimDuration, SimTime, PAGE_SIZE, SECTOR_SIZE};
 
 const STORM_SEED: u64 = 0x5EED5;
@@ -102,55 +104,39 @@ fn percentile(samples: &[u64], q: f64) -> u64 {
 /// to sum; pacing (2 s of think time per read) marches the virtual clock
 /// through every storm window.
 fn run_config(cfg: Config, hedged: bool) -> Outcome {
-    let mut k = Kernel::table2();
-    k.set_hedge_policy(if hedged {
-        HedgePolicy::default()
-    } else {
-        HedgePolicy::disabled()
-    });
-    k.mkdir("/vol").expect("mkdir");
-    let members = match cfg {
-        Config::Flat => {
-            let m = k
-                .mount_disk("/vol", DiskDevice::table2_disk("primary"))
-                .expect("mount");
-            vec![k.device_of_mount(m).expect("device")]
-        }
+    let primary = ("table2_disk", "primary");
+    let machine = match cfg {
+        Config::Flat => scenarios::disks(&[("/vol", "primary")], FILES, PAGES),
         Config::Mirror => {
-            let m = k
-                .mount_volume(
-                    "/vol",
-                    VolumeLayout::Mirrored,
-                    vec![
-                        Box::new(DiskDevice::table2_disk("primary")) as Box<dyn BlockDevice>,
-                        Box::new(DiskDevice::table2_disk("replica1")),
-                    ],
-                )
-                .expect("mount_volume");
-            k.volume_members(m)
+            let members = [primary, ("table2_disk", "replica1")];
+            scenarios::volume(VolumeLayout::Mirrored, &members, FILES, PAGES)
         }
         Config::Coded => {
-            let m = k
-                .mount_volume(
-                    "/vol",
-                    VolumeLayout::Coded { k: 2 },
-                    vec![
-                        Box::new(DiskDevice::table2_disk("primary")) as Box<dyn BlockDevice>,
-                        Box::new(NfsDevice::metro_link("replica1")),
-                        Box::new(NfsDevice::regional_link("replica2")),
-                    ],
-                )
-                .expect("mount_volume");
-            k.volume_members(m)
+            let members = [
+                primary,
+                ("nfs_metro", "replica1"),
+                ("nfs_regional", "replica2"),
+            ];
+            scenarios::volume(VolumeLayout::Coded { k: 2 }, &members, FILES, PAGES)
         }
     };
-    let bytes = PAGES * PAGE_SIZE as usize;
-    for i in 0..FILES {
-        k.install_file(&format!("/vol/f{i}"), &vec![i as u8; bytes])
-            .expect("install");
+    let spec = WorkloadSpec {
+        fault_plan: storm(),
+        hedge: if hedged {
+            HedgePolicy::default()
+        } else {
+            HedgePolicy::disabled()
+        },
+        ..machine
+    };
+    let mut k = build_kernel(&spec).expect("build kernel");
+    // A volume's members, or the one disk of the flat mount.
+    let m = k.find_mount("/vol").expect("mount");
+    let mut members = k.volume_members(m);
+    if members.is_empty() {
+        members.extend(k.device_of_mount(m));
     }
-    k.drop_caches().expect("drop_caches");
-    k.apply_fault_plan(&storm());
+    let bytes = PAGES * PAGE_SIZE as usize;
 
     let tenants: Vec<TenantId> = (0..2)
         .map(|t| k.tenant_register(&format!("tenant-{t}")))

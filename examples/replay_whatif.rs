@@ -28,8 +28,9 @@
 use sleds_repro::faults::FaultPlan;
 use sleds_repro::fs::{Fd, Kernel, OpenFlags, SubmissionRing, Syscall, TenantId};
 use sleds_repro::replay::{
-    diff_captures, replay, CandidateConfig, CaptureFile, SetupStep, WorkloadSpec,
+    build_kernel, diff_captures, replay, CandidateConfig, CaptureFile, WorkloadSpec,
 };
+use sleds_repro::scenarios;
 use sleds_repro::sim_core::{SimDuration, SimTime, VirtualSubmitter};
 
 /// Recorder budget: far above the workload's op count, so the capture
@@ -52,67 +53,17 @@ struct Lane {
     think: SimDuration,
 }
 
-/// The scaled saturation environment: every mount class the observatory
-/// uses, with per-tenant sparse files sized for the request streams.
+/// The scaled saturation environment: the disk/NFS/HSM machine with
+/// per-tenant sparse files sized for the request streams.
 fn build_spec() -> WorkloadSpec {
-    let mut spec = WorkloadSpec::new("table2");
-    for p in ["/disk", "/nfs", "/hsm"] {
-        spec.setup.push(SetupStep::Mkdir {
-            path: p.to_string(),
-        });
-    }
-    spec.setup.push(SetupStep::MountDisk {
-        path: "/disk".to_string(),
-        model: "table2_disk".to_string(),
-        name: "hda".to_string(),
-    });
-    spec.setup.push(SetupStep::MountNfs {
-        path: "/nfs".to_string(),
-        model: "table2_mount".to_string(),
-        name: "nfs0".to_string(),
-    });
-    spec.setup.push(SetupStep::MountHsm {
-        path: "/hsm".to_string(),
-        disk_model: "table2_disk".to_string(),
-        disk_name: "hdb".to_string(),
-        tape_model: "dlt".to_string(),
-        tape_name: "tape0".to_string(),
-        chunk_pages: 16,
-    });
-    for i in 0..2 {
-        spec.setup.push(SetupStep::InstallSparseFile {
-            path: format!("/disk/bulk{i}.dat"),
-            size: 8 * MIB,
-        });
-    }
-    for i in 0..8 {
-        spec.setup.push(SetupStep::InstallSparseFile {
-            path: format!("/disk/web{i}.html"),
-            size: 128 * KIB,
-        });
-    }
-    spec.setup.push(SetupStep::InstallSparseFile {
-        path: "/disk/ring.dat".to_string(),
-        size: 128 * KIB,
-    });
-    for i in 0..3 {
-        spec.setup.push(SetupStep::InstallSparseFile {
-            path: format!("/nfs/home{i}.dat"),
-            size: 256 * KIB,
-        });
-    }
-    for i in 0..2 {
-        spec.setup.push(SetupStep::InstallSparseFile {
-            path: format!("/hsm/arch{i}.dat"),
-            size: 256 * KIB,
-        });
-        spec.setup.push(SetupStep::HsmMigrate {
-            path: format!("/hsm/arch{i}.dat"),
-            free: true,
-        });
-    }
-    spec.setup.push(SetupStep::DropCaches);
-    spec
+    let mut files: Vec<(String, u64)> = (0..2)
+        .map(|i| (format!("/disk/bulk{i}.dat"), 8 * MIB))
+        .collect();
+    files.extend((0..8).map(|i| (format!("/disk/web{i}.html"), 128 * KIB)));
+    files.push(("/disk/ring.dat".into(), 128 * KIB));
+    files.extend((0..3).map(|i| (format!("/nfs/home{i}.dat"), 256 * KIB)));
+    files.extend((0..2).map(|i| (format!("/hsm/arch{i}.dat"), 256 * KIB)));
+    scenarios::disk_nfs_hsm(&files)
 }
 
 /// Registers the population, runs the earliest-ready interleave with the
@@ -236,7 +187,7 @@ fn drive(k: &mut Kernel) {
 }
 
 fn capture_workload(spec: &WorkloadSpec) -> CaptureFile {
-    let mut k = sleds_repro::replay::build_kernel(spec).expect("build kernel");
+    let mut k = build_kernel(spec).expect("build kernel");
     k.start_capture(CAPTURE_BUDGET);
     drive(&mut k);
     let capture = k.stop_capture().expect("capture armed");

@@ -27,8 +27,9 @@
 //! cargo run --release --example saturation_report
 //! ```
 
-use sleds_repro::devices::{DiskDevice, NfsDevice, TapeDevice};
 use sleds_repro::fs::{Fd, Kernel, OpenFlags, Rusage, SaturationReport, TenantId};
+use sleds_repro::replay::build_kernel;
+use sleds_repro::scenarios;
 use sleds_repro::sim_core::{SimDuration, VirtualSubmitter};
 use sleds_repro::trace::chrome_trace_json_named;
 
@@ -58,25 +59,6 @@ const TAPE_TENANTS: usize = 6;
 /// Builds the machine and tenant population, runs the interleave to
 /// completion, and returns the report plus replay signature.
 fn run(traced: bool) -> (SaturationReport, Rusage, Vec<Rusage>, u64, Kernel) {
-    let mut k = Kernel::table2();
-    if traced {
-        k.enable_tracing_with_capacity(1 << 13);
-    }
-    for dir in ["/disk", "/nfs", "/hsm"] {
-        k.mkdir(dir).expect("mkdir");
-    }
-    k.mount_disk("/disk", DiskDevice::table2_disk("hda"))
-        .expect("mount disk");
-    k.mount_nfs("/nfs", NfsDevice::table2_mount("nfs0"))
-        .expect("mount nfs");
-    k.mount_hsm(
-        "/hsm",
-        DiskDevice::table2_disk("hdb"),
-        Box::new(TapeDevice::dlt("tape0")),
-        16,
-    )
-    .expect("mount hsm");
-
     // Population: 2 bulk tenants that hammer the disk with zero think
     // time, a crowd of light disk tenants, an NFS group, and a tape group
     // whose reads stage chunks back through the HSM.
@@ -122,13 +104,14 @@ fn run(traced: bool) -> (SaturationReport, Rusage, Vec<Rusage>, u64, Kernel) {
             SimDuration::from_millis(2),
         ));
     }
-    for (_, path, size, ..) in &plan {
-        k.install_sparse_file(path, *size).expect("install");
-        if path.starts_with("/hsm/") {
-            k.hsm_migrate(path, true).expect("migrate to tape");
-        }
+    let files: Vec<(String, u64)> = plan
+        .iter()
+        .map(|(_, p, size, ..)| (p.clone(), *size))
+        .collect();
+    let mut k = build_kernel(&scenarios::disk_nfs_hsm(&files)).expect("build kernel");
+    if traced {
+        k.enable_tracing_with_capacity(1 << 13);
     }
-    k.drop_caches().expect("drop_caches");
 
     // Register tenants and open each one's file on its own timeline.
     let mut sub = VirtualSubmitter::new();

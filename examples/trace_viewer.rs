@@ -22,9 +22,10 @@
 use sleds_repro::apps::find::{find, FindOptions};
 use sleds_repro::apps::grep::{grep, GrepOptions};
 use sleds_repro::apps::wc::wc;
-use sleds_repro::devices::{DiskDevice, NfsDevice, TapeDevice};
-use sleds_repro::fs::{Kernel, OpenFlags};
+use sleds_repro::fs::OpenFlags;
 use sleds_repro::lmbench::fill_table;
+use sleds_repro::replay::build_kernel;
+use sleds_repro::scenarios;
 use sleds_repro::sim_core::{DetRng, PAGE_SIZE};
 use sleds_repro::sleds::LatencyPredicate;
 use sleds_repro::textmatch::Regex;
@@ -47,50 +48,17 @@ fn random_text(n: usize, seed: u64) -> Vec<u8> {
 }
 
 fn main() {
-    // One machine, four storage levels.
-    let mut k = Kernel::table2();
-    for dir in ["/data", "/cdrom", "/nfs", "/hsm"] {
-        k.mkdir(dir).expect("mkdir");
-    }
-    let m_disk = k
-        .mount_disk("/data", DiskDevice::table2_disk("hda"))
-        .expect("mount disk");
-    let m_cd = k
-        .mount_cdrom(
-            "/cdrom",
-            sleds_repro::devices::CdRomDevice::table2_drive("cd0"),
-        )
-        .expect("mount cdrom");
-    let m_nfs = k
-        .mount_nfs("/nfs", NfsDevice::table2_mount("srv:/export"))
-        .expect("mount nfs");
-    let m_hsm = k
-        .mount_hsm(
-            "/hsm",
-            DiskDevice::table2_disk("hdb"),
-            Box::new(TapeDevice::dlt("st0")),
-            256,
-        )
-        .expect("mount hsm");
-    let table = fill_table(
-        &mut k,
-        &[
-            ("/data", m_disk),
-            ("/cdrom", m_cd),
-            ("/nfs", m_nfs),
-            ("/hsm", m_hsm),
-        ],
-    )
-    .expect("lmbench calibration");
+    // One machine, four storage levels, calibrated before the corpus goes
+    // in: the probes move each mount's allocator.
+    let dirs = ["/data", "/cdrom", "/nfs", "/hsm"];
+    let mut k = build_kernel(&scenarios::four_levels(0, 0)).expect("build kernel");
+    let mounts = dirs.map(|dir| (dir, k.find_mount(dir).expect("mount")));
+    let table = fill_table(&mut k, &mounts).expect("lmbench calibration");
 
     let text = random_text(96 * PAGE_SIZE as usize, 7);
-    for path in [
-        "/data/corpus.txt",
-        "/cdrom/corpus.txt",
-        "/nfs/corpus.txt",
-        "/hsm/corpus.txt",
-    ] {
-        k.install_file(path, &text).expect("install");
+    for dir in dirs {
+        k.install_file(&format!("{dir}/corpus.txt"), &text)
+            .expect("install");
     }
     k.hsm_migrate("/hsm/corpus.txt", true).expect("migrate");
     // Warm a middle slice of the disk copy so the pick order is genuinely

@@ -17,6 +17,8 @@ pub use sleds_sim_core as sim_core;
 pub use sleds_textmatch as textmatch;
 pub use sleds_trace as trace;
 
+pub mod scenarios;
+
 /// Where the `examples/` reports land: `$SLEDS_RESULTS`, or the committed
 /// `results/` directory when unset.
 pub fn results_dir() -> std::path::PathBuf {

@@ -30,7 +30,7 @@ fn hsm_env() -> (Kernel, SledsTable) {
     let m = k
         .mount_hsm(
             "/hsm",
-            DiskDevice::table2_disk("hda"),
+            Box::new(DiskDevice::table2_disk("hda")),
             Box::new(TapeDevice::dlt("st0")),
             512,
         )
@@ -146,8 +146,13 @@ fn jukebox_backed_hsm_pays_robot_time_once_per_cartridge() {
     let mut k = Kernel::table2();
     k.mkdir("/hsm").unwrap();
     let jb = Jukebox::new("jb0", 4, 1, JukeboxParams::default());
-    k.mount_hsm("/hsm", DiskDevice::table2_disk("hda"), Box::new(jb), 512)
-        .unwrap();
+    k.mount_hsm(
+        "/hsm",
+        Box::new(DiskDevice::table2_disk("hda")),
+        Box::new(jb),
+        512,
+    )
+    .unwrap();
     let data = vec![5u8; 64 * PAGE_SIZE as usize];
     k.install_file("/hsm/a.dat", &data).unwrap();
     k.install_file("/hsm/b.dat", &data).unwrap();
