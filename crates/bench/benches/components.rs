@@ -125,7 +125,7 @@ fn bench_device_models() {
     }
     {
         let mut d = TapeDevice::dlt("st0");
-        d.ensure_loaded();
+        d.read(0, 8, SimTime::ZERO).unwrap(); // mount
         let cap = d.capacity_sectors();
         let mut rng = DetRng::new(2);
         time("device_models/tape_locate", || {

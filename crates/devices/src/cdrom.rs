@@ -10,12 +10,9 @@
 //! Default parameters measure (via `sleds-lmbench`) to roughly Table 2's
 //! 130 ms latency and 2.8 MB/s bandwidth.
 
-use sleds_sim_core::{Bandwidth, DetRng, SimDuration, SimResult, SimTime, SECTOR_SIZE};
+use sleds_sim_core::{Bandwidth, DetRng, SimDuration, SimTime, SECTOR_SIZE};
 
-use crate::{
-    apply_fault_overheads, check_range, fault_gate, BlockDevice, DevStats, DeviceClass,
-    DeviceProfile, FaultInjector, FaultState, PhaseKind, PhaseLog, ServicePhase,
-};
+use crate::{jitter_factor, Device, DeviceClass, DeviceProfile, Mechanism, PhaseKind, PhaseLog};
 
 /// Timing parameters for a CD-ROM drive.
 #[derive(Clone, Copy, Debug)]
@@ -44,91 +41,52 @@ impl Default for CdRomParams {
     }
 }
 
-/// A CD-ROM drive with laser-position state.
+/// A CD-ROM drive: the [`CdRom`] mechanism in the device shell.
+pub type CdRomDevice = Device<CdRom>;
+
+impl CdRomDevice {
+    /// A 650 MB disc in a drive tuned to Table 2 (130 ms, 2.8 MB/s).
+    pub fn table2_drive(name: impl Into<String>) -> Self {
+        Device::from_mechanism(name, CdRom::new(650 << 20, CdRomParams::default()))
+    }
+
+    /// Enables multiplicative jitter on seek times.
+    pub fn with_jitter(mut self, rng: DetRng, amplitude: f64) -> Self {
+        self.mechanism_mut().jitter = Some((rng, amplitude));
+        self
+    }
+}
+
+/// A CD-ROM drive's mechanics: the laser position over read-only media.
 #[derive(Clone, Debug)]
-pub struct CdRomDevice {
-    name: String,
+pub struct CdRom {
     params: CdRomParams,
     capacity: u64,
     /// Sector just past the last one transferred; the laser tracks here.
     position: u64,
-    stats: DevStats,
-    phases: PhaseLog,
     jitter: Option<(DetRng, f64)>,
-    faults: Option<FaultInjector>,
 }
 
-impl CdRomDevice {
-    /// Creates a CD-ROM of `capacity_bytes` with the given parameters.
-    pub fn new(name: impl Into<String>, capacity_bytes: u64, params: CdRomParams) -> Self {
-        CdRomDevice {
-            name: name.into(),
+impl CdRom {
+    /// A drive holding a disc of `capacity_bytes`.
+    pub fn new(capacity_bytes: u64, params: CdRomParams) -> Self {
+        CdRom {
             params,
             capacity: capacity_bytes / SECTOR_SIZE,
             position: 0,
-            stats: DevStats::default(),
-            phases: PhaseLog::default(),
             jitter: None,
-            faults: None,
         }
-    }
-
-    /// A 650 MB disc in a drive tuned to Table 2 (130 ms, 2.8 MB/s).
-    pub fn table2_drive(name: impl Into<String>) -> Self {
-        CdRomDevice::new(name, 650 << 20, CdRomParams::default())
-    }
-
-    /// Enables multiplicative jitter on positioning costs.
-    pub fn with_jitter(mut self, rng: DetRng, amplitude: f64) -> Self {
-        self.jitter = Some((rng, amplitude));
-        self
     }
 
     /// Current laser position (sector just past the last transfer).
     pub fn position(&self) -> u64 {
         self.position
     }
-
-    fn jitter_factor(&mut self) -> f64 {
-        match &mut self.jitter {
-            Some((rng, amp)) => {
-                let amp = *amp;
-                rng.jitter(amp)
-            }
-            None => 1.0,
-        }
-    }
-
-    fn service(&mut self, start: u64, sectors: u64) -> (SimDuration, bool) {
-        self.phases.add(PhaseKind::Overhead, self.params.overhead);
-        let mut t = self.params.overhead;
-        let repositioned = start != self.position;
-        if repositioned {
-            let dist_frac = start.abs_diff(self.position) as f64 / self.capacity.max(1) as f64;
-            let seek_secs = self.params.seek_base.as_secs_f64()
-                + dist_frac * self.params.seek_full.as_secs_f64()
-                + self.params.settle.as_secs_f64();
-            let jf = self.jitter_factor();
-            let seek = SimDuration::from_secs_f64(seek_secs * jf);
-            self.phases.add(PhaseKind::Seek, seek);
-            t += seek;
-        }
-        let xfer = self.params.media_rate.transfer_time(sectors * SECTOR_SIZE);
-        self.phases.add(PhaseKind::Transfer, xfer);
-        t += xfer;
-        self.position = start + sectors;
-        (t, repositioned)
-    }
 }
 
-impl BlockDevice for CdRomDevice {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn class(&self) -> DeviceClass {
-        DeviceClass::CdRom
-    }
+impl Mechanism for CdRom {
+    const CLASS: DeviceClass = DeviceClass::CdRom;
+    const READ_ONLY: bool = true;
 
     fn capacity_sectors(&self) -> u64 {
         self.capacity
@@ -141,60 +99,47 @@ impl BlockDevice for CdRomDevice {
                 + self.params.settle.as_secs_f64(),
         );
         DeviceProfile {
-            class: DeviceClass::CdRom,
+            class: Self::CLASS,
             nominal_latency: lat,
             nominal_bandwidth: self.params.media_rate,
         }
     }
 
-    fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity, start, sectors)?;
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        let (t, repo) = self.service(start, sectors);
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        self.stats.note_read(sectors, t, repo);
-        Ok(t)
-    }
-
-    fn write(&mut self, _start: u64, _sectors: u64, _now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        Err(sleds_sim_core::SimError::new(
-            sleds_sim_core::Errno::Erofs,
-            format!("{}: CD-ROM is read-only", self.name),
-        ))
-    }
-
-    fn stats(&self) -> DevStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DevStats::default();
-    }
-
-    fn last_phases(&self) -> &[ServicePhase] {
-        self.phases.as_slice()
-    }
-
-    fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.faults = Some(injector);
-    }
-
-    fn fault_epoch(&self, now: SimTime) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.epoch(now))
-    }
-
-    fn fault_state(&self, now: SimTime) -> FaultState {
-        self.faults
-            .as_ref()
-            .map_or(FaultState::Healthy, |f| f.state(now))
+    /// Seeks and resynchronizes unless the command starts at the laser,
+    /// then transfers at the media rate.
+    fn service(
+        &mut self,
+        start: u64,
+        sectors: u64,
+        _write: bool,
+        _now: SimTime,
+        phases: &mut PhaseLog,
+    ) -> (SimDuration, u64) {
+        phases.add(PhaseKind::Overhead, self.params.overhead);
+        let mut t = self.params.overhead;
+        let repositioned = start != self.position;
+        if repositioned {
+            let dist_frac = start.abs_diff(self.position) as f64 / self.capacity.max(1) as f64;
+            let seek_secs = self.params.seek_base.as_secs_f64()
+                + dist_frac * self.params.seek_full.as_secs_f64()
+                + self.params.settle.as_secs_f64();
+            let jf = jitter_factor(&mut self.jitter);
+            let seek = SimDuration::from_secs_f64(seek_secs * jf);
+            phases.add(PhaseKind::Seek, seek);
+            t += seek;
+        }
+        let xfer = self.params.media_rate.transfer_time(sectors * SECTOR_SIZE);
+        phases.add(PhaseKind::Transfer, xfer);
+        t += xfer;
+        self.position = start + sectors;
+        (t, u64::from(repositioned))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockDevice;
 
     #[test]
     fn phases_cover_overhead_seek_transfer() {

@@ -20,11 +20,10 @@
 //! short distances, linear beyond one third of the stroke (see Ruemmler &
 //! Wilkes, "An introduction to disk drive modeling", IEEE Computer 1994).
 
-use sleds_sim_core::{Bandwidth, DetRng, SimDuration, SimResult, SimTime, SECTOR_SIZE};
+use sleds_sim_core::{Bandwidth, DetRng, SimDuration, SimTime, SECTOR_SIZE};
 
 use crate::{
-    apply_fault_overheads, check_range, fault_gate, BlockDevice, DevStats, DeviceClass,
-    DeviceProfile, FaultInjector, FaultState, PhaseKind, PhaseLog, ServicePhase,
+    jitter_factor, Device, DeviceClass, DeviceProfile, Mechanism, PhaseKind, PhaseLog, ZoneSpan,
 };
 
 /// A recording zone: a contiguous run of cylinders with uniform
@@ -76,6 +75,60 @@ impl DiskGeometry {
     pub fn rotation_period(&self) -> SimDuration {
         SimDuration::from_secs_f64(60.0 / self.rpm as f64)
     }
+
+    /// The geometry of [`DiskDevice::table2_disk`].
+    pub(crate) fn table2() -> Self {
+        DiskGeometry {
+            heads: 4,
+            rpm: 5400,
+            zones: vec![
+                Zone {
+                    cylinders: 4000,
+                    sectors_per_track: 260,
+                },
+                Zone {
+                    cylinders: 4000,
+                    sectors_per_track: 220,
+                },
+                Zone {
+                    cylinders: 4000,
+                    sectors_per_track: 170,
+                },
+            ],
+            track_to_track: SimDuration::from_micros(1_800),
+            average_seek: SimDuration::from_millis(12),
+            full_stroke: SimDuration::from_millis(22),
+            head_switch: SimDuration::from_micros(900),
+            controller_overhead: SimDuration::from_micros(200),
+        }
+    }
+
+    /// The geometry of [`DiskDevice::table3_disk`].
+    fn table3() -> Self {
+        DiskGeometry {
+            heads: 4,
+            rpm: 5400,
+            zones: vec![
+                Zone {
+                    cylinders: 4000,
+                    sectors_per_track: 200,
+                },
+                Zone {
+                    cylinders: 4000,
+                    sectors_per_track: 170,
+                },
+                Zone {
+                    cylinders: 4000,
+                    sectors_per_track: 130,
+                },
+            ],
+            track_to_track: SimDuration::from_micros(1_700),
+            average_seek: SimDuration::from_micros(10_500),
+            full_stroke: SimDuration::from_millis(20),
+            head_switch: SimDuration::from_micros(900),
+            controller_overhead: SimDuration::from_micros(200),
+        }
+    }
 }
 
 /// Physical location of a sector.
@@ -87,20 +140,40 @@ struct Chs {
     sector: u32,
 }
 
-/// A hard disk with positional state.
+/// A hard disk: the [`Disk`] mechanism in the device shell.
+pub type DiskDevice = Device<Disk>;
+
+impl DiskDevice {
+    /// The disk used for the Unix-utility experiments: measures to roughly
+    /// Table 2's 18 ms latency and 9 MB/s streaming bandwidth.
+    pub fn table2_disk(name: impl Into<String>) -> Self {
+        Device::from_mechanism(name, Disk::new(DiskGeometry::table2()))
+    }
+
+    /// The disk used for the LHEASOFT experiments: measures to roughly
+    /// Table 3's 16.5 ms latency and 7 MB/s streaming bandwidth.
+    pub fn table3_disk(name: impl Into<String>) -> Self {
+        Device::from_mechanism(name, Disk::new(DiskGeometry::table3()))
+    }
+
+    /// Enables multiplicative jitter on seek times, representing
+    /// background activity. `amplitude` is a fraction, e.g. `0.05` for ±5%.
+    pub fn with_jitter(mut self, rng: DetRng, amplitude: f64) -> Self {
+        self.mechanism_mut().jitter = Some((rng, amplitude));
+        self
+    }
+}
+
+/// A disk's mechanics: geometry, head position and the seek curve.
 #[derive(Clone, Debug)]
-pub struct DiskDevice {
-    name: String,
+pub struct Disk {
     geom: DiskGeometry,
     capacity: u64,
     current_cylinder: u32,
     /// Sector just past the last transfer. A command starting here streams
     /// out of the drive's read-ahead buffer: no seek, no rotational wait.
     next_sequential: u64,
-    stats: DevStats,
-    phases: PhaseLog,
     jitter: Option<(DetRng, f64)>,
-    faults: Option<FaultInjector>,
     // Seek-curve coefficients, fitted once at construction.
     seek_sqrt_a: f64,
     seek_sqrt_b: f64,
@@ -109,14 +182,14 @@ pub struct DiskDevice {
     seek_knee: f64,
 }
 
-impl DiskDevice {
-    /// Creates a disk from a geometry description.
+impl Disk {
+    /// A disk from a geometry description.
     ///
     /// # Panics
     ///
     /// Panics if the geometry has no zones or a zero-sector zone; geometry is
     /// construction-time configuration, not runtime input.
-    pub fn new(name: impl Into<String>, geom: DiskGeometry) -> Self {
+    pub fn new(geom: DiskGeometry) -> Self {
         assert!(!geom.zones.is_empty(), "disk needs at least one zone");
         assert!(
             geom.zones
@@ -136,91 +209,18 @@ impl DiskDevice {
         // Linear segment through (knee, avg) and (cyls-1, full).
         let f = (full - avg) / ((cyls - 1.0) - knee).max(1.0);
         let c = avg - f * knee;
-        DiskDevice {
-            name: name.into(),
+        Disk {
             geom,
             capacity,
             current_cylinder: 0,
             next_sequential: u64::MAX,
-            stats: DevStats::default(),
-            phases: PhaseLog::default(),
             jitter: None,
-            faults: None,
             seek_sqrt_a: a,
             seek_sqrt_b: b,
             seek_lin_c: c,
             seek_lin_f: f,
             seek_knee: knee,
         }
-    }
-
-    /// The disk used for the Unix-utility experiments: measures to roughly
-    /// Table 2's 18 ms latency and 9 MB/s streaming bandwidth.
-    pub fn table2_disk(name: impl Into<String>) -> Self {
-        DiskDevice::new(
-            name,
-            DiskGeometry {
-                heads: 4,
-                rpm: 5400,
-                zones: vec![
-                    Zone {
-                        cylinders: 4000,
-                        sectors_per_track: 260,
-                    },
-                    Zone {
-                        cylinders: 4000,
-                        sectors_per_track: 220,
-                    },
-                    Zone {
-                        cylinders: 4000,
-                        sectors_per_track: 170,
-                    },
-                ],
-                track_to_track: SimDuration::from_micros(1_800),
-                average_seek: SimDuration::from_millis(12),
-                full_stroke: SimDuration::from_millis(22),
-                head_switch: SimDuration::from_micros(900),
-                controller_overhead: SimDuration::from_micros(200),
-            },
-        )
-    }
-
-    /// The disk used for the LHEASOFT experiments: measures to roughly
-    /// Table 3's 16.5 ms latency and 7 MB/s streaming bandwidth.
-    pub fn table3_disk(name: impl Into<String>) -> Self {
-        DiskDevice::new(
-            name,
-            DiskGeometry {
-                heads: 4,
-                rpm: 5400,
-                zones: vec![
-                    Zone {
-                        cylinders: 4000,
-                        sectors_per_track: 200,
-                    },
-                    Zone {
-                        cylinders: 4000,
-                        sectors_per_track: 170,
-                    },
-                    Zone {
-                        cylinders: 4000,
-                        sectors_per_track: 130,
-                    },
-                ],
-                track_to_track: SimDuration::from_micros(1_700),
-                average_seek: SimDuration::from_micros(10_500),
-                full_stroke: SimDuration::from_millis(20),
-                head_switch: SimDuration::from_micros(900),
-                controller_overhead: SimDuration::from_micros(200),
-            },
-        )
-    }
-
-    /// Enables multiplicative jitter on positioning costs, representing
-    /// background activity. `amplitude` is a fraction, e.g. `0.05` for ±5%.
-    pub fn with_jitter(mut self, rng: DetRng, amplitude: f64) -> Self {
-        self.jitter = Some((rng, amplitude));
-        self
     }
 
     /// The geometry this disk was built with.
@@ -297,37 +297,69 @@ impl DiskDevice {
         unreachable!("sector {sector} beyond capacity {}", self.capacity);
     }
 
-    fn jitter_factor(&mut self) -> f64 {
-        match &mut self.jitter {
-            Some((rng, amp)) => {
-                let amp = *amp;
-                rng.jitter(amp)
-            }
-            None => 1.0,
-        }
-    }
-
     /// Angular position of the platter (fraction of a revolution) at `t`.
     fn angle_at(&self, t: SimTime) -> f64 {
         let period = self.geom.rotation_period().as_nanos();
         (t.as_nanos() % period) as f64 / period as f64
     }
+}
 
-    /// Computes the service time of a transfer and updates head position.
-    fn service(&mut self, start: u64, sectors: u64, now: SimTime) -> SimDuration {
+impl Mechanism for Disk {
+    const CLASS: DeviceClass = DeviceClass::Disk;
+
+    fn capacity_sectors(&self) -> u64 {
+        self.capacity
+    }
+
+    fn profile(&self) -> DeviceProfile {
+        // Nominal latency: average seek plus half a revolution.
+        let lat = self.geom.average_seek + self.geom.rotation_period() / 2;
+        DeviceProfile {
+            class: Self::CLASS,
+            nominal_latency: lat,
+            nominal_bandwidth: self.zone_bandwidth(0),
+        }
+    }
+
+    fn zone_map(&self) -> Vec<ZoneSpan> {
+        let mut spans = Vec::with_capacity(self.geom.zones.len());
+        let mut sector = 0u64;
+        for z in &self.geom.zones {
+            let sectors = z.cylinders as u64 * self.geom.heads as u64 * z.sectors_per_track as u64;
+            spans.push(ZoneSpan {
+                start_sector: sector,
+                sectors,
+                bandwidth: self.zone_bandwidth(sector),
+            });
+            sector += sectors;
+        }
+        spans
+    }
+
+    /// Seeks and rotates unless the command continues the last one, then
+    /// transfers across track and cylinder boundaries. A command that ends
+    /// on another cylinder counts one repositioning.
+    fn service(
+        &mut self,
+        start: u64,
+        sectors: u64,
+        _write: bool,
+        now: SimTime,
+        phases: &mut PhaseLog,
+    ) -> (SimDuration, u64) {
+        let before = self.current_cylinder;
         let target = self.locate(start);
         let period = self.geom.rotation_period();
         let sequential = start == self.next_sequential;
-        self.phases
-            .add(PhaseKind::Overhead, self.geom.controller_overhead);
+        phases.add(PhaseKind::Overhead, self.geom.controller_overhead);
         let mut elapsed = self.geom.controller_overhead;
         if !sequential {
             // Random access: seek, then wait for the target sector to pass
             // under the head.
             let distance = self.current_cylinder.abs_diff(target.cylinder);
-            let jf = self.jitter_factor();
+            let jf = jitter_factor(&mut self.jitter);
             let seek = SimDuration::from_secs_f64(self.seek_time(distance).as_secs_f64() * jf);
-            self.phases.add(PhaseKind::Seek, seek);
+            phases.add(PhaseKind::Seek, seek);
             elapsed += seek;
             let spt = self.geom.zones[target.zone].sectors_per_track;
             let target_angle = target.sector as f64 / spt as f64;
@@ -337,7 +369,7 @@ impl DiskDevice {
                 wait += 1.0;
             }
             let rotation = SimDuration::from_secs_f64(wait * period.as_secs_f64());
-            self.phases.add(PhaseKind::Rotation, rotation);
+            phases.add(PhaseKind::Rotation, rotation);
             elapsed += rotation;
         }
         // A sequential continuation streams out of the drive's read-ahead
@@ -353,7 +385,7 @@ impl DiskDevice {
             let take = on_track.min(left);
             let frac = take as f64 / spt as f64;
             let xfer = SimDuration::from_secs_f64(frac * period.as_secs_f64());
-            self.phases.add(PhaseKind::Transfer, xfer);
+            phases.add(PhaseKind::Transfer, xfer);
             elapsed += xfer;
             left -= take;
             if left == 0 {
@@ -366,121 +398,31 @@ impl DiskDevice {
             // time rotationally, so only the switch cost itself is added.
             if pos.head + 1 < self.geom.heads {
                 pos.head += 1;
-                self.phases
-                    .add(PhaseKind::HeadSwitch, self.geom.head_switch);
+                phases.add(PhaseKind::HeadSwitch, self.geom.head_switch);
                 elapsed += self.geom.head_switch;
             } else {
                 pos.head = 0;
                 pos.cylinder += 1;
-                self.phases
-                    .add(PhaseKind::TrackSwitch, self.geom.track_to_track);
+                phases.add(PhaseKind::TrackSwitch, self.geom.track_to_track);
                 elapsed += self.geom.track_to_track;
                 // Did we cross into the next zone?
                 pos.zone = self.locate(start + (sectors - left)).zone;
             }
             pos.sector = 0;
         }
-        elapsed
-    }
-}
-
-impl BlockDevice for DiskDevice {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn class(&self) -> DeviceClass {
-        DeviceClass::Disk
-    }
-
-    fn capacity_sectors(&self) -> u64 {
-        self.capacity
-    }
-
-    fn profile(&self) -> DeviceProfile {
-        // Nominal latency: average seek plus half a revolution.
-        let lat = self.geom.average_seek + self.geom.rotation_period() / 2;
-        DeviceProfile {
-            class: DeviceClass::Disk,
-            nominal_latency: lat,
-            nominal_bandwidth: self.zone_bandwidth(0),
-        }
-    }
-
-    fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity, start, sectors)?;
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        let before = self.current_cylinder;
-        let t = self.service(start, sectors, now);
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        self.stats
-            .note_read(sectors, t, before != self.current_cylinder);
-        Ok(t)
-    }
-
-    fn write(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity, start, sectors)?;
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        let before = self.current_cylinder;
-        let t = self.service(start, sectors, now);
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        self.stats
-            .note_write(sectors, t, before != self.current_cylinder);
-        Ok(t)
-    }
-
-    fn stats(&self) -> DevStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DevStats::default();
-    }
-
-    fn last_phases(&self) -> &[ServicePhase] {
-        self.phases.as_slice()
-    }
-
-    fn zone_map(&self) -> Vec<crate::ZoneSpan> {
-        let mut spans = Vec::with_capacity(self.geom.zones.len());
-        let mut sector = 0u64;
-        for z in &self.geom.zones {
-            let sectors = z.cylinders as u64 * self.geom.heads as u64 * z.sectors_per_track as u64;
-            spans.push(crate::ZoneSpan {
-                start_sector: sector,
-                sectors,
-                bandwidth: self.zone_bandwidth(sector),
-            });
-            sector += sectors;
-        }
-        spans
-    }
-
-    fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.faults = Some(injector);
-    }
-
-    fn fault_epoch(&self, now: SimTime) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.epoch(now))
-    }
-
-    fn fault_state(&self, now: SimTime) -> FaultState {
-        self.faults
-            .as_ref()
-            .map_or(FaultState::Healthy, |f| f.state(now))
+        (elapsed, u64::from(before != self.current_cylinder))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockDevice, FaultState};
 
     fn small_disk() -> DiskDevice {
-        DiskDevice::new(
+        Device::from_mechanism(
             "hda",
-            DiskGeometry {
+            Disk::new(DiskGeometry {
                 heads: 2,
                 rpm: 6000, // 10 ms/rev
                 zones: vec![
@@ -498,7 +440,7 @@ mod tests {
                 full_stroke: SimDuration::from_millis(16),
                 head_switch: SimDuration::from_micros(500),
                 controller_overhead: SimDuration::from_micros(100),
-            },
+            }),
         )
     }
 

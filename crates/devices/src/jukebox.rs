@@ -8,13 +8,10 @@
 //! here: a read that hits a mounted cartridge skips tens of seconds of robot
 //! and load time.
 
-use sleds_sim_core::{index, SimDuration, SimResult, SimTime};
+use sleds_sim_core::{index, Errno, SimDuration, SimError, SimResult, SimTime};
 
-use crate::tape::{no_medium, TapeDevice, TapeParams};
-use crate::{
-    apply_fault_overheads, check_range, fault_gate, BlockDevice, DevStats, DeviceClass,
-    DeviceProfile, FaultInjector, FaultState, PhaseKind, PhaseLog, ServicePhase,
-};
+use crate::tape::{Tape, TapeParams};
+use crate::{Device, DeviceClass, DeviceProfile, Mechanism, PhaseKind, PhaseLog};
 
 /// Robot timing for a jukebox.
 #[derive(Clone, Copy, Debug)]
@@ -34,23 +31,8 @@ impl Default for JukeboxParams {
     }
 }
 
-/// A tape library: `cartridges` tapes, `drives` drives, one robot.
-#[derive(Clone, Debug)]
-pub struct Jukebox {
-    name: String,
-    params: JukeboxParams,
-    cartridges: Vec<TapeDevice>,
-    /// `drive_of[c] = Some(d)` when cartridge `c` is in drive `d`.
-    drive_of: Vec<Option<usize>>,
-    /// `in_drive[d] = Some(c)` when drive `d` holds cartridge `c`.
-    in_drive: Vec<Option<usize>>,
-    /// LRU order of drives (front = least recently used).
-    drive_lru: Vec<usize>,
-    cart_sectors: u64,
-    stats: DevStats,
-    phases: PhaseLog,
-    faults: Option<FaultInjector>,
-}
+/// A tape library: the [`TapeLibrary`] mechanism in the device shell.
+pub type Jukebox = Device<TapeLibrary>;
 
 impl Jukebox {
     /// Creates a jukebox with `cartridges` tapes and `drives` drives.
@@ -66,35 +48,34 @@ impl Jukebox {
     ) -> Self {
         assert!(cartridges > 0, "jukebox needs cartridges");
         assert!(drives > 0, "jukebox needs drives");
-        let name = name.into();
-        let tapes = (0..cartridges)
-            .map(|i| TapeDevice::new(format!("{name}.tape{i}"), params.tape))
-            .collect::<Vec<_>>();
-        let cart_sectors = tapes[0].capacity_sectors();
-        Jukebox {
-            name,
+        let tapes = vec![Tape::new(params.tape); cartridges];
+        let library = TapeLibrary {
+            cart_sectors: tapes[0].capacity_sectors(),
             params,
             cartridges: tapes,
             drive_of: vec![None; cartridges],
             in_drive: vec![None; drives],
             drive_lru: (0..drives).collect(),
-            cart_sectors,
-            stats: DevStats::default(),
-            phases: PhaseLog::default(),
-            faults: None,
-        }
+        };
+        Device::from_mechanism(name, library)
     }
+}
 
-    /// Number of cartridges.
-    pub fn cartridge_count(&self) -> usize {
-        self.cartridges.len()
-    }
+/// A jukebox's mechanics: `cartridges` tapes, `drives` drives, one robot.
+#[derive(Clone, Debug)]
+pub struct TapeLibrary {
+    params: JukeboxParams,
+    cartridges: Vec<Tape>,
+    /// `drive_of[c] = Some(d)` when cartridge `c` is in drive `d`.
+    drive_of: Vec<Option<usize>>,
+    /// `in_drive[d] = Some(c)` when drive `d` holds cartridge `c`.
+    in_drive: Vec<Option<usize>>,
+    /// LRU order of drives (front = least recently used).
+    drive_lru: Vec<usize>,
+    cart_sectors: u64,
+}
 
-    /// Number of drives.
-    pub fn drive_count(&self) -> usize {
-        self.in_drive.len()
-    }
-
+impl TapeLibrary {
     /// Capacity of a single cartridge, in sectors.
     pub fn cartridge_sectors(&self) -> u64 {
         self.cart_sectors
@@ -115,14 +96,12 @@ impl Jukebox {
         self.drive_lru.push(d);
     }
 
-    /// Ensures cartridge `c` is mounted; returns (drive, time spent).
-    fn mount(&mut self, c: usize) -> SimResult<(usize, SimDuration)> {
-        if c >= self.cartridges.len() {
-            return Err(no_medium(&self.name));
-        }
+    /// Ensures cartridge `c` is mounted; returns the time spent and whether
+    /// the robot exchanged a cartridge for it.
+    fn mount(&mut self, c: usize, phases: &mut PhaseLog) -> (SimDuration, bool) {
         if let Some(d) = self.drive_of[c] {
             self.touch_drive(d);
-            return Ok((d, SimDuration::ZERO));
+            return (SimDuration::ZERO, false);
         }
         let mut spent = SimDuration::ZERO;
         // Pick the least recently used drive; empty drives come first.
@@ -133,70 +112,26 @@ impl Jukebox {
             .unwrap_or_else(|| self.drive_lru[0]);
         if let Some(old) = self.in_drive[d] {
             let unload = self.cartridges[old].unload();
-            self.phases.add(PhaseKind::Mount, unload);
+            phases.add(PhaseKind::Mount, unload);
             spent += unload;
-            self.phases
-                .add(PhaseKind::RobotMove, self.params.robot_move);
+            phases.add(PhaseKind::RobotMove, self.params.robot_move);
             spent += self.params.robot_move; // drive -> slot
             self.drive_of[old] = None;
         }
-        self.phases
-            .add(PhaseKind::RobotMove, self.params.robot_move);
+        phases.add(PhaseKind::RobotMove, self.params.robot_move);
         spent += self.params.robot_move; // slot -> drive
         let load = self.cartridges[c].ensure_loaded();
-        self.phases.add(PhaseKind::Mount, load);
+        phases.add(PhaseKind::Mount, load);
         spent += load;
         self.in_drive[d] = Some(c);
         self.drive_of[c] = Some(d);
         self.touch_drive(d);
-        self.stats.repositions += 1;
-        Ok((d, spent))
-    }
-
-    fn service(
-        &mut self,
-        start: u64,
-        sectors: u64,
-        now: SimTime,
-        write: bool,
-    ) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity_sectors(), start, sectors)?;
-        let c = self.cartridge_of(start);
-        let end_cart = self.cartridge_of(start + sectors - 1);
-        if c != end_cart {
-            return Err(sleds_sim_core::SimError::new(
-                sleds_sim_core::Errno::Einval,
-                format!("{}: transfer crosses cartridge boundary", self.name),
-            ));
-        }
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        let (_, mut t) = self.mount(c)?;
-        let local = start - c as u64 * self.cart_sectors;
-        t += if write {
-            self.cartridges[c].write(local, sectors, now)?
-        } else {
-            self.cartridges[c].read(local, sectors, now)?
-        };
-        // Fold the cartridge's own breakdown (locate, stream) into ours so
-        // `last_phases` covers the full service time.
-        for i in 0..self.cartridges[c].last_phases().len() {
-            let p = self.cartridges[c].last_phases()[i];
-            self.phases.add(p.kind, p.dur);
-        }
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        Ok(t)
+        (spent, true)
     }
 }
 
-impl BlockDevice for Jukebox {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn class(&self) -> DeviceClass {
-        DeviceClass::Tape
-    }
+impl Mechanism for TapeLibrary {
+    const CLASS: DeviceClass = DeviceClass::Tape;
 
     fn capacity_sectors(&self) -> u64 {
         self.cart_sectors * self.cartridges.len() as u64
@@ -206,57 +141,47 @@ impl BlockDevice for Jukebox {
         // Cold access: robot exchange plus the tape's own mount + locate.
         let tape_profile = self.cartridges[0].profile();
         DeviceProfile {
-            class: DeviceClass::Tape,
+            class: Self::CLASS,
             nominal_latency: tape_profile.nominal_latency + self.params.robot_move * 2,
             nominal_bandwidth: tape_profile.nominal_bandwidth,
         }
     }
 
-    fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        let t = self.service(start, sectors, now, false)?;
-        self.stats.note_read(sectors, t, false);
-        Ok(t)
-    }
-
-    fn write(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        let t = self.service(start, sectors, now, true)?;
-        self.stats.note_write(sectors, t, false);
-        Ok(t)
-    }
-
-    fn stats(&self) -> DevStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DevStats::default();
-        for t in &mut self.cartridges {
-            t.reset_stats();
+    /// A transfer must stay on one cartridge.
+    fn admit(&self, name: &str, start: u64, sectors: u64) -> SimResult<()> {
+        if self.cartridge_of(start) == self.cartridge_of(start + sectors - 1) {
+            Ok(())
+        } else {
+            Err(SimError::new(
+                Errno::Einval,
+                format!("{name}: transfer crosses cartridge boundary"),
+            ))
         }
     }
 
-    fn last_phases(&self) -> &[ServicePhase] {
-        self.phases.as_slice()
-    }
-
-    fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.faults = Some(injector);
-    }
-
-    fn fault_epoch(&self, now: SimTime) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.epoch(now))
-    }
-
-    fn fault_state(&self, now: SimTime) -> FaultState {
-        self.faults
-            .as_ref()
-            .map_or(FaultState::Healthy, |f| f.state(now))
+    /// Exchanges the cartridge in if it is not mounted, then lets its tape
+    /// locate and stream. The exchange and the locate count one
+    /// repositioning each.
+    fn service(
+        &mut self,
+        start: u64,
+        sectors: u64,
+        write: bool,
+        now: SimTime,
+        phases: &mut PhaseLog,
+    ) -> (SimDuration, u64) {
+        let c = self.cartridge_of(start);
+        let (exchange, exchanged) = self.mount(c, phases);
+        let local = start - c as u64 * self.cart_sectors;
+        let (tape, locates) = self.cartridges[c].service(local, sectors, write, now, phases);
+        (exchange + tape, u64::from(exchanged) + locates)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockDevice;
 
     fn small_jukebox(drives: usize) -> Jukebox {
         Jukebox::new("jb0", 4, drives, JukeboxParams::default())
@@ -345,6 +270,22 @@ mod tests {
         let mut jb = small_jukebox(1);
         let cart = jb.cartridge_sectors();
         assert!(jb.read(cart - 4, 8, SimTime::ZERO).is_err());
+    }
+
+    /// A cold read is one robot exchange, plus one locate when it does not
+    /// start at the cartridge's load point; streaming adds nothing.
+    #[test]
+    fn jukebox_counts_each_exchange_and_locate_once() {
+        let mut jb = small_jukebox(1);
+        let cart = jb.cartridge_sectors();
+        jb.read(0, 8, SimTime::ZERO).unwrap();
+        assert_eq!(jb.stats().repositions, 1, "exchange at the load point");
+        jb.read(8, 8, SimTime::ZERO).unwrap();
+        assert_eq!(jb.stats().repositions, 1, "streaming");
+        jb.read(cart + 1000, 8, SimTime::ZERO).unwrap();
+        assert_eq!(jb.stats().repositions, 3, "exchange plus locate");
+        jb.read(cart + 5000, 8, SimTime::ZERO).unwrap();
+        assert_eq!(jb.stats().repositions, 4, "locate on the mounted tape");
     }
 
     #[test]

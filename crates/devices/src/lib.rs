@@ -8,10 +8,14 @@
 //! positioning costs, and the measured pairs emerge rather than being wired
 //! in.
 //!
-//! All devices implement [`BlockDevice`]: a sector-addressed read/write
-//! interface that takes the current virtual time and returns how long the
-//! operation takes. Devices never touch the clock themselves — the kernel
-//! owns it — so a device is an ordinary deterministic state machine.
+//! Every device is one [`Device`] shell around a model's [`Mechanism`],
+//! and the shell is the crate's one [`BlockDevice`]: a sector-addressed
+//! read/write interface that takes the current virtual time and returns how
+//! long the operation takes. The shell owns what every device shares (name,
+//! stats, phase log, range check, fault gate); the mechanism keeps only its
+//! positional state and service times. Devices never touch the clock
+//! themselves — the kernel owns it — so a device is an ordinary
+//! deterministic state machine.
 
 // Kernel path (DESIGN §5c): fail with a typed `SimError`, never abort the
 // simulation; a narrowing cast names the bound that makes it lossless.
@@ -32,14 +36,16 @@ pub mod cdrom;
 pub mod disk;
 pub mod jukebox;
 pub mod nfs;
+mod shell;
 pub mod tape;
 
-use sleds_sim_core::{Bandwidth, SimDuration, SimResult, SimTime};
+use sleds_sim_core::{Bandwidth, DetRng, SimDuration, SimResult, SimTime};
 
 pub use cdrom::CdRomDevice;
 pub use disk::{DiskDevice, DiskGeometry, Zone};
 pub use jukebox::Jukebox;
 pub use nfs::{NfsDevice, NfsServerDevice, NfsServerParams};
+pub use shell::{Device, Mechanism};
 pub use sleds_faults::{Decision, FaultInjector, FaultPlan, FaultState, FaultWindow};
 pub use tape::TapeDevice;
 
@@ -113,29 +119,26 @@ pub struct DevStats {
     pub sectors_written: u64,
     /// Total time the device spent servicing commands.
     pub busy: SimDuration,
-    /// Number of repositioning operations (seeks, locates, mounts).
+    /// Repositionings the served commands made, each counted once, as the
+    /// model's [`Mechanism::service`] reports them: a disk command that
+    /// ends on another cylinder, a CD-ROM seek, an NFS link's first-byte
+    /// penalty, each tape mount and locate, and each jukebox robot
+    /// exchange and locate. The NFS server model counts none.
     pub repositions: u64,
 }
 
 impl DevStats {
-    /// Records a read of `sectors` sectors taking `took`.
-    pub fn note_read(&mut self, sectors: u64, took: SimDuration, repositioned: bool) {
-        self.reads += 1;
-        self.sectors_read += sectors;
-        self.busy += took;
-        if repositioned {
-            self.repositions += 1;
+    /// Records a served command of `sectors` sectors taking `took`.
+    pub(crate) fn note(&mut self, write: bool, sectors: u64, took: SimDuration, repositions: u64) {
+        if write {
+            self.writes += 1;
+            self.sectors_written += sectors;
+        } else {
+            self.reads += 1;
+            self.sectors_read += sectors;
         }
-    }
-
-    /// Records a write of `sectors` sectors taking `took`.
-    pub fn note_write(&mut self, sectors: u64, took: SimDuration, repositioned: bool) {
-        self.writes += 1;
-        self.sectors_written += sectors;
         self.busy += took;
-        if repositioned {
-            self.repositions += 1;
-        }
+        self.repositions += repositions;
     }
 }
 
@@ -180,11 +183,6 @@ pub enum PhaseKind {
     /// Resubmission overhead paid by the first success after a transient
     /// failure.
     Retry,
-    /// Time a command spent queued behind earlier commands on the same
-    /// device before service began. Computed by the kernel's per-device
-    /// command queue, not by the device model: the device never sees the
-    /// wait, it only sees the (later) service start time.
-    QueueWait,
 }
 
 impl PhaseKind {
@@ -207,8 +205,17 @@ impl PhaseKind {
             PhaseKind::ServerDisk => "server_disk",
             PhaseKind::Fault => "fault",
             PhaseKind::Retry => "retry",
-            PhaseKind::QueueWait => "queue_wait",
         }
+    }
+
+    /// Whether the device spends this phase moving data rather than
+    /// positioning for it: the bandwidth half of the first-byte/bandwidth
+    /// split the recalibrator rebuilds SLED rows from.
+    pub fn is_transfer(self) -> bool {
+        matches!(
+            self,
+            PhaseKind::Transfer | PhaseKind::Stream | PhaseKind::Link
+        )
     }
 }
 
@@ -221,7 +228,8 @@ pub struct ServicePhase {
     pub dur: SimDuration,
 }
 
-/// Per-command phase accumulator kept by each device model.
+/// Per-command phase accumulator, kept by the [`Device`] shell and filled
+/// by its [`Mechanism`].
 ///
 /// Cleared at the start of every command; repeated contributions of one
 /// kind (e.g. head switches during a long transfer) accumulate into a
@@ -234,7 +242,7 @@ pub struct PhaseLog {
 
 impl PhaseLog {
     /// Empties the log for a new command.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.phases.clear();
     }
 
@@ -286,7 +294,7 @@ pub struct ZoneSpan {
 /// `read`/`write` return the service time for the command; the caller (the
 /// simulated kernel) advances the clock. Implementations update their
 /// positional state assuming the command completes at `now + returned
-/// duration`.
+/// duration`. In this crate the one implementation is [`Device`].
 pub trait BlockDevice {
     /// Short device name, e.g. `"hda"`.
     fn name(&self) -> &str;
@@ -312,26 +320,15 @@ pub trait BlockDevice {
     /// Resets operation counters (positional state is preserved).
     fn reset_stats(&mut self);
 
-    /// Self-characterization: the device's performance zones.
-    ///
-    /// The default is a single span at the nominal bandwidth; zoned devices
-    /// (disks) override this so a zone-aware sleds table can assign
-    /// different bandwidths to different parts of one file — the paper's
-    /// "future version" extension.
-    fn zone_map(&self) -> Vec<ZoneSpan> {
-        vec![ZoneSpan {
-            start_sector: 0,
-            sectors: self.capacity_sectors(),
-            bandwidth: self.profile().nominal_bandwidth,
-        }]
-    }
+    /// Self-characterization: the device's performance zones, so a
+    /// zone-aware sleds table can assign different bandwidths to different
+    /// parts of one file — the paper's "future version" extension.
+    fn zone_map(&self) -> Vec<ZoneSpan>;
 
     /// Mechanical breakdown of the most recent `read`/`write` service time,
-    /// in service order. Devices that record phases clear and refill their
-    /// [`PhaseLog`] on every command; the default reports nothing.
-    fn last_phases(&self) -> &[ServicePhase] {
-        &[]
-    }
+    /// in service order; empty after a command refused before the device
+    /// moved.
+    fn last_phases(&self) -> &[ServicePhase];
 
     /// Dynamic self-report: `(latency seconds, bandwidth bytes/s)` for
     /// retrieving `sector` *right now*, if the device knows.
@@ -341,92 +338,24 @@ pub trait BlockDevice {
     /// its own cache can tell the client which ranges are hot on its side.
     /// Devices without dynamic state to report return `None` and the sleds
     /// table's static rows apply.
-    fn dynamic_probe(&self, _sector: u64) -> Option<(f64, f64)> {
-        None
-    }
+    fn dynamic_probe(&self, sector: u64) -> Option<(f64, f64)>;
 
     /// Installs a fault injector the device consults on every command.
-    ///
-    /// The default discards it: a device model that has not been taught to
-    /// consult an injector simply never faults.
-    fn set_fault_injector(&mut self, _injector: FaultInjector) {}
+    fn set_fault_injector(&mut self, injector: FaultInjector);
 
     /// The device's fault epoch at `now`: how many fault-window boundaries
     /// have passed. Monotone; the kernel folds it into `sled_generation` so
     /// cached SLED vectors invalidate when the health regime changes.
-    fn fault_epoch(&self, _now: SimTime) -> u64 {
-        0
-    }
+    fn fault_epoch(&self, now: SimTime) -> u64;
 
     /// Coarse health at `now`, for SLED pricing. Pure: never consumes
     /// transient fault budget.
-    fn fault_state(&self, _now: SimTime) -> FaultState {
-        FaultState::Healthy
-    }
+    fn fault_state(&self, now: SimTime) -> FaultState;
 }
 
-/// Consults an optional fault injector at the top of a command.
-///
-/// On a fail decision the phase log is reset to a single `Fault` phase
-/// carrying the burned cost — the span still sums exactly to the virtual
-/// time the failed submission consumed — and the injected errno is
-/// returned, carrying the same cost ([`SimError::fault_cost`]) so callers
-/// never have to infer it from the log. On proceed, yields
-/// `(multiplier, resume)` for [`apply_fault_overheads`] once the mechanical
-/// service time is known.
-pub(crate) fn fault_gate(
-    faults: &mut Option<FaultInjector>,
-    phases: &mut PhaseLog,
-    name: &str,
-    now: SimTime,
-) -> SimResult<(f64, SimDuration)> {
-    use sleds_sim_core::SimError;
-    let decision = match faults.as_mut() {
-        Some(inj) => inj.decide(now),
-        None => Decision::CLEAN,
-    };
-    match decision {
-        Decision::Fail { errno, cost } => {
-            phases.clear();
-            phases.add(PhaseKind::Fault, cost);
-            Err(SimError::injected(
-                errno,
-                format!("{name}: injected fault"),
-                cost,
-            ))
-        }
-        Decision::Proceed { multiplier, resume } => Ok((multiplier, resume)),
-    }
-}
-
-/// Folds fault overheads into a command that did proceed: the degraded
-/// surplus (`t * (multiplier - 1)`) lands in a `Fault` phase and the
-/// resubmission overhead in a `Retry` phase, so phases still sum exactly to
-/// the returned service time.
-pub(crate) fn apply_fault_overheads(
-    phases: &mut PhaseLog,
-    t: SimDuration,
-    multiplier: f64,
-    resume: SimDuration,
-) -> SimDuration {
-    let mut total = t;
-    if multiplier > 1.0 {
-        let surplus = SimDuration::from_secs_f64(t.as_secs_f64() * (multiplier - 1.0));
-        phases.add(PhaseKind::Fault, surplus);
-        total += surplus;
-    }
-    if !resume.is_zero() {
-        phases.add(PhaseKind::Retry, resume);
-        total += resume;
-    }
-    total
-}
-
-/// Validates a sector range against a device capacity.
-///
-/// Shared by every implementation so range errors are uniform. Every model
-/// empties its phase log *before* calling this, so a refused command
-/// reports no phases instead of its predecessor's.
+/// Validates a sector range against a device capacity. The shell empties
+/// its phase log *before* calling this, so a refused command reports no
+/// phases instead of its predecessor's.
 pub(crate) fn check_range(name: &str, capacity: u64, start: u64, sectors: u64) -> SimResult<()> {
     use sleds_sim_core::{Errno, SimError};
     let end = start.checked_add(sectors);
@@ -436,6 +365,16 @@ pub(crate) fn check_range(name: &str, capacity: u64, start: u64, sectors: u64) -
             Errno::Einval,
             format!("{name}: sector range {start}+{sectors} exceeds capacity {capacity}"),
         )),
+    }
+}
+
+/// The multiplier for one positioning cost of a jittered model: `1.0`
+/// without jitter, else one draw within `±amplitude`, representing
+/// background activity.
+pub(crate) fn jitter_factor(jitter: &mut Option<(DetRng, f64)>) -> f64 {
+    match jitter {
+        Some((rng, amplitude)) => rng.jitter(*amplitude),
+        None => 1.0,
     }
 }
 
@@ -521,8 +460,8 @@ mod tests {
     #[test]
     fn devstats_accumulate() {
         let mut s = DevStats::default();
-        s.note_read(8, SimDuration::from_millis(5), true);
-        s.note_write(4, SimDuration::from_millis(2), false);
+        s.note(false, 8, SimDuration::from_millis(5), 1);
+        s.note(true, 4, SimDuration::from_millis(2), 0);
         assert_eq!(s.reads, 1);
         assert_eq!(s.writes, 1);
         assert_eq!(s.sectors_read, 8);

@@ -9,12 +9,11 @@
 //! reads are pipelined by read-ahead on the server and run at link
 //! bandwidth.
 
-use sleds_sim_core::{Bandwidth, DetRng, SimDuration, SimResult, SimTime, SECTOR_SIZE};
+use sleds_pagecache::{PageCache, PageKey};
+use sleds_sim_core::{Bandwidth, DetRng, SimDuration, SimTime, SECTOR_SIZE};
 
-use crate::{
-    apply_fault_overheads, check_range, fault_gate, BlockDevice, DevStats, DeviceClass,
-    DeviceProfile, FaultInjector, FaultState, PhaseKind, PhaseLog, ServicePhase,
-};
+use crate::disk::{Disk, DiskGeometry};
+use crate::{jitter_factor, Device, DeviceClass, DeviceProfile, Mechanism, PhaseKind, PhaseLog};
 
 /// Timing parameters for an NFS mount.
 #[derive(Clone, Copy, Debug)]
@@ -37,38 +36,14 @@ impl Default for NfsParams {
     }
 }
 
-/// A remote file service reached over the network.
-#[derive(Clone, Debug)]
-pub struct NfsDevice {
-    name: String,
-    params: NfsParams,
-    capacity: u64,
-    /// Sector just past the last transfer; sequential runs continue here.
-    next_sequential: u64,
-    stats: DevStats,
-    phases: PhaseLog,
-    jitter: Option<(DetRng, f64)>,
-    faults: Option<FaultInjector>,
-}
+/// A remote file service reached over the network: the [`NfsLink`]
+/// mechanism in the device shell.
+pub type NfsDevice = Device<NfsLink>;
 
 impl NfsDevice {
-    /// Creates an NFS device of `capacity_bytes`.
-    pub fn new(name: impl Into<String>, capacity_bytes: u64, params: NfsParams) -> Self {
-        NfsDevice {
-            name: name.into(),
-            params,
-            capacity: capacity_bytes / SECTOR_SIZE,
-            next_sequential: u64::MAX,
-            stats: DevStats::default(),
-            phases: PhaseLog::default(),
-            jitter: None,
-            faults: None,
-        }
-    }
-
     /// A 2 GiB export tuned to Table 2 (270 ms, 1.0 MB/s).
     pub fn table2_mount(name: impl Into<String>) -> Self {
-        NfsDevice::new(name, 2 << 30, NfsParams::default())
+        NfsLink::device(name, 2 << 30, NfsParams::default())
     }
 
     /// A replica link to a metro-area site: low RPC latency, a fat pipe.
@@ -76,7 +51,7 @@ impl NfsDevice {
     /// each remote member is an NFS export whose link parameters encode
     /// the site distance.
     pub fn metro_link(name: impl Into<String>) -> Self {
-        NfsDevice::new(
+        NfsLink::device(
             name,
             4 << 30,
             NfsParams {
@@ -90,7 +65,7 @@ impl NfsDevice {
     /// A replica link to a regional site (same coast): tens of
     /// milliseconds of RPC latency, a moderate pipe.
     pub fn regional_link(name: impl Into<String>) -> Self {
-        NfsDevice::new(
+        NfsLink::device(
             name,
             4 << 30,
             NfsParams {
@@ -104,7 +79,7 @@ impl NfsDevice {
     /// A replica link to a continental site (cross-country): the RPC
     /// latency dominates small reads, the thin pipe dominates large ones.
     pub fn continental_link(name: impl Into<String>) -> Self {
-        NfsDevice::new(
+        NfsLink::device(
             name,
             4 << 30,
             NfsParams {
@@ -118,46 +93,39 @@ impl NfsDevice {
     /// Enables multiplicative jitter on the first-byte penalty, representing
     /// varying server load.
     pub fn with_jitter(mut self, rng: DetRng, amplitude: f64) -> Self {
-        self.jitter = Some((rng, amplitude));
+        self.mechanism_mut().jitter = Some((rng, amplitude));
         self
-    }
-
-    fn jitter_factor(&mut self) -> f64 {
-        match &mut self.jitter {
-            Some((rng, amp)) => {
-                let amp = *amp;
-                rng.jitter(amp)
-            }
-            None => 1.0,
-        }
-    }
-
-    fn service(&mut self, start: u64, sectors: u64) -> (SimDuration, bool) {
-        self.phases.add(PhaseKind::Rpc, self.params.per_op);
-        let mut t = self.params.per_op;
-        let repositioned = start != self.next_sequential;
-        if repositioned {
-            let jf = self.jitter_factor();
-            let first = SimDuration::from_secs_f64(self.params.first_byte.as_secs_f64() * jf);
-            self.phases.add(PhaseKind::FirstByte, first);
-            t += first;
-        }
-        let link = self.params.bandwidth.transfer_time(sectors * SECTOR_SIZE);
-        self.phases.add(PhaseKind::Link, link);
-        t += link;
-        self.next_sequential = start + sectors;
-        (t, repositioned)
     }
 }
 
-impl BlockDevice for NfsDevice {
-    fn name(&self) -> &str {
-        &self.name
+/// An NFS mount's mechanics: the measured pair and the sequential run.
+#[derive(Clone, Debug)]
+pub struct NfsLink {
+    params: NfsParams,
+    capacity: u64,
+    /// Sector just past the last transfer; sequential runs continue here.
+    next_sequential: u64,
+    jitter: Option<(DetRng, f64)>,
+}
+
+impl NfsLink {
+    /// A link to an export of `capacity_bytes`.
+    pub fn new(capacity_bytes: u64, params: NfsParams) -> Self {
+        NfsLink {
+            params,
+            capacity: capacity_bytes / SECTOR_SIZE,
+            next_sequential: u64::MAX,
+            jitter: None,
+        }
     }
 
-    fn class(&self) -> DeviceClass {
-        DeviceClass::Network
+    fn device(name: impl Into<String>, capacity_bytes: u64, params: NfsParams) -> NfsDevice {
+        Device::from_mechanism(name, NfsLink::new(capacity_bytes, params))
     }
+}
+
+impl Mechanism for NfsLink {
+    const CLASS: DeviceClass = DeviceClass::Network;
 
     fn capacity_sectors(&self) -> u64 {
         self.capacity
@@ -165,56 +133,36 @@ impl BlockDevice for NfsDevice {
 
     fn profile(&self) -> DeviceProfile {
         DeviceProfile {
-            class: DeviceClass::Network,
+            class: Self::CLASS,
             nominal_latency: self.params.first_byte,
             nominal_bandwidth: self.params.bandwidth,
         }
     }
 
-    fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity, start, sectors)?;
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        let (t, repo) = self.service(start, sectors);
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        self.stats.note_read(sectors, t, repo);
-        Ok(t)
-    }
-
-    fn write(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity, start, sectors)?;
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        let (t, repo) = self.service(start, sectors);
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        self.stats.note_write(sectors, t, repo);
-        Ok(t)
-    }
-
-    fn stats(&self) -> DevStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DevStats::default();
-    }
-
-    fn last_phases(&self) -> &[ServicePhase] {
-        self.phases.as_slice()
-    }
-
-    fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.faults = Some(injector);
-    }
-
-    fn fault_epoch(&self, now: SimTime) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.epoch(now))
-    }
-
-    fn fault_state(&self, now: SimTime) -> FaultState {
-        self.faults
-            .as_ref()
-            .map_or(FaultState::Healthy, |f| f.state(now))
+    /// One RPC, the first-byte penalty unless the command continues the
+    /// sequential run, then the payload over the link.
+    fn service(
+        &mut self,
+        start: u64,
+        sectors: u64,
+        _write: bool,
+        _now: SimTime,
+        phases: &mut PhaseLog,
+    ) -> (SimDuration, u64) {
+        phases.add(PhaseKind::Rpc, self.params.per_op);
+        let mut t = self.params.per_op;
+        let repositioned = start != self.next_sequential;
+        if repositioned {
+            let jf = jitter_factor(&mut self.jitter);
+            let first = SimDuration::from_secs_f64(self.params.first_byte.as_secs_f64() * jf);
+            phases.add(PhaseKind::FirstByte, first);
+            t += first;
+        }
+        let link = self.params.bandwidth.transfer_time(sectors * SECTOR_SIZE);
+        phases.add(PhaseKind::Link, link);
+        t += link;
+        self.next_sequential = start + sectors;
+        (t, u64::from(repositioned))
     }
 }
 
@@ -245,29 +193,38 @@ impl Default for NfsServerParams {
     }
 }
 
-/// An NFS server with its own disk and buffer cache.
+/// An NFS server with its own disk and buffer cache: the [`NfsServer`]
+/// mechanism in the device shell.
 ///
 /// Unlike [`NfsDevice`] (a flat latency/bandwidth pair, as the paper
 /// measured its departmental mount), this models the server side: requests
 /// that hit the server's cache cost a round trip plus link transfer;
 /// misses add the server disk's positional costs. Its
-/// [`BlockDevice::dynamic_probe`] reports which is which — the
-/// client/server SLEDs vocabulary the paper proposes.
-pub struct NfsServerDevice {
-    name: String,
-    params: NfsServerParams,
-    disk: crate::disk::DiskDevice,
-    cache: sleds_pagecache::PageCache,
-    next_sequential: u64,
-    stats: DevStats,
-    phases: PhaseLog,
-    faults: Option<FaultInjector>,
+/// [`BlockDevice::dynamic_probe`](crate::BlockDevice::dynamic_probe)
+/// reports which is which — the client/server SLEDs vocabulary the paper
+/// proposes.
+pub type NfsServerDevice = Device<NfsServer>;
+
+impl NfsServerDevice {
+    /// A LAN mount backed by the Table 2 disk.
+    pub fn lan_mount(name: impl Into<String>) -> Self {
+        let disk = Disk::new(DiskGeometry::table2());
+        Device::from_mechanism(name, NfsServer::new(disk, NfsServerParams::default()))
+    }
 }
 
-impl std::fmt::Debug for NfsServerDevice {
+/// An NFS server's mechanics: its disk, its page cache and the client's
+/// sequential run.
+pub struct NfsServer {
+    params: NfsServerParams,
+    disk: Disk,
+    cache: PageCache,
+    next_sequential: u64,
+}
+
+impl std::fmt::Debug for NfsServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NfsServerDevice")
-            .field("name", &self.name)
+        f.debug_struct("NfsServer")
             .field("cached_pages", &self.cache.len())
             .finish()
     }
@@ -276,50 +233,47 @@ impl std::fmt::Debug for NfsServerDevice {
 /// Sectors per server-cache page.
 const SRV_PAGE_SECTORS: u64 = 8;
 
-impl NfsServerDevice {
-    /// Creates a server around `disk`.
-    pub fn new(
-        name: impl Into<String>,
-        disk: crate::disk::DiskDevice,
-        params: NfsServerParams,
-    ) -> Self {
-        NfsServerDevice {
-            name: name.into(),
-            cache: sleds_pagecache::PageCache::lru(params.server_cache_pages.max(1)),
+impl NfsServer {
+    /// A server around `disk`.
+    pub fn new(disk: Disk, params: NfsServerParams) -> Self {
+        NfsServer {
+            cache: PageCache::lru(params.server_cache_pages.max(1)),
             params,
             disk,
             next_sequential: u64::MAX,
-            stats: DevStats::default(),
-            phases: PhaseLog::default(),
-            faults: None,
         }
-    }
-
-    /// A LAN mount backed by the Table 2 disk.
-    pub fn lan_mount(name: impl Into<String>) -> Self {
-        NfsServerDevice::new(
-            name,
-            crate::disk::DiskDevice::table2_disk("srv-hda"),
-            NfsServerParams::default(),
-        )
     }
 
     /// Whether `sector` is currently in the server's cache.
     pub fn server_cached(&self, sector: u64) -> bool {
         self.cache
-            .contains(sleds_pagecache::PageKey::new(0, sector / SRV_PAGE_SECTORS))
+            .contains(PageKey::new(0, sector / SRV_PAGE_SECTORS))
     }
 
-    /// Pages currently in the server cache.
-    pub fn server_cached_pages(&self) -> usize {
-        self.cache.len()
+    /// The server disk's service time for a command at `now`. Its own
+    /// phases stay on the server's side: the client sees one `ServerDisk`
+    /// phase.
+    fn disk_time(&mut self, start: u64, sectors: u64, write: bool, now: SimTime) -> SimDuration {
+        let mut server_side = PhaseLog::default();
+        let (t, _) = self
+            .disk
+            .service(start, sectors, write, now, &mut server_side);
+        t
     }
 
-    fn service(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.add(PhaseKind::Rpc, self.params.per_op);
+    /// A read: the RPC, a round trip unless sequential, the server disk for
+    /// each run of pages its cache misses, then the link.
+    fn read(
+        &mut self,
+        start: u64,
+        sectors: u64,
+        now: SimTime,
+        phases: &mut PhaseLog,
+    ) -> SimDuration {
+        phases.add(PhaseKind::Rpc, self.params.per_op);
         let mut t = self.params.per_op;
         if start != self.next_sequential {
-            self.phases.add(PhaseKind::Rpc, self.params.rtt);
+            phases.add(PhaseKind::Rpc, self.params.rtt);
             t += self.params.rtt;
         }
         self.next_sequential = start + sectors;
@@ -328,8 +282,7 @@ impl NfsServerDevice {
         let last_page = (start + sectors - 1) / SRV_PAGE_SECTORS;
         let mut p = first_page;
         while p <= last_page {
-            let key = sleds_pagecache::PageKey::new(0, p);
-            if self.cache.lookup(key) {
+            if self.cache.lookup(PageKey::new(0, p)) {
                 p += 1;
                 continue;
             }
@@ -337,41 +290,58 @@ impl NfsServerDevice {
             let run_start = p;
             let mut run_len = 1u64;
             while run_start + run_len <= last_page
-                && !self
-                    .cache
-                    .contains(sleds_pagecache::PageKey::new(0, run_start + run_len))
+                && !self.cache.contains(PageKey::new(0, run_start + run_len))
             {
                 run_len += 1;
             }
-            let disk_t = self.disk.read(
+            let disk_t = self.disk_time(
                 run_start * SRV_PAGE_SECTORS,
                 run_len * SRV_PAGE_SECTORS,
+                false,
                 now + t,
-            )?;
-            self.phases.add(PhaseKind::ServerDisk, disk_t);
+            );
+            phases.add(PhaseKind::ServerDisk, disk_t);
             t += disk_t;
             for i in 0..run_len {
-                self.cache
-                    .insert(sleds_pagecache::PageKey::new(0, run_start + i), false);
+                self.cache.insert(PageKey::new(0, run_start + i), false);
             }
             p = run_start + run_len;
         }
         // Link transfer of the payload.
         let link = self.params.link.transfer_time(sectors * SECTOR_SIZE);
-        self.phases.add(PhaseKind::Link, link);
+        phases.add(PhaseKind::Link, link);
+        t + link
+    }
+
+    /// A write: write-through, link then disk, leaving clean copies in the
+    /// server cache (the server commits before replying, as NFSv2 did).
+    fn write(
+        &mut self,
+        start: u64,
+        sectors: u64,
+        now: SimTime,
+        phases: &mut PhaseLog,
+    ) -> SimDuration {
+        phases.add(PhaseKind::Rpc, self.params.per_op + self.params.rtt);
+        let mut t = self.params.per_op + self.params.rtt;
+        let link = self.params.link.transfer_time(sectors * SECTOR_SIZE);
+        phases.add(PhaseKind::Link, link);
         t += link;
-        Ok(t)
+        let disk_t = self.disk_time(start, sectors, true, now + t);
+        phases.add(PhaseKind::ServerDisk, disk_t);
+        t += disk_t;
+        let first_page = start / SRV_PAGE_SECTORS;
+        let last_page = (start + sectors - 1) / SRV_PAGE_SECTORS;
+        for p in first_page..=last_page {
+            self.cache.insert(PageKey::new(0, p), false);
+        }
+        self.next_sequential = start + sectors;
+        t
     }
 }
 
-impl BlockDevice for NfsServerDevice {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn class(&self) -> DeviceClass {
-        DeviceClass::Network
-    }
+impl Mechanism for NfsServer {
+    const CLASS: DeviceClass = DeviceClass::Network;
 
     fn capacity_sectors(&self) -> u64 {
         self.disk.capacity_sectors()
@@ -380,7 +350,7 @@ impl BlockDevice for NfsServerDevice {
     fn profile(&self) -> DeviceProfile {
         let disk = self.disk.profile();
         DeviceProfile {
-            class: DeviceClass::Network,
+            class: Self::CLASS,
             nominal_latency: self.params.rtt + disk.nominal_latency,
             nominal_bandwidth: Bandwidth::bytes_per_sec(
                 self.params
@@ -389,69 +359,6 @@ impl BlockDevice for NfsServerDevice {
                     .min(disk.nominal_bandwidth.as_bytes_per_sec()),
             ),
         }
-    }
-
-    fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity_sectors(), start, sectors)?;
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        let t = self.service(start, sectors, now)?;
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        self.stats.note_read(sectors, t, false);
-        Ok(t)
-    }
-
-    fn write(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity_sectors(), start, sectors)?;
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        // Write-through: link + disk, dirtying the server cache as clean
-        // copies (the server commits before replying, as NFSv2 did).
-        self.phases
-            .add(PhaseKind::Rpc, self.params.per_op + self.params.rtt);
-        let mut t = self.params.per_op + self.params.rtt;
-        let link = self.params.link.transfer_time(sectors * SECTOR_SIZE);
-        self.phases.add(PhaseKind::Link, link);
-        t += link;
-        let disk_t = self.disk.write(start, sectors, now + t)?;
-        self.phases.add(PhaseKind::ServerDisk, disk_t);
-        t += disk_t;
-        let first_page = start / SRV_PAGE_SECTORS;
-        let last_page = (start + sectors - 1) / SRV_PAGE_SECTORS;
-        for p in first_page..=last_page {
-            self.cache
-                .insert(sleds_pagecache::PageKey::new(0, p), false);
-        }
-        self.next_sequential = start + sectors;
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        self.stats.note_write(sectors, t, false);
-        Ok(t)
-    }
-
-    fn stats(&self) -> DevStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DevStats::default();
-    }
-
-    fn last_phases(&self) -> &[ServicePhase] {
-        self.phases.as_slice()
-    }
-
-    fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.faults = Some(injector);
-    }
-
-    fn fault_epoch(&self, now: SimTime) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.epoch(now))
-    }
-
-    fn fault_state(&self, now: SimTime) -> FaultState {
-        self.faults
-            .as_ref()
-            .map_or(FaultState::Healthy, |f| f.state(now))
     }
 
     fn dynamic_probe(&self, sector: u64) -> Option<(f64, f64)> {
@@ -466,11 +373,29 @@ impl BlockDevice for NfsServerDevice {
             ))
         }
     }
+
+    /// Counts no repositionings: the server's disk is behind its cache.
+    fn service(
+        &mut self,
+        start: u64,
+        sectors: u64,
+        write: bool,
+        now: SimTime,
+        phases: &mut PhaseLog,
+    ) -> (SimDuration, u64) {
+        let t = if write {
+            self.write(start, sectors, now, phases)
+        } else {
+            self.read(start, sectors, now, phases)
+        };
+        (t, 0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockDevice;
 
     #[test]
     fn first_access_pays_first_byte() {

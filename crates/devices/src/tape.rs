@@ -11,12 +11,9 @@
 //! magnitude" dynamic range in the paper's introduction: microseconds for
 //! cached data versus minutes once a mount and a long locate are involved.
 
-use sleds_sim_core::{Bandwidth, Errno, SimDuration, SimError, SimResult, SimTime, SECTOR_SIZE};
+use sleds_sim_core::{Bandwidth, SimDuration, SimTime, SECTOR_SIZE};
 
-use crate::{
-    apply_fault_overheads, check_range, fault_gate, BlockDevice, DevStats, DeviceClass,
-    DeviceProfile, FaultInjector, FaultState, PhaseKind, PhaseLog, ServicePhase,
-};
+use crate::{Device, DeviceClass, DeviceProfile, Mechanism, PhaseKind, PhaseLog};
 
 /// Timing and geometry parameters for a tape drive + cartridge.
 #[derive(Clone, Copy, Debug)]
@@ -67,46 +64,44 @@ struct TapePos {
     long_frac: f64,
 }
 
-/// A tape drive with one (possibly unloaded) cartridge.
+/// A tape drive with one (possibly unloaded) cartridge: the [`Tape`]
+/// mechanism in the device shell.
+pub type TapeDevice = Device<Tape>;
+
+impl TapeDevice {
+    /// A default DLT-class drive.
+    pub fn dlt(name: impl Into<String>) -> Self {
+        Device::from_mechanism(name, Tape::new(TapeParams::default()))
+    }
+}
+
+/// A tape drive's mechanics: the cartridge's load state and head position.
 #[derive(Clone, Debug)]
-pub struct TapeDevice {
-    name: String,
+pub struct Tape {
     params: TapeParams,
     capacity: u64,
     sectors_per_wrap: u64,
     loaded: bool,
     /// Sector just past the head's position, if positioned.
     position: Option<u64>,
-    stats: DevStats,
-    phases: PhaseLog,
-    faults: Option<FaultInjector>,
 }
 
-impl TapeDevice {
-    /// Creates a tape drive with an unloaded cartridge.
+impl Tape {
+    /// A drive with an unloaded cartridge.
     ///
     /// # Panics
     ///
     /// Panics if `wraps == 0`; parameters are construction-time config.
-    pub fn new(name: impl Into<String>, params: TapeParams) -> Self {
+    pub fn new(params: TapeParams) -> Self {
         assert!(params.wraps > 0, "tape needs at least one wrap");
         let capacity = params.capacity_bytes / SECTOR_SIZE;
-        TapeDevice {
-            name: name.into(),
+        Tape {
             sectors_per_wrap: (capacity / params.wraps as u64).max(1),
             params,
             capacity,
             loaded: false,
             position: None,
-            stats: DevStats::default(),
-            phases: PhaseLog::default(),
-            faults: None,
         }
-    }
-
-    /// A default DLT-class drive.
-    pub fn dlt(name: impl Into<String>) -> Self {
-        TapeDevice::new(name, TapeParams::default())
     }
 
     /// Whether a cartridge is currently loaded and threaded.
@@ -115,19 +110,18 @@ impl TapeDevice {
     }
 
     /// Mounts the cartridge if necessary; returns time spent.
-    pub fn ensure_loaded(&mut self) -> SimDuration {
+    pub(crate) fn ensure_loaded(&mut self) -> SimDuration {
         if self.loaded {
             SimDuration::ZERO
         } else {
             self.loaded = true;
             self.position = Some(0);
-            self.stats.repositions += 1;
             self.params.load
         }
     }
 
     /// Rewinds and unloads; returns time spent.
-    pub fn unload(&mut self) -> SimDuration {
+    pub(crate) fn unload(&mut self) -> SimDuration {
         if !self.loaded {
             return SimDuration::ZERO;
         }
@@ -140,7 +134,6 @@ impl TapeDevice {
             .unwrap_or(0.0);
         self.loaded = false;
         self.position = None;
-        self.stats.repositions += 1;
         SimDuration::from_secs_f64(self.params.rewind_full.as_secs_f64() * frac.max(0.05))
     }
 
@@ -167,11 +160,8 @@ impl TapeDevice {
         self.params.rate.transfer_time(wrap_bytes).as_secs_f64()
     }
 
-    /// Locate from sector `from` to `target` sector.
-    fn locate(&mut self, from: u64, target: u64) -> SimDuration {
-        if from == target {
-            return SimDuration::ZERO;
-        }
+    /// Locate from sector `from` to a different `target` sector.
+    fn locate(&self, from: u64, target: u64) -> SimDuration {
         let a = self.coords(from.min(self.capacity - 1));
         let b = self.coords(target);
         let long_dist = (a.long_frac - b.long_frac).abs();
@@ -180,37 +170,12 @@ impl TapeDevice {
             + long_dist * self.pass_time() / self.params.search_speedup.max(1.0)
             + (wraps_crossed.min(1.0)) * self.params.wrap_change.as_secs_f64()
             + self.params.stop_start.as_secs_f64();
-        self.stats.repositions += 1;
         SimDuration::from_secs_f64(secs)
-    }
-
-    fn service(&mut self, start: u64, sectors: u64) -> SimDuration {
-        let mount = self.ensure_loaded();
-        self.phases.add(PhaseKind::Mount, mount);
-        let mut t = mount;
-        // ensure_loaded positions a fresh mount at sector 0.
-        let from = self.position.unwrap_or(0);
-        if from != start {
-            let locate = self.locate(from, start);
-            self.phases.add(PhaseKind::Locate, locate);
-            t += locate;
-        }
-        let stream = self.params.rate.transfer_time(sectors * SECTOR_SIZE);
-        self.phases.add(PhaseKind::Stream, stream);
-        t += stream;
-        self.position = Some(start + sectors);
-        t
     }
 }
 
-impl BlockDevice for TapeDevice {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn class(&self) -> DeviceClass {
-        DeviceClass::Tape
-    }
+impl Mechanism for Tape {
+    const CLASS: DeviceClass = DeviceClass::Tape;
 
     fn capacity_sectors(&self) -> u64 {
         self.capacity
@@ -223,69 +188,46 @@ impl BlockDevice for TapeDevice {
             + self.params.locate_base.as_secs_f64()
             + self.pass_time() / (3.0 * self.params.search_speedup.max(1.0));
         DeviceProfile {
-            class: DeviceClass::Tape,
+            class: Self::CLASS,
             nominal_latency: SimDuration::from_secs_f64(lat),
             nominal_bandwidth: self.params.rate,
         }
     }
 
-    fn read(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity, start, sectors)?;
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        let before = self.position;
-        let t = self.service(start, sectors);
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        self.stats.note_read(sectors, t, before != Some(start));
-        Ok(t)
+    /// Mounts if unloaded, locates unless the head is at `start`, then
+    /// streams. The mount and the locate count one repositioning each.
+    fn service(
+        &mut self,
+        start: u64,
+        sectors: u64,
+        _write: bool,
+        _now: SimTime,
+        phases: &mut PhaseLog,
+    ) -> (SimDuration, u64) {
+        let mut repositions = u64::from(!self.loaded);
+        let mount = self.ensure_loaded();
+        phases.add(PhaseKind::Mount, mount);
+        let mut t = mount;
+        // ensure_loaded positions a fresh mount at sector 0.
+        let from = self.position.unwrap_or(0);
+        if from != start {
+            let locate = self.locate(from, start);
+            phases.add(PhaseKind::Locate, locate);
+            t += locate;
+            repositions += 1;
+        }
+        let stream = self.params.rate.transfer_time(sectors * SECTOR_SIZE);
+        phases.add(PhaseKind::Stream, stream);
+        t += stream;
+        self.position = Some(start + sectors);
+        (t, repositions)
     }
-
-    fn write(&mut self, start: u64, sectors: u64, now: SimTime) -> SimResult<SimDuration> {
-        self.phases.clear();
-        check_range(&self.name, self.capacity, start, sectors)?;
-        let (mult, resume) = fault_gate(&mut self.faults, &mut self.phases, &self.name, now)?;
-        let before = self.position;
-        let t = self.service(start, sectors);
-        let t = apply_fault_overheads(&mut self.phases, t, mult, resume);
-        self.stats.note_write(sectors, t, before != Some(start));
-        Ok(t)
-    }
-
-    fn stats(&self) -> DevStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = DevStats::default();
-    }
-
-    fn last_phases(&self) -> &[ServicePhase] {
-        self.phases.as_slice()
-    }
-
-    fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.faults = Some(injector);
-    }
-
-    fn fault_epoch(&self, now: SimTime) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.epoch(now))
-    }
-
-    fn fault_state(&self, now: SimTime) -> FaultState {
-        self.faults
-            .as_ref()
-            .map_or(FaultState::Healthy, |f| f.state(now))
-    }
-}
-
-/// Returns an [`Errno::Enomedium`] error for jukebox slots with no cartridge.
-pub(crate) fn no_medium(name: &str) -> SimError {
-    SimError::new(Errno::Enomedium, format!("{name}: no cartridge present"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockDevice;
 
     #[test]
     fn first_read_pays_mount() {
@@ -320,19 +262,37 @@ mod tests {
 
     #[test]
     fn unload_scales_with_position() {
-        let mut t = TapeDevice::dlt("st0");
-        t.read(0, 8, SimTime::ZERO).unwrap();
+        let mut t = Tape::new(TapeParams::default());
+        let mut phases = PhaseLog::default();
+        t.service(0, 8, false, SimTime::ZERO, &mut phases);
         let near = t.unload();
         // The middle of a wrap is longitudinally farthest from the load
         // point (serpentine wraps start and end near it).
         let mid_wrap = t.sectors_per_wrap / 2;
-        t.read(mid_wrap, 8, SimTime::ZERO).unwrap();
+        t.service(mid_wrap, 8, false, SimTime::ZERO, &mut phases);
         let far = t.unload();
         assert!(
             far > near,
             "rewind from mid-tape ({far}) should exceed ({near})"
         );
         assert!(!t.is_loaded());
+    }
+
+    /// A cold read at sector 0 is one mount; a later locate adds one; a
+    /// streaming continuation adds none.
+    #[test]
+    fn tape_counts_each_mount_and_locate_once() {
+        let mut t = TapeDevice::dlt("st0");
+        t.read(0, 8, SimTime::ZERO).unwrap();
+        assert_eq!(t.stats().repositions, 1, "cold mount");
+        t.read(1_000_000, 8, SimTime::ZERO).unwrap();
+        assert_eq!(t.stats().repositions, 2, "one locate");
+        t.read(1_000_008, 8, SimTime::ZERO).unwrap();
+        assert_eq!(t.stats().repositions, 2, "streaming");
+        // A cold read elsewhere is a mount and a locate.
+        let mut cold = TapeDevice::dlt("st1");
+        cold.read(1_000_000, 8, SimTime::ZERO).unwrap();
+        assert_eq!(cold.stats().repositions, 2);
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! Runs under the in-repo `check` harness; case count scales with
 //! `SLEDS_CHECK_CASES`.
 
-use sleds_devices::{BlockDevice, CdRomDevice, DiskDevice, NfsDevice, NfsServerDevice, TapeDevice};
-use sleds_sim_core::{check, SimDuration, SimTime};
+use sleds_devices::jukebox::JukeboxParams;
+use sleds_devices::{
+    BlockDevice, CdRomDevice, DevStats, DiskDevice, FaultPlan, Jukebox, NfsDevice, NfsServerDevice,
+    PhaseKind, ServicePhase, TapeDevice,
+};
+use sleds_sim_core::{check, DetRng, SimDuration, SimTime};
 
 /// Upper bound on any single disk command in the tests below: full-stroke
 /// seek + a few revolutions + generous transfer time.
@@ -167,6 +171,99 @@ fn nfs_server_rereads_never_dearer() {
                 .unwrap();
             let warm = srv.read(start, len, SimTime::ZERO).unwrap();
             assert!(warm <= cold, "warm {warm} > cold {cold}");
+        }
+    });
+}
+
+/// A plan with one window of each kind on `name`, placed at random within
+/// `horizon`; windows may overlap.
+fn random_plan(rng: &mut DetRng, name: &str, horizon: u64) -> FaultPlan {
+    let window = |rng: &mut DetRng| {
+        let start = rng.range_u64(0, horizon);
+        let len = rng.range_u64(horizon / 32 + 1, horizon / 4 + 2);
+        (SimTime::from_nanos(start), SimTime::from_nanos(start + len))
+    };
+    let cost = SimDuration::from_micros(rng.range_u64(1, 5_000));
+    let budget = rng.range_u64(1, 4) as u32;
+    let (a, b) = window(rng);
+    let plan = FaultPlan::new().transient(name, a, b, budget, cost);
+    let (a, b) = window(rng);
+    let plan = plan.degraded(name, a, b, 1.0 + rng.unit_f64() * 4.0);
+    let (a, b) = window(rng);
+    plan.offline(name, a, b, cost * 2)
+}
+
+/// The device shell, over all six models: under a random fault plan and a
+/// random mix of sequential, random, out-of-range, empty and (for the
+/// jukebox) cross-cartridge reads and writes, every served command's
+/// phases sum exactly to its time, every failed command leaves the stats
+/// alone and either no phases (refused) or one `Fault` phase carrying its
+/// cost (injected), and the stats add up to exactly what was served.
+#[test]
+fn shell_invariants_hold_for_every_model() {
+    check::run("shell_invariants_hold_for_every_model", |rng| {
+        let devices: Vec<Box<dyn BlockDevice>> = vec![
+            Box::new(DiskDevice::table2_disk("d").with_jitter(rng.derive(1), 0.05)),
+            Box::new(CdRomDevice::table2_drive("d")),
+            Box::new(NfsDevice::table2_mount("d")),
+            Box::new(NfsServerDevice::lan_mount("d")),
+            Box::new(TapeDevice::dlt("d")),
+            Box::new(Jukebox::new("d", 3, 2, JukeboxParams::default())),
+        ];
+        for mut dev in devices {
+            let class = dev.class();
+            let cap = dev.capacity_sectors();
+            // Commands take about a nominal latency; spread the windows
+            // over a few dozen of them.
+            let horizon = dev.profile().nominal_latency.as_nanos() * 48;
+            dev.set_fault_injector(random_plan(rng, "d", horizon).injector_for("d").unwrap());
+            let mut now = SimTime::ZERO;
+            let (mut next, mut served, mut busy) = (0u64, 0u64, SimDuration::ZERO);
+            for _ in 0..rng.range_usize(1, 48) {
+                let write = rng.chance(0.3);
+                let sectors = rng.range_u64(0, 257);
+                let start = match rng.range_u64(0, 6) {
+                    0 | 1 => next,
+                    2 => cap - rng.range_u64(0, 300).min(cap),
+                    3 => (cap / 3) * rng.range_u64(1, 3) - rng.range_u64(0, 8),
+                    _ => rng.range_u64(0, cap),
+                };
+                let before = dev.stats();
+                let out = if write {
+                    dev.write(start, sectors, now)
+                } else {
+                    dev.read(start, sectors, now)
+                };
+                let phases = dev.last_phases();
+                match out {
+                    Ok(t) => {
+                        let sum: SimDuration = phases.iter().map(|p| p.dur).sum();
+                        assert_eq!(sum, t, "{class:?}: phases {phases:?}");
+                        served += 1;
+                        busy += t;
+                        next = start + sectors;
+                        now += t;
+                    }
+                    Err(e) => {
+                        assert_eq!(dev.stats(), before, "{class:?}: {e}");
+                        match e.fault_cost() {
+                            None => assert!(phases.is_empty(), "{class:?}: {e} left {phases:?}"),
+                            Some(cost) => {
+                                let fault = ServicePhase {
+                                    kind: PhaseKind::Fault,
+                                    dur: cost,
+                                };
+                                assert_eq!(phases, [fault], "{class:?}: {e}");
+                                now += cost;
+                            }
+                        }
+                    }
+                }
+                now += SimDuration::from_nanos(rng.range_u64(0, horizon / 24 + 1));
+            }
+            let s: DevStats = dev.stats();
+            assert_eq!(s.busy, busy, "{class:?}");
+            assert_eq!(s.reads + s.writes, served, "{class:?}");
         }
     });
 }

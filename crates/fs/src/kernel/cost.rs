@@ -5,7 +5,6 @@
 //! recorder, `Rusage`, tracer). DESIGN.md §"The accounting spine"
 //! tabulates who receives what.
 
-use sleds_devices::PhaseKind;
 use sleds_sim_core::{Clock, Sectors, SimDuration, SimError, SimTime};
 use sleds_trace::{CostOutcome, DeviceCost, Wait};
 
@@ -227,13 +226,7 @@ impl Kernel {
         let mut transfer_ns = 0u64;
         for p in d.last_phases() {
             phases.push((p.kind.label(), p.dur));
-            // Time the device spent actually moving data, as opposed to
-            // positioning for it — the first-byte/bandwidth split the
-            // recalibrator rebuilds SLED rows from.
-            if matches!(
-                p.kind,
-                PhaseKind::Transfer | PhaseKind::Stream | PhaseKind::Link
-            ) {
+            if p.kind.is_transfer() {
                 transfer_ns += p.dur.as_nanos();
             }
         }

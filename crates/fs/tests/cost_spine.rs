@@ -9,8 +9,8 @@
 use std::collections::BTreeMap;
 
 use sleds_devices::{
-    BlockDevice, DevStats, DeviceClass, DeviceProfile, DiskDevice, FaultPlan, PhaseKind,
-    ServicePhase,
+    BlockDevice, DevStats, DeviceClass, DeviceProfile, DiskDevice, FaultInjector, FaultPlan,
+    FaultState, PhaseKind, ServicePhase, ZoneSpan,
 };
 use sleds_fs::trace::{EventPhase, Layer, TraceEvent};
 use sleds_fs::{
@@ -429,6 +429,21 @@ impl BlockDevice for Impostor {
             kind: PhaseKind::Fault,
             dur: FAULT_COST,
         }]
+    }
+    fn zone_map(&self) -> Vec<ZoneSpan> {
+        self.0.zone_map()
+    }
+    fn dynamic_probe(&self, sector: u64) -> Option<(f64, f64)> {
+        self.0.dynamic_probe(sector)
+    }
+    fn set_fault_injector(&mut self, injector: FaultInjector) {
+        self.0.set_fault_injector(injector)
+    }
+    fn fault_epoch(&self, now: SimTime) -> u64 {
+        self.0.fault_epoch(now)
+    }
+    fn fault_state(&self, now: SimTime) -> FaultState {
+        self.0.fault_state(now)
     }
 }
 

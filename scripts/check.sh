@@ -21,6 +21,10 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run cargo build --release
 
 run cargo test -q
+# Every self-timed component bench (device models, page cache, kernel
+# paths, codecs) at quick sizes: it must build and run; the host times it
+# prints are for reading, not compared.
+run env SLEDS_QUICK=1 cargo bench -p sleds-bench --bench components
 
 # The artifact gate. Every producer asserts its own acceptance properties
 # and writes reports that are pure functions of the virtual machine and
