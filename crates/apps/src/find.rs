@@ -7,10 +7,7 @@
 //! describes. The paper notes the whole port took two extra routines and
 //! under 100 lines; ours is similar.
 
-use sleds::{
-    compile_latency, pushdown_pricing, total_delivery_time, AttackPlan, LatencyPredicate,
-    SledsTable,
-};
+use sleds::{compile_latency, total_delivery_time, AttackPlan, LatencyPredicate, SledsTable};
 use sleds_fs::{FileKind, Kernel, OpenFlags};
 use sleds_sim_core::{SimDuration, SimResult};
 
@@ -118,10 +115,9 @@ pub fn find_report(
 /// predicates (`-name`, `-type`, `-size`) still run user-side, *before* the
 /// kernel's verdict is consulted — exactly the order `keep` applies them —
 /// so hits, estimates and skip diagnostics are identical to the sequential
-/// walk. Requires a `-latency` predicate; without one there is nothing to
-/// push down, use [`find`]. A table with zone rows or trusted device
-/// self-reports is `EINVAL` ([`pushdown_pricing`]): the flat rows that
-/// cross with the walk cannot carry either.
+/// walk — the kernel prices from the same `table`, zone rows and device
+/// self-reports included. Requires a `-latency` predicate; without one
+/// there is nothing to push down, use [`find`].
 pub fn find_prog(
     kernel: &mut Kernel,
     root: &str,
@@ -136,8 +132,7 @@ pub fn find_prog(
     };
     kernel.trace_app("find", |kernel| {
         let prog = compile_latency(&pred);
-        let pricing = pushdown_pricing(table)?;
-        let entries = kernel.fsleds_walk(root, &prog, &pricing)?;
+        let entries = kernel.fsleds_walk(root, &prog, table)?;
         let mut out = FindReport::default();
         for e in &entries {
             kernel.charge_cpu(SimDuration::from_nanos(FIND_NS_PER_ENTRY));
@@ -664,24 +659,31 @@ mod tests {
     }
 
     #[test]
-    fn prog_pushdown_refuses_a_table_the_flat_rows_cannot_carry() {
-        // Flattened, a zoned table would let the kernel's verdicts differ
-        // from the sequential walk's; it is refused instead.
+    fn prog_pushdown_matches_the_sequential_walk_on_a_zoned_table() {
+        // A zone boundary eight pages into big.bin splits its extent into
+        // two SLEDs; the kernel prices from the same table, so the
+        // verdicts cannot differ.
         let (mut k, mut t) = setup_tree();
-        let dev = t.iter_devices().next().unwrap().0;
-        let flat = t.device(dev).unwrap();
-        t.fill_device_zones(dev, vec![(0, flat), (1 << 20, flat)]);
-        let opts = FindOptions {
-            latency: Some(LatencyPredicate::parse("-m10").unwrap()),
-            ..Default::default()
+        let fd = k.open("/data/big.bin", OpenFlags::RDONLY).unwrap();
+        let sleds_fs::PageLocation::Device { dev, sector } =
+            k.page_extents(fd).unwrap()[0].location
+        else {
+            panic!("cold file must be on the device");
         };
-        let crossings = k.usage().syscall_crossings;
-        let err = find_prog(&mut k, "/data", &opts, &t).unwrap_err();
-        assert_eq!(err.errno, sleds_sim_core::Errno::Einval);
-        assert!(err.to_string().contains("per-zone rows"), "got: {err}");
-        assert_eq!(k.usage().syscall_crossings, crossings, "before any walk");
-        assert!(find_report(&mut k, "/data", &opts, Some(&t)).is_ok());
-        t.clear_device_zones(dev);
-        assert!(find_prog(&mut k, "/data", &opts, &t).is_ok());
+        let flat = t.device(dev).unwrap();
+        let slow = sleds::SledsEntry::new(flat.latency, flat.bandwidth / 4.0);
+        let boundary = sector + 8 * sleds_fs::SECTORS_PER_PAGE;
+        t.fill_device_zones(dev, vec![(0, flat), (boundary, slow)]);
+        assert_eq!(sleds::fsleds_get(&mut k, fd, &t).unwrap().len(), 2);
+        k.close(fd).unwrap();
+        for spec in ["-m100", "+m100", "+0"] {
+            let opts = FindOptions {
+                latency: Some(LatencyPredicate::parse(spec).unwrap()),
+                ..Default::default()
+            };
+            let seq = find_report(&mut k, "/data", &opts, Some(&t)).unwrap();
+            let prog = find_prog(&mut k, "/data", &opts, &t).unwrap();
+            assert_eq!(seq, prog, "same hits, estimates and skips for {spec}");
+        }
     }
 }

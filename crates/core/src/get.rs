@@ -3,7 +3,8 @@
 //! The sequential, above-the-boundary form: ask the kernel for the file's
 //! size and residency extents, then price them from the sleds table. The
 //! construction itself — level assignment, coalescing, zone splits, device
-//! self-reports, replica selection — is [`sleds_fs::sled`].
+//! self-reports, replica selection — is [`sleds_fs::sled`], and so is the
+//! table: the ring ops and pick programs price from a copy of it.
 
 use sleds_fs::{sled, Fd, Kernel};
 use sleds_sim_core::SimResult;
@@ -26,8 +27,8 @@ use crate::Sled;
 /// candidate can serve at all is the extent priced unavailable.
 ///
 /// Two crossings — `fstat` for the size, `FSLEDS_GET` for the extents —
-/// then [`sled::fold`], the same construction the ring ops and pick
-/// programs run below the boundary.
+/// then [`sled::fold`], the same construction over the same table that
+/// the ring ops and pick programs run below the boundary.
 ///
 /// # Errors
 ///

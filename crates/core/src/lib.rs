@@ -69,7 +69,7 @@ pub use forecast::{forecast, SledForecast};
 pub use get::fsleds_get;
 pub use pick::{PickConfig, PickSession, UnavailablePolicy};
 pub use predicate::LatencyPredicate;
-pub use program::{compile_latency, pricing_from, pushdown_pricing, sleds_from_prog};
+pub use program::{compile_latency, pricing_from, sleds_from_prog};
 pub use recal::{recalibrate, RecalOutcome, RecalPolicy};
 pub use report::{ObservedError, SledReport};
 pub use sleds_fs::sled::{select_min_cost, Sled};

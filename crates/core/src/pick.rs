@@ -105,13 +105,12 @@ impl PickSession {
     }
 
     /// [`PickSession::init`] over the submission ring: the SLED vector is
-    /// built in-kernel ([`sleds_fs::Syscall::FsledsGet`]) from the table's
-    /// flattened rows, so the retrieval costs one ring op instead of the
+    /// built in-kernel ([`sleds_fs::Syscall::FsledsGet`]) from a copy of
+    /// the table, so the retrieval costs one ring op instead of the
     /// sequential `fstat` + `FSLEDS_GET` pair of crossings. Planning —
     /// chunking, record adjustment, the prediction mark — is identical to
-    /// the sequential path, and so is the plan. A table the flat rows
-    /// cannot carry (zone rows, device self-reports) is `EINVAL` before
-    /// anything is submitted ([`pushdown_pricing`](crate::pushdown_pricing)).
+    /// the sequential path, and so is the plan, zone rows and device
+    /// self-reports included.
     pub fn init_ring(
         kernel: &mut Kernel,
         ring: &mut SubmissionRing,
@@ -119,8 +118,13 @@ impl PickSession {
         fd: Fd,
         cfg: PickConfig,
     ) -> SimResult<PickSession> {
-        let pricing = crate::program::pushdown_pricing(table)?;
-        ring.push(fd.0, Syscall::FsledsGet { fd, pricing })?;
+        ring.push(
+            fd.0,
+            Syscall::FsledsGet {
+                fd,
+                pricing: table.clone(),
+            },
+        )?;
         kernel.ring_enter(ring)?;
         let mut sleds: Vec<Sled> = Vec::new();
         for c in kernel.ring_reap(ring) {

@@ -1,8 +1,8 @@
 //! Compiling user-space pick predicates into in-kernel [`PickProgram`]s.
 //!
 //! The bridge between the library's vocabulary (a parsed
-//! [`LatencyPredicate`], a filled [`SledsTable`]) and the kernel's pushdown
-//! interface (bytecode plus flattened [`ProgPricing`] rows). Compilation
+//! [`LatencyPredicate`]) and the kernel's pushdown interface (bytecode
+//! evaluated over SLEDs priced from the same [`SledsTable`]). Compilation
 //! must preserve *bit-for-bit* verdict parity with the sequential path:
 //! the emitted bytecode performs the same floating-point operations in the
 //! same order as [`LatencyPredicate::matches`], over an estimate both
@@ -10,8 +10,7 @@
 
 use std::cmp::Ordering;
 
-use sleds_fs::{PickProgram, ProgInst, ProgPricing};
-use sleds_sim_core::{Errno, SimError, SimResult};
+use sleds_fs::{PickProgram, ProgInst};
 
 use crate::predicate::LatencyPredicate;
 use crate::table::SledsTable;
@@ -53,32 +52,11 @@ pub fn compile_latency(pred: &LatencyPredicate) -> PickProgram {
     PickProgram::new(insts).expect("compiled latency predicate always verifies")
 }
 
-/// Flattens a sleds table into the pricing rows a ring op or walk carries
-/// across the boundary.
-///
-/// Only the flat rows travel: zone rows and `trust_device_reports` are not
-/// expressible in [`ProgPricing`]. Infallible, so lossy for a table that
-/// has either; the library's own pushdown entry points go through
-/// [`pushdown_pricing`], which refuses such a table.
-pub fn pricing_from(table: &SledsTable) -> ProgPricing {
-    ProgPricing {
-        memory: table.memory(),
-        devices: table.iter_devices().collect(),
-    }
-}
-
-/// [`pricing_from`] for a pushdown entry point: `EINVAL`, naming the
-/// reason, when flattening would change what the table prices
-/// ([`SledsTable::pushdown_loss`]) — the kernel would quote SLEDs the
-/// sequential path does not.
-pub fn pushdown_pricing(table: &SledsTable) -> SimResult<ProgPricing> {
-    match table.pushdown_loss() {
-        Some(lost) => Err(SimError::new(
-            Errno::Einval,
-            format!("FSLEDS pushdown: the sleds table {lost}, which pushed rows cannot carry"),
-        )),
-        None => Ok(pricing_from(table)),
-    }
+/// Copies a sleds table. Ring ops and walks carry the table itself, so
+/// this exists only for `benchmark/`, which calls it and is not edited
+/// here; it goes with the `ProgPricing` alias.
+pub fn pricing_from(table: &SledsTable) -> SledsTable {
+    table.clone()
 }
 
 /// Copies kernel-built SLEDs. The kernel and the library share one
@@ -135,18 +113,18 @@ mod tests {
     }
 
     #[test]
-    fn pricing_flattens_memory_and_devices() {
+    fn pricing_from_keeps_zones_and_self_reports() {
         use sleds_fs::DeviceId;
         let mut t = SledsTable::new();
-        assert_eq!(pricing_from(&t).memory, None);
         t.fill_memory(crate::SledsEntry::new(175e-9, 48e6));
-        t.fill_device(DeviceId(2), crate::SledsEntry::new(0.018, 9e6));
         t.fill_device(DeviceId(7), crate::SledsEntry::new(0.27, 1e6));
+        t.fill_device(DeviceId(2), crate::SledsEntry::new(0.018, 9e6));
+        t.fill_device_zones(DeviceId(2), vec![(0, crate::SledsEntry::new(0.018, 11e6))]);
+        t.set_trust_device_reports(true);
         let p = pricing_from(&t);
-        assert_eq!(p.memory.unwrap().bandwidth, 48e6);
-        assert_eq!(p.devices.len(), 2);
-        assert_eq!(p.device(DeviceId(7)).unwrap().latency, 0.27);
-        assert_eq!(p.device(DeviceId(3)), None);
+        assert_eq!(p, t, "nothing is flattened away");
+        assert_eq!(p.entry_at(DeviceId(2), 5).unwrap().bandwidth, 11e6);
+        assert!(p.trust_device_reports());
     }
 
     #[test]

@@ -1,23 +1,24 @@
 //! Pushdown sees what the sequential path sees.
 //!
 //! The ring ops and pick programs build SLEDs below the syscall boundary
-//! from flattened pricing rows; the library builds them above it from the
-//! table. Both run `sleds_fs::sled::fold`, and these cases pin the three
+//! from the table that crossed with them; the library builds them above it
+//! from its own. Both run `sleds_fs::sled::fold`, and these cases pin the
 //! places the two once disagreed: a mirror whose primary is offline, a
-//! (k, n)-coded volume, and a table the flat rows cannot carry.
+//! (k, n)-coded volume, and a table with zone rows or device self-reports,
+//! which pushdown once refused.
 
 #![expect(
     clippy::float_cmp,
     reason = "parity means bit-identical estimates on both sides"
 )]
 
-use sleds::{fsleds_get, pricing_from, PickConfig, PickSession, Sled, SledsEntry, SledsTable};
+use sleds::{fsleds_get, PickConfig, PickSession, Sled, SledsEntry, SledsTable};
 use sleds_devices::{BlockDevice, DiskDevice, FaultPlan};
 use sleds_fs::{
     DeviceId, Fd, Kernel, OpenFlags, PageLocation, SubmissionRing, Syscall, SyscallRet,
     VolumeLayout, SECTORS_PER_PAGE,
 };
-use sleds_sim_core::{Errno, SimDuration, SimResult, SimTime, PAGE_SIZE};
+use sleds_sim_core::{SimDuration, SimResult, SimTime, PAGE_SIZE};
 
 const PAGES: u64 = 4;
 
@@ -70,7 +71,7 @@ fn ring_call(k: &mut Kernel, call: Syscall) -> SimResult<SyscallRet> {
 fn pushed_sleds(k: &mut Kernel, t: &SledsTable, fd: Fd) -> Vec<Sled> {
     let call = Syscall::FsledsGet {
         fd,
-        pricing: pricing_from(t),
+        pricing: t.clone(),
     };
     match ring_call(k, call).unwrap() {
         SyscallRet::Sleds(s) => s,
@@ -96,22 +97,23 @@ fn drain(mut pick: PickSession) -> Vec<(u64, usize)> {
     std::iter::from_fn(|| pick.next_read()).collect()
 }
 
-/// Library SLEDs, pushed-down SLEDs, and the plans of `init`, `init_ring`
-/// and the `PickAdvice` ring op must all agree; returns the SLEDs.
+/// The sessions of `init` and `init_ring`, library and pushed-down SLEDs,
+/// and the `PickAdvice` ring op's plan must all agree; returns the SLEDs.
 fn assert_parity(k: &mut Kernel, t: &SledsTable, fd: Fd) -> Vec<Sled> {
-    let lib = fsleds_get(k, fd, t).unwrap();
-    assert_eq!(bits(&lib), bits(&pushed_sleds(k, t, fd)));
-
     let cfg = PickConfig::bytes(PAGE_SIZE as usize).skip_unavailable();
     let seq = PickSession::init(k, t, fd, cfg).unwrap();
     let mut ring = SubmissionRing::new(4);
     let batched = PickSession::init_ring(k, &mut ring, t, fd, cfg).unwrap();
+    assert_eq!(bits(seq.sleds()), bits(batched.sleds()));
     assert_eq!(seq.planned_chunks(), batched.planned_chunks());
     let plan = drain(seq);
     assert_eq!(plan, drain(batched));
+
+    let lib = fsleds_get(k, fd, t).unwrap();
+    assert_eq!(bits(&lib), bits(&pushed_sleds(k, t, fd)));
     let advice = Syscall::PickAdvice {
         fd,
-        pricing: pricing_from(t),
+        pricing: t.clone(),
         preferred: PAGE_SIZE as usize,
         skip_unavailable: true,
     };
@@ -173,7 +175,7 @@ fn pushdown_charges_the_alternative_probes_the_sequential_walk_charges() {
 }
 
 /// A cold 8-page file on a plain disk, with a zone boundary three pages in.
-fn zoned_disk() -> (Kernel, SledsTable, Fd, DeviceId) {
+fn zoned_disk() -> (Kernel, SledsTable, Fd) {
     let mut k = Kernel::table2();
     k.mkdir("/data").unwrap();
     let m = k
@@ -194,37 +196,18 @@ fn zoned_disk() -> (Kernel, SledsTable, Fd, DeviceId) {
             (sector + 3 * SECTORS_PER_PAGE, SledsEntry::new(0.010, 7e6)),
         ],
     );
-    (k, t, fd, dev)
+    (k, t, fd)
 }
 
 #[test]
-fn a_table_the_flat_rows_cannot_carry_is_refused_not_flattened() {
-    let (mut k, mut t, fd, dev) = zoned_disk();
-    let cfg = PickConfig::bytes(PAGE_SIZE as usize);
-    let seq = PickSession::init(&mut k, &t, fd, cfg).unwrap();
-    assert_eq!(seq.sleds().len(), 2, "one extent, two zones, two SLEDs");
-    assert_eq!(seq.sleds()[0].bandwidth, 11e6);
-    assert_eq!(seq.sleds()[1].bandwidth, 7e6);
-
-    let mut ring = SubmissionRing::new(4);
-    let ops = k.ring_ops_serviced();
-    let err = PickSession::init_ring(&mut k, &mut ring, &t, fd, cfg).unwrap_err();
-    assert_eq!(err.errno, Errno::Einval);
-    assert!(err.to_string().contains("per-zone rows"), "got: {err}");
-    assert_eq!(ring.sq_len(), 0, "refused before anything was pushed");
-    assert_eq!(k.ring_ops_serviced(), ops);
-
-    // Recalibration drops the zone survey; the flat row governs again and
-    // the table is pushable.
-    t.clear_device_zones(dev);
-    let batched = PickSession::init_ring(&mut k, &mut ring, &t, fd, cfg).unwrap();
-    let seq = PickSession::init(&mut k, &t, fd, cfg).unwrap();
-    assert_eq!(bits(batched.sleds()), bits(seq.sleds()));
-    assert_eq!(batched.sleds().len(), 1);
-
-    // Device self-reports are the other thing flat rows cannot say.
+fn zoned_and_self_reporting_tables_push_down_at_parity() {
+    let (mut k, mut t, fd) = zoned_disk();
+    let sleds = assert_parity(&mut k, &t, fd);
+    assert_eq!(sleds.len(), 2, "one extent, two zones, two SLEDs");
+    assert_eq!(sleds[0].bandwidth, 11e6);
+    assert_eq!(sleds[1].bandwidth, 7e6);
+    // Trusting self-reports switches the fold to its per-page arm; a disk
+    // reports nothing, so each page falls back to its zone row.
     t.set_trust_device_reports(true);
-    let err = PickSession::init_ring(&mut k, &mut ring, &t, fd, cfg).unwrap_err();
-    assert_eq!(err.errno, Errno::Einval);
-    assert!(err.to_string().contains("self-reports"), "got: {err}");
+    assert_eq!(bits(&assert_parity(&mut k, &t, fd)), bits(&sleds));
 }

@@ -6,7 +6,10 @@
 //! neighbours, clip the tail to the file size. This file re-implements
 //! that construction (it is the seed's `fsleds_get` body, verbatim in
 //! spirit) and drives both against randomized cache states, ragged tails,
-//! zone tables, and HSM boundaries.
+//! zone tables, and HSM boundaries. Every case also pushes the same table
+//! down through the ring: the kernel's `FsledsGet` SLEDs must be
+//! bit-identical to `fsleds_get`'s and its `PickAdvice` plan must be
+//! `PickSession::init`'s, zone rows and device self-reports included.
 //!
 //! Runs under the in-repo `check` harness; case count scales with
 //! `SLEDS_CHECK_CASES`.
@@ -16,9 +19,11 @@
     reason = "the reference coalesces on bit-equal table entries, as the seed did"
 )]
 
-use sleds::{fsleds_get, Sled, SledsEntry, SledsTable};
+use sleds::{fsleds_get, PickConfig, PickSession, Sled, SledsEntry, SledsTable};
 use sleds_devices::{DiskDevice, TapeDevice};
-use sleds_fs::{Fd, Kernel, MachineConfig, OpenFlags, PageLocation, Whence};
+use sleds_fs::{
+    Fd, Kernel, MachineConfig, OpenFlags, PageLocation, SubmissionRing, Syscall, SyscallRet, Whence,
+};
 use sleds_sim_core::{check, ByteSize, DetRng, PAGE_SIZE};
 
 /// The seed's per-page SLED construction, kept as the oracle: one table
@@ -61,10 +66,54 @@ fn fsleds_get_reference(kernel: &mut Kernel, fd: Fd, table: &SledsTable) -> Vec<
     out
 }
 
+fn bits(sleds: &[Sled]) -> Vec<(u64, u64, u64, u64)> {
+    sleds
+        .iter()
+        .map(|s| {
+            (
+                s.offset,
+                s.length,
+                s.latency.to_bits(),
+                s.bandwidth.to_bits(),
+            )
+        })
+        .collect()
+}
+
 fn assert_sleds_agree(k: &mut Kernel, fd: Fd, t: &SledsTable, ctx: &str) {
     let oracle = fsleds_get_reference(k, fd, t);
     let fast = fsleds_get(k, fd, t).unwrap();
     assert_eq!(fast, oracle, "{ctx}: SLED vectors differ");
+
+    // Pushed down: the kernel prices from a copy of the same table.
+    let preferred = 3 * PAGE_SIZE as usize;
+    let mut ring = SubmissionRing::new(2);
+    let get = Syscall::FsledsGet {
+        fd,
+        pricing: t.clone(),
+    };
+    let advice = Syscall::PickAdvice {
+        fd,
+        pricing: t.clone(),
+        preferred,
+        skip_unavailable: false,
+    };
+    ring.push(0, get).unwrap();
+    ring.push(1, advice).unwrap();
+    k.ring_enter(&mut ring).unwrap();
+    let mut done = k.ring_reap(&mut ring).into_iter();
+    let (pushed, advised) = (done.next().unwrap(), done.next().unwrap());
+    let Ok(SyscallRet::Sleds(pushed)) = pushed.result else {
+        panic!("{ctx}: FsledsGet completed with {pushed:?}");
+    };
+    assert_eq!(bits(&pushed), bits(&fast), "{ctx}: pushed SLEDs differ");
+    let mut pick = PickSession::init(k, t, fd, PickConfig::bytes(preferred)).unwrap();
+    let plan: Vec<(u64, usize)> = std::iter::from_fn(|| pick.next_read()).collect();
+    assert_eq!(
+        advised.result,
+        Ok(SyscallRet::Plan(plan)),
+        "{ctx}: pushed plan differs"
+    );
 }
 
 /// Random disk states, optionally with zone rows splitting the device.

@@ -33,11 +33,11 @@ use crate::capture::{Capture, PayloadFold, WorkloadRecorder};
 use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, PageMap, PagePlace, Stat};
 use crate::machine::MachineConfig;
 use crate::payload::Payload;
-use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, ProgPricing, WalkEntry};
+use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, WalkEntry};
 use crate::queue::{self, CmdQueue, SaturationReport};
 use crate::ring::{RingCompletion, SubmissionRing};
 use crate::rusage::{JobReport, JobTimer, Rusage};
-use crate::sled::{self, Sled};
+use crate::sled::{self, Sled, SledsTable};
 use crate::syscall::{self as sys, Entry, Syscall, SyscallRet};
 use crate::volume::{HedgePolicy, VolumeLayout};
 
@@ -2255,14 +2255,14 @@ impl Kernel {
     }
 
     /// `FSLEDS_GET` below the boundary: the SLED vector of `ino` priced
-    /// from the rows that crossed with the call. Charges the extent walk
+    /// from the table that crossed with the call. Charges the extent walk
     /// (the work), not the two syscall traps the sequential `fstat` +
     /// `FSLEDS_GET` pair pays.
-    fn sleds_of(&mut self, ino: Ino, pricing: &ProgPricing) -> SimResult<Vec<Sled>> {
-        sled::memory_row(pricing)?;
+    fn sleds_of(&mut self, ino: Ino, table: &SledsTable) -> SimResult<Vec<Sled>> {
+        sled::memory_row(table)?;
         let size = self.stat_ino(ino)?.size;
         let extents = self.redundant_extents_of(ino)?;
-        sled::fold(self, pricing, size, &extents)
+        sled::fold(self, table, size, &extents)
     }
 
     /// Prices `ino` and runs `prog` over it: the evaluation step behind
@@ -2271,10 +2271,10 @@ impl Kernel {
         &mut self,
         ino: Ino,
         prog: &PickProgram,
-        pricing: &ProgPricing,
+        table: &SledsTable,
     ) -> SimResult<(bool, ProgInputs)> {
-        let mem = sled::memory_row(pricing)?;
-        let sleds = self.sleds_of(ino, pricing)?;
+        let mem = sled::memory_row(table)?;
+        let sleds = self.sleds_of(ino, table)?;
         // Interpretation is charged at the certified worst-case bound, not
         // the path actually taken: the price of running a program is fixed
         // at admission, so accounting cannot depend on file contents or
@@ -2294,9 +2294,9 @@ impl Kernel {
 
     /// A program-driven directory walk (`fsleds_walk`): visits the tree
     /// under `root` depth-first in name order — the order `find` visits —
-    /// pricing every regular file against the pushed rows and evaluating
+    /// pricing every regular file against the pushed table and evaluating
     /// `prog` over it, all inside **one** boundary crossing. Per-file
-    /// pricing failures (say, a device with no pushed row) are captured in
+    /// pricing failures (say, a device with no table row) are captured in
     /// the entry's `error` and the walk continues, like `find`'s
     /// diagnostics. Honors [`ProgOrder::CachedFirst`] (matched files
     /// first, most-cached first, stable; everything else after in file
@@ -2305,14 +2305,14 @@ impl Kernel {
         &mut self,
         root: &str,
         prog: &PickProgram,
-        pricing: &ProgPricing,
+        table: &SledsTable,
     ) -> SimResult<Vec<WalkEntry>> {
         self.ioctl(&Entry::ioctl("ioctl.fsleds_walk"), [0; 3], |k| {
             let ino = k.resolve(root)?;
             let mut out: Vec<(WalkEntry, f64)> = Vec::new();
             let mut done = false;
             let mut path = root.to_string();
-            k.walk_node(&mut path, ino, prog, pricing, &mut out, &mut done)?;
+            k.walk_node(&mut path, ino, prog, table, &mut out, &mut done)?;
             if prog.order == ProgOrder::CachedFirst {
                 // Matched files first, most-cached first; stable, so ties
                 // and the unmatched tail keep file order.
@@ -2333,7 +2333,7 @@ impl Kernel {
         path: &mut String,
         ino: Ino,
         prog: &PickProgram,
-        pricing: &ProgPricing,
+        table: &SledsTable,
         out: &mut Vec<(WalkEntry, f64)>,
         done: &mut bool,
     ) -> SimResult<()> {
@@ -2347,7 +2347,7 @@ impl Kernel {
         let d = self.cfg.ring_op_cpu;
         self.charge_cpu(d);
         if stat.kind == FileKind::File {
-            let (entry, cached) = match self.eval_prog(ino, prog, pricing) {
+            let (entry, cached) = match self.eval_prog(ino, prog, table) {
                 Ok((matched, inputs)) => {
                     if matched && prog.first_match_exit {
                         *done = true;
@@ -2416,7 +2416,7 @@ impl Kernel {
                 break;
             }
             path.push_str(&names[start..end]);
-            self.walk_node(path, child, prog, pricing, out, done)?;
+            self.walk_node(path, child, prog, table, out, done)?;
             path.truncate(stem_len);
             start = end;
         }

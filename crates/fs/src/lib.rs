@@ -72,16 +72,18 @@ pub use kernel::{
 pub use machine::MachineConfig;
 pub use payload::Payload;
 pub use prog::{
-    prog_inputs, CostCert, PickProgram, ProgInputs, ProgInst, ProgOrder, ProgPricing, WalkEntry,
+    prog_inputs, CostCert, PickProgram, ProgInputs, ProgInst, ProgOrder, WalkEntry,
     MAX_PROG_COST_NS, MAX_PROG_LEN, MAX_PROG_STACK,
 };
 pub use queue::{
     CmdQueue, DeviceSaturation, LatencySummary, SaturationReport, TenantAttribution, TenantShare,
     BULLY_SHARE_PPM, CMD_QUEUE_CAPACITY, SATURATION_UTIL_PPM,
 };
-pub use ring::{RingCompletion, RingOp, RingPayload, SubmissionRing, DEFAULT_RING_ENTRIES};
+pub use ring::{
+    ProgPricing, RingCompletion, RingOp, RingPayload, SubmissionRing, DEFAULT_RING_ENTRIES,
+};
 pub use rusage::{JobReport, JobTimer, Rusage};
-pub use sled::{Sled, SledPricing, SledsEntry};
+pub use sled::{Sled, SledsEntry, SledsTable};
 pub use sleds_sim_core::{TenantId, VirtualSubmitter};
 pub use sleds_trace as trace;
 pub use syscall::{Charge, Entry, Record, Ring, Syscall, SyscallRet};

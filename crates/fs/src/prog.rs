@@ -4,10 +4,11 @@
 //! The pick library's sequential protocol pays one boundary crossing per
 //! file just to ask "is this file cheap?" — at archive scale the crossings
 //! dominate. A [`PickProgram`] moves the question across the boundary once:
-//! passed to a directory walk (`fsleds_walk`), it is evaluated in-kernel
-//! against the same extent walk `FSLEDS_GET` performs, so `find -latency`
-//! and `grep -q` prune and reorder whole trees without per-file
-//! round-trips.
+//! passed to a directory walk (`fsleds_walk`) with the caller's
+//! [`SledsTable`](crate::sled::SledsTable), it is evaluated in-kernel
+//! against the same extent walk and the same prices `FSLEDS_GET` uses, so
+//! `find -latency` and `grep -q` prune and reorder whole trees without
+//! per-file round-trips.
 //!
 //! # Verification: the certificate is the admission ticket
 //!
@@ -43,8 +44,7 @@
 use sleds_sim_core::{Errno, SimError, SimResult};
 
 use crate::inode::FileKind;
-use crate::kernel::DeviceId;
-use crate::sled::{best_estimate, Sled, SledPricing, SledsEntry};
+use crate::sled::{best_estimate, Sled, SledsEntry};
 
 /// Maximum instructions a program may hold. Small on purpose: a pick
 /// predicate is a comparison or two, and the bound keeps in-kernel
@@ -453,41 +453,6 @@ fn bool_to_f64(b: bool) -> f64 {
     }
 }
 
-/// The pricing rows that cross the boundary with a ring op, a program
-/// evaluation or a walk: the memory row plus one flat row per device. The
-/// kernel prices SLEDs from them through [`SledPricing`], like the library
-/// does from its table. Zone rows and `trust_device_reports` are *not*
-/// expressible here; a table that carries either must stay on the
-/// sequential path, and the library's pushdown entry points refuse it.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ProgPricing {
-    /// The memory row (`None` reproduces the sequential path's "table not
-    /// filled" error).
-    pub memory: Option<SledsEntry>,
-    /// Per-device rows, in any order.
-    pub devices: Vec<(DeviceId, SledsEntry)>,
-}
-
-impl ProgPricing {
-    /// The row for `dev`, if one was pushed.
-    pub fn device(&self, dev: DeviceId) -> Option<SledsEntry> {
-        self.devices
-            .iter()
-            .find(|(d, _)| *d == dev)
-            .map(|(_, e)| *e)
-    }
-}
-
-impl SledPricing for ProgPricing {
-    fn memory(&self) -> Option<SledsEntry> {
-        self.memory
-    }
-
-    fn entry_at(&self, dev: DeviceId, _sector: u64) -> Option<SledsEntry> {
-        self.device(dev)
-    }
-}
-
 /// The three scalars a program can read, precomputed from a SLED vector.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ProgInputs {
@@ -499,8 +464,8 @@ pub struct ProgInputs {
     pub cached_fraction: f64,
 }
 
-/// Computes program inputs from a SLED vector. `memory` is the pricing
-/// row that identifies the memory level.
+/// Computes program inputs from a SLED vector. `memory` is the table's
+/// memory row, which identifies the memory level.
 pub fn prog_inputs(sleds: &[Sled], memory: SledsEntry) -> ProgInputs {
     let total: u64 = sleds.iter().map(|s| s.length).sum();
     let cached: u64 = sleds

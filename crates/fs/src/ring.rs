@@ -23,6 +23,7 @@ use std::collections::VecDeque;
 
 use sleds_sim_core::{Errno, SimError, SimResult, TenantId};
 
+use crate::sled::SledsTable;
 use crate::syscall::{Ring, Syscall, SyscallRet};
 
 /// Default ring size used by the apps' batched modes.
@@ -34,6 +35,10 @@ pub type RingOp = Syscall;
 
 /// A ring completion's value is a [`SyscallRet`]; see [`RingOp`].
 pub type RingPayload = SyscallRet;
+
+/// A ring op is priced from the [`SledsTable`] it carries; the old name
+/// survives only for `benchmark/`, which spells it and is not edited here.
+pub type ProgPricing = SledsTable;
 
 /// One completion queue entry.
 #[derive(Clone, Debug, PartialEq)]

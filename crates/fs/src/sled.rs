@@ -14,19 +14,20 @@
 //! splits only where the table actually changes (a zone-row boundary) and
 //! the cost is proportional to residency runs and zone crossings, not
 //! pages. The one deliberately per-page arm is dynamic device self-reports
-//! ([`SledPricing::trust_device_reports`]), where a server's cache state
+//! ([`SledsTable::trust_device_reports`]), where a server's cache state
 //! can differ page by page. An extent on a redundant volume is priced at
 //! the copy the kernel's read routing would pick ([`select_min_cost`]).
 //!
-//! Both sides of the syscall boundary call this module. The library's
-//! sequential `fsleds_get` passes its `SledsTable`; the ring ops and pick
-//! programs that build SLEDs below the boundary pass the flat
-//! [`ProgPricing`](crate::prog::ProgPricing) rows that crossed with them.
-//! [`SledPricing`] is all the fold knows about either, so the two cannot
-//! drift. The `SLEDS_BEST` estimate ([`best_estimate`]) and the pick
-//! planner ([`plan_chunks`]) live here for the same reason: a pushed-down
-//! predicate or plan is only useful if it sees exactly what the un-pushed
-//! one sees.
+//! Both sides of the syscall boundary call this module with the one
+//! [`SledsTable`]: the library's sequential `fsleds_get` with its own, the
+//! ring ops and pick programs that build SLEDs below the boundary with the
+//! copy that crossed with them. Zone rows and device self-reports push
+//! down like flat rows, so the two sides cannot drift. The `SLEDS_BEST`
+//! estimate ([`best_estimate`]) and the pick planner ([`plan_chunks`]) live
+//! here for the same reason: a pushed-down predicate or plan is only useful
+//! if it sees exactly what the un-pushed one sees.
+
+use std::collections::BTreeMap;
 
 use sleds_devices::FaultState;
 use sleds_sim_core::{index, Errno, SimDuration, SimError, SimResult, PAGE_SIZE};
@@ -129,27 +130,157 @@ impl SledsEntry {
     }
 }
 
-/// The prices [`fold`] reads: the memory row and the row governing a
-/// device sector. A `SledsTable` answers all four questions; flat pushed
-/// rows ([`ProgPricing`](crate::prog::ProgPricing)) have no zones and no
-/// device reports, which is what the defaults say.
-pub trait SledPricing {
-    /// The primary-memory row, if filled.
-    fn memory(&self) -> Option<SledsEntry>;
+/// The kernel's per-device performance table (`FSLEDS_FILL`): the one
+/// price source of every SLED, above the boundary and below it.
+///
+/// The paper keeps this table in the kernel, filled once at boot by a
+/// script that runs lmbench and issues `FSLEDS_FILL` — one
+/// `(latency, bandwidth)` entry per storage device plus one for primary
+/// memory; `sleds-lmbench` plays the boot script here. The paper keeps a
+/// single entry per device and lists per-zone entries ("the different
+/// bandwidths of different disk zones") as future work; this table supports
+/// both. When a device has zone rows they take precedence over its flat
+/// row, so one file can yield SLEDs with different bandwidths for its
+/// outer-zone and inner-zone extents.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SledsTable {
+    memory: Option<SledsEntry>,
+    /// Flat device rows, sorted by device: a one-disk table clones with
+    /// one small allocation, which a ring op carrying it pays per file.
+    devices: Vec<(DeviceId, SledsEntry)>,
+    /// Per-device zone rows: `(first sector, entry)`, sorted by sector.
+    zones: BTreeMap<DeviceId, Vec<(u64, SledsEntry)>>,
+    /// When set, [`fold`] asks devices for dynamic self-reports
+    /// (`BlockDevice::dynamic_probe`) before falling back to table rows —
+    /// the client/server SLEDs channel of the paper's section 6.
+    trust_device_reports: bool,
+    /// Table generation: 0 for a boot-time fill, bumped by each
+    /// recalibration. Predictions are tagged with it so the accuracy
+    /// audit can tell which table priced each estimate.
+    generation: u64,
+    /// Measured cost of one kernel boundary crossing, in seconds —
+    /// the `lat_syscall` row. Batched submission amortizes exactly this.
+    crossing_cpu: Option<f64>,
+}
 
-    /// The row governing `sector` of `dev`.
-    fn entry_at(&self, dev: DeviceId, sector: u64) -> Option<SledsEntry>;
-
-    /// The first sector after `sector` at which `dev`'s governing row may
-    /// change; `None` when it is constant to the end of the device.
-    fn zone_end(&self, _dev: DeviceId, _sector: u64) -> Option<u64> {
-        None
+impl SledsTable {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        SledsTable::default()
     }
 
-    /// Whether devices are asked for per-page dynamic self-reports before
-    /// falling back to the rows.
-    fn trust_device_reports(&self) -> bool {
-        false
+    /// Fills the primary-memory row.
+    pub fn fill_memory(&mut self, entry: SledsEntry) {
+        self.memory = Some(entry);
+    }
+
+    /// Fills (or replaces) a device row.
+    pub fn fill_device(&mut self, dev: DeviceId, entry: SledsEntry) {
+        match self.devices.binary_search_by_key(&dev, |&(d, _)| d) {
+            Ok(i) => self.devices[i].1 = entry,
+            Err(i) => self.devices.insert(i, (dev, entry)),
+        }
+    }
+
+    /// The memory row, if filled.
+    pub fn memory(&self) -> Option<SledsEntry> {
+        self.memory
+    }
+
+    /// The row for `dev`, if filled.
+    pub fn device(&self, dev: DeviceId) -> Option<SledsEntry> {
+        let i = self.devices.binary_search_by_key(&dev, |&(d, _)| d).ok()?;
+        Some(self.devices[i].1)
+    }
+
+    /// Fills per-zone rows for a device (`rows` as `(first sector, entry)`;
+    /// sorted internally). Zone rows take precedence over the flat row.
+    pub fn fill_device_zones(&mut self, dev: DeviceId, mut rows: Vec<(u64, SledsEntry)>) {
+        rows.sort_by_key(|(s, _)| *s);
+        self.zones.insert(dev, rows);
+    }
+
+    /// The entry governing `sector` of `dev`: the zone row containing it if
+    /// zone rows exist, otherwise the flat device row.
+    pub fn entry_at(&self, dev: DeviceId, sector: u64) -> Option<SledsEntry> {
+        if let Some(rows) = self.zones.get(&dev) {
+            let idx = rows.partition_point(|(s, _)| *s <= sector);
+            if idx > 0 {
+                return Some(rows[idx - 1].1);
+            }
+        }
+        self.device(dev)
+    }
+
+    /// True when `dev` has per-zone rows.
+    pub fn has_zones(&self, dev: DeviceId) -> bool {
+        self.zones.contains_key(&dev)
+    }
+
+    /// The first sector strictly after `sector` at which the governing entry
+    /// of `dev` may change — i.e. the start of the next zone row. `None`
+    /// when the entry is constant from `sector` to the end of the device
+    /// (no zone rows, or `sector` is in the last zone). Lets an
+    /// extent-granular walk split a device extent only where the table
+    /// actually changes instead of probing every page.
+    pub fn zone_end(&self, dev: DeviceId, sector: u64) -> Option<u64> {
+        let rows = self.zones.get(&dev)?;
+        let idx = rows.partition_point(|(s, _)| *s <= sector);
+        rows.get(idx).map(|(s, _)| *s)
+    }
+
+    /// Enables consulting device dynamic self-reports in [`fold`].
+    pub fn set_trust_device_reports(&mut self, trust: bool) {
+        self.trust_device_reports = trust;
+    }
+
+    /// Whether device dynamic self-reports are consulted.
+    pub fn trust_device_reports(&self) -> bool {
+        self.trust_device_reports
+    }
+
+    /// The table's generation (0 = boot-time fill).
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Stamps the table's generation; recalibration sets it to the
+    /// kernel's sleds epoch.
+    pub fn set_generation(&mut self, generation: u64) {
+        self.generation = generation;
+    }
+
+    /// Fills the boundary-crossing row (seconds per crossing).
+    pub fn fill_crossing(&mut self, seconds: f64) {
+        self.crossing_cpu = Some(seconds);
+    }
+
+    /// Measured seconds per kernel boundary crossing, if calibrated.
+    pub fn crossing_cpu(&self) -> Option<f64> {
+        self.crossing_cpu
+    }
+
+    /// Drops a device's per-zone rows, so its flat row governs again.
+    /// Recalibration uses this: the observed class-wide rates replace the
+    /// boot-time zone survey, which no longer reflects what was measured.
+    pub fn clear_device_zones(&mut self, dev: DeviceId) {
+        self.zones.remove(&dev);
+    }
+
+    /// Number of device rows.
+    pub fn device_count(&self) -> usize {
+        self.devices.len()
+    }
+
+    /// True once the memory row is present — the minimum for `fsleds_get`
+    /// to be usable at all.
+    pub fn is_filled(&self) -> bool {
+        self.memory.is_some()
+    }
+
+    /// Iterates device rows in ascending `DeviceId` order.
+    pub fn iter_devices(&self) -> impl Iterator<Item = (DeviceId, SledsEntry)> + '_ {
+        self.devices.iter().copied()
     }
 }
 
@@ -216,8 +347,8 @@ pub fn select_min_cost(
 
 /// The memory row, or the `EINVAL` every SLED construction answers when the
 /// boot-time fill never ran.
-pub fn memory_row(pricing: &impl SledPricing) -> SimResult<SledsEntry> {
-    pricing.memory().ok_or_else(|| {
+pub fn memory_row(table: &SledsTable) -> SimResult<SledsEntry> {
+    table.memory().ok_or_else(|| {
         SimError::new(
             Errno::Einval,
             "FSLEDS_GET: sleds table not filled (no memory row)",
@@ -239,22 +370,22 @@ pub fn memory_row(pricing: &impl SledPricing) -> SimResult<SledsEntry> {
 ///
 /// # Errors
 ///
-/// `EINVAL` when `pricing` has no memory row or no row for a device the
+/// `EINVAL` when `table` has no memory row or no row for a device the
 /// file touches.
 pub fn fold(
     kernel: &Kernel,
-    pricing: &impl SledPricing,
+    table: &SledsTable,
     size: u64,
     extents: &[RedundantExtent],
 ) -> SimResult<Vec<Sled>> {
-    let mem = memory_row(pricing)?;
+    let mem = memory_row(table)?;
     let state_of = |dev| {
         kernel
             .device_fault_state(dev)
             .unwrap_or(FaultState::Healthy)
     };
     let row = |dev, sector| {
-        pricing.entry_at(dev, sector).ok_or_else(|| {
+        table.entry_at(dev, sector).ok_or_else(|| {
             SimError::new(
                 Errno::Einval,
                 format!("FSLEDS_GET: no sleds table row for device {dev:?}"),
@@ -299,7 +430,7 @@ pub fn fold(
                     select_min_cost(&cands, re.coded_k, length).unwrap_or(SledsEntry::UNAVAILABLE);
                 push(ext_off, length, chosen);
             }
-            PageLocation::Device { dev, sector } if pricing.trust_device_reports() => {
+            PageLocation::Device { dev, sector } if table.trust_device_reports() => {
                 // Dynamic device self-report (client/server SLEDs): the
                 // server's cache state can differ page by page, so this
                 // channel probes each page of the extent.
@@ -320,7 +451,7 @@ pub fn fold(
                 let mut p = 0;
                 while p < e.pages {
                     let s = sector + p * SECTORS_PER_PAGE;
-                    let span = match pricing.zone_end(dev, s) {
+                    let span = match table.zone_end(dev, s) {
                         Some(z) => (z - s).div_ceil(SECTORS_PER_PAGE).min(e.pages - p),
                         None => e.pages - p,
                     };

@@ -12,9 +12,8 @@ use sleds_sim_core::{Errno, SimError, SimResult, TenantId};
 
 use crate::inode::Stat;
 use crate::payload::Payload;
-use crate::prog::ProgPricing;
 use crate::ring::RingCompletion;
-use crate::sled::Sled;
+use crate::sled::{Sled, SledsTable};
 
 /// A file descriptor.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -176,12 +175,12 @@ pub enum Syscall {
         path: String,
     },
     /// Ring-only `FSLEDS_GET`: build the file's SLED vector in-kernel
-    /// from the pushed pricing rows → [`SyscallRet::Sleds`].
+    /// from the pushed table → [`SyscallRet::Sleds`].
     FsledsGet {
         /// Open descriptor.
         fd: Fd,
-        /// Flattened latency/bandwidth rows.
-        pricing: ProgPricing,
+        /// The sleds table to price with.
+        pricing: SledsTable,
     },
     /// Ring-only pick advice: build SLEDs and plan chunk order in-kernel
     /// → [`SyscallRet::Plan`]. Byte-oriented only (record adjustment
@@ -189,8 +188,8 @@ pub enum Syscall {
     PickAdvice {
         /// Open descriptor.
         fd: Fd,
-        /// Flattened latency/bandwidth rows.
-        pricing: ProgPricing,
+        /// The sleds table to price with.
+        pricing: SledsTable,
         /// Preferred chunk size in bytes.
         preferred: usize,
         /// Prune unavailable extents instead of deferring them.

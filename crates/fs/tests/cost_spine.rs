@@ -3,8 +3,8 @@
 //! evictions and an `fsync`, hedge losers on a degraded mirror, overlapped
 //! fragments and transiently faulted ones on a (2,3)-coded volume — with
 //! tracing and capture armed, and after **every syscall** checks that the
-//! command queues, `Rusage`, the flight recorder, the tracer and its
-//! `Metrics` all moved by the same numbers.
+//! command queues, `Rusage`, the flight recorder and the tracer all moved
+//! by the same numbers.
 
 use std::collections::BTreeMap;
 
@@ -80,20 +80,6 @@ fn queue_rows(k: &Kernel) -> BTreeMap<u64, (u64, u64, u64)> {
     rows
 }
 
-/// `(requests, busy_ns, queue_wait_ns)` per tenant from the tracer's
-/// `Metrics` (served commands only).
-fn metric_rows(k: &Kernel) -> BTreeMap<u64, (u64, u64, u64)> {
-    let m = k.metrics().unwrap();
-    m.tenants
-        .iter()
-        .map(|(&(t, class), row)| {
-            assert_eq!(class, DISK);
-            let c = &row.cost;
-            (t, (c.commands, c.service_ns, c.queue_wait_ns))
-        })
-        .collect()
-}
-
 fn delta(
     after: &BTreeMap<u64, (u64, u64, u64)>,
     before: &BTreeMap<u64, (u64, u64, u64)>,
@@ -109,6 +95,10 @@ fn delta(
 struct Traced {
     /// Served commands (top-level device spans).
     served: u64,
+    /// Σ span length (queue wait + service) of every served command.
+    served_ns: u64,
+    /// Σ `queue_wait` phases of the served commands.
+    wait_ns: u64,
     /// Σ span length (queue wait + service) of serial served commands.
     serial_ns: u64,
     /// Caller-visible time of the coded fan-outs: each miss run lasts from
@@ -153,9 +143,11 @@ fn read_trace(events: &[TraceEvent], overlapped: bool) -> Traced {
                 t.hedges += 1;
                 t.cancel_ns += e.args[2];
             }
+            (Layer::Device, EventPhase::Complete, "queue_wait") => t.wait_ns += e.dur.as_nanos(),
             // A command span carries its sector count; its phases carry 0.
             (Layer::Device, EventPhase::Complete, name) if e.args[1] > 0 => {
                 t.served += 1;
+                t.served_ns += e.dur.as_nanos();
                 match run.as_mut() {
                     Some((_, end, submit)) if name == "disk.read" => {
                         assert_eq!(e.ts, *submit, "a pass's fragments leave together");
@@ -252,7 +244,7 @@ fn every_sink_moves_by_the_same_numbers() {
         if ready > k.now() {
             k.charge_cpu(ready.duration_since(k.now()));
         }
-        let (usage0, queue0, metric0) = (k.usage(), queue_rows(&k), metric_rows(&k));
+        let (usage0, queue0) = (k.usage(), queue_rows(&k));
         let chunk = 4 * PAGE_SIZE;
         let last = l.taken + 1 == l.turns;
         match l.role {
@@ -286,7 +278,6 @@ fn every_sink_moves_by_the_same_numbers() {
         let t = l.tenant.0;
         let usage = k.usage().since(&usage0);
         let queue = delta(&queue_rows(&k), &queue0, t);
-        let metric = delta(&metric_rows(&k), &metric0, t);
         let events = k.trace_events();
         assert_eq!(k.trace_dropped(), 0);
         let fresh: Vec<TraceEvent> = events.into_iter().filter(|e| e.seq >= seen).collect();
@@ -308,17 +299,26 @@ fn every_sink_moves_by_the_same_numbers() {
         }
         assert_eq!(sum, k.usage(), "{at}: per-tenant rusage rows sum to global");
 
-        // Served commands: Rusage counters == Metrics rows == device spans.
-        assert_eq!(usage.device_reads + usage.device_writes, metric.0, "{at}");
-        assert_eq!(metric.0, traced.served, "{at}");
-        // Queue rows == Metrics rows + the occupancies Metrics never sees.
-        assert_eq!(queue.0, metric.0 + traced.faults + traced.hedges, "{at}");
+        // Served commands: Rusage counters == device spans.
         assert_eq!(
-            queue.1,
-            metric.1 + traced.fault_cost_ns + traced.cancel_ns,
+            usage.device_reads + usage.device_writes,
+            traced.served,
             "{at}"
         );
-        assert_eq!(queue.2, metric.2 + traced.fault_wait_ns, "{at}");
+        // Queue rows == served spans (wait phase vs the rest) + the faulted
+        // attempts and hedge losers, which have no span.
+        assert_eq!(
+            queue.0,
+            traced.served + traced.faults + traced.hedges,
+            "{at}"
+        );
+        let service_ns = traced.served_ns - traced.wait_ns;
+        assert_eq!(
+            queue.1,
+            service_ns + traced.fault_cost_ns + traced.cancel_ns,
+            "{at}"
+        );
+        assert_eq!(queue.2, traced.wait_ns + traced.fault_wait_ns, "{at}");
         // Hedge overhead, three ways.
         assert_eq!(usage.hedges, traced.hedges, "{at}");
         assert_eq!(usage.hedge_wait.as_nanos(), traced.cancel_ns, "{at}");

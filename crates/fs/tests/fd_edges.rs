@@ -8,7 +8,7 @@
 //! the capture format: strictly increasing, never reused.
 
 use sleds_devices::DiskDevice;
-use sleds_fs::{Fd, Kernel, OpenFlags, ProgPricing, SledsEntry, SubmissionRing, Syscall, Whence};
+use sleds_fs::{Fd, Kernel, OpenFlags, SledsEntry, SledsTable, SubmissionRing, Syscall, Whence};
 use sleds_sim_core::{Errno, SimResult, PAGE_SIZE};
 
 fn kernel_with_files() -> Kernel {
@@ -23,14 +23,10 @@ fn kernel_with_files() -> Kernel {
     k
 }
 
-fn pricing() -> ProgPricing {
-    ProgPricing {
-        memory: Some(SledsEntry {
-            latency: 175e-9,
-            bandwidth: 48e6,
-        }),
-        devices: Vec::new(),
-    }
+fn pricing() -> SledsTable {
+    let mut t = SledsTable::new();
+    t.fill_memory(SledsEntry::new(175e-9, 48e6));
+    t
 }
 
 fn errno_of<T>(r: SimResult<T>) -> Option<Errno> {

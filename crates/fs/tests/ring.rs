@@ -12,8 +12,8 @@
 )]
 
 use sleds::{
-    compile_latency, fsleds_get, pricing_from, total_delivery_time, AttackPlan, LatencyPredicate,
-    PickConfig, PickSession, SledsEntry, SledsTable,
+    compile_latency, fsleds_get, total_delivery_time, AttackPlan, LatencyPredicate, PickConfig,
+    PickSession, SledsEntry, SledsTable,
 };
 use sleds_devices::{DiskDevice, FaultPlan};
 use sleds_fs::{
@@ -170,7 +170,6 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
 
     // The same five ops through one ring batch.
     let (mut k, t, path, fd) = prepared();
-    let pricing = pricing_from(&t);
     let mut ring = SubmissionRing::new(8);
     ring.push(
         0,
@@ -192,7 +191,7 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
         3,
         Syscall::FsledsGet {
             fd,
-            pricing: pricing.clone(),
+            pricing: t.clone(),
         },
     )
     .unwrap();
@@ -200,7 +199,7 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
         4,
         Syscall::PickAdvice {
             fd,
-            pricing,
+            pricing: t,
             preferred: 16 << 10,
             skip_unavailable: false,
         },
@@ -234,7 +233,6 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
 #[test]
 fn prog_verifies_and_walk_estimates_match_the_predicate() {
     let (mut k, t, path) = setup();
-    let pricing = pricing_from(&t);
 
     // Verification rejects an underflowing program outright.
     let err = PickProgram::new(vec![ProgInst::Lt]).unwrap_err();
@@ -242,9 +240,7 @@ fn prog_verifies_and_walk_estimates_match_the_predicate() {
 
     // A walk evaluates the program exactly like the user-space predicate.
     let pred = LatencyPredicate::parse("-m200").unwrap();
-    let entries = k
-        .fsleds_walk("/data", &compile_latency(&pred), &pricing)
-        .unwrap();
+    let entries = k.fsleds_walk("/data", &compile_latency(&pred), &t).unwrap();
     let entry = entries.iter().find(|e| e.path == path).unwrap();
     let est = entry.estimate_secs.unwrap();
     let fd = k.open(path, OpenFlags::RDONLY).unwrap();
@@ -276,10 +272,9 @@ fn tree_kernel() -> (Kernel, SledsTable) {
 #[test]
 fn walk_visits_in_find_order_and_first_match_exit_stops() {
     let (mut k, t) = tree_kernel();
-    let pricing = pricing_from(&t);
     // `+0`: estimate > 0, true for every nonempty file.
     let prog = compile_latency(&LatencyPredicate::parse("+0").unwrap());
-    let entries = k.fsleds_walk("/data", &prog, &pricing).unwrap();
+    let entries = k.fsleds_walk("/data", &prog, &t).unwrap();
     let paths: Vec<&str> = entries.iter().map(|e| e.path.as_str()).collect();
     assert_eq!(
         paths,
@@ -297,7 +292,7 @@ fn walk_visits_in_find_order_and_first_match_exit_stops() {
         .all(|e| e.matched == (e.kind == FileKind::File)));
 
     let early = prog.clone().with_first_match_exit();
-    let entries = k.fsleds_walk("/data", &early, &pricing).unwrap();
+    let entries = k.fsleds_walk("/data", &early, &t).unwrap();
     assert_eq!(
         entries.last().unwrap().path,
         "/data/big.bin",
@@ -309,7 +304,6 @@ fn walk_visits_in_find_order_and_first_match_exit_stops() {
 #[test]
 fn cached_first_order_puts_warm_matches_ahead() {
     let (mut k, t) = tree_kernel();
-    let pricing = pricing_from(&t);
     // Warm main.c fully; everything else stays cold.
     let fd = k.open("/data/src/main.c", OpenFlags::RDONLY).unwrap();
     k.read(fd, 4096).unwrap();
@@ -317,7 +311,7 @@ fn cached_first_order_puts_warm_matches_ahead() {
 
     let prog =
         compile_latency(&LatencyPredicate::parse("+0").unwrap()).with_order(ProgOrder::CachedFirst);
-    let entries = k.fsleds_walk("/data", &prog, &pricing).unwrap();
+    let entries = k.fsleds_walk("/data", &prog, &t).unwrap();
     assert_eq!(
         entries[0].path, "/data/src/main.c",
         "fully cached match comes first"
@@ -361,9 +355,8 @@ fn walk_charges_cpu_from_the_cost_certificate_deterministically() {
 
     let run = |prog: &PickProgram| {
         let (mut k, t) = tree_kernel();
-        let pricing = pricing_from(&t);
         let before = k.usage();
-        let entries = k.fsleds_walk("/data", prog, &pricing).unwrap();
+        let entries = k.fsleds_walk("/data", prog, &t).unwrap();
         (entries, k.usage().since(&before))
     };
 

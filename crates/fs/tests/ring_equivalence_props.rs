@@ -35,6 +35,10 @@ struct Params {
     budget: u32,
     chunk: usize,
     ring_entries: usize,
+    /// A zone boundary (sector) on the mount's device, if any.
+    zone_at: Option<u64>,
+    /// Whether the table trusts device self-reports.
+    trust: bool,
 }
 
 impl Params {
@@ -56,6 +60,8 @@ impl Params {
             budget: rng.range_u64(1, 4) as u32,
             chunk: rng.range_usize(2048, 64 << 10),
             ring_entries: rng.range_usize(1, 33),
+            zone_at: rng.chance(0.3).then(|| rng.range_u64(0, 400)),
+            trust: rng.chance(0.3),
         }
     }
 
@@ -128,6 +134,14 @@ impl Params {
                 t.fill_device(d, SledsEntry::new(base.latency * by, base.bandwidth / by));
             }
         }
+        // The table shapes pushdown once refused: zone rows (a slower zone
+        // from `zone_at` on) and device self-reports.
+        let dev = k.device_of_mount(m).unwrap();
+        if let (Some(at), Some(base)) = (self.zone_at, t.device(dev)) {
+            let slow = SledsEntry::new(base.latency, base.bandwidth / 2.0);
+            t.fill_device_zones(dev, vec![(0, base), (at, slow)]);
+        }
+        t.set_trust_device_reports(self.trust);
 
         let path = format!("{dir}/f");
         let size = ((self.pages - 1) * PAGE_SIZE + self.tail) as usize;
@@ -319,6 +333,8 @@ fn volumes_price_alike_on_both_sides_of_the_boundary() {
             budget: 1,
             chunk: 4096,
             ring_entries: 1,
+            zone_at: None,
+            trust: false,
         });
     }
 }

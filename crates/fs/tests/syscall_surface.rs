@@ -5,8 +5,8 @@
 
 use sleds_devices::{DiskDevice, FaultPlan};
 use sleds_fs::{
-    Capture, Fd, HedgePolicy, Kernel, MachineConfig, OpenFlags, PickProgram, ProgInst, ProgPricing,
-    SledsEntry, SubmissionRing, Syscall, SyscallRet, Whence,
+    Capture, Fd, HedgePolicy, Kernel, MachineConfig, OpenFlags, PickProgram, ProgInst, SledsEntry,
+    SledsTable, SubmissionRing, Syscall, SyscallRet, Whence,
 };
 use sleds_sim_core::{ByteSize, Errno, SimResult, PAGE_SIZE};
 
@@ -24,20 +24,13 @@ fn kernel() -> Kernel {
     k
 }
 
-fn pricing(k: &Kernel) -> ProgPricing {
-    let row = SledsEntry {
-        latency: 0.01,
-        bandwidth: 5e6,
-    };
-    ProgPricing {
-        memory: Some(SledsEntry {
-            latency: 1e-7,
-            bandwidth: 1e8,
-        }),
-        devices: (0..k.device_count())
-            .map(|d| (sleds_fs::DeviceId(d), row))
-            .collect(),
+fn pricing(k: &Kernel) -> SledsTable {
+    let mut t = SledsTable::new();
+    t.fill_memory(SledsEntry::new(1e-7, 1e8));
+    for d in 0..k.device_count() {
+        t.fill_device(sleds_fs::DeviceId(d), SledsEntry::new(0.01, 5e6));
     }
+    t
 }
 
 /// Runs `call` the way an application would: the typed method of the same

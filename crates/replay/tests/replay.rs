@@ -7,7 +7,7 @@ use std::sync::Arc;
 use sleds_faults::FaultPlan;
 use sleds_fs::trace::CostRow;
 use sleds_fs::{
-    Capture, CapturedOp, Fd, Kernel, OpOutcome, OpenFlags, ProgPricing, SubmissionRing, Syscall,
+    Capture, CapturedOp, Fd, Kernel, OpOutcome, OpenFlags, SledsTable, SubmissionRing, Syscall,
     TenantId, VolumeLayout, Whence,
 };
 use sleds_replay::{
@@ -502,7 +502,7 @@ fn every_capturable_variant_roundtrips_through_the_codec() {
 
 #[test]
 fn the_two_uncapturable_variants_are_rejected_on_load() {
-    let pricing = ProgPricing::default();
+    let pricing = SledsTable::new();
     let uncapturable = [
         Syscall::FsledsGet {
             fd: Fd(3),

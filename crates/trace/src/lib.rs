@@ -55,8 +55,6 @@ pub use event::{
     class_label, pack_class_generation, unpack_class_generation, EventPhase, Layer, TraceEvent,
 };
 pub use flame::folded_stacks;
-pub use metrics::{
-    AccuracyWindow, ClassMetrics, Metrics, TenantClassMetrics, ACCURACY_WINDOW, NUM_DEVICE_CLASSES,
-};
+pub use metrics::{AccuracyWindow, ClassMetrics, Metrics, ACCURACY_WINDOW, NUM_DEVICE_CLASSES};
 pub use ring::RingBuffer;
 pub use tracer::{span, SpanHost, Tracer, DEFAULT_CAPACITY};

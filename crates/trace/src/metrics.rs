@@ -9,12 +9,12 @@
 //! pass can join "what we predicted per class" against "what we measured
 //! per class" without any remapping.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use sleds_sim_core::index;
 use sleds_sim_core::stats::LogHistogram;
 
-use crate::cost::{CostRow, DeviceCost};
+use crate::cost::DeviceCost;
 use crate::event::class_label;
 
 /// Number of device classes tracked (memory, disk, CD-ROM, network, tape).
@@ -123,24 +123,6 @@ impl ClassMetrics {
     }
 }
 
-/// Per-tenant totals and latency histograms for one device class.
-///
-/// Rows live in [`Metrics::tenants`], keyed `(tenant, class)`, and are the
-/// attribution side of the saturation observatory: who drove how much
-/// demand into each class, and how long their commands queued versus were
-/// serviced. Integer-only, so rows replay bit-identically.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TenantClassMetrics {
-    /// The served commands this tenant issued against this class; its
-    /// `service_ns` is the tenant's demand on the class, the numerator of
-    /// its demand share.
-    pub cost: CostRow,
-    /// Per-command time queued behind earlier commands, nanoseconds.
-    pub queue_wait: LogHistogram,
-    /// Per-command service time (queue wait excluded), nanoseconds.
-    pub service: LogHistogram,
-}
-
 /// Per-layer metrics snapshot.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
@@ -158,10 +140,6 @@ pub struct Metrics {
     pub cache_writebacks: u64,
     /// Device command counters and service histograms, indexed by class code.
     pub device: [ClassMetrics; NUM_DEVICE_CLASSES],
-    /// Per-tenant × per-class attribution rows, keyed `(tenant, class)`.
-    /// Sparse: a row exists once the tenant has issued a command against
-    /// the class. Sums across tenants match the [`Metrics::device`] rows.
-    pub tenants: BTreeMap<(u64, u64), TenantClassMetrics>,
     /// Device commands failed by an injected fault.
     pub faults_injected: u64,
     /// Device commands reissued after a transient fault.
@@ -196,14 +174,13 @@ impl Metrics {
         self.syscall_latency.record(dur_ns);
     }
 
-    /// Records one served device command on behalf of `ev.tenant`. The
-    /// class rows see `ev.service` alone; `ev.queue_wait` (zero in
-    /// single-tenant runs, so the class-row observables are unchanged by
-    /// queueing) lands in the tenant attribution row. `transfer_ns` is the
-    /// portion of the service spent in data-moving phases; the remainder is
-    /// first-byte time (positioning, rpc, mount...).
+    /// Records one served device command. The class rows see `ev.service`
+    /// alone, so queueing leaves their observables unchanged; who waited
+    /// behind whom is the command queues' record (`CmdQueue`'s tenant rows).
+    /// `transfer_ns` is the portion of the service spent in data-moving
+    /// phases; the remainder is first-byte time (positioning, rpc, mount...).
     pub fn note_device(&mut self, ev: &DeviceCost, transfer_ns: u64) {
-        let (dur_ns, queue_ns) = (ev.service.as_nanos(), ev.queue_wait.as_nanos());
+        let dur_ns = ev.service.as_nanos();
         let idx = index(ev.class).min(NUM_DEVICE_CLASSES - 1);
         let m = &mut self.device[idx];
         if ev.write {
@@ -215,31 +192,6 @@ impl Metrics {
             m.read_transfer_ns += transfer_ns;
         }
         m.service.record(dur_ns);
-        let row = self.tenants.entry((ev.tenant, idx as u64)).or_default();
-        row.cost.add(ev);
-        row.queue_wait.record(queue_ns);
-        row.service.record(dur_ns);
-    }
-
-    /// A tenant's share of the device busy time consumed on one class, in
-    /// parts per million of all tenants' demand on that class. `None` when
-    /// the class has seen no busy time. Integer-only so snapshots replay
-    /// bit-identically.
-    pub fn demand_share_ppm(&self, tenant: u64, class: u64) -> Option<u64> {
-        let total: u64 = self
-            .tenants
-            .iter()
-            .filter(|((_, c), _)| *c == class)
-            .map(|(_, row)| row.cost.service_ns)
-            .sum();
-        if total == 0 {
-            return None;
-        }
-        let own = self
-            .tenants
-            .get(&(tenant, class))
-            .map_or(0, |row| row.cost.service_ns);
-        Some(CostRow::ppm(own, total))
     }
 
     /// Records one completed (prediction, actual) accuracy pair.
@@ -328,22 +280,6 @@ impl Metrics {
                 ));
             }
         }
-        // Single-tenant runs: the class rows above already tell the whole
-        // story, so the attribution rows would be redundant.
-        let multi_tenant = self.tenants.keys().any(|&(t, _)| t != 0);
-        for (&(tenant, class), row) in self.tenants.iter().filter(|_| multi_tenant) {
-            out.push_str(&format!(
-                "tenant[{}] device[{}] requests {} bytes {} busy {} ns qwait {} ns (p90 {} ns) share {} ppm\n",
-                tenant,
-                class_label(class),
-                row.cost.commands,
-                row.cost.bytes,
-                row.cost.service_ns,
-                row.cost.queue_wait_ns,
-                row.queue_wait.p90(),
-                self.demand_share_ppm(tenant, class).unwrap_or(0),
-            ));
-        }
         if self.faults_injected + self.io_retries > 0 {
             out.push_str(&format!(
                 "faults injected {} retries {}\n",
@@ -375,9 +311,8 @@ mod tests {
     use sleds_sim_core::SimDuration;
 
     /// A served read of `bytes` holding a `class` device for `service_ns`.
-    fn served(tenant: u64, class: u64, service_ns: u64, bytes: u64) -> DeviceCost {
+    fn served(class: u64, service_ns: u64, bytes: u64) -> DeviceCost {
         DeviceCost {
-            tenant,
             class,
             service: SimDuration::from_nanos(service_ns),
             bytes,
@@ -390,15 +325,15 @@ mod tests {
         let mut m = Metrics::default();
         m.note_syscall(5_000);
         m.note_syscall(7_000);
-        m.note_device(&served(0, 1, 18_000_000, 65_536), 7_000_000);
+        m.note_device(&served(1, 18_000_000, 65_536), 7_000_000);
         m.note_device(
             &DeviceCost {
                 write: true,
-                ..served(0, 1, 20_000_000, 65_536)
+                ..served(1, 20_000_000, 65_536)
             },
             8_000_000,
         );
-        m.note_device(&served(0, 4, 40_000_000_000, 1 << 20), 1_000_000_000);
+        m.note_device(&served(4, 40_000_000_000, 1 << 20), 1_000_000_000);
         assert_eq!(m.syscalls, 2);
         assert_eq!(m.syscall_latency.count(), 2);
         assert_eq!(m.device[1].reads, 1);
@@ -414,59 +349,20 @@ mod tests {
     #[test]
     fn out_of_range_class_clamps() {
         let mut m = Metrics::default();
-        m.note_device(&served(0, 77, 10, 0), 0);
+        m.note_device(&served(77, 10, 0), 0);
         assert_eq!(m.device[NUM_DEVICE_CLASSES - 1].reads, 1);
-    }
-
-    #[test]
-    fn tenant_rows_attribute_demand_and_queueing() {
-        let mut m = Metrics::default();
-        // Tenant 1 is the heavy disk user; tenant 2 queues behind it.
-        m.note_device(&served(1, 1, 30_000_000, 1 << 20), 10_000_000);
-        m.note_device(&served(1, 1, 30_000_000, 1 << 20), 10_000_000);
-        m.note_device(&served(1, 1, 30_000_000, 1 << 20), 10_000_000);
-        m.note_device(
-            &DeviceCost {
-                queue_wait: SimDuration::from_nanos(45_000_000),
-                ..served(2, 1, 10_000_000, 1 << 14)
-            },
-            2_000_000,
-        );
-        let heavy = &m.tenants[&(1, 1)];
-        assert_eq!(heavy.cost.commands, 3);
-        assert_eq!(heavy.cost.service_ns, 90_000_000);
-        assert_eq!(heavy.cost.queue_wait_ns, 0);
-        let light = &m.tenants[&(2, 1)];
-        assert_eq!(light.cost.commands, 1);
-        assert_eq!(light.cost.queue_wait_ns, 45_000_000);
-        assert_eq!(light.queue_wait.count(), 1);
-        // Tenant rows sum to the class row.
-        assert_eq!(heavy.cost.commands + light.cost.commands, m.device[1].reads);
-        assert_eq!(m.demand_share_ppm(1, 1), Some(900_000));
-        assert_eq!(m.demand_share_ppm(2, 1), Some(100_000));
-        assert_eq!(m.demand_share_ppm(1, 4), None, "idle class has no share");
-        let text = m.render_text();
-        assert!(text.contains("tenant[1] device[disk]"));
-        assert!(text.contains("share 900000 ppm"));
-    }
-
-    #[test]
-    fn single_tenant_render_skips_attribution_rows() {
-        let mut m = Metrics::default();
-        m.note_device(&served(0, 1, 18_000_000, 65_536), 7_000_000);
-        assert!(!m.render_text().contains("tenant["));
     }
 
     #[test]
     fn first_byte_and_bandwidth_split_reads_only() {
         let mut m = Metrics::default();
         // Read: 18ms service, 7ms of it transferring 64KiB.
-        m.note_device(&served(0, 1, 18_000_000, 65_536), 7_000_000);
+        m.note_device(&served(1, 18_000_000, 65_536), 7_000_000);
         // Write: must not feed the read-side observables.
         m.note_device(
             &DeviceCost {
                 write: true,
-                ..served(0, 1, 30_000_000, 65_536)
+                ..served(1, 30_000_000, 65_536)
             },
             9_000_000,
         );

@@ -408,9 +408,8 @@ impl Tracer {
     /// back-to-back so viewers show them as children of the command span.
     /// `transfer_ns` is the portion of the service the device spent moving
     /// `ev.bytes` (its transfer/stream/link phases); the split feeds the
-    /// per-class first-byte and effective-bandwidth observables. Events and
-    /// the metrics row carry the tracer's own tenant stamp, like every
-    /// other hook.
+    /// per-class first-byte and effective-bandwidth observables. Events
+    /// carry the tracer's own tenant stamp, like every other hook.
     pub fn device(
         &mut self,
         ev: &DeviceCost,
@@ -422,9 +421,7 @@ impl Tracer {
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
-        inner
-            .metrics
-            .note_device(&DeviceCost { tenant, ..*ev }, transfer_ns);
+        inner.metrics.note_device(ev, transfer_ns);
         Self::emit(
             inner,
             tenant,
@@ -713,12 +710,9 @@ mod tests {
         // Nested phases sum exactly to the span.
         let nested: u64 = evs[1..].iter().map(|e| e.dur.as_nanos()).sum();
         assert_eq!(nested, evs[0].dur.as_nanos());
-        // Metrics: service histogram sees service time only; the wait
-        // lands in the tenant attribution row.
+        // Metrics: the service histogram sees service time only.
         let m = t.metrics().unwrap();
         assert_eq!(m.device[1].service.max(), 30);
-        assert_eq!(m.tenants[&(2, 1)].cost.queue_wait_ns, 40);
-        assert_eq!(m.tenants[&(2, 1)].cost.service_ns, 30);
     }
 
     struct Host {

@@ -34,13 +34,11 @@
 use sleds_repro::apps::find::{find_prog, find_report, FindHit, FindOptions};
 use sleds_repro::devices::DiskDevice;
 use sleds_repro::fs::{
-    Fd, Kernel, OpenFlags, PickProgram, ProgInst, ProgOrder, ProgPricing, Rusage, SubmissionRing,
-    Syscall, SyscallRet,
+    Fd, Kernel, OpenFlags, PickProgram, ProgInst, ProgOrder, Rusage, SubmissionRing, Syscall,
+    SyscallRet,
 };
 use sleds_repro::sim_core::SimDuration;
-use sleds_repro::sleds::{
-    estimate_seconds, pricing_from, AttackPlan, LatencyPredicate, SledsEntry, SledsTable,
-};
+use sleds_repro::sleds::{estimate_seconds, AttackPlan, LatencyPredicate, SledsEntry, SledsTable};
 
 /// Tree shape: `DIRS x FILES_PER_DIR` sparse files of `FILE_BYTES` each.
 const DIRS: usize = 1000;
@@ -199,7 +197,7 @@ fn find_batched(
     k: &mut Kernel,
     paths: &[String],
     pred: &LatencyPredicate,
-    pricing: &ProgPricing,
+    table: &SledsTable,
 ) -> Vec<FindHit> {
     let mut ring = SubmissionRing::new(RING_ENTRIES);
     let mut hits = Vec::new();
@@ -225,7 +223,7 @@ fn find_batched(
                     2 * j as u64,
                     Syscall::FsledsGet {
                         fd,
-                        pricing: pricing.clone(),
+                        pricing: table.clone(),
                     },
                 )
                 .unwrap();
@@ -338,7 +336,6 @@ fn main() {
         DIRS * FILES_PER_DIR
     );
     let (mut k, table) = setup();
-    let pricing = pricing_from(&table);
     let syscall_cpu = k.config().syscall_cpu.as_secs_f64();
     let total_files = (DIRS * FILES_PER_DIR) as u64;
     let paths = all_paths();
@@ -357,7 +354,7 @@ fn main() {
 
     println!("find batched...");
     let before = k.usage();
-    let batched_hits = find_batched(&mut k, &paths, &pred, &pricing);
+    let batched_hits = find_batched(&mut k, &paths, &pred, &table);
     let find_batch = ModeStats::from(&k.usage().since(&before), syscall_cpu, total_files);
 
     println!("find pushdown...");
@@ -411,7 +408,7 @@ fn main() {
     ])
     .unwrap()
     .with_order(ProgOrder::CachedFirst);
-    let entries = k.fsleds_walk("/tree", &everything, &pricing).unwrap();
+    let entries = k.fsleds_walk("/tree", &everything, &table).unwrap();
     let ordered: Vec<String> = entries
         .into_iter()
         .filter(|e| e.kind == sleds_repro::fs::FileKind::File)

@@ -25,6 +25,10 @@ run cargo test -q
 # paths, codecs) at quick sizes: it must build and run; the host times it
 # prints are for reading, not compared.
 run env SLEDS_QUICK=1 cargo bench -p sleds-bench --bench components
+# One reduced point of every figure runner (fig3/fig4, the wc/grep/FITS
+# figures, table2-table4, the HSM prune demo): nothing else executes the
+# runners the committed figures come from.
+run env SLEDS_QUICK=1 cargo bench -p sleds-bench --bench experiments
 
 # The artifact gate. Every producer asserts its own acceptance properties
 # and writes reports that are pure functions of the virtual machine and

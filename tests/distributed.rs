@@ -3,12 +3,13 @@
 //! applications and operating systems" (§2, §6), exercised end to end over
 //! a modeled LAN NFS server with its own cache and disk.
 
+use sleds_repro::apps::find::{find_prog, find_report, FindOptions};
 use sleds_repro::apps::grep::{grep, GrepOptions};
 use sleds_repro::apps::wc::wc;
 use sleds_repro::devices::NfsServerDevice;
 use sleds_repro::fs::{Kernel, MachineConfig, OpenFlags, Whence};
 use sleds_repro::sim_core::{ByteSize, DetRng, PAGE_SIZE};
-use sleds_repro::sleds::{fsleds_get, SledsEntry, SledsTable};
+use sleds_repro::sleds::{fsleds_get, LatencyPredicate, SledsEntry, SledsTable};
 use sleds_repro::textmatch::Regex;
 
 fn corpus(n: usize, seed: u64) -> Vec<u8> {
@@ -117,4 +118,40 @@ fn wc_results_identical_over_the_server_mount() {
     t.set_trust_device_reports(true);
     let with = wc(&mut k, "/lan/f.txt", Some(&t)).unwrap();
     assert_eq!(base, with);
+}
+
+#[test]
+fn pushed_down_find_prices_from_the_trusting_table() {
+    // Two of four files are hot on the server and absent from this client.
+    // The kernel prices the pushed-down walk from the same trusting table,
+    // so the server's cache state decides its verdicts as it decides the
+    // sequential walk's.
+    let (mut k, mut t) = lan_env();
+    let n = 16 * PAGE_SIZE as usize;
+    for (i, name) in ["a", "b", "c", "d"].into_iter().enumerate() {
+        let path = format!("/lan/{name}.txt");
+        k.install_file(&path, &corpus(n, 10 + i as u64)).unwrap();
+        if i % 2 == 0 {
+            let fd = k.open(&path, OpenFlags::RDONLY).unwrap();
+            k.read(fd, n).unwrap();
+            k.close(fd).unwrap();
+        }
+    }
+    k.drop_caches().unwrap();
+    t.set_trust_device_reports(true);
+    // The flat row prices every file at 19 ms + 64 KiB at 5 MB/s ≈ 32 ms.
+    for (spec, want) in [
+        ("-m10", ["/lan/a.txt", "/lan/c.txt"]),
+        ("+m10", ["/lan/b.txt", "/lan/d.txt"]),
+    ] {
+        let opts = FindOptions {
+            latency: Some(LatencyPredicate::parse(spec).unwrap()),
+            ..Default::default()
+        };
+        let seq = find_report(&mut k, "/lan", &opts, Some(&t)).unwrap();
+        let prog = find_prog(&mut k, "/lan", &opts, &t).unwrap();
+        assert_eq!(seq, prog, "same hits and estimates for {spec}");
+        let paths: Vec<&str> = prog.hits.iter().map(|h| h.path.as_str()).collect();
+        assert_eq!(paths, want, "{spec}");
+    }
 }
