@@ -9,22 +9,25 @@
 //! for fimgbin's smaller elapsed-time gains despite similar fault
 //! reductions.
 //!
-//! Sums are `f64`, so each chunk is decoded (into one reused buffer) and
-//! then cut at input-row boundaries: a run of one row's samples finds its
-//! output row's accumulator once and adds `factor` consecutive samples to
-//! each sum ([`accumulate_run`]) with no per-pixel division, map lookup
-//! or bounds check. Every output pixel still receives its samples one at
-//! a time, in the order they arrive, so every `f64` sum — and every mean
-//! and output byte — is what a pixel-at-a-time loop produces, in either
-//! mode; a row is written when the run holding its last kept sample has
-//! been added, which is where the pixel loop wrote it, since nothing
-//! else happens inside a chunk. `tests/golden_fits.rs` pins the output
-//! bytes and virtual costs for every BITPIX at factors 2 and 4.
+//! Sums are `f64`, but no chunk is decoded into a buffer of them: each
+//! chunk's raw big-endian bytes are cut at input-row boundaries, and a
+//! run of one row's samples finds its output row's accumulator once and
+//! hands the run to [`Bitpix::add_boxes`], which widens each sample and
+//! adds it to its box's sum in one pass, with the box width a constant
+//! at factors 2 and 4. (Chunks start and end on whole pixels: the data
+//! unit and every page start on a multiple of 8 bytes.) Every output
+//! pixel still receives its samples one at a time, in the order they
+//! arrive, so every `f64` sum — and every mean and output byte — is what
+//! a pixel-at-a-time loop produces, in either mode; a row is written when
+//! the run holding its last kept sample has been added, which is where
+//! the pixel loop wrote it, since nothing else happens inside a chunk.
+//! `tests/golden_fits.rs` pins the output bytes and virtual costs for
+//! every BITPIX at factors 2, 4 and 3.
 
 use std::collections::BTreeMap;
 
 use sleds::{PickConfig, PickSession, SledsTable};
-use sleds_fits::{header::FitsHeader, FitsReader};
+use sleds_fits::{header::FitsHeader, Bitpix, FitsReader};
 use sleds_fs::{Fd, Kernel, OpenFlags, Whence};
 use sleds_sim_core::{Errno, SimDuration, SimError, SimResult};
 
@@ -58,6 +61,7 @@ struct RowAccum {
 /// The boxcar: output rows in flight, keyed by row index, fed one chunk
 /// of input pixels at a time in whatever order the chunks arrive.
 struct Boxcar {
+    bitpix: Bitpix,
     factor: usize,
     in_width: usize,
     out_width: usize,
@@ -72,7 +76,7 @@ struct Output {
     fd: Fd,
     data_start: u64,
     row_bytes: u64,
-    bitpix: sleds_fits::Bitpix,
+    bitpix: Bitpix,
     rows_written: usize,
     /// Encode buffer, reused from row to row.
     encoded: Vec<u8>,
@@ -94,42 +98,19 @@ impl Output {
     }
 }
 
-/// Adds one run of consecutive samples of an input row, the first in
-/// column `x`, to the sums of its output row: the sample in column `c`
-/// goes to `sums[c / factor]`, and samples are added in column order, so
-/// every sum sees the additions a pixel-at-a-time loop would make. The
-/// division is paid once per run, not per sample: a run is the rest of
-/// the box `x` falls inside, whole boxes of `factor` samples, and the
-/// start of one more. The run must end within the row:
-/// `x + run.len() <= sums.len() * factor`.
-pub fn accumulate_run(sums: &mut [f64], x: usize, run: &[f64], factor: usize) {
-    let add = |sum: &mut f64, samples: &[f64]| samples.iter().for_each(|&v| *sum += v);
-    let (tail, rest) = run.split_at(run.len().min(x.next_multiple_of(factor) - x));
-    if !tail.is_empty() {
-        add(&mut sums[x / factor], tail);
-    }
-    let first = x.div_ceil(factor);
-    let boxes = rest.chunks_exact(factor);
-    if !boxes.remainder().is_empty() {
-        add(&mut sums[first + rest.len() / factor], boxes.remainder());
-    }
-    for (sum, samples) in sums[first..].iter_mut().zip(boxes) {
-        add(sum, samples);
-    }
-}
-
 impl Boxcar {
-    /// Accumulates `values`, the pixels from index `first_pixel` on, and
-    /// writes every output row whose last kept sample is among them.
+    /// Accumulates `bytes`, the raw samples from pixel `first_pixel` on,
+    /// and writes every output row whose last kept sample is among them.
     fn process(
         &mut self,
         kernel: &mut Kernel,
         out: &mut Output,
         first_pixel: u64,
-        values: &[f64],
+        bytes: &[u8],
     ) -> SimResult<()> {
+        let bpp = self.bitpix.bytes_per_pixel();
         kernel.charge_cpu(SimDuration::from_nanos(
-            ACCUM_NS_PER_PIXEL * values.len() as u64,
+            ACCUM_NS_PER_PIXEL * (bytes.len() / bpp) as u64,
         ));
         // Columns and rows past these are the discarded remainder.
         let kept_width = self.out_width * self.factor;
@@ -137,12 +118,12 @@ impl Boxcar {
         let samples_per_row = kept_width * self.factor;
         let mut y = (first_pixel / self.in_width as u64) as usize;
         let mut x = (first_pixel % self.in_width as u64) as usize;
-        let mut rest = values;
+        let mut rest = bytes;
         // One turn per input row the chunk touches.
         while !rest.is_empty() && y < kept_height {
-            let (in_row, after) = rest.split_at(rest.len().min(self.in_width - x));
+            let (in_row, after) = rest.split_at(rest.len().min((self.in_width - x) * bpp));
             if x < kept_width {
-                let run = &in_row[..in_row.len().min(kept_width - x)];
+                let run = &in_row[..in_row.len().min((kept_width - x) * bpp)];
                 let row = y / self.factor;
                 let acc = self.accums.entry(row).or_insert_with(|| RowAccum {
                     sums: self
@@ -151,8 +132,8 @@ impl Boxcar {
                         .unwrap_or_else(|| vec![0.0; self.out_width]),
                     samples: 0,
                 });
-                accumulate_run(&mut acc.sums, x, run, self.factor);
-                acc.samples += run.len();
+                self.bitpix.add_boxes(run, x, self.factor, &mut acc.sums)?;
+                acc.samples += run.len() / bpp;
                 if acc.samples == samples_per_row {
                     let mut sums = self.accums.remove(&row).expect("just used").sums;
                     let denom = (self.factor * self.factor) as f64;
@@ -226,6 +207,7 @@ fn rebin(
         encoded: Vec::new(),
     };
     let mut boxcar = Boxcar {
+        bitpix,
         factor,
         in_width: in_w,
         out_width: out_w,
@@ -237,16 +219,13 @@ fn rebin(
     let bpp = bitpix.bytes_per_pixel() as u64;
     let data_start = reader.data_start();
     let data_end = reader.data_end();
-    // Decode buffer, reused from chunk to chunk.
-    let mut values = Vec::new();
     match table {
         None => {
             let mut pos = data_start;
             while pos < data_end {
                 let len = (data_end - pos).min(BUFSIZE as u64) as usize;
                 let bytes = kernel.pread(reader.fd(), pos, len)?;
-                bitpix.decode_into(&bytes, &mut values)?;
-                boxcar.process(kernel, &mut out, (pos - data_start) / bpp, &values)?;
+                boxcar.process(kernel, &mut out, (pos - data_start) / bpp, &bytes)?;
                 pos += len as u64;
             }
         }
@@ -261,8 +240,7 @@ fn rebin(
                     continue;
                 }
                 let bytes = kernel.pread(reader.fd(), lo, (hi - lo) as usize)?;
-                bitpix.decode_into(&bytes, &mut values)?;
-                boxcar.process(kernel, &mut out, (lo - data_start) / bpp, &values)?;
+                boxcar.process(kernel, &mut out, (lo - data_start) / bpp, &bytes)?;
             }
             pick.finish();
         } // [sleds:end]
@@ -296,7 +274,7 @@ fn rebin(
 mod tests {
     use super::*;
     use sleds_devices::DiskDevice;
-    use sleds_fits::{generate_image_bytes, Bitpix, FitsWriter};
+    use sleds_fits::{generate_image_bytes, FitsWriter};
     use sleds_lmbench::fill_table;
 
     fn setup() -> (Kernel, SledsTable) {
@@ -390,27 +368,6 @@ mod tests {
         let fd = w.finish(&mut k).unwrap();
         k.close(fd).unwrap();
         assert!(fimgbin(&mut k, "/data/one.fits", "/data/o.fits", 2, None).is_err());
-    }
-
-    #[test]
-    fn accumulate_run_adds_what_a_pixel_loop_adds() {
-        // Every start column and length that fits a row of six boxes.
-        for factor in 2..=5 {
-            let width = 6 * factor;
-            for x in 0..width {
-                for len in 0..=width - x {
-                    let run: Vec<f64> = (0..len).map(|i| 0.1 * (i + x + 1) as f64).collect();
-                    let mut want: Vec<f64> = (0..6).map(|i| 1.0 / (i + 3) as f64).collect();
-                    let mut got = want.clone();
-                    for (i, &v) in run.iter().enumerate() {
-                        want[(x + i) / factor] += v;
-                    }
-                    accumulate_run(&mut got, x, &run, factor);
-                    let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&got), bits(&want), "factor {factor}, x {x}, len {len}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Golden pins for the FITS tools: `fimhisto`'s range and histogram,
 //! every output file (as an FNV-1a fold), and `Rusage.cpu`, major faults
-//! and job elapsed of `fimhisto` and of `fimgbin` at factors 2 and 4 —
+//! and job elapsed of `fimhisto` and of `fimgbin` at factors 2, 4 and 3 —
 //! baseline and SLEDs, for all five BITPIX types and three hostile
-//! images. The constants were recorded from the per-pixel `Vec<f64>`
-//! loops these tools used to have; the virtual machine must not notice
-//! how the host walks its pixels.
+//! images. Factors 2 and 4 run `Bitpix::add_boxes` at a constant box
+//! width, factor 3 at a runtime one. The constants were recorded from the
+//! per-pixel `Vec<f64>` loops these tools used to have (factor 3 from the
+//! decode-then-accumulate loop before `add_boxes`); the virtual machine
+//! must not notice how the host walks its pixels.
 
 use sleds::{SledsEntry, SledsTable};
 use sleds_apps::fimgbin::fimgbin;
@@ -22,7 +24,8 @@ const OUTPUT: &str = "/data/out.fits";
 const BINS: usize = 24;
 
 /// Row width of every image but the I16 sweep. Odd, and one more than a
-/// multiple of 4, so both boxcars discard a remainder column; and every
+/// multiple of 4, so the 2x2 and 4x4 boxcars discard a remainder column
+/// (the 3x3 keeps all 513); and every
 /// `BUFSIZE` chunk of every pixel width starts at an odd `x` — mid-row
 /// and mid-box (see `chunk_edges_fall_mid_row_and_mid_box`).
 const WIDTH: usize = 513;
@@ -191,6 +194,7 @@ struct Golden {
     fimhisto: [Run; 2],
     fimgbin2: [Run; 2],
     fimgbin4: [Run; 2],
+    fimgbin3: [Run; 2],
 }
 
 fn measure(name: &'static str) -> Golden {
@@ -220,6 +224,7 @@ fn measure(name: &'static str) -> Golden {
         // arrival order, and `f64` sums of `f64` pixels notice.
         fimgbin2: rebin(2),
         fimgbin4: rebin(4),
+        fimgbin3: rebin(3),
     }
 }
 
@@ -246,6 +251,10 @@ fn answers_outputs_and_virtual_costs_are_pinned() {
                 r(10086790, 73675336, 85, 10905936372307375467),
                 r(10115640, 99360477, 88, 10905936372307375467),
             ],
+            fimgbin3: [
+                r(11040581, 74310742, 85, 2639161474756970748),
+                r(11079431, 130909738, 93, 2639161474756970748),
+            ],
         },
         Golden {
             image: "i16",
@@ -265,6 +274,10 @@ fn answers_outputs_and_virtual_costs_are_pinned() {
             fimgbin4: [
                 r(7691233, 72067106, 85, 10179922119244704982),
                 r(7720082, 98872883, 88, 10179922119244704982),
+            ],
+            fimgbin3: [
+                r(8318818, 72489197, 85, 3125917690616991629),
+                r(8357667, 130806307, 93, 3125917690616991629),
             ],
         },
         Golden {
@@ -286,6 +299,10 @@ fn answers_outputs_and_virtual_costs_are_pinned() {
                 r(6540695, 60168784, 85, 16008410143236034012),
                 r(6569544, 98595098, 88, 16008410143236034012),
             ],
+            fimgbin3: [
+                r(6993893, 60463843, 85, 169114679390060658),
+                r(7032742, 130718858, 93, 169114679390060658),
+            ],
         },
         Golden {
             image: "f32",
@@ -305,6 +322,10 @@ fn answers_outputs_and_virtual_costs_are_pinned() {
             fimgbin4: [
                 r(6540695, 60168784, 85, 5586134477067653899),
                 r(6569544, 98595098, 88, 5586134477067653899),
+            ],
+            fimgbin3: [
+                r(6993893, 60463843, 85, 6065246599227460122),
+                r(7032742, 130718858, 93, 6065246599227460122),
             ],
         },
         Golden {
@@ -326,6 +347,10 @@ fn answers_outputs_and_virtual_costs_are_pinned() {
                 r(5957577, 60703432, 86, 93181415239684762),
                 r(5982428, 71015079, 87, 16656895982653088738),
             ],
+            fimgbin3: [
+                r(6342893, 60963732, 86, 17784926689782962990),
+                r(6381744, 120561809, 94, 17965182619993311293),
+            ],
         },
         Golden {
             image: "constant",
@@ -345,6 +370,10 @@ fn answers_outputs_and_virtual_costs_are_pinned() {
             fimgbin4: [
                 r(1429187, 15332680, 7, 3511854411664459930),
                 r(1445528, 15349021, 7, 3511854411664459930),
+            ],
+            fimgbin3: [
+                r(1537339, 15440832, 7, 5224200855373917360),
+                r(1553680, 15457173, 7, 5224200855373917360),
             ],
         },
         Golden {
@@ -367,6 +396,10 @@ fn answers_outputs_and_virtual_costs_are_pinned() {
                 r(2270583, 20441965, 20, 2317483753625277781),
                 r(2292887, 19919201, 20, 2317483753625277781),
             ],
+            fimgbin3: [
+                r(2451721, 20545280, 20, 7870367270613508156),
+                r(2474025, 19974789, 20, 7870367270613508156),
+            ],
         },
         Golden {
             image: "i16-sweep",
@@ -387,6 +420,10 @@ fn answers_outputs_and_virtual_costs_are_pinned() {
             fimgbin4: [
                 r(3417229, 21211026, 24, 306145392186011821),
                 r(3439538, 20376421, 24, 306145392186011821),
+            ],
+            fimgbin3: [
+                r(3760904, 21396408, 24, 711838478983669306),
+                r(3785213, 24123568, 25, 711838478983669306),
             ],
         },
     ];

@@ -180,14 +180,16 @@ fn bench_fits_codec() {
     time("fits/minmax_16", || Bitpix::I16.min_max(&encoded).unwrap());
     let mut counts = SampleCounts::new(Bitpix::I16).unwrap();
     time("fits/histogram_16", || counts.add(&encoded).unwrap());
-    // fimgbin's inner loop: 32 rows of 2048 pixels into 2x2 boxes.
-    let mut sums = vec![0.0; 1024];
-    time("fimgbin/accumulate_2x2", || {
-        for row in values.chunks_exact(2048) {
-            sleds_apps::fimgbin::accumulate_run(&mut sums, 0, row, 2);
-        }
-        sums[0]
-    });
+    // fimgbin's inner loop: 32 rows of 2048 I16 pixels into 2x2 and 4x4 boxes.
+    for factor in [2, 4] {
+        let mut sums = vec![0.0; 2048 / factor];
+        time(&format!("fits/add_boxes_16_{factor}x{factor}"), || {
+            for row in encoded.chunks_exact(2048 * 2) {
+                Bitpix::I16.add_boxes(row, 0, factor, &mut sums).unwrap();
+            }
+            sums[0]
+        });
+    }
 }
 
 fn bench_kernel_read_path() {

@@ -1,8 +1,10 @@
 //! Pixel codecs: BITPIX-typed big-endian data to and from `f64`, and the
 //! kernels that answer on the native samples without the detour — the
-//! value range ([`Bitpix::min_max`]) and the raw-sample count table
-//! ([`SampleCounts`]). Each is one generic loop, instantiated per type with
-//! the `match` on [`Bitpix`] outside it, so the compiler can vectorise it.
+//! value range ([`Bitpix::min_max`]), the raw-sample count table
+//! ([`SampleCounts`]) and boxcar sums ([`Bitpix::add_boxes`], also
+//! instantiated per box width for widths 2 and 4). Each is one generic
+//! loop, instantiated per type with the `match` on [`Bitpix`] outside it,
+//! so the compiler can vectorise it.
 
 use crate::format_error;
 use sleds_sim_core::SimResult;
@@ -117,6 +119,32 @@ impl Bitpix {
         Ok(per_type!(self, min_max_as(bytes)))
     }
 
+    /// Adds a run of one image row's samples, the first in column `x`, to
+    /// the box sums of its output row: the sample in column `c` goes to
+    /// `sums[c / factor]`, one addition per sample in column order, so
+    /// every sum receives exactly the additions, in the order, that a
+    /// pixel-at-a-time loop over the decoded row makes. The run must end
+    /// inside the row (`x + samples <= sums.len() * factor`); ragged
+    /// bytes, a zero `factor` and a run past the row are refused.
+    pub fn add_boxes(
+        self,
+        bytes: &[u8],
+        x: usize,
+        factor: usize,
+        sums: &mut [f64],
+    ) -> SimResult<()> {
+        self.whole_pixels(bytes)?;
+        let end = x + bytes.len() / self.bytes_per_pixel();
+        if factor == 0 || end > sums.len() * factor {
+            return Err(format_error(format!(
+                "columns {x}..{end} in boxes of {factor} overrun {} sums",
+                sums.len()
+            )));
+        }
+        per_type!(self, add_boxes_as(bytes, x, factor, sums));
+        Ok(())
+    }
+
     fn whole_pixels(self, bytes: &[u8]) -> SimResult<()> {
         let bpp = self.bytes_per_pixel();
         if !bytes.len().is_multiple_of(bpp) {
@@ -199,6 +227,52 @@ fn min_max_as<T: Sample<N>, const N: usize>(bytes: &[u8]) -> (f64, f64) {
         (lo.lower(v), hi.upper(v))
     });
     (lo.widen(), hi.widen())
+}
+
+/// The paper's box widths (2x2 and 4x4) get a loop of their own with the
+/// width a constant; any other runs the same loop at a runtime width.
+fn add_boxes_as<T: Sample<N>, const N: usize>(
+    bytes: &[u8],
+    x: usize,
+    factor: usize,
+    sums: &mut [f64],
+) {
+    match factor {
+        2 => add_boxes_of::<T, N, 2>(bytes, x, factor, sums),
+        4 => add_boxes_of::<T, N, 4>(bytes, x, factor, sums),
+        _ => add_boxes_of::<T, N, 0>(bytes, x, factor, sums),
+    }
+}
+
+/// [`Bitpix::add_boxes`] on checked input, in boxes of `W` samples, or of
+/// `factor` when `W` is 0. The run is the rest of the box `x` falls
+/// inside, whole boxes, and the start of one more, so the division is
+/// paid once per run.
+fn add_boxes_of<T: Sample<N>, const N: usize, const W: usize>(
+    bytes: &[u8],
+    x: usize,
+    factor: usize,
+    sums: &mut [f64],
+) {
+    let width = if W == 0 { factor } else { W };
+    let add = |sum: &mut f64, px: &[[u8; N]]| {
+        for &p in px {
+            *sum += T::from_be(p).widen();
+        }
+    };
+    let px = bytes.as_chunks::<N>().0;
+    let (head, rest) = px.split_at(px.len().min(x.next_multiple_of(width) - x));
+    if !head.is_empty() {
+        add(&mut sums[x / width], head);
+    }
+    let first = x.div_ceil(width);
+    let boxes = rest.chunks_exact(width);
+    if !boxes.remainder().is_empty() {
+        add(&mut sums[first + rest.len() / width], boxes.remainder());
+    }
+    for (sum, px) in sums[first..].iter_mut().zip(boxes) {
+        add(sum, px);
+    }
 }
 
 /// How often each raw sample of an 8- or 16-bit image occurs: one slot

@@ -91,7 +91,7 @@ fn reference_encode(bitpix: Bitpix, v: f64, out: &mut Vec<u8>) {
 }
 
 /// The per-type kernels — decode, encode, min/max on native samples, the
-/// raw-sample count table — agree bit for bit with a pixel-at-a-time
+/// raw-sample count table, box sums — agree bit for bit with a pixel-at-a-time
 /// reference on random bytes (so floats include NaNs, infinities and
 /// subnormals), reuse their buffers, and refuse ragged input.
 #[test]
@@ -165,12 +165,55 @@ fn kernels_match_per_pixel_reference() {
             assert!(bpp >= 4);
         }
 
+        // Box sums: a run from column `x`, ending inside the row, adds to
+        // pre-seeded sums what `sums[(x + i) / factor] += px` adds, bit for
+        // bit. Widths 2 and 4 are the constant-width loops, 3, 5 and 6 the
+        // runtime one. Half the float runs are made of values whose sum
+        // changes with the order of two additions.
+        let factor = rng.range_usize(2, 7);
+        let tricky = [1e16, 1.0, -1e16, -1.0];
+        let run = if matches!(bitpix, Bitpix::F32 | Bitpix::F64) && rng.chance(0.5) {
+            let values: Vec<f64> = (0..want.len())
+                .map(|_| tricky[rng.range_usize(0, tricky.len())])
+                .collect();
+            bitpix.encode(&values)
+        } else {
+            bytes.clone()
+        };
+        let x = rng.range_usize(0, 3 * factor);
+        let samples = run.len() / bpp;
+        let row = ((x + samples).div_ceil(factor) + rng.range_usize(0, 3)).max(1);
+        let seeds: Vec<f64> = (0..row)
+            .map(|_| match rng.range_usize(0, 3) {
+                0 => tricky[rng.range_usize(0, tricky.len())],
+                1 => 0.0,
+                _ => rng.unit_f64() * 1e3,
+            })
+            .collect();
+        let mut want_sums = seeds.clone();
+        for (i, px) in run.chunks_exact(bpp).enumerate() {
+            want_sums[(x + i) / factor] += reference_decode(bitpix, px);
+        }
+        let mut sums = seeds;
+        bitpix.add_boxes(&run, x, factor, &mut sums).unwrap();
+        assert_eq!(
+            bits(&sums),
+            bits(&want_sums),
+            "{bitpix:?}, x {x}, factor {factor}"
+        );
+        // One column past the row, or boxes of no width, are refused.
+        let past = row * factor + 1 - samples;
+        assert!(bitpix.add_boxes(&run, past, factor, &mut sums).is_err());
+        assert!(bitpix.add_boxes(&run, 0, 0, &mut sums).is_err());
+
         // Ragged input is refused by every kernel that takes bytes.
         if bpp > 1 {
             bytes.push(0);
             assert!(bitpix.decode(&bytes).is_err());
             assert!(bitpix.decode_into(&bytes, &mut Vec::new()).is_err());
             assert!(bitpix.min_max(&bytes).is_err());
+            let mut sums = vec![0.0; bytes.len()];
+            assert!(bitpix.add_boxes(&bytes, 0, factor, &mut sums).is_err());
         }
     });
 }

@@ -503,17 +503,25 @@ impl Kernel {
     /// touches rusage, so a traced run produces virtual-time results
     /// byte-identical to an untraced one.
     pub fn enable_tracing(&mut self) {
-        self.tracer = Tracer::enabled();
+        self.install_tracer(Tracer::enabled());
     }
 
     /// Enables tracing with an explicit ring capacity, in events.
     pub fn enable_tracing_with_capacity(&mut self, capacity: usize) {
-        self.tracer = Tracer::with_capacity(capacity);
+        self.install_tracer(Tracer::with_capacity(capacity));
     }
 
     /// Disables tracing, discarding any buffered events and metrics.
     pub fn disable_tracing(&mut self) {
-        self.tracer = Tracer::disabled();
+        self.install_tracer(Tracer::disabled());
+    }
+
+    /// Swaps in `tracer`, stamping the active tenant: a fresh tracer
+    /// starts at tenant 0, and would otherwise name it until the next
+    /// [`tenant_switch`](Self::tenant_switch).
+    fn install_tracer(&mut self, mut tracer: Tracer) {
+        tracer.set_tenant(self.active_tenant as u64);
+        self.tracer = tracer;
     }
 
     /// Whether tracing is on.

@@ -409,7 +409,8 @@ impl Tracer {
     /// `transfer_ns` is the portion of the service the device spent moving
     /// `ev.bytes` (its transfer/stream/link phases); the split feeds the
     /// per-class first-byte and effective-bandwidth observables. Events
-    /// carry the tracer's own tenant stamp, like every other hook.
+    /// carry `ev.tenant`, the tenant the occupancy is billed to, not the
+    /// tracer's own stamp.
     pub fn device(
         &mut self,
         ev: &DeviceCost,
@@ -417,14 +418,13 @@ impl Tracer {
         transfer_ns: u64,
         phases: &[(&'static str, SimDuration)],
     ) {
-        let tenant = self.tenant;
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
         inner.metrics.note_device(ev, transfer_ns);
         Self::emit(
             inner,
-            tenant,
+            ev.tenant,
             ev.submit,
             ev.queue_wait + ev.service,
             EventPhase::Complete,
@@ -440,7 +440,7 @@ impl Tracer {
             }
             Self::emit(
                 inner,
-                tenant,
+                ev.tenant,
                 at,
                 pdur,
                 EventPhase::Complete,
@@ -640,8 +640,8 @@ mod tests {
     }
 
     /// A 16-sector disk read at sector 8, submitted at 1 µs, serviced in
-    /// 30 ns after `queue_wait`. Billed to tenant 9 so the tests show the
-    /// tracer stamping its own tenant instead.
+    /// 30 ns after `queue_wait`. Billed to tenant 9, not the tracer's
+    /// tenant, so the tests show which one the events carry.
     fn disk_read(queue_wait: SimDuration) -> DeviceCost {
         DeviceCost {
             tenant: 9,
@@ -698,7 +698,8 @@ mod tests {
         assert_eq!(evs[0].name, "disk.read");
         assert_eq!(evs[0].ts.as_nanos(), 1_000);
         assert_eq!(evs[0].dur.as_nanos(), 70);
-        assert_eq!(evs[0].tenant, 2);
+        // Every event names the billed tenant, not the tracer's.
+        assert!(evs.iter().all(|e| e.tenant == 9));
         // queue_wait is the first nested phase; service phases follow it.
         assert_eq!(evs[1].name, "queue_wait");
         assert_eq!(evs[1].ts.as_nanos(), 1_000);
