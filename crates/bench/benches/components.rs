@@ -166,6 +166,37 @@ fn bench_regex() {
     });
 }
 
+fn bench_memscan() {
+    use sleds_textmatch::memscan::{count, memmem};
+    use std::hint::black_box;
+    // Lowercase words and newlines, ~40-byte lines: the scan corpus' shape.
+    let mut rng = DetRng::new(11);
+    let mut text = Vec::with_capacity(1 << 20);
+    while text.len() < 1 << 20 {
+        for _ in 0..rng.range_usize(2, 10) {
+            text.push(b'a' + rng.range_u64(0, 26) as u8);
+        }
+        text.push(if rng.range_u64(0, 6) == 0 {
+            b'\n'
+        } else {
+            b' '
+        });
+    }
+    // No position is a candidate: uppercase never occurs.
+    time("textmatch/memmem_sparse_1mib", || {
+        memmem(black_box(&text), b"ZQXJKV")
+    });
+    // Every line holds a candidate (`n` ... `e` five bytes on), none a match.
+    let mut lines = Vec::with_capacity(65536);
+    while lines.len() + 41 <= 65536 {
+        lines.extend_from_slice(b"lorem ipsum dolor noodle sit amet consec\n");
+    }
+    time("textmatch/memmem_dense_64k", || {
+        memmem(black_box(&lines), b"nxxdle")
+    });
+    time("textmatch/count_1mib", || count(b'\n', black_box(&text)));
+}
+
 fn bench_fits_codec() {
     use sleds_fits::{Bitpix, SampleCounts};
     // 65536 pixels: two 64 KiB chunks of I16.
@@ -386,6 +417,7 @@ fn main() {
     bench_page_cache();
     bench_device_models();
     bench_regex();
+    bench_memscan();
     bench_fits_codec();
     bench_kernel_read_path();
     bench_kernel_tables();

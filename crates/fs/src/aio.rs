@@ -21,10 +21,12 @@ use sleds_sim_core::{index, Errno, SimDuration, SimError, SimResult, PAGE_SIZE};
 
 use crate::inode::Ino;
 use crate::kernel::{Fd, Kernel};
+use crate::payload::Payload;
 
 /// Chunks of a completed asynchronous read, as `(offset, bytes)` pairs in
-/// completion order.
-pub type AioChunks = Vec<(u64, Vec<u8>)>;
+/// completion order. Each chunk is the [`Payload`] its read returned, so
+/// holding the whole file copies none of it.
+pub type AioChunks = Vec<(u64, Payload)>;
 
 /// Accounting for one asynchronous whole-file read.
 #[derive(Clone, Copy, Debug, Default)]
@@ -107,7 +109,7 @@ impl Kernel {
             // `pread` advanced the clock serially; rewind-by-accounting is
             // impossible, so track what it added and correct at the end.
             let _ = spent;
-            order.push((off, data.into_vec()));
+            order.push((off, data));
         }
 
         // Buffer pressure: every byte posted but not yet consumed needs a

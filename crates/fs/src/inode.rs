@@ -9,6 +9,7 @@
 //! version SLED vectors.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sleds_sim_core::{Pages, Sectors, SimTime};
 
@@ -292,9 +293,16 @@ pub struct FileNode {
     /// Logical size in bytes. Private: [`FileNode::set_size`] is the only
     /// writer, so a size change cannot skip the layout generation.
     size: u64,
-    /// File contents. The simulator holds real bytes so applications
-    /// compute real answers; devices only model cost.
-    pub data: Vec<u8>,
+    /// The stored contents: the simulator holds real bytes so applications
+    /// compute real answers (devices only model cost). Bytes past their
+    /// end, up to `size`, are a hole and read as zeros; a file with none
+    /// stored holds `None` and allocates nothing. Shared: a read that
+    /// finds only stored bytes hands out a clone of the `Arc` and a range
+    /// ([`crate::Payload`]), and every writer goes through
+    /// [`FileNode::stored_mut`], which copies the bytes first while any
+    /// such payload is still alive — so a payload keeps the bytes it was
+    /// given.
+    data: Option<Arc<Vec<u8>>>,
     /// Stable-storage layout, run-length encoded. Covers at least
     /// [`FileNode::page_count`] pages.
     pub pages: PageMap,
@@ -324,12 +332,28 @@ impl FileNode {
         }
     }
 
+    /// The stored bytes; shorter than `size` by the hole at the end.
+    pub fn stored(&self) -> &[u8] {
+        self.data.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The shared buffer behind [`FileNode::stored`], if any byte is stored.
+    pub(crate) fn shared(&self) -> Option<&Arc<Vec<u8>>> {
+        self.data.as_ref()
+    }
+
+    /// The stored bytes, to change: the one way to write them. Copies
+    /// them first if a payload read earlier still shares them.
+    pub(crate) fn stored_mut(&mut self) -> &mut Vec<u8> {
+        Arc::make_mut(self.data.get_or_insert_with(Arc::default))
+    }
+
     /// Empties the file (`O_TRUNC`): no bytes, no pages, no tape home.
     /// Unmapping the pages versions the layout once, which covers the
-    /// size change too.
+    /// size change too. A payload read earlier keeps the bytes.
     pub(crate) fn truncate(&mut self) {
         self.size = 0;
-        self.data.clear();
+        self.data = None;
         self.pages.clear();
         self.tape_home = None;
     }

@@ -21,6 +21,8 @@
 //! copy — before the read proceeds. The tape home is remembered so a later
 //! purge can drop the disk copy without copying data back.
 
+use std::sync::Arc;
+
 use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultPlan, FaultState};
 use sleds_pagecache::{Evicted, PageCache, PageKey};
 use sleds_sim_core::{
@@ -29,7 +31,7 @@ use sleds_sim_core::{
 };
 use sleds_trace::{span, DeviceCost, Layer, Metrics, TraceEvent, Tracer, Wait};
 
-use crate::capture::{Capture, PayloadFold, WorkloadRecorder};
+use crate::capture::{fold_bytes, Capture, PayloadFold, WorkloadRecorder};
 use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, PageMap, PagePlace, Stat};
 use crate::machine::MachineConfig;
 use crate::payload::Payload;
@@ -1421,13 +1423,16 @@ impl Kernel {
         let end = size.min(pos.saturating_add(len as u64));
         self.fault_in(ino, Pages::containing(pos), Pages::containing(end - 1))?;
 
-        // Copy out to the caller. Sparse installs have no materialized
-        // contents past `data.len()`; holes read as zeros. A read that finds
-        // no stored bytes — most reads: the drivers' files are sparse —
-        // builds no buffer, and under capture its digest comes from the
-        // recorder's zero-page table. One that finds some fills one
-        // allocation and, under capture, folds each piece while it is still
-        // in cache from its copy, not read back whole by the recorder.
+        // Copy out to the caller — in virtual time. Sparse installs have
+        // no materialized contents past the stored bytes; holes read as
+        // zeros. A read that finds no stored bytes — most reads: the
+        // drivers' files are sparse — builds no buffer, and under capture
+        // its digest comes from the recorder's zero-page table. One that
+        // finds only stored bytes shares them: the payload is the file's
+        // own buffer and a range of it, and a capture folds that range in
+        // place. Only one that runs from stored bytes into the hole fills
+        // a buffer, folding each piece while it is still in cache from its
+        // copy.
         let bytes = end - pos;
         self.charge_memcpy(bytes);
         let folds = self
@@ -1435,12 +1440,16 @@ impl Kernel {
             .as_ref()
             .is_some_and(|rec| rec.folds_payload());
         let f = self.file_of(ino)?;
-        let len = f.data.len() as u64;
-        let stored = &f.data[index(pos.min(len))..index(end.min(len))];
+        let len = f.stored().len() as u64;
+        let range = index(pos.min(len))..index(end.min(len));
+        let stored = &f.stored()[range.clone()];
         let hole = index(bytes) - stored.len();
         let (out, fold) = if stored.is_empty() {
             let rec = self.recorder.as_mut().filter(|_| folds);
             (Payload::zeros(hole), rec.map(|rec| rec.fold_zeros(bytes)))
+        } else if let Some(buf) = f.shared().filter(|_| hole == 0) {
+            let fold = folds.then(|| fold_bytes(stored));
+            (Payload::shared(Arc::clone(buf), range), fold)
         } else {
             let mut out = Vec::with_capacity(index(bytes));
             let fold = if folds {
@@ -1929,10 +1938,11 @@ impl Kernel {
             let f = node
                 .as_file_mut()
                 .ok_or_else(|| SimError::new(Errno::Eisdir, "write on directory"))?;
-            if f.data.len() < index(end) {
-                f.data.resize(index(end), 0);
+            let data = f.stored_mut();
+            if data.len() < index(end) {
+                data.resize(index(end), 0);
             }
-            f.data[index(pos)..index(end)].copy_from_slice(buf);
+            data[index(pos)..index(end)].copy_from_slice(buf);
             if end > f.size() {
                 f.set_size(end);
             }
@@ -2736,7 +2746,9 @@ impl Kernel {
         let pages = self.layout_pages(mount, page_count)?;
         let replicas = self.layout_replicas(mount, page_count)?;
         let mut file = FileNode::default();
-        file.data = data;
+        if !data.is_empty() {
+            *file.stored_mut() = data;
+        }
         file.pages = pages;
         file.replicas = replicas;
         file.set_size(size);
@@ -2827,7 +2839,7 @@ impl Kernel {
             .inode_mut(ino)?
             .as_file_mut()
             .ok_or_else(|| SimError::new(Errno::Eisdir, format!("poke_file({path})")))?;
-        let stored = f.data.len() as u64;
+        let stored = f.stored().len() as u64;
         let end = offset
             .checked_add(data.len() as u64)
             .filter(|&end| end <= stored)
@@ -2836,7 +2848,7 @@ impl Kernel {
                 let why = format!("range beyond the {stored} stored bytes (size {size})");
                 SimError::new(Errno::Einval, format!("poke_file({path}): {why}"))
             })?;
-        f.data[index(offset)..index(end)].copy_from_slice(data);
+        f.stored_mut()[index(offset)..index(end)].copy_from_slice(data);
         Ok(())
     }
 

@@ -1,14 +1,21 @@
-//! What `read`/`pread` hand back: bytes, or a hole that was never written.
+//! What `read`/`pread` hand back: a range of a file's stored bytes, or a
+//! hole that was never written.
 //!
-//! Almost everything the drivers read is sparse ([`crate::Kernel::install_sparse_file`]),
-//! so almost every returned byte is a zero nobody stored. A [`Payload`]
-//! is the returned bytes either way — it derefs to `[u8]` and compares with
-//! byte strings — but a read that found no stored bytes borrows its zeros
-//! from one static all-zero run instead of allocating and filling a buffer.
-//! The *virtual* copy-out cost (`charge_memcpy`) is charged for both alike.
+//! A [`Payload`] derefs to `[u8]` and compares with byte strings, but it
+//! owns no copy of the bytes it stands for. A read that found only stored
+//! bytes shares the file's own buffer — an [`Arc`] clone and a range —
+//! and the file copies that buffer before its next write while any such
+//! payload is alive, so a payload keeps the bytes it was given. Almost
+//! everything the drivers read is sparse
+//! ([`crate::Kernel::install_sparse_file`]), and a read that found no
+//! stored bytes borrows its zeros from one static all-zero run. Only a
+//! read that runs from stored bytes into the hole after them builds a
+//! buffer of its own. The *virtual* copy-out cost (`charge_memcpy`) is
+//! charged alike for all three.
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// Length of the static zero run: the largest request any in-repo driver
 /// issues. A longer all-hole read allocates, as every read once did.
@@ -24,10 +31,11 @@ static ZEROS: [u8; ZERO_RUN] = [0; ZERO_RUN];
 
 #[derive(Clone)]
 enum Repr {
-    Bytes(Vec<u8>),
     /// This many zero bytes, at most [`ZERO_RUN`]; only [`Payload::zeros`]
     /// builds it.
     Zeros(usize),
+    /// These bytes of a buffer that may be shared.
+    Shared(Arc<Vec<u8>>, Range<usize>),
 }
 
 /// The bytes a read returned.
@@ -40,15 +48,21 @@ impl Payload {
         if n <= ZERO_RUN {
             Payload(Repr::Zeros(n))
         } else {
-            Payload(Repr::Bytes(vec![0; n]))
+            Payload::from(vec![0; n])
         }
+    }
+
+    /// `range` of `bytes`, without copying it.
+    pub(crate) fn shared(bytes: Arc<Vec<u8>>, range: Range<usize>) -> Payload {
+        debug_assert!(range.start <= range.end && range.end <= bytes.len());
+        Payload(Repr::Shared(bytes, range))
     }
 
     /// Bytes returned: shorter than asked at end of file, zero at or past it.
     pub fn len(&self) -> usize {
         match &self.0 {
-            Repr::Bytes(b) => b.len(),
             Repr::Zeros(n) => *n,
+            Repr::Shared(_, range) => range.len(),
         }
     }
 
@@ -57,18 +71,16 @@ impl Payload {
         self.len() == 0
     }
 
-    /// The bytes as an owned buffer; allocates only for a hole.
+    /// The bytes as an owned buffer: a copy.
     pub fn into_vec(self) -> Vec<u8> {
-        match self.0 {
-            Repr::Bytes(b) => b,
-            Repr::Zeros(n) => vec![0; n],
-        }
+        self.to_vec()
     }
 }
 
 impl From<Vec<u8>> for Payload {
     fn from(bytes: Vec<u8>) -> Payload {
-        Payload(Repr::Bytes(bytes))
+        let range = 0..bytes.len();
+        Payload(Repr::Shared(Arc::new(bytes), range))
     }
 }
 
@@ -77,8 +89,8 @@ impl Deref for Payload {
 
     fn deref(&self) -> &[u8] {
         match &self.0 {
-            Repr::Bytes(b) => b,
             Repr::Zeros(n) => &ZEROS[..*n],
+            Repr::Shared(bytes, range) => &bytes[range.clone()],
         }
     }
 }
@@ -86,8 +98,8 @@ impl Deref for Payload {
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.0 {
-            Repr::Bytes(b) => b.fmt(f),
             Repr::Zeros(n) => write!(f, "[0; {n}]"),
+            Repr::Shared(..) => (**self).fmt(f),
         }
     }
 }
@@ -160,8 +172,9 @@ mod tests {
     fn a_payload_is_the_vec_it_stands_for() {
         let mut rng = DetRng::new(0x5eed);
         // (stored bytes, hole length), built the way `do_read` builds them:
-        // stored bytes go into a buffer with their hole tail, a read that
-        // found none borrows the zero run.
+        // stored bytes alone are a range of a larger file buffer, at an
+        // offset into it; stored bytes with a hole tail go into a buffer of
+        // their own; a read that found none borrows the zero run.
         let mut pairs = Vec::new();
         for hole in [0, 1, 31, 4096, ZERO_RUN - 1, ZERO_RUN, ZERO_RUN + 1] {
             pairs.push((0, hole));
@@ -171,12 +184,16 @@ mod tests {
             pairs.push((stored * rng.range_usize(0, 3), hole * rng.range_usize(0, 3)));
         }
         for (stored, hole) in pairs {
-            let mut stored = vec![0u8; stored];
-            rng.fill_bytes(&mut stored);
-            let mut want = stored.clone();
-            want.resize(stored.len() + hole, 0);
-            let p = if stored.is_empty() {
+            let (before, after) = (rng.range_usize(0, 5000), rng.range_usize(0, 5000));
+            let mut file = vec![0u8; before + stored + after];
+            rng.fill_bytes(&mut file);
+            let range = before..before + stored;
+            let mut want = file[range.clone()].to_vec();
+            want.resize(stored + hole, 0);
+            let p = if stored == 0 {
                 Payload::zeros(hole)
+            } else if hole == 0 {
+                Payload::shared(Arc::new(file), range)
             } else {
                 Payload::from(want.clone())
             };
@@ -187,7 +204,7 @@ mod tests {
     #[test]
     fn only_a_hole_within_the_run_goes_unbuffered() {
         assert!(matches!(Payload::zeros(ZERO_RUN).0, Repr::Zeros(ZERO_RUN)));
-        assert!(matches!(Payload::zeros(ZERO_RUN + 1).0, Repr::Bytes(_)));
+        assert!(matches!(Payload::zeros(ZERO_RUN + 1).0, Repr::Shared(..)));
         assert_eq!(Payload::zeros(ZERO_RUN + 1).len(), ZERO_RUN + 1);
     }
 
@@ -198,5 +215,7 @@ mod tests {
         assert_ne!(Payload::zeros(3), b"\0\0");
         assert_eq!(format!("{:?}", Payload::zeros(3)), "[0; 3]");
         assert_eq!(format!("{:?}", Payload::from(vec![1, 2])), "[1, 2]");
+        let shared = Payload::shared(Arc::new(vec![1, 2, 3, 4]), 1..3);
+        assert_eq!(format!("{shared:?}"), "[2, 3]");
     }
 }

@@ -8,7 +8,7 @@
 //! Most of the text a search reads cannot match, and saying so should not
 //! cost a VM step per byte. At compile time the pattern's *required
 //! literal* is read off the AST — bytes every match must contain — and
-//! searches look for it with the word-at-a-time scanners in [`memscan`]
+//! searches look for it with the block-at-a-time scanners in [`memscan`]
 //! first. The VM only ever verifies a candidate, and when the pattern is
 //! nothing but the literal there is nothing left to verify.
 //! [`Regex::next_matching_line`] applies this a whole buffer at a time.
