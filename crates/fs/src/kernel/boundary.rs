@@ -1,13 +1,13 @@
 //! The syscall boundary: the one door every kernel entry passes through,
 //! and [`Kernel::syscall`], which runs an owned [`Syscall`] through it.
 
-use sleds_sim_core::{Errno, SimDuration, SimError, SimResult, SimTime};
+use sleds_sim_core::{index, Errno, SimDuration, SimError, SimResult, SimTime};
 use sleds_trace::{span, Layer, SpanHost, Tracer};
 
 use super::Kernel;
-use crate::ring::SubmissionRing;
+use crate::ring::{RingCompletion, SubmissionRing};
 use crate::sled;
-use crate::syscall::{Charge, Entry, Record, Ring, Syscall, SyscallRet};
+use crate::syscall::{self as sys, Charge, Entry, Record, Ring, Syscall, SyscallRet};
 
 /// What [`span`] needs of the kernel: its tracer and its clock.
 impl SpanHost for Kernel {
@@ -183,5 +183,65 @@ impl Kernel {
                 Ok(SyscallRet::Completions(self.ring_reap(&mut ring)))
             }
         }
+    }
+}
+
+impl Kernel {
+    /// Ring batches serviced so far (one boundary crossing each).
+    pub fn ring_enters(&self) -> u64 {
+        self.ring_enters
+    }
+
+    /// Ring operations serviced so far, across all batches.
+    pub fn ring_ops_serviced(&self) -> u64 {
+        self.ring_ops
+    }
+
+    /// `ring_enter`: services the ring's queued submissions in **one**
+    /// boundary crossing. Charges `syscall_cpu` once for the crossing and
+    /// `ring_op_cpu` per serviced op; each op then performs exactly the
+    /// same work (and faulting/memcpy/device accounting) as its sequential
+    /// twin. Stops early when the completion queue fills — the leftovers
+    /// stay queued for the next enter. Returns the number serviced.
+    pub fn ring_enter(&mut self, ring: &mut SubmissionRing) -> SimResult<usize> {
+        // The ring's ops run on (and are charged to) the ring owner's
+        // timeline, whoever drives the enter — asynchronous submission:
+        // the driver's own clock does not advance for the batch.
+        let prev = self.active_tenant();
+        self.tenant_switch(ring.tenant())?;
+        let submitted = ring.sq_len() as u64;
+        let capacity = ring.capacity();
+        let make = || Syscall::RingEnter {
+            capacity,
+            ops: Vec::new(),
+        };
+        let r = self.sys(&sys::RING_ENTER, [submitted, 0, 0], make, |k| {
+            k.ring_enters += 1;
+            let mut serviced = 0u64;
+            while ring.cq_has_room() {
+                let Some((user_data, op)) = ring.pop_op() else {
+                    break;
+                };
+                k.ring_slot = Some(user_data);
+                let result = k.syscall(&op);
+                k.ring_slot = None;
+                ring.complete(RingCompletion { user_data, result });
+                serviced += 1;
+            }
+            let now = k.now();
+            k.tracer.ring_submit(now, submitted, serviced);
+            Ok(SyscallRet::Count(serviced))
+        });
+        self.tenant_switch(prev)?;
+        r?.count().map(index)
+    }
+
+    /// Reaps every pending completion. The queues live in user-mapped
+    /// memory, so reaping crosses nothing and charges nothing.
+    pub fn ring_reap(&mut self, ring: &mut SubmissionRing) -> Vec<RingCompletion> {
+        let out = ring.drain_completions();
+        let now = self.now();
+        self.tracer.ring_reap(now, out.len() as u64);
+        out
     }
 }

@@ -5,10 +5,11 @@
 //! recorder, `Rusage`, tracer). DESIGN.md §"The accounting spine"
 //! tabulates who receives what.
 
+use sleds_devices::DeviceClass;
 use sleds_sim_core::{Clock, Sectors, SimDuration, SimError, SimTime};
 use sleds_trace::{CostOutcome, DeviceCost, Wait};
 
-use super::{device_event_name, DeviceId, Kernel};
+use super::{DeviceId, Kernel};
 use crate::rusage::Rusage;
 
 /// The kernel's clock and the bill for it. Every number the paper reports
@@ -232,6 +233,21 @@ impl Kernel {
         }
         let name = device_event_name(d.class(), ev.write);
         self.tracer.device(ev, name, transfer_ns, &phases);
+    }
+}
+
+fn device_event_name(class: DeviceClass, write: bool) -> &'static str {
+    match (class, write) {
+        (DeviceClass::Memory, false) => "memory.read",
+        (DeviceClass::Memory, true) => "memory.write",
+        (DeviceClass::Disk, false) => "disk.read",
+        (DeviceClass::Disk, true) => "disk.write",
+        (DeviceClass::CdRom, false) => "cdrom.read",
+        (DeviceClass::CdRom, true) => "cdrom.write",
+        (DeviceClass::Network, false) => "nfs.read",
+        (DeviceClass::Network, true) => "nfs.write",
+        (DeviceClass::Tape, false) => "tape.read",
+        (DeviceClass::Tape, true) => "tape.write",
     }
 }
 

@@ -414,3 +414,155 @@ const REPICK_TRACE: [&str; 38] = [
     "2 Begin close @23255490+0 [4, 0, 0]",
     "2 End close @23260490+5000 [4, 0, 0]",
 ];
+
+/// One golden run: a 5-page install grown by a 3-page `write`, flushed,
+/// dropped, then read cold in full with `offline` (if any) down. Returns
+/// one line per `redundant_extents` entry (taken cold, before the fault),
+/// one per member's `DevStats`, and one for the whole run's `Rusage`.
+fn golden_transcript(layout: VolumeLayout, n: usize, offline: Option<&str>) -> Vec<String> {
+    let mut k = Kernel::table2();
+    k.mkdir("/vol").unwrap();
+    let m = k.mount_volume("/vol", layout, disks(n)).unwrap();
+    let page = PAGE_SIZE as usize;
+    let body: Vec<u8> = (0..8 * page).map(|i| (i / page) as u8).collect();
+    k.install_file("/vol/f", &body[..5 * page]).unwrap();
+    let append = OpenFlags {
+        append: true,
+        ..OpenFlags::RDWR
+    };
+    let fd = k.open("/vol/f", append).unwrap();
+    assert_eq!(k.write(fd, &body[5 * page..]).unwrap(), 3 * page);
+    k.fsync(fd).unwrap();
+    k.close(fd).unwrap();
+    k.drop_caches().unwrap();
+
+    let fd = k.open("/vol/f", OpenFlags::RDONLY).unwrap();
+    let mut lines: Vec<String> = k
+        .redundant_extents(fd)
+        .unwrap()
+        .iter()
+        .map(|re| {
+            let e = re.extent;
+            let at = match e.location {
+                PageLocation::Device { dev, sector } => format!("{}@{sector}", dev.0),
+                PageLocation::Memory => "memory".to_string(),
+            };
+            let alts: Vec<String> = re
+                .alternatives
+                .iter()
+                .map(|a| format!("{}@{}", a.dev.0, a.sector))
+                .collect();
+            let k = re.coded_k.map_or("-".to_string(), |k| k.to_string());
+            format!(
+                "extent {}+{} {at} alts [{}] k{k}",
+                e.first_page,
+                e.pages,
+                alts.join(" ")
+            )
+        })
+        .collect();
+    if let Some(name) = offline {
+        let plan = FaultPlan::new().offline(
+            name,
+            SimTime::ZERO,
+            SimTime::from_nanos(u64::MAX),
+            SimDuration::from_millis(1),
+        );
+        k.apply_fault_plan(&plan);
+    }
+    assert_eq!(k.read(fd, 8 * page).unwrap(), body);
+    k.close(fd).unwrap();
+    for d in k.volume_members(m) {
+        let s = k.device_stats(d).unwrap();
+        lines.push(format!(
+            "dev {} r{} w{} sr{} sw{} busy{} rp{}",
+            d.0,
+            s.reads,
+            s.writes,
+            s.sectors_read,
+            s.sectors_written,
+            s.busy.as_nanos(),
+            s.repositions
+        ));
+    }
+    let u = k.usage();
+    lines.push(format!(
+        "usage cpu{} io{} maj{} min{} sys{} x{} br{} bw{} dr{} dw{} retry{} backoff{} qw{} hedge{}/{} hw{}",
+        u.cpu.as_nanos(),
+        u.io_wait.as_nanos(),
+        u.major_faults,
+        u.minor_faults,
+        u.syscalls,
+        u.syscall_crossings,
+        u.bytes_read,
+        u.bytes_written,
+        u.device_reads,
+        u.device_writes,
+        u.io_retries,
+        u.retry_backoff.as_nanos(),
+        u.queue_wait.as_nanos(),
+        u.hedges,
+        u.hedge_wins,
+        u.hedge_wait.as_nanos()
+    ));
+    lines
+}
+
+fn check_golden(got: Vec<String>, expected: &[&str]) {
+    assert!(
+        got == expected,
+        "the golden run moved; the full transcript:\n{}",
+        got.iter()
+            .map(|l| format!("    {l:?},"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
+/// Pins the volume layer's placement, growth, writeback and routing: every
+/// sector of every extent and alternative, each member's counters and the
+/// run's usage, for a mirror and a (2, 3) code with member 1 offline and a
+/// healthy 3-way stripe. Every constant was recorded at the commit before
+/// the kernel's volume code moved into its own module.
+#[test]
+fn volume_layer_golden_runs() {
+    check_golden(
+        golden_transcript(VolumeLayout::Mirrored, 2, Some("vd1")),
+        GOLDEN_MIRRORED,
+    );
+    check_golden(
+        golden_transcript(VolumeLayout::Striped { stripe_pages: 2 }, 3, None),
+        GOLDEN_STRIPED,
+    );
+    check_golden(
+        golden_transcript(VolumeLayout::Coded { k: 2 }, 3, Some("vd1")),
+        GOLDEN_CODED,
+    );
+}
+
+const GOLDEN_MIRRORED: &[&str] = &[
+    "extent 0+8 0@2048 alts [1@2048] k-",
+    "dev 0 r1 w3 sr64 sw24 busy24009299 rp1",
+    "dev 1 r0 w3 sr0 sw24 busy12194871 rp1",
+    "usage cpu1000524 io36204170 maj8 min0 sys9 x9 br32768 bw12288 dr1 dw6 retry0 backoff0 qw0 hedge0/0 hw0",
+];
+
+const GOLDEN_STRIPED: &[&str] = &[
+    "extent 0+2 0@2048 alts [] k-",
+    "extent 2+2 1@2048 alts [] k-",
+    "extent 4+1 2@2048 alts [] k-",
+    "extent 5+2 0@2064 alts [] k-",
+    "extent 7+1 1@2064 alts [] k-",
+    "dev 0 r2 w2 sr32 sw16 busy22666667 rp1",
+    "dev 1 r2 w1 sr24 sw8 busy22218222 rp1",
+    "dev 2 r1 w0 sr8 sw0 busy10765231 rp1",
+    "usage cpu1001274 io55650120 maj8 min0 sys9 x9 br32768 bw12288 dr5 dw3 retry0 backoff0 qw0 hedge0/0 hw0",
+];
+
+const GOLDEN_CODED: &[&str] = &[
+    "extent 0+8 0@2048 alts [1@2048 2@2048] k2",
+    "dev 0 r1 w3 sr32 sw12 busy44147510 rp2",
+    "dev 1 r0 w3 sr0 sw12 busy33333333 rp1",
+    "dev 2 r1 w3 sr32 sw12 busy43227104 rp2",
+    "usage cpu1000774 io110814176 maj8 min0 sys9 x9 br32768 bw12288 dr2 dw9 retry0 backoff0 qw0 hedge0/0 hw0",
+];
