@@ -165,7 +165,7 @@ pub fn refresh_mid_run() -> (f64, f64) {
                 k.read(g, n / 4).expect("other reader");
                 k.close(g).expect("close2");
                 if refresh {
-                    pick.refresh(&mut k, &table, fd, cfg).expect("refresh");
+                    pick.refresh(&mut k, &table, fd).expect("refresh");
                 }
             }
         }

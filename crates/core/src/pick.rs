@@ -87,6 +87,8 @@ pub struct PickSession {
     plan: VecDeque<(u64, usize)>,
     planned_chunks: usize,
     sleds: Vec<Sled>,
+    /// What [`PickSession::refresh`] does with extents gone offline.
+    unavailable: UnavailablePolicy,
 }
 
 impl PickSession {
@@ -172,6 +174,7 @@ impl PickSession {
             planned_chunks: plan.len(),
             plan: plan.into(),
             sleds,
+            unavailable: cfg.unavailable,
         })
     }
 
@@ -197,27 +200,23 @@ impl PickSession {
     }
 
     /// Re-retrieves SLEDs and replans the not-yet-returned portion of the
-    /// file. This is the "refreshing the state of those SLEDs occasionally"
-    /// extension the paper sketches; the ablation benches measure it.
-    pub fn refresh(
-        &mut self,
-        kernel: &mut Kernel,
-        table: &SledsTable,
-        fd: Fd,
-        _cfg: PickConfig,
-    ) -> SimResult<()> {
+    /// file under the session's [`UnavailablePolicy`]: a skipping session
+    /// prunes chunks whose extent has gone offline since `init`. This is
+    /// the "refreshing the state of those SLEDs occasionally" extension the
+    /// paper sketches; the ablation benches measure it.
+    pub fn refresh(&mut self, kernel: &mut Kernel, table: &SledsTable, fd: Fd) -> SimResult<()> {
         let fresh = fsleds_get(kernel, fd, table)?;
+        let skip = self.unavailable == UnavailablePolicy::Skip;
         // Bytes already handed out stay handed out; replan the rest.
         let pending: Vec<(u64, usize)> = self.plan.drain(..).collect();
         let mut chunks: Vec<(u64, usize, f64)> = Vec::new();
         for (off, len) in pending {
-            // Find the latency this byte range has *now*.
-            let lat = fresh
-                .iter()
-                .find(|s| s.offset <= off && off < s.end())
-                .map(|s| s.latency)
-                .unwrap_or(f64::MAX);
-            chunks.push((off, len, lat));
+            // Find the SLED this byte range has *now*.
+            let now = fresh.iter().find(|s| s.offset <= off && off < s.end());
+            if skip && now.is_some_and(Sled::unavailable) {
+                continue;
+            }
+            chunks.push((off, len, now.map_or(f64::MAX, |s| s.latency)));
         }
         chunks.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
         kernel.charge_cpu(plan_cost(chunks.len()));
@@ -508,8 +507,7 @@ mod tests {
         assert_eq!(p.next_read().unwrap().0, PAGE_SIZE);
         // Someone else warms the tail.
         warm_range(&mut k, fd, 8..12);
-        p.refresh(&mut k, &t, fd, PickConfig::bytes(PAGE_SIZE as usize))
-            .unwrap();
+        p.refresh(&mut k, &t, fd).unwrap();
         // Now the cached tail jumps the queue.
         assert_eq!(p.next_read().unwrap().0, 8 * PAGE_SIZE);
     }
@@ -548,6 +546,35 @@ mod tests {
             max_off = max_off.max(off);
         }
         assert!(max_off < 4 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn refresh_prunes_what_went_offline_under_skip_and_defers_it_otherwise() {
+        use sleds_devices::FaultPlan;
+        use sleds_sim_core::SimTime;
+        let (mut k, t) = setup();
+        let data = vec![0u8; 8 * PAGE_SIZE as usize];
+        k.install_file("/data/f", &data).unwrap();
+        let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
+        warm_range(&mut k, fd, 0..4);
+        let cfg = PickConfig::bytes(PAGE_SIZE as usize);
+        let mut skip = PickSession::init(&mut k, &t, fd, cfg.skip_unavailable()).unwrap();
+        let mut defer = PickSession::init(&mut k, &t, fd, cfg).unwrap();
+        assert_eq!((skip.planned_chunks(), defer.planned_chunks()), (8, 8));
+        // The disk behind pages 4..8 goes offline after both plans exist.
+        k.apply_fault_plan(&FaultPlan::new().offline(
+            "hda",
+            SimTime::ZERO,
+            SimTime::from_nanos(u64::MAX),
+            SimDuration::from_millis(1),
+        ));
+        skip.refresh(&mut k, &t, fd).unwrap();
+        defer.refresh(&mut k, &t, fd).unwrap();
+        assert_eq!(skip.remaining(), 4, "the offline tail is pruned");
+        assert_eq!(defer.remaining(), 8, "the offline tail is kept, last");
+        while let Some((off, _)) = skip.next_read() {
+            assert!(off < 4 * PAGE_SIZE);
+        }
     }
 
     #[test]

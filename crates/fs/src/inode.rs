@@ -348,14 +348,15 @@ impl FileNode {
         Arc::make_mut(self.data.get_or_insert_with(Arc::default))
     }
 
-    /// Empties the file (`O_TRUNC`): no bytes, no pages, no tape home.
-    /// Unmapping the pages versions the layout once, which covers the
-    /// size change too. A payload read earlier keeps the bytes.
+    /// Empties the file (`O_TRUNC`): no bytes, no pages, no tape home, no
+    /// replica maps. Unmapping the pages versions the layout once, which
+    /// covers the size change too. A payload read earlier keeps the bytes.
     pub(crate) fn truncate(&mut self) {
         self.size = 0;
         self.data = None;
         self.pages.clear();
         self.tape_home = None;
+        self.replicas.clear();
     }
 
     /// Number of pages the file spans.

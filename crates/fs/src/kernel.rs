@@ -16,8 +16,7 @@
 use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultState};
 use sleds_pagecache::{PageCache, PageKey};
 use sleds_sim_core::{
-    DetRng, Errno, IdTable, IdWindow, Pages, RetryPolicy, Sectors, SimDuration, SimError,
-    SimResult, SimTime,
+    DetRng, Errno, IdTable, IdWindow, Pages, Sectors, SimDuration, SimError, SimResult, SimTime,
 };
 use sleds_trace::{span, Layer, Metrics, TraceEvent, Tracer};
 
@@ -218,8 +217,6 @@ pub struct Kernel {
     /// table is recalibrated, without its holder knowing recalibration
     /// exists.
     sleds_epoch: u64,
-    /// How hard `device_command` tries again; always the default.
-    retry: RetryPolicy,
     /// Jitter stream for retry backoff; only consumed when a command
     /// actually fails, so fault-free runs never draw from it.
     retry_rng: DetRng,
@@ -289,7 +286,6 @@ impl Kernel {
             root,
             tracer: Tracer::disabled(),
             sleds_epoch: 0,
-            retry: RetryPolicy::default(),
             retry_rng: DetRng::new(RETRY_JITTER_SEED),
             ring_enters: 0,
             ring_ops: 0,

@@ -5,7 +5,7 @@
 use sleds_sim_core::{index, Errno, SimError, SimResult};
 
 use super::{Kernel, OpenFile};
-use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody, Stat};
+use crate::inode::{FileKind, FileNode, Ino, InodeBody, Stat};
 use crate::payload::Payload;
 use crate::syscall::{self as sys, Fd, OpenFlags, Syscall, SyscallRet, Whence};
 
@@ -25,19 +25,7 @@ impl Kernel {
             if parent_dir.contains_key(name) {
                 return Err(SimError::new(Errno::Eexist, format!("mkdir({path})")));
             }
-            let ino = k.alloc_ino();
-            let now = k.now();
-            k.inodes.insert(
-                ino.0,
-                Inode {
-                    ino,
-                    mount,
-                    body: InodeBody::Dir(Default::default()),
-                    mtime: now,
-                },
-            );
-            let name = name.to_string();
-            k.dir_of_mut(parent)?.insert(name, ino);
+            k.link_new(parent, name, mount, InodeBody::Dir(Default::default()))?;
             Ok(SyscallRet::Unit)
         })
         .map(|_| ())
@@ -150,23 +138,8 @@ impl Kernel {
                     if k.mounts[mount.0].read_only {
                         return Err(SimError::new(Errno::Erofs, format!("open({path})")));
                     }
-                    let ino = k.alloc_ino();
-                    let now = k.now();
-                    k.inodes.insert(
-                        ino.0,
-                        Inode {
-                            ino,
-                            mount: Some(mount),
-                            body: InodeBody::File(FileNode::default()),
-                            mtime: now,
-                        },
-                    );
-                    let name = name.to_string();
-                    k.inode_mut(parent)?
-                        .as_dir_mut()
-                        .ok_or_else(|| SimError::new(Errno::Enotdir, format!("open({path})")))?
-                        .insert(name, ino);
-                    ino
+                    let file = InodeBody::File(FileNode::default());
+                    k.link_new(parent, name, Some(mount), file)?
                 }
                 Err(e) => return Err(e),
             };

@@ -10,34 +10,33 @@ use sleds_devices::{BlockDevice, DeviceClass};
 use sleds_sim_core::{Errno, Pages, Sectors, SimError, SimResult};
 
 use super::{DeviceId, HsmConfig, Kernel, MountId, ONE_PAGE};
-use crate::inode::{Ino, PagePlace};
+use crate::inode::{FileNode, Ino, PagePlace};
 
 impl Kernel {
     /// The device class that would serve a cold read of this file: the tape
     /// class while any page is HSM-offline, the home mount device otherwise
     /// (memory for mountless files).
     pub(super) fn serving_class_of(&self, ino: Ino) -> SimResult<DeviceClass> {
-        let node = self.inode(ino)?;
-        let f = node
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "predict on directory"))?;
-        let mount = match node.mount {
-            Some(m) => m,
-            None => return Ok(DeviceClass::Memory),
+        let f = self.file_of(ino)?;
+        let Some(mount) = self.inode(ino)?.mount else {
+            return Ok(DeviceClass::Memory);
         };
-        let n = f.page_count();
-        if let Some(h) = self.mounts[mount.0].hsm {
-            let runs = f.pages.runs_in(Pages::ZERO, n - ONE_PAGE);
-            if n > Pages::ZERO && runs.iter().any(|r| r.dev == h.tape) {
-                return Ok(self.devices[h.tape.0].class());
-            }
+        if let Some((_, h)) = self.hsm_of(Some(mount)).filter(|(_, h)| on_tape(f, h.tape)) {
+            return Ok(self.devices[h.tape.0].class());
         }
         Ok(self.devices[self.mounts[mount.0].dev.0].class())
     }
 
+    /// The HSM mount `mount` names, with its configuration: `None` for no
+    /// mount or one with no tape behind it. The one reader of `Mount::hsm`.
+    fn hsm_of(&self, mount: Option<MountId>) -> Option<(MountId, HsmConfig)> {
+        let m = mount?;
+        Some((m, self.mounts.get(m.0)?.hsm?))
+    }
+
     /// The tape device of an HSM mount.
     pub fn tape_of_mount(&self, m: MountId) -> Option<DeviceId> {
-        self.mounts.get(m.0).and_then(|mt| mt.hsm).map(|h| h.tape)
+        self.hsm_of(Some(m)).map(|(_, h)| h.tape)
     }
 
     /// Mounts a hierarchical storage manager at `path`: a staging disk in
@@ -60,33 +59,15 @@ impl Kernel {
         Ok(id)
     }
 
-    fn is_offline(&self, ino: Ino, page: Pages) -> SimResult<bool> {
-        let node = self.inode(ino)?;
-        let mount = match node.mount {
-            Some(m) => m,
-            None => return Ok(false),
-        };
-        let hsm = match self.mounts[mount.0].hsm {
-            Some(h) => h,
-            None => return Ok(false),
-        };
-        Ok(self.place_of(ino, page)?.dev == hsm.tape)
-    }
-
     /// If page `p` of `ino` lives on tape, stages a chunk around it onto the
     /// staging disk and remaps the staged pages. Returns the (possibly new)
     /// place of page `p`.
     pub(super) fn stage_if_offline(&mut self, ino: Ino, p: Pages) -> SimResult<PagePlace> {
-        if !self.is_offline(ino, p)? {
-            return self.place_of(ino, p);
-        }
-        let mount = self
-            .inode(ino)?
-            .mount
-            .ok_or_else(|| SimError::new(Errno::Eio, "offline page on an unmounted inode"))?;
-        let hsm = self.mounts[mount.0]
-            .hsm
-            .ok_or_else(|| SimError::new(Errno::Eio, "offline page on a non-HSM mount"))?;
+        let place = self.place_of(ino, p)?;
+        let offline = self.hsm_of(self.inode(ino)?.mount);
+        let Some((mount, hsm)) = offline.filter(|(_, h)| h.tape == place.dev) else {
+            return Ok(place);
+        };
         let page_count = self.file_of(ino)?.page_count();
         let chunk = hsm.stage_chunk_pages;
         let chunk_start = Pages::new(p.get() / chunk.get() * chunk.get());
@@ -133,41 +114,26 @@ impl Kernel {
     pub fn hsm_migrate(&mut self, path: &str, free: bool) -> SimResult<()> {
         self.rec_unsupported("hsm_migrate");
         let ino = self.resolve(path)?;
-        let mount = self
-            .inode(ino)?
-            .mount
-            .ok_or_else(|| SimError::new(Errno::Einval, format!("hsm_migrate({path})")))?;
-        let hsm = self.mounts[mount.0].hsm.ok_or_else(|| {
+        let (mount, hsm) = self.hsm_of(self.inode(ino)?.mount).ok_or_else(|| {
             SimError::new(
                 Errno::Einval,
                 format!("hsm_migrate({path}): not an HSM mount"),
             )
         })?;
-        let pages = {
-            let f = self
-                .inode(ino)?
-                .as_file()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, format!("hsm_migrate({path})")))?;
-            f.page_count()
-        };
+        let pages = self.file_of(ino)?.page_count();
         if pages == Pages::ZERO {
             return Ok(());
         }
         // Allocate a contiguous tape region.
         let sectors = pages.sectors();
-        let first = {
-            let h = self.mounts[mount.0].hsm.as_mut().ok_or_else(|| {
-                SimError::new(
-                    Errno::Einval,
-                    format!("hsm_migrate({path}): not an HSM mount"),
-                )
-            })?;
-            let first = h.tape_next_sector;
-            h.tape_next_sector = first
-                .checked_add(sectors)
-                .ok_or_else(|| SimError::new(Errno::Enospc, format!("hsm_migrate({path})")))?;
-            first
-        };
+        let first = hsm.tape_next_sector;
+        let tape_next_sector = first
+            .checked_add(sectors)
+            .ok_or_else(|| SimError::new(Errno::Enospc, format!("hsm_migrate({path})")))?;
+        self.mounts[mount.0].hsm = Some(HsmConfig {
+            tape_next_sector,
+            ..hsm
+        });
         if !free {
             self.device_command(hsm.tape, first, sectors, true)?;
         }
@@ -183,15 +149,18 @@ impl Kernel {
     /// "offline" bit that Windows 2000 / TOPS-20 / RASH exposed).
     pub fn hsm_is_offline(&self, path: &str) -> SimResult<bool> {
         let ino = self.resolve(path)?;
-        let f = self
-            .inode(ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, format!("hsm_is_offline({path})")))?;
-        for p in 0..f.page_count().get() {
-            if self.is_offline(ino, Pages::new(p))? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        let f = self.file_of(ino)?;
+        let hsm = self.hsm_of(self.inode(ino)?.mount);
+        Ok(hsm.is_some_and(|(_, h)| on_tape(f, h.tape)))
     }
+}
+
+/// Whether any page of `f` lies on `tape`: one look per layout run.
+fn on_tape(f: &FileNode, tape: DeviceId) -> bool {
+    let n = f.page_count();
+    n > Pages::ZERO
+        && f.pages
+            .runs_in(Pages::ZERO, n - ONE_PAGE)
+            .iter()
+            .any(|r| r.dev == tape)
 }

@@ -25,10 +25,9 @@ use sleds_trace::Wait;
 use super::cost::Attempt;
 use super::{DeviceId, Kernel, MountId, ONE_PAGE};
 use crate::capture::{fold_bytes, PayloadFold};
-use crate::inode::{Ino, PageMap, PagePlace};
+use crate::inode::{Ino, Inode, PagePlace};
 use crate::payload::Payload;
 use crate::syscall::Fd;
-use crate::volume::VolumeLayout;
 
 impl Kernel {
     /// Raw (uncached) device read, bypassing the file system — the kind of
@@ -60,7 +59,7 @@ impl Kernel {
         sectors: Sectors,
         write: bool,
     ) -> SimResult<()> {
-        let policy = self.retry;
+        let policy = RetryPolicy::default();
         let first_try = self.now();
         let mut failed: Option<SimError> = None;
         for attempt in policy.attempts() {
@@ -132,11 +131,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     fn do_read(&mut self, ino: Ino, pos: u64, len: usize) -> SimResult<Payload> {
-        let size = self
-            .inode(ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "read on directory"))?
-            .size();
+        let size = self.file_of(ino)?.size();
         if pos >= size || len == 0 {
             return Ok(Payload::zeros(0));
         }
@@ -221,11 +216,7 @@ impl Kernel {
             // later is a cache hit, as in a real kernel.
             let mut ra_len = Pages::ZERO;
             if self.cfg.readahead_pages > 0 && run_end > last_page {
-                let file_pages = self
-                    .inode(ino)?
-                    .as_file()
-                    .map(|f| f.page_count())
-                    .unwrap_or_default();
+                let file_pages = self.file_of(ino)?.page_count();
                 let ra_cap = (run_end + Pages::new(self.cfg.readahead_pages))
                     .min(file_pages)
                     .min(layout_end)
@@ -248,11 +239,8 @@ impl Kernel {
     }
 
     pub(super) fn place_of(&self, ino: Ino, page: Pages) -> SimResult<PagePlace> {
-        let f = self
-            .inode(ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "place_of on directory"))?;
-        f.pages
+        self.file_of(ino)?
+            .pages
             .place_of(page)
             .ok_or_else(|| SimError::new(Errno::Eio, format!("page {page} beyond mapping")))
     }
@@ -260,11 +248,8 @@ impl Kernel {
     /// First page past `page` at which the file's layout stops being
     /// device-contiguous with `page` — the end of its maximal layout run.
     fn layout_run_end(&self, ino: Ino, page: Pages) -> SimResult<Pages> {
-        let f = self
-            .inode(ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "layout walk on directory"))?;
-        f.pages
+        self.file_of(ino)?
+            .pages
             .contiguous_end(page)
             .ok_or_else(|| SimError::new(Errno::Eio, format!("page {page} beyond mapping")))
     }
@@ -289,13 +274,7 @@ impl Kernel {
             .ok_or_else(|| SimError::new(Errno::Efbig, "write end offset overflows u64"))?;
         // Grow the mapping first, run by run (fragmentation decides the
         // allocation chunking; `append_run` merges contiguous chunks).
-        let old_pages = {
-            let f = self
-                .inode(ino)?
-                .as_file()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, "write on directory"))?;
-            f.pages.page_count()
-        };
+        let old_pages = self.file_of(ino)?.pages.page_count();
         let new_pages = Pages::spanning(end);
         if new_pages > old_pages {
             let added = new_pages - old_pages;
@@ -310,25 +289,10 @@ impl Kernel {
             }
             // Grow every replica in lockstep so mirrored and coded files
             // stay fully covered on all members.
-            let members = match self.mounts[mount.0].volume.as_ref() {
-                Some(v)
-                    if matches!(
-                        v.layout,
-                        VolumeLayout::Mirrored | VolumeLayout::Coded { .. }
-                    ) =>
-                {
-                    v.devices.len()
-                }
-                _ => 0,
-            };
-            for member in 1..members {
-                let (dev, first) = self.allocate_member(mount, member, added)?;
-                let f = self.file_of_mut(ino)?;
-                while f.replicas.len() < member {
-                    f.replicas.push(PageMap::new());
-                }
-                f.replicas[member - 1].append_run(dev, first, added);
-            }
+            let mut replicas = std::mem::take(&mut f.replicas);
+            let grown = self.grow_replicas(mount, &mut replicas, added);
+            self.file_of_mut(ino)?.replicas = replicas;
+            grown?;
         }
 
         // Partial first/last pages that exist on stable storage need
@@ -355,11 +319,8 @@ impl Kernel {
         // Store contents and dirty the pages.
         {
             let now = self.now();
-            let node = self.inode_mut(ino)?;
-            node.mtime = now;
-            let f = node
-                .as_file_mut()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, "write on directory"))?;
+            self.inode_mut(ino)?.mtime = now;
+            let f = self.file_of_mut(ino)?;
             let data = f.stored_mut();
             if data.len() < index(end) {
                 data.resize(index(end), 0);
@@ -381,20 +342,27 @@ impl Kernel {
             // check below as "device full" instead of wrapping.
             m.next_sector += gap.sectors();
         }
-        let first = m.next_sector;
-        let cap = Sectors::new(self.devices[m.dev.0].capacity_sectors());
-        let end = first
+        let (dev, first) = (m.dev, m.next_sector);
+        self.mounts[mount.0].next_sector = self.allocation_end(dev, first, pages)?;
+        Ok(first)
+    }
+
+    /// Where `pages` pages allocated at `first` on `dev` end: `ENOSPC` when
+    /// they would run past the device's capacity.
+    pub(super) fn allocation_end(
+        &self,
+        dev: DeviceId,
+        first: Sectors,
+        pages: Pages,
+    ) -> SimResult<Sectors> {
+        let cap = Sectors::new(self.devices[dev.0].capacity_sectors());
+        first
             .checked_add(pages.sectors())
             .filter(|&end| end <= cap)
             .ok_or_else(|| {
-                SimError::new(
-                    Errno::Enospc,
-                    format!("device {} full", self.devices[m.dev.0].name()),
-                )
-            })?;
-        let m = &mut self.mounts[mount.0];
-        m.next_sector = end;
-        Ok(first)
+                let name = self.devices[dev.0].name();
+                SimError::new(Errno::Enospc, format!("device {name} full"))
+            })
     }
 
     /// Brings pages `first .. first + pages` of `ino` into the cache, one
@@ -442,45 +410,22 @@ impl Kernel {
 
     pub(super) fn writeback(&mut self, key: PageKey) -> SimResult<()> {
         // The inode may already be gone (unlink with dirty pages).
-        let (place, extras, frag_sectors, needed) = {
-            let node = match self.inodes.get(key.inode) {
-                Some(n) => n,
-                None => return Ok(()),
-            };
-            let f = match node.as_file() {
-                Some(f) => f,
-                None => return Ok(()),
-            };
-            let page = Pages::new(key.index);
-            let place = match f.pages.place_of(page) {
-                Some(p) => p,
-                None => return Ok(()),
-            };
-            let layout = node
-                .mount
-                .and_then(|m| self.mounts.get(m.0))
-                .and_then(|m| m.volume.as_ref())
-                .map(|v| v.layout);
-            match layout {
-                Some(VolumeLayout::Mirrored) | Some(VolumeLayout::Coded { .. }) => {
-                    let extras: Vec<PagePlace> = f
-                        .replicas
-                        .iter()
-                        .filter_map(|map| map.place_of(page))
-                        .collect();
-                    let (frag, needed) = match layout {
-                        Some(VolumeLayout::Coded { k }) => {
-                            let k = u64::from(k.max(1));
-                            let frag = ONE_PAGE.sectors().get().div_ceil(k);
-                            (Sectors::new(frag), index(k))
-                        }
-                        _ => (ONE_PAGE.sectors(), 1),
-                    };
-                    (place, extras, frag, needed)
-                }
-                _ => (place, Vec::new(), ONE_PAGE.sectors(), 1),
-            }
+        let Some(f) = self.inodes.get(key.inode).and_then(Inode::as_file) else {
+            return Ok(());
         };
+        let page = Pages::new(key.index);
+        let Some(place) = f.pages.place_of(page) else {
+            return Ok(());
+        };
+        // Only mirrored and coded files keep replica maps.
+        let extras: Vec<PagePlace> = f
+            .replicas
+            .iter()
+            .filter_map(|map| map.place_of(page))
+            .collect();
+        let layout = self.volume_of(Ino(key.inode));
+        let frag_sectors = layout.map_or(ONE_PAGE.sectors(), |l| l.fragment(ONE_PAGE.sectors()));
+        let needed = layout.map_or(1, |l| l.quorum());
         let now = self.now();
         self.tracer.cache_writeback(now, key.index, key.inode);
         if extras.is_empty() {

@@ -8,8 +8,8 @@ use std::collections::BTreeMap;
 
 use sleds_sim_core::{Errno, SimError, SimResult};
 
-use super::Kernel;
-use crate::inode::{FileNode, Ino, Inode};
+use super::{Kernel, MountId};
+use crate::inode::{FileNode, Ino, Inode, InodeBody};
 
 /// The components of a path, front to back. A plain byte scan for `/`:
 /// a component is a handful of bytes, and `str::split`'s searcher costs
@@ -115,9 +115,28 @@ impl Kernel {
         Ok((cur, name))
     }
 
-    pub(super) fn alloc_ino(&mut self) -> Ino {
-        let i = Ino(self.next_ino);
+    /// Makes an inode of `body` on `mount`, stamped now, and links it
+    /// into directory `parent` as `name`.
+    pub(super) fn link_new(
+        &mut self,
+        parent: Ino,
+        name: &str,
+        mount: Option<MountId>,
+        body: InodeBody,
+    ) -> SimResult<Ino> {
+        let ino = Ino(self.next_ino);
         self.next_ino += 1;
-        i
+        let mtime = self.now();
+        self.inodes.insert(
+            ino.0,
+            Inode {
+                ino,
+                mount,
+                body,
+                mtime,
+            },
+        );
+        self.dir_of_mut(parent)?.insert(name.to_string(), ino);
+        Ok(ino)
     }
 }

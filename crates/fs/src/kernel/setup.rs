@@ -6,7 +6,7 @@ use sleds_devices::{BlockDevice, FaultPlan};
 use sleds_sim_core::{index, DetRng, Errno, Pages, Sectors, SimError, SimResult};
 
 use super::{DeviceId, FragConfig, Kernel, Mount, MountId};
-use crate::inode::{FileKind, FileNode, Ino, Inode, InodeBody};
+use crate::inode::{FileKind, FileNode, Ino, InodeBody};
 use crate::queue::CmdQueue;
 use crate::rusage::Rusage;
 
@@ -108,32 +108,14 @@ impl Kernel {
             SimError::new(Errno::Einval, format!("install_file({path}): no mount"))
         })?;
         let page_count = Pages::spanning(size);
-        let pages = self.layout_pages(mount, page_count)?;
-        let replicas = self.layout_replicas(mount, page_count)?;
         let mut file = FileNode::default();
+        file.pages = self.layout_pages(mount, page_count)?;
+        self.grow_replicas(mount, &mut file.replicas, page_count)?;
         if !data.is_empty() {
             *file.stored_mut() = data;
         }
-        file.pages = pages;
-        file.replicas = replicas;
         file.set_size(size);
-        let ino = self.alloc_ino();
-        let now = self.now();
-        self.inodes.insert(
-            ino.0,
-            Inode {
-                ino,
-                mount: Some(mount),
-                body: InodeBody::File(file),
-                mtime: now,
-            },
-        );
-        let name = name.to_string();
-        self.inode_mut(parent)?
-            .as_dir_mut()
-            .ok_or_else(|| SimError::new(Errno::Enotdir, format!("install_file({path})")))?
-            .insert(name, ino);
-        Ok(ino)
+        self.link_new(parent, name, Some(mount), InodeBody::File(file))
     }
 
     /// Installs a file with the given contents at `path` without charging
@@ -164,12 +146,7 @@ impl Kernel {
     pub fn warm_file_pages(&mut self, path: &str, first_page: u64, pages: u64) -> SimResult<()> {
         self.rec_unsupported("warm_file_pages");
         let ino = self.resolve(path)?;
-        let n = self
-            .inode(ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, format!("warm_file_pages({path})")))?
-            .page_count()
-            .get();
+        let n = self.file_of(ino)?.page_count().get();
         let end = first_page.saturating_add(pages);
         if end > n {
             return Err(SimError::new(
@@ -200,10 +177,7 @@ impl Kernel {
     pub fn poke_file(&mut self, path: &str, offset: u64, data: &[u8]) -> SimResult<()> {
         self.rec_unsupported("poke_file");
         let ino = self.resolve(path)?;
-        let f = self
-            .inode_mut(ino)?
-            .as_file_mut()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, format!("poke_file({path})")))?;
+        let f = self.file_of_mut(ino)?;
         let stored = f.stored().len() as u64;
         let end = offset
             .checked_add(data.len() as u64)

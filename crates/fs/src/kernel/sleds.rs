@@ -69,8 +69,11 @@ impl Kernel {
         self.sleds_epoch
     }
 
-    fn charge_page_walk(&mut self, extents: u64, pages: Pages) {
-        self.charge_cpu(self.cfg.page_walk_cost(extents, pages.get()));
+    /// Charges a walk of `probes` probes whose extents end with `last`:
+    /// one probe each plus the per-page floor up to the last page.
+    fn charge_page_walk(&mut self, probes: u64, last: Option<&PageExtent>) {
+        let pages = last.map_or(0, PageExtent::end_page);
+        self.charge_cpu(self.cfg.page_walk_cost(probes, pages));
     }
 
     /// The residency walk itself: merges the cache's resident extents with
@@ -82,10 +85,7 @@ impl Kernel {
         ino: Ino,
         mut make: impl FnMut(&FileNode, PageExtent) -> T,
     ) -> SimResult<Vec<T>> {
-        let f = self
-            .inode(ino)?
-            .as_file()
-            .ok_or_else(|| SimError::new(Errno::Eisdir, "FSLEDS_GET on directory"))?;
+        let f = self.file_of(ino)?;
         let n = f.page_count();
         let mut out = Vec::new();
         let mut p = Pages::ZERO;
@@ -118,9 +118,12 @@ impl Kernel {
         Ok(out)
     }
 
-    /// The bare extents, for callers that price nothing.
-    fn page_extents_of(&self, ino: Ino) -> SimResult<Vec<PageExtent>> {
-        self.extents_of(ino, |_, extent| extent)
+    /// The bare extents, for callers that price nothing, charged: one
+    /// probe per extent plus the per-page floor.
+    fn page_extents_of(&mut self, ino: Ino) -> SimResult<Vec<PageExtent>> {
+        let out = self.extents_of(ino, |_, extent| extent)?;
+        self.charge_page_walk(out.len() as u64, out.last());
+        Ok(out)
     }
 
     /// The kernel half of `FSLEDS_GET`, run-length form: where does each
@@ -129,10 +132,7 @@ impl Kernel {
     pub fn page_extents(&mut self, fd: Fd) -> SimResult<Vec<PageExtent>> {
         self.ioctl(&IOCTL_FSLEDS_GET, [fd.0, 0, 0], |k| {
             let of = k.openfile(fd)?;
-            let out = k.page_extents_of(of.ino)?;
-            let pages = out.last().map(|e| e.end_page()).unwrap_or(0);
-            k.charge_page_walk(out.len() as u64, Pages::new(pages));
-            Ok(out)
+            k.page_extents_of(of.ino)
         })
     }
 
@@ -180,8 +180,7 @@ impl Kernel {
                 coded_k,
             }
         })?;
-        let pages = out.last().map(|e| e.extent.end_page()).unwrap_or(0);
-        self.charge_page_walk(out.len() as u64 + probes, Pages::new(pages));
+        self.charge_page_walk(out.len() as u64 + probes, out.last().map(|e| &e.extent));
         Ok(out)
     }
 
@@ -362,8 +361,7 @@ impl Kernel {
         self.ioctl(&Entry::query("page_locations"), [0; 3], |k| {
             let of = k.openfile(fd)?;
             let extents = k.page_extents_of(of.ino)?;
-            let pages = extents.last().map(|e| e.end_page()).unwrap_or(0);
-            k.charge_page_walk(extents.len() as u64, Pages::new(pages));
+            let pages = extents.last().map_or(0, PageExtent::end_page);
             let mut out = Vec::with_capacity(index(pages));
             for e in extents {
                 match e.location {
@@ -389,10 +387,7 @@ impl Kernel {
     pub fn page_locations_per_page_reference(&mut self, fd: Fd) -> SimResult<Vec<PageLocation>> {
         self.ioctl(&Entry::query("page_locations"), [0; 3], |k| {
             let of = k.openfile(fd)?;
-            let f = k
-                .inode(of.ino)?
-                .as_file()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, "FSLEDS_GET on directory"))?;
+            let f = k.file_of(of.ino)?;
             let n = f.page_count().get();
             // The old implementation cloned the per-page map; reproduce that
             // allocation by expanding the runs.
@@ -424,12 +419,7 @@ impl Kernel {
     pub fn sled_generation(&mut self, fd: Fd) -> SimResult<u64> {
         self.ioctl(&Entry::query("sled_generation"), [0; 3], |k| {
             let of = k.openfile(fd)?;
-            let layout = k
-                .inode(of.ino)?
-                .as_file()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, "sled_generation on directory"))?
-                .pages
-                .generation();
+            let layout = k.file_of(of.ino)?.pages.generation();
             // All four counters are monotone, so their sum is a valid version:
             // any change to any one strictly increases it. The device fault
             // epochs invalidate stamped vectors the moment the clock crosses
@@ -453,12 +443,7 @@ impl Kernel {
     pub fn page_eviction_ranks(&mut self, fd: Fd) -> SimResult<Vec<Option<usize>>> {
         self.ioctl(&Entry::query("page_eviction_ranks"), [0; 3], |k| {
             let of = k.openfile(fd)?;
-            let n = k
-                .inode(of.ino)?
-                .as_file()
-                .ok_or_else(|| SimError::new(Errno::Eisdir, "eviction ranks on directory"))?
-                .page_count()
-                .get();
+            let n = k.file_of(of.ino)?.page_count().get();
             k.charge_cpu(k.cfg.page_walk_cost_per_page(n));
             Ok(k.cache.eviction_ranks(of.ino.0, n))
         })

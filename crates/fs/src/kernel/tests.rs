@@ -1,6 +1,6 @@
 use super::*;
 use crate::inode::FileKind;
-use sleds_devices::{DiskDevice, FaultPlan};
+use sleds_devices::DiskDevice;
 use sleds_sim_core::PAGE_SIZE;
 
 fn kernel_with_disk() -> Kernel {
@@ -525,38 +525,6 @@ fn predict_reads_pairs_feed_accuracy_window() {
     let m = k.fsleds_stat(fd2).unwrap();
     assert_eq!(m.device[1].accuracy.len(), 1, "one audited pair");
     assert_eq!(m.accuracy_cross_generation, 0);
-}
-
-#[test]
-fn max_attempts_zero_submits_once_exactly_like_one() {
-    // A cold one-page read off a disk that bounces every submission.
-    let run = |max_attempts: u32| {
-        let mut k = kernel_with_disk();
-        k.retry = RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        };
-        k.enable_tracing();
-        k.install_file("/data/f", &vec![1u8; PAGE_SIZE as usize])
-            .unwrap();
-        let horizon = k.now() + SimDuration::from_secs(3600);
-        let cost = SimDuration::from_millis(2);
-        k.apply_fault_plan(&FaultPlan::new().transient("hda", k.now(), horizon, 8, cost));
-        let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-        let err = k.read(fd, PAGE_SIZE as usize).unwrap_err();
-        let marks = |name: &str| k.trace_events().iter().filter(|e| e.name == name).count();
-        let faulted = marks("fault.inject");
-        assert_eq!(marks("io.retry"), 0);
-        (err.errno, err.to_string(), faulted, k.usage(), k.now())
-    };
-    let (zero, one) = (run(0), run(1));
-    assert_eq!(zero, one);
-    let (errno, why, faulted, usage, _) = zero;
-    assert_eq!(errno, Errno::Eio);
-    assert!(why.contains("gave up after 1 attempts"), "{why}");
-    assert_eq!(faulted, 1, "submitted once, not never");
-    assert_eq!((usage.io_retries, usage.device_reads), (0, 0));
-    assert_eq!(usage.retry_backoff, SimDuration::ZERO);
 }
 
 #[test]

@@ -154,7 +154,9 @@ impl Kernel {
     ) -> SimResult<()> {
         match self.volume_of(ino) {
             Some(VolumeLayout::Mirrored) => self.mirrored_read(ino, primary, first_page, pages),
-            Some(VolumeLayout::Coded { k }) => self.coded_read(ino, primary, first_page, pages, k),
+            Some(coded @ VolumeLayout::Coded { .. }) => {
+                self.coded_read(ino, primary, first_page, pages, coded)
+            }
             _ => self.device_command(primary.dev, primary.sector, pages.sectors(), false),
         }
     }
@@ -264,10 +266,10 @@ impl Kernel {
         primary: PagePlace,
         first_page: Pages,
         pages: Pages,
-        k: u32,
+        coded: VolumeLayout,
     ) -> SimResult<()> {
-        let k = (k.max(1)) as usize;
-        let frag_sectors = Sectors::new(pages.sectors().get().div_ceil(k as u64));
+        let k = coded.quorum();
+        let frag_sectors = coded.fragment(pages.sectors());
         let frag_bytes = frag_sectors.bytes();
         let cands = self.replica_candidates(ino, primary, first_page)?;
         // Members already used: served (their events are in `done`, and
@@ -350,16 +352,7 @@ impl Kernel {
             })?;
             (dev, v.replica_next[member - 1])
         };
-        let cap = Sectors::new(self.devices[dev.0].capacity_sectors());
-        let end = first
-            .checked_add(pages.sectors())
-            .filter(|&end| end <= cap)
-            .ok_or_else(|| {
-                SimError::new(
-                    Errno::Enospc,
-                    format!("device {} full", self.devices[dev.0].name()),
-                )
-            })?;
+        let end = self.allocation_end(dev, first, pages)?;
         if let Some(v) = self.mounts[mount.0].volume.as_mut() {
             v.replica_next[member - 1] = end;
         }
@@ -410,17 +403,20 @@ impl Kernel {
         Ok(map)
     }
 
-    /// Lays out the replica page maps for a `pages`-page file on `mount`:
-    /// one full-size map per non-primary member for mirrored and coded
-    /// volumes, empty otherwise. Coded replicas reserve the full page
-    /// range too — a simulation simplification standing in for fragment
-    /// placement, so every member can serve any page of the file.
-    pub(super) fn layout_replicas(
+    /// Grows `replicas`, the replica maps of a file on `mount`, by `added`
+    /// pages: one run on each member past the primary, in member order, on
+    /// mirrored and coded volumes and none elsewhere. A map a member lacks
+    /// starts empty, so laying out a new file is growth from zero pages.
+    /// Coded replicas reserve the full page range too — a simulation
+    /// simplification standing in for fragment placement, so every member
+    /// can serve any page of the file.
+    pub(super) fn grow_replicas(
         &mut self,
         mount: MountId,
-        pages: Pages,
-    ) -> SimResult<Vec<PageMap>> {
-        let members = match self.mounts[mount.0].volume.as_ref() {
+        replicas: &mut Vec<PageMap>,
+        added: Pages,
+    ) -> SimResult<()> {
+        let members = match &self.mounts[mount.0].volume {
             Some(v)
                 if matches!(
                     v.layout,
@@ -429,17 +425,15 @@ impl Kernel {
             {
                 v.devices.len()
             }
-            _ => return Ok(Vec::new()),
+            _ => 0,
         };
-        let mut out = Vec::new();
         for member in 1..members {
-            let mut map = PageMap::new();
-            if pages > Pages::ZERO {
-                let (dev, first) = self.allocate_member(mount, member, pages)?;
-                map.append_run(dev, first, pages);
+            let (dev, first) = self.allocate_member(mount, member, added)?;
+            if replicas.len() < member {
+                replicas.push(PageMap::new());
             }
-            out.push(map);
+            replicas[member - 1].append_run(dev, first, added);
         }
-        Ok(out)
+        Ok(())
     }
 }

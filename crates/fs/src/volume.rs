@@ -27,7 +27,7 @@
 //! bound and the loser's price come from the policy and nowhere else: no
 //! other function builds a cancelled [`DeviceCost`].
 
-use sleds_sim_core::SimDuration;
+use sleds_sim_core::{Sectors, SimDuration};
 use sleds_trace::{CostOutcome, DeviceCost};
 
 /// How a volume lays data across its member devices.
@@ -71,6 +71,26 @@ impl VolumeLayout {
         match self {
             VolumeLayout::Coded { k } => Some(*k),
             _ => None,
+        }
+    }
+
+    /// What one member moves of an extent of `sectors`: all of it for a
+    /// copy, a `⌈sectors / k⌉` fragment for a (k, n) code.
+    pub(crate) fn fragment(&self, sectors: Sectors) -> Sectors {
+        match self {
+            VolumeLayout::Coded { k } => {
+                Sectors::new(sectors.get().div_ceil(u64::from((*k).max(1))))
+            }
+            _ => sectors,
+        }
+    }
+
+    /// How many members must serve a read, or accept a write, for it to
+    /// count: one copy, or `k` fragments of a (k, n) code.
+    pub(crate) fn quorum(&self) -> usize {
+        match self {
+            VolumeLayout::Coded { k } => (*k).max(1) as usize,
+            _ => 1,
         }
     }
 }
@@ -171,6 +191,26 @@ mod tests {
         assert_eq!(VolumeLayout::Coded { k: 2 }.min_devices(), 3);
         assert_eq!(VolumeLayout::Coded { k: 2 }.coded_k(), Some(2));
         assert_eq!(VolumeLayout::Mirrored.coded_k(), None);
+    }
+
+    #[test]
+    fn a_code_moves_k_fragments_and_a_copy_moves_the_whole_extent() {
+        let eight = Sectors::new(8);
+        assert_eq!(VolumeLayout::Mirrored.fragment(eight), eight);
+        assert_eq!(
+            VolumeLayout::Striped { stripe_pages: 2 }.fragment(eight),
+            eight
+        );
+        assert_eq!(
+            VolumeLayout::Coded { k: 2 }.fragment(eight),
+            Sectors::new(4)
+        );
+        assert_eq!(
+            VolumeLayout::Coded { k: 3 }.fragment(eight),
+            Sectors::new(3)
+        );
+        assert_eq!(VolumeLayout::Mirrored.quorum(), 1);
+        assert_eq!(VolumeLayout::Coded { k: 3 }.quorum(), 3);
     }
 
     #[test]

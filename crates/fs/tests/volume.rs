@@ -566,3 +566,49 @@ const GOLDEN_CODED: &[&str] = &[
     "dev 2 r1 w3 sr32 sw12 busy43227104 rp2",
     "usage cpu1000774 io110814176 maj8 min0 sys9 x9 br32768 bw12288 dr2 dw9 retry0 backoff0 qw0 hedge0/0 hw0",
 ];
+
+/// `O_TRUNC` on a volume file drops its replica maps with its pages, so
+/// the rewrite's copies are where the rewrite allocated them: each member
+/// serves and takes writeback at the new sectors, never at the truncated
+/// file's.
+#[test]
+fn truncate_drops_the_replica_maps_with_the_pages() {
+    for (layout, n) in [
+        (VolumeLayout::Mirrored, 2),
+        (VolumeLayout::Coded { k: 2 }, 3),
+    ] {
+        let mut k = Kernel::table2();
+        volume_with_file(&mut k, layout, n, 4);
+        // The install took sectors 2048..2080 on every member, so the
+        // rewrite allocates from 2080 on each.
+        let rewrite = 2048 + 4 * SECTORS_PER_PAGE;
+        let fd = k.open("/vol/f", OpenFlags::CREATE_RDWR).unwrap();
+        k.write(fd, &[9u8; PAGE_SIZE as usize]).unwrap();
+        k.enable_tracing();
+        k.fsync(fd).unwrap();
+        k.drop_caches().unwrap();
+        let writes: Vec<u64> = k
+            .trace_events()
+            .iter()
+            .filter(|e| e.name == "disk.write")
+            .map(|e| e.args[0])
+            .collect();
+        assert_eq!(writes.len(), n, "{layout:?}: one page to every member");
+        assert!(
+            writes.iter().all(|&s| s >= rewrite),
+            "{layout:?}: writeback at {writes:?}"
+        );
+        let ext = k.redundant_extents(fd).unwrap();
+        assert_eq!(ext.iter().map(|re| re.extent.pages).sum::<u64>(), 1);
+        for re in &ext {
+            assert_eq!(re.alternatives.len(), n - 1, "{layout:?}");
+            for alt in &re.alternatives {
+                assert!(
+                    alt.sector >= rewrite,
+                    "{layout:?}: a copy at {}",
+                    alt.sector
+                );
+            }
+        }
+    }
+}

@@ -15,6 +15,14 @@ run() {
 }
 
 run cargo fmt --all --check
+# Hold the kernel's split: no source file past 1,200 lines, tests included.
+echo "==> every .rs file under crates/*/src is at most 1200 lines"
+over=$(find crates/*/src -name '*.rs' -exec awk 'END { if (NR > 1200) print FILENAME ": " NR " lines" }' {} \;)
+if [[ -n $over ]]; then
+    echo "$over" >&2
+    echo "over 1,200 lines: split the file along a seam" >&2
+    exit 1
+fi
 run cargo clippy --workspace --all-targets -- -D warnings
 # A doc link to a deleted or private name fails here, not in a reader's browser.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps

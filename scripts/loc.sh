@@ -5,7 +5,8 @@
 #
 # A crate's lines are every .rs file under its src/ (the root crate adds
 # examples/), each cut at its first `#[cfg(test)]` line; tests/ directories
-# are never read. Blank and comment lines count like any other.
+# and `tests.rs` files (the body of a `#[cfg(test)] mod tests;`) are never
+# read. Blank and comment lines count like any other.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,7 +24,7 @@ cut_count() {
 # Non-test lines under the given directories at BASE.
 at_base() {
     local total=0 f
-    for f in $(git ls-tree -r --name-only "$base" -- "$@" | grep '\.rs$' || true); do
+    for f in $(git ls-tree -r --name-only "$base" -- "$@" | grep '\.rs$' | grep -v '/tests\.rs$' || true); do
         total=$((total + $(git show "$base:$f" | cut_count)))
     done
     echo "$total"
@@ -32,7 +33,7 @@ at_base() {
 # Non-test lines under the given directories in the work tree.
 in_tree() {
     local total=0 f
-    for f in $(git ls-files --cached --others --exclude-standard -- "$@" | grep '\.rs$' || true); do
+    for f in $(git ls-files --cached --others --exclude-standard -- "$@" | grep '\.rs$' | grep -v '/tests\.rs$' || true); do
         [[ -f $f ]] && total=$((total + $(cut_count <"$f")))
     done
     echo "$total"
