@@ -55,13 +55,18 @@ impl Summary {
             return None;
         }
         let n = xs.len();
-        let mean = xs.iter().sum::<f64>() / n as f64;
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         for &x in xs {
             min = min.min(x);
             max = max.max(x);
         }
+        // The rounded sum can carry the quotient just past the sample's
+        // range (twelve copies of 0.038610538 average to ...8000000001);
+        // the exact mean never leaves it, so neither does this one. For
+        // identical samples that makes the mean the sample itself, and the
+        // spread below exactly zero.
+        let mean = (xs.iter().sum::<f64>() / n as f64).max(min).min(max);
         let stddev = if n >= 2 {
             let var = xs.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64;
             var.sqrt()
@@ -315,13 +320,17 @@ mod tests {
 
     #[test]
     fn summary_of_constant_sample() {
-        let s = Summary::of(&[5.0; 12]).unwrap();
-        assert_eq!(s.n, 12);
-        assert_eq!(s.mean, 5.0);
-        assert_eq!(s.stddev, 0.0);
-        assert_eq!(s.ci90, 0.0);
-        assert_eq!(s.min, 5.0);
-        assert_eq!(s.max, 5.0);
+        // 5.0 sums exactly; twelve copies of 0.038610538 (one fig11
+        // point) sum to a quotient of 0.03861053800000001, past the max.
+        for x in [5.0, 0.038610538] {
+            let s = Summary::of(&[x; 12]).unwrap();
+            assert_eq!(s.n, 12);
+            assert_eq!(s.mean, x);
+            assert_eq!(s.stddev, 0.0);
+            assert_eq!(s.ci90, 0.0);
+            assert_eq!(s.min, x);
+            assert_eq!(s.max, x);
+        }
     }
 
     #[test]

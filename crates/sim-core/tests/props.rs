@@ -16,22 +16,26 @@ fn sample_vec(rng: &mut DetRng, min_len: usize, max_len: usize, lo: f64, hi: f64
     (0..len).map(|_| lo + rng.unit_f64() * (hi - lo)).collect()
 }
 
-/// Summary invariants: min <= mean <= max, non-negative spread, and a
-/// CI that never exceeds the full range.
+/// Summary invariants: min <= mean <= max exactly, non-negative spread, a
+/// CI that never exceeds the full range, and no spread at all for
+/// identical samples.
 #[test]
 fn summary_invariants() {
     check::run("summary_invariants", |rng| {
         let xs = sample_vec(rng, 1, 100, -1e6, 1e6);
         let s = Summary::of(&xs).unwrap();
         assert_eq!(s.n, xs.len());
-        assert!(s.min <= s.mean + 1e-9);
-        assert!(s.mean <= s.max + 1e-9);
+        assert!(s.min <= s.mean && s.mean <= s.max, "{s:?}");
         assert!(s.stddev >= 0.0);
         assert!(s.ci90 >= 0.0);
         if s.n >= 2 {
             // t * sd / sqrt(n) <= t * range (very loose but always true).
             assert!(s.ci90 <= 6.32 * (s.max - s.min) + 1e-9);
         }
+        // n copies of one value summarize to that value with no spread,
+        // however the n-fold sum rounds.
+        let same = Summary::of(&vec![xs[0]; xs.len()]).unwrap();
+        assert_eq!((same.mean, same.stddev, same.ci90), (xs[0], 0.0, 0.0));
     });
 }
 
