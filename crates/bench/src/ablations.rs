@@ -7,7 +7,7 @@
 use sleds::{PickConfig, PickSession};
 use sleds_apps::wc::{wc, wc_aio};
 use sleds_devices::DiskDevice;
-use sleds_fs::{Kernel, MachineConfig, OpenFlags, Whence};
+use sleds_fs::{Kernel, MachineConfig, MountId, OpenFlags, Whence};
 use sleds_lmbench::fill_table;
 use sleds_pagecache::PolicyKind;
 use sleds_sim_core::ByteSize;
@@ -44,12 +44,18 @@ fn machine(policy: PolicyKind) -> MachineConfig {
     cfg
 }
 
-fn measure_two_pass(cfg: MachineConfig, file_factor_pct: u64) -> (AblationRow, usize) {
+/// Boots `cfg` with the Table 2 disk mounted at `/data`.
+fn disk_machine(cfg: MachineConfig) -> (Kernel, MountId) {
     let mut k = Kernel::new(cfg);
     k.mkdir("/data").expect("mkdir");
     let m = k
         .mount_disk("/data", DiskDevice::table2_disk("hda"))
         .expect("mount");
+    (k, m)
+}
+
+fn measure_two_pass(cfg: MachineConfig, file_factor_pct: u64) -> (AblationRow, usize) {
+    let (mut k, m) = disk_machine(cfg);
     let table = fill_table(&mut k, &[("/data", m)]).expect("calibration");
     let cache = k.config().cache_bytes().as_u64();
     let n = (cache * file_factor_pct / 100) as usize;
@@ -96,11 +102,7 @@ pub fn replacement_policies() -> Vec<AblationRow> {
 /// `SLEDS_BEST` predict the measured whole-file read time, cold and warm?
 /// Returns (state, plan, estimate, measured) rows.
 pub fn attack_plan_accuracy() -> Vec<(String, f64, f64)> {
-    let mut k = Kernel::new(machine(PolicyKind::Lru));
-    k.mkdir("/data").expect("mkdir");
-    let m = k
-        .mount_disk("/data", DiskDevice::table2_disk("hda"))
-        .expect("mount");
+    let (mut k, m) = disk_machine(machine(PolicyKind::Lru));
     let table = fill_table(&mut k, &[("/data", m)]).expect("calibration");
     let n = 4 << 20;
     k.install_file("/data/f.bin", &vec![1u8; n])
@@ -136,11 +138,7 @@ pub fn attack_plan_accuracy() -> Vec<(String, f64, f64)> {
 /// Returns (no_refresh_secs, refresh_secs).
 pub fn refresh_mid_run() -> (f64, f64) {
     let run = |refresh: bool| -> f64 {
-        let mut k = Kernel::new(machine(PolicyKind::Lru));
-        k.mkdir("/data").expect("mkdir");
-        let m = k
-            .mount_disk("/data", DiskDevice::table2_disk("hda"))
-            .expect("mount");
+        let (mut k, m) = disk_machine(machine(PolicyKind::Lru));
         let table = fill_table(&mut k, &[("/data", m)]).expect("calibration");
         // Twice the cache: under that pressure, the tail the competitor
         // warms will be evicted again before a plan-once reader arrives.
@@ -178,11 +176,7 @@ pub fn refresh_mid_run() -> (f64, f64) {
 /// fragmented layout. Returns (contiguous_secs, fragmented_secs).
 pub fn fragmentation_cost() -> (f64, f64) {
     let run = |fragmented: bool| -> f64 {
-        let mut k = Kernel::new(machine(PolicyKind::Lru));
-        k.mkdir("/data").expect("mkdir");
-        let m = k
-            .mount_disk("/data", DiskDevice::table2_disk("hda"))
-            .expect("mount");
+        let (mut k, m) = disk_machine(machine(PolicyKind::Lru));
         if fragmented {
             k.set_fragmentation(m, 8, 512, 7);
         }
@@ -242,10 +236,7 @@ pub fn readahead() -> Vec<(u64, f64, u64)> {
         .map(|ra| {
             let mut cfg = machine(PolicyKind::Lru);
             cfg.readahead_pages = ra;
-            let mut k = Kernel::new(cfg);
-            k.mkdir("/data").expect("mkdir");
-            k.mount_disk("/data", DiskDevice::table2_disk("hda"))
-                .expect("mount");
+            let (mut k, _) = disk_machine(cfg);
             let data = text_corpus(4 << 20, 0, 55);
             k.install_file("/data/f.txt", &data).expect("install");
             let fd = k.open("/data/f.txt", OpenFlags::RDONLY).expect("open");
@@ -267,11 +258,7 @@ pub fn readahead() -> Vec<(u64, f64, u64)> {
 /// table, against the measured read time. Returns
 /// (flat_estimate, zoned_estimate, measured) in seconds.
 pub fn zoned_table_accuracy() -> (f64, f64, f64) {
-    let mut k = Kernel::new(machine(PolicyKind::Lru));
-    k.mkdir("/data").expect("mkdir");
-    let m = k
-        .mount_disk("/data", DiskDevice::table2_disk("hda"))
-        .expect("mount");
+    let (mut k, m) = disk_machine(machine(PolicyKind::Lru));
     let flat_table = fill_table(&mut k, &[("/data", m)]).expect("flat calibration");
     let zoned_table =
         sleds_lmbench::fill_table_zoned(&mut k, &[("/data", m)]).expect("zoned calibration");
@@ -305,11 +292,7 @@ pub fn zoned_table_accuracy() -> (f64, f64, f64) {
 pub fn aio_comparison() -> Vec<(String, f64, f64, f64)> {
     let mut rows = Vec::new();
     for (label, ram_fraction_pct) in [("file = 0.9x RAM", 90u64), ("file = 1.5x RAM", 150)] {
-        let mut k = Kernel::new(machine(PolicyKind::Lru));
-        k.mkdir("/data").expect("mkdir");
-        let m = k
-            .mount_disk("/data", DiskDevice::table2_disk("hda"))
-            .expect("mount");
+        let (mut k, m) = disk_machine(machine(PolicyKind::Lru));
         let table = fill_table(&mut k, &[("/data", m)]).expect("calibration");
         let ram = k.config().ram.as_u64();
         let n = (ram * ram_fraction_pct / 100) as usize;

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p sleds-bench --bin figures -- all
-//! cargo run --release -p sleds-bench --bin figures -- fig7 fig8 table2
-//! SLEDS_QUICK=1 cargo run -p sleds-bench --bin figures -- all   # fast sweep
+//! cargo run --release -p sleds-bench --bin figures -- fig7 table2
 //! ```
 //!
 //! CSV data and text renderings land in `results/`; ASCII plots also print
@@ -100,112 +99,112 @@ fn loc_table(rows: &[LocRow]) -> String {
     out
 }
 
-fn run(id: &str) {
-    match id {
-        "fig3" => {
-            let (text, _, _) = figures::fig3();
-            emit_text("fig3", &text);
-        }
-        "fig4" => emit_text("fig4", &figures::fig4()),
-        "table2" => emit_text(
+type Experiment = (&'static [&'static str], fn());
+
+/// Every experiment, in the order `all` runs them: the ids that select it
+/// (one run writes the files of all its ids) and the runner. The usage
+/// text is printed from this list.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["fig3"], || emit_text("fig3", &figures::fig3().0)),
+    (&["fig4"], || emit_text("fig4", &figures::fig4())),
+    (&["table2"], || {
+        emit_text(
             "table2",
             &level_table(
                 "Table 2: storage levels, Unix-utility machine",
                 &figures::table2(),
             ),
-        ),
-        "table3" => emit_text(
+        )
+    }),
+    (&["table3"], || {
+        emit_text(
             "table3",
             &level_table(
                 "Table 3: storage levels, LHEASOFT machine",
                 &figures::table3(),
             ),
-        ),
-        "table4" => emit_text("table4", &loc_table(&figures::table4())),
-        "fig7" | "fig8" => {
-            let (f7, f8) = figures::fig7_8();
-            emit_figure(&f7);
-            emit_figure(&f8);
+        )
+    }),
+    (&["table4"], || {
+        emit_text("table4", &loc_table(&figures::table4()))
+    }),
+    (&["fig7", "fig8"], || {
+        let (f7, f8) = figures::fig7_8();
+        emit_figure(&f7);
+        emit_figure(&f8);
+    }),
+    (&["fig9"], || emit_figure(&figures::fig9())),
+    (&["fig10"], || emit_figure(&figures::fig10())),
+    (&["fig11", "fig12"], || {
+        let (f11, f12) = figures::fig11_12();
+        emit_figure(&f11);
+        emit_figure(&f12);
+    }),
+    (&["fig13"], || emit_figure(&figures::fig13())),
+    (&["fig14"], || {
+        let (elapsed, faults) = figures::fig14();
+        emit_figure(&elapsed);
+        emit_figure(&faults);
+    }),
+    (&["fig15"], || {
+        for f in figures::fig15() {
+            emit_figure(&f);
         }
-        "fig9" => emit_figure(&figures::fig9()),
-        "fig10" => emit_figure(&figures::fig10()),
-        "fig11" | "fig12" => {
-            let (f11, f12) = figures::fig11_12();
-            emit_figure(&f11);
-            emit_figure(&f12);
-        }
-        "fig13" => emit_figure(&figures::fig13()),
-        "fig14" => {
-            let (elapsed, faults) = figures::fig14();
-            emit_figure(&elapsed);
-            emit_figure(&faults);
-        }
-        "fig15" => {
-            for f in figures::fig15() {
-                emit_figure(&f);
-            }
-        }
-        "ablations" => emit_text("ablations", &sleds_bench::ablations::report()),
-        "tree" => emit_text("tree", &figures::tree_demo()),
-        "hsm" => {
-            let (pruned, full) = figures::hsm_prune_demo();
-            let text = format!(
-                "HSM extension: find -latency -10 | grep vs grep everything\n\
-                 pruned walk: {pruned:.1}s   full walk (stages tapes): {full:.1}s\n\
-                 pruning advantage: {:.0}x\n\n{}",
-                full / pruned.max(1e-9),
-                figures::gmc_hsm_report()
-            );
-            emit_text("hsm", &text);
-        }
-        other => {
-            eprintln!("unknown experiment {other:?}");
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "a binary's usage error: exit status 2, nothing to unwind"
-            )]
-            std::process::exit(2);
-        }
-    }
-}
-
-const ALL: &[&str] = &[
-    "fig3",
-    "fig4",
-    "table2",
-    "table3",
-    "table4",
-    "fig7",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig13",
-    "fig14",
-    "fig15",
-    "hsm",
-    "tree",
-    "ablations",
+    }),
+    (&["hsm"], || {
+        let (pruned, full) = figures::hsm_prune_demo();
+        let text = format!(
+            "HSM extension: find -latency -10 | grep vs grep everything\n\
+             pruned walk: {pruned:.1}s   full walk (stages tapes): {full:.1}s\n\
+             pruning advantage: {:.0}x\n\n{}",
+            full / pruned.max(1e-9),
+            figures::gmc_hsm_report()
+        );
+        emit_text("hsm", &text);
+    }),
+    (&["tree"], || emit_text("tree", &figures::tree_demo())),
+    (&["ablations"], || {
+        emit_text("ablations", &sleds_bench::ablations::report())
+    }),
 ];
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a binary's usage error: exit status 2, nothing to unwind"
+)]
+fn usage_exit() -> ! {
+    let ids: Vec<&str> = EXPERIMENTS
+        .iter()
+        .flat_map(|(ids, _)| ids.iter().copied())
+        .collect();
+    eprintln!("usage: figures [all | <id>...]");
+    eprintln!("ids: {}", ids.join(" "));
+    eprintln!("SLEDS_RESULTS=dir writes the files to dir (default results/)");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: figures [all | fig3 fig4 table2 table3 table4 fig7 fig8 fig9 fig10");
-        eprintln!("                 fig11 fig12 fig13 fig14 fig15 hsm ablations]...");
-        eprintln!("set SLEDS_QUICK=1 for a reduced sweep, SLEDS_RESULTS=dir for output dir");
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a binary's usage error: exit status 2, nothing to unwind"
-        )]
-        std::process::exit(2);
+        usage_exit();
     }
-    let list: Vec<&str> = if args.iter().any(|a| a == "all") {
-        ALL.to_vec()
+    let list: Vec<&Experiment> = if args.iter().any(|a| a == "all") {
+        EXPERIMENTS.iter().collect()
     } else {
-        args.iter().map(|s| s.as_str()).collect()
+        args.iter()
+            .map(|id| {
+                EXPERIMENTS
+                    .iter()
+                    .find(|(ids, _)| ids.contains(&id.as_str()))
+                    .unwrap_or_else(|| {
+                        eprintln!("unknown experiment {id:?}");
+                        usage_exit()
+                    })
+            })
+            .collect()
     };
-    for id in list {
-        eprintln!("== running {id} ==");
-        run(id);
+    for (ids, run) in list {
+        eprintln!("== running {} ==", ids.join("/"));
+        run();
     }
 }

@@ -19,7 +19,7 @@ use sleds_textmatch::Regex;
 use crate::env::{Env, FsKind};
 use crate::output::Series;
 use crate::workload::{needle_position, text_corpus, NEEDLE};
-use crate::{quick_mode, runs, size_sweep};
+use crate::RUNS;
 
 /// A regenerated figure: series plus commentary for EXPERIMENTS.md.
 #[derive(Clone, Debug)]
@@ -333,12 +333,12 @@ impl Sweep {
 /// Runs the paper's warm-cache protocol for one app over a size sweep.
 ///
 /// For each size and mode: fresh environment, test file installed, one
-/// discarded warm-up run, then `runs()` measured runs in the same mode.
+/// discarded warm-up run, then [`RUNS`] measured runs in the same mode.
 /// `prepare` is invoked before every run (warm-up included) to mutate the
 /// workload (e.g. move the grep needle); `run` executes the application.
 fn sweep<P, R>(
     fs: FsKind,
-    sizes_mb: &[u64],
+    sizes_mb: impl IntoIterator<Item = u64>,
     table3_machine: bool,
     seed: u64,
     mut make_data: impl FnMut(usize, u64) -> Vec<u8>,
@@ -355,7 +355,7 @@ where
         faults_with: Series::new("with SLEDs"),
         faults_without: Series::new("without SLEDs"),
     };
-    for &mb in sizes_mb {
+    for mb in sizes_mb {
         let bytes = (mb << 20) as usize;
         let data = make_data(bytes, seed ^ mb);
         for use_sleds in [false, true] {
@@ -378,9 +378,9 @@ where
             prepare(&mut env.kernel, &path, &mut rng, 0);
             run(&mut env.kernel, &path, table.as_ref());
             // Measured runs.
-            let mut elapsed = Vec::with_capacity(runs());
-            let mut faults = Vec::with_capacity(runs());
-            for r in 0..runs() {
+            let mut elapsed = Vec::with_capacity(RUNS);
+            let mut faults = Vec::with_capacity(RUNS);
+            for r in 0..RUNS {
                 prepare(&mut env.kernel, &path, &mut rng, r + 1);
                 let j = env.kernel.start_job();
                 run(&mut env.kernel, &path, table.as_ref());
@@ -406,10 +406,9 @@ where
 
 /// Figures 7 and 8: wc over NFS, elapsed time and speedup vs file size.
 pub fn fig7_8() -> (Figure, Figure) {
-    let sizes = size_sweep(8, 128, 8);
     let s = sweep(
         FsKind::Nfs,
-        &sizes,
+        (8..=128).step_by(8),
         false,
         7,
         |n, seed| text_corpus(n, 0, seed),
@@ -437,10 +436,9 @@ pub fn fig7_8() -> (Figure, Figure) {
 
 /// Figure 9: wc page faults on CD-ROM vs file size.
 pub fn fig9() -> Figure {
-    let sizes = size_sweep(24, 96, 8);
     let s = sweep(
         FsKind::CdRom,
-        &sizes,
+        (24..=96).step_by(8),
         false,
         9,
         |n, seed| text_corpus(n, 0, seed),
@@ -460,11 +458,10 @@ pub fn fig9() -> Figure {
 
 /// Figure 10: grep (all matches) on CD-ROM, elapsed time vs file size.
 pub fn fig10() -> Figure {
-    let sizes = size_sweep(24, 96, 8);
     let re = Regex::new(&String::from_utf8_lossy(NEEDLE)).expect("pattern");
     let s = sweep(
         FsKind::CdRom,
-        &sizes,
+        (24..=96).step_by(8),
         false,
         10,
         // Small match percentage: one matching line in ~400.
@@ -490,7 +487,12 @@ pub fn fig10() -> Figure {
 /// region cached, and the SLEDs runs find it without any physical I/O —
 /// the paper's "ideal benchmark"); Figure 13's CDF moves the match to a
 /// fresh random position before every run.
-fn first_match_sweep(fs: FsKind, sizes: &[u64], seed: u64, per_run_placement: bool) -> Sweep {
+fn first_match_sweep(
+    fs: FsKind,
+    sizes: impl IntoIterator<Item = u64>,
+    seed: u64,
+    per_run_placement: bool,
+) -> Sweep {
     let re = Regex::new(&String::from_utf8_lossy(NEEDLE)).expect("pattern");
     let mut prev_pos: Option<u64> = None;
     sweep(
@@ -533,8 +535,7 @@ fn first_match_sweep(fs: FsKind, sizes: &[u64], seed: u64, per_run_placement: bo
 
 /// Figures 11 and 12: grep first match on ext2, elapsed and speedup.
 pub fn fig11_12() -> (Figure, Figure) {
-    let sizes = size_sweep(8, 128, 8);
-    let s = first_match_sweep(FsKind::Ext2, &sizes, 11, false);
+    let s = first_match_sweep(FsKind::Ext2, (8..=128).step_by(8), 11, false);
     let f11 = Figure {
         id: "fig11",
         title: "Time for ext2 grep with one match, with/without SLEDs".into(),
@@ -555,7 +556,7 @@ pub fn fig11_12() -> (Figure, Figure) {
 /// Figure 13: CDF of grep first-match times, NFS, 64 MB file.
 pub fn fig13() -> Figure {
     let re = Regex::new(&String::from_utf8_lossy(NEEDLE)).expect("pattern");
-    let n_runs = if quick_mode() { 12 } else { 100 };
+    let n_runs = 100;
     let bytes = 64usize << 20;
     let mut series = Vec::new();
     for use_sleds in [true, false] {
@@ -613,10 +614,9 @@ pub fn fig13() -> Figure {
 
 /// Figure 14: fimhisto elapsed time on ext2 (Table 3 machine).
 pub fn fig14() -> (Figure, Figure) {
-    let sizes = size_sweep(8, 64, 8);
     let s = sweep(
         FsKind::Ext2,
-        &sizes,
+        (8..=64).step_by(8),
         true,
         14,
         |n, seed| {
@@ -648,12 +648,11 @@ pub fn fig14() -> (Figure, Figure) {
 
 /// Figure 15: fimgbin elapsed time on ext2, 4x and 16x data reduction.
 pub fn fig15() -> Vec<Figure> {
-    let sizes = size_sweep(8, 64, 8);
     let mut figs = Vec::new();
     for (factor, reduction) in [(2usize, 4u32), (4, 16)] {
         let s = sweep(
             FsKind::Ext2,
-            &sizes,
+            (8..=64).step_by(8),
             true,
             15 + factor as u64,
             |n, seed| {

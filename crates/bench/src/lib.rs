@@ -6,6 +6,10 @@
 //! discarded, twelve measured runs, means with 90% confidence intervals.
 //! Results are written as CSV plus ASCII plots under `results/`.
 //!
+//! The figures run at full size only: no environment variable changes a
+//! byte they write (`SLEDS_RESULTS` only says where the files go), and
+//! `scripts/check.sh` diffs a full `figures all` against `results/`.
+//!
 //! Self-timed micro-benchmarks (under `benches/`, driven by
 //! [`microbench`]) measure this *implementation's* real-time costs; the
 //! paper reproduction numbers are virtual-time outputs of the simulator and
@@ -23,24 +27,3 @@ pub use output::{ascii_plot, write_csv, Series};
 
 /// Runs-per-point, matching the paper ("All runs were done twelve times").
 pub const RUNS: usize = 12;
-
-/// True when the environment asks for a fast, reduced sweep (used by CI and
-/// the smoke tests): fewer sizes, fewer runs.
-pub fn quick_mode() -> bool {
-    std::env::var("SLEDS_QUICK").is_ok_and(|v| v != "0")
-}
-
-/// The measured run count honoring quick mode.
-pub fn runs() -> usize {
-    if quick_mode() {
-        4
-    } else {
-        RUNS
-    }
-}
-
-/// A size sweep in MiB honoring quick mode.
-pub fn size_sweep(lo: u64, hi: u64, step: u64) -> Vec<u64> {
-    let step = if quick_mode() { step * 4 } else { step };
-    (lo..=hi).step_by(step as usize).collect()
-}

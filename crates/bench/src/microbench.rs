@@ -32,9 +32,15 @@ impl Timing {
     }
 }
 
+/// True when the environment asks for the short budget (`SLEDS_QUICK=1`,
+/// as `scripts/check.sh` runs the component benches).
+fn quick_mode() -> bool {
+    std::env::var("SLEDS_QUICK").is_ok_and(|v| v != "0")
+}
+
 /// The per-benchmark wall-clock budget.
 fn budget() -> Duration {
-    if crate::quick_mode() {
+    if quick_mode() {
         Duration::from_millis(20)
     } else {
         Duration::from_millis(200)
