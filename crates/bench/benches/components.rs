@@ -9,7 +9,8 @@ use sleds::{fsleds_get, PickConfig, PickSession, SledsEntry, SledsTable};
 use sleds_bench::microbench::time;
 use sleds_devices::{BlockDevice, CdRomDevice, DiskDevice, NfsDevice, TapeDevice};
 use sleds_fs::{
-    fold_bytes, Capture, Fd, Kernel, MachineConfig, OpenFlags, Syscall, Whence, WorkloadRecorder,
+    fold_bytes, Capture, Fd, Kernel, MachineConfig, OpenFlags, PickProgram, ProgInst, ProgOrder,
+    SubmissionRing, Syscall, Whence, WorkloadRecorder,
 };
 use sleds_pagecache::{PageCache, PageKey, PolicyKind};
 use sleds_replay::{json, CaptureFile, WorkloadSpec};
@@ -265,8 +266,50 @@ fn kernel_with_tree() -> (Kernel, Vec<String>) {
 /// inode table (`stat`), the same plus the fd table (`open`/`close`), a
 /// cache-wide drop with few pages resident among many inodes, and the
 /// page-cache index alone. The first three print ns per call.
+///
+/// Then the per-file metadata path below the boundary: one ring batch of
+/// 512 `FSLEDS_GET`s on one-page files, taken in turn from the first eight
+/// directories (divide by 512 for ns per file), and one cached-first
+/// `FSLEDS_WALK` of the whole tree with one file in eight resident (divide
+/// by its 125,126 entries for ns per file).
 fn bench_kernel_tables() {
     let (mut k, paths) = kernel_with_tree();
+    let mut table = SledsTable::new();
+    table.fill_memory(SledsEntry::new(175e-9, 48e6));
+    let dev = k.device_of_mount(k.find_mount("/tree").unwrap()).unwrap();
+    table.fill_device(dev, SledsEntry::new(0.018, 9e6));
+    let fds: Vec<Fd> = paths[..8_192]
+        .iter()
+        .map(|p| k.open(p, OpenFlags::RDONLY).unwrap())
+        .collect();
+    let mut ring = SubmissionRing::new(512);
+    let mut batches = fds.chunks(512).cycle();
+    time("kernel_sleds/fsleds_get_1page", || {
+        for (i, &fd) in batches.next().unwrap().iter().enumerate() {
+            let pricing = table.clone();
+            ring.push(i as u64, Syscall::FsledsGet { fd, pricing })
+                .unwrap();
+        }
+        k.ring_enter(&mut ring).unwrap();
+        k.ring_reap(&mut ring).len()
+    });
+    for fd in fds {
+        k.close(fd).unwrap();
+    }
+    for p in paths.iter().step_by(8) {
+        k.warm_file_pages(p, 0, 1).unwrap();
+    }
+    let everything = PickProgram::new(vec![
+        ProgInst::PushConst(0.0),
+        ProgInst::PushConst(0.0),
+        ProgInst::Eq,
+    ])
+    .unwrap()
+    .with_order(ProgOrder::CachedFirst);
+    time("kernel_walk/fsleds_walk_125k_files", || {
+        k.fsleds_walk("/tree", &everything, &table).unwrap().len()
+    });
+    k.drop_caches().unwrap();
     let mut at = 0;
     time("kernel_namei/stat_125k_inodes", || {
         at = (at + 1) % paths.len();

@@ -7,7 +7,12 @@
 //! generation counter, bumped on every layout or size change, which the
 //! kernel combines with the page cache's per-inode residency generation to
 //! version SLED vectors.
+//!
+//! A directory is a [`Dir`]: a `BTreeMap` keyed by each name's first eight
+//! bytes as one big-endian integer, so a lookup walks the tree with integer
+//! compares and touches the name's bytes only to confirm a hit.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -158,26 +163,21 @@ impl PageMap {
     }
 
     /// The runs overlapping `first..=last`, clipped to it, ascending.
-    pub fn runs_in(&self, first: Pages, last: Pages) -> Vec<LayoutRun> {
-        if first > last {
-            return Vec::new();
-        }
+    pub fn runs_in(&self, first: Pages, last: Pages) -> impl Iterator<Item = LayoutRun> + '_ {
         let start = self.runs.partition_point(|r| r.end_page() <= first);
-        let mut out = Vec::new();
-        for r in &self.runs[start..] {
-            if r.start_page > last {
-                break;
-            }
-            let s = r.start_page.max(first);
-            let e = r.end_page().min(last + Pages::new(1));
-            out.push(LayoutRun {
-                start_page: s,
-                pages: e - s,
-                dev: r.dev,
-                sector: r.sector_of(s),
-            });
-        }
-        out
+        let end = last + Pages::new(1);
+        self.runs[start..]
+            .iter()
+            .take_while(move |r| first <= last && r.start_page <= last)
+            .map(move |r| {
+                let s = r.start_page.max(first);
+                LayoutRun {
+                    start_page: s,
+                    pages: r.end_page().min(end) - s,
+                    dev: r.dev,
+                    sector: r.sector_of(s),
+                }
+            })
     }
 
     fn push_coalescing(out: &mut Vec<LayoutRun>, r: LayoutRun) {
@@ -365,13 +365,166 @@ impl FileNode {
     }
 }
 
+/// One directory entry: a name and the inode it links to.
+type DirEntry = (Box<str>, Ino);
+
+/// The entries of a [`Dir`] whose names share one key.
+#[derive(Clone, Debug)]
+enum Slot {
+    /// The only name with this key, as every name of up to eight bytes
+    /// that does not end in NUL is.
+    One(DirEntry),
+    /// Two or more names with this key (they share their first eight bytes,
+    /// or differ only in trailing NULs within them), sorted by name. Boxed
+    /// as a slice so a slot stays as narrow as `One`: 125,000 names cost
+    /// no more memory than string-keyed entries would.
+    Shared(Box<[DirEntry]>),
+}
+
+impl Slot {
+    fn entries(&self) -> &[DirEntry] {
+        match self {
+            Slot::One(e) => std::slice::from_ref(e),
+            Slot::Shared(v) => v,
+        }
+    }
+}
+
+/// A directory: names to inodes, iterated in byte order of the names.
+///
+/// The map is keyed by a name's first eight bytes read big-endian and
+/// zero-padded. A smaller key always means a smaller name, so walking the
+/// keys in order and each slot's sorted names in order visits every name
+/// in byte order: `readdir`'s contract, with no hashing. A lookup descends
+/// the tree with integer compares; on a hit it compares lengths and, for a
+/// name longer than eight bytes, the bytes past the key. Names that share
+/// a key share a slot, sorted, so a directory whose names mostly share
+/// their first eight bytes pays a binary search per lookup and a copy of
+/// that slot per insert or remove.
+#[derive(Clone, Debug, Default)]
+pub struct Dir {
+    slots: BTreeMap<u64, Slot>,
+    len: usize,
+}
+
+impl Dir {
+    /// Creates an empty directory.
+    pub fn new() -> Self {
+        Dir::default()
+    }
+
+    /// A name's first eight bytes, big-endian, zero-padded: keys order as
+    /// the names' bytes do, and equal keys mean names equal up to trailing
+    /// NULs within those eight bytes.
+    fn key(name: &str) -> u64 {
+        let mut key = 0;
+        for (i, &b) in name.as_bytes().iter().take(8).enumerate() {
+            key |= u64::from(b) << (56 - 8 * i);
+        }
+        key
+    }
+
+    /// True when `entry` is `name`, given that their keys are equal.
+    fn is(entry: &str, name: &str) -> bool {
+        entry.len() == name.len() && entry.as_bytes().get(8..) == name.as_bytes().get(8..)
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the directory has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The inode `name` links to, if any.
+    pub fn get(&self, name: &str) -> Option<Ino> {
+        match self.slots.get(&Self::key(name))? {
+            Slot::One((n, ino)) => Self::is(n, name).then_some(*ino),
+            Slot::Shared(v) => {
+                let i = v.binary_search_by(|(n, _)| (**n).cmp(name)).ok()?;
+                Some(v[i].1)
+            }
+        }
+    }
+
+    /// Links `name` to `ino`, returning the inode it linked to before.
+    pub fn insert(&mut self, name: &str, ino: Ino) -> Option<Ino> {
+        let slot = match self.slots.entry(Self::key(name)) {
+            Entry::Vacant(v) => {
+                v.insert(Slot::One((name.into(), ino)));
+                self.len += 1;
+                return None;
+            }
+            Entry::Occupied(o) => o.into_mut(),
+        };
+        match slot {
+            Slot::One((n, old)) if Self::is(n, name) => return Some(std::mem::replace(old, ino)),
+            Slot::One(first) => {
+                let first = std::mem::replace(first, (Box::default(), ino));
+                let new = (name.into(), ino);
+                *slot = Slot::Shared(Box::new(if *first.0 < *name {
+                    [first, new]
+                } else {
+                    [new, first]
+                }));
+            }
+            Slot::Shared(v) => match v.binary_search_by(|(n, _)| (**n).cmp(name)) {
+                Ok(i) => return Some(std::mem::replace(&mut v[i].1, ino)),
+                Err(i) => {
+                    let mut grown = std::mem::take(v).into_vec();
+                    grown.insert(i, (name.into(), ino));
+                    *v = grown.into_boxed_slice();
+                }
+            },
+        }
+        self.len += 1;
+        None
+    }
+
+    /// Unlinks `name`, returning the inode it linked to.
+    pub fn remove(&mut self, name: &str) -> Option<Ino> {
+        let key = Self::key(name);
+        let slot = self.slots.get_mut(&key)?;
+        let ino = match slot {
+            Slot::One((n, ino)) => {
+                let ino = Self::is(n, name).then_some(*ino)?;
+                self.slots.remove(&key);
+                ino
+            }
+            Slot::Shared(v) => {
+                let i = v.binary_search_by(|(n, _)| (**n).cmp(name)).ok()?;
+                let mut rest = std::mem::take(v).into_vec();
+                let (_, ino) = rest.remove(i);
+                *slot = match <[DirEntry; 1]>::try_from(rest) {
+                    Ok([last]) => Slot::One(last),
+                    Err(rest) => Slot::Shared(rest.into_boxed_slice()),
+                };
+                ino
+            }
+        };
+        self.len -= 1;
+        Some(ino)
+    }
+
+    /// Every `(name, inode)`, in byte order of the names.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Ino)> + '_ {
+        self.slots
+            .values()
+            .flat_map(Slot::entries)
+            .map(|(n, ino)| (&**n, *ino))
+    }
+}
+
 /// The body of an inode.
 #[derive(Clone, Debug)]
 pub enum InodeBody {
     /// A regular file.
     File(FileNode),
     /// A directory: name -> child inode.
-    Dir(BTreeMap<String, Ino>),
+    Dir(Dir),
 }
 
 /// An inode.
@@ -414,7 +567,7 @@ impl Inode {
     }
 
     /// The directory payload, if this is a directory.
-    pub fn as_dir(&self) -> Option<&BTreeMap<String, Ino>> {
+    pub fn as_dir(&self) -> Option<&Dir> {
         match &self.body {
             InodeBody::Dir(d) => Some(d),
             InodeBody::File(_) => None,
@@ -422,7 +575,7 @@ impl Inode {
     }
 
     /// Mutable directory payload, if this is a directory.
-    pub fn as_dir_mut(&mut self) -> Option<&mut BTreeMap<String, Ino>> {
+    pub fn as_dir_mut(&mut self) -> Option<&mut Dir> {
         match &mut self.body {
             InodeBody::Dir(d) => Some(d),
             InodeBody::File(_) => None,
@@ -505,12 +658,21 @@ mod tests {
         let d = Inode {
             ino: Ino(2),
             mount: None,
-            body: InodeBody::Dir(BTreeMap::new()),
+            body: InodeBody::Dir(Dir::new()),
             mtime: SimTime::ZERO,
         };
         assert_eq!(d.kind(), FileKind::Dir);
         assert!(d.as_dir().is_some());
         assert!(d.as_file().is_none());
+    }
+
+    #[test]
+    fn a_dir_slot_is_no_wider_than_a_string_keyed_entry() {
+        // Peak RSS at the `tree_walk` scale rides on this: 125,000 slots.
+        assert_eq!(
+            std::mem::size_of::<(u64, Slot)>(),
+            std::mem::size_of::<(String, Ino)>()
+        );
     }
 
     const D0: DeviceId = DeviceId(0);
@@ -565,7 +727,7 @@ mod tests {
         let mut m = PageMap::new();
         m.append_run(D0, sec(2048), pg(4)); // pages 0..4
         m.append_run(D0, sec(9000), pg(4)); // pages 4..8
-        let clipped = m.runs_in(pg(2), pg(5));
+        let clipped: Vec<LayoutRun> = m.runs_in(pg(2), pg(5)).collect();
         assert_eq!(clipped.len(), 2);
         assert_eq!(clipped[0].start_page, pg(2));
         assert_eq!(clipped[0].pages, pg(2));
@@ -573,8 +735,8 @@ mod tests {
         assert_eq!(clipped[1].start_page, pg(4));
         assert_eq!(clipped[1].pages, pg(2));
         assert_eq!(clipped[1].sector, sec(9000));
-        assert!(m.runs_in(pg(8), pg(20)).is_empty());
-        assert!(m.runs_in(pg(5), pg(2)).is_empty());
+        assert_eq!(m.runs_in(pg(8), pg(20)).count(), 0);
+        assert_eq!(m.runs_in(pg(5), pg(2)).count(), 0);
     }
 
     #[test]

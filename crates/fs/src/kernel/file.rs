@@ -22,7 +22,7 @@ impl Kernel {
                 .inode(parent)?
                 .as_dir()
                 .ok_or_else(|| SimError::new(Errno::Enotdir, format!("mkdir({path})")))?;
-            if parent_dir.contains_key(name) {
+            if parent_dir.get(name).is_some() {
                 return Err(SimError::new(Errno::Eexist, format!("mkdir({path})")));
             }
             k.link_new(parent, name, mount, InodeBody::Dir(Default::default()))?;
@@ -42,7 +42,9 @@ impl Kernel {
             let dir = node
                 .as_dir()
                 .ok_or_else(|| SimError::new(Errno::Enotdir, format!("readdir({path})")))?;
-            Ok(SyscallRet::Names(dir.keys().cloned().collect()))
+            Ok(SyscallRet::Names(
+                dir.iter().map(|(name, _)| name.to_string()).collect(),
+            ))
         })?
         .names()
     }
@@ -93,14 +95,13 @@ impl Kernel {
                     .inode(parent)?
                     .as_dir()
                     .ok_or_else(|| SimError::new(Errno::Enotdir, format!("unlink({path})")))?;
-                *dir.get(name)
+                dir.get(name)
                     .ok_or_else(|| SimError::new(Errno::Enoent, format!("unlink({path})")))?
             };
             if k.inode(ino)?.kind() == FileKind::Dir {
                 return Err(SimError::new(Errno::Eisdir, format!("unlink({path})")));
             }
-            let name = name.to_string();
-            k.dir_of_mut(parent)?.remove(&name);
+            k.dir_of_mut(parent)?.remove(name);
             k.inodes.remove(ino.0);
             k.cache.remove_file(ino.0);
             Ok(SyscallRet::Unit)

@@ -161,6 +161,5 @@ fn on_tape(f: &FileNode, tape: DeviceId) -> bool {
     n > Pages::ZERO
         && f.pages
             .runs_in(Pages::ZERO, n - ONE_PAGE)
-            .iter()
             .any(|r| r.dev == tape)
 }

@@ -282,9 +282,8 @@ impl Kernel {
             // striping alike; fold its runs onto the tail of the map
             // (`append_run` merges contiguous chunks).
             let added_map = self.layout_pages(mount, added)?;
-            let runs = added_map.runs_in(Pages::ZERO, added - ONE_PAGE);
             let f = self.file_of_mut(ino)?;
-            for run in &runs {
+            for run in added_map.runs() {
                 f.pages.append_run(run.dev, run.sector, run.pages);
             }
             // Grow every replica in lockstep so mirrored and coded files

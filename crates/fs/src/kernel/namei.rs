@@ -1,15 +1,15 @@
 //! Names to inodes: the inode table's accessors and the path walk
 //! (`components`, [`Kernel::resolve`], `resolve_parent`). Every syscall that
 //! takes a path or an fd lands here first, so nothing in this file
-//! allocates on the success path: an inode lookup is an array index and a
-//! path is walked as an iterator over its components.
-
-use std::collections::BTreeMap;
+//! allocates on the success path: an inode lookup is an array index, a
+//! path is walked as an iterator over its components, and each component
+//! is found in its directory's [`Dir`] by integer compares on the name's
+//! first eight bytes, touching the name's own bytes only past those eight.
 
 use sleds_sim_core::{Errno, SimError, SimResult};
 
 use super::{Kernel, MountId};
-use crate::inode::{FileNode, Ino, Inode, InodeBody};
+use crate::inode::{Dir, FileNode, Ino, Inode, InodeBody};
 
 /// The components of a path, front to back. A plain byte scan for `/`:
 /// a component is a handful of bytes, and `str::split`'s searcher costs
@@ -61,7 +61,7 @@ impl Kernel {
             .ok_or_else(|| SimError::new(Errno::Eisdir, format!("inode {ino:?} is a directory")))
     }
 
-    pub(super) fn dir_of_mut(&mut self, ino: Ino) -> SimResult<&mut BTreeMap<String, Ino>> {
+    pub(super) fn dir_of_mut(&mut self, ino: Ino) -> SimResult<&mut Dir> {
         self.inode_mut(ino)?.as_dir_mut().ok_or_else(|| {
             SimError::new(Errno::Enotdir, format!("inode {ino:?} is not a directory"))
         })
@@ -87,7 +87,6 @@ impl Kernel {
             .ok_or_else(|| SimError::new(Errno::Enotdir, format!("{op}({path})")))?;
         names
             .get(name)
-            .copied()
             .ok_or_else(|| SimError::new(Errno::Enoent, format!("{op}({path})")))
     }
 
@@ -136,7 +135,7 @@ impl Kernel {
                 mtime,
             },
         );
-        self.dir_of_mut(parent)?.insert(name.to_string(), ino);
+        self.dir_of_mut(parent)?.insert(name, ino);
         Ok(ino)
     }
 }

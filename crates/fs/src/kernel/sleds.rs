@@ -1,11 +1,11 @@
 //! The SLEDs kernel hook: the `FSLEDS_*` ioctls, the residency walks
 //! behind `FSLEDS_GET`, and the program-driven directory walk.
 
-use sleds_pagecache::PageKey;
+use sleds_pagecache::{PageCache, PageKey};
 use sleds_sim_core::{index, Errno, Pages, Sectors, SimDuration, SimError, SimResult};
 use sleds_trace::Metrics;
 
-use super::{Kernel, PageExtent, PageLocation, RedundantExtent, ReplicaPlace, ONE_PAGE};
+use super::{Kernel, PageExtent, PageLocation, RedundantExtent, ReplicaPlace};
 use crate::inode::{FileKind, FileNode, Ino, PagePlace};
 use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, WalkEntry};
 use crate::sled::{self, Sled, SledsTable};
@@ -29,6 +29,110 @@ fn estimate_ns(secs: f64) -> u64 {
         (secs * 1e9) as u64
     } else {
         u64::MAX
+    }
+}
+
+/// The residency walk behind every `FSLEDS_GET` form: merges the cache's
+/// resident extents with the file's layout runs, in page order. A resident
+/// span is one extent; a non-resident span is split at layout-run edges so
+/// each extent is device-contiguous. Cost is proportional to the extents
+/// yielded, not to pages, and nothing is allocated.
+struct Extents<'k> {
+    cache: &'k PageCache,
+    ino: u64,
+    file: &'k FileNode,
+    /// First page not yet yielded.
+    next: Pages,
+    /// End of the residency span `next` lies in, once entered.
+    span_end: Pages,
+}
+
+impl Iterator for Extents<'_> {
+    type Item = PageExtent;
+
+    fn next(&mut self) -> Option<PageExtent> {
+        let n = self.file.page_count();
+        while self.next < n {
+            let p = self.next;
+            if p >= self.span_end {
+                self.span_end = Pages::new(self.cache.next_boundary(self.ino, p.get())).min(n);
+                if self.cache.contains(PageKey::new(self.ino, p.get())) {
+                    self.next = self.span_end;
+                    return Some(PageExtent {
+                        first_page: p.get(),
+                        pages: (self.span_end - p).get(),
+                        location: PageLocation::Memory,
+                    });
+                }
+            }
+            let Some(run) = self.file.pages.run_of(p) else {
+                // Unmapped to the end of the span: nothing to report.
+                self.next = self.span_end;
+                continue;
+            };
+            let end = run.end_page().min(self.span_end);
+            self.next = end;
+            return Some(PageExtent {
+                first_page: p.get(),
+                pages: (end - p).get(),
+                location: PageLocation::Device {
+                    dev: run.dev,
+                    sector: run.place_of(p).sector.get(),
+                },
+            });
+        }
+        None
+    }
+}
+
+/// What a redundancy-aware walk is charged for: one probe per extent and
+/// per alternative, and the last extent (the per-page floor's end).
+fn probes<'e>(walk: impl IntoIterator<Item = &'e RedundantExtent>) -> (u64, Option<PageExtent>) {
+    walk.into_iter().fold((0, None), |(probes, _), e| {
+        (probes + 1 + e.alternatives.len() as u64, Some(e.extent))
+    })
+}
+
+/// What a program-driven walk has visited, in file order.
+#[derive(Default)]
+pub(super) struct Walk {
+    /// Every entry.
+    pub(super) entries: Vec<WalkEntry>,
+    /// Each entry's cached fraction, the [`ProgOrder::CachedFirst`] key:
+    /// 0 for directories and for files the walk could not price.
+    pub(super) cached: Vec<f64>,
+    /// Set once a `first_match_exit` program has matched.
+    done: bool,
+}
+
+/// Reorders a walk's entries for [`ProgOrder::CachedFirst`]: matched files
+/// first, most-cached first, with ties and the unmatched tail in file
+/// order. Stably sorts compact `(matched, cached, index)` keys, then moves
+/// the entries into their order in place, so none is copied.
+fn cached_first(entries: &mut [WalkEntry], cached: &[f64]) {
+    let mut keys: Vec<(bool, f64, usize)> = entries
+        .iter()
+        .zip(cached)
+        .enumerate()
+        .map(|(i, (e, &c))| (e.matched, c, i))
+        .collect();
+    keys.sort_by(|a, b| match (a.0, b.0) {
+        (true, true) => b.1.total_cmp(&a.1),
+        (a_hit, b_hit) => b_hit.cmp(&a_hit),
+    });
+    // Position `i` takes the entry that started at `from[i]`. Positions are
+    // filled front to back, each by one swap; an entry a swap moved out of
+    // an earlier position went where that position's `from` now points.
+    // The sources run forward through each run of equal keys, so the swaps
+    // stream through the entries instead of chasing the cycles at random.
+    let mut from: Vec<usize> = keys.into_iter().map(|(_, _, i)| i).collect();
+    for i in 0..from.len() {
+        let mut src = from[i];
+        while src < i {
+            src = from[src];
+        }
+        from[i] = src;
+        entries.swap(i, src);
     }
 }
 
@@ -76,52 +180,52 @@ impl Kernel {
         self.charge_cpu(self.cfg.page_walk_cost(probes, pages));
     }
 
-    /// The residency walk itself: merges the cache's resident extents with
-    /// the file's layout runs and collects what `make` turns each into.
-    /// Cost is proportional to the number of extents emitted, not the
-    /// number of pages; no per-page map is ever materialized.
-    fn extents_of<T>(
-        &self,
-        ino: Ino,
-        mut make: impl FnMut(&FileNode, PageExtent) -> T,
-    ) -> SimResult<Vec<T>> {
-        let f = self.file_of(ino)?;
-        let n = f.page_count();
-        let mut out = Vec::new();
-        let mut p = Pages::ZERO;
-        while p < n {
-            let boundary = Pages::new(self.cache.next_boundary(ino.0, p.get())).min(n);
-            if self.cache.contains(PageKey::new(ino.0, p.get())) {
-                let extent = PageExtent {
-                    first_page: p.get(),
-                    pages: (boundary - p).get(),
-                    location: PageLocation::Memory,
+    /// The residency walk of `ino`: its extents in page order.
+    fn extents(&self, ino: Ino) -> SimResult<Extents<'_>> {
+        Ok(Extents {
+            cache: &self.cache,
+            ino: ino.0,
+            file: self.file_of(ino)?,
+            next: Pages::ZERO,
+            span_end: Pages::ZERO,
+        })
+    }
+
+    /// The residency walk with each extent's replica places, the
+    /// `(k, n)` of a coded volume attached to the extents that have them.
+    fn redundant_walk(&self, ino: Ino) -> SimResult<impl Iterator<Item = RedundantExtent> + '_> {
+        let volume_k = self.volume_of(ino).and_then(|l| l.coded_k());
+        let walk = self.extents(ino)?;
+        let file = walk.file;
+        Ok(walk.map(move |extent| {
+            // Memory extents need no alternative: they are already the
+            // cheapest possible source.
+            let alternatives: Vec<ReplicaPlace> =
+                if matches!(extent.location, PageLocation::Device { .. }) {
+                    file.replicas
+                        .iter()
+                        .filter_map(|map| map.place_of(Pages::new(extent.first_page)))
+                        .map(|p| ReplicaPlace {
+                            dev: p.dev,
+                            sector: p.sector.get(),
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
                 };
-                out.push(make(f, extent));
-            } else {
-                // A non-resident span: split it by layout runs so each
-                // extent is device-contiguous.
-                for r in f.pages.runs_in(p, boundary - ONE_PAGE) {
-                    let extent = PageExtent {
-                        first_page: r.start_page.get(),
-                        pages: r.pages.get(),
-                        location: PageLocation::Device {
-                            dev: r.dev,
-                            sector: r.sector.get(),
-                        },
-                    };
-                    out.push(make(f, extent));
-                }
+            let coded_k = volume_k.filter(|_| !alternatives.is_empty());
+            RedundantExtent {
+                extent,
+                alternatives,
+                coded_k,
             }
-            p = boundary;
-        }
-        Ok(out)
+        }))
     }
 
     /// The bare extents, for callers that price nothing, charged: one
     /// probe per extent plus the per-page floor.
     fn page_extents_of(&mut self, ino: Ino) -> SimResult<Vec<PageExtent>> {
-        let out = self.extents_of(ino, |_, extent| extent)?;
+        let out: Vec<PageExtent> = self.extents(ino)?.collect();
         self.charge_page_walk(out.len() as u64, out.last());
         Ok(out)
     }
@@ -154,45 +258,28 @@ impl Kernel {
     /// The walk behind [`Kernel::redundant_extents`], charged: one probe
     /// per extent and per alternative, plus the per-page floor.
     fn redundant_extents_of(&mut self, ino: Ino) -> SimResult<Vec<RedundantExtent>> {
-        let volume_k = self.volume_of(ino).and_then(|l| l.coded_k());
-        let mut probes = 0u64;
-        let out = self.extents_of(ino, |f, extent| {
-            // Memory extents need no alternative: they are already the
-            // cheapest possible source.
-            let alternatives: Vec<ReplicaPlace> =
-                if matches!(extent.location, PageLocation::Device { .. }) {
-                    f.replicas
-                        .iter()
-                        .filter_map(|map| map.place_of(Pages::new(extent.first_page)))
-                        .map(|p| ReplicaPlace {
-                            dev: p.dev,
-                            sector: p.sector.get(),
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-            probes += alternatives.len() as u64;
-            let coded_k = volume_k.filter(|_| !alternatives.is_empty());
-            RedundantExtent {
-                extent,
-                alternatives,
-                coded_k,
-            }
-        })?;
-        self.charge_page_walk(out.len() as u64 + probes, out.last().map(|e| &e.extent));
+        let out: Vec<RedundantExtent> = self.redundant_walk(ino)?.collect();
+        let (probes, last) = probes(&out);
+        self.charge_page_walk(probes, last.as_ref());
         Ok(out)
     }
 
     /// `FSLEDS_GET` below the boundary: the SLED vector of `ino` priced
     /// from the table that crossed with the call. Charges the extent walk
     /// (the work), not the two syscall traps the sequential `fstat` +
-    /// `FSLEDS_GET` pair pays.
+    /// `FSLEDS_GET` pair pays. The walk's first extent is held inline and
+    /// only the rest are collected, so a one-extent file allocates nothing
+    /// before [`sled::fold`]. The charge comes first: pricing reads fault
+    /// windows at the clock it leaves.
     pub(super) fn sleds_of(&mut self, ino: Ino, table: &SledsTable) -> SimResult<Vec<Sled>> {
         sled::memory_row(table)?;
-        let size = self.stat_ino(ino)?.size;
-        let extents = self.redundant_extents_of(ino)?;
-        sled::fold(self, table, size, &extents)
+        let size = self.file_of(ino)?.size();
+        let mut walk = self.redundant_walk(ino)?;
+        let first = walk.next();
+        let rest: Vec<RedundantExtent> = walk.collect();
+        let (probes, last) = probes(first.iter().chain(&rest));
+        self.charge_page_walk(probes, last.as_ref());
+        sled::fold(self, table, size, first.iter().chain(&rest))
     }
 
     /// Prices `ino` and runs `prog` over it: the evaluation step behind
@@ -238,21 +325,28 @@ impl Kernel {
         table: &SledsTable,
     ) -> SimResult<Vec<WalkEntry>> {
         self.ioctl(&Entry::ioctl("ioctl.fsleds_walk"), [0; 3], |k| {
-            let ino = k.resolve(root)?;
-            let mut out: Vec<(WalkEntry, f64)> = Vec::new();
-            let mut done = false;
-            let mut path = root.to_string();
-            k.walk_node(&mut path, ino, prog, table, &mut out, &mut done)?;
+            let mut walk = k.walk_tree(root, prog, table)?;
             if prog.order == ProgOrder::CachedFirst {
-                // Matched files first, most-cached first; stable, so ties
-                // and the unmatched tail keep file order.
-                out.sort_by(|a, b| match (a.0.matched, b.0.matched) {
-                    (true, true) => b.1.total_cmp(&a.1),
-                    (a_hit, b_hit) => b_hit.cmp(&a_hit),
-                });
+                cached_first(&mut walk.entries, &walk.cached);
             }
-            Ok(out.into_iter().map(|(e, _)| e).collect())
+            Ok(walk.entries)
         })
+    }
+
+    /// The walk behind [`Kernel::fsleds_walk`], before any reordering:
+    /// every entry under `root` in file order, each with its cached
+    /// fraction.
+    pub(super) fn walk_tree(
+        &mut self,
+        root: &str,
+        prog: &PickProgram,
+        table: &SledsTable,
+    ) -> SimResult<Walk> {
+        let ino = self.resolve(root)?;
+        let mut walk = Walk::default();
+        let mut path = root.to_string();
+        self.walk_node(&mut path, ino, prog, table, &mut walk)?;
+        Ok(walk)
     }
 
     /// One node of the walk. `path` is the node's own path on entry and
@@ -264,10 +358,9 @@ impl Kernel {
         ino: Ino,
         prog: &PickProgram,
         table: &SledsTable,
-        out: &mut Vec<(WalkEntry, f64)>,
-        done: &mut bool,
+        walk: &mut Walk,
     ) -> SimResult<()> {
-        if *done {
+        if walk.done {
             return Ok(());
         }
         let stat = self.stat_ino(ino)?;
@@ -276,50 +369,33 @@ impl Kernel {
         // the cost certificate stamped at admission.
         let d = self.cfg.ring_op_cpu;
         self.charge_cpu(d);
+        let mut entry = WalkEntry {
+            path: path.clone(),
+            kind: stat.kind,
+            size: stat.size,
+            estimate_secs: None,
+            matched: false,
+            error: None,
+        };
         if stat.kind == FileKind::File {
-            let (entry, cached) = match self.eval_prog(ino, prog, table) {
+            let cached = match self.eval_prog(ino, prog, table) {
                 Ok((matched, inputs)) => {
-                    if matched && prog.first_match_exit {
-                        *done = true;
-                    }
-                    (
-                        WalkEntry {
-                            path: path.clone(),
-                            kind: stat.kind,
-                            size: stat.size,
-                            estimate_secs: Some(inputs.delivery_time),
-                            matched,
-                            error: None,
-                        },
-                        inputs.cached_fraction,
-                    )
+                    walk.done = matched && prog.first_match_exit;
+                    entry.estimate_secs = Some(inputs.delivery_time);
+                    entry.matched = matched;
+                    inputs.cached_fraction
                 }
-                Err(e) => (
-                    WalkEntry {
-                        path: path.clone(),
-                        kind: stat.kind,
-                        size: stat.size,
-                        estimate_secs: None,
-                        matched: false,
-                        error: Some(e),
-                    },
-                    0.0,
-                ),
+                Err(e) => {
+                    entry.error = Some(e);
+                    0.0
+                }
             };
-            out.push((entry, cached));
+            walk.entries.push(entry);
+            walk.cached.push(cached);
             return Ok(());
         }
-        out.push((
-            WalkEntry {
-                path: path.clone(),
-                kind: stat.kind,
-                size: stat.size,
-                estimate_secs: None,
-                matched: false,
-                error: None,
-            },
-            0.0,
-        ));
+        walk.entries.push(entry);
+        walk.cached.push(0.0);
         // The directory cannot stay borrowed across the recursion, so its
         // names are copied once: one arena string plus each name's end.
         let mut names = String::new();
@@ -330,7 +406,7 @@ impl Kernel {
                 .as_dir()
                 .ok_or_else(|| SimError::new(Errno::Enotdir, format!("fsleds_walk({path})")))?;
             children.reserve(dir.len());
-            for (name, &child) in dir {
+            for (name, child) in dir.iter() {
                 names.push_str(name);
                 children.push((names.len(), child));
             }
@@ -342,11 +418,11 @@ impl Kernel {
         let stem_len = path.len();
         let mut start = 0;
         for (end, child) in children {
-            if *done {
+            if walk.done {
                 break;
             }
             path.push_str(&names[start..end]);
-            self.walk_node(path, child, prog, table, out, done)?;
+            self.walk_node(path, child, prog, table, walk)?;
             path.truncate(stem_len);
             start = end;
         }

@@ -1,7 +1,10 @@
+use super::sleds::Walk;
 use super::*;
 use crate::inode::FileKind;
+use crate::prog::{PickProgram, ProgInst, ProgOrder, WalkEntry};
+use crate::sled::{SledsEntry, SledsTable};
 use sleds_devices::DiskDevice;
-use sleds_sim_core::PAGE_SIZE;
+use sleds_sim_core::{check, PAGE_SIZE};
 
 fn kernel_with_disk() -> Kernel {
     let mut k = Kernel::table2();
@@ -555,4 +558,95 @@ fn trace_app_closes_its_span_when_the_body_bails_out() {
     // Balanced: the next span opens at depth zero, not inside "wc".
     k.trace_app("grep", |_| ());
     assert_eq!(k.metrics().unwrap().app_spans, 2);
+}
+
+/// The `CachedFirst` order as the walk first produced it, kept as the
+/// oracle: a stable sort of `(entry, cached fraction)` pairs.
+fn cached_first_oracle(walk: Walk) -> Vec<WalkEntry> {
+    let mut out: Vec<(WalkEntry, f64)> = walk.entries.into_iter().zip(walk.cached).collect();
+    out.sort_by(|a, b| match (a.0.matched, b.0.matched) {
+        (true, true) => b.1.total_cmp(&a.1),
+        (a_hit, b_hit) => b_hit.cmp(&a_hit),
+    });
+    out.into_iter().map(|(e, _)| e).collect()
+}
+
+/// A generated tree over two disks, only the first of which has a table
+/// row (so every file on the second fails to price), with files of zero
+/// to four pages warmed not at all, wholly or in part: cached fractions
+/// tie across files at 0, ½ and 1.
+fn walk_tree_kernel(rng: &mut DetRng) -> (Kernel, SledsTable) {
+    let mut k = Kernel::table2();
+    let mut t = SledsTable::new();
+    t.fill_memory(SledsEntry::new(175e-9, 48e6));
+    for (i, root) in ["/a", "/b"].into_iter().enumerate() {
+        k.mkdir(root).unwrap();
+        let m = k
+            .mount_disk(root, DiskDevice::table2_disk(["hda", "hdb"][i]))
+            .unwrap();
+        if i == 0 {
+            t.fill_device(k.device_of_mount(m).unwrap(), SledsEntry::new(0.018, 9e6));
+        }
+        let mut dirs = vec![root.to_string()];
+        for d in 0..rng.range_usize(0, 3) {
+            let sub = format!("{root}/d{d}");
+            k.mkdir(&sub).unwrap();
+            dirs.push(sub);
+        }
+        for f in 0..rng.range_usize(1, 40) {
+            let path = format!("{}/f{f}", dirs[rng.range_usize(0, dirs.len())]);
+            let pages = rng.range_u64(0, 5);
+            let size = (pages * PAGE_SIZE).saturating_sub(rng.range_u64(0, 100));
+            k.install_sparse_file(&path, size).unwrap();
+            let n = Pages::spanning(size).get();
+            match rng.range_u64(0, 3) {
+                0 if n > 0 => k.warm_file_pages(&path, 0, n).unwrap(),
+                1 if n > 1 => k.warm_file_pages(&path, 0, n / 2).unwrap(),
+                _ => {}
+            }
+        }
+    }
+    (k, t)
+}
+
+#[test]
+fn cached_first_walk_matches_the_stable_sort_oracle() {
+    let seen = std::cell::Cell::new([false; 4]);
+    check::run("cached_first_walk_matches_the_stable_sort_oracle", |rng| {
+        let (mut k, t) = walk_tree_kernel(rng);
+        let below = [0.0, 1e-3, 0.0185, 1.0][rng.range_usize(0, 4)];
+        let mut prog = PickProgram::new(vec![
+            ProgInst::PushDeliveryTime,
+            ProgInst::PushConst(below),
+            ProgInst::Lt,
+        ])
+        .unwrap()
+        .with_order(ProgOrder::CachedFirst);
+        if rng.chance(0.25) {
+            prog = prog.with_first_match_exit();
+        }
+        // Pricing reads no clock without fault windows, so walking twice
+        // sees the same tree.
+        let walk = k.walk_tree("/", &prog, &t).unwrap();
+        let cached = &walk.cached;
+        let mut s = seen.get();
+        s[0] |= (0..cached.len()).any(|i| {
+            walk.entries[i].matched
+                && (i + 1..cached.len()).any(|j| walk.entries[j].matched && cached[i] == cached[j])
+        });
+        s[1] |= walk
+            .entries
+            .iter()
+            .any(|e| e.kind == FileKind::File && !e.matched);
+        s[2] |= walk.entries.iter().any(|e| e.error.is_some());
+        s[3] |= prog.first_match_exit && walk.entries.iter().any(|e| e.matched);
+        seen.set(s);
+        let want = cached_first_oracle(walk);
+        assert_eq!(k.fsleds_walk("/", &prog, &t).unwrap(), want);
+    });
+    assert_eq!(
+        seen.get(),
+        [true; 4],
+        "cases covered cached ties, unmatched files, pricing errors and first-match exits"
+    );
 }

@@ -355,7 +355,7 @@ impl PickProgram {
         reason = "`jump_target` proved at admission that every jump lands in pc + 1..=len"
     )]
     pub fn eval(&self, inputs: &ProgInputs) -> f64 {
-        let mut stack: Vec<f64> = Vec::with_capacity(MAX_PROG_STACK);
+        let mut stack = Stack::default();
         let mut pc = 0usize;
         while pc < self.insts.len() {
             let inst = &self.insts[pc];
@@ -369,7 +369,7 @@ impl PickProgram {
                     continue;
                 }
                 ProgInst::Jz(off) => {
-                    let a = stack.pop().unwrap_or(0.0);
+                    let a = stack.pop();
                     pc = if a == 0.0 {
                         (pc as i64 + 1 + *off as i64) as usize
                     } else {
@@ -383,8 +383,8 @@ impl PickProgram {
                 | ProgInst::Div
                 | ProgInst::And
                 | ProgInst::Or => {
-                    let b = stack.pop().unwrap_or(0.0);
-                    let a = stack.pop().unwrap_or(0.0);
+                    let b = stack.pop();
+                    let a = stack.pop();
                     stack.push(match inst {
                         ProgInst::Lt => bool_to_f64(a < b),
                         ProgInst::Gt => bool_to_f64(a > b),
@@ -399,7 +399,7 @@ impl PickProgram {
                     });
                 }
                 ProgInst::Floor | ProgInst::Not => {
-                    let a = stack.pop().unwrap_or(0.0);
+                    let a = stack.pop();
                     stack.push(match inst {
                         ProgInst::Floor => a.floor(),
                         _ => bool_to_f64(a == 0.0),
@@ -408,12 +408,38 @@ impl PickProgram {
             }
             pc += 1;
         }
-        stack.pop().unwrap_or(0.0)
+        stack.pop()
     }
 
     /// True when the program accepts the inputs (nonzero result).
     pub fn matches(&self, inputs: &ProgInputs) -> bool {
         self.eval(inputs) != 0.0
+    }
+}
+
+/// The evaluation stack: a fixed array, since admission proved the depth
+/// never passes [`MAX_PROG_STACK`], so evaluating allocates nothing.
+/// Popping an empty stack reads `0.0`.
+#[derive(Default)]
+struct Stack {
+    slots: [f64; MAX_PROG_STACK],
+    depth: usize,
+}
+
+impl Stack {
+    fn push(&mut self, v: f64) {
+        if let Some(slot) = self.slots.get_mut(self.depth) {
+            *slot = v;
+            self.depth += 1;
+        }
+    }
+
+    fn pop(&mut self) -> f64 {
+        let Some(top) = self.depth.checked_sub(1) else {
+            return 0.0;
+        };
+        self.depth = top;
+        self.slots[top]
     }
 }
 

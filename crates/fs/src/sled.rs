@@ -357,7 +357,8 @@ pub fn memory_row(table: &SledsTable) -> SimResult<SledsEntry> {
 }
 
 /// Builds the SLED vector of a `size`-byte file from the residency extents
-/// its caller walked (and charged for).
+/// its caller walked (and charged for), taken one at a time as the walk
+/// yields them.
 ///
 /// Returns one SLED per run of bytes sharing `(latency, bandwidth)`; the
 /// last is clipped to the file size, so the vector covers the file's bytes
@@ -372,11 +373,11 @@ pub fn memory_row(table: &SledsTable) -> SimResult<SledsEntry> {
 ///
 /// `EINVAL` when `table` has no memory row or no row for a device the
 /// file touches.
-pub fn fold(
+pub fn fold<'e>(
     kernel: &Kernel,
     table: &SledsTable,
     size: u64,
-    extents: &[RedundantExtent],
+    extents: impl IntoIterator<Item = &'e RedundantExtent>,
 ) -> SimResult<Vec<Sled>> {
     let mem = memory_row(table)?;
     let state_of = |dev| {
@@ -474,6 +475,14 @@ pub fn fold(
 /// order; each pays its latency once and streams its total bytes, summed
 /// in that order.
 pub fn best_estimate(sleds: &[Sled]) -> f64 {
+    // One level (every file priced whole from one row): no grouping to do.
+    if let Some(first) = sleds
+        .first()
+        .filter(|f| sleds.iter().all(|s| s.same_level(f)))
+    {
+        let length = sleds.iter().map(|s| s.length).sum();
+        return Sled { length, ..*first }.delivery_time();
+    }
     let mut levels: Vec<Sled> = Vec::new();
     for s in sleds {
         match levels.iter_mut().find(|l| l.same_level(s)) {
