@@ -18,7 +18,7 @@ use sleds_pagecache::{PageCache, PageKey};
 use sleds_sim_core::{
     DetRng, Errno, IdTable, IdWindow, Pages, Sectors, SimDuration, SimError, SimResult, SimTime,
 };
-use sleds_trace::{span, Layer, Metrics, TraceEvent, Tracer};
+use sleds_trace::{span, Layer, Mark, Metrics, TraceEvent, Tracer};
 
 use crate::capture::{Capture, WorkloadRecorder};
 use crate::inode::{Ino, Inode, InodeBody};
@@ -455,6 +455,12 @@ impl Kernel {
         span(self, Layer::App, name, [0; 3], body)
     }
 
+    /// Records `mark` at the current virtual instant.
+    fn mark(&mut self, mark: Mark) {
+        let now = self.now();
+        self.tracer.mark(now, mark);
+    }
+
     /// Records a delivery-time prediction for an open file — the trace half
     /// of the accuracy audit. The prediction is tagged with the class of
     /// the device the file's data would come from (tape when any page of an
@@ -473,15 +479,13 @@ impl Kernel {
             return Ok(());
         }
         let of = self.openfile(fd)?;
-        let class = self.serving_class_of(of.ino)?;
-        let now = self.now();
-        self.tracer.predict(
-            now,
-            fd.0,
-            predicted.as_nanos(),
-            class.code(),
-            table_generation,
-        );
+        let class = self.serving_class_of(of.ino)?.code();
+        self.mark(Mark::Predict {
+            fd: fd.0,
+            predicted_ns: predicted.as_nanos(),
+            class,
+            generation: table_generation,
+        });
         Ok(())
     }
 

@@ -2,7 +2,7 @@
 //! and [`Kernel::syscall`], which runs an owned [`Syscall`] through it.
 
 use sleds_sim_core::{index, Errno, SimDuration, SimError, SimResult, SimTime};
-use sleds_trace::{span, Layer, SpanHost, Tracer};
+use sleds_trace::{span, Layer, Mark, SpanHost, Tracer};
 
 use super::Kernel;
 use crate::ring::{RingCompletion, SubmissionRing};
@@ -228,8 +228,10 @@ impl Kernel {
                 ring.complete(RingCompletion { user_data, result });
                 serviced += 1;
             }
-            let now = k.now();
-            k.tracer.ring_submit(now, submitted, serviced);
+            k.mark(Mark::RingSubmit {
+                submitted,
+                serviced,
+            });
             Ok(SyscallRet::Count(serviced))
         });
         self.tenant_switch(prev)?;
@@ -240,8 +242,8 @@ impl Kernel {
     /// memory, so reaping crosses nothing and charges nothing.
     pub fn ring_reap(&mut self, ring: &mut SubmissionRing) -> Vec<RingCompletion> {
         let out = ring.drain_completions();
-        let now = self.now();
-        self.tracer.ring_reap(now, out.len() as u64);
+        let reaped = out.len() as u64;
+        self.mark(Mark::RingReap { reaped });
         out
     }
 }

@@ -7,7 +7,7 @@
 
 use sleds_devices::DeviceClass;
 use sleds_sim_core::{Clock, Sectors, SimDuration, SimError, SimTime};
-use sleds_trace::{CostOutcome, DeviceCost, Wait};
+use sleds_trace::{CostOutcome, DeviceCost, Mark, Wait};
 
 use super::{DeviceId, Kernel};
 use crate::rusage::Rusage;
@@ -205,14 +205,23 @@ impl Kernel {
         let (now, cost_ns) = (self.now(), ev.service.as_nanos());
         match ev.outcome {
             CostOutcome::Faulted { attempt } => {
-                let nth = u64::from(attempt);
-                self.tracer.fault_inject(now, ev.class, nth, cost_ns);
+                let mark = Mark::FaultInject {
+                    class: ev.class,
+                    attempt: u64::from(attempt),
+                    cost_ns,
+                };
+                self.tracer.mark(now, mark);
             }
             CostOutcome::Cancelled { winner_class } => {
                 let counts = &mut self.ledger.counts;
                 counts.hedges += 1;
                 counts.hedge_wait = counts.hedge_wait.saturating_add(ev.service);
-                self.tracer.io_hedge(now, winner_class, ev.class, cost_ns);
+                let mark = Mark::IoHedge {
+                    winner: winner_class,
+                    loser: ev.class,
+                    cancel_ns: cost_ns,
+                };
+                self.tracer.mark(now, mark);
             }
             CostOutcome::Served if ev.write => self.ledger.counts.device_writes += 1,
             CostOutcome::Served => self.ledger.counts.device_reads += 1,

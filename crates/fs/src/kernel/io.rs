@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use sleds_pagecache::{Evicted, PageKey};
 use sleds_sim_core::{index, Errno, Pages, RetryPolicy, Sectors, SimError, SimResult};
-use sleds_trace::Wait;
+use sleds_trace::{Mark, Wait};
 
 use super::cost::Attempt;
 use super::{DeviceId, Kernel, MountId, ONE_PAGE};
@@ -77,9 +77,11 @@ impl Kernel {
                 let counts = &mut self.ledger.counts;
                 counts.io_retries += 1;
                 counts.retry_backoff = counts.retry_backoff.saturating_add(backoff);
-                let class = self.devices[dev.0].class().code();
-                let (now, nth) = (self.now(), u64::from(retry));
-                self.tracer.io_retry(now, class, nth, backoff.as_nanos());
+                self.mark(Mark::IoRetry {
+                    class: self.devices[dev.0].class().code(),
+                    attempt: u64::from(retry),
+                    backoff_ns: backoff.as_nanos(),
+                });
             }
             failed = match self.submit(dev, sector, sectors, write, attempt, Wait::Serial) {
                 Attempt::Served(_) => return Ok(()),
@@ -194,8 +196,8 @@ impl Kernel {
             let key = PageKey::new(ino.0, p.get());
             if self.cache.lookup(key) {
                 self.ledger.counts.minor_faults += 1;
-                let now = self.now();
-                self.tracer.cache_hit(now, p.get(), ino.0);
+                let (page, ino) = (p.get(), ino.0);
+                self.mark(Mark::CacheHit { page, ino });
                 p += ONE_PAGE;
                 continue;
             }
@@ -226,9 +228,11 @@ impl Kernel {
             // One clustered device command for the run (plus readahead),
             // routed and hedged across volume members when the file is
             // redundant.
-            let now = self.now();
-            self.tracer
-                .cache_miss(now, run_start.get(), run_len.get(), ino.0);
+            self.mark(Mark::CacheMiss {
+                page: run_start.get(),
+                pages: run_len.get(),
+                ino: ino.0,
+            });
             self.redundant_read(ino, start_place, run_start, run_len + ra_len)?;
             self.ledger.counts.major_faults += run_len.get();
             self.charge_cpu(self.cfg.fault_cpu * run_len.get());
@@ -398,9 +402,8 @@ impl Kernel {
 
     /// Traces one eviction and writes the page back if it was dirty.
     fn evicted(&mut self, ev: Evicted) -> SimResult<()> {
-        let now = self.now();
-        self.tracer
-            .cache_evict(now, ev.key.index, u64::from(ev.dirty), ev.key.inode);
+        let (page, dirty, ino) = (ev.key.index, ev.dirty, ev.key.inode);
+        self.mark(Mark::CacheEvict { page, dirty, ino });
         if ev.dirty {
             self.writeback(ev.key)?;
         }
@@ -425,8 +428,8 @@ impl Kernel {
         let layout = self.volume_of(Ino(key.inode));
         let frag_sectors = layout.map_or(ONE_PAGE.sectors(), |l| l.fragment(ONE_PAGE.sectors()));
         let needed = layout.map_or(1, |l| l.quorum());
-        let now = self.now();
-        self.tracer.cache_writeback(now, key.index, key.inode);
+        let (page, ino) = (key.index, key.inode);
+        self.mark(Mark::CacheWriteback { page, ino });
         if extras.is_empty() {
             return self.device_command(place.dev, place.sector, frag_sectors, true);
         }

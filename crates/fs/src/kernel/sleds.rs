@@ -3,7 +3,7 @@
 
 use sleds_pagecache::{PageCache, PageKey};
 use sleds_sim_core::{index, Errno, Pages, Sectors, SimDuration, SimError, SimResult};
-use sleds_trace::Metrics;
+use sleds_trace::{Mark, Metrics};
 
 use super::{Kernel, PageExtent, PageLocation, RedundantExtent, ReplicaPlace};
 use crate::inode::{FileKind, FileNode, Ino, PagePlace};
@@ -160,8 +160,8 @@ impl Kernel {
             k.openfile(fd).map(|_| {
                 k.sleds_epoch += 1;
                 let snap = k.tracer.metrics_snapshot().unwrap_or_default();
-                let now = k.now();
-                k.tracer.recal(now, k.sleds_epoch);
+                let generation = k.sleds_epoch;
+                k.mark(Mark::Recal { generation });
                 snap
             })
         })
@@ -299,13 +299,11 @@ impl Kernel {
         self.charge_cpu(SimDuration::from_nanos(prog.cert().worst_ns));
         let inputs = prog_inputs(&sleds, mem);
         let matched = prog.matches(&inputs);
-        let now = self.now();
-        self.tracer.prog_eval(
-            now,
-            prog.len() as u64,
-            u64::from(matched),
-            estimate_ns(inputs.delivery_time),
-        );
+        self.mark(Mark::ProgEval {
+            len: prog.len() as u64,
+            matched,
+            estimate_ns: estimate_ns(inputs.delivery_time),
+        });
         Ok((matched, inputs))
     }
 

@@ -1,5 +1,7 @@
-//! Prediction-accuracy audit: post-hoc over a trace buffer, and
-//! continuous via [`AccuracyTracker`].
+//! Prediction-accuracy audit: post-hoc over a trace buffer
+//! ([`audit_accuracy`]), and continuous in the tracer's per-class
+//! [`AccuracyWindow`](crate::AccuracyWindow)s. Both run one pairing
+//! machine, `Pairing`, over the same events.
 //!
 //! For every fd that published a `sleds.predict` marker (the
 //! `sleds_total_delivery_time` estimate captured when a pick session
@@ -16,13 +18,16 @@
 //! current at read time: a prediction from a stale table says nothing
 //! about the refreshed one, so cross-generation pairs are dropped and
 //! counted instead of polluting the error distributions.
+//!
+//! A pair is settled when its fd is closed, when the fd is predicted
+//! again, or when the events run out; one with no read time is unread. A
+//! fault or retry mark inside one of its read spans tags it faulted.
 
 use std::collections::BTreeMap;
 
 use sleds_sim_core::stats::Ecdf;
 
 use crate::event::{class_label, unpack_class_generation, EventPhase, Layer, TraceEvent};
-use crate::metrics::Metrics;
 
 /// One audited (prediction, actual) pair.
 #[derive(Clone, Copy, Debug)]
@@ -109,9 +114,9 @@ pub fn summarize_class(class: u64, samples: &[AccuracySample]) -> Option<ClassAc
 /// The audit result: all samples plus per-class distributions.
 #[derive(Clone, Debug, Default)]
 pub struct AuditReport {
-    /// Every audited pair, in fd order.
+    /// Every audited pair, in fd order; one fd's pairs in prediction order.
     pub samples: Vec<AccuracySample>,
-    /// Predictions whose fd saw no traced reads (e.g. `find -latency`
+    /// Predictions settled with no traced read time (e.g. `find -latency`
     /// estimates that pruned the file) — excluded from the distributions.
     pub unread_predictions: usize,
     /// Predictions dropped because their fd was read under a different
@@ -125,74 +130,21 @@ pub struct AuditReport {
 
 /// Runs the audit over a trace buffer.
 pub fn audit_accuracy(events: &[TraceEvent]) -> AuditReport {
-    // fd -> (predicted_ns, class, generation, actual_ns so far, faulted).
-    let mut by_fd: BTreeMap<u64, (u64, u64, u64, u64, bool)> = BTreeMap::new();
+    let mut pairing = Pairing::default();
     let mut report = AuditReport::default();
-    let mut current_generation = 0u64;
-    // The fd of the read/pread span currently open, if any. The simulator
-    // is single-threaded and synchronous, so a fault or retry mark emitted
-    // between a read's begin and end belongs to that read.
-    let mut open_read_fd: Option<u64> = None;
     for ev in events {
-        match ev.phase {
-            EventPhase::Begin
-                if ev.layer == Layer::Syscall && (ev.name == "read" || ev.name == "pread") =>
-            {
-                open_read_fd = Some(ev.args[0]);
-            }
-            EventPhase::Mark if ev.name == "sleds.predict" => {
-                let (class, generation) = unpack_class_generation(ev.args[2]);
-                by_fd.insert(ev.args[0], (ev.args[1], class, generation, 0, false));
-            }
-            EventPhase::Mark if ev.name == "sleds.recal" => {
-                current_generation = ev.args[0];
-            }
-            EventPhase::Mark if ev.name == "fault.inject" || ev.name == "io.retry" => {
-                if let Some(entry) = open_read_fd.and_then(|fd| by_fd.get_mut(&fd)) {
-                    entry.4 = true;
-                }
-            }
-            EventPhase::End
-                if ev.layer == Layer::Syscall && (ev.name == "read" || ev.name == "pread") =>
-            {
-                let fd = ev.args[0];
-                open_read_fd = None;
-                let Some(entry) = by_fd.get_mut(&fd) else {
-                    continue;
-                };
-                if entry.2 != current_generation {
-                    // Prediction from a stale table; discard the pair.
-                    by_fd.remove(&fd);
-                    report.cross_generation += 1;
-                    continue;
-                }
-                entry.3 = entry.3.saturating_add(ev.dur.as_nanos());
-            }
-            _ => {}
+        if let Some(settled) = pairing.observe(ev) {
+            report.note(settled);
         }
     }
+    pairing.pending().for_each(|settled| report.note(settled));
+    // Stable: a re-predicted fd keeps its pairs in prediction order.
+    report.samples.sort_by_key(|s| s.fd);
 
     let mut by_class: BTreeMap<u64, Vec<AccuracySample>> = BTreeMap::new();
-    for (fd, (predicted_ns, class, generation, actual_ns, faulted)) in by_fd {
-        if actual_ns == 0 {
-            report.unread_predictions += 1;
-            continue;
-        }
-        let s = AccuracySample {
-            fd,
-            class,
-            generation,
-            predicted_ns,
-            actual_ns,
-            faulted,
-        };
-        if faulted {
-            report.faulted_requests += 1;
-        }
-        report.samples.push(s);
-        by_class.entry(class).or_default().push(s);
+    for s in &report.samples {
+        by_class.entry(s.class).or_default().push(*s);
     }
-
     for (class, samples) in by_class {
         if let Some(c) = summarize_class(class, &samples) {
             report.classes.push(c);
@@ -201,85 +153,99 @@ pub fn audit_accuracy(events: &[TraceEvent]) -> AuditReport {
     report
 }
 
-/// The continuous half of the audit: pairs predictions with read spans as
-/// they happen, feeding completed pairs into the per-class
-/// [`AccuracyWindow`](crate::metrics::AccuracyWindow)s of a [`Metrics`]
-/// snapshot — so `FSLEDS_STAT` reports rolling prediction error mid-run
-/// instead of only after the fact.
-///
-/// The tracer owns one and drives it from its hooks; it holds only
-/// integer state keyed by fd (fds are never reused), so it replays
-/// bit-identically.
-#[derive(Debug, Default)]
-pub struct AccuracyTracker {
-    /// The sleds-table generation currently in force (last `FSLEDS_RECAL`).
-    generation: u64,
-    /// Open predictions: fd -> (class, generation, predicted_ns, actual_ns).
-    open: BTreeMap<u64, (u64, u64, u64, u64)>,
+/// How a prediction pair ended.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Settled {
+    /// Settled with reads: a sample.
+    Read(AccuracySample),
+    /// Settled with no reads.
+    Unread,
+    /// Dropped: its fd was read under another sleds-table generation.
+    CrossGeneration,
 }
 
-impl AccuracyTracker {
-    /// Records a new prediction for `fd`, finalizing any previous one on
-    /// the same fd into `metrics`.
-    pub fn note_predict(
-        &mut self,
-        metrics: &mut Metrics,
-        fd: u64,
-        predicted_ns: u64,
-        class: u64,
-        generation: u64,
-    ) {
-        if let Some(prev) = self.open.insert(fd, (class, generation, predicted_ns, 0)) {
-            Self::finalize(metrics, prev);
+/// The pairing machine: pairs each `sleds.predict` mark with the read
+/// spans that follow it on its fd. It holds only integer state keyed by
+/// fd (fds are never reused), so it replays bit-identically.
+#[derive(Debug, Default)]
+pub(crate) struct Pairing {
+    /// The sleds-table generation in force (the last `sleds.recal`).
+    generation: u64,
+    /// Open pairs by fd; `actual_ns` is the read time so far.
+    open: BTreeMap<u64, AccuracySample>,
+    /// The fd of the read or pread span now open. The simulator is
+    /// single-threaded and synchronous, so a fault or retry mark emitted
+    /// inside a read belongs to that read.
+    reading: Option<u64>,
+}
+
+impl Pairing {
+    /// Feeds one event; returns the pair it settled, if any.
+    pub(crate) fn observe(&mut self, ev: &TraceEvent) -> Option<Settled> {
+        use EventPhase::{Begin, End, Mark};
+        match (ev.phase, ev.layer, ev.name) {
+            (Begin, Layer::Syscall, "read" | "pread") => self.reading = Some(ev.args[0]),
+            (End, Layer::Syscall, "read" | "pread") => {
+                self.reading = None;
+                let fd = ev.args[0];
+                let pair = self.open.get_mut(&fd)?;
+                if pair.generation != self.generation {
+                    self.open.remove(&fd);
+                    return Some(Settled::CrossGeneration);
+                }
+                pair.actual_ns = pair.actual_ns.saturating_add(ev.dur.as_nanos());
+            }
+            (End, Layer::Syscall, "close") => return self.open.remove(&ev.args[0]).map(settle),
+            (Mark, Layer::App, "sleds.predict") => {
+                let (class, generation) = unpack_class_generation(ev.args[2]);
+                let pair = AccuracySample {
+                    fd: ev.args[0],
+                    class,
+                    generation,
+                    predicted_ns: ev.args[1],
+                    actual_ns: 0,
+                    faulted: false,
+                };
+                return self.open.insert(pair.fd, pair).map(settle);
+            }
+            (Mark, Layer::App, "sleds.recal") => self.generation = ev.args[0],
+            (Mark, Layer::Device, "fault.inject" | "io.retry") => {
+                if let Some(pair) = self.reading.and_then(|fd| self.open.get_mut(&fd)) {
+                    pair.faulted = true;
+                }
+            }
+            _ => {}
         }
+        None
     }
 
-    /// Accumulates one traced read span into the open prediction for `fd`.
-    /// A read under a different generation than the prediction drops the
-    /// pair (counted in `metrics.accuracy_cross_generation`).
-    pub fn note_read(&mut self, metrics: &mut Metrics, fd: u64, dur_ns: u64) {
-        let Some(entry) = self.open.get_mut(&fd) else {
-            return;
-        };
-        if entry.1 != self.generation {
-            self.open.remove(&fd);
-            metrics.accuracy_cross_generation += 1;
-            return;
-        }
-        entry.3 = entry.3.saturating_add(dur_ns);
+    /// How every still-open pair would settle now, in fd order; the pairs
+    /// stay open.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = Settled> + '_ {
+        self.open.values().map(|&pair| settle(pair))
     }
+}
 
-    /// Finalizes the open prediction for `fd` (the file was closed).
-    pub fn note_close(&mut self, metrics: &mut Metrics, fd: u64) {
-        if let Some(entry) = self.open.remove(&fd) {
-            Self::finalize(metrics, entry);
-        }
-    }
-
-    /// Notes a sleds-table generation bump (`FSLEDS_RECAL`).
-    pub fn note_recal(&mut self, generation: u64) {
-        self.generation = generation;
-    }
-
-    /// Copies still-open pairs into `metrics` without consuming them, so a
-    /// snapshot taken mid-file still reflects the reads so far.
-    pub fn flush_into(&self, metrics: &mut Metrics) {
-        for entry in self.open.values() {
-            Self::finalize(metrics, *entry);
-        }
-    }
-
-    fn finalize(
-        metrics: &mut Metrics,
-        (class, _generation, predicted_ns, actual_ns): (u64, u64, u64, u64),
-    ) {
-        if actual_ns > 0 {
-            metrics.note_accuracy(class, predicted_ns, actual_ns);
-        }
+fn settle(pair: AccuracySample) -> Settled {
+    if pair.actual_ns == 0 {
+        Settled::Unread
+    } else {
+        Settled::Read(pair)
     }
 }
 
 impl AuditReport {
+    fn note(&mut self, settled: Settled) {
+        match settled {
+            Settled::Read(pair) => {
+                self.faulted_requests += usize::from(pair.faulted);
+                self.samples.push(pair);
+            }
+            Settled::Unread => self.unread_predictions += 1,
+            Settled::CrossGeneration => self.cross_generation += 1,
+        }
+    }
+
     /// Serializes the report in the house results-JSON style
     /// (cf. `results/AUDIT_recal.json`). Hand-rolled and
     /// fixed-precision so identical runs serialize identically.
@@ -349,26 +315,41 @@ impl AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Mark;
     use crate::tracer::Tracer;
     use sleds_sim_core::SimTime;
 
-    fn traced_read(t: &mut Tracer, fd: u64, at: u64, dur: u64) {
-        t.begin(Layer::Syscall, "read", SimTime::from_nanos(at), [fd, 0, 0]);
+    fn syscall(t: &mut Tracer, name: &'static str, fd: u64, at: u64, dur: u64) {
+        t.begin(Layer::Syscall, name, SimTime::from_nanos(at), [fd, 0, 0]);
         t.end(SimTime::from_nanos(at + dur));
+    }
+
+    fn traced_read(t: &mut Tracer, fd: u64, at: u64, dur: u64) {
+        syscall(t, "read", fd, at, dur);
+    }
+
+    fn predict(t: &mut Tracer, at: u64, fd: u64, predicted_ns: u64, class: u64, generation: u64) {
+        let mark = Mark::Predict {
+            fd,
+            predicted_ns,
+            class,
+            generation,
+        };
+        t.mark(SimTime::from_nanos(at), mark);
     }
 
     #[test]
     fn pairs_predictions_with_read_spans_per_class() {
         let mut t = Tracer::enabled();
         // fd 3 on disk: predicted 1ms, actual 2 reads x 600us = 1.2ms.
-        t.predict(SimTime::ZERO, 3, 1_000_000, 1, 0);
+        predict(&mut t, 0, 3, 1_000_000, 1, 0);
         traced_read(&mut t, 3, 100, 600_000);
         traced_read(&mut t, 3, 700_200, 600_000);
         // fd 4 on tape: predicted 2s, actual 1s.
-        t.predict(SimTime::from_nanos(2_000_000), 4, 2_000_000_000, 4, 0);
+        predict(&mut t, 2_000_000, 4, 2_000_000_000, 4, 0);
         traced_read(&mut t, 4, 3_000_000, 1_000_000_000);
         // fd 5: predicted but never read.
-        t.predict(SimTime::from_nanos(5_000_000), 5, 42, 1, 0);
+        predict(&mut t, 5_000_000, 5, 42, 1, 0);
         let rep = audit_accuracy(&t.events());
         assert_eq!(rep.samples.len(), 2);
         assert_eq!(rep.unread_predictions, 1);
@@ -388,11 +369,11 @@ mod tests {
         let mut t = Tracer::enabled();
         // Prediction under generation 0, but the table is recalibrated
         // (generation 1) before any read lands: the pair must be dropped.
-        t.predict(SimTime::ZERO, 3, 1_000_000, 1, 0);
-        t.recal(SimTime::from_nanos(50), 1);
+        predict(&mut t, 0, 3, 1_000_000, 1, 0);
+        t.mark(SimTime::from_nanos(50), Mark::Recal { generation: 1 });
         traced_read(&mut t, 3, 100, 999); // stale; must not pair
                                           // A fresh prediction under generation 1 pairs normally.
-        t.predict(SimTime::from_nanos(2_000), 4, 5_000, 1, 1);
+        predict(&mut t, 2_000, 4, 5_000, 1, 1);
         traced_read(&mut t, 4, 3_000, 4_000);
         let rep = audit_accuracy(&t.events());
         assert_eq!(rep.cross_generation, 1);
@@ -403,45 +384,87 @@ mod tests {
     }
 
     #[test]
+    fn close_and_reprediction_settle_the_open_pair() {
+        let mut t = Tracer::enabled();
+        // fd 3: read, then predicted again — two pairs, in that order.
+        predict(&mut t, 0, 3, 1_000, 1, 0);
+        traced_read(&mut t, 3, 10, 800);
+        predict(&mut t, 900, 3, 2_000, 1, 0);
+        traced_read(&mut t, 3, 1_000, 1_500);
+        // fd 4: predicted twice with no read between — one unread.
+        predict(&mut t, 3_000, 4, 7, 2, 0);
+        predict(&mut t, 3_001, 4, 9, 2, 0);
+        syscall(&mut t, "close", 4, 3_002, 5);
+        // A fault inside a read tags its pair; one outside tags nothing.
+        predict(&mut t, 4_000, 5, 100, 3, 0);
+        let fault = Mark::FaultInject {
+            class: 3,
+            attempt: 1,
+            cost_ns: 50,
+        };
+        t.mark(SimTime::from_nanos(4_001), fault);
+        t.begin(
+            Layer::Syscall,
+            "pread",
+            SimTime::from_nanos(4_010),
+            [5, 0, 0],
+        );
+        t.mark(SimTime::from_nanos(4_020), fault);
+        t.end(SimTime::from_nanos(4_110));
+        let rep = audit_accuracy(&t.events());
+        let pairs: Vec<_> = rep
+            .samples
+            .iter()
+            .map(|s| (s.fd, s.predicted_ns, s.actual_ns, s.faulted))
+            .collect();
+        assert_eq!(
+            pairs,
+            [
+                (3, 1_000, 800, false),
+                (3, 2_000, 1_500, false),
+                (5, 100, 100, true)
+            ]
+        );
+        assert_eq!((rep.unread_predictions, rep.faulted_requests), (2, 1));
+    }
+
+    #[test]
     fn tracker_maintains_rolling_windows() {
-        let mut m = Metrics::default();
-        let mut tr = AccuracyTracker::default();
-        tr.note_predict(&mut m, 3, 1_000, 1, 0);
-        tr.note_read(&mut m, 3, 800);
-        tr.note_read(&mut m, 3, 400);
-        // Snapshot mid-file sees the open pair.
-        let mut snap = m.clone();
-        tr.flush_into(&mut snap);
+        let mut t = Tracer::enabled();
+        predict(&mut t, 0, 3, 1_000, 1, 0);
+        traced_read(&mut t, 3, 10, 800);
+        traced_read(&mut t, 3, 900, 400);
+        // A snapshot mid-file sees the open pair.
+        let snap = t.metrics_snapshot().unwrap();
         assert_eq!(snap.device[1].accuracy.len(), 1);
         assert_eq!(
             snap.device[1].accuracy.samples().next(),
             Some((1_000, 1_200))
         );
         // The live metrics see it only on close.
-        assert!(m.device[1].accuracy.is_empty());
-        tr.note_close(&mut m, 3);
-        assert_eq!(m.device[1].accuracy.len(), 1);
+        assert!(t.metrics().unwrap().device[1].accuracy.is_empty());
+        syscall(&mut t, "close", 3, 2_000, 5);
+        assert_eq!(t.metrics().unwrap().device[1].accuracy.len(), 1);
         // Reads with no open prediction are ignored.
-        tr.note_read(&mut m, 99, 5);
-        assert_eq!(m.device[1].accuracy.len(), 1);
+        traced_read(&mut t, 99, 3_000, 5);
+        assert_eq!(t.metrics_snapshot().unwrap().device[1].accuracy.len(), 1);
     }
 
     #[test]
     fn tracker_drops_cross_generation_pairs() {
-        let mut m = Metrics::default();
-        let mut tr = AccuracyTracker::default();
-        tr.note_predict(&mut m, 3, 1_000, 1, 0);
-        tr.note_recal(1);
-        tr.note_read(&mut m, 3, 800);
-        assert_eq!(m.accuracy_cross_generation, 1);
-        tr.note_close(&mut m, 3);
-        assert!(m.device[1].accuracy.is_empty());
+        let mut t = Tracer::enabled();
+        predict(&mut t, 0, 3, 1_000, 1, 0);
+        t.mark(SimTime::from_nanos(5), Mark::Recal { generation: 1 });
+        traced_read(&mut t, 3, 10, 800);
+        assert_eq!(t.metrics().unwrap().accuracy_cross_generation, 1);
+        syscall(&mut t, "close", 3, 900, 5);
+        assert!(t.metrics().unwrap().device[1].accuracy.is_empty());
     }
 
     #[test]
     fn json_is_deterministic_and_balanced() {
         let mut t = Tracer::enabled();
-        t.predict(SimTime::ZERO, 3, 500, 1, 0);
+        predict(&mut t, 0, 3, 500, 1, 0);
         traced_read(&mut t, 3, 10, 400);
         let rep = audit_accuracy(&t.events());
         let a = rep.to_json("cargo run --release --example trace_viewer");

@@ -45,10 +45,20 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// The device-class code an event carries: a device mark (`fault.inject`,
+/// `io.retry`, `io.hedge`) leads with it and ends with nanoseconds, every
+/// other event carries it in `args[2]`.
+fn class_code(ev: &TraceEvent) -> u64 {
+    match (ev.layer, ev.phase) {
+        (Layer::Device, EventPhase::Mark) => ev.args[0],
+        _ => ev.args[2],
+    }
+}
+
 fn lane(ev: &TraceEvent) -> (u64, u64) {
     let pid = ev.tenant + 1;
     let tid = if matches!(ev.layer, Layer::Device) {
-        TID_DEVICE_BASE + ev.args[2]
+        TID_DEVICE_BASE + class_code(ev)
     } else {
         TID_MAIN
     };
@@ -163,7 +173,7 @@ pub fn chrome_trace_json_named(
         out.push_str(",\"a1\":");
         out.push_str(&ev.args[1].to_string());
         out.push_str(",\"class\":\"");
-        out.push_str(class_label(ev.args[2]));
+        out.push_str(class_label(class_code(ev)));
         out.push_str("\"}}");
     }
     out.push_str("\n]}\n");
@@ -268,6 +278,40 @@ mod tests {
         ));
         let opens = json.matches('{').count();
         assert_eq!(opens, json.matches('}').count());
+    }
+
+    #[test]
+    fn device_marks_share_their_class_lane() {
+        let mut events = sample();
+        for (i, (name, args)) in [
+            ("fault.inject", [1, 2, 31_000]),
+            ("io.retry", [1, 2, 250_000]),
+            ("io.hedge", [1, 3, 41_000]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            events.push(TraceEvent {
+                seq: 3 + i as u64,
+                ts: SimTime::from_nanos(8_000),
+                dur: SimDuration::ZERO,
+                phase: EventPhase::Mark,
+                layer: Layer::Device,
+                tenant: 0,
+                name,
+                args,
+            });
+        }
+        let json = chrome_trace_json(&events, 0);
+        // The disk command and all three marks sit on the disk lane: no
+        // lane keyed by a nanosecond count, none labelled unknown.
+        assert_eq!(json.matches("\"thread_name\"").count(), 2);
+        assert!(!json.contains("unknown"));
+        for name in ["fault.inject", "io.retry", "io.hedge"] {
+            assert!(json.contains(&format!(
+                "\"name\":\"{name}\",\"cat\":\"device\",\"ph\":\"i\",\"ts\":8.000,\"s\":\"t\",\"pid\":1,\"tid\":11,"
+            )));
+        }
     }
 
     #[test]

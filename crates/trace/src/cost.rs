@@ -23,17 +23,21 @@ pub enum CostOutcome {
     /// An injected fault failed submission number `attempt` after the
     /// device burned `service`; no bytes moved. It held the bus, so it
     /// feeds the queue, the recorder and — always serially — the caller's
-    /// `Rusage`, and leaves a `fault.inject` mark; it draws no device span,
-    /// no `Metrics` class row, and is not a `device_reads`/`device_writes`.
+    /// `Rusage`, and leaves a [`Mark::FaultInject`](crate::Mark::FaultInject)
+    /// mark, which `Metrics::faults_injected` counts; it draws no device
+    /// span, no `Metrics` class row, and is not a
+    /// `device_reads`/`device_writes`.
     Faulted {
         /// 1-based submission number of the logical command that failed.
         attempt: u32,
     },
     /// A hedge loser, issued and revoked: it holds its queue's *tail* (not
     /// the submit instant) for `service` — the cancel cost — at zero wait
-    /// and moves nothing. The caller pays `service` as `hedge_wait`, the
+    /// and moves nothing. The caller pays `service` as `hedge_wait` and
+    /// counts it in `Rusage::hedges` (the only hedge counter), the
     /// recorder counts one hedge plus the occupancy row, and the trace
-    /// gets an `io.hedge` mark naming the winner's class.
+    /// gets a [`Mark::IoHedge`](crate::Mark::IoHedge) naming the winner's
+    /// class.
     Cancelled {
         /// Device-class code of the request that won the race.
         winner_class: u64,

@@ -75,6 +75,172 @@ pub struct TraceEvent {
     pub args: [u64; 3],
 }
 
+/// One zero-width event, the only thing [`Tracer::mark`](crate::Tracer::mark)
+/// emits. `Mark::encode` states each variant's layer, name and argument
+/// layout, and nothing else does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mark {
+    /// `cache.hit`: a page found resident (`[page, 1, ino]`).
+    CacheHit {
+        /// Page index within the file.
+        page: u64,
+        /// Inode number.
+        ino: u64,
+    },
+    /// `cache.miss`: a run of missing pages (`[page, pages, ino]`).
+    CacheMiss {
+        /// First missing page.
+        page: u64,
+        /// Pages in the run.
+        pages: u64,
+        /// Inode number.
+        ino: u64,
+    },
+    /// `cache.evict`: a page evicted (`[page, dirty, ino]`).
+    CacheEvict {
+        /// Page index within the file.
+        page: u64,
+        /// The page needed writeback.
+        dirty: bool,
+        /// Inode number.
+        ino: u64,
+    },
+    /// `cache.writeback`: one dirty page written back (`[page, 1, ino]`).
+    CacheWriteback {
+        /// Page index within the file.
+        page: u64,
+        /// Inode number.
+        ino: u64,
+    },
+    /// `fault.inject`: one device command failed by an injected fault
+    /// (`[class, attempt, cost_ns]`).
+    FaultInject {
+        /// Device class code.
+        class: u64,
+        /// Attempt number that failed.
+        attempt: u64,
+        /// Device time the failed command burned, nanoseconds.
+        cost_ns: u64,
+    },
+    /// `io.retry`: one retry backoff (`[class, attempt, backoff_ns]`).
+    IoRetry {
+        /// Device class code.
+        class: u64,
+        /// Attempt that just failed.
+        attempt: u64,
+        /// Backoff wait, nanoseconds.
+        backoff_ns: u64,
+    },
+    /// `io.hedge`: a hedged read's loser cancelled
+    /// (`[winner, loser, cancel_ns]`).
+    IoHedge {
+        /// Winning device class code.
+        winner: u64,
+        /// Losing device class code.
+        loser: u64,
+        /// Cancel cost, nanoseconds.
+        cancel_ns: u64,
+    },
+    /// `sleds.predict`: a delivery-time prediction for an fd
+    /// (`[fd, predicted_ns, class | generation << 8]`). The audit pairs it
+    /// with the later read spans on the fd.
+    Predict {
+        /// File descriptor.
+        fd: u64,
+        /// Predicted delivery time, nanoseconds.
+        predicted_ns: u64,
+        /// Device class code of the device serving the file.
+        class: u64,
+        /// Sleds-table generation the estimate was priced from.
+        generation: u64,
+    },
+    /// `sleds.recal`: a sleds-table recalibration; later predictions are
+    /// priced from `generation` (`[generation, 0, 0]`).
+    Recal {
+        /// The new table generation.
+        generation: u64,
+    },
+    /// `ring.submit`: one serviced ring batch (`[submitted, serviced, 0]`).
+    RingSubmit {
+        /// Ops queued when the batch entered.
+        submitted: u64,
+        /// Ops serviced this crossing.
+        serviced: u64,
+    },
+    /// `ring.reap`: one completion-queue reap (`[reaped, 0, 0]`). Reaping
+    /// crosses nothing, so this is the only trace of it.
+    RingReap {
+        /// Completions returned.
+        reaped: u64,
+    },
+    /// `prog.eval`: one in-kernel pick-program evaluation
+    /// (`[len, matched, estimate_ns]`).
+    ProgEval {
+        /// Program length in instructions.
+        len: u64,
+        /// The verdict.
+        matched: bool,
+        /// The delivery estimate, nanoseconds when finite.
+        estimate_ns: u64,
+    },
+}
+
+impl Mark {
+    /// The layer, name and arguments the mark is recorded with.
+    pub(crate) fn encode(self) -> (Layer, &'static str, [u64; 3]) {
+        match self {
+            Mark::CacheHit { page, ino } => (Layer::Cache, "cache.hit", [page, 1, ino]),
+            Mark::CacheMiss { page, pages, ino } => {
+                (Layer::Cache, "cache.miss", [page, pages, ino])
+            }
+            Mark::CacheEvict { page, dirty, ino } => {
+                (Layer::Cache, "cache.evict", [page, u64::from(dirty), ino])
+            }
+            Mark::CacheWriteback { page, ino } => (Layer::Cache, "cache.writeback", [page, 1, ino]),
+            Mark::FaultInject {
+                class,
+                attempt,
+                cost_ns,
+            } => (Layer::Device, "fault.inject", [class, attempt, cost_ns]),
+            Mark::IoRetry {
+                class,
+                attempt,
+                backoff_ns,
+            } => (Layer::Device, "io.retry", [class, attempt, backoff_ns]),
+            Mark::IoHedge {
+                winner,
+                loser,
+                cancel_ns,
+            } => (Layer::Device, "io.hedge", [winner, loser, cancel_ns]),
+            Mark::Predict {
+                fd,
+                predicted_ns,
+                class,
+                generation,
+            } => (
+                Layer::App,
+                "sleds.predict",
+                [fd, predicted_ns, pack_class_generation(class, generation)],
+            ),
+            Mark::Recal { generation } => (Layer::App, "sleds.recal", [generation, 0, 0]),
+            Mark::RingSubmit {
+                submitted,
+                serviced,
+            } => (Layer::Syscall, "ring.submit", [submitted, serviced, 0]),
+            Mark::RingReap { reaped } => (Layer::Syscall, "ring.reap", [reaped, 0, 0]),
+            Mark::ProgEval {
+                len,
+                matched,
+                estimate_ns,
+            } => (
+                Layer::Syscall,
+                "prog.eval",
+                [len, u64::from(matched), estimate_ns],
+            ),
+        }
+    }
+}
+
 /// Human label for a device-class code as carried in event payloads.
 ///
 /// Codes follow the order of `sleds_devices::DeviceClass` (memory, disk,

@@ -9,6 +9,13 @@
 //! prediction-accuracy audit that pairs each `sleds_total_delivery_time`
 //! estimate with the traced actual virtual duration of the reads it covered.
 //!
+//! Every zero-width event is one [`Mark`] variant, recorded by the one
+//! emitter [`Tracer::mark`]; `Mark::encode` states its layer, name and
+//! arguments, and `Metrics::note_mark` the one counter it moves, if any.
+//! The audit runs one pairing machine both live, as the tracer emits (the
+//! per-class [`AccuracyWindow`]s `FSLEDS_STAT` reports), and post hoc over
+//! a buffer ([`audit_accuracy`]), so the two cannot disagree.
+//!
 //! Two properties are load-bearing:
 //!
 //! * **Virtual time only.** Every timestamp is the kernel's [`SimTime`](sleds_sim_core::SimTime);
@@ -46,15 +53,13 @@ mod metrics;
 mod ring;
 mod tracer;
 
-pub use audit::{
-    audit_accuracy, summarize_class, AccuracySample, AccuracyTracker, AuditReport, ClassAccuracy,
-};
+pub use audit::{audit_accuracy, summarize_class, AccuracySample, AuditReport, ClassAccuracy};
 pub use chrome::{chrome_trace_json, chrome_trace_json_named, json_escape};
 pub use cost::{CostOutcome, CostRow, DeviceCost, Wait};
 pub use event::{
-    class_label, pack_class_generation, unpack_class_generation, EventPhase, Layer, TraceEvent,
+    class_label, pack_class_generation, unpack_class_generation, EventPhase, Layer, Mark,
+    TraceEvent,
 };
 pub use flame::folded_stacks;
 pub use metrics::{AccuracyWindow, ClassMetrics, Metrics, ACCURACY_WINDOW, NUM_DEVICE_CLASSES};
-pub use ring::RingBuffer;
 pub use tracer::{span, SpanHost, Tracer, DEFAULT_CAPACITY};

@@ -14,8 +14,9 @@ use std::collections::VecDeque;
 use sleds_sim_core::index;
 use sleds_sim_core::stats::LogHistogram;
 
+use crate::audit::Settled;
 use crate::cost::DeviceCost;
-use crate::event::class_label;
+use crate::event::{class_label, Mark};
 
 /// Number of device classes tracked (memory, disk, CD-ROM, network, tape).
 pub const NUM_DEVICE_CLASSES: usize = 5;
@@ -130,8 +131,6 @@ pub struct Metrics {
     pub syscalls: u64,
     /// Per-syscall latency (entry to exit), nanoseconds.
     pub syscall_latency: LogHistogram,
-    /// Page-cache hits observed.
-    pub cache_hits: u64,
     /// Page-cache misses (major-fault runs) observed.
     pub cache_misses: u64,
     /// Pages evicted.
@@ -142,17 +141,8 @@ pub struct Metrics {
     pub device: [ClassMetrics; NUM_DEVICE_CLASSES],
     /// Device commands failed by an injected fault.
     pub faults_injected: u64,
-    /// Device commands reissued after a transient fault.
-    pub io_retries: u64,
-    /// Redundant (hedged) read commands issued against replica devices;
-    /// each carries exactly one cancelled loser per issuance.
-    pub hedges: u64,
     /// Application-level spans completed.
     pub app_spans: u64,
-    /// Ring batches serviced (`ring_enter` calls that crossed).
-    pub ring_enters: u64,
-    /// Ring operations serviced across all batches.
-    pub ring_ops: u64,
     /// Completion-queue reaps (crossing-free).
     pub ring_reaps: u64,
     /// In-kernel pick-program evaluations.
@@ -172,6 +162,26 @@ impl Metrics {
     pub fn note_syscall(&mut self, dur_ns: u64) {
         self.syscalls += 1;
         self.syscall_latency.record(dur_ns);
+    }
+
+    /// Counts one mark. A mark another sink already counts moves nothing
+    /// here: `Rusage` keeps cache hits (`minor_faults`), `io_retries` and
+    /// `hedges`, the kernel keeps ring enters and serviced ring ops.
+    pub(crate) fn note_mark(&mut self, mark: Mark) {
+        match mark {
+            Mark::CacheMiss { .. } => self.cache_misses += 1,
+            Mark::CacheEvict { .. } => self.cache_evictions += 1,
+            Mark::CacheWriteback { .. } => self.cache_writebacks += 1,
+            Mark::FaultInject { .. } => self.faults_injected += 1,
+            Mark::RingReap { .. } => self.ring_reaps += 1,
+            Mark::ProgEval { .. } => self.prog_evals += 1,
+            Mark::CacheHit { .. }
+            | Mark::IoRetry { .. }
+            | Mark::IoHedge { .. }
+            | Mark::Predict { .. }
+            | Mark::Recal { .. }
+            | Mark::RingSubmit { .. } => {}
+        }
     }
 
     /// Records one served device command. The class rows see `ev.service`
@@ -194,10 +204,19 @@ impl Metrics {
         m.service.record(dur_ns);
     }
 
-    /// Records one completed (prediction, actual) accuracy pair.
-    pub fn note_accuracy(&mut self, class: u64, predicted_ns: u64, actual_ns: u64) {
-        let idx = index(class).min(NUM_DEVICE_CLASSES - 1);
-        self.device[idx].accuracy.push(predicted_ns, actual_ns);
+    /// Records one settled prediction pair: a read pair joins its class's
+    /// accuracy window, a cross-generation drop is counted.
+    pub(crate) fn note_settled(&mut self, settled: Settled) {
+        match settled {
+            Settled::Read(pair) => {
+                let idx = index(pair.class).min(NUM_DEVICE_CLASSES - 1);
+                self.device[idx]
+                    .accuracy
+                    .push(pair.predicted_ns, pair.actual_ns);
+            }
+            Settled::Unread => {}
+            Settled::CrossGeneration => self.accuracy_cross_generation += 1,
+        }
     }
 
     /// Total device commands across every class.
@@ -240,8 +259,8 @@ impl Metrics {
             self.syscall_latency.max(),
         ));
         out.push_str(&format!(
-            "cache hits {} misses {} evictions {} writebacks {}\n",
-            self.cache_hits, self.cache_misses, self.cache_evictions, self.cache_writebacks,
+            "cache misses {} evictions {} writebacks {}\n",
+            self.cache_misses, self.cache_evictions, self.cache_writebacks,
         ));
         for (code, m) in self.device.iter().enumerate() {
             if m.reads + m.writes == 0 {
@@ -280,22 +299,16 @@ impl Metrics {
                 ));
             }
         }
-        if self.faults_injected + self.io_retries > 0 {
-            out.push_str(&format!(
-                "faults injected {} retries {}\n",
-                self.faults_injected, self.io_retries
-            ));
-        }
-        if self.hedges > 0 {
-            out.push_str(&format!("hedged reads {}\n", self.hedges));
+        if self.faults_injected > 0 {
+            out.push_str(&format!("faults injected {}\n", self.faults_injected));
         }
         if self.app_spans > 0 {
             out.push_str(&format!("app spans {}\n", self.app_spans));
         }
-        if self.ring_enters + self.prog_evals > 0 {
+        if self.ring_reaps + self.prog_evals > 0 {
             out.push_str(&format!(
-                "ring enters {} ops {} reaps {} prog evals {}\n",
-                self.ring_enters, self.ring_ops, self.ring_reaps, self.prog_evals
+                "ring reaps {} prog evals {}\n",
+                self.ring_reaps, self.prog_evals
             ));
         }
         for w in self.warnings() {

@@ -9,7 +9,7 @@ use crate::event::TraceEvent;
 
 /// Fixed-capacity event buffer with drop-oldest overflow.
 #[derive(Clone, Debug)]
-pub struct RingBuffer {
+pub(crate) struct RingBuffer {
     buf: Vec<TraceEvent>,
     cap: usize,
     /// Index of the oldest retained event once the buffer has wrapped.
@@ -19,7 +19,7 @@ pub struct RingBuffer {
 
 impl RingBuffer {
     /// Creates a buffer retaining at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> RingBuffer {
+    pub(crate) fn new(capacity: usize) -> RingBuffer {
         let cap = capacity.max(1);
         RingBuffer {
             buf: Vec::new(),
@@ -30,7 +30,7 @@ impl RingBuffer {
     }
 
     /// Appends an event, overwriting the oldest when full.
-    pub fn push(&mut self, ev: TraceEvent) {
+    pub(crate) fn push(&mut self, ev: TraceEvent) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
@@ -40,18 +40,8 @@ impl RingBuffer {
         }
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Number of events overwritten by overflow.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
@@ -59,23 +49,18 @@ impl RingBuffer {
     /// once. Occupancy only grows until it hits capacity, so this equals
     /// `len()` — exposed separately so `FSLEDS_STAT` can report occupancy
     /// against capacity even after a future `clear` is added.
-    pub fn high_water(&self) -> u64 {
+    pub(crate) fn high_water(&self) -> u64 {
         self.buf.len() as u64
     }
 
-    /// Capacity the buffer was created with.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Iterates retained events oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
         let n = self.buf.len();
         (0..n).map(move |i| &self.buf[(self.start + i) % n.max(1)])
     }
 
     /// Copies retained events oldest-first into a fresh vector.
-    pub fn to_vec(&self) -> Vec<TraceEvent> {
+    pub(crate) fn to_vec(&self) -> Vec<TraceEvent> {
         self.iter().copied().collect()
     }
 }
@@ -105,7 +90,7 @@ mod tests {
         for s in 0..5 {
             r.push(ev(s));
         }
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.high_water(), 3);
         assert_eq!(r.dropped(), 2);
         let seqs: Vec<u64> = r.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4]);
@@ -117,14 +102,14 @@ mod tests {
         let mut r = RingBuffer::new(0);
         r.push(ev(1));
         r.push(ev(2));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.high_water(), 1);
         assert_eq!(r.iter().next().map(|e| e.seq), Some(2));
     }
 
     #[test]
     fn empty_iterates_nothing() {
         let r = RingBuffer::new(4);
-        assert!(r.is_empty());
+        assert_eq!(r.high_water(), 0);
         assert_eq!(r.iter().count(), 0);
     }
 }

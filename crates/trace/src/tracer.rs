@@ -1,30 +1,67 @@
 //! The tracer the kernel owns.
 //!
-//! Disabled is the default and costs one pointer-null check per hook; no
-//! allocation, no event, no metric. Enabled, every hook stamps the caller's
-//! [`SimTime`] into the ring buffer — the tracer itself never advances the
-//! clock or touches `Rusage`, so traced and untraced runs produce
-//! byte-identical virtual results.
+//! Disabled is the default and costs one pointer-null check per call
+//! ([`span`], [`Tracer::mark`], [`Tracer::device`]); no allocation, no
+//! event, no metric. Enabled, every call stamps the caller's [`SimTime`]
+//! into the ring buffer — the tracer itself never advances the clock or
+//! touches `Rusage`, so traced and untraced runs produce byte-identical
+//! virtual results.
 
 use sleds_sim_core::{SimDuration, SimTime};
 
-use crate::audit::AccuracyTracker;
+use crate::audit::Pairing;
 use crate::cost::DeviceCost;
-use crate::event::{pack_class_generation, EventPhase, Layer, TraceEvent};
+use crate::event::{EventPhase, Layer, Mark, TraceEvent};
 use crate::metrics::Metrics;
 use crate::ring::RingBuffer;
 
 /// Default ring-buffer capacity (events retained).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
+/// What an event is: its layer, name and arguments.
+type What = (Layer, &'static str, [u64; 3]);
+
 struct Inner {
     ring: RingBuffer,
     metrics: Metrics,
-    tracker: AccuracyTracker,
+    /// Pairs predictions with reads as the events go by, feeding the
+    /// metrics' accuracy windows.
+    pairing: Pairing,
     seq: u64,
     /// Open spans, innermost last. The simulator is single-threaded and
     /// synchronous, so begin/end nest like a call stack.
-    stack: Vec<(Layer, &'static str, SimTime, [u64; 3])>,
+    stack: Vec<(SimTime, What)>,
+}
+
+impl Inner {
+    fn emit(
+        &mut self,
+        tenant: u64,
+        ts: SimTime,
+        dur: SimDuration,
+        phase: EventPhase,
+        (layer, name, args): What,
+    ) {
+        let ev = TraceEvent {
+            seq: self.seq,
+            ts,
+            dur,
+            phase,
+            layer,
+            tenant,
+            name,
+            args,
+        };
+        self.seq += 1;
+        if let Some(settled) = self.pairing.observe(&ev) {
+            self.metrics.note_settled(settled);
+        }
+        self.ring.push(ev);
+        // Mirror the ring's truncation state into the metrics so an
+        // `FSLEDS_STAT` snapshot can flag audits over a clipped buffer.
+        self.metrics.trace_dropped = self.ring.dropped();
+        self.metrics.trace_high_water = self.ring.high_water();
+    }
 }
 
 /// Event sink owned by the kernel; a no-op unless enabled.
@@ -115,7 +152,7 @@ pub fn span<H: SpanHost, T>(
 }
 
 impl Tracer {
-    /// A disabled tracer: every hook is a null check.
+    /// A disabled tracer: every call is a null check.
     pub fn disabled() -> Tracer {
         Tracer {
             inner: None,
@@ -134,7 +171,7 @@ impl Tracer {
             inner: Some(Box::new(Inner {
                 ring: RingBuffer::new(capacity),
                 metrics: Metrics::default(),
-                tracker: AccuracyTracker::default(),
+                pairing: Pairing::default(),
                 seq: 0,
                 stack: Vec::new(),
             })),
@@ -158,38 +195,6 @@ impl Tracer {
         self.tenant
     }
 
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the fields of one TraceEvent, passed apart so callers keep a split borrow of `inner`"
-    )]
-    fn emit(
-        inner: &mut Inner,
-        tenant: u64,
-        ts: SimTime,
-        dur: SimDuration,
-        phase: EventPhase,
-        layer: Layer,
-        name: &'static str,
-        args: [u64; 3],
-    ) {
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.ring.push(TraceEvent {
-            seq,
-            ts,
-            dur,
-            phase,
-            layer,
-            tenant,
-            name,
-            args,
-        });
-        // Mirror the ring's truncation state into the metrics so an
-        // `FSLEDS_STAT` snapshot can flag audits over a clipped buffer.
-        inner.metrics.trace_dropped = inner.ring.dropped();
-        inner.metrics.trace_high_water = inner.ring.high_water();
-    }
-
     /// Opens a span. Crate-private: outside this crate the only way to
     /// open one is [`span`], which also closes it.
     pub(crate) fn begin(&mut self, layer: Layer, name: &'static str, ts: SimTime, args: [u64; 3]) {
@@ -197,16 +202,13 @@ impl Tracer {
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
-        inner.stack.push((layer, name, ts, args));
-        Self::emit(
-            inner,
+        inner.stack.push((ts, (layer, name, args)));
+        inner.emit(
             tenant,
             ts,
             SimDuration::ZERO,
             EventPhase::Begin,
-            layer,
-            name,
-            args,
+            (layer, name, args),
         );
     }
 
@@ -217,183 +219,31 @@ impl Tracer {
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
-        let Some((layer, name, began, args)) = inner.stack.pop() else {
+        let Some((began, what)) = inner.stack.pop() else {
             return;
         };
         let dur = ts.duration_since(began);
-        match layer {
-            Layer::Syscall => {
-                inner.metrics.note_syscall(dur.as_nanos());
-                // Feed the continuous accuracy tracker: read spans extend
-                // the open prediction on their fd, close finalizes it.
-                match name {
-                    "read" | "pread" => {
-                        inner
-                            .tracker
-                            .note_read(&mut inner.metrics, args[0], dur.as_nanos());
-                    }
-                    "close" => inner.tracker.note_close(&mut inner.metrics, args[0]),
-                    _ => {}
-                }
-            }
+        match what.0 {
+            Layer::Syscall => inner.metrics.note_syscall(dur.as_nanos()),
             Layer::App => inner.metrics.app_spans += 1,
             Layer::Cache | Layer::Device => {}
         }
-        Self::emit(inner, tenant, ts, dur, EventPhase::End, layer, name, args);
+        inner.emit(tenant, ts, dur, EventPhase::End, what);
     }
 
-    /// Emits a zero-width marker.
-    pub fn instant(&mut self, layer: Layer, name: &'static str, ts: SimTime, args: [u64; 3]) {
+    /// Records a zero-width marker: the one emitter of every [`Mark`].
+    pub fn mark(&mut self, ts: SimTime, mark: Mark) {
         let tenant = self.tenant;
         let Some(inner) = self.inner.as_mut() else {
             return;
         };
-        Self::emit(
-            inner,
+        inner.metrics.note_mark(mark);
+        inner.emit(
             tenant,
             ts,
             SimDuration::ZERO,
             EventPhase::Mark,
-            layer,
-            name,
-            args,
-        );
-    }
-
-    /// Records a page-cache hit (`args`: page index within file, ino).
-    pub fn cache_hit(&mut self, ts: SimTime, page: u64, ino: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.cache_hits += 1;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Cache,
-            "cache.hit",
-            [page, 1, ino],
-        );
-    }
-
-    /// Records a page-cache miss run (`pages` missing pages starting at `page`).
-    pub fn cache_miss(&mut self, ts: SimTime, page: u64, pages: u64, ino: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.cache_misses += 1;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Cache,
-            "cache.miss",
-            [page, pages, ino],
-        );
-    }
-
-    /// Records an eviction (`dirty` is 1 when the page needed writeback).
-    pub fn cache_evict(&mut self, ts: SimTime, page: u64, dirty: u64, ino: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.cache_evictions += 1;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Cache,
-            "cache.evict",
-            [page, dirty, ino],
-        );
-    }
-
-    /// Records one injected device fault (`args`: device class code,
-    /// attempt number that failed, cost of the failed command in ns).
-    pub fn fault_inject(&mut self, ts: SimTime, class: u64, attempt: u64, cost_ns: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.faults_injected += 1;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Device,
-            "fault.inject",
-            [class, attempt, cost_ns],
-        );
-    }
-
-    /// Records one hedged read: a redundant request was issued and the
-    /// loser cancelled (`args`: winning device class code, losing device
-    /// class code, cancel cost in ns).
-    pub fn io_hedge(&mut self, ts: SimTime, winner_class: u64, loser_class: u64, cancel_ns: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.hedges += 1;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Device,
-            "io.hedge",
-            [winner_class, loser_class, cancel_ns],
-        );
-    }
-
-    /// Records one retry backoff (`args`: device class code, attempt that
-    /// just failed, backoff wait in ns).
-    pub fn io_retry(&mut self, ts: SimTime, class: u64, attempt: u64, backoff_ns: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.io_retries += 1;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Device,
-            "io.retry",
-            [class, attempt, backoff_ns],
-        );
-    }
-
-    /// Records one dirty-page writeback.
-    pub fn cache_writeback(&mut self, ts: SimTime, page: u64, ino: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.cache_writebacks += 1;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Cache,
-            "cache.writeback",
-            [page, 1, ino],
+            mark.encode(),
         );
     }
 
@@ -422,15 +272,12 @@ impl Tracer {
             return;
         };
         inner.metrics.note_device(ev, transfer_ns);
-        Self::emit(
-            inner,
+        inner.emit(
             ev.tenant,
             ev.submit,
             ev.queue_wait + ev.service,
             EventPhase::Complete,
-            Layer::Device,
-            name,
-            [ev.sector, ev.sectors, ev.class],
+            (Layer::Device, name, [ev.sector, ev.sectors, ev.class]),
         );
         let mut at = ev.submit;
         let train = [("queue_wait", ev.queue_wait)];
@@ -438,131 +285,15 @@ impl Tracer {
             if pdur.is_zero() {
                 continue;
             }
-            Self::emit(
-                inner,
+            inner.emit(
                 ev.tenant,
                 at,
                 pdur,
                 EventPhase::Complete,
-                Layer::Device,
-                pname,
-                [ev.sector, 0, ev.class],
+                (Layer::Device, pname, [ev.sector, 0, ev.class]),
             );
             at += pdur;
         }
-    }
-
-    /// Records a delivery-time prediction for `fd` (nanoseconds, device
-    /// class of the file's home device, sleds-table generation the
-    /// estimate was priced from). The accuracy audit pairs this marker
-    /// with the subsequent traced read spans on the same fd, and the
-    /// generation lets it discard pairs that straddle a recalibration.
-    pub fn predict(
-        &mut self,
-        ts: SimTime,
-        fd: u64,
-        predicted_ns: u64,
-        class: u64,
-        generation: u64,
-    ) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner
-            .tracker
-            .note_predict(&mut inner.metrics, fd, predicted_ns, class, generation);
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::App,
-            "sleds.predict",
-            [fd, predicted_ns, pack_class_generation(class, generation)],
-        );
-    }
-
-    /// Records one serviced ring batch (`args`: ops submitted when the
-    /// batch entered, ops actually serviced this crossing).
-    pub fn ring_submit(&mut self, ts: SimTime, submitted: u64, serviced: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.ring_enters += 1;
-        inner.metrics.ring_ops += serviced;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Syscall,
-            "ring.submit",
-            [submitted, serviced, 0],
-        );
-    }
-
-    /// Records one completion-queue reap (`reaped` completions returned).
-    /// Reaping crosses nothing, so this is the only trace of it.
-    pub fn ring_reap(&mut self, ts: SimTime, reaped: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.ring_reaps += 1;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Syscall,
-            "ring.reap",
-            [reaped, 0, 0],
-        );
-    }
-
-    /// Records one in-kernel pick-program evaluation (`args`: program
-    /// length in instructions, verdict 1/0, estimate in ns when finite).
-    pub fn prog_eval(&mut self, ts: SimTime, prog_len: u64, matched: u64, estimate_ns: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.metrics.prog_evals += 1;
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::Syscall,
-            "prog.eval",
-            [prog_len, matched, estimate_ns],
-        );
-    }
-
-    /// Records a sleds-table recalibration: predictions emitted after this
-    /// marker were priced from table generation `generation`.
-    pub fn recal(&mut self, ts: SimTime, generation: u64) {
-        let tenant = self.tenant;
-        let Some(inner) = self.inner.as_mut() else {
-            return;
-        };
-        inner.tracker.note_recal(generation);
-        Self::emit(
-            inner,
-            tenant,
-            ts,
-            SimDuration::ZERO,
-            EventPhase::Mark,
-            Layer::App,
-            "sleds.recal",
-            [generation, 0, 0],
-        );
     }
 
     /// Retained events, oldest first.
@@ -578,15 +309,17 @@ impl Tracer {
         self.inner.as_ref().map(|i| &i.metrics)
     }
 
-    /// Owned metrics snapshot with the accuracy tracker's still-open
-    /// prediction pairs folded in; `None` when disabled. This is what
-    /// `FSLEDS_STAT` and `FSLEDS_RECAL` hand out: mid-run, a prediction
-    /// whose file is still being read has partial actual time, and the
-    /// snapshot should reflect it without disturbing the live tracker.
+    /// Owned metrics snapshot with the still-open prediction pairs folded
+    /// in; `None` when disabled. This is what `FSLEDS_STAT` and
+    /// `FSLEDS_RECAL` hand out: mid-run, a prediction whose file is still
+    /// being read has partial actual time, and the snapshot should reflect
+    /// it without settling the live pair.
     pub fn metrics_snapshot(&self) -> Option<Metrics> {
         self.inner.as_ref().map(|i| {
             let mut m = i.metrics.clone();
-            i.tracker.flush_into(&mut m);
+            i.pairing
+                .pending()
+                .for_each(|settled| m.note_settled(settled));
             m
         })
     }
@@ -616,7 +349,7 @@ mod tests {
         let mut t = Tracer::disabled();
         t.begin(Layer::Syscall, "read", SimTime::ZERO, [0; 3]);
         t.end(SimTime::from_nanos(10));
-        t.cache_hit(SimTime::ZERO, 0, 0);
+        t.mark(SimTime::ZERO, Mark::CacheHit { page: 0, ino: 0 });
         assert!(!t.is_enabled());
         assert!(t.events().is_empty());
         assert!(t.metrics().is_none());
@@ -637,6 +370,155 @@ mod tests {
         let m = t.metrics().unwrap();
         assert_eq!(m.syscalls, 1);
         assert_eq!(m.syscall_latency.count(), 1);
+    }
+
+    /// Every mark emits the layer, name and arguments the exporters and
+    /// the audit read, and moves at most one `Metrics` counter — none
+    /// where `Rusage` or the kernel keeps the count.
+    #[test]
+    fn every_mark_emits_its_event_and_moves_at_most_one_counter() {
+        type Bump = fn(&mut Metrics);
+        let none: Bump = |_| {};
+        let table: [(Mark, Layer, &str, [u64; 3], Bump); 12] = [
+            (
+                Mark::CacheHit { page: 7, ino: 9 },
+                Layer::Cache,
+                "cache.hit",
+                [7, 1, 9],
+                none,
+            ),
+            (
+                Mark::CacheMiss {
+                    page: 7,
+                    pages: 4,
+                    ino: 9,
+                },
+                Layer::Cache,
+                "cache.miss",
+                [7, 4, 9],
+                |m| m.cache_misses += 1,
+            ),
+            (
+                Mark::CacheEvict {
+                    page: 7,
+                    dirty: true,
+                    ino: 9,
+                },
+                Layer::Cache,
+                "cache.evict",
+                [7, 1, 9],
+                |m| m.cache_evictions += 1,
+            ),
+            (
+                Mark::CacheWriteback { page: 7, ino: 9 },
+                Layer::Cache,
+                "cache.writeback",
+                [7, 1, 9],
+                |m| m.cache_writebacks += 1,
+            ),
+            (
+                Mark::FaultInject {
+                    class: 2,
+                    attempt: 3,
+                    cost_ns: 500,
+                },
+                Layer::Device,
+                "fault.inject",
+                [2, 3, 500],
+                |m| m.faults_injected += 1,
+            ),
+            (
+                Mark::IoRetry {
+                    class: 2,
+                    attempt: 3,
+                    backoff_ns: 600,
+                },
+                Layer::Device,
+                "io.retry",
+                [2, 3, 600],
+                none,
+            ),
+            (
+                Mark::IoHedge {
+                    winner: 1,
+                    loser: 3,
+                    cancel_ns: 700,
+                },
+                Layer::Device,
+                "io.hedge",
+                [1, 3, 700],
+                none,
+            ),
+            (
+                Mark::Predict {
+                    fd: 5,
+                    predicted_ns: 800,
+                    class: 4,
+                    generation: 2,
+                },
+                Layer::App,
+                "sleds.predict",
+                [5, 800, 4 | 2 << 8],
+                none,
+            ),
+            (
+                Mark::Recal { generation: 2 },
+                Layer::App,
+                "sleds.recal",
+                [2, 0, 0],
+                none,
+            ),
+            (
+                Mark::RingSubmit {
+                    submitted: 6,
+                    serviced: 5,
+                },
+                Layer::Syscall,
+                "ring.submit",
+                [6, 5, 0],
+                none,
+            ),
+            (
+                Mark::RingReap { reaped: 4 },
+                Layer::Syscall,
+                "ring.reap",
+                [4, 0, 0],
+                |m| m.ring_reaps += 1,
+            ),
+            (
+                Mark::ProgEval {
+                    len: 12,
+                    matched: true,
+                    estimate_ns: 900,
+                },
+                Layer::Syscall,
+                "prog.eval",
+                [12, 1, 900],
+                |m| m.prog_evals += 1,
+            ),
+        ];
+        for (mark, layer, name, args, bump) in table {
+            let mut t = Tracer::enabled();
+            t.set_tenant(3);
+            t.mark(SimTime::from_nanos(42), mark);
+            let ev = TraceEvent {
+                seq: 0,
+                ts: SimTime::from_nanos(42),
+                dur: SimDuration::ZERO,
+                phase: EventPhase::Mark,
+                layer,
+                tenant: 3,
+                name,
+                args,
+            };
+            assert_eq!(t.events(), [ev], "{mark:?}");
+            let mut want = Metrics {
+                trace_high_water: 1,
+                ..Metrics::default()
+            };
+            bump(&mut want);
+            assert_eq!(t.metrics(), Some(&want), "{mark:?}");
+        }
     }
 
     /// A 16-sector disk read at sector 8, submitted at 1 µs, serviced in
