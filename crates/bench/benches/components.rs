@@ -343,7 +343,8 @@ fn bench_kernel_tables() {
 
 /// The flight recorder's host costs. `time` prints ns per call; divide
 /// `capture_fold` and `capture_hex` by the byte count in the name for
-/// ns/B, `capture_codec` by 1,000 for ns/op.
+/// ns/B, `capture_codec/*_1000_*` by 1,000 for ns/op; the artifact's case
+/// prints its own ns/op.
 fn bench_capture() {
     let mut payload = vec![0u8; 2 << 20];
     DetRng::new(16).fill_bytes(&mut payload);
@@ -452,6 +453,18 @@ fn bench_capture() {
             CaptureFile::parse(&text).unwrap().capture.ops.len()
         });
     }
+    // The committed capture: the mix a real run records (opens, ring
+    // enters, errnos, class rows), not one call a thousand times.
+    let artifact = include_str!("../../../results/CAPTURE_saturation.jsonl");
+    let ops = CaptureFile::parse(artifact).unwrap().capture.ops.len();
+    let parse = time("capture_codec/parse_saturation_artifact", || {
+        CaptureFile::parse(artifact).unwrap().capture.ops.len()
+    });
+    println!(
+        "{:<44} {:>14.1} ns/op    ({ops} ops)",
+        "",
+        parse.ns_per_iter / ops as f64
+    );
 }
 
 fn main() {

@@ -6,6 +6,13 @@
 //! (fields in one fixed order, integers in decimal, every `f64` as its
 //! IEEE bits), so byte-comparing two capture files *is* the identity
 //! property.
+//!
+//! Each `read_*` is its `write_*` run backwards: the same keys in the same
+//! order, each through [`Reader::field`]; a tagged object (a call's `op`, a
+//! setup step's `step`, a window's `kind`, a volume's `layout`) reads its
+//! tag, then `match`es on it for the keys that follow. A field is one write
+//! line and one read line, and the reader refuses any key but the next one
+//! the writer puts.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -18,7 +25,7 @@ use sleds_fs::{
 };
 use sleds_sim_core::{Errno, SimDuration, SimTime};
 
-use crate::json::{self, hex_encode, need, push_escaped, push_u64, Reader};
+use crate::json::{hex_encode, push_escaped, push_u64, Reader};
 use crate::setup::{SetupStep, WorkloadSpec};
 
 /// A capture plus the environment it ran in — everything replay needs.
@@ -85,7 +92,7 @@ impl CaptureFile {
         while !r.at_end() {
             line += 1;
             let op = r
-                .line(|r| read_op(r, &mut paths))
+                .line(|r| read_op(r, &mut paths, ops.len()))
                 .map_err(|e| format!("op line {line}: {e}"))?;
             ops.extend(op);
         }
@@ -393,7 +400,7 @@ fn write_call(out: &mut String, call: &Syscall) {
             });
         }
         // Not capturable (their pricing tables have no capture form): a
-        // recorder poisons instead of storing one, and `parse_call`
+        // recorder poisons instead of storing one, and `read_call`
         // rejects the name, so a hand-built capture fails loudly on load.
         Syscall::FsledsGet { .. } | Syscall::PickAdvice { .. } => {}
     }
@@ -456,294 +463,190 @@ fn list<'a, T>(
     Ok(items)
 }
 
-/// `n` as the narrower integer type a field holds.
-fn narrow<T: TryFrom<u64>>(n: u64, key: &str) -> Result<T, String> {
-    T::try_from(n).map_err(|_| format!("{key} {n} out of range"))
+/// An integer field, as the type that holds it: a `u64`, or a narrower
+/// one whose range it must fit.
+fn int<T: TryFrom<u64>>(r: &mut Reader, key: &str) -> Result<T, String> {
+    r.field(key, |r| {
+        let n = r.u64()?;
+        T::try_from(n).map_err(|_| format!("{key} {n} out of range"))
+    })
 }
 
 /// A string field, owned.
-fn owned(slot: Option<Cow<'_, str>>, key: &str) -> Result<String, String> {
-    need(slot, key).map(Cow::into_owned)
-}
-
-/// Tagged objects — a call's `op`, a setup step's `step`, a window's
-/// `kind`, a fault entry's `dev` — hold the keys their tag's value names,
-/// so the tag comes first, as the writer puts it. Reads the tag when `key`
-/// is it (`None`), else returns the tag read before.
-fn tagged<'a, 's>(
-    r: &mut Reader<'a>,
-    slot: &'s mut Option<Cow<'a, str>>,
-    tag: &str,
-    key: &str,
-    at: usize,
-) -> Result<Option<&'s str>, String> {
-    if key == tag {
-        r.fill(slot, key, at, Reader::string)?;
-        return Ok(None);
-    }
-    slot.as_deref()
-        .map(Some)
-        .ok_or_else(|| format!("{key:?} at offset {at} comes before {tag:?}"))
+fn text(r: &mut Reader, key: &str) -> Result<String, String> {
+    r.field(key, |r| r.string().map(Cow::into_owned))
 }
 
 /// Reads an `f64` from its bits. Every multiplier in a capture scales a
 /// service time: NaN, an infinity, zero or a negative would replay
 /// "successfully" into nonsense.
 fn multiplier(r: &mut Reader, key: &str) -> Result<f64, String> {
-    let bits = r.u64()?;
-    let m = f64::from_bits(bits);
-    if m.is_finite() && m > 0.0 {
-        Ok(m)
-    } else {
-        Err(format!(
-            "{key} {bits} is {m}, not a finite positive multiplier"
-        ))
-    }
+    r.field(key, |r| {
+        let bits = r.u64()?;
+        let m = f64::from_bits(bits);
+        if m.is_finite() && m > 0.0 {
+            Ok(m)
+        } else {
+            Err(format!(
+                "{key} {bits} is {m}, not a finite positive multiplier"
+            ))
+        }
+    })
 }
 
 /// The header: the capture without its ops, and how many ops it declares.
 fn read_header(r: &mut Reader) -> Result<(CaptureFile, usize), String> {
-    let [mut budget, mut ops, mut queue] = [None; 3];
-    let [mut base_ns, mut cancel_ns] = [None; 2];
-    let (mut schema, mut complete, mut reason, mut machine) = (None, None, None, None);
-    let (mut hedge_max, mut hedge_mult, mut setup, mut faults) = (None, None, None, None);
-    r.object(|r, key, at| match key {
-        "schema" => r.fill(&mut schema, key, at, |r| match r.string()? {
+    r.object(|r| {
+        r.field("schema", |r| match r.string()? {
             s if s == CAPTURE_SCHEMA => Ok(()),
             s => Err(format!(
                 "unknown capture schema {s:?} (expected {CAPTURE_SCHEMA:?})"
             )),
-        }),
-        "complete" => r.fill(&mut complete, key, at, Reader::bool),
-        "incomplete_reason" => r.fill(&mut reason, key, at, |r| {
+        })?;
+        let complete = r.field("complete", Reader::bool)?;
+        let incomplete_reason = r.field("incomplete_reason", |r| {
             r.nullable(|r| r.string().map(Cow::into_owned))
-        }),
-        "budget" | "ops" | "cmd_queue_capacity" => {
-            let slot = match key {
-                "budget" => &mut budget,
-                "ops" => &mut ops,
-                _ => &mut queue,
-            };
-            r.fill(slot, key, at, |r| narrow(r.u64()?, key))
+        })?;
+        // The recorder sets both together: a reason on a complete capture
+        // is a file edited after the fact.
+        if complete == incomplete_reason.is_some() {
+            return Err(format!(
+                "complete is {complete} but incomplete_reason is {incomplete_reason:?}"
+            ));
         }
-        "base_ns" => r.fill(&mut base_ns, key, at, Reader::u64),
-        "machine" => r.fill(&mut machine, key, at, Reader::string),
-        "hedge_max" => r.fill(&mut hedge_max, key, at, |r| narrow(r.u64()?, key)),
-        "hedge_deadline_mult_bits" => r.fill(&mut hedge_mult, key, at, |r| multiplier(r, key)),
-        "hedge_cancel_ns" => r.fill(&mut cancel_ns, key, at, Reader::u64),
-        "setup" => r.fill(&mut setup, key, at, |r| list(r, read_step)),
-        "faults" => r.fill(&mut faults, key, at, |r| {
-            let mut plan = FaultPlan::new();
-            r.array(|r| read_fault_entry(r, &mut plan))?;
-            Ok(plan)
-        }),
-        _ => Err(json::unknown(key, at)),
-    })?;
-    need(schema, "schema")?;
-    let spec = WorkloadSpec {
-        machine: owned(machine, "machine")?,
-        cmd_queue_capacity: need(queue, "cmd_queue_capacity")?,
-        setup: need(setup, "setup")?,
-        fault_plan: need(faults, "faults")?,
-        hedge: sleds_fs::HedgePolicy {
-            max_hedges: need(hedge_max, "hedge_max")?,
-            deadline_mult: need(hedge_mult, "hedge_deadline_mult_bits")?,
-            cancel_cost: SimDuration::from_nanos(need(cancel_ns, "hedge_cancel_ns")?),
-        },
-    };
-    let capture = Capture {
-        complete: need(complete, "complete")?,
-        incomplete_reason: need(reason, "incomplete_reason")?,
-        budget: need(budget, "budget")?,
-        base_ns: need(base_ns, "base_ns")?,
-        ops: Vec::new(),
-    };
-    Ok((CaptureFile { spec, capture }, need(ops, "ops")?))
+        let capture = Capture {
+            complete,
+            incomplete_reason,
+            budget: int(r, "budget")?,
+            base_ns: int(r, "base_ns")?,
+            ops: Vec::new(),
+        };
+        let ops = int(r, "ops")?;
+        let spec = WorkloadSpec {
+            machine: text(r, "machine")?,
+            cmd_queue_capacity: int(r, "cmd_queue_capacity")?,
+            hedge: sleds_fs::HedgePolicy {
+                max_hedges: int(r, "hedge_max")?,
+                deadline_mult: multiplier(r, "hedge_deadline_mult_bits")?,
+                cancel_cost: SimDuration::from_nanos(int(r, "hedge_cancel_ns")?),
+            },
+            setup: r.field("setup", |r| list(r, read_step))?,
+            fault_plan: r.field("faults", |r| {
+                let mut plan = FaultPlan::new();
+                r.array(|r| read_fault_entry(r, &mut plan))?;
+                Ok(plan)
+            })?,
+        };
+        Ok((CaptureFile { spec, capture }, ops))
+    })
 }
 
 /// One `{"dev":…,"windows":[…]}` entry, added to `plan`.
 fn read_fault_entry(r: &mut Reader, plan: &mut FaultPlan) -> Result<(), String> {
-    let (mut dev, mut windows) = (None, None);
-    r.object(|r, key, at| {
-        let Some(dev) = tagged(r, &mut dev, "dev", key, at)? else {
-            return Ok(());
-        };
-        match key {
-            "windows" => r.fill(&mut windows, key, at, |r| {
-                let mut i = 0;
-                r.array(|r| {
-                    let taken = std::mem::take(&mut *plan);
-                    *plan =
-                        read_window(r, taken, dev).map_err(|e| format!("{dev} window {i}: {e}"))?;
-                    i += 1;
-                    Ok(())
-                })
-            }),
-            _ => Err(json::unknown(key, at)),
-        }
-    })?;
-    need(dev, "dev")?;
-    need(windows, "windows")
+    r.object(|r| {
+        let dev = r.field("dev", Reader::string)?;
+        r.field("windows", |r| {
+            let mut i = 0;
+            r.array(|r| {
+                let taken = std::mem::take(&mut *plan);
+                *plan =
+                    read_window(r, taken, &dev).map_err(|e| format!("{dev} window {i}: {e}"))?;
+                i += 1;
+                Ok(())
+            })
+        })
+    })
 }
 
 /// One fault window on `dev`, added to `plan`.
 fn read_window(r: &mut Reader, plan: FaultPlan, dev: &str) -> Result<FaultPlan, String> {
-    let mut kind = None;
-    let [mut start, mut end, mut fail_cost, mut probe_cost] = [None; 4];
-    let (mut budget, mut mult) = (None, None);
-    r.object(|r, key, at| {
-        let Some(kind) = tagged(r, &mut kind, "kind", key, at)? else {
-            return Ok(());
-        };
-        let slot = match (kind, key) {
-            (_, "start_ns") => &mut start,
-            (_, "end_ns") => &mut end,
-            ("transient", "fail_cost_ns") => &mut fail_cost,
-            ("transient", "budget") => {
-                return r.fill(&mut budget, key, at, |r| narrow(r.u64()?, key))
+    r.object(|r| {
+        let kind = r.field("kind", Reader::string)?;
+        let (start, end) = (int(r, "start_ns")?, int(r, "end_ns")?);
+        if end <= start {
+            return Err(format!("end_ns {end} is not after start_ns {start}"));
+        }
+        let (start, end) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
+        let ns = |r: &mut Reader, key| int(r, key).map(SimDuration::from_nanos);
+        Ok(match &*kind {
+            "transient" => {
+                plan.transient(dev, start, end, int(r, "budget")?, ns(r, "fail_cost_ns")?)
             }
-            ("degraded", "multiplier_bits") => {
-                return r.fill(&mut mult, key, at, |r| multiplier(r, key))
-            }
-            ("offline", "probe_cost_ns") => &mut probe_cost,
-            _ => return Err(json::unknown(key, at)),
-        };
-        r.fill(slot, key, at, Reader::u64)
-    })?;
-    let (start, end) = (need(start, "start_ns")?, need(end, "end_ns")?);
-    if end <= start {
-        return Err(format!("end_ns {end} is not after start_ns {start}"));
-    }
-    let (start, end) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
-    let ns = |slot, key| need(slot, key).map(SimDuration::from_nanos);
-    Ok(match &*need(kind, "kind")? {
-        "transient" => plan.transient(
-            dev,
-            start,
-            end,
-            need(budget, "budget")?,
-            ns(fail_cost, "fail_cost_ns")?,
-        ),
-        "degraded" => plan.degraded(dev, start, end, need(mult, "multiplier_bits")?),
-        "offline" => plan.offline(dev, start, end, ns(probe_cost, "probe_cost_ns")?),
-        other => return Err(format!("unknown fault window kind {other:?}")),
+            "degraded" => plan.degraded(dev, start, end, multiplier(r, "multiplier_bits")?),
+            "offline" => plan.offline(dev, start, end, ns(r, "probe_cost_ns")?),
+            other => return Err(format!("unknown fault window kind {other:?}")),
+        })
     })
 }
 
 fn read_step(r: &mut Reader) -> Result<SetupStep, String> {
-    let mut step = None;
-    let [mut path, mut model, mut name, mut layout] = [const { None }; 4];
-    let [mut disk_model, mut disk_name, mut tape_model, mut tape_name] = [const { None }; 4];
-    let [mut chunk_pages, mut stripe_pages, mut size, mut first_page, mut pages] = [None; 5];
-    let (mut k, mut members, mut data, mut free) = (None, None, None, None);
-    r.object(|r, key, at| {
-        let Some(step) = tagged(r, &mut step, "step", key, at)? else {
-            return Ok(());
+    r.object(|r| {
+        let step = r.field("step", Reader::string)?;
+        // `{"step":…,"path":…,"model":…,"name":…}`: the three plain mounts.
+        let mount = |r: &mut Reader| -> Result<[String; 3], String> {
+            Ok([text(r, "path")?, text(r, "model")?, text(r, "name")?])
         };
-        let string = Reader::string;
-        match (step, key) {
-            ("drop_caches", _) => Err(json::unknown(key, at)),
-            (_, "path") => r.fill(&mut path, key, at, string),
-            ("mount_disk" | "mount_nfs" | "mount_cdrom", "model") => {
-                r.fill(&mut model, key, at, string)
-            }
-            ("mount_disk" | "mount_nfs" | "mount_cdrom", "name") => {
-                r.fill(&mut name, key, at, string)
-            }
-            ("mount_hsm", "disk_model") => r.fill(&mut disk_model, key, at, string),
-            ("mount_hsm", "disk_name") => r.fill(&mut disk_name, key, at, string),
-            ("mount_hsm", "tape_model") => r.fill(&mut tape_model, key, at, string),
-            ("mount_hsm", "tape_name") => r.fill(&mut tape_name, key, at, string),
-            ("mount_hsm", "chunk_pages") => r.fill(&mut chunk_pages, key, at, Reader::u64),
-            // A volume's layout is the tag of the key that follows it, if any.
-            ("mount_volume", "layout") => r.fill(&mut layout, key, at, string),
-            ("mount_volume", "stripe_pages") if layout.as_deref() == Some("striped") => {
-                r.fill(&mut stripe_pages, key, at, Reader::u64)
-            }
-            ("mount_volume", "k") if layout.as_deref() == Some("coded") => {
-                r.fill(&mut k, key, at, |r| narrow(r.u64()?, key))
-            }
-            ("mount_volume", "members") => r.fill(&mut members, key, at, |r| list(r, read_member)),
-            ("install_file", "data") => r.fill(&mut data, key, at, Reader::hex),
-            ("install_sparse_file", "size") => r.fill(&mut size, key, at, Reader::u64),
-            ("warm_file_pages", "first_page") => r.fill(&mut first_page, key, at, Reader::u64),
-            ("warm_file_pages", "pages") => r.fill(&mut pages, key, at, Reader::u64),
-            ("hsm_migrate", "free") => r.fill(&mut free, key, at, Reader::bool),
-            _ => Err(json::unknown(key, at)),
-        }
-    })?;
-    let path = || owned(path, "path");
-    Ok(match &*need(step, "step")? {
-        "mkdir" => SetupStep::Mkdir { path: path()? },
-        "mount_disk" => SetupStep::MountDisk {
-            path: path()?,
-            model: owned(model, "model")?,
-            name: owned(name, "name")?,
-        },
-        "mount_nfs" => SetupStep::MountNfs {
-            path: path()?,
-            model: owned(model, "model")?,
-            name: owned(name, "name")?,
-        },
-        "mount_cdrom" => SetupStep::MountCdrom {
-            path: path()?,
-            model: owned(model, "model")?,
-            name: owned(name, "name")?,
-        },
-        "mount_hsm" => SetupStep::MountHsm {
-            path: path()?,
-            disk_model: owned(disk_model, "disk_model")?,
-            disk_name: owned(disk_name, "disk_name")?,
-            tape_model: owned(tape_model, "tape_model")?,
-            tape_name: owned(tape_name, "tape_name")?,
-            chunk_pages: need(chunk_pages, "chunk_pages")?,
-        },
-        "mount_volume" => SetupStep::MountVolume {
-            path: path()?,
-            layout: match &*need(layout, "layout")? {
-                "mirrored" => VolumeLayout::Mirrored,
-                "striped" => VolumeLayout::Striped {
-                    stripe_pages: need(stripe_pages, "stripe_pages")?,
-                },
-                "coded" => VolumeLayout::Coded { k: need(k, "k")? },
-                other => return Err(format!("unknown volume layout {other:?}")),
+        Ok(match &*step {
+            "mkdir" => SetupStep::Mkdir {
+                path: text(r, "path")?,
             },
-            members: need(members, "members")?,
-        },
-        "install_file" => SetupStep::InstallFile {
-            path: path()?,
-            data: need(data, "data")?,
-        },
-        "install_sparse_file" => SetupStep::InstallSparseFile {
-            path: path()?,
-            size: need(size, "size")?,
-        },
-        "warm_file_pages" => SetupStep::WarmFilePages {
-            path: path()?,
-            first_page: need(first_page, "first_page")?,
-            pages: need(pages, "pages")?,
-        },
-        "hsm_migrate" => SetupStep::HsmMigrate {
-            path: path()?,
-            free: need(free, "free")?,
-        },
-        "drop_caches" => SetupStep::DropCaches,
-        other => return Err(format!("unknown setup step {other:?}")),
+            "mount_disk" => {
+                let [path, model, name] = mount(r)?;
+                SetupStep::MountDisk { path, model, name }
+            }
+            "mount_nfs" => {
+                let [path, model, name] = mount(r)?;
+                SetupStep::MountNfs { path, model, name }
+            }
+            "mount_cdrom" => {
+                let [path, model, name] = mount(r)?;
+                SetupStep::MountCdrom { path, model, name }
+            }
+            "mount_hsm" => SetupStep::MountHsm {
+                path: text(r, "path")?,
+                disk_model: text(r, "disk_model")?,
+                disk_name: text(r, "disk_name")?,
+                tape_model: text(r, "tape_model")?,
+                tape_name: text(r, "tape_name")?,
+                chunk_pages: int(r, "chunk_pages")?,
+            },
+            "mount_volume" => SetupStep::MountVolume {
+                path: text(r, "path")?,
+                layout: match &*r.field("layout", Reader::string)? {
+                    "mirrored" => VolumeLayout::Mirrored,
+                    "striped" => VolumeLayout::Striped {
+                        stripe_pages: int(r, "stripe_pages")?,
+                    },
+                    "coded" => VolumeLayout::Coded { k: int(r, "k")? },
+                    other => return Err(format!("unknown volume layout {other:?}")),
+                },
+                members: r.field("members", |r| {
+                    list(r, |r| {
+                        r.object(|r| Ok((text(r, "model")?, text(r, "name")?)))
+                    })
+                })?,
+            },
+            "install_file" => SetupStep::InstallFile {
+                path: text(r, "path")?,
+                data: r.field("data", Reader::hex)?,
+            },
+            "install_sparse_file" => SetupStep::InstallSparseFile {
+                path: text(r, "path")?,
+                size: int(r, "size")?,
+            },
+            "warm_file_pages" => SetupStep::WarmFilePages {
+                path: text(r, "path")?,
+                first_page: int(r, "first_page")?,
+                pages: int(r, "pages")?,
+            },
+            "hsm_migrate" => SetupStep::HsmMigrate {
+                path: text(r, "path")?,
+                free: r.field("free", Reader::bool)?,
+            },
+            "drop_caches" => SetupStep::DropCaches,
+            other => return Err(format!("unknown setup step {other:?}")),
+        })
     })
-}
-
-/// A volume member: `(model, name)`.
-fn read_member(r: &mut Reader) -> Result<(String, String), String> {
-    let (mut model, mut name) = (None, None);
-    r.object(|r, key, at| {
-        let slot = match key {
-            "model" => &mut model,
-            "name" => &mut name,
-            _ => return Err(json::unknown(key, at)),
-        };
-        r.fill(slot, key, at, Reader::string)
-    })?;
-    Ok((owned(model, "model")?, owned(name, "name")?))
 }
 
 fn parse_flags(s: &str) -> Result<OpenFlags, String> {
@@ -762,179 +665,119 @@ fn parse_flags(s: &str) -> Result<OpenFlags, String> {
 }
 
 fn read_call(r: &mut Reader) -> Result<Syscall, String> {
-    let [mut op, mut path, mut name] = [const { None }; 3];
-    let [mut fd, mut pos] = [None; 2];
-    let [mut len, mut capacity] = [None; 2];
-    let (mut offset, mut whence, mut flags, mut data, mut ring) = (None, None, None, None, None);
-    r.object(|r, key, at| {
-        let Some(op) = tagged(r, &mut op, "op", key, at)? else {
-            return Ok(());
-        };
-        match (op, key) {
-            ("close" | "fsync" | "fstat" | "lseek" | "read" | "pread" | "write", "fd") => {
-                r.fill(&mut fd, key, at, Reader::u64)
-            }
-            ("pread", "pos") => r.fill(&mut pos, key, at, Reader::u64),
-            ("read" | "pread", "len") | ("ring_enter", "capacity") => {
-                let slot = if key == "len" {
-                    &mut len
-                } else {
-                    &mut capacity
-                };
-                r.fill(slot, key, at, |r| narrow(r.u64()?, key))
-            }
-            ("open" | "stat" | "mkdir" | "readdir" | "unlink", "path") => {
-                r.fill(&mut path, key, at, Reader::string)
-            }
-            ("tenant_register", "name") => r.fill(&mut name, key, at, Reader::string),
-            ("open", "flags") => r.fill(&mut flags, key, at, |r| parse_flags(&r.string()?)),
-            ("lseek", "offset") => r.fill(&mut offset, key, at, Reader::i64),
-            ("lseek", "whence") => r.fill(&mut whence, key, at, |r| {
-                let code = r.u64()?;
-                Whence::from_code(code).ok_or_else(|| format!("unknown whence code {code}"))
-            }),
-            ("write", "data") => r.fill(&mut data, key, at, Reader::hex),
-            ("ring_enter", "ops") => r.fill(&mut ring, key, at, |r| list(r, read_ring_op)),
-            _ => Err(json::unknown(key, at)),
-        }
-    })?;
-    let fd = || need(fd, "fd").map(Fd);
-    let path = || owned(path, "path");
-    Ok(match &*need(op, "op")? {
-        "tenant_register" => Syscall::TenantRegister {
-            name: owned(name, "name")?,
-        },
-        "open" => Syscall::Open {
-            path: path()?,
-            flags: need(flags, "flags")?,
-        },
-        "close" => Syscall::Close { fd: fd()? },
-        "lseek" => Syscall::Lseek {
-            fd: fd()?,
-            offset: need(offset, "offset")?,
-            whence: need(whence, "whence")?,
-        },
-        "read" => Syscall::Read {
-            fd: fd()?,
-            len: need(len, "len")?,
-        },
-        "pread" => Syscall::Pread {
-            fd: fd()?,
-            pos: need(pos, "pos")?,
-            len: need(len, "len")?,
-        },
-        "write" => Syscall::Write {
-            fd: fd()?,
-            data: need(data, "data")?,
-        },
-        "fsync" => Syscall::Fsync { fd: fd()? },
-        "stat" => Syscall::Stat { path: path()? },
-        "fstat" => Syscall::Fstat { fd: fd()? },
-        "mkdir" => Syscall::Mkdir { path: path()? },
-        "readdir" => Syscall::Readdir { path: path()? },
-        "unlink" => Syscall::Unlink { path: path()? },
-        "ring_enter" => Syscall::RingEnter {
-            capacity: need(capacity, "capacity")?,
-            ops: need(ring, "ops")?,
-        },
-        other => return Err(format!("unknown or uncapturable op {other:?}")),
+    r.object(|r| {
+        let op = r.field("op", Reader::string)?;
+        let fd = |r: &mut Reader| int(r, "fd").map(Fd);
+        Ok(match &*op {
+            "tenant_register" => Syscall::TenantRegister {
+                name: text(r, "name")?,
+            },
+            "open" => Syscall::Open {
+                path: text(r, "path")?,
+                flags: r.field("flags", |r| parse_flags(&r.string()?))?,
+            },
+            "close" => Syscall::Close { fd: fd(r)? },
+            "lseek" => Syscall::Lseek {
+                fd: fd(r)?,
+                offset: r.field("offset", Reader::i64)?,
+                whence: r.field("whence", |r| {
+                    let code = r.u64()?;
+                    Whence::from_code(code).ok_or_else(|| format!("unknown whence code {code}"))
+                })?,
+            },
+            "read" => Syscall::Read {
+                fd: fd(r)?,
+                len: int(r, "len")?,
+            },
+            "pread" => Syscall::Pread {
+                fd: fd(r)?,
+                pos: int(r, "pos")?,
+                len: int(r, "len")?,
+            },
+            "write" => Syscall::Write {
+                fd: fd(r)?,
+                data: r.field("data", Reader::hex)?,
+            },
+            "fsync" => Syscall::Fsync { fd: fd(r)? },
+            "stat" => Syscall::Stat {
+                path: text(r, "path")?,
+            },
+            "fstat" => Syscall::Fstat { fd: fd(r)? },
+            "mkdir" => Syscall::Mkdir {
+                path: text(r, "path")?,
+            },
+            "readdir" => Syscall::Readdir {
+                path: text(r, "path")?,
+            },
+            "unlink" => Syscall::Unlink {
+                path: text(r, "path")?,
+            },
+            "ring_enter" => Syscall::RingEnter {
+                capacity: int(r, "capacity")?,
+                ops: r.field("ops", |r| {
+                    list(r, |r| {
+                        r.object(|r| Ok((int(r, "user_data")?, r.field("call", read_call)?)))
+                    })
+                })?,
+            },
+            other => return Err(format!("unknown or uncapturable op {other:?}")),
+        })
     })
-}
-
-/// A ring op: `(user_data, call)`.
-fn read_ring_op(r: &mut Reader) -> Result<(u64, Syscall), String> {
-    let (mut user_data, mut call) = (None, None);
-    r.object(|r, key, at| match key {
-        "user_data" => r.fill(&mut user_data, key, at, Reader::u64),
-        "call" => r.fill(&mut call, key, at, read_call),
-        _ => Err(json::unknown(key, at)),
-    })?;
-    Ok((need(user_data, "user_data")?, need(call, "call")?))
-}
-
-/// A class row: `(class, cost)`.
-fn read_class(r: &mut Reader) -> Result<(u64, CostRow), String> {
-    let [mut class, mut commands, mut bytes, mut queue_wait_ns, mut service_ns] = [None; 5];
-    r.object(|r, key, at| {
-        let slot = match key {
-            "class" => &mut class,
-            "commands" => &mut commands,
-            "queue_wait_ns" => &mut queue_wait_ns,
-            "service_ns" => &mut service_ns,
-            "bytes" => &mut bytes,
-            _ => return Err(json::unknown(key, at)),
-        };
-        r.fill(slot, key, at, Reader::u64)
-    })?;
-    let row = CostRow {
-        commands: need(commands, "commands")?,
-        bytes: need(bytes, "bytes")?,
-        queue_wait_ns: need(queue_wait_ns, "queue_wait_ns")?,
-        service_ns: need(service_ns, "service_ns")?,
-    };
-    Ok((need(class, "class")?, row))
 }
 
 /// The outcome, whose device totals must be the sum of its class rows.
 fn read_outcome(r: &mut Reader) -> Result<OpOutcome, String> {
-    let [mut ret, mut data_len, mut data_fold, mut complete_ns, mut hedges] = [None; 5];
-    let [mut commands, mut bytes, mut queue_wait_ns, mut service_ns] = [None; 4];
-    let (mut ok, mut errno, mut classes) = (None, None, None);
-    r.object(|r, key, at| {
-        let slot = match key {
-            "ok" => return r.fill(&mut ok, key, at, Reader::bool),
-            "errno" => {
-                return r.fill(&mut errno, key, at, |r| {
-                    r.nullable(|r| {
-                        let name = r.string()?;
-                        Errno::from_name(&name).ok_or_else(|| format!("unknown errno {name:?}"))
-                    })
+    r.object(|r| {
+        let mut outcome = OpOutcome {
+            ok: r.field("ok", Reader::bool)?,
+            errno: r.field("errno", |r| {
+                r.nullable(|r| {
+                    let name = r.string()?;
+                    Errno::from_name(&name).ok_or_else(|| format!("unknown errno {name:?}"))
                 })
-            }
-            "ret" => &mut ret,
-            "data_len" => &mut data_len,
-            "data_fold" => &mut data_fold,
-            "complete_ns" => &mut complete_ns,
-            "queue_wait_ns" => &mut queue_wait_ns,
-            "service_ns" => &mut service_ns,
-            "device_commands" => &mut commands,
-            "device_bytes" => &mut bytes,
-            "hedges" => &mut hedges,
-            "classes" => return r.fill(&mut classes, key, at, |r| list(r, read_class)),
-            _ => return Err(json::unknown(key, at)),
+            })?,
+            ret: int(r, "ret")?,
+            data_len: int(r, "data_len")?,
+            data_fold: int(r, "data_fold")?,
+            complete_ns: int(r, "complete_ns")?,
+            ..OpOutcome::default()
         };
-        r.fill(slot, key, at, Reader::u64)
-    })?;
-    let classes: Vec<(u64, CostRow)> = need(classes, "classes")?;
-    if let Some(pair) = classes.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
-        return Err(format!(
-            "class row {} after row {}: rows must ascend strictly",
-            pair[1].0, pair[0].0
-        ));
-    }
-    let outcome = OpOutcome {
-        ok: need(ok, "ok")?,
-        errno: need(errno, "errno")?,
-        ret: need(ret, "ret")?,
-        data_len: need(data_len, "data_len")?,
-        data_fold: need(data_fold, "data_fold")?,
-        complete_ns: need(complete_ns, "complete_ns")?,
-        hedges: need(hedges, "hedges")?,
-        classes,
-    };
-    let totals = CostRow {
-        commands: need(commands, "device_commands")?,
-        bytes: need(bytes, "device_bytes")?,
-        queue_wait_ns: need(queue_wait_ns, "queue_wait_ns")?,
-        service_ns: need(service_ns, "service_ns")?,
-    };
-    if outcome.device() != totals {
-        return Err(format!(
-            "outcome totals {totals:?} are not the sum of its class rows {:?}",
-            outcome.device()
-        ));
-    }
-    Ok(outcome)
+        let totals = CostRow {
+            queue_wait_ns: int(r, "queue_wait_ns")?,
+            service_ns: int(r, "service_ns")?,
+            commands: int(r, "device_commands")?,
+            bytes: int(r, "device_bytes")?,
+        };
+        outcome.hedges = int(r, "hedges")?;
+        outcome.classes = r.field("classes", |r| {
+            list(r, |r| {
+                r.object(|r| {
+                    let class = int(r, "class")?;
+                    let row = CostRow {
+                        commands: int(r, "commands")?,
+                        queue_wait_ns: int(r, "queue_wait_ns")?,
+                        service_ns: int(r, "service_ns")?,
+                        bytes: int(r, "bytes")?,
+                    };
+                    Ok((class, row))
+                })
+            })
+        })?;
+        let classes = &outcome.classes;
+        if let Some(pair) = classes.windows(2).find(|pair| pair[0].0 >= pair[1].0) {
+            return Err(format!(
+                "class row {} after row {}: rows must ascend strictly",
+                pair[1].0, pair[0].0
+            ));
+        }
+        if outcome.device() != totals {
+            return Err(format!(
+                "outcome totals {totals:?} are not the sum of its class rows {:?}",
+                outcome.device()
+            ));
+        }
+        Ok(outcome)
+    })
 }
 
 /// One `Arc` per distinct path, shared by every op that names it, as the
@@ -949,33 +792,28 @@ fn interned(paths: &mut BTreeSet<Arc<str>>, path: &str) -> Arc<str> {
     shared
 }
 
-fn read_op(r: &mut Reader, paths: &mut BTreeSet<Arc<str>>) -> Result<CapturedOp, String> {
-    let [mut seq, mut tenant, mut submit_ns, mut fault_epoch] = [None; 4];
-    let (mut path, mut call, mut outcome) = (None, None, None);
-    r.object(|r, key, at| {
-        let slot = match key {
-            "seq" => &mut seq,
-            "tenant" => &mut tenant,
-            "submit_ns" => &mut submit_ns,
-            "fault_epoch" => &mut fault_epoch,
-            "path" => {
-                return r.fill(&mut path, key, at, |r| {
-                    r.nullable(|r| r.string().map(|p| interned(paths, &p)))
-                })
-            }
-            "call" => return r.fill(&mut call, key, at, read_call),
-            "outcome" => return r.fill(&mut outcome, key, at, read_outcome),
-            _ => return Err(json::unknown(key, at)),
-        };
-        r.fill(slot, key, at, Reader::u64)
-    })?;
-    Ok(CapturedOp {
-        seq: need(seq, "seq")?,
-        tenant: need(tenant, "tenant")?,
-        submit_ns: need(submit_ns, "submit_ns")?,
-        fault_epoch: need(fault_epoch, "fault_epoch")?,
-        path: need(path, "path")?,
-        call: need(call, "call")?,
-        outcome: need(outcome, "outcome")?,
+/// The op at 0-based `index` in the file: its `seq` must be that index, as
+/// the recorder numbers ops and as diffs name them.
+fn read_op(
+    r: &mut Reader,
+    paths: &mut BTreeSet<Arc<str>>,
+    index: usize,
+) -> Result<CapturedOp, String> {
+    r.object(|r| {
+        let seq = int(r, "seq")?;
+        if seq != index as u64 {
+            return Err(format!("seq {seq} is not the op's index {index}"));
+        }
+        Ok(CapturedOp {
+            seq,
+            tenant: int(r, "tenant")?,
+            submit_ns: int(r, "submit_ns")?,
+            fault_epoch: int(r, "fault_epoch")?,
+            path: r.field("path", |r| {
+                r.nullable(|r| r.string().map(|p| interned(paths, &p)))
+            })?,
+            call: r.field("call", read_call)?,
+            outcome: r.field("outcome", read_outcome)?,
+        })
     })
 }

@@ -13,11 +13,13 @@
 //! nothing is rounded through a double. An integer must be in the form the
 //! writer prints: no fraction or exponent, no leading zero, no `-0`.
 //!
-//! Keys and strings without an escape are slices of the input. An object
-//! hands each key, with its offset, to the caller, who reads the value into
-//! one slot per field ([`Reader::fill`]): a key that fills a slot twice is an
-//! error, not a silent last-one-wins, and so is a key the caller has no slot
-//! for ([`unknown`]) or a slot left empty ([`need`]).
+//! An object is read in the one order the writer puts its keys: the caller
+//! opens it ([`Reader::object`]) and names each key it expects next
+//! ([`Reader::field`]), which the reader compares byte for byte with the
+//! input before reading the value. So a key out of order, twice, undefined,
+//! ahead of the tag that governs it, or left out is one error: the key that
+//! was expected, and where. Strings without an escape are slices of the
+//! input.
 //!
 //! Everything returns `Result`: a malformed capture is a typed error,
 //! never a panic (the replayer runs on the kernel path: `clippy::panic`
@@ -128,23 +130,6 @@ pub fn hex_decode(s: &str, out: &mut Vec<u8>) -> Result<(), String> {
     Ok(())
 }
 
-/// The error for a key filled twice.
-#[cold]
-fn duplicate(key: &str, at: usize) -> String {
-    format!("duplicate key {key:?} at offset {at}")
-}
-
-/// The error for a key the schema does not define.
-#[cold]
-pub fn unknown(key: &str, at: usize) -> String {
-    format!("unknown field {key:?} at offset {at}")
-}
-
-/// The value in `slot`, or the error for a field the document left out.
-pub fn need<T>(slot: Option<T>, key: &str) -> Result<T, String> {
-    slot.ok_or_else(|| format!("missing field {key:?}"))
-}
-
 /// Maximum nesting depth; capture documents nest 5 levels (each ring op
 /// three more), this bounds adversarial input instead of recursing
 /// without limit.
@@ -190,6 +175,9 @@ pub struct Reader<'a> {
     line: usize,
     /// Objects and arrays open around the current position.
     depth: usize,
+    /// Whether the innermost open object has had no field yet, so the
+    /// next one takes no comma.
+    first_field: bool,
 }
 
 impl<'a> Reader<'a> {
@@ -201,6 +189,7 @@ impl<'a> Reader<'a> {
             pos: 0,
             line: 0,
             depth: 0,
+            first_field: false,
         }
     }
 
@@ -305,46 +294,58 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// After an item: `true` on `,` (another follows), `false` on `close`.
-    fn next_item(&mut self, close: u8, what: &str) -> Result<bool, String> {
+    /// Reads an object whose fields `read` reads, each with
+    /// [`Reader::field`], in the order the writer puts them; anything
+    /// after the last is an error.
+    pub fn object<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        self.enter(b'{')?;
+        self.first_field = true;
+        let v = read(self)?;
         self.skip_ws();
-        match self.bump() {
-            Some(b',') => {
-                self.skip_ws();
-                Ok(true)
-            }
-            Some(b) if b == close => {
-                self.depth -= 1;
-                Ok(false)
-            }
-            _ => Err(format!("bad {what} at offset {}", self.offset())),
-        }
+        self.eat(b'}')?;
+        self.depth -= 1;
+        // An enclosing object is past the field this was the value of.
+        self.first_field = false;
+        Ok(v)
     }
 
-    /// Reads an object: `each(reader, key, key offset)` for every key, in
-    /// input order, with the reader at the key's value, which `each` must
-    /// read.
-    pub fn object(
+    /// Reads the object's next field, which must be `key`, with `read`
+    /// at its value. The key is compared byte for byte, quotes included,
+    /// so one spelled with an escape is not it.
+    pub fn field<T>(
         &mut self,
-        mut each: impl FnMut(&mut Self, &str, usize) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.enter(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            let at = self.offset();
-            let key = self.string()?;
+        key: &str,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        if !self.first_field {
             self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            each(self, &key, at)?;
-            if !self.next_item(b'}', "object")? {
-                return Ok(());
+            if self.peek() != Some(b',') {
+                return Err(self.expected_key(key));
             }
+            self.pos += 1;
+            self.skip_ws();
         }
+        let quoted = self.bytes[self.pos..]
+            .strip_prefix(b"\"")
+            .and_then(|rest| rest.strip_prefix(key.as_bytes()))
+            .is_some_and(|rest| rest.first() == Some(&b'"'));
+        if !quoted {
+            return Err(self.expected_key(key));
+        }
+        self.pos += key.len() + 2;
+        self.first_field = false;
+        self.skip_ws();
+        self.eat(b':')?;
+        self.skip_ws();
+        read(self)
+    }
+
+    #[cold]
+    fn expected_key(&self, key: &str) -> String {
+        format!("expected key {key:?} at offset {}", self.offset())
     }
 
     /// Reads an array: `each(reader)` once per item, with the reader at
@@ -361,26 +362,16 @@ impl<'a> Reader<'a> {
         }
         loop {
             each(self)?;
-            if !self.next_item(b']', "array")? {
-                return Ok(());
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => self.skip_ws(),
+                Some(b']') => {
+                    self.depth -= 1;
+                    return Ok(());
+                }
+                _ => return Err(format!("bad array at offset {}", self.offset())),
             }
         }
-    }
-
-    /// Reads the value of `key` (at offset `at`) into its empty `slot`
-    /// with `read`; an already-filled slot is a duplicate key.
-    pub fn fill<T>(
-        &mut self,
-        slot: &mut Option<T>,
-        key: &str,
-        at: usize,
-        read: impl FnOnce(&mut Self) -> Result<T, String>,
-    ) -> Result<(), String> {
-        if slot.is_some() {
-            return Err(duplicate(key, at));
-        }
-        *slot = Some(read(self)?);
-        Ok(())
     }
 
     /// `null`, or the value `read` reads.
@@ -581,36 +572,47 @@ mod tests {
 
     #[test]
     fn a_text_is_read_line_by_line_with_offsets_from_each_line() {
-        let text = "{\"a\":1}\n  \r\n\t{\"a\":22} \r\n{\"a\":3}";
+        // `{"a":…,"b":…}`, in that order.
+        let object = |r: &mut Reader| {
+            r.object(|r| {
+                let a = r.field("a", Reader::u64)?;
+                r.field("b", Reader::u64)?;
+                Ok(a)
+            })
+        };
+        let text = "{\"a\":1,\"b\":0}\n  \r\n\t{\"a\":22, \"b\" :0} \r\n{\"a\":3,\"b\":0}";
         let mut r = Reader::new(text);
         let mut got = Vec::new();
         while !r.at_end() {
-            got.push(r.line(|r| {
-                let mut a = None;
-                r.object(|r, key, at| r.fill(&mut a, key, at, Reader::u64))?;
-                need(a, "a")
-            }));
+            got.push(r.line(object));
         }
         assert_eq!(got, [Ok(Some(1)), Ok(None), Ok(Some(22)), Ok(Some(3))]);
         // A line holds one document; a string never spans a line, and a
         // raw control byte is never in one.
-        let object = |r: &mut Reader| {
-            let mut a = None;
-            r.object(|r, key, at| r.fill(&mut a, key, at, Reader::u64))
-        };
         for (text, err) in [
-            ("{}\n{} {}", "trailing bytes at offset 3"),
-            ("{}\n\"a\nb\"", "control byte 0x0a in string at offset 2"),
-            ("{}\n  \"a\tb\"", "control byte 0x09 in string at offset 4"),
-            ("{}\n\n{\"a\":1,\"a\":2}", "duplicate key \"a\" at offset 7"),
+            ("{\"a\":0,\"b\":0}\n{} {}", "trailing bytes at offset 3"),
+            (
+                "{\"a\":0,\"b\":0}\n\"a\nb\"",
+                "control byte 0x0a in string at offset 2",
+            ),
+            (
+                "{\"a\":0,\"b\":0}\n  \"a\tb\"",
+                "control byte 0x09 in string at offset 4",
+            ),
+            (
+                "{\"a\":0,\"b\":0}\n\n{\"a\":1,\"a\":2}",
+                "expected key \"b\" at offset 7",
+            ),
         ] {
             let mut r = Reader::new(text);
-            assert_eq!(r.line(object), Ok(Some(())));
+            assert_eq!(r.line(object), Ok(Some(0)));
             let got = loop {
                 let line = if text.ends_with('"') {
                     r.line(|r| r.string().map(drop))
+                } else if text.ends_with("{}") {
+                    r.line(|r| r.object(|_| Ok(())))
                 } else {
-                    r.line(object)
+                    r.line(object).map(|a| a.map(drop))
                 };
                 if line != Ok(None) {
                     break line;
@@ -623,50 +625,38 @@ mod tests {
     #[test]
     fn roundtrips_nested_document() {
         let doc = r#"{"a": [1, -2, {"b": "x\ny", "c": true}], "d": null}"#;
-        let (mut a, mut d) = (None, None);
-        read(doc, |r| {
-            r.object(|r, key, at| match key {
-                "a" => r.fill(&mut a, key, at, |r| {
+        let (a, d) = read(doc, |r| {
+            r.object(|r| {
+                let a = r.field("a", |r| {
                     let mut items = Vec::new();
                     r.array(|r| {
                         items.push(match items.len() {
                             0 => r.u64()?.to_string(),
                             1 => r.i64()?.to_string(),
-                            _ => {
-                                let mut b = String::new();
-                                r.object(|r, key, _| match key {
-                                    "b" => {
-                                        b = r.string()?.into_owned();
-                                        Ok(())
-                                    }
-                                    _ => r.bool().map(|c| assert!(c)),
-                                })?;
-                                b
-                            }
+                            _ => r.object(|r| {
+                                let b = r.field("b", Reader::string)?.into_owned();
+                                assert!(r.field("c", Reader::bool)?);
+                                Ok(b)
+                            })?,
                         });
                         Ok(())
                     })?;
                     Ok(items)
-                }),
-                "d" => r.fill(&mut d, key, at, |r| r.nullable(Reader::u64)),
-                _ => Err(unknown(key, at)),
+                })?;
+                Ok((a, r.field("d", |r| r.nullable(Reader::u64))?))
             })
         })
         .unwrap();
-        assert_eq!(a.unwrap(), ["1", "-2", "x\ny"]);
-        assert_eq!(d, Some(None));
+        assert_eq!(a, ["1", "-2", "x\ny"]);
+        assert_eq!(d, None);
     }
 
     #[test]
     fn big_u64_survives_exactly() {
         let n = u64::MAX - 3;
         let doc = format!("{{\"fold\": {n}}}");
-        let mut fold = None;
-        read(&doc, |r| {
-            r.object(|r, key, at| r.fill(&mut fold, key, at, Reader::u64))
-        })
-        .unwrap();
-        assert_eq!(need(fold, "fold").unwrap(), n);
+        let fold = read(&doc, |r| r.object(|r| r.field("fold", Reader::u64))).unwrap();
+        assert_eq!(fold, n);
     }
 
     #[test]
@@ -718,31 +708,65 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let empty = |r: &mut Reader| r.object(|_, key, at| Err(unknown(key, at)));
+        let empty = |r: &mut Reader| r.object(|_| Ok(()));
         assert!(read(" {} ", empty).is_ok());
         assert!(read("{} x", empty).is_err());
     }
 
     #[test]
     fn duplicate_keys_are_rejected_with_their_offset() {
+        // `{"a":…,"A":…,"b":{"c":…}}`, in that order.
         let doc = |text| {
-            let (mut a, mut upper, mut c) = (None, None, None);
             read(text, |r| {
-                r.object(|r, key, at| match key {
-                    "a" => r.fill(&mut a, key, at, Reader::u64),
-                    "A" => r.fill(&mut upper, key, at, Reader::u64),
-                    "b" => r.object(|r, key, at| r.fill(&mut c, key, at, Reader::u64)),
-                    _ => Err(unknown(key, at)),
+                r.object(|r| {
+                    r.field("a", Reader::u64)?;
+                    r.field("A", Reader::u64)?;
+                    r.field("b", |r| r.object(|r| r.field("c", Reader::u64)))
                 })
             })
         };
-        let err = doc(r#"{"a":1,"b":{"c":2,"c":3}}"#).unwrap_err();
-        assert!(err.contains("duplicate key \"c\" at offset 18"), "{err}");
-        // An escape spells the same key.
-        assert!(doc(r#"{"a":1,"\u0061":2}"#).is_err());
-        assert!(doc(r#"{"a":1,"A":2}"#).is_ok());
-        let err = doc(r#"{"a":1,"z":2}"#).unwrap_err();
-        assert_eq!(err, "unknown field \"z\" at offset 7");
+        assert_eq!(doc(r#"{"a":1,"A":2,"b":{"c":3}}"#), Ok(3));
+        for (text, err) in [
+            // Twice: where the next key belongs, or where the object ends.
+            (
+                r#"{"a":1,"a":2,"b":{"c":3}}"#,
+                r#"expected key "A" at offset 7"#,
+            ),
+            (
+                r#"{"a":1,"A":2,"b":{"c":3,"c":3}}"#,
+                "expected '}' at offset 23, got ','",
+            ),
+            // An escape spells the key, but not in the writer's bytes.
+            (
+                r#"{"a":1,"\u0041":2,"b":{"c":3}}"#,
+                r#"expected key "A" at offset 7"#,
+            ),
+            // Undefined, out of order, missing, or only a prefix of it.
+            (
+                r#"{"a":1,"z":2,"A":2,"b":{"c":3}}"#,
+                r#"expected key "A" at offset 7"#,
+            ),
+            (
+                r#"{"A":2,"a":1,"b":{"c":3}}"#,
+                r#"expected key "a" at offset 1"#,
+            ),
+            (r#"{"a":1,"b":{"c":3}}"#, r#"expected key "A" at offset 7"#),
+            (
+                r#"{"a":1,"A":2,"b":{}}"#,
+                r#"expected key "c" at offset 18"#,
+            ),
+            (r#"{"a":1,"A":2}"#, r#"expected key "b" at offset 12"#),
+            (
+                r#"{"ab":1,"A":2,"b":{"c":3}}"#,
+                r#"expected key "a" at offset 1"#,
+            ),
+            (
+                r#"{"a":1 "A":2,"b":{"c":3}}"#,
+                r#"expected key "A" at offset 7"#,
+            ),
+        ] {
+            assert_eq!(doc(text), Err(err.to_string()), "{text}");
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! that nests the others included), every errno, edge values in every
 //! numeric field and strings that need escaping. `parse ∘ to_jsonl` must
 //! give back the capture, `to_jsonl ∘ parse` the text, and a line cut short
-//! anywhere must be refused.
+//! anywhere, or with two neighbouring keys of one object swapped, must be
+//! refused.
 //!
 //! Runs under the in-repo `check` harness; case count scales with
 //! `SLEDS_CHECK_CASES`.
@@ -212,14 +213,15 @@ fn row(rng: &mut DetRng) -> CostRow {
     }
 }
 
-fn op(rng: &mut DetRng) -> CapturedOp {
+/// The op at `seq`, its index in the capture.
+fn op(rng: &mut DetRng, seq: u64) -> CapturedOp {
     // Class rows ascend strictly by class.
     let mut ids: Vec<u64> = (0..rng.range_usize(0, 4)).map(|_| num(rng)).collect();
     ids.sort_unstable();
     ids.dedup();
     let classes = ids.into_iter().map(|id| (id, row(rng))).collect();
     CapturedOp {
-        seq: num(rng),
+        seq,
         tenant: num(rng),
         submit_ns: num(rng),
         fault_epoch: num(rng),
@@ -239,12 +241,14 @@ fn op(rng: &mut DetRng) -> CapturedOp {
 }
 
 fn file(rng: &mut DetRng) -> CaptureFile {
-    let ops: Vec<CapturedOp> = (0..rng.range_u64(0, 6)).map(|_| op(rng)).collect();
+    let ops: Vec<CapturedOp> = (0..rng.range_u64(0, 6)).map(|i| op(rng, i)).collect();
+    // A capture carries a reason exactly when it is incomplete.
+    let complete = rng.chance(0.5);
     CaptureFile {
         spec: spec(rng),
         capture: Capture {
-            complete: rng.chance(0.5),
-            incomplete_reason: rng.chance(0.5).then(|| text(rng)),
+            complete,
+            incomplete_reason: (!complete).then(|| text(rng)),
             budget: num(rng) as usize,
             base_ns: num(rng),
             ops,
@@ -269,7 +273,7 @@ fn the_generators_reach_every_call_errno_step_and_window_kind() {
     let mut seen = BTreeSet::new();
     let mut rng = DetRng::new(0xC0DEC);
     for _ in 0..2_000 {
-        let op = op(&mut rng);
+        let op = op(&mut rng, 0);
         seen.insert(format!("call {}", op.call.name()));
         seen.insert(format!("errno {:?}", op.outcome.errno));
         seen.insert(format!("step {:?}", discriminant(&step(&mut rng))));
@@ -291,7 +295,7 @@ fn the_generators_reach_every_call_errno_step_and_window_kind() {
 #[test]
 fn every_proper_prefix_of_an_op_line_is_refused() {
     check::run("every_proper_prefix_of_an_op_line_is_refused", |rng| {
-        let op = op(rng);
+        let op = op(rng, 0);
         let one = CaptureFile {
             spec: WorkloadSpec::new("table2"),
             capture: Capture {
@@ -314,4 +318,89 @@ fn every_proper_prefix_of_an_op_line_is_refused() {
             }
         }
     });
+}
+
+/// The `(start, end)` byte span of each member (`"key":value`) of one
+/// object, in order.
+type Members = Vec<(usize, usize)>;
+
+/// Every object on a line of the writer's JSON.
+fn objects(line: &str) -> Vec<Members> {
+    // Per open bracket: `Some(members, start of the current one)` for an
+    // object, `None` for an array.
+    let mut open: Vec<Option<(Members, usize)>> = Vec::new();
+    let mut done = Vec::new();
+    let bytes = line.as_bytes();
+    let mut at = 0;
+    while at < bytes.len() {
+        match bytes[at] {
+            b'"' => {
+                // Skip the string; a backslash escapes the byte after it.
+                at += 1;
+                while bytes[at] != b'"' {
+                    at += if bytes[at] == b'\\' { 2 } else { 1 };
+                }
+            }
+            b'{' => open.push(Some((Vec::new(), at + 1))),
+            b'[' => open.push(None),
+            b']' => drop(open.pop()),
+            b',' | b'}' => {
+                if let Some(Some((members, start))) = open.last_mut() {
+                    members.push((*start, at));
+                    *start = at + 1;
+                }
+                if bytes[at] == b'}' {
+                    done.extend(open.pop().flatten().map(|(members, _)| members));
+                }
+            }
+            _ => {}
+        }
+        at += 1;
+    }
+    done
+}
+
+#[test]
+fn every_swap_of_two_neighbouring_keys_is_refused_naming_the_expected_key() {
+    check::run(
+        "every_swap_of_two_neighbouring_keys_is_refused_naming_the_expected_key",
+        |rng| {
+            let mut file = file(rng);
+            if file.capture.ops.is_empty() {
+                file.capture.ops.push(op(rng, 0));
+            }
+            let text = file.to_jsonl();
+            let lines: Vec<&str> = text.lines().collect();
+            for (at, whose) in [(0, "header"), (1, "op line 2")] {
+                let line = lines[at];
+                for members in objects(line) {
+                    for pair in members.windows(2) {
+                        let [(a, a_end), (b, b_end)] = [pair[0], pair[1]];
+                        let key = &line[a..line[a + 1..].find('"').unwrap() + a + 2];
+                        let swapped = [
+                            &line[..a],
+                            &line[b..b_end],
+                            ",",
+                            &line[a..a_end],
+                            &line[b_end..],
+                        ]
+                        .concat();
+                        let mut bad = lines.clone();
+                        bad[at] = &swapped;
+                        let bad = bad.join("\n") + "\n";
+                        let Err(err) = CaptureFile::parse(&bad) else {
+                            panic!("{whose}: swapped {key} with its neighbour and it loaded");
+                        };
+                        // The first key out of place is where the writer's
+                        // first one of the two belongs.
+                        let want = format!("expected key {key} at offset {a}");
+                        assert!(
+                            err.starts_with(whose) && err.contains(&want),
+                            "{want}: {err}"
+                        );
+                    }
+                }
+            }
+        },
+    );
 }

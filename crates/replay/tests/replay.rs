@@ -572,19 +572,28 @@ fn every_errno_roundtrips_and_an_unknown_one_names_its_line() {
 fn duplicate_keys_are_refused_in_the_header_and_in_an_op() {
     let text = file_of(Syscall::Fsync { fd: Fd(3) }).to_jsonl();
     // Last-one-wins would quietly replay 16 ops' budget as 1, or the op
-    // as another tenant's.
-    for (from, to, whose) in [
-        ("\"budget\":16,", "\"budget\":16,\"budget\":1,", "header"),
-        ("\"tenant\":2,", "\"tenant\":2,\"tenant\":0,", "op line 2"),
-        ("\"ret\":4,", "\"ret\":4,\"ret\":5,", "op line 2"),
+    // as another tenant's. The second copy sits where the writer's next
+    // key belongs.
+    for (from, to, want) in [
+        (
+            "\"budget\":16,",
+            "\"budget\":16,\"budget\":1,",
+            "header: expected key \"base_ns\" at offset 82",
+        ),
+        (
+            "\"tenant\":2,",
+            "\"tenant\":2,\"tenant\":0,",
+            "op line 2: expected key \"submit_ns\" at offset 20",
+        ),
+        (
+            "\"ret\":4,",
+            "\"ret\":4,\"ret\":5,",
+            "op line 2: expected key \"data_len\" at offset 149",
+        ),
     ] {
         let bad = text.replacen(from, to, 1);
         assert_ne!(bad, text);
-        let err = CaptureFile::parse(&bad).unwrap_err();
-        assert!(
-            err.starts_with(whose) && err.contains("duplicate key") && err.contains("at offset"),
-            "{err}"
-        );
+        assert_eq!(CaptureFile::parse(&bad).unwrap_err(), want, "{to}");
     }
 }
 
@@ -613,116 +622,157 @@ fn keys_the_schema_does_not_define_and_non_canonical_integers_are_refused() {
         FaultPlan::new().degraded("hda", SimTime::from_nanos(10), SimTime::from_nanos(20), 2.5);
     let text = file.to_jsonl();
     assert_eq!(CaptureFile::parse(&text).unwrap().to_jsonl(), text);
-    let unknown = "unknown field";
-    for (from, to, whose, refusal) in [
+    // A key the writer never puts there is refused where it stands: the
+    // error names the line, the offset and the key the writer puts next.
+    for (from, to, want) in [
         (
             "\"budget\":16,",
             "\"budget\":16,\"bogus\":1,",
-            "header",
-            unknown,
+            "header: expected key \"base_ns\" at offset 82",
         ),
         (
             "{\"step\":\"mkdir\",",
             "{\"step\":\"mkdir\",\"bogus\":1,",
-            "header",
-            unknown,
+            "header: expected key \"path\" at offset 257",
         ),
+        // A key of another variant counts.
         (
             "{\"step\":\"mkdir\",",
             "{\"step\":\"mkdir\",\"size\":1,",
-            "header",
-            unknown,
+            "header: expected key \"path\" at offset 257",
         ),
         (
             "\"layout\":\"mirrored\",",
             "\"layout\":\"mirrored\",\"k\":2,",
-            "header",
-            unknown,
+            "header: expected key \"members\" at offset 632",
         ),
         (
             "{\"model\":\"nfs_metro\",",
             "{\"model\":\"nfs_metro\",\"x\":1,",
-            "header",
-            unknown,
+            "header: expected key \"name\" at offset 700",
         ),
         (
             "{\"dev\":\"hda\",",
             "{\"dev\":\"hda\",\"bogus\":1,",
-            "header",
-            unknown,
+            "header: expected key \"windows\" at offset 739",
         ),
         (
             "{\"kind\":\"degraded\",",
             "{\"kind\":\"degraded\",\"x\":1,",
-            "header",
-            unknown,
+            "header: hda window 0: expected key \"start_ns\" at offset 769",
         ),
         (
             "{\"kind\":\"degraded\",",
             "{\"kind\":\"degraded\",\"budget\":1,",
-            "header",
-            unknown,
+            "header: hda window 0: expected key \"start_ns\" at offset 769",
         ),
-        ("\"seq\":0,", "\"seq\":0,\"bogus\":7,", "op line 2", unknown),
+        (
+            "\"seq\":0,",
+            "\"seq\":0,\"bogus\":7,",
+            "op line 2: expected key \"tenant\" at offset 9",
+        ),
         (
             "{\"op\":\"ring_enter\",",
             "{\"op\":\"ring_enter\",\"x\":1,",
-            "op line 2",
-            unknown,
+            "op line 2: expected key \"capacity\" at offset 91",
         ),
         (
             "{\"user_data\":1,",
             "{\"user_data\":1,\"bogus\":1,",
-            "op line 2",
-            unknown,
+            "op line 2: expected key \"call\" at offset 126",
         ),
         (
             "{\"op\":\"pread\",",
             "{\"op\":\"pread\",\"path\":\"/d\",",
-            "op line 2",
-            unknown,
+            "op line 2: expected key \"fd\" at offset 147",
         ),
         (
             "\"ok\":false,",
             "\"ok\":false,\"bogus\":1,",
-            "op line 2",
-            unknown,
+            "op line 2: expected key \"errno\" at offset 196",
         ),
         (
             "{\"class\":1,",
             "{\"class\":1,\"bogus\":1,",
-            "op line 2",
-            unknown,
+            "op line 2: expected key \"commands\" at offset 389",
         ),
         // The tag says which keys follow it, so it comes first.
         (
             "{\"op\":\"pread\",",
             "{\"fd\":3,\"op\":\"pread\",",
-            "op line 2",
-            "before \"op\"",
+            "op line 2: expected key \"op\" at offset 134",
         ),
         // Integers are read in the form the writer prints them.
-        ("\"seq\":0,", "\"seq\":-0,", "op line 2", "negative integer"),
+        (
+            "\"seq\":0,",
+            "\"seq\":-0,",
+            "op line 2: negative integer at offset 7 where an unsigned one belongs",
+        ),
         (
             "\"tenant\":2,",
             "\"tenant\":0002,",
-            "op line 2",
-            "leading zero",
+            "op line 2: integer at offset 18: leading zero",
         ),
         (
             "\"budget\":16,",
             "\"budget\":016,",
-            "header",
-            "leading zero",
+            "header: integer at offset 79: leading zero",
         ),
     ] {
         let bad = text.replacen(from, to, 1);
         assert_ne!(bad, text, "{from}");
-        let err = CaptureFile::parse(&bad).unwrap_err();
-        assert!(
-            err.starts_with(whose) && err.contains(refusal),
-            "{to}: {err}"
-        );
+        assert_eq!(CaptureFile::parse(&bad).unwrap_err(), want, "{to}");
+    }
+}
+
+#[test]
+fn a_header_whose_completeness_and_reason_disagree_is_refused() {
+    let text = file_of(Syscall::Fsync { fd: Fd(3) }).to_jsonl();
+    let header = "\"complete\":true,\"incomplete_reason\":null,";
+    assert!(text.contains(header));
+    for (to, want) in [
+        // Replayable, though the recorder said why it was not.
+        (
+            "\"complete\":true,\"incomplete_reason\":\"op budget exceeded\",",
+            "header: complete is true but incomplete_reason is Some(\"op budget exceeded\")",
+        ),
+        (
+            "\"complete\":false,\"incomplete_reason\":null,",
+            "header: complete is false but incomplete_reason is None",
+        ),
+    ] {
+        let bad = text.replacen(header, to, 1);
+        assert_eq!(CaptureFile::parse(&bad).unwrap_err(), want, "{to}");
+    }
+}
+
+#[test]
+fn an_op_whose_seq_is_not_its_index_is_refused() {
+    let mut file = file_of(Syscall::Fsync { fd: Fd(3) });
+    let second = CapturedOp {
+        seq: 1,
+        ..file.capture.ops[0].clone()
+    };
+    file.capture.ops.push(second);
+    let text = file.to_jsonl();
+    assert_eq!(CaptureFile::parse(&text).unwrap().to_jsonl(), text);
+    // Diffs name an op by the base's `seq`: a renumbered op would be
+    // reported as another.
+    for (from, to, want) in [
+        (
+            "{\"seq\":0,",
+            "{\"seq\":1,",
+            "op line 2: seq 1 is not the op's index 0",
+        ),
+        (
+            "{\"seq\":1,",
+            "{\"seq\":7,",
+            "op line 3: seq 7 is not the op's index 1",
+        ),
+    ] {
+        let bad = text.replacen(from, to, 1);
+        assert_ne!(bad, text, "{from}");
+        assert_eq!(CaptureFile::parse(&bad).unwrap_err(), want, "{to}");
     }
 }
 
