@@ -666,7 +666,7 @@ mod tests {
         let (mut k, mut t) = setup_tree();
         let fd = k.open("/data/big.bin", OpenFlags::RDONLY).unwrap();
         let sleds_fs::PageLocation::Device { dev, sector } =
-            k.page_extents(fd).unwrap()[0].location
+            k.redundant_extents(fd).unwrap()[0].extent.location
         else {
             panic!("cold file must be on the device");
         };

@@ -191,8 +191,8 @@ mod tests {
         // the middle of its (single) layout run.
         let one = fsleds_get(&mut k, fd, &t).unwrap();
         assert_eq!(one.len(), 1, "precondition: one cold extent");
-        let exts = k.page_extents(fd).unwrap();
-        let (dev, first_sector) = match exts[0].location {
+        let exts = k.redundant_extents(fd).unwrap();
+        let (dev, first_sector) = match exts[0].extent.location {
             sleds_fs::PageLocation::Device { dev, sector } => (dev, sector),
             _ => panic!("cold file must be on the device"),
         };

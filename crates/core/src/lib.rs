@@ -70,7 +70,7 @@ pub use get::fsleds_get;
 pub use pick::{PickConfig, PickSession, UnavailablePolicy};
 pub use predicate::LatencyPredicate;
 pub use program::{compile_latency, pricing_from, sleds_from_prog};
-pub use recal::{recalibrate, RecalOutcome, RecalPolicy};
+pub use recal::{recalibrate, RecalOutcome};
 pub use report::{ObservedError, SledReport};
 pub use sleds_fs::sled::{select_min_cost, Sled};
 pub use table::{SledsEntry, SledsTable};

@@ -14,11 +14,10 @@
 //!   over time spent moving them) — the observable the bandwidth column
 //!   models.
 //!
-//! Classes with fewer than [`RecalPolicy::min_samples`] read commands keep
-//! their old rows (a p50 of one mount-amortized tape read is noise, not
-//! signal), observed values are clamped to [`RecalPolicy`] bounds, and the
-//! memory row is never touched — it is not a device command and the trace
-//! never times it.
+//! Classes with fewer than three read commands keep their old rows (a p50
+//! of one mount-amortized tape read is noise, not signal), observed values
+//! are clamped to fixed bounds, and the memory row is never touched — it is
+//! not a device command and the trace never times it.
 //!
 //! The rebuild is a pure function of the snapshot: no clock, no randomness,
 //! no kernel state. The same snapshot always yields a byte-identical table,
@@ -31,36 +30,17 @@ use sleds_sim_core::{index, SimResult};
 
 use crate::table::{SledsEntry, SledsTable};
 
-/// Guard rails for recalibration.
-#[derive(Clone, Copy, Debug)]
-pub struct RecalPolicy {
-    /// Minimum read commands a class must have serviced for its
-    /// observations to replace the table row.
-    pub min_samples: u64,
-    /// Lower clamp for observed latency, seconds.
-    pub min_latency: f64,
-    /// Upper clamp for observed latency, seconds (a stuck tape robot
-    /// should not poison the table with an hour-long first byte).
-    pub max_latency: f64,
-    /// Lower clamp for observed bandwidth, bytes per second.
-    pub min_bandwidth: f64,
-    /// Upper clamp for observed bandwidth, bytes per second.
-    pub max_bandwidth: f64,
-}
-
-impl Default for RecalPolicy {
-    fn default() -> Self {
-        RecalPolicy {
-            min_samples: 3,
-            min_latency: 0.0,
-            // Generous: a jukebox mount plus a full-tape locate.
-            max_latency: 600.0,
-            // 1 KB/s..100 GB/s spans tape-over-WAN to any plausible memory.
-            min_bandwidth: 1e3,
-            max_bandwidth: 1e11,
-        }
-    }
-}
+/// Minimum read commands a class must have serviced for its observations
+/// to replace the table row.
+const MIN_SAMPLES: u64 = 3;
+/// Upper clamp for observed latency, seconds: generous enough for a jukebox
+/// mount plus a full-tape locate, so a stuck tape robot cannot poison the
+/// table with an hour-long first byte. The lower clamp is zero.
+const MAX_LATENCY: f64 = 600.0;
+/// Clamps for observed bandwidth, bytes per second: 1 KB/s..100 GB/s spans
+/// tape-over-WAN to any plausible memory.
+const MIN_BANDWIDTH: f64 = 1e3;
+const MAX_BANDWIDTH: f64 = 1e11;
 
 /// What one refreshed device row was rebuilt from.
 #[derive(Clone, Copy, Debug)]
@@ -89,7 +69,7 @@ pub struct RecalOutcome {
 }
 
 /// Rebuilds sleds-table rows from a metrics snapshot. Pure: the outcome is
-/// a function of `(table, metrics, devices, generation, policy)` alone.
+/// a function of `(table, metrics, devices, generation)` alone.
 ///
 /// `devices` maps each device to its class code (`DeviceClass::code`);
 /// every listed device whose class meets the sample floor gets the class's
@@ -103,7 +83,6 @@ fn recalibrate_from_metrics(
     metrics: &Metrics,
     devices: &[(DeviceId, u64)],
     generation: u64,
-    policy: &RecalPolicy,
 ) -> RecalOutcome {
     let mut out = RecalOutcome {
         table: table.clone(),
@@ -116,16 +95,12 @@ fn recalibrate_from_metrics(
             continue;
         };
         let samples = cm.first_byte.count();
-        let bw = cm.effective_bandwidth();
-        if samples < policy.min_samples || bw.is_none() {
+        let Some(bw) = cm.effective_bandwidth().filter(|_| samples >= MIN_SAMPLES) else {
             out.skipped.push(dev);
             continue;
-        }
-        let latency =
-            (cm.first_byte.p50() as f64 / 1e9).clamp(policy.min_latency, policy.max_latency);
-        let bandwidth = bw
-            .unwrap_or(policy.min_bandwidth)
-            .clamp(policy.min_bandwidth, policy.max_bandwidth);
+        };
+        let latency = (cm.first_byte.p50() as f64 / 1e9).clamp(0.0, MAX_LATENCY);
+        let bandwidth = bw.clamp(MIN_BANDWIDTH, MAX_BANDWIDTH);
         out.table
             .fill_device(dev, SledsEntry::new(latency, bandwidth));
         out.table.clear_device_zones(dev);
@@ -149,12 +124,7 @@ fn recalibrate_from_metrics(
 /// only the generation stamp changes — the epoch bump and virtual-time cost
 /// are identical either way, keeping traced and untraced runs
 /// byte-identical.
-pub fn recalibrate(
-    kernel: &mut Kernel,
-    table: &SledsTable,
-    fd: Fd,
-    policy: &RecalPolicy,
-) -> SimResult<RecalOutcome> {
+pub fn recalibrate(kernel: &mut Kernel, table: &SledsTable, fd: Fd) -> SimResult<RecalOutcome> {
     let metrics = kernel.fsleds_recal(fd)?;
     let devices: Vec<(DeviceId, u64)> = (0..kernel.device_count())
         .filter_map(|i| {
@@ -167,7 +137,6 @@ pub fn recalibrate(
         &metrics,
         &devices,
         kernel.sleds_epoch(),
-        policy,
     ))
 }
 
@@ -207,13 +176,7 @@ mod tests {
 
     #[test]
     fn refreshes_from_observed_p50_and_bandwidth() {
-        let out = recalibrate_from_metrics(
-            &base_table(),
-            &disk_metrics(4),
-            &[(DeviceId(0), 1)],
-            1,
-            &RecalPolicy::default(),
-        );
+        let out = recalibrate_from_metrics(&base_table(), &disk_metrics(4), &[(DeviceId(0), 1)], 1);
         assert_eq!(out.refreshed.len(), 1);
         assert!(out.skipped.is_empty());
         let e = out.table.device(DeviceId(0)).expect("row kept");
@@ -228,13 +191,7 @@ mod tests {
 
     #[test]
     fn too_few_samples_keeps_old_row() {
-        let out = recalibrate_from_metrics(
-            &base_table(),
-            &disk_metrics(2),
-            &[(DeviceId(0), 1)],
-            1,
-            &RecalPolicy::default(),
-        );
+        let out = recalibrate_from_metrics(&base_table(), &disk_metrics(2), &[(DeviceId(0), 1)], 1);
         assert!(out.refreshed.is_empty());
         assert_eq!(out.skipped, vec![DeviceId(0)]);
         let e = out.table.device(DeviceId(0)).expect("row kept");
@@ -252,29 +209,17 @@ mod tests {
             // over 10 s (0.1 B/s).
             m.note_device(&served(0, 4, 1_010_000_000_000, 1), 10_000_000_000);
         }
-        let out = recalibrate_from_metrics(
-            &base_table(),
-            &m,
-            &[(DeviceId(0), 4)],
-            1,
-            &RecalPolicy::default(),
-        );
+        let out = recalibrate_from_metrics(&base_table(), &m, &[(DeviceId(0), 4)], 1);
         let e = out.table.device(DeviceId(0)).expect("row kept");
-        assert!(e.latency <= 600.0);
-        assert!(e.bandwidth >= 1e3);
+        assert_eq!(e.latency, MAX_LATENCY);
+        assert_eq!(e.bandwidth, MIN_BANDWIDTH);
     }
 
     #[test]
     fn refreshed_devices_lose_zone_rows() {
         let mut t = base_table();
         t.fill_device_zones(DeviceId(0), vec![(0, SledsEntry::new(0.018, 11e6))]);
-        let out = recalibrate_from_metrics(
-            &t,
-            &disk_metrics(3),
-            &[(DeviceId(0), 1)],
-            1,
-            &RecalPolicy::default(),
-        );
+        let out = recalibrate_from_metrics(&t, &disk_metrics(3), &[(DeviceId(0), 1)], 1);
         assert!(!out.table.has_zones(DeviceId(0)));
     }
 
@@ -283,9 +228,8 @@ mod tests {
         let m = disk_metrics(5);
         let t = base_table();
         let devs = [(DeviceId(0), 1)];
-        let p = RecalPolicy::default();
-        let a = recalibrate_from_metrics(&t, &m, &devs, 2, &p);
-        let b = recalibrate_from_metrics(&t, &m, &devs, 2, &p);
+        let a = recalibrate_from_metrics(&t, &m, &devs, 2);
+        let b = recalibrate_from_metrics(&t, &m, &devs, 2);
         let ea = a.table.device(DeviceId(0)).expect("row");
         let eb = b.table.device(DeviceId(0)).expect("row");
         assert_eq!(ea.latency.to_bits(), eb.latency.to_bits());

@@ -186,7 +186,8 @@ fn zoned_disk() -> (Kernel, SledsTable, Fd) {
     k.install_file("/data/f", &vec![0u8; 8 * PAGE_SIZE as usize])
         .unwrap();
     let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-    let PageLocation::Device { sector, .. } = k.page_extents(fd).unwrap()[0].location else {
+    let PageLocation::Device { sector, .. } = k.redundant_extents(fd).unwrap()[0].extent.location
+    else {
         panic!("cold file must be on the device");
     };
     t.fill_device_zones(

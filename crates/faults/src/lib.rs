@@ -13,8 +13,8 @@
 //! must handle:
 //!
 //! * **transient** — the next `budget` submissions inside the window fail
-//!   with `EAGAIN` after burning a fixed fail cost; the kernel's
-//!   `RetryPolicy` is expected to mask these. The first submission that
+//!   with `EAGAIN` after burning a fixed fail cost; the kernel's bounded
+//!   retry (`sleds_sim_core::retry`) is expected to mask these. The first submission that
 //!   succeeds after a failure pays a resubmission overhead, recorded by the
 //!   device as a `Retry` phase.
 //! * **degraded** — commands succeed but take `multiplier`× as long; the

@@ -129,7 +129,7 @@ impl Kernel {
             let thrash = SimDuration::from_secs_f64(2.0 * overflow as f64 / dev_bw.max(1.0));
             report.thrash = thrash;
             report.io += thrash;
-            self.rec_unsupported("charge_io_public");
+            self.rec_unsupported("aio_read_file");
             self.charge_io(thrash);
         }
 

@@ -55,15 +55,6 @@ fn word(w: &[u8]) -> u64 {
     u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]])
 }
 
-/// How much [`PayloadFold::copy_into`] copies before it folds what it
-/// copied: small enough that the fold reads the piece from L1.
-const COPY_PIECE: usize = 4096;
-/// How much [`PayloadFold::zeros_into`] zero-fills between folds: about
-/// what a store buffer holds (1 KiB measured best of 512 B – 16 KiB). Only a
-/// hole *tail* after stored bytes is filled this way; an all-hole payload is
-/// never written at all ([`WorkloadRecorder::fold_zeros`]).
-const ZERO_PIECE: usize = 1024;
-
 /// The deterministic fold captures use to pin data payloads without
 /// storing them, fed piece by piece: little-endian `u64` word `i` of the
 /// whole payload goes into lane `i % 4`, the lanes are combined, the up to
@@ -129,39 +120,6 @@ impl PayloadFold {
             d = fold_word(d, word(&block[24..32]));
         }
         self.lanes = [a, b, c, d];
-    }
-
-    /// Appends `src` to `out` and feeds it, a piece at a time, so each
-    /// piece is folded while its copy has it in cache: the payload is read
-    /// from memory once, not once to copy and once to fold.
-    pub(crate) fn copy_into(&mut self, out: &mut Vec<u8>, src: &[u8]) {
-        for piece in src.chunks(COPY_PIECE) {
-            out.extend_from_slice(piece);
-            self.feed(piece);
-        }
-    }
-
-    /// Appends `n` zero bytes — the hole tail of a payload that began with
-    /// stored bytes — to `out` and feeds them. Up to the next block edge and
-    /// past the last one they go through `feed`, which knows the carry; in
-    /// between, whole blocks go straight into the lanes a piece at a time.
-    /// That fold loads nothing (its block is a constant), so it runs while
-    /// the piece's stores drain, and a piece small enough for the store
-    /// buffer makes the two overlap.
-    pub(crate) fn zeros_into(&mut self, out: &mut Vec<u8>, n: usize) {
-        const ZERO_BLOCK: [u8; 32] = [0; 32];
-        let end = out.len() + n;
-        let head = n.min((32 - index(self.len) % 32) % 32);
-        out.resize(out.len() + head, 0);
-        self.feed(&ZERO_BLOCK[..head]);
-        while end - out.len() >= 32 {
-            let piece = (end - out.len()).min(ZERO_PIECE) / 32 * 32;
-            out.resize(out.len() + piece, 0);
-            self.blocks(std::iter::repeat_n(&ZERO_BLOCK[..], piece / 32));
-            self.len += piece as u64;
-        }
-        self.feed(&ZERO_BLOCK[..end - out.len()]);
-        out.resize(end, 0);
     }
 
     /// The fold of everything fed.
@@ -372,8 +330,8 @@ impl WorkloadRecorder {
     }
 
     /// True while the op in flight is a trapped `read`/`pread` — the one
-    /// case where the read path should fold the payload as it copies it
-    /// and hand the result to [`WorkloadRecorder::note_payload`]. A ring
+    /// case where the read path should fold the payload it returns and
+    /// hand the result to [`WorkloadRecorder::note_payload`]. A ring
     /// submission is in flight as its `RingEnter`, whose payloads are not
     /// folded.
     pub fn folds_payload(&self) -> bool {
@@ -456,8 +414,8 @@ impl WorkloadRecorder {
     }
 
     /// Completes the in-flight op successfully. `data` is the returned
-    /// payload, folded rather than stored — by the read path as it built
-    /// the payload when it said so, here otherwise.
+    /// payload, folded rather than stored — by the read path when it noted
+    /// a fold, here otherwise.
     pub fn finish_ok(&mut self, ret: u64, data: Option<&[u8]>, complete_ns: u64) {
         let noted = self.inflight.as_ref().and_then(|f| f.payload);
         let (data_len, data_fold) = match (data, noted) {

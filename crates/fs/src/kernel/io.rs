@@ -19,12 +19,12 @@
 use std::sync::Arc;
 
 use sleds_pagecache::{Evicted, PageKey};
-use sleds_sim_core::{index, Errno, Pages, RetryPolicy, Sectors, SimError, SimResult};
+use sleds_sim_core::{index, retry, Errno, Pages, Sectors, SimError, SimResult};
 use sleds_trace::{Mark, Wait};
 
 use super::cost::Attempt;
 use super::{DeviceId, Kernel, MountId, ONE_PAGE};
-use crate::capture::{fold_bytes, PayloadFold};
+use crate::capture::fold_bytes;
 use crate::inode::{Ino, Inode, PagePlace};
 use crate::payload::Payload;
 use crate::syscall::Fd;
@@ -41,17 +41,16 @@ impl Kernel {
         self.device_command(dev, Sectors::new(sector), Sectors::new(sectors), false)
     }
 
-    /// Issues one device command under the default [`RetryPolicy`]: one
-    /// [`Kernel::submit`] per number in [`RetryPolicy::attempts`] — a
-    /// finite range, so the retry is bounded by its type. `submit` has
-    /// already charged an attempt failed by an injected fault (it held the
-    /// bus). Errors the policy deems transient are reissued after an
-    /// exponentially growing, deterministically jittered backoff on the
-    /// virtual clock — mirrored into `io_retries`/`retry_backoff` in
-    /// rusage and `io.retry` trace marks — until the attempts run out
-    /// (`EIO`) or the policy timeout elapses (`ETIMEDOUT`). Non-retryable
-    /// errors propagate unchanged, so fault-free runs behave exactly as if
-    /// this layer did not exist.
+    /// Issues one device command: one [`Kernel::submit`] per number in
+    /// [`retry::attempts`] — a finite range, so the retry is bounded by its
+    /// type. `submit` has already charged an attempt failed by an injected
+    /// fault (it held the bus). Transient errors ([`retry::retryable`]) are
+    /// reissued after an exponentially growing, deterministically jittered
+    /// backoff on the virtual clock — mirrored into
+    /// `io_retries`/`retry_backoff` in rusage and `io.retry` trace marks —
+    /// until the attempts run out (`EIO`) or [`retry::RETRY_TIMEOUT`]
+    /// elapses (`ETIMEDOUT`). Non-retryable errors propagate unchanged, so
+    /// fault-free runs behave exactly as if this layer did not exist.
     pub(super) fn device_command(
         &mut self,
         dev: DeviceId,
@@ -59,41 +58,42 @@ impl Kernel {
         sectors: Sectors,
         write: bool,
     ) -> SimResult<()> {
-        let policy = RetryPolicy::default();
         let first_try = self.now();
         let mut failed: Option<SimError> = None;
-        for attempt in policy.attempts() {
+        for attempt in retry::attempts() {
             if let Some(err) = failed.take() {
                 // The previous submission failed transiently: abandon the
-                // command on the policy timeout, else back off before this one.
-                if self.now().duration_since(first_try) >= policy.timeout {
+                // command on the timeout, else back off before this one.
+                if self.now().duration_since(first_try) >= retry::RETRY_TIMEOUT {
                     let name = self.devices[dev.0].name();
                     let why = format!("{name}: retries timed out ({err})");
                     return Err(SimError::new(Errno::Etimedout, why));
                 }
-                let retry = attempt - 1;
-                let backoff = policy.backoff_for(retry, &mut self.retry_rng);
+                let nth = attempt - 1;
+                let backoff = retry::backoff_for(nth, &mut self.retry_rng);
                 self.charge_io(backoff);
                 let counts = &mut self.ledger.counts;
                 counts.io_retries += 1;
                 counts.retry_backoff = counts.retry_backoff.saturating_add(backoff);
                 self.mark(Mark::IoRetry {
                     class: self.devices[dev.0].class().code(),
-                    attempt: u64::from(retry),
+                    attempt: u64::from(nth),
                     backoff_ns: backoff.as_nanos(),
                 });
             }
             failed = match self.submit(dev, sector, sectors, write, attempt, Wait::Serial) {
                 Attempt::Served(_) => return Ok(()),
                 Attempt::Refused(err) => return Err(err),
-                Attempt::Faulted(err) if !RetryPolicy::retryable(err.errno) => return Err(err),
+                Attempt::Faulted(err) if !retry::retryable(err.errno) => return Err(err),
                 Attempt::Faulted(err) => Some(err),
             };
         }
         let name = self.devices[dev.0].name();
-        let tries = *policy.attempts().end();
         let cause = failed.map(|err| format!(" ({err})")).unwrap_or_default();
-        let why = format!("{name}: gave up after {tries} attempts{cause}");
+        let why = format!(
+            "{name}: gave up after {} attempts{cause}",
+            retry::MAX_ATTEMPTS
+        );
         Err(SimError::new(Errno::Eio, why))
     }
 
@@ -150,8 +150,7 @@ impl Kernel {
         // finds only stored bytes shares them: the payload is the file's
         // own buffer and a range of it, and a capture folds that range in
         // place. Only one that runs from stored bytes into the hole fills
-        // a buffer, folding each piece while it is still in cache from its
-        // copy.
+        // a buffer, and a capture folds it once it is built.
         let bytes = end - pos;
         self.charge_memcpy(bytes);
         let folds = self
@@ -171,16 +170,9 @@ impl Kernel {
             (Payload::shared(Arc::clone(buf), range), fold)
         } else {
             let mut out = Vec::with_capacity(index(bytes));
-            let fold = if folds {
-                let mut fold = PayloadFold::new();
-                fold.copy_into(&mut out, stored);
-                fold.zeros_into(&mut out, hole);
-                Some(fold.finish())
-            } else {
-                out.extend_from_slice(stored);
-                out.resize(index(bytes), 0);
-                None
-            };
+            out.extend_from_slice(stored);
+            out.resize(index(bytes), 0);
+            let fold = folds.then(|| fold_bytes(&out));
             (Payload::from(out), fold)
         };
         if let (Some(fold), Some(rec)) = (fold, self.recorder.as_mut()) {

@@ -130,7 +130,7 @@ impl Kernel {
     /// Installs a file of `size` bytes whose *contents* are never
     /// materialized — only the layout exists. Reads through the normal
     /// path return zero bytes for the holes; the point of a sparse install
-    /// is layout- and residency-level experiments (`page_extents`,
+    /// is layout- and residency-level experiments (`redundant_extents`,
     /// `fsleds_get`, `warm_file_pages`) on files far larger than host
     /// memory could hold.
     pub fn install_sparse_file(&mut self, path: &str, size: u64) -> SimResult<()> {

@@ -2,7 +2,7 @@
 //! behind `FSLEDS_GET`, and the program-driven directory walk.
 
 use sleds_pagecache::{PageCache, PageKey};
-use sleds_sim_core::{index, Errno, Pages, Sectors, SimDuration, SimError, SimResult};
+use sleds_sim_core::{index, Errno, Pages, SimDuration, SimError, SimResult};
 use sleds_trace::{Mark, Metrics};
 
 use super::{Kernel, PageExtent, PageLocation, RedundantExtent, ReplicaPlace};
@@ -10,13 +10,6 @@ use crate::inode::{FileKind, FileNode, Ino, PagePlace};
 use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, WalkEntry};
 use crate::sled::{self, Sled, SledsTable};
 use crate::syscall::{Entry, Fd};
-
-/// Boundary row shared by both `FSLEDS_GET` extent walks: one span name,
-/// one poison label.
-const IOCTL_FSLEDS_GET: Entry = Entry {
-    name: "ioctl.page_extents",
-    ..Entry::ioctl("ioctl.fsleds_get")
-};
 
 /// Delivery-time estimate in integer nanoseconds for trace marks:
 /// `u64::MAX` stands in for non-finite (offline) estimates.
@@ -222,46 +215,22 @@ impl Kernel {
         }))
     }
 
-    /// The bare extents, for callers that price nothing, charged: one
-    /// probe per extent plus the per-page floor.
-    fn page_extents_of(&mut self, ino: Ino) -> SimResult<Vec<PageExtent>> {
-        let out: Vec<PageExtent> = self.extents(ino)?.collect();
-        self.charge_page_walk(out.len() as u64, out.last());
-        Ok(out)
-    }
-
-    /// The kernel half of `FSLEDS_GET`, run-length form: where does each
-    /// extent of this open file live right now? Cost is one probe per
-    /// extent plus a per-page floor — O(runs), not O(pages).
-    pub fn page_extents(&mut self, fd: Fd) -> SimResult<Vec<PageExtent>> {
-        self.ioctl(&IOCTL_FSLEDS_GET, [fd.0, 0, 0], |k| {
-            let of = k.openfile(fd)?;
-            k.page_extents_of(of.ino)
-        })
-    }
-
-    /// The redundancy-aware half of `FSLEDS_GET`: every extent of the open
-    /// file, each carrying the replica places that could serve it too.
-    /// Extents of unreplicated files come back with no alternatives and
-    /// cost exactly what [`Kernel::page_extents`] costs; redundant extents
-    /// pay one extra probe per alternative. The pricing layer
+    /// The kernel half of `FSLEDS_GET`: where does each extent of this
+    /// open file live right now, and which replica places could serve it
+    /// too? Cost is one probe per extent plus a per-page floor — O(runs),
+    /// not O(pages) — and one extra probe per alternative; extents of
+    /// unreplicated files come back with none. The pricing layer
     /// ([`sled::fold`]) turns each alternative into a fault-priced
     /// candidate and quotes the min-cost *available* one (the k-th
     /// cheapest for a coded layout).
     pub fn redundant_extents(&mut self, fd: Fd) -> SimResult<Vec<RedundantExtent>> {
-        self.ioctl(&IOCTL_FSLEDS_GET, [fd.0, 1, 0], |k| {
+        self.ioctl(&Entry::ioctl("ioctl.fsleds_get"), [fd.0, 1, 0], |k| {
             let of = k.openfile(fd)?;
-            k.redundant_extents_of(of.ino)
+            let out: Vec<RedundantExtent> = k.redundant_walk(of.ino)?.collect();
+            let (probes, last) = probes(&out);
+            k.charge_page_walk(probes, last.as_ref());
+            Ok(out)
         })
-    }
-
-    /// The walk behind [`Kernel::redundant_extents`], charged: one probe
-    /// per extent and per alternative, plus the per-page floor.
-    fn redundant_extents_of(&mut self, ino: Ino) -> SimResult<Vec<RedundantExtent>> {
-        let out: Vec<RedundantExtent> = self.redundant_walk(ino)?.collect();
-        let (probes, last) = probes(&out);
-        self.charge_page_walk(probes, last.as_ref());
-        Ok(out)
     }
 
     /// `FSLEDS_GET` below the boundary: the SLED vector of `ino` priced
@@ -428,32 +397,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// The per-page form of [`Kernel::page_extents`]: one [`PageLocation`]
-    /// per file page, produced by expanding the extent walk. Same O(runs)
-    /// probe cost (the expansion is covered by the per-page floor).
-    pub fn page_locations(&mut self, fd: Fd) -> SimResult<Vec<PageLocation>> {
-        self.ioctl(&Entry::query("page_locations"), [0; 3], |k| {
-            let of = k.openfile(fd)?;
-            let extents = k.page_extents_of(of.ino)?;
-            let pages = extents.last().map_or(0, PageExtent::end_page);
-            let mut out = Vec::with_capacity(index(pages));
-            for e in extents {
-                match e.location {
-                    PageLocation::Memory => out.extend((0..e.pages).map(|_| PageLocation::Memory)),
-                    PageLocation::Device { dev, sector } => {
-                        for i in 0..e.pages {
-                            out.push(PageLocation::Device {
-                                dev,
-                                sector: (Sectors::new(sector) + Pages::new(i).sectors()).get(),
-                            });
-                        }
-                    }
-                }
-            }
-            Ok(out)
-        })
-    }
-
     /// The original per-page residency walk, kept as a test oracle:
     /// materializes the whole per-page map and probes the cache once per
     /// page, charging the per-page walk cost. The equivalence suites check
@@ -500,13 +443,6 @@ impl Kernel {
             // a fault-window boundary anywhere in the stack.
             Ok(k.cache.generation(of.ino.0) + layout + k.sleds_epoch + k.fault_epoch_total())
         })
-    }
-
-    /// Number of resident extents the cache tracks for an open file — the
-    /// `runs` term of the walk cost; exposed for tests.
-    pub fn resident_extents(&self, fd: Fd) -> SimResult<usize> {
-        let of = self.openfile(fd)?;
-        Ok(self.cache.resident_run_count(of.ino.0))
     }
 
     /// For each page of an open file: how many cache insertions could

@@ -134,7 +134,7 @@ fn page_locations_reflect_cache_state() {
     let data = vec![5u8; 4 * PAGE_SIZE as usize];
     k.install_file("/data/f", &data).unwrap();
     let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-    let locs = k.page_locations(fd).unwrap();
+    let locs = k.page_locations_per_page_reference(fd).unwrap();
     assert_eq!(locs.len(), 4);
     assert!(locs
         .iter()
@@ -142,7 +142,7 @@ fn page_locations_reflect_cache_state() {
     // Read the middle two pages.
     k.lseek(fd, PAGE_SIZE as i64, Whence::Set).unwrap();
     k.read(fd, 2 * PAGE_SIZE as usize).unwrap();
-    let locs = k.page_locations(fd).unwrap();
+    let locs = k.page_locations_per_page_reference(fd).unwrap();
     assert!(matches!(locs[0], PageLocation::Device { .. }));
     assert_eq!(locs[1], PageLocation::Memory);
     assert_eq!(locs[2], PageLocation::Memory);
@@ -155,7 +155,7 @@ fn install_file_lays_out_contiguously() {
     let data = vec![6u8; 4 * PAGE_SIZE as usize];
     k.install_file("/data/f", &data).unwrap();
     let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-    let locs = k.page_locations(fd).unwrap();
+    let locs = k.page_locations_per_page_reference(fd).unwrap();
     let sectors: Vec<u64> = locs
         .iter()
         .map(|l| match l {
@@ -179,7 +179,7 @@ fn fragmentation_breaks_contiguity() {
     let data = vec![6u8; 16 * PAGE_SIZE as usize];
     k.install_file("/data/f", &data).unwrap();
     let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-    let locs = k.page_locations(fd).unwrap();
+    let locs = k.page_locations_per_page_reference(fd).unwrap();
     let sectors: Vec<u64> = locs
         .iter()
         .map(|l| match l {

@@ -5,7 +5,7 @@
 //! `stat`/`readdir`/...), a page cache (from `sleds-pagecache`), block
 //! devices (from `sleds-devices`), mount points, per-job resource usage, and
 //! — the hook the SLEDs API needs — a page-residency walk
-//! ([`Kernel::page_extents`]) that reports, extent by extent, whether an
+//! ([`Kernel::redundant_extents`]) that reports, extent by extent, whether an
 //! open file's pages are in the buffer cache and on which device sectors
 //! they live otherwise. The walk is run-length throughout: file layout is a
 //! [`inode::PageMap`] of maximal device-contiguous runs, residency is the

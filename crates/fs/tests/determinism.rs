@@ -337,7 +337,7 @@ fn fault_storm_replays_byte_identical() {
 }
 
 /// A disk that bounces every submission: the command is submitted exactly
-/// `RetryPolicy::default().max_attempts` (4) times, backs off three times
+/// `retry::MAX_ATTEMPTS` (4) times, backs off three times
 /// on the seeded jitter stream, and gives up with `EIO`. The marks, the
 /// backoffs and the clock are the numbers the pre-`attempts()` `loop`
 /// produced (recorded on the parent commit, not recomputed).
@@ -387,6 +387,44 @@ fn a_persistent_transient_fault_gets_every_attempt_and_then_eio() {
     assert_eq!(r.usage.io_wait.as_nanos(), 43_102_116);
     assert_eq!(r.usage.device_reads, 0);
     assert_eq!(r.elapsed.as_nanos(), 43_107_116);
+    assert_rusage_sums(&r);
+}
+
+/// A transient window whose every failure burns 20 s: the first retry
+/// still starts inside the 30 s budget, the second would not, so the
+/// command is submitted exactly twice, backs off once and is abandoned with
+/// `ETIMEDOUT` naming the device — with budget left in the window, so it is
+/// the timeout and not the attempt bound that ends it.
+#[test]
+fn a_slow_transient_fault_times_out_after_two_submissions() {
+    let mut k = Kernel::table2();
+    k.mkdir("/data").unwrap();
+    k.mount_disk("/data", DiskDevice::table2_disk("hda"))
+        .unwrap();
+    let len = 2 * PAGE_SIZE as usize;
+    k.install_file("/data/f", &vec![7u8; len]).unwrap();
+    k.enable_tracing();
+    let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
+    let horizon = k.now() + SimDuration::from_secs(3600);
+    let cost = SimDuration::from_secs(20);
+    k.apply_fault_plan(&FaultPlan::new().transient("hda", k.now(), horizon, 3, cost));
+
+    let t = k.start_job();
+    let err = k.pread(fd, 0, len).unwrap_err();
+    let r = k.finish_job(&t);
+    assert_eq!(
+        err.to_string(),
+        "hda: retries timed out (hda: injected fault: EAGAIN (resource temporarily \
+         unavailable)): ETIMEDOUT (connection timed out)"
+    );
+    let submissions = k
+        .trace_events()
+        .iter()
+        .filter(|e| e.name == "fault.inject")
+        .count();
+    assert_eq!(submissions, 2, "the third submission is never issued");
+    assert_eq!(r.usage.io_retries, 1);
+    assert_eq!(r.usage.device_reads, 0);
     assert_rusage_sums(&r);
 }
 
@@ -450,7 +488,7 @@ fn run_recal_workload(traced: bool) -> (JobReport, u64, u64, Vec<(u64, u64)>) {
 
     // Recalibrate from the run so far and re-read under the new table.
     let fd = k.open("/data/f0", OpenFlags::RDONLY).unwrap();
-    let outcome = sleds::recalibrate(&mut k, &table, fd, &sleds::RecalPolicy::default()).unwrap();
+    let outcome = sleds::recalibrate(&mut k, &table, fd).unwrap();
     k.close(fd).unwrap();
     let table = outcome.table;
     k.drop_caches().unwrap();

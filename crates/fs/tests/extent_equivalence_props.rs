@@ -1,8 +1,8 @@
 //! Extent walk vs per-page reference walk: equivalence properties.
 //!
-//! The extent-based residency walk ([`Kernel::page_extents`] /
-//! [`Kernel::page_locations`]) must report byte-identical placement to the
-//! retained per-page reference walk
+//! The extent-based residency walk behind `FSLEDS_GET`
+//! ([`Kernel::redundant_extents`]) must report byte-identical placement to
+//! the retained per-page reference walk
 //! ([`Kernel::page_locations_per_page_reference`]) on *every* reachable
 //! cache state — the walks differ only in cost, never in answer. These
 //! properties drive a kernel through randomized layouts (fragmented
@@ -14,27 +14,23 @@
 //! `SLEDS_CHECK_CASES`.
 
 use sleds_devices::{DiskDevice, TapeDevice};
-use sleds_fs::{Fd, Kernel, MachineConfig, OpenFlags, PageLocation, Whence};
+use sleds_fs::{Fd, Kernel, MachineConfig, OpenFlags, PageExtent, PageLocation, Whence};
 use sleds_sim_core::{check, ByteSize, DetRng, PAGE_SIZE};
+
+/// The extents `FSLEDS_GET` walks for `fd`. Every file here is
+/// unreplicated, so none carries an alternative.
+fn extents(k: &mut Kernel, fd: Fd) -> Vec<PageExtent> {
+    let walk = k.redundant_extents(fd).unwrap();
+    assert!(walk.iter().all(|r| r.alternatives.is_empty()));
+    walk.into_iter().map(|r| r.extent).collect()
+}
 
 /// Asserts the extent walk and the per-page reference walk agree exactly,
 /// and that the extent form is well-formed (tiling, coalesced, faithful
 /// expansion).
 fn assert_walks_agree(k: &mut Kernel, fd: Fd, ctx: &str) {
     let reference = k.page_locations_per_page_reference(fd).unwrap();
-    let fast = k.page_locations(fd).unwrap();
-    assert_eq!(
-        fast.len(),
-        reference.len(),
-        "{ctx}: walk lengths differ ({} vs {})",
-        fast.len(),
-        reference.len()
-    );
-    for (p, (a, b)) in fast.iter().zip(&reference).enumerate() {
-        assert_eq!(a, b, "{ctx}: page {p} placement differs");
-    }
-
-    let extents = k.page_extents(fd).unwrap();
+    let extents = extents(k, fd);
     let mut next = 0;
     for (i, e) in extents.iter().enumerate() {
         assert_eq!(e.first_page, next, "{ctx}: extent {i} leaves a gap");
@@ -57,7 +53,8 @@ fn assert_walks_agree(k: &mut Kernel, fd: Fd, ctx: &str) {
         "{ctx}: extents do not tile the file"
     );
 
-    // The expansion of the extents is exactly the per-page vector.
+    // The expansion of the extents is exactly the per-page vector, page by
+    // page.
     let mut expanded = Vec::with_capacity(reference.len());
     for e in &extents {
         match e.location {
@@ -72,7 +69,14 @@ fn assert_walks_agree(k: &mut Kernel, fd: Fd, ctx: &str) {
             }
         }
     }
-    assert_eq!(expanded, reference, "{ctx}: extent expansion differs");
+    for (p, (a, b)) in expanded.iter().zip(&reference).enumerate() {
+        assert_eq!(a, b, "{ctx}: page {p} placement differs");
+    }
+    assert_eq!(
+        expanded.len(),
+        reference.len(),
+        "{ctx}: walk lengths differ"
+    );
 }
 
 /// One randomized disk scenario: fragmented layout, ragged tail, random
@@ -211,13 +215,15 @@ fn extent_walk_is_priced_per_extent_and_ten_times_cheaper() {
         k.warm_file_pages("/d/f", i * stride, stride / 2).unwrap();
     }
     let fd = k.open("/d/f", OpenFlags::RDONLY).unwrap();
-    assert_eq!(k.resident_extents(fd).unwrap() as u64, RUNS);
     assert_walks_agree(&mut k, fd, "8 warmed runs");
 
     let crossing = k.config().syscall_cpu.as_nanos();
     let before = k.usage().cpu;
-    let extents = k.page_extents(fd).unwrap().len() as u64;
+    let walk = extents(&mut k, fd);
     let fast = (k.usage().cpu - before).as_nanos();
+    let resident = walk.iter().filter(|e| e.location == PageLocation::Memory);
+    assert_eq!(resident.count() as u64, RUNS);
+    let extents = walk.len() as u64;
     assert_eq!(extents, 2 * RUNS, "a memory and a device extent per run");
     assert_eq!(fast, crossing + 250 * extents + PAGES);
 

@@ -44,19 +44,16 @@ fn every_entry(k: &mut Kernel, fd: Fd) -> Vec<(&'static str, Option<Errno>)> {
         ("write", errno_of(k.write(fd, b"x"))),
         ("fsync", errno_of(k.fsync(fd))),
         ("fstat", errno_of(k.fstat(fd))),
-        ("page_extents", errno_of(k.page_extents(fd))),
         ("redundant_extents", errno_of(k.redundant_extents(fd))),
         ("sled_generation", errno_of(k.sled_generation(fd))),
         ("fsleds_stat", errno_of(k.fsleds_stat(fd))),
         ("fsleds_recal", errno_of(k.fsleds_recal(fd))),
         ("serving_class_code", errno_of(k.serving_class_code(fd))),
         ("page_eviction_ranks", errno_of(k.page_eviction_ranks(fd))),
-        ("page_locations", errno_of(k.page_locations(fd))),
         (
             "page_locations_per_page_reference",
             errno_of(k.page_locations_per_page_reference(fd)),
         ),
-        ("resident_extents", errno_of(k.resident_extents(fd))),
     ];
     assert_eq!(k.sleds_epoch(), epoch, "refused FSLEDS_RECAL({})", fd.0);
     // The ring-only calls, and a ring `Close`.
@@ -149,7 +146,7 @@ fn an_fd_whose_inode_was_unlinked_is_estale() {
     assert_eq!(errno_of(k.read(fd, 16)), Some(Errno::Estale));
     assert_eq!(errno_of(k.pread(fd, 0, 16)), Some(Errno::Estale));
     assert_eq!(errno_of(k.fstat(fd)), Some(Errno::Estale));
-    assert_eq!(errno_of(k.page_extents(fd)), Some(Errno::Estale));
+    assert_eq!(errno_of(k.redundant_extents(fd)), Some(Errno::Estale));
     // The descriptor itself is still open, and closes once.
     k.close(fd).unwrap();
     assert_eq!(errno_of(k.close(fd)), Some(Errno::Ebadf));

@@ -31,7 +31,6 @@ pub mod time;
 pub mod units;
 
 pub use error::{Errno, SimError, SimResult};
-pub use retry::RetryPolicy;
 pub use rng::DetRng;
 pub use table::{IdTable, IdWindow};
 pub use tenant::{TenantId, VirtualSubmitter};

@@ -1,13 +1,14 @@
 //! Bounded retry with deterministic exponential backoff.
 //!
 //! The fault layer (`sleds-faults`) makes device commands fail; this module
-//! defines *how hard the kernel tries again*. A [`RetryPolicy`] is a small,
-//! copyable value, the same for every device: a hard attempt bound,
-//! an exponential backoff schedule clamped to a ceiling, deterministic
-//! jitter drawn from a [`DetRng`], and a virtual-clock
-//! timeout after which the command is abandoned with `ETIMEDOUT` instead of
-//! `EIO`. Every quantity is virtual time — backoff never sleeps a host
-//! thread, it just charges the simulated clock.
+//! defines *how hard the kernel tries again*, the same for every device: a
+//! hard attempt bound, an exponential backoff schedule clamped to a
+//! ceiling, deterministic jitter drawn from a [`DetRng`], and a
+//! virtual-clock timeout after which the command is abandoned with
+//! `ETIMEDOUT` instead of `EIO`. A logical command is bounded by
+//! [`MAX_ATTEMPTS`] *and* by [`RETRY_TIMEOUT`], whichever trips first. Every
+//! quantity is virtual time — backoff never sleeps a host thread, it just
+//! charges the simulated clock.
 
 use std::ops::RangeInclusive;
 
@@ -15,88 +16,60 @@ use crate::error::Errno;
 use crate::rng::DetRng;
 use crate::time::SimDuration;
 
-/// How the kernel retries failed device commands.
+/// Maximum command submissions, including the first.
+pub const MAX_ATTEMPTS: u32 = 4;
+/// Total virtual time budget for one logical command, measured from its
+/// first submission. Exceeding it maps the failure to `ETIMEDOUT`.
+pub const RETRY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Backoff before the first retry; doubles each further retry.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(5);
+/// Ceiling the exponential backoff clamps to.
+const MAX_BACKOFF: SimDuration = SimDuration::from_millis(320);
+/// Jitter amplitude applied to each backoff (+/-25 %).
+const JITTER: f64 = 0.25;
+
+/// The 1-based submission numbers of one logical command:
+/// `1..=MAX_ATTEMPTS`. The kernel's retry is a `for` over this finite
+/// range, not a `loop` with an exit test somebody has to remember.
 ///
-/// The policy is deliberately total: a logical command is bounded by
-/// `max_attempts` *and* by `timeout`, whichever trips first. The attempt
-/// bound is structural — the kernel's retry is a `for` over
-/// [`RetryPolicy::attempts`], a finite range, not a `loop` with an exit
-/// test somebody has to remember.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum command submissions, including the first (>= 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles each further retry.
-    pub base_backoff: SimDuration,
-    /// Ceiling the exponential backoff clamps to.
-    pub max_backoff: SimDuration,
-    /// Total virtual time budget for one logical command, measured from its
-    /// first submission. Exceeding it maps the failure to `ETIMEDOUT`.
-    pub timeout: SimDuration,
-    /// Jitter amplitude applied to each backoff (0.0 = none, 0.25 = +/-25%).
-    pub jitter_amp: f64,
+/// ```
+/// use sleds_sim_core::retry;
+///
+/// let mut submissions = 0;
+/// for _attempt in retry::attempts() {
+///     submissions += 1; // a persistently failing device
+/// }
+/// assert_eq!(submissions, retry::MAX_ATTEMPTS);
+/// ```
+pub fn attempts() -> RangeInclusive<u32> {
+    1..=MAX_ATTEMPTS
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: SimDuration::from_millis(5),
-            max_backoff: SimDuration::from_millis(320),
-            timeout: SimDuration::from_secs(30),
-            jitter_amp: 0.25,
-        }
-    }
+/// True when a failure with this errno is worth resubmitting.
+///
+/// Only `EAGAIN` — the transient-fault code — is retryable. Hard errors
+/// (`EIO` from an offline device, `ENOMEDIUM`, `EROFS`, ...) would fail
+/// identically on every resubmission of the same virtual scenario.
+pub fn retryable(errno: Errno) -> bool {
+    errno == Errno::Eagain
 }
 
-impl RetryPolicy {
-    /// The 1-based submission numbers of one logical command:
-    /// `1..=max_attempts`. A command is always submitted once, so a
-    /// `max_attempts` of 0 behaves as 1 instead of reporting a command
-    /// that was never issued as failed.
-    ///
-    /// ```
-    /// use sleds_sim_core::RetryPolicy;
-    ///
-    /// let mut submissions = 0;
-    /// for _attempt in RetryPolicy::default().attempts() {
-    ///     submissions += 1; // a persistently failing device
-    /// }
-    /// assert_eq!(submissions, RetryPolicy::default().max_attempts);
-    /// ```
-    pub fn attempts(&self) -> RangeInclusive<u32> {
-        1..=self.max_attempts.max(1)
+/// Backoff to charge before retry number `retry` (1-based: the wait before
+/// the second attempt is `backoff_for(1, ..)`): 5 ms doubled per further
+/// retry, clamped to 320 ms, then jittered deterministically from `rng`.
+pub fn backoff_for(retry: u32, rng: &mut DetRng) -> SimDuration {
+    if retry == 0 {
+        return SimDuration::ZERO;
     }
+    let factor = rng.jitter(JITTER);
+    SimDuration::from_secs_f64(schedule(retry).as_secs_f64() * factor)
+}
 
-    /// True when a failure with this errno is worth resubmitting.
-    ///
-    /// Only `EAGAIN` — the transient-fault code — is retryable. Hard errors
-    /// (`EIO` from an offline device, `ENOMEDIUM`, `EROFS`, ...) would fail
-    /// identically on every resubmission of the same virtual scenario.
-    pub fn retryable(errno: Errno) -> bool {
-        errno == Errno::Eagain
-    }
-
-    /// Backoff to charge before retry number `retry` (1-based: the wait
-    /// before the second attempt is `backoff_for(1, ..)`).
-    ///
-    /// Exponential in the retry index, clamped to `max_backoff`, then
-    /// jittered deterministically from `rng`. With `jitter_amp == 0.0` the
-    /// rng is never consulted and the schedule is exactly
-    /// `base * 2^(retry-1)` (clamped), which the property tests pin.
-    pub fn backoff_for(&self, retry: u32, rng: &mut DetRng) -> SimDuration {
-        if retry == 0 || self.base_backoff.is_zero() {
-            return SimDuration::ZERO;
-        }
-        let doublings = retry.saturating_sub(1).min(63);
-        let raw = self.base_backoff * (1u64 << doublings);
-        let clamped = raw.min(self.max_backoff);
-        if self.jitter_amp <= 0.0 {
-            return clamped;
-        }
-        let factor = rng.jitter(self.jitter_amp);
-        SimDuration::from_secs_f64(clamped.as_secs_f64() * factor)
-    }
+/// The unjittered backoff before retry `retry` (>= 1): `BASE_BACKOFF`
+/// doubled per further retry, clamped to `MAX_BACKOFF`.
+fn schedule(retry: u32) -> SimDuration {
+    let doublings = (retry - 1).min(63);
+    (BASE_BACKOFF * (1u64 << doublings)).min(MAX_BACKOFF)
 }
 
 #[cfg(test)]
@@ -105,66 +78,44 @@ mod tests {
 
     #[test]
     fn default_policy_is_bounded() {
-        let p = RetryPolicy::default();
-        assert!(p.max_attempts >= 1);
-        assert!(p.max_backoff >= p.base_backoff);
-        assert!(p.timeout > SimDuration::ZERO);
+        assert_eq!(MAX_ATTEMPTS, 4);
+        assert_eq!(RETRY_TIMEOUT, SimDuration::from_secs(30));
+        assert_eq!(schedule(1), SimDuration::from_millis(5));
+        assert_eq!(schedule(u32::MAX), SimDuration::from_millis(320));
+        assert_eq!(JITTER, 0.25);
     }
 
     #[test]
     fn attempts_number_every_submission_and_never_none() {
-        let with = |max_attempts| RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(RetryPolicy::default().attempts(), 1..=4);
-        assert_eq!(with(1).attempts(), 1..=1);
-        assert_eq!(with(0).attempts(), 1..=1, "0 still submits once");
+        assert_eq!(attempts(), 1..=4);
+        assert!(!attempts().is_empty());
     }
 
     #[test]
     fn only_eagain_is_retryable() {
-        assert!(RetryPolicy::retryable(Errno::Eagain));
-        assert!(!RetryPolicy::retryable(Errno::Eio));
-        assert!(!RetryPolicy::retryable(Errno::Enomedium));
-        assert!(!RetryPolicy::retryable(Errno::Etimedout));
+        assert!(retryable(Errno::Eagain));
+        assert!(!retryable(Errno::Eio));
+        assert!(!retryable(Errno::Enomedium));
+        assert!(!retryable(Errno::Etimedout));
     }
 
     #[test]
     fn unjittered_backoff_doubles_then_clamps() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base_backoff: SimDuration::from_millis(10),
-            max_backoff: SimDuration::from_millis(45),
-            timeout: SimDuration::from_secs(1),
-            jitter_amp: 0.0,
-        };
-        let mut rng = DetRng::new(1);
-        assert_eq!(p.backoff_for(1, &mut rng), SimDuration::from_millis(10));
-        assert_eq!(p.backoff_for(2, &mut rng), SimDuration::from_millis(20));
-        assert_eq!(p.backoff_for(3, &mut rng), SimDuration::from_millis(40));
-        assert_eq!(p.backoff_for(4, &mut rng), SimDuration::from_millis(45));
-        assert_eq!(p.backoff_for(63, &mut rng), SimDuration::from_millis(45));
+        let ms = |r| schedule(r).as_millis();
+        let got: Vec<u64> = (1..=9).map(ms).collect();
+        assert_eq!(got, [5, 10, 20, 40, 80, 160, 320, 320, 320]);
+        assert_eq!(ms(63), 320);
+        assert_eq!(ms(64), 320);
     }
 
     #[test]
     fn jittered_backoff_stays_within_amplitude() {
-        let p = RetryPolicy {
-            jitter_amp: 0.25,
-            ..RetryPolicy::default()
-        };
         let mut rng = DetRng::new(7);
-        for retry in 1..6u32 {
-            let unjittered = {
-                let q = RetryPolicy {
-                    jitter_amp: 0.0,
-                    ..p
-                };
-                q.backoff_for(retry, &mut DetRng::new(0))
-            };
-            let got = p.backoff_for(retry, &mut rng);
-            let lo = unjittered.as_secs_f64() * (1.0 - p.jitter_amp) - 1e-9;
-            let hi = unjittered.as_secs_f64() * (1.0 + p.jitter_amp) + 1e-9;
+        for retry in 1..9u32 {
+            let unjittered = schedule(retry).as_secs_f64();
+            let got = backoff_for(retry, &mut rng);
+            let lo = unjittered * (1.0 - JITTER) - 1e-9;
+            let hi = unjittered * (1.0 + JITTER) + 1e-9;
             assert!(
                 got.as_secs_f64() >= lo && got.as_secs_f64() <= hi,
                 "retry {retry}: {got} outside [{lo}, {hi}]"
@@ -173,16 +124,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_retry_index_and_no_retry_policy_cost_nothing() {
+    fn zero_retry_index_costs_nothing() {
         let mut rng = DetRng::new(3);
+        let fresh = rng.clone();
+        assert_eq!(backoff_for(0, &mut rng), SimDuration::ZERO);
+        let (mut a, mut b) = (rng, fresh);
         assert_eq!(
-            RetryPolicy::default().backoff_for(0, &mut rng),
-            SimDuration::ZERO
+            backoff_for(1, &mut a),
+            backoff_for(1, &mut b),
+            "retry 0 draws no jitter"
         );
-        let no_backoff = RetryPolicy {
-            base_backoff: SimDuration::ZERO,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(no_backoff.backoff_for(5, &mut rng), SimDuration::ZERO);
     }
 }

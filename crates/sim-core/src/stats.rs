@@ -239,24 +239,6 @@ impl LogHistogram {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Nearest-rank `q`-quantile (`q` in `[0, 1]`), resolved to the *floor* of
-    /// the bucket holding that rank. Zero when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_floor(i);
-            }
-        }
-        self.max
-    }
-
     /// Nearest-rank `q`-quantile resolved to the *count-weighted mean* of
     /// the bucket holding that rank (integer division). Exact whenever the
     /// bucket holds a single distinct value — in particular for an empty
@@ -407,7 +389,7 @@ mod tests {
         let mut h = LogHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0);
-        assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(h.quantile_mean(0.5), 0);
         for ns in [100u64, 200, 300, 5_000] {
             h.record(ns);
         }
@@ -416,10 +398,10 @@ mod tests {
         assert_eq!(h.mean(), 1_400);
         assert_eq!(h.min(), 100);
         assert_eq!(h.max(), 5_000);
-        // p50 rank 2 → 200 lives in bucket 7 (floor 128).
-        assert_eq!(h.quantile(0.5), 128);
-        // p100 → bucket of 5000 is 12 (floor 4096).
-        assert_eq!(h.quantile(1.0), 4096);
+        // p50 rank 2 → 200, alone in bucket 7 (floor 128).
+        assert_eq!(h.quantile_mean(0.5), 200);
+        // p100 → 5000, alone in bucket 12 (floor 4096).
+        assert_eq!(h.quantile_mean(1.0), 5_000);
         let nz: Vec<(u64, u64)> = h.nonzero_buckets().collect();
         assert_eq!(nz, vec![(64, 1), (128, 1), (256, 1), (4096, 1)]);
     }
@@ -455,8 +437,6 @@ mod tests {
         assert_eq!(h.p50(), 18_350_081);
         assert_eq!(h.p90(), 18_350_081);
         assert_eq!(h.p99(), 18_350_081);
-        // The legacy floor quantile is still the bucket floor.
-        assert_eq!(h.quantile(0.5), 1 << 24);
     }
 
     #[test]

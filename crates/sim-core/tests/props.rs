@@ -9,7 +9,7 @@
 )]
 
 use sleds_sim_core::stats::{Ecdf, Summary};
-use sleds_sim_core::{check, DetRng, RetryPolicy, SimDuration, SimTime};
+use sleds_sim_core::{check, retry, DetRng, SimDuration, SimTime};
 
 fn sample_vec(rng: &mut DetRng, min_len: usize, max_len: usize, lo: f64, hi: f64) -> Vec<f64> {
     let len = rng.range_usize(min_len, max_len);
@@ -130,84 +130,56 @@ fn secs_f64_roundtrip() {
     });
 }
 
-/// Retry backoff schedules: zero before the first retry, monotone
-/// nondecreasing and clamped without jitter, and with jitter every draw
-/// stays inside the configured amplitude band around the pure schedule.
+/// Retry backoff: zero before the first retry, and every draw inside the
+/// +/-25 % jitter band around 5 ms doubled per retry, clamped to 320 ms.
 #[test]
-fn retry_backoff_is_bounded_and_monotone() {
-    check::run("retry_backoff_is_bounded_and_monotone", |rng| {
-        let base = SimDuration::from_nanos(rng.range_u64(1, 1_000_000));
-        let max_backoff = SimDuration::from_nanos(rng.range_u64(1, 1_000_000_000));
-        let amp = rng.unit_f64() * 0.5;
-        let pure = RetryPolicy {
-            base_backoff: base,
-            max_backoff,
-            jitter_amp: 0.0,
-            ..RetryPolicy::default()
-        };
-        assert!(pure.backoff_for(0, rng).is_zero());
-        let mut prev = SimDuration::ZERO;
-        for retry in 1..16u32 {
-            let b = pure.backoff_for(retry, rng);
-            assert!(b >= prev, "jitter-free backoff must be monotone");
-            assert!(b <= max_backoff, "backoff must clamp to the ceiling");
-            prev = b;
-        }
-        let jittered = RetryPolicy {
-            jitter_amp: amp,
-            ..pure
-        };
-        for retry in 1..16u32 {
-            let clean = pure.backoff_for(retry, rng).as_secs_f64();
-            let b = jittered.backoff_for(retry, rng).as_secs_f64();
+fn retry_backoff_stays_in_its_jitter_band() {
+    check::run("retry_backoff_stays_in_its_jitter_band", |rng| {
+        assert!(retry::backoff_for(0, rng).is_zero());
+        for n in 1..16u32 {
+            let clean = (5e-3 * f64::from(1u32 << (n - 1))).min(0.32);
+            let b = retry::backoff_for(n, rng).as_secs_f64();
             assert!(
-                b >= clean * (1.0 - amp) - 1e-9 && b <= clean * (1.0 + amp) + 1e-9,
-                "retry {retry}: {b} outside the +/-{amp} band around {clean}"
+                b >= clean * 0.75 - 1e-9 && b <= clean * 1.25 + 1e-9,
+                "retry {n}: {b} outside the +/-25 % band around {clean}"
             );
         }
     });
 }
 
 /// The kernel's retry loop shape, driven against an always-failing command:
-/// submissions never exceed `max_attempts`, and the total backoff charged is
-/// exactly the sum of the per-retry schedule (so a policy bounds virtual
-/// time as well as attempts).
+/// it submits exactly `MAX_ATTEMPTS` times, and the total backoff charged
+/// is exactly the sum of the per-retry schedule drawn from the same jitter
+/// stream (so the bound holds in virtual time as well as in attempts).
 #[test]
 fn retry_attempts_respect_policy_bound() {
     check::run("retry_attempts_respect_policy_bound", |rng| {
-        let policy = RetryPolicy {
-            max_attempts: rng.range_u64(1, 10) as u32,
-            base_backoff: SimDuration::from_nanos(rng.range_u64(0, 1_000_000)),
-            max_backoff: SimDuration::from_nanos(rng.range_u64(0, 10_000_000)),
-            timeout: SimDuration::MAX,
-            jitter_amp: 0.0,
-        };
-        let mut attempts = 0u32;
+        let mut replay = rng.clone();
+        let mut submissions = 0u32;
         let mut charged = SimDuration::ZERO;
-        // Bounded: exits by `policy.max_attempts`.
-        loop {
-            attempts += 1;
-            // The command always fails with a retryable errno.
-            if attempts >= policy.max_attempts {
-                break;
+        for attempt in retry::attempts() {
+            if attempt > 1 {
+                charged = charged.saturating_add(retry::backoff_for(attempt - 1, rng));
             }
-            charged = charged.saturating_add(policy.backoff_for(attempts, rng));
+            // The command always fails with a retryable errno.
+            submissions += 1;
         }
-        assert_eq!(attempts, policy.max_attempts, "loop must exhaust exactly");
-        let expected = (1..policy.max_attempts).fold(SimDuration::ZERO, |acc, i| {
-            acc.saturating_add(policy.backoff_for(i, rng))
+        assert_eq!(
+            submissions,
+            retry::MAX_ATTEMPTS,
+            "loop must exhaust exactly"
+        );
+        let expected = (1..retry::MAX_ATTEMPTS).fold(SimDuration::ZERO, |acc, i| {
+            acc.saturating_add(retry::backoff_for(i, &mut replay))
         });
         assert_eq!(charged, expected, "backoff charges follow the schedule");
-        assert!(
-            policy.max_attempts > 1 || charged.is_zero(),
-            "a single-attempt policy never backs off"
-        );
+        // Three retries at most 1.25 x (5 + 10 + 20) ms.
+        assert!(charged <= SimDuration::from_micros(43_750), "{charged}");
     });
 }
 
 /// Log-histogram percentile queries: p50 <= p90 <= p99, all within the
-/// observed [min, max], and the count-weighted quantile is never coarser
-/// than the bucket floor the legacy query returns.
+/// observed [min, max].
 #[test]
 fn log_histogram_percentiles_are_ordered_and_bounded() {
     use sleds_sim_core::stats::LogHistogram;
@@ -225,13 +197,6 @@ fn log_histogram_percentiles_are_ordered_and_bounded() {
         for q in [p50, p90, p99] {
             assert!(q >= h.min(), "{q} below min {}", h.min());
             assert!(q <= h.max(), "{q} above max {}", h.max());
-        }
-        // The weighted quantile refines the floor quantile: same bucket,
-        // so it is at least the floor and below the next power of two.
-        for qf in [0.5, 0.9, 0.99] {
-            let floor = h.quantile(qf);
-            let exact = h.quantile_mean(qf);
-            assert!(exact >= floor, "weighted {exact} under floor {floor}");
         }
     });
 }

@@ -8,7 +8,7 @@
 //!    checksum, same retry counts, same backoff charge, same final virtual
 //!    clock.
 //! 2. **Masking** — a transient window with a bounded failure budget is
-//!    fully absorbed by the kernel's `RetryPolicy`: every read succeeds,
+//!    fully absorbed by the kernel's bounded retry: every read succeeds,
 //!    and the retries show up in rusage instead of in the application.
 //! 3. **Routing** — `FSLEDS_GET` prices extents on an offline device as
 //!    unavailable, and `PickSession` routes around them: the default
@@ -32,8 +32,8 @@ use sleds_repro::replay::{build_kernel, WorkloadSpec};
 use sleds_repro::scenarios;
 use sleds_repro::sim_core::{SimDuration, SimTime, PAGE_SIZE};
 use sleds_repro::sleds::{
-    fsleds_get, recalibrate, total_delivery_time, AttackPlan, PickConfig, PickSession, RecalPolicy,
-    SledsEntry, SledsTable,
+    fsleds_get, recalibrate, total_delivery_time, AttackPlan, PickConfig, PickSession, SledsEntry,
+    SledsTable,
 };
 use sleds_repro::trace::{audit_accuracy, summarize_class, AccuracySample, ClassAccuracy};
 
@@ -260,7 +260,7 @@ fn disk_err(samples: &[AccuracySample], generation: u64) -> ClassAccuracy {
 /// accuracy audit so the next pass's samples group under a new generation).
 fn recal_now(k: &mut Kernel, table: &SledsTable) -> SledsTable {
     let fd = k.open("/data/f0", OpenFlags::RDONLY).expect("open");
-    let outcome = recalibrate(k, table, fd, &RecalPolicy::default()).expect("recal");
+    let outcome = recalibrate(k, table, fd).expect("recal");
     k.close(fd).expect("close");
     assert!(!outcome.refreshed.is_empty(), "the pass must refresh rows");
     outcome.table

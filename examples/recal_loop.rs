@@ -21,11 +21,11 @@ use sleds_repro::lmbench::fill_table;
 use sleds_repro::replay::build_kernel;
 use sleds_repro::scenarios;
 use sleds_repro::sim_core::PAGE_SIZE;
-use sleds_repro::sleds::{recalibrate, total_delivery_time, AttackPlan, RecalPolicy, SledsTable};
+use sleds_repro::sleds::{recalibrate, total_delivery_time, AttackPlan, SledsTable};
 use sleds_repro::trace::{audit_accuracy, summarize_class, AccuracySample, ClassAccuracy};
 
-/// Files per storage level — at least `RecalPolicy::min_samples`, so every
-/// exercised class clears the recalibrator's sample floor.
+/// Files per storage level — at least three, so every exercised class
+/// clears the recalibrator's sample floor.
 const FILES_PER_MOUNT: usize = 3;
 const PAGES_PER_FILE: usize = 12;
 
@@ -108,7 +108,7 @@ fn main() {
     // audit, and returns the metrics snapshot the new table is a pure
     // function of.
     let fd = k.open("/data/f0", OpenFlags::RDONLY).expect("open");
-    let outcome = recalibrate(&mut k, &table, fd, &RecalPolicy::default()).expect("recal");
+    let outcome = recalibrate(&mut k, &table, fd).expect("recal");
     k.close(fd).expect("close");
     println!(
         "recalibrated {} device rows ({} skipped for lack of samples):",

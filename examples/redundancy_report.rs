@@ -37,6 +37,7 @@ use sleds_repro::devices::{FaultPlan, FaultState};
 use sleds_repro::fs::{HedgePolicy, OpenFlags, Rusage, TenantId, VolumeLayout};
 use sleds_repro::replay::{build_kernel, WorkloadSpec};
 use sleds_repro::scenarios;
+use sleds_repro::sim_core::stats::Ecdf;
 use sleds_repro::sim_core::{SimDuration, SimTime, PAGE_SIZE, SECTOR_SIZE};
 
 const STORM_SEED: u64 = 0x5EED5;
@@ -88,15 +89,10 @@ struct Outcome {
     virtual_ns: u64,
 }
 
-/// Nearest-rank percentile over an unsorted sample set.
+/// Nearest-rank percentile of a set of nanosecond latencies; 0 for none.
 fn percentile(samples: &[u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut v = samples.to_vec();
-    v.sort_unstable();
-    let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len());
-    v[rank - 1]
+    let ns: Vec<f64> = samples.iter().map(|&n| n as f64).collect();
+    Ecdf::of(&ns).map_or(0, |e| e.quantile(q) as u64)
 }
 
 /// Drives the workload through the storm on one configuration. Two
