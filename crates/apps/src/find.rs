@@ -59,15 +59,6 @@ pub struct FindReport {
     pub skipped: Vec<FileDiagnostic>,
 }
 
-impl FindReport {
-    /// Real find's exit status: 0 when the whole walk succeeded, 1 when
-    /// any entry had to be skipped — nonzero but not fatal, the rest of
-    /// the tree was still visited.
-    pub fn exit_status(&self) -> i32 {
-        i32::from(!self.skipped.is_empty())
-    }
-}
-
 /// Walks `root` depth-first, returning entries that satisfy every
 /// predicate, in deterministic (name) order.
 ///
@@ -75,7 +66,7 @@ impl FindReport {
 /// table is an error, mirroring running the paper's find on a kernel
 /// without SLEDs support. Per-entry failures (an unreadable directory, a
 /// file whose `-latency` estimate fails) are skipped, as real find skips
-/// them; use [`find_report`] to see the diagnostics and exit status.
+/// them; use [`find_report`] to see the diagnostics.
 pub fn find(
     kernel: &mut Kernel,
     root: &str,
@@ -86,9 +77,9 @@ pub fn find(
 }
 
 /// [`find`] with real find's error semantics surfaced: every entry the
-/// walk could not examine becomes a [`FileDiagnostic`] (the stderr line)
-/// and flips the exit status to 1, while the rest of the tree is still
-/// walked instead of propagating the first `SimError`.
+/// walk could not examine becomes a [`FileDiagnostic`] (the stderr line),
+/// while the rest of the tree is still walked instead of propagating the
+/// first `SimError`.
 pub fn find_report(
     kernel: &mut Kernel,
     root: &str,
@@ -549,7 +540,6 @@ mod tests {
         .unwrap();
         assert_eq!(r.skipped.len(), 1);
         assert_eq!(r.skipped[0].path, "/b/stray.c");
-        assert_eq!(r.exit_status(), 1);
         let paths: Vec<&str> = r.hits.iter().map(|h| h.path.as_str()).collect();
         assert!(paths.contains(&"/a/ok.c"), "rest of the tree still walked");
         assert_eq!(r.skipped[0].error.errno, sleds_sim_core::Errno::Einval);

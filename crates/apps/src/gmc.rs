@@ -152,7 +152,7 @@ mod tests {
 
         // No audited predictions yet: panel renders without an error bar.
         let before = properties_panel(&mut k, &t, "/data/f").unwrap();
-        assert!(before.report.observed_error().is_none());
+        assert!(!format!("{before}").contains("observed error"));
 
         // Predict, read to completion, close — one audited pair.
         let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
@@ -161,9 +161,8 @@ mod tests {
         k.close(fd).unwrap();
 
         let after = properties_panel(&mut k, &t, "/data/f").unwrap();
-        let err = after.report.observed_error().expect("window has a sample");
-        assert_eq!(err.samples, 1);
-        assert!(format!("{after}").contains("observed error"));
+        assert!(format!("{after}").contains("observed error: ±"));
+        assert!(format!("{after}").contains("over last 1 predictions"));
     }
 
     #[test]

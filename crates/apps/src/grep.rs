@@ -19,12 +19,12 @@
 //! a single device read.
 
 use sleds::{PickConfig, PickSession, SledsTable};
-use sleds_fs::{Fd, Kernel, OpenFlags, SubmissionRing, Whence, DEFAULT_RING_ENTRIES};
+use sleds_fs::{Fd, Kernel, OpenFlags, Whence};
 use sleds_sim_core::{SimDuration, SimResult};
 use sleds_textmatch::memscan::{count, memchr, memrchr};
 use sleds_textmatch::Regex;
 
-use crate::{charge_per_byte, ring_read_plan, BUFSIZE};
+use crate::{charge_per_byte, BUFSIZE};
 
 /// Fixed per-line CPU cost (line assembly, bookkeeping).
 const GREP_NS_PER_LINE: u64 = 60;
@@ -324,51 +324,6 @@ fn grep_sleds(
 }
 // [sleds:end]
 
-/// [`grep`] in SLEDs mode over the submission ring: the SLED retrieval
-/// and the chunk reads go through the ring, a batch per ring's worth of
-/// chunks. The pick plan, the scan order, the scanner and the stitch are
-/// those of the sequential SLEDs mode, so the output is bit-identical —
-/// including `-q`, where the ring may have *read* a few chunks past the
-/// match (they were already in flight in the batch) but scanning still
-/// stops at the same first match.
-pub fn grep_ring(
-    kernel: &mut Kernel,
-    path: &str,
-    re: &Regex,
-    opts: &GrepOptions,
-    table: &SledsTable,
-) -> SimResult<GrepResult> {
-    kernel.trace_app("grep --sleds", |kernel| {
-        let fd = kernel.open(path, OpenFlags::RDONLY)?;
-        let mut ring = SubmissionRing::new(DEFAULT_RING_ENTRIES);
-        let result = grep_ring_fd(kernel, &mut ring, fd, re, opts, table);
-        kernel.close(fd)?;
-        result
-    })
-}
-
-fn grep_ring_fd(
-    kernel: &mut Kernel,
-    ring: &mut SubmissionRing,
-    fd: Fd,
-    re: &Regex,
-    opts: &GrepOptions,
-    table: &SledsTable,
-) -> SimResult<GrepResult> {
-    let mut pick =
-        PickSession::init_ring(kernel, ring, table, fd, PickConfig::records(BUFSIZE, b'\n'))?;
-    let mut scan = LineScan::new(re, opts);
-    let hit = ring_read_plan(kernel, ring, fd, &mut pick, |kernel, offset, buf| {
-        scan.feed(kernel, offset, buf)
-    })?;
-    pick.finish();
-    Ok(if hit {
-        quiet_hit(scan)
-    } else {
-        stitched(kernel, scan)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,39 +527,5 @@ mod tests {
         let r = grep(&mut k, "/data/src.c", &re, &GrepOptions::default(), None).unwrap();
         assert_eq!(r.matches.len(), 1);
         assert_eq!(r.matches[0].line_number, 2);
-    }
-
-    #[test]
-    fn ring_mode_matches_sleds_mode_exactly() {
-        let (mut k, t) = setup();
-        let text = corpus(6 * BUFSIZE + 777, 97, 11);
-        k.install_file("/data/f", &text).unwrap();
-        // Warm a middle slice so the pick plan genuinely reorders.
-        let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-        k.lseek(fd, 5 * PAGE_SIZE as i64, Whence::Set).unwrap();
-        k.read(fd, 3 * PAGE_SIZE as usize).unwrap();
-        k.close(fd).unwrap();
-        let re = Regex::new("needle").unwrap();
-        let seq = grep(&mut k, "/data/f", &re, &GrepOptions::default(), Some(&t)).unwrap();
-        let ring = grep_ring(&mut k, "/data/f", &re, &GrepOptions::default(), &t).unwrap();
-        assert_eq!(seq, ring, "offsets, line numbers and text all identical");
-        assert!(!ring.matches.is_empty());
-    }
-
-    #[test]
-    fn ring_mode_q_stops_at_the_same_first_match() {
-        let (mut k, t) = setup();
-        let text = corpus(4 * BUFSIZE, 53, 13);
-        k.install_file("/data/f", &text).unwrap();
-        let re = Regex::new("needle").unwrap();
-        let opts = GrepOptions {
-            first_match_only: true,
-        };
-        let seq = grep(&mut k, "/data/f", &re, &opts, Some(&t)).unwrap();
-        let ring = grep_ring(&mut k, "/data/f", &re, &opts, &t).unwrap();
-        assert_eq!(seq, ring);
-        assert!(ring.stopped_early);
-        assert_eq!(ring.matches.len(), 1);
-        assert_eq!(ring.matches[0].line_number, 0, "-q suppresses numbering");
     }
 }

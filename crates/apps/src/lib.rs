@@ -32,8 +32,7 @@ pub mod grep;
 pub mod treegrep;
 pub mod wc;
 
-use sleds::PickSession;
-use sleds_fs::{Fd, Kernel, SubmissionRing, Syscall};
+use sleds_fs::{Fd, Kernel};
 use sleds_sim_core::{SimDuration, SimError, SimResult};
 
 /// Default application buffer size, matching the BUFSIZE the paper's
@@ -73,47 +72,4 @@ pub(crate) fn closing_files<T>(
     let value = result?;
     closed?;
     Ok(value)
-}
-
-/// Reads the rest of a pick plan through the submission ring: fill the
-/// submission queue with the next ring's worth of chunks, enter once, reap.
-/// Completions come back in submission order, so `chunk(kernel, offset,
-/// bytes)` sees the chunks in the order the sequential mode reads them.
-/// When it returns true the pump stops there — the rest of the batch was
-/// read but goes unseen — and so does this function, returning true.
-pub(crate) fn ring_read_plan(
-    kernel: &mut Kernel,
-    ring: &mut SubmissionRing,
-    fd: Fd,
-    pick: &mut PickSession,
-    mut chunk: impl FnMut(&mut Kernel, u64, &[u8]) -> bool,
-) -> SimResult<bool> {
-    loop {
-        // The chunk offset doubles as the completion tag.
-        let mut queued = 0usize;
-        while queued < ring.capacity() {
-            let Some((offset, len)) = pick.next_read() else {
-                break;
-            };
-            ring.push(
-                offset,
-                Syscall::Pread {
-                    fd,
-                    pos: offset,
-                    len,
-                },
-            )?;
-            queued += 1;
-        }
-        if queued == 0 {
-            return Ok(false);
-        }
-        kernel.ring_enter(ring)?;
-        for c in kernel.ring_reap(ring) {
-            let buf = c.result?.bytes()?;
-            if chunk(kernel, c.user_data, &buf) {
-                return Ok(true);
-            }
-        }
-    }
 }

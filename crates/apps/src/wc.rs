@@ -8,10 +8,10 @@
 //! afterwards, which keeps its output bit-identical to the baseline.
 
 use sleds::{PickConfig, PickSession, SledsTable};
-use sleds_fs::{Fd, Kernel, OpenFlags, SubmissionRing, Whence, DEFAULT_RING_ENTRIES};
+use sleds_fs::{Fd, Kernel, OpenFlags, Whence};
 use sleds_sim_core::SimResult;
 
-use crate::{charge_per_byte, ring_read_plan, BUFSIZE};
+use crate::{charge_per_byte, BUFSIZE};
 
 /// CPU cost of the counting loop, per byte scanned.
 const WC_NS_PER_BYTE: u64 = 6;
@@ -145,40 +145,6 @@ pub fn wc_aio(kernel: &mut Kernel, path: &str) -> SimResult<(WcResult, sleds_fs:
         .map(|(off, bytes)| count_chunk(*off, bytes))
         .collect();
     Ok((stitch(segments), report))
-}
-
-/// `wc --sleds` over the submission ring: the SLED retrieval and every
-/// chunk read go through the ring, a batch per ring's worth of chunks, so
-/// a plan of N chunks costs about `1 + ceil(N / capacity)` boundary
-/// crossings instead of `2N` (`lseek` + `read` each). The counting,
-/// stitching, and the pick order itself are identical to [`wc`] with a
-/// table — the output is bit-identical, and rusage differs only in
-/// `cpu`, `syscalls` and `syscall_crossings`.
-pub fn wc_ring(kernel: &mut Kernel, path: &str, table: &SledsTable) -> SimResult<WcResult> {
-    kernel.trace_app("wc --sleds", |kernel| {
-        let fd = kernel.open(path, OpenFlags::RDONLY)?;
-        let mut ring = SubmissionRing::new(DEFAULT_RING_ENTRIES);
-        let result = wc_ring_fd(kernel, &mut ring, fd, table);
-        kernel.close(fd)?;
-        result
-    })
-}
-
-fn wc_ring_fd(
-    kernel: &mut Kernel,
-    ring: &mut SubmissionRing,
-    fd: Fd,
-    table: &SledsTable,
-) -> SimResult<WcResult> {
-    let mut pick = PickSession::init_ring(kernel, ring, table, fd, PickConfig::bytes(BUFSIZE))?;
-    let mut segments = Vec::new();
-    ring_read_plan(kernel, ring, fd, &mut pick, |kernel, offset, buf| {
-        charge_per_byte(kernel, buf.len(), WC_NS_PER_BYTE);
-        segments.push(count_chunk(offset, buf));
-        false
-    })?;
-    pick.finish();
-    Ok(stitch(segments))
 }
 
 // [sleds:begin]
@@ -350,67 +316,6 @@ mod tests {
             "sleds {} vs base {}",
             sleds.elapsed,
             base.elapsed
-        );
-    }
-
-    #[test]
-    fn ring_mode_is_equivalent_modulo_crossings() {
-        // Two identically-prepared kernels, so both runs start from the
-        // same cache state (a run warms pages, which would otherwise make
-        // the second run's faults trivially different).
-        let prepared = || {
-            let (mut k, t) = setup();
-            let text = random_text(20 * BUFSIZE + 321, 9);
-            k.install_file("/data/f", &text).unwrap();
-            // Warm a middle slice so the pick order is genuinely scrambled.
-            let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
-            k.lseek(fd, 3 * PAGE_SIZE as i64, Whence::Set).unwrap();
-            k.read(fd, 2 * PAGE_SIZE as usize).unwrap();
-            k.close(fd).unwrap();
-            (k, t)
-        };
-
-        let (mut k, t) = prepared();
-        let before = k.usage();
-        let seq = wc(&mut k, "/data/f", Some(&t)).unwrap();
-        let seq_u = k.usage().since(&before);
-
-        let (mut k, t) = prepared();
-        let ops_before = k.ring_ops_serviced();
-        let before = k.usage();
-        let ring = wc_ring(&mut k, "/data/f", &t).unwrap();
-        let ring_u = k.usage().since(&before);
-        let ring_ops = k.ring_ops_serviced() - ops_before;
-        assert!(seq_u.major_faults > 0, "cold pages faulted in both runs");
-
-        assert_eq!(seq, ring, "byte-identical answer");
-        // Identical data motion and paging either way...
-        assert_eq!(seq_u.bytes_read, ring_u.bytes_read);
-        assert_eq!(seq_u.major_faults, ring_u.major_faults);
-        assert_eq!(seq_u.minor_faults, ring_u.minor_faults);
-        assert_eq!(seq_u.device_reads, ring_u.device_reads);
-        // io_wait is only near-identical: the disk model's rotational
-        // position depends on virtual time, which the differing trap
-        // charges shift slightly.
-        let (a, b) = (seq_u.io_wait.as_secs_f64(), ring_u.io_wait.as_secs_f64());
-        assert!((a - b).abs() < 0.05 * a, "io_wait {a} vs {b}");
-        // ...but far fewer kernel boundary crossings,
-        assert!(
-            ring_u.syscall_crossings < seq_u.syscall_crossings / 8,
-            "ring {} vs sequential {} crossings",
-            ring_u.syscall_crossings,
-            seq_u.syscall_crossings
-        );
-        // and the CPU gap is exactly the trap charges saved minus the
-        // per-op ring servicing cost — nothing else moved.
-        let cfg = k.config();
-        let saved = (seq_u.syscall_crossings - ring_u.syscall_crossings) as f64
-            * cfg.syscall_cpu.as_secs_f64();
-        let ring_cost = ring_ops as f64 * cfg.ring_op_cpu.as_secs_f64();
-        let gap = seq_u.cpu.as_secs_f64() - ring_u.cpu.as_secs_f64();
-        assert!(
-            (gap - (saved - ring_cost)).abs() < 1e-9,
-            "gap {gap} vs saved {saved} - ring {ring_cost}"
         );
     }
 }

@@ -1,12 +1,12 @@
 //! Golden pins for the text scanners: answers, `Rusage.cpu` and job
-//! elapsed of `grep` (baseline / SLEDs / ring, full and `-q`) and `wc`
+//! elapsed of `grep` (baseline / SLEDs, full and `-q`) and `wc`
 //! on corpora built to hit every buffer-edge case. The constants were
 //! recorded from the per-line scanner these tools used to have; the
 //! virtual machine must not notice how the host finds its matches.
 
 use sleds::{SledsEntry, SledsTable};
-use sleds_apps::grep::{grep, grep_ring, GrepOptions, GrepResult};
-use sleds_apps::wc::{wc, wc_ring, WcResult};
+use sleds_apps::grep::{grep, GrepOptions, GrepResult};
+use sleds_apps::wc::{wc, WcResult};
 use sleds_apps::BUFSIZE;
 use sleds_devices::DiskDevice;
 use sleds_fs::{Kernel, OpenFlags, Whence};
@@ -90,7 +90,6 @@ fn prepared(text: &[u8]) -> (Kernel, SledsTable) {
 enum Mode {
     Baseline,
     Sleds,
-    Ring,
 }
 
 /// One measured run on a freshly prepared kernel: the answer, then
@@ -103,7 +102,6 @@ fn run_grep(text: &[u8], mode: Mode, first_match_only: bool) -> (GrepResult, (u6
     let r = match mode {
         Mode::Baseline => grep(&mut k, PATH, &re, &opts, None),
         Mode::Sleds => grep(&mut k, PATH, &re, &opts, Some(&t)),
-        Mode::Ring => grep_ring(&mut k, PATH, &re, &opts, &t),
     }
     .unwrap();
     let rep = k.finish_job(&job);
@@ -151,8 +149,7 @@ fn grep_answers_and_virtual_costs_are_pinned() {
     use Mode::*;
     let text = grep_corpus();
     // The reordered `-q` reports no line number (it has not seen the lines
-    // before the match); over the ring it finds the same match, but the
-    // batch that held it had already been read.
+    // before the match).
     let quiet: &[(u64, u64)] = &[(65338, 0)];
     #[rustfmt::skip]
     let golden = [
@@ -160,8 +157,6 @@ fn grep_answers_and_virtual_costs_are_pinned() {
         Golden { mode: Baseline, quiet: true, matches: &ALL[..1], stopped_early: true, cost: (3618756, 27558282) },
         Golden { mode: Sleds, quiet: false, matches: &ALL, stopped_early: false, cost: (11342202, 60806143) },
         Golden { mode: Sleds, quiet: true, matches: quiet, stopped_early: true, cost: (4890900, 27563282) },
-        Golden { mode: Ring, quiet: false, matches: &ALL, stopped_early: false, cost: (11253702, 61961343) },
-        Golden { mode: Ring, quiet: true, matches: quiet, stopped_early: true, cost: (9744877, 60452518) },
     ];
     for g in golden {
         let what = format!("{:?} quiet={}", g.mode, g.quiet);
@@ -173,7 +168,7 @@ fn grep_answers_and_virtual_costs_are_pinned() {
 }
 
 /// `-q` whose only match is the unterminated last line: the baseline
-/// reports an early stop, the reordered modes fall through to the
+/// reports an early stop, the reordered mode falls through to the
 /// ordinary stitched answer (numbered, not stopped).
 #[test]
 fn quiet_match_in_unterminated_last_line_is_pinned() {
@@ -181,7 +176,6 @@ fn quiet_match_in_unterminated_last_line_is_pinned() {
     let golden = [
         (Mode::Baseline, true, (20897, 20897)),
         (Mode::Sleds, false, (31748, 31748)),
-        (Mode::Ring, false, (22048, 22048)),
     ];
     for (mode, stopped, cost) in golden {
         let (r, got_cost) = run_grep(text, mode, true);
@@ -217,7 +211,6 @@ fn run_wc(text: &[u8], mode: Mode) -> (WcResult, (u64, u64)) {
     let r = match mode {
         Mode::Baseline => wc(&mut k, PATH, None),
         Mode::Sleds => wc(&mut k, PATH, Some(&t)),
-        Mode::Ring => wc_ring(&mut k, PATH, &t),
     }
     .unwrap();
     let rep = k.finish_job(&job);
@@ -235,7 +228,6 @@ fn wc_counts_and_virtual_costs_are_pinned() {
     let golden = [
         (Mode::Baseline, (87995134, 400628679)),
         (Mode::Sleds, (88278507, 397549200)),
-        (Mode::Ring, (87766457, 403845052)),
     ];
     for (mode, cost) in golden {
         assert_eq!(run_wc(&text, mode), (counts, cost), "{mode:?}");
@@ -243,7 +235,7 @@ fn wc_counts_and_virtual_costs_are_pinned() {
 }
 
 /// A scan that fails inside its application span (here: the `open`
-/// bounces off a missing path, in all five modes) still closes it, so the
+/// bounces off a missing path, in all three modes) still closes it, so the
 /// next scan's span opens at depth zero beside it, not nested inside.
 #[test]
 fn a_failed_scan_closes_its_app_span() {
@@ -255,9 +247,7 @@ fn a_failed_scan_closes_its_app_span() {
     let missing = "/data/missing";
     assert!(grep(&mut k, missing, &re, &opts, None).is_err());
     assert!(grep(&mut k, missing, &re, &opts, Some(&t)).is_err());
-    assert!(grep_ring(&mut k, missing, &re, &opts, &t).is_err());
     assert!(wc(&mut k, missing, Some(&t)).is_err());
-    assert!(wc_ring(&mut k, missing, &t).is_err());
     assert_eq!(wc(&mut k, PATH, None).unwrap().lines, 1);
 
     let mut depth = 0usize;
@@ -276,15 +266,5 @@ fn a_failed_scan_closes_its_app_span() {
         }
     }
     assert_eq!(depth, 0);
-    assert_eq!(
-        app_spans,
-        [
-            "grep",
-            "grep --sleds",
-            "grep --sleds",
-            "wc --sleds",
-            "wc --sleds",
-            "wc"
-        ]
-    );
+    assert_eq!(app_spans, ["grep", "grep --sleds", "wc --sleds", "wc"]);
 }

@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 
 use sleds_fs::sled::{plan_chunks, plan_cost};
-use sleds_fs::{Fd, Kernel, SubmissionRing, Syscall, SyscallRet};
+use sleds_fs::{Fd, Kernel};
 use sleds_sim_core::{index, SimDuration, SimResult, PAGE_SIZE};
 
 use crate::get::fsleds_get;
@@ -102,50 +102,7 @@ impl PickSession {
         fd: Fd,
         cfg: PickConfig,
     ) -> SimResult<PickSession> {
-        let sleds = fsleds_get(kernel, fd, table)?;
-        PickSession::plan_from(kernel, fd, cfg, sleds, table.generation())
-    }
-
-    /// [`PickSession::init`] over the submission ring: the SLED vector is
-    /// built in-kernel ([`sleds_fs::Syscall::FsledsGet`]) from a copy of
-    /// the table, so the retrieval costs one ring op instead of the
-    /// sequential `fstat` + `FSLEDS_GET` pair of crossings. Planning —
-    /// chunking, record adjustment, the prediction mark — is identical to
-    /// the sequential path, and so is the plan, zone rows and device
-    /// self-reports included.
-    pub fn init_ring(
-        kernel: &mut Kernel,
-        ring: &mut SubmissionRing,
-        table: &SledsTable,
-        fd: Fd,
-        cfg: PickConfig,
-    ) -> SimResult<PickSession> {
-        ring.push(
-            fd.0,
-            Syscall::FsledsGet {
-                fd,
-                pricing: table.clone(),
-            },
-        )?;
-        kernel.ring_enter(ring)?;
-        let mut sleds: Vec<Sled> = Vec::new();
-        for c in kernel.ring_reap(ring) {
-            if c.user_data == fd.0 {
-                if let SyscallRet::Sleds(ks) = c.result? {
-                    sleds = ks;
-                }
-            }
-        }
-        PickSession::plan_from(kernel, fd, cfg, sleds, table.generation())
-    }
-
-    fn plan_from(
-        kernel: &mut Kernel,
-        fd: Fd,
-        cfg: PickConfig,
-        mut sleds: Vec<Sled>,
-        table_generation: u64,
-    ) -> SimResult<PickSession> {
+        let mut sleds = fsleds_get(kernel, fd, table)?;
         if let Some(sep) = cfg.record_separator {
             adjust_to_records(kernel, fd, &mut sleds, sep)?;
         }
@@ -167,7 +124,7 @@ impl PickSession {
                 crate::estimate::estimate_seconds(&sleds, crate::estimate::AttackPlan::Best)
             };
             if est.is_finite() {
-                kernel.trace_predict(fd, SimDuration::from_secs_f64(est), table_generation)?;
+                kernel.trace_predict(fd, SimDuration::from_secs_f64(est), table.generation())?;
             }
         }
         Ok(PickSession {

@@ -220,7 +220,12 @@ mod tests {
         let mut t = base_table();
         t.fill_device_zones(DeviceId(0), vec![(0, SledsEntry::new(0.018, 11e6))]);
         let out = recalibrate_from_metrics(&t, &disk_metrics(3), &[(DeviceId(0), 1)], 1);
-        assert!(!out.table.has_zones(DeviceId(0)));
+        // The flat row governs again from sector 0.
+        assert_eq!(
+            out.table.entry_at(DeviceId(0), 0),
+            out.table.device(DeviceId(0))
+        );
+        assert_ne!(out.table.entry_at(DeviceId(0), 0).unwrap().bandwidth, 11e6);
     }
 
     #[test]

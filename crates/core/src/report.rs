@@ -44,11 +44,6 @@ impl SledReport {
         self
     }
 
-    /// The attached observed error, if any.
-    pub fn observed_error(&self) -> Option<ObservedError> {
-        self.eta_error
-    }
-
     /// The SLED rows.
     pub fn sleds(&self) -> &[Sled] {
         &self.sleds

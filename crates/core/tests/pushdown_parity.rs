@@ -93,31 +93,31 @@ fn bits(sleds: &[Sled]) -> Vec<(u64, u64, u64, u64)> {
         .collect()
 }
 
-fn drain(mut pick: PickSession) -> Vec<(u64, usize)> {
-    std::iter::from_fn(|| pick.next_read()).collect()
-}
-
-/// The sessions of `init` and `init_ring`, library and pushed-down SLEDs,
-/// and the `PickAdvice` ring op's plan must all agree; returns the SLEDs.
-fn assert_parity(k: &mut Kernel, t: &SledsTable, fd: Fd) -> Vec<Sled> {
-    let cfg = PickConfig::bytes(PAGE_SIZE as usize).skip_unavailable();
-    let seq = PickSession::init(k, t, fd, cfg).unwrap();
-    let mut ring = SubmissionRing::new(4);
-    let batched = PickSession::init_ring(k, &mut ring, t, fd, cfg).unwrap();
-    assert_eq!(bits(seq.sleds()), bits(batched.sleds()));
-    assert_eq!(seq.planned_chunks(), batched.planned_chunks());
-    let plan = drain(seq);
-    assert_eq!(plan, drain(batched));
-
-    let lib = fsleds_get(k, fd, t).unwrap();
-    assert_eq!(bits(&lib), bits(&pushed_sleds(k, t, fd)));
-    let advice = Syscall::PickAdvice {
+fn pushed_plan(k: &mut Kernel, t: &SledsTable, fd: Fd) -> Vec<(u64, usize)> {
+    let call = Syscall::PickAdvice {
         fd,
         pricing: t.clone(),
         preferred: PAGE_SIZE as usize,
         skip_unavailable: true,
     };
-    assert_eq!(ring_call(k, advice), Ok(SyscallRet::Plan(plan)));
+    match ring_call(k, call).unwrap() {
+        SyscallRet::Plan(plan) => plan,
+        other => panic!("PickAdvice completed with {other:?}"),
+    }
+}
+
+/// The session of `init`, the library's SLEDs, the SLEDs of the
+/// `FsledsGet` ring op and the plan of the `PickAdvice` ring op must all
+/// agree; returns the SLEDs.
+fn assert_parity(k: &mut Kernel, t: &SledsTable, fd: Fd) -> Vec<Sled> {
+    let cfg = PickConfig::bytes(PAGE_SIZE as usize).skip_unavailable();
+    let mut seq = PickSession::init(k, t, fd, cfg).unwrap();
+    let lib = fsleds_get(k, fd, t).unwrap();
+    assert_eq!(bits(seq.sleds()), bits(&lib));
+    assert_eq!(bits(&lib), bits(&pushed_sleds(k, t, fd)));
+    let plan: Vec<(u64, usize)> = std::iter::from_fn(|| seq.next_read()).collect();
+    assert_eq!(plan.len(), seq.planned_chunks());
+    assert_eq!(pushed_plan(k, t, fd), plan);
     lib
 }
 
@@ -130,10 +130,7 @@ fn mirror_with_offline_primary_prices_the_surviving_copy_on_both_sides() {
     assert_eq!(sleds[0].latency, 0.020, "the mirror, not the dead primary");
     assert_eq!(sleds[0].bandwidth, 9e6);
     // `pread` serves this file, so a skipping plan must keep all of it.
-    let cfg = PickConfig::bytes(PAGE_SIZE as usize).skip_unavailable();
-    let mut ring = SubmissionRing::new(4);
-    let batched = PickSession::init_ring(&mut k, &mut ring, &t, fd, cfg).unwrap();
-    assert_eq!(batched.planned_chunks(), PAGES as usize);
+    assert_eq!(pushed_plan(&mut k, &t, fd).len(), PAGES as usize);
     assert_eq!(
         k.pread(fd, 0, PAGE_SIZE as usize).unwrap().len(),
         PAGE_SIZE as usize

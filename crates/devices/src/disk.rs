@@ -223,11 +223,6 @@ impl Disk {
         }
     }
 
-    /// The geometry this disk was built with.
-    pub fn geometry(&self) -> &DiskGeometry {
-        &self.geom
-    }
-
     /// The cylinder the head currently rests on.
     pub fn current_cylinder(&self) -> u32 {
         self.current_cylinder
@@ -449,7 +444,7 @@ mod tests {
         let d = small_disk();
         // 100 cyl * 2 heads * 100 spt + 100 * 2 * 50.
         assert_eq!(d.capacity_sectors(), 20_000 + 10_000);
-        assert_eq!(d.geometry().cylinders(), 200);
+        assert_eq!(d.locate(d.capacity_sectors() - 1).cylinder, 199);
     }
 
     #[test]

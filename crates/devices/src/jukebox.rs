@@ -76,16 +76,6 @@ pub struct TapeLibrary {
 }
 
 impl TapeLibrary {
-    /// Capacity of a single cartridge, in sectors.
-    pub fn cartridge_sectors(&self) -> u64 {
-        self.cart_sectors
-    }
-
-    /// Whether cartridge `c` is currently mounted in some drive.
-    pub fn is_mounted(&self, c: usize) -> bool {
-        self.drive_of.get(c).copied().flatten().is_some()
-    }
-
     /// The cartridge that holds `sector`.
     pub fn cartridge_of(&self, sector: u64) -> usize {
         index(sector / self.cart_sectors)
@@ -187,14 +177,26 @@ mod tests {
         Jukebox::new("jb0", 4, drives, JukeboxParams::default())
     }
 
+    /// Sectors per cartridge of [`small_jukebox`].
+    fn cartridge(jb: &Jukebox) -> u64 {
+        jb.capacity_sectors() / 4
+    }
+
+    /// Reads 8 sectors at `sector`; true when that command loaded a
+    /// cartridge, i.e. the one holding `sector` was not in a drive.
+    fn loads(jb: &mut Jukebox, sector: u64) -> bool {
+        jb.read(sector, 8, SimTime::ZERO).unwrap();
+        jb.last_phases().iter().any(|p| p.kind == PhaseKind::Mount)
+    }
+
     #[test]
     fn first_access_mounts_cartridge() {
         let mut jb = small_jukebox(1);
-        assert!(!jb.is_mounted(0));
         let t = jb.read(0, 8, SimTime::ZERO).unwrap();
         // Robot move + load.
         assert!(t >= SimDuration::from_secs(50), "cold mount {t}");
-        assert!(jb.is_mounted(0));
+        assert!(jb.last_phases().iter().any(|p| p.kind == PhaseKind::Mount));
+        assert!(!loads(&mut jb, 8), "cartridge 0 stays mounted");
     }
 
     #[test]
@@ -208,26 +210,26 @@ mod tests {
     #[test]
     fn second_cartridge_evicts_lru_with_one_drive() {
         let mut jb = small_jukebox(1);
-        let cart = jb.cartridge_sectors();
+        let cart = cartridge(&jb);
         jb.read(0, 8, SimTime::ZERO).unwrap();
         let t = jb.read(cart, 8, SimTime::ZERO).unwrap();
         // Unload (rewind) + two robot moves + load.
         assert!(t >= SimDuration::from_secs(60), "exchange {t}");
-        assert!(!jb.is_mounted(0));
-        assert!(jb.is_mounted(1));
+        assert!(!loads(&mut jb, cart + 8), "cartridge 1 is mounted");
+        assert!(loads(&mut jb, 8), "cartridge 0 was unloaded");
     }
 
     #[test]
     fn two_drives_keep_both_mounted() {
         let mut jb = small_jukebox(2);
-        let cart = jb.cartridge_sectors();
+        let cart = cartridge(&jb);
         jb.read(0, 8, SimTime::ZERO).unwrap();
         jb.read(cart, 8, SimTime::ZERO).unwrap();
-        assert!(jb.is_mounted(0));
-        assert!(jb.is_mounted(1));
-        // Alternating reads now stay cheap.
-        let t0 = jb.read(8, 8, SimTime::ZERO).unwrap();
-        let t1 = jb.read(cart + 8, 8, SimTime::ZERO).unwrap();
+        // Alternating reads now load nothing and stay cheap.
+        assert!(!loads(&mut jb, 8));
+        let t0: SimDuration = jb.last_phases().iter().map(|p| p.dur).sum();
+        assert!(!loads(&mut jb, cart + 8));
+        let t1: SimDuration = jb.last_phases().iter().map(|p| p.dur).sum();
         assert!(t0 < SimDuration::from_secs(1));
         assert!(t1 < SimDuration::from_secs(1));
     }
@@ -235,20 +237,20 @@ mod tests {
     #[test]
     fn lru_drive_is_victim() {
         let mut jb = small_jukebox(2);
-        let cart = jb.cartridge_sectors();
+        let cart = cartridge(&jb);
         jb.read(0, 8, SimTime::ZERO).unwrap(); // cart 0 -> drive
         jb.read(cart, 8, SimTime::ZERO).unwrap(); // cart 1 -> drive
         jb.read(8, 8, SimTime::ZERO).unwrap(); // touch cart 0
         jb.read(2 * cart, 8, SimTime::ZERO).unwrap(); // cart 2 evicts cart 1
-        assert!(jb.is_mounted(0));
-        assert!(!jb.is_mounted(1));
-        assert!(jb.is_mounted(2));
+        assert!(!loads(&mut jb, 16), "cartridge 0 is mounted");
+        assert!(!loads(&mut jb, 2 * cart + 8), "cartridge 2 is mounted");
+        assert!(loads(&mut jb, cart + 8), "cartridge 1 was the victim");
     }
 
     #[test]
     fn phases_cover_robot_mount_and_tape_time() {
         let mut jb = small_jukebox(1);
-        let cart = jb.cartridge_sectors();
+        let cart = cartridge(&jb);
         let t = jb.read(cart + 1000, 8, SimTime::ZERO).unwrap();
         let total: SimDuration = jb.last_phases().iter().map(|p| p.dur).sum();
         assert_eq!(total, t);
@@ -268,7 +270,7 @@ mod tests {
     #[test]
     fn cross_cartridge_transfer_rejected() {
         let mut jb = small_jukebox(1);
-        let cart = jb.cartridge_sectors();
+        let cart = cartridge(&jb);
         assert!(jb.read(cart - 4, 8, SimTime::ZERO).is_err());
     }
 
@@ -277,7 +279,7 @@ mod tests {
     #[test]
     fn jukebox_counts_each_exchange_and_locate_once() {
         let mut jb = small_jukebox(1);
-        let cart = jb.cartridge_sectors();
+        let cart = cartridge(&jb);
         jb.read(0, 8, SimTime::ZERO).unwrap();
         assert_eq!(jb.stats().repositions, 1, "exchange at the load point");
         jb.read(8, 8, SimTime::ZERO).unwrap();
@@ -291,7 +293,9 @@ mod tests {
     #[test]
     fn capacity_is_sum_of_cartridges() {
         let jb = small_jukebox(1);
-        assert_eq!(jb.capacity_sectors(), jb.cartridge_sectors() * 4);
-        assert_eq!(jb.cartridge_of(jb.cartridge_sectors() * 3), 3);
+        let cart = Tape::new(JukeboxParams::default().tape).capacity_sectors();
+        assert_eq!(jb.capacity_sectors(), cart * 4);
+        assert_eq!(jb.cartridge_of(cart * 3 - 1), 2);
+        assert_eq!(jb.cartridge_of(cart * 3), 3);
     }
 }

@@ -104,11 +104,6 @@ impl Tape {
         }
     }
 
-    /// Whether a cartridge is currently loaded and threaded.
-    pub fn is_loaded(&self) -> bool {
-        self.loaded
-    }
-
     /// Mounts the cartridge if necessary; returns time spent.
     pub(crate) fn ensure_loaded(&mut self) -> SimDuration {
         if self.loaded {
@@ -232,10 +227,12 @@ mod tests {
     #[test]
     fn first_read_pays_mount() {
         let mut t = TapeDevice::dlt("st0");
-        assert!(!t.is_loaded());
         let d = t.read(0, 8, SimTime::ZERO).unwrap();
         assert!(d >= SimDuration::from_secs(40), "mount not charged: {d}");
-        assert!(t.is_loaded());
+        let mounts = |t: &TapeDevice| t.last_phases().iter().any(|p| p.kind == PhaseKind::Mount);
+        assert!(mounts(&t), "the first read loads the cartridge");
+        t.read(8, 8, SimTime::ZERO).unwrap();
+        assert!(!mounts(&t), "the cartridge stays loaded");
     }
 
     #[test]
@@ -275,7 +272,10 @@ mod tests {
             far > near,
             "rewind from mid-tape ({far}) should exceed ({near})"
         );
-        assert!(!t.is_loaded());
+        // Unloaded: the next command loads the cartridge again.
+        let mut phases = PhaseLog::default();
+        t.service(0, 8, false, SimTime::ZERO, &mut phases);
+        assert!(phases.as_slice().iter().any(|p| p.kind == PhaseKind::Mount));
     }
 
     /// A cold read at sector 0 is one mount; a later locate adds one; a

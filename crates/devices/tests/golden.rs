@@ -215,7 +215,7 @@ fn tape_script() {
 #[test]
 fn jukebox_script() {
     let jb = Jukebox::new("jb0", 3, 1, JukeboxParams::default());
-    let cart = jb.cartridge_sectors();
+    let cart = jb.capacity_sectors() / 3;
     check(Box::new(jb), cart, JUKEBOX);
 }
 

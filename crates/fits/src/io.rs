@@ -314,7 +314,7 @@ mod tests {
         let mut k = kernel();
         k.install_file("/data/src", &vec![7u8; 10_000]).unwrap();
         let src = k.open("/data/src", OpenFlags::RDONLY).unwrap();
-        let dst = k.open("/data/dst", OpenFlags::CREATE).unwrap();
+        let dst = k.open("/data/dst", OpenFlags::CREATE_RDWR).unwrap();
         copy_bytes(&mut k, src, dst, 10_000, 4096).unwrap();
         assert_eq!(k.stat("/data/dst").unwrap().size, 10_000);
     }

@@ -113,11 +113,6 @@ impl PageMap {
         self.pages == Pages::ZERO
     }
 
-    /// Number of layout runs.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
     /// The layout generation: changes whenever the mapping changes.
     pub fn generation(&self) -> u64 {
         self.gen
@@ -683,15 +678,15 @@ mod tests {
         let mut m = PageMap::new();
         m.append_run(D0, sec(2048), pg(4));
         m.append_run(D0, sec(2048 + 4 * SECTORS_PER_PAGE), pg(4));
-        assert_eq!(m.run_count(), 1, "contiguous appends must merge");
+        assert_eq!(m.runs.len(), 1, "contiguous appends must merge");
         assert_eq!(m.page_count(), pg(8));
         // A gap breaks the run.
         m.append_run(D0, sec(9000), pg(2));
-        assert_eq!(m.run_count(), 2);
+        assert_eq!(m.runs.len(), 2);
         assert_eq!(m.page_count(), pg(10));
         // A different device always breaks the run.
         m.append_run(D1, sec(9000 + 2 * SECTORS_PER_PAGE), pg(1));
-        assert_eq!(m.run_count(), 3);
+        assert_eq!(m.runs.len(), 3);
     }
 
     #[test]
@@ -748,7 +743,7 @@ mod tests {
         m.remap_run(pg(2), pg(3), D1, sec(100));
         assert!(m.generation() > g0);
         assert_eq!(m.page_count(), pg(8));
-        assert_eq!(m.run_count(), 3);
+        assert_eq!(m.runs.len(), 3);
         assert_eq!(
             m.place_of(pg(1)).unwrap().sector,
             sec(2048 + SECTORS_PER_PAGE)
@@ -776,7 +771,7 @@ mod tests {
         );
         // Remapping back to the original location re-coalesces to one run.
         m.remap_run(pg(2), pg(3), D0, sec(2048 + 2 * SECTORS_PER_PAGE));
-        assert_eq!(m.run_count(), 1);
+        assert_eq!(m.runs.len(), 1);
     }
 
     #[test]
@@ -785,7 +780,7 @@ mod tests {
         m.append_run(D0, sec(2048), pg(4));
         m.append_run(D0, sec(9000), pg(4));
         m.remap_run(pg(0), pg(8), D1, sec(0));
-        assert_eq!(m.run_count(), 1);
+        assert_eq!(m.runs.len(), 1);
         assert_eq!(m.place_of(pg(7)).unwrap().dev, D1);
     }
 

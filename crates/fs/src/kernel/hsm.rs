@@ -144,15 +144,6 @@ impl Kernel {
         self.cache.remove_file(ino.0);
         Ok(())
     }
-
-    /// True when any page of the file is tape-resident (the classic HSM
-    /// "offline" bit that Windows 2000 / TOPS-20 / RASH exposed).
-    pub fn hsm_is_offline(&self, path: &str) -> SimResult<bool> {
-        let ino = self.resolve(path)?;
-        let f = self.file_of(ino)?;
-        let hsm = self.hsm_of(self.inode(ino)?.mount);
-        Ok(hsm.is_some_and(|(_, h)| on_tape(f, h.tape)))
-    }
 }
 
 /// Whether any page of `f` lies on `tape`: one look per layout run.

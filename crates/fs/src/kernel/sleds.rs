@@ -94,8 +94,6 @@ pub(super) struct Walk {
     /// Each entry's cached fraction, the [`ProgOrder::CachedFirst`] key:
     /// 0 for directories and for files the walk could not price.
     pub(super) cached: Vec<f64>,
-    /// Set once a `first_match_exit` program has matched.
-    done: bool,
 }
 
 /// Reorders a walk's entries for [`ProgOrder::CachedFirst`]: matched files
@@ -284,7 +282,7 @@ impl Kernel {
     /// the entry's `error` and the walk continues, like `find`'s
     /// diagnostics. Honors [`ProgOrder::CachedFirst`] (matched files
     /// first, most-cached first, stable; everything else after in file
-    /// order) and `first_match_exit` (stop at the first matching file).
+    /// order).
     pub fn fsleds_walk(
         &mut self,
         root: &str,
@@ -327,9 +325,6 @@ impl Kernel {
         table: &SledsTable,
         walk: &mut Walk,
     ) -> SimResult<()> {
-        if walk.done {
-            return Ok(());
-        }
         let stat = self.stat_ino(ino)?;
         // Per-entry in-kernel dispatch work, priced like a ring op. The
         // program interpretation itself is charged separately below, from
@@ -347,7 +342,6 @@ impl Kernel {
         if stat.kind == FileKind::File {
             let cached = match self.eval_prog(ino, prog, table) {
                 Ok((matched, inputs)) => {
-                    walk.done = matched && prog.first_match_exit;
                     entry.estimate_secs = Some(inputs.delivery_time);
                     entry.matched = matched;
                     inputs.cached_fraction
@@ -385,9 +379,6 @@ impl Kernel {
         let stem_len = path.len();
         let mut start = 0;
         for (end, child) in children {
-            if walk.done {
-                break;
-            }
             path.push_str(&names[start..end]);
             self.walk_node(path, child, prog, table, walk)?;
             path.truncate(stem_len);

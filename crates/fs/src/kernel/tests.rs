@@ -2,7 +2,8 @@ use super::sleds::Walk;
 use super::*;
 use crate::inode::FileKind;
 use crate::prog::{PickProgram, ProgInst, ProgOrder, WalkEntry};
-use crate::sled::{SledsEntry, SledsTable};
+use crate::sled::{Sled, SledsEntry, SledsTable};
+use crate::{SubmissionRing, Syscall, SyscallRet};
 use sleds_devices::DiskDevice;
 use sleds_sim_core::{check, PAGE_SIZE};
 
@@ -17,7 +18,7 @@ fn kernel_with_disk() -> Kernel {
 #[test]
 fn mkdir_open_write_read_roundtrip() {
     let mut k = kernel_with_disk();
-    let fd = k.open("/data/f", OpenFlags::CREATE).unwrap();
+    let fd = k.open("/data/f", OpenFlags::CREATE_RDWR).unwrap();
     assert_eq!(k.write(fd, b"hello world").unwrap(), 11);
     k.close(fd).unwrap();
     let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
@@ -99,7 +100,7 @@ fn cold_sequential_faster_than_cold_random() {
 #[test]
 fn writes_dirty_pages_and_fsync_flushes() {
     let mut k = kernel_with_disk();
-    let fd = k.open("/data/f", OpenFlags::CREATE).unwrap();
+    let fd = k.open("/data/f", OpenFlags::CREATE_RDWR).unwrap();
     let buf = vec![3u8; 4 * PAGE_SIZE as usize];
     k.write(fd, &buf).unwrap();
     assert_eq!(k.usage().device_writes, 0, "writes buffer in cache");
@@ -116,7 +117,7 @@ fn eviction_writes_back_dirty_pages() {
     k.mkdir("/data").unwrap();
     k.mount_disk("/data", DiskDevice::table2_disk("hda"))
         .unwrap();
-    let fd = k.open("/data/f", OpenFlags::CREATE).unwrap();
+    let fd = k.open("/data/f", OpenFlags::CREATE_RDWR).unwrap();
     // Write 2 MiB: far beyond the cache, forcing dirty eviction.
     let chunk = vec![4u8; 64 * 1024];
     for _ in 0..32 {
@@ -230,7 +231,15 @@ fn errors_bad_fd_and_modes() {
     assert_eq!(k.read(Fd(77), 1).unwrap_err().errno, Errno::Ebadf);
     let fd = k.open("/data/f", OpenFlags::RDONLY).unwrap();
     assert_eq!(k.write(fd, b"x").unwrap_err().errno, Errno::Ebadf);
-    let wfd = k.open("/data/g", OpenFlags::CREATE).unwrap();
+    // O_WRONLY|O_CREAT|O_TRUNC
+    let write_only = OpenFlags {
+        read: false,
+        write: true,
+        create: true,
+        truncate: true,
+        append: false,
+    };
+    let wfd = k.open("/data/g", write_only).unwrap();
     assert_eq!(k.read(wfd, 1).unwrap_err().errno, Errno::Ebadf);
 }
 
@@ -241,7 +250,9 @@ fn read_only_mount_rejects_writes() {
     k.mount_cdrom("/cdrom", sleds_devices::CdRomDevice::table2_drive("cd0"))
         .unwrap();
     assert_eq!(
-        k.open("/cdrom/x", OpenFlags::CREATE).unwrap_err().errno,
+        k.open("/cdrom/x", OpenFlags::CREATE_RDWR)
+            .unwrap_err()
+            .errno,
         Errno::Erofs
     );
 }
@@ -249,7 +260,7 @@ fn read_only_mount_rejects_writes() {
 #[test]
 fn append_mode_writes_at_end() {
     let mut k = kernel_with_disk();
-    let fd = k.open("/data/log", OpenFlags::CREATE).unwrap();
+    let fd = k.open("/data/log", OpenFlags::CREATE_RDWR).unwrap();
     k.write(fd, b"one").unwrap();
     k.close(fd).unwrap();
     let mut fl = OpenFlags::RDWR;
@@ -280,18 +291,42 @@ fn partial_page_overwrite_faults_in_old_page() {
 fn hsm_offline_stage_and_reread() {
     let mut k = Kernel::table2();
     k.mkdir("/hsm").unwrap();
-    k.mount_hsm(
-        "/hsm",
-        Box::new(DiskDevice::table2_disk("hda")),
-        Box::new(sleds_devices::TapeDevice::dlt("st0")),
-        256,
-    )
-    .unwrap();
+    let m = k
+        .mount_hsm(
+            "/hsm",
+            Box::new(DiskDevice::table2_disk("hda")),
+            Box::new(sleds_devices::TapeDevice::dlt("st0")),
+            256,
+        )
+        .unwrap();
+    // Disk and tape priced apart, so a SLED names the level it sits on.
+    let (disk, tape) = (SledsEntry::new(0.018, 9e6), SledsEntry::new(40.0, 5e6));
+    let mut table = SledsTable::new();
+    table.fill_memory(SledsEntry::new(175e-9, 48e6));
+    table.fill_device(k.device_of_mount(m).unwrap(), disk);
+    table.fill_device(k.tape_of_mount(m).unwrap(), tape);
+    let levels = |k: &mut Kernel| {
+        let fd = k.open("/hsm/f", OpenFlags::RDONLY).unwrap();
+        let mut ring = SubmissionRing::new(1);
+        let pricing = table.clone();
+        ring.push(0, Syscall::FsledsGet { fd, pricing }).unwrap();
+        k.ring_enter(&mut ring).unwrap();
+        let sleds = match k.ring_reap(&mut ring).remove(0).result {
+            Ok(SyscallRet::Sleds(sleds)) => sleds,
+            other => panic!("FsledsGet completed with {other:?}"),
+        };
+        k.close(fd).unwrap();
+        sleds.iter().map(Sled::level).collect::<Vec<_>>()
+    };
     let data = vec![8u8; 16 * PAGE_SIZE as usize];
     k.install_file("/hsm/f", &data).unwrap();
-    assert!(!k.hsm_is_offline("/hsm/f").unwrap());
+    assert_eq!(levels(&mut k), [disk], "installed on the staging disk");
     k.hsm_migrate("/hsm/f", true).unwrap();
-    assert!(k.hsm_is_offline("/hsm/f").unwrap());
+    assert_eq!(
+        levels(&mut k),
+        [tape],
+        "migrated: offline, priced at the tape"
+    );
 
     let fd = k.open("/hsm/f", OpenFlags::RDONLY).unwrap();
     let t = k.start_job();
@@ -304,7 +339,6 @@ fn hsm_offline_stage_and_reread() {
         "{:?}",
         rep.elapsed
     );
-    assert!(!k.hsm_is_offline("/hsm/f").unwrap(), "file now staged");
 
     // Second read: cached, fast.
     k.lseek(fd, 0, Whence::Set).unwrap();
@@ -316,6 +350,9 @@ fn hsm_offline_stage_and_reread() {
         "{:?}",
         rep.elapsed
     );
+    // Out of the cache, the file is priced at the staging disk again.
+    k.drop_caches().unwrap();
+    assert_eq!(levels(&mut k), [disk], "file now staged");
 }
 
 #[test]
@@ -323,7 +360,7 @@ fn truncate_resets_file() {
     let mut k = kernel_with_disk();
     k.install_file("/data/f", &vec![1u8; 3 * PAGE_SIZE as usize])
         .unwrap();
-    let fd = k.open("/data/f", OpenFlags::CREATE).unwrap();
+    let fd = k.open("/data/f", OpenFlags::CREATE_RDWR).unwrap();
     assert_eq!(k.fstat(fd).unwrap().size, 0);
     k.write(fd, b"new").unwrap();
     assert_eq!(k.fstat(fd).unwrap().size, 3);
@@ -613,20 +650,17 @@ fn walk_tree_kernel(rng: &mut DetRng) -> (Kernel, SledsTable) {
 
 #[test]
 fn cached_first_walk_matches_the_stable_sort_oracle() {
-    let seen = std::cell::Cell::new([false; 4]);
+    let seen = std::cell::Cell::new([false; 3]);
     check::run("cached_first_walk_matches_the_stable_sort_oracle", |rng| {
         let (mut k, t) = walk_tree_kernel(rng);
         let below = [0.0, 1e-3, 0.0185, 1.0][rng.range_usize(0, 4)];
-        let mut prog = PickProgram::new(vec![
+        let prog = PickProgram::new(vec![
             ProgInst::PushDeliveryTime,
             ProgInst::PushConst(below),
             ProgInst::Lt,
         ])
         .unwrap()
         .with_order(ProgOrder::CachedFirst);
-        if rng.chance(0.25) {
-            prog = prog.with_first_match_exit();
-        }
         // Pricing reads no clock without fault windows, so walking twice
         // sees the same tree.
         let walk = k.walk_tree("/", &prog, &t).unwrap();
@@ -641,14 +675,13 @@ fn cached_first_walk_matches_the_stable_sort_oracle() {
             .iter()
             .any(|e| e.kind == FileKind::File && !e.matched);
         s[2] |= walk.entries.iter().any(|e| e.error.is_some());
-        s[3] |= prog.first_match_exit && walk.entries.iter().any(|e| e.matched);
         seen.set(s);
         let want = cached_first_oracle(walk);
         assert_eq!(k.fsleds_walk("/", &prog, &t).unwrap(), want);
     });
     assert_eq!(
         seen.get(),
-        [true; 4],
-        "cases covered cached ties, unmatched files, pricing errors and first-match exits"
+        [true; 3],
+        "cases covered cached ties, unmatched files and pricing errors"
     );
 }

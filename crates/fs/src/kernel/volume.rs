@@ -65,11 +65,6 @@ impl Kernel {
         Ok(id)
     }
 
-    /// The layout of a volume mount, or `None` for ordinary mounts.
-    pub fn volume_layout(&self, m: MountId) -> Option<VolumeLayout> {
-        self.mounts.get(m.0)?.volume.as_ref().map(|v| v.layout)
-    }
-
     /// Member devices of a volume mount (primary first); empty for
     /// ordinary mounts.
     pub fn volume_members(&self, m: MountId) -> Vec<DeviceId> {

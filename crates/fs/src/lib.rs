@@ -79,9 +79,7 @@ pub use queue::{
     CmdQueue, DeviceSaturation, LatencySummary, SaturationReport, TenantAttribution, TenantShare,
     BULLY_SHARE_PPM, CMD_QUEUE_CAPACITY, SATURATION_UTIL_PPM,
 };
-pub use ring::{
-    ProgPricing, RingCompletion, RingOp, RingPayload, SubmissionRing, DEFAULT_RING_ENTRIES,
-};
+pub use ring::{ProgPricing, RingCompletion, RingOp, RingPayload, SubmissionRing};
 pub use rusage::{JobReport, JobTimer, Rusage};
 pub use sled::{Sled, SledsEntry, SledsTable};
 pub use sleds_sim_core::{TenantId, VirtualSubmitter};

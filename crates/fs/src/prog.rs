@@ -184,8 +184,6 @@ pub struct PickProgram {
     cert: CostCert,
     /// Result ordering directive for `fsleds_walk`.
     pub order: ProgOrder,
-    /// Stop a walk at its first matching file (`grep -q` semantics).
-    pub first_match_exit: bool,
 }
 
 impl PickProgram {
@@ -199,19 +197,12 @@ impl PickProgram {
             insts,
             cert,
             order: ProgOrder::FileOrder,
-            first_match_exit: false,
         })
     }
 
     /// Sets the walk-result ordering directive.
     pub fn with_order(mut self, order: ProgOrder) -> PickProgram {
         self.order = order;
-        self
-    }
-
-    /// Makes walks stop at the first matching file.
-    pub fn with_first_match_exit(mut self) -> PickProgram {
-        self.first_match_exit = true;
         self
     }
 

@@ -26,9 +26,6 @@ use sleds_sim_core::{Errno, SimError, SimResult, TenantId};
 use crate::sled::SledsTable;
 use crate::syscall::{Ring, Syscall, SyscallRet};
 
-/// Default ring size used by the apps' batched modes.
-pub const DEFAULT_RING_ENTRIES: usize = 64;
-
 /// A ring submission is a [`Syscall`]; the old name survives for callers
 /// outside the workspace.
 pub type RingOp = Syscall;

@@ -212,11 +212,6 @@ impl SledsTable {
         self.device(dev)
     }
 
-    /// True when `dev` has per-zone rows.
-    pub fn has_zones(&self, dev: DeviceId) -> bool {
-        self.zones.contains_key(&dev)
-    }
-
     /// The first sector strictly after `sector` at which the governing entry
     /// of `dev` may change — i.e. the start of the next zone row. `None`
     /// when the entry is constant from `sector` to the end of the device
@@ -270,17 +265,6 @@ impl SledsTable {
     /// Number of device rows.
     pub fn device_count(&self) -> usize {
         self.devices.len()
-    }
-
-    /// True once the memory row is present — the minimum for `fsleds_get`
-    /// to be usable at all.
-    pub fn is_filled(&self) -> bool {
-        self.memory.is_some()
-    }
-
-    /// Iterates device rows in ascending `DeviceId` order.
-    pub fn iter_devices(&self) -> impl Iterator<Item = (DeviceId, SledsEntry)> + '_ {
-        self.devices.iter().copied()
     }
 }
 

@@ -74,15 +74,6 @@ impl OpenFlags {
         append: false,
     };
 
-    /// Write-only, creating and truncating — `open(.., O_WRONLY|O_CREAT|O_TRUNC)`.
-    pub const CREATE: OpenFlags = OpenFlags {
-        read: false,
-        write: true,
-        create: true,
-        truncate: true,
-        append: false,
-    };
-
     /// Read-write, creating and truncating.
     pub const CREATE_RDWR: OpenFlags = OpenFlags {
         read: true,

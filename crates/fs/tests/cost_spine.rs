@@ -215,7 +215,7 @@ fn every_sink_moves_by_the_same_numbers() {
         let tenant = k.tenant_register(name);
         k.tenant_switch(tenant).unwrap();
         let flags = match role {
-            Role::Writer => OpenFlags::CREATE,
+            Role::Writer => OpenFlags::CREATE_RDWR,
             _ => OpenFlags::RDONLY,
         };
         let fd = k.open(path, flags).unwrap();
@@ -519,7 +519,7 @@ fn a_failed_dirty_eviction_leaves_what_the_per_page_loop_left() {
     // pages of /b/log until the cache is full.
     let f = k.open("/a/f", OpenFlags::RDONLY).unwrap();
     k.pread(f, 40 * PAGE_SIZE, 4 * PAGE_SIZE as usize).unwrap();
-    let log = k.open("/b/log", OpenFlags::CREATE).unwrap();
+    let log = k.open("/b/log", OpenFlags::CREATE_RDWR).unwrap();
     let dirty = cache - 4;
     for _ in 0..dirty {
         k.write(log, &[9u8; PAGE_SIZE as usize]).unwrap();

@@ -270,7 +270,7 @@ fn tree_kernel() -> (Kernel, SledsTable) {
 }
 
 #[test]
-fn walk_visits_in_find_order_and_first_match_exit_stops() {
+fn walk_visits_in_find_order() {
     let (mut k, t) = tree_kernel();
     // `+0`: estimate > 0, true for every nonempty file.
     let prog = compile_latency(&LatencyPredicate::parse("+0").unwrap());
@@ -290,15 +290,6 @@ fn walk_visits_in_find_order_and_first_match_exit_stops() {
     assert!(entries
         .iter()
         .all(|e| e.matched == (e.kind == FileKind::File)));
-
-    let early = prog.clone().with_first_match_exit();
-    let entries = k.fsleds_walk("/data", &early, &t).unwrap();
-    assert_eq!(
-        entries.last().unwrap().path,
-        "/data/big.bin",
-        "walk stops at the first matching file"
-    );
-    assert_eq!(entries.len(), 2);
 }
 
 #[test]

@@ -205,25 +205,62 @@ fn scenario(rng: &mut DetRng) {
     run_case(&Params::draw(rng));
 }
 
+/// One ring op on a ring of `entries`, one completion.
+fn ring_call(k: &mut Kernel, entries: usize, call: Syscall) -> Result<SyscallRet, String> {
+    let mut ring = SubmissionRing::new(entries);
+    ring.push(0, call).unwrap();
+    k.ring_enter(&mut ring).unwrap();
+    k.ring_reap(&mut ring)
+        .remove(0)
+        .result
+        .map_err(|e| e.to_string())
+}
+
+/// The `PickAdvice` that plans what `PickConfig::bytes(p.chunk)` plans.
+fn advice(p: &Params, fd: Fd, pricing: SledsTable) -> Syscall {
+    Syscall::PickAdvice {
+        fd,
+        pricing,
+        preferred: p.chunk,
+        skip_unavailable: false,
+    }
+}
+
 fn run_case(p: &Params) {
+    // SLEDs twin: the file's SLEDs built below the boundary by one ring
+    // `FsledsGet`, on a kernel of its own so the twins below start alike.
+    let (mut k, t, fd) = p.build();
+    let pushed = ring_call(
+        &mut k,
+        p.ring_entries,
+        Syscall::FsledsGet { fd, pricing: t },
+    );
+
     // Sequential twin: pick plan drained, then lseek+read per chunk.
     let (mut k, t, fd) = p.build();
     let before = k.usage();
     let mut pick = match PickSession::init(&mut k, &t, fd, PickConfig::bytes(p.chunk)) {
         Ok(pick) => pick,
         Err(e) => {
-            // FSLEDS_GET itself failed (e.g. pricing hole); the ring twin
+            // FSLEDS_GET itself failed (e.g. pricing hole); both ring ops
             // must fail the same way, then the case is exhausted.
-            let (mut k2, t2, fd2) = p.build();
-            let mut ring = SubmissionRing::new(p.ring_entries);
-            let e2 =
-                PickSession::init_ring(&mut k2, &mut ring, &t2, fd2, PickConfig::bytes(p.chunk))
-                    .unwrap_err();
-            assert_eq!(e.to_string(), e2.to_string());
+            assert_eq!(pushed, Err(e.to_string()));
+            let (mut k, t, fd) = p.build();
+            assert_eq!(
+                ring_call(&mut k, p.ring_entries, advice(p, fd, t)),
+                Err(e.to_string())
+            );
             return;
         }
     };
-    let seq_sleds = sled_bits(pick.sleds());
+    let Ok(SyscallRet::Sleds(pushed)) = pushed else {
+        panic!("sequential init succeeded, FsledsGet completed with {pushed:?}");
+    };
+    assert_eq!(
+        sled_bits(pick.sleds()),
+        sled_bits(&pushed),
+        "bit-identical SLEDs"
+    );
     let mut plan = Vec::new();
     while let Some(chunk) = pick.next_read() {
         plan.push(chunk);
@@ -236,29 +273,21 @@ fn run_case(p: &Params) {
     }
     let seq_u = k.usage().since(&before);
 
-    // Ring twin: same session brought up over the ring, chunks batched.
+    // Ring twin: the plan from one `PickAdvice`, its chunks read in
+    // batches of a ring's worth of `Pread`s.
     let (mut k, t, fd) = p.build();
     let ops_before = k.ring_ops_serviced();
     let before = k.usage();
+    let ring_plan = match ring_call(&mut k, p.ring_entries, advice(p, fd, t)) {
+        Ok(SyscallRet::Plan(plan)) => plan,
+        other => panic!("sequential init succeeded, PickAdvice completed with {other:?}"),
+    };
     let mut ring = SubmissionRing::new(p.ring_entries);
-    let mut pick = PickSession::init_ring(&mut k, &mut ring, &t, fd, PickConfig::bytes(p.chunk))
-        .expect("sequential init succeeded, ring init must too");
-    assert_eq!(seq_sleds, sled_bits(pick.sleds()), "bit-identical SLEDs");
-    let mut ring_plan = Vec::new();
     let mut ring_results: Vec<ChunkResult> = Vec::new();
-    loop {
-        let mut queued = 0usize;
-        while queued < ring.capacity() {
-            let Some((off, len)) = pick.next_read() else {
-                break;
-            };
-            ring_plan.push((off, len));
+    for batch in ring_plan.chunks(ring.capacity()) {
+        for &(off, len) in batch {
             ring.push(off, Syscall::Pread { fd, pos: off, len })
                 .unwrap();
-            queued += 1;
-        }
-        if queued == 0 {
-            break;
         }
         k.ring_enter(&mut ring).unwrap();
         for c in k.ring_reap(&mut ring) {
@@ -268,7 +297,6 @@ fn run_case(p: &Params) {
             }));
         }
     }
-    pick.finish();
     let ring_u = k.usage().since(&before);
     let ring_ops = k.ring_ops_serviced() - ops_before;
 

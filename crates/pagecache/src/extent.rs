@@ -181,11 +181,6 @@ impl ExtentSet {
         out
     }
 
-    /// All runs as `(start, length)` pairs, ascending.
-    pub fn iter_runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.runs.iter().map(|(&s, &l)| (s, l))
-    }
-
     /// All member pages, ascending.
     pub fn iter_pages(&self) -> impl Iterator<Item = u64> + '_ {
         self.runs.iter().flat_map(|(&s, &l)| s..s + l)
@@ -283,7 +278,7 @@ mod tests {
     use super::*;
 
     fn runs(s: &ExtentSet) -> Vec<(u64, u64)> {
-        s.iter_runs().collect()
+        s.runs.iter().map(|(&s, &l)| (s, l)).collect()
     }
 
     #[test]

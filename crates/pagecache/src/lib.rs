@@ -556,21 +556,6 @@ impl PageCache {
         }
     }
 
-    /// Residency bitmap for the first `npages` pages of `inode` — the whole
-    /// of `mincore(2)`, and the input to the per-page reference SLED walk.
-    pub fn residency(&self, inode: u64, npages: u64) -> Vec<bool> {
-        let mut v = vec![false; index(npages)];
-        if npages == 0 {
-            return v;
-        }
-        for run in self.resident_runs(inode, 0..=npages - 1) {
-            for p in run {
-                v[index(p)] = true;
-            }
-        }
-        v
-    }
-
     /// The resident runs of `inode` overlapping `range` (page indices,
     /// inclusive), clipped to it, ascending. O(log runs + runs-in-range).
     pub fn resident_runs(
@@ -905,7 +890,10 @@ mod tests {
         let mut c = PageCache::lru(8);
         c.insert(PageKey::new(1, 0), false);
         c.insert(PageKey::new(1, 2), false);
-        assert_eq!(c.residency(1, 4), vec![true, false, true, false]);
+        assert_eq!(c.resident_runs(1, 0..=3), vec![0..=0, 2..=2]);
+        assert!((0..4)
+            .map(|p| c.contains(PageKey::new(1, p)))
+            .eq([true, false, true, false]));
     }
 
     #[test]

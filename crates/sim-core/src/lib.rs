@@ -36,6 +36,5 @@ pub use table::{IdTable, IdWindow};
 pub use tenant::{TenantId, VirtualSubmitter};
 pub use time::{Clock, SimDuration, SimTime};
 pub use units::{
-    index, Bandwidth, ByteSize, Pages, Sectors, PAGE_SHIFT, PAGE_SIZE, SECTORS_PER_PAGE,
-    SECTOR_SIZE,
+    index, Bandwidth, ByteSize, Pages, Sectors, PAGE_SIZE, SECTORS_PER_PAGE, SECTOR_SIZE,
 };

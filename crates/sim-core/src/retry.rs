@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn unjittered_backoff_doubles_then_clamps() {
-        let ms = |r| schedule(r).as_millis();
+        let ms = |r| schedule(r).as_nanos() / 1_000_000;
         let got: Vec<u64> = (1..=9).map(ms).collect();
         assert_eq!(got, [5, 10, 20, 40, 80, 160, 320, 320, 320]);
         assert_eq!(ms(63), 320);

@@ -106,13 +106,6 @@ impl Ecdf {
         Some(Ecdf { sorted })
     }
 
-    /// Fraction of observations less than or equal to `x`.
-    pub fn fraction_at(&self, x: f64) -> f64 {
-        // Index of the first element strictly greater than x.
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
     /// The `q`-quantile (`q` in `[0, 1]`) by the nearest-rank method.
     pub fn quantile(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
@@ -346,10 +339,8 @@ mod tests {
     #[test]
     fn ecdf_fractions_and_quantiles() {
         let e = Ecdf::of(&[4.0, 1.0, 3.0, 2.0]).unwrap();
-        assert_eq!(e.fraction_at(0.5), 0.0);
-        assert_eq!(e.fraction_at(1.0), 0.25);
-        assert_eq!(e.fraction_at(2.5), 0.5);
-        assert_eq!(e.fraction_at(10.0), 1.0);
+        let steps: Vec<(f64, f64)> = e.steps().collect();
+        assert_eq!(steps, [(1.0, 0.25), (2.0, 0.5), (3.0, 0.75), (4.0, 1.0)]);
         assert_eq!(e.quantile(0.0), 1.0);
         assert_eq!(e.quantile(0.5), 2.0);
         assert_eq!(e.quantile(1.0), 4.0);

@@ -69,16 +69,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Returns the duration in whole microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Returns the duration in whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Returns the duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
@@ -271,9 +261,12 @@ mod tests {
     #[test]
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(2).as_nanos(), 2 * NANOS_PER_SEC);
-        assert_eq!(SimDuration::from_millis(3).as_micros(), 3_000);
+        assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_millis(), 1_500);
+        assert_eq!(
+            SimDuration::from_secs_f64(1.5),
+            SimDuration::from_millis(1_500)
+        );
     }
 
     #[test]

@@ -13,9 +13,6 @@ use crate::time::SimDuration;
 /// Size of a virtual-memory / page-cache page, matching Linux on x86.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// `log2(PAGE_SIZE)`.
-pub const PAGE_SHIFT: u32 = 12;
-
 /// Size of a device sector.
 pub const SECTOR_SIZE: u64 = 512;
 
@@ -49,11 +46,6 @@ impl ByteSize {
     /// Creates a size from mebibytes.
     pub const fn mib(m: u64) -> Self {
         ByteSize(m * MIB)
-    }
-
-    /// Creates a size from gibibytes.
-    pub const fn gib(g: u64) -> Self {
-        ByteSize(g * GIB)
     }
 
     /// Returns the raw byte count.
@@ -400,7 +392,7 @@ mod tests {
     fn byte_size_display() {
         assert_eq!(format!("{}", ByteSize::mib(64)), "64MiB");
         assert_eq!(format!("{}", ByteSize::bytes(513)), "513B");
-        assert_eq!(format!("{}", ByteSize::gib(2)), "2GiB");
+        assert_eq!(format!("{}", ByteSize::mib(2048)), "2GiB");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 #![expect(
     clippy::float_cmp,
-    reason = "an ECDF is exactly 0 below the minimum and exactly 1 at the maximum"
+    reason = "an ECDF steps up exactly at the minimum and is exactly 1 at the maximum"
 )]
 
 use sleds_sim_core::stats::{Ecdf, Summary};
@@ -39,8 +39,8 @@ fn summary_invariants() {
     });
 }
 
-/// ECDF: fraction_at is monotone, 0 before the min, 1 at the max, and
-/// quantile() inverts it within rank rounding.
+/// ECDF: the steps are monotone, start at the min, reach 1 at the max, and
+/// quantile() inverts them within rank rounding.
 #[test]
 fn ecdf_invariants() {
     check::run("ecdf_invariants", |rng| {
@@ -48,8 +48,11 @@ fn ecdf_invariants() {
         let e = Ecdf::of(&xs).unwrap();
         let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(e.fraction_at(lo - 1.0), 0.0);
-        assert_eq!(e.fraction_at(hi), 1.0);
+        let steps: Vec<(f64, f64)> = e.steps().collect();
+        assert_eq!(steps[0].0, lo);
+        let (last_x, last_f) = steps[steps.len() - 1];
+        assert_eq!(last_x, hi);
+        assert_eq!(last_f, 1.0);
         let mut prev = 0.0;
         for (x, f) in e.steps() {
             assert!(f >= prev);

@@ -333,11 +333,6 @@ impl Tracer {
     pub fn high_water(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.ring.high_water())
     }
-
-    /// Total events emitted (including overwritten ones).
-    pub fn emitted(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.seq)
-    }
 }
 
 #[cfg(test)]
@@ -353,7 +348,6 @@ mod tests {
         assert!(!t.is_enabled());
         assert!(t.events().is_empty());
         assert!(t.metrics().is_none());
-        assert_eq!(t.emitted(), 0);
     }
 
     #[test]

@@ -294,7 +294,7 @@ fn run_recovery() -> (f64, f64, f64, f64) {
     // Session 1: healthy baseline, then a healthy-calibrated table priced
     // against the degraded disk (the second recal only re-fences the
     // audit — the session has seen nothing but healthy commands).
-    k.enable_tracing_with_capacity(1 << 16);
+    k.enable_tracing();
     read_pass(&mut k);
     k.drop_caches().expect("drop_caches");
     let table1 = recal_now(&mut k, &table0);
@@ -320,7 +320,7 @@ fn run_recovery() -> (f64, f64, f64, f64) {
     // Session 2: recalibrate from observations made *inside* the window —
     // the table absorbs the 6x — then price that stale table against the
     // recovered disk.
-    k.enable_tracing_with_capacity(1 << 16);
+    k.enable_tracing();
     read_pass(&mut k);
     k.drop_caches().expect("drop_caches");
     let table3 = recal_now(&mut k, &table2);
@@ -338,7 +338,7 @@ fn run_recovery() -> (f64, f64, f64, f64) {
     let stale = disk_err(&audit2.samples, table3.generation());
 
     // Session 3: one post-recovery recal from a fresh observation window.
-    k.enable_tracing_with_capacity(1 << 16);
+    k.enable_tracing();
     read_pass(&mut k);
     k.drop_caches().expect("drop_caches");
     let table4 = recal_now(&mut k, &table3);

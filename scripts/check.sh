@@ -26,6 +26,9 @@ if [[ -n $over ]]; then
     exit 1
 fi
 run cargo clippy --workspace --all-targets -- -D warnings
+# No public item that only tests reach: every `pub`/`pub(crate)` item of
+# crates/*/src needs a non-test caller or a reasoned allow-list entry.
+run scripts/reach.sh
 # A doc link to a deleted or private name fails here, not in a reader's browser.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run cargo build --release

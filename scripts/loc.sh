@@ -4,9 +4,12 @@
 # Usage: scripts/loc.sh BASE          e.g. scripts/loc.sh HEAD~1
 #
 # A crate's lines are every .rs file under its src/ (the root crate adds
-# examples/), each cut at its first `#[cfg(test)]` line; tests/ directories
-# and `tests.rs` files (the body of a `#[cfg(test)] mod tests;`) are never
-# read. Blank and comment lines count like any other.
+# examples/), less each `#[cfg(test)]` inline `mod … { … }` block
+# (scripts/nontest.awk, which reach.sh shares; a `#[cfg(test)]` on a
+# `mod name;` line or a single item is not a cut). tests/ directories and
+# `tests.rs` files (the body of a `#[cfg(test)] mod tests;`) are never
+# read. Blank and comment lines count like any other. Both sides are cut
+# by the work tree's nontest.awk, so a base older than it compares alike.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,9 +19,9 @@ if ! git rev-parse --verify --quiet "$base^{commit}" >/dev/null; then
     exit 2
 fi
 
-# Lines of stdin before its first `#[cfg(test)]`.
+# Non-test lines of stdin.
 cut_count() {
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'
+    awk -f scripts/nontest.awk | awk 'END { print NR }'
 }
 
 # Non-test lines under the given directories at BASE.

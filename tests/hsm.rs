@@ -9,7 +9,7 @@ use sleds_repro::devices::{DiskDevice, Jukebox, TapeDevice};
 use sleds_repro::fs::{Kernel, OpenFlags};
 use sleds_repro::lmbench::fill_table;
 use sleds_repro::sim_core::{DetRng, SimDuration, PAGE_SIZE};
-use sleds_repro::sleds::{LatencyPredicate, SledsTable};
+use sleds_repro::sleds::{fsleds_get, LatencyPredicate, Sled, SledsEntry, SledsTable};
 
 fn corpus(n: usize, seed: u64) -> Vec<u8> {
     let mut rng = DetRng::new(seed);
@@ -40,13 +40,24 @@ fn hsm_env() -> (Kernel, SledsTable) {
     (k, t)
 }
 
+/// The table rows `path`'s SLEDs are priced at, in file order.
+fn levels(k: &mut Kernel, t: &SledsTable, path: &str) -> Vec<SledsEntry> {
+    let fd = k.open(path, OpenFlags::RDONLY).unwrap();
+    let sleds = fsleds_get(k, fd, t).unwrap();
+    k.close(fd).unwrap();
+    sleds.iter().map(Sled::level).collect()
+}
+
 #[test]
 fn migrate_stage_roundtrip_preserves_data() {
-    let (mut k, _) = hsm_env();
+    let (mut k, t) = hsm_env();
+    let m = k.find_mount("/hsm").unwrap();
+    let disk = t.device(k.device_of_mount(m).unwrap()).unwrap();
+    let tape = t.device(k.tape_of_mount(m).unwrap()).unwrap();
     let data = corpus(6 << 20, 1);
     k.install_file("/hsm/f.dat", &data).unwrap();
     k.hsm_migrate("/hsm/f.dat", true).unwrap();
-    assert!(k.hsm_is_offline("/hsm/f.dat").unwrap());
+    assert_eq!(levels(&mut k, &t, "/hsm/f.dat"), [tape], "offline");
 
     let fd = k.open("/hsm/f.dat", OpenFlags::RDONLY).unwrap();
     let mut got = Vec::new();
@@ -59,7 +70,8 @@ fn migrate_stage_roundtrip_preserves_data() {
     }
     k.close(fd).unwrap();
     assert_eq!(got, data, "staged bytes must match the original");
-    assert!(!k.hsm_is_offline("/hsm/f.dat").unwrap(), "file now on disk");
+    k.drop_caches().unwrap();
+    assert_eq!(levels(&mut k, &t, "/hsm/f.dat"), [disk], "file now on disk");
 }
 
 #[test]
