@@ -159,7 +159,7 @@ pub fn find_prog(
             if let Some(error) = &e.error {
                 out.skipped.push(FileDiagnostic {
                     path: e.path.clone(),
-                    error: error.clone(),
+                    error: (**error).clone(),
                 });
                 continue;
             }

@@ -79,6 +79,18 @@ impl LayoutRun {
             sector: self.sector_of(page),
         }
     }
+
+    /// Extends this run by `next` when `next` continues it on the device,
+    /// file page for file page; false, and no change, when it does not.
+    fn absorb(&mut self, next: LayoutRun) -> bool {
+        let continues = self.dev == next.dev
+            && self.end_page() == next.start_page
+            && self.sector + self.pages.sectors() == next.sector;
+        if continues {
+            self.pages += next.pages;
+        }
+        continues
+    }
 }
 
 /// A file's stable-storage layout as sorted, maximal runs.
@@ -86,15 +98,28 @@ impl LayoutRun {
 /// Invariants: runs are sorted by `start_page` and tile `[0, page_count)`
 /// contiguously (files are always fully mapped); adjacent runs that are
 /// device-contiguous are merged, so each run is maximal and the run count
-/// equals the number of genuine layout discontinuities plus one.
+/// equals the number of genuine layout discontinuities plus one. Most
+/// files are one run, held inline: the map allocates only from its second
+/// run on.
 #[derive(Clone, Debug, Default)]
 pub struct PageMap {
-    runs: Vec<LayoutRun>,
-    pages: Pages,
+    runs: Runs,
     /// Bumped on every mutation (append, remap, clear) and by
     /// [`FileNode::set_size`] on size changes; never reset, so
     /// `(residency gen, layout gen)` pairs version SLED vectors without ABA.
     gen: u64,
+}
+
+/// The runs of a [`PageMap`], by how many there are.
+#[derive(Clone, Debug, Default)]
+enum Runs {
+    /// Nothing mapped.
+    #[default]
+    None,
+    /// One run, which starts at page 0.
+    One(LayoutRun),
+    /// Two or more runs.
+    Many(Vec<LayoutRun>),
 }
 
 impl PageMap {
@@ -105,12 +130,12 @@ impl PageMap {
 
     /// Number of mapped pages.
     pub fn page_count(&self) -> Pages {
-        self.pages
+        self.runs().last().map_or(Pages::ZERO, LayoutRun::end_page)
     }
 
     /// True when nothing is mapped.
     pub fn is_empty(&self) -> bool {
-        self.pages == Pages::ZERO
+        matches!(self.runs, Runs::None)
     }
 
     /// The layout generation: changes whenever the mapping changes.
@@ -127,23 +152,20 @@ impl PageMap {
 
     /// All runs, ascending by `start_page`.
     pub fn runs(&self) -> &[LayoutRun] {
-        &self.runs
-    }
-
-    fn run_index_of(&self, page: Pages) -> Option<usize> {
-        if page >= self.pages {
-            return None;
+        match &self.runs {
+            Runs::None => &[],
+            Runs::One(r) => std::slice::from_ref(r),
+            Runs::Many(v) => v,
         }
-        // Runs tile [0, pages), so the last run starting at or before `page`
-        // contains it.
-        let idx = self.runs.partition_point(|r| r.start_page <= page);
-        debug_assert!(idx > 0);
-        Some(idx - 1)
     }
 
     /// The run containing `page`, if mapped.
     pub fn run_of(&self, page: Pages) -> Option<LayoutRun> {
-        self.run_index_of(page).map(|i| self.runs[i])
+        let runs = self.runs();
+        // Runs tile [0, page_count), so the last run starting at or before
+        // `page` contains it if anything does.
+        let idx = runs.partition_point(|r| r.start_page <= page);
+        runs[..idx].last().filter(|r| page < r.end_page()).copied()
     }
 
     /// Where `page` lives, if mapped. O(log runs).
@@ -159,9 +181,10 @@ impl PageMap {
 
     /// The runs overlapping `first..=last`, clipped to it, ascending.
     pub fn runs_in(&self, first: Pages, last: Pages) -> impl Iterator<Item = LayoutRun> + '_ {
-        let start = self.runs.partition_point(|r| r.end_page() <= first);
+        let runs = self.runs();
+        let start = runs.partition_point(|r| r.end_page() <= first);
         let end = last + Pages::new(1);
-        self.runs[start..]
+        runs[start..]
             .iter()
             .take_while(move |r| first <= last && r.start_page <= last)
             .map(move |r| {
@@ -180,11 +203,7 @@ impl PageMap {
             return;
         }
         if let Some(last) = out.last_mut() {
-            if last.dev == r.dev
-                && last.end_page() == r.start_page
-                && last.sector + last.pages.sectors() == r.sector
-            {
-                last.pages += r.pages;
+            if last.absorb(r) {
                 return;
             }
         }
@@ -198,13 +217,20 @@ impl PageMap {
             return;
         }
         let r = LayoutRun {
-            start_page: self.pages,
+            start_page: self.page_count(),
             pages,
             dev,
             sector,
         };
-        Self::push_coalescing(&mut self.runs, r);
-        self.pages += pages;
+        match &mut self.runs {
+            Runs::None => self.runs = Runs::One(r),
+            Runs::One(only) => {
+                if !only.absorb(r) {
+                    self.runs = Runs::Many(vec![*only, r]);
+                }
+            }
+            Runs::Many(v) => Self::push_coalescing(v, r),
+        }
         self.gen += 1;
     }
 
@@ -216,8 +242,9 @@ impl PageMap {
             return;
         }
         let end = start_page + pages;
-        assert!(end <= self.pages, "remap_run beyond mapping");
-        let mut out: Vec<LayoutRun> = Vec::with_capacity(self.runs.len() + 2);
+        assert!(end <= self.page_count(), "remap_run beyond mapping");
+        let runs = self.runs();
+        let mut out: Vec<LayoutRun> = Vec::with_capacity(runs.len() + 2);
         let new_run = LayoutRun {
             start_page,
             pages,
@@ -225,7 +252,7 @@ impl PageMap {
             sector,
         };
         let mut inserted = false;
-        for &r in &self.runs {
+        for &r in runs {
             if r.end_page() <= start_page {
                 Self::push_coalescing(&mut out, r);
                 continue;
@@ -270,14 +297,16 @@ impl PageMap {
         if !inserted {
             Self::push_coalescing(&mut out, new_run);
         }
-        self.runs = out;
+        self.runs = match *out {
+            [only] => Runs::One(only),
+            _ => Runs::Many(out),
+        };
         self.gen += 1;
     }
 
     /// Unmaps everything (truncate). The generation keeps counting.
     pub fn clear(&mut self) {
-        self.runs.clear();
-        self.pages = Pages::ZERO;
+        self.runs = Runs::None;
         self.gen += 1;
     }
 }
@@ -301,14 +330,22 @@ pub struct FileNode {
     /// Stable-storage layout, run-length encoded. Covers at least
     /// [`FileNode::page_count`] pages.
     pub pages: PageMap,
+    /// The layouts besides `pages`, which only HSM and redundant files
+    /// have: `None` for every other file, so it pays one pointer.
+    other_homes: Option<Box<OtherHomes>>,
+}
+
+/// A file's layouts besides its primary one.
+#[derive(Clone, Debug, Default)]
+struct OtherHomes {
     /// For HSM files: the tape-home layout, kept while pages are staged on
     /// disk so the staged copy can be discarded without copying back.
-    pub tape_home: Option<PageMap>,
+    tape_home: Option<PageMap>,
     /// For files on redundant volumes: one full replica layout per
     /// non-primary member device (mirrored and coded layouts). Each map
     /// covers the same page range as `pages`, placed on its own device.
     /// Empty for unreplicated and striped files.
-    pub replicas: Vec<PageMap>,
+    replicas: Vec<PageMap>,
 }
 
 impl FileNode {
@@ -350,8 +387,46 @@ impl FileNode {
         self.size = 0;
         self.data = None;
         self.pages.clear();
-        self.tape_home = None;
-        self.replicas.clear();
+        self.other_homes = None;
+    }
+
+    /// One replica layout per non-primary member of the file's mirrored
+    /// or coded volume, in member order; empty for every other file.
+    pub fn replicas(&self) -> &[PageMap] {
+        self.other_homes.as_ref().map_or(&[], |o| &o.replicas)
+    }
+
+    /// Takes the replica maps out, to grow them while the file is not
+    /// borrowed; [`FileNode::set_replicas`] puts them back.
+    pub(crate) fn take_replicas(&mut self) -> Vec<PageMap> {
+        self.other_homes
+            .as_mut()
+            .map(|o| std::mem::take(&mut o.replicas))
+            .unwrap_or_default()
+    }
+
+    /// Sets the replica maps. An empty set on a file with no other layout
+    /// allocates nothing.
+    pub(crate) fn set_replicas(&mut self, replicas: Vec<PageMap>) {
+        if !replicas.is_empty() || self.other_homes.is_some() {
+            self.other_homes.get_or_insert_with(Box::default).replicas = replicas;
+        }
+    }
+
+    /// Remembers the current layout as the tape home, unless one is
+    /// already kept: called before staging remaps pages off the tape.
+    pub(crate) fn keep_tape_home(&mut self) {
+        let homes = self.other_homes.get_or_insert_with(Box::default);
+        if homes.tape_home.is_none() {
+            homes.tape_home = Some(self.pages.clone());
+        }
+    }
+
+    /// Forgets the tape home: the whole file is back on tape.
+    pub(crate) fn drop_tape_home(&mut self) {
+        if let Some(homes) = &mut self.other_homes {
+            homes.tape_home = None;
+        }
     }
 
     /// Number of pages the file spans.
@@ -366,23 +441,70 @@ type DirEntry = (Box<str>, Ino);
 /// The entries of a [`Dir`] whose names share one key.
 #[derive(Clone, Debug)]
 enum Slot {
-    /// The only name with this key, as every name of up to eight bytes
-    /// that does not end in NUL is.
-    One(DirEntry),
-    /// Two or more names with this key (they share their first eight bytes,
-    /// or differ only in trailing NULs within them), sorted by name. Boxed
-    /// as a slice so a slot stays as narrow as `One`: 125,000 names cost
-    /// no more memory than string-keyed entries would.
-    Shared(Box<[DirEntry]>),
+    /// The only name with this key, when the key holds all of it (see
+    /// [`Dir::fits`]): its bytes are the key's, kept here so iteration can
+    /// lend them, and no string is allocated.
+    Short { name: [u8; 8], ino: Ino },
+    /// One longer name, or two or more names with this key (they share
+    /// their first eight bytes, or differ only in trailing NULs within
+    /// them), sorted by name. Boxed as a slice so a slot stays as narrow
+    /// as `Short`: 125,000 names cost no more memory than string-keyed
+    /// entries would.
+    Heap(Box<[DirEntry]>),
 }
 
 impl Slot {
-    fn entries(&self) -> &[DirEntry] {
-        match self {
-            Slot::One(e) => std::slice::from_ref(e),
-            Slot::Shared(v) => v,
+    /// The slot holding only `name`, whose key is `key`.
+    fn new(key: u64, name: &str, ino: Ino) -> Slot {
+        if Dir::fits(name) {
+            Slot::Short {
+                name: key.to_be_bytes(),
+                ino,
+            }
+        } else {
+            Slot::Heap(Box::new([(name.into(), ino)]))
         }
     }
+
+    /// The slot holding `entries`: sorted, non-empty, one key.
+    fn of(entries: Vec<DirEntry>) -> Slot {
+        match &*entries {
+            [(name, ino)] => Slot::new(Dir::key(name), name, *ino),
+            _ => Slot::Heap(entries.into_boxed_slice()),
+        }
+    }
+
+    /// The slot's entries with owned names, sorted: what an insert or a
+    /// remove that meets a second name edits.
+    fn into_entries(self) -> Vec<DirEntry> {
+        match self {
+            Slot::Short { name, ino } => vec![(short_name(&name).into(), ino)],
+            Slot::Heap(v) => v.into_vec(),
+        }
+    }
+
+    /// The slot's `(name, inode)`s, sorted.
+    fn iter(&self) -> impl Iterator<Item = (&str, Ino)> + '_ {
+        let (short, heap) = match self {
+            Slot::Short { name, ino } => (Some((short_name(name), *ino)), &[][..]),
+            Slot::Heap(v) => (None, &v[..]),
+        };
+        short
+            .into_iter()
+            .chain(heap.iter().map(|(n, ino)| (&**n, *ino)))
+    }
+}
+
+/// The name a [`Slot::Short`] holds: its bytes up to the trailing NULs.
+fn short_name(bytes: &[u8; 8]) -> &str {
+    let len = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    // The bytes of a `&str` cut at its end, so never an error.
+    std::str::from_utf8(&bytes[..len]).unwrap_or_default()
+}
+
+/// The index of `name` among sorted `entries`, or where it would go.
+fn find(entries: &[DirEntry], name: &str) -> Result<usize, usize> {
+    entries.binary_search_by(|(n, _)| (**n).cmp(name))
 }
 
 /// A directory: names to inodes, iterated in byte order of the names.
@@ -392,10 +514,11 @@ impl Slot {
 /// keys in order and each slot's sorted names in order visits every name
 /// in byte order: `readdir`'s contract, with no hashing. A lookup descends
 /// the tree with integer compares; on a hit it compares lengths and, for a
-/// name longer than eight bytes, the bytes past the key. Names that share
-/// a key share a slot, sorted, so a directory whose names mostly share
-/// their first eight bytes pays a binary search per lookup and a copy of
-/// that slot per insert or remove.
+/// name longer than eight bytes, the bytes past the key. A name of up to
+/// eight bytes alone under its key is stored in the slot, allocating
+/// nothing. Names that share a key share a slot, sorted, so a directory
+/// whose names mostly share their first eight bytes pays a binary search
+/// per lookup and a copy of that slot per insert or remove.
 #[derive(Clone, Debug, Default)]
 pub struct Dir {
     slots: BTreeMap<u64, Slot>,
@@ -419,9 +542,10 @@ impl Dir {
         key
     }
 
-    /// True when `entry` is `name`, given that their keys are equal.
-    fn is(entry: &str, name: &str) -> bool {
-        entry.len() == name.len() && entry.as_bytes().get(8..) == name.as_bytes().get(8..)
+    /// True when `name`'s key holds all of it: at most eight bytes, no
+    /// trailing NUL. Two such names are equal exactly when their keys are.
+    fn fits(name: &str) -> bool {
+        name.len() <= 8 && !name.ends_with('\0')
     }
 
     /// Number of entries.
@@ -437,44 +561,37 @@ impl Dir {
     /// The inode `name` links to, if any.
     pub fn get(&self, name: &str) -> Option<Ino> {
         match self.slots.get(&Self::key(name))? {
-            Slot::One((n, ino)) => Self::is(n, name).then_some(*ino),
-            Slot::Shared(v) => {
-                let i = v.binary_search_by(|(n, _)| (**n).cmp(name)).ok()?;
-                Some(v[i].1)
-            }
+            Slot::Short { ino, .. } => Self::fits(name).then_some(*ino),
+            Slot::Heap(v) => Some(v[find(v, name).ok()?].1),
         }
     }
 
     /// Links `name` to `ino`, returning the inode it linked to before.
     pub fn insert(&mut self, name: &str, ino: Ino) -> Option<Ino> {
-        let slot = match self.slots.entry(Self::key(name)) {
+        let key = Self::key(name);
+        let slot = match self.slots.entry(key) {
             Entry::Vacant(v) => {
-                v.insert(Slot::One((name.into(), ino)));
+                v.insert(Slot::new(key, name, ino));
                 self.len += 1;
                 return None;
             }
             Entry::Occupied(o) => o.into_mut(),
         };
         match slot {
-            Slot::One((n, old)) if Self::is(n, name) => return Some(std::mem::replace(old, ino)),
-            Slot::One(first) => {
-                let first = std::mem::replace(first, (Box::default(), ino));
-                let new = (name.into(), ino);
-                *slot = Slot::Shared(Box::new(if *first.0 < *name {
-                    [first, new]
-                } else {
-                    [new, first]
-                }));
+            Slot::Short { ino: old, .. } if Self::fits(name) => {
+                return Some(std::mem::replace(old, ino))
             }
-            Slot::Shared(v) => match v.binary_search_by(|(n, _)| (**n).cmp(name)) {
-                Ok(i) => return Some(std::mem::replace(&mut v[i].1, ino)),
-                Err(i) => {
-                    let mut grown = std::mem::take(v).into_vec();
-                    grown.insert(i, (name.into(), ino));
-                    *v = grown.into_boxed_slice();
+            Slot::Heap(v) => {
+                if let Ok(i) = find(v, name) {
+                    return Some(std::mem::replace(&mut v[i].1, ino));
                 }
-            },
+            }
+            Slot::Short { .. } => {}
         }
+        let mut entries = std::mem::replace(slot, Slot::Heap(Box::default())).into_entries();
+        let (Ok(i) | Err(i)) = find(&entries, name);
+        entries.insert(i, (name.into(), ino));
+        *slot = Slot::of(entries);
         self.len += 1;
         None
     }
@@ -484,19 +601,20 @@ impl Dir {
         let key = Self::key(name);
         let slot = self.slots.get_mut(&key)?;
         let ino = match slot {
-            Slot::One((n, ino)) => {
-                let ino = Self::is(n, name).then_some(*ino)?;
+            Slot::Short { ino, .. } => {
+                let ino = Self::fits(name).then_some(*ino)?;
                 self.slots.remove(&key);
                 ino
             }
-            Slot::Shared(v) => {
-                let i = v.binary_search_by(|(n, _)| (**n).cmp(name)).ok()?;
+            Slot::Heap(v) => {
+                let i = find(v, name).ok()?;
                 let mut rest = std::mem::take(v).into_vec();
                 let (_, ino) = rest.remove(i);
-                *slot = match <[DirEntry; 1]>::try_from(rest) {
-                    Ok([last]) => Slot::One(last),
-                    Err(rest) => Slot::Shared(rest.into_boxed_slice()),
-                };
+                if rest.is_empty() {
+                    self.slots.remove(&key);
+                } else {
+                    *slot = Slot::of(rest);
+                }
                 ino
             }
         };
@@ -506,10 +624,7 @@ impl Dir {
 
     /// Every `(name, inode)`, in byte order of the names.
     pub fn iter(&self) -> impl Iterator<Item = (&str, Ino)> + '_ {
-        self.slots
-            .values()
-            .flat_map(Slot::entries)
-            .map(|(n, ino)| (&**n, *ino))
+        self.slots.values().flat_map(Slot::iter)
     }
 }
 
@@ -662,6 +777,75 @@ mod tests {
     }
 
     #[test]
+    fn a_file_costs_what_it_uses() {
+        // `tree_walk` installs 125,000 one-page files: each is one inode
+        // slot, one inline run and no other layout.
+        use std::mem::size_of;
+        assert_eq!(size_of::<PageMap>(), 48);
+        assert_eq!(size_of::<FileNode>(), 72);
+        assert_eq!(size_of::<Inode>(), 104);
+        let mut f = FileNode::default();
+        f.pages.append_run(DeviceId(0), sec(0), pg(1));
+        f.pages
+            .append_run(DeviceId(0), sec(SECTORS_PER_PAGE), pg(1));
+        assert!(matches!(f.pages.runs, Runs::One(_)), "{:?}", f.pages);
+        f.set_replicas(Vec::new());
+        f.drop_tape_home();
+        assert!(f.other_homes.is_none(), "no other layout, no box");
+        f.keep_tape_home();
+        assert_eq!(
+            f.other_homes
+                .as_ref()
+                .unwrap()
+                .tape_home
+                .as_ref()
+                .unwrap()
+                .runs(),
+            f.pages.runs()
+        );
+        assert!(f.replicas().is_empty());
+    }
+
+    #[test]
+    fn a_map_goes_back_inline_when_a_remap_heals_it() {
+        let mut m = PageMap::new();
+        assert!(matches!(m.runs, Runs::None));
+        m.append_run(D0, sec(0), pg(4));
+        m.remap_run(pg(1), pg(2), D1, sec(0));
+        assert!(matches!(m.runs, Runs::Many(_)));
+        m.remap_run(pg(1), pg(2), D0, sec(SECTORS_PER_PAGE));
+        assert!(matches!(m.runs, Runs::One(_)), "{m:?}");
+        m.clear();
+        assert!(matches!(m.runs, Runs::None));
+    }
+
+    #[test]
+    fn short_names_are_held_in_their_slot() {
+        let mut d = Dir::new();
+        for name in ["", "f001", "abcdefgh", "a\0b"] {
+            d.insert(name, Ino(1));
+            assert!(
+                matches!(d.slots[&Dir::key(name)], Slot::Short { .. }),
+                "{name:?}"
+            );
+        }
+        for name in ["abcdefghi", "x\0"] {
+            d.insert(name, Ino(1));
+            assert!(
+                matches!(d.slots[&Dir::key(name)], Slot::Heap(_)),
+                "{name:?}"
+            );
+        }
+        // A second name under a short name's key moves both to the heap,
+        // and removing it brings the short one back inline.
+        d.insert("f001\0", Ino(2));
+        assert!(matches!(d.slots[&Dir::key("f001")], Slot::Heap(_)));
+        d.remove("f001\0");
+        assert!(matches!(d.slots[&Dir::key("f001")], Slot::Short { .. }));
+        assert_eq!(d.get("f001"), Some(Ino(1)));
+    }
+
+    #[test]
     fn a_dir_slot_is_no_wider_than_a_string_keyed_entry() {
         // Peak RSS at the `tree_walk` scale rides on this: 125,000 slots.
         assert_eq!(
@@ -678,15 +862,15 @@ mod tests {
         let mut m = PageMap::new();
         m.append_run(D0, sec(2048), pg(4));
         m.append_run(D0, sec(2048 + 4 * SECTORS_PER_PAGE), pg(4));
-        assert_eq!(m.runs.len(), 1, "contiguous appends must merge");
+        assert_eq!(m.runs().len(), 1, "contiguous appends must merge");
         assert_eq!(m.page_count(), pg(8));
         // A gap breaks the run.
         m.append_run(D0, sec(9000), pg(2));
-        assert_eq!(m.runs.len(), 2);
+        assert_eq!(m.runs().len(), 2);
         assert_eq!(m.page_count(), pg(10));
         // A different device always breaks the run.
         m.append_run(D1, sec(9000 + 2 * SECTORS_PER_PAGE), pg(1));
-        assert_eq!(m.runs.len(), 3);
+        assert_eq!(m.runs().len(), 3);
     }
 
     #[test]
@@ -743,7 +927,7 @@ mod tests {
         m.remap_run(pg(2), pg(3), D1, sec(100));
         assert!(m.generation() > g0);
         assert_eq!(m.page_count(), pg(8));
-        assert_eq!(m.runs.len(), 3);
+        assert_eq!(m.runs().len(), 3);
         assert_eq!(
             m.place_of(pg(1)).unwrap().sector,
             sec(2048 + SECTORS_PER_PAGE)
@@ -771,7 +955,7 @@ mod tests {
         );
         // Remapping back to the original location re-coalesces to one run.
         m.remap_run(pg(2), pg(3), D0, sec(2048 + 2 * SECTORS_PER_PAGE));
-        assert_eq!(m.runs.len(), 1);
+        assert_eq!(m.runs().len(), 1);
     }
 
     #[test]
@@ -780,7 +964,7 @@ mod tests {
         m.append_run(D0, sec(2048), pg(4));
         m.append_run(D0, sec(9000), pg(4));
         m.remap_run(pg(0), pg(8), D1, sec(0));
-        assert_eq!(m.runs.len(), 1);
+        assert_eq!(m.runs().len(), 1);
         assert_eq!(m.place_of(pg(7)).unwrap().dev, D1);
     }
 

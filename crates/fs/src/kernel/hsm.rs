@@ -99,9 +99,7 @@ impl Kernel {
             self.device_command(disk, staged_at, run_len.sectors(), true)?;
             // Remap, remembering the tape home.
             let f = self.file_of_mut(ino)?;
-            if f.tape_home.is_none() {
-                f.tape_home = Some(f.pages.clone());
-            }
+            f.keep_tape_home();
             f.pages.remap_run(q, run_len, disk, staged_at);
             q = run_end;
         }
@@ -140,7 +138,7 @@ impl Kernel {
         let f = self.file_of_mut(ino)?;
         let mapped = f.pages.page_count();
         f.pages.remap_run(Pages::ZERO, mapped, hsm.tape, first);
-        f.tape_home = None;
+        f.drop_tape_home();
         self.cache.remove_file(ino.0);
         Ok(())
     }

@@ -284,9 +284,9 @@ impl Kernel {
             }
             // Grow every replica in lockstep so mirrored and coded files
             // stay fully covered on all members.
-            let mut replicas = std::mem::take(&mut f.replicas);
+            let mut replicas = f.take_replicas();
             let grown = self.grow_replicas(mount, &mut replicas, added);
-            self.file_of_mut(ino)?.replicas = replicas;
+            self.file_of_mut(ino)?.set_replicas(replicas);
             grown?;
         }
 
@@ -413,7 +413,7 @@ impl Kernel {
         };
         // Only mirrored and coded files keep replica maps.
         let extras: Vec<PagePlace> = f
-            .replicas
+            .replicas()
             .iter()
             .filter_map(|map| map.place_of(page))
             .collect();

@@ -110,7 +110,9 @@ impl Kernel {
         let page_count = Pages::spanning(size);
         let mut file = FileNode::default();
         file.pages = self.layout_pages(mount, page_count)?;
-        self.grow_replicas(mount, &mut file.replicas, page_count)?;
+        let mut replicas = Vec::new();
+        self.grow_replicas(mount, &mut replicas, page_count)?;
+        file.set_replicas(replicas);
         if !data.is_empty() {
             *file.stored_mut() = data;
         }

@@ -6,7 +6,7 @@ use sleds_sim_core::{index, Errno, Pages, SimDuration, SimError, SimResult};
 use sleds_trace::{Mark, Metrics};
 
 use super::{Kernel, PageExtent, PageLocation, RedundantExtent, ReplicaPlace};
-use crate::inode::{FileKind, FileNode, Ino, PagePlace};
+use crate::inode::{FileKind, FileNode, Ino, Inode, PagePlace};
 use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, WalkEntry};
 use crate::sled::{self, Sled, SledsTable};
 use crate::syscall::{Entry, Fd};
@@ -193,7 +193,7 @@ impl Kernel {
             // cheapest possible source.
             let alternatives: Vec<ReplicaPlace> =
                 if matches!(extent.location, PageLocation::Device { .. }) {
-                    file.replicas
+                    file.replicas()
                         .iter()
                         .filter_map(|map| map.place_of(Pages::new(extent.first_page)))
                         .map(|p| ReplicaPlace {
@@ -308,10 +308,23 @@ impl Kernel {
         table: &SledsTable,
     ) -> SimResult<Walk> {
         let ino = self.resolve(root)?;
-        let mut walk = Walk::default();
+        let len = self.subtree_len(ino);
+        let mut walk = Walk {
+            entries: Vec::with_capacity(len),
+            cached: Vec::with_capacity(len),
+        };
         let mut path = root.to_string();
         self.walk_node(&mut path, ino, prog, table, &mut walk)?;
         Ok(walk)
+    }
+
+    /// How many entries a walk from `ino` emits: the node and every node
+    /// under it. Sizes the walk's vectors once, so they never regrow.
+    fn subtree_len(&self, ino: Ino) -> usize {
+        match self.inodes.get(ino.0).and_then(Inode::as_dir) {
+            Some(dir) => 1 + dir.iter().map(|(_, c)| self.subtree_len(c)).sum::<usize>(),
+            None => 1,
+        }
     }
 
     /// One node of the walk. `path` is the node's own path on entry and
@@ -347,7 +360,7 @@ impl Kernel {
                     inputs.cached_fraction
                 }
                 Err(e) => {
-                    entry.error = Some(e);
+                    entry.error = Some(Box::new(e));
                     0.0
                 }
             };

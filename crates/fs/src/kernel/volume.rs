@@ -107,7 +107,7 @@ impl Kernel {
     ) -> SimResult<Vec<(usize, DeviceId, Sectors)>> {
         let f = self.file_of(ino)?;
         let mut out = vec![(0usize, primary.dev, primary.sector)];
-        for (i, map) in f.replicas.iter().enumerate() {
+        for (i, map) in f.replicas().iter().enumerate() {
             if let Some(p) = map.place_of(first_page) {
                 out.push((i + 1, p.dev, p.sector));
             }

@@ -517,8 +517,10 @@ pub struct WalkEntry {
     pub estimate_secs: Option<f64>,
     /// Program verdict. Directories and errored files never match.
     pub matched: bool,
-    /// Why the walk could not price this entry, when it could not.
-    pub error: Option<SimError>,
+    /// Why the walk could not price this entry, when it could not. Boxed:
+    /// a walk prices nearly every file, so this is almost always `None`,
+    /// and the box takes 40 bytes off every entry.
+    pub error: Option<Box<SimError>>,
 }
 
 #[cfg(test)]
@@ -531,6 +533,12 @@ mod tests {
             delivery_time: total,
             cached_fraction: cached,
         }
+    }
+
+    #[test]
+    fn a_walk_entry_is_eight_words() {
+        // `fsleds_walk` returns one per file: 125,000 at `tree_walk`'s scale.
+        assert_eq!(std::mem::size_of::<WalkEntry>(), 64);
     }
 
     #[test]

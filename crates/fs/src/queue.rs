@@ -62,10 +62,11 @@ pub struct CmdQueue {
     cancels: u64,
     /// Per-tenant cumulative cost; [`CmdQueue::total`] is their sum.
     per_tenant: BTreeMap<u64, CostRow>,
-    /// Cross-tenant wait attribution: `(waiter, owner) -> ns` the waiter
-    /// spent queued behind the owner's occupancy. Sums exactly to the
-    /// total queue wait.
-    waits: BTreeMap<(u64, u64), u64>,
+    /// Cross-tenant wait attribution: one row per waiter, indexed by
+    /// owner, of the ns the waiter spent queued behind the owner's
+    /// occupancy (0 where it never waited behind that owner). Sums exactly
+    /// to the total queue wait.
+    waits: BTreeMap<u64, Vec<u64>>,
     /// Per-command service time (fixed 64 log buckets: bounded).
     service_hist: LogHistogram,
     /// Per-command queue wait (fixed 64 log buckets: bounded).
@@ -115,6 +116,14 @@ impl CmdQueue {
         // Attribute the wait interval [now, busy_until) across the
         // retained segments it was spent behind.
         if !qwait.is_zero() {
+            let row = self.waits.entry(tenant).or_default();
+            let mut add = |owner: u64, ns: u64| {
+                let at = index(owner);
+                if row.len() <= at {
+                    row.resize(at + 1, 0);
+                }
+                row[at] += ns;
+            };
             let mut covered = 0u64;
             for seg in &self.segments {
                 let lo = if seg.start > now { seg.start } else { now };
@@ -125,7 +134,7 @@ impl CmdQueue {
                 };
                 let part = hi.duration_since(lo).as_nanos();
                 if part > 0 {
-                    *self.waits.entry((tenant, seg.owner)).or_insert(0) += part;
+                    add(seg.owner, part);
                     covered = covered.saturating_add(part);
                 }
             }
@@ -133,8 +142,7 @@ impl CmdQueue {
             if leftover > 0 {
                 // History older than the retained window: charge the
                 // oldest retained owner (or ourselves if nothing is left).
-                let owner = self.segments.front().map_or(tenant, |s| s.owner);
-                *self.waits.entry((tenant, owner)).or_insert(0) += leftover;
+                add(self.segments.front().map_or(tenant, |s| s.owner), leftover);
             }
         }
 
@@ -205,7 +213,12 @@ impl CmdQueue {
     /// Cross-tenant wait attribution rows `((waiter, owner), ns)`,
     /// ascending by key.
     pub fn wait_rows(&self) -> impl Iterator<Item = ((u64, u64), u64)> + '_ {
-        self.waits.iter().map(|(&k, &v)| (k, v))
+        self.waits.iter().flat_map(|(&waiter, row)| {
+            (0u64..)
+                .zip(row)
+                .filter(|&(_, &ns)| ns > 0)
+                .map(move |(owner, &ns)| ((waiter, owner), ns))
+        })
     }
 
     /// Per-command service-time histogram.
@@ -387,7 +400,7 @@ pub(crate) fn saturation_report<'a>(
                 bully: saturated && demand_share_ppm >= BULLY_SHARE_PPM,
             });
         }
-        for (&(waiter, owner), &ns) in &q.waits {
+        for ((waiter, owner), ns) in q.wait_rows() {
             if let Some((_, _, waited)) = acc.get_mut(index(waiter)) {
                 *waited.entry(owner).or_insert(0) += ns;
             }

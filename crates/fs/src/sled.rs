@@ -261,11 +261,6 @@ impl SledsTable {
     pub fn clear_device_zones(&mut self, dev: DeviceId) {
         self.zones.remove(&dev);
     }
-
-    /// Number of device rows.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
 }
 
 /// Folds a device's current fault state into a table entry: a degraded

@@ -4,7 +4,8 @@
 //! each step. Names are drawn to hit the index's edges: shared 8-byte
 //! prefixes, names shorter than the key, trailing NULs (which pad the key
 //! the same way a short name does), multi-byte UTF-8 cut by the key's
-//! eighth byte, and the empty name.
+//! eighth byte, the empty name, and names of every length from 0 to 20
+//! bytes around one stem.
 //!
 //! Runs under the in-repo `check` harness; cases via `SLEDS_CHECK_CASES`.
 
@@ -48,16 +49,27 @@ const EDGES: &[&str] = &[
     "ÿÿÿÿ",
 ];
 
-/// A name from the edge list, or built from a few pieces whose bytes
-/// collide often in the first eight.
+/// A name from the edge list; or built from a few pieces whose bytes
+/// collide often in the first eight; or 0–20 bytes long, a cut of one
+/// eight-byte stem and then a tail that sometimes ends in NULs, so names
+/// a slot holds inline (up to eight bytes, no trailing NUL) and names it
+/// keeps on the heap meet under one key.
 fn name(rng: &mut DetRng) -> String {
-    if rng.chance(0.5) {
-        return EDGES[rng.range_usize(0, EDGES.len())].to_string();
-    }
     const PIECES: &[&str] = &["a", "b", "\0", "é", "日", "abcdefgh", "z"];
-    (0..rng.range_usize(0, 6))
-        .map(|_| PIECES[rng.range_usize(0, PIECES.len())])
-        .collect()
+    const TAIL: &[char] = &['a', 'b', '\0'];
+    match rng.range_u64(0, 3) {
+        0 => EDGES[rng.range_usize(0, EDGES.len())].to_string(),
+        1 => (0..rng.range_usize(0, 6))
+            .map(|_| PIECES[rng.range_usize(0, PIECES.len())])
+            .collect(),
+        _ => {
+            let stem = &"abcdefgh"[..rng.range_usize(0, 9)];
+            let tail: String = (0..rng.range_usize(0, 13))
+                .map(|_| TAIL[rng.range_usize(0, TAIL.len())])
+                .collect();
+            stem.to_string() + &tail
+        }
+    }
 }
 
 fn entries(dir: &Dir) -> Vec<(String, Ino)> {

@@ -11,8 +11,14 @@
 # share of every function among the samples taken in the measured phase,
 # resolved with `addr2line -i` so inlined functions count under their own
 # names. A measured sample has the workload's `rep` on the stack and no
-# set-up or teardown frame: the workload's `setup`, `Kernel::table2`,
-# `mkdir` or `install_*`, or the drop of a `Kernel` or a workload `Env`. Samples
+# set-up, teardown or check frame: the workload's `setup`, `Kernel::table2`,
+# `mkdir` or `install_*`, the drop of a `Kernel` or a workload `Env`, or
+# the benchmark's checks after the clock stops (anything in
+# `sleds_benchmark::check`, `check_logs`, `check_identities`,
+# `read_back_histogram`, `read_image`). Checks written inline in `rep`
+# have no frame of their own to cut: `tenant_replay`'s check-time
+# `to_jsonl` calls, `saturation_report` equality and `lines()` comparison
+# still count as measured. Samples
 # that land in libc are bucketed as `[libc_malloc/free]`, `[libc_memcmp]`,
 # `[libc_memcpy/memset]` or `[libc_other]`; the leaf's caller is recovered
 # from the stack, so their callers' inclusive shares still count them.
@@ -20,7 +26,7 @@
 set -euo pipefail
 
 if (($# < 1)); then
-    sed -n '2,19p' "$0" >&2
+    sed -n '2,25p' "$0" >&2
     exit 2
 fi
 workload=$1 seconds=${2:-16} seed=${3:-1}
@@ -146,7 +152,7 @@ addr2line -i -f -C -p -a -e "$bin" <"$work/addrs" |
     sed -e 's/ at [^ ]*$//' -e 's/\t *(inlined by) /\t/' -e 's/\t */\t/' \
         -e 's/::h[0-9a-f]\{16\}$//' >"$work/names"
 
-awk -v want="::$workload::" -v setup='::(table2|mkdir|install_[a-z_]+)$|^core::ptr::drop_in_place<sleds_(fs::kernel::Kernel|benchmark::workloads::[a-z_]+::Env)>$' '
+awk -v want="::$workload::" -v setup='::(table2|mkdir|install_[a-z_]+|check_logs|check_identities|read_back_histogram|read_image)$|^sleds_benchmark::check::|^core::ptr::drop_in_place<sleds_(fs::kernel::Kernel|benchmark::workloads::[a-z_]+::Env)>$' '
     FILENAME == ARGV[1] {
         split($0, f, "\t")
         name[f[1], depth[f[1]]++] = f[2]

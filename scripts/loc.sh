@@ -4,12 +4,13 @@
 # Usage: scripts/loc.sh BASE          e.g. scripts/loc.sh HEAD~1
 #
 # A crate's lines are every .rs file under its src/ (the root crate adds
-# examples/), less each `#[cfg(test)]` inline `mod … { … }` block
-# (scripts/nontest.awk, which reach.sh shares; a `#[cfg(test)]` on a
-# `mod name;` line or a single item is not a cut). tests/ directories and
-# `tests.rs` files (the body of a `#[cfg(test)] mod tests;`) are never
-# read. Blank and comment lines count like any other. Both sides are cut
-# by the work tree's nontest.awk, so a base older than it compares alike.
+# examples/), less each `#[cfg(test)]` inline `mod … { … }` block and
+# `#[cfg(test)] mod name;` line (scripts/nontest.awk, which reach.sh
+# shares; a `#[cfg(test)]` on a single item is not a cut). tests/
+# directories, `tests.rs` files and every file a `#[cfg(test)] mod name;`
+# declares are never counted. Blank and comment lines count like any
+# other. Both sides are cut by the work tree's nontest.awk, so a base
+# older than it compares alike.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,10 +25,18 @@ cut_count() {
     awk -f scripts/nontest.awk | awk 'END { print NR }'
 }
 
+# True when $1 is among the newline-separated paths $2.
+listed() {
+    grep -qxF -- "$1" <<<"$2"
+}
+
 # Non-test lines under the given directories at BASE.
 at_base() {
-    local total=0 f
-    for f in $(git ls-tree -r --name-only "$base" -- "$@" | grep '\.rs$' | grep -v '/tests\.rs$' || true); do
+    local total=0 f files mods
+    files=$(git ls-tree -r --name-only "$base" -- "$@" | grep '\.rs$' | grep -v '/tests\.rs$' || true)
+    mods=$(for f in $files; do git show "$base:$f" | awk -v mods=1 -v path="$f" -f scripts/nontest.awk; done)
+    for f in $files; do
+        listed "$f" "$mods" && continue
         total=$((total + $(git show "$base:$f" | cut_count)))
     done
     echo "$total"
@@ -35,9 +44,13 @@ at_base() {
 
 # Non-test lines under the given directories in the work tree.
 in_tree() {
-    local total=0 f
-    for f in $(git ls-files --cached --others --exclude-standard -- "$@" | grep '\.rs$' | grep -v '/tests\.rs$' || true); do
-        [[ -f $f ]] && total=$((total + $(cut_count <"$f")))
+    local total=0 f files mods
+    files=$(git ls-files --cached --others --exclude-standard -- "$@" | grep '\.rs$' | grep -v '/tests\.rs$' || true)
+    files=$(for f in $files; do [[ -f $f ]] && echo "$f"; done)
+    mods=$(if [[ -n $files ]]; then awk -v mods=1 -f scripts/nontest.awk $files; fi)
+    for f in $files; do
+        listed "$f" "$mods" && continue
+        total=$((total + $(cut_count <"$f")))
     done
     echo "$total"
 }

@@ -6,7 +6,8 @@
 # static declared in the non-test code of crates/*/src whose name appears
 # nowhere else in the non-test code of crates/*/src, crates/*/benches,
 # src/, examples/ and benchmark/src. Non-test code is what
-# scripts/nontest.awk keeps, minus `tests.rs` files and tests/ directories;
+# scripts/nontest.awk keeps, minus `tests.rs` files, tests/ directories
+# and the files `#[cfg(test)] mod name;` lines declare;
 # `use` statements and `//` comments are not read, so neither a re-export
 # nor a doc mention counts as a caller. The search is by name, so an item
 # whose name something else also uses is never listed.
@@ -21,16 +22,18 @@ cd "$(dirname "$0")/.."
 allow='
 page_locations_per_page_reference  the per-page oracle of fs/tests/extent_equivalence_props.rs and core/tests/sled_equivalence_props.rs
 tenant_rows  per-tenant rows summed against the queue totals in fs/tests/cost_spine.rs
-wait_rows  per-tenant queue waits summed against the totals in fs/tests/cost_spine.rs
 is_dirty  dirty bits observed against the Vec model in pagecache/tests/model.rs
 resident_runs  resident runs observed against the Vec model in pagecache/tests/model.rs
+eviction_rank  per-page ranks observed against the Vec model in pagecache/tests/model.rs and the two-map list in pagecache/src/reference.rs
 resident_run_count  run counts checked by pagecache unit tests (resident_runs_coalesce_and_clip)
 lan_mount  the only way into the paper section 6 client/server SLEDs of tests/distributed.rs
 set_trust_device_reports  the other way into them, read by tests/distributed.rs and core/tests/pushdown_parity.rs
 '
 
 sources() {
-    find "$@" -name '*.rs' ! -name tests.rs ! -path '*/tests/*' 2>/dev/null | sort
+    local files
+    files=$(find "$@" -name '*.rs' ! -name tests.rs ! -path '*/tests/*' 2>/dev/null | sort)
+    grep -vxF -f <(awk -v mods=1 -f scripts/nontest.awk $files) <<<"$files" || true
 }
 
 # Each file's non-test code, `use` statements and comments dropped, as
