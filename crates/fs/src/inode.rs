@@ -322,25 +322,23 @@ pub struct FileNode {
     /// end, up to `size`, are a hole and read as zeros; a file with none
     /// stored holds `None` and allocates nothing. Shared: a read that
     /// finds only stored bytes hands out a clone of the `Arc` and a range
-    /// ([`crate::Payload`]), and every writer goes through
-    /// [`FileNode::stored_mut`], which copies the bytes first while any
-    /// such payload is still alive — so a payload keeps the bytes it was
-    /// given.
+    /// ([`crate::Payload`]), files installed with equal bytes hold one
+    /// buffer ([`crate::Kernel::install_file`]), and every writer goes
+    /// through [`FileNode::stored_mut`], which copies the bytes first while
+    /// any other payload or file still holds them — so a payload keeps the
+    /// bytes it was given, and a write to one file leaves the others alone.
     data: Option<Arc<Vec<u8>>>,
     /// Stable-storage layout, run-length encoded. Covers at least
     /// [`FileNode::page_count`] pages.
     pub pages: PageMap,
-    /// The layouts besides `pages`, which only HSM and redundant files
-    /// have: `None` for every other file, so it pays one pointer.
+    /// The layouts besides `pages`, which only files on mirrored or coded
+    /// volumes have: `None` for every other file, so it pays one pointer.
     other_homes: Option<Box<OtherHomes>>,
 }
 
 /// A file's layouts besides its primary one.
 #[derive(Clone, Debug, Default)]
 struct OtherHomes {
-    /// For HSM files: the tape-home layout, kept while pages are staged on
-    /// disk so the staged copy can be discarded without copying back.
-    tape_home: Option<PageMap>,
     /// For files on redundant volumes: one full replica layout per
     /// non-primary member device (mirrored and coded layouts). Each map
     /// covers the same page range as `pages`, placed on its own device.
@@ -375,14 +373,20 @@ impl FileNode {
     }
 
     /// The stored bytes, to change: the one way to write them. Copies
-    /// them first if a payload read earlier still shares them.
+    /// them first if a payload read earlier, or another file installed
+    /// with the same bytes, still shares them.
     pub(crate) fn stored_mut(&mut self) -> &mut Vec<u8> {
         Arc::make_mut(self.data.get_or_insert_with(Arc::default))
     }
 
-    /// Empties the file (`O_TRUNC`): no bytes, no pages, no tape home, no
-    /// replica maps. Unmapping the pages versions the layout once, which
-    /// covers the size change too. A payload read earlier keeps the bytes.
+    /// Stores `bytes`, which other files may share.
+    pub(crate) fn set_stored(&mut self, bytes: Arc<Vec<u8>>) {
+        self.data = Some(bytes);
+    }
+
+    /// Empties the file (`O_TRUNC`): no bytes, no pages, no replica maps.
+    /// Unmapping the pages versions the layout once, which covers the size
+    /// change too. A payload read earlier keeps the bytes.
     pub(crate) fn truncate(&mut self) {
         self.size = 0;
         self.data = None;
@@ -410,22 +414,6 @@ impl FileNode {
     pub(crate) fn set_replicas(&mut self, replicas: Vec<PageMap>) {
         if !replicas.is_empty() || self.other_homes.is_some() {
             self.other_homes.get_or_insert_with(Box::default).replicas = replicas;
-        }
-    }
-
-    /// Remembers the current layout as the tape home, unless one is
-    /// already kept: called before staging remaps pages off the tape.
-    pub(crate) fn keep_tape_home(&mut self) {
-        let homes = self.other_homes.get_or_insert_with(Box::default);
-        if homes.tape_home.is_none() {
-            homes.tape_home = Some(self.pages.clone());
-        }
-    }
-
-    /// Forgets the tape home: the whole file is back on tape.
-    pub(crate) fn drop_tape_home(&mut self) {
-        if let Some(homes) = &mut self.other_homes {
-            homes.tape_home = None;
         }
     }
 
@@ -790,19 +778,7 @@ mod tests {
             .append_run(DeviceId(0), sec(SECTORS_PER_PAGE), pg(1));
         assert!(matches!(f.pages.runs, Runs::One(_)), "{:?}", f.pages);
         f.set_replicas(Vec::new());
-        f.drop_tape_home();
         assert!(f.other_homes.is_none(), "no other layout, no box");
-        f.keep_tape_home();
-        assert_eq!(
-            f.other_homes
-                .as_ref()
-                .unwrap()
-                .tape_home
-                .as_ref()
-                .unwrap()
-                .runs(),
-            f.pages.runs()
-        );
         assert!(f.replicas().is_empty());
     }
 

@@ -13,6 +13,9 @@
 //! * `tenant` — interleaved timelines and the saturation report;
 //! * `setup` — devices, mounts and the zero-cost experiment helpers.
 
+use std::collections::BTreeMap;
+use std::sync::Weak;
+
 use sleds_devices::{BlockDevice, DevStats, DeviceClass, FaultState};
 use sleds_pagecache::{PageCache, PageKey};
 use sleds_sim_core::{
@@ -205,6 +208,10 @@ pub struct Kernel {
     /// reuses one, so the table is dense; `unlink` leaves an empty slot.
     inodes: IdTable<Inode>,
     next_ino: u64,
+    /// The latest buffer `install_file` stored for each length, while any
+    /// file or payload still holds it: an install of equal bytes shares it
+    /// instead of storing another copy (`Kernel::intern`).
+    installed: BTreeMap<usize, Weak<Vec<u8>>>,
     /// Open descriptors, keyed by fd number. Fds are issued in increasing
     /// order and never reused (captures record them), so the window holds
     /// the span from the oldest open fd to the newest issued.
@@ -281,6 +288,7 @@ impl Kernel {
             mounts: Vec::new(),
             inodes,
             next_ino: 2,
+            installed: BTreeMap::new(),
             fds: IdWindow::new(),
             next_fd: 3, // 0..2 reserved, as tradition demands
             root,

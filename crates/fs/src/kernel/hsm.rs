@@ -3,8 +3,7 @@
 //! HSM mounts add one more step: a missing page whose home is the tape
 //! device is *staged* — a chunk of pages is read from tape, written to the
 //! staging disk, and the file's page map is rewritten to point at the disk
-//! copy — before the read proceeds. The tape home is remembered so a later
-//! purge can drop the disk copy without copying data back.
+//! copy — before the read proceeds.
 
 use sleds_devices::{BlockDevice, DeviceClass};
 use sleds_sim_core::{Errno, Pages, Sectors, SimError, SimResult};
@@ -97,10 +96,10 @@ impl Kernel {
             let staged_at = self.allocate_sectors(mount, run_len)?;
             let disk = self.mounts[mount.0].dev;
             self.device_command(disk, staged_at, run_len.sectors(), true)?;
-            // Remap, remembering the tape home.
-            let f = self.file_of_mut(ino)?;
-            f.keep_tape_home();
-            f.pages.remap_run(q, run_len, disk, staged_at);
+            // Remap to the staged copy.
+            self.file_of_mut(ino)?
+                .pages
+                .remap_run(q, run_len, disk, staged_at);
             q = run_end;
         }
         self.place_of(ino, p)
@@ -138,7 +137,6 @@ impl Kernel {
         let f = self.file_of_mut(ino)?;
         let mapped = f.pages.page_count();
         f.pages.remap_run(Pages::ZERO, mapped, hsm.tape, first);
-        f.drop_tape_home();
         self.cache.remove_file(ino.0);
         Ok(())
     }

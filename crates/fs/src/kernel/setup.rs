@@ -2,6 +2,8 @@
 //! experiment helpers that install files and shape the cache without
 //! charging time (not part of the syscall API).
 
+use std::sync::Arc;
+
 use sleds_devices::{BlockDevice, FaultPlan};
 use sleds_sim_core::{index, DetRng, Errno, Pages, Sectors, SimError, SimResult};
 
@@ -102,7 +104,9 @@ impl Kernel {
         }
     }
 
-    fn install_node(&mut self, path: &str, size: u64, data: Vec<u8>) -> SimResult<Ino> {
+    /// Installs a file of `size` bytes whose first `data.len()` bytes are
+    /// stored; a sparse install stores none.
+    fn install_node(&mut self, path: &str, size: u64, data: &[u8]) -> SimResult<Ino> {
         let (parent, name) = self.resolve_parent(path)?;
         let mount = self.inode(parent)?.mount.ok_or_else(|| {
             SimError::new(Errno::Einval, format!("install_file({path}): no mount"))
@@ -114,19 +118,37 @@ impl Kernel {
         self.grow_replicas(mount, &mut replicas, page_count)?;
         file.set_replicas(replicas);
         if !data.is_empty() {
-            *file.stored_mut() = data;
+            file.set_stored(self.intern(data));
         }
         file.set_size(size);
         self.link_new(parent, name, Some(mount), InodeBody::File(file))
     }
 
+    /// The buffer to store `data` in: the live buffer of the latest install
+    /// of this length if its bytes are equal, else a new copy, which then
+    /// stands for this length. Sharing is safe because a file's bytes are
+    /// copy-on-write ([`FileNode::stored_mut`]); a write to a buffer held
+    /// only by its file moves it out from under the weak reference, so a
+    /// changed buffer is never handed to a later install.
+    fn intern(&mut self, data: &[u8]) -> Arc<Vec<u8>> {
+        let latest = self.installed.entry(data.len()).or_default();
+        if let Some(live) = latest.upgrade().filter(|b| b.as_slice() == data) {
+            return live;
+        }
+        let bytes = Arc::new(data.to_vec());
+        *latest = Arc::downgrade(&bytes);
+        bytes
+    }
+
     /// Installs a file with the given contents at `path` without charging
     /// any time and without touching the page cache. The file is laid out
     /// by the mount's allocator exactly as a normal write would lay it out.
+    /// Files installed with equal contents share one stored buffer until
+    /// one of them is written: installing one corpus on three mounts
+    /// stores it once.
     pub fn install_file(&mut self, path: &str, data: &[u8]) -> SimResult<()> {
         self.rec_unsupported("install_file");
-        self.install_node(path, data.len() as u64, data.to_vec())
-            .map(|_| ())
+        self.install_node(path, data.len() as u64, data).map(|_| ())
     }
 
     /// Installs a file of `size` bytes whose *contents* are never
@@ -137,7 +159,7 @@ impl Kernel {
     /// memory could hold.
     pub fn install_sparse_file(&mut self, path: &str, size: u64) -> SimResult<()> {
         self.rec_unsupported("install_sparse_file");
-        self.install_node(path, size, Vec::new()).map(|_| ())
+        self.install_node(path, size, &[]).map(|_| ())
     }
 
     /// Marks pages `[first_page, first_page + pages)` of `path` resident,

@@ -169,6 +169,51 @@ fn install_file_lays_out_contiguously() {
     }
 }
 
+/// Where `path`'s stored bytes live.
+fn stored_at(k: &Kernel, path: &str) -> *const u8 {
+    k.file_of(k.resolve(path).unwrap())
+        .unwrap()
+        .stored()
+        .as_ptr()
+}
+
+#[test]
+fn equal_installs_share_one_buffer_and_unequal_ones_do_not() {
+    let mut k = kernel_with_disk();
+    let data: Vec<u8> = (0..3 * PAGE_SIZE + 5).map(|i| (i % 251) as u8).collect();
+    let mut other = data.clone();
+    other[PAGE_SIZE as usize] ^= 1;
+    k.install_file("/data/a", &data).unwrap();
+    k.install_file("/data/b", &data).unwrap();
+    k.install_file("/data/c", &other).unwrap();
+    assert_eq!(stored_at(&k, "/data/a"), stored_at(&k, "/data/b"));
+    assert_ne!(stored_at(&k, "/data/a"), stored_at(&k, "/data/c"));
+    // `c` is now the latest buffer of its length, and `d` equals it.
+    k.install_file("/data/d", &other).unwrap();
+    assert_eq!(stored_at(&k, "/data/c"), stored_at(&k, "/data/d"));
+    for (path, want) in [("/data/a", &data), ("/data/c", &other)] {
+        let fd = k.open(path, OpenFlags::RDONLY).unwrap();
+        assert_eq!(k.pread(fd, 0, data.len()).unwrap(), *want);
+    }
+}
+
+#[test]
+fn sparse_installs_store_nothing() {
+    let mut k = kernel_with_disk();
+    k.install_sparse_file("/data/s", 16 << 20).unwrap();
+    k.install_sparse_file("/data/t", 16 << 20).unwrap();
+    k.install_file("/data/e", b"").unwrap();
+    for p in ["/data/s", "/data/t", "/data/e"] {
+        assert!(k.file_of(k.resolve(p).unwrap()).unwrap().shared().is_none());
+    }
+    assert!(
+        k.installed.is_empty(),
+        "nothing to share, nothing registered"
+    );
+    let fd = k.open("/data/s", OpenFlags::RDONLY).unwrap();
+    assert_eq!(k.pread(fd, 5 << 20, 64 << 10).unwrap(), vec![0; 64 << 10]);
+}
+
 #[test]
 fn fragmentation_breaks_contiguity() {
     let mut k = Kernel::table2();

@@ -3,12 +3,14 @@
 //!
 //! A [`Payload`] derefs to `[u8]` and compares with byte strings, but it
 //! owns no copy of the bytes it stands for. A read that found only stored
-//! bytes shares the file's own buffer — an [`Arc`] clone and a range —
-//! and the file copies that buffer before its next write while any such
-//! payload is alive, so a payload keeps the bytes it was given. Almost
-//! everything the drivers read is sparse
-//! ([`crate::Kernel::install_sparse_file`]), and a read that found no
-//! stored bytes borrows its zeros from one static all-zero run. Only a
+//! bytes shares the file's own buffer — an [`Arc`] clone and a range,
+//! and that buffer may itself be shared by every file installed with the
+//! same bytes — and the file copies that buffer before its next write
+//! while any such payload is alive, so a payload keeps the bytes it was
+//! given. Almost everything the drivers read is sparse
+//! ([`crate::Kernel::install_sparse_file`], the lmbench calibration
+//! probes included), and a read that found no stored bytes borrows its
+//! zeros from one static all-zero run. Only a
 //! read that runs from stored bytes into the hole after them builds a
 //! buffer of its own. The *virtual* copy-out cost (`charge_memcpy`) is
 //! charged alike for all three.

@@ -5,15 +5,20 @@
 //! change to the same bytes — `write`, a write through a second
 //! descriptor, an `O_TRUNC` reopen, `poke_file`, a truncating open later
 //! in the same ring batch — and checks that the payload keeps the bytes it
-//! was given while a later read sees the new ones. A generated sequence of
-//! reads, writes and truncations, every payload kept alive to the end, is
-//! checked against a `Vec<u8>` model.
+//! was given while a later read sees the new ones. Files installed with
+//! equal bytes share one buffer in the same way. A generated sequence of
+//! reads, writes, pokes, truncations and re-installs over two such files,
+//! every payload kept alive to the end, is checked against one `Vec<u8>`
+//! model per file.
 
 use sleds_devices::DiskDevice;
 use sleds_fs::{Fd, Kernel, OpenFlags, Payload, SubmissionRing, Syscall, SyscallRet, Whence};
 use sleds_sim_core::{check, DetRng, PAGE_SIZE};
 
 const PATH: &str = "/data/f";
+/// A second file, installed with the same bytes as [`PATH`] by the
+/// generated sequence.
+const OTHER: &str = "/data/g";
 const LEN: usize = 3 * PAGE_SIZE as usize;
 
 fn contents() -> Vec<u8> {
@@ -128,38 +133,79 @@ fn a_ring_completion_holds_the_bytes_from_before_a_later_op_in_its_batch() {
     assert_eq!(*bytes, contents()[500..1500]);
 }
 
-/// One step of the generated sequence.
+/// One step of the generated sequence, on one of its two files.
 enum Step {
-    Read { pos: u64, len: usize },
-    Write { pos: u64, bytes: Vec<u8> },
+    Read {
+        pos: u64,
+        len: usize,
+    },
+    Write {
+        pos: u64,
+        bytes: Vec<u8>,
+    },
+    Poke {
+        pos: u64,
+        bytes: Vec<u8>,
+    },
     Truncate,
+    /// Unlink the file and install it again with [`contents`].
+    Reinstall,
+}
+
+/// One to `max` random bytes.
+fn bytes(rng: &mut DetRng, max: usize) -> Vec<u8> {
+    let mut bytes = vec![0; rng.range_usize(0, max) + 1];
+    rng.fill_bytes(&mut bytes);
+    bytes
 }
 
 fn step(rng: &mut DetRng, size: usize) -> Step {
     let pos = rng.range_usize(0, size + 100) as u64;
-    match rng.range_usize(0, 10) {
+    match rng.range_usize(0, 12) {
         0..=4 => Step::Read {
             pos,
             len: rng.range_usize(0, 2 * PAGE_SIZE as usize),
         },
-        5..=8 => {
-            let mut bytes = vec![0; rng.range_usize(1, 700)];
-            rng.fill_bytes(&mut bytes);
-            Step::Write { pos, bytes }
+        5..=7 => Step::Write {
+            pos,
+            bytes: bytes(rng, 700),
+        },
+        // A poke stays within the stored bytes.
+        8 if size > 0 => {
+            let pos = rng.range_usize(0, size);
+            Step::Poke {
+                pos: pos as u64,
+                bytes: bytes(rng, (size - pos).min(64)),
+            }
         }
-        _ => Step::Truncate,
+        8 | 9 => Step::Truncate,
+        _ => Step::Reinstall,
     }
+}
+
+/// Where the whole of a fully stored file's buffer starts, as a read of
+/// it sees it.
+fn buffer(k: &mut Kernel, fd: Fd, len: usize) -> *const u8 {
+    k.pread(fd, 0, len).unwrap().as_ptr()
 }
 
 #[test]
 fn generated_reads_writes_and_truncations_match_a_vec_model() {
     check::run("shared_reads_match_a_vec_model", |rng| {
         let mut k = kernel();
-        let mut model = contents();
-        let mut fd = k.open(PATH, OpenFlags::RDWR).unwrap();
+        k.install_file(OTHER, &contents()).unwrap();
+        let paths = [PATH, OTHER];
+        let mut models = [contents(), contents()];
+        // Whether each file still holds the buffer it was installed with:
+        // no write, poke or truncation since.
+        let mut pristine = [true, true];
+        let mut fds = paths.map(|p| k.open(p, OpenFlags::RDWR).unwrap());
+        assert_eq!(buffer(&mut k, fds[0], LEN), buffer(&mut k, fds[1], LEN));
         // Every payload read, with the bytes it held when it was read.
         let mut held: Vec<(Payload, Vec<u8>)> = Vec::new();
-        for _ in 0..24 {
+        for _ in 0..32 {
+            let i = rng.range_usize(0, 2);
+            let (fd, model) = (fds[i], &mut models[i]);
             match step(rng, model.len()) {
                 Step::Read { pos, len } => {
                     let got = k.pread(fd, pos, len).unwrap();
@@ -175,17 +221,40 @@ fn generated_reads_writes_and_truncations_match_a_vec_model() {
                         model.resize(end, 0);
                     }
                     model[pos..end].copy_from_slice(&bytes);
+                    pristine[i] = false;
+                }
+                Step::Poke { pos, bytes } => {
+                    k.poke_file(paths[i], pos, &bytes).unwrap();
+                    let pos = pos as usize;
+                    model[pos..pos + bytes.len()].copy_from_slice(&bytes);
+                    pristine[i] = false;
                 }
                 Step::Truncate => {
                     k.close(fd).unwrap();
-                    fd = k.open(PATH, OpenFlags::CREATE_RDWR).unwrap();
+                    fds[i] = k.open(paths[i], OpenFlags::CREATE_RDWR).unwrap();
                     model.clear();
+                    pristine[i] = false;
+                }
+                Step::Reinstall => {
+                    k.close(fd).unwrap();
+                    k.unlink(paths[i]).unwrap();
+                    k.install_file(paths[i], &contents()).unwrap();
+                    fds[i] = k.open(paths[i], OpenFlags::RDWR).unwrap();
+                    *model = contents();
+                    pristine[i] = true;
+                    // The other file's buffer, if untouched, is the one
+                    // this install found; a written one never is.
+                    let [a, b] = fds;
+                    let shared = buffer(&mut k, a, LEN) == buffer(&mut k, b, LEN);
+                    assert_eq!(shared, pristine[1 - i], "re-install of {}", paths[i]);
                 }
             }
             for (payload, want) in &held {
                 assert_eq!(payload, want);
             }
         }
-        assert_eq!(k.pread(fd, 0, model.len() + 1).unwrap(), model);
+        for (fd, model) in fds.into_iter().zip(&models) {
+            assert_eq!(k.pread(fd, 0, model.len() + 1).unwrap(), *model);
+        }
     });
 }

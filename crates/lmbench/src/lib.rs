@@ -48,10 +48,14 @@ const LATENCY_PROBES: usize = 64;
 /// removed afterwards. Latency is the per-operation cost of a one-byte read
 /// from a cached page with the syscall overhead subtracted; bandwidth is the
 /// streaming rate of rereading a fully cached file.
+///
+/// The probe file is installed sparse: its layout is what a stored install
+/// would give, and a read of its hole is billed the same copy-out as stored
+/// bytes, so the rows are the same while the host stores no byte of it.
 pub fn measure_memory(kernel: &mut Kernel, scratch_dir: &str) -> SimResult<Calibration> {
     let path = format!("{scratch_dir}/__lmbench_mem");
     let bytes = 4 << 20; // comfortably smaller than the cache
-    kernel.install_file(&path, &vec![0u8; bytes])?;
+    kernel.install_sparse_file(&path, bytes as u64)?;
     let fd = kernel.open(&path, OpenFlags::RDONLY)?;
     // Warm every page.
     let mut pos = 0;
@@ -86,11 +90,12 @@ const CROSSING_PROBES: u64 = 256;
 
 /// Measures the cost of one kernel boundary crossing — lmbench's
 /// `lat_syscall null`: repeated no-op `lseek(fd, 0, SEEK_SET)` calls on an
-/// open file, CPU divided by the count. This is the charge a ring batch
-/// amortizes; `fill_table` stores it in the table's crossing row.
+/// open (sparse, one-byte) file, CPU divided by the count. This is the
+/// charge a ring batch amortizes; `fill_table` stores it in the table's
+/// crossing row.
 pub fn measure_crossing(kernel: &mut Kernel, scratch_dir: &str) -> SimResult<f64> {
     let path = format!("{scratch_dir}/__lmbench_null");
-    kernel.install_file(&path, &[0u8])?;
+    kernel.install_sparse_file(&path, 1)?;
     let fd = kernel.open(&path, OpenFlags::RDONLY)?;
     let t = kernel.start_job();
     for _ in 0..CROSSING_PROBES {
@@ -108,7 +113,8 @@ pub fn measure_crossing(kernel: &mut Kernel, scratch_dir: &str) -> SimResult<f64
 /// whole device, the way lmbench's disk probes seek across the full stroke;
 /// bandwidth comes from a cold sequential scan of a scratch file through the
 /// file system (so it includes the syscall and copy costs applications see).
-/// The scratch file is removed afterwards.
+/// The scratch file is installed sparse, as in [`measure_memory`], and
+/// removed afterwards.
 pub fn measure_mount(kernel: &mut Kernel, dir: &str) -> SimResult<Calibration> {
     let mount = kernel.stat(dir)?.mount.ok_or_else(|| {
         sleds_sim_core::SimError::new(sleds_sim_core::Errno::Einval, format!("{dir}: not a mount"))
@@ -116,7 +122,7 @@ pub fn measure_mount(kernel: &mut Kernel, dir: &str) -> SimResult<Calibration> {
     let dev = kernel.device_of_mount(mount).expect("mount has device");
     let cap = kernel.device_capacity(dev).expect("device registered");
     let path = format!("{dir}/__lmbench_dev");
-    kernel.install_file(&path, &vec![0u8; DEVICE_PROBE_BYTES])?;
+    kernel.install_sparse_file(&path, DEVICE_PROBE_BYTES as u64)?;
     let fd = kernel.open(&path, OpenFlags::RDONLY)?;
 
     // Latency: raw random page reads across the device's full stroke.
@@ -327,6 +333,50 @@ mod tests {
         let d2 = table.device(k.device_of_mount(m2).unwrap()).unwrap();
         assert!(d1.latency < d2.latency, "disk beats NFS on latency");
         assert!(d1.bandwidth > d2.bandwidth, "disk beats NFS on bandwidth");
+    }
+
+    #[test]
+    fn table2_calibration_is_pinned_to_the_bit() {
+        // Every row `fill_table` measures on the Table 2 machine, and the
+        // virtual time it took, as recorded when the probes stored every
+        // byte: how a probe file holds its contents is host cost only.
+        let mut k = Kernel::table2();
+        for d in ["/data", "/cdrom", "/nfs"] {
+            k.mkdir(d).unwrap();
+        }
+        let md = k
+            .mount_disk("/data", DiskDevice::table2_disk("hda"))
+            .unwrap();
+        let mc = k
+            .mount_cdrom("/cdrom", CdRomDevice::table2_drive("cd0"))
+            .unwrap();
+        let mn = k
+            .mount_nfs("/nfs", NfsDevice::table2_mount("srv:/exp"))
+            .unwrap();
+        let t0 = k.now();
+        let table = fill_table(&mut k, &[("/data", md), ("/cdrom", mc), ("/nfs", mn)]).unwrap();
+        let bits = |e: SledsEntry| (e.latency.to_bits(), e.bandwidth.to_bits());
+        let row = |m: MountId| bits(table.device(k.device_of_mount(m).unwrap()).unwrap());
+        let got = [
+            bits(table.memory().unwrap()),
+            (table.crossing_cpu().unwrap().to_bits(), 0),
+            row(md),
+            row(mc),
+            row(mn),
+        ];
+        let want = [
+            (0x3e8a_2c26_23ab_2ae0, 0x4186_cd40_6819_f8b8), // 195 ns, 47.8 MB/s
+            (0x3ed4_f8b5_88e3_68f1, 0),                     // 5 us
+            (0x3f91_2ddf_f4ad_f886, 0x4160_699c_fef4_efa7), // 16.8 ms, 8.60 MB/s
+            (0x3fc0_d5f4_dc3e_0c89, 0x4144_a54d_8c59_4550), // 132 ms, 2.71 MB/s
+            (0x3fd1_4405_7cdb_61a8, 0x412e_61a5_37c5_bb64), // 270 ms, 0.996 MB/s
+        ];
+        assert_eq!(got, want, "{got:#x?}");
+        assert_eq!(
+            (k.now() - t0).as_nanos(),
+            52_775_147_080,
+            "52.8 s of virtual time"
+        );
     }
 
     #[test]

@@ -1,35 +1,38 @@
 #!/usr/bin/env bash
 # Where the simulator's host time goes: a sampled profile of one benchmark
-# workload's measured phase.
+# workload's measured phase, or of its set-up phase.
 #
-#   scripts/hostprof.sh <workload> [seconds=16] [seed=1]
+#   scripts/hostprof.sh <workload> [seconds=16] [seed=1] [measured|setup]
 #
 # Builds `benchmark/` with frame pointers and debug info into a scratch
 # target directory (`$CARGO_TARGET_DIR`, default a fixed directory under
 # `$TMPDIR`), compiles a small `SIGPROF` sampler with the system `gcc`,
 # preloads it into one untraced run, and prints the self and inclusive
-# share of every function among the samples taken in the measured phase,
-# resolved with `addr2line -i` so inlined functions count under their own
-# names. A measured sample has the workload's `rep` on the stack and no
-# set-up, teardown or check frame: the workload's `setup`, `Kernel::table2`,
-# `mkdir` or `install_*`, the drop of a `Kernel` or a workload `Env`, or
-# the benchmark's checks after the clock stops (anything in
-# `sleds_benchmark::check`, `check_logs`, `check_identities`,
-# `read_back_histogram`, `read_image`). Checks written inline in `rep`
-# have no frame of their own to cut: `tenant_replay`'s check-time
-# `to_jsonl` calls, `saturation_report` equality and `lines()` comparison
-# still count as measured. Samples
-# that land in libc are bucketed as `[libc_malloc/free]`, `[libc_memcmp]`,
-# `[libc_memcpy/memset]` or `[libc_other]`; the leaf's caller is recovered
-# from the stack, so their callers' inclusive shares still count them.
-# Writes only under a temporary directory and the target directory.
+# share of every function among the samples taken in the chosen phase
+# (`measured` by default), resolved with `addr2line -i` so inlined
+# functions count under their own names. A measured sample has the
+# workload's `rep` on the stack and no set-up, teardown or check frame:
+# the workload's `setup`, `Kernel::table2`, `mkdir` or `install_*`, the
+# drop of a `Kernel` or a workload `Env`, or the benchmark's checks after
+# the clock stops (anything in `sleds_benchmark::check`, `check_logs`,
+# `check_identities`, `read_back_histogram`, `read_image`). Checks written
+# inline in `rep` have no frame of their own to cut: `tenant_replay`'s
+# check-time `to_jsonl` calls, `saturation_report` equality and `lines()`
+# comparison still count as measured. A set-up sample has the workload's
+# `rep` calling straight into its `setup` or `plan`, or into
+# `build_kernel` (`tenant_replay` builds its machines inline in `rep`).
+# Samples that land in libc are bucketed as `[libc_malloc/free]`,
+# `[libc_memcmp]`, `[libc_memcpy/memset]` or `[libc_other]`; the leaf's
+# caller is recovered from the stack, so their callers' inclusive shares
+# still count them. Writes only under a temporary directory and the
+# target directory.
 set -euo pipefail
 
-if (($# < 1)); then
-    sed -n '2,25p' "$0" >&2
+if (($# < 1)) || [[ ${4:-measured} != @(measured|setup) ]]; then
+    sed -n '2,28p' "$0" >&2
     exit 2
 fi
-workload=$1 seconds=${2:-16} seed=${3:-1}
+workload=$1 seconds=${2:-16} seed=${3:-1} phase=${4:-measured}
 for tool in gcc addr2line; do
     command -v "$tool" >/dev/null || {
         echo "hostprof.sh: needs $tool, which is not installed" >&2
@@ -152,7 +155,7 @@ addr2line -i -f -C -p -a -e "$bin" <"$work/addrs" |
     sed -e 's/ at [^ ]*$//' -e 's/\t *(inlined by) /\t/' -e 's/\t */\t/' \
         -e 's/::h[0-9a-f]\{16\}$//' >"$work/names"
 
-awk -v want="::$workload::" -v setup='::(table2|mkdir|install_[a-z_]+|check_logs|check_identities|read_back_histogram|read_image)$|^sleds_benchmark::check::|^core::ptr::drop_in_place<sleds_(fs::kernel::Kernel|benchmark::workloads::[a-z_]+::Env)>$' '
+awk -v want="::$workload::" -v phase="$phase" -v built="::$workload::(setup|plan)\$|::build_kernel\$" -v setup='::(table2|mkdir|install_[a-z_]+|check_logs|check_identities|read_back_histogram|read_image)$|^sleds_benchmark::check::|^core::ptr::drop_in_place<sleds_(fs::kernel::Kernel|benchmark::workloads::[a-z_]+::Env)>$' '
     FILENAME == ARGV[1] {
         split($0, f, "\t")
         name[f[1], depth[f[1]]++] = f[2]
@@ -167,9 +170,14 @@ awk -v want="::$workload::" -v setup='::(table2|mkdir|install_[a-z_]+|check_logs
         }
         total++
         keep = 0
-        for (i = 1; i <= nf; i++) {
-            if (index(fr[i], want "rep")) keep = 1
-            if (index(fr[i], want "setup") || fr[i] ~ setup) { keep = 0; break }
+        if (phase == "setup") {
+            for (i = 2; i <= nf; i++)
+                if (index(fr[i], want "rep")) { keep = fr[i - 1] ~ built; break }
+        } else {
+            for (i = 1; i <= nf; i++) {
+                if (index(fr[i], want "rep")) keep = 1
+                if (index(fr[i], want "setup") || fr[i] ~ setup) { keep = 0; break }
+            }
         }
         if (!keep) next
         measured++
@@ -178,7 +186,7 @@ awk -v want="::$workload::" -v setup='::(table2|mkdir|install_[a-z_]+|check_logs
         for (i = 1; i <= nf; i++) if (!(fr[i] in seen)) { seen[fr[i]] = 1; incl[fr[i]]++ }
     }
     END {
-        printf "%d samples, %d in the measured phase of %s (2 ms of CPU each)\n", total, measured, substr(want, 3, length(want) - 4)
+        printf "%d samples, %d in the %s phase of %s (2 ms of CPU each)\n", total, measured, phase, substr(want, 3, length(want) - 4)
         if (!measured) exit 1
         print "\nself %\tfunction"
         for (k in self) printf "%6.2f\t%s\n", 100 * self[k] / measured, k | "sort -rn | head -n 40"

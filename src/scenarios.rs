@@ -9,10 +9,10 @@
 //! Steps run in the order listed, and the order is part of the machine: a
 //! `mkdir` charges a trap and an install moves its mount's allocator, so
 //! swapping two steps moves every later timestamp or layout. For the same
-//! reason `lmbench::fill_table`, which installs and unlinks a 16 MiB probe
-//! on every mount it calibrates, runs after `build_kernel`: a file that must
-//! be laid out after calibration (`trace_viewer`'s corpus) is installed by
-//! the example, not by its spec.
+//! reason `lmbench::fill_table`, which installs and unlinks a 16 MiB sparse
+//! probe on every mount it calibrates, runs after `build_kernel`: a file
+//! that must be laid out after calibration (`trace_viewer`'s corpus) is
+//! installed by the example, not by its spec.
 //!
 //! A spec that fills its mounts installs `n` files `dir/f0`, `dir/f1`, … of
 //! `pages` pages on each, file `i` of the `d`-th mount holding byte
