@@ -74,7 +74,6 @@ mod tests {
 
     fn verdict(prog: &PickProgram, estimate: f64) -> bool {
         prog.matches(&ProgInputs {
-            first_latency: 0.0,
             delivery_time: estimate,
             cached_fraction: 0.0,
         })

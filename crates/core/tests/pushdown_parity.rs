@@ -14,6 +14,7 @@
 
 use sleds::{fsleds_get, PickConfig, PickSession, Sled, SledsEntry, SledsTable};
 use sleds_devices::{BlockDevice, DiskDevice, FaultPlan};
+use sleds_fs::machine::RING_OP_CPU;
 use sleds_fs::{
     DeviceId, Fd, Kernel, OpenFlags, PageLocation, SubmissionRing, Syscall, SyscallRet,
     VolumeLayout, SECTORS_PER_PAGE,
@@ -93,31 +94,20 @@ fn bits(sleds: &[Sled]) -> Vec<(u64, u64, u64, u64)> {
         .collect()
 }
 
-fn pushed_plan(k: &mut Kernel, t: &SledsTable, fd: Fd) -> Vec<(u64, usize)> {
-    let call = Syscall::PickAdvice {
-        fd,
-        pricing: t.clone(),
-        preferred: PAGE_SIZE as usize,
-        skip_unavailable: true,
-    };
-    match ring_call(k, call).unwrap() {
-        SyscallRet::Plan(plan) => plan,
-        other => panic!("PickAdvice completed with {other:?}"),
-    }
+/// Chunks a skipping one-page pick plan keeps.
+fn skipping_plan_len(k: &mut Kernel, t: &SledsTable, fd: Fd) -> usize {
+    let cfg = PickConfig::bytes(PAGE_SIZE as usize).skip_unavailable();
+    PickSession::init(k, t, fd, cfg).unwrap().planned_chunks()
 }
 
-/// The session of `init`, the library's SLEDs, the SLEDs of the
-/// `FsledsGet` ring op and the plan of the `PickAdvice` ring op must all
-/// agree; returns the SLEDs.
+/// The session of `init`, the library's SLEDs and the SLEDs of the
+/// `FsledsGet` ring op must all agree; returns the SLEDs.
 fn assert_parity(k: &mut Kernel, t: &SledsTable, fd: Fd) -> Vec<Sled> {
     let cfg = PickConfig::bytes(PAGE_SIZE as usize).skip_unavailable();
-    let mut seq = PickSession::init(k, t, fd, cfg).unwrap();
+    let seq = PickSession::init(k, t, fd, cfg).unwrap();
     let lib = fsleds_get(k, fd, t).unwrap();
     assert_eq!(bits(seq.sleds()), bits(&lib));
     assert_eq!(bits(&lib), bits(&pushed_sleds(k, t, fd)));
-    let plan: Vec<(u64, usize)> = std::iter::from_fn(|| seq.next_read()).collect();
-    assert_eq!(plan.len(), seq.planned_chunks());
-    assert_eq!(pushed_plan(k, t, fd), plan);
     lib
 }
 
@@ -130,7 +120,7 @@ fn mirror_with_offline_primary_prices_the_surviving_copy_on_both_sides() {
     assert_eq!(sleds[0].latency, 0.020, "the mirror, not the dead primary");
     assert_eq!(sleds[0].bandwidth, 9e6);
     // `pread` serves this file, so a skipping plan must keep all of it.
-    assert_eq!(pushed_plan(&mut k, &t, fd).len(), PAGES as usize);
+    assert_eq!(skipping_plan_len(&mut k, &t, fd), PAGES as usize);
     assert_eq!(
         k.pread(fd, 0, PAGE_SIZE as usize).unwrap().len(),
         PAGE_SIZE as usize
@@ -152,6 +142,7 @@ fn coded_volume_prices_the_kth_cheapest_fragment_on_both_sides() {
     offline(&mut k, "vd1");
     let sleds = assert_parity(&mut k, &t, fd);
     assert!(sleds[0].unavailable());
+    assert_eq!(skipping_plan_len(&mut k, &t, fd), 0);
 }
 
 #[test]
@@ -168,7 +159,7 @@ fn pushdown_charges_the_alternative_probes_the_sequential_walk_charges() {
     let cfg = k.config();
     let walk = cfg.page_walk_cost(1 + 2, PAGES);
     assert_eq!(seq.cpu, cfg.syscall_cpu + cfg.syscall_cpu + walk);
-    assert_eq!(ring.cpu, cfg.syscall_cpu + cfg.ring_op_cpu + walk);
+    assert_eq!(ring.cpu, cfg.syscall_cpu + RING_OP_CPU + walk);
 }
 
 /// A cold 8-page file on a plain disk, with a zone boundary three pages in.

@@ -5,8 +5,8 @@ use sleds_sim_core::{index, Errno, SimDuration, SimError, SimResult, SimTime};
 use sleds_trace::{span, Layer, Mark, SpanHost, Tracer};
 
 use super::Kernel;
+use crate::machine::RING_OP_CPU;
 use crate::ring::{RingCompletion, SubmissionRing};
-use crate::sled;
 use crate::syscall::{self as sys, Charge, Entry, Record, Ring, Syscall, SyscallRet};
 
 /// What [`span`] needs of the kernel: its tracer and its clock.
@@ -31,7 +31,7 @@ impl Kernel {
     ///   payload off the result, and an uncapturable entry poisons the
     ///   capture under its own name;
     /// * the crossing charge `e.charge` — or, while `ring_enter` is
-    ///   dispatching a submission (`ring_slot`), `ring_op_cpu`, no span,
+    ///   dispatching a submission (`ring_slot`), [`RING_OP_CPU`], no span,
     ///   and the call filed under the enclosing batch instead of as an op
     ///   of its own.
     pub(super) fn enter<T>(
@@ -75,7 +75,7 @@ impl Kernel {
                 (Some(_), _) => {
                     k.ledger.counts.syscalls += 1;
                     k.ring_ops += 1;
-                    k.cfg.ring_op_cpu
+                    RING_OP_CPU
                 }
                 (None, Charge::Trap) => {
                     k.ledger.counts.syscalls += 1;
@@ -155,22 +155,11 @@ impl Kernel {
             Syscall::Mkdir { path } => self.mkdir(path).map(|()| SyscallRet::Unit),
             Syscall::Readdir { path } => self.readdir(path).map(SyscallRet::Names),
             Syscall::Unlink { path } => self.unlink(path).map(|()| SyscallRet::Unit),
-            Syscall::FsledsGet { fd, pricing } | Syscall::PickAdvice { fd, pricing, .. } => {
+            Syscall::FsledsGet { fd, pricing } => {
                 let make = || call.clone();
                 self.sys(call.entry(), [0; 3], make, |k| {
                     let of = k.openfile(*fd)?;
-                    let sleds = k.sleds_of(of.ino, pricing)?;
-                    let Syscall::PickAdvice {
-                        preferred,
-                        skip_unavailable,
-                        ..
-                    } = call
-                    else {
-                        return Ok(SyscallRet::Sleds(sleds));
-                    };
-                    let plan = sled::plan_chunks(&sleds, (*preferred).max(1), *skip_unavailable);
-                    k.charge_cpu(sled::plan_cost(plan.len()));
-                    Ok(SyscallRet::Plan(plan))
+                    k.sleds_of(of.ino, pricing).map(SyscallRet::Sleds)
                 })
             }
             Syscall::TenantRegister { name } => Ok(SyscallRet::Tenant(self.tenant_register(name))),
@@ -199,7 +188,7 @@ impl Kernel {
 
     /// `ring_enter`: services the ring's queued submissions in **one**
     /// boundary crossing. Charges `syscall_cpu` once for the crossing and
-    /// `ring_op_cpu` per serviced op; each op then performs exactly the
+    /// [`RING_OP_CPU`] per serviced op; each op then performs exactly the
     /// same work (and faulting/memcpy/device accounting) as its sequential
     /// twin. Stops early when the completion queue fills — the leftovers
     /// stay queued for the next enter. Returns the number serviced.

@@ -26,6 +26,7 @@ use super::cost::Attempt;
 use super::{DeviceId, Kernel, MountId, ONE_PAGE};
 use crate::capture::fold_bytes;
 use crate::inode::{Ino, Inode, PagePlace};
+use crate::machine::FAULT_CPU;
 use crate::payload::Payload;
 use crate::syscall::Fd;
 
@@ -227,7 +228,7 @@ impl Kernel {
             });
             self.redundant_read(ino, start_place, run_start, run_len + ra_len)?;
             self.ledger.counts.major_faults += run_len.get();
-            self.charge_cpu(self.cfg.fault_cpu * run_len.get());
+            self.charge_cpu(FAULT_CPU * run_len.get());
             self.cache_insert_run(ino, run_start, run_len + ra_len, false)?;
             p = run_end;
         }

@@ -7,6 +7,7 @@ use sleds_trace::{Mark, Metrics};
 
 use super::{Kernel, PageExtent, PageLocation, RedundantExtent, ReplicaPlace};
 use crate::inode::{FileKind, FileNode, Ino, Inode, PagePlace};
+use crate::machine::RING_OP_CPU;
 use crate::prog::{prog_inputs, PickProgram, ProgInputs, ProgOrder, WalkEntry};
 use crate::sled::{self, Sled, SledsTable};
 use crate::syscall::{Entry, Fd};
@@ -259,10 +260,9 @@ impl Kernel {
     ) -> SimResult<(bool, ProgInputs)> {
         let mem = sled::memory_row(table)?;
         let sleds = self.sleds_of(ino, table)?;
-        // Interpretation is charged at the certified worst-case bound, not
-        // the path actually taken: the price of running a program is fixed
-        // at admission, so accounting cannot depend on file contents or
-        // verdicts.
+        // Interpretation is charged from the certificate, not metered: the
+        // price of running a program is fixed at admission, so accounting
+        // cannot depend on file contents or verdicts.
         self.charge_cpu(SimDuration::from_nanos(prog.cert().worst_ns));
         let inputs = prog_inputs(&sleds, mem);
         let matched = prog.matches(&inputs);
@@ -342,8 +342,7 @@ impl Kernel {
         // Per-entry in-kernel dispatch work, priced like a ring op. The
         // program interpretation itself is charged separately below, from
         // the cost certificate stamped at admission.
-        let d = self.cfg.ring_op_cpu;
-        self.charge_cpu(d);
+        self.charge_cpu(RING_OP_CPU);
         let mut entry = WalkEntry {
             path: path.clone(),
             kind: stat.kind,

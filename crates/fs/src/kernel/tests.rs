@@ -112,7 +112,6 @@ fn writes_dirty_pages_and_fsync_flushes() {
 fn eviction_writes_back_dirty_pages() {
     let mut cfg = MachineConfig::table2();
     cfg.ram = sleds_sim_core::ByteSize::mib(1); // 168-page cache
-    cfg.cache_fraction = 0.66;
     let mut k = Kernel::new(cfg);
     k.mkdir("/data").unwrap();
     k.mount_disk("/data", DiskDevice::table2_disk("hda"))

@@ -75,13 +75,6 @@ impl Kernel {
             .unwrap_or_default()
     }
 
-    /// Replaces the machine's hedged-read policy. Setup mutation: not
-    /// capturable mid-recording.
-    pub fn set_hedge_policy(&mut self, policy: HedgePolicy) {
-        self.rec_unsupported("set_hedge_policy");
-        self.cfg.hedge = policy;
-    }
-
     /// The hedged-read policy in force.
     pub fn hedge_policy(&self) -> HedgePolicy {
         self.cfg.hedge

@@ -5,19 +5,43 @@ use sleds_sim_core::{index, Bandwidth, ByteSize, SimDuration, PAGE_SIZE};
 
 use crate::volume::HedgePolicy;
 
+/// Fraction of RAM available to the page cache.
+const CACHE_FRACTION: f64 = 0.66;
+
+/// CPU cost of servicing one already-submitted ring operation. A ring
+/// batch pays `syscall_cpu` once to enter the kernel, then this much per
+/// operation — the dispatch-table hop that remains when the boundary
+/// crossing is amortized away.
+pub const RING_OP_CPU: SimDuration = SimDuration::from_nanos(150);
+
+/// CPU cost of handling one page fault (kernel path, not the I/O).
+pub(crate) const FAULT_CPU: SimDuration = SimDuration::from_micros(2);
+
+/// CPU cost per *extent probe* of the SLED residency walk. With the
+/// run-length residency index the walk performs one probe per extent it
+/// emits rather than one per page; this is the probe's cost (it was the
+/// per-page cost before the index existed, and still is for the per-page
+/// reference walk the tests use as an oracle).
+const PAGE_WALK_CPU: SimDuration = SimDuration::from_nanos(250);
+
+/// Per-page floor of the SLED residency walk: copying the result out and
+/// bookkeeping still touch every page's worth of output, so even a
+/// one-extent walk over a huge file is not free.
+const PAGE_WALK_FLOOR_CPU: SimDuration = SimDuration::from_nanos(1);
+
 /// Static configuration of the simulated machine.
 ///
 /// The defaults reproduce the paper's testbed: 64 MiB of RAM of which
 /// roughly two thirds is available to cache file pages ("roughly three times
 /// the size of the portion of memory available to cache file pages" is how
-/// the paper describes its 128 MB upper test size), LRU replacement, and the
-/// memory latency/bandwidth of Table 2.
+/// the paper describes its 128 MB upper test size; the fraction is a
+/// constant, 0.66), LRU replacement, and the memory latency/bandwidth of
+/// Table 2. The CPU costs of a ring op, a fault and the residency walk are
+/// constants beside it.
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Physical memory size.
     pub ram: ByteSize,
-    /// Fraction of RAM available to the page cache.
-    pub cache_fraction: f64,
     /// Page replacement policy.
     pub policy: PolicyKind,
     /// Latency of a memory access (Table 2/3 "memory" row).
@@ -27,23 +51,6 @@ pub struct MachineConfig {
     /// Fixed CPU cost of entering and leaving a system call — the price of
     /// one kernel boundary crossing.
     pub syscall_cpu: SimDuration,
-    /// CPU cost of servicing one already-submitted ring operation. A ring
-    /// batch pays `syscall_cpu` once to enter the kernel, then this much
-    /// per operation — the dispatch-table hop that remains when the
-    /// boundary crossing is amortized away.
-    pub ring_op_cpu: SimDuration,
-    /// CPU cost of handling one page fault (kernel path, not the I/O).
-    pub fault_cpu: SimDuration,
-    /// CPU cost per *extent probe* of the SLED residency walk. With the
-    /// run-length residency index the walk performs one probe per extent it
-    /// emits rather than one per page; this is the probe's cost (it was the
-    /// per-page cost before the index existed, and still is for the
-    /// per-page reference walk the tests use as an oracle).
-    pub page_walk_cpu: SimDuration,
-    /// Per-page floor of the SLED residency walk: copying the result out
-    /// and bookkeeping still touch every page's worth of output, so even a
-    /// one-extent walk over a huge file is not free.
-    pub page_walk_floor_cpu: SimDuration,
     /// Pages to prefetch beyond a demand-miss run (0 disables readahead).
     ///
     /// Off by default: the paper's measured fault counts scale with file
@@ -70,15 +77,10 @@ impl MachineConfig {
     pub fn table2() -> Self {
         MachineConfig {
             ram: ByteSize::mib(64),
-            cache_fraction: 0.66,
             policy: PolicyKind::Lru,
             mem_latency: SimDuration::from_nanos(175),
             mem_bandwidth: Bandwidth::mb_per_sec(48.0),
             syscall_cpu: SimDuration::from_micros(5),
-            ring_op_cpu: SimDuration::from_nanos(150),
-            fault_cpu: SimDuration::from_micros(2),
-            page_walk_cpu: SimDuration::from_nanos(250),
-            page_walk_floor_cpu: SimDuration::from_nanos(1),
             readahead_pages: 0,
             cmd_queue_capacity: crate::queue::CMD_QUEUE_CAPACITY,
             hedge: HedgePolicy::default(),
@@ -99,7 +101,7 @@ impl MachineConfig {
     /// floor. O(runs) with a per-page floor — the extent-index cost model.
     pub fn page_walk_cost(&self, extents: u64, pages: u64) -> SimDuration {
         SimDuration::from_nanos(
-            self.page_walk_cpu.as_nanos() * extents + self.page_walk_floor_cpu.as_nanos() * pages,
+            PAGE_WALK_CPU.as_nanos() * extents + PAGE_WALK_FLOOR_CPU.as_nanos() * pages,
         )
     }
 
@@ -107,16 +109,16 @@ impl MachineConfig {
     /// eviction-rank query, and the per-page reference walk the
     /// equivalence tests use as their oracle.
     pub fn page_walk_cost_per_page(&self, pages: u64) -> SimDuration {
-        SimDuration::from_nanos(self.page_walk_cpu.as_nanos() * pages)
+        SimDuration::from_nanos(PAGE_WALK_CPU.as_nanos() * pages)
     }
 
     /// Number of pages the page cache may hold.
     pub fn cache_pages(&self) -> usize {
         #[expect(
             clippy::cast_possible_truncation,
-            reason = "at most the u64 RAM size, its fraction being clamped to 1.0"
+            reason = "at most the u64 RAM size, the fraction being below 1.0"
         )]
-        let bytes = (self.ram.as_u64() as f64 * self.cache_fraction.clamp(0.01, 1.0)) as u64;
+        let bytes = (self.ram.as_u64() as f64 * CACHE_FRACTION) as u64;
         index((bytes / PAGE_SIZE).max(1))
     }
 
@@ -147,7 +149,6 @@ mod tests {
     fn cache_pages_never_zero() {
         let mut m = MachineConfig::table2();
         m.ram = ByteSize::bytes(100);
-        m.cache_fraction = 0.0001;
         assert!(m.cache_pages() >= 1);
     }
 

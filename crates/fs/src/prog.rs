@@ -14,32 +14,26 @@
 //!
 //! Running user-supplied bytecode below the syscall boundary is safe only
 //! if the kernel can *prove* what it costs before agreeing to run it —
-//! the same posture BPF takes. [`PickProgram::certify`], the abstract
-//! interpreter that `new` runs, walks the bytecode's control-flow graph,
-//! tracking an interval of possible stack depths at every reachable pc,
-//! and proves: **termination** (every jump must land strictly forward, so
-//! the CFG is a DAG and the pc strictly increases at each step), **stack
-//! safety** (no underflow on any path, depth never past
-//! [`MAX_PROG_STACK`]), **arity** (every path reaches the exit with
-//! exactly one value), **liveness** (no unreachable instruction — dead
-//! bytecode in a pick predicate is a bug), and a **worst-case cost
-//! bound**: the longest root-to-exit path weighted by per-instruction
-//! nanosecond costs, which must not exceed [`MAX_PROG_COST_NS`].
+//! the same posture BPF takes. A program is straight-line code with no
+//! jumps, so it terminates after its last instruction, and
+//! [`PickProgram::certify`], which `new` runs, needs one forward pass
+//! tracking the exact stack depth to prove **stack safety** (no underflow,
+//! depth never past [`MAX_PROG_STACK`]), **arity** (exactly one value at
+//! exit) and a **cost bound**: the sum of the per-instruction nanosecond
+//! costs, which must not exceed [`MAX_PROG_COST_NS`].
 //!
 //! The proof is stamped into the program as a [`CostCert`]. `fsleds_walk`
-//! charges virtual CPU *from the certificate* — the admission-time
-//! worst-case bound — rather than metering the path actually taken. That
-//! keeps the charge a pure function of the program:
-//! evaluation cost cannot depend on file contents, so accounting stays
-//! deterministic and a hostile program cannot make its own billing cheap.
+//! charges virtual CPU *from the certificate*, fixed at admission, rather
+//! than metering each evaluation. That keeps the charge a pure function of
+//! the program: evaluation cost cannot depend on file contents, so
+//! accounting stays deterministic and a hostile program cannot make its
+//! own billing cheap.
 //!
 //! Floating-point parity matters more than expressiveness: the equivalence
 //! proofs require the kernel's verdict to match the user-space predicate
 //! bit for bit, so the instruction set includes `Div`/`Floor`/`Eq` purely
 //! to express `find -latency n`'s whole-unit comparison with the exact
-//! operation order `LatencyPredicate::matches` uses. The jumps add
-//! short-circuit evaluation (skip the expensive half of an `or` when the
-//! cheap half already decided) without giving up any of the proofs above.
+//! operation order `LatencyPredicate::matches` uses.
 
 use sleds_sim_core::{Errno, SimError, SimResult};
 
@@ -54,26 +48,21 @@ pub const MAX_PROG_LEN: usize = 64;
 /// Maximum operand-stack depth the verifier admits.
 pub const MAX_PROG_STACK: usize = 8;
 
-/// Worst-case interpreted nanoseconds a program may cost per evaluation.
-/// Budget, not estimate: certification rejects any program whose longest
-/// weighted path exceeds it, so one walk entry can never cost more than
+/// Interpreted nanoseconds a program may cost per evaluation. Budget, not
+/// estimate: certification rejects any program whose summed instruction
+/// costs exceed it, so one walk entry can never cost more than
 /// this much program CPU no matter what bytecode user space ships.
 pub const MAX_PROG_COST_NS: u64 = 120;
 
 /// One bytecode instruction. Comparisons push `1.0` for true and `0.0`
-/// for false; the program's final value is truthy when nonzero.
+/// for false; the program's final value is truthy when nonzero. Every
+/// instruction pushes exactly one value.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ProgInst {
-    /// Push the file's first-byte latency (seconds): the latency of its
-    /// first SLED, `0.0` for an empty file.
-    PushFirstLatency,
     /// Push the file's total delivery time (seconds) under the best
     /// attack plan — each storage level pays its latency once and streams
     /// its bytes: `sleds_total_delivery_time(SLEDS_BEST)`.
     PushDeliveryTime,
-    /// Push the fraction of the file's bytes currently at the memory
-    /// level, in `[0.0, 1.0]` (`0.0` for an empty file).
-    PushCachedFraction,
     /// Push a constant. NaN constants fail verification.
     PushConst(f64),
     /// Pop `b`, pop `a`, push `a < b`.
@@ -86,82 +75,43 @@ pub enum ProgInst {
     Div,
     /// Pop `a`, push `a.floor()`.
     Floor,
-    /// Pop `b`, pop `a`, push `a ≠ 0 ∧ b ≠ 0`.
-    And,
-    /// Pop `b`, pop `a`, push `a ≠ 0 ∨ b ≠ 0`.
-    Or,
-    /// Pop `a`, push `a == 0`.
-    Not,
-    /// Relative jump: continue at `pc + 1 + offset`. Certification
-    /// requires the target to be strictly forward and at most one past
-    /// the last instruction (= program exit).
-    Jmp(i32),
-    /// Pop `a`; jump like [`ProgInst::Jmp`] when `a == 0.0`, else fall
-    /// through. The conditional consumes the flag it tests.
-    Jz(i32),
 }
 
 impl ProgInst {
-    /// (pops, pushes) stack effect, for both verifiers.
-    fn stack_effect(&self) -> (usize, usize) {
+    /// Values the instruction pops before pushing its one result.
+    fn pops(&self) -> usize {
         match self {
-            ProgInst::PushFirstLatency
-            | ProgInst::PushDeliveryTime
-            | ProgInst::PushCachedFraction
-            | ProgInst::PushConst(_) => (0, 1),
-            ProgInst::Lt
-            | ProgInst::Gt
-            | ProgInst::Eq
-            | ProgInst::Div
-            | ProgInst::And
-            | ProgInst::Or => (2, 1),
-            ProgInst::Floor | ProgInst::Not => (1, 1),
-            ProgInst::Jmp(_) => (0, 0),
-            ProgInst::Jz(_) => (1, 0),
+            ProgInst::PushDeliveryTime | ProgInst::PushConst(_) => 0,
+            ProgInst::Floor => 1,
+            ProgInst::Lt | ProgInst::Gt | ProgInst::Eq | ProgInst::Div => 2,
         }
     }
 
     /// Interpreted cost of one execution of this instruction, in
-    /// worst-case nanoseconds of in-kernel dispatch. The table is part of
-    /// the kernel's cost model: certification sums it along the longest
-    /// path, and the walk charges that bound per priced entry.
+    /// nanoseconds of in-kernel dispatch. The table is part of the
+    /// kernel's cost model: certification sums it over the program, and
+    /// the walk charges that sum per priced entry.
     fn cost_ns(&self) -> u64 {
         match self {
             // Input pushes read a precomputed scalar out of ProgInputs.
-            ProgInst::PushFirstLatency
-            | ProgInst::PushDeliveryTime
-            | ProgInst::PushCachedFraction
-            | ProgInst::PushConst(_) => 2,
+            ProgInst::PushDeliveryTime | ProgInst::PushConst(_) => 2,
             // Division and floor are the slow FP ops.
             ProgInst::Div | ProgInst::Floor => 4,
-            // Compare/logic are one FP compare plus a select.
-            ProgInst::Lt
-            | ProgInst::Gt
-            | ProgInst::Eq
-            | ProgInst::And
-            | ProgInst::Or
-            | ProgInst::Not => 1,
-            ProgInst::Jmp(_) => 1,
-            // Jz pays the compare and the branch.
-            ProgInst::Jz(_) => 2,
+            // A compare is one FP compare plus a select.
+            ProgInst::Lt | ProgInst::Gt | ProgInst::Eq => 1,
         }
     }
 }
 
-/// The proof `certify` stamps into an admitted program: worst-case bounds
-/// over *every* path the bytecode can take. `fsleds_walk` charges
-/// `worst_ns` of virtual CPU per entry it evaluates the program on, so
-/// the certificate is simultaneously the safety proof and the price tag.
+/// The proof `certify` stamps into an admitted program. `fsleds_walk`
+/// charges `worst_ns` of virtual CPU per entry it evaluates the program
+/// on, so the certificate is simultaneously the safety proof and the
+/// price tag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CostCert {
-    /// Longest root-to-exit path, in instructions executed.
-    pub worst_insts: u32,
-    /// Longest root-to-exit path, weighted by per-instruction cost.
-    /// Always `<=` [`MAX_PROG_COST_NS`].
+    /// Every instruction's cost, summed: the cost of the one path a
+    /// straight-line program has. Always `<=` [`MAX_PROG_COST_NS`].
     pub worst_ns: u64,
-    /// Deepest operand stack any path reaches. Always `<=`
-    /// [`MAX_PROG_STACK`].
-    pub max_stack: u32,
 }
 
 /// How a walk orders the entries it returns.
@@ -188,9 +138,8 @@ pub struct PickProgram {
 
 impl PickProgram {
     /// Builds a program, admitting it only if [`PickProgram::certify`]
-    /// proves termination, stack safety, single-result arity, liveness,
-    /// and a worst-case cost within [`MAX_PROG_COST_NS`]. Fails with
-    /// `EINVAL` otherwise.
+    /// proves stack safety, single-result arity and a cost within
+    /// [`MAX_PROG_COST_NS`]. Fails with `EINVAL` otherwise.
     pub fn new(insts: Vec<ProgInst>) -> SimResult<PickProgram> {
         let cert = Self::certify(&insts)?;
         Ok(PickProgram {
@@ -211,20 +160,11 @@ impl PickProgram {
         self.cert
     }
 
-    /// The abstract interpreter: walks the bytecode's CFG tracking an
-    /// interval `[min, max]` of possible stack depths at every pc, and
-    /// returns the cost certificate on success.
-    ///
-    /// Because every admitted jump lands strictly forward, pcs in
-    /// increasing order are already a topological order of the CFG: one
-    /// pass suffices for the depth intervals (all predecessors of a pc
-    /// have smaller pcs), and one reverse pass computes the longest
-    /// weighted path to the exit. Rejections, in check order per pc:
-    /// NaN constants, unreachable instructions, backward or out-of-range
-    /// jump targets, stack underflow (on *any* path, i.e. against the
-    /// interval minimum), stack overflow (against the maximum), then at
-    /// exit: arity (every path must leave exactly one value) and the
-    /// cost budget.
+    /// The verifier: one forward pass tracking the stack depth, returning
+    /// the cost certificate on success. Rejections, in check order: an
+    /// empty or too-long program, then per instruction a NaN constant,
+    /// stack underflow and stack overflow, then at exit arity (exactly one
+    /// value left) and the cost budget.
     pub fn certify(insts: &[ProgInst]) -> SimResult<CostCert> {
         let bad = |msg: String| SimError::new(Errno::Einval, msg);
         if insts.is_empty() {
@@ -236,98 +176,39 @@ impl PickProgram {
                 insts.len()
             )));
         }
-        let len = insts.len();
-        // states[pc] = interval of stack depths on entry to pc; states[len]
-        // is the exit. None = not reached by any edge.
-        let mut states: Vec<Option<(usize, usize)>> = vec![None; len + 1];
-        states[0] = Some((0, 0));
-        let mut max_stack = 0usize;
-        // Forward targets of each pc, for the cost pass.
-        let mut succs: Vec<[Option<usize>; 2]> = vec![[None, None]; len];
-
+        let mut depth = 0usize;
+        let mut worst_ns = 0u64;
         for (pc, inst) in insts.iter().enumerate() {
-            let Some((min, max)) = states[pc] else {
-                return Err(bad(format!("FSLEDS_PROG: unreachable instruction at {pc}")));
-            };
             if let ProgInst::PushConst(c) = inst {
                 if c.is_nan() {
                     return Err(bad(format!("FSLEDS_PROG: NaN constant at {pc}")));
                 }
             }
-            let (pops, pushes) = inst.stack_effect();
-            if min < pops {
+            let Some(rest) = depth.checked_sub(inst.pops()) else {
                 return Err(bad(format!("FSLEDS_PROG: stack underflow at {pc}")));
-            }
-            let after = (min - pops + pushes, max - pops + pushes);
-            if after.1 > MAX_PROG_STACK {
+            };
+            depth = rest + 1;
+            if depth > MAX_PROG_STACK {
                 return Err(bad(format!(
                     "FSLEDS_PROG: stack overflow at {pc} (> {MAX_PROG_STACK})"
                 )));
             }
-            max_stack = max_stack.max(after.1);
-            let mut edge = |target: usize, slot: usize| {
-                states[target] = Some(match states[target] {
-                    None => after,
-                    Some((lo, hi)) => (lo.min(after.0), hi.max(after.1)),
-                });
-                succs[pc][slot] = Some(target);
-            };
-            match inst {
-                ProgInst::Jmp(off) => edge(jump_target(pc, *off, len)?, 0),
-                ProgInst::Jz(off) => {
-                    edge(pc + 1, 0);
-                    edge(jump_target(pc, *off, len)?, 1);
-                }
-                _ => edge(pc + 1, 0),
-            }
+            worst_ns += inst.cost_ns();
         }
-
-        match states[len] {
-            Some((1, 1)) => {}
-            Some((lo, hi)) if lo == hi => {
-                return Err(bad(format!(
-                    "FSLEDS_PROG: program leaves {lo} values, want 1"
-                )));
-            }
-            Some((lo, hi)) => {
-                return Err(bad(format!(
-                    "FSLEDS_PROG: exit stack depth depends on the path taken \
-                     ({lo}..{hi} values), want exactly 1"
-                )));
-            }
-            // Unreachable exit requires a cycle, which forward-only jumps
-            // already exclude; kept for defense in depth.
-            None => return Err(bad("FSLEDS_PROG: exit is unreachable".into())),
-        }
-
-        // Longest path to exit, in instructions and in weighted cost.
-        // Reverse pc order is reverse-topological for a forward-only CFG.
-        let mut worst_insts = vec![0u32; len + 1];
-        let mut worst_ns = vec![0u64; len + 1];
-        for pc in (0..len).rev() {
-            let follow = |t: &Option<usize>| t.map(|t| (worst_insts[t], worst_ns[t]));
-            let (si, sn) = succs[pc]
-                .iter()
-                .filter_map(follow)
-                .fold((0, 0), |(ai, an), (bi, bn)| (ai.max(bi), an.max(bn)));
-            worst_insts[pc] = 1 + si;
-            worst_ns[pc] = insts[pc].cost_ns() + sn;
-        }
-        if worst_ns[0] > MAX_PROG_COST_NS {
+        if depth != 1 {
             return Err(bad(format!(
-                "FSLEDS_PROG: worst-case cost {}ns over budget ({MAX_PROG_COST_NS}ns)",
-                worst_ns[0]
+                "FSLEDS_PROG: program leaves {depth} values, want 1"
             )));
         }
-        Ok(CostCert {
-            worst_insts: worst_insts[0],
-            worst_ns: worst_ns[0],
-            // Lossless: max_stack ≤ MAX_PROG_STACK, enforced above.
-            max_stack: u32::try_from(max_stack).unwrap_or(u32::MAX),
-        })
+        if worst_ns > MAX_PROG_COST_NS {
+            return Err(bad(format!(
+                "FSLEDS_PROG: worst-case cost {worst_ns}ns over budget ({MAX_PROG_COST_NS}ns)"
+            )));
+        }
+        Ok(CostCert { worst_ns })
     }
 
-    /// Instruction count (static size, not the certified path length).
+    /// Instruction count.
     pub fn len(&self) -> usize {
         self.insts.len()
     }
@@ -338,66 +219,25 @@ impl PickProgram {
     }
 
     /// Evaluates the program over precomputed inputs. Certification
-    /// guarantees the stack discipline and that every jump lands strictly
-    /// forward, so the pc advances every step and the loop runs at most
-    /// `len` iterations; the defensive `0.0` defaults are unreachable.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "`jump_target` proved at admission that every jump lands in pc + 1..=len"
-    )]
+    /// guarantees the stack discipline, so the defensive `0.0` an empty
+    /// pop reads is unreachable.
     pub fn eval(&self, inputs: &ProgInputs) -> f64 {
         let mut stack = Stack::default();
-        let mut pc = 0usize;
-        while pc < self.insts.len() {
-            let inst = &self.insts[pc];
-            match inst {
-                ProgInst::PushFirstLatency => stack.push(inputs.first_latency),
-                ProgInst::PushDeliveryTime => stack.push(inputs.delivery_time),
-                ProgInst::PushCachedFraction => stack.push(inputs.cached_fraction),
-                ProgInst::PushConst(c) => stack.push(*c),
-                ProgInst::Jmp(off) => {
-                    pc = (pc as i64 + 1 + *off as i64) as usize;
-                    continue;
-                }
-                ProgInst::Jz(off) => {
-                    let a = stack.pop();
-                    pc = if a == 0.0 {
-                        (pc as i64 + 1 + *off as i64) as usize
-                    } else {
-                        pc + 1
-                    };
-                    continue;
-                }
-                ProgInst::Lt
-                | ProgInst::Gt
-                | ProgInst::Eq
-                | ProgInst::Div
-                | ProgInst::And
-                | ProgInst::Or => {
-                    let b = stack.pop();
-                    let a = stack.pop();
-                    stack.push(match inst {
-                        ProgInst::Lt => bool_to_f64(a < b),
-                        ProgInst::Gt => bool_to_f64(a > b),
-                        #[expect(
-                            clippy::float_cmp,
-                            reason = "exact IEEE equality is the opcode's documented meaning; `to_bits` would tell -0.0 from 0.0"
-                        )]
-                        ProgInst::Eq => bool_to_f64(a == b),
-                        ProgInst::Div => a / b,
-                        ProgInst::And => bool_to_f64(a != 0.0 && b != 0.0),
-                        _ => bool_to_f64(a != 0.0 || b != 0.0),
-                    });
-                }
-                ProgInst::Floor | ProgInst::Not => {
-                    let a = stack.pop();
-                    stack.push(match inst {
-                        ProgInst::Floor => a.floor(),
-                        _ => bool_to_f64(a == 0.0),
-                    });
-                }
-            }
-            pc += 1;
+        for inst in &self.insts {
+            let v = match *inst {
+                ProgInst::PushDeliveryTime => inputs.delivery_time,
+                ProgInst::PushConst(c) => c,
+                ProgInst::Lt => stack.binary(|a, b| bool_to_f64(a < b)),
+                ProgInst::Gt => stack.binary(|a, b| bool_to_f64(a > b)),
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "exact IEEE equality is the opcode's documented meaning; `to_bits` would tell -0.0 from 0.0"
+                )]
+                ProgInst::Eq => stack.binary(|a, b| bool_to_f64(a == b)),
+                ProgInst::Div => stack.binary(|a, b| a / b),
+                ProgInst::Floor => stack.pop().floor(),
+            };
+            stack.push(v);
         }
         stack.pop()
     }
@@ -432,36 +272,16 @@ impl Stack {
         self.depth = top;
         self.slots[top]
     }
+
+    /// Pops `b`, then `a`, and returns `op(a, b)`.
+    fn binary(&mut self, op: impl FnOnce(f64, f64) -> f64) -> f64 {
+        let b = self.pop();
+        let a = self.pop();
+        op(a, b)
+    }
 }
 
-/// Resolves a relative jump at `pc` and enforces the termination rule:
-/// the target must land strictly past `pc` (forward-only, so the CFG is a
-/// DAG) and at most `len` (one past the last instruction = exit).
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "the target returned lies in pc + 1..=len, and both ends are usize"
-)]
-fn jump_target(pc: usize, off: i32, len: usize) -> SimResult<usize> {
-    let target = pc as i64 + 1 + off as i64;
-    if target <= pc as i64 {
-        return Err(SimError::new(
-            Errno::Einval,
-            format!(
-                "FSLEDS_PROG: backward jump at {pc} (target {target}); \
-                 termination is unprovable, loops are not admitted"
-            ),
-        ));
-    }
-    if target > len as i64 {
-        return Err(SimError::new(
-            Errno::Einval,
-            format!("FSLEDS_PROG: jump target {target} out of range at {pc}"),
-        ));
-    }
-    Ok(target as usize)
-}
-
-/// Truthiness encoding shared by every comparison and logic instruction.
+/// Truthiness encoding shared by every comparison.
 fn bool_to_f64(b: bool) -> f64 {
     if b {
         1.0
@@ -470,11 +290,10 @@ fn bool_to_f64(b: bool) -> f64 {
     }
 }
 
-/// The three scalars a program can read, precomputed from a SLED vector.
+/// What a walk computes from a file's SLED vector: the scalar a program
+/// reads, and the key [`ProgOrder::CachedFirst`] sorts by.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ProgInputs {
-    /// Latency of the first SLED (`0.0` for an empty file).
-    pub first_latency: f64,
     /// `SLEDS_BEST` total delivery time, seconds.
     pub delivery_time: f64,
     /// Fraction of bytes at the memory level, `[0.0, 1.0]`.
@@ -491,7 +310,6 @@ pub fn prog_inputs(sleds: &[Sled], memory: SledsEntry) -> ProgInputs {
         .map(|s| s.length)
         .sum();
     ProgInputs {
-        first_latency: sleds.first().map(|s| s.latency).unwrap_or(0.0),
         delivery_time: best_estimate(sleds),
         cached_fraction: if total == 0 {
             0.0
@@ -526,12 +344,13 @@ pub struct WalkEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::CapturedOp;
+    use crate::syscall::Syscall;
 
-    fn inputs(first: f64, total: f64, cached: f64) -> ProgInputs {
+    fn inputs(total: f64) -> ProgInputs {
         ProgInputs {
-            first_latency: first,
             delivery_time: total,
-            cached_fraction: cached,
+            cached_fraction: 0.0,
         }
     }
 
@@ -542,6 +361,14 @@ mod tests {
     }
 
     #[test]
+    fn a_syscall_and_a_captured_op_keep_their_sizes() {
+        // Every ring submission is a `Syscall` and every recorded op holds
+        // one, so a variant that widens it grows each of them.
+        assert_eq!(std::mem::size_of::<Syscall>(), 112);
+        assert_eq!(std::mem::size_of::<CapturedOp>(), 232);
+    }
+
+    #[test]
     fn verifier_accepts_simple_comparison() {
         let p = PickProgram::new(vec![
             ProgInst::PushDeliveryTime,
@@ -549,8 +376,8 @@ mod tests {
             ProgInst::Lt,
         ])
         .unwrap();
-        assert!(p.matches(&inputs(0.0, 0.1, 0.0)));
-        assert!(!p.matches(&inputs(0.0, 0.9, 0.0)));
+        assert!(p.matches(&inputs(0.1)));
+        assert!(!p.matches(&inputs(0.9)));
     }
 
     #[test]
@@ -569,6 +396,46 @@ mod tests {
     }
 
     #[test]
+    fn each_rejection_is_einval_with_its_own_text() {
+        let push = ProgInst::PushConst(1.0);
+        let cases: [(Vec<ProgInst>, &str); 7] = [
+            (vec![], "FSLEDS_PROG: empty program"),
+            (
+                vec![push; MAX_PROG_LEN + 1],
+                "FSLEDS_PROG: program too long (65 > 64)",
+            ),
+            (
+                vec![push, ProgInst::PushConst(f64::NAN)],
+                "FSLEDS_PROG: NaN constant at 1",
+            ),
+            (
+                vec![push, ProgInst::Div],
+                "FSLEDS_PROG: stack underflow at 1",
+            ),
+            (
+                vec![push; MAX_PROG_STACK + 1],
+                "FSLEDS_PROG: stack overflow at 8 (> 8)",
+            ),
+            (
+                vec![push, push],
+                "FSLEDS_PROG: program leaves 2 values, want 1",
+            ),
+            (
+                [push]
+                    .into_iter()
+                    .chain([push, ProgInst::Div].repeat(31))
+                    .collect(),
+                "FSLEDS_PROG: worst-case cost 188ns over budget (120ns)",
+            ),
+        ];
+        for (insts, text) in cases {
+            let err = PickProgram::new(insts).unwrap_err();
+            assert_eq!(err.errno, Errno::Einval);
+            assert!(err.to_string().starts_with(text), "got: {err}");
+        }
+    }
+
+    #[test]
     fn whole_unit_equality_matches_predicate_semantics() {
         // (est / unit).floor() == n, the `-latency 5` form.
         let p = PickProgram::new(vec![
@@ -580,60 +447,11 @@ mod tests {
             ProgInst::Eq,
         ])
         .unwrap();
-        assert!(p.matches(&inputs(0.0, 5.0, 0.0)));
-        assert!(p.matches(&inputs(0.0, 5.9, 0.0)));
-        assert!(!p.matches(&inputs(0.0, 6.0, 0.0)));
-        assert!(!p.matches(&inputs(0.0, f64::INFINITY, 0.0)));
-    }
-
-    #[test]
-    fn logic_ops_compose() {
-        // cached_fraction > 0.5 AND NOT (delivery > 1.0)
-        let p = PickProgram::new(vec![
-            ProgInst::PushCachedFraction,
-            ProgInst::PushConst(0.5),
-            ProgInst::Gt,
-            ProgInst::PushDeliveryTime,
-            ProgInst::PushConst(1.0),
-            ProgInst::Gt,
-            ProgInst::Not,
-            ProgInst::And,
-        ])
-        .unwrap();
-        assert!(p.matches(&inputs(0.0, 0.2, 0.9)));
-        assert!(!p.matches(&inputs(0.0, 2.0, 0.9)));
-        assert!(!p.matches(&inputs(0.0, 0.2, 0.1)));
-    }
-
-    /// Short-circuit `or` via Jz: `cached > 0.5 || delivery < 0.1`,
-    /// skipping the delivery comparison when the cached half decides.
-    fn short_circuit_or() -> Vec<ProgInst> {
-        vec![
-            ProgInst::PushCachedFraction, // 0
-            ProgInst::PushConst(0.5),     // 1
-            ProgInst::Gt,                 // 2
-            ProgInst::Jz(2),              // 3: false -> 6, true -> 4
-            ProgInst::PushConst(1.0),     // 4
-            ProgInst::Jmp(3),             // 5: -> 9 (exit)
-            ProgInst::PushDeliveryTime,   // 6
-            ProgInst::PushConst(0.1),     // 7
-            ProgInst::Lt,                 // 8
-        ]
-    }
-
-    #[test]
-    fn forward_jumps_evaluate_and_certify() {
-        let p = PickProgram::new(short_circuit_or()).unwrap();
-        assert!(p.matches(&inputs(0.0, 5.0, 0.9)), "left arm decides");
-        assert!(p.matches(&inputs(0.0, 0.05, 0.1)), "right arm decides");
-        assert!(!p.matches(&inputs(0.0, 5.0, 0.1)), "both false");
-        // Worst path: 0,1,2,3 fall through Jz, 6,7,8 = 7 insts;
-        // cost 2+2+1+2 + 2+2+1 = 12ns. The taken-jump path is shorter
-        // (0..5 = 6 insts, 11ns); the certificate must price the longest.
-        let cert = p.cert();
-        assert_eq!(cert.worst_insts, 7);
-        assert_eq!(cert.worst_ns, 12);
-        assert_eq!(cert.max_stack, 2);
+        assert!(p.matches(&inputs(5.0)));
+        assert!(p.matches(&inputs(5.9)));
+        assert!(!p.matches(&inputs(6.0)));
+        assert!(!p.matches(&inputs(f64::INFINITY)));
+        assert_eq!(p.cert().worst_ns, 15, "2 + 2 + 4 + 4 + 2 + 1");
     }
 
     #[test]
@@ -644,30 +462,13 @@ mod tests {
             ProgInst::Lt,
         ])
         .unwrap();
-        assert_eq!(
-            p.cert(),
-            CostCert {
-                worst_insts: 3,
-                worst_ns: 5,
-                max_stack: 2,
-            }
-        );
-    }
-
-    #[test]
-    fn backward_jump_is_rejected() {
-        // Push then jump back over the push: spins forever while a
-        // straight-line stack walk stays perfectly balanced.
-        let spin = vec![ProgInst::PushConst(1.0), ProgInst::Jmp(-2)];
-        let err = PickProgram::new(spin).unwrap_err();
-        assert_eq!(err.errno, Errno::Einval);
-        assert!(err.to_string().contains("backward jump"), "got: {err}");
+        assert_eq!(p.cert(), CostCert { worst_ns: 5 });
     }
 
     #[test]
     fn over_budget_program_is_rejected() {
         // One push, then 31 (push, div) pairs: 63 instructions, stack
-        // always balanced, worst path 2 + 31*(2+4) = 188ns > budget.
+        // always balanced, cost 2 + 31*(2+4) = 188ns > budget.
         let mut insts = vec![ProgInst::PushConst(1.0)];
         for _ in 0..31 {
             insts.push(ProgInst::PushConst(2.0));
@@ -675,39 +476,6 @@ mod tests {
         }
         let err = PickProgram::new(insts).unwrap_err();
         assert!(err.to_string().contains("over budget"), "got: {err}");
-    }
-
-    #[test]
-    fn unreachable_instruction_is_rejected() {
-        let dead = vec![
-            ProgInst::PushConst(1.0),
-            ProgInst::Jmp(1),
-            ProgInst::PushConst(2.0), // skipped by every path
-        ];
-        let err = PickProgram::new(dead).unwrap_err();
-        assert!(err.to_string().contains("unreachable"), "got: {err}");
-    }
-
-    #[test]
-    fn path_dependent_exit_depth_is_rejected() {
-        // One path exits with 0 values, the other with 1.
-        let prog = vec![
-            ProgInst::PushConst(1.0),
-            ProgInst::Jz(1), // pops; zero -> exit with 0, else fall
-            ProgInst::PushConst(1.0),
-        ];
-        let err = PickProgram::new(prog).unwrap_err();
-        assert!(
-            err.to_string().contains("depends on the path"),
-            "got: {err}"
-        );
-    }
-
-    #[test]
-    fn jump_targets_must_stay_in_range() {
-        let far = vec![ProgInst::Jmp(5), ProgInst::PushConst(1.0)];
-        let err = PickProgram::new(far).unwrap_err();
-        assert!(err.to_string().contains("out of range"), "got: {err}");
     }
 
     #[test]
@@ -744,7 +512,6 @@ mod tests {
             best_estimate(&sleds).to_bits(),
             "the program reads the library's SLEDS_BEST figure"
         );
-        assert_eq!(inp.first_latency, 0.018);
         assert!((inp.cached_fraction - 0.25).abs() < 1e-12);
         assert_eq!(prog_inputs(&[], mem), ProgInputs::default());
     }

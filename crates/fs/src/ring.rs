@@ -3,7 +3,7 @@
 //! An io_uring-style pair of bounded queues. The application fills the
 //! submission queue with ring-able [`Syscall`]s, calls `Kernel::ring_enter` — which
 //! charges **one** boundary crossing (`syscall_cpu`) plus a small
-//! per-operation dispatch cost (`ring_op_cpu`) — and then drains the
+//! per-operation dispatch cost ([`RING_OP_CPU`](crate::machine::RING_OP_CPU)) — and then drains the
 //! completion queue with `Kernel::ring_reap` for free (the queues live in
 //! user-mapped memory; reaping crosses nothing).
 //!

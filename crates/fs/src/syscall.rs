@@ -173,19 +173,6 @@ pub enum Syscall {
         /// The sleds table to price with.
         pricing: SledsTable,
     },
-    /// Ring-only pick advice: build SLEDs and plan chunk order in-kernel
-    /// → [`SyscallRet::Plan`]. Byte-oriented only (record adjustment
-    /// needs content probes and stays in the library).
-    PickAdvice {
-        /// Open descriptor.
-        fd: Fd,
-        /// The sleds table to price with.
-        pricing: SledsTable,
-        /// Preferred chunk size in bytes.
-        preferred: usize,
-        /// Prune unavailable extents instead of deferring them.
-        skip_unavailable: bool,
-    },
     /// `tenant_register(name)` → [`SyscallRet::Tenant`]. Captured so
     /// replay recreates tenant ids in the same order.
     TenantRegister {
@@ -221,8 +208,6 @@ pub enum SyscallRet {
     Names(Vec<String>),
     /// From [`Syscall::FsledsGet`].
     Sleds(Vec<Sled>),
-    /// From [`Syscall::PickAdvice`]: `(offset, len)` chunks in pick order.
-    Plan(Vec<(u64, usize)>),
     /// From `tenant_register`.
     Tenant(TenantId),
     /// From [`Syscall::RingEnter`]: the batch's completions, reaped.
@@ -240,7 +225,6 @@ impl SyscallRet {
             SyscallRet::Stat(st) => st.size,
             SyscallRet::Names(names) => names.len() as u64,
             SyscallRet::Sleds(s) => s.len() as u64,
-            SyscallRet::Plan(p) => p.len() as u64,
             SyscallRet::Tenant(t) => t.0,
             SyscallRet::Completions(c) => c.len() as u64,
         }
@@ -305,7 +289,7 @@ impl SyscallRet {
 }
 
 /// What an entry that arrives by trap is charged before its body runs.
-/// Ring submissions pay `ring_op_cpu` instead, whatever this says: the
+/// Ring submissions pay [`RING_OP_CPU`](crate::machine::RING_OP_CPU) instead, whatever this says: the
 /// batch's `ring_enter` already paid the crossing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Charge {
@@ -402,7 +386,6 @@ pub(crate) const MKDIR: Entry = Entry::new("mkdir", None, Trap, Capture, No);
 pub(crate) const READDIR: Entry = Entry::new("readdir", None, Trap, Capture, No);
 pub(crate) const UNLINK: Entry = Entry::new("unlink", None, Trap, Capture, No);
 const FSLEDS_GET: Entry = Entry::new("ring.fsleds_get", None, Trap, Poison, Only);
-const PICK_ADVICE: Entry = Entry::new("ring.pick_advice", None, Trap, Poison, Only);
 pub(crate) const TENANT_REGISTER: Entry = Entry::new("tenant_register", None, Free, Capture, No);
 pub(crate) const RING_ENTER: Entry =
     Entry::new("ring_enter", Some("ring.enter"), Crossing, Capture, No);
@@ -424,7 +407,6 @@ impl Syscall {
             Syscall::Readdir { .. } => &READDIR,
             Syscall::Unlink { .. } => &UNLINK,
             Syscall::FsledsGet { .. } => &FSLEDS_GET,
-            Syscall::PickAdvice { .. } => &PICK_ADVICE,
             Syscall::TenantRegister { .. } => &TENANT_REGISTER,
             Syscall::RingEnter { .. } => &RING_ENTER,
         }
@@ -445,8 +427,7 @@ impl Syscall {
             | Syscall::Write { fd, .. }
             | Syscall::Fsync { fd }
             | Syscall::Fstat { fd }
-            | Syscall::FsledsGet { fd, .. }
-            | Syscall::PickAdvice { fd, .. } => Some(*fd),
+            | Syscall::FsledsGet { fd, .. } => Some(*fd),
             _ => None,
         }
     }

@@ -56,7 +56,7 @@ fn every_entry(k: &mut Kernel, fd: Fd) -> Vec<(&'static str, Option<Errno>)> {
         ),
     ];
     assert_eq!(k.sleds_epoch(), epoch, "refused FSLEDS_RECAL({})", fd.0);
-    // The ring-only calls, and a ring `Close`.
+    // The ring-only call, and a ring `Close`.
     let mut ring = SubmissionRing::new(4);
     let ops = [
         (
@@ -64,15 +64,6 @@ fn every_entry(k: &mut Kernel, fd: Fd) -> Vec<(&'static str, Option<Errno>)> {
             Syscall::FsledsGet {
                 fd,
                 pricing: pricing(),
-            },
-        ),
-        (
-            "ring PickAdvice",
-            Syscall::PickAdvice {
-                fd,
-                pricing: pricing(),
-                preferred: 4096,
-                skip_unavailable: false,
             },
         ),
         ("ring Close", Syscall::Close { fd }),

@@ -12,10 +12,11 @@
 )]
 
 use sleds::{
-    compile_latency, fsleds_get, total_delivery_time, AttackPlan, LatencyPredicate, PickConfig,
-    PickSession, SledsEntry, SledsTable,
+    compile_latency, fsleds_get, total_delivery_time, AttackPlan, LatencyPredicate, SledsEntry,
+    SledsTable,
 };
 use sleds_devices::{DiskDevice, FaultPlan};
+use sleds_fs::machine::RING_OP_CPU;
 use sleds_fs::{
     Fd, FileKind, Kernel, OpenFlags, Payload, PickProgram, ProgInst, ProgOrder, SubmissionRing,
     Syscall, SyscallRet, Whence,
@@ -137,7 +138,7 @@ fn each_enter_charges_one_crossing_and_the_cpu_formula_holds() {
 
     let cfg = k.config();
     let expected_gap =
-        (N - 1) as f64 * cfg.syscall_cpu.as_secs_f64() - N as f64 * cfg.ring_op_cpu.as_secs_f64();
+        (N - 1) as f64 * cfg.syscall_cpu.as_secs_f64() - N as f64 * RING_OP_CPU.as_secs_f64();
     let gap = seq_u.cpu.as_secs_f64() - ring_u.cpu.as_secs_f64();
     assert!(
         (gap - expected_gap).abs() < 1e-12,
@@ -149,7 +150,7 @@ fn each_enter_charges_one_crossing_and_the_cpu_formula_holds() {
 fn ring_ops_return_exactly_what_their_sequential_twins_return() {
     let prepared = || {
         let (mut k, t, path) = setup();
-        // Warm a middle slice so SLEDs and pick plans are nontrivial.
+        // Warm a middle slice so the SLED vector is nontrivial.
         let fd = k.open(path, OpenFlags::RDONLY).unwrap();
         k.lseek(fd, 5 * PAGE_SIZE as i64, Whence::Set).unwrap();
         k.read(fd, 4 * PAGE_SIZE as usize).unwrap();
@@ -161,14 +162,8 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
     let seq_stat = k.stat(path).unwrap();
     let seq_bytes = k.pread(fd, 3 * PAGE_SIZE, 2048).unwrap();
     let seq_sleds = fsleds_get(&mut k, fd, &t).unwrap();
-    let mut pick = PickSession::init(&mut k, &t, fd, PickConfig::bytes(16 << 10)).unwrap();
-    let mut seq_plan = Vec::new();
-    while let Some(chunk) = pick.next_read() {
-        seq_plan.push(chunk);
-    }
-    pick.finish();
 
-    // The same five ops through one ring batch.
+    // The same four ops through one ring batch.
     let (mut k, t, path, fd) = prepared();
     let mut ring = SubmissionRing::new(8);
     ring.push(
@@ -187,27 +182,10 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
     )
     .unwrap();
     ring.push(2, pread_op(fd, 3 * PAGE_SIZE, 2048)).unwrap();
-    ring.push(
-        3,
-        Syscall::FsledsGet {
-            fd,
-            pricing: t.clone(),
-        },
-    )
-    .unwrap();
-    ring.push(
-        4,
-        Syscall::PickAdvice {
-            fd,
-            pricing: t,
-            preferred: 16 << 10,
-            skip_unavailable: false,
-        },
-    )
-    .unwrap();
+    ring.push(3, Syscall::FsledsGet { fd, pricing: t }).unwrap();
     k.ring_enter(&mut ring).unwrap();
     let done = k.ring_reap(&mut ring);
-    assert_eq!(done.len(), 5);
+    assert_eq!(done.len(), 4);
 
     let mut opened = None;
     for c in done {
@@ -216,7 +194,6 @@ fn ring_ops_return_exactly_what_their_sequential_twins_return() {
             (1, SyscallRet::Stat(st)) => assert_eq!(st, seq_stat),
             (2, SyscallRet::Bytes(b)) => assert_eq!(b, seq_bytes),
             (3, SyscallRet::Sleds(s)) => assert_eq!(s, seq_sleds),
-            (4, SyscallRet::Plan(p)) => assert_eq!(p, seq_plan),
             (tag, other) => panic!("unexpected completion {tag}: {other:?}"),
         }
     }
@@ -322,9 +299,9 @@ fn cached_first_order_puts_warm_matches_ahead() {
 #[test]
 fn walk_charges_cpu_from_the_cost_certificate_deterministically() {
     // Two programs with the same verdict on every file but different
-    // certified worst-case costs: the cheap 3-instruction `+0` compare
-    // and a padded version that burns budget on verdict-preserving double
-    // negations. The walk must charge exactly `worst_ns` more per priced
+    // certified costs: the cheap 3-instruction `+0` compare and a padded
+    // version that burns budget on verdict-preserving divisions by one.
+    // The walk must charge exactly `worst_ns` more per priced
     // file for the expensive one, and repeated runs must charge
     // identically — the certificate, not the evaluation path, is the
     // price.
@@ -333,10 +310,10 @@ fn walk_charges_cpu_from_the_cost_certificate_deterministically() {
         ProgInst::PushDeliveryTime,
         ProgInst::PushConst(0.0),
         ProgInst::Gt,
-        ProgInst::Not,
-        ProgInst::Not,
-        ProgInst::Not,
-        ProgInst::Not,
+        ProgInst::PushConst(1.0),
+        ProgInst::Div,
+        ProgInst::PushConst(1.0),
+        ProgInst::Div,
     ])
     .unwrap();
     assert!(

@@ -16,6 +16,7 @@
 
 use sleds::{PickConfig, PickSession, Sled, SledsEntry, SledsTable};
 use sleds_devices::{BlockDevice, CdRomDevice, DiskDevice, FaultPlan, NfsDevice, TapeDevice};
+use sleds_fs::machine::RING_OP_CPU;
 use sleds_fs::{
     Fd, Kernel, OpenFlags, Payload, SubmissionRing, Syscall, SyscallRet, TenantId, VolumeLayout,
     Whence,
@@ -216,14 +217,14 @@ fn ring_call(k: &mut Kernel, entries: usize, call: Syscall) -> Result<SyscallRet
         .map_err(|e| e.to_string())
 }
 
-/// The `PickAdvice` that plans what `PickConfig::bytes(p.chunk)` plans.
-fn advice(p: &Params, fd: Fd, pricing: SledsTable) -> Syscall {
-    Syscall::PickAdvice {
-        fd,
-        pricing,
-        preferred: p.chunk,
-        skip_unavailable: false,
+/// A pick session's plan, drained.
+fn drain_plan(mut pick: PickSession) -> Vec<(u64, usize)> {
+    let mut plan = Vec::new();
+    while let Some(chunk) = pick.next_read() {
+        plan.push(chunk);
     }
+    pick.finish();
+    plan
 }
 
 fn run_case(p: &Params) {
@@ -239,17 +240,12 @@ fn run_case(p: &Params) {
     // Sequential twin: pick plan drained, then lseek+read per chunk.
     let (mut k, t, fd) = p.build();
     let before = k.usage();
-    let mut pick = match PickSession::init(&mut k, &t, fd, PickConfig::bytes(p.chunk)) {
+    let pick = match PickSession::init(&mut k, &t, fd, PickConfig::bytes(p.chunk)) {
         Ok(pick) => pick,
         Err(e) => {
-            // FSLEDS_GET itself failed (e.g. pricing hole); both ring ops
+            // FSLEDS_GET itself failed (e.g. pricing hole); the ring op
             // must fail the same way, then the case is exhausted.
             assert_eq!(pushed, Err(e.to_string()));
-            let (mut k, t, fd) = p.build();
-            assert_eq!(
-                ring_call(&mut k, p.ring_entries, advice(p, fd, t)),
-                Err(e.to_string())
-            );
             return;
         }
     };
@@ -261,11 +257,7 @@ fn run_case(p: &Params) {
         sled_bits(&pushed),
         "bit-identical SLEDs"
     );
-    let mut plan = Vec::new();
-    while let Some(chunk) = pick.next_read() {
-        plan.push(chunk);
-    }
-    pick.finish();
+    let plan = drain_plan(pick);
     let mut seq_results: Vec<ChunkResult> = Vec::new();
     for &(off, len) in &plan {
         k.lseek(fd, off as i64, Whence::Set).unwrap();
@@ -273,15 +265,15 @@ fn run_case(p: &Params) {
     }
     let seq_u = k.usage().since(&before);
 
-    // Ring twin: the plan from one `PickAdvice`, its chunks read in
-    // batches of a ring's worth of `Pread`s.
+    // Ring twin: the same library plan, its chunks read in batches of a
+    // ring's worth of `Pread`s.
     let (mut k, t, fd) = p.build();
     let ops_before = k.ring_ops_serviced();
     let before = k.usage();
-    let ring_plan = match ring_call(&mut k, p.ring_entries, advice(p, fd, t)) {
-        Ok(SyscallRet::Plan(plan)) => plan,
-        other => panic!("sequential init succeeded, PickAdvice completed with {other:?}"),
-    };
+    let ring_plan = drain_plan(
+        PickSession::init(&mut k, &t, fd, PickConfig::bytes(p.chunk))
+            .expect("the sequential twin's init succeeded"),
+    );
     let mut ring = SubmissionRing::new(p.ring_entries);
     let mut ring_results: Vec<ChunkResult> = Vec::new();
     for batch in ring_plan.chunks(ring.capacity()) {
@@ -323,7 +315,7 @@ fn run_case(p: &Params) {
     let cfg = k.config();
     let expected = (seq_u.syscall_crossings - ring_u.syscall_crossings) as f64
         * cfg.syscall_cpu.as_secs_f64()
-        - ring_ops as f64 * cfg.ring_op_cpu.as_secs_f64();
+        - ring_ops as f64 * RING_OP_CPU.as_secs_f64();
     let gap = seq_u.cpu.as_secs_f64() - ring_u.cpu.as_secs_f64();
     assert!(
         (gap - expected).abs() < 1e-9,
@@ -491,7 +483,7 @@ fn syscall_batch_scenario(rng: &mut DetRng) {
         "one crossing per batch"
     );
     let expected = (n - ring_u.syscall_crossings) as f64 * cfg.syscall_cpu.as_secs_f64()
-        - n as f64 * cfg.ring_op_cpu.as_secs_f64();
+        - n as f64 * RING_OP_CPU.as_secs_f64();
     let gap = seq_u.cpu.as_secs_f64() - ring_u.cpu.as_secs_f64();
     assert!(
         (gap - expected).abs() < 1e-9,

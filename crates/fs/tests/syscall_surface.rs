@@ -5,8 +5,8 @@
 
 use sleds_devices::{DiskDevice, FaultPlan};
 use sleds_fs::{
-    Capture, Fd, HedgePolicy, Kernel, MachineConfig, OpenFlags, PickProgram, ProgInst, SledsEntry,
-    SledsTable, SubmissionRing, Syscall, SyscallRet, Whence,
+    Capture, Fd, Kernel, MachineConfig, OpenFlags, PickProgram, ProgInst, SledsEntry, SledsTable,
+    SubmissionRing, Syscall, SyscallRet, Whence,
 };
 use sleds_sim_core::{ByteSize, Errno, SimResult, PAGE_SIZE};
 
@@ -34,7 +34,7 @@ fn pricing(k: &Kernel) -> SledsTable {
 }
 
 /// Runs `call` the way an application would: the typed method of the same
-/// name, or — for the two ring-only calls and for a batch — a hand-driven
+/// name, or — for the ring-only call and for a batch — a hand-driven
 /// `SubmissionRing`.
 fn typed(k: &mut Kernel, call: &Syscall) -> SimResult<SyscallRet> {
     let batch = |k: &mut Kernel, capacity: usize, ops: &[(u64, Syscall)]| {
@@ -64,18 +64,18 @@ fn typed(k: &mut Kernel, call: &Syscall) -> SimResult<SyscallRet> {
         Syscall::RingEnter { capacity, ops } => {
             batch(k, *capacity, ops).map(SyscallRet::Completions)
         }
-        // No typed form: the application pushes these onto a ring.
-        Syscall::FsledsGet { .. } | Syscall::PickAdvice { .. } => {
+        // No typed form: the application pushes it onto a ring.
+        Syscall::FsledsGet { .. } => {
             let done = batch(k, 1, &[(0, call.clone())])?;
             done.into_iter().next().expect("one completion").result
         }
     }
 }
 
-/// The same call through the owned door. The ring-only calls go in as a
-/// one-op batch, which is the only way the door accepts them.
+/// The same call through the owned door. The ring-only call goes in as a
+/// one-op batch, which is the only way the door accepts it.
 fn owned(k: &mut Kernel, call: &Syscall) -> SimResult<SyscallRet> {
-    if !matches!(call, Syscall::FsledsGet { .. } | Syscall::PickAdvice { .. }) {
+    if !matches!(call, Syscall::FsledsGet { .. }) {
         return k.syscall(call);
     }
     let batch = Syscall::RingEnter {
@@ -205,37 +205,28 @@ fn every_variant_is_identical_through_both_surfaces() {
 
 #[test]
 fn ring_only_variants_are_identical_and_poison_under_their_own_name() {
-    for (label, plan) in [("ring.fsleds_get", false), ("ring.pick_advice", true)] {
-        let open = Syscall::Open {
-            path: "/d/f".into(),
-            flags: OpenFlags::RDONLY,
-        };
-        let pricing = pricing(&kernel());
-        let call = if plan {
-            Syscall::PickAdvice {
-                fd: Fd(3),
-                pricing,
-                preferred: 2 * PAGE_SIZE as usize,
-                skip_unavailable: false,
-            }
-        } else {
-            Syscall::FsledsGet { fd: Fd(3), pricing }
-        };
-        assert_eq!(call.name(), label);
-        let (typed_cap, owned_cap) = run_twins(&[open, call.clone()]);
-        assert_eq!(typed_cap, owned_cap);
-        assert!(!typed_cap.complete);
-        let reason = typed_cap.incomplete_reason.unwrap();
-        assert!(reason.ends_with(label), "{reason}");
+    let open = Syscall::Open {
+        path: "/d/f".into(),
+        flags: OpenFlags::RDONLY,
+    };
+    let call = Syscall::FsledsGet {
+        fd: Fd(3),
+        pricing: pricing(&kernel()),
+    };
+    assert_eq!(call.name(), "ring.fsleds_get");
+    let (typed_cap, owned_cap) = run_twins(&[open, call.clone()]);
+    assert_eq!(typed_cap, owned_cap);
+    assert!(!typed_cap.complete);
+    let reason = typed_cap.incomplete_reason.unwrap();
+    assert!(reason.ends_with("ring.fsleds_get"), "{reason}");
 
-        // Outside a ring the door refuses them before charging anything.
-        let mut k = kernel();
-        let (t0, u0) = (k.now(), k.usage());
-        let err = k.syscall(&call).unwrap_err();
-        assert_eq!(err.errno, Errno::Einval);
-        assert_eq!((k.now(), k.usage()), (t0, u0));
-        assert!(k.stop_capture().unwrap().complete);
-    }
+    // Outside a ring the door refuses it before charging anything.
+    let mut k = kernel();
+    let (t0, u0) = (k.now(), k.usage());
+    let err = k.syscall(&call).unwrap_err();
+    assert_eq!(err.errno, Errno::Einval);
+    assert_eq!((k.now(), k.usage()), (t0, u0));
+    assert!(k.stop_capture().unwrap().complete);
 }
 
 #[test]
@@ -266,9 +257,6 @@ const UNRECORDABLE: &[Unrecordable] = &[
     }),
     ("apply_fault_plan", |k, _| {
         k.apply_fault_plan(&FaultPlan::new())
-    }),
-    ("set_hedge_policy", |k, _| {
-        k.set_hedge_policy(HedgePolicy::default())
     }),
     ("set_fragmentation", |k, _| {
         let m = k.stat("/d").unwrap().mount.unwrap();

@@ -5,8 +5,8 @@
 
 use sleds_devices::{DiskDevice, FaultPlan};
 use sleds_fs::{
-    HedgePolicy, JobReport, Kernel, MountId, OpenFlags, PageLocation, Rusage, VolumeLayout,
-    SECTORS_PER_PAGE,
+    HedgePolicy, JobReport, Kernel, MachineConfig, MountId, OpenFlags, PageLocation, Rusage,
+    VolumeLayout, SECTORS_PER_PAGE,
 };
 use sleds_sim_core::{SimDuration, SimTime, PAGE_SIZE};
 
@@ -141,9 +141,11 @@ fn degraded_primary_triggers_hedge_with_exact_accounting() {
 #[test]
 fn disabled_hedging_never_hedges() {
     let pages = 8usize;
-    let mut k = Kernel::table2();
+    let mut k = Kernel::new(MachineConfig {
+        hedge: HedgePolicy::disabled(),
+        ..MachineConfig::table2()
+    });
     volume_with_file(&mut k, VolumeLayout::Mirrored, 2, pages);
-    k.set_hedge_policy(HedgePolicy::disabled());
     let plan = FaultPlan::new().degraded("vd0", SimTime::ZERO, SimTime::from_nanos(u64::MAX), 10.0);
     k.apply_fault_plan(&plan);
 

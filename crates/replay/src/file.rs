@@ -399,10 +399,10 @@ fn write_call(out: &mut String, call: &Syscall) {
                 o.end();
             });
         }
-        // Not capturable (their pricing tables have no capture form): a
+        // Not capturable (its pricing table has no capture form): a
         // recorder poisons instead of storing one, and `read_call`
         // rejects the name, so a hand-built capture fails loudly on load.
-        Syscall::FsledsGet { .. } | Syscall::PickAdvice { .. } => {}
+        Syscall::FsledsGet { .. } => {}
     }
     o.end();
 }

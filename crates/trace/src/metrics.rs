@@ -219,11 +219,6 @@ impl Metrics {
         }
     }
 
-    /// Total device commands across every class.
-    pub fn device_commands(&self) -> u64 {
-        self.device.iter().map(|m| m.reads + m.writes).sum()
-    }
-
     /// Observability health warnings: conditions under which the other
     /// numbers in this snapshot are clipped or partial. Empty means the
     /// snapshot saw everything. Surfaced verbatim in `FSLEDS_STAT`
@@ -352,7 +347,6 @@ mod tests {
         assert_eq!(m.device[1].reads, 1);
         assert_eq!(m.device[1].writes, 1);
         assert_eq!(m.device[4].reads, 1);
-        assert_eq!(m.device_commands(), 3);
         let text = m.render_text();
         assert!(text.contains("device[disk]"));
         assert!(text.contains("device[tape]"));

@@ -8,9 +8,11 @@
 # src/, examples/ and benchmark/src. Non-test code is what
 # scripts/nontest.awk keeps, minus `tests.rs` files, tests/ directories
 # and the files `#[cfg(test)] mod name;` lines declare;
-# `use` statements and `//` comments are not read, so neither a re-export
-# nor a doc mention counts as a caller. The search is by name, so an item
-# whose name something else also uses is never listed.
+# `use` statements, `//` comments and string and char literals are not
+# read, so neither a re-export, a doc mention nor a label such as an
+# entry's name in `Entry::query("…")` counts as a caller. (Raw strings are
+# read as ordinary ones; none in the tree holds a quote.) The search is by
+# name, so an item whose name something else also uses is never listed.
 #
 # Exit 1 when the list is non-empty, when an allow-listed name is no longer
 # declared, or when an allow-listed name has gained a non-test caller (it
@@ -28,6 +30,7 @@ eviction_rank  per-page ranks observed against the Vec model in pagecache/tests/
 resident_run_count  run counts checked by pagecache unit tests (resident_runs_coalesce_and_clip)
 lan_mount  the only way into the paper section 6 client/server SLEDs of tests/distributed.rs
 set_trust_device_reports  the other way into them, read by tests/distributed.rs and core/tests/pushdown_parity.rs
+sled_generation  read by kernel::tests::fsleds_recal_bumps_epoch_and_generation and fs/tests/fd_edges.rs; ROADMAP 8(d) promotes it to a Syscall
 '
 
 sources() {
@@ -36,22 +39,50 @@ sources() {
     grep -vxF -f <(awk -v mods=1 -f scripts/nontest.awk $files) <<<"$files" || true
 }
 
-# Each file's non-test code, `use` statements and comments dropped, as
-# `path<TAB>line<TAB>text`.
+# Each file's non-test code, `use` statements, comments and literals
+# dropped, as `path<TAB>line<TAB>text`.
 code() {
     local f
     for f in "$@"; do
         awk -f scripts/nontest.awk "$f" | awk -v path="$f" '
+            # The line with each string or char literal blanked and a `//`
+            # comment cut; a string may run on over later lines. What a
+            # string keeps is the names it captures as format arguments
+            # (`{name}`, `{name:…}`), which are uses.
+            function strip(s,   out, i, c, j) {
+                out = ""
+                for (i = 1; i <= length(s); i++) {
+                    c = substr(s, i, 1)
+                    if (in_str) {
+                        if (c == "\\" || substr(s, i, 2) == "{{") i++
+                        else if (c == "\"") in_str = 0
+                        else if (c == "{" && match(substr(s, i + 1), /^[A-Za-z_][A-Za-z0-9_]*[}:]/))
+                            out = out " " substr(s, i + 1, RLENGTH - 1) " "
+                        continue
+                    }
+                    if (c == "\"") { in_str = 1; out = out " "; continue }
+                    if (c == "/" && substr(s, i + 1, 1) == "/") break
+                    # A char literal, `x` or an escape between quotes; a
+                    # lifetime has no closing quote there.
+                    if (c == "\047") {
+                        j = 0
+                        if (substr(s, i + 1, 1) == "\\") {
+                            j = index(substr(s, i + 3), "\047")
+                            if (j) j += 2
+                        } else if (substr(s, i + 2, 1) == "\047") j = 2
+                        if (j) { i += j; out = out " "; continue }
+                    }
+                    out = out c
+                }
+                return out
+            }
+            { $0 = strip($0) }
             in_use { if (index($0, ";")) in_use = 0; next }
             /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?use[[:space:]]/ {
                 if (!index($0, ";")) in_use = 1
                 next
             }
-            /^[[:space:]]*\/\// { next }
-            {
-                sub(/[[:space:]]\/\/.*$/, "")
-                print path "\t" NR "\t" $0
-            }'
+            { print path "\t" NR "\t" $0 }'
     done
 }
 
