@@ -342,7 +342,7 @@ fn bench_kernel_tables() {
 }
 
 /// The flight recorder's host costs. `time` prints ns per call; divide
-/// `capture_fold` and `capture_hex` by the byte count in the name for
+/// `capture_fold` and `capture_b64` by the byte count in the name for
 /// ns/B, `capture_codec/*_1000_*` by 1,000 for ns/op; the artifact's case
 /// prints its own ns/op.
 fn bench_capture() {
@@ -387,17 +387,14 @@ fn bench_capture() {
     }
 
     let page = &payload[..PAGE_SIZE as usize];
-    let mut hex = String::new();
-    time("capture_hex/encode_4096_bytes", || {
-        hex.clear();
-        json::hex_encode(&mut hex, page);
-        hex.len()
+    let mut text = String::new();
+    time("capture_b64/encode_4096_bytes", || {
+        text.clear();
+        json::b64_encode(&mut text, page);
+        text.len()
     });
-    let mut bytes = Vec::new();
-    time("capture_hex/decode_4096_bytes", || {
-        bytes.clear();
-        json::hex_decode(&hex, &mut bytes).unwrap();
-        bytes.len()
+    time("capture_b64/decode_4096_bytes", || {
+        json::b64_decode(&text).unwrap().len()
     });
 
     // One op as the kernel boundary records it: begin, one disk command,
@@ -435,10 +432,10 @@ fn bench_capture() {
 
     let write = |_: u64| Syscall::Write {
         fd: Fd(3),
-        data: page.to_vec(),
+        data: page.into(),
     };
     // Most lines of a capture are short `pread`s; a `write` line is its
-    // page of hex.
+    // page of base64.
     let calls: [(&str, &dyn Fn(u64) -> Syscall); 2] = [("preads", &pread), ("writes", &write)];
     for (kind, call) in calls {
         let file = CaptureFile {

@@ -52,9 +52,10 @@ pub fn compile_latency(pred: &LatencyPredicate) -> PickProgram {
     PickProgram::new(insts).expect("compiled latency predicate always verifies")
 }
 
-/// Copies a sleds table. Ring ops and walks carry the table itself, so
-/// this exists only for `benchmark/`, which calls it and is not edited
-/// here; it goes with the `ProgPricing` alias.
+/// Another handle on a sleds table: a refcount bump, since its rows sit
+/// behind one `Arc`. Ring ops and walks carry the table itself, so this
+/// exists only for `benchmark/`, which calls it; it goes with the
+/// `ProgPricing` alias.
 pub fn pricing_from(table: &SledsTable) -> SledsTable {
     table.clone()
 }

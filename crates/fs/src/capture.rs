@@ -31,8 +31,9 @@ use crate::syscall::Syscall;
 /// Schema tag the on-disk capture format carries; bump on any shape change.
 /// v2: volume mounts in setup, the hedge policy in the header, and the
 /// per-op hedged-read count in outcomes. v3: `data_fold` is the four-lane
-/// word fold below, no longer FNV-1a.
-pub const CAPTURE_SCHEMA: &str = "sleds-capture-v3";
+/// word fold below, no longer FNV-1a. v4: `write` and `install_file`
+/// payloads are padded standard base64, no longer hex.
+pub const CAPTURE_SCHEMA: &str = "sleds-capture-v4";
 
 const FOLD_SEEDS: [u64; 4] = [
     0x243f_6a88_85a3_08d3,

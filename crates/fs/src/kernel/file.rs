@@ -223,11 +223,22 @@ impl Kernel {
     /// Writes `buf` at the current offset (or the end with `O_APPEND`),
     /// extending the file as needed. Returns bytes written.
     pub fn write(&mut self, fd: Fd, buf: &[u8]) -> SimResult<usize> {
-        let make = || Syscall::Write {
+        self.write_as(fd, buf, || Syscall::Write {
             fd,
-            data: buf.to_vec(),
-        };
-        self.sys(&sys::WRITE, [fd.0, buf.len() as u64, 0], make, |k| {
+            data: buf.into(),
+        })
+    }
+
+    /// `write`, recorded as `call()` when a capture is armed: the typed
+    /// method copies `buf` into one, [`Kernel::syscall`] shares the call
+    /// it was given.
+    pub(super) fn write_as(
+        &mut self,
+        fd: Fd,
+        buf: &[u8],
+        call: impl FnOnce() -> Syscall,
+    ) -> SimResult<usize> {
+        self.sys(&sys::WRITE, [fd.0, buf.len() as u64, 0], call, |k| {
             let of = k.openfile(fd)?;
             if !of.flags.write {
                 return Err(SimError::new(Errno::Ebadf, "write on read-only fd"));

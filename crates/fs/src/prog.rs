@@ -345,6 +345,7 @@ pub struct WalkEntry {
 mod tests {
     use super::*;
     use crate::capture::CapturedOp;
+    use crate::sled::SledsTable;
     use crate::syscall::Syscall;
 
     fn inputs(total: f64) -> ProgInputs {
@@ -363,9 +364,11 @@ mod tests {
     #[test]
     fn a_syscall_and_a_captured_op_keep_their_sizes() {
         // Every ring submission is a `Syscall` and every recorded op holds
-        // one, so a variant that widens it grows each of them.
-        assert_eq!(std::mem::size_of::<Syscall>(), 112);
-        assert_eq!(std::mem::size_of::<CapturedOp>(), 232);
+        // one, so a variant that widens it grows each of them. A ring
+        // `FsledsGet` carries its table as one shared handle.
+        assert_eq!(std::mem::size_of::<SledsTable>(), 8);
+        assert_eq!(std::mem::size_of::<Syscall>(), 40);
+        assert_eq!(std::mem::size_of::<CapturedOp>(), 160);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! if it sees exactly what the un-pushed one sees.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sleds_devices::FaultState;
 use sleds_sim_core::{index, Errno, SimDuration, SimError, SimResult, PAGE_SIZE};
@@ -144,9 +145,17 @@ impl SledsEntry {
 /// outer-zone and inner-zone extents.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SledsTable {
+    /// The rows, behind one shared handle: a ring op or walk that carries
+    /// the table clones it with a refcount bump, and the mutators copy on
+    /// write, so a table held across a refill keeps what it priced with.
+    rows: Arc<Rows>,
+}
+
+/// What a [`SledsTable`] holds.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Rows {
     memory: Option<SledsEntry>,
-    /// Flat device rows, sorted by device: a one-disk table clones with
-    /// one small allocation, which a ring op carrying it pays per file.
+    /// Flat device rows, sorted by device.
     devices: Vec<(DeviceId, SledsEntry)>,
     /// Per-device zone rows: `(first sector, entry)`, sorted by sector.
     zones: BTreeMap<DeviceId, Vec<(u64, SledsEntry)>>,
@@ -169,41 +178,48 @@ impl SledsTable {
         SledsTable::default()
     }
 
+    /// The rows, unshared first if another handle holds them.
+    fn rows_mut(&mut self) -> &mut Rows {
+        Arc::make_mut(&mut self.rows)
+    }
+
     /// Fills the primary-memory row.
     pub fn fill_memory(&mut self, entry: SledsEntry) {
-        self.memory = Some(entry);
+        self.rows_mut().memory = Some(entry);
     }
 
     /// Fills (or replaces) a device row.
     pub fn fill_device(&mut self, dev: DeviceId, entry: SledsEntry) {
-        match self.devices.binary_search_by_key(&dev, |&(d, _)| d) {
-            Ok(i) => self.devices[i].1 = entry,
-            Err(i) => self.devices.insert(i, (dev, entry)),
+        let devices = &mut self.rows_mut().devices;
+        match devices.binary_search_by_key(&dev, |&(d, _)| d) {
+            Ok(i) => devices[i].1 = entry,
+            Err(i) => devices.insert(i, (dev, entry)),
         }
     }
 
     /// The memory row, if filled.
     pub fn memory(&self) -> Option<SledsEntry> {
-        self.memory
+        self.rows.memory
     }
 
     /// The row for `dev`, if filled.
     pub fn device(&self, dev: DeviceId) -> Option<SledsEntry> {
-        let i = self.devices.binary_search_by_key(&dev, |&(d, _)| d).ok()?;
-        Some(self.devices[i].1)
+        let devices = &self.rows.devices;
+        let i = devices.binary_search_by_key(&dev, |&(d, _)| d).ok()?;
+        Some(devices[i].1)
     }
 
     /// Fills per-zone rows for a device (`rows` as `(first sector, entry)`;
     /// sorted internally). Zone rows take precedence over the flat row.
     pub fn fill_device_zones(&mut self, dev: DeviceId, mut rows: Vec<(u64, SledsEntry)>) {
         rows.sort_by_key(|(s, _)| *s);
-        self.zones.insert(dev, rows);
+        self.rows_mut().zones.insert(dev, rows);
     }
 
     /// The entry governing `sector` of `dev`: the zone row containing it if
     /// zone rows exist, otherwise the flat device row.
     pub fn entry_at(&self, dev: DeviceId, sector: u64) -> Option<SledsEntry> {
-        if let Some(rows) = self.zones.get(&dev) {
+        if let Some(rows) = self.rows.zones.get(&dev) {
             let idx = rows.partition_point(|(s, _)| *s <= sector);
             if idx > 0 {
                 return Some(rows[idx - 1].1);
@@ -219,47 +235,47 @@ impl SledsTable {
     /// extent-granular walk split a device extent only where the table
     /// actually changes instead of probing every page.
     pub fn zone_end(&self, dev: DeviceId, sector: u64) -> Option<u64> {
-        let rows = self.zones.get(&dev)?;
+        let rows = self.rows.zones.get(&dev)?;
         let idx = rows.partition_point(|(s, _)| *s <= sector);
         rows.get(idx).map(|(s, _)| *s)
     }
 
     /// Enables consulting device dynamic self-reports in [`fold`].
     pub fn set_trust_device_reports(&mut self, trust: bool) {
-        self.trust_device_reports = trust;
+        self.rows_mut().trust_device_reports = trust;
     }
 
     /// Whether device dynamic self-reports are consulted.
     pub fn trust_device_reports(&self) -> bool {
-        self.trust_device_reports
+        self.rows.trust_device_reports
     }
 
     /// The table's generation (0 = boot-time fill).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.rows.generation
     }
 
     /// Stamps the table's generation; recalibration sets it to the
     /// kernel's sleds epoch.
     pub fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
+        self.rows_mut().generation = generation;
     }
 
     /// Fills the boundary-crossing row (seconds per crossing).
     pub fn fill_crossing(&mut self, seconds: f64) {
-        self.crossing_cpu = Some(seconds);
+        self.rows_mut().crossing_cpu = Some(seconds);
     }
 
     /// Measured seconds per kernel boundary crossing, if calibrated.
     pub fn crossing_cpu(&self) -> Option<f64> {
-        self.crossing_cpu
+        self.rows.crossing_cpu
     }
 
     /// Drops a device's per-zone rows, so its flat row governs again.
     /// Recalibration uses this: the observed class-wide rates replace the
     /// boot-time zone survey, which no longer reflects what was measured.
     pub fn clear_device_zones(&mut self, dev: DeviceId) {
-        self.zones.remove(&dev);
+        self.rows_mut().zones.remove(&dev);
     }
 }
 

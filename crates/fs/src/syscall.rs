@@ -8,6 +8,8 @@
 //! JSONL codec (de)serialises them, and replay feeds them back through
 //! [`crate::Kernel::syscall`].
 
+use std::sync::Arc;
+
 use sleds_sim_core::{Errno, SimError, SimResult, TenantId};
 
 use crate::inode::Stat;
@@ -128,12 +130,13 @@ pub enum Syscall {
         len: usize,
     },
     /// `write(fd, data)` → [`SyscallRet::Count`] (bytes written). The
-    /// bytes are carried in full so replay reproduces file contents.
+    /// bytes are carried in full so replay reproduces file contents, and
+    /// shared: a replay records the call it was given, not a copy.
     Write {
         /// Open descriptor.
         fd: Fd,
         /// The bytes to write.
-        data: Vec<u8>,
+        data: Arc<[u8]>,
     },
     /// `fsync(fd)` → [`SyscallRet::Unit`].
     Fsync {

@@ -159,7 +159,7 @@ fn every_variant_is_identical_through_both_surfaces() {
         },
         Syscall::Write {
             fd: wfd,
-            data: vec![7; 5000],
+            data: vec![7; 5000].into(),
         },
         Syscall::Fsync { fd: wfd },
         Syscall::RingEnter {

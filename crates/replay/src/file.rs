@@ -25,7 +25,7 @@ use sleds_fs::{
 };
 use sleds_sim_core::{Errno, SimDuration, SimTime};
 
-use crate::json::{hex_encode, push_escaped, push_u64, Reader};
+use crate::json::{b64_encode, push_escaped, push_u64, Reader};
 use crate::setup::{SetupStep, WorkloadSpec};
 
 /// A capture plus the environment it ran in — everything replay needs.
@@ -37,7 +37,7 @@ pub struct CaptureFile {
     pub capture: Capture,
 }
 
-/// Bytes an op line takes beyond its strings and hex payload: more than
+/// Bytes an op line takes beyond its strings and base64 payload: more than
 /// the fixed keys and a row of twenty-digit numbers come to.
 const OP_LINE_ROOM: usize = 768;
 
@@ -49,8 +49,9 @@ impl CaptureFile {
     pub fn to_jsonl(&self) -> String {
         // One buffer, sized once: a 10 MB capture must not be built by
         // doubling (twice the memory at the last step) or line by line.
+        let base64 = |data: &[u8]| data.len().div_ceil(3) * 4;
         let payload = |call: &Syscall| match call {
-            Syscall::Write { data, .. } => 2 * data.len(),
+            Syscall::Write { data, .. } => base64(data),
             Syscall::RingEnter { ops, .. } => OP_LINE_ROOM / 4 * ops.len(),
             _ => 0,
         };
@@ -60,7 +61,7 @@ impl CaptureFile {
             .setup
             .iter()
             .map(|step| match step {
-                SetupStep::InstallFile { data, .. } => 2 * data.len(),
+                SetupStep::InstallFile { data, .. } => base64(data),
                 _ => 0,
             })
             .sum();
@@ -151,10 +152,10 @@ impl<'a> ObjWriter<'a> {
         }
     }
 
-    fn hex(&mut self, key: &str, data: &[u8]) {
+    fn base64(&mut self, key: &str, data: &[u8]) {
         let out = self.key(key);
         out.push('"');
-        hex_encode(out, data);
+        b64_encode(out, data);
         out.push('"');
     }
 
@@ -309,7 +310,7 @@ fn write_step(out: &mut String, step: &SetupStep) {
         SetupStep::InstallFile { path, data } => {
             o.str("step", "install_file");
             o.str("path", path);
-            o.hex("data", data);
+            o.base64("data", data);
         }
         SetupStep::InstallSparseFile { path, size } => {
             o.str("step", "install_sparse_file");
@@ -384,7 +385,7 @@ fn write_call(out: &mut String, call: &Syscall) {
         }
         Syscall::Write { fd, data } => {
             o.u64("fd", fd.0);
-            o.hex("data", data);
+            o.base64("data", data);
         }
         Syscall::Stat { path }
         | Syscall::Mkdir { path }
@@ -628,7 +629,7 @@ fn read_step(r: &mut Reader) -> Result<SetupStep, String> {
             },
             "install_file" => SetupStep::InstallFile {
                 path: text(r, "path")?,
-                data: r.field("data", Reader::hex)?,
+                data: r.field("data", Reader::base64)?,
             },
             "install_sparse_file" => SetupStep::InstallSparseFile {
                 path: text(r, "path")?,
@@ -696,7 +697,7 @@ fn read_call(r: &mut Reader) -> Result<Syscall, String> {
             },
             "write" => Syscall::Write {
                 fd: fd(r)?,
-                data: r.field("data", Reader::hex)?,
+                data: r.field("data", Reader::base64)?,
             },
             "fsync" => Syscall::Fsync { fd: fd(r)? },
             "stat" => Syscall::Stat {

@@ -26,6 +26,9 @@
 //! and its family are denied in `lib.rs`).
 
 use std::borrow::Cow;
+use std::sync::Arc;
+
+use sleds_sim_core::index;
 
 /// Escapes a string for embedding in a JSON string literal.
 pub use sleds_fs::trace::json_escape as escape;
@@ -65,7 +68,8 @@ fn push_ascii(out: &mut String, ascii: &[u8]) {
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-/// `HEX_VALUE[b]` is the value of hex digit `b`, or `NOT_HEX`.
+/// `HEX_VALUE[b]` is the value of hex digit `b`, or `NOT_HEX`: the digits
+/// of a `\u` escape.
 const HEX_VALUE: [u8; 256] = {
     let mut t = [NOT_HEX; 256];
     let mut d: u8 = 0;
@@ -79,55 +83,132 @@ const HEX_VALUE: [u8; 256] = {
 };
 const NOT_HEX: u8 = 0xff;
 
-/// `HEX_PAIRS[b]` is the two lowercase digits of byte `b`.
-const HEX_PAIRS: [[u8; 2]; 256] = {
-    let mut t = [[0u8; 2]; 256];
-    let mut b = 0;
-    while b < 256 {
-        t[b] = [HEX_DIGITS[b >> 4], HEX_DIGITS[b & 0xf]];
-        b += 1;
+/// The standard base64 alphabet (RFC 4648 §4).
+const B64_DIGITS: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// `B64_PAIRS[v]` is the two digits of the 12-bit value `v`.
+const B64_PAIRS: [[u8; 2]; 4096] = {
+    let mut t = [[0u8; 2]; 4096];
+    let mut v = 0;
+    while v < 4096 {
+        t[v] = [B64_DIGITS[v >> 6], B64_DIGITS[v & 63]];
+        v += 1;
     }
     t
 };
 
-/// Appends `data` to `out` as lowercase hex.
-pub fn hex_encode(out: &mut String, data: &[u8]) {
-    out.reserve(data.len() * 2);
-    let mut buf = [[0u8; 2]; 128];
-    for chunk in data.chunks(buf.len()) {
-        for (pair, &b) in buf.iter_mut().zip(chunk) {
-            *pair = HEX_PAIRS[usize::from(b)];
+/// Appends the digits of whole six-byte steps: two three-byte groups as
+/// one 48-bit word, four 12-bit digit pairs.
+fn b64_sixes(out: &mut String, sixes: &[[u8; 6]]) {
+    let mut buf = [[0u8; 8]; 32];
+    for chunk in sixes.chunks(buf.len()) {
+        for (digits, six) in buf.iter_mut().zip(chunk) {
+            let v = u64::from_be_bytes([0, 0, six[0], six[1], six[2], six[3], six[4], six[5]]);
+            let pair = |shift: u32| B64_PAIRS[index(v >> shift & 0xfff)];
+            let ([a, b], [c, d], [e, f], [g, h]) = (pair(36), pair(24), pair(12), pair(0));
+            *digits = [a, b, c, d, e, f, g, h];
         }
-        push_ascii(out, &buf.as_flattened()[..chunk.len() * 2]);
+        push_ascii(out, &buf.as_flattened()[..chunk.len() * 8]);
     }
 }
 
-/// Appends the bytes lowercase/uppercase hex `s` spells to `out`; leaves
-/// `out` as it was on error.
-pub fn hex_decode(s: &str, out: &mut Vec<u8>) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let (pairs, []) = bytes.as_chunks::<2>() else {
-        return Err(format!("hex string has odd length {}", bytes.len()));
-    };
-    // Decode first, check after: every digit value is below 16 and
-    // `NOT_HEX` is not, so one OR over the lot says whether any was bad.
-    let start = out.len();
-    let mut seen = 0u8;
-    out.extend(pairs.iter().map(|&[hi, lo]| {
-        let (hi, lo) = (HEX_VALUE[usize::from(hi)], HEX_VALUE[usize::from(lo)]);
-        seen |= hi | lo;
-        hi << 4 | lo
-    }));
-    if seen >= 16 {
-        out.truncate(start);
-        let bad = bytes
-            .iter()
-            .find(|&&b| HEX_VALUE[usize::from(b)] == NOT_HEX)
-            .copied()
-            .unwrap_or_default();
-        return Err(format!("bad hex byte 0x{bad:02x}"));
+/// Appends `data` to `out` as padded standard base64.
+pub fn b64_encode(out: &mut String, data: &[u8]) {
+    out.reserve(data.len().div_ceil(3) * 4);
+    let (sixes, rest) = data.as_chunks::<6>();
+    b64_sixes(out, sixes);
+    // Up to five bytes left: zero-filled to a step, whose digits that hold
+    // their bits come out right; then `=` up to a whole quad.
+    if !rest.is_empty() {
+        let mut six = [0u8; 6];
+        six[..rest.len()].copy_from_slice(rest);
+        let start = out.len();
+        b64_sixes(out, &[six]);
+        out.truncate(start + (rest.len() * 8).div_ceil(6));
+        let pad = start + rest.len().div_ceil(3) * 4 - out.len();
+        out.extend(std::iter::repeat_n('=', pad));
     }
-    Ok(())
+}
+
+/// `B64_SHIFTED[i][b]` is the value of base64 digit `b` in the `i`-th six
+/// bits of a 24-bit group, or `NOT_B64`, whose bits no group has.
+const B64_SHIFTED: [[u32; 256]; 4] = {
+    let mut t = [[NOT_B64; 256]; 4];
+    let mut i = 0;
+    while i < 4 {
+        let mut d: u32 = 0;
+        while d < 64 {
+            t[i][B64_DIGITS[d as usize] as usize] = d << (18 - 6 * i);
+            d += 1;
+        }
+        i += 1;
+    }
+    t
+};
+const NOT_B64: u32 = 0xff00_0000;
+
+/// The 24-bit group up to four digits spell, zero-filled past the last.
+fn b64_group(digits: &[u8]) -> u32 {
+    digits
+        .iter()
+        .zip(&B64_SHIFTED)
+        .fold(0, |v, (&d, values)| v | values[usize::from(d)])
+}
+
+/// The bytes padded standard base64 `s` spells, as [`b64_encode`] writes
+/// them, in one shared buffer. Refuses a length that is not a multiple of
+/// four, `=` anywhere but the last one or two places, pad bits that are
+/// not zero (so a byte string has one spelling) and any byte outside the
+/// standard alphabet, naming its offset in `s`.
+pub fn b64_decode(s: &str) -> Result<Arc<[u8]>, String> {
+    let bytes = s.as_bytes();
+    let (quads, []) = bytes.as_chunks::<4>() else {
+        return Err(format!(
+            "base64 string has length {}, not a multiple of 4",
+            bytes.len()
+        ));
+    };
+    let pad = match quads.last() {
+        Some([.., b'=', b'=']) => 2,
+        Some([.., b'=']) => 1,
+        _ => 0,
+    };
+    let digits = &bytes[..bytes.len() - pad];
+    let mut data: Arc<[u8]> = std::iter::repeat_n(0, digits.len() * 3 / 4).collect();
+    let Some(out) = Arc::get_mut(&mut data) else {
+        return Err("base64: a fresh buffer is shared".to_string());
+    };
+    let (groups, tail) = out.as_chunks_mut::<3>();
+    // Decode first, check after: `NOT_B64` has bits no digit's value has,
+    // so one OR over the lot says whether any was bad.
+    let mut seen = 0;
+    for (group, quad) in groups.iter_mut().zip(quads) {
+        let v = b64_group(quad);
+        seen |= v;
+        let [_, x, y, z] = v.to_be_bytes();
+        *group = [x, y, z];
+    }
+    // A padded last quad: its two or three digits.
+    let last = b64_group(&digits[groups.len() * 4..]);
+    seen |= last;
+    let [_, x, y, z] = last.to_be_bytes();
+    tail.copy_from_slice(&[x, y, z][..tail.len()]);
+    if seen & NOT_B64 != 0 {
+        let (at, bad) = digits
+            .iter()
+            .copied()
+            .enumerate()
+            .find(|&(_, d)| B64_SHIFTED[0][usize::from(d)] == NOT_B64)
+            .unwrap_or_default();
+        return Err(match bad {
+            b'=' => format!("base64 padding at offset {at} before the end"),
+            bad => format!("bad base64 byte 0x{bad:02x} at offset {at}"),
+        });
+    }
+    if last & ((1 << (8 * pad)) - 1) != 0 {
+        return Err("base64 pad bits are not zero".to_string());
+    }
+    Ok(data)
 }
 
 /// Maximum nesting depth; capture documents nest 5 levels (each ring op
@@ -138,7 +219,7 @@ const MAX_DEPTH: usize = 32;
 /// Offset of the first `"`, `\` or control byte in `hay`: where a string
 /// ends, stops being a plain slice of the input, or is malformed (the
 /// writer escapes every control byte, and a raw newline ends the line).
-/// Eight bytes a step — write payloads are hex strings of several KiB.
+/// Eight bytes a step — write payloads are base64 strings of several KiB.
 fn string_special(hay: &[u8]) -> Option<usize> {
     const LO: u64 = 0x0101_0101_0101_0101;
     const HI: u64 = 0x8080_8080_8080_8080;
@@ -537,21 +618,20 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A string of hex digits, as the bytes it spells. A digit needs no
+    /// A padded base64 string, as the bytes it spells. A digit needs no
     /// escape, so the string ends at the next quote — found at `memchr`
     /// speed, which matters for a page of payload — and decoding refuses
     /// anything before it that is not a digit.
-    pub fn hex(&mut self) -> Result<Vec<u8>, String> {
+    pub fn base64(&mut self) -> Result<Arc<[u8]>, String> {
         let at = self.offset();
         self.eat(b'"')?;
         let rest = self.slice(self.pos, self.bytes.len())?;
         let (digits, _) = rest
             .split_once('"')
             .ok_or_else(|| "unterminated string".to_string())?;
-        let mut out = Vec::new();
-        hex_decode(digits, &mut out).map_err(|e| format!("hex string at offset {at}: {e}"))?;
+        let data = b64_decode(digits).map_err(|e| format!("base64 string at offset {at}: {e}"))?;
         self.pos += digits.len() + 1;
-        Ok(out)
+        Ok(data)
     }
 }
 
@@ -804,27 +884,33 @@ mod tests {
     }
 
     #[test]
-    fn hex_roundtrips() {
-        let data: Vec<u8> = (0..=255).chain([0, 1, 0xab, 0xff, 42]).collect();
-        for len in [0, 1, 5, 127, 128, 129, data.len()] {
-            let mut hex = String::from("x");
-            hex_encode(&mut hex, &data[..len]);
-            let want: String = data[..len].iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!(&hex[1..], want);
-            for text in [want.to_uppercase(), want] {
-                let mut back = vec![9];
-                hex_decode(&text, &mut back).unwrap();
-                assert_eq!(back[1..], data[..len]);
-                assert_eq!(
-                    read(&format!("\"{text}\""), Reader::hex).unwrap(),
-                    data[..len]
-                );
-            }
+    fn base64_roundtrips_and_matches_the_rfc_vectors() {
+        // RFC 4648 §10, then every byte value.
+        for (plain, text) in [
+            ("", ""),
+            ("f", "Zg=="),
+            ("fo", "Zm8="),
+            ("foo", "Zm9v"),
+            ("foob", "Zm9vYg=="),
+            ("fooba", "Zm9vYmE="),
+            ("foobar", "Zm9vYmFy"),
+        ] {
+            let mut out = String::new();
+            b64_encode(&mut out, plain.as_bytes());
+            assert_eq!(out, text);
+            assert_eq!(&*b64_decode(text).unwrap(), plain.as_bytes());
         }
-        assert!(hex_decode("abc", &mut Vec::new()).is_err());
-        assert!(hex_decode("zz", &mut Vec::new()).is_err());
-        assert!(hex_decode("0g", &mut Vec::new())
-            .unwrap_err()
-            .contains("0x67"));
+        let data: Vec<u8> = (0..=255).rev().chain(0..=255).collect();
+        // Lengths around the encoder's six-byte steps and 32-step blocks.
+        for len in (1..=7).chain([191, 192, 193, 194, data.len()]) {
+            let mut text = String::from("x");
+            b64_encode(&mut text, &data[..len]);
+            assert_eq!(text.len() - 1, len.div_ceil(3) * 4);
+            assert_eq!(*b64_decode(&text[1..]).unwrap(), data[..len]);
+            let quoted = format!("\"{}\"", &text[1..]);
+            assert_eq!(*read(&quoted, Reader::base64).unwrap(), data[..len]);
+        }
+        assert!(b64_decode("Zm9").is_err());
+        assert!(b64_decode("Zm9-").unwrap_err().contains("0x2d at offset 3"));
     }
 }

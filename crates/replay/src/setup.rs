@@ -8,6 +8,8 @@
 //! queue capacity, other fault plan, other machine table — for a
 //! what-if replay.
 
+use std::sync::Arc;
+
 use sleds_devices::{BlockDevice, CdRomDevice, DeviceClass, DiskDevice, NfsDevice, TapeDevice};
 use sleds_faults::FaultPlan;
 use sleds_fs::{HedgePolicy, Kernel, MachineConfig, VolumeLayout};
@@ -99,8 +101,8 @@ pub enum SetupStep {
     InstallFile {
         /// Absolute path.
         path: String,
-        /// File bytes.
-        data: Vec<u8>,
+        /// File bytes, shared with every copy of the spec.
+        data: Arc<[u8]>,
     },
     /// Install a sized file with empty (zero) contents.
     InstallSparseFile {

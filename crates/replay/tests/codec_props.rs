@@ -11,6 +11,7 @@
 
 use std::collections::BTreeSet;
 use std::mem::discriminant;
+use std::sync::Arc;
 
 use sleds_faults::FaultPlan;
 use sleds_fs::trace::CostRow;
@@ -55,10 +56,15 @@ fn text(rng: &mut DetRng) -> String {
         .collect()
 }
 
-fn bytes(rng: &mut DetRng) -> Vec<u8> {
-    let mut data = vec![0; rng.range_usize(0, 40)];
+fn bytes(rng: &mut DetRng) -> Arc<[u8]> {
+    let len = rng.range_usize(0, 40);
+    payload(rng, len)
+}
+
+fn payload(rng: &mut DetRng, len: usize) -> Arc<[u8]> {
+    let mut data = vec![0; len];
     rng.fill_bytes(&mut data);
-    data
+    data.into()
 }
 
 /// A positive finite multiplier, extremes included.
@@ -265,6 +271,50 @@ fn every_generated_capture_roundtrips() {
         assert_eq!(parsed.capture, file.capture);
         assert_eq!(parsed.to_jsonl(), text);
     });
+}
+
+#[test]
+fn payloads_of_every_tail_length_and_a_page_roundtrip() {
+    // Lengths 0–7 reach each base64 tail (none, `==`, `=`) with zero, one
+    // and two whole groups before it; 4096 B is a page.
+    let mut rng = DetRng::new(0xB64);
+    for len in (0..8).chain([4096]) {
+        let data = payload(&mut rng, len);
+        let mut spec = WorkloadSpec::new("table2");
+        spec.setup.push(SetupStep::InstallFile {
+            path: "/d/f".to_string(),
+            data: Arc::clone(&data),
+        });
+        let file = CaptureFile {
+            spec,
+            capture: Capture {
+                complete: true,
+                incomplete_reason: None,
+                budget: 1,
+                base_ns: 0,
+                ops: vec![CapturedOp {
+                    seq: 0,
+                    tenant: 0,
+                    submit_ns: 0,
+                    fault_epoch: 0,
+                    path: None,
+                    call: Syscall::Write {
+                        fd: Fd(3),
+                        data: Arc::clone(&data),
+                    },
+                    outcome: OpOutcome::default(),
+                }],
+            },
+        };
+        let text = file.to_jsonl();
+        let parsed = CaptureFile::parse(&text).unwrap_or_else(|e| panic!("{len} B: {e}"));
+        assert_eq!(parsed.capture, file.capture, "{len} B");
+        match &parsed.spec.setup[..] {
+            [SetupStep::InstallFile { data: got, .. }] => assert_eq!(got, &data, "{len} B"),
+            other => panic!("{len} B: {other:?}"),
+        }
+        assert_eq!(parsed.to_jsonl(), text, "{len} B");
+    }
 }
 
 #[test]

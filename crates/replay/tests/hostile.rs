@@ -356,3 +356,43 @@ fn a_fault_window_that_does_not_end_after_it_starts_is_refused_on_load() {
         }
     }
 }
+
+#[test]
+fn hostile_base64_payloads_are_refused_each_with_its_own_error() {
+    // The artifact plus one installed file, whose payload is then damaged.
+    let mut file = CaptureFile::parse(ARTIFACT).unwrap();
+    file.spec.setup.push(SetupStep::InstallFile {
+        path: "/disk/hello".to_string(),
+        data: b"Hello"[..].into(),
+    });
+    let text = file.to_jsonl();
+    let good = r#""data":"SGVsbG8=""#;
+    assert_eq!(text.matches(good).count(), 1);
+    assert_eq!(judge(text.as_bytes()), Ok(Verdict::Replayed));
+    for (payload, err) in [
+        ("SGVsbG8", "has length 7, not a multiple of 4"),
+        ("SGVsbG8==", "has length 9, not a multiple of 4"),
+        ("SG=sbG8=", "padding at offset 2 before the end"),
+        ("SGVs=G8=", "padding at offset 4 before the end"),
+        ("A=B=", "padding at offset 1 before the end"),
+        ("A===", "padding at offset 1 before the end"),
+        ("====", "padding at offset 0 before the end"),
+        ("QR==", "pad bits are not zero"),
+        ("QUK=", "pad bits are not zero"),
+        // The URL-safe alphabet, and other bytes outside the standard one.
+        ("SGVs-G8_", "bad base64 byte 0x2d at offset 4"),
+        ("SGVsbG8_", "bad base64 byte 0x5f at offset 7"),
+        ("SGVs*G8=", "bad base64 byte 0x2a at offset 4"),
+        ("SGVs\\G8=", "bad base64 byte 0x5c at offset 4"),
+        ("SGVs\u{20ac}=", "bad base64 byte 0xe2 at offset 4"),
+        ("SGVs bG8", "bad base64 byte 0x20 at offset 4"),
+    ] {
+        let bad = text.replacen(good, &format!(r#""data":"{payload}""#), 1);
+        let got = CaptureFile::parse(&bad).map(drop).unwrap_err();
+        assert!(
+            got.contains("base64 string at offset") && got.contains(err),
+            "{payload:?}: {got}"
+        );
+        assert_eq!(judge(bad.as_bytes()), Ok(Verdict::Refused), "{payload:?}");
+    }
+}

@@ -131,6 +131,31 @@ fn identity_replay_reproduces_the_capture_byte_for_byte() {
 }
 
 #[test]
+fn an_identity_replay_shares_every_write_payload_with_its_source() {
+    let file = capture_small();
+    let writes = |cap: &Capture| -> Vec<Arc<[u8]>> {
+        cap.ops
+            .iter()
+            .filter_map(|op| match &op.call {
+                Syscall::Write { data, .. } => Some(Arc::clone(data)),
+                _ => None,
+            })
+            .collect()
+    };
+    // The typed `write` recorded a copy of the bytes it was given.
+    let source = writes(&file.capture);
+    assert_eq!(source.len(), 1);
+    assert_eq!(*source[0], [7u8; 300]);
+    // `Kernel::syscall` recorded the call it was given: the same buffer.
+    let replayed = replay(&file, &CandidateConfig::identity()).expect("identity replay");
+    let again = writes(&replayed.capture);
+    assert_eq!(again.len(), source.len());
+    for (a, b) in source.iter().zip(&again) {
+        assert!(Arc::ptr_eq(a, b), "a replayed write copied its payload");
+    }
+}
+
+#[test]
 fn a_capture_armed_after_uncaptured_work_is_refused() {
     // The stat is work the recorder never saw: the capture's base sits one
     // trap past where `build_kernel` leaves the clock, and a replay from
@@ -224,9 +249,10 @@ fn parse_rejects_unknown_schema_and_truncation() {
     let file = capture_small();
     let text = file.to_jsonl();
 
-    // The previous schema is as unknown as a future one: its `data_fold`
-    // values were FNV-1a and would fail every identity replay.
-    for other in ["sleds-capture-v2", "sleds-capture-v9"] {
+    // Earlier schemas are as unknown as a future one: v2's `data_fold`
+    // values were FNV-1a and would fail every identity replay, and v3's
+    // payloads are hex, which no longer decodes.
+    for other in ["sleds-capture-v2", "sleds-capture-v3", "sleds-capture-v9"] {
         let bad = text.replacen(sleds_fs::CAPTURE_SCHEMA, other, 1);
         assert_ne!(bad, text);
         let err = CaptureFile::parse(&bad).unwrap_err();

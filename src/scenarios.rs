@@ -132,7 +132,7 @@ pub fn volume(
 fn filled(dir: &str, d: usize, n: usize, pages: usize) -> impl Iterator<Item = SetupStep> + '_ {
     (0..n).map(move |i| SetupStep::InstallFile {
         path: format!("{dir}/f{i}"),
-        data: vec![(d * n + i) as u8; pages * PAGE_SIZE as usize],
+        data: vec![(d * n + i) as u8; pages * PAGE_SIZE as usize].into(),
     })
 }
 
