@@ -14,6 +14,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use sleds_sim_core::{Pages, Sectors, SimTime};
@@ -317,26 +318,31 @@ pub struct FileNode {
     /// Logical size in bytes. Private: [`FileNode::set_size`] is the only
     /// writer, so a size change cannot skip the layout generation.
     size: u64,
-    /// The stored contents: the simulator holds real bytes so applications
-    /// compute real answers (devices only model cost). Bytes past their
-    /// end, up to `size`, are a hole and read as zeros; a file with none
-    /// stored holds `None` and allocates nothing. Shared: a read that
-    /// finds only stored bytes hands out a clone of the `Arc` and a range
-    /// ([`crate::Payload`]), files installed with equal bytes hold one
-    /// buffer ([`crate::Kernel::install_file`]), and every writer goes
-    /// through [`FileNode::stored_mut`], which copies the bytes first while
-    /// any other payload or file still holds them — so a payload keeps the
-    /// bytes it was given, and a write to one file leaves the others alone.
+    /// The stored contents' buffer: the simulator holds real bytes so
+    /// applications compute real answers (devices only model cost). The
+    /// write payloads kept after it ([`OtherHomes::tail`]) are stored
+    /// bytes too; bytes past the end of both, up to `size`, are a hole and
+    /// read as zeros. A file with none stored holds `None` and allocates
+    /// nothing. Shared: a read that finds only buffer bytes hands out a
+    /// clone of the `Arc` and a range ([`crate::Payload`]), files
+    /// installed with equal bytes hold one buffer
+    /// ([`crate::Kernel::install_file`]), and every writer but a kept
+    /// append goes through [`FileNode::stored_mut`], which copies the
+    /// bytes first while any other payload or file still holds them — so
+    /// a payload keeps the bytes it was given, and a write to one file
+    /// leaves the others alone.
     data: Option<Arc<Vec<u8>>>,
     /// Stable-storage layout, run-length encoded. Covers at least
     /// [`FileNode::page_count`] pages.
     pub pages: PageMap,
     /// The layouts besides `pages`, which only files on mirrored or coded
-    /// volumes have: `None` for every other file, so it pays one pointer.
+    /// volumes have, and the write payloads kept after `data`, which only
+    /// files appended to with a payload the kernel may keep have: `None`
+    /// for every other file, so it pays one pointer.
     other_homes: Option<Box<OtherHomes>>,
 }
 
-/// A file's layouts besides its primary one.
+/// What a file has besides its buffer and its primary layout.
 #[derive(Clone, Debug, Default)]
 struct OtherHomes {
     /// For files on redundant volumes: one full replica layout per
@@ -344,6 +350,13 @@ struct OtherHomes {
     /// covers the same page range as `pages`, placed on its own device.
     /// Empty for unreplicated and striped files.
     replicas: Vec<PageMap>,
+    /// Stored bytes after `data`, in order: payloads appended at the end of
+    /// the stored bytes ([`FileNode::keep`]), held by reference instead of
+    /// copied into the buffer. Folded into the buffer, one copy, before
+    /// any other change to the bytes ([`FileNode::stored_mut`]).
+    tail: Vec<Arc<[u8]>>,
+    /// Total length of `tail`.
+    tail_len: usize,
 }
 
 impl FileNode {
@@ -362,21 +375,61 @@ impl FileNode {
         }
     }
 
-    /// The stored bytes; shorter than `size` by the hole at the end.
-    pub fn stored(&self) -> &[u8] {
-        self.data.as_deref().map_or(&[], Vec::as_slice)
+    /// Number of bytes stored; short of `size` by the hole at the end.
+    pub(crate) fn stored_len(&self) -> u64 {
+        let buffer = self.data.as_ref().map_or(0, |d| d.len());
+        (buffer + self.other_homes.as_ref().map_or(0, |o| o.tail_len)) as u64
     }
 
-    /// The shared buffer behind [`FileNode::stored`], if any byte is stored.
+    /// The shared buffer the stored bytes start with, if it holds any.
     pub(crate) fn shared(&self) -> Option<&Arc<Vec<u8>>> {
         self.data.as_ref()
     }
 
-    /// The stored bytes, to change: the one way to write them. Copies
-    /// them first if a payload read earlier, or another file installed
-    /// with the same bytes, still shares them.
+    /// Appends the stored bytes `range` to `out`: the buffer's, then the
+    /// kept payloads'. `range` must lie within [`FileNode::stored_len`].
+    pub(crate) fn copy_stored(&self, range: Range<usize>, out: &mut Vec<u8>) {
+        let buffer = self.data.as_deref().map_or(&[][..], Vec::as_slice);
+        let mut at = 0;
+        for piece in std::iter::once(buffer).chain(self.kept().iter().map(|p| &p[..])) {
+            let (lo, hi) = (range.start.max(at), range.end.min(at + piece.len()));
+            if lo < hi {
+                out.extend_from_slice(&piece[lo - at..hi - at]);
+            }
+            at += piece.len();
+            if at >= range.end {
+                break;
+            }
+        }
+    }
+
+    /// The write payloads stored after the buffer by reference, in order.
+    pub(crate) fn kept(&self) -> &[Arc<[u8]>] {
+        self.other_homes.as_ref().map_or(&[], |o| &o.tail)
+    }
+
+    /// Stores `bytes` after the stored bytes by reference: no copy. The
+    /// caller has checked that they were written at [`FileNode::stored_len`].
+    pub(crate) fn keep(&mut self, bytes: Arc<[u8]>) {
+        let o = self.other_homes.get_or_insert_with(Box::default);
+        o.tail_len += bytes.len();
+        o.tail.push(bytes);
+    }
+
+    /// The stored bytes, to change: the one way to write them but a kept
+    /// append. Folds the kept payloads into the buffer first, and copies
+    /// the buffer first if a payload read earlier, or another file
+    /// installed with the same bytes, still shares it.
     pub(crate) fn stored_mut(&mut self) -> &mut Vec<u8> {
-        Arc::make_mut(self.data.get_or_insert_with(Arc::default))
+        let data = Arc::make_mut(self.data.get_or_insert_with(Arc::default));
+        if let Some(o) = self.other_homes.as_deref_mut() {
+            data.reserve(o.tail_len);
+            for piece in std::mem::take(&mut o.tail) {
+                data.extend_from_slice(&piece);
+            }
+            o.tail_len = 0;
+        }
+        data
     }
 
     /// Stores `bytes`, which other files may share.
@@ -384,9 +437,9 @@ impl FileNode {
         self.data = Some(bytes);
     }
 
-    /// Empties the file (`O_TRUNC`): no bytes, no pages, no replica maps.
-    /// Unmapping the pages versions the layout once, which covers the size
-    /// change too. A payload read earlier keeps the bytes.
+    /// Empties the file (`O_TRUNC`): no bytes, no kept payloads, no pages,
+    /// no replica maps. Unmapping the pages versions the layout once, which
+    /// covers the size change too. A payload read earlier keeps the bytes.
     pub(crate) fn truncate(&mut self) {
         self.size = 0;
         self.data = None;

@@ -147,7 +147,7 @@ impl Kernel {
             Syscall::Read { fd, len } => self.read(*fd, *len).map(SyscallRet::Bytes),
             Syscall::Pread { fd, pos, len } => self.pread(*fd, *pos, *len).map(SyscallRet::Bytes),
             Syscall::Write { fd, data } => self
-                .write_as(*fd, data, || call.clone())
+                .write_as(*fd, data, Some(data))
                 .map(|n| SyscallRet::Count(n as u64)),
             Syscall::Fsync { fd } => self.fsync(*fd).map(|()| SyscallRet::Unit),
             Syscall::Stat { path } => self.stat(path).map(SyscallRet::Stat),

@@ -2,6 +2,8 @@
 //! that runs its body through the boundary and hands the read and write
 //! work to the io path.
 
+use std::sync::Arc;
+
 use sleds_sim_core::{index, Errno, SimError, SimResult};
 
 use super::{Kernel, OpenFile};
@@ -223,21 +225,25 @@ impl Kernel {
     /// Writes `buf` at the current offset (or the end with `O_APPEND`),
     /// extending the file as needed. Returns bytes written.
     pub fn write(&mut self, fd: Fd, buf: &[u8]) -> SimResult<usize> {
-        self.write_as(fd, buf, || Syscall::Write {
-            fd,
-            data: buf.into(),
-        })
+        // Under capture, one copy that the capture and the file both keep.
+        let kept: Option<Arc<[u8]>> = self.recorder.is_some().then(|| buf.into());
+        self.write_as(fd, buf, kept.as_ref())
     }
 
-    /// `write`, recorded as `call()` when a capture is armed: the typed
-    /// method copies `buf` into one, [`Kernel::syscall`] shares the call
-    /// it was given.
+    /// `write`, with a payload holding the same bytes as `buf` when the
+    /// caller has one to give: the capture records it and an append keeps
+    /// it by reference ([`Kernel::syscall`] passes the call's own; the
+    /// typed method, only while a capture is armed, its one copy).
     pub(super) fn write_as(
         &mut self,
         fd: Fd,
         buf: &[u8],
-        call: impl FnOnce() -> Syscall,
+        kept: Option<&Arc<[u8]>>,
     ) -> SimResult<usize> {
+        let call = || Syscall::Write {
+            fd,
+            data: kept.map_or_else(|| buf.into(), Arc::clone),
+        };
         self.sys(&sys::WRITE, [fd.0, buf.len() as u64, 0], call, |k| {
             let of = k.openfile(fd)?;
             if !of.flags.write {
@@ -248,7 +254,7 @@ impl Kernel {
             } else {
                 of.pos
             };
-            k.do_write(of.ino, pos, buf)?;
+            k.do_write(of.ino, pos, buf, kept)?;
             k.openfile_mut(fd)?.pos = pos + buf.len() as u64;
             k.ledger.counts.bytes_written += buf.len() as u64;
             Ok(SyscallRet::Count(buf.len() as u64))

@@ -150,8 +150,9 @@ impl Kernel {
         // its digest comes from the recorder's zero-page table. One that
         // finds only stored bytes shares them: the payload is the file's
         // own buffer and a range of it, and a capture folds that range in
-        // place. Only one that runs from stored bytes into the hole fills
-        // a buffer, and a capture folds it once it is built.
+        // place. Only one that runs from stored bytes into the hole, or
+        // into the write payloads the file keeps after its buffer, fills a
+        // buffer, and a capture folds it once it is built.
         let bytes = end - pos;
         self.charge_memcpy(bytes);
         let folds = self
@@ -159,19 +160,18 @@ impl Kernel {
             .as_ref()
             .is_some_and(|rec| rec.folds_payload());
         let f = self.file_of(ino)?;
-        let len = f.stored().len() as u64;
+        let len = f.stored_len();
         let range = index(pos.min(len))..index(end.min(len));
-        let stored = &f.stored()[range.clone()];
-        let hole = index(bytes) - stored.len();
-        let (out, fold) = if stored.is_empty() {
+        let hole = index(bytes) - range.len();
+        let (out, fold) = if range.is_empty() {
             let rec = self.recorder.as_mut().filter(|_| folds);
             (Payload::zeros(hole), rec.map(|rec| rec.fold_zeros(bytes)))
-        } else if let Some(buf) = f.shared().filter(|_| hole == 0) {
-            let fold = folds.then(|| fold_bytes(stored));
+        } else if let Some(buf) = f.shared().filter(|b| hole == 0 && range.end <= b.len()) {
+            let fold = folds.then(|| fold_bytes(&buf[range.clone()]));
             (Payload::shared(Arc::clone(buf), range), fold)
         } else {
             let mut out = Vec::with_capacity(index(bytes));
-            out.extend_from_slice(stored);
+            f.copy_stored(range, &mut out);
             out.resize(index(bytes), 0);
             let fold = folds.then(|| fold_bytes(&out));
             (Payload::from(out), fold)
@@ -255,7 +255,16 @@ impl Kernel {
     // The write path
     // ------------------------------------------------------------------
 
-    pub(super) fn do_write(&mut self, ino: Ino, pos: u64, buf: &[u8]) -> SimResult<()> {
+    /// Writes `buf` at `pos`. `kept`, when the caller has one, holds the
+    /// same bytes and may be kept: an append at the end of the stored
+    /// bytes stores it by reference instead of copying `buf`.
+    pub(super) fn do_write(
+        &mut self,
+        ino: Ino,
+        pos: u64,
+        buf: &[u8],
+        kept: Option<&Arc<[u8]>>,
+    ) -> SimResult<()> {
         if buf.is_empty() {
             return Ok(());
         }
@@ -317,11 +326,16 @@ impl Kernel {
             let now = self.now();
             self.inode_mut(ino)?.mtime = now;
             let f = self.file_of_mut(ino)?;
-            let data = f.stored_mut();
-            if data.len() < index(end) {
-                data.resize(index(end), 0);
+            match kept {
+                Some(bytes) if pos == f.stored_len() => f.keep(Arc::clone(bytes)),
+                _ => {
+                    let data = f.stored_mut();
+                    if data.len() < index(end) {
+                        data.resize(index(end), 0);
+                    }
+                    data[index(pos)..index(end)].copy_from_slice(buf);
+                }
             }
-            data[index(pos)..index(end)].copy_from_slice(buf);
             if end > f.size() {
                 f.set_size(end);
             }

@@ -202,7 +202,7 @@ impl Kernel {
         self.rec_unsupported("poke_file");
         let ino = self.resolve(path)?;
         let f = self.file_of_mut(ino)?;
-        let stored = f.stored().len() as u64;
+        let stored = f.stored_len();
         let end = offset
             .checked_add(data.len() as u64)
             .filter(|&end| end <= stored)

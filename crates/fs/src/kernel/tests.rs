@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use super::sleds::Walk;
 use super::*;
 use crate::inode::FileKind;
@@ -172,8 +174,8 @@ fn install_file_lays_out_contiguously() {
 fn stored_at(k: &Kernel, path: &str) -> *const u8 {
     k.file_of(k.resolve(path).unwrap())
         .unwrap()
-        .stored()
-        .as_ptr()
+        .shared()
+        .map_or(std::ptr::null(), |b| b.as_ptr())
 }
 
 #[test]
@@ -194,6 +196,56 @@ fn equal_installs_share_one_buffer_and_unequal_ones_do_not() {
         let fd = k.open(path, OpenFlags::RDONLY).unwrap();
         assert_eq!(k.pread(fd, 0, data.len()).unwrap(), *want);
     }
+}
+
+#[test]
+fn an_append_keeps_the_write_payload_it_was_handed() {
+    let mut k = kernel_with_disk();
+    k.install_sparse_file("/data/log", 100).unwrap();
+    let fd = k.open("/data/log", OpenFlags::RDWR).unwrap();
+    let kept = |k: &Kernel| {
+        let f = k.file_of(k.resolve("/data/log").unwrap()).unwrap();
+        (f.kept().to_vec(), f.stored_len(), f.size())
+    };
+    // `Kernel::syscall` stores the call's own payload: at the end of the
+    // stored bytes, which is the start of a sparse file's hole.
+    let data: Arc<[u8]> = vec![5u8; 3000].into();
+    let call = Syscall::Write {
+        fd,
+        data: Arc::clone(&data),
+    };
+    assert_eq!(k.syscall(&call).unwrap(), SyscallRet::Count(3000));
+    let (held, stored, size) = kept(&k);
+    assert_eq!((held.len(), stored, size), (1, 3000, 3000));
+    assert!(Arc::ptr_eq(&held[0], &data));
+    drop(held);
+    // A typed write under an armed recorder copies its slice once, into
+    // the payload the capture records and the file keeps.
+    k.start_capture(16);
+    assert_eq!(k.write(fd, b"typed").unwrap(), 5);
+    let capture = k.stop_capture().unwrap();
+    let [op] = &capture.ops[..] else {
+        panic!("{:?}", capture.ops)
+    };
+    let Syscall::Write { data: recorded, .. } = &op.call else {
+        panic!("{op:?}")
+    };
+    let (held, stored, _) = kept(&k);
+    assert_eq!((held.len(), stored), (2, 3005));
+    assert!(Arc::ptr_eq(&held[1], recorded));
+    assert_eq!(**recorded, *b"typed");
+    drop(held);
+    // With no recorder the typed write copies into the buffer, folding
+    // the kept payloads in first; they stay the caller's and the capture's.
+    k.write(fd, b"plain").unwrap();
+    assert_eq!(kept(&k).0.len(), 0);
+    assert_eq!(
+        (Arc::strong_count(&data), Arc::strong_count(recorded)),
+        (2, 1)
+    );
+    let mut want = vec![5u8; 3000];
+    want.extend_from_slice(b"typedplain");
+    assert_eq!(k.pread(fd, 0, 4000).unwrap(), want);
 }
 
 #[test]

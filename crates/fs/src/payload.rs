@@ -11,8 +11,9 @@
 //! ([`crate::Kernel::install_sparse_file`], the lmbench calibration
 //! probes included), and a read that found no stored bytes borrows its
 //! zeros from one static all-zero run. Only a
-//! read that runs from stored bytes into the hole after them builds a
-//! buffer of its own. The *virtual* copy-out cost (`charge_memcpy`) is
+//! read that runs from stored bytes into the hole after them, or into the
+//! write payloads a file keeps after its buffer, builds a buffer of its
+//! own. The *virtual* copy-out cost (`charge_memcpy`) is
 //! charged alike for all three.
 
 use std::fmt;

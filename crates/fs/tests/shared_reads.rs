@@ -1,4 +1,5 @@
-//! Reads share a file's stored bytes; writes copy them first.
+//! Reads share a file's stored bytes; writes copy them first, or keep
+//! the payload they were handed.
 //!
 //! A read that finds only stored bytes returns the file's own buffer and a
 //! range of it, not a copy. Every case here holds such a payload across a
@@ -6,13 +7,21 @@
 //! descriptor, an `O_TRUNC` reopen, `poke_file`, a truncating open later
 //! in the same ring batch — and checks that the payload keeps the bytes it
 //! was given while a later read sees the new ones. Files installed with
-//! equal bytes share one buffer in the same way. A generated sequence of
-//! reads, writes, pokes, truncations and re-installs over two such files,
-//! every payload kept alive to the end, is checked against one `Vec<u8>`
-//! model per file.
+//! equal bytes share one buffer in the same way, and an append of a
+//! payload the kernel may keep (a [`Syscall::Write`], or a typed write
+//! under an armed recorder) stores that payload by reference. A generated
+//! sequence of reads, typed and `Kernel::syscall` writes (appends, appends
+//! after a sparse hole, overwrites reaching into kept payloads), pokes,
+//! truncations, sparse and full re-installs and recorder arms over two
+//! such files, every payload, write and capture kept alive to the end, is
+//! checked against one `Vec<u8>` model per file.
+
+use std::sync::Arc;
 
 use sleds_devices::DiskDevice;
-use sleds_fs::{Fd, Kernel, OpenFlags, Payload, SubmissionRing, Syscall, SyscallRet, Whence};
+use sleds_fs::{
+    Capture, Fd, Kernel, OpenFlags, Payload, SubmissionRing, Syscall, SyscallRet, Whence,
+};
 use sleds_sim_core::{check, DetRng, PAGE_SIZE};
 
 const PATH: &str = "/data/f";
@@ -139,9 +148,17 @@ enum Step {
         pos: u64,
         len: usize,
     },
+    /// The typed `write`: copied into the file, or, while a recorder is
+    /// armed, into one payload the capture and an append both keep.
     Write {
         pos: u64,
         bytes: Vec<u8>,
+    },
+    /// A [`Syscall::Write`] through `Kernel::syscall`, whose payload an
+    /// append keeps.
+    SysWrite {
+        pos: u64,
+        bytes: Arc<[u8]>,
     },
     Poke {
         pos: u64,
@@ -150,6 +167,10 @@ enum Step {
     Truncate,
     /// Unlink the file and install it again with [`contents`].
     Reinstall,
+    /// Unlink the file and install it again sparse, this many bytes long.
+    ReinstallSparse(u64),
+    /// Arm the flight recorder, or disarm it and keep its capture.
+    ToggleCapture,
 }
 
 /// One to `max` random bytes.
@@ -159,27 +180,48 @@ fn bytes(rng: &mut DetRng, max: usize) -> Vec<u8> {
     bytes
 }
 
-fn step(rng: &mut DetRng, size: usize) -> Step {
-    let pos = rng.range_usize(0, size + 100) as u64;
-    match rng.range_usize(0, 12) {
-        0..=4 => Step::Read {
-            pos,
+/// Where a write lands: at the end of the stored bytes (an append), a
+/// little before it (an overwrite reaching into the last payloads), or
+/// anywhere up to just past the end of the file.
+fn write_pos(rng: &mut DetRng, stored: usize, size: usize) -> u64 {
+    match rng.range_usize(0, 3) {
+        0 => stored as u64,
+        1 => stored.saturating_sub(rng.range_usize(1, 700)) as u64,
+        _ => rng.range_usize(0, size + 100) as u64,
+    }
+}
+
+/// The next step, for a file `size` bytes long whose first `stored` are
+/// stored.
+fn step(rng: &mut DetRng, stored: usize, size: usize) -> Step {
+    match rng.range_usize(0, 20) {
+        0..=5 => Step::Read {
+            pos: rng.range_usize(0, size + 100) as u64,
             len: rng.range_usize(0, 2 * PAGE_SIZE as usize),
         },
-        5..=7 => Step::Write {
-            pos,
+        6..=8 => Step::Write {
+            pos: write_pos(rng, stored, size),
             bytes: bytes(rng, 700),
         },
-        // A poke stays within the stored bytes.
-        8 if size > 0 => {
-            let pos = rng.range_usize(0, size);
+        9..=12 => Step::SysWrite {
+            pos: write_pos(rng, stored, size),
+            bytes: bytes(rng, 700).into(),
+        },
+        // A poke stays within the stored bytes, often their last few.
+        13 | 14 if stored > 0 => {
+            let pos = match rng.range_usize(0, 2) {
+                0 => rng.range_usize(0, stored),
+                _ => stored - rng.range_usize(1, stored.min(700) + 1),
+            };
             Step::Poke {
                 pos: pos as u64,
-                bytes: bytes(rng, (size - pos).min(64)),
+                bytes: bytes(rng, (stored - pos).min(64)),
             }
         }
-        8 | 9 => Step::Truncate,
-        _ => Step::Reinstall,
+        13..=15 => Step::Truncate,
+        16 => Step::Reinstall,
+        17 => Step::ReinstallSparse(rng.range_u64(0, 2 * PAGE_SIZE)),
+        _ => Step::ToggleCapture,
     }
 }
 
@@ -189,50 +231,123 @@ fn buffer(k: &mut Kernel, fd: Fd, len: usize) -> *const u8 {
     k.pread(fd, 0, len).unwrap().as_ptr()
 }
 
+/// One file of the model: its bytes, holes as zeros, and how many of them
+/// are stored (a sparse install stores none; a write stores up to its end).
+struct Model {
+    bytes: Vec<u8>,
+    stored: usize,
+}
+
+impl Model {
+    fn write(&mut self, pos: u64, bytes: &[u8]) {
+        let (pos, end) = (pos as usize, pos as usize + bytes.len());
+        if self.bytes.len() < end {
+            self.bytes.resize(end, 0);
+        }
+        self.bytes[pos..end].copy_from_slice(bytes);
+        self.stored = self.stored.max(end);
+    }
+}
+
+/// The writes of one armed recorder: each one's bytes, and the payload a
+/// `Kernel::syscall` write was handed, which the capture records as is.
+type Recording = Vec<(Vec<u8>, Option<Arc<[u8]>>)>;
+
+fn check_capture(capture: &Capture, want: &Recording) {
+    let got: Vec<&Arc<[u8]>> = capture
+        .ops
+        .iter()
+        .filter_map(|op| match &op.call {
+            Syscall::Write { data, .. } => Some(data),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(got.len(), want.len(), "captured writes");
+    for (got, (bytes, sent)) in got.into_iter().zip(want) {
+        assert_eq!(**got, **bytes);
+        if let Some(sent) = sent {
+            assert!(
+                Arc::ptr_eq(got, sent),
+                "a captured syscall write was copied"
+            );
+        }
+    }
+}
+
 #[test]
 fn generated_reads_writes_and_truncations_match_a_vec_model() {
     check::run("shared_reads_match_a_vec_model", |rng| {
         let mut k = kernel();
         k.install_file(OTHER, &contents()).unwrap();
         let paths = [PATH, OTHER];
-        let mut models = [contents(), contents()];
+        let mut models = [contents(), contents()].map(|bytes| Model {
+            stored: bytes.len(),
+            bytes,
+        });
         // Whether each file still holds the buffer it was installed with:
-        // no write, poke or truncation since.
+        // no write, poke or truncation since but appends that kept their
+        // payload, which leave the buffer as it was.
         let mut pristine = [true, true];
         let mut fds = paths.map(|p| k.open(p, OpenFlags::RDWR).unwrap());
         assert_eq!(buffer(&mut k, fds[0], LEN), buffer(&mut k, fds[1], LEN));
         // Every payload read, with the bytes it held when it was read.
         let mut held: Vec<(Payload, Vec<u8>)> = Vec::new();
-        for _ in 0..32 {
+        // Every payload handed to `Kernel::syscall`, with its bytes.
+        let mut sent: Vec<(Arc<[u8]>, Vec<u8>)> = Vec::new();
+        // Every capture taken, with the writes it must hold; and the writes
+        // of the one being taken, if a recorder is armed.
+        let mut captures: Vec<(Capture, Recording)> = Vec::new();
+        let mut armed: Option<Recording> = None;
+        for _ in 0..48 {
             let i = rng.range_usize(0, 2);
             let (fd, model) = (fds[i], &mut models[i]);
-            match step(rng, model.len()) {
+            match step(rng, model.stored, model.bytes.len()) {
                 Step::Read { pos, len } => {
                     let got = k.pread(fd, pos, len).unwrap();
-                    let at = (pos as usize).min(model.len());
-                    let want = model[at..(at + len).min(model.len())].to_vec();
+                    let at = (pos as usize).min(model.bytes.len());
+                    let want = model.bytes[at..(at + len).min(model.bytes.len())].to_vec();
                     assert_eq!(got, want, "pread({pos}, {len})");
                     held.push((got, want));
                 }
                 Step::Write { pos, bytes } => {
+                    let kept = armed.is_some() && pos as usize == model.stored;
                     write_at(&mut k, fd, pos, &bytes);
-                    let (pos, end) = (pos as usize, pos as usize + bytes.len());
-                    if model.len() < end {
-                        model.resize(end, 0);
+                    model.write(pos, &bytes);
+                    if let Some(recording) = &mut armed {
+                        recording.push((bytes, None));
                     }
-                    model[pos..end].copy_from_slice(&bytes);
-                    pristine[i] = false;
+                    pristine[i] &= kept;
+                }
+                Step::SysWrite { pos, bytes } => {
+                    let kept = pos as usize == model.stored;
+                    k.lseek(fd, i64::try_from(pos).unwrap(), Whence::Set)
+                        .unwrap();
+                    let call = Syscall::Write {
+                        fd,
+                        data: Arc::clone(&bytes),
+                    };
+                    let n = bytes.len() as u64;
+                    assert_eq!(k.syscall(&call).unwrap(), SyscallRet::Count(n));
+                    model.write(pos, &bytes);
+                    if let Some(recording) = &mut armed {
+                        recording.push((bytes.to_vec(), Some(Arc::clone(&bytes))));
+                    }
+                    sent.push((Arc::clone(&bytes), bytes.to_vec()));
+                    pristine[i] &= kept;
                 }
                 Step::Poke { pos, bytes } => {
                     k.poke_file(paths[i], pos, &bytes).unwrap();
                     let pos = pos as usize;
-                    model[pos..pos + bytes.len()].copy_from_slice(&bytes);
+                    model.bytes[pos..pos + bytes.len()].copy_from_slice(&bytes);
                     pristine[i] = false;
                 }
                 Step::Truncate => {
                     k.close(fd).unwrap();
                     fds[i] = k.open(paths[i], OpenFlags::CREATE_RDWR).unwrap();
-                    model.clear();
+                    *model = Model {
+                        bytes: Vec::new(),
+                        stored: 0,
+                    };
                     pristine[i] = false;
                 }
                 Step::Reinstall => {
@@ -240,7 +355,10 @@ fn generated_reads_writes_and_truncations_match_a_vec_model() {
                     k.unlink(paths[i]).unwrap();
                     k.install_file(paths[i], &contents()).unwrap();
                     fds[i] = k.open(paths[i], OpenFlags::RDWR).unwrap();
-                    *model = contents();
+                    *model = Model {
+                        bytes: contents(),
+                        stored: LEN,
+                    };
                     pristine[i] = true;
                     // The other file's buffer, if untouched, is the one
                     // this install found; a written one never is.
@@ -248,13 +366,50 @@ fn generated_reads_writes_and_truncations_match_a_vec_model() {
                     let shared = buffer(&mut k, a, LEN) == buffer(&mut k, b, LEN);
                     assert_eq!(shared, pristine[1 - i], "re-install of {}", paths[i]);
                 }
+                Step::ReinstallSparse(size) => {
+                    k.close(fd).unwrap();
+                    k.unlink(paths[i]).unwrap();
+                    k.install_sparse_file(paths[i], size).unwrap();
+                    fds[i] = k.open(paths[i], OpenFlags::RDWR).unwrap();
+                    *model = Model {
+                        bytes: vec![0; size as usize],
+                        stored: 0,
+                    };
+                    pristine[i] = false;
+                }
+                Step::ToggleCapture => match armed.take() {
+                    Some(recording) => captures.push((k.stop_capture().unwrap(), recording)),
+                    None => {
+                        k.start_capture(1 << 12);
+                        armed = Some(Vec::new());
+                    }
+                },
             }
             for (payload, want) in &held {
                 assert_eq!(payload, want);
             }
         }
-        for (fd, model) in fds.into_iter().zip(&models) {
-            assert_eq!(k.pread(fd, 0, model.len() + 1).unwrap(), *model);
+        if let Some(recording) = armed {
+            captures.push((k.stop_capture().unwrap(), recording));
+        }
+        for ((path, fd), model) in paths.into_iter().zip(fds).zip(&models) {
+            assert_eq!(k.pread(fd, 0, model.bytes.len() + 1).unwrap(), model.bytes);
+            // The stored bytes end where the model says: a poke may reach
+            // their last byte and no further.
+            if let Some(last) = model.stored.checked_sub(1) {
+                let byte = [model.bytes[last]];
+                k.poke_file(path, last as u64, &byte).unwrap();
+            }
+            assert!(k.poke_file(path, model.stored as u64, b"x").is_err());
+        }
+        for (payload, want) in &held {
+            assert_eq!(payload, want);
+        }
+        for (bytes, want) in &sent {
+            assert_eq!(**bytes, **want);
+        }
+        for (capture, want) in &captures {
+            check_capture(capture, want);
         }
     });
 }

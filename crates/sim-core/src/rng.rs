@@ -85,7 +85,7 @@ impl DetRng {
         let mut m = (x as u128) * (span as u128);
         let mut low = m as u64;
         if low < span {
-            let threshold = span.wrapping_neg() % span;
+            let threshold = rejection_threshold(span);
             while low < threshold {
                 x = self.next_u64();
                 m = (x as u128) * (span as u128);
@@ -152,9 +152,48 @@ impl DetRng {
     }
 }
 
+/// `2^64 mod span`: how many low products [`DetRng::bounded_u64`] rejects.
+/// Past `2^63` the remainder is `2^64 - span` itself, and `range_u64(0,
+/// u64::MAX)` draws land there, so those skip the division.
+fn rejection_threshold(span: u64) -> u64 {
+    let rest = span.wrapping_neg();
+    if rest < span {
+        rest
+    } else {
+        rest % span
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_rejection_threshold_is_two_to_the_64_mod_span() {
+        let old = |span: u64| span.wrapping_neg() % span;
+        let mut spans = vec![
+            1,
+            2,
+            3,
+            (1 << 63) - 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut rng = DetRng::new(3);
+        for _ in 0..10_000 {
+            let raw = rng.next_u64();
+            // Every magnitude, and as many spans past 2^63 as below it.
+            spans.push((raw >> (raw % 64)).max(1));
+            spans.push(raw | 1 << 63);
+        }
+        for span in spans {
+            assert_eq!(rejection_threshold(span), old(span), "span {span}");
+            let wide = (1u128 << 64) % u128::from(span);
+            assert_eq!(u128::from(rejection_threshold(span)), wide, "span {span}");
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {

@@ -101,5 +101,10 @@ done
 # guard, so a change that breaks what the benchmark measures fails here and
 # not after a four-minute run.
 run bash benchmark/run.sh --smoke
+# Heap traffic of the same smoke runs (allocator calls, KiB asked for, peak
+# live bytes), diffed like `results/`: a change that moves it regenerates
+# BENCH_alloc.json with scripts/allocprof.sh and names the move.
+run scripts/allocprof.sh "$scratch/BENCH_alloc.json"
+run diff -u BENCH_alloc.json "$scratch/BENCH_alloc.json"
 
 echo "All checks passed."
