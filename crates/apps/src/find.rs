@@ -106,9 +106,9 @@ pub fn find_report(
 /// predicates (`-name`, `-type`, `-size`) still run user-side, *before* the
 /// kernel's verdict is consulted — exactly the order `keep` applies them —
 /// so hits, estimates and skip diagnostics are identical to the sequential
-/// walk — the kernel prices from the same `table`, zone rows and device
-/// self-reports included. Requires a `-latency` predicate; without one
-/// there is nothing to push down, use [`find`].
+/// walk — the kernel prices from the same `table`, zone rows included.
+/// Requires a `-latency` predicate; without one there is nothing to push
+/// down, use [`find`].
 pub fn find_prog(
     kernel: &mut Kernel,
     root: &str,

@@ -2,9 +2,9 @@
 //!
 //! The sequential, above-the-boundary form: ask the kernel for the file's
 //! size and residency extents, then price them from the sleds table. The
-//! construction itself — level assignment, coalescing, zone splits, device
-//! self-reports, replica selection — is [`sleds_fs::sled`], and so is the
-//! table: the ring ops and pick programs price from a copy of it.
+//! construction itself — level assignment, coalescing, zone splits,
+//! replica selection — is [`sleds_fs::sled`], and so is the table: the ring
+//! ops and pick programs price from a copy of it.
 
 use sleds_fs::{sled, Fd, Kernel};
 use sleds_sim_core::SimResult;
@@ -142,42 +142,6 @@ mod tests {
         let mut t = SledsTable::new();
         t.fill_memory(crate::SledsEntry::new(175e-9, 48e6));
         assert_eq!(fsleds_get(&mut k, fd, &t).unwrap_err().errno, Errno::Einval);
-    }
-
-    #[test]
-    fn server_reports_split_an_nfs_file_by_server_cache_state() {
-        // The client/server SLEDs vocabulary: a LAN server that has half
-        // the file hot reports two levels through one mount.
-        let mut k = Kernel::table2();
-        k.mkdir("/lan").unwrap();
-        let srv = sleds_devices::NfsServerDevice::lan_mount("lan0");
-        let m = k.mount_device("/lan", Box::new(srv), false).unwrap();
-        let dev = k.device_of_mount(m).unwrap();
-        let mut t = SledsTable::new();
-        t.fill_memory(crate::SledsEntry::new(175e-9, 48e6));
-        t.fill_device(dev, crate::SledsEntry::new(0.02, 5e6)); // flat fallback
-        let data = vec![0u8; 8 * PAGE_SIZE as usize];
-        k.install_file("/lan/f", &data).unwrap();
-
-        // Warm the second half on BOTH sides, then drop the client cache:
-        // now only the server remembers.
-        let fd = k.open("/lan/f", OpenFlags::RDONLY).unwrap();
-        k.lseek(fd, 4 * PAGE_SIZE as i64, Whence::Set).unwrap();
-        k.read(fd, 4 * PAGE_SIZE as usize).unwrap();
-        k.drop_caches().unwrap();
-
-        // Without trusting device reports: one flat NFS SLED.
-        let flat = fsleds_get(&mut k, fd, &t).unwrap();
-        assert_eq!(flat.len(), 1);
-
-        // With the client/server channel: two levels, server-hot tail
-        // cheaper than the cold head.
-        t.set_trust_device_reports(true);
-        let split = fsleds_get(&mut k, fd, &t).unwrap();
-        assert_eq!(split.len(), 2, "server cache state must show through");
-        assert!(split[1].latency < split[0].latency);
-        assert_eq!(split[1].offset, 4 * PAGE_SIZE);
-        assert!((split[1].latency - 0.002).abs() < 1e-9, "hot = one RTT");
     }
 
     #[test]

@@ -113,18 +113,16 @@ mod tests {
     }
 
     #[test]
-    fn pricing_from_keeps_zones_and_self_reports() {
+    fn pricing_from_keeps_zones() {
         use sleds_fs::DeviceId;
         let mut t = SledsTable::new();
         t.fill_memory(crate::SledsEntry::new(175e-9, 48e6));
         t.fill_device(DeviceId(7), crate::SledsEntry::new(0.27, 1e6));
         t.fill_device(DeviceId(2), crate::SledsEntry::new(0.018, 9e6));
         t.fill_device_zones(DeviceId(2), vec![(0, crate::SledsEntry::new(0.018, 11e6))]);
-        t.set_trust_device_reports(true);
         let p = pricing_from(&t);
         assert_eq!(p, t, "nothing is flattened away");
         assert_eq!(p.entry_at(DeviceId(2), 5).unwrap().bandwidth, 11e6);
-        assert!(p.trust_device_reports());
     }
 
     #[test]

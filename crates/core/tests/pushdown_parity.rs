@@ -4,8 +4,8 @@
 //! from the table that crossed with them; the library builds them above it
 //! from its own. Both run `sleds_fs::sled::fold`, and these cases pin the
 //! places the two once disagreed: a mirror whose primary is offline, a
-//! (k, n)-coded volume, and a table with zone rows or device self-reports,
-//! which pushdown once refused.
+//! (k, n)-coded volume, and a table with zone rows, which pushdown once
+//! refused.
 
 #![expect(
     clippy::float_cmp,
@@ -189,14 +189,10 @@ fn zoned_disk() -> (Kernel, SledsTable, Fd) {
 }
 
 #[test]
-fn zoned_and_self_reporting_tables_push_down_at_parity() {
-    let (mut k, mut t, fd) = zoned_disk();
+fn zoned_tables_push_down_at_parity() {
+    let (mut k, t, fd) = zoned_disk();
     let sleds = assert_parity(&mut k, &t, fd);
     assert_eq!(sleds.len(), 2, "one extent, two zones, two SLEDs");
     assert_eq!(sleds[0].bandwidth, 11e6);
     assert_eq!(sleds[1].bandwidth, 7e6);
-    // Trusting self-reports switches the fold to its per-page arm; a disk
-    // reports nothing, so each page falls back to its zone row.
-    t.set_trust_device_reports(true);
-    assert_eq!(bits(&assert_parity(&mut k, &t, fd)), bits(&sleds));
 }

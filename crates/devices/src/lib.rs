@@ -44,7 +44,7 @@ use sleds_sim_core::{Bandwidth, DetRng, SimDuration, SimResult, SimTime};
 pub use cdrom::CdRomDevice;
 pub use disk::{DiskDevice, DiskGeometry, Zone};
 pub use jukebox::Jukebox;
-pub use nfs::{NfsDevice, NfsServerDevice, NfsServerParams};
+pub use nfs::NfsDevice;
 pub use shell::{Device, Mechanism};
 pub use sleds_faults::{Decision, FaultInjector, FaultPlan, FaultState, FaultWindow};
 pub use tape::TapeDevice;
@@ -123,7 +123,7 @@ pub struct DevStats {
     /// model's [`Mechanism::service`] reports them: a disk command that
     /// ends on another cylinder, a CD-ROM seek, an NFS link's first-byte
     /// penalty, each tape mount and locate, and each jukebox robot
-    /// exchange and locate. The NFS server model counts none.
+    /// exchange and locate.
     pub repositions: u64,
 }
 
@@ -175,8 +175,6 @@ pub enum PhaseKind {
     Link,
     /// Jukebox robot arm movement.
     RobotMove,
-    /// Time an NFS server spent on its backing disk.
-    ServerDisk,
     /// Virtual time burned by an injected fault (a failed submission's
     /// cost, or the surplus of a degraded-window command).
     Fault,
@@ -202,7 +200,6 @@ impl PhaseKind {
             PhaseKind::FirstByte => "first_byte",
             PhaseKind::Link => "link",
             PhaseKind::RobotMove => "robot_move",
-            PhaseKind::ServerDisk => "server_disk",
             PhaseKind::Fault => "fault",
             PhaseKind::Retry => "retry",
         }
@@ -330,16 +327,6 @@ pub trait BlockDevice {
     /// moved.
     fn last_phases(&self) -> &[ServicePhase];
 
-    /// Dynamic self-report: `(latency seconds, bandwidth bytes/s)` for
-    /// retrieving `sector` *right now*, if the device knows.
-    ///
-    /// This is the paper's proposal that "SLEDs be the vocabulary of
-    /// communication between clients and servers": a storage server with
-    /// its own cache can tell the client which ranges are hot on its side.
-    /// Devices without dynamic state to report return `None` and the sleds
-    /// table's static rows apply.
-    fn dynamic_probe(&self, sector: u64) -> Option<(f64, f64)>;
-
     /// Installs a fault injector the device consults on every command.
     fn set_fault_injector(&mut self, injector: FaultInjector);
 
@@ -408,7 +395,6 @@ mod tests {
             Box::new(DiskDevice::table2_disk("d")),
             Box::new(CdRomDevice::table2_drive("d")),
             Box::new(NfsDevice::table2_mount("d")),
-            Box::new(NfsServerDevice::lan_mount("d")),
             Box::new(TapeDevice::dlt("d")),
             Box::new(Jukebox::new("d", 2, 1, Default::default())),
         ];

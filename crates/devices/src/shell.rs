@@ -40,12 +40,6 @@ pub trait Mechanism {
         }]
     }
 
-    /// See [`BlockDevice::dynamic_probe`]; `None` unless the model has
-    /// dynamic state to report.
-    fn dynamic_probe(&self, _sector: u64) -> Option<(f64, f64)> {
-        None
-    }
-
     /// Refuses an in-range command the model cannot serve, before the
     /// fault gate; `name` is the device's, for the error context. The
     /// default admits every command.
@@ -257,10 +251,6 @@ impl<M: Mechanism> BlockDevice for Device<M> {
 
     fn last_phases(&self) -> &[ServicePhase] {
         self.phases.as_slice()
-    }
-
-    fn dynamic_probe(&self, sector: u64) -> Option<(f64, f64)> {
-        self.mech.dynamic_probe(sector)
     }
 
     fn set_fault_injector(&mut self, injector: FaultInjector) {

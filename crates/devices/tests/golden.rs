@@ -1,4 +1,4 @@
-//! Golden pins for the six device models. Each model runs one fixed
+//! Golden pins for the five device models. Each model runs one fixed
 //! command script — sequential, random and cross-zone reads and writes,
 //! refused commands, and a fault plan with transient, degraded and offline
 //! windows — and after every command the test pins the service time, the
@@ -11,8 +11,7 @@
 
 use sleds_devices::jukebox::JukeboxParams;
 use sleds_devices::{
-    BlockDevice, CdRomDevice, DiskDevice, FaultPlan, Jukebox, NfsDevice, NfsServerDevice,
-    TapeDevice,
+    BlockDevice, CdRomDevice, DiskDevice, FaultPlan, Jukebox, NfsDevice, TapeDevice,
 };
 use sleds_sim_core::{DetRng, SimDuration, SimTime};
 
@@ -199,13 +198,6 @@ fn nfs_link_jittered_script() {
 }
 
 #[test]
-fn nfs_server_script() {
-    let srv = NfsServerDevice::lan_mount("lan0");
-    let half = srv.capacity_sectors() / 2;
-    check(Box::new(srv), half, NFS_SERVER);
-}
-
-#[test]
 fn tape_script() {
     let t = TapeDevice::dlt("st0");
     let half = t.capacity_sectors() / 2;
@@ -374,32 +366,6 @@ const NFS_JITTERED: &[&str] = &[
     "r 2097148+8 @30000014000000 -> Eio cost 7000000 [fault:7000000] r9 w4 sr352 sw56 busy3510300323 rp9",
     "r 0+8 @40000000000000 -> ok 260283207 [rpc:800000 first_byte:255506508 link:3976699] r10 w4 sr360 sw56 busy3770583530 rp10",
     "r 8+8 @40000260283207 -> ok 4776699 [rpc:800000 link:3976699] r11 w4 sr368 sw56 busy3775360229 rp10",
-];
-const NFS_SERVER: &[&str] = &[
-    "r 0+8 @0 -> ok 11862590 [rpc:2500000 server_disk:8952990 link:409600] r1 w0 sr8 sw0 busy11862590 rp0",
-    "r 8+8 @11862590 -> ok 1451480 [rpc:500000 server_disk:541880 link:409600] r2 w0 sr16 sw0 busy13314070 rp0",
-    "w 16+8 @13314070 -> ok 3451480 [rpc:2500000 link:409600 server_disk:541880] r2 w1 sr16 sw8 busy16765550 rp0",
-    "r 5200000+16 @16765550 -> ok 21225366 [rpc:2500000 server_disk:17906166 link:819200] r3 w1 sr32 sw8 busy37990916 rp0",
-    "w 3466666+8 @37990916 -> ok 21581732 [rpc:2500000 link:409600 server_disk:18672132] r3 w2 sr32 sw16 busy59572648 rp0",
-    "r 5199900+200 @59572648 -> ok 47839067 [rpc:2500000 server_disk:35099067 link:10240000] r4 w2 sr232 sw16 busy107411715 rp0",
-    "r 5200000+8 @107411715 -> ok 2909600 [rpc:2500000 link:409600] r5 w2 sr240 sw16 busy110321315 rp0",
-    "r 4+8 @110321315 -> ok 2909600 [rpc:2500000 link:409600] r6 w2 sr248 sw16 busy113230915 rp0",
-    "r 10400000+8 @113230915 -> Einval [] r6 w2 sr248 sw16 busy113230915 rp0",
-    "r 0+0 @113230915 -> Einval [] r6 w2 sr248 sw16 busy113230915 rp0",
-    "w 10399992+16 @113230915 -> Einval [] r6 w2 sr248 sw16 busy113230915 rp0",
-    "r 5199996+8 @10000000000000 -> Eagain cost 3000000 [fault:3000000] r6 w2 sr248 sw16 busy113230915 rp0",
-    "r 100+8 @10000003000000 -> Eagain cost 3000000 [fault:3000000] r6 w2 sr248 sw16 busy113230915 rp0",
-    "r 108+8 @10000006000000 -> ok 23160026 [rpc:2500000 server_disk:18750426 link:409600 retry:1500000] r7 w2 sr256 sw16 busy136390941 rp0",
-    "w 116+8 @10000029160026 -> ok 9372451 [rpc:2500000 link:409600 server_disk:6462851] r7 w3 sr256 sw24 busy145763392 rp0",
-    "r 2600000+32 @20000000000000 -> ok 62570357 [rpc:2500000 server_disk:20889743 link:1638400 fault:37542214] r8 w3 sr288 sw24 busy208333749 rp0",
-    "w 2600032+32 @20000062570357 -> ok 14264802 [rpc:2500000 link:1638400 server_disk:1567521 fault:8558881] r8 w4 sr288 sw56 busy222598551 rp0",
-    "r 10399936+64 @20000076835159 -> ok 93381875 [rpc:2500000 server_disk:31575950 link:3276800 fault:56029125] r9 w4 sr352 sw56 busy315980426 rp0",
-    "r 0+8 @30000000000000 -> Eio cost 7000000 [fault:7000000] r9 w4 sr352 sw56 busy315980426 rp0",
-    "r 10400000+8 @30000007000000 -> Einval [] r9 w4 sr352 sw56 busy315980426 rp0",
-    "w 0+8 @30000007000000 -> Eio cost 7000000 [fault:7000000] r9 w4 sr352 sw56 busy315980426 rp0",
-    "r 5199996+8 @30000014000000 -> Eio cost 7000000 [fault:7000000] r9 w4 sr352 sw56 busy315980426 rp0",
-    "r 0+8 @40000000000000 -> ok 2909600 [rpc:2500000 link:409600] r10 w4 sr360 sw56 busy318890026 rp0",
-    "r 8+8 @40000002909600 -> ok 909600 [rpc:500000 link:409600] r11 w4 sr368 sw56 busy319799626 rp0",
 ];
 const TAPE: &[&str] = &[
     "r 0+8 @0 -> ok 40000819200 [mount:40000000000 stream:819200] r1 w0 sr8 sw0 busy40000819200 rp1",

@@ -6,8 +6,8 @@
 
 use sleds_devices::jukebox::JukeboxParams;
 use sleds_devices::{
-    BlockDevice, CdRomDevice, DevStats, DiskDevice, FaultPlan, Jukebox, NfsDevice, NfsServerDevice,
-    PhaseKind, ServicePhase, TapeDevice,
+    BlockDevice, CdRomDevice, DevStats, DiskDevice, FaultPlan, Jukebox, NfsDevice, PhaseKind,
+    ServicePhase, TapeDevice,
 };
 use sleds_sim_core::{check, DetRng, SimDuration, SimTime};
 
@@ -156,25 +156,6 @@ fn nfs_sequential_cost_is_split_invariant() {
     });
 }
 
-/// The NFS server's cache makes rereads cheaper, never dearer.
-#[test]
-fn nfs_server_rereads_never_dearer() {
-    check::run("nfs_server_rereads_never_dearer", |rng| {
-        let mut srv = NfsServerDevice::lan_mount("lan0");
-        let nreads = rng.range_usize(1, 16);
-        for _ in 0..nreads {
-            let start = rng.range_u64(0, 100_000);
-            let len = rng.range_u64(8, 64);
-            let cold = srv.read(start, len, SimTime::ZERO).unwrap();
-            // Break sequentiality so both pay the RTT.
-            srv.read((start + 1_000_000) % 9_000_000, 8, SimTime::ZERO)
-                .unwrap();
-            let warm = srv.read(start, len, SimTime::ZERO).unwrap();
-            assert!(warm <= cold, "warm {warm} > cold {cold}");
-        }
-    });
-}
-
 /// A plan with one window of each kind on `name`, placed at random within
 /// `horizon`; windows may overlap.
 fn random_plan(rng: &mut DetRng, name: &str, horizon: u64) -> FaultPlan {
@@ -193,7 +174,7 @@ fn random_plan(rng: &mut DetRng, name: &str, horizon: u64) -> FaultPlan {
     plan.offline(name, a, b, cost * 2)
 }
 
-/// The device shell, over all six models: under a random fault plan and a
+/// The device shell, over all five models: under a random fault plan and a
 /// random mix of sequential, random, out-of-range, empty and (for the
 /// jukebox) cross-cartridge reads and writes, every served command's
 /// phases sum exactly to its time, every failed command leaves the stats
@@ -206,7 +187,6 @@ fn shell_invariants_hold_for_every_model() {
             Box::new(DiskDevice::table2_disk("d").with_jitter(rng.derive(1), 0.05)),
             Box::new(CdRomDevice::table2_drive("d")),
             Box::new(NfsDevice::table2_mount("d")),
-            Box::new(NfsServerDevice::lan_mount("d")),
             Box::new(TapeDevice::dlt("d")),
             Box::new(Jukebox::new("d", 3, 2, JukeboxParams::default())),
         ];

@@ -535,15 +535,6 @@ impl Kernel {
         self.devices.get(dev.0).map(|d| d.zone_map())
     }
 
-    /// Asks a device for its dynamic `(latency, bandwidth)` report for
-    /// `sector` — the client/server SLEDs channel. `None` when the device
-    /// has nothing to report.
-    pub fn device_probe(&self, dev: DeviceId, sector: u64) -> Option<(f64, f64)> {
-        self.devices
-            .get(dev.0)
-            .and_then(|d| d.dynamic_probe(sector))
-    }
-
     /// Coarse health of a device at the current virtual time. Pure query:
     /// charges nothing.
     pub fn device_fault_state(&self, dev: DeviceId) -> Option<FaultState> {

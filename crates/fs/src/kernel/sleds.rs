@@ -432,10 +432,12 @@ impl Kernel {
 
     /// A version stamp for an open file's SLED vector: changes whenever the
     /// file's cache residency, layout, or size changes — or any device
-    /// enters or leaves a fault window — and never repeats.
-    /// `FSLEDS_GET` callers memoize their last vector against this stamp
-    /// and skip the walk while it holds. Charges only the syscall cost —
-    /// that is the point.
+    /// enters or leaves a fault window — and never repeats. Every input
+    /// `FSLEDS_GET` prices from is one of those, so the vector is a
+    /// function of the stamp and the table: two `FSLEDS_GET` calls under
+    /// the same stamp and table return bit-identical vectors, and a caller
+    /// may memoize its last vector against the stamp and skip the walk
+    /// while it holds. Charges only the syscall cost — that is the point.
     pub fn sled_generation(&mut self, fd: Fd) -> SimResult<u64> {
         self.ioctl(&Entry::query("sled_generation"), [0; 3], |k| {
             let of = k.openfile(fd)?;

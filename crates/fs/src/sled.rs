@@ -13,19 +13,17 @@
 //! ([`RedundantExtent`]) and [`fold`] prices them, so a device extent
 //! splits only where the table actually changes (a zone-row boundary) and
 //! the cost is proportional to residency runs and zone crossings, not
-//! pages. The one deliberately per-page arm is dynamic device self-reports
-//! ([`SledsTable::trust_device_reports`]), where a server's cache state
-//! can differ page by page. An extent on a redundant volume is priced at
-//! the copy the kernel's read routing would pick ([`select_min_cost`]).
+//! pages. An extent on a redundant volume is priced at the copy the
+//! kernel's read routing would pick ([`select_min_cost`]).
 //!
 //! Both sides of the syscall boundary call this module with the one
 //! [`SledsTable`]: the library's sequential `fsleds_get` with its own, the
 //! ring ops and pick programs that build SLEDs below the boundary with the
-//! copy that crossed with them. Zone rows and device self-reports push
-//! down like flat rows, so the two sides cannot drift. The `SLEDS_BEST`
-//! estimate ([`best_estimate`]) and the pick planner ([`plan_chunks`]) live
-//! here for the same reason: a pushed-down predicate or plan is only useful
-//! if it sees exactly what the un-pushed one sees.
+//! copy that crossed with them. Zone rows push down like flat rows, so the
+//! two sides cannot drift. The `SLEDS_BEST` estimate ([`best_estimate`])
+//! and the pick planner ([`plan_chunks`]) live here for the same reason: a
+//! pushed-down predicate or plan is only useful if it sees exactly what the
+//! un-pushed one sees.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -159,10 +157,6 @@ struct Rows {
     devices: Vec<(DeviceId, SledsEntry)>,
     /// Per-device zone rows: `(first sector, entry)`, sorted by sector.
     zones: BTreeMap<DeviceId, Vec<(u64, SledsEntry)>>,
-    /// When set, [`fold`] asks devices for dynamic self-reports
-    /// (`BlockDevice::dynamic_probe`) before falling back to table rows —
-    /// the client/server SLEDs channel of the paper's section 6.
-    trust_device_reports: bool,
     /// Table generation: 0 for a boot-time fill, bumped by each
     /// recalibration. Predictions are tagged with it so the accuracy
     /// audit can tell which table priced each estimate.
@@ -238,16 +232,6 @@ impl SledsTable {
         let rows = self.rows.zones.get(&dev)?;
         let idx = rows.partition_point(|(s, _)| *s <= sector);
         rows.get(idx).map(|(s, _)| *s)
-    }
-
-    /// Enables consulting device dynamic self-reports in [`fold`].
-    pub fn set_trust_device_reports(&mut self, trust: bool) {
-        self.rows_mut().trust_device_reports = trust;
-    }
-
-    /// Whether device dynamic self-reports are consulted.
-    pub fn trust_device_reports(&self) -> bool {
-        self.rows.trust_device_reports
     }
 
     /// The table's generation (0 = boot-time fill).
@@ -361,8 +345,7 @@ pub fn memory_row(table: &SledsTable) -> SimResult<SledsEntry> {
 /// has the device's live fault state folded in ([`degrade`]); an extent
 /// with alternatives is priced at the min-cost *available* candidate
 /// ([`select_min_cost`]) and unavailable only when no candidate set can
-/// serve it. Reads the kernel's fault windows and device self-reports and
-/// charges nothing.
+/// serve it. Reads the kernel's fault windows and charges nothing.
 ///
 /// # Errors
 ///
@@ -425,20 +408,6 @@ pub fn fold<'e>(
                 let chosen =
                     select_min_cost(&cands, re.coded_k, length).unwrap_or(SledsEntry::UNAVAILABLE);
                 push(ext_off, length, chosen);
-            }
-            PageLocation::Device { dev, sector } if table.trust_device_reports() => {
-                // Dynamic device self-report (client/server SLEDs): the
-                // server's cache state can differ page by page, so this
-                // channel probes each page of the extent.
-                let state = state_of(dev);
-                for i in 0..e.pages {
-                    let s = sector + i * SECTORS_PER_PAGE;
-                    let entry = match kernel.device_probe(dev, s) {
-                        Some((latency, bandwidth)) => SledsEntry { latency, bandwidth },
-                        None => row(dev, s)?,
-                    };
-                    push(ext_off + i * PAGE_SIZE, PAGE_SIZE, degrade(entry, state));
-                }
             }
             PageLocation::Device { dev, sector } => {
                 // Static rows: constant between zone boundaries, so one

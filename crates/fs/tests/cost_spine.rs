@@ -432,9 +432,6 @@ impl BlockDevice for Impostor {
     fn zone_map(&self) -> Vec<ZoneSpan> {
         self.0.zone_map()
     }
-    fn dynamic_probe(&self, sector: u64) -> Option<(f64, f64)> {
-        self.0.dynamic_probe(sector)
-    }
     fn set_fault_injector(&mut self, injector: FaultInjector) {
         self.0.set_fault_injector(injector)
     }

@@ -38,8 +38,6 @@ struct Params {
     ring_entries: usize,
     /// A zone boundary (sector) on the mount's device, if any.
     zone_at: Option<u64>,
-    /// Whether the table trusts device self-reports.
-    trust: bool,
 }
 
 impl Params {
@@ -62,7 +60,6 @@ impl Params {
             chunk: rng.range_usize(2048, 64 << 10),
             ring_entries: rng.range_usize(1, 33),
             zone_at: rng.chance(0.3).then(|| rng.range_u64(0, 400)),
-            trust: rng.chance(0.3),
         }
     }
 
@@ -135,14 +132,13 @@ impl Params {
                 t.fill_device(d, SledsEntry::new(base.latency * by, base.bandwidth / by));
             }
         }
-        // The table shapes pushdown once refused: zone rows (a slower zone
-        // from `zone_at` on) and device self-reports.
+        // The table shape pushdown once refused: zone rows (a slower zone
+        // from `zone_at` on).
         let dev = k.device_of_mount(m).unwrap();
         if let (Some(at), Some(base)) = (self.zone_at, t.device(dev)) {
             let slow = SledsEntry::new(base.latency, base.bandwidth / 2.0);
             t.fill_device_zones(dev, vec![(0, base), (at, slow)]);
         }
-        t.set_trust_device_reports(self.trust);
 
         let path = format!("{dir}/f");
         let size = ((self.pages - 1) * PAGE_SIZE + self.tail) as usize;
@@ -354,7 +350,6 @@ fn volumes_price_alike_on_both_sides_of_the_boundary() {
             chunk: 4096,
             ring_entries: 1,
             zone_at: None,
-            trust: false,
         });
     }
 }

@@ -28,8 +28,6 @@ is_dirty  dirty bits observed against the Vec model in pagecache/tests/model.rs
 resident_runs  resident runs observed against the Vec model in pagecache/tests/model.rs
 eviction_rank  per-page ranks observed against the Vec model in pagecache/tests/model.rs and the two-map list in pagecache/src/reference.rs
 resident_run_count  run counts checked by pagecache unit tests (resident_runs_coalesce_and_clip)
-lan_mount  the only way into the paper section 6 client/server SLEDs of tests/distributed.rs
-set_trust_device_reports  the other way into them, read by tests/distributed.rs and core/tests/pushdown_parity.rs
 sled_generation  read by kernel::tests::fsleds_recal_bumps_epoch_and_generation and fs/tests/fd_edges.rs; ROADMAP 7(b) promotes it to a Syscall
 '
 
